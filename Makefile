@@ -148,10 +148,11 @@ bench-compare:
 # The out-of-core cold-start series (DESIGN.md §15, EXPERIMENTS.md):
 # process start to first query answer for a saved paged flat image (mmap
 # and pread), the rebuild-from-scratch baseline, and the durable directory
-# in both recovery modes — plus the capped-pool bytes-resident gate. Each
-# timed iteration is a full open/probe/close, so ns/op IS the cold start;
-# min-of-3 as in bench-save. KWSC_BENCH_1M=1 adds the N=1M mmap tier.
-BENCH_COLDSTART_REGEX = ^(BenchmarkColdStartPagedORPKW|BenchmarkColdStartRebuildORPKW|BenchmarkColdStartDurable|BenchmarkPagedResidentCapped)
+# in both recovery modes — plus the capped-pool bytes-resident gate and the
+# paged base's steady-state query (ns/op with page pins and misses per
+# query). Each cold-start iteration is a full open/probe/close, so ns/op IS
+# the cold start; min-of-3 as in bench-save. KWSC_BENCH_1M=1 adds the N=1M mmap tier.
+BENCH_COLDSTART_REGEX = ^(BenchmarkColdStartPagedORPKW|BenchmarkColdStartRebuildORPKW|BenchmarkColdStartDurable|BenchmarkPagedResidentCapped|BenchmarkPagedBaseQueryCapped)
 bench-coldstart:
 	$(GO) test -run '^$$' -bench '$(BENCH_COLDSTART_REGEX)' -count=$(BENCH_COUNT) \
 		-benchmem -benchtime=5x -timeout 60m . | $(GO) run ./cmd/benchsave -out BENCH_coldstart_$(shell date +%Y-%m-%d).json

@@ -15,6 +15,10 @@ package kwsc
 //                              a hard page cap, reporting resident bytes —
 //                              the bounded-memory property that makes
 //                              larger-than-RAM serving safe
+//   - PagedBaseQueryCapped     random k=2 queries on a Zipf corpus through
+//                              a pool a quarter of the checkpoint, with
+//                              page pins and misses per query — the I/O
+//                              cost of the paged base's intersection
 //
 // Every timed iteration is a full open → probe → close cycle, so ns/op is
 // literally "cold start to first result". The probe is the planted
@@ -26,11 +30,13 @@ package kwsc
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"kwsc/internal/pager"
+	"kwsc/internal/workload"
 )
 
 // savedPagedFixture builds the planted flat index once and saves it at a
@@ -207,6 +213,82 @@ func BenchmarkPagedResidentCapped(b *testing.B) {
 		b.Fatalf("buffer pool holds %d pages, cap is %d", resident, capPages)
 	}
 	b.ReportMetric(float64(resident)*float64(pager.PageSize), "bytes-resident")
+}
+
+// BenchmarkPagedBaseQueryCapped: the steady-state cost of a query served by
+// the paged base alone. The corpus is the Zipf one of the paged-cold workload
+// (bench/), the pread pool holds a quarter of the checkpoint's pages, and
+// the queries are random keyword pairs over random rectangles, so most of
+// them intersect one short list with one long one. ns/op is the facade
+// Collect; pins/op and misses/op are the page pins (and the faulting share
+// of them) a query makes — counts that do not depend on the host.
+func BenchmarkPagedBaseQueryCapped(b *testing.B) {
+	const n, k, vocab = 1 << 16, 2, 1000
+	ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: vocab, DocLen: 6})
+	dir := b.TempDir()
+	d, err := OpenDurable(dir, 2, k, WithFsyncPolicy(FsyncNone))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := d.Insert(*ds.Object(int32(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if len(ckpts) != 1 {
+		b.Fatalf("checkpoints in %s: %v", dir, ckpts)
+	}
+	fi, err := os.Stat(ckpts[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	capPages := int(fi.Size() / pager.PageSize / 4)
+	d, err = OpenDurable(dir, 2, k, WithFsyncPolicy(FsyncNone),
+		WithPagedRecovery(PagedBaseOptions{NoMmap: true, CapPages: capPages}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+
+	type query struct {
+		region *Rect
+		kws    []Keyword
+	}
+	rng := rand.New(rand.NewSource(2))
+	queries := make([]query, 4096)
+	for i := range queries {
+		queries[i] = query{workload.RandRect(rng, 2, 0.2), workload.RandKeywords(rng, vocab, k)}
+	}
+	pins := func() (hits, misses int64) {
+		m := Metrics()
+		return m.Counter("kwsc_pager_pin_hits_total"), m.Counter("kwsc_pager_pin_misses_total")
+	}
+	// One pass over the query ring fills the pool, so the timed loop starts
+	// from the steady state whatever b.N is.
+	for _, q := range queries {
+		if _, _, err := d.Collect(q.region, q.kws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hits0, misses0 := pins()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		if _, _, err := d.Collect(q.region, q.kws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	hits, misses := pins()
+	b.ReportMetric(float64(hits-hits0+misses-misses0)/float64(b.N), "pins/op")
+	b.ReportMetric(float64(misses-misses0)/float64(b.N), "misses/op")
 }
 
 // --- N=1M tier (opt-in: KWSC_BENCH_1M=1) -------------------------------------

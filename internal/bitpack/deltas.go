@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -30,6 +31,13 @@ type Block struct {
 	N     int16 // values in the block, 1 <= N <= BlockSize
 	W     uint8 // bits per packed delta (0 iff N == 1)
 }
+
+// Words returns the number of 64-bit payload words the block occupies.
+func (b Block) Words() int { return (int(b.N-1)*int(b.W) + 63) / 64 }
+
+// MaxBlockBytes bounds a block's serialized payload: BlockSize-1 deltas at
+// the widest width Validate admits (32 bits), in whole words.
+const MaxBlockBytes = 8 * (((BlockSize-1)*32 + 63) / 64)
 
 // List is a handle to one packed sequence inside a PackedLists arena.
 type List struct {
@@ -85,8 +93,7 @@ func (a *PackedLists) appendBlock(ids []int32) {
 	}
 	b.W = width
 	if width > 0 {
-		need := (int(b.N-1)*int(width) + 63) / 64
-		a.words = append(a.words, make([]uint64, need)...)
+		a.words = append(a.words, make([]uint64, b.Words())...)
 		words := a.words[b.Off:]
 		bit := 0
 		prev = ids[0]
@@ -131,6 +138,39 @@ func (a *PackedLists) DecodeBlock(b Block, dst []int32) []int32 {
 		z := words[bit>>6] >> (uint(bit) & 63)
 		if spill := bit&63 + int(width) - 64; spill > 0 {
 			z |= words[bit>>6+1] << (uint(width) - uint(spill))
+		}
+		prev += unzigzag(uint32(z & mask))
+		dst = append(dst, prev)
+		bit += int(width)
+	}
+	return dst
+}
+
+// DecodeBlockBytes is DecodeBlock over the block's own payload in serialized
+// form: payload holds the 8*b.Words() little-endian bytes that start at word
+// b.Off of the arena (b.Off itself is not consulted). It lets a reader of a
+// paged posting section decode straight out of a pinned page.
+func DecodeBlockBytes(b Block, payload []byte, dst []int32) []int32 {
+	dst = append(dst, b.First)
+	if b.N == 1 {
+		return dst
+	}
+	if b.W == 0 {
+		for i := int16(1); i < b.N; i++ {
+			dst = append(dst, b.First)
+		}
+		return dst
+	}
+	payload = payload[:8*b.Words()]
+	width := uint(b.W)
+	mask := uint64(1)<<width - 1
+	bit := 0
+	prev := b.First
+	for i := int16(1); i < b.N; i++ {
+		w := bit >> 6 << 3
+		z := binary.LittleEndian.Uint64(payload[w:]) >> (uint(bit) & 63)
+		if spill := bit&63 + int(width) - 64; spill > 0 {
+			z |= binary.LittleEndian.Uint64(payload[w+8:]) << (width - uint(spill))
 		}
 		prev += unzigzag(uint32(z & mask))
 		dst = append(dst, prev)
@@ -188,8 +228,7 @@ func (a *PackedLists) Validate(l List) error {
 		if b.W > 32 {
 			return fmt.Errorf("bitpack: delta width %d exceeds 32", b.W)
 		}
-		need := (int64(b.N-1)*int64(b.W) + 63) / 64
-		if b.Off < 0 || int64(b.Off)+need > int64(len(a.words)) {
+		if need := int64(b.Words()); b.Off < 0 || int64(b.Off)+need > int64(len(a.words)) {
 			return fmt.Errorf("bitpack: block payload [%d,%d) out of arena range %d", b.Off, int64(b.Off)+need, len(a.words))
 		}
 		n += int32(b.N)

@@ -7,9 +7,10 @@ import (
 
 // FuzzPackDeltas drives the delta codec with arbitrary int32 sequences (the
 // fuzzer's bytes reinterpreted four at a time): packing then unpacking must
-// reproduce the input exactly, the handle must validate against its own
-// arena, and block metadata must stay within the codec's invariants
-// (N in [1, BlockSize], payload in range). Wired into `make fuzz-smoke`.
+// reproduce the input exactly through both decoders (arena words and
+// serialized bytes), the handle must validate against its own arena, and
+// block metadata must stay within the codec's invariants (N in
+// [1, BlockSize], payload in range). Wired into `make fuzz-smoke`.
 func FuzzPackDeltas(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})
@@ -25,18 +26,6 @@ func FuzzPackDeltas(f *testing.F) {
 			ids = append(ids, int32(binary.LittleEndian.Uint32(data)))
 			data = data[4:]
 		}
-		a, l := PackDeltas(ids)
-		if err := a.Validate(l); err != nil {
-			t.Fatalf("fresh pack fails validation: %v", err)
-		}
-		got := UnpackDeltas(a, l)
-		if len(got) != len(ids) {
-			t.Fatalf("round trip length: got %d, want %d", len(got), len(ids))
-		}
-		for i := range got {
-			if got[i] != ids[i] {
-				t.Fatalf("round trip element %d: got %d, want %d", i, got[i], ids[i])
-			}
-		}
+		roundTrip(t, ids)
 	})
 }

@@ -1,24 +1,42 @@
 package bitpack
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-func roundTrip(t *testing.T, ids []int32) {
+// unpackBytes decodes l block by block through DecodeBlockBytes, handing each
+// block exactly its own payload as serialized little-endian bytes.
+func unpackBytes(a *PackedLists, l List) []int32 {
+	var out []int32
+	for _, b := range a.Blocks(l) {
+		payload := make([]byte, 8*b.Words())
+		for i := 0; i < b.Words(); i++ {
+			binary.LittleEndian.PutUint64(payload[8*i:], a.words[int(b.Off)+i])
+		}
+		out = DecodeBlockBytes(b, payload, out)
+	}
+	return out
+}
+
+// roundTrip packs ids and requires both decoders — words in the arena and
+// bytes as serialized — to reproduce them.
+func roundTrip(t testing.TB, ids []int32) {
 	t.Helper()
 	a, l := PackDeltas(ids)
 	if err := a.Validate(l); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	got := UnpackDeltas(a, l)
-	if len(got) != len(ids) {
-		t.Fatalf("round trip length: got %d, want %d", len(got), len(ids))
-	}
-	for i := range got {
-		if got[i] != ids[i] {
-			t.Fatalf("round trip element %d: got %d, want %d", i, got[i], ids[i])
+	for name, got := range map[string][]int32{"words": UnpackDeltas(a, l), "bytes": unpackBytes(a, l)} {
+		if len(got) != len(ids) {
+			t.Fatalf("%s round trip length: got %d, want %d", name, len(got), len(ids))
+		}
+		for i := range got {
+			if got[i] != ids[i] {
+				t.Fatalf("%s round trip element %d: got %d, want %d", name, i, got[i], ids[i])
+			}
 		}
 	}
 }

@@ -145,3 +145,33 @@ func TestCollectIntoZeroAllocsFlatLayout(t *testing.T) {
 		t.Fatalf("flat CollectInto allocates %v per op, want 0", allocs)
 	}
 }
+
+// The paged base's query path is allocation-free in steady state too: the
+// reader (cursors, decode scratch, the reported object) comes back from the
+// base's pool, and over a mapping every column read is a subslice.
+func TestPagedBaseQueryZeroAllocsMapped(t *testing.T) {
+	snap := snapshotOfDocs(2, diffDocs(), 34)
+	b, err := OpenPagedBase(writePagedCheckpoint(t, t.TempDir(), "alloc.ckpt", snap), PagedBaseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	q := geom.UniverseRect(2)
+	ws := []dataset.Keyword{1, 2}
+	runs, reported := 0, 0
+	run := func() {
+		runs++
+		if _, err := b.Query(q, ws, QueryOpts{}, func(int64, *dataset.Object) { reported++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("mapped PagedBase.Query allocates %v per op, want 0", allocs)
+	}
+	if reported != 500*runs {
+		t.Fatalf("%d objects reported across %d runs, want 500 each", reported, runs)
+	}
+}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"kwsc/internal/bitpack"
@@ -21,15 +24,22 @@ import (
 // base entries are tombstoned at the dynamic layer, and insertions go to the
 // buffer/buckets as usual (see BaseIndex).
 //
-// A query picks the rarest query keyword's bitpacked posting list, scans its
-// candidates, and verifies the remaining keywords against the candidate's
-// document and its point against the rectangle — O(min posting list) work,
-// the classic document-at-a-time plan. That is asymptotically weaker than
-// the ORPKW traversal the entries would support fully decoded, but it touches
-// only the pages the posting list and its candidates live on, which is the
-// out-of-core trade: bounded memory and instant start against more work per
-// query. A background-rebuilt bucket index supersedes the base at the next
-// full compaction into RAM (future work; today the base lives until restart).
+// A query is the paper's keywords-only baseline run for page transfers, the
+// cost that matters out of core: intersect the k posting lists, then filter
+// the survivors by the rectangle. The intersection is a k-way leapfrog driven
+// off the shortest list, and it runs on the block directory (First/Max per
+// 128-id block), which is resident: a block is skipped when its Max lies
+// below the sought id and answers from its First when the id lies at or
+// below it, so a posting page is read only for a block whose range really
+// straddles the id. Only ids found in all k lists touch the points section,
+// and only those inside the rectangle touch handles and documents:
+// O(sum of posting pages + |intersection| point pages + OUT doc pages) page
+// reads per query, against none for the directory. That is still weaker than
+// the ORPKW traversal the entries would support fully decoded — Theorem 1's
+// bound is forfeited while the base serves — which is the out-of-core trade:
+// bounded memory and instant start against more work per query. A
+// background-rebuilt bucket index supersedes the base at the next full
+// compaction into RAM (future work; today the base lives until restart).
 //
 // Structural metadata (vocabulary, posting-list and block directories,
 // handle and document offsets) is validated eagerly at open — O(vocabulary +
@@ -54,17 +64,31 @@ type PagedBase struct {
 	vocab  []uint32
 	lists  []bitpack.List
 	blocks []bitpack.Block
+	// handleFence[p] is the first handle on page p of the handles section, so
+	// Has finds the one page that can hold a handle without reading any.
+	handleFence []int64
 
-	// Zero-copy typed columns, non-nil only when the file is mapped on a
-	// little-endian host; otherwise reads go through pager views.
+	// Zero-copy typed columns (and the posting payload bytes), non-nil only
+	// when the file is mapped on a little-endian host; otherwise reads go
+	// through pager views.
 	mHandles  []int64
 	mPoints   []float64
 	mDocStart []int64
 	mDocWords []uint32
-	mWords    []uint64
+	mPayload  []byte
+
+	// readers recycles baseReaders across queries. The garbage collector
+	// empties a sync.Pool, so the parked readers' pointers back to the base
+	// do not keep a dropped base from being finalized (pinned by
+	// TestPagedBaseDroppedAfterQueriesIsFinalized).
+	readers sync.Pool
 
 	closed atomic.Bool
 }
+
+// handlesPerPage is the number of handle column entries on one page (the
+// section is page-aligned, as every KWCP2 section is).
+const handlesPerPage = pager.PageSize / 8
 
 // PagedBaseOptions configures OpenPagedBase.
 type PagedBaseOptions struct {
@@ -114,7 +138,7 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if meta.Kind != codec.PagedKindSnapshot {
 		return nil, errBase("container kind %d is not a snapshot", meta.Kind)
 	}
-	if meta.K < 2 || meta.K > 64 || meta.Dim == 0 || meta.Dim > 64 || meta.Count > 1<<31 {
+	if meta.K < 2 || meta.K > 64 || meta.Dim == 0 || meta.Dim > 64 || meta.Count > math.MaxInt32 {
 		return nil, errBase("implausible meta %+v", meta)
 	}
 	b := &PagedBase{
@@ -188,11 +212,10 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		b.mPoints = pager.CastF64(sec(b.pointsOff, 8*b.count*int64(b.dim)))
 		b.mDocStart = pager.CastI64(sec(b.docStartOff, 8*(b.count+1)))
 		b.mDocWords = pager.CastU32(sec(b.docWordsOff, 4*b.docTotal))
-		b.mWords = pager.CastU64(sec(b.wordsOff, 8*b.wordsN))
+		b.mPayload = sec(b.wordsOff, 8*b.wordsN)
 		// All casts must land together: the readers key off mHandles.
-		if b.mHandles == nil || b.mPoints == nil || b.mDocStart == nil ||
-			b.mDocWords == nil || (b.wordsN > 0 && b.mWords == nil) {
-			b.mHandles, b.mPoints, b.mDocStart, b.mDocWords, b.mWords = nil, nil, nil, nil, nil
+		if b.mHandles == nil || b.mPoints == nil || b.mDocStart == nil || b.mDocWords == nil {
+			b.mHandles, b.mPoints, b.mDocStart, b.mDocWords, b.mPayload = nil, nil, nil, nil, nil
 		}
 	}
 	if b.mHandles != nil {
@@ -259,8 +282,12 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 		return err
 	}
 	prev := int64(-1)
+	b.handleFence = make([]int64, 0, (b.count+handlesPerPage-1)/handlesPerPage)
 	for i := int64(0); i < b.count; i++ {
 		h := hv.I64(8 * i)
+		if i%handlesPerPage == 0 {
+			b.handleFence = append(b.handleFence, h)
+		}
 		if h <= prev {
 			hv.Release()
 			return errBase("handles not strictly increasing at index %d", i)
@@ -325,17 +352,23 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 			return errBase("posting list %d blocks out of range", i)
 		}
 		var n int64
+		prevMax := int32(0)
 		for _, blk := range b.blocks[l.Block : l.Block+l.NumBlocks] {
 			if blk.N < 1 || blk.N > bitpack.BlockSize || blk.W > 32 {
 				return errBase("posting block geometry invalid in list %d", i)
 			}
-			need := (int64(blk.N-1)*int64(blk.W) + 63) / 64
-			if blk.Off < 0 || int64(blk.Off)+need > b.wordsN {
+			if blk.Off < 0 || int64(blk.Off)+int64(blk.Words()) > b.wordsN {
 				return errBase("posting block payload out of range in list %d", i)
 			}
 			if blk.First < 0 || int64(blk.Max) >= b.count || blk.First > blk.Max {
 				return errBase("posting block ids outside [0,%d) in list %d", b.count, i)
 			}
+			// The query skips whole blocks on Max, which is only sound over
+			// a directory in ascending id order.
+			if blk.First < prevMax {
+				return errBase("posting blocks out of order in list %d", i)
+			}
+			prevMax = blk.Max
 			n += int64(blk.N)
 		}
 		if n != int64(l.N) {
@@ -382,39 +415,27 @@ func (b *PagedBase) NextHandle() int64 { return b.nextHandle }
 // Pool exposes the buffer pool for instrumentation (resident pages, cap).
 func (b *PagedBase) Pool() *pager.Pool { return b.pool }
 
-// handleAt returns the handle of entry i.
-func (b *PagedBase) handleAt(v *pager.View, i int64) int64 {
-	if b.mHandles != nil {
-		return b.mHandles[i]
-	}
-	return v.I64(8 * i)
-}
-
-// Has reports whether handle names an entry of the base, in O(log count)
-// page-pinned reads.
+// Has reports whether handle names an entry of the base. Over a pread pool
+// the resident fence names the one page of the handle column that can hold
+// it, so a lookup pins at most one page.
 func (b *PagedBase) Has(handle int64) bool {
-	if b.count == 0 {
-		return false
-	}
 	if b.mHandles != nil {
 		i := sort.Search(int(b.count), func(i int) bool { return b.mHandles[i] >= handle })
 		return i < int(b.count) && b.mHandles[i] == handle
 	}
-	v, err := pager.NewView(b.pool, b.handlesOff, 8*b.count)
+	p := sort.Search(len(b.handleFence), func(p int) bool { return b.handleFence[p] > handle }) - 1
+	if p < 0 {
+		return false
+	}
+	fr, err := b.pool.Pin(b.handlesOff/pager.PageSize + int64(p))
 	if err != nil {
 		return false
 	}
-	defer v.Release()
-	lo, hi := int64(0), b.count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.I64(8*mid) < handle {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return v.Err() == nil && lo < b.count && v.I64(8*lo) == handle
+	defer fr.Unpin()
+	at := func(i int) int64 { return int64(binary.LittleEndian.Uint64(fr.Data[8*i:])) }
+	n := int(min(handlesPerPage, b.count-int64(p)*handlesPerPage))
+	i := sort.Search(n, func(i int) bool { return at(i) >= handle })
+	return i < n && at(i) == handle
 }
 
 // listFor returns the posting list of keyword w, if present.
@@ -426,112 +447,182 @@ func (b *PagedBase) listFor(w dataset.Keyword) (bitpack.List, bool) {
 	return b.lists[i], true
 }
 
-// baseReader bundles the per-query views and scratch buffers of one scan.
+// listCursor walks one posting list in ascending id order. Its position
+// advances over the resident block directory; a block's payload is fetched
+// and decoded only when the directory cannot answer a seek by itself.
+type listCursor struct {
+	blocks []bitpack.Block // the list's directory entries
+	n      int32           // list length, the intersection's ordering key
+	bi     int             // current block
+	dec    int             // block whose ids vals holds, -1 for none
+	pos    int             // scan position in vals
+	vals   []int32         // decoded ids, capacity BlockSize
+	ww     *pager.View     // posting payload (pread mode; nil when mapped)
+}
+
+// baseReader bundles the per-query cursors, views and scratch buffers of one
+// scan. Readers are recycled through PagedBase.readers.
 type baseReader struct {
-	b                  *PagedBase
-	hv, pv, dv, wv, ww *pager.View
-	doc                []dataset.Keyword
-	pt                 geom.Point
-	words              []uint64
-	vals               []int32
+	b              *PagedBase
+	hv, pv, dv, wv *pager.View   // handles, points, doc offsets, doc words (pread mode)
+	views          []*pager.View // every view the reader holds, cursors' included
+	cur            []listCursor  // one per query keyword
+	obj            dataset.Object
+	pt             geom.Point
+	ptBuf          []byte
+	doc            []dataset.Keyword
+	blockBuf       [bitpack.MaxBlockBytes]byte // a block payload that crosses a page boundary
 }
 
 func (b *PagedBase) newReader() (*baseReader, error) {
-	r := &baseReader{b: b}
+	r := &baseReader{b: b, cur: make([]listCursor, b.k)}
+	vals := make([]int32, b.k*bitpack.BlockSize)
+	for i := range r.cur {
+		r.cur[i].vals = vals[i*bitpack.BlockSize : i*bitpack.BlockSize : (i+1)*bitpack.BlockSize]
+	}
 	if b.mHandles != nil {
 		return r, nil
 	}
-	mk := func(off, n int64) (*pager.View, error) { return pager.NewView(b.pool, off, n) }
 	var err error
-	if r.hv, err = mk(b.handlesOff, 8*b.count); err != nil {
-		return nil, err
-	}
-	if r.pv, err = mk(b.pointsOff, 8*b.count*int64(b.dim)); err != nil {
-		r.release()
-		return nil, err
-	}
-	if r.dv, err = mk(b.docStartOff, 8*(b.count+1)); err != nil {
-		r.release()
-		return nil, err
-	}
-	if b.docTotal > 0 {
-		if r.wv, err = mk(b.docWordsOff, 4*b.docTotal); err != nil {
-			r.release()
-			return nil, err
+	mk := func(off, n int64) *pager.View {
+		if err != nil || n == 0 {
+			return nil
 		}
-	}
-	if b.wordsN > 0 {
-		if r.ww, err = mk(b.wordsOff, 8*b.wordsN); err != nil {
-			r.release()
-			return nil, err
+		var v *pager.View
+		if v, err = pager.NewView(b.pool, off, n); err == nil {
+			r.views = append(r.views, v)
 		}
+		return v
+	}
+	r.hv = mk(b.handlesOff, 8*b.count)
+	r.pv = mk(b.pointsOff, 8*b.count*int64(b.dim))
+	r.dv = mk(b.docStartOff, 8*(b.count+1))
+	r.wv = mk(b.docWordsOff, 4*b.docTotal)
+	for i := range r.cur {
+		r.cur[i].ww = mk(b.wordsOff, 8*b.wordsN)
+	}
+	if err != nil {
+		return nil, err
 	}
 	r.pt = make(geom.Point, b.dim)
+	r.ptBuf = make([]byte, 8*b.dim)
 	return r, nil
 }
 
-func (r *baseReader) release() {
-	for _, v := range []*pager.View{r.hv, r.pv, r.dv, r.wv, r.ww} {
-		if v != nil {
-			v.Release()
-		}
+// getReader takes a reader from the pool, or makes one.
+func (b *PagedBase) getReader() (*baseReader, error) {
+	if r, _ := b.readers.Get().(*baseReader); r != nil {
+		return r, nil
+	}
+	return b.newReader()
+}
+
+// putReader unpins the reader's pages and parks it for the next query. View
+// errors are sticky, so a reader that hit one is dropped instead.
+func (b *PagedBase) putReader(r *baseReader) {
+	failed := r.err() != nil
+	for _, v := range r.views {
+		v.Release()
+	}
+	if !failed {
+		b.readers.Put(r)
 	}
 }
 
 // err returns the first sticky error across the reader's views.
 func (r *baseReader) err() error {
-	for _, v := range []*pager.View{r.hv, r.pv, r.dv, r.wv, r.ww} {
-		if v != nil && v.Err() != nil {
-			return v.Err()
+	for _, v := range r.views {
+		if err := v.Err(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// decodeBlock appends block blk's candidate ids to r.vals (reset first).
-func (r *baseReader) decodeBlock(blk bitpack.Block) error {
-	r.vals = r.vals[:0]
-	if r.b.mWords != nil {
-		arena := bitpack.FromRaw(r.b.mWords, nil)
-		r.vals = arena.DecodeBlock(blk, r.vals)
-		return nil
-	}
-	need := (int64(blk.N-1)*int64(blk.W) + 63) / 64
-	if cap(r.words) < int(need) {
-		r.words = make([]uint64, need, need+8)
-	}
-	r.words = r.words[:need]
-	for i := int64(0); i < need; i++ {
-		r.words[i] = r.ww.U64(8 * (int64(blk.Off) + i))
-	}
-	if err := r.ww.Err(); err != nil {
-		return err
-	}
-	local := blk
-	local.Off = 0
-	arena := bitpack.FromRaw(r.words, nil)
-	r.vals = arena.DecodeBlock(local, r.vals)
-	return nil
-}
-
-// inRect reports whether entry i's point lies in q.
-func (r *baseReader) inRect(q *geom.Rect, i int64) bool {
-	if r.b.mPoints != nil {
-		p := r.b.mPoints[i*int64(r.b.dim) : (i+1)*int64(r.b.dim)]
-		for j := range p {
-			if p[j] < q.Lo[j] || p[j] > q.Hi[j] {
-				return false
+// seek returns the smallest id >= target that c's list holds at or after its
+// current position, or false once the list is exhausted (or a payload read
+// failed — r.err tells which). Targets must not decrease between calls.
+func (r *baseReader) seek(c *listCursor, target int32) (int32, bool) {
+	for c.bi < len(c.blocks) {
+		blk := &c.blocks[c.bi]
+		if blk.Max < target {
+			// Gallop over the directory to the first block that can hold
+			// target: no block in between is read.
+			lo, step := c.bi, 1
+			for lo+step < len(c.blocks) && c.blocks[lo+step].Max < target {
+				lo += step
+				step <<= 1
 			}
+			hi := min(lo+step, len(c.blocks))
+			for lo+1 < hi {
+				if mid := (lo + hi) / 2; c.blocks[mid].Max < target {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			c.bi = hi
+			continue
 		}
-		return true
+		if target <= blk.First {
+			return blk.First, true
+		}
+		if c.dec != c.bi {
+			if !r.decode(c, blk) {
+				return 0, false
+			}
+			c.dec, c.pos = c.bi, 0
+		}
+		for c.pos < len(c.vals) && c.vals[c.pos] < target {
+			c.pos++
+		}
+		if c.pos < len(c.vals) {
+			return c.vals[c.pos], true
+		}
+		c.bi++ // only a block whose Max is not among its ids ends up here
 	}
-	for j := 0; j < r.b.dim; j++ {
-		c := r.pv.F64(8 * (i*int64(r.b.dim) + int64(j)))
-		if c < q.Lo[j] || c > q.Hi[j] {
+	return 0, false
+}
+
+// decode fills c.vals with blk's ids, straight from the mapping or from the
+// pinned page the payload lies on.
+func (r *baseReader) decode(c *listCursor, blk *bitpack.Block) bool {
+	var payload []byte
+	if n := 8 * int64(blk.Words()); n > 0 {
+		off := 8 * int64(blk.Off)
+		if r.b.mPayload != nil {
+			payload = r.b.mPayload[off : off+n]
+		} else if payload = c.ww.Span(off, n, r.blockBuf[:]); payload == nil {
 			return false
 		}
 	}
+	c.vals = bitpack.DecodeBlockBytes(*blk, payload, c.vals[:0])
 	return true
+}
+
+// handleAt returns the handle of entry i.
+func (r *baseReader) handleAt(i int64) int64 {
+	if r.b.mHandles != nil {
+		return r.b.mHandles[i]
+	}
+	return r.hv.I64(8 * i)
+}
+
+// pointOf returns entry i's point (mapped subslice or scratch copy), or nil
+// when the read failed.
+func (r *baseReader) pointOf(i int64) geom.Point {
+	d := int64(r.b.dim)
+	if r.b.mPoints != nil {
+		return r.b.mPoints[i*d : (i+1)*d]
+	}
+	raw := r.pv.Span(8*i*d, 8*d, r.ptBuf)
+	if raw == nil {
+		return nil
+	}
+	for j := range r.pt {
+		r.pt[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+	}
+	return r.pt
 }
 
 // docOf returns entry i's document (mapped subslice or scratch copy).
@@ -554,23 +645,17 @@ func (r *baseReader) docOf(i int64) []dataset.Keyword {
 	return r.doc
 }
 
-// docHasAllSorted verifies membership of every keyword in ws by binary
-// search over the (sorted) document.
-func docHasAllSorted(doc []dataset.Keyword, ws []dataset.Keyword) bool {
-	for _, w := range ws {
-		i := sort.Search(len(doc), func(i int) bool { return doc[i] >= w })
-		if i >= len(doc) || doc[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
 // Query reports (handle, object) for every base entry in q whose document
-// contains all k keywords. In pread mode the reported object's Point and Doc
-// are scratch, valid only for the duration of the callback; in mapped mode
-// they alias the mapping and remain valid until Close. Tombstone filtering
-// is the caller's job (the dynamic layer owns the tombstone set).
+// contains all k keywords, in ascending entry order. The reported object is
+// the reader's scratch, valid only for the duration of the callback; in
+// mapped mode its Point and Doc alias the mapping and remain valid until
+// Close. Tombstone filtering is the caller's job (the dynamic layer owns the
+// tombstone set).
+//
+// Ops counts the candidates taken from the shortest list — each one an id
+// the other lists were asked about — so Budget and ExecPolicy.NodeBudget
+// bound the intersection; ids a longer list let the scan leap over are never
+// examined and never charged.
 func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
 	if len(ws) != b.k {
 		return st, fmt.Errorf("%w: query carries %d keywords but the base holds k=%d", ErrInvalidQuery, len(ws), b.k)
@@ -585,88 +670,96 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 	if b.count == 0 {
 		return st, nil
 	}
-	// Drive the scan off the rarest keyword's posting list; any keyword
-	// absent from the vocabulary empties the result.
-	var drive bitpack.List
+	r, err := b.getReader()
+	if err != nil {
+		return st, err
+	}
+	defer b.putReader(r)
+	// One cursor per keyword, shortest list first: it drives the scan. Any
+	// keyword absent from the vocabulary empties the result.
 	for i, w := range ws {
 		l, ok := b.listFor(w)
 		if !ok {
 			return st, nil
 		}
-		if i == 0 || l.N < drive.N {
-			drive = l
+		c := &r.cur[i]
+		c.blocks, c.n, c.bi, c.dec = b.blocks[l.Block:l.Block+l.NumBlocks], l.N, 0, -1
+		for j := i; j > 0 && r.cur[j].n < r.cur[j-1].n; j-- {
+			r.cur[j], r.cur[j-1] = r.cur[j-1], r.cur[j]
 		}
 	}
-	r, err := b.newReader()
-	if err != nil {
-		return st, err
-	}
-	defer r.release()
+	drive, rest := &r.cur[0], r.cur[1:]
 	ps := newPolState(opts.Policy)
-	for _, blk := range b.blocks[drive.Block : drive.Block+drive.NumBlocks] {
-		if err := r.decodeBlock(blk); err != nil {
+next:
+	for target := int32(0); ; {
+		id, ok := r.seek(drive, target)
+		if !ok {
+			return st, r.err()
+		}
+		st.Ops++
+		st.MatScanned++
+		if opts.Budget > 0 && st.Ops > opts.Budget {
+			st.BudgetHit, st.Truncated = true, true
+			return st, r.err()
+		}
+		if err := ps.check(&st, st.Ops); err != nil {
 			return st, err
 		}
-		for _, id := range r.vals {
-			i := int64(id)
-			st.Ops++
-			st.MatScanned++
-			if opts.Budget > 0 && st.Ops > opts.Budget {
-				st.BudgetHit, st.Truncated = true, true
+		// Leapfrog: a list whose next id lies past the candidate names the
+		// next id worth asking the drive list about.
+		for j := range rest {
+			v, ok := r.seek(&rest[j], id)
+			if !ok {
 				return st, r.err()
 			}
-			if err := ps.check(&st, st.Ops); err != nil {
-				return st, err
+			if v != id {
+				target = v
+				continue next
 			}
-			if !r.inRect(q, i) {
-				continue
-			}
-			doc := r.docOf(i)
-			if !docHasAllSorted(doc, ws) {
-				continue
-			}
-			if err := r.err(); err != nil {
-				return st, err
-			}
-			if opts.Limit > 0 && st.Reported >= opts.Limit {
-				st.Truncated = true
-				return st, nil
-			}
-			obj := dataset.Object{Point: r.pointOf(i), Doc: doc}
-			report(b.handleAt(r.hv, i), &obj)
-			st.Reported++
 		}
+		// id is in all k lists: the intersection is the membership proof,
+		// and only now does the scan leave the posting section.
+		i := int64(id)
+		if i < 0 || i >= b.count {
+			return st, errBase("posting id %d outside [0,%d)", id, b.count)
+		}
+		target = id + 1
+		p := r.pointOf(i)
+		if p == nil {
+			return st, r.err()
+		}
+		if !q.ContainsPoint(p) {
+			continue
+		}
+		if opts.Limit > 0 && st.Reported >= opts.Limit {
+			st.Truncated = true
+			return st, nil
+		}
+		r.obj = dataset.Object{Point: p, Doc: r.docOf(i)}
+		h := r.handleAt(i)
+		if err := r.err(); err != nil {
+			return st, err
+		}
+		report(h, &r.obj)
+		st.Reported++
 	}
-	return st, r.err()
-}
-
-// pointOf returns entry i's point (mapped subslice or scratch copy).
-func (r *baseReader) pointOf(i int64) geom.Point {
-	if r.b.mPoints != nil {
-		return r.b.mPoints[i*int64(r.b.dim) : (i+1)*int64(r.b.dim)]
-	}
-	for j := 0; j < r.b.dim; j++ {
-		r.pt[j] = r.pv.F64(8 * (i*int64(r.b.dim) + int64(j)))
-	}
-	return r.pt
 }
 
 // Entries decodes every base entry — the checkpoint-writing path, which is
 // allowed to touch the whole file.
 func (b *PagedBase) Entries() ([]DynEntry, error) {
-	r, err := b.newReader()
+	r, err := b.getReader()
 	if err != nil {
 		return nil, err
 	}
-	defer r.release()
+	defer b.putReader(r)
 	out := make([]DynEntry, 0, b.count)
 	for i := int64(0); i < b.count; i++ {
-		doc := r.docOf(i)
 		obj := dataset.Object{
 			Point: append(geom.Point(nil), r.pointOf(i)...),
-			Doc:   append([]dataset.Keyword(nil), doc...),
+			Doc:   append([]dataset.Keyword(nil), r.docOf(i)...),
 		}
-		out = append(out, DynEntry{Handle: b.handleAt(r.hv, i), Obj: obj})
+		out = append(out, DynEntry{Handle: r.handleAt(i), Obj: obj})
 	}
 	if err := r.err(); err != nil {
 		return nil, err

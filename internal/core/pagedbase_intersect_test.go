@@ -1,0 +1,321 @@
+package core
+
+import (
+	"errors"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"kwsc/internal/bitpack"
+	"kwsc/internal/codec"
+	"kwsc/internal/dataset"
+	"kwsc/internal/geom"
+	"kwsc/internal/obs"
+	"kwsc/internal/pager"
+)
+
+// snapshotOfDocs builds a snapshot whose entry i carries docs[i] (canonical,
+// non-empty), a random point, and a gappy handle increasing with i — so
+// ascending handles are ascending entry order.
+func snapshotOfDocs(k int, docs [][]dataset.Keyword, seed int64) *codec.Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	s := &codec.Snapshot{K: k, Dim: 2, LastSeq: uint64(len(docs))}
+	h := int64(-1)
+	for _, doc := range docs {
+		h += 1 + int64(rng.Intn(3))
+		s.Entries = append(s.Entries, codec.SnapshotEntry{
+			Handle: h,
+			Obj:    dataset.Object{Point: geom.Point{rng.Float64(), rng.Float64()}, Doc: doc},
+		})
+	}
+	s.NextHandle = h + 1
+	return s
+}
+
+// Posting-list shapes of the differential corpus, by keyword. Entry ids equal
+// positions in list 1, so "id%128" names positions on its block boundaries.
+const diffEntries = 1500
+
+var diffKeywords = map[dataset.Keyword]func(i int) bool{
+	1: func(i int) bool { return true },                                     // every entry: 12 blocks
+	2: func(i int) bool { return i%3 == 0 },                                 // 500 ids, 4 blocks
+	3: func(i int) bool { return i < bitpack.BlockSize-1 },                  // 127 ids: one block, short by one
+	4: func(i int) bool { return i >= 1000 && i < 1000+bitpack.BlockSize },  // 128 ids: one full block
+	5: func(i int) bool { return i%11 == 5 && i <= 5+11*bitpack.BlockSize }, // 129 ids: a full block and one
+	6: func(i int) bool { return i == diffEntries-1 },                       // a single id, the last entry
+	7: func(i int) bool { m := i % bitpack.BlockSize; return m == 0 || m == bitpack.BlockSize-1 },
+	8: func(i int) bool { return (i*2654435761)%97 < 9 }, // scattered
+}
+
+const diffAbsent = dataset.Keyword(999)
+
+func diffDocs() [][]dataset.Keyword {
+	docs := make([][]dataset.Keyword, diffEntries)
+	for i := range docs {
+		for w := dataset.Keyword(1); int(w) <= len(diffKeywords); w++ {
+			if diffKeywords[w](i) {
+				docs[i] = append(docs[i], w)
+			}
+		}
+	}
+	return docs
+}
+
+// keywordTuples enumerates every k-subset of the corpus keywords plus the
+// absent one, in ascending order and — every other tuple — reversed, so the
+// length ordering inside Query is exercised from both sides.
+func keywordTuples(k int) [][]dataset.Keyword {
+	pool := []dataset.Keyword{1, 2, 3, 4, 5, 6, 7, 8, diffAbsent}
+	var out [][]dataset.Keyword
+	var rec func(start int, cur []dataset.Keyword)
+	rec = func(start int, cur []dataset.Keyword) {
+		if len(cur) == k {
+			ws := slices.Clone(cur)
+			if len(out)%2 == 1 {
+				slices.Reverse(ws)
+			}
+			out = append(out, ws)
+			return
+		}
+		for i := start; i < len(pool); i++ {
+			rec(i+1, append(cur, pool[i]))
+		}
+	}
+	rec(0, nil)
+	return out
+}
+
+// reportOrder runs a query and returns the handles in the order reported.
+func reportOrder(b *PagedBase, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int64, QueryStats, error) {
+	var got []int64
+	st, err := b.Query(q, ws, opts, func(h int64, _ *dataset.Object) { got = append(got, h) })
+	return got, st, err
+}
+
+// TestPagedBaseIntersectionDifferential checks the leapfrog intersection
+// against the brute-force oracle for k = 2, 3, 4 in both base modes, over
+// lists of every awkward shape: one block against many, lengths 127/128/129,
+// a single id, ids on block boundaries, and an absent keyword. Results must
+// come duplicate-free in ascending entry order.
+func TestPagedBaseIntersectionDifferential(t *testing.T) {
+	docs := diffDocs()
+	for _, k := range []int{2, 3, 4} {
+		snap := snapshotOfDocs(k, docs, int64(100+k))
+		for mode, b := range openBothBaseModes(t, snap) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			for _, ws := range keywordTuples(k) {
+				for _, q := range []*geom.Rect{geom.UniverseRect(2), randRect(rng, 2), randRect(rng, 2)} {
+					got, st, err := reportOrder(b, q, ws, QueryOpts{})
+					if err != nil {
+						t.Fatalf("k=%d %s ws=%v: %v", k, mode, ws, err)
+					}
+					if !slices.IsSorted(got) {
+						t.Fatalf("k=%d %s ws=%v: results out of entry order: %v", k, mode, ws, got)
+					}
+					if want := snapOracle(snap, q, ws); !slices.Equal(got, want) {
+						t.Fatalf("k=%d %s ws=%v q=%v: got %v, want %v", k, mode, ws, q, got, want)
+					}
+					if st.Reported != len(got) {
+						t.Fatalf("k=%d %s ws=%v: Reported=%d for %d results", k, mode, ws, st.Reported, len(got))
+					}
+				}
+			}
+			b.Close()
+		}
+	}
+}
+
+// TestPagedBaseStopsReturnPrefix: every way of stopping a query early —
+// Limit, Budget, the policy's node budget, a deadline — reports a prefix of
+// the unrestricted answer, in the same order.
+func TestPagedBaseStopsReturnPrefix(t *testing.T) {
+	snap := snapshotOfDocs(2, diffDocs(), 7)
+	ws := []dataset.Keyword{2, 1}
+	for mode, b := range openBothBaseModes(t, snap) {
+		full, _, err := reportOrder(b, geom.UniverseRect(2), ws, QueryOpts{})
+		if err != nil || len(full) != 500 {
+			t.Fatalf("%s: unrestricted answer has %d results (err=%v), want 500", mode, len(full), err)
+		}
+		for _, c := range []struct {
+			name    string
+			opts    QueryOpts
+			wantErr error
+			wantLen int // -1: any proper prefix
+		}{
+			{"limit", QueryOpts{Limit: 7}, nil, 7},
+			{"budget", QueryOpts{Budget: 50}, nil, 50},
+			{"node-budget", QueryOpts{Policy: ExecPolicy{NodeBudget: 50}}, ErrBudget, 50},
+			{"max-results", QueryOpts{Policy: ExecPolicy{MaxResults: 3}}, nil, 3},
+			{"deadline", QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}, ErrDeadline, -1},
+		} {
+			got, st, err := reportOrder(b, geom.UniverseRect(2), ws, c.opts)
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("%s %s: err=%v, want %v", mode, c.name, err, c.wantErr)
+			}
+			if len(got) >= len(full) || !slices.Equal(got, full[:len(got)]) {
+				t.Fatalf("%s %s: %d results are not a proper prefix of the full answer", mode, c.name, len(got))
+			}
+			if c.wantLen >= 0 && len(got) != c.wantLen {
+				t.Fatalf("%s %s: %d results, want %d", mode, c.name, len(got), c.wantLen)
+			}
+			if !st.Truncated {
+				t.Fatalf("%s %s: early stop not flagged Truncated", mode, c.name)
+			}
+		}
+		b.Close()
+	}
+}
+
+// TestPagedBaseConcurrentQueriesTinyPool runs the same pread base from 8
+// goroutines over a pool of two pages — far fewer than the readers pin
+// between them — so recycled readers, eviction and pool overshoot are all in
+// play (and under `make race`, checked by the detector).
+func TestPagedBaseConcurrentQueriesTinyPool(t *testing.T) {
+	snap := snapshotOfDocs(3, diffDocs(), 11)
+	path := writePagedCheckpoint(t, t.TempDir(), "tiny.ckpt", snap)
+	b, err := OpenPagedBase(path, PagedBaseOptions{NoMmap: true, CapPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	tuples := keywordTuples(3)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 60; i++ {
+				ws, q := tuples[rng.Intn(len(tuples))], randRect(rng, 2)
+				got, _, err := reportOrder(b, q, ws, QueryOpts{})
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if want := snapOracle(snap, q, ws); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d ws=%v: got %v, want %v", g, ws, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// pagerPins runs fn and returns how many page pins (hits and misses) it made.
+func pagerPins(fn func()) int64 {
+	counters, _, _ := registryDelta(fn)
+	return counters["kwsc_pager_pin_hits_total"] + counters["kwsc_pager_pin_misses_total"]
+}
+
+// TestPagedBaseDisjointListsTouchOnlyPostings pins the I/O shape of the
+// intersection so it cannot slide back to candidate-at-a-time: two keywords
+// that never share an entry (their ids interleave, so every posting block
+// must be read) cost no more pins than the pages their posting lists span —
+// which leaves none for the points, handles or document sections.
+func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
+	docs := make([][]dataset.Keyword, 20_000)
+	for i := range docs {
+		docs[i] = []dataset.Keyword{dataset.Keyword(1 + i%2), 3}
+	}
+	snap := snapshotOfDocs(2, docs, 13)
+	path := writePagedCheckpoint(t, t.TempDir(), "disjoint.ckpt", snap)
+	b, err := OpenPagedBase(path, PagedBaseOptions{NoMmap: true, CapPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	ws := []dataset.Keyword{1, 2}
+	var postingPages int64
+	for _, w := range ws {
+		l, ok := b.listFor(w)
+		if !ok {
+			t.Fatalf("keyword %d has no posting list", w)
+		}
+		first, last := b.blocks[l.Block], b.blocks[l.Block+l.NumBlocks-1]
+		lo, hi := 8*int64(first.Off), 8*(int64(last.Off)+int64(last.Words()))-1
+		postingPages += hi/pager.PageSize - lo/pager.PageSize + 1
+	}
+	var st QueryStats
+	pins := pagerPins(func() {
+		var got []int64
+		got, st, err = reportOrder(b, geom.UniverseRect(2), ws, QueryOpts{})
+		if err != nil || len(got) != 0 {
+			t.Fatalf("disjoint keywords: %d results, err=%v", len(got), err)
+		}
+	})
+	if st.Ops < int64(len(docs)/4) {
+		t.Fatalf("only %d candidates examined: the lists were meant to interleave", st.Ops)
+	}
+	if pins == 0 || pins > postingPages {
+		t.Fatalf("%d pins for posting lists spanning %d pages: the scan left the posting section", pins, postingPages)
+	}
+
+	// The counter does see the other sections when a query has survivors.
+	if pins := pagerPins(func() {
+		if got, _, err := reportOrder(b, geom.UniverseRect(2), []dataset.Keyword{1, 3}, QueryOpts{Limit: 5}); err != nil || len(got) != 5 {
+			t.Fatalf("overlapping keywords: %d results, err=%v", len(got), err)
+		}
+	}); pins < 4 {
+		t.Fatalf("a query with results made only %d pins", pins)
+	}
+}
+
+// TestPagedBaseHasPinsOnePage: with the resident fence a pread-mode handle
+// lookup pins at most one page of a multi-page handle column, for handles
+// present, absent, and on either side of every page boundary.
+func TestPagedBaseHasPinsOnePage(t *testing.T) {
+	docs := make([][]dataset.Keyword, 3*handlesPerPage+17)
+	for i := range docs {
+		docs[i] = []dataset.Keyword{1}
+	}
+	snap := snapshotOfDocs(2, docs, 17)
+	path := writePagedCheckpoint(t, t.TempDir(), "has.ckpt", snap)
+	b, err := OpenPagedBase(path, PagedBaseOptions{NoMmap: true, CapPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if len(b.handleFence) != 4 {
+		t.Fatalf("fence has %d entries for a 4-page handle column", len(b.handleFence))
+	}
+	present := make(map[int64]bool, len(snap.Entries))
+	for _, e := range snap.Entries {
+		present[e.Handle] = true
+	}
+	for h := int64(-2); h < snap.NextHandle+2; h++ {
+		var has bool
+		pins := pagerPins(func() { has = b.Has(h) })
+		if has != present[h] {
+			t.Fatalf("Has(%d) = %v, want %v", h, has, present[h])
+		}
+		if pins > 1 {
+			t.Fatalf("Has(%d) pinned %d pages", h, pins)
+		}
+	}
+}
+
+// TestPagedBaseDroppedAfterQueriesIsFinalized: a base dropped without Close
+// must still release its file once it has served queries, although the
+// readers parked in its pool point back at it.
+func TestPagedBaseDroppedAfterQueriesIsFinalized(t *testing.T) {
+	snap := testCheckpointSnapshot(41, 200, 2)
+	openFiles := func() int64 { return obs.Default().Snapshot().Gauges["kwsc_pager_open_files"] }
+	before := openFiles()
+	for mode, b := range openBothBaseModes(t, snap) {
+		if _, _, err := reportOrder(b, geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{}); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); openFiles() != before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d files still open after the bases were dropped", openFiles()-before)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}

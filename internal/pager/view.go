@@ -71,7 +71,8 @@ func (v *View) page(pg int64) []byte {
 }
 
 // bytes returns n bytes at section-relative offset rel when they lie within
-// a single page; callers needing spans use Read. n must be <= PageSize.
+// a single page, and nil (without an error) when they cross one: Span then
+// falls back to Read.
 func (v *View) bytes(rel, n int64) []byte {
 	if v.err != nil {
 		return nil
@@ -128,23 +129,27 @@ func (v *View) Read(rel int64, dst []byte) {
 	}
 }
 
-// readScalar reads size bytes at rel, handling the (rare) page-straddling
-// case through a stack buffer.
-func (v *View) readScalar(rel, size int64, buf []byte) []byte {
-	if b := v.bytes(rel, size); b != nil || v.err != nil {
+// Span returns the section-relative range [rel, rel+n) as one slice: a
+// subslice of the pinned page when the range lies within one page — valid
+// until the view's next read or Release — and otherwise a copy assembled in
+// scratch, which must hold n bytes. It is how a reader takes a whole record
+// (a scalar, a point, a posting block's payload) with one bounds check and
+// at most one pin per page. Returns nil once an error is latched.
+func (v *View) Span(rel, n int64, scratch []byte) []byte {
+	if b := v.bytes(rel, n); b != nil || v.err != nil {
 		return b
 	}
-	v.Read(rel, buf[:size])
+	v.Read(rel, scratch[:n])
 	if v.err != nil {
 		return nil
 	}
-	return buf[:size]
+	return scratch[:n]
 }
 
 // U32 reads the little-endian uint32 at byte offset rel.
 func (v *View) U32(rel int64) uint32 {
 	var buf [4]byte
-	b := v.readScalar(rel, 4, buf[:])
+	b := v.Span(rel, 4, buf[:])
 	if b == nil {
 		return 0
 	}
@@ -154,7 +159,7 @@ func (v *View) U32(rel int64) uint32 {
 // U64 reads the little-endian uint64 at byte offset rel.
 func (v *View) U64(rel int64) uint64 {
 	var buf [8]byte
-	b := v.readScalar(rel, 8, buf[:])
+	b := v.Span(rel, 8, buf[:])
 	if b == nil {
 		return 0
 	}

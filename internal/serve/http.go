@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"kwsc"
@@ -18,24 +17,48 @@ import (
 const maxBodyBytes = 1 << 20
 
 var (
-	httpSeries  = map[string]*obs.Counter{}
-	httpSeriesM sync.Mutex
-
 	queryLatency = obs.Default().Histogram(`kwscd_query_latency_us`)
 	writeLatency = obs.Default().Histogram(`kwscd_write_latency_us`)
+
+	queryRequests     = newEndpointCounters("query")
+	writeRequests     = newEndpointCounters("write")
+	replQueryRequests = newEndpointCounters("repl_query")
 )
 
-func countHTTP(endpoint string, status int) {
-	key := fmt.Sprintf("kwscd_http_requests_total{endpoint=%q,status=%q}",
-		endpoint, strconv.Itoa(status))
-	httpSeriesM.Lock()
-	c, ok := httpSeries[key]
-	if !ok {
-		c = obs.Default().Counter(key)
-		httpSeries[key] = c
+// httpStatuses are the statuses the counted endpoints answer with.
+var httpStatuses = [...]int{
+	http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusInternalServerError,
+}
+
+// endpointCounters holds one endpoint's kwscd_http_requests_total series,
+// resolved once at start-up, so counting a request is one atomic add with no
+// formatting and no lock.
+type endpointCounters struct {
+	endpoint string
+	byStatus [len(httpStatuses)]*obs.Counter
+}
+
+func newEndpointCounters(endpoint string) *endpointCounters {
+	e := &endpointCounters{endpoint: endpoint}
+	for i, status := range httpStatuses {
+		e.byStatus[i] = e.series(status)
 	}
-	httpSeriesM.Unlock()
-	c.Inc()
+	return e
+}
+
+func (e *endpointCounters) series(status int) *obs.Counter {
+	return obs.Default().Counter(fmt.Sprintf("kwscd_http_requests_total{endpoint=%q,status=%q}",
+		e.endpoint, strconv.Itoa(status)))
+}
+
+func (e *endpointCounters) count(status int) {
+	for i, s := range httpStatuses {
+		if s == status {
+			e.byStatus[i].Inc()
+			return
+		}
+	}
+	e.series(status).Inc() // a status missing from httpStatuses is still counted, through the registry
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -134,12 +157,12 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req kwsc.QueryRequest
 		if !decode(w, r, &req) {
-			countHTTP("repl_query", http.StatusBadRequest)
+			replQueryRequests.count(http.StatusBadRequest)
 			return
 		}
 		if err := req.Validate(s.cfg.Dim, s.cfg.K); err != nil {
 			status, code := errStatus(err)
-			countHTTP("repl_query", status)
+			replQueryRequests.count(status)
 			writeError(w, status, code, err.Error())
 			return
 		}
@@ -153,7 +176,7 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 		out := outcomeOf(res.err)
 		if out == "panic" || out == "error" {
 			status, code := errStatus(res.err)
-			countHTTP("repl_query", status)
+			replQueryRequests.count(status)
 			writeError(w, status, code, res.err.Error())
 			return
 		}
@@ -161,7 +184,7 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 		if ids == nil {
 			ids = []int64{}
 		}
-		countHTTP("repl_query", http.StatusOK)
+		replQueryRequests.count(http.StatusOK)
 		writeJSON(w, http.StatusOK, legReply{
 			IDs: ids, Ops: res.st.Ops, Seq: res.seq,
 			Truncated: res.st.Truncated, FellBack: res.st.Fallback,
@@ -200,7 +223,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
 	defer func() {
-		countHTTP("query", status)
+		queryRequests.count(status)
 		queryLatency.Observe(time.Since(start).Microseconds())
 	}()
 
@@ -236,7 +259,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
 	defer func() {
-		countHTTP("write", status)
+		writeRequests.count(status)
 		writeLatency.Observe(time.Since(start).Microseconds())
 	}()
 

@@ -15,6 +15,7 @@ import (
 
 	"kwsc"
 	"kwsc/internal/geom"
+	"kwsc/internal/obs"
 	"kwsc/internal/workload"
 )
 
@@ -396,6 +397,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	before := obs.Default().Snapshot()
 
 	t.Run("query-ok", func(t *testing.T) {
 		req := &kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}}
@@ -463,6 +465,27 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 		if stats["mode"] != "static" || stats["shards"] != float64(2) {
 			t.Fatalf("stats: %v", stats)
+		}
+	})
+	// Registry delta of the subtests above: every counted request lands on
+	// exactly its (endpoint, status) series; a status outside the resolved
+	// table is still counted.
+	t.Run("request-counters", func(t *testing.T) {
+		queryRequests.count(http.StatusTeapot)
+		after := obs.Default().Snapshot()
+		for series, want := range map[string]int64{
+			`endpoint="query",status="200"`:      1,
+			`endpoint="query",status="400"`:      3,
+			`endpoint="query",status="418"`:      1,
+			`endpoint="query",status="429"`:      0,
+			`endpoint="write",status="400"`:      1,
+			`endpoint="write",status="200"`:      0,
+			`endpoint="repl_query",status="200"`: 0,
+		} {
+			name := "kwscd_http_requests_total{" + series + "}"
+			if got := after.Counter(name) - before.Counter(name); got != want {
+				t.Errorf("%s moved by %d, want %d", name, got, want)
+			}
 		}
 	})
 }
@@ -654,17 +677,22 @@ func TestStalenessCacheUnderChurn(t *testing.T) {
 					}
 					continue
 				}
+				// The handle is recorded under the lock the insert runs
+				// under: a reader that finds it in an answer cannot look it
+				// up in issued before it is there.
+				mu.Lock()
 				resp, err := s.Write(&kwsc.WriteRequest{Op: kwsc.OpInsert,
 					Point: []float64{rng.Float64(), rng.Float64()},
 					Doc:   workload.RandKeywords(rng, 60, testK+1)})
+				if err == nil {
+					issued[resp.Handle] = true
+				}
+				mu.Unlock()
 				if err != nil {
 					errc <- err
 					return
 				}
 				mine = append(mine, resp.Handle)
-				mu.Lock()
-				issued[resp.Handle] = true
-				mu.Unlock()
 			}
 		}(w)
 	}
