@@ -121,7 +121,7 @@ bench-1m:
 # and bytes-resident pairs land in every snapshot; the 1M tier matches too
 # but self-skips unless KWSC_BENCH_1M is set (see bench-1m).
 BENCH_TIME ?= 200x
-BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildLCKW|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn)
+BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildLCKW|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect)
 
 # Snapshot the tier-1 bench families as BENCH_<date>.json so later changes
 # have a perf trajectory to compare against. The snapshot embeds the metrics
@@ -129,9 +129,12 @@ BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|Be
 # times and benchsave keeps the per-name minimum — the noise-robust statistic
 # on shared/virtualized hardware, where single 200-iteration samples swing
 # well past the compare tolerance on identical binaries.
+# -cpu is pinned because `go test` appends -<GOMAXPROCS> to every
+# benchmark name on a host with more than one CPU, and a snapshot only
+# compares against a baseline whose names match.
 BENCH_COUNT ?= 3
 bench-save:
-	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -count=$(BENCH_COUNT) \
+	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -count=$(BENCH_COUNT) -cpu 1 \
 		-benchmem -benchtime=$(BENCH_TIME) . | $(GO) run ./cmd/benchsave -out BENCH_$(shell date +%Y-%m-%d).json
 
 # Compare a fresh run of the tier-1 bench families against the committed
@@ -142,7 +145,7 @@ bench-save:
 # drift — including with the metrics registry enabled).
 BENCH_BASELINE ?= BENCH_2026-08-08.json
 bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -count=$(BENCH_COUNT) \
+	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -count=$(BENCH_COUNT) -cpu 1 \
 		-benchmem -benchtime=$(BENCH_TIME) . | $(GO) run ./cmd/benchsave -compare $(BENCH_BASELINE)
 
 # The out-of-core cold-start series (DESIGN.md §15, EXPERIMENTS.md):

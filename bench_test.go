@@ -508,6 +508,46 @@ func BenchmarkORPKW2DCollectInto(b *testing.B) {
 	}
 }
 
+// The stop-node intersection (DESIGN.md §3.3 deviation): a planted k=3 triple
+// whose three posting lists are each N/8 long, asked over random rectangles,
+// so nearly every query ends at nodes where all three keywords are small and
+// the answer is the leapfrog intersection of their materialized lists.
+// ops/query is the machine-independent cost (node visits plus drive-list
+// candidates), identical in both layouts.
+func BenchmarkStopNodeIntersect(b *testing.B) {
+	const n = 1 << 16
+	ds, kws, _ := plantedFixture(1, n, 2, 3, 64, n/8)
+	for _, layout := range []struct {
+		name string
+		opts []Option
+	}{{"ptr", nil}, {"flat", []Option{WithFlatLayout()}}} {
+		b.Run(layout.name, func(b *testing.B) {
+			ix, err := NewORPKW(ds, 3, layout.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			rects := make([]*Rect, 256)
+			for i := range rects {
+				rects[i] = workload.RandRect(rng, 2, 0.2+0.3*rng.Float64())
+			}
+			buf := make([]int32, 0, 1024)
+			var ops int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, st, err := ix.CollectInto(rects[i%len(rects)], kws, QueryOpts{}, buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ops += st.Ops
+				buf = ids[:0]
+			}
+			b.ReportMetric(float64(ops)/float64(b.N), "ops/query")
+		})
+	}
+}
+
 // The observability overhead pair: the same hot path with registry updates
 // on (the default) and off. The acceptance bar is <5% ns/op overhead and
 // identical (zero) allocs/op.

@@ -146,6 +146,41 @@ func TestCollectIntoZeroAllocsFlatLayout(t *testing.T) {
 	}
 }
 
+// The stop-node intersection keeps its cursors and probe list on the pooled
+// context: a planted k=3 triple, whose queries end at nodes with one, two and
+// three keywords small, stays allocation-free in both layouts.
+func TestCollectIntoZeroAllocsStopNodeIntersect(t *testing.T) {
+	const n = 1 << 13
+	ds, kws, region := workload.GenPlanted(workload.Planted{Seed: 35, Objects: n, Dim: 2, K: 3, Out: 64, Partial: n / 8})
+	for _, layout := range []struct {
+		name string
+		opts []BuildOption
+	}{{"pointer", nil}, {"flat", []BuildOption{WithFlatLayout()}}} {
+		ix, err := BuildORPKW(ds, 3, layout.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]int32, 0, 4096)
+		var scanned int64
+		run := func() {
+			ids, st, err := ix.CollectInto(region, kws, QueryOpts{}, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, scanned = ids[:0], st.MatScanned
+		}
+		for i := 0; i < 4; i++ {
+			run()
+		}
+		if scanned == 0 {
+			t.Fatalf("%s: the planted query scanned no materialized list", layout.name)
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("%s CollectInto on a planted k=3 triple allocates %v per op, want 0", layout.name, allocs)
+		}
+	}
+}
+
 // The paged base's query path is allocation-free in steady state too: the
 // reader (cursors, decode scratch, the reported object) comes back from the
 // base's pool, and over a mapping every column read is a subslice.

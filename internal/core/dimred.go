@@ -261,7 +261,7 @@ func (t *drTree) buildSecondary(idx int32, objs []int32) error {
 			K:        ix.k,
 			Splitter: &spart.KD{Dim: 2},
 			Points:   ix.lastPair,
-			Objects:  append([]int32(nil), objs...),
+			Objects:  objs,
 			// Share the owner's goroutine budget; Parallelism 1 keeps the
 			// secondary sequential when the owner has no gate at all.
 			Parallelism: 1,

@@ -23,7 +23,7 @@ import (
 //     numbering alongside (lookup by binary search — the per-node maps, with
 //     their buckets and padding, are freed);
 //   - mat lists:    delta-encoded via bitpack into fixed-size packed blocks in
-//     one shared PackedLists arena, scanned block-at-a-time at query time;
+//     one shared PackedLists arena, walked by bitpack.Cursors at query time;
 //   - tensors:      every per-child L^k-bit non-emptiness array concatenated
 //     word-aligned into one bits.Arena, addressed as tensorOff + child*stride.
 //
@@ -209,33 +209,11 @@ func (fl *flatLayout) tensorGet(u, ci int32, lin int64) bool {
 	return fl.tensorArena.Get(fl.tensorOff[u]+int64(ci)*fl.tensorStride[u], lin)
 }
 
-// checkAndEmitFlat is checkAndEmit reading through the packed coords arena.
-// For rectangle queries (qLo/qHi cached by run) the containment test inlines
-// the exact comparisons of Rect.ContainsPoint, replacing a per-candidate
-// interface call plus pointer chase; other regions fall back to the
-// interface over a coords subslice. Results are identical either way.
-func (qc *qctx) checkAndEmitFlat(id int32, covered bool) {
-	if !covered {
-		fl := qc.f.flat
-		base := int(id) * fl.pdim
-		if qc.qLo != nil {
-			for j, lo := range qc.qLo {
-				if c := fl.coords[base+j]; c < lo || c > qc.qHi[j] {
-					return
-				}
-			}
-		} else if !qc.q.ContainsPoint(fl.coords[base : base+fl.pdim]) {
-			return
-		}
-	}
-	if qc.f.ds.HasAll(id, qc.ws) {
-		qc.emit(id)
-	}
-}
-
 // visitFlat is visit for the flat layout: the same traversal, stats, and stop
-// points, reading through the struct-of-arrays view. The two must stay in
-// lockstep — flat_test.go asserts byte-identical results and stats.
+// points, reading through the struct-of-arrays view and handing the same
+// routines (scanPivots, intersectSmall) packed lists in place of slices. The
+// two must stay in lockstep — flat_test.go asserts byte-identical results and
+// stats.
 func (qc *qctx) visitFlat(u int32, rel geom.Relation) {
 	if qc.stop() {
 		return
@@ -252,73 +230,36 @@ func (qc *qctx) visitFlat(u int32, rel geom.Relation) {
 		qc.st.CrossingNodes++
 	}
 
+	pivots := fl.pivotIDs[fl.pivotStart[u]:fl.pivotStart[u+1]]
 	if fl.childCount[u] == 0 {
-		for _, id := range fl.pivotIDs[fl.pivotStart[u]:fl.pivotStart[u+1]] {
-			qc.st.PivotChecks++
-			qc.st.Ops++
-			qc.checkAndEmitFlat(id, covered)
-			if qc.stop() {
-				return
-			}
-		}
+		qc.scanPivots(pivots, covered)
 		return
 	}
 
-	// Small-keyword selection mirrors visit: the first strictly smallest
-	// materialized list in ws order wins; an absent list counts as length 0.
-	smallSel := int32(-1)
-	smallLen := -1
-	allLarge := true
+	// Large/small classification mirrors visit; an absent or empty list ends
+	// the node at once.
+	s, probe, m := qc.sorted[:0], qc.probe[:0], 0
 	for _, w := range qc.ws {
-		if _, ok := fl.largeLookup(u, w); !ok {
-			allLarge = false
-			mi := fl.matLookup(u, w)
-			l := 0
-			if mi >= 0 {
-				l = int(fl.matLists[mi].N)
-			}
-			if smallLen < 0 || l < smallLen {
-				smallSel, smallLen = mi, l
-			}
+		if li, ok := fl.largeLookup(u, w); ok {
+			s, probe = append(s, li), append(probe, w)
+			continue
 		}
-	}
-	if !allLarge {
-		if smallSel < 0 {
-			return // the chosen list is empty: nothing to scan
-		}
-		if cap(qc.blk) < bitpack.BlockSize {
-			qc.blk = make([]int32, 0, bitpack.BlockSize)
-		}
-		for _, b := range fl.matArena.Blocks(fl.matLists[smallSel]) {
-			for _, id := range fl.matArena.DecodeBlock(b, qc.blk[:0]) {
-				qc.st.MatScanned++
-				qc.st.Ops++
-				qc.checkAndEmitFlat(id, covered)
-				if qc.stop() {
-					return
-				}
-			}
-		}
-		return
-	}
-
-	for _, id := range fl.pivotIDs[fl.pivotStart[u]:fl.pivotStart[u+1]] {
-		qc.st.PivotChecks++
-		qc.st.Ops++
-		qc.checkAndEmitFlat(id, covered)
-		if qc.stop() {
+		mi := fl.matLookup(u, w)
+		if mi < 0 || fl.matLists[mi].N == 0 {
 			return
 		}
+		qc.cur[m].Reset(&fl.matArena, fl.matLists[mi])
+		m++
 	}
-	if cap(qc.sorted) < f.k {
-		qc.sorted = make([]int32, f.k)
+	if m > 0 {
+		qc.probe = probe
+		qc.intersectSmall(m, covered)
+		return
 	}
-	s := qc.sorted[:0]
-	for _, w := range qc.ws {
-		li, _ := fl.largeLookup(u, w)
-		s = append(s, li)
+
+	if !qc.scanPivots(pivots, covered) {
+		return
 	}
-	qc.sorted = s
 	sortInt32s(s)
 	lin := tensorIndex(s, int(fl.l[u]))
 	first, count := fl.childFirst[u], fl.childCount[u]

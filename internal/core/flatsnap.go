@@ -6,6 +6,7 @@ import (
 
 	"kwsc/internal/bitpack"
 	"kwsc/internal/bits"
+	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/spart"
@@ -252,10 +253,18 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 			if err := matArena.Validate(l); err != nil {
 				return nil, fmt.Errorf("core: node %d list %d: %w", u, i, err)
 			}
+			// The stop-node intersection gallops on Max and answers from
+			// First, which is only sound over a directory in ascending id
+			// order; the directory is resident, so no payload is decoded.
+			prevMax := int32(-1)
 			for _, b := range matArena.Blocks(l) {
-				if b.First < 0 || int(b.Max) >= n || b.First > b.Max {
+				if b.First < 0 || int(b.Max) >= n {
 					return nil, fmt.Errorf("core: node %d materialized ids outside [0, %d)", u, n)
 				}
+				if b.First > b.Max || b.First <= prevMax {
+					return nil, fmt.Errorf("%w: node %d list %d: block directory not ascending", codec.ErrCorrupt, u, i)
+				}
+				prevMax = b.Max
 			}
 		}
 

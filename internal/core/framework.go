@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"kwsc/internal/bits"
@@ -92,9 +93,10 @@ type FrameworkConfig struct {
 	// Corollary 6 partitions on lifted (d+1)-dimensional coordinates while
 	// documents stay with the original objects).
 	Points []geom.Point
-	// Objects restricts the index to a subset of object ids (defaults to
-	// all). The dimension-reduction tree of Section 4 builds one secondary
-	// framework per node on that node's active set.
+	// Objects restricts the index to a subset of object ids, distinct and in
+	// any order (defaults to all); the slice is neither modified nor
+	// retained. The dimension-reduction tree of Section 4 builds one
+	// secondary framework per node on that node's active set.
 	Objects []int32
 	// LeafSize is the maximum number of objects in a leaf (default 8).
 	LeafSize int
@@ -142,12 +144,19 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	for i := 0; i < ds.Len(); i++ {
 		f.weight[i] = ds.DocLen(int32(i))
 	}
+	// Every node's object list — and so every materialized list, which the
+	// stop-node intersection leapfrogs over — inherits the root's order:
+	// ascending ids. Callers may pass Objects in any order (the
+	// dimension-reduction tree hands each secondary an x-sorted active set).
 	objs := cfg.Objects
 	if objs == nil {
 		objs = make([]int32, ds.Len())
 		for i := range objs {
 			objs[i] = int32(i)
 		}
+	} else if !slices.IsSorted(objs) {
+		objs = slices.Clone(objs)
+		slices.Sort(objs)
 	}
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.

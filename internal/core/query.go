@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"kwsc/internal/bitpack"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/spart"
@@ -155,6 +156,11 @@ func (f *Framework) checkQuery(ws []dataset.Keyword) error {
 }
 
 func (f *Framework) run(qc *qctx) {
+	if cap(qc.sorted) < f.k { // the three k-sized scratches grow together
+		qc.sorted = make([]int32, 0, f.k)
+		qc.probe = make([]dataset.Keyword, 0, f.k)
+		qc.cur = make([]bitpack.Cursor, f.k)
+	}
 	if f.flat != nil {
 		if r, ok := qc.q.(*geom.Rect); ok {
 			qc.qLo, qc.qHi = r.Lo, r.Hi
@@ -194,11 +200,16 @@ type qctx struct {
 	stopErr    error    // typed policy error that ended the traversal
 	sorted     []int32  // scratch for tensor index
 	res        []int32  // scratch accumulator for buf-less CollectInto
-	blk        []int32  // scratch for flat-layout packed-block decoding
+
+	// Stop-node scratch (intersectSmall): one cursor per keyword small at the
+	// node, and the keywords still large there, which candidates are probed
+	// for. Both live on the pooled context, so a query allocates neither.
+	cur   []bitpack.Cursor
+	probe []dataset.Keyword
 
 	// Rect fast path for the flat layout: when q is a *geom.Rect, run caches
-	// its bounds so checkAndEmitFlat tests containment with inlined
-	// comparisons over the coords arena instead of an interface call.
+	// its bounds so checkAndEmit tests containment with inlined comparisons
+	// over the coords arena instead of an interface call.
 	qLo, qHi []float64
 }
 
@@ -207,8 +218,10 @@ var qctxPool = sync.Pool{New: func() any { return new(qctx) }}
 func getQctx() *qctx { return qctxPool.Get().(*qctx) }
 
 func putQctx(qc *qctx) {
-	sorted, res, blk := qc.sorted[:0], qc.res[:0], qc.blk[:0]
-	*qc = qctx{sorted: sorted, res: res, blk: blk}
+	for i := range qc.cur {
+		qc.cur[i].Release()
+	}
+	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, probe: qc.probe[:0]}
 	qctxPool.Put(qc)
 }
 
@@ -245,10 +258,102 @@ func (qc *qctx) emit(id int32) {
 	qc.st.Reported++
 }
 
-// checkAndEmit examines one candidate object.
-func (qc *qctx) checkAndEmit(id int32, covered bool) {
-	if (covered || qc.q.ContainsPoint(qc.f.pts[id])) && qc.f.ds.HasAll(id, qc.ws) {
+// checkAndEmit examines one candidate object: it is reported when its point
+// lies in q and its document holds every keyword of ws — all of qc.ws for a
+// pivot, only the keywords no list has vouched for at a stop node. The flat
+// layout reads the point from the packed coords arena, and for rectangle
+// queries (qLo/qHi cached by run) inlines the exact comparisons of
+// Rect.ContainsPoint in place of an interface call plus pointer chase;
+// results are identical either way.
+func (qc *qctx) checkAndEmit(id int32, covered bool, ws []dataset.Keyword) {
+	if !covered {
+		if fl := qc.f.flat; fl == nil {
+			if !qc.q.ContainsPoint(qc.f.pts[id]) {
+				return
+			}
+		} else if base := int(id) * fl.pdim; qc.qLo == nil {
+			if !qc.q.ContainsPoint(fl.coords[base : base+fl.pdim]) {
+				return
+			}
+		} else {
+			for j, lo := range qc.qLo {
+				if c := fl.coords[base+j]; c < lo || c > qc.qHi[j] {
+					return
+				}
+			}
+		}
+	}
+	if qc.f.ds.HasAll(id, ws) {
 		qc.emit(id)
+	}
+}
+
+// scanPivots examines a pivot set, reporting false when the query stopped.
+func (qc *qctx) scanPivots(pivots []int32, covered bool) bool {
+	for _, id := range pivots {
+		qc.st.PivotChecks++
+		qc.st.Ops++
+		qc.checkAndEmit(id, covered, qc.ws)
+		if qc.stop() {
+			return false
+		}
+	}
+	return true
+}
+
+// intersectSmall answers a stop node — the first node of the descent at which
+// some query keyword is small (Section 3.3). Every query keyword was large at
+// all proper ancestors, so each keyword small here has its list D_u^act(w)
+// materialized here: qc.cur[:m] walk those m >= 1 lists and qc.probe holds the
+// keywords still large. The paper scans one small list and tests every entry;
+// this intersects all of them, leapfrog fashion: the shortest list drives, a
+// candidate the other lists leap over names the next id worth asking the
+// driver about, and only an id in all m lists — the membership proof for the
+// small keywords — pays the region test and a hash probe for the large ones.
+// With m == 1 it is exactly the paper's scan.
+//
+// MatScanned and Ops count the candidates taken from the drive list (at most
+// its length, < N_u^{1-1/k}); ids leapt over are never examined and never
+// charged, and every examined candidate is followed by a stop check. Ids are
+// emitted in ascending order, which is the order of every materialized list.
+func (qc *qctx) intersectSmall(m int, covered bool) {
+	cur := qc.cur[:m]
+	d := 0
+	for j := 1; j < m; j++ {
+		if cur[j].Len() < cur[d].Len() {
+			d = j
+		}
+	}
+	drive := &cur[d]
+	for target, more := int32(0), true; more; {
+		id, ok := drive.Seek(target)
+		if !ok {
+			return
+		}
+		qc.st.MatScanned++
+		qc.st.Ops++
+		target = id + 1
+		hit := true
+		for j := range cur {
+			if j == d {
+				continue
+			}
+			v, ok := cur[j].Seek(id)
+			if !ok {
+				hit, more = false, false // a list ran out: nothing further can match
+				break
+			}
+			if v != id {
+				hit, target = false, v
+				break
+			}
+		}
+		if hit {
+			qc.checkAndEmit(id, covered, qc.probe)
+		}
+		if qc.stop() {
+			return
+		}
 	}
 }
 
@@ -270,63 +375,41 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 
 	if len(n.children) == 0 {
 		// Leaf: the pivot set is the whole active set.
-		for _, id := range n.pivots {
-			qc.st.PivotChecks++
-			qc.st.Ops++
-			qc.checkAndEmit(id, covered)
-			if qc.stop() {
-				return
-			}
-		}
+		qc.scanPivots(n.pivots, covered)
 		return
 	}
 
-	// Use T_u to decide, in O(k) time, whether every query keyword is large
-	// at u. If some keyword is small, its materialized list D_u^act(w) is
-	// scanned and the subtree is never descended (Section 3.3); qualifying
-	// pivots of u are contained in that list, so they need no separate scan.
-	smallW := dataset.Keyword(0)
-	smallLen := -1
-	allLarge := true
+	// Use T_u to sort the query keywords, in O(k) time, into those large at u
+	// (tensor axis index into qc.sorted, keyword into qc.probe) and those
+	// small at u (a cursor on the materialized list D_u^act(w)). If any is
+	// small the node is answered from the lists and the subtree is never
+	// descended; qualifying pivots of u are contained in every such list, so
+	// they need no separate scan. A small keyword without a list occurs
+	// nowhere below u and ends the node at once.
+	s, probe, m := qc.sorted[:0], qc.probe[:0], 0
 	for _, w := range qc.ws {
-		if _, ok := n.large[w]; !ok {
-			allLarge = false
-			l := len(n.mat[w])
-			if smallLen < 0 || l < smallLen {
-				smallW, smallLen = w, l
-			}
+		if li, ok := n.large[w]; ok {
+			s, probe = append(s, li), append(probe, w)
+			continue
 		}
+		lst := n.mat[w]
+		if len(lst) == 0 {
+			return
+		}
+		qc.cur[m].ResetRaw(lst)
+		m++
 	}
-	if !allLarge {
-		for _, id := range n.mat[smallW] {
-			qc.st.MatScanned++
-			qc.st.Ops++
-			qc.checkAndEmit(id, covered)
-			if qc.stop() {
-				return
-			}
-		}
+	if m > 0 {
+		qc.probe = probe
+		qc.intersectSmall(m, covered)
 		return
 	}
 
 	// All keywords large: examine the pivots, then descend into children
 	// whose non-emptiness bit is set and whose cell meets q.
-	for _, id := range n.pivots {
-		qc.st.PivotChecks++
-		qc.st.Ops++
-		qc.checkAndEmit(id, covered)
-		if qc.stop() {
-			return
-		}
+	if !qc.scanPivots(n.pivots, covered) {
+		return
 	}
-	if cap(qc.sorted) < f.k {
-		qc.sorted = make([]int32, f.k)
-	}
-	s := qc.sorted[:0]
-	for _, w := range qc.ws {
-		s = append(s, n.large[w])
-	}
-	qc.sorted = s
 	sortInt32s(s)
 	lin := tensorIndex(s, int(n.l))
 	for ci, child := range n.children {

@@ -11,9 +11,9 @@ import (
 // Packed is the cache-conscious form of the inverted index: every posting
 // list delta-encoded into fixed-size bit-packed blocks (bitpack.BlockSize
 // ids each) inside one shared arena, with per-block skip maxima. Conjunctive
-// queries run block-at-a-time — the driver (smallest) list is decoded
-// sequentially while the others advance by galloping over block maxima, and
-// a block's payload is decoded only when its [First, Max] window admits the
+// queries leapfrog over bitpack.Cursors — the driver (smallest) list names
+// candidates, the others advance by galloping over block maxima, and a
+// block's payload is decoded only when its [First, Max] window straddles the
 // candidate. Space drops from one 4-byte id per entry to the list's delta
 // entropy (a few bits per id for dense lists); the skip metadata restores
 // the galloping asymptotics of the pointer layout.
@@ -74,92 +74,6 @@ func (p *Packed) Posting(w dataset.Keyword) []int32 {
 	return p.arena.UnpackInto(l, make([]int32, 0, l.N))
 }
 
-// pcursor walks one packed list monotonically during an intersection.
-type pcursor struct {
-	blocks []bitpack.Block
-	bi     int     // current block
-	buf    []int32 // decoded current block; nil when not yet decoded
-	pos    int     // resume position inside buf (candidates arrive ascending)
-	dec    [bitpack.BlockSize]int32
-}
-
-// seek positions the cursor at the first block whose Max >= id, galloping
-// forward over the skip maxima. It reports false when the list is exhausted.
-func (c *pcursor) seek(id int32) bool {
-	if c.bi >= len(c.blocks) {
-		return false
-	}
-	if c.blocks[c.bi].Max >= id {
-		return true
-	}
-	// Gallop: maxima are non-decreasing for sorted lists.
-	step := 1
-	lo := c.bi + 1
-	for c.bi+step < len(c.blocks) && c.blocks[c.bi+step].Max < id {
-		lo = c.bi + step + 1
-		step <<= 1
-	}
-	hi := c.bi + step
-	if hi > len(c.blocks) {
-		hi = len(c.blocks)
-	}
-	// Binary search in [lo, hi) for the first block with Max >= id.
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.blocks[mid].Max < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(c.blocks) {
-		c.bi = len(c.blocks)
-		return false
-	}
-	c.bi, c.buf, c.pos = lo, nil, 0
-	return true
-}
-
-// contains reports whether the list holds id, decoding the current block
-// only when its [First, Max] window admits id. Successive calls must pass
-// non-decreasing ids.
-func (c *pcursor) contains(a *bitpack.PackedLists, id int32) bool {
-	if !c.seek(id) {
-		return false
-	}
-	b := c.blocks[c.bi]
-	if id < b.First {
-		return false // id falls in the gap before this block: no decode
-	}
-	if id == b.First {
-		return true // answered from skip metadata alone
-	}
-	if c.buf == nil {
-		c.buf = a.DecodeBlock(b, c.dec[:0])
-	}
-	// Gallop within the decoded block from the resume position.
-	n := len(c.buf)
-	lo, step := c.pos, 1
-	for lo+step < n && c.buf[lo+step] < id {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > n {
-		hi = n
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.buf[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	c.pos = lo
-	return lo < n && c.buf[lo] == id
-}
-
 // ordered returns the lists of ws smallest-first (ties by keyword id, the
 // same total order Index.orderedLists uses); ok is false when a keyword is
 // absent or empty.
@@ -189,41 +103,55 @@ func (p *Packed) ordered(ws []dataset.Keyword) (lists []bitpack.List, ok bool) {
 	return lists, true
 }
 
-// IntersectInto answers a k-SI reporting query, appending the ids of objects
-// containing every keyword to dst (ascending). The smallest list drives,
-// decoded block by block; every other list advances through pcursors.
-func (p *Packed) IntersectInto(dst []int32, ws []dataset.Keyword) []int32 {
+// leapfrog calls emit with every id present in all of ws's lists, ascending,
+// until emit returns false. The smallest list drives; every list is walked by
+// a bitpack.Cursor, so a candidate the other lists leap over names the next
+// id worth asking the driver about, and no block is decoded unless its
+// [First, Max] window straddles a candidate.
+func (p *Packed) leapfrog(ws []dataset.Keyword, emit func(int32) bool) {
 	lists, ok := p.ordered(ws)
 	if !ok || len(lists) == 0 {
-		return dst
+		return
 	}
-	if len(lists) == 1 {
-		return p.arena.UnpackInto(lists[0], dst)
+	cur := make([]bitpack.Cursor, len(lists))
+	for i := range cur {
+		cur[i].Reset(&p.arena, lists[i])
 	}
-	cursors := make([]pcursor, len(lists)-1)
-	for i := range cursors {
-		cursors[i].blocks = p.arena.Blocks(lists[i+1])
-	}
-	var driver [bitpack.BlockSize]int32
-	for _, b := range p.arena.Blocks(lists[0]) {
-		// The rarest block still has to clear every other list's maxima:
-		// when the block's whole window precedes cursor i's current
-		// position there can be no match inside it — but cursors only move
-		// forward, so the window check is per candidate below.
-		buf := p.arena.DecodeBlock(b, driver[:0])
-	candidates:
-		for _, id := range buf {
-			for i := range cursors {
-				if !cursors[i].contains(&p.arena, id) {
-					if cursors[i].bi >= len(cursors[i].blocks) {
-						return dst // some list exhausted: nothing more can match
-					}
-					continue candidates
-				}
-			}
-			dst = append(dst, id)
+	drive, rest := &cur[0], cur[1:]
+next:
+	for target := int32(0); ; {
+		id, ok := drive.Seek(target)
+		if !ok {
+			return
 		}
+		for i := range rest {
+			v, ok := rest[i].Seek(id)
+			if !ok {
+				return // some list exhausted: nothing more can match
+			}
+			if v != id {
+				target = v
+				continue next
+			}
+		}
+		if !emit(id) {
+			return
+		}
+		target = id + 1
 	}
+}
+
+// IntersectInto answers a k-SI reporting query, appending the ids of objects
+// containing every keyword to dst (ascending). A single keyword's answer is
+// its whole list, decoded block after block with no cursor in between.
+func (p *Packed) IntersectInto(dst []int32, ws []dataset.Keyword) []int32 {
+	if len(ws) == 1 {
+		return p.arena.UnpackInto(p.lists[ws[0]], dst)
+	}
+	p.leapfrog(ws, func(id int32) bool {
+		dst = append(dst, id)
+		return true
+	})
 	return dst
 }
 
@@ -237,37 +165,12 @@ func (p *Packed) Intersect(ws []dataset.Keyword) []int32 {
 
 // Empty answers a k-SI emptiness query without materializing results.
 func (p *Packed) Empty(ws []dataset.Keyword) bool {
-	if len(ws) == 0 {
-		return true
-	}
-	lists, ok := p.ordered(ws)
-	if !ok {
-		return true
-	}
-	if len(lists) == 1 {
-		return lists[0].N == 0
-	}
-	cursors := make([]pcursor, len(lists)-1)
-	for i := range cursors {
-		cursors[i].blocks = p.arena.Blocks(lists[i+1])
-	}
-	var driver [bitpack.BlockSize]int32
-	for _, b := range p.arena.Blocks(lists[0]) {
-		buf := p.arena.DecodeBlock(b, driver[:0])
-	candidates:
-		for _, id := range buf {
-			for i := range cursors {
-				if !cursors[i].contains(&p.arena, id) {
-					if cursors[i].bi >= len(cursors[i].blocks) {
-						return true
-					}
-					continue candidates
-				}
-			}
-			return false
-		}
-	}
-	return true
+	empty := true
+	p.leapfrog(ws, func(int32) bool {
+		empty = false
+		return false
+	})
+	return empty
 }
 
 // KeywordsOnly is the packed form of the "keywords only" baseline: intersect

@@ -1,11 +1,13 @@
 package invidx
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
+	"kwsc/internal/workload"
 )
 
 // naiveIntersect is the reference: sorted-merge over raw posting lists.
@@ -87,6 +89,8 @@ func TestPackedEmptyPosting(t *testing.T) {
 	ds := dsFromDocs(t, [][]dataset.Keyword{{1, 2}, {1, 3}, {2, 3}})
 	crossCheck(t, ds, []dataset.Keyword{1, 99}) // 99 never occurs
 	crossCheck(t, ds, []dataset.Keyword{1, 2})
+	crossCheck(t, ds, []dataset.Keyword{3}) // one keyword: its whole list
+	crossCheck(t, ds, []dataset.Keyword{99})
 	p := BuildPacked(ds)
 	if got := p.Intersect([]dataset.Keyword{99, 100}); got != nil {
 		t.Fatalf("absent keywords: got %v, want nil", got)
@@ -296,5 +300,29 @@ func TestOrderedListsDeterministic(t *testing.T) {
 	for _, ws := range perms {
 		checkIDs(t, ix.Intersect(ws), base)
 		checkIDs(t, packed.Intersect(ws), base)
+	}
+}
+
+// BenchmarkPackedIntersect times Packed.IntersectInto on the planted corpus
+// of BenchmarkStopNodeIntersect (N=65 536, every planted keyword in about an
+// eighth of the objects): k=1 is the whole-list decode, k=2 and k=3 the
+// cursor leapfrog. No other benchmark reaches this type — the framework's
+// fallback baseline is invidx.Index, and bench/ reports core.fallbacks = 0.
+func BenchmarkPackedIntersect(b *testing.B) {
+	ds, ws, _ := workload.GenPlanted(workload.Planted{
+		Seed: 1, Objects: 1 << 16, Dim: 2, K: 3, Out: 64, Partial: 1 << 13,
+	})
+	p := BuildPacked(ds)
+	for k := 1; k <= len(ws); k++ {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			dst := make([]int32, 0, p.DocFrequency(ws[0]))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = p.IntersectInto(dst[:0], ws[:k])
+			}
+			if len(dst) == 0 {
+				b.Fatal("planted keywords must intersect")
+			}
+		})
 	}
 }
