@@ -38,6 +38,7 @@ type Degraded struct {
 // ORPKWHigh satisfy it.
 type rectCollector interface {
 	CollectInto(q *Rect, ws []Keyword, opts QueryOpts, buf []int32) ([]int32, QueryStats, error)
+	EstimateWork(ws []Keyword) int64
 }
 
 // NewDegraded builds the primary index (Theorem 1 for d <= 2, Theorem 2
@@ -106,6 +107,12 @@ func (d *Degraded) Query(q *Rect, ws []Keyword, opts QueryOpts, report func(int3
 	}
 	return st, err
 }
+
+// EstimateWork bounds the work units (QueryStats.Ops) the primary index
+// spends on ws, read off its root in O(k) without touching the tree — what a
+// caller fanning out over several indexes needs to decide whether a query is
+// worth a goroutine. A budget stop's fallback scan is not priced in.
+func (d *Degraded) EstimateWork(ws []Keyword) int64 { return d.ix.EstimateWork(ws) }
 
 // K returns the keyword arity queries must carry.
 func (d *Degraded) K() int { return d.k }

@@ -216,6 +216,9 @@ type BaseIndex interface {
 	// keywords. Reported objects may alias scratch valid only during the
 	// callback.
 	Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error)
+	// EstimateWork bounds the work units Query spends on ws, from resident
+	// structures alone.
+	EstimateWork(ws []dataset.Keyword) int64
 	// Entries decodes every base entry, ascending by handle.
 	Entries() ([]DynEntry, error)
 	// Close releases the base's resources (file references, mappings).

@@ -1,0 +1,171 @@
+package core
+
+import (
+	"math"
+
+	"kwsc/internal/dataset"
+)
+
+// The paper's cost formulas as work-unit estimates. They live here once:
+// Planner.Explain prices its three routes with them, and EstimateWork prices
+// a query from an index's root so a serving layer can tell a leg cheaper than
+// one goroutine wake-up from one that deserves a core.
+
+// outEstimate accumulates the classic independence estimate of the output
+// size, keyword by keyword:
+//
+//	estOUT = min(min_w |S_w|, |D| * prod_w (|S_w|/|D|) * sel(q))
+type outEstimate struct {
+	n, minDF, indep float64
+}
+
+func newOutEstimate(objects int) outEstimate {
+	return outEstimate{n: float64(objects), minDF: math.MaxFloat64, indep: float64(objects)}
+}
+
+// add folds in one query keyword's document frequency |S_w|.
+func (e *outEstimate) add(df float64) {
+	e.minDF = math.Min(e.minDF, df)
+	e.indep *= df / e.n
+}
+
+// out returns estOUT for a region holding the fraction sel of the objects.
+func (e *outEstimate) out(sel float64) float64 { return math.Min(e.minDF, e.indep*sel) }
+
+// frameworkCost is Theorem 1's query bound N^{1-1/k} * (1 + OUT^{1/k}), given
+// nPow = N^{1-1/k}.
+func frameworkCost(nPow float64, k int, estOut float64) float64 {
+	return nPow * (1 + math.Pow(estOut, 1/float64(k)))
+}
+
+// keywordsOnlyCost is the galloping posting intersection: k * min_w |S_w|.
+func keywordsOnlyCost(k int, minDF float64) float64 { return float64(k) * minDF }
+
+// structuredOnlyCost is the geometric filter under uniformity: sel(q) * |D|.
+func structuredOnlyCost(sel float64, objects int) float64 { return sel * float64(objects) }
+
+// EstimateWork bounds the work units (QueryStats.Ops) a query for ws costs,
+// from the root node alone: O(k) lookups in structures the index already
+// holds, no allocation, no traversal. The root classifies every query keyword
+// (Section 3.2). If one is small there, the root is the query's stop node and
+// the drive list is the shortest materialized list, so 1 + its length is an
+// exact upper bound (intersectSmall charges drive-list candidates only). If
+// all are large the traversal descends, and the estimate is the paper's
+// bound with the independence estimate of OUT over the root's keyword counts
+// — geometry is ignored (sel = 1), which errs towards "heavy". A keyword
+// tuple of the wrong arity is rejected before any work: 0.
+func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
+	if len(ws) != f.k || f.NumNodes() == 0 {
+		return 0
+	}
+	shortest := int64(-1)
+	est := newOutEstimate(f.ds.Len())
+	var nu int64
+	if fl := f.flat; fl != nil {
+		if fl.childCount[0] == 0 {
+			return 1 + int64(fl.pivotStart[1])
+		}
+		nu = fl.nu[0]
+		for _, w := range ws {
+			if li, ok := fl.largeLookup(0, w); ok {
+				est.add(float64(f.rootDF[li]))
+				continue
+			}
+			var n int64
+			if mi := fl.matLookup(0, w); mi >= 0 {
+				n = int64(fl.matLists[mi].N)
+			}
+			if shortest < 0 || n < shortest {
+				shortest = n
+			}
+		}
+	} else {
+		root := &f.nodes[0]
+		if len(root.children) == 0 {
+			return 1 + int64(len(root.pivots))
+		}
+		nu = root.nu
+		for _, w := range ws {
+			if li, ok := root.large[w]; ok {
+				est.add(float64(f.rootDF[li]))
+				continue
+			}
+			if n := int64(len(root.mat[w])); shortest < 0 || n < shortest {
+				shortest = n
+			}
+		}
+	}
+	if shortest >= 0 {
+		return 1 + shortest
+	}
+	return int64(frameworkCost(pow(float64(nu), 1-1/float64(f.k)), f.k, est.out(1)))
+}
+
+// countRootDF fills rootDF — the root's per-large-keyword object counts that
+// EstimateWork reads — for a framework rebuilt from a flat image, which
+// carries the root's large keywords but not their counts.
+func (f *Framework) countRootDF() {
+	fl := f.flat
+	f.rootDF = make([]int32, fl.l[0])
+	if fl.l[0] == 0 {
+		return
+	}
+	for i := 0; i < f.ds.Len(); i++ {
+		for _, w := range f.ds.Doc(int32(i)) {
+			if li, ok := fl.largeLookup(0, w); ok {
+				f.rootDF[li]++
+			}
+		}
+	}
+}
+
+// EstimateWork is Framework.EstimateWork on the underlying index.
+func (ix *ORPKW) EstimateWork(ws []dataset.Keyword) int64 { return ix.fw.EstimateWork(ws) }
+
+// EstimateWork for the dimension-reduction index has no single root to read:
+// it is Theorem 2's bound at the worst case OUT = |D|, so any corpus of size
+// counts as heavy.
+func (ix *ORPKWHigh) EstimateWork(ws []dataset.Keyword) int64 {
+	if len(ws) != ix.k {
+		return 0
+	}
+	return int64(frameworkCost(pow(float64(ix.ds.N()), 1-1/float64(ix.k)), ix.k, float64(ix.ds.Len())))
+}
+
+// EstimateWork of a posting-list base is the shortest of the k lists — the
+// drive list PagedBase.Query charges — read from the resident vocabulary.
+func (b *PagedBase) EstimateWork(ws []dataset.Keyword) int64 {
+	if len(ws) != b.k {
+		return 0
+	}
+	shortest := int64(math.MaxInt64)
+	for _, w := range ws {
+		l, ok := b.listFor(w)
+		if !ok {
+			return 0
+		}
+		shortest = min(shortest, int64(l.N))
+	}
+	return shortest
+}
+
+// estimateWork sums the snapshot's parts the way queryState visits them: one
+// unit per buffered entry, the base, then every bucket's root estimate.
+func (sn *dynState) estimateWork(ws []dataset.Keyword) int64 {
+	est := int64(len(sn.buffer))
+	if sn.base != nil {
+		est += sn.base.EstimateWork(ws)
+	}
+	for _, b := range sn.buckets {
+		if b != nil {
+			est += b.ix.EstimateWork(ws)
+		}
+	}
+	return est
+}
+
+// EstimateWork bounds the work units of a query for ws against the currently
+// published state: O(k) per Bentley–Saxe bucket, lock-free, allocation-free.
+func (d *DynamicORPKW) EstimateWork(ws []dataset.Keyword) int64 {
+	return d.state.Load().estimateWork(ws)
+}

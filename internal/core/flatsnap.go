@@ -323,6 +323,7 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 	f := &Framework{ds: ds, k: a.K, split: split, flat: fl, leafSize: 8}
 	f.space.DocHashWords = ds.DocSpaceWords()
 	f.accountSpaceFlat()
+	f.countRootDF()
 	return f, nil
 }
 

@@ -41,6 +41,9 @@ type Framework struct {
 	flat     *flatLayout // non-nil after Flatten; nodes is then nil
 	leafSize int
 	space    SpaceBreakdown
+	// rootDF[li] is the number of objects carrying the root's li-th large
+	// keyword: the document frequencies EstimateWork's all-large case needs.
+	rootDF []int32
 }
 
 type fnode struct {
@@ -243,6 +246,12 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 		if float64(b.cnt[w]) >= threshold {
 			large[w] = int32(len(largeList))
 			largeList = append(largeList, w)
+		}
+	}
+	if depth == 0 {
+		f.rootDF = make([]int32, len(largeList))
+		for i, w := range largeList {
+			f.rootDF[i] = int32(b.cnt[w])
 		}
 	}
 	// Materialize D_u^act(w) for every small incoming keyword that occurs

@@ -17,8 +17,8 @@ import (
 // N each strategy has a regime: a very rare keyword makes the posting scan
 // unbeatable, a tiny region makes the geometric filter cheap, and everything
 // else belongs to the framework. The planner applies the paper's own cost
-// formulas as estimates, with the classic independence assumption supplying
-// the output-cardinality estimate:
+// formulas (estimate.go) as estimates, with the classic independence
+// assumption supplying the output-cardinality estimate:
 //
 //	estOUT          = min(min_w |S_w|, |D| * prod_w (|S_w|/|D|) * sel(q))
 //	keywords-only:   k * min_w |S_w|            (galloping intersection)
@@ -89,21 +89,15 @@ func BuildPlanner(ds *dataset.Dataset, k int, opts ...BuildOption) (*Planner, er
 
 // Explain estimates each strategy without running anything.
 func (p *Planner) Explain(q *geom.Rect, ws []dataset.Keyword) Plan {
-	minDF := math.MaxFloat64
-	indep := float64(p.ds.Len())
+	out := newOutEstimate(p.ds.Len())
 	for _, w := range ws {
-		df := float64(p.inv.DocFrequency(w))
-		if df < minDF {
-			minDF = df
-		}
-		indep *= df / float64(p.ds.Len())
+		out.add(float64(p.inv.DocFrequency(w)))
 	}
 	sel := p.selectivity(q)
-	estOut := math.Min(minDF, indep*sel)
 	est := map[Route]float64{
-		RouteKeywordsOnly:   float64(p.k) * minDF,
-		RouteStructuredOnly: sel * float64(p.ds.Len()),
-		RouteFramework:      p.nPow * (1 + math.Pow(estOut, 1/float64(p.k))),
+		RouteKeywordsOnly:   keywordsOnlyCost(p.k, out.minDF),
+		RouteStructuredOnly: structuredOnlyCost(sel, p.ds.Len()),
+		RouteFramework:      frameworkCost(p.nPow, p.k, out.out(sel)),
 	}
 	best := RouteFramework
 	for r, c := range est {

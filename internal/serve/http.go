@@ -172,9 +172,9 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 			opts.Policy.Timeout = 0
 		}
 		res := s.locals[i].collect(&req, req.BoundingRect(s.cfg.Dim), req.ExactRegion(), req.Keywords,
-			opts, time.Duration(req.MaxStalenessMs)*time.Millisecond)
+			opts, time.Duration(req.MaxStalenessMs)*time.Millisecond, new(legBuf))
 		out := outcomeOf(res.err)
-		if out == "panic" || out == "error" {
+		if out.failed() {
 			status, code := errStatus(res.err)
 			replQueryRequests.count(status)
 			writeError(w, status, code, res.err.Error())
@@ -188,7 +188,7 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 		writeJSON(w, http.StatusOK, legReply{
 			IDs: ids, Ops: res.st.Ops, Seq: res.seq,
 			Truncated: res.st.Truncated, FellBack: res.st.Fallback,
-			Outcome: out, StalenessMs: res.stalenessMs, Stale: res.stale,
+			Outcome: out.String(), StalenessMs: res.stalenessMs, Stale: res.stale,
 		})
 	}
 }
@@ -200,10 +200,7 @@ func (s *Server) legHealthHandler(i int) http.HandlerFunc {
 			return
 		}
 		// A non-replicating local shard is its own primary: always caught up.
-		var seq uint64
-		if d, ok := s.locals[i].(*dynamicShard); ok {
-			seq = d.seq()
-		}
+		seq := s.locals[i].seq()
 		writeJSON(w, http.StatusOK, healthReply{AppliedSeq: seq, PrimarySeq: seq})
 	}
 }

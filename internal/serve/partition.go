@@ -83,6 +83,18 @@ func (p *partitioner) route(obj kwsc.Object) int {
 	return int(h % uint64(p.n))
 }
 
+// misses reports whether shard i's key range cannot meet the closed rectangle
+// q: under range partitioning shard i owns dimension-0 coordinates in
+// [cuts[i-1], cuts[i]), so it is missed when q ends below cuts[i-1] or starts
+// at or above cuts[i] (x == cuts[i] belongs to shard i+1). Hash partitioning
+// misses nothing.
+func (p *partitioner) misses(i int, q *kwsc.Rect) bool {
+	if p.mode != PartitionRange || p.n == 1 {
+		return false
+	}
+	return (i > 0 && q.Hi[0] < p.cuts[i-1]) || (i < p.n-1 && q.Lo[0] >= p.cuts[i])
+}
+
 // newPartitioner builds the router. Range mode derives its cuts from the
 // dimension-0 quantiles of the seed objects; with no seed data the cuts
 // split [0, 1] uniformly (matching the synthetic workload generators), and

@@ -204,14 +204,14 @@ func newReplicaGroup(id int, writer shard, legs []*remoteLeg, hedgeAfter, probeE
 
 // writerLeg runs the local authoritative leg, translating a writer-down
 // failpoint panic into a failed leg so the group can fail over.
-func (g *replicaGroup) writerLeg(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) (res legResult) {
+func (g *replicaGroup) writerLeg(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) (res legResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = legResult{err: fmt.Errorf("serve: writer leg down: %v", r), replica: "writer"}
 		}
 	}()
 	core.Failpoint(FPWriterDown)
-	res = g.writer.collect(req, q, exact, ws, opts, staleness)
+	res = g.writer.collect(req, q, exact, ws, opts, staleness, buf)
 	res.replica = "writer"
 	return res
 }
@@ -227,52 +227,86 @@ func legFailed(res legResult) bool {
 		!errors.Is(res.err, kwsc.ErrCanceled)
 }
 
-// collect answers one scatter leg with failover and optional hedging.
-//
-// A request with no staleness bound needs the acked-fresh writer; everything
-// else prefers replicas: admissible ones (alive, within the bound) in
-// round-robin order, then the writer, and — only if every admissible leg
-// failed — the freshest alive replica regardless of lag, with the answer
-// flagged stale.
-func (g *replicaGroup) collect(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) legResult {
-	type candidate struct {
-		run   func() legResult
-		stale bool // serving it exceeds the requested bound
-	}
-	var cands []candidate
+// candidate is one group member a read may be served by: a remote replica
+// leg, or the local writer when leg is nil.
+type candidate struct {
+	leg   *remoteLeg
+	stale bool // serving it exceeds the requested bound
+}
+
+// estimate prices the leg: a read that may go to a replica can block on the
+// network; a read only the writer may serve costs what the writer's leg costs.
+func (g *replicaGroup) estimate(ws []kwsc.Keyword, staleness time.Duration) int64 {
 	if staleness > 0 && len(g.legs) > 0 {
-		start := int(g.rr.Add(1)) - 1
-		var lagged *remoteLeg
-		var laggedStaleness int64
-		for i := range g.legs {
-			l := g.legs[(start+i)%len(g.legs)]
-			if !l.alive() {
-				failovers.Inc()
-				continue
-			}
-			if s := l.stalenessMs.Load(); s < 0 || time.Duration(s)*time.Millisecond > staleness {
-				// Alive but beyond the bound: remember the freshest as the
-				// degradation fallback.
-				if lagged == nil || (s >= 0 && s < laggedStaleness) {
-					lagged, laggedStaleness = l, s
-				}
-				continue
-			}
-			cands = append(cands, candidate{run: func() legResult { return l.query(req, opts) }})
+		return estimateRemote
+	}
+	return g.writer.estimate(ws, staleness)
+}
+
+// candidates lists, in preference order, the members that may serve a read
+// under the given staleness bound. A request with no bound needs the
+// acked-fresh writer — nil, the writer alone; everything else prefers
+// replicas: admissible ones (alive, within the bound) in round-robin order,
+// then the writer, and last the freshest alive replica regardless of lag, to
+// be served flagged stale only if every admissible member failed.
+func (g *replicaGroup) candidates(staleness time.Duration) []candidate {
+	if staleness <= 0 || len(g.legs) == 0 {
+		return nil
+	}
+	cands := make([]candidate, 0, len(g.legs)+2)
+	start := int(g.rr.Add(1)) - 1
+	var lagged *remoteLeg
+	var laggedStaleness int64
+	for i := range g.legs {
+		l := g.legs[(start+i)%len(g.legs)]
+		if !l.alive() {
+			failovers.Inc()
+			continue
 		}
-		cands = append(cands, candidate{run: func() legResult {
-			return g.writerLeg(req, q, exact, ws, opts, staleness)
-		}})
-		if lagged != nil {
-			cands = append(cands, candidate{
-				run:   func() legResult { return lagged.query(req, opts) },
-				stale: true,
-			})
+		if s := l.stalenessMs.Load(); s < 0 || time.Duration(s)*time.Millisecond > staleness {
+			// Alive but beyond the bound: remember the freshest as the
+			// degradation fallback.
+			if lagged == nil || (s >= 0 && s < laggedStaleness) {
+				lagged, laggedStaleness = l, s
+			}
+			continue
 		}
+		cands = append(cands, candidate{leg: l})
+	}
+	cands = append(cands, candidate{})
+	if lagged != nil {
+		cands = append(cands, candidate{leg: lagged, stale: true})
+	}
+	return cands
+}
+
+// run executes the leg on one candidate.
+func (g *replicaGroup) run(c candidate, req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
+	var res legResult
+	if c.leg == nil {
+		res = g.writerLeg(req, q, exact, ws, opts, staleness, buf)
 	} else {
-		cands = append(cands, candidate{run: func() legResult {
-			return g.writerLeg(req, q, exact, ws, opts, staleness)
-		}})
+		res = c.leg.query(req, opts)
+	}
+	if c.stale && !legFailed(res) {
+		res.stale = true
+		staleServed.Inc()
+	}
+	return res
+}
+
+// collect answers one scatter leg with failover and optional hedging over
+// the group's candidates.
+func (g *replicaGroup) collect(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
+	cands := g.candidates(staleness)
+	if len(cands) <= 1 {
+		// The writer alone: nothing to fail over to and no hedge to arm, so
+		// the leg runs on the caller's goroutine, into the caller's buffer.
+		res := g.run(candidate{}, req, q, exact, ws, opts, staleness, buf)
+		if legFailed(res) {
+			failovers.Inc()
+		}
+		return res
 	}
 
 	results := make(chan legResult, len(cands))
@@ -281,48 +315,55 @@ func (g *replicaGroup) collect(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.
 		c := cands[launched]
 		launched++
 		go func() {
-			res := c.run()
-			if c.stale && !legFailed(res) {
-				res.stale = true
-				staleServed.Inc()
-			}
-			results <- res
+			// A hedged or failed-over writer leg may outlive this call, so
+			// it fills a buffer of its own, never the caller's pooled one.
+			results <- g.run(c, req, q, exact, ws, opts, staleness, new(legBuf))
 		}()
 	}
 	launch()
 	var lastFailed legResult
 	inFlight := 1
 	for {
+		var timer *time.Timer
 		var hedge <-chan time.Time
 		if g.hedgeAfter > 0 && launched < len(cands) {
-			t := time.NewTimer(g.hedgeAfter)
-			hedge = t.C
-			defer t.Stop()
+			timer = time.NewTimer(g.hedgeAfter)
+			hedge = timer.C
 		}
+		var res legResult
+		hedged := false
 		select {
-		case res := <-results:
-			inFlight--
-			if !legFailed(res) {
-				return res
-			}
-			failovers.Inc()
-			lastFailed = res
-			if launched < len(cands) {
-				launch()
-				inFlight++
-			} else if inFlight == 0 {
-				return lastFailed // every leg failed: surface the last error
-			}
+		case res = <-results:
 		case <-hedge:
+			hedged = true
+		}
+		if timer != nil {
+			timer.Stop() // per round, not per leg: a deferred Stop would keep every round's timer live until return
+		}
+		if hedged {
 			hedgedReads.Inc()
 			launch()
 			inFlight++
+			continue
+		}
+		inFlight--
+		if !legFailed(res) {
+			return res
+		}
+		failovers.Inc()
+		lastFailed = res
+		if launched < len(cands) {
+			launch()
+			inFlight++
+		} else if inFlight == 0 {
+			return lastFailed // every leg failed: surface the last error
 		}
 	}
 }
 
 func (g *replicaGroup) insert(obj kwsc.Object) (int64, uint64, error) { return g.writer.insert(obj) }
 func (g *replicaGroup) remove(local int64) (bool, uint64, error)      { return g.writer.remove(local) }
+func (g *replicaGroup) seq() uint64                                   { return g.writer.seq() }
 func (g *replicaGroup) live() int                                     { return g.writer.live() }
 
 func (g *replicaGroup) describe() map[string]any {
@@ -387,21 +428,28 @@ func (s *followerShard) replicationStalenessMs() int64 {
 	return int64(st / time.Millisecond)
 }
 
-func (s *followerShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) legResult {
+func (s *followerShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
+	if d := s.f.Durable(); d != nil {
+		return d.EstimateWork(ws)
+	}
+	return 0 // no replayed state yet: the leg fails at once
+}
+
+func (s *followerShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
 	snap := s.view(staleness)
 	if snap == nil {
 		return legResult{err: fmt.Errorf("serve: follower shard %d has no replayed state yet", s.id)}
 	}
-	var ids []int64
+	buf.ids = buf.ids[:0]
 	report := func(h int64, obj *kwsc.Object) {
 		if exact != nil && !exact.ContainsPoint(obj.Point) {
 			return
 		}
-		ids = append(ids, globalHandle(h, s.id, s.n))
+		buf.ids = append(buf.ids, globalHandle(h, s.id, s.n))
 	}
 	st, err := snap.QueryWith(q, ws, opts, report)
-	slices.Sort(ids)
-	res := legResult{ids: ids, st: st, seq: snap.Seq(), err: err}
+	slices.Sort(buf.ids)
+	res := legResult{ids: buf.ids, st: st, seq: snap.Seq(), err: err}
 	res.stalenessMs = s.replicationStalenessMs()
 	// Degradation surfaced: the answer exceeds the requested bound when the
 	// replication lag alone is already older than the bound.
@@ -414,6 +462,13 @@ func (s *followerShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.R
 
 func (s *followerShard) insert(kwsc.Object) (int64, uint64, error) { return 0, 0, ErrReadOnly }
 func (s *followerShard) remove(int64) (bool, uint64, error)        { return false, 0, ErrReadOnly }
+
+func (s *followerShard) seq() uint64 {
+	if d := s.f.Durable(); d != nil {
+		return d.LastSeq()
+	}
+	return 0
+}
 
 func (s *followerShard) live() int {
 	if d := s.f.Durable(); d != nil {

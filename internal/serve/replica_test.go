@@ -182,7 +182,7 @@ func groupCollect(g *replicaGroup, staleness time.Duration) legResult {
 	req := &kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2},
 		MaxStalenessMs: int64(staleness / time.Millisecond)}
 	opts := kwsc.QueryOpts{}
-	return g.collect(req, req.BoundingRect(2), req.ExactRegion(), req.Keywords, opts, staleness)
+	return g.collect(req, req.BoundingRect(2), req.ExactRegion(), req.Keywords, opts, staleness, new(legBuf))
 }
 
 // TestReplicaGroupRouting pins the read-routing policy: fresh reads hit the

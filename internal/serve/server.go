@@ -121,8 +121,16 @@ type Server struct {
 	ships    []*repl.Shipper
 	follower bool
 	part     *partitioner
-	adm      *admission
-	start    time.Time
+	// prune lets the scatter skip legs whose range-partition interval misses
+	// the query rectangle. It is set only where this process placed every
+	// object by part's cuts — a static corpus, a dynamic one that started
+	// empty — never for recovered or followed shards, whose objects an
+	// earlier process placed by cuts this one cannot vouch for.
+	prune bool
+	adm   *admission
+	start time.Time
+	// scatters pools the per-request scatterState.
+	scatters sync.Pool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -160,7 +168,9 @@ func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 		}
 		shards[i] = &staticShard{ix: deg, ds: ds, globals: globals[i]}
 	}
-	return newServer(cfg, false, shards, part), nil
+	s := newServer(cfg, false, shards, part)
+	s.prune = true
+	return s, nil
 }
 
 // NewDynamic builds one mutable shard per partition. With dir non-empty
@@ -177,7 +187,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 	ships := make([]*repl.Shipper, 0, cfg.Shards)
 	fresh := true
 	for i := range shards {
-		var ix kwsc.DynamicIndex
+		var ix dynamicIndex
 		if dir == "" {
 			d, err := kwsc.NewDynamicORPKW(cfg.Dim, cfg.K, 0, cfg.BuildOptions...)
 			if err != nil {
@@ -206,6 +216,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 		shards[i] = &dynamicShard{id: i, n: cfg.Shards, ix: ix, now: time.Now}
 	}
 	s := newServer(cfg, true, shards, part)
+	s.prune = fresh
 	if len(ships) == len(shards) {
 		s.ships = ships
 	}
@@ -288,59 +299,167 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-var (
-	shardOutcomes = map[string]*obs.Counter{}
-	shardOutcomeM sync.Mutex
+// legOutcome classifies how a scatter leg ended — the obs outcome vocabulary
+// as an enum, so counting a leg is one atomic add on a series resolved at
+// start-up and the wire string comes from a table.
+type legOutcome uint8
+
+const (
+	outcomeOK legOutcome = iota
+	outcomeDeadline
+	outcomeBudget
+	outcomeCanceled
+	outcomePanic
+	outcomeError
+	numOutcomes
 )
 
-func countShardOutcome(outcome string) {
-	shardOutcomeM.Lock()
-	c, ok := shardOutcomes[outcome]
-	if !ok {
-		c = obs.Default().Counter(fmt.Sprintf("kwscd_shard_outcomes_total{outcome=%q}", outcome))
-		shardOutcomes[outcome] = c
-	}
-	shardOutcomeM.Unlock()
-	c.Inc()
-}
+var outcomeNames = [numOutcomes]string{"ok", "deadline", "budget", "canceled", "panic", "error"}
 
-// scatter fans the query out to every shard concurrently and gathers all
-// replies. All shards share the caller's absolute deadline (resolved once),
-// so a straggler cannot extend the query's wall-clock budget.
-func (s *Server) scatter(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) []legResult {
-	replies := make([]legResult, len(s.shards))
-	if len(s.shards) == 1 {
-		replies[0] = s.shards[0].collect(req, q, exact, ws, opts, staleness)
-		return replies
+func (o legOutcome) String() string { return outcomeNames[o] }
+
+// failed reports an outcome whose leg contributes no ids.
+func (o legOutcome) failed() bool { return o == outcomePanic || o == outcomeError }
+
+var shardOutcomes = func() (c [numOutcomes]*obs.Counter) {
+	for i, name := range outcomeNames {
+		c[i] = obs.Default().Counter(fmt.Sprintf("kwscd_shard_outcomes_total{outcome=%q}", name))
 	}
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh shard) {
-			defer wg.Done()
-			replies[i] = sh.collect(req, q, exact, ws, opts, staleness)
-		}(i, sh)
-	}
-	wg.Wait()
-	return replies
-}
+	return c
+}()
 
 // outcomeOf classifies a scatter-leg error the way obs outcomes do.
-func outcomeOf(err error) string {
+func outcomeOf(err error) legOutcome {
+	if err == nil {
+		return outcomeOK // before pe is declared: errors.As makes it escape, an allocation per call
+	}
 	var pe *kwsc.PanicError
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.Is(err, kwsc.ErrDeadline):
-		return "deadline"
+		return outcomeDeadline
 	case errors.Is(err, kwsc.ErrBudget):
-		return "budget"
+		return outcomeBudget
 	case errors.Is(err, kwsc.ErrCanceled):
-		return "canceled"
+		return outcomeCanceled
 	case errors.As(err, &pe):
-		return "panic"
+		return outcomePanic
 	default:
-		return "error"
+		return outcomeError
+	}
+}
+
+// legMode is where the scatter ran a leg.
+type legMode uint8
+
+const (
+	legInline  legMode = iota // on the request goroutine
+	legSpawned                // on a goroutine of its own
+	legPruned                 // not at all: its key range misses the rectangle
+	numLegModes
+)
+
+var scatterLegs = [numLegModes]*obs.Counter{
+	legInline:  obs.Default().Counter(`kwscd_scatter_legs_total{mode="inline"}`),
+	legSpawned: obs.Default().Counter(`kwscd_scatter_legs_total{mode="spawned"}`),
+	legPruned:  obs.Default().Counter(`kwscd_scatter_legs_total{mode="pruned"}`),
+}
+
+// inlineWorkUnits is the leg estimate (shard.estimate, in QueryStats.Ops
+// work units) up to which a local leg runs on the request goroutine. Handing
+// a leg to a goroutine and being woken by it costs ≈ 4 µs and a work unit
+// ≈ 30 ns (BenchmarkScatter: (per-leg − gated)/4 on tiny/shards=4, and
+// ns/op ÷ units/op on heavy/shards=1; EXPERIMENTS.md "Scatter tax"), so a
+// spawn breaks even near 135 units; twice that, because the hand-off is CPU
+// the request would not otherwise burn — a spawned leg should save at least
+// what it costs.
+const inlineWorkUnits = 256
+
+// scatterState is the per-request scatter/gather scratch: reply slots, the
+// legs' id buffers, their modes and the merge heads. It is pooled per server,
+// so a steady-state request allocates none of it; nothing in it may outlive
+// the request — gather copies what the response keeps.
+type scatterState struct {
+	replies []legResult
+	bufs    []legBuf
+	modes   []legMode
+	heads   [][]int64
+	wg      sync.WaitGroup
+}
+
+func (s *Server) getScatter() *scatterState {
+	if st, ok := s.scatters.Get().(*scatterState); ok {
+		return st
+	}
+	n := len(s.shards)
+	return &scatterState{
+		replies: make([]legResult, n),
+		bufs:    make([]legBuf, n),
+		modes:   make([]legMode, n),
+		heads:   make([][]int64, 0, n),
+	}
+}
+
+// putScatter recycles st, dropping every reference a reply or head holds
+// (errors, a remote leg's decoded ids) so the pool pins only the buffers.
+func (s *Server) putScatter(st *scatterState) {
+	clear(st.replies)
+	clear(st.heads[:cap(st.heads)])
+	s.scatters.Put(st)
+}
+
+// scatter runs every shard's leg and fills st.replies. Each leg is priced
+// first (shard.estimate). Legs that may block on the network or are estimated
+// heavier than a wake-up get a goroutine each and start first; the request
+// goroutine meanwhile runs the light legs one after another — or, having
+// none, keeps one heavy leg for itself — and waits only if it spawned
+// anything. Under range partitioning a leg whose key range misses the
+// rectangle is not run at all. All legs share the caller's absolute deadline
+// (resolved once): a leg entered after it has passed returns its typed
+// deadline prefix at its first policy poll, so running legs in sequence
+// cannot extend the query's wall-clock budget.
+func (s *Server) scatter(st *scatterState, req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) {
+	var count [numLegModes]int64
+	heavy := -1
+	for i, sh := range s.shards {
+		mode := legInline
+		switch {
+		case s.prune && s.part.misses(i, q):
+			mode = legPruned
+		case len(s.shards) > 1 && sh.estimate(ws, staleness) > inlineWorkUnits:
+			mode, heavy = legSpawned, i
+		}
+		st.modes[i] = mode
+		count[mode]++
+	}
+	if count[legInline] == 0 && heavy >= 0 {
+		st.modes[heavy] = legInline
+		count[legInline]++
+		count[legSpawned]--
+	}
+	for i, mode := range st.modes {
+		if mode == legSpawned {
+			st.wg.Add(1)
+			go func(i int) {
+				defer st.wg.Done()
+				st.replies[i] = s.shards[i].collect(req, q, exact, ws, opts, staleness, &st.bufs[i])
+			}(i)
+		}
+	}
+	for i, mode := range st.modes {
+		switch mode {
+		case legInline:
+			st.replies[i] = s.shards[i].collect(req, q, exact, ws, opts, staleness, &st.bufs[i])
+		case legPruned:
+			st.replies[i] = legResult{seq: s.shards[i].seq()}
+		}
+	}
+	if count[legSpawned] > 0 {
+		st.wg.Wait()
+	}
+	for mode, n := range count {
+		if n > 0 {
+			scatterLegs[mode].Add(n)
+		}
 	}
 }
 
@@ -348,20 +467,23 @@ func outcomeOf(err error) string {
 // shards contribute their prefix (the union stays prefix-correct);
 // panicked or failed shards contribute nothing and mark the result
 // truncated. Merging is deterministic: ascending global ids, limit cut
-// applied to the merged sequence.
-func (s *Server) gather(replies []legResult, limit int) (*kwsc.QueryResponse, error) {
-	resp := &kwsc.QueryResponse{Shards: make([]kwsc.ShardOutcome, len(replies))}
-	lists := make([][]int64, len(replies))
+// applied to the merged sequence — after every leg has answered, never by
+// skipping a later leg, because any leg may hold the smallest ids. The
+// response owns all its memory; st's buffers are only read.
+func gather(st *scatterState, limit int) (*kwsc.QueryResponse, error) {
+	resp := &kwsc.QueryResponse{Shards: make([]kwsc.ShardOutcome, len(st.replies))}
+	heads := st.heads[:0]
 	total := 0
-	for i, rep := range replies {
+	for i := range st.replies {
+		rep := &st.replies[i]
 		out := outcomeOf(rep.err)
-		if out == "error" && errors.Is(rep.err, kwsc.ErrInvalidQuery) {
+		if out == outcomeError && errors.Is(rep.err, kwsc.ErrInvalidQuery) {
 			return nil, rep.err
 		}
-		countShardOutcome(out)
-		if out == "panic" || out == "error" {
-			rep.ids = nil
-			resp.Truncated = true
+		shardOutcomes[out].Inc()
+		ids := rep.ids
+		if out.failed() {
+			ids = nil
 		}
 		if rep.err != nil || rep.st.Truncated {
 			resp.Truncated = true
@@ -372,28 +494,29 @@ func (s *Server) gather(replies []legResult, limit int) (*kwsc.QueryResponse, er
 		if rep.stale {
 			resp.Stale = true
 		}
-		lists[i] = rep.ids
-		total += len(rep.ids)
+		if len(ids) > 0 {
+			heads = append(heads, ids)
+		}
+		total += len(ids)
 		resp.Shards[i] = kwsc.ShardOutcome{
-			Shard: i, Reported: len(rep.ids), Ops: rep.st.Ops,
-			Seq: rep.seq, Outcome: out, FellBack: rep.st.Fallback,
+			Shard: i, Reported: len(ids), Ops: rep.st.Ops,
+			Seq: rep.seq, Outcome: out.String(), FellBack: rep.st.Fallback,
 			Replica: rep.replica, StalenessMs: rep.stalenessMs, Stale: rep.stale,
 		}
 	}
-	resp.IDs = mergeSorted(lists, limit)
-	resp.Count = len(resp.IDs)
 	if limit > 0 && total > limit {
+		total = limit
 		resp.Truncated = true
 	}
-	if resp.IDs == nil {
-		resp.IDs = []int64{}
-	}
+	resp.IDs = mergeInto(make([]int64, 0, total), heads, limit)
+	resp.Count = len(resp.IDs)
 	return resp, nil
 }
 
 // Query answers one query request in-process (the HTTP handler, tests, and
 // embedders share this path). Admission control is the caller's concern;
-// degraded selects the degraded execution mode.
+// degraded selects the degraded execution mode. The response never aliases
+// the server's pooled per-request state.
 func (s *Server) Query(req *kwsc.QueryRequest, degraded bool) (*kwsc.QueryResponse, error) {
 	if err := req.Validate(s.cfg.Dim, s.cfg.K); err != nil {
 		return nil, err
@@ -411,9 +534,11 @@ func (s *Server) Query(req *kwsc.QueryRequest, degraded bool) (*kwsc.QueryRespon
 		opts.Policy.Timeout = 0
 	}
 	start := time.Now()
-	replies := s.scatter(req, req.BoundingRect(s.cfg.Dim), req.ExactRegion(), req.Keywords, opts,
+	st := s.getScatter()
+	defer s.putScatter(st)
+	s.scatter(st, req, req.BoundingRect(s.cfg.Dim), req.ExactRegion(), req.Keywords, opts,
 		time.Duration(req.MaxStalenessMs)*time.Millisecond)
-	resp, err := s.gather(replies, req.Limit)
+	resp, err := gather(st, req.Limit)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,10 @@ const testK = 2
 
 // genObjects produces a deterministic synthetic corpus.
 func genObjects(n int, seed int64) []kwsc.Object {
-	ds := workload.Gen(workload.Config{Seed: seed, Objects: n, Dim: 2, Vocab: 60, DocLen: 6})
+	return objectsOf(workload.Gen(workload.Config{Seed: seed, Objects: n, Dim: 2, Vocab: 60, DocLen: 6}))
+}
+
+func objectsOf(ds *kwsc.Dataset) []kwsc.Object {
 	objs := make([]kwsc.Object, ds.Len())
 	for i := range objs {
 		objs[i] = *ds.Object(int32(i))

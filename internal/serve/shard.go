@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -32,17 +33,49 @@ type legResult struct {
 	stale bool
 }
 
+// legBuf is one leg's reusable id buffers. The scatter owns it (pooled with
+// the per-request state); a local leg's legResult.ids aliases buf.ids, so the
+// result is only valid until the buffer's next use.
+type legBuf struct {
+	local []int32 // static shards: dataset-local ids out of CollectInto
+	ids   []int64 // global ids, ascending
+}
+
+// estimateRemote is the work estimate of a leg that may block on the network:
+// never cheaper than a wake-up.
+const estimateRemote = math.MaxInt64
+
+// estimator prices a query for ws in work units (QueryStats.Ops) from the
+// index's resident structures; kwsc.Degraded, DynamicORPKW and DurableORPKW
+// all carry it.
+type estimator interface {
+	EstimateWork(ws []kwsc.Keyword) int64
+}
+
 // shard is one partition of the served dataset. Implementations must be
-// safe for concurrent use; collect must return ids ascending. req is the
-// original wire request, carried so replica groups can forward the leg to a
-// remote process; local shards answer from the parsed arguments alone.
+// safe for concurrent use; collect must return ids ascending, appended into
+// buf when the leg is answered locally. req is the original wire request,
+// carried so replica groups can forward the leg to a remote process; local
+// shards answer from the parsed arguments alone. estimate prices the leg in
+// work units (QueryStats.Ops) before it runs, from resident structures alone
+// — no allocation, no traversal.
 type shard interface {
-	collect(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) legResult
+	estimate(ws []kwsc.Keyword, staleness time.Duration) int64
+	collect(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult
 	insert(obj kwsc.Object) (global int64, seq uint64, err error)
 	remove(local int64) (ok bool, seq uint64, err error)
+	// seq is the operation prefix a leg entered now would answer at (0 for
+	// static shards).
+	seq() uint64
 	live() int
 	describe() map[string]any
 	close() error
+}
+
+// staticIndex is what a static shard serves from.
+type staticIndex interface {
+	kwsc.Index[*kwsc.Rect]
+	estimator
 }
 
 // staticShard serves a read-only partition through the unified Index
@@ -50,17 +83,30 @@ type shard interface {
 // *kwsc.Degraded so overload-mode node budgets degrade to the baseline
 // instead of failing.
 type staticShard struct {
-	ix      kwsc.Index[*kwsc.Rect] // nil for an empty partition
+	ix      staticIndex // nil for an empty partition
 	ds      *kwsc.Dataset
 	globals []int64 // local id -> global id
 }
 
-func (s *staticShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, _ time.Duration) legResult {
+func (s *staticShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
+	if s.ix == nil {
+		return 0
+	}
+	return s.ix.EstimateWork(ws)
+}
+
+func (s *staticShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, _ time.Duration, buf *legBuf) legResult {
 	if s.ix == nil {
 		return legResult{}
 	}
-	local, st, err := s.ix.Collect(q, ws, opts)
-	ids := make([]int64, 0, len(local))
+	if buf.local == nil {
+		buf.local = make([]int32, 0, 64) // a nil buffer would make CollectInto allocate its result
+	}
+	local, st, err := s.ix.CollectInto(q, ws, opts, buf.local)
+	if local != nil {
+		buf.local = local
+	}
+	ids := buf.ids[:0]
 	for _, id := range local {
 		if exact != nil && !exact.ContainsPoint(s.ds.Point(id)) {
 			continue
@@ -68,11 +114,13 @@ func (s *staticShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Reg
 		ids = append(ids, s.globals[id])
 	}
 	slices.Sort(ids)
+	buf.ids = ids
 	return legResult{ids: ids, st: st, err: err}
 }
 
 func (s *staticShard) insert(kwsc.Object) (int64, uint64, error) { return 0, 0, ErrReadOnly }
 func (s *staticShard) remove(int64) (bool, uint64, error)        { return false, 0, ErrReadOnly }
+func (s *staticShard) seq() uint64                               { return 0 }
 
 func (s *staticShard) live() int {
 	if s.ds == nil {
@@ -99,12 +147,18 @@ type (
 	closer         interface{ Close() error }
 )
 
+// dynamicIndex is what a dynamic shard serves from.
+type dynamicIndex interface {
+	kwsc.DynamicIndex
+	estimator
+}
+
 // dynamicShard serves one partition from a mutable index (durable or
 // in-memory) through the unified DynamicIndex surface. Global handles
 // encode the shard id (see globalHandle) so deletes route statelessly.
 type dynamicShard struct {
 	id, n int
-	ix    kwsc.DynamicIndex
+	ix    dynamicIndex
 	now   func() time.Time
 
 	// Bounded-staleness read cache: one pinned MVCC snapshot, refreshed
@@ -150,13 +204,17 @@ func (s *dynamicShard) view(staleness time.Duration) *kwsc.DynSnapshot {
 	return nil
 }
 
-func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) legResult {
-	var ids []int64
+func (s *dynamicShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
+	return s.ix.EstimateWork(ws)
+}
+
+func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
+	buf.ids = buf.ids[:0]
 	report := func(h int64, obj *kwsc.Object) {
 		if exact != nil && !exact.ContainsPoint(obj.Point) {
 			return
 		}
-		ids = append(ids, globalHandle(h, s.id, s.n))
+		buf.ids = append(buf.ids, globalHandle(h, s.id, s.n))
 	}
 	var st kwsc.QueryStats
 	var err error
@@ -168,8 +226,8 @@ func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Re
 		st, err = s.ix.QueryWith(q, ws, opts, report)
 		seq = s.seq()
 	}
-	slices.Sort(ids)
-	return legResult{ids: ids, st: st, seq: seq, err: err}
+	slices.Sort(buf.ids)
+	return legResult{ids: buf.ids, st: st, seq: seq, err: err}
 }
 
 func (s *dynamicShard) insert(obj kwsc.Object) (int64, uint64, error) {

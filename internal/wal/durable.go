@@ -386,6 +386,10 @@ func (d *Durable) Snapshot() *core.DynSnapshot {
 	return d.idx.SnapshotNow()
 }
 
+// EstimateWork bounds the work units of a query for ws against the current
+// state; see core.DynamicORPKW.EstimateWork.
+func (d *Durable) EstimateWork(ws []dataset.Keyword) int64 { return d.idx.EstimateWork(ws) }
+
 // Len returns the number of live objects.
 func (d *Durable) Len() int { return d.idx.Len() }
 
