@@ -508,43 +508,63 @@ func BenchmarkORPKW2DCollectInto(b *testing.B) {
 	}
 }
 
-// The stop-node intersection (DESIGN.md §3.3 deviation): a planted k=3 triple
-// whose three posting lists are each N/8 long, asked over random rectangles,
-// so nearly every query ends at nodes where all three keywords are small and
-// the answer is the leapfrog intersection of their materialized lists.
-// ops/query is the machine-independent cost (node visits plus drive-list
+// The stop-node intersection (DESIGN.md §3 substitution 5). ptr and flat: a
+// planted k=3 triple whose three posting lists are each N/8 long, asked over
+// random rectangles, so nearly every query ends at nodes where the small
+// keywords' materialized lists are dense — bitmaps over the node's rank
+// interval, ANDed a word at a time. sparse/ptr and sparse/flat: a Zipf k=2
+// corpus of tiny-scatter's shape, whose stop nodes hold sparse lists — the
+// cursor leapfrog, which the bitmaps bypass. ops/query is the
+// machine-independent cost (node visits, pivot checks, bitmap words and
 // candidates), identical in both layouts.
 func BenchmarkStopNodeIntersect(b *testing.B) {
 	const n = 1 << 16
-	ds, kws, _ := plantedFixture(1, n, 2, 3, 64, n/8)
-	for _, layout := range []struct {
-		name string
-		opts []Option
-	}{{"ptr", nil}, {"flat", []Option{WithFlatLayout()}}} {
-		b.Run(layout.name, func(b *testing.B) {
-			ix, err := NewORPKW(ds, 3, layout.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			rects := make([]*Rect, 256)
-			for i := range rects {
-				rects[i] = workload.RandRect(rng, 2, 0.2+0.3*rng.Float64())
-			}
-			buf := make([]int32, 0, 1024)
-			var ops int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids, st, err := ix.CollectInto(rects[i%len(rects)], kws, QueryOpts{}, buf)
+	planted, plantedKws, _ := plantedFixture(1, n, 2, 3, 64, n/8)
+	const vocab = 1000
+	zipf := workload.Gen(workload.Config{Seed: 1, Objects: 12_500, Dim: 2, Vocab: vocab, DocLen: 6})
+	for _, corpus := range []struct {
+		prefix string
+		ds     *Dataset
+		k      int
+		next   func(*rand.Rand) (*Rect, []Keyword)
+	}{
+		{"", planted, 3, func(rng *rand.Rand) (*Rect, []Keyword) {
+			return workload.RandRect(rng, 2, 0.2+0.3*rng.Float64()), plantedKws
+		}},
+		{"sparse/", zipf, 2, func(rng *rand.Rand) (*Rect, []Keyword) {
+			return workload.RandRect(rng, 2, 0.05+0.3*rng.Float64()), workload.RandKeywords(rng, vocab, 2)
+		}},
+	} {
+		for _, layout := range []struct {
+			name string
+			opts []Option
+		}{{"ptr", nil}, {"flat", []Option{WithFlatLayout()}}} {
+			b.Run(corpus.prefix+layout.name, func(b *testing.B) {
+				ix, err := NewORPKW(corpus.ds, corpus.k, layout.opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
-				ops += st.Ops
-				buf = ids[:0]
-			}
-			b.ReportMetric(float64(ops)/float64(b.N), "ops/query")
-		})
+				rng := rand.New(rand.NewSource(1))
+				rects := make([]*Rect, 256)
+				kws := make([][]Keyword, len(rects))
+				for i := range rects {
+					rects[i], kws[i] = corpus.next(rng)
+				}
+				buf := make([]int32, 0, 1024)
+				var ops int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ids, st, err := ix.CollectInto(rects[i%len(rects)], kws[i%len(rects)], QueryOpts{}, buf)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ops += st.Ops
+					buf = ids[:0]
+				}
+				b.ReportMetric(float64(ops)/float64(b.N), "ops/query")
+			})
+		}
 	}
 }
 

@@ -1,36 +1,45 @@
 package codec
 
+// FlatImageVersion is the version of the flat-index section set below,
+// carried in SecFlatMeta. Version 1 (object ids in every column, explicit
+// pivot id lists, no version field) is refused at open: images are rebuilt,
+// not migrated.
+const FlatImageVersion = 2
+
 // Section IDs of a flat-index KWCP2 container (PagedKindFlatORPKW or
-// PagedKindFlatSPKW). Sections 10-29 are the FlatArenas columns of
-// internal/core (BFS node order), 30-32 the dataset image, 33-34 the rank
-// tables (ORPKW only). internal/flatio owns the read/write paths; the IDs
-// live here so every KWCP2 section registry is in one place.
+// PagedKindFlatSPKW). Sections 10-29 and 35-37 are the FlatArenas columns of
+// internal/core (BFS node order; objects named by rank, their position in
+// the tree's leaf order), 30-32 the dataset image, 33-34 the rank tables
+// (ORPKW only). internal/flatio owns the read/write paths; the IDs live here
+// so every KWCP2 section registry is in one place.
 const (
-	SecFlatMeta       = 10 // []uint64 {splitterKind, pdim, numNodes}
+	SecFlatMeta       = 10 // []uint64 {splitterKind, pdim, numNodes, FlatImageVersion}
 	SecFlatCells      = 11 // []float64, 2*pdim per node: Lo then Hi
 	SecFlatNu         = 12 // []int64 node weights
 	SecFlatL          = 13 // []int32 large-keyword counts
 	SecFlatChildFirst = 14 // []int32
 	SecFlatChildCount = 15 // []int32
-	SecFlatPivotStart = 16 // []int32, numNodes+1 prefix offsets
-	SecFlatPivotIDs   = 17 // []int32
+	SecFlatPivotCount = 16 // []int32: node u's pivots are ranks [rankLo[u], rankLo[u]+count)
 	SecFlatLargeStart = 18 // []int32, numNodes+1 prefix offsets
 	SecFlatLargeKeys  = 19 // []uint32, sorted per node
 	SecFlatLargeIdx   = 20 // []int32 tensor axis indexes
 	SecFlatMatStart   = 21 // []int32, numNodes+1 prefix offsets
 	SecFlatMatKeys    = 22 // []uint32, sorted per node
-	SecFlatMatLists   = 23 // []int32 triples {block, numBlocks, n}
+	SecFlatMatLists   = 23 // []int32 triples {block, numBlocks, n}; numBlocks -1 tags a bitmap whose first SecFlatMatBits word is block
 	SecFlatMatBlocks  = 24 // []int32 quads {off, first, max, n|w<<16}
-	SecFlatMatWords   = 25 // []uint64 bitpack payload
+	SecFlatMatWords   = 25 // []uint64 bitpack payload: ascending ranks
 	SecFlatTensorOff  = 26 // []int64 word offsets per node
 	SecFlatTensorStr  = 27 // []int64 word strides per node
 	SecFlatTensorWrds = 28 // []uint64 non-emptiness bit arrays
-	SecFlatCoords     = 29 // []float64 partitioning coordinates, n x pdim
+	SecFlatCoords     = 29 // []float64 partitioning coordinates by rank, n x pdim
 	SecFlatPoints     = 30 // []float64 dataset points, n x dim
 	SecFlatDocStart   = 31 // []int64, n+1 prefix offsets
 	SecFlatDocWords   = 32 // []uint32 concatenated sorted documents
 	SecFlatRankSorted = 33 // []float64 rank tables, dim x n (ORPKW only)
 	SecFlatRankRanks  = 34 // []int32 rank tables, dim x n (ORPKW only)
+	SecFlatRankIDs    = 35 // []int32 rank -> dataset id, a permutation of [0, n)
+	SecFlatRankLo     = 36 // []int32 first rank of each node's interval
+	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = rank rankLo+i
 )
 
 // Exported little-endian column codecs for sibling packages that assemble

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kwsc/internal/bitpack"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/pager"
@@ -174,6 +175,27 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		flip[pos] ^= 0x41
 		f.Add(flip)
 		f.Add(flip[:pos])
+	}
+	// The same container format frames flat-index images: seed one that
+	// carries the rank columns (rank -> id, interval starts, a bitmap list and
+	// the handle that tags it), whole and damaged, so the corpus reaches the
+	// directory and checksum paths with those section ids too.
+	var flat bytes.Buffer
+	if err := WriteContainer(&flat, PagedMeta{Kind: PagedKindFlatORPKW, K: 2, Dim: 2, Count: 3}.Encode(), []Section{
+		{SecFlatMeta, putU64s([]uint64{1, 2, 1, FlatImageVersion})},
+		{SecFlatRankIDs, putI32s([]int32{2, 0, 1})},
+		{SecFlatRankLo, putI32s([]int32{0})},
+		{SecFlatPivotCount, putI32s([]int32{3})},
+		{SecFlatMatLists, putI32s(EncodePostLists([]bitpack.List{{Block: 0, NumBlocks: -1, N: 2}}))},
+		{SecFlatMatBits, putU64s([]uint64{0b101})},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flat.Bytes())
+	for _, pos := range []int{13, 90, 2 * pager.PageSize, flat.Len() - pager.PageSize + 3} {
+		flip := append([]byte(nil), flat.Bytes()...)
+		flip[pos] ^= 0x41
+		f.Add(flip)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadPagedSnapshot(bytes.NewReader(data), int64(len(data)))

@@ -146,9 +146,10 @@ func TestCollectIntoZeroAllocsFlatLayout(t *testing.T) {
 	}
 }
 
-// The stop-node intersection keeps its cursors and probe list on the pooled
-// context: a planted k=3 triple, whose queries end at nodes with one, two and
-// three keywords small, stays allocation-free in both layouts.
+// The stop-node intersection keeps its cursors, bitmap views and probe list on
+// the pooled context: a planted k=3 triple whose N/8-long lists are all small
+// and dense at the root — the bitmap path, as the root estimate confirms —
+// stays allocation-free in both layouts.
 func TestCollectIntoZeroAllocsStopNodeIntersect(t *testing.T) {
 	const n = 1 << 13
 	ds, kws, region := workload.GenPlanted(workload.Planted{Seed: 35, Objects: n, Dim: 2, K: 3, Out: 64, Partial: n / 8})
@@ -159,6 +160,9 @@ func TestCollectIntoZeroAllocsStopNodeIntersect(t *testing.T) {
 		ix, err := BuildORPKW(ds, 3, layout.opts...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if est, want := ix.EstimateWork(kws), int64(1+bitmapWords(n)+n/8+64); est != want {
+			t.Fatalf("%s: root estimate %d, want %d: the root is not a stop node of three bitmaps", layout.name, est, want)
 		}
 		buf := make([]int32, 0, 4096)
 		var scanned int64

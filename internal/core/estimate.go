@@ -48,57 +48,75 @@ func structuredOnlyCost(sel float64, objects int) float64 { return sel * float64
 // from the root node alone: O(k) lookups in structures the index already
 // holds, no allocation, no traversal. The root classifies every query keyword
 // (Section 3.2). If one is small there, the root is the query's stop node and
-// the drive list is the shortest materialized list, so 1 + its length is an
-// exact upper bound (intersectSmall charges drive-list candidates only). If
-// all are large the traversal descends, and the estimate is the paper's
-// bound with the independence estimate of OUT over the root's keyword counts
-// — geometry is ignored (sel = 1), which errs towards "heavy". A keyword
-// tuple of the wrong arity is rejected before any work: 0.
+// intersectSmall's accounting gives an exact upper bound: 1 + the shortest
+// materialized list when some list is sparse (the drive list's candidates),
+// and 1 + the bitmap's words + the shortest list when every list is a bitmap
+// (the words ANDed, then at most that many set bits). If all are large the
+// traversal descends, and the estimate is the paper's bound with the
+// independence estimate of OUT over the root's keyword counts — geometry is
+// ignored (sel = 1), which errs towards "heavy". A keyword tuple of the wrong
+// arity is rejected before any work: 0.
 func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 	if len(ws) != f.k || f.NumNodes() == 0 {
 		return 0
 	}
-	shortest := int64(-1)
+	nu, leaf := f.rootWeight()
+	if leaf {
+		return 1 + int64(len(f.ids))
+	}
+	shortest, allDense := int64(-1), true
 	est := newOutEstimate(f.ds.Len())
-	var nu int64
-	if fl := f.flat; fl != nil {
-		if fl.childCount[0] == 0 {
-			return 1 + int64(fl.pivotStart[1])
+	for _, w := range ws {
+		if li, ok := f.rootLarge(w); ok {
+			est.add(float64(f.rootDF[li]))
+			continue
 		}
-		nu = fl.nu[0]
-		for _, w := range ws {
-			if li, ok := fl.largeLookup(0, w); ok {
-				est.add(float64(f.rootDF[li]))
-				continue
-			}
-			var n int64
-			if mi := fl.matLookup(0, w); mi >= 0 {
-				n = int64(fl.matLists[mi].N)
-			}
-			if shortest < 0 || n < shortest {
-				shortest = n
-			}
-		}
-	} else {
-		root := &f.nodes[0]
-		if len(root.children) == 0 {
-			return 1 + int64(len(root.pivots))
-		}
-		nu = root.nu
-		for _, w := range ws {
-			if li, ok := root.large[w]; ok {
-				est.add(float64(f.rootDF[li]))
-				continue
-			}
-			if n := int64(len(root.mat[w])); shortest < 0 || n < shortest {
-				shortest = n
-			}
+		n, dense := f.rootList(w)
+		if allDense = allDense && dense; shortest < 0 || n < shortest {
+			shortest = n
 		}
 	}
-	if shortest >= 0 {
+	switch {
+	case shortest < 0:
+		return int64(frameworkCost(pow(float64(nu), 1-1/float64(f.k)), f.k, est.out(1)))
+	case allDense:
+		return 1 + int64(bitmapWords(len(f.ids))) + shortest
+	default:
 		return 1 + shortest
 	}
-	return int64(frameworkCost(pow(float64(nu), 1-1/float64(f.k)), f.k, est.out(1)))
+}
+
+// rootWeight, rootLarge and rootList read the root node in whichever layout
+// the index is in: its weight N_u and whether it is a leaf, a keyword's
+// large-table index, and the length and representation of a small keyword's
+// materialized list (0 when the keyword occurs nowhere).
+func (f *Framework) rootWeight() (nu int64, leaf bool) {
+	if fl := f.flat; fl != nil {
+		return fl.nu[0], fl.childCount[0] == 0
+	}
+	return f.nodes[0].nu, len(f.nodes[0].children) == 0
+}
+
+func (f *Framework) rootLarge(w dataset.Keyword) (int32, bool) {
+	if fl := f.flat; fl != nil {
+		return fl.largeLookup(0, w)
+	}
+	li, ok := f.nodes[0].large[w]
+	return li, ok
+}
+
+func (f *Framework) rootList(w dataset.Keyword) (n int64, dense bool) {
+	if fl := f.flat; fl != nil {
+		if mi := fl.matLookup(0, w); mi >= 0 {
+			return int64(fl.matLists[mi].N), fl.matLists[mi].NumBlocks == bitmapList
+		}
+		return 0, false
+	}
+	root := &f.nodes[0]
+	if mi, ok := root.mat[w]; ok {
+		return int64(root.lists[mi].n), root.lists[mi].words != nil
+	}
+	return 0, false
 }
 
 // countRootDF fills rootDF — the root's per-large-keyword object counts that

@@ -11,67 +11,107 @@ import (
 // TestEstimateWorkBoundsOps: the root estimate is the same number in the
 // pointer layout, the flat layout and a framework rebuilt from a flat image
 // (whose root counts are recounted from the dataset); when the root is the
-// query's stop node it bounds the work actually done; and the all-large case
-// is the paper's formula over the root's exact document frequencies.
+// query's stop node it bounds the work actually done — by the shortest list
+// when some list is sparse, by the bitmap's words plus the shortest list when
+// all are bitmaps — and the all-large case is the paper's formula over the
+// root's exact document frequencies. A Zipf corpus supplies sparse root lists
+// and all-large roots, a planted one roots whose lists are all dense.
 func TestEstimateWorkBoundsOps(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 17, Objects: 6000, Dim: 2, Vocab: 200, DocLen: 6})
-	ptr, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := BuildORPKW(ds, 2, WithFlatLayout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := flat.fw.ExportFlat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := NewFrameworkFromFlat(ds, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	df := make(map[dataset.Keyword]int)
-	for i := 0; i < ds.Len(); i++ {
-		for _, w := range ds.Doc(int32(i)) {
-			df[w]++
-		}
-	}
-	root := &ptr.fw.nodes[0]
-	rng := rand.New(rand.NewSource(19))
-	sawSmall, sawLarge := false, false
-	for trial := 0; trial < 2000; trial++ {
-		ws := workload.RandKeywords(rng, 200, 2)
-		est := ptr.EstimateWork(ws)
-		if f, r := flat.EstimateWork(ws), reopened.EstimateWork(ws); f != est || r != est {
-			t.Fatalf("ws %v: pointer estimates %d, flat %d, reopened %d", ws, est, f, r)
-		}
-		_, l0 := root.large[ws[0]]
-		_, l1 := root.large[ws[1]]
-		if l0 && l1 {
-			sawLarge = true
-			out := newOutEstimate(ds.Len())
-			out.add(float64(df[ws[0]]))
-			out.add(float64(df[ws[1]]))
-			if want := int64(frameworkCost(pow(float64(ds.N()), 0.5), 2, out.out(1))); est != want {
-				t.Fatalf("ws %v all large: estimate %d, formula over true frequencies %d", ws, est, want)
+	planted, _, _ := workload.GenPlanted(workload.Planted{Seed: 18, Objects: 8192, Dim: 2, K: 3, Out: 64, Partial: 1024})
+	for _, tc := range []struct {
+		name     string
+		ds       *dataset.Dataset
+		k, vocab int
+		// The root cases the stream must reach: a stop node with a sparse
+		// list, one with bitmaps only, and all keywords large.
+		sparse, bitmaps, large bool
+	}{
+		{"zipf", workload.Gen(workload.Config{Seed: 17, Objects: 6000, Dim: 2, Vocab: 200, DocLen: 6}), 2, 200, true, false, true},
+		{"planted-dense", planted, 3, 20, false, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := tc.ds
+			ptr, err := BuildORPKW(ds, tc.k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		sawSmall = true
-		_, st, err := ptr.Collect(workload.RandRect(rng, 2, 0.1+0.9*rng.Float64()), ws, QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Ops > est {
-			t.Fatalf("ws %v: root is the stop node, estimate %d, query cost %d", ws, est, st.Ops)
-		}
-	}
-	if !sawSmall || !sawLarge {
-		t.Fatalf("stream covered small=%v large=%v root cases, want both", sawSmall, sawLarge)
-	}
-	if got := ptr.EstimateWork([]dataset.Keyword{1}); got != 0 {
-		t.Fatalf("wrong arity estimates %d, want 0", got)
+			flat, err := BuildORPKW(ds, tc.k, WithFlatLayout())
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := flat.fw.ExportFlat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := NewFrameworkFromFlat(ds, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			df := make(map[dataset.Keyword]int)
+			for i := 0; i < ds.Len(); i++ {
+				for _, w := range ds.Doc(int32(i)) {
+					df[w]++
+				}
+			}
+			root := &ptr.fw.nodes[0]
+			rng := rand.New(rand.NewSource(19))
+			sawSparse, sawBitmaps, sawLarge := false, false, false
+			for trial := 0; trial < 2000; trial++ {
+				ws := workload.RandKeywords(rng, tc.vocab, tc.k)
+				est := ptr.EstimateWork(ws)
+				if f, r := flat.EstimateWork(ws), reopened.EstimateWork(ws); f != est || r != est {
+					t.Fatalf("ws %v: pointer estimates %d, flat %d, reopened %d", ws, est, f, r)
+				}
+				// Replay the root's classification: how many keywords are
+				// small there, the shortest of their lists, and whether every
+				// one of them is a bitmap.
+				small, shortest, allBitmaps := 0, ds.Len(), true
+				out := newOutEstimate(ds.Len())
+				for _, w := range ws {
+					if _, large := root.large[w]; large {
+						out.add(float64(df[w]))
+						continue
+					}
+					small++
+					shortest = min(shortest, df[w])
+					mi, ok := root.mat[w]
+					allBitmaps = allBitmaps && ok && root.lists[mi].words != nil
+				}
+				if small == 0 {
+					sawLarge = true
+					nPow := pow(float64(ds.N()), 1-1/float64(tc.k))
+					if want := int64(frameworkCost(nPow, tc.k, out.out(1))); est != want {
+						t.Fatalf("ws %v all large: estimate %d, formula over true frequencies %d", ws, est, want)
+					}
+					continue
+				}
+				want := 1 + int64(shortest)
+				if allBitmaps {
+					sawBitmaps = true
+					want += int64(bitmapWords(ds.Len()))
+				} else {
+					sawSparse = true
+				}
+				if est != want {
+					t.Fatalf("ws %v: root stop node (all bitmaps=%v, shortest list %d) estimated %d, want %d", ws, allBitmaps, shortest, est, want)
+				}
+				for _, ix := range []*ORPKW{ptr, flat} {
+					_, st, err := ix.Collect(workload.RandRect(rng, 2, 0.1+0.9*rng.Float64()), ws, QueryOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Ops > est {
+						t.Fatalf("ws %v: root is the stop node, estimate %d, query cost %d", ws, est, st.Ops)
+					}
+				}
+			}
+			if sawSparse != tc.sparse || sawBitmaps != tc.bitmaps || sawLarge != tc.large {
+				t.Fatalf("stream covered sparse=%v bitmaps=%v large=%v root cases", sawSparse, sawBitmaps, sawLarge)
+			}
+			if got := ptr.EstimateWork([]dataset.Keyword{1}); got != 0 {
+				t.Fatalf("wrong arity estimates %d, want 0", got)
+			}
+		})
 	}
 }

@@ -18,12 +18,15 @@ import (
 // cache lines instead of chasing per-node slice headers. Node payloads move
 // into shared arenas addressed by monotone start offsets:
 //
-//   - pivots:       one id arena + per-node [start, start+1) offsets;
+//   - pivots:       implicit — node u's are the ranks [rankLo[u],
+//     rankLo[u]+pivotCount[u]);
 //   - large keys:   sorted per node in one arena with the original tensor
 //     numbering alongside (lookup by binary search — the per-node maps, with
 //     their buckets and padding, are freed);
-//   - mat lists:    delta-encoded via bitpack into fixed-size packed blocks in
-//     one shared PackedLists arena, walked by bitpack.Cursors at query time;
+//   - mat lists:    sparse ones delta-encoded via bitpack into fixed-size
+//     packed blocks in one shared PackedLists arena, walked by bitpack.Cursors
+//     at query time; dense ones (denseList) as bitmaps over the node's rank
+//     interval, back to back in one word arena;
 //   - tensors:      every per-child L^k-bit non-emptiness array concatenated
 //     word-aligned into one bits.Arena, addressed as tensorOff + child*stride.
 //
@@ -39,9 +42,13 @@ type flatLayout struct {
 	childFirst []int32
 	childCount []int32
 
-	// Pivot sets: pivotIDs[pivotStart[u]:pivotStart[u+1]].
-	pivotStart []int32
-	pivotIDs   []int32
+	// Rank intervals: node u's active set is the ranks [rankLo[u],
+	// rankLo[u]+rankSpan[u]), the first pivotCount[u] of them its pivot set.
+	// rankSpan is not part of the image: it follows from the pivot counts and
+	// the tree shape.
+	rankLo     []int32
+	rankSpan   []int32
+	pivotCount []int32
 
 	// Large keywords, sorted by keyword per node, parallel to largeIdx which
 	// carries the original large-map value (the tensor axis index).
@@ -50,28 +57,25 @@ type flatLayout struct {
 	largeIdx   []int32
 
 	// Materialized small-keyword lists: keys sorted per node; matLists[i] is
-	// the packed-block handle for matKeys[i] inside matArena.
+	// the handle for matKeys[i] — of packed blocks inside matArena, or, with
+	// NumBlocks == bitmapList, of a bitmap of bitmapWords(rankSpan[u]) words
+	// starting at word Block of matBits.
 	matStart []int32
 	matKeys  []dataset.Keyword
 	matLists []bitpack.List
 	matArena bitpack.PackedLists
+	matBits  []uint64
 
 	// Non-emptiness tensors: node u's child ci occupies tensorStride[u] words
 	// starting at tensorOff[u] + ci*tensorStride[u] in tensorArena.
 	tensorOff    []int64
 	tensorStride []int64
 	tensorArena  bits.Arena
-
-	// Packed partitioning coordinates: object id's point is
-	// coords[id*pdim : (id+1)*pdim]. This re-lays out the f.pts input (freed
-	// at Flatten) — the builder materializes those points one allocation each
-	// (rank-space points especially), so the pointer layout pays a header
-	// load plus a scattered heap read per candidate check; the arena makes
-	// the same check two sequential reads. The audit treats coordinates as
-	// input, not index structure, in both layouts.
-	coords []float64
-	pdim   int
 }
+
+// bitmapList is the NumBlocks of a flat list handle that names a bitmap in
+// matBits instead of packed blocks in matArena.
+const bitmapList = -1
 
 // Flatten converts the index into the flat layout, releasing the pointer tree
 // to the collector. It is idempotent and must not run concurrently with
@@ -91,7 +95,9 @@ func (f *Framework) Flatten() {
 		l:            make([]int32, nn),
 		childFirst:   make([]int32, nn),
 		childCount:   make([]int32, nn),
-		pivotStart:   make([]int32, nn+1),
+		rankLo:       make([]int32, nn),
+		rankSpan:     make([]int32, nn),
+		pivotCount:   make([]int32, nn),
 		largeStart:   make([]int32, nn+1),
 		matStart:     make([]int32, nn+1),
 		tensorOff:    make([]int64, nn),
@@ -112,8 +118,9 @@ func (f *Framework) Flatten() {
 		fl.nu[newID] = n.nu
 		fl.l[newID] = n.l
 
-		fl.pivotIDs = append(fl.pivotIDs, n.pivots...)
-		fl.pivotStart[newID+1] = int32(len(fl.pivotIDs))
+		fl.rankLo[newID] = n.lo
+		fl.rankSpan[newID] = n.hi - n.lo
+		fl.pivotCount[newID] = n.npiv
 
 		keyScratch = keyScratch[:0]
 		for w := range n.large {
@@ -133,7 +140,13 @@ func (f *Framework) Flatten() {
 		sortKeywords(keyScratch)
 		for _, w := range keyScratch {
 			fl.matKeys = append(fl.matKeys, w)
-			fl.matLists = append(fl.matLists, fl.matArena.Append(n.mat[w]))
+			l := &n.lists[n.mat[w]]
+			if l.words == nil {
+				fl.matLists = append(fl.matLists, fl.matArena.Append(l.ranks))
+				continue
+			}
+			fl.matLists = append(fl.matLists, bitpack.List{Block: int32(len(fl.matBits)), NumBlocks: bitmapList, N: l.n})
+			fl.matBits = append(fl.matBits, l.words...)
 		}
 		fl.matStart[newID+1] = int32(len(fl.matKeys))
 
@@ -145,16 +158,8 @@ func (f *Framework) Flatten() {
 			}
 		}
 	}
-	if len(f.pts) > 0 {
-		fl.pdim = len(f.pts[0])
-		fl.coords = make([]float64, len(f.pts)*fl.pdim)
-		for i, p := range f.pts {
-			copy(fl.coords[i*fl.pdim:(i+1)*fl.pdim], p)
-		}
-	}
 	f.flat = fl
 	f.nodes = nil
-	f.pts = nil // all query-time reads go through fl.coords
 	f.accountSpaceFlat()
 }
 
@@ -230,15 +235,15 @@ func (qc *qctx) visitFlat(u int32, rel geom.Relation) {
 		qc.st.CrossingNodes++
 	}
 
-	pivots := fl.pivotIDs[fl.pivotStart[u]:fl.pivotStart[u+1]]
+	lo := fl.rankLo[u]
 	if fl.childCount[u] == 0 {
-		qc.scanPivots(pivots, covered)
+		qc.scanPivots(lo, lo+fl.pivotCount[u], covered)
 		return
 	}
 
 	// Large/small classification mirrors visit; an absent or empty list ends
 	// the node at once.
-	s, probe, m := qc.sorted[:0], qc.probe[:0], 0
+	s, probe, ms, md := qc.sorted[:0], qc.probe[:0], 0, 0
 	for _, w := range qc.ws {
 		if li, ok := fl.largeLookup(u, w); ok {
 			s, probe = append(s, li), append(probe, w)
@@ -248,16 +253,21 @@ func (qc *qctx) visitFlat(u int32, rel geom.Relation) {
 		if mi < 0 || fl.matLists[mi].N == 0 {
 			return
 		}
-		qc.cur[m].Reset(&fl.matArena, fl.matLists[mi])
-		m++
+		if l := fl.matLists[mi]; l.NumBlocks == bitmapList {
+			qc.bm[md] = fl.matBits[l.Block : int(l.Block)+bitmapWords(int(fl.rankSpan[u]))]
+			md++
+		} else {
+			qc.cur[ms].Reset(&fl.matArena, l)
+			ms++
+		}
 	}
-	if m > 0 {
+	if ms+md > 0 {
 		qc.probe = probe
-		qc.intersectSmall(m, covered)
+		qc.intersectSmall(ms, md, lo, covered)
 		return
 	}
 
-	if !qc.scanPivots(pivots, covered) {
+	if !qc.scanPivots(lo, lo+fl.pivotCount[u], covered) {
 		return
 	}
 	sortInt32s(s)
@@ -334,11 +344,12 @@ func (f *Framework) accountSpaceFlat() {
 	s := SpaceBreakdown{AuxWords: f.space.AuxWords, DocHashWords: f.space.DocHashWords}
 	nn := int64(len(fl.cells))
 	// Skeleton SoA: cell (2 words: interface), nu, tensorOff, tensorStride,
-	// plus l/childFirst/childCount/starts at half a word each.
-	s.NodeWords = 5*nn + (3*nn)/2 + 2*nn
-	s.PivotWords = (int64(len(fl.pivotIDs)) + 1) / 2
-	s.LargeWords = int64(len(fl.largeKeys)) // key + idx = two int32s
-	s.MatWords = fl.matArena.SpaceWords() + 2*int64(len(fl.matLists)) + int64(len(fl.matKeys))/2
+	// plus the eight int32 columns (l, childFirst, childCount, rankLo,
+	// rankSpan, pivotCount, largeStart, matStart) at half a word each.
+	s.NodeWords = 5*nn + 4*nn
+	s.PivotWords = (int64(len(f.ids)) + 1) / 2 // the rank -> id column: see accountSpace
+	s.LargeWords = int64(len(fl.largeKeys))    // key + idx = two int32s
+	s.MatWords = fl.matArena.SpaceWords() + int64(len(fl.matBits)) + 2*int64(len(fl.matLists)) + int64(len(fl.matKeys))/2
 	s.TensorBits = fl.tensorArena.SpaceBits()
 	f.space = s
 }
@@ -351,7 +362,7 @@ func (fl *flatLayout) maxPivots() int {
 	m := 0
 	for u := range fl.cells {
 		if fl.childCount[u] > 0 {
-			if p := int(fl.pivotStart[u+1] - fl.pivotStart[u]); p > m {
+			if p := int(fl.pivotCount[u]); p > m {
 				m = p
 			}
 		}

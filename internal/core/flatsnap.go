@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	mbits "math/bits"
 
 	"kwsc/internal/bitpack"
 	"kwsc/internal/bits"
@@ -36,41 +37,46 @@ type FlatArenas struct {
 	SplitterKind int // FlatSplitKD or FlatSplitBox
 	K            int // query keyword arity
 	PDim         int // partitioning-coordinate dimensionality
-	NumObjects   int // dataset size the ids index into
+	NumObjects   int // dataset size; an image indexes every object
+
+	// Objects by rank (leaf order, see Framework): RankIDs[r] is the dataset
+	// id of rank r, Coords its PDim partitioning coordinates, row-major.
+	RankIDs []int32
+	Coords  []float64
 
 	// Node skeleton, BFS order (see flatLayout). CellBounds packs each cell
-	// as Lo[0..PDim) then Hi[0..PDim).
+	// as Lo[0..PDim) then Hi[0..PDim). Node u's active set is the rank
+	// interval starting at RankLo[u]; its first PivotCount[u] ranks are the
+	// pivot set and its children's intervals follow in child order.
 	CellBounds []float64
 	Nu         []int64
 	L          []int32
 	ChildFirst []int32
 	ChildCount []int32
-
-	// Pivot sets: PivotIDs[PivotStart[u]:PivotStart[u+1]].
-	PivotStart []int32
-	PivotIDs   []int32
+	RankLo     []int32
+	PivotCount []int32
 
 	// Large keywords, sorted per node, parallel to the tensor axis indexes.
 	LargeStart []int32
 	LargeKeys  []dataset.Keyword
 	LargeIdx   []int32
 
-	// Materialized small-keyword lists: handles into the bitpack arena
-	// (MatWords payload + MatBlocks metadata).
+	// Materialized small-keyword lists. A handle with NumBlocks >= 0 names
+	// packed blocks of ascending ranks in the bitpack arena (MatWords payload
+	// + MatBlocks metadata); one with NumBlocks == -1 names a bitmap over the
+	// node's interval, ceil(span/64) words starting at word Block of MatBits.
 	MatStart  []int32
 	MatKeys   []dataset.Keyword
 	MatLists  []bitpack.List
 	MatBlocks []bitpack.Block
 	MatWords  []uint64
+	MatBits   []uint64
 
 	// Non-emptiness tensors: node u's child ci occupies TensorStride[u]
 	// words at TensorOff[u] + ci*TensorStride[u].
 	TensorOff    []int64
 	TensorStride []int64
 	TensorWords  []uint64
-
-	// Packed partitioning coordinates, NumObjects x PDim row-major.
-	Coords []float64
 }
 
 // ExportFlat exposes the flat layout as serializable columns. The framework
@@ -90,34 +96,39 @@ func (f *Framework) ExportFlat() (*FlatArenas, error) {
 	default:
 		return nil, fmt.Errorf("core: splitter %T has no serializable cells (KD and Box only)", f.split)
 	}
+	if len(f.ids) != f.ds.Len() {
+		return nil, fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
+	}
 	fl := f.flat
 	nn := len(fl.cells)
 	a := &FlatArenas{
 		SplitterKind: kind,
 		K:            f.k,
-		PDim:         fl.pdim,
+		PDim:         f.pdim,
 		NumObjects:   f.ds.Len(),
+		RankIDs:      f.ids,
+		Coords:       f.coords,
 
 		Nu:         fl.nu,
 		L:          fl.l,
 		ChildFirst: fl.childFirst,
 		ChildCount: fl.childCount,
-		PivotStart: fl.pivotStart,
-		PivotIDs:   fl.pivotIDs,
+		RankLo:     fl.rankLo,
+		PivotCount: fl.pivotCount,
 		LargeStart: fl.largeStart,
 		LargeKeys:  fl.largeKeys,
 		LargeIdx:   fl.largeIdx,
 		MatStart:   fl.matStart,
 		MatKeys:    fl.matKeys,
 		MatLists:   fl.matLists,
+		MatBits:    fl.matBits,
 
 		TensorOff:    fl.tensorOff,
 		TensorStride: fl.tensorStride,
 		TensorWords:  fl.tensorArena.Raw(),
-		Coords:       fl.coords,
 	}
 	a.MatWords, a.MatBlocks = fl.matArena.Raw()
-	a.CellBounds = make([]float64, 0, 2*fl.pdim*nn)
+	a.CellBounds = make([]float64, 0, 2*f.pdim*nn)
 	for u, c := range fl.cells {
 		r, ok := c.(*geom.Rect)
 		if !ok {
@@ -166,6 +177,7 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 	}
 	n := a.NumObjects
 	if len(a.L) != nn || len(a.ChildFirst) != nn || len(a.ChildCount) != nn ||
+		len(a.RankLo) != nn || len(a.PivotCount) != nn ||
 		len(a.TensorOff) != nn || len(a.TensorStride) != nn {
 		return nil, fmt.Errorf("core: flat image skeleton columns disagree on node count")
 	}
@@ -177,8 +189,8 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		return nil, fmt.Errorf("core: flat image carries %d coordinates for %d objects of dimension %d",
 			len(a.Coords), n, a.PDim)
 	}
-	if err := checkStarts("pivot", a.PivotStart, nn, len(a.PivotIDs)); err != nil {
-		return nil, err
+	if len(a.RankIDs) != n {
+		return nil, fmt.Errorf("core: flat image ranks %d objects, dataset has %d", len(a.RankIDs), n)
 	}
 	if err := checkStarts("large-keyword", a.LargeStart, nn, len(a.LargeKeys)); err != nil {
 		return nil, err
@@ -216,9 +228,44 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		return nil, fmt.Errorf("core: flat image has %d nodes but the BFS layout covers %d", nn, next)
 	}
 
-	for _, id := range a.PivotIDs {
-		if id < 0 || int(id) >= n {
-			return nil, fmt.Errorf("core: pivot id %d outside [0, %d)", id, n)
+	// Rank space. The column must be a permutation of the dataset ids: emit
+	// translates through it and document probes index the dataset with it.
+	seen := bits.NewDense(n)
+	for r, id := range a.RankIDs {
+		if id < 0 || int(id) >= n || seen.Get(int(id)) {
+			return nil, fmt.Errorf("core: rank %d maps to id %d: the rank column is not a permutation of [0, %d)", r, id, n)
+		}
+		seen.Set(int(id))
+	}
+	// Intervals. A node's span is its pivots plus its children's spans
+	// (children come after their parent in BFS order, so one backward pass
+	// sums them); then, top down, the pivots take the first ranks of a node's
+	// interval and the children's intervals follow in child order — disjoint
+	// and tiling the parent's by construction of the sums.
+	span := make([]int32, nn)
+	for u := nn - 1; u >= 0; u-- {
+		if a.PivotCount[u] < 0 {
+			return nil, fmt.Errorf("core: node %d has a negative pivot count", u)
+		}
+		total := int64(a.PivotCount[u])
+		for c, end := int(a.ChildFirst[u]), int(a.ChildFirst[u])+int(a.ChildCount[u]); c < end; c++ {
+			total += int64(span[c])
+		}
+		if total > int64(n) {
+			return nil, fmt.Errorf("core: node %d spans %d ranks of %d", u, total, n)
+		}
+		span[u] = int32(total)
+	}
+	if a.RankLo[0] != 0 || int(span[0]) != n {
+		return nil, fmt.Errorf("core: root interval [%d, %d) is not [0, %d)", a.RankLo[0], int64(a.RankLo[0])+int64(span[0]), n)
+	}
+	for u := 0; u < nn; u++ {
+		next := a.RankLo[u] + a.PivotCount[u]
+		for c, end := int(a.ChildFirst[u]), int(a.ChildFirst[u])+int(a.ChildCount[u]); c < end; c++ {
+			if a.RankLo[c] != next {
+				return nil, fmt.Errorf("core: node %d interval starts at rank %d, want %d: child intervals must tile the parent's after its pivots", c, a.RankLo[c], next)
+			}
+			next += span[c]
 		}
 	}
 	for j := 0; j < 2*a.PDim*nn; j += 2 * a.PDim {
@@ -250,16 +297,26 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 				return nil, fmt.Errorf("core: node %d materialized keywords not strictly increasing", u)
 			}
 			l := a.MatLists[i]
+			lo, hi := a.RankLo[u], a.RankLo[u]+span[u]
+			if l.NumBlocks == bitmapList {
+				if err := checkBitmap(a.MatBits, l, int(span[u])); err != nil {
+					return nil, fmt.Errorf("%w: node %d list %d: %v", codec.ErrCorrupt, u, i, err)
+				}
+				continue
+			}
 			if err := matArena.Validate(l); err != nil {
 				return nil, fmt.Errorf("core: node %d list %d: %w", u, i, err)
 			}
 			// The stop-node intersection gallops on Max and answers from
-			// First, which is only sound over a directory in ascending id
-			// order; the directory is resident, so no payload is decoded.
+			// First, which is only sound over a directory in ascending rank
+			// order, and tests a candidate against the node's bitmaps, which
+			// is only in bounds for ranks of the node's interval. A cursor
+			// never returns a value outside its block's [First, Max], so the
+			// resident directory settles both and no payload is decoded.
 			prevMax := int32(-1)
 			for _, b := range matArena.Blocks(l) {
-				if b.First < 0 || int(b.Max) >= n {
-					return nil, fmt.Errorf("core: node %d materialized ids outside [0, %d)", u, n)
+				if b.First < lo || b.Max >= hi {
+					return nil, fmt.Errorf("core: node %d materialized ranks outside its interval [%d, %d)", u, lo, hi)
 				}
 				if b.First > b.Max || b.First <= prevMax {
 					return nil, fmt.Errorf("%w: node %d list %d: block directory not ascending", codec.ErrCorrupt, u, i)
@@ -299,8 +356,9 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		l:            a.L,
 		childFirst:   a.ChildFirst,
 		childCount:   a.ChildCount,
-		pivotStart:   a.PivotStart,
-		pivotIDs:     a.PivotIDs,
+		rankLo:       a.RankLo,
+		rankSpan:     span,
+		pivotCount:   a.PivotCount,
 		largeStart:   a.LargeStart,
 		largeKeys:    a.LargeKeys,
 		largeIdx:     a.LargeIdx,
@@ -308,11 +366,10 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		matKeys:      a.MatKeys,
 		matLists:     a.MatLists,
 		matArena:     matArena,
+		matBits:      a.MatBits,
 		tensorOff:    a.TensorOff,
 		tensorStride: a.TensorStride,
 		tensorArena:  bits.ArenaFromWords(a.TensorWords),
-		coords:       a.Coords,
-		pdim:         a.PDim,
 	}
 	for u := 0; u < nn; u++ {
 		fl.cells[u] = &geom.Rect{
@@ -320,11 +377,33 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 			Hi: a.CellBounds[2*a.PDim*u+a.PDim : 2*a.PDim*(u+1)],
 		}
 	}
-	f := &Framework{ds: ds, k: a.K, split: split, flat: fl, leafSize: 8}
+	f := &Framework{ds: ds, k: a.K, split: split, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flat: fl, leafSize: 8}
 	f.space.DocHashWords = ds.DocSpaceWords()
 	f.accountSpaceFlat()
 	f.countRootDF()
 	return f, nil
+}
+
+// checkBitmap validates a bitmap list handle over an interval of span ranks:
+// exactly bitmapWords(span) words inside the arena, no bit set past the
+// interval, and as many bits set as the handle claims entries.
+func checkBitmap(arena []uint64, l bitpack.List, span int) error {
+	nw := bitmapWords(span)
+	if l.Block < 0 || int(l.Block) > len(arena)-nw {
+		return fmt.Errorf("bitmap words [%d, %d) outside the arena of %d", l.Block, int(l.Block)+nw, len(arena))
+	}
+	words := arena[l.Block : int(l.Block)+nw]
+	if tail := span & 63; tail != 0 && words[nw-1]>>tail != 0 {
+		return fmt.Errorf("bitmap has bits set past its %d-rank interval", span)
+	}
+	pop := 0
+	for _, w := range words {
+		pop += mbits.OnesCount64(w)
+	}
+	if pop != int(l.N) {
+		return fmt.Errorf("bitmap holds %d ranks, handle claims %d", pop, l.N)
+	}
+	return nil
 }
 
 // checkStarts validates one prefix-offset column: nn+1 entries running

@@ -32,11 +32,20 @@ import (
 //   - the materialized lists D_u^act(w) for keywords that are small at u
 //     but large at all proper ancestors.
 type Framework struct {
-	ds       *dataset.Dataset
-	k        int
-	split    spart.Splitter
-	pts      []geom.Point // partitioning coordinates (rank space or original)
-	weight   []int32      // |e.Doc| per object: the verbose-set multiplicity
+	ds    *dataset.Dataset
+	k     int
+	split spart.Splitter
+
+	// Objects are numbered by rank: their position in leaf (DFS) order of the
+	// tree, a node's pivots first, then its children's subtrees in child
+	// order. Every node therefore owns one contiguous rank interval [lo, hi)
+	// whose first entries are its pivots. Ranks are the only id space inside a
+	// Framework — lists, bitmaps and coords are all addressed by them — and
+	// ids translates back where an object leaves it: emit and document probes.
+	ids    []int32   // rank -> dataset id
+	coords []float64 // partitioning coordinates (rank space or original), pdim per rank
+	pdim   int
+
 	nodes    []fnode
 	flat     *flatLayout // non-nil after Flatten; nodes is then nil
 	leafSize int
@@ -49,15 +58,38 @@ type Framework struct {
 type fnode struct {
 	cell     spart.Cell
 	children []int32
-	pivots   []int32
+	lo, hi   int32 // rank interval of the active set
+	npiv     int32 // the pivot set is ranks [lo, lo+npiv)
 	nu       int64 // N_u = sum of |e.Doc| over the active set
 
 	// Secondary structure T_u (internal nodes only):
-	large   map[dataset.Keyword]int32   // large keyword -> index in [0, L)
-	l       int32                       // L = number of large keywords
-	tensors []*bits.Dense               // per child: L^k-bit non-emptiness array
-	mat     map[dataset.Keyword][]int32 // materialized D_u^act(w) for small w
+	large   map[dataset.Keyword]int32 // large keyword -> index in [0, L)
+	l       int32                     // L = number of large keywords
+	tensors []*bits.Dense             // per child: L^k-bit non-emptiness array
+	mat     map[dataset.Keyword]int32 // small keyword -> index into lists
+	lists   []matList                 // materialized D_u^act(w)
 }
+
+// matList is one materialized list D_u^act(w) in the pointer layout, stored
+// one of two ways (never both): ascending ranks, or — when denseList says the
+// bitmap is no larger — a bitmap over the node's interval, bit r-lo set for
+// every rank r in the list.
+type matList struct {
+	n     int32    // entries
+	ranks []int32  // sparse representation
+	words []uint64 // dense representation, ceil((hi-lo)/64) words
+}
+
+// denseList is the one representation rule, for both layouts and every index
+// family: a list of n ranks inside an interval of span ranks becomes a bitmap
+// exactly when the bitmap's span bits are no more than the 32n bits of the
+// rank array it replaces. A dense list thus has ceil(span/64) <= n/2 + 1
+// words, so ANDing a stop node's bitmaps word by word stays inside the
+// O(N_u^{1-1/k}) a scan of the list would have cost.
+func denseList(n, span int) bool { return 32*n >= span }
+
+// bitmapWords is the length of a bitmap over an interval of span ranks.
+func bitmapWords(span int) int { return (span + 63) / 64 }
 
 // SpaceBreakdown audits the index footprint analytically, in the paper's
 // units (words of >= log2 N bits, plus raw bits for the bit arrays), so the
@@ -140,17 +172,13 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 		ds:       ds,
 		k:        cfg.K,
 		split:    cfg.Splitter,
-		pts:      pts,
 		leafSize: leaf,
 	}
-	f.weight = make([]int32, ds.Len())
-	for i := 0; i < ds.Len(); i++ {
-		f.weight[i] = ds.DocLen(int32(i))
-	}
-	// Every node's object list — and so every materialized list, which the
-	// stop-node intersection leapfrogs over — inherits the root's order:
-	// ascending ids. Callers may pass Objects in any order (the
-	// dimension-reduction tree hands each secondary an x-sorted active set).
+	// The splitters break coordinate ties by object id and hand children
+	// their objects in the order they came, so the tree is a function of the
+	// object set only when every build starts from ascending ids. Callers may
+	// pass Objects in any order (the dimension-reduction tree hands each
+	// secondary an x-sorted active set).
 	objs := cfg.Objects
 	if objs == nil {
 		objs = make([]int32, ds.Len())
@@ -177,10 +205,31 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	if gate == nil {
 		gate = newParGate(cfg.Parallelism)
 	}
-	b := &builder{f: f, cnt: make(map[dataset.Keyword]int64, len(incoming)), gate: gate}
+	// The splitters index points and weights by dataset id, so the build runs
+	// on dataset ids and writes the leaf order into seq as it goes; weight is
+	// scratch of the build alone, filled for this framework's objects only.
+	b := &builder{
+		f:      f,
+		pts:    pts,
+		weight: make([]int32, ds.Len()),
+		seq:    make([]int32, len(objs)),
+		cnt:    make(map[dataset.Keyword]int64, len(incoming)),
+		gate:   gate,
+	}
+	for _, id := range objs {
+		b.weight[id] = ds.DocLen(id)
+	}
 	root := f.split.RootCell(pts, objs)
-	b.build(root, objs, incoming, 0)
+	b.build(root, objs, incoming, 0, 0)
 	f.nodes = b.nodes
+	f.ids = b.seq
+	if len(pts) > 0 {
+		f.pdim = len(pts[0])
+	}
+	f.coords = make([]float64, len(objs)*f.pdim)
+	for r, id := range f.ids {
+		copy(f.coords[r*f.pdim:(r+1)*f.pdim], pts[id])
+	}
 	f.accountSpace()
 	if cfg.Flat {
 		f.Flatten()
@@ -193,12 +242,17 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 // scratch map used to count keyword occurrences per node; keys present in
 // the map are exactly the node's incoming keywords. Parallel construction
 // gives each spawned subtree its own builder and grafts the finished slice
-// into the parent's, so builders never share mutable state.
+// into the parent's, so builders never share mutable state — except seq, the
+// leaf order under construction, of which every subtree writes only its own
+// rank interval.
 type builder struct {
-	f     *Framework
-	cnt   map[dataset.Keyword]int64
-	nodes []fnode
-	gate  *parGate
+	f      *Framework
+	pts    []geom.Point // partitioning coordinates by dataset id
+	weight []int32      // |e.Doc| by dataset id: the verbose-set multiplicity
+	seq    []int32      // rank -> dataset id
+	cnt    map[dataset.Keyword]int64
+	nodes  []fnode
+	gate   *parGate
 }
 
 // childResult is one child subtree of an internal node under construction:
@@ -211,19 +265,20 @@ type childResult struct {
 	sub    *builder
 }
 
-// build creates the subtree for objs and returns its node index within
-// b.nodes.
-func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keyword, depth int) int32 {
+// build creates the subtree for objs, whose ranks are [lo, lo+len(objs)), and
+// returns its node index within b.nodes. On return b.seq holds the subtree's
+// leaf order over that interval.
+func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keyword, depth int, lo int32) int32 {
 	f := b.f
 	idx := int32(len(b.nodes))
-	b.nodes = append(b.nodes, fnode{cell: cell})
+	b.nodes = append(b.nodes, fnode{cell: cell, lo: lo, hi: lo + int32(len(objs))})
 	var nu int64
 	for _, id := range objs {
-		nu += int64(f.weight[id])
+		nu += int64(b.weight[id])
 	}
 	b.nodes[idx].nu = nu
 	if len(objs) <= f.leafSize {
-		b.nodes[idx].pivots = append([]int32(nil), objs...)
+		b.leaf(idx, objs)
 		return idx
 	}
 
@@ -242,10 +297,20 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 	threshold := math.Pow(float64(nu), 1-1/float64(f.k))
 	large := make(map[dataset.Keyword]int32)
 	var largeList []dataset.Keyword
+	// D_u^act(w) is materialized for every small incoming keyword that occurs
+	// here (w was large at all proper ancestors by the inductive invariant).
+	// Only the sizes are known yet: the lists hold ranks, and the subtree's
+	// ranks are settled once the children are built.
+	mat := make(map[dataset.Keyword]int32)
+	var lists []matList
 	for _, w := range incoming {
-		if float64(b.cnt[w]) >= threshold {
+		switch c := b.cnt[w]; {
+		case float64(c) >= threshold:
 			large[w] = int32(len(largeList))
 			largeList = append(largeList, w)
+		case c > 0:
+			mat[w] = int32(len(lists))
+			lists = append(lists, matList{n: int32(c)})
 		}
 	}
 	if depth == 0 {
@@ -254,43 +319,35 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 			f.rootDF[i] = int32(b.cnt[w])
 		}
 	}
-	// Materialize D_u^act(w) for every small incoming keyword that occurs
-	// here (w was large at all proper ancestors by the inductive invariant).
-	mat := make(map[dataset.Keyword][]int32)
-	for _, id := range objs {
-		for _, w := range f.ds.Doc(id) {
-			if c, track := b.cnt[w]; track && c > 0 {
-				if _, isLarge := large[w]; !isLarge {
-					mat[w] = append(mat[w], id)
-				}
-			}
-		}
-	}
 	// Release the scratch keys so descendants (whose incoming sets are the
 	// large keywords only) start from a clean map.
 	for _, w := range incoming {
 		delete(b.cnt, w)
 	}
 
-	cells, assign, ok := f.split.Split(cell, objs, f.pts, f.weight, depth)
+	cells, assign, ok := f.split.Split(cell, objs, b.pts, b.weight, depth)
 	if !ok {
 		// No geometric progress possible: finish as a leaf.
-		b.nodes[idx].pivots = append([]int32(nil), objs...)
+		b.leaf(idx, objs)
 		return idx
 	}
+	// Leaf order: the pivots take the first ranks of the interval, each child
+	// the next len(group) — so every child's interval is known before any
+	// subtree is built, and a parallel build numbers exactly as a sequential
+	// one.
 	groups := make([][]int32, len(cells))
-	var pivots []int32
+	npiv := int32(0)
 	for i, id := range objs {
 		if a := assign[i]; a == spart.PivotChild {
-			pivots = append(pivots, id)
+			b.seq[lo+npiv] = id
+			npiv++
 		} else {
 			groups[a] = append(groups[a], id)
 		}
 	}
-	b.nodes[idx].pivots = pivots
+	b.nodes[idx].npiv = npiv
 	b.nodes[idx].large = large
 	b.nodes[idx].l = int32(len(largeList))
-	b.nodes[idx].mat = mat
 
 	// Per child: the k-dimensional non-emptiness bit array (bit at the
 	// sorted tuple (i1 < ... < ik) of large-keyword indexes is set iff some
@@ -310,16 +367,18 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 	results := make([]childResult, nz)
 	var wg sync.WaitGroup
 	ri := 0
+	clo := lo + npiv
 	for c, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
 		r := &results[ri]
 		ri++
-		childCell := cells[c]
+		childCell, childLo := cells[c], clo
+		clo += int32(len(g))
 		if len(g) >= parallelCutoff && b.gate.tryAcquire() {
 			sub := &builder{
-				f:    f,
+				f: f, pts: b.pts, weight: b.weight, seq: b.seq,
 				cnt:  make(map[dataset.Keyword]int64, len(largeList)),
 				gate: b.gate,
 			}
@@ -329,12 +388,12 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 				defer wg.Done()
 				defer b.gate.release()
 				r.tensor = f.fillTensor(g, large, L, tsize)
-				r.root = sub.build(childCell, g, largeList, depth+1)
+				r.root = sub.build(childCell, g, largeList, depth+1, childLo)
 			}(g)
 			continue
 		}
 		r.tensor = f.fillTensor(g, large, L, tsize)
-		r.root = b.build(childCell, g, largeList, depth+1)
+		r.root = b.build(childCell, g, largeList, depth+1, childLo)
 	}
 	wg.Wait()
 
@@ -358,9 +417,42 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 		}
 		tensors = append(tensors, r.tensor)
 	}
-	b.nodes[idx].children = childIdx
-	b.nodes[idx].tensors = tensors
+	n := &b.nodes[idx]
+	n.children = childIdx
+	n.tensors = tensors
+
+	// Materialize the lists from the finished leaf order: one pass over the
+	// interval appends ranks in ascending order, so nothing is sorted.
+	span := int(n.hi - lo)
+	for i := range lists {
+		if l := &lists[i]; denseList(int(l.n), span) {
+			l.words = make([]uint64, bitmapWords(span))
+		} else {
+			l.ranks = make([]int32, 0, l.n)
+		}
+	}
+	for r := lo; r < n.hi; r++ {
+		for _, w := range f.ds.Doc(b.seq[r]) {
+			li, ok := mat[w]
+			if !ok {
+				continue
+			}
+			if l := &lists[li]; l.words != nil {
+				l.words[(r-lo)>>6] |= 1 << (uint32(r-lo) & 63)
+			} else {
+				l.ranks = append(l.ranks, r)
+			}
+		}
+	}
+	n.mat, n.lists = mat, lists
 	return idx
+}
+
+// leaf finishes node idx as a leaf: its whole active set is its pivot set.
+func (b *builder) leaf(idx int32, objs []int32) {
+	n := &b.nodes[idx]
+	n.npiv = int32(len(objs))
+	copy(b.seq[n.lo:], objs)
 }
 
 // fillTensor builds the non-emptiness bit array of one child over its
@@ -453,15 +545,7 @@ func (f *Framework) NumNodes() int {
 // PointDim returns the dimensionality of the partitioning coordinates (the
 // lifted dimension for SRP-KW, the rank-space dimension for ORP-KW); query
 // validation checks constraints against it.
-func (f *Framework) PointDim() int {
-	if f.flat != nil {
-		return f.flat.pdim
-	}
-	if len(f.pts) == 0 {
-		return 0
-	}
-	return len(f.pts[0])
-}
+func (f *Framework) PointDim() int { return f.pdim }
 
 // Space returns the analytic space audit.
 func (f *Framework) Space() SpaceBreakdown { return f.space }
@@ -470,16 +554,18 @@ func (f *Framework) accountSpace() {
 	var s SpaceBreakdown
 	for i := range f.nodes {
 		n := &f.nodes[i]
-		s.NodeWords += 4 + int64(len(n.children))
-		s.PivotWords += int64(len(n.pivots))
+		s.NodeWords += 6 + int64(len(n.children))
 		s.LargeWords += 2 * int64(len(n.large))
-		for _, lst := range n.mat {
-			s.MatWords += int64(len(lst)) + 1
+		for _, l := range n.lists {
+			s.MatWords += int64(len(l.ranks)+len(l.words)) + 1
 		}
 		for _, t := range n.tensors {
 			s.TensorBits += t.SpaceBits()
 		}
 	}
+	// The rank -> id column is the pivot sets themselves, concatenated in leaf
+	// order; a node says which stretch is its own with lo and npiv.
+	s.PivotWords = int64(len(f.ids))
 	s.DocHashWords = f.ds.DocSpaceWords()
 	f.space = s
 }
@@ -493,8 +579,8 @@ func (f *Framework) MaxPivots() int {
 	m := 0
 	for i := range f.nodes {
 		n := &f.nodes[i]
-		if len(n.children) > 0 && len(n.pivots) > m {
-			m = len(n.pivots)
+		if len(n.children) > 0 && int(n.npiv) > m {
+			m = int(n.npiv)
 		}
 	}
 	return m

@@ -58,20 +58,13 @@ func TestLargeSmallInvariants(t *testing.T) {
 			continue
 		}
 		threshold := math.Pow(float64(n.nu), 1-1/k)
-		// Count the active set of this node by walking its subtree.
+		// Count the active set of this node: the objects of its rank interval.
 		counts := map[dataset.Keyword]int64{}
-		var walk func(int32)
-		walk = func(u int32) {
-			for _, id := range f.nodes[u].pivots {
-				for _, w := range f.ds.Doc(id) {
-					counts[w]++
-				}
-			}
-			for _, c := range f.nodes[u].children {
-				walk(c)
+		for _, id := range f.ids[n.lo:n.hi] {
+			for _, w := range f.ds.Doc(id) {
+				counts[w]++
 			}
 		}
-		walk(int32(ni))
 		// Large keywords must meet the threshold; materialized lists must
 		// hold exactly the active objects carrying a small keyword.
 		for w, li := range n.large {
@@ -83,7 +76,16 @@ func TestLargeSmallInvariants(t *testing.T) {
 					ni, w, counts[w], threshold)
 			}
 		}
-		for w, lst := range n.mat {
+		for w, mi := range n.mat {
+			lst := ranksOf(&n.lists[mi], n.lo)
+			if int(n.lists[mi].n) != len(lst) {
+				t.Fatalf("node %d: list of keyword %d claims %d entries, holds %d", ni, w, n.lists[mi].n, len(lst))
+			}
+			for _, r := range lst {
+				if !f.ds.Has(f.ids[r], w) {
+					t.Fatalf("node %d: rank %d listed under keyword %d, which its object lacks", ni, r, w)
+				}
+			}
 			if _, isLarge := n.large[w]; isLarge {
 				t.Fatalf("node %d: keyword %d both large and materialized", ni, w)
 			}
@@ -125,16 +127,9 @@ func TestTensorSoundness(t *testing.T) {
 		}
 		for ci, child := range n.children {
 			sub := map[int32]bool{}
-			var walk func(int32)
-			walk = func(u int32) {
-				for _, id := range f.nodes[u].pivots {
-					sub[id] = true
-				}
-				for _, c := range f.nodes[u].children {
-					walk(c)
-				}
+			for _, id := range f.ids[f.nodes[child].lo:f.nodes[child].hi] {
+				sub[id] = true
 			}
-			walk(child)
 			for a := int32(0); a < n.l; a++ {
 				for b := a + 1; b < n.l; b++ {
 					want := false

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -298,5 +301,58 @@ func TestCollectIntoReusesBuffer(t *testing.T) {
 			t.Fatal("CollectInto did not reuse the supplied buffer")
 		}
 		buf = ids
+	}
+}
+
+// Leaf-order numbering is part of the determinism contract: a child's rank
+// interval follows from group sizes known before any subtree is built, so a
+// parallel build must produce the very image a sequential one does — rank
+// column, intervals, lists and bitmaps, column for column — and emit every
+// answer in the same order. The dimension-reduction index is compared
+// secondary by secondary.
+func TestParallelBuildIdenticalImage(t *testing.T) {
+	ds := workload.Gen(workload.Config{Seed: 31, Objects: 12_000, Dim: 2, Vocab: 30, DocLen: 4})
+	images := make([]*FlatArenas, 2)
+	indexes := make([]*ORPKW, 2)
+	for i, par := range []int{1, 4} {
+		ix, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: par, Flat: true, NoObs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rankStructure(t, fmt.Sprintf("parallelism %d", par), ix.fw)
+		if images[i], err = ix.fw.ExportFlat(); err != nil {
+			t.Fatal(err)
+		}
+		indexes[i] = ix
+	}
+	if !reflect.DeepEqual(images[0], images[1]) {
+		t.Fatal("parallel build exports a different flat image than the sequential build")
+	}
+	rng := rand.New(rand.NewSource(32))
+	for q := 0; q < 40; q++ {
+		rect, ws := workload.RandRect(rng, 2, 0.4), workload.RandKeywords(rng, 30, 2)
+		a, sa, errA := indexes[0].Collect(rect, ws, QueryOpts{})
+		b, sb, errB := indexes[1].Collect(rect, ws, QueryOpts{})
+		sameIDsAndStats(t, "sequential vs parallel image", b, a, sb, sa, errB, errA)
+	}
+
+	ds3 := workload.Gen(workload.Config{Seed: 33, Objects: 6000, Dim: 3, Vocab: 20, DocLen: 4})
+	var secondaries [2][]*Framework
+	for i, par := range []int{1, 4} {
+		ix, err := BuildORPKWHighWith(ds3, 2, BuildOpts{Parallelism: par, NoObs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		secondaries[i] = frameworksOf(t, ix)
+	}
+	if len(secondaries[0]) != len(secondaries[1]) || len(secondaries[0]) == 0 {
+		t.Fatalf("%d secondaries sequentially, %d in parallel", len(secondaries[0]), len(secondaries[1]))
+	}
+	for i, seq := range secondaries[0] {
+		par := secondaries[1][i]
+		rankStructure(t, fmt.Sprintf("secondary %d", i), par)
+		if !slices.Equal(seq.ids, par.ids) || !slices.Equal(seq.coords, par.coords) {
+			t.Fatalf("secondary %d: parallel build ranks its objects differently", i)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"kwsc/internal/bitpack"
@@ -156,15 +157,16 @@ func (f *Framework) checkQuery(ws []dataset.Keyword) error {
 }
 
 func (f *Framework) run(qc *qctx) {
-	if cap(qc.sorted) < f.k { // the three k-sized scratches grow together
+	if cap(qc.sorted) < f.k { // the four k-sized scratches grow together
 		qc.sorted = make([]int32, 0, f.k)
 		qc.probe = make([]dataset.Keyword, 0, f.k)
 		qc.cur = make([]bitpack.Cursor, f.k)
+		qc.bm = make([][]uint64, f.k)
+	}
+	if r, ok := qc.q.(*geom.Rect); ok && len(r.Lo) == f.pdim {
+		qc.qLo, qc.qHi = r.Lo, r.Hi
 	}
 	if f.flat != nil {
-		if r, ok := qc.q.(*geom.Rect); ok {
-			qc.qLo, qc.qHi = r.Lo, r.Hi
-		}
 		if len(f.flat.cells) > 0 {
 			rel := f.split.Relate(f.flat.cells[0], qc.q)
 			if rel != geom.Disjoint {
@@ -201,15 +203,17 @@ type qctx struct {
 	sorted     []int32  // scratch for tensor index
 	res        []int32  // scratch accumulator for buf-less CollectInto
 
-	// Stop-node scratch (intersectSmall): one cursor per keyword small at the
-	// node, and the keywords still large there, which candidates are probed
-	// for. Both live on the pooled context, so a query allocates neither.
+	// Stop-node scratch (intersectSmall): one cursor per keyword whose list
+	// at the node is sparse, one bitmap per keyword whose list is dense, and
+	// the keywords still large there, which candidates are probed for. All
+	// live on the pooled context, so a query allocates none of them.
 	cur   []bitpack.Cursor
+	bm    [][]uint64
 	probe []dataset.Keyword
 
-	// Rect fast path for the flat layout: when q is a *geom.Rect, run caches
-	// its bounds so checkAndEmit tests containment with inlined comparisons
-	// over the coords arena instead of an interface call.
+	// Rect fast path: when q is a *geom.Rect, run caches its bounds so
+	// checkAndEmit tests containment with inlined comparisons over the coords
+	// column instead of an interface call.
 	qLo, qHi []float64
 }
 
@@ -221,7 +225,8 @@ func putQctx(qc *qctx) {
 	for i := range qc.cur {
 		qc.cur[i].Release()
 	}
-	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, probe: qc.probe[:0]}
+	clear(qc.bm)
+	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0]}
 	qctxPool.Put(qc)
 }
 
@@ -258,42 +263,39 @@ func (qc *qctx) emit(id int32) {
 	qc.st.Reported++
 }
 
-// checkAndEmit examines one candidate object: it is reported when its point
-// lies in q and its document holds every keyword of ws — all of qc.ws for a
-// pivot, only the keywords no list has vouched for at a stop node. The flat
-// layout reads the point from the packed coords arena, and for rectangle
-// queries (qLo/qHi cached by run) inlines the exact comparisons of
-// Rect.ContainsPoint in place of an interface call plus pointer chase;
-// results are identical either way.
-func (qc *qctx) checkAndEmit(id int32, covered bool, ws []dataset.Keyword) {
+// checkAndEmit examines one candidate, named by its rank: the object is
+// reported when its point lies in q and its document holds every keyword of
+// ws — all of qc.ws for a pivot, only the keywords no list has vouched for at
+// a stop node. For rectangle queries (qLo/qHi cached by run) the exact
+// comparisons of Rect.ContainsPoint are inlined in place of an interface
+// call; results are identical either way.
+func (qc *qctx) checkAndEmit(r int32, covered bool, ws []dataset.Keyword) {
+	f := qc.f
 	if !covered {
-		if fl := qc.f.flat; fl == nil {
-			if !qc.q.ContainsPoint(qc.f.pts[id]) {
-				return
-			}
-		} else if base := int(id) * fl.pdim; qc.qLo == nil {
-			if !qc.q.ContainsPoint(fl.coords[base : base+fl.pdim]) {
+		if base := int(r) * f.pdim; qc.qLo == nil {
+			if !qc.q.ContainsPoint(f.coords[base : base+f.pdim]) {
 				return
 			}
 		} else {
 			for j, lo := range qc.qLo {
-				if c := fl.coords[base+j]; c < lo || c > qc.qHi[j] {
+				if c := f.coords[base+j]; c < lo || c > qc.qHi[j] {
 					return
 				}
 			}
 		}
 	}
-	if qc.f.ds.HasAll(id, ws) {
+	if id := f.ids[r]; f.ds.HasAll(id, ws) {
 		qc.emit(id)
 	}
 }
 
-// scanPivots examines a pivot set, reporting false when the query stopped.
-func (qc *qctx) scanPivots(pivots []int32, covered bool) bool {
-	for _, id := range pivots {
+// scanPivots examines a pivot set — the ranks [lo, hi) — reporting false when
+// the query stopped.
+func (qc *qctx) scanPivots(lo, hi int32, covered bool) bool {
+	for r := lo; r < hi; r++ {
 		qc.st.PivotChecks++
 		qc.st.Ops++
-		qc.checkAndEmit(id, covered, qc.ws)
+		qc.checkAndEmit(r, covered, qc.ws)
 		if qc.stop() {
 			return false
 		}
@@ -304,52 +306,86 @@ func (qc *qctx) scanPivots(pivots []int32, covered bool) bool {
 // intersectSmall answers a stop node — the first node of the descent at which
 // some query keyword is small (Section 3.3). Every query keyword was large at
 // all proper ancestors, so each keyword small here has its list D_u^act(w)
-// materialized here: qc.cur[:m] walk those m >= 1 lists and qc.probe holds the
-// keywords still large. The paper scans one small list and tests every entry;
-// this intersects all of them, leapfrog fashion: the shortest list drives, a
-// candidate the other lists leap over names the next id worth asking the
-// driver about, and only an id in all m lists — the membership proof for the
-// small keywords — pays the region test and a hash probe for the large ones.
-// With m == 1 it is exactly the paper's scan.
+// materialized here: qc.cur[:ms] walk the lists stored as ascending ranks,
+// qc.bm[:md] are the lists stored as bitmaps over the node's interval, which
+// starts at rank lo (ms+md >= 1), and qc.probe holds the keywords still
+// large. The paper scans one small list and tests every entry; this
+// intersects all of them, and only a rank in every list — the membership
+// proof for the small keywords — pays the region test and a hash probe for
+// the large ones.
 //
-// MatScanned and Ops count the candidates taken from the drive list (at most
-// its length, < N_u^{1-1/k}); ids leapt over are never examined and never
-// charged, and every examined candidate is followed by a stop check. Ids are
-// emitted in ascending order, which is the order of every materialized list.
-func (qc *qctx) intersectSmall(m int, covered bool) {
-	cur := qc.cur[:m]
+// If every list is a bitmap they are ANDed a word — 64 ranks — at a time and
+// the set bits of the result are the candidates; with one bitmap that is the
+// paper's scan, bit by bit. Otherwise the shortest sparse list drives (a
+// sparse list is shorter than any dense one at the same node), bitmaps answer
+// membership with one bit test, and the other sparse lists leapfrog: a
+// candidate they leap over names the next rank worth asking the driver about.
+//
+// MatScanned and Ops count one unit per bitmap word ANDed plus one per
+// candidate examined — a set bit of the AND, or a rank taken from the drive
+// list; bit tests, like ranks leapt over, are free. A dense list of n ranks
+// has at most n/2 + 1 words (denseList), so either way the node costs
+// O(N_u^{1-1/k}). A stop check follows every word and every candidate. Ranks
+// are emitted in ascending order: leaf order.
+func (qc *qctx) intersectSmall(ms, md int, lo int32, covered bool) {
+	bm := qc.bm[:md]
+	if ms == 0 {
+		for wi, w := range bm[0] {
+			for _, b := range bm[1:] {
+				w &= b[wi]
+			}
+			qc.st.MatScanned++
+			qc.st.Ops++
+			for base := lo + int32(wi)<<6; w != 0; w &= w - 1 {
+				qc.st.MatScanned++
+				qc.st.Ops++
+				qc.checkAndEmit(base+int32(bits.TrailingZeros64(w)), covered, qc.probe)
+				if qc.stop() {
+					return
+				}
+			}
+			if qc.stop() {
+				return
+			}
+		}
+		return
+	}
+	cur := qc.cur[:ms]
 	d := 0
-	for j := 1; j < m; j++ {
+	for j := 1; j < ms; j++ {
 		if cur[j].Len() < cur[d].Len() {
 			d = j
 		}
 	}
 	drive := &cur[d]
 	for target, more := int32(0), true; more; {
-		id, ok := drive.Seek(target)
+		r, ok := drive.Seek(target)
 		if !ok {
 			return
 		}
 		qc.st.MatScanned++
 		qc.st.Ops++
-		target = id + 1
+		target = r + 1
 		hit := true
-		for j := range cur {
-			if j == d {
-				continue
-			}
-			v, ok := cur[j].Seek(id)
-			if !ok {
-				hit, more = false, false // a list ran out: nothing further can match
-				break
-			}
-			if v != id {
-				hit, target = false, v
+		for _, b := range bm {
+			if off := uint32(r - lo); b[off>>6]>>(off&63)&1 == 0 {
+				hit = false
 				break
 			}
 		}
+		for j := 0; hit && j < ms; j++ {
+			if j == d {
+				continue
+			}
+			v, ok := cur[j].Seek(r)
+			if !ok {
+				hit, more = false, false // a list ran out: nothing further can match
+			} else if v != r {
+				hit, target = false, v
+			}
+		}
 		if hit {
-			qc.checkAndEmit(id, covered, qc.probe)
+			qc.checkAndEmit(r, covered, qc.probe)
 		}
 		if qc.stop() {
 			return
@@ -375,39 +411,47 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 
 	if len(n.children) == 0 {
 		// Leaf: the pivot set is the whole active set.
-		qc.scanPivots(n.pivots, covered)
+		qc.scanPivots(n.lo, n.lo+n.npiv, covered)
 		return
 	}
 
 	// Use T_u to sort the query keywords, in O(k) time, into those large at u
 	// (tensor axis index into qc.sorted, keyword into qc.probe) and those
-	// small at u (a cursor on the materialized list D_u^act(w)). If any is
-	// small the node is answered from the lists and the subtree is never
-	// descended; qualifying pivots of u are contained in every such list, so
-	// they need no separate scan. A small keyword without a list occurs
-	// nowhere below u and ends the node at once.
-	s, probe, m := qc.sorted[:0], qc.probe[:0], 0
+	// small at u (a cursor or a bitmap on the materialized list D_u^act(w)).
+	// If any is small the node is answered from the lists and the subtree is
+	// never descended; qualifying pivots of u are contained in every such
+	// list, so they need no separate scan. A small keyword without a list
+	// occurs nowhere below u and ends the node at once.
+	s, probe, ms, md := qc.sorted[:0], qc.probe[:0], 0, 0
 	for _, w := range qc.ws {
 		if li, ok := n.large[w]; ok {
 			s, probe = append(s, li), append(probe, w)
 			continue
 		}
-		lst := n.mat[w]
-		if len(lst) == 0 {
+		mi, ok := n.mat[w]
+		if !ok {
 			return
 		}
-		qc.cur[m].ResetRaw(lst)
-		m++
+		switch l := &n.lists[mi]; {
+		case l.n == 0:
+			return
+		case l.words != nil:
+			qc.bm[md] = l.words
+			md++
+		default:
+			qc.cur[ms].ResetRaw(l.ranks)
+			ms++
+		}
 	}
-	if m > 0 {
+	if ms+md > 0 {
 		qc.probe = probe
-		qc.intersectSmall(m, covered)
+		qc.intersectSmall(ms, md, n.lo, covered)
 		return
 	}
 
 	// All keywords large: examine the pivots, then descend into children
 	// whose non-emptiness bit is set and whose cell meets q.
-	if !qc.scanPivots(n.pivots, covered) {
+	if !qc.scanPivots(n.lo, n.lo+n.npiv, covered) {
 		return
 	}
 	sortInt32s(s)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	mbits "math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -51,40 +52,79 @@ func countedDataset(rng *rand.Rand, n int, counts map[dataset.Keyword]int) *data
 // stop node for any query drawn from large ∪ small ∪ {absent keywords}: the
 // keywords of large sit in its T_u table, those of small carry their full
 // posting list as the materialized list, and the single child is an empty
-// leaf no query reaches.
-func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keyword, flat bool) *Framework {
+// leaf no query reaches. Ranks are a seeded shuffle of the ids, so a list of
+// ranks and the ids it stands for never coincide by accident. dense picks a
+// list's representation from its keyword and length; nil applies the
+// builder's rule (denseList).
+func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keyword, dense func(w dataset.Keyword, n int) bool, flat bool) *Framework {
 	n := ds.Len()
-	pts := make([]geom.Point, n)
-	objs := make([]int32, n)
-	for i := range pts {
-		pts[i], objs[i] = ds.Point(int32(i)), int32(i)
+	if dense == nil {
+		dense = func(_ dataset.Keyword, ln int) bool { return denseList(ln, n) }
 	}
-	split := &spart.KD{Dim: ds.Dim()}
-	cell := split.RootCell(pts, objs)
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	pdim := ds.Dim()
+	coords := make([]float64, 0, n*pdim)
+	for _, id := range ids {
+		coords = append(coords, ds.Point(id)...)
+	}
+	split := &spart.KD{Dim: pdim}
+	cell := geom.UniverseRect(pdim)
 	root := fnode{
 		cell:     cell,
 		children: []int32{1},
+		hi:       int32(n),
+		npiv:     int32(n),
 		nu:       ds.N(),
 		large:    map[dataset.Keyword]int32{},
 		l:        int32(len(large)),
 		tensors:  []*bits.Dense{bits.NewDense(int(tensorSize(len(large), k)))},
-		mat:      map[dataset.Keyword][]int32{},
+		mat:      map[dataset.Keyword]int32{},
 	}
 	for i, w := range large {
 		root.large[w] = int32(i)
 	}
 	for _, w := range small {
-		for id := int32(0); int(id) < n; id++ {
+		var ranks []int32
+		for r, id := range ids {
 			if ds.Has(id, w) {
-				root.mat[w] = append(root.mat[w], id)
+				ranks = append(ranks, int32(r))
 			}
 		}
+		l := matList{n: int32(len(ranks)), ranks: ranks}
+		if dense(w, len(ranks)) {
+			l.ranks, l.words = nil, make([]uint64, bitmapWords(n))
+			for _, r := range ranks {
+				l.words[r>>6] |= 1 << (uint(r) & 63)
+			}
+		}
+		root.mat[w] = int32(len(root.lists))
+		root.lists = append(root.lists, l)
 	}
-	f := &Framework{ds: ds, k: k, split: split, pts: pts, leafSize: 8, nodes: []fnode{root, {cell: cell}}}
+	leaf := fnode{cell: cell, lo: int32(n), hi: int32(n)}
+	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8, nodes: []fnode{root, leaf}}
 	if flat {
 		f.Flatten()
 	}
 	return f
+}
+
+// ranksOf returns the ranks a pointer-layout list over an interval starting
+// at lo holds, whichever way it stores them.
+func ranksOf(l *matList, lo int32) []int32 {
+	if l.words == nil {
+		return l.ranks
+	}
+	var out []int32
+	for wi, w := range l.words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, lo+int32(wi<<6+mbits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
 
 // bothLayouts runs one query on a pointer-layout and a flat-layout index,
@@ -102,8 +142,9 @@ func bothLayouts[Q any, C interface {
 
 func TestStopNodeIntersectHandBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	// Keywords 1..3 are long lists, 4..9 short ones whose lengths sit on the
-	// packed-block boundaries, 10 is a three-id list; 900 occurs nowhere.
+	// Keywords 1..3 are long lists — dense by the builder's rule, so bitmaps —
+	// 4..9 short ones whose lengths sit on the packed-block boundaries, 10 is
+	// a three-id list; 900 occurs nowhere.
 	counts := map[dataset.Keyword]int{
 		1: 9000, 2: 7000, 3: 5000,
 		4: 127, 5: 128, 6: 129, 7: 255, 8: 256, 9: 257, 10: 3,
@@ -116,6 +157,7 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 		ws           []dataset.Keyword
 	}{
 		{"k2/one-small", []dataset.Keyword{1}, []dataset.Keyword{4}, []dataset.Keyword{1, 4}},
+		{"k2/one-small/dense", []dataset.Keyword{2}, []dataset.Keyword{1}, []dataset.Keyword{1, 2}},
 		{"k2/all-small/127v128", nil, []dataset.Keyword{4, 5}, []dataset.Keyword{5, 4}},
 		{"k2/all-small/129v257", nil, []dataset.Keyword{6, 9}, []dataset.Keyword{6, 9}},
 		{"k2/all-small/long", nil, []dataset.Keyword{1, 2}, []dataset.Keyword{1, 2}},
@@ -133,16 +175,20 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := len(tc.ws)
-			ptr := stopNodeFramework(ds, k, tc.large, tc.small, false)
-			fl := stopNodeFramework(ds, k, tc.large, tc.small, true)
-			shortest, hasAbsent := ds.Len(), false
+			ptr := stopNodeFramework(ds, k, tc.large, tc.small, nil, false)
+			fl := stopNodeFramework(ds, k, tc.large, tc.small, nil, true)
+			shortest, allDense, hasAbsent := ds.Len(), true, false
 			for _, w := range tc.ws {
 				if slices.Contains(tc.small, w) {
 					shortest = min(shortest, counts[w])
+					allDense = allDense && denseList(counts[w], ds.Len())
 				} else if !slices.Contains(tc.large, w) {
 					hasAbsent = true
 				}
 			}
+			// What an all-bitmap node is charged: every word of the interval,
+			// then every rank the small lists share.
+			denseUnits := int64(bitmapWords(ds.Len()) + len(ds.Filter(geom.UniverseRect(2), tc.small)))
 			regions := []*geom.Rect{geom.UniverseRect(2)}
 			for i := 0; i < 8; i++ {
 				regions = append(regions, workload.RandRect(rng, 2, 0.1+0.8*rng.Float64()))
@@ -152,46 +198,138 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := ds.Filter(q, tc.ws)
-				if !slices.Equal(got, want) { // one node, so emission order is id order
-					t.Fatalf("reported %v, oracle %v", got, want)
-				}
+				equalIDs(t, got, ds.Filter(q, tc.ws), "stop node vs oracle")
 				if st.NodesVisited != 1 || st.PivotChecks != 0 {
 					t.Fatalf("the root did not stop the descent: %+v", st)
 				}
 				switch {
-				case hasAbsent && st.MatScanned != 0:
-					t.Fatalf("absent keyword: %d entries scanned, want 0", st.MatScanned)
-				case len(tc.small) == 1 && !hasAbsent && st.MatScanned != int64(shortest):
+				case hasAbsent:
+					if st.MatScanned != 0 {
+						t.Fatalf("absent keyword: %d units charged, want 0", st.MatScanned)
+					}
+				case allDense:
+					if st.MatScanned != denseUnits {
+						t.Fatalf("all-bitmap node: %d units charged, want words + common ranks = %d", st.MatScanned, denseUnits)
+					}
+				case len(tc.small) == 1 && st.MatScanned != int64(shortest):
 					t.Fatalf("single small list: %d entries scanned, want the whole list (%d)", st.MatScanned, shortest)
 				case st.MatScanned > int64(shortest):
 					t.Fatalf("%d entries scanned, more than the shortest small list holds (%d)", st.MatScanned, shortest)
 				}
 				if st.Ops != st.MatScanned+1 {
-					t.Fatalf("ops %d != node visit + %d drive candidates", st.Ops, st.MatScanned)
+					t.Fatalf("ops %d != node visit + %d stop-node units", st.Ops, st.MatScanned)
 				}
 			}
 		})
 	}
 }
 
+// The kernel over every mix of representations: m = 1..4 small lists, each
+// stored sparse or dense by the test's choice (not the builder's rule), with
+// and without a keyword still large, over intervals that end mid-word, on a
+// word boundary and inside the first word — in both layouts, against the
+// oracle, unrestricted and under stops that land inside a word.
+func TestIntersectSmallRepresentations(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const largeW, nobody = dataset.Keyword(9), dataset.Keyword(5)
+	universe := geom.Region(geom.UniverseRect(2))
+	for _, n := range []int{1, 63, 64, 65, 130, 1000} {
+		ds := countedDataset(rng, n, map[dataset.Keyword]int{
+			1: n, 2: (n + 1) / 2, 3: (n + 2) / 3, 4: max(1, n/10), largeW: (n + 1) / 2,
+		})
+		for m := 1; m <= 4; m++ {
+			for _, withLarge := range []bool{false, true} {
+				small := []dataset.Keyword{4, 2, 3, 1}[:m]
+				ws, large := slices.Clone(small), []dataset.Keyword(nil)
+				if withLarge {
+					ws, large = append(ws, largeW), []dataset.Keyword{largeW}
+				}
+				if len(ws) < 2 {
+					continue
+				}
+				for mask := 0; mask < 1<<m; mask++ {
+					label := fmt.Sprintf("n=%d/m=%d/large=%v/dense=%04b", n, m, withLarge, mask)
+					dense := func(w dataset.Keyword, _ int) bool { return mask>>slices.Index(small, w)&1 == 1 }
+					ptr := stopNodeFramework(ds, len(ws), large, small, dense, false)
+					fl := stopNodeFramework(ds, len(ws), large, small, dense, true)
+					full, fullSt, err := bothLayouts(t, label, ptr, fl, universe, ws, QueryOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalIDs(t, full, ds.Filter(geom.UniverseRect(2), ws), label)
+					q := workload.RandRect(rng, 2, 0.3+0.6*rng.Float64())
+					inQ, _, err := bothLayouts(t, label, ptr, fl, geom.Region(q), ws, QueryOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalIDs(t, inQ, ds.Filter(q, ws), label)
+
+					restricted := []QueryOpts{
+						{Limit: 1},
+						{Limit: 1 + rng.Intn(len(full)+1)},
+						{Budget: 1 + rng.Int63n(fullSt.Ops)},
+						{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
+					}
+					for i, opts := range restricted {
+						part, st, err := bothLayouts(t, label, ptr, fl, universe, ws, opts)
+						if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
+							t.Fatalf("%s restriction %d: %v is not a prefix of %v", label, i, part, full)
+						}
+						if len(part) < len(full) && !st.Truncated && !st.BudgetHit {
+							t.Fatalf("%s restriction %d: short answer without a stop flag: %+v", label, i, st)
+						}
+						if i == 3 && !errors.Is(err, ErrDeadline) {
+							t.Fatalf("%s: expired deadline returned %v", label, err)
+						}
+					}
+					// Limit 1 over bitmaps alone, nothing left to probe: the
+					// scan stops at the first set bit of the AND, inside its
+					// word — the words up to it and that one candidate are all
+					// that is charged.
+					if mask == 1<<m-1 && !withLarge && len(full) > 1 {
+						_, st, _ := ptr.Collect(universe, ws, QueryOpts{Limit: 1})
+						first := slices.Index(ptr.ids, full[0])
+						if want := int64(first/64 + 1 + 1); st.MatScanned != want || !st.Truncated {
+							t.Fatalf("%s: limit 1 charged %d units (truncated=%v), want %d", label, st.MatScanned, st.Truncated, want)
+						}
+					}
+				}
+				// A list nobody is on ends the node before anything is charged,
+				// however it is stored.
+				for _, asBitmap := range []bool{false, true} {
+					dense := func(dataset.Keyword, int) bool { return asBitmap }
+					withEmpty := append(slices.Clone(small), nobody)
+					wsE := append(slices.Clone(ws), nobody)
+					ptr := stopNodeFramework(ds, len(wsE), large, withEmpty, dense, false)
+					fl := stopNodeFramework(ds, len(wsE), large, withEmpty, dense, true)
+					got, st, err := bothLayouts(t, "empty list", ptr, fl, universe, wsE, QueryOpts{})
+					if err != nil || len(got) != 0 || st.MatScanned != 0 {
+						t.Fatalf("n=%d m=%d empty list (bitmap=%v): ids %v, stats %+v, err %v", n, m, asBitmap, got, st, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 // A 3-id list against a 10^5-id list, both small at the same node: the drive
-// list is the short one, so three candidates are examined in all.
+// list is the short one — the long one is a bitmap it probes — so three
+// candidates are examined in all.
 func TestStopNodeIntersectAdversarialSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ds := countedDataset(rng, 120_000, map[dataset.Keyword]int{1: 100_000, 2: 3})
 	ws := []dataset.Keyword{1, 2}
-	ptr := stopNodeFramework(ds, 2, nil, ws, false)
-	fl := stopNodeFramework(ds, 2, nil, ws, true)
-	got, st, err := bothLayouts(t, "skew", ptr, fl, geom.Region(geom.UniverseRect(2)), ws, QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ds.Filter(geom.UniverseRect(2), ws); !slices.Equal(got, want) {
-		t.Fatalf("reported %v, oracle %v", got, want)
-	}
-	if st.MatScanned > 3 {
-		t.Fatalf("%d candidates examined against a 3-id drive list", st.MatScanned)
+	for _, dense := range []func(dataset.Keyword, int) bool{nil, func(dataset.Keyword, int) bool { return false }} {
+		ptr := stopNodeFramework(ds, 2, nil, ws, dense, false)
+		fl := stopNodeFramework(ds, 2, nil, ws, dense, true)
+		got, st, err := bothLayouts(t, "skew", ptr, fl, geom.Region(geom.UniverseRect(2)), ws, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalIDs(t, got, ds.Filter(geom.UniverseRect(2), ws), "skew vs oracle")
+		if st.MatScanned > 3 {
+			t.Fatalf("%d candidates examined against a 3-id drive list", st.MatScanned)
+		}
 	}
 }
 
@@ -338,27 +476,111 @@ func frameworksOf(t *testing.T, ix any) []*Framework {
 	return out
 }
 
-// matListsOf decodes every materialized list of f.
-func matListsOf(f *Framework) [][]int32 {
-	var out [][]int32
+// rankStructure checks what leaf-order numbering promises of a built
+// framework, in either layout: the rank column is a permutation of the
+// objects, the root's interval is all of it, every node's children tile its
+// interval after its pivots, and every materialized list is stored by the
+// density rule — strictly ascending ranks of the node's interval, or a bitmap
+// of exactly its span with no bit past it — and holds exactly the node's
+// objects that carry the keyword. It returns the number of lists of each
+// representation.
+func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int) {
+	t.Helper()
+	seen := map[int32]bool{}
+	for _, id := range f.ids {
+		if id < 0 || int(id) >= f.ds.Len() || seen[id] {
+			t.Fatalf("%s: rank column repeats or invents id %d", label, id)
+		}
+		seen[id] = true
+	}
+	// checkList is handed every list as decoded ranks.
+	checkList := func(lo, hi int32, w dataset.Keyword, ranks []int32, isBitmap bool) {
+		if isBitmap != denseList(len(ranks), int(hi-lo)) {
+			t.Fatalf("%s: list of %d ranks over a span of %d stored as bitmap=%v", label, len(ranks), hi-lo, isBitmap)
+		}
+		if isBitmap {
+			dense++
+		} else {
+			sparse++
+		}
+		want := 0
+		for _, id := range f.ids[lo:hi] {
+			if f.ds.Has(id, w) {
+				want++
+			}
+		}
+		if len(ranks) != want {
+			t.Fatalf("%s: list of keyword %d holds %d ranks, the interval %d carriers", label, w, len(ranks), want)
+		}
+		for i, r := range ranks {
+			if r < lo || r >= hi || (i > 0 && r <= ranks[i-1]) || !f.ds.Has(f.ids[r], w) {
+				t.Fatalf("%s: list of keyword %d over [%d, %d) is not ascending carriers: %v", label, w, lo, hi, ranks)
+			}
+		}
+	}
 	if fl := f.flat; fl != nil {
-		for _, l := range fl.matLists {
-			out = append(out, fl.matArena.UnpackInto(l, nil))
+		if fl.rankLo[0] != 0 || int(fl.rankSpan[0]) != len(f.ids) {
+			t.Fatalf("%s: root interval [%d, +%d) over %d objects", label, fl.rankLo[0], fl.rankSpan[0], len(f.ids))
 		}
-		return out
+		for u := range fl.cells {
+			lo, hi := fl.rankLo[u], fl.rankLo[u]+fl.rankSpan[u]
+			next := lo + fl.pivotCount[u]
+			for c := fl.childFirst[u]; c < fl.childFirst[u]+fl.childCount[u]; c++ {
+				if fl.rankLo[c] != next {
+					t.Fatalf("%s: node %d child %d starts at rank %d, want %d", label, u, c, fl.rankLo[c], next)
+				}
+				next += fl.rankSpan[c]
+			}
+			if next != hi {
+				t.Fatalf("%s: node %d: pivots and children cover [%d, %d) of [%d, %d)", label, u, lo, next, lo, hi)
+			}
+			for i := fl.matStart[u]; i < fl.matStart[u+1]; i++ {
+				l := fl.matLists[i]
+				if l.NumBlocks != bitmapList {
+					checkList(lo, hi, fl.matKeys[i], fl.matArena.UnpackInto(l, nil), false)
+					continue
+				}
+				words := fl.matBits[l.Block : int(l.Block)+bitmapWords(int(hi-lo))]
+				if tail := int(hi-lo) & 63; tail != 0 && words[len(words)-1]>>tail != 0 {
+					t.Fatalf("%s: node %d bitmap has bits past its span", label, u)
+				}
+				checkList(lo, hi, fl.matKeys[i], ranksOf(&matList{words: words}, lo), true)
+			}
+		}
+		return sparse, dense
 	}
-	for i := range f.nodes {
-		for _, lst := range f.nodes[i].mat {
-			out = append(out, lst)
+	if f.nodes[0].lo != 0 || int(f.nodes[0].hi) != len(f.ids) {
+		t.Fatalf("%s: root interval [%d, %d) over %d objects", label, f.nodes[0].lo, f.nodes[0].hi, len(f.ids))
+	}
+	for u := range f.nodes {
+		n := &f.nodes[u]
+		next := n.lo + n.npiv
+		for _, c := range n.children {
+			if f.nodes[c].lo != next {
+				t.Fatalf("%s: node %d child %d starts at rank %d, want %d", label, u, c, f.nodes[c].lo, next)
+			}
+			next = f.nodes[c].hi
+		}
+		if next != n.hi {
+			t.Fatalf("%s: node %d: pivots and children cover [%d, %d) of [%d, %d)", label, u, n.lo, next, n.lo, n.hi)
+		}
+		for w, mi := range n.mat {
+			l := &n.lists[mi]
+			if l.words != nil && (l.ranks != nil || len(l.words) != bitmapWords(int(n.hi-n.lo))) {
+				t.Fatalf("%s: node %d list stored twice or with %d words for a span of %d", label, u, len(l.words), n.hi-n.lo)
+			}
+			if tail := int(n.hi-n.lo) & 63; l.words != nil && tail != 0 && l.words[len(l.words)-1]>>tail != 0 {
+				t.Fatalf("%s: node %d bitmap has bits past its span", label, u)
+			}
+			checkList(n.lo, n.hi, w, ranksOf(l, n.lo), l.words != nil)
 		}
 	}
-	return out
+	return sparse, dense
 }
 
-// The leapfrog intersection is only sound over ascending lists. The
-// dimension-reduction tree hands its secondaries x-sorted active sets, so the
-// order has to be established by BuildFramework, for every problem that
-// builds on it and in both layouts.
+// Leaf-order numbering has to hold for every problem that builds on
+// BuildFramework and in both layouts — the dimension-reduction tree, for one,
+// hands its secondaries x-sorted subsets of the objects.
 func TestMaterializedListsAscending(t *testing.T) {
 	ds2 := workload.Gen(workload.Config{Seed: 71, Objects: 1500, Dim: 2, Vocab: 40, DocLen: 4})
 	ds3 := workload.Gen(workload.Config{Seed: 72, Objects: 1500, Dim: 3, Vocab: 40, DocLen: 4})
@@ -389,34 +611,31 @@ func TestMaterializedListsAscending(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			lists := 0
+			sparse, dense := 0, 0
 			for _, f := range frameworksOf(t, ix) {
 				if f.IsFlat() != flat {
 					t.Fatalf("%s: framework layout flat=%v, want %v", name, f.IsFlat(), flat)
 				}
-				for _, lst := range matListsOf(f) {
-					lists++
-					for i := 1; i < len(lst); i++ {
-						if lst[i] <= lst[i-1] {
-							t.Fatalf("%s flat=%v: materialized list not strictly ascending at %d: %v", name, flat, i, lst)
-						}
-					}
-				}
+				s, d := rankStructure(t, fmt.Sprintf("%s flat=%v", name, flat), f)
+				sparse, dense = sparse+s, dense+d
 			}
-			if lists == 0 {
-				t.Fatalf("%s flat=%v: no materialized list to check", name, flat)
+			if sparse == 0 || dense == 0 {
+				t.Fatalf("%s flat=%v: %d sparse and %d bitmap lists: both representations must be exercised", name, flat, sparse, dense)
 			}
 		}
 	}
 }
 
-// repackArena re-encodes every materialized list of a flat image after edit
-// has had its way with the decoded ids.
+// repackArena re-encodes every packed materialized list of a flat image after
+// edit has had its way with the decoded ranks; bitmap lists are left alone.
 func repackArena(a *FlatArenas, edit func(list int, ids []int32)) {
 	old := bitpack.FromRaw(a.MatWords, a.MatBlocks)
 	var fresh bitpack.PackedLists
-	lists := make([]bitpack.List, len(a.MatLists))
+	lists := slices.Clone(a.MatLists)
 	for i, l := range a.MatLists {
+		if l.NumBlocks == bitmapList {
+			continue
+		}
 		ids := old.UnpackInto(l, nil)
 		edit(i, ids)
 		lists[i] = fresh.Append(ids)
@@ -430,7 +649,8 @@ func repackArena(a *FlatArenas, edit func(list int, ids []int32)) {
 // as codec.ErrCorrupt; disorder hidden inside a block's payload cannot be
 // seen without decoding, and must cost no more than missing answers.
 func TestFlatImageListDisorder(t *testing.T) {
-	ds := skewedVocabDataset(81, 6000)
+	// Large enough that a list of two packed blocks is still sparse at the root.
+	ds := skewedVocabDataset(81, 20_000)
 	ix, err := BuildORPKW(ds, 3, WithoutObs(), WithFlatLayout())
 	if err != nil {
 		t.Fatal(err)
@@ -510,4 +730,128 @@ func TestFlatImageListDisorder(t *testing.T) {
 		}
 		t.Logf("disordered image missed %d answers over 200 queries", missed)
 	})
+}
+
+// The rank columns of a flat image are untrusted too: each way they can break
+// what the query path assumes — ranks that do not translate to distinct
+// objects, intervals that do not nest, a list reaching outside its node, a
+// bitmap of the wrong shape — is refused at open.
+func TestFlatImageRankValidation(t *testing.T) {
+	ds := skewedVocabDataset(83, 20_000)
+	ix, err := BuildORPKW(ds, 3, WithoutObs(), WithFlatLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := ix.fw.ExportFlat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFrameworkFromFlat(ds, clean); err != nil {
+		t.Fatalf("clean image refused: %v", err)
+	}
+	fl := ix.fw.flat
+	// An internal node with at least two children, a packed list and a bitmap
+	// list (of a span that is not a whole number of words) to aim at.
+	inner, packed, bitmap := -1, -1, -1
+	for u := range fl.cells {
+		if inner < 0 && u > 0 && fl.childCount[u] >= 2 {
+			inner = u
+		}
+		for i := fl.matStart[u]; i < fl.matStart[u+1]; i++ {
+			switch l := fl.matLists[i]; {
+			case l.NumBlocks == bitmapList && bitmap < 0 && fl.rankSpan[u]&63 != 0:
+				bitmap = int(i)
+			case l.NumBlocks > 0 && packed < 0:
+				packed = int(i)
+			}
+		}
+	}
+	if inner < 0 || packed < 0 || bitmap < 0 {
+		t.Fatalf("fixture lacks a target: inner=%d packed=%d bitmap=%d", inner, packed, bitmap)
+	}
+	nodeOf := func(list int) int {
+		for u := range fl.cells {
+			if int(fl.matStart[u]) <= list && list < int(fl.matStart[u+1]) {
+				return u
+			}
+		}
+		t.Fatalf("list %d belongs to no node", list)
+		return -1
+	}
+	bmNode := nodeOf(bitmap)
+	bmWords := bitmapWords(int(fl.rankSpan[bmNode]))
+	firstChild := int(fl.childFirst[inner])
+
+	cases := []struct {
+		name    string
+		corrupt func(a *FlatArenas)
+	}{
+		{"rank column repeats an id", func(a *FlatArenas) {
+			a.RankIDs = slices.Clone(a.RankIDs)
+			a.RankIDs[7] = a.RankIDs[8]
+		}},
+		{"rank column names an id out of range", func(a *FlatArenas) {
+			a.RankIDs = slices.Clone(a.RankIDs)
+			a.RankIDs[7] = int32(ds.Len())
+		}},
+		{"rank column too short", func(a *FlatArenas) { a.RankIDs = a.RankIDs[:len(a.RankIDs)-1] }},
+		{"root interval does not start at rank 0", func(a *FlatArenas) {
+			a.RankLo = slices.Clone(a.RankLo)
+			a.RankLo[0] = 1
+		}},
+		{"child interval overlaps the parent's pivots", func(a *FlatArenas) {
+			a.RankLo = slices.Clone(a.RankLo)
+			a.RankLo[firstChild]--
+		}},
+		{"sibling intervals leave a gap", func(a *FlatArenas) {
+			a.RankLo = slices.Clone(a.RankLo)
+			a.RankLo[firstChild+1]++
+		}},
+		{"pivot count negative", func(a *FlatArenas) {
+			a.PivotCount = slices.Clone(a.PivotCount)
+			a.PivotCount[inner] = -1
+		}},
+		{"pivot counts do not add up to the objects", func(a *FlatArenas) {
+			a.PivotCount = slices.Clone(a.PivotCount)
+			a.PivotCount[len(a.PivotCount)-1]++
+		}},
+		{"packed list starts below its node's interval", func(a *FlatArenas) {
+			a.MatBlocks = slices.Clone(a.MatBlocks)
+			a.MatBlocks[a.MatLists[packed].Block].First = a.RankLo[nodeOf(packed)] - 1
+		}},
+		{"packed list ends past its node's interval", func(a *FlatArenas) {
+			a.MatBlocks = slices.Clone(a.MatBlocks)
+			l, u := a.MatLists[packed], nodeOf(packed)
+			a.MatBlocks[l.Block+l.NumBlocks-1].Max = a.RankLo[u] + fl.rankSpan[u]
+		}},
+		{"bitmap runs off the arena", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[bitmap].Block = int32(len(a.MatBits) - bmWords + 1)
+		}},
+		{"bitmap offset negative", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[bitmap].Block = -1
+		}},
+		{"bitmap has a bit past its interval", func(a *FlatArenas) {
+			a.MatBits = slices.Clone(a.MatBits)
+			a.MatBits[int(a.MatLists[bitmap].Block)+bmWords-1] |= 1 << 63
+		}},
+		{"bitmap popcount disagrees with its handle", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[bitmap].N++
+		}},
+		{"list handle with an unknown representation tag", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[bitmap].NumBlocks = -2
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := *clean
+			tc.corrupt(&a)
+			if f, err := NewFrameworkFromFlat(ds, &a); err == nil {
+				t.Fatalf("opened as a framework of %d nodes", f.NumNodes())
+			}
+		})
+	}
 }

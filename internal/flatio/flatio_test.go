@@ -1,11 +1,16 @@
 package flatio
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"kwsc/internal/codec"
@@ -287,5 +292,120 @@ func TestOpenRefusesDamage(t *testing.T) {
 	// Kind confusion: an ORPKW image is not an SPKW image.
 	if _, _, err := OpenSPKW(clean, Options{}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("OpenSPKW of an ORPKW image: err %v, want ErrCorrupt", err)
+	}
+}
+
+// reframe rewrites the container at path with edit applied to its sections,
+// under fresh checksums — what a file from another build of this program, as
+// opposed to a damaged one, looks like.
+func reframe(t *testing.T, path string, edit func(id uint32, data []byte) []byte) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(raw)
+	c, err := codec.ParseContainer(r, int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []codec.Section
+	for _, s := range c.Sections {
+		if s.ID == 0 {
+			continue // the page-CRC table is rebuilt
+		}
+		data, err := c.SectionBytes(r, s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs = append(secs, codec.Section{ID: s.ID, Data: edit(s.ID, data)})
+	}
+	out := filepath.Join(t.TempDir(), "reframed.kwflat")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteContainer(f, c.Meta, secs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Images of another version of the flat section set are refused, not read
+// through a second decoder, with an error that names both versions; and a
+// well-framed image whose rank columns are wrong is refused by validation,
+// mapped or not.
+func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
+	ds := testDataset(t, 9, 400, 2)
+	built, err := core.BuildORPKW(ds, 2, core.WithFlatLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := filepath.Join(t.TempDir(), "clean.kwflat")
+	if err := SaveFileORPKW(clean, built); err != nil {
+		t.Fatal(err)
+	}
+	same := reframe(t, clean, func(_ uint32, data []byte) []byte { return data })
+	if _, h, err := OpenORPKW(same, Options{}); err != nil {
+		t.Fatalf("a faithfully reframed image must open: %v", err)
+	} else {
+		h.Close()
+	}
+
+	current := strconv.Itoa(codec.FlatImageVersion)
+	// Version 1 had a three-value meta section and no version field.
+	v1 := reframe(t, clean, func(id uint32, data []byte) []byte {
+		if id == codec.SecFlatMeta {
+			return data[:24]
+		}
+		return data
+	})
+	if _, _, err := OpenORPKW(v1, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version "+current) {
+		t.Fatalf("version 1 image: err %v, want a refusal naming versions 1 and %s", err, current)
+	}
+	v9 := reframe(t, clean, func(id uint32, data []byte) []byte {
+		if id == codec.SecFlatMeta {
+			data = slices.Clone(data)
+			binary.LittleEndian.PutUint64(data[24:], 9)
+		}
+		return data
+	})
+	if _, _, err := OpenORPKW(v9, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "version 9") || !strings.Contains(err.Error(), "version "+current) {
+		t.Fatalf("version 9 image: err %v, want a refusal naming versions 9 and %s", err, current)
+	}
+
+	for name, edit := range map[string]func(id uint32, data []byte) []byte{
+		"rank column repeats an id": func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatRankIDs {
+				data = slices.Clone(data)
+				copy(data[0:4], data[4:8])
+			}
+			return data
+		},
+		"interval starts shifted": func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatRankLo {
+				data = slices.Clone(data)
+				binary.LittleEndian.PutUint32(data[4:], binary.LittleEndian.Uint32(data[4:])+1)
+			}
+			return data
+		},
+		"bitmap arena missing": func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatMatBits {
+				return nil
+			}
+			return data
+		},
+	} {
+		bad := reframe(t, clean, edit)
+		for _, o := range []Options{{}, {NoMmap: true}} {
+			if _, _, err := OpenORPKW(bad, o); err == nil {
+				t.Fatalf("%s (NoMmap=%v): image opened", name, o.NoMmap)
+			}
+		}
 	}
 }

@@ -49,7 +49,7 @@ func adviseSkeleton(f *pager.File, c *codec.Container) {
 	skeleton := []uint32{
 		codec.SecFlatMeta, codec.SecFlatCells, codec.SecFlatNu, codec.SecFlatL,
 		codec.SecFlatChildFirst, codec.SecFlatChildCount,
-		codec.SecFlatPivotStart, codec.SecFlatPivotIDs,
+		codec.SecFlatPivotCount, codec.SecFlatRankLo,
 	}
 	for _, id := range skeleton {
 		if off, n, ok := c.Section(id); ok {
@@ -116,8 +116,14 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(fm) != 3 {
-		return nil, nil, fmt.Errorf("%w: flat meta section has %d values, want 3", codec.ErrCorrupt, len(fm))
+	if len(fm) == 3 { // version 1 carried no version field
+		return nil, nil, fmt.Errorf("flatio: flat image version 1 is not readable; this build reads version %d: rebuild the image", codec.FlatImageVersion)
+	}
+	if len(fm) != 4 {
+		return nil, nil, fmt.Errorf("%w: flat meta section has %d values, want 4", codec.ErrCorrupt, len(fm))
+	}
+	if fm[3] != codec.FlatImageVersion {
+		return nil, nil, fmt.Errorf("flatio: flat image version %d is not readable; this build reads version %d: rebuild the image", fm[3], codec.FlatImageVersion)
 	}
 	if fm[1] < 1 || fm[1] > 64 || fm[2] < 1 || fm[2] > 1<<31 {
 		return nil, nil, fmt.Errorf("%w: flat meta pdim %d / nodes %d out of range", codec.ErrCorrupt, fm[1], fm[2])
@@ -183,10 +189,13 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 	if a.ChildCount, err = sr.i32s(codec.SecFlatChildCount, "child counts"); err != nil {
 		return nil, nil, err
 	}
-	if a.PivotStart, err = sr.i32s(codec.SecFlatPivotStart, "pivot offsets"); err != nil {
+	if a.PivotCount, err = sr.i32s(codec.SecFlatPivotCount, "pivot counts"); err != nil {
 		return nil, nil, err
 	}
-	if a.PivotIDs, err = sr.i32s(codec.SecFlatPivotIDs, "pivot ids"); err != nil {
+	if a.RankLo, err = sr.i32s(codec.SecFlatRankLo, "interval starts"); err != nil {
+		return nil, nil, err
+	}
+	if a.RankIDs, err = sr.i32s(codec.SecFlatRankIDs, "rank ids"); err != nil {
 		return nil, nil, err
 	}
 	if a.LargeStart, err = sr.i32s(codec.SecFlatLargeStart, "large offsets"); err != nil {
@@ -219,6 +228,9 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 		return nil, nil, err
 	}
 	if a.MatWords, err = sr.u64s(codec.SecFlatMatWords, "list payload"); err != nil {
+		return nil, nil, err
+	}
+	if a.MatBits, err = sr.u64s(codec.SecFlatMatBits, "list bitmaps"); err != nil {
 		return nil, nil, err
 	}
 	if a.TensorOff, err = sr.i64s(codec.SecFlatTensorOff, "tensor offsets"); err != nil {

@@ -97,14 +97,15 @@ func flatSections(a *core.FlatArenas, ds *dataset.Dataset) ([]codec.Section, err
 	}
 	nn := len(a.Nu)
 	return []codec.Section{
-		{ID: codec.SecFlatMeta, Data: codec.PutU64s([]uint64{uint64(a.SplitterKind), uint64(a.PDim), uint64(nn)})},
+		{ID: codec.SecFlatMeta, Data: codec.PutU64s([]uint64{uint64(a.SplitterKind), uint64(a.PDim), uint64(nn), codec.FlatImageVersion})},
 		{ID: codec.SecFlatCells, Data: codec.PutF64s(a.CellBounds)},
 		{ID: codec.SecFlatNu, Data: codec.PutI64s(a.Nu)},
 		{ID: codec.SecFlatL, Data: codec.PutI32s(a.L)},
 		{ID: codec.SecFlatChildFirst, Data: codec.PutI32s(a.ChildFirst)},
 		{ID: codec.SecFlatChildCount, Data: codec.PutI32s(a.ChildCount)},
-		{ID: codec.SecFlatPivotStart, Data: codec.PutI32s(a.PivotStart)},
-		{ID: codec.SecFlatPivotIDs, Data: codec.PutI32s(a.PivotIDs)},
+		{ID: codec.SecFlatPivotCount, Data: codec.PutI32s(a.PivotCount)},
+		{ID: codec.SecFlatRankLo, Data: codec.PutI32s(a.RankLo)},
+		{ID: codec.SecFlatRankIDs, Data: codec.PutI32s(a.RankIDs)},
 		{ID: codec.SecFlatLargeStart, Data: codec.PutI32s(a.LargeStart)},
 		{ID: codec.SecFlatLargeKeys, Data: codec.PutU32s(a.LargeKeys)},
 		{ID: codec.SecFlatLargeIdx, Data: codec.PutI32s(a.LargeIdx)},
@@ -113,6 +114,7 @@ func flatSections(a *core.FlatArenas, ds *dataset.Dataset) ([]codec.Section, err
 		{ID: codec.SecFlatMatLists, Data: codec.PutI32s(codec.EncodePostLists(a.MatLists))},
 		{ID: codec.SecFlatMatBlocks, Data: codec.PutI32s(codec.EncodePostBlocks(a.MatBlocks))},
 		{ID: codec.SecFlatMatWords, Data: codec.PutU64s(a.MatWords)},
+		{ID: codec.SecFlatMatBits, Data: codec.PutU64s(a.MatBits)},
 		{ID: codec.SecFlatTensorOff, Data: codec.PutI64s(a.TensorOff)},
 		{ID: codec.SecFlatTensorStr, Data: codec.PutI64s(a.TensorStride)},
 		{ID: codec.SecFlatTensorWrds, Data: codec.PutU64s(a.TensorWords)},

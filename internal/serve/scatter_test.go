@@ -53,7 +53,9 @@ func zipfStream(rng *rand.Rand, vocab int) *kwsc.QueryRequest {
 // on dynamic shards; a planted k=3 triple with N/8-long lists spawns. Modes
 // are read back from kwscd_scatter_legs_total and must equal what the shards'
 // estimates dictate, no inline leg may have cost more than 4x the threshold,
-// and every answer equals the brute-force oracle.
+// and every answer equals the brute-force oracle. The planted triple's lists
+// are dense — bitmaps at every shard's root, which is its stop node — so there
+// the estimate is an upper bound and no leg may cost more than it.
 func TestScatterModeByEstimate(t *testing.T) {
 	const vocab = 1000
 	zipf := objectsOf(workload.Gen(workload.Config{Seed: 3, Objects: 16_000, Dim: 2, Vocab: vocab, DocLen: 6}))
@@ -96,7 +98,8 @@ func TestScatterModeByEstimate(t *testing.T) {
 		toObj   func(int64) int64
 		queries int
 		// minInline is the least share of legs the stream must run inline;
-		// allSpawn says every request must spawn instead.
+		// allSpawn says every request must spawn instead, and that every
+		// shard's root is the query's stop node: estimates bound costs.
 		minInline float64
 		allSpawn  bool
 	}{
@@ -138,9 +141,12 @@ func TestScatterModeByEstimate(t *testing.T) {
 					t.Fatalf("query %d: got %v, want %v", q, got, want)
 				}
 				for i, so := range resp.Shards {
-					if tc.s.shards[i].estimate(req.Keywords, 0) <= inlineWorkUnits && so.Ops > 4*inlineWorkUnits {
-						t.Fatalf("query %d shard %d: ran inline on an estimate of %d, cost %d work units",
-							q, i, tc.s.shards[i].estimate(req.Keywords, 0), so.Ops)
+					est := tc.s.shards[i].estimate(req.Keywords, 0)
+					if est <= inlineWorkUnits && so.Ops > 4*inlineWorkUnits {
+						t.Fatalf("query %d shard %d: ran inline on an estimate of %d, cost %d work units", q, i, est, so.Ops)
+					}
+					if tc.allSpawn && so.Ops > est {
+						t.Fatalf("query %d shard %d: the root stop node was estimated at %d work units, cost %d", q, i, est, so.Ops)
 					}
 				}
 			}
