@@ -3,11 +3,11 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet vet-deprecated vet-pager cover bench bench-1m bench-save bench-compare bench-coldstart check crash fuzz-smoke serve-smoke replica-smoke bench-serve repro repro-quick examples clean
+.PHONY: all build test race vet vet-pager cover bench bench-1m bench-save bench-compare bench-coldstart check crash fuzz-smoke serve-smoke replica-smoke bench-serve repro repro-quick examples clean
 
 all: build test
 
-# The full pre-merge gate: vet + formatting + deprecation hygiene, the
+# The full pre-merge gate: vet + formatting + pager hygiene, the
 # complete test suite, the race detector over the concurrent paths (parallel
 # builds, QueryBatch workers, shared-index readers, dynamic-index writers vs
 # lock-free readers, the linearizability harness, the metrics registry, the
@@ -33,7 +33,7 @@ crash:
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
 # codec, the checkpoint codec, WAL recovery, and the delta-block codec behind
-# the flat layout's packed lists. Each target runs briefly; use
+# invidx.Packed and the paged base. Each target runs briefly; use
 # `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
@@ -51,27 +51,12 @@ test:
 	$(GO) test ./...
 
 # Static checks: go vet plus a gofmt cleanliness gate (fails listing any
-# unformatted file) plus the deprecation gate.
+# unformatted file) plus the pager gate.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
-	fi
-	$(MAKE) vet-deprecated
-
-# Deprecation hygiene: the PR 3 `New*With(ds, k, BuildOpts{...})` wrappers
-# stay exported for compatibility (and keep their unit coverage), but no
-# example, command, or doc snippet may use them — new code takes variadic
-# Option values. The grep matches call sites of the deprecated facade
-# constructors; the facade's own definitions and the internal Build*With
-# implementations they delegate to are exempt.
-vet-deprecated:
-	@hits=$$(grep -rnE 'kwsc\.New[A-Za-z]+With\(|[^.]New(ORPKW|ORPKWHigh|RRKW|SRPKW|LinfNN|L2NN)With\(' \
-		cmd/ examples/ README.md DESIGN.md EXPERIMENTS.md 2>/dev/null); \
-	if [ -n "$$hits" ]; then \
-		echo "deprecated New*With constructors in migrated surfaces:"; \
-		echo "$$hits"; exit 1; \
 	fi
 	$(MAKE) vet-pager
 
@@ -106,20 +91,19 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# The N=1M tier: the E1 conjunctive query at a million objects in both
-# layouts, with the bytes-resident series. Opt-in because the two builds
-# take minutes; 20 timed iterations is plenty once the index is up.
+# The N=1M tier: the E1 conjunctive query at a million objects, with its
+# bytes-resident figure. Opt-in because the build takes minutes; 20 timed
+# iterations is plenty once the index is up.
 bench-1m:
 	KWSC_BENCH_1M=1 $(GO) test -run '^$$' -bench '^BenchmarkE1ORPKW2D1M$$' \
 		-benchmem -benchtime=20x -timeout 60m .
 
 # The tier-1 bench families snapshotted by bench-save / checked by
 # bench-compare; the MetricsOn/Off pair keeps the observability overhead and
-# the zero-alloc metrics-on property in the perf trajectory. The
-# BenchmarkE1ORPKW2D / BenchmarkE2ORPKW3D prefixes deliberately also match
-# the Flat and Resident variants (bench_flat_test.go), so the ptr/flat ns/op
-# and bytes-resident pairs land in every snapshot; the 1M tier matches too
-# but self-skips unless KWSC_BENCH_1M is set (see bench-1m).
+# the zero-alloc metrics-on property in the perf trajectory. The E1/E2
+# families report bytes-resident beside ns/op; the BenchmarkE1ORPKW2D prefix
+# also matches the 1M tier, which self-skips unless KWSC_BENCH_1M is set (see
+# bench-1m).
 BENCH_TIME ?= 200x
 BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildLCKW|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect)
 

@@ -45,7 +45,7 @@ import (
 func savedPagedFixture(b *testing.B, dir, name string, n, k int) (string, []Keyword, *Rect) {
 	b.Helper()
 	ds, kws, region := plantedFixture(1, n, 2, k, 64, n/8)
-	ix, err := NewORPKW(ds, k, WithFlatLayout())
+	ix, err := NewORPKW(ds, k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkColdStartRebuildORPKW(b *testing.B) {
 	ds, kws, region := plantedFixture(1, n, 2, k, 64, n/8)
 	b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix, err := NewORPKW(ds, k, WithFlatLayout())
+			ix, err := NewORPKW(ds, k)
 			if err != nil {
 				b.Fatal(err)
 			}

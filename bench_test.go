@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
 	"kwsc/internal/core"
@@ -42,30 +43,67 @@ func plantedFixture(seed int64, objects, dim, k, out, partial int) (*Dataset, []
 	})
 }
 
+// residentAfter runs build between two GC-settled heap readings and returns
+// the built value plus the live bytes it retains. The forced collections
+// make HeapAlloc a resident-set measure rather than an allocation counter:
+// everything the build churned through and dropped has been reclaimed by the
+// second reading, so the delta is (up to unrelated background noise) the
+// index itself. cmd/benchsave parses the "bytes-resident" metric the E1/E2
+// families report from it into the snapshot's bytes_resident field.
+func residentAfter[T any](build func() T) (T, int64) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	ix := build()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	return ix, max(0, int64(m1.HeapAlloc)-int64(m0.HeapAlloc))
+}
+
 // --- E1: ORP-KW d=2 (Theorem 1, Table 1 row 1) ------------------------------
+
+// benchE1Collect builds at (n, k), then measures the planted conjunctive
+// query and reports the resident bytes of the index.
+func benchE1Collect(b *testing.B, n, k int) {
+	ds, kws, region := plantedFixture(1, n, 2, k, 64, n/8)
+	ix, resident := residentAfter(func() *ORPKW {
+		ix, err := NewORPKW(ds, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ix
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := ix.Collect(region, kws, QueryOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) != 64 {
+			b.Fatalf("OUT drifted: %d", len(got))
+		}
+	}
+	// After the loop: ResetTimer clears extra metrics (go1.24), so the
+	// report must come last.
+	b.ReportMetric(float64(resident), "bytes-resident")
+}
 
 func BenchmarkE1ORPKW2D(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
 		for _, k := range []int{2, 3} {
-			b.Run(fmt.Sprintf("N=%d/k=%d", n, k), func(b *testing.B) {
-				ds, kws, region := plantedFixture(1, n, 2, k, 64, n/8)
-				ix, err := NewORPKW(ds, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, _, err := ix.Collect(region, kws, QueryOpts{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(got) != 64 {
-						b.Fatalf("OUT drifted: %d", len(got))
-					}
-				}
-			})
+			b.Run(fmt.Sprintf("N=%d/k=%d", n, k), func(b *testing.B) { benchE1Collect(b, n, k) })
 		}
 	}
+}
+
+// BenchmarkE1ORPKW2D1M is the E1 query at a million objects. Opt-in via
+// KWSC_BENCH_1M=1 (`make bench-1m`): the build takes minutes and has no place
+// in the default tier-1 sweep.
+func BenchmarkE1ORPKW2D1M(b *testing.B) {
+	if os.Getenv("KWSC_BENCH_1M") == "" {
+		b.Skip("set KWSC_BENCH_1M=1 (or run `make bench-1m`) for the N=1M tier")
+	}
+	benchE1Collect(b, 1<<20, 2)
 }
 
 // OUT sweep at fixed N: the OUT^{1/k} factor of the query bound.
@@ -126,16 +164,20 @@ func BenchmarkE2ORPKW3D(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 13} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			ds, kws, region := plantedFixture(4, n, 3, 2, 64, n/8)
-			ix, err := NewORPKWHigh(ds, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ix, resident := residentAfter(func() *ORPKWHigh {
+				ix, err := NewORPKWHigh(ds, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return ix
+			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := ix.Collect(region, kws, QueryOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(resident), "bytes-resident")
 		})
 	}
 }
@@ -463,7 +505,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 			for _, par := range []int{1, 2, 4, 8} {
 				b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := NewORPKWWith(ds, 2, BuildOpts{Parallelism: par}); err != nil {
+						if _, err := NewORPKW(ds, 2, WithParallelism(par)); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -508,63 +550,57 @@ func BenchmarkORPKW2DCollectInto(b *testing.B) {
 	}
 }
 
-// The stop-node intersection (DESIGN.md §3 substitution 5). ptr and flat: a
-// planted k=3 triple whose three posting lists are each N/8 long, asked over
-// random rectangles, so nearly every query ends at nodes where the small
-// keywords' materialized lists are dense — bitmaps over the node's rank
-// interval, ANDed a word at a time. sparse/ptr and sparse/flat: a Zipf k=2
-// corpus of tiny-scatter's shape, whose stop nodes hold sparse lists — the
-// cursor leapfrog, which the bitmaps bypass. ops/query is the
-// machine-independent cost (node visits, pivot checks, bitmap words and
-// candidates), identical in both layouts.
+// The stop-node intersection (DESIGN.md §3 substitution 5). dense: a planted
+// k=3 triple whose three posting lists are each N/8 long, asked over random
+// rectangles, so nearly every query ends at nodes where the small keywords'
+// materialized lists are dense — bitmaps over the node's rank interval, ANDed
+// a word at a time. sparse: a Zipf k=2 corpus of tiny-scatter's shape, whose
+// stop nodes hold sparse lists — the cursor leapfrog, which the bitmaps
+// bypass. ops/query is the machine-independent cost (node visits, pivot
+// checks, bitmap words and candidates).
 func BenchmarkStopNodeIntersect(b *testing.B) {
 	const n = 1 << 16
 	planted, plantedKws, _ := plantedFixture(1, n, 2, 3, 64, n/8)
 	const vocab = 1000
 	zipf := workload.Gen(workload.Config{Seed: 1, Objects: 12_500, Dim: 2, Vocab: vocab, DocLen: 6})
 	for _, corpus := range []struct {
-		prefix string
-		ds     *Dataset
-		k      int
-		next   func(*rand.Rand) (*Rect, []Keyword)
+		name string
+		ds   *Dataset
+		k    int
+		next func(*rand.Rand) (*Rect, []Keyword)
 	}{
-		{"", planted, 3, func(rng *rand.Rand) (*Rect, []Keyword) {
+		{"dense", planted, 3, func(rng *rand.Rand) (*Rect, []Keyword) {
 			return workload.RandRect(rng, 2, 0.2+0.3*rng.Float64()), plantedKws
 		}},
-		{"sparse/", zipf, 2, func(rng *rand.Rand) (*Rect, []Keyword) {
+		{"sparse", zipf, 2, func(rng *rand.Rand) (*Rect, []Keyword) {
 			return workload.RandRect(rng, 2, 0.05+0.3*rng.Float64()), workload.RandKeywords(rng, vocab, 2)
 		}},
 	} {
-		for _, layout := range []struct {
-			name string
-			opts []Option
-		}{{"ptr", nil}, {"flat", []Option{WithFlatLayout()}}} {
-			b.Run(corpus.prefix+layout.name, func(b *testing.B) {
-				ix, err := NewORPKW(corpus.ds, corpus.k, layout.opts...)
+		b.Run(corpus.name, func(b *testing.B) {
+			ix, err := NewORPKW(corpus.ds, corpus.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			rects := make([]*Rect, 256)
+			kws := make([][]Keyword, len(rects))
+			for i := range rects {
+				rects[i], kws[i] = corpus.next(rng)
+			}
+			buf := make([]int32, 0, 1024)
+			var ops int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, st, err := ix.CollectInto(rects[i%len(rects)], kws[i%len(rects)], QueryOpts{}, buf)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rng := rand.New(rand.NewSource(1))
-				rects := make([]*Rect, 256)
-				kws := make([][]Keyword, len(rects))
-				for i := range rects {
-					rects[i], kws[i] = corpus.next(rng)
-				}
-				buf := make([]int32, 0, 1024)
-				var ops int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ids, st, err := ix.CollectInto(rects[i%len(rects)], kws[i%len(rects)], QueryOpts{}, buf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ops += st.Ops
-					buf = ids[:0]
-				}
-				b.ReportMetric(float64(ops)/float64(b.N), "ops/query")
-			})
-		}
+				ops += st.Ops
+				buf = ids[:0]
+			}
+			b.ReportMetric(float64(ops)/float64(b.N), "ops/query")
+		})
 	}
 }
 

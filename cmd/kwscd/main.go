@@ -51,7 +51,6 @@ func main() {
 		dir       = flag.String("dir", "", "durable WAL root for dynamic mode (empty = in-memory, lost on exit)")
 		shards    = flag.Int("shards", 4, "number of partitions")
 		partition = flag.String("partition", "hash", "partitioning: hash or range (on dimension 0)")
-		flat      = flag.Bool("flat", false, "static mode: build shards in the cache-conscious flat layout")
 
 		n      = flag.Int("n", 50_000, "synthetic corpus size")
 		dim    = flag.Int("dim", 2, "dimensionality")
@@ -98,7 +97,6 @@ func main() {
 		},
 		DefaultTimeout:     *timeout,
 		DegradedNodeBudget: *budget,
-		FlatLayout:         *flat,
 	}
 	switch *fsync {
 	case "everyop":

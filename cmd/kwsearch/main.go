@@ -77,7 +77,7 @@ func main() {
 	fmt.Printf("building indexes (N=%d, W=%d)...\n", ds.N(), ds.W())
 	s := &session{ds: ds}
 	var err error
-	s.orp, err = kwsc.NewORPKW(ds, 2, kwsc.WithFlatLayout())
+	s.orp, err = kwsc.NewORPKW(ds, 2)
 	fatal(err)
 	if *flagPaged != "" {
 		fatal(kwsc.SavePagedORPKW(*flagPaged, s.orp))

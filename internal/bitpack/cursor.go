@@ -7,7 +7,7 @@ import "math"
 // targets. Over a packed list it gallops on the block directory's maxima,
 // answers from a block's First when it can, and decodes a block's payload
 // only when the block's [First, Max] window straddles the target; over a raw
-// []int32 (the pointer layout's materialized lists) the whole list plays the
+// []int32 (the framework's sparse materialized lists) the whole list plays the
 // part of one decoded block. It is the one packed cursor of the in-memory
 // layouts: invidx.Packed intersects posting lists with it and the framework's
 // stop-node intersection (core) walks materialized lists with it.

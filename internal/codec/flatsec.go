@@ -2,12 +2,12 @@ package codec
 
 // FlatImageVersion is the version of the flat-index section set below,
 // carried in SecFlatMeta. Version 1 (object ids in every column, explicit
-// pivot id lists, no version field) is refused at open: images are rebuilt,
-// not migrated.
-const FlatImageVersion = 2
+// pivot id lists, no version field) and version 2 (sparse lists as
+// delta-packed blocks) are refused at open: images are rebuilt, not migrated.
+const FlatImageVersion = 3
 
 // Section IDs of a flat-index KWCP2 container (PagedKindFlatORPKW or
-// PagedKindFlatSPKW). Sections 10-29 and 35-37 are the FlatArenas columns of
+// PagedKindFlatSPKW). Sections 10-29 and 35-38 are the FlatArenas columns of
 // internal/core (BFS node order; objects named by rank, their position in
 // the tree's leaf order), 30-32 the dataset image, 33-34 the rank tables
 // (ORPKW only). internal/flatio owns the read/write paths; the IDs live here
@@ -25,9 +25,7 @@ const (
 	SecFlatLargeIdx   = 20 // []int32 tensor axis indexes
 	SecFlatMatStart   = 21 // []int32, numNodes+1 prefix offsets
 	SecFlatMatKeys    = 22 // []uint32, sorted per node
-	SecFlatMatLists   = 23 // []int32 triples {block, numBlocks, n}; numBlocks -1 tags a bitmap whose first SecFlatMatBits word is block
-	SecFlatMatBlocks  = 24 // []int32 quads {off, first, max, n|w<<16}
-	SecFlatMatWords   = 25 // []uint64 bitpack payload: ascending ranks
+	SecFlatMatLists   = 23 // []int32 triples {start, n, rep}: rep 0 names n ranks at SecFlatMatRanks[start], rep 1 a bitmap at word start of SecFlatMatBits
 	SecFlatTensorOff  = 26 // []int64 word offsets per node
 	SecFlatTensorStr  = 27 // []int64 word strides per node
 	SecFlatTensorWrds = 28 // []uint64 non-emptiness bit arrays
@@ -40,6 +38,7 @@ const (
 	SecFlatRankIDs    = 35 // []int32 rank -> dataset id, a permutation of [0, n)
 	SecFlatRankLo     = 36 // []int32 first rank of each node's interval
 	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = rank rankLo+i
+	SecFlatMatRanks   = 38 // []int32 sparse lists, strictly ascending ranks of the node's interval
 )
 
 // Exported little-endian column codecs for sibling packages that assemble

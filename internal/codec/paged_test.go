@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"kwsc/internal/bitpack"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/pager"
@@ -177,17 +176,19 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		f.Add(flip[:pos])
 	}
 	// The same container format frames flat-index images: seed one that
-	// carries the rank columns (rank -> id, interval starts, a bitmap list and
-	// the handle that tags it), whole and damaged, so the corpus reaches the
-	// directory and checksum paths with those section ids too.
+	// carries the rank columns (rank -> id, interval starts, a bitmap list, a
+	// sparse list and the handles that tag them), whole and damaged, so the
+	// corpus reaches the directory and checksum paths with those section ids
+	// too.
 	var flat bytes.Buffer
 	if err := WriteContainer(&flat, PagedMeta{Kind: PagedKindFlatORPKW, K: 2, Dim: 2, Count: 3}.Encode(), []Section{
 		{SecFlatMeta, putU64s([]uint64{1, 2, 1, FlatImageVersion})},
 		{SecFlatRankIDs, putI32s([]int32{2, 0, 1})},
 		{SecFlatRankLo, putI32s([]int32{0})},
 		{SecFlatPivotCount, putI32s([]int32{3})},
-		{SecFlatMatLists, putI32s(EncodePostLists([]bitpack.List{{Block: 0, NumBlocks: -1, N: 2}}))},
+		{SecFlatMatLists, putI32s([]int32{0, 2, 1, 0, 2, 0})},
 		{SecFlatMatBits, putU64s([]uint64{0b101})},
+		{SecFlatMatRanks, putI32s([]int32{0, 2})},
 	}); err != nil {
 		f.Fatal(err)
 	}

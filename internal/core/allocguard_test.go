@@ -112,76 +112,37 @@ func TestCollectIntoZeroAllocsWithBudgetPolicy(t *testing.T) {
 	}
 }
 
-// The flat layout must preserve the zero-allocation property: block decoding
-// goes through the pooled context's retained scratch buffer and the large/mat
-// lookups are manual binary searches (no sort.Search closures).
-func TestCollectIntoZeroAllocsFlatLayout(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 33, Objects: 1 << 12, Dim: 2, Vocab: 64, DocLen: 5})
-	ix, err := BuildORPKW(ds, 2, WithFlatLayout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Framework().IsFlat() {
-		t.Fatal("index not flat")
-	}
-	q := workload.RandRect(rand.New(rand.NewSource(33)), 2, 0.4)
-	ws := []dataset.Keyword{1, 2}
-	buf := make([]int32, 0, 4096)
-	for i := 0; i < 4; i++ {
-		ids, _, err := ix.CollectInto(q, ws, QueryOpts{}, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = ids[:0]
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		ids, _, err := ix.CollectInto(q, ws, QueryOpts{}, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = ids[:0]
-	})
-	if allocs != 0 {
-		t.Fatalf("flat CollectInto allocates %v per op, want 0", allocs)
-	}
-}
-
 // The stop-node intersection keeps its cursors, bitmap views and probe list on
 // the pooled context: a planted k=3 triple whose N/8-long lists are all small
 // and dense at the root — the bitmap path, as the root estimate confirms —
-// stays allocation-free in both layouts.
+// stays allocation-free.
 func TestCollectIntoZeroAllocsStopNodeIntersect(t *testing.T) {
 	const n = 1 << 13
 	ds, kws, region := workload.GenPlanted(workload.Planted{Seed: 35, Objects: n, Dim: 2, K: 3, Out: 64, Partial: n / 8})
-	for _, layout := range []struct {
-		name string
-		opts []BuildOption
-	}{{"pointer", nil}, {"flat", []BuildOption{WithFlatLayout()}}} {
-		ix, err := BuildORPKW(ds, 3, layout.opts...)
+	ix, err := BuildORPKW(ds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est, want := ix.EstimateWork(kws), int64(1+bitmapWords(n)+n/8+64); est != want {
+		t.Fatalf("root estimate %d, want %d: the root is not a stop node of three bitmaps", est, want)
+	}
+	buf := make([]int32, 0, 4096)
+	var scanned int64
+	run := func() {
+		ids, st, err := ix.CollectInto(region, kws, QueryOpts{}, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est, want := ix.EstimateWork(kws), int64(1+bitmapWords(n)+n/8+64); est != want {
-			t.Fatalf("%s: root estimate %d, want %d: the root is not a stop node of three bitmaps", layout.name, est, want)
-		}
-		buf := make([]int32, 0, 4096)
-		var scanned int64
-		run := func() {
-			ids, st, err := ix.CollectInto(region, kws, QueryOpts{}, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf, scanned = ids[:0], st.MatScanned
-		}
-		for i := 0; i < 4; i++ {
-			run()
-		}
-		if scanned == 0 {
-			t.Fatalf("%s: the planted query scanned no materialized list", layout.name)
-		}
-		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-			t.Fatalf("%s CollectInto on a planted k=3 triple allocates %v per op, want 0", layout.name, allocs)
-		}
+		buf, scanned = ids[:0], st.MatScanned
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if scanned == 0 {
+		t.Fatal("the planted query scanned no materialized list")
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("CollectInto on a planted k=3 triple allocates %v per op, want 0", allocs)
 	}
 }
 

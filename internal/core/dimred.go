@@ -27,7 +27,6 @@ type ORPKWHigh struct {
 	lastPair []geom.Point // rank coords of the final two dimensions
 	root     *drTree
 	space    SpaceBreakdown
-	flat     bool // build secondaries in the flat layout (see Flatten)
 
 	gate *parGate // build-time goroutine budget, shared with secondaries
 
@@ -91,7 +90,7 @@ func BuildORPKWHighWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh,
 	rs := dataset.NewRankSpace(ds)
 	ix := &ORPKWHigh{
 		ds: ds, rs: rs, k: k, dim: ds.Dim(), gate: newParGate(opts.Parallelism),
-		flat: opts.Flat, fam: opts.famFor(famORPKWHigh), tracer: opts.Tracer,
+		fam: opts.famFor(famORPKWHigh), tracer: opts.Tracer,
 	}
 	ix.lastPair = make([]geom.Point, ds.Len())
 	for i := range ix.lastPair {
@@ -265,7 +264,6 @@ func (t *drTree) buildSecondary(idx int32, objs []int32) error {
 			// Share the owner's goroutine budget; Parallelism 1 keeps the
 			// secondary sequential when the owner has no gate at all.
 			Parallelism: 1,
-			Flat:        ix.flat,
 			gate:        ix.gate,
 		})
 		if err != nil {
@@ -609,26 +607,6 @@ func (ix *ORPKWHigh) accountSpace() {
 	s.AuxWords = ix.rs.SpaceWords() + int64(len(ix.lastPair))*2
 	s.DocHashWords = ix.ds.DocSpaceWords()
 	ix.space = s
-}
-
-// Flatten converts every secondary framework of the dimension-reduction tree
-// to the flat layout in place (the x-dimension skeleton is already compact:
-// a handful of words per node). It must not run concurrently with queries.
-func (ix *ORPKWHigh) Flatten() {
-	var walk func(t *drTree)
-	walk = func(t *drTree) {
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if n.secKD != nil {
-				n.secKD.Flatten()
-			}
-			if n.secDR != nil {
-				walk(n.secDR)
-			}
-		}
-	}
-	walk(ix.root)
-	ix.accountSpace()
 }
 
 // Space returns the analytic space audit.

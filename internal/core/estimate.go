@@ -57,28 +57,32 @@ func structuredOnlyCost(sel float64, objects int) float64 { return sel * float64
 // ignored (sel = 1), which errs towards "heavy". A keyword tuple of the wrong
 // arity is rejected before any work: 0.
 func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
-	if len(ws) != f.k || f.NumNodes() == 0 {
+	if len(ws) != f.k {
 		return 0
 	}
-	nu, leaf := f.rootWeight()
-	if leaf {
+	if f.childCount[0] == 0 {
 		return 1 + int64(len(f.ids))
 	}
 	shortest, allDense := int64(-1), true
 	est := newOutEstimate(f.ds.Len())
 	for _, w := range ws {
-		if li, ok := f.rootLarge(w); ok {
+		if li, ok := f.largeLookup(0, w); ok {
 			est.add(float64(f.rootDF[li]))
 			continue
 		}
-		n, dense := f.rootList(w)
-		if allDense = allDense && dense; shortest < 0 || n < shortest {
-			shortest = n
+		// A small keyword's list: its length and representation (a keyword
+		// that occurs nowhere has none: an empty sparse list).
+		var l FlatList
+		if mi := f.matLookup(0, w); mi >= 0 {
+			l = f.matLists[mi]
+		}
+		if allDense = allDense && l.Rep == ListBitmap; shortest < 0 || int64(l.N) < shortest {
+			shortest = int64(l.N)
 		}
 	}
 	switch {
 	case shortest < 0:
-		return int64(frameworkCost(pow(float64(nu), 1-1/float64(f.k)), f.k, est.out(1)))
+		return int64(frameworkCost(pow(float64(f.nu[0]), 1-1/float64(f.k)), f.k, est.out(1)))
 	case allDense:
 		return 1 + int64(bitmapWords(len(f.ids))) + shortest
 	default:
@@ -86,51 +90,17 @@ func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 	}
 }
 
-// rootWeight, rootLarge and rootList read the root node in whichever layout
-// the index is in: its weight N_u and whether it is a leaf, a keyword's
-// large-table index, and the length and representation of a small keyword's
-// materialized list (0 when the keyword occurs nowhere).
-func (f *Framework) rootWeight() (nu int64, leaf bool) {
-	if fl := f.flat; fl != nil {
-		return fl.nu[0], fl.childCount[0] == 0
-	}
-	return f.nodes[0].nu, len(f.nodes[0].children) == 0
-}
-
-func (f *Framework) rootLarge(w dataset.Keyword) (int32, bool) {
-	if fl := f.flat; fl != nil {
-		return fl.largeLookup(0, w)
-	}
-	li, ok := f.nodes[0].large[w]
-	return li, ok
-}
-
-func (f *Framework) rootList(w dataset.Keyword) (n int64, dense bool) {
-	if fl := f.flat; fl != nil {
-		if mi := fl.matLookup(0, w); mi >= 0 {
-			return int64(fl.matLists[mi].N), fl.matLists[mi].NumBlocks == bitmapList
-		}
-		return 0, false
-	}
-	root := &f.nodes[0]
-	if mi, ok := root.mat[w]; ok {
-		return int64(root.lists[mi].n), root.lists[mi].words != nil
-	}
-	return 0, false
-}
-
 // countRootDF fills rootDF — the root's per-large-keyword object counts that
 // EstimateWork reads — for a framework rebuilt from a flat image, which
 // carries the root's large keywords but not their counts.
 func (f *Framework) countRootDF() {
-	fl := f.flat
-	f.rootDF = make([]int32, fl.l[0])
-	if fl.l[0] == 0 {
+	f.rootDF = make([]int32, f.l[0])
+	if f.l[0] == 0 {
 		return
 	}
 	for i := 0; i < f.ds.Len(); i++ {
 		for _, w := range f.ds.Doc(int32(i)) {
-			if li, ok := fl.largeLookup(0, w); ok {
+			if li, ok := f.largeLookup(0, w); ok {
 				f.rootDF[li]++
 			}
 		}

@@ -8,9 +8,9 @@ import (
 	"kwsc/internal/workload"
 )
 
-// TestEstimateWorkBoundsOps: the root estimate is the same number in the
-// pointer layout, the flat layout and a framework rebuilt from a flat image
-// (whose root counts are recounted from the dataset); when the root is the
+// TestEstimateWorkBoundsOps: the root estimate is the same number in a built
+// index and in a framework rebuilt from its flat image (whose root counts are
+// recounted from the dataset); when the root is the
 // query's stop node it bounds the work actually done — by the shortest list
 // when some list is sparse, by the bitmap's words plus the shortest list when
 // all are bitmaps — and the all-large case is the paper's formula over the
@@ -31,15 +31,11 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := tc.ds
-			ptr, err := BuildORPKW(ds, tc.k)
+			ix, err := BuildORPKW(ds, tc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := BuildORPKW(ds, tc.k, WithFlatLayout())
-			if err != nil {
-				t.Fatal(err)
-			}
-			img, err := flat.fw.ExportFlat()
+			img, err := ix.fw.ExportFlat()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,14 +50,14 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 					df[w]++
 				}
 			}
-			root := &ptr.fw.nodes[0]
+			fw := ix.fw
 			rng := rand.New(rand.NewSource(19))
 			sawSparse, sawBitmaps, sawLarge := false, false, false
 			for trial := 0; trial < 2000; trial++ {
 				ws := workload.RandKeywords(rng, tc.vocab, tc.k)
-				est := ptr.EstimateWork(ws)
-				if f, r := flat.EstimateWork(ws), reopened.EstimateWork(ws); f != est || r != est {
-					t.Fatalf("ws %v: pointer estimates %d, flat %d, reopened %d", ws, est, f, r)
+				est := ix.EstimateWork(ws)
+				if r := reopened.EstimateWork(ws); r != est {
+					t.Fatalf("ws %v: built index estimates %d, reopened %d", ws, est, r)
 				}
 				// Replay the root's classification: how many keywords are
 				// small there, the shortest of their lists, and whether every
@@ -69,14 +65,14 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 				small, shortest, allBitmaps := 0, ds.Len(), true
 				out := newOutEstimate(ds.Len())
 				for _, w := range ws {
-					if _, large := root.large[w]; large {
+					if _, large := fw.largeLookup(0, w); large {
 						out.add(float64(df[w]))
 						continue
 					}
 					small++
 					shortest = min(shortest, df[w])
-					mi, ok := root.mat[w]
-					allBitmaps = allBitmaps && ok && root.lists[mi].words != nil
+					mi := fw.matLookup(0, w)
+					allBitmaps = allBitmaps && mi >= 0 && fw.matLists[mi].Rep == ListBitmap
 				}
 				if small == 0 {
 					sawLarge = true
@@ -96,20 +92,18 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 				if est != want {
 					t.Fatalf("ws %v: root stop node (all bitmaps=%v, shortest list %d) estimated %d, want %d", ws, allBitmaps, shortest, est, want)
 				}
-				for _, ix := range []*ORPKW{ptr, flat} {
-					_, st, err := ix.Collect(workload.RandRect(rng, 2, 0.1+0.9*rng.Float64()), ws, QueryOpts{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st.Ops > est {
-						t.Fatalf("ws %v: root is the stop node, estimate %d, query cost %d", ws, est, st.Ops)
-					}
+				_, st, err := ix.Collect(workload.RandRect(rng, 2, 0.1+0.9*rng.Float64()), ws, QueryOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Ops > est {
+					t.Fatalf("ws %v: root is the stop node, estimate %d, query cost %d", ws, est, st.Ops)
 				}
 			}
 			if sawSparse != tc.sparse || sawBitmaps != tc.bitmaps || sawLarge != tc.large {
 				t.Fatalf("stream covered sparse=%v bitmaps=%v large=%v root cases", sawSparse, sawBitmaps, sawLarge)
 			}
-			if got := ptr.EstimateWork([]dataset.Keyword{1}); got != 0 {
+			if got := ix.EstimateWork([]dataset.Keyword{1}); got != 0 {
 				t.Fatalf("wrong arity estimates %d, want 0", got)
 			}
 		})

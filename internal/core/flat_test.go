@@ -2,31 +2,26 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"kwsc/internal/dataset"
-	"kwsc/internal/geom"
 	"kwsc/internal/workload"
 )
 
-// sameIDsAndStats asserts a flat-layout query reproduced the pointer-layout
-// query exactly: same ids in the same order, same stats, same error class.
+// sameIDsAndStats asserts two queries that must agree exactly did: same ids
+// in the same order, same stats, same error class.
 func sameIDsAndStats(t *testing.T, label string, gotIDs, wantIDs []int32, gotSt, wantSt QueryStats, gotErr, wantErr error) {
 	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s: error mismatch: flat=%v pointer=%v", label, gotErr, wantErr)
+		t.Fatalf("%s: error mismatch: got %v, want %v", label, gotErr, wantErr)
 	}
-	if len(gotIDs) != len(wantIDs) {
-		t.Fatalf("%s: flat reported %d ids, pointer %d", label, len(gotIDs), len(wantIDs))
-	}
-	for i := range gotIDs {
-		if gotIDs[i] != wantIDs[i] {
-			t.Fatalf("%s: id %d differs: flat=%d pointer=%d", label, i, gotIDs[i], wantIDs[i])
-		}
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Fatalf("%s: ids differ:\ngot:  %v\nwant: %v", label, gotIDs, wantIDs)
 	}
 	if gotSt != wantSt {
-		t.Fatalf("%s: stats differ:\nflat:    %+v\npointer: %+v", label, gotSt, wantSt)
+		t.Fatalf("%s: stats differ:\ngot:  %+v\nwant: %+v", label, gotSt, wantSt)
 	}
 }
 
@@ -43,182 +38,26 @@ func randWs(rng *rand.Rand, k, vocab int) []dataset.Keyword {
 	return ws
 }
 
-// The tentpole property: over random datasets and queries, an index built
-// with the flat layout answers every query byte-identically to the pointer
-// layout — same ids in the same order, and the same QueryStats (node visits,
-// pivot checks, mat scans, ops), including under Limit and Budget stops.
-func TestFlatByteIdenticalORPKW(t *testing.T) {
-	for _, k := range []int{2, 3} {
-		for seed := int64(0); seed < 3; seed++ {
-			ds := workload.Gen(workload.Config{
-				Seed: 1000 + seed, Objects: 2000, Dim: 2, Vocab: 60, DocLen: 5,
-			})
-			ptr, err := BuildORPKW(ds, k, WithoutObs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := BuildORPKW(ds, k, WithoutObs(), WithFlatLayout())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fl.Framework().IsFlat() || ptr.Framework().IsFlat() {
-				t.Fatal("flat flag not reflected by IsFlat")
-			}
-			rng := rand.New(rand.NewSource(2000 + seed))
-			for trial := 0; trial < 60; trial++ {
-				q := workload.RandRect(rng, 2, 0.05+0.9*rng.Float64())
-				ws := randWs(rng, k, 60)
-				opts := QueryOpts{}
-				switch trial % 4 {
-				case 1:
-					opts.Limit = 1 + rng.Intn(8)
-				case 2:
-					opts.Budget = int64(1 + rng.Intn(200))
-				case 3:
-					opts.Policy = ExecPolicy{NodeBudget: int64(1 + rng.Intn(50))}
-				}
-				wantIDs, wantSt, wantErr := ptr.Collect(q, ws, opts)
-				gotIDs, gotSt, gotErr := fl.Collect(q, ws, opts)
-				sameIDsAndStats(t, "orpkw collect", gotIDs, wantIDs, gotSt, wantSt, gotErr, wantErr)
-			}
-		}
-	}
-}
-
-// The same property for the dimension-reduction index (d >= 3), whose
-// secondary frameworks are flattened per node, including the non-id-sorted
-// materialized lists the zigzag delta codec exists for.
-func TestFlatByteIdenticalORPKWHigh(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 7, Objects: 1500, Dim: 3, Vocab: 40, DocLen: 4})
-	ptr, err := BuildORPKWHigh(ds, 2, WithoutObs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := BuildORPKWHigh(ds, 2, WithoutObs(), WithFlatLayout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 40; trial++ {
-		q := workload.RandRect(rng, 3, 0.1+0.8*rng.Float64())
-		ws := randWs(rng, 2, 40)
-		opts := QueryOpts{}
-		if trial%3 == 1 {
-			opts.Limit = 1 + rng.Intn(6)
-		}
-		wantIDs, wantSt, wantErr := ptr.Collect(q, ws, opts)
-		gotIDs, gotSt, gotErr := fl.Collect(q, ws, opts)
-		sameIDsAndStats(t, "orpkwhigh collect", gotIDs, wantIDs, gotSt, wantSt, gotErr, wantErr)
-	}
-}
-
-// The partition-tree index under a non-rectangular region exercises the flat
-// traversal's Relate calls against arbitrary convex cells.
-func TestFlatByteIdenticalLCKW(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 11, Objects: 1200, Dim: 2, Vocab: 30, DocLen: 4})
-	ptr, err := BuildSPKW(ds, SPKWConfig{K: 2, Build: BuildOpts{NoObs: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := BuildSPKW(ds, SPKWConfig{K: 2, Build: BuildOpts{NoObs: true, Flat: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 30; trial++ {
-		hs := []geom.Halfspace{
-			{Coef: []float64{1, 0}, Bound: rng.Float64()},
-			{Coef: []float64{0, 1}, Bound: rng.Float64()},
-			{Coef: []float64{-1, -1}, Bound: -0.2 * rng.Float64()},
-		}
-		ws := randWs(rng, 2, 30)
-		var wantIDs, gotIDs []int32
-		wantSt, wantErr := ptr.QueryConstraints(hs, ws, QueryOpts{}, func(id int32) { wantIDs = append(wantIDs, id) })
-		gotSt, gotErr := fl.QueryConstraints(hs, ws, QueryOpts{}, func(id int32) { gotIDs = append(gotIDs, id) })
-		sameIDsAndStats(t, "lckw constraints", gotIDs, wantIDs, gotSt, wantSt, gotErr, wantErr)
-	}
-}
-
-// Flatten converts a built index in place: queries before and after agree,
-// the accessors agree with the pointer form, and Flatten is idempotent.
-func TestFlattenInPlaceAndAccessors(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 21, Objects: 3000, Dim: 2, Vocab: 50, DocLen: 5})
+// The space claim as a number: the seed-31 corpus audits at or below what the
+// pointer layout, deleted in PR 18, audited at — sparse lists as raw ranks
+// cost more than the delta blocks they replaced, and must not cost that much.
+func TestFlatSpaceSmaller(t *testing.T) {
+	const pointerWords = 136_312
+	ds := workload.Gen(workload.Config{Seed: 31, Objects: 1 << 13, Dim: 2, Vocab: 100, DocLen: 6})
 	ix, err := BuildORPKW(ds, 2, WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := ix.Framework()
-	nodes, height, maxPiv := fw.NumNodes(), fw.Height(), fw.MaxPivots()
-	rng := rand.New(rand.NewSource(22))
-	type probe struct {
-		q  *geom.Rect
-		ws []dataset.Keyword
-	}
-	probes := make([]probe, 20)
-	before := make([][]int32, len(probes))
-	beforeSt := make([]QueryStats, len(probes))
-	crossBefore := make([]float64, len(probes))
-	for i := range probes {
-		probes[i] = probe{workload.RandRect(rng, 2, 0.3), randWs(rng, 2, 50)}
-		before[i], beforeSt[i], err = ix.Collect(probes[i].q, probes[i].ws, QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// CrossingCost takes the rank-space region the framework partitions
-		// on; use the raw rect against the framework directly.
-		crossBefore[i], err = fw.CrossingCost(probes[i].q, probes[i].ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix.Flatten()
-	ix.Flatten() // idempotent
-	if !fw.IsFlat() {
-		t.Fatal("Flatten did not take effect")
-	}
-	if fw.NumNodes() != nodes || fw.Height() != height || fw.MaxPivots() != maxPiv {
-		t.Fatalf("accessors changed: nodes %d->%d height %d->%d maxPivots %d->%d",
-			nodes, fw.NumNodes(), height, fw.Height(), maxPiv, fw.MaxPivots())
-	}
-	for i, p := range probes {
-		after, st, err := ix.Collect(p.q, p.ws, QueryOpts{})
-		sameIDsAndStats(t, "in-place flatten", after, before[i], st, beforeSt[i], err, nil)
-		cross, err := fw.CrossingCost(p.q, p.ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cross != crossBefore[i] {
-			t.Fatalf("CrossingCost changed after Flatten: %v -> %v", crossBefore[i], cross)
-		}
+	if got := ix.Space().TotalWords(64); got > pointerWords {
+		t.Fatalf("index audits at %d words, the pointer layout audited at %d", got, pointerWords)
 	}
 }
 
-// The flat layout must audit strictly smaller than the pointer layout on a
-// non-trivial index: packed half-word ids, one-word large entries, and
-// delta-compressed materialized lists all shrink their terms.
-func TestFlatSpaceSmaller(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 31, Objects: 1 << 13, Dim: 2, Vocab: 100, DocLen: 6})
-	ptr, err := BuildORPKW(ds, 2, WithoutObs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := BuildORPKW(ds, 2, WithoutObs(), WithFlatLayout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, fw := ptr.Space().TotalWords(64), fl.Space().TotalWords(64)
-	if fw >= pw {
-		t.Fatalf("flat layout audits at %d words, pointer at %d: expected a reduction", fw, pw)
-	}
-	t.Logf("space: pointer %d words, flat %d words (%.1f%%)", pw, fw, 100*float64(fw)/float64(pw))
-}
-
-// A deadline policy must behave identically in the flat traversal (the check
-// cadence is per node visit in both layouts). Uses an already-expired
-// deadline so the outcome is deterministic: both stop immediately.
+// A deadline policy is checked per node visit. Uses an already-expired
+// deadline so the outcome is deterministic: the query stops immediately.
 func TestFlatPolicyDeadline(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 41, Objects: 2000, Dim: 2, Vocab: 40, DocLen: 5})
-	fl, err := BuildORPKW(ds, 2, WithoutObs(), WithFlatLayout())
+	fl, err := BuildORPKW(ds, 2, WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	mbits "math/bits"
 
-	"kwsc/internal/bitpack"
 	"kwsc/internal/bits"
 	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
@@ -14,7 +13,7 @@ import (
 )
 
 // This file is the serialization boundary of the flat layout: ExportFlat
-// turns a flattened Framework into plain columns (FlatArenas), and
+// exposes a Framework as plain columns (FlatArenas), and
 // NewFrameworkFromFlat rebuilds a query-ready Framework from untrusted
 // columns — e.g. ones aliasing a read-only KWCP2 mapping (internal/flatio).
 // Only rectangle splitters (spart.KD, spart.Box) round-trip: their cells are
@@ -27,7 +26,7 @@ const (
 	FlatSplitBox = 2 // spart.Box over PDim-dimensional points
 )
 
-// FlatArenas is the column image of a flattened Framework: every slice of
+// FlatArenas is the column image of a Framework: every slice of
 // flatLayout as a flat, fixed-width array, in BFS node order. Slices returned
 // by ExportFlat alias the live index and must be treated as read-only;
 // slices given to NewFrameworkFromFlat are aliased by the result and must
@@ -61,16 +60,13 @@ type FlatArenas struct {
 	LargeKeys  []dataset.Keyword
 	LargeIdx   []int32
 
-	// Materialized small-keyword lists. A handle with NumBlocks >= 0 names
-	// packed blocks of ascending ranks in the bitpack arena (MatWords payload
-	// + MatBlocks metadata); one with NumBlocks == -1 names a bitmap over the
-	// node's interval, ceil(span/64) words starting at word Block of MatBits.
-	MatStart  []int32
-	MatKeys   []dataset.Keyword
-	MatLists  []bitpack.List
-	MatBlocks []bitpack.Block
-	MatWords  []uint64
-	MatBits   []uint64
+	// Materialized small-keyword lists: a handle names ascending ranks in
+	// MatRanks or a bitmap over the node's interval in MatBits (see FlatList).
+	MatStart []int32
+	MatKeys  []dataset.Keyword
+	MatLists []FlatList
+	MatRanks []int32
+	MatBits  []uint64
 
 	// Non-emptiness tensors: node u's child ci occupies TensorStride[u]
 	// words at TensorOff[u] + ci*TensorStride[u].
@@ -79,14 +75,10 @@ type FlatArenas struct {
 	TensorWords  []uint64
 }
 
-// ExportFlat exposes the flat layout as serializable columns. The framework
-// must already be flat (build with WithFlatLayout or call Flatten), and its
-// splitter must be spart.KD or spart.Box. The returned slices alias the
-// index — callers must treat them as read-only.
+// ExportFlat exposes the layout as serializable columns. The splitter must be
+// spart.KD or spart.Box. The returned slices alias the index — callers must
+// treat them as read-only.
 func (f *Framework) ExportFlat() (*FlatArenas, error) {
-	if f.flat == nil {
-		return nil, fmt.Errorf("core: ExportFlat requires the flat layout (call Flatten first)")
-	}
 	var kind int
 	switch f.split.(type) {
 	case *spart.KD:
@@ -99,7 +91,7 @@ func (f *Framework) ExportFlat() (*FlatArenas, error) {
 	if len(f.ids) != f.ds.Len() {
 		return nil, fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
 	}
-	fl := f.flat
+	fl := &f.flatLayout
 	nn := len(fl.cells)
 	a := &FlatArenas{
 		SplitterKind: kind,
@@ -121,13 +113,13 @@ func (f *Framework) ExportFlat() (*FlatArenas, error) {
 		MatStart:   fl.matStart,
 		MatKeys:    fl.matKeys,
 		MatLists:   fl.matLists,
+		MatRanks:   fl.matRanks,
 		MatBits:    fl.matBits,
 
 		TensorOff:    fl.tensorOff,
 		TensorStride: fl.tensorStride,
 		TensorWords:  fl.tensorArena.Raw(),
 	}
-	a.MatWords, a.MatBlocks = fl.matArena.Raw()
 	a.CellBounds = make([]float64, 0, 2*f.pdim*nn)
 	for u, c := range fl.cells {
 		r, ok := c.(*geom.Rect)
@@ -277,7 +269,6 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		}
 	}
 
-	matArena := bitpack.FromRaw(a.MatWords, a.MatBlocks)
 	for u := 0; u < nn; u++ {
 		ls, le := a.LargeStart[u], a.LargeStart[u+1]
 		if int(a.L[u]) != int(le-ls) {
@@ -296,32 +287,17 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 			if i > ms && a.MatKeys[i] <= a.MatKeys[i-1] {
 				return nil, fmt.Errorf("core: node %d materialized keywords not strictly increasing", u)
 			}
-			l := a.MatLists[i]
-			lo, hi := a.RankLo[u], a.RankLo[u]+span[u]
-			if l.NumBlocks == bitmapList {
-				if err := checkBitmap(a.MatBits, l, int(span[u])); err != nil {
-					return nil, fmt.Errorf("%w: node %d list %d: %v", codec.ErrCorrupt, u, i, err)
-				}
-				continue
+			var err error
+			switch l := a.MatLists[i]; l.Rep {
+			case ListRanks:
+				err = checkRanks(a.MatRanks, l, a.RankLo[u], a.RankLo[u]+span[u])
+			case ListBitmap:
+				err = checkBitmap(a.MatBits, l, int(span[u]))
+			default:
+				err = fmt.Errorf("representation tag %d unknown", l.Rep)
 			}
-			if err := matArena.Validate(l); err != nil {
-				return nil, fmt.Errorf("core: node %d list %d: %w", u, i, err)
-			}
-			// The stop-node intersection gallops on Max and answers from
-			// First, which is only sound over a directory in ascending rank
-			// order, and tests a candidate against the node's bitmaps, which
-			// is only in bounds for ranks of the node's interval. A cursor
-			// never returns a value outside its block's [First, Max], so the
-			// resident directory settles both and no payload is decoded.
-			prevMax := int32(-1)
-			for _, b := range matArena.Blocks(l) {
-				if b.First < lo || b.Max >= hi {
-					return nil, fmt.Errorf("core: node %d materialized ranks outside its interval [%d, %d)", u, lo, hi)
-				}
-				if b.First > b.Max || b.First <= prevMax {
-					return nil, fmt.Errorf("%w: node %d list %d: block directory not ascending", codec.ErrCorrupt, u, i)
-				}
-				prevMax = b.Max
+			if err != nil {
+				return nil, fmt.Errorf("%w: node %d list %d: %v", codec.ErrCorrupt, u, i, err)
 			}
 		}
 
@@ -350,7 +326,7 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		}
 	}
 
-	fl := &flatLayout{
+	fl := flatLayout{
 		cells:        make([]spart.Cell, nn),
 		nu:           a.Nu,
 		l:            a.L,
@@ -365,7 +341,7 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		matStart:     a.MatStart,
 		matKeys:      a.MatKeys,
 		matLists:     a.MatLists,
-		matArena:     matArena,
+		matRanks:     a.MatRanks,
 		matBits:      a.MatBits,
 		tensorOff:    a.TensorOff,
 		tensorStride: a.TensorStride,
@@ -377,22 +353,39 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 			Hi: a.CellBounds[2*a.PDim*u+a.PDim : 2*a.PDim*(u+1)],
 		}
 	}
-	f := &Framework{ds: ds, k: a.K, split: split, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flat: fl, leafSize: 8}
-	f.space.DocHashWords = ds.DocSpaceWords()
-	f.accountSpaceFlat()
+	f := &Framework{ds: ds, k: a.K, split: split, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flatLayout: fl, leafSize: 8}
+	f.accountSpace()
 	f.countRootDF()
 	return f, nil
+}
+
+// checkRanks validates a sparse list handle at a node whose interval is
+// [lo, hi): N ranks inside the arena, strictly ascending — the stop-node
+// intersection gallops and leapfrogs on that order — and all of the interval,
+// since a candidate is tested against the node's bitmaps at bit rank-lo.
+func checkRanks(arena []int32, l FlatList, lo, hi int32) error {
+	if l.Start < 0 || l.N < 0 || int64(l.Start)+int64(l.N) > int64(len(arena)) {
+		return fmt.Errorf("ranks [%d, %d+%d) outside the arena of %d", l.Start, l.Start, l.N, len(arena))
+	}
+	prev := lo - 1
+	for _, r := range arena[l.Start : l.Start+l.N] {
+		if r <= prev || r >= hi {
+			return fmt.Errorf("rank %d after %d is not ascending inside [%d, %d)", r, prev, lo, hi)
+		}
+		prev = r
+	}
+	return nil
 }
 
 // checkBitmap validates a bitmap list handle over an interval of span ranks:
 // exactly bitmapWords(span) words inside the arena, no bit set past the
 // interval, and as many bits set as the handle claims entries.
-func checkBitmap(arena []uint64, l bitpack.List, span int) error {
+func checkBitmap(arena []uint64, l FlatList, span int) error {
 	nw := bitmapWords(span)
-	if l.Block < 0 || int(l.Block) > len(arena)-nw {
-		return fmt.Errorf("bitmap words [%d, %d) outside the arena of %d", l.Block, int(l.Block)+nw, len(arena))
+	if l.Start < 0 || int(l.Start) > len(arena)-nw {
+		return fmt.Errorf("bitmap words [%d, %d) outside the arena of %d", l.Start, int(l.Start)+nw, len(arena))
 	}
-	words := arena[l.Block : int(l.Block)+nw]
+	words := arena[l.Start : int(l.Start)+nw]
 	if tail := span & 63; tail != 0 && words[nw-1]>>tail != 0 {
 		return fmt.Errorf("bitmap has bits set past its %d-rank interval", span)
 	}

@@ -46,8 +46,8 @@ type Framework struct {
 	coords []float64 // partitioning coordinates (rank space or original), pdim per rank
 	pdim   int
 
-	nodes    []fnode
-	flat     *flatLayout // non-nil after Flatten; nodes is then nil
+	flatLayout // the tree: node skeleton and payload arenas (flat.go)
+
 	leafSize int
 	space    SpaceBreakdown
 	// rootDF[li] is the number of objects carrying the root's li-th large
@@ -55,6 +55,8 @@ type Framework struct {
 	rootDF []int32
 }
 
+// fnode is one tree node as the builder assembles it: scratch that pack
+// turns into the flatLayout columns and BuildFramework drops on return.
 type fnode struct {
 	cell     spart.Cell
 	children []int32
@@ -70,8 +72,8 @@ type fnode struct {
 	lists   []matList                 // materialized D_u^act(w)
 }
 
-// matList is one materialized list D_u^act(w) in the pointer layout, stored
-// one of two ways (never both): ascending ranks, or — when denseList says the
+// matList is one materialized list D_u^act(w) under construction, stored one
+// of two ways (never both): ascending ranks, or — when denseList says the
 // bitmap is no larger — a bitmap over the node's interval, bit r-lo set for
 // every rank r in the list.
 type matList struct {
@@ -80,8 +82,8 @@ type matList struct {
 	words []uint64 // dense representation, ceil((hi-lo)/64) words
 }
 
-// denseList is the one representation rule, for both layouts and every index
-// family: a list of n ranks inside an interval of span ranks becomes a bitmap
+// denseList is the one representation rule, for every index family: a list
+// of n ranks inside an interval of span ranks becomes a bitmap
 // exactly when the bitmap's span bits are no more than the 32n bits of the
 // rank array it replaces. A dense list thus has ceil(span/64) <= n/2 + 1
 // words, so ANDing a stop node's bitmaps word by word stays inside the
@@ -138,10 +140,6 @@ type FrameworkConfig struct {
 	// Parallelism caps the goroutines used to build the tree (see
 	// BuildOpts): <= 0 selects GOMAXPROCS, 1 forces a sequential build.
 	Parallelism int
-	// Flat converts the finished tree to the cache-conscious flat layout
-	// (see Flatten): BFS node order, arena-packed payloads, delta-encoded
-	// materialized lists. Queries answer identically in either layout.
-	Flat bool
 
 	// gate shares one goroutine budget across nested builds (the
 	// dimension-reduction tree builds one framework per node); when set it
@@ -221,7 +219,6 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	}
 	root := f.split.RootCell(pts, objs)
 	b.build(root, objs, incoming, 0, 0)
-	f.nodes = b.nodes
 	f.ids = b.seq
 	if len(pts) > 0 {
 		f.pdim = len(pts[0])
@@ -230,10 +227,8 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	for r, id := range f.ids {
 		copy(f.coords[r*f.pdim:(r+1)*f.pdim], pts[id])
 	}
+	f.pack(b.nodes)
 	f.accountSpace()
-	if cfg.Flat {
-		f.Flatten()
-	}
 	return f, nil
 }
 
@@ -398,7 +393,7 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 	wg.Wait()
 
 	// Graft spawned subtrees, preserving child order; only node placement
-	// within the flat array differs from a sequential build.
+	// within b.nodes differs from a sequential build, and pack renumbers.
 	childIdx := make([]int32, 0, nz)
 	tensors := make([]*bits.Dense, 0, nz)
 	for i := range results {
@@ -535,12 +530,7 @@ func (f *Framework) K() int { return f.k }
 func (f *Framework) Dataset() *dataset.Dataset { return f.ds }
 
 // NumNodes returns the number of tree nodes.
-func (f *Framework) NumNodes() int {
-	if f.flat != nil {
-		return f.flat.numNodes()
-	}
-	return len(f.nodes)
-}
+func (f *Framework) NumNodes() int { return len(f.cells) }
 
 // PointDim returns the dimensionality of the partitioning coordinates (the
 // lifted dimension for SRP-KW, the rank-space dimension for ORP-KW); query
@@ -550,22 +540,21 @@ func (f *Framework) PointDim() int { return f.pdim }
 // Space returns the analytic space audit.
 func (f *Framework) Space() SpaceBreakdown { return f.space }
 
+// accountSpace audits the arenas. Two int32s pack per word; a list handle
+// counts as two words. AuxWords accrue outside the tree, after this runs.
 func (f *Framework) accountSpace() {
 	var s SpaceBreakdown
-	for i := range f.nodes {
-		n := &f.nodes[i]
-		s.NodeWords += 6 + int64(len(n.children))
-		s.LargeWords += 2 * int64(len(n.large))
-		for _, l := range n.lists {
-			s.MatWords += int64(len(l.ranks)+len(l.words)) + 1
-		}
-		for _, t := range n.tensors {
-			s.TensorBits += t.SpaceBits()
-		}
-	}
+	nn := int64(len(f.cells))
+	// Skeleton: cell (2 words: interface), nu, tensorOff, tensorStride, plus
+	// the eight int32 columns (l, childFirst, childCount, rankLo, rankSpan,
+	// pivotCount, largeStart, matStart) at half a word each.
+	s.NodeWords = 5*nn + 4*nn
 	// The rank -> id column is the pivot sets themselves, concatenated in leaf
-	// order; a node says which stretch is its own with lo and npiv.
-	s.PivotWords = int64(len(f.ids))
+	// order; a node says which stretch is its own with rankLo and pivotCount.
+	s.PivotWords = (int64(len(f.ids)) + 1) / 2
+	s.LargeWords = int64(len(f.largeKeys)) // key + idx = two int32s
+	s.MatWords = (int64(len(f.matRanks))+1)/2 + int64(len(f.matBits)) + 2*int64(len(f.matLists)) + int64(len(f.matKeys))/2
+	s.TensorBits = f.tensorArena.SpaceBits()
 	s.DocHashWords = f.ds.DocSpaceWords()
 	f.space = s
 }
@@ -573,14 +562,10 @@ func (f *Framework) accountSpace() {
 // MaxPivots returns the largest pivot set of any internal node — the
 // quantity the general-position machinery (Steps 2 and 4) keeps O(1).
 func (f *Framework) MaxPivots() int {
-	if f.flat != nil {
-		return f.flat.maxPivots()
-	}
 	m := 0
-	for i := range f.nodes {
-		n := &f.nodes[i]
-		if len(n.children) > 0 && int(n.npiv) > m {
-			m = int(n.npiv)
+	for u, cc := range f.childCount {
+		if cc > 0 {
+			m = max(m, int(f.pivotCount[u]))
 		}
 	}
 	return m
@@ -588,19 +573,11 @@ func (f *Framework) MaxPivots() int {
 
 // Height returns the tree height.
 func (f *Framework) Height() int {
-	if f.flat != nil {
-		return f.flat.height()
-	}
-	if len(f.nodes) == 0 {
-		return -1
-	}
-	var rec func(n int32) int
-	rec = func(n int32) int {
+	var rec func(u int32) int
+	rec = func(u int32) int {
 		h := 0
-		for _, c := range f.nodes[n].children {
-			if ch := rec(c) + 1; ch > h {
-				h = ch
-			}
+		for c, end := f.childFirst[u], f.childFirst[u]+f.childCount[u]; c < end; c++ {
+			h = max(h, rec(c)+1)
 		}
 		return h
 	}

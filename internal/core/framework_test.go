@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kwsc/internal/dataset"
@@ -52,56 +53,58 @@ func TestLargeSmallInvariants(t *testing.T) {
 	}
 	f := ix.Framework()
 	k := float64(f.k)
-	for ni := range f.nodes {
-		n := &f.nodes[ni]
-		if len(n.children) == 0 {
+	for u := range f.cells {
+		if f.childCount[u] == 0 {
 			continue
 		}
-		threshold := math.Pow(float64(n.nu), 1-1/k)
+		nu, L := f.nu[u], f.l[u]
+		lo, hi := f.rankLo[u], f.rankLo[u]+f.rankSpan[u]
+		threshold := math.Pow(float64(nu), 1-1/k)
 		// Count the active set of this node: the objects of its rank interval.
 		counts := map[dataset.Keyword]int64{}
-		for _, id := range f.ids[n.lo:n.hi] {
+		for _, id := range f.ids[lo:hi] {
 			for _, w := range f.ds.Doc(id) {
 				counts[w]++
 			}
 		}
 		// Large keywords must meet the threshold; materialized lists must
 		// hold exactly the active objects carrying a small keyword.
-		for w, li := range n.large {
-			if li < 0 || li >= n.l {
-				t.Fatalf("node %d: large index %d out of range", ni, li)
+		for i := f.largeStart[u]; i < f.largeStart[u+1]; i++ {
+			w, li := f.largeKeys[i], f.largeIdx[i]
+			if li < 0 || li >= L {
+				t.Fatalf("node %d: large index %d out of range", u, li)
 			}
 			if float64(counts[w]) < threshold {
 				t.Fatalf("node %d: keyword %d classified large with count %d < threshold %.1f",
-					ni, w, counts[w], threshold)
+					u, w, counts[w], threshold)
 			}
 		}
-		for w, mi := range n.mat {
-			lst := ranksOf(&n.lists[mi], n.lo)
-			if int(n.lists[mi].n) != len(lst) {
-				t.Fatalf("node %d: list of keyword %d claims %d entries, holds %d", ni, w, n.lists[mi].n, len(lst))
+		for i := f.matStart[u]; i < f.matStart[u+1]; i++ {
+			w, lst := f.matKeys[i], ranksOf(f, u, i)
+			if int(f.matLists[i].N) != len(lst) {
+				t.Fatalf("node %d: list of keyword %d claims %d entries, holds %d", u, w, f.matLists[i].N, len(lst))
 			}
 			for _, r := range lst {
 				if !f.ds.Has(f.ids[r], w) {
-					t.Fatalf("node %d: rank %d listed under keyword %d, which its object lacks", ni, r, w)
+					t.Fatalf("node %d: rank %d listed under keyword %d, which its object lacks", u, r, w)
 				}
 			}
-			if _, isLarge := n.large[w]; isLarge {
-				t.Fatalf("node %d: keyword %d both large and materialized", ni, w)
+			if _, isLarge := f.largeLookup(int32(u), w); isLarge {
+				t.Fatalf("node %d: keyword %d both large and materialized", u, w)
 			}
 			if float64(counts[w]) >= threshold {
 				t.Fatalf("node %d: keyword %d materialized with count %d >= threshold %.1f",
-					ni, w, counts[w], threshold)
+					u, w, counts[w], threshold)
 			}
 			if int64(len(lst)) != counts[w] {
 				t.Fatalf("node %d: materialized list of %d entries, active count %d",
-					ni, len(lst), counts[w])
+					u, len(lst), counts[w])
 			}
 		}
 		// The large-keyword bound of Section 3.2: at most N_u^{1/k}.
-		if float64(n.l) > math.Pow(float64(n.nu), 1/k)+1 {
+		if float64(L) > math.Pow(float64(nu), 1/k)+1 {
 			t.Fatalf("node %d: %d large keywords exceeds N_u^{1/k} = %.1f",
-				ni, n.l, math.Pow(float64(n.nu), 1/k))
+				u, L, math.Pow(float64(nu), 1/k))
 		}
 	}
 }
@@ -115,34 +118,28 @@ func TestTensorSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ix.Framework()
-	for ni := range f.nodes {
-		n := &f.nodes[ni]
-		if len(n.children) == 0 || n.l < 2 {
+	for u := range f.cells {
+		L := f.l[u]
+		if f.childCount[u] == 0 || L < 2 {
 			continue
 		}
-		// Invert the large map.
-		byIdx := make([]dataset.Keyword, n.l)
-		for w, li := range n.large {
-			byIdx[li] = w
+		// Invert the large table.
+		byIdx := make([]dataset.Keyword, L)
+		for i := f.largeStart[u]; i < f.largeStart[u+1]; i++ {
+			byIdx[f.largeIdx[i]] = f.largeKeys[i]
 		}
-		for ci, child := range n.children {
-			sub := map[int32]bool{}
-			for _, id := range f.ids[f.nodes[child].lo:f.nodes[child].hi] {
-				sub[id] = true
-			}
-			for a := int32(0); a < n.l; a++ {
-				for b := a + 1; b < n.l; b++ {
-					want := false
-					for id := range sub {
-						if f.ds.Has(id, byIdx[a]) && f.ds.Has(id, byIdx[b]) {
-							want = true
-							break
-						}
-					}
-					got := n.tensors[ci].Get(int(tensorIndex([]int32{a, b}, int(n.l))))
+		for ci := int32(0); ci < f.childCount[u]; ci++ {
+			child := f.childFirst[u] + ci
+			sub := f.ids[f.rankLo[child] : f.rankLo[child]+f.rankSpan[child]]
+			for a := int32(0); a < L; a++ {
+				for b := a + 1; b < L; b++ {
+					want := slices.ContainsFunc(sub, func(id int32) bool {
+						return f.ds.Has(id, byIdx[a]) && f.ds.Has(id, byIdx[b])
+					})
+					got := f.tensorGet(int32(u), ci, tensorIndex([]int32{a, b}, int(L)))
 					if got != want {
 						t.Fatalf("node %d child %d: tensor bit (%d,%d) = %v, want %v",
-							ni, ci, a, b, got, want)
+							u, ci, a, b, got, want)
 					}
 				}
 			}

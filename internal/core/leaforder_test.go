@@ -66,60 +66,56 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 		balls[i] = geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.15+0.4*rng.Float64())
 	}
 
-	var fams []family
-	for _, flat := range []bool{false, true} {
-		bo := BuildOpts{Flat: flat, NoObs: true}
-		suffix := map[bool]string{false: "/ptr", true: "/flat"}[flat]
-		orp2, err := BuildORPKWWith(ds2, 2, bo)
-		must(t, err)
-		orp3, err := BuildORPKWHighWith(ds3, 2, bo)
-		must(t, err)
-		lc, err := BuildSPKW(ds2, SPKWConfig{K: 2, Build: bo})
-		must(t, err)
-		srp, err := BuildSRPKWWith(ds2, 2, bo)
-		must(t, err)
-		rr, err := BuildRRKWWith(rects, 2, bo)
-		must(t, err)
-		rrOracle := invidx.Build(rr.Dataset())
-		fams = append(fams,
-			family{"ORPKW d=2" + suffix,
-				func(i int) collector {
-					return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-						return orp2.Collect(rect2[i], ws, o)
-					}
-				},
-				func(i int, ws []dataset.Keyword) []int32 { return oracle2.KeywordsOnly(rect2[i], ws) }},
-			family{"ORPKWHigh d=3" + suffix,
-				func(i int) collector {
-					return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-						return orp3.Collect(rect3[i], ws, o)
-					}
-				},
-				func(i int, ws []dataset.Keyword) []int32 { return oracle3.KeywordsOnly(rect3[i], ws) }},
-			family{"LCKW" + suffix,
-				func(i int) collector {
-					return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-						return lc.CollectConstraints(hs[i], ws, o)
-					}
-				},
-				func(i int, ws []dataset.Keyword) []int32 {
-					return oracle2.KeywordsOnly(geom.NewPolyhedron(hs[i]...), ws)
-				}},
-			family{"SRPKW" + suffix,
-				func(i int) collector {
-					return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-						return srp.Collect(balls[i], ws, o)
-					}
-				},
-				func(i int, ws []dataset.Keyword) []int32 { return oracle2.KeywordsOnly(balls[i], ws) }},
-			family{"RRKW" + suffix,
-				func(i int) collector {
-					return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-						return rr.Collect(rect2[i], ws, o)
-					}
-				},
-				func(i int, ws []dataset.Keyword) []int32 { return rrOracle.KeywordsOnly(rr.cornerQuery(rect2[i]), ws) }},
-		)
+	bo := BuildOpts{NoObs: true}
+	orp2, err := BuildORPKWWith(ds2, 2, bo)
+	must(t, err)
+	orp3, err := BuildORPKWHighWith(ds3, 2, bo)
+	must(t, err)
+	lc, err := BuildSPKW(ds2, SPKWConfig{K: 2, Build: bo})
+	must(t, err)
+	srp, err := BuildSRPKWWith(ds2, 2, bo)
+	must(t, err)
+	rr, err := BuildRRKWWith(rects, 2, bo)
+	must(t, err)
+	rrOracle := invidx.Build(rr.Dataset())
+	fams := []family{
+		{"ORPKW d=2",
+			func(i int) collector {
+				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
+					return orp2.Collect(rect2[i], ws, o)
+				}
+			},
+			func(i int, ws []dataset.Keyword) []int32 { return oracle2.KeywordsOnly(rect2[i], ws) }},
+		{"ORPKWHigh d=3",
+			func(i int) collector {
+				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
+					return orp3.Collect(rect3[i], ws, o)
+				}
+			},
+			func(i int, ws []dataset.Keyword) []int32 { return oracle3.KeywordsOnly(rect3[i], ws) }},
+		{"LCKW",
+			func(i int) collector {
+				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
+					return lc.CollectConstraints(hs[i], ws, o)
+				}
+			},
+			func(i int, ws []dataset.Keyword) []int32 {
+				return oracle2.KeywordsOnly(geom.NewPolyhedron(hs[i]...), ws)
+			}},
+		{"SRPKW",
+			func(i int) collector {
+				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
+					return srp.Collect(balls[i], ws, o)
+				}
+			},
+			func(i int, ws []dataset.Keyword) []int32 { return oracle2.KeywordsOnly(balls[i], ws) }},
+		{"RRKW",
+			func(i int) collector {
+				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
+					return rr.Collect(rect2[i], ws, o)
+				}
+			},
+			func(i int, ws []dataset.Keyword) []int32 { return rrOracle.KeywordsOnly(rr.cornerQuery(rect2[i]), ws) }},
 	}
 
 	for _, fam := range fams {
@@ -191,14 +187,11 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 			for _, nn := range []struct {
 				name  string
 				query func(QueryOpts) ([]NNResult, NNStats, error)
-				with  func(ExecPolicy) ([]NNResult, NNStats, error)
 				dist  func(p geom.Point) float64
 			}{
 				{"Linf", func(o QueryOpts) ([]NNResult, NNStats, error) { return linf.Query(q, want, ws, o) },
-					func(p ExecPolicy) ([]NNResult, NNStats, error) { return linf.QueryWith(q, want, ws, p) },
 					func(p geom.Point) float64 { return q.LInf(p) }},
 				{"L2", func(o QueryOpts) ([]NNResult, NNStats, error) { return l2.Query(q, want, ws, o) },
-					func(p ExecPolicy) ([]NNResult, NNStats, error) { return l2.QueryWith(q, want, ws, p) },
 					func(p geom.Point) float64 { return q.L2(p) }},
 			} {
 				dists := make([]float64, len(cands))
@@ -217,7 +210,7 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 						t.Fatalf("%s: neighbour %d is object %d at %v, oracle distance %v", nn.name, i, r.ID, d, dists[i])
 					}
 				}
-				if _, _, err := nn.with(ExecPolicy{Deadline: time.Now().Add(-time.Second)}); len(cands) > 0 && !errors.Is(err, ErrDeadline) {
+				if _, _, err := nn.query(QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}); len(cands) > 0 && !errors.Is(err, ErrDeadline) {
 					t.Fatalf("%s: expired deadline returned %v", nn.name, err)
 				}
 			}
@@ -285,14 +278,14 @@ func heapAfter[T any](build func() T) (T, int64) {
 // per node of its x-tree, must cost memory in proportion to the objects its
 // secondaries hold between them (O(N log log N), Lemma 11) — not secondaries
 // x N, which is what one dataset-sized column per framework comes to. Checked
-// on the columns themselves and on the heap a flat index leaves resident, at
-// two sizes: bytes per indexed object stay level.
+// on the columns themselves and on the heap an index leaves resident, at two
+// sizes: bytes per indexed object stay level.
 func TestORPKWHighMemoryFollowsItsObjects(t *testing.T) {
 	perObject := make([]float64, 0, 2)
 	for _, n := range []int{4096, 16384} {
 		ds := workload.Gen(workload.Config{Seed: 95, Objects: n, Dim: 3, Vocab: 200, DocLen: 5})
 		ix, resident := heapAfter(func() *ORPKWHigh {
-			ix, err := BuildORPKWHigh(ds, 2, WithoutObs(), WithFlatLayout())
+			ix, err := BuildORPKWHigh(ds, 2, WithoutObs())
 			if err != nil {
 				t.Fatal(err)
 			}

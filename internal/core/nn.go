@@ -270,14 +270,6 @@ func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpt
 	return res, ns, nil
 }
 
-// QueryWith runs Query under an execution policy.
-//
-// Deprecated: use Query with QueryOpts{Policy: pol}; it is the same search
-// with the catalog-wide options signature.
-func (ix *LinfNN) QueryWith(q geom.Point, t int, ws []dataset.Keyword, pol ExecPolicy) ([]NNResult, NNStats, error) {
-	return ix.Query(q, t, ws, QueryOpts{Policy: pol})
-}
-
 // L2NN is the L2-nearest-neighbor-with-keywords index of Corollary 7 for
 // integer coordinates: the lifted SRP-KW index plus binary search over the
 // O(N^{O(1)}) candidate squared radii — integers, so O(log N) probes with
@@ -415,14 +407,6 @@ func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts)
 		res = res[:t]
 	}
 	return res, ns, nil
-}
-
-// QueryWith runs Query under an execution policy.
-//
-// Deprecated: use Query with QueryOpts{Policy: pol}; it is the same search
-// with the catalog-wide options signature.
-func (ix *L2NN) QueryWith(q geom.Point, t int, ws []dataset.Keyword, pol ExecPolicy) ([]NNResult, NNStats, error) {
-	return ix.Query(q, t, ws, QueryOpts{Policy: pol})
 }
 
 // Space returns the analytic space audit of the underlying SRP-KW index.

@@ -20,17 +20,6 @@ func WithTracer(t obs.Tracer) BuildOption {
 	return func(o *BuildOpts) { o.Tracer = t }
 }
 
-// WithFlatLayout converts the index to the cache-conscious flat layout at
-// the end of construction: tree nodes re-ordered into BFS order with
-// implicit contiguous child addressing, payloads packed into shared arenas,
-// materialized keyword lists delta-encoded into fixed-size packed blocks,
-// and per-child non-emptiness tensors concatenated into one bit arena.
-// Queries answer identically; the layout trades build-time packing work for
-// smaller resident memory and fewer cache misses per query.
-func WithFlatLayout() BuildOption {
-	return func(o *BuildOpts) { o.Flat = true }
-}
-
 // WithoutObs excludes the index from the metrics registry and tracing.
 // Composite indexes use it on their inner structures so a user query is
 // counted exactly once; callers can use it to build shadow indexes that

@@ -50,7 +50,6 @@ func BuildORPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) 
 		Splitter:    &spart.KD{Dim: ds.Dim()},
 		Points:      pts,
 		Parallelism: opts.Parallelism,
-		Flat:        opts.Flat,
 	})
 	if err != nil {
 		return nil, err
@@ -127,12 +126,6 @@ func (ix *ORPKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts,
 	}
 	return ix.fw.CollectInto(rq, ws, opts, buf)
 }
-
-// Flatten converts the index to the cache-conscious flat layout in place
-// (see Framework.Flatten). It must not run concurrently with queries; call
-// it once after construction, before serving. Indexes built with
-// WithFlatLayout are already flat.
-func (ix *ORPKW) Flatten() { ix.fw.Flatten() }
 
 // Framework exposes the underlying transformed index (for instrumentation).
 func (ix *ORPKW) Framework() *Framework { return ix.fw }

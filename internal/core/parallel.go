@@ -25,13 +25,6 @@ type BuildOpts struct {
 	// Composite indexes set it on their inner structures so each user query
 	// is observed exactly once.
 	NoObs bool
-
-	// Flat converts every framework tree the build produces into the
-	// cache-conscious flat layout (BFS node order, arena-packed payloads,
-	// delta-encoded materialized lists; see Framework.Flatten). Composite
-	// indexes propagate it to their inner structures. Queries answer
-	// identically in either layout; only memory layout and speed differ.
-	Flat bool
 }
 
 // parallelCutoff is the subtree size (in objects) below which construction

@@ -315,7 +315,7 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 	images := make([]*FlatArenas, 2)
 	indexes := make([]*ORPKW, 2)
 	for i, par := range []int{1, 4} {
-		ix, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: par, Flat: true, NoObs: true})
+		ix, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: par, NoObs: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,20 +166,8 @@ func (f *Framework) run(qc *qctx) {
 	if r, ok := qc.q.(*geom.Rect); ok && len(r.Lo) == f.pdim {
 		qc.qLo, qc.qHi = r.Lo, r.Hi
 	}
-	if f.flat != nil {
-		if len(f.flat.cells) > 0 {
-			rel := f.split.Relate(f.flat.cells[0], qc.q)
-			if rel != geom.Disjoint {
-				qc.visitFlat(0, rel)
-			}
-		}
-		return
-	}
-	if len(f.nodes) > 0 {
-		rel := f.split.Relate(f.nodes[0].cell, qc.q)
-		if rel != geom.Disjoint {
-			qc.visit(0, rel)
-		}
+	if rel := f.split.Relate(f.cells[0], qc.q); rel != geom.Disjoint {
+		qc.visit(0, rel)
 	}
 }
 
@@ -398,7 +386,6 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 		return
 	}
 	f := qc.f
-	n := &f.nodes[u]
 	failpoint(FPFrameworkVisit)
 	qc.st.NodesVisited++
 	qc.st.Ops++
@@ -409,9 +396,10 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 		qc.st.CrossingNodes++
 	}
 
-	if len(n.children) == 0 {
+	lo := f.rankLo[u]
+	if f.childCount[u] == 0 {
 		// Leaf: the pivot set is the whole active set.
-		qc.scanPivots(n.lo, n.lo+n.npiv, covered)
+		qc.scanPivots(lo, lo+f.pivotCount[u], covered)
 		return
 	}
 
@@ -420,49 +408,51 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 	// small at u (a cursor or a bitmap on the materialized list D_u^act(w)).
 	// If any is small the node is answered from the lists and the subtree is
 	// never descended; qualifying pivots of u are contained in every such
-	// list, so they need no separate scan. A small keyword without a list
-	// occurs nowhere below u and ends the node at once.
+	// list, so they need no separate scan. A small keyword without a list, or
+	// with an empty one, occurs nowhere below u and ends the node at once.
 	s, probe, ms, md := qc.sorted[:0], qc.probe[:0], 0, 0
 	for _, w := range qc.ws {
-		if li, ok := n.large[w]; ok {
+		if li, ok := f.largeLookup(u, w); ok {
 			s, probe = append(s, li), append(probe, w)
 			continue
 		}
-		mi, ok := n.mat[w]
-		if !ok {
+		mi := f.matLookup(u, w)
+		if mi < 0 {
 			return
 		}
-		switch l := &n.lists[mi]; {
-		case l.n == 0:
+		switch l := f.matLists[mi]; {
+		case l.N == 0:
 			return
-		case l.words != nil:
-			qc.bm[md] = l.words
+		case l.Rep == ListBitmap:
+			qc.bm[md] = f.matBits[l.Start : int(l.Start)+bitmapWords(int(f.rankSpan[u]))]
 			md++
 		default:
-			qc.cur[ms].ResetRaw(l.ranks)
+			qc.cur[ms].ResetRaw(f.matRanks[l.Start : l.Start+l.N])
 			ms++
 		}
 	}
 	if ms+md > 0 {
 		qc.probe = probe
-		qc.intersectSmall(ms, md, n.lo, covered)
+		qc.intersectSmall(ms, md, lo, covered)
 		return
 	}
 
 	// All keywords large: examine the pivots, then descend into children
 	// whose non-emptiness bit is set and whose cell meets q.
-	if !qc.scanPivots(n.lo, n.lo+n.npiv, covered) {
+	if !qc.scanPivots(lo, lo+f.pivotCount[u], covered) {
 		return
 	}
 	sortInt32s(s)
-	lin := tensorIndex(s, int(n.l))
-	for ci, child := range n.children {
-		if !n.tensors[ci].Get(int(lin)) {
+	lin := tensorIndex(s, int(f.l[u]))
+	first, count := f.childFirst[u], f.childCount[u]
+	for ci := int32(0); ci < count; ci++ {
+		if !f.tensorGet(u, ci, lin) {
 			continue
 		}
+		child := first + ci
 		crel := geom.Covered
 		if !covered {
-			crel = f.split.Relate(f.nodes[child].cell, qc.q)
+			crel = f.split.Relate(f.cells[child], qc.q)
 			if crel == geom.Disjoint {
 				continue
 			}
@@ -483,45 +473,43 @@ func (f *Framework) CrossingCost(q geom.Region, ws []dataset.Keyword) (float64, 
 	if err := dataset.ValidateKeywords(ws); err != nil {
 		return 0, err
 	}
-	if f.flat != nil {
-		return f.crossingCostFlat(q, ws), nil
-	}
 	var cost float64
 	exp := 1 - 1/float64(f.k)
 	var rec func(u int32)
 	rec = func(u int32) {
-		n := &f.nodes[u]
 		// Does the descent stop here?
-		stopsHere := len(n.children) == 0
+		stopsHere := f.childCount[u] == 0
 		if !stopsHere {
 			for _, w := range ws {
-				if _, ok := n.large[w]; !ok {
+				if _, ok := f.largeLookup(u, w); !ok {
 					stopsHere = true
 					break
 				}
 			}
 		}
 		if stopsHere {
-			cost += pow(float64(n.nu), exp)
+			cost += pow(float64(f.nu[u]), exp)
 			return
 		}
 		cost++
 		s := make([]int32, 0, f.k)
 		for _, w := range ws {
-			s = append(s, n.large[w])
+			li, _ := f.largeLookup(u, w)
+			s = append(s, li)
 		}
 		sortInt32s(s)
-		lin := tensorIndex(s, int(n.l))
-		for ci, child := range n.children {
-			if !n.tensors[ci].Get(int(lin)) {
+		lin := tensorIndex(s, int(f.l[u]))
+		first, count := f.childFirst[u], f.childCount[u]
+		for ci := int32(0); ci < count; ci++ {
+			if !f.tensorGet(u, ci, lin) {
 				continue
 			}
-			if f.split.Relate(f.nodes[child].cell, q) == geom.Crossing {
-				rec(child)
+			if f.split.Relate(f.cells[first+ci], q) == geom.Crossing {
+				rec(first + ci)
 			}
 		}
 	}
-	if len(f.nodes) > 0 && f.split.Relate(f.nodes[0].cell, q) == geom.Crossing {
+	if f.split.Relate(f.cells[0], q) == geom.Crossing {
 		rec(0)
 	}
 	return cost, nil

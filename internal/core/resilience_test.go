@@ -296,7 +296,7 @@ func TestNNPolicyAndPanic(t *testing.T) {
 		t.Skip("no neighbors for the probe keywords")
 	}
 
-	_, _, err = ix.QueryWith(q, 5, ws, ExecPolicy{NodeBudget: 1})
+	_, _, err = ix.Query(q, 5, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 1}})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("NN budget: err = %v, want ErrBudget", err)
 	}

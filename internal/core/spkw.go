@@ -70,7 +70,6 @@ func BuildSPKW(ds *dataset.Dataset, cfg SPKWConfig) (*SPKW, error) {
 		Splitter:    split,
 		Points:      cfg.Points,
 		Parallelism: cfg.Build.Parallelism,
-		Flat:        cfg.Build.Flat,
 	})
 	if err != nil {
 		return nil, err
@@ -162,10 +161,6 @@ func (ix *SPKW) Collect(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpt
 func (ix *SPKW) CollectInto(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, buf []int32) ([]int32, QueryStats, error) {
 	return ix.CollectConstraintsInto(hs, ws, opts, buf)
 }
-
-// Flatten converts the index to the cache-conscious flat layout in place
-// (see Framework.Flatten). It must not run concurrently with queries.
-func (ix *SPKW) Flatten() { ix.fw.Flatten() }
 
 // Framework exposes the underlying transformed index.
 func (ix *SPKW) Framework() *Framework { return ix.fw }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"kwsc/internal/bitpack"
 	"kwsc/internal/bits"
 	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
@@ -56,7 +55,7 @@ func countedDataset(rng *rand.Rand, n int, counts map[dataset.Keyword]int) *data
 // ranks and the ids it stands for never coincide by accident. dense picks a
 // list's representation from its keyword and length; nil applies the
 // builder's rule (denseList).
-func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keyword, dense func(w dataset.Keyword, n int) bool, flat bool) *Framework {
+func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keyword, dense func(w dataset.Keyword, n int) bool) *Framework {
 	n := ds.Len()
 	if dense == nil {
 		dense = func(_ dataset.Keyword, ln int) bool { return denseList(ln, n) }
@@ -105,46 +104,31 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 		root.lists = append(root.lists, l)
 	}
 	leaf := fnode{cell: cell, lo: int32(n), hi: int32(n)}
-	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8, nodes: []fnode{root, leaf}}
-	if flat {
-		f.Flatten()
-	}
+	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8}
+	f.pack([]fnode{root, leaf})
 	return f
 }
 
-// ranksOf returns the ranks a pointer-layout list over an interval starting
-// at lo holds, whichever way it stores them.
-func ranksOf(l *matList, lo int32) []int32 {
-	if l.words == nil {
-		return l.ranks
+// ranksOf returns the ranks list i of node u holds, whichever way it stores
+// them.
+func ranksOf(f *Framework, u int, i int32) []int32 {
+	l := f.matLists[i]
+	if l.Rep == ListRanks {
+		return f.matRanks[l.Start : l.Start+l.N]
 	}
 	var out []int32
-	for wi, w := range l.words {
+	for wi, w := range f.matBits[l.Start : int(l.Start)+bitmapWords(int(f.rankSpan[u]))] {
 		for ; w != 0; w &= w - 1 {
-			out = append(out, lo+int32(wi<<6+mbits.TrailingZeros64(w)))
+			out = append(out, f.rankLo[u]+int32(wi<<6+mbits.TrailingZeros64(w)))
 		}
 	}
 	return out
 }
 
-// bothLayouts runs one query on a pointer-layout and a flat-layout index,
-// asserts the byte-identical contract between them and returns the common
-// answer.
-func bothLayouts[Q any, C interface {
-	Collect(Q, []dataset.Keyword, QueryOpts) ([]int32, QueryStats, error)
-}](t *testing.T, label string, ptr, fl C, q Q, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	t.Helper()
-	wantIDs, wantSt, wantErr := ptr.Collect(q, ws, opts)
-	gotIDs, gotSt, gotErr := fl.Collect(q, ws, opts)
-	sameIDsAndStats(t, label, gotIDs, wantIDs, gotSt, wantSt, gotErr, wantErr)
-	return wantIDs, wantSt, wantErr
-}
-
 func TestStopNodeIntersectHandBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	// Keywords 1..3 are long lists — dense by the builder's rule, so bitmaps —
-	// 4..9 short ones whose lengths sit on the packed-block boundaries, 10 is
-	// a three-id list; 900 occurs nowhere.
+	// 4..9 short, sparse ones, 10 is a three-id list; 900 occurs nowhere.
 	counts := map[dataset.Keyword]int{
 		1: 9000, 2: 7000, 3: 5000,
 		4: 127, 5: 128, 6: 129, 7: 255, 8: 256, 9: 257, 10: 3,
@@ -175,8 +159,7 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := len(tc.ws)
-			ptr := stopNodeFramework(ds, k, tc.large, tc.small, nil, false)
-			fl := stopNodeFramework(ds, k, tc.large, tc.small, nil, true)
+			f := stopNodeFramework(ds, k, tc.large, tc.small, nil)
 			shortest, allDense, hasAbsent := ds.Len(), true, false
 			for _, w := range tc.ws {
 				if slices.Contains(tc.small, w) {
@@ -194,7 +177,7 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 				regions = append(regions, workload.RandRect(rng, 2, 0.1+0.8*rng.Float64()))
 			}
 			for _, q := range regions {
-				got, st, err := bothLayouts(t, tc.name, ptr, fl, geom.Region(q), tc.ws, QueryOpts{})
+				got, st, err := f.Collect(q, tc.ws, QueryOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,8 +210,8 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 // The kernel over every mix of representations: m = 1..4 small lists, each
 // stored sparse or dense by the test's choice (not the builder's rule), with
 // and without a keyword still large, over intervals that end mid-word, on a
-// word boundary and inside the first word — in both layouts, against the
-// oracle, unrestricted and under stops that land inside a word.
+// word boundary and inside the first word — against the oracle, unrestricted
+// and under stops that land inside a word.
 func TestIntersectSmallRepresentations(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const largeW, nobody = dataset.Keyword(9), dataset.Keyword(5)
@@ -250,15 +233,14 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 				for mask := 0; mask < 1<<m; mask++ {
 					label := fmt.Sprintf("n=%d/m=%d/large=%v/dense=%04b", n, m, withLarge, mask)
 					dense := func(w dataset.Keyword, _ int) bool { return mask>>slices.Index(small, w)&1 == 1 }
-					ptr := stopNodeFramework(ds, len(ws), large, small, dense, false)
-					fl := stopNodeFramework(ds, len(ws), large, small, dense, true)
-					full, fullSt, err := bothLayouts(t, label, ptr, fl, universe, ws, QueryOpts{})
+					f := stopNodeFramework(ds, len(ws), large, small, dense)
+					full, fullSt, err := f.Collect(universe, ws, QueryOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					equalIDs(t, full, ds.Filter(geom.UniverseRect(2), ws), label)
 					q := workload.RandRect(rng, 2, 0.3+0.6*rng.Float64())
-					inQ, _, err := bothLayouts(t, label, ptr, fl, geom.Region(q), ws, QueryOpts{})
+					inQ, _, err := f.Collect(q, ws, QueryOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -271,7 +253,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 						{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 					}
 					for i, opts := range restricted {
-						part, st, err := bothLayouts(t, label, ptr, fl, universe, ws, opts)
+						part, st, err := f.Collect(universe, ws, opts)
 						if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 							t.Fatalf("%s restriction %d: %v is not a prefix of %v", label, i, part, full)
 						}
@@ -287,8 +269,8 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					// word — the words up to it and that one candidate are all
 					// that is charged.
 					if mask == 1<<m-1 && !withLarge && len(full) > 1 {
-						_, st, _ := ptr.Collect(universe, ws, QueryOpts{Limit: 1})
-						first := slices.Index(ptr.ids, full[0])
+						_, st, _ := f.Collect(universe, ws, QueryOpts{Limit: 1})
+						first := slices.Index(f.ids, full[0])
 						if want := int64(first/64 + 1 + 1); st.MatScanned != want || !st.Truncated {
 							t.Fatalf("%s: limit 1 charged %d units (truncated=%v), want %d", label, st.MatScanned, st.Truncated, want)
 						}
@@ -300,9 +282,8 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					dense := func(dataset.Keyword, int) bool { return asBitmap }
 					withEmpty := append(slices.Clone(small), nobody)
 					wsE := append(slices.Clone(ws), nobody)
-					ptr := stopNodeFramework(ds, len(wsE), large, withEmpty, dense, false)
-					fl := stopNodeFramework(ds, len(wsE), large, withEmpty, dense, true)
-					got, st, err := bothLayouts(t, "empty list", ptr, fl, universe, wsE, QueryOpts{})
+					f := stopNodeFramework(ds, len(wsE), large, withEmpty, dense)
+					got, st, err := f.Collect(universe, wsE, QueryOpts{})
 					if err != nil || len(got) != 0 || st.MatScanned != 0 {
 						t.Fatalf("n=%d m=%d empty list (bitmap=%v): ids %v, stats %+v, err %v", n, m, asBitmap, got, st, err)
 					}
@@ -320,9 +301,7 @@ func TestStopNodeIntersectAdversarialSkew(t *testing.T) {
 	ds := countedDataset(rng, 120_000, map[dataset.Keyword]int{1: 100_000, 2: 3})
 	ws := []dataset.Keyword{1, 2}
 	for _, dense := range []func(dataset.Keyword, int) bool{nil, func(dataset.Keyword, int) bool { return false }} {
-		ptr := stopNodeFramework(ds, 2, nil, ws, dense, false)
-		fl := stopNodeFramework(ds, 2, nil, ws, dense, true)
-		got, st, err := bothLayouts(t, "skew", ptr, fl, geom.Region(geom.UniverseRect(2)), ws, QueryOpts{})
+		got, st, err := stopNodeFramework(ds, 2, nil, ws, dense).Collect(geom.UniverseRect(2), ws, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,18 +330,17 @@ func skewedVocabDataset(seed int64, n int) *dataset.Dataset {
 	return countedDataset(rng, n, counts)
 }
 
-// smallCounts replays the descent of a query over a pointer-layout framework
-// and tallies, per stop node, how many of the k keywords were small there.
+// smallCounts replays the descent of a query over a framework and tallies,
+// per stop node, how many of the k keywords were small there.
 func smallCounts(f *Framework, q geom.Region, ws []dataset.Keyword, tally map[int]int) {
 	var rec func(u int32)
 	rec = func(u int32) {
-		n := &f.nodes[u]
-		if len(n.children) == 0 {
+		if f.childCount[u] == 0 {
 			return
 		}
 		m := 0
 		for _, w := range ws {
-			if _, ok := n.large[w]; !ok {
+			if _, ok := f.largeLookup(u, w); !ok {
 				m++
 			}
 		}
@@ -370,8 +348,8 @@ func smallCounts(f *Framework, q geom.Region, ws []dataset.Keyword, tally map[in
 			tally[m]++
 			return
 		}
-		for _, c := range n.children {
-			if f.split.Relate(f.nodes[c].cell, q) != geom.Disjoint {
+		for c, end := f.childFirst[u], f.childFirst[u]+f.childCount[u]; c < end; c++ {
+			if f.split.Relate(f.cells[c], q) != geom.Disjoint {
 				rec(c)
 			}
 		}
@@ -379,19 +357,14 @@ func smallCounts(f *Framework, q geom.Region, ws []dataset.Keyword, tally map[in
 	rec(0)
 }
 
-// The differential property over built indexes: for k in {2,3,4}, both
-// layouts report exactly the oracle's objects, with identical stats, and
-// every Limit, Budget, NodeBudget and deadline stop returns a prefix of the
-// unrestricted answer.
+// The differential property over built indexes: for k in {2,3,4}, the index
+// reports exactly the oracle's objects, and every Limit, Budget, NodeBudget
+// and deadline stop returns a prefix of the unrestricted answer.
 func TestStopNodeIntersectDifferential(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			ds := skewedVocabDataset(int64(50+k), 6000)
-			ptrIx, err := BuildORPKW(ds, k, WithoutObs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			flIx, err := BuildORPKW(ds, k, WithoutObs(), WithFlatLayout())
+			ix, err := BuildORPKW(ds, k, WithoutObs())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,13 +376,13 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 				if trial%10 == 0 {
 					ws[rng.Intn(k)] = 900 // a keyword no document holds
 				}
-				full, fullSt, err := bothLayouts(t, "built", ptrIx, flIx, q, ws, QueryOpts{})
+				full, fullSt, err := ix.Collect(q, ws, QueryOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				equalIDs(t, full, ds.Filter(q, ws), "built index vs oracle")
-				if rq, ok := ptrIx.rs.ToRankRect(q); ok {
-					smallCounts(ptrIx.fw, rq, ws, tally)
+				if rq, ok := ix.rs.ToRankRect(q); ok {
+					smallCounts(ix.fw, rq, ws, tally)
 				}
 
 				restricted := []QueryOpts{
@@ -419,7 +392,7 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 					{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 				}
 				for i, opts := range restricted {
-					part, st, err := bothLayouts(t, "built", ptrIx, flIx, q, ws, opts)
+					part, st, err := ix.Collect(q, ws, opts)
 					if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 						t.Fatalf("restriction %d: %v is not a prefix of %v", i, part, full)
 					}
@@ -477,13 +450,12 @@ func frameworksOf(t *testing.T, ix any) []*Framework {
 }
 
 // rankStructure checks what leaf-order numbering promises of a built
-// framework, in either layout: the rank column is a permutation of the
-// objects, the root's interval is all of it, every node's children tile its
-// interval after its pivots, and every materialized list is stored by the
-// density rule — strictly ascending ranks of the node's interval, or a bitmap
-// of exactly its span with no bit past it — and holds exactly the node's
-// objects that carry the keyword. It returns the number of lists of each
-// representation.
+// framework: the rank column is a permutation of the objects, the root's
+// interval is all of it, every node's children tile its interval after its
+// pivots, and every materialized list is stored by the density rule — strictly
+// ascending ranks of the node's interval, or a bitmap of exactly its span with
+// no bit past it — and holds exactly the node's objects that carry the
+// keyword. It returns the number of lists of each representation.
 func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int) {
 	t.Helper()
 	seen := map[int32]bool{}
@@ -493,94 +465,57 @@ func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int)
 		}
 		seen[id] = true
 	}
-	// checkList is handed every list as decoded ranks.
-	checkList := func(lo, hi int32, w dataset.Keyword, ranks []int32, isBitmap bool) {
-		if isBitmap != denseList(len(ranks), int(hi-lo)) {
-			t.Fatalf("%s: list of %d ranks over a span of %d stored as bitmap=%v", label, len(ranks), hi-lo, isBitmap)
-		}
-		if isBitmap {
-			dense++
-		} else {
-			sparse++
-		}
-		want := 0
-		for _, id := range f.ids[lo:hi] {
-			if f.ds.Has(id, w) {
-				want++
-			}
-		}
-		if len(ranks) != want {
-			t.Fatalf("%s: list of keyword %d holds %d ranks, the interval %d carriers", label, w, len(ranks), want)
-		}
-		for i, r := range ranks {
-			if r < lo || r >= hi || (i > 0 && r <= ranks[i-1]) || !f.ds.Has(f.ids[r], w) {
-				t.Fatalf("%s: list of keyword %d over [%d, %d) is not ascending carriers: %v", label, w, lo, hi, ranks)
-			}
-		}
+	if f.rankLo[0] != 0 || int(f.rankSpan[0]) != len(f.ids) {
+		t.Fatalf("%s: root interval [%d, +%d) over %d objects", label, f.rankLo[0], f.rankSpan[0], len(f.ids))
 	}
-	if fl := f.flat; fl != nil {
-		if fl.rankLo[0] != 0 || int(fl.rankSpan[0]) != len(f.ids) {
-			t.Fatalf("%s: root interval [%d, +%d) over %d objects", label, fl.rankLo[0], fl.rankSpan[0], len(f.ids))
+	for u := range f.cells {
+		lo, hi := f.rankLo[u], f.rankLo[u]+f.rankSpan[u]
+		next := lo + f.pivotCount[u]
+		for c := f.childFirst[u]; c < f.childFirst[u]+f.childCount[u]; c++ {
+			if f.rankLo[c] != next {
+				t.Fatalf("%s: node %d child %d starts at rank %d, want %d", label, u, c, f.rankLo[c], next)
+			}
+			next += f.rankSpan[c]
 		}
-		for u := range fl.cells {
-			lo, hi := fl.rankLo[u], fl.rankLo[u]+fl.rankSpan[u]
-			next := lo + fl.pivotCount[u]
-			for c := fl.childFirst[u]; c < fl.childFirst[u]+fl.childCount[u]; c++ {
-				if fl.rankLo[c] != next {
-					t.Fatalf("%s: node %d child %d starts at rank %d, want %d", label, u, c, fl.rankLo[c], next)
-				}
-				next += fl.rankSpan[c]
+		if next != hi {
+			t.Fatalf("%s: node %d: pivots and children cover [%d, %d) of [%d, %d)", label, u, lo, next, lo, hi)
+		}
+		for i := f.matStart[u]; i < f.matStart[u+1]; i++ {
+			w, ranks, isBitmap := f.matKeys[i], ranksOf(f, u, i), f.matLists[i].Rep == ListBitmap
+			if isBitmap != denseList(len(ranks), int(hi-lo)) {
+				t.Fatalf("%s: list of %d ranks over a span of %d stored as bitmap=%v", label, len(ranks), hi-lo, isBitmap)
 			}
-			if next != hi {
-				t.Fatalf("%s: node %d: pivots and children cover [%d, %d) of [%d, %d)", label, u, lo, next, lo, hi)
-			}
-			for i := fl.matStart[u]; i < fl.matStart[u+1]; i++ {
-				l := fl.matLists[i]
-				if l.NumBlocks != bitmapList {
-					checkList(lo, hi, fl.matKeys[i], fl.matArena.UnpackInto(l, nil), false)
-					continue
-				}
-				words := fl.matBits[l.Block : int(l.Block)+bitmapWords(int(hi-lo))]
+			if isBitmap {
+				dense++
+				words := f.matBits[f.matLists[i].Start:][:bitmapWords(int(hi-lo))]
 				if tail := int(hi-lo) & 63; tail != 0 && words[len(words)-1]>>tail != 0 {
 					t.Fatalf("%s: node %d bitmap has bits past its span", label, u)
 				}
-				checkList(lo, hi, fl.matKeys[i], ranksOf(&matList{words: words}, lo), true)
+			} else {
+				sparse++
 			}
-		}
-		return sparse, dense
-	}
-	if f.nodes[0].lo != 0 || int(f.nodes[0].hi) != len(f.ids) {
-		t.Fatalf("%s: root interval [%d, %d) over %d objects", label, f.nodes[0].lo, f.nodes[0].hi, len(f.ids))
-	}
-	for u := range f.nodes {
-		n := &f.nodes[u]
-		next := n.lo + n.npiv
-		for _, c := range n.children {
-			if f.nodes[c].lo != next {
-				t.Fatalf("%s: node %d child %d starts at rank %d, want %d", label, u, c, f.nodes[c].lo, next)
+			want := 0
+			for _, id := range f.ids[lo:hi] {
+				if f.ds.Has(id, w) {
+					want++
+				}
 			}
-			next = f.nodes[c].hi
-		}
-		if next != n.hi {
-			t.Fatalf("%s: node %d: pivots and children cover [%d, %d) of [%d, %d)", label, u, n.lo, next, n.lo, n.hi)
-		}
-		for w, mi := range n.mat {
-			l := &n.lists[mi]
-			if l.words != nil && (l.ranks != nil || len(l.words) != bitmapWords(int(n.hi-n.lo))) {
-				t.Fatalf("%s: node %d list stored twice or with %d words for a span of %d", label, u, len(l.words), n.hi-n.lo)
+			if len(ranks) != want || len(ranks) != int(f.matLists[i].N) {
+				t.Fatalf("%s: list of keyword %d holds %d ranks and claims %d, the interval %d carriers", label, w, len(ranks), f.matLists[i].N, want)
 			}
-			if tail := int(n.hi-n.lo) & 63; l.words != nil && tail != 0 && l.words[len(l.words)-1]>>tail != 0 {
-				t.Fatalf("%s: node %d bitmap has bits past its span", label, u)
+			for j, r := range ranks {
+				if r < lo || r >= hi || (j > 0 && r <= ranks[j-1]) || !f.ds.Has(f.ids[r], w) {
+					t.Fatalf("%s: list of keyword %d over [%d, %d) is not ascending carriers: %v", label, w, lo, hi, ranks)
+				}
 			}
-			checkList(n.lo, n.hi, w, ranksOf(l, n.lo), l.words != nil)
 		}
 	}
 	return sparse, dense
 }
 
 // Leaf-order numbering has to hold for every problem that builds on
-// BuildFramework and in both layouts — the dimension-reduction tree, for one,
-// hands its secondaries x-sorted subsets of the objects.
+// BuildFramework — the dimension-reduction tree, for one, hands its
+// secondaries x-sorted subsets of the objects.
 func TestMaterializedListsAscending(t *testing.T) {
 	ds2 := workload.Gen(workload.Config{Seed: 71, Objects: 1500, Dim: 2, Vocab: 40, DocLen: 4})
 	ds3 := workload.Gen(workload.Config{Seed: 72, Objects: 1500, Dim: 3, Vocab: 40, DocLen: 4})
@@ -594,151 +529,72 @@ func TestMaterializedListsAscending(t *testing.T) {
 		}
 		rects[i] = RectObject{Rect: &geom.Rect{Lo: lo, Hi: hi}, Doc: []dataset.Keyword{dataset.Keyword(rng.Intn(12)), dataset.Keyword(rng.Intn(12))}}
 	}
-	for _, flat := range []bool{false, true} {
-		var opts []BuildOption
-		if flat {
-			opts = append(opts, WithFlatLayout())
+	builds := map[string]func() (any, error){
+		"ORPKW":     func() (any, error) { return BuildORPKW(ds2, 2) },
+		"ORPKWHigh": func() (any, error) { return BuildORPKWHigh(ds3, 2) },
+		"RRKW":      func() (any, error) { return BuildRRKW(rects, 2) },
+		"LCKW":      func() (any, error) { return BuildSPKW(ds2, SPKWConfig{K: 2}) },
+		"SPKW":      func() (any, error) { return BuildSPKW(ds3, SPKWConfig{K: 2}) },
+	}
+	for name, build := range builds {
+		ix, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		builds := map[string]func() (any, error){
-			"ORPKW":     func() (any, error) { return BuildORPKW(ds2, 2, opts...) },
-			"ORPKWHigh": func() (any, error) { return BuildORPKWHigh(ds3, 2, opts...) },
-			"RRKW":      func() (any, error) { return BuildRRKW(rects, 2, opts...) },
-			"LCKW":      func() (any, error) { return BuildSPKW(ds2, SPKWConfig{K: 2, Build: BuildOpts{Flat: flat}}) },
-			"SPKW":      func() (any, error) { return BuildSPKW(ds3, SPKWConfig{K: 2, Build: BuildOpts{Flat: flat}}) },
+		sparse, dense := 0, 0
+		for _, f := range frameworksOf(t, ix) {
+			s, d := rankStructure(t, name, f)
+			sparse, dense = sparse+s, dense+d
 		}
-		for name, build := range builds {
-			ix, err := build()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sparse, dense := 0, 0
-			for _, f := range frameworksOf(t, ix) {
-				if f.IsFlat() != flat {
-					t.Fatalf("%s: framework layout flat=%v, want %v", name, f.IsFlat(), flat)
-				}
-				s, d := rankStructure(t, fmt.Sprintf("%s flat=%v", name, flat), f)
-				sparse, dense = sparse+s, dense+d
-			}
-			if sparse == 0 || dense == 0 {
-				t.Fatalf("%s flat=%v: %d sparse and %d bitmap lists: both representations must be exercised", name, flat, sparse, dense)
-			}
+		if sparse == 0 || dense == 0 {
+			t.Fatalf("%s: %d sparse and %d bitmap lists: both representations must be exercised", name, sparse, dense)
 		}
 	}
 }
 
-// repackArena re-encodes every packed materialized list of a flat image after
-// edit has had its way with the decoded ranks; bitmap lists are left alone.
-func repackArena(a *FlatArenas, edit func(list int, ids []int32)) {
-	old := bitpack.FromRaw(a.MatWords, a.MatBlocks)
-	var fresh bitpack.PackedLists
-	lists := slices.Clone(a.MatLists)
-	for i, l := range a.MatLists {
-		if l.NumBlocks == bitmapList {
-			continue
-		}
-		ids := old.UnpackInto(l, nil)
-		edit(i, ids)
-		lists[i] = fresh.Append(ids)
-	}
-	a.MatLists = lists
-	a.MatWords, a.MatBlocks = fresh.Raw()
-}
-
-// Flat images are untrusted. Disorder the resident block directory can show
-// (a block starting at or before its predecessor's Max) is rejected at open
-// as codec.ErrCorrupt; disorder hidden inside a block's payload cannot be
-// seen without decoding, and must cost no more than missing answers.
+// Flat images are untrusted, and the stop-node intersection gallops and
+// leapfrogs on a sparse list being strictly ascending: open reads every list
+// and refuses any disorder as codec.ErrCorrupt.
 func TestFlatImageListDisorder(t *testing.T) {
-	// Large enough that a list of two packed blocks is still sparse at the root.
 	ds := skewedVocabDataset(81, 20_000)
-	ix, err := BuildORPKW(ds, 3, WithoutObs(), WithFlatLayout())
+	ix, err := BuildORPKW(ds, 3, WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	export := func() *FlatArenas {
-		a, err := ix.fw.ExportFlat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := *a
-		return &cp
+	clean, err := ix.fw.ExportFlat()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("directory", func(t *testing.T) {
-		a := export()
-		swapped := false
-		repackArena(a, func(_ int, ids []int32) {
-			if !swapped && len(ids) >= 2*bitpack.BlockSize {
-				// Exchange the first two blocks: each stays ascending inside.
-				tmp := slices.Clone(ids[:bitpack.BlockSize])
-				copy(ids, ids[bitpack.BlockSize:2*bitpack.BlockSize])
-				copy(ids[bitpack.BlockSize:], tmp)
-				swapped = true
+	target := slices.IndexFunc(clean.MatLists, func(l FlatList) bool { return l.Rep == ListRanks && l.N >= 3 })
+	if target < 0 {
+		t.Fatal("no sparse list of three ranks to corrupt")
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ranks []int32)
+	}{
+		{"descending pair", func(r []int32) { r[1], r[2] = r[2], r[1] }},
+		{"duplicate rank", func(r []int32) { r[1] = r[0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := *clean
+			a.MatRanks = slices.Clone(a.MatRanks)
+			l := a.MatLists[target]
+			tc.corrupt(a.MatRanks[l.Start : l.Start+l.N])
+			if _, err := NewFrameworkFromFlat(ds, &a); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("disordered list opened with err=%v, want codec.ErrCorrupt", err)
 			}
 		})
-		if !swapped {
-			t.Fatal("no two-block list to corrupt")
-		}
-		if _, err := NewFrameworkFromFlat(ds, a); !errors.Is(err, codec.ErrCorrupt) {
-			t.Fatalf("out-of-order block directory opened with err=%v, want codec.ErrCorrupt", err)
-		}
-	})
-
-	t.Run("intra-block", func(t *testing.T) {
-		a := export()
-		rng := rand.New(rand.NewSource(82))
-		shuffled := 0
-		repackArena(a, func(_ int, ids []int32) {
-			for lo := 0; lo < len(ids); lo += bitpack.BlockSize {
-				if in := ids[lo+1 : max(lo+1, min(lo+bitpack.BlockSize, len(ids))-1)]; len(in) > 1 {
-					rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-					shuffled++
-				}
-			}
-		})
-		if shuffled == 0 {
-			t.Fatal("no block interior to shuffle")
-		}
-		bad, err := NewFrameworkFromFlat(ds, a)
-		if err != nil {
-			t.Fatalf("a directory-consistent image must open: %v", err)
-		}
-		missed := 0
-		for trial := 0; trial < 200; trial++ {
-			q, ok := ix.rs.ToRankRect(workload.RandRect(rng, 2, 0.2+0.8*rng.Float64()))
-			if !ok {
-				continue
-			}
-			ws := randWs(rng, 3, 12)
-			// A cursor that failed to advance would hang here until the test
-			// binary's timeout; a panic surfaces as the error.
-			got, _, err := bad.Collect(q, ws, QueryOpts{})
-			if err != nil {
-				t.Fatalf("query over a disordered image failed: %v", err)
-			}
-			want, _, err := ix.fw.Collect(q, ws, QueryOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			slices.Sort(want)
-			for _, id := range got {
-				if _, found := slices.BinarySearch(want, id); !found {
-					t.Fatalf("disordered image reported %d, which is no answer", id)
-				}
-			}
-			missed += len(want) - len(got)
-		}
-		t.Logf("disordered image missed %d answers over 200 queries", missed)
-	})
+	}
 }
 
 // The rank columns of a flat image are untrusted too: each way they can break
 // what the query path assumes — ranks that do not translate to distinct
-// objects, intervals that do not nest, a list reaching outside its node, a
-// bitmap of the wrong shape — is refused at open.
+// objects, intervals that do not nest, a list reaching outside its node or
+// its arena, a bitmap of the wrong shape — is refused at open.
 func TestFlatImageRankValidation(t *testing.T) {
 	ds := skewedVocabDataset(83, 20_000)
-	ix, err := BuildORPKW(ds, 3, WithoutObs(), WithFlatLayout())
+	ix, err := BuildORPKW(ds, 3, WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,25 +605,25 @@ func TestFlatImageRankValidation(t *testing.T) {
 	if _, err := NewFrameworkFromFlat(ds, clean); err != nil {
 		t.Fatalf("clean image refused: %v", err)
 	}
-	fl := ix.fw.flat
-	// An internal node with at least two children, a packed list and a bitmap
+	fl := &ix.fw.flatLayout
+	// An internal node with at least two children, a sparse list and a bitmap
 	// list (of a span that is not a whole number of words) to aim at.
-	inner, packed, bitmap := -1, -1, -1
+	inner, sparse, bitmap := -1, -1, -1
 	for u := range fl.cells {
 		if inner < 0 && u > 0 && fl.childCount[u] >= 2 {
 			inner = u
 		}
 		for i := fl.matStart[u]; i < fl.matStart[u+1]; i++ {
 			switch l := fl.matLists[i]; {
-			case l.NumBlocks == bitmapList && bitmap < 0 && fl.rankSpan[u]&63 != 0:
+			case l.Rep == ListBitmap && bitmap < 0 && fl.rankSpan[u]&63 != 0:
 				bitmap = int(i)
-			case l.NumBlocks > 0 && packed < 0:
-				packed = int(i)
+			case l.Rep == ListRanks && l.N > 0 && sparse < 0:
+				sparse = int(i)
 			}
 		}
 	}
-	if inner < 0 || packed < 0 || bitmap < 0 {
-		t.Fatalf("fixture lacks a target: inner=%d packed=%d bitmap=%d", inner, packed, bitmap)
+	if inner < 0 || sparse < 0 || bitmap < 0 {
+		t.Fatalf("fixture lacks a target: inner=%d sparse=%d bitmap=%d", inner, sparse, bitmap)
 	}
 	nodeOf := func(list int) int {
 		for u := range fl.cells {
@@ -815,26 +671,39 @@ func TestFlatImageRankValidation(t *testing.T) {
 			a.PivotCount = slices.Clone(a.PivotCount)
 			a.PivotCount[len(a.PivotCount)-1]++
 		}},
-		{"packed list starts below its node's interval", func(a *FlatArenas) {
-			a.MatBlocks = slices.Clone(a.MatBlocks)
-			a.MatBlocks[a.MatLists[packed].Block].First = a.RankLo[nodeOf(packed)] - 1
+		// The stop node would probe its bitmaps at bit rank-lo: out of range.
+		{"sparse list starts below its node's interval", func(a *FlatArenas) {
+			a.MatRanks = slices.Clone(a.MatRanks)
+			a.MatRanks[a.MatLists[sparse].Start] = a.RankLo[nodeOf(sparse)] - 1
 		}},
-		{"packed list ends past its node's interval", func(a *FlatArenas) {
-			a.MatBlocks = slices.Clone(a.MatBlocks)
-			l, u := a.MatLists[packed], nodeOf(packed)
-			a.MatBlocks[l.Block+l.NumBlocks-1].Max = a.RankLo[u] + fl.rankSpan[u]
+		{"sparse list ends past its node's interval", func(a *FlatArenas) {
+			a.MatRanks = slices.Clone(a.MatRanks)
+			l, u := a.MatLists[sparse], nodeOf(sparse)
+			a.MatRanks[l.Start+l.N-1] = a.RankLo[u] + fl.rankSpan[u]
+		}},
+		{"sparse list runs off the arena", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[sparse].Start = int32(len(a.MatRanks)) - a.MatLists[sparse].N + 1
+		}},
+		{"sparse list offset negative", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[sparse].Start = -1
+		}},
+		{"sparse list length negative", func(a *FlatArenas) {
+			a.MatLists = slices.Clone(a.MatLists)
+			a.MatLists[sparse].N = -1
 		}},
 		{"bitmap runs off the arena", func(a *FlatArenas) {
 			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].Block = int32(len(a.MatBits) - bmWords + 1)
+			a.MatLists[bitmap].Start = int32(len(a.MatBits) - bmWords + 1)
 		}},
 		{"bitmap offset negative", func(a *FlatArenas) {
 			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].Block = -1
+			a.MatLists[bitmap].Start = -1
 		}},
 		{"bitmap has a bit past its interval", func(a *FlatArenas) {
 			a.MatBits = slices.Clone(a.MatBits)
-			a.MatBits[int(a.MatLists[bitmap].Block)+bmWords-1] |= 1 << 63
+			a.MatBits[int(a.MatLists[bitmap].Start)+bmWords-1] |= 1 << 63
 		}},
 		{"bitmap popcount disagrees with its handle", func(a *FlatArenas) {
 			a.MatLists = slices.Clone(a.MatLists)
@@ -842,7 +711,7 @@ func TestFlatImageRankValidation(t *testing.T) {
 		}},
 		{"list handle with an unknown representation tag", func(a *FlatArenas) {
 			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].NumBlocks = -2
+			a.MatLists[bitmap].Rep = 2
 		}},
 	}
 	for _, tc := range cases {

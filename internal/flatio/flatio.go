@@ -1,6 +1,6 @@
 // Package flatio persists built static indexes (ORPKW, SPKW) as flat-index
 // KWCP2 containers and reopens them without rebuilding. A saved file holds
-// the dataset image (points, documents), the flattened framework's column
+// the dataset image (points, documents), the framework's column
 // arenas (internal/core's FlatArenas), and — for ORPKW — the rank tables, so
 // an open is: map the file, verify page checksums, validate structure, and
 // serve. On a little-endian host with the file mapped, the big columns

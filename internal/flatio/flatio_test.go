@@ -128,7 +128,7 @@ func openBothORPKW(t *testing.T, ix *core.ORPKW) map[string]*core.ORPKW {
 // QueryStats, and the same error as the index it was saved from.
 func TestORPKWPagedMatchesInRAM(t *testing.T) {
 	ds := testDataset(t, 1, 600, 2)
-	built, err := core.BuildORPKW(ds, 2, core.WithFlatLayout())
+	built, err := core.BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestORPKWPagedMatchesInRAM(t *testing.T) {
 // the convex, non-rectangular Relate code).
 func TestSPKWPagedMatchesInRAM(t *testing.T) {
 	ds := testDataset(t, 3, 400, 3)
-	built, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2, Build: core.BuildOpts{Flat: true}})
+	built, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSPKWPagedMatchesInRAM(t *testing.T) {
 // with no serialized form — saving must fail cleanly, not panic.
 func TestSaveSPKWRejectsWillard(t *testing.T) {
 	ds := testDataset(t, 5, 120, 2)
-	ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2, Build: core.BuildOpts{Flat: true}})
+	ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,24 +233,12 @@ func TestSaveSPKWRejectsWillard(t *testing.T) {
 	}
 }
 
-// TestSaveRequiresFlatLayout: a pointer-tree index has nothing to export.
-func TestSaveRequiresFlatLayout(t *testing.T) {
-	ds := testDataset(t, 6, 80, 2)
-	ix, err := core.BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveFileORPKW(filepath.Join(t.TempDir(), "p.kwflat"), ix); err == nil {
-		t.Fatal("saving a non-flat index succeeded")
-	}
-}
-
 // TestOpenRefusesDamage flips one byte in every section in turn and demands
 // the open fail — the page checksums cover the entire payload, so any
 // corruption is a checksum error, and a truncated file is refused at parse.
 func TestOpenRefusesDamage(t *testing.T) {
 	ds := testDataset(t, 7, 300, 2)
-	built, err := core.BuildORPKW(ds, 2, core.WithFlatLayout())
+	built, err := core.BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +324,11 @@ func reframe(t *testing.T, path string, edit func(id uint32, data []byte) []byte
 
 // Images of another version of the flat section set are refused, not read
 // through a second decoder, with an error that names both versions; and a
-// well-framed image whose rank columns are wrong is refused by validation,
-// mapped or not.
+// well-framed image whose rank columns or materialized lists are wrong is
+// refused by validation, mapped or not — the lists as codec.ErrCorrupt.
 func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 	ds := testDataset(t, 9, 400, 2)
-	built, err := core.BuildORPKW(ds, 2, core.WithFlatLayout())
+	built, err := core.BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,44 +355,79 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version "+current) {
 		t.Fatalf("version 1 image: err %v, want a refusal naming versions 1 and %s", err, current)
 	}
-	v9 := reframe(t, clean, func(id uint32, data []byte) []byte {
-		if id == codec.SecFlatMeta {
-			data = slices.Clone(data)
-			binary.LittleEndian.PutUint64(data[24:], 9)
+	// Version 2 packed sparse lists into delta blocks; 9 is yet to come.
+	for _, v := range []uint64{2, 9} {
+		other := reframe(t, clean, func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatMeta {
+				data = slices.Clone(data)
+				binary.LittleEndian.PutUint64(data[24:], v)
+			}
+			return data
+		})
+		read := "version " + strconv.FormatUint(v, 10)
+		if _, _, err := OpenORPKW(other, Options{}); err == nil ||
+			!strings.Contains(err.Error(), read) || !strings.Contains(err.Error(), "version "+current) {
+			t.Fatalf("%s image: err %v, want a refusal naming it and version %s", read, err, current)
 		}
-		return data
-	})
-	if _, _, err := OpenORPKW(v9, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "version 9") || !strings.Contains(err.Error(), "version "+current) {
-		t.Fatalf("version 9 image: err %v, want a refusal naming versions 9 and %s", err, current)
 	}
 
-	for name, edit := range map[string]func(id uint32, data []byte) []byte{
-		"rank column repeats an id": func(id uint32, data []byte) []byte {
+	// set returns an edit storing v at int32 index i of section sec.
+	set := func(sec uint32, i, v int32) func(uint32, []byte) []byte {
+		return func(id uint32, data []byte) []byte {
+			if id == sec {
+				data = slices.Clone(data)
+				binary.LittleEndian.PutUint32(data[4*i:], uint32(v))
+			}
+			return data
+		}
+	}
+	a, err := built.Framework().ExportFlat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sparse list of at least three ranks: handle h, ranks at l.Start.
+	h := int32(slices.IndexFunc(a.MatLists, func(l core.FlatList) bool { return l.Rep == core.ListRanks && l.N >= 3 }))
+	if h < 0 {
+		t.Fatal("fixture has no sparse list of three ranks")
+	}
+	l, n := a.MatLists[h], int32(ds.Len())
+	for _, tc := range []struct {
+		name    string
+		edit    func(id uint32, data []byte) []byte
+		corrupt bool // the refusal must be codec.ErrCorrupt
+	}{
+		{"rank column repeats an id", func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatRankIDs {
 				data = slices.Clone(data)
 				copy(data[0:4], data[4:8])
 			}
 			return data
-		},
-		"interval starts shifted": func(id uint32, data []byte) []byte {
-			if id == codec.SecFlatRankLo {
-				data = slices.Clone(data)
-				binary.LittleEndian.PutUint32(data[4:], binary.LittleEndian.Uint32(data[4:])+1)
-			}
-			return data
-		},
-		"bitmap arena missing": func(id uint32, data []byte) []byte {
+		}, false},
+		{"interval starts shifted", set(codec.SecFlatRankLo, 1, a.RankLo[1]+1), false},
+		{"bitmap arena missing", func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMatBits {
 				return nil
 			}
 			return data
-		},
+		}, false},
+		{"descending pair", set(codec.SecFlatMatRanks, l.Start+2, a.MatRanks[l.Start]), true},
+		{"duplicate rank", set(codec.SecFlatMatRanks, l.Start+1, a.MatRanks[l.Start]), true},
+		{"rank below every interval", set(codec.SecFlatMatRanks, l.Start, -1), true},
+		{"rank past every interval", set(codec.SecFlatMatRanks, l.Start+l.N-1, n), true},
+		{"list runs off the arena", set(codec.SecFlatMatLists, 3*h, int32(len(a.MatRanks))-l.N+1), true},
+		{"list length negative", set(codec.SecFlatMatLists, 3*h+1, -1), true},
+		{"unknown representation tag", set(codec.SecFlatMatLists, 3*h+2, 2), true},
+		{"handle column cut mid-triple", func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatMatLists {
+				return data[:len(data)-4]
+			}
+			return data
+		}, true},
 	} {
-		bad := reframe(t, clean, edit)
+		bad := reframe(t, clean, tc.edit)
 		for _, o := range []Options{{}, {NoMmap: true}} {
-			if _, _, err := OpenORPKW(bad, o); err == nil {
-				t.Fatalf("%s (NoMmap=%v): image opened", name, o.NoMmap)
+			if _, _, err := OpenORPKW(bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("%s (NoMmap=%v): open returned %v", tc.name, o.NoMmap, err)
 			}
 		}
 	}

@@ -116,14 +116,15 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(fm) == 3 { // version 1 carried no version field
-		return nil, nil, fmt.Errorf("flatio: flat image version 1 is not readable; this build reads version %d: rebuild the image", codec.FlatImageVersion)
-	}
-	if len(fm) != 4 {
+	if len(fm) != 3 && len(fm) != 4 {
 		return nil, nil, fmt.Errorf("%w: flat meta section has %d values, want 4", codec.ErrCorrupt, len(fm))
 	}
-	if fm[3] != codec.FlatImageVersion {
-		return nil, nil, fmt.Errorf("flatio: flat image version %d is not readable; this build reads version %d: rebuild the image", fm[3], codec.FlatImageVersion)
+	version := uint64(1) // version 1 carried no version field
+	if len(fm) == 4 {
+		version = fm[3]
+	}
+	if version != codec.FlatImageVersion {
+		return nil, nil, fmt.Errorf("flatio: flat image version %d is not readable; this build reads version %d: rebuild the image", version, codec.FlatImageVersion)
 	}
 	if fm[1] < 1 || fm[1] > 64 || fm[2] < 1 || fm[2] > 1<<31 {
 		return nil, nil, fmt.Errorf("%w: flat meta pdim %d / nodes %d out of range", codec.ErrCorrupt, fm[1], fm[2])
@@ -217,17 +218,14 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 	if err != nil {
 		return nil, nil, err
 	}
-	if a.MatLists, err = codec.DecodePostLists(listsRaw); err != nil {
-		return nil, nil, err
+	if len(listsRaw)%3 != 0 {
+		return nil, nil, fmt.Errorf("%w: list handle column of %d values is not {start, n, rep} triples", codec.ErrCorrupt, len(listsRaw))
 	}
-	blocksRaw, err := sr.i32s(codec.SecFlatMatBlocks, "list blocks")
-	if err != nil {
-		return nil, nil, err
+	a.MatLists = make([]core.FlatList, len(listsRaw)/3)
+	for i := range a.MatLists {
+		a.MatLists[i] = core.FlatList{Start: listsRaw[3*i], N: listsRaw[3*i+1], Rep: listsRaw[3*i+2]}
 	}
-	if a.MatBlocks, err = codec.DecodePostBlocks(blocksRaw); err != nil {
-		return nil, nil, err
-	}
-	if a.MatWords, err = sr.u64s(codec.SecFlatMatWords, "list payload"); err != nil {
+	if a.MatRanks, err = sr.i32s(codec.SecFlatMatRanks, "list ranks"); err != nil {
 		return nil, nil, err
 	}
 	if a.MatBits, err = sr.u64s(codec.SecFlatMatBits, "list bitmaps"); err != nil {

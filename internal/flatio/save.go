@@ -10,10 +10,8 @@ import (
 	"kwsc/internal/dataset"
 )
 
-// SaveORPKW serializes a flattened ORPKW (dataset, rank tables, flat
-// arenas) as a flat-index KWCP2 container. The index must be flat (build
-// with core.WithFlatLayout or call Flatten first); ORPKW's KD splitter
-// always serializes.
+// SaveORPKW serializes an ORPKW (dataset, rank tables, flat arenas) as a
+// flat-index KWCP2 container; ORPKW's KD splitter always serializes.
 func SaveORPKW(w io.Writer, ix *core.ORPKW) error {
 	fw := ix.Framework()
 	a, err := fw.ExportFlat()
@@ -45,7 +43,7 @@ func SaveORPKW(w io.Writer, ix *core.ORPKW) error {
 	return codec.WriteContainer(w, meta.Encode(), secs)
 }
 
-// SaveSPKW serializes a flattened SPKW. The splitter must be spart.Box (or
+// SaveSPKW serializes an SPKW. The splitter must be spart.Box (or
 // spart.KD): the default d=2 Willard2D substrate has polygon cells with no
 // fixed-width form — build with SPKWConfig.Splitter = &spart.Box{Dim: 2} if
 // the index is to be saved.
@@ -95,6 +93,10 @@ func flatSections(a *core.FlatArenas, ds *dataset.Dataset) ([]codec.Section, err
 		docWords = append(docWords, ds.Doc(int32(i))...)
 		docStart[i+1] = int64(len(docWords))
 	}
+	lists := make([]int32, 0, 3*len(a.MatLists))
+	for _, l := range a.MatLists {
+		lists = append(lists, l.Start, l.N, l.Rep)
+	}
 	nn := len(a.Nu)
 	return []codec.Section{
 		{ID: codec.SecFlatMeta, Data: codec.PutU64s([]uint64{uint64(a.SplitterKind), uint64(a.PDim), uint64(nn), codec.FlatImageVersion})},
@@ -111,9 +113,8 @@ func flatSections(a *core.FlatArenas, ds *dataset.Dataset) ([]codec.Section, err
 		{ID: codec.SecFlatLargeIdx, Data: codec.PutI32s(a.LargeIdx)},
 		{ID: codec.SecFlatMatStart, Data: codec.PutI32s(a.MatStart)},
 		{ID: codec.SecFlatMatKeys, Data: codec.PutU32s(a.MatKeys)},
-		{ID: codec.SecFlatMatLists, Data: codec.PutI32s(codec.EncodePostLists(a.MatLists))},
-		{ID: codec.SecFlatMatBlocks, Data: codec.PutI32s(codec.EncodePostBlocks(a.MatBlocks))},
-		{ID: codec.SecFlatMatWords, Data: codec.PutU64s(a.MatWords)},
+		{ID: codec.SecFlatMatLists, Data: codec.PutI32s(lists)},
+		{ID: codec.SecFlatMatRanks, Data: codec.PutI32s(a.MatRanks)},
 		{ID: codec.SecFlatMatBits, Data: codec.PutU64s(a.MatBits)},
 		{ID: codec.SecFlatTensorOff, Data: codec.PutI64s(a.TensorOff)},
 		{ID: codec.SecFlatTensorStr, Data: codec.PutI64s(a.TensorStride)},

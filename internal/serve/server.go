@@ -42,8 +42,6 @@ type Config struct {
 	// it fall back to their inverted-index baseline; dynamic shards return
 	// the prefix collected so far.
 	DegradedNodeBudget int64
-	// FlatLayout builds static shards in the cache-conscious flat layout.
-	FlatLayout bool
 	// BuildOptions are forwarded to every shard index construction.
 	BuildOptions []kwsc.Option
 	// DurableOptions are forwarded to OpenDurable for durable shards.
@@ -138,8 +136,7 @@ type Server struct {
 
 // NewStatic partitions objs and builds one read-only shard per partition:
 // a kwsc.Degraded (primary index + inverted-index fallback) behind the
-// unified Index surface, in the flat layout when cfg.FlatLayout is set.
-// Global ids are positions in objs.
+// unified Index surface. Global ids are positions in objs.
 func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(objs) == 0 {
@@ -148,10 +145,6 @@ func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 	cfg.Dim = len(objs[0].Point)
 	part := newPartitioner(cfg.Partition, cfg.Shards, objs)
 	groups, globals := part.split(objs)
-	opts := append([]kwsc.Option(nil), cfg.BuildOptions...)
-	if cfg.FlatLayout {
-		opts = append(opts, kwsc.WithFlatLayout())
-	}
 	shards := make([]shard, cfg.Shards)
 	for i := range shards {
 		if len(groups[i]) == 0 {
@@ -162,7 +155,7 @@ func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d dataset: %w", i, err)
 		}
-		deg, err := kwsc.NewDegraded(ds, cfg.K, opts...)
+		deg, err := kwsc.NewDegraded(ds, cfg.K, cfg.BuildOptions...)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d index: %w", i, err)
 		}

@@ -175,32 +175,11 @@ func WithTracer(t Tracer) Option { return core.WithTracer(t) }
 // monitoring).
 func WithoutObs() Option { return core.WithoutObs() }
 
-// WithFlatLayout converts the index to the cache-conscious flat layout at the
-// end of construction: tree nodes re-ordered into BFS order with implicit
-// contiguous child addressing, node payloads packed into shared arenas,
-// materialized keyword lists delta-encoded into fixed-size bit-packed blocks,
-// and per-child non-emptiness tensors concatenated into one bit arena.
-// Queries answer identically to the pointer layout (same results, stats, and
-// policy semantics); resident memory shrinks and conjunctive queries speed up
-// on large inputs. Built indexes can also be converted in place later via
-// their Flatten method (ORPKW, ORPKWHigh, LCKW), e.g. after a warm-up phase —
-// but never concurrently with queries. Dynamic indexes (NewDynamicORPKW)
-// rebuild their static parts on merge and do not retain the flag; flatten the
-// static snapshot instead.
-func WithFlatLayout() Option { return core.WithFlatLayout() }
-
 // NewORPKW builds the Theorem 1 index: O(N) space and
 // O(N^{1-1/k} (1 + OUT^{1/k})) query time for d <= 2 (any d is accepted;
 // for d >= 3 prefer NewORPKWHigh, whose query bound is dimension-free).
 func NewORPKW(ds *Dataset, k int, opts ...Option) (*ORPKW, error) {
 	return core.BuildORPKW(ds, k, opts...)
-}
-
-// NewORPKWWith is NewORPKW with an explicit options struct.
-//
-// Deprecated: use NewORPKW with Option values.
-func NewORPKWWith(ds *Dataset, k int, opts BuildOpts) (*ORPKW, error) {
-	return core.BuildORPKWWith(ds, k, opts)
 }
 
 // NewORPKWHigh builds the Theorem 2 index for d >= 3:
@@ -209,25 +188,11 @@ func NewORPKWHigh(ds *Dataset, k int, opts ...Option) (*ORPKWHigh, error) {
 	return core.BuildORPKWHigh(ds, k, opts...)
 }
 
-// NewORPKWHighWith is NewORPKWHigh with an explicit options struct.
-//
-// Deprecated: use NewORPKWHigh with Option values.
-func NewORPKWHighWith(ds *Dataset, k int, opts BuildOpts) (*ORPKWHigh, error) {
-	return core.BuildORPKWHighWith(ds, k, opts)
-}
-
 // NewRRKW builds the Corollary 3 index over d-rectangles; queries report
 // the data rectangles intersecting a query rectangle that carry all k
 // keywords.
 func NewRRKW(rects []RectObject, k int, opts ...Option) (*RRKW, error) {
 	return core.BuildRRKW(rects, k, opts...)
-}
-
-// NewRRKWWith is NewRRKW with an explicit options struct.
-//
-// Deprecated: use NewRRKW with Option values.
-func NewRRKWWith(rects []RectObject, k int, opts BuildOpts) (*RRKW, error) {
-	return core.BuildRRKWWith(rects, k, opts)
 }
 
 // NewLCKW builds the Theorem 5 / Theorem 12 index: linear-conjunction and
@@ -245,37 +210,16 @@ func NewSRPKW(ds *Dataset, k int, opts ...Option) (*SRPKW, error) {
 	return core.BuildSRPKW(ds, k, opts...)
 }
 
-// NewSRPKWWith is NewSRPKW with an explicit options struct.
-//
-// Deprecated: use NewSRPKW with Option values.
-func NewSRPKWWith(ds *Dataset, k int, opts BuildOpts) (*SRPKW, error) {
-	return core.BuildSRPKWWith(ds, k, opts)
-}
-
 // NewLinfNN builds the Corollary 4 index: t nearest neighbors under L∞
 // among the objects carrying all k keywords.
 func NewLinfNN(ds *Dataset, k int, opts ...Option) (*LinfNN, error) {
 	return core.BuildLinfNN(ds, k, opts...)
 }
 
-// NewLinfNNWith is NewLinfNN with an explicit options struct.
-//
-// Deprecated: use NewLinfNN with Option values.
-func NewLinfNNWith(ds *Dataset, k int, opts BuildOpts) (*LinfNN, error) {
-	return core.BuildLinfNNWith(ds, k, opts)
-}
-
 // NewL2NN builds the Corollary 7 index: t nearest neighbors under L2 among
 // the objects carrying all k keywords; coordinates must be integers.
 func NewL2NN(ds *Dataset, k int, opts ...Option) (*L2NN, error) {
 	return core.BuildL2NN(ds, k, opts...)
-}
-
-// NewL2NNWith is NewL2NN with an explicit options struct.
-//
-// Deprecated: use NewL2NN with Option values.
-func NewL2NNWith(ds *Dataset, k int, opts BuildOpts) (*L2NN, error) {
-	return core.BuildL2NNWith(ds, k, opts)
 }
 
 // NewKSI builds the Section 1.2 index over explicit sets: reporting and
@@ -450,8 +394,7 @@ func NewPlanner(ds *Dataset, k int, opts ...Option) (*QueryPlanner, error) {
 	return core.BuildPlanner(ds, k, opts...)
 }
 
-// Resilience: every query accepts an ExecPolicy (via QueryOpts.Policy or the
-// NN QueryWith variants) bounding its execution by wall-clock deadline, node
+// Resilience: every query accepts an ExecPolicy (via QueryOpts.Policy) bounding its execution by wall-clock deadline, node
 // budget, result cap, and cancellation channel. A policy stop returns the
 // results reported so far — a prefix of the full answer — together with a
 // typed error (ErrDeadline, ErrBudget, ErrCanceled). Index-internal panics

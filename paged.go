@@ -10,7 +10,7 @@ import (
 // container format (page-aligned columns, per-page checksums) and serve them
 // back through a mapping instead of a rebuild or a full decode:
 //
-//   - Static indexes: SavePagedORPKW / SavePagedLCKW persist a flattened
+//   - Static indexes: SavePagedORPKW / SavePagedLCKW persist a built
 //     index; OpenPagedORPKW / OpenPagedLCKW map it and serve queries whose
 //     results, stats, and stop points are byte-identical to the in-RAM
 //     index. The big columns (coordinates, posting payloads, tensors) alias
@@ -36,8 +36,7 @@ type PagedHandle = flatio.Handle
 // CapPages bounds resident pages in pread mode, NoMmap forces pread.
 type PagedBaseOptions = core.PagedBaseOptions
 
-// SavePagedORPKW persists a flattened ORP-KW index (build with
-// WithFlatLayout, or call Flatten first) as a paged container at path,
+// SavePagedORPKW persists an ORP-KW index as a paged container at path,
 // atomically.
 func SavePagedORPKW(path string, ix *ORPKW) error {
 	return flatio.SaveFileORPKW(path, ix)
@@ -51,7 +50,7 @@ func OpenPagedORPKW(path string, o PagedFileOptions, opts ...Option) (*ORPKW, *P
 	return flatio.OpenORPKW(path, o, opts...)
 }
 
-// SavePagedLCKW persists a flattened LC-KW index. The index must use a
+// SavePagedLCKW persists an LC-KW index. The index must use a
 // rectangle splitter (&kwsc.BoxSplitter{Dim: d}); the default d=2 Willard
 // substrate has polygon cells with no serialized form and is refused.
 func SavePagedLCKW(path string, ix *LCKW) error {
