@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet vet-pager cover bench bench-1m bench-save bench-compare bench-coldstart check crash fuzz-smoke serve-smoke replica-smoke bench-serve repro repro-quick examples clean
+.PHONY: all build test race vet vet-pager bench-check cover bench bench-1m bench-save bench-compare bench-coldstart check crash fuzz-smoke serve-smoke replica-smoke bench-serve repro repro-quick examples clean
 
 all: build test
 
@@ -15,9 +15,10 @@ all: build test
 # crash-injection suite, a short fuzz smoke over the binary decoders, and an
 # end-to-end serving smoke (kwscd booted, kwsload burst, clean shutdown),
 # and a replication smoke (primary + two followers, bounded-staleness reads
-# surviving a killed follower).
+# surviving a killed follower), and bench-check.
 check: vet
 	$(GO) test ./...
+	$(MAKE) bench-check
 	$(MAKE) race
 	$(MAKE) crash
 	$(MAKE) fuzz-smoke
@@ -76,6 +77,11 @@ vet-pager:
 		echo "checkpoint bytes bypassing internal/pager:"; \
 		echo "$$hits"; exit 1; \
 	fi
+
+# bench/ is its own module (replace kwsc => ../), so `go build ./...` and
+# `go test ./...` here never compile it; this keeps the API it pins honest.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Race coverage over the concurrent paths: parallel builds, QueryBatch and
 # shared-index Collect calls, dynamic-index churn against lock-free readers

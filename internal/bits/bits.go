@@ -1,9 +1,7 @@
 // Package bits provides the low-level word-RAM building blocks of the
 // secondary structures T_u in the index-transformation framework
 // (Section 3.2): dense bitsets backing the k-dimensional non-emptiness bit
-// arrays, and an open-addressing uint32 set that plays the role of the
-// "perfect hash table on e.Doc" (footnote 9) giving O(1) keyword membership
-// tests per document.
+// arrays.
 package bits
 
 import "math/bits"
@@ -80,89 +78,3 @@ func (a *Arena) Words() int64 { return int64(len(a.words)) }
 
 // SpaceBits returns the storage footprint in bits.
 func (a *Arena) SpaceBits() int64 { return int64(len(a.words)) * 64 }
-
-// U32Set is an open-addressing hash set of uint32 keys with linear probing.
-// Zero-valued keys are supported via a sentinel flag. The set is built once
-// and then only queried, which is exactly the usage pattern of the per-object
-// document hash tables: construction at indexing time, O(1) expected lookups
-// at query time.
-type U32Set struct {
-	slots   []uint32
-	used    []bool
-	mask    uint32
-	size    int
-	hasZero bool
-}
-
-// NewU32Set builds a set from the given keys (duplicates are collapsed).
-func NewU32Set(keys []uint32) *U32Set {
-	cap := 4
-	for cap < 2*len(keys) {
-		cap <<= 1
-	}
-	s := &U32Set{
-		slots: make([]uint32, cap),
-		used:  make([]bool, cap),
-		mask:  uint32(cap - 1),
-	}
-	for _, k := range keys {
-		s.add(k)
-	}
-	return s
-}
-
-func (s *U32Set) add(k uint32) {
-	if k == 0 {
-		if !s.hasZero {
-			s.hasZero = true
-			s.size++
-		}
-		return
-	}
-	i := hash32(k) & s.mask
-	for s.used[i] {
-		if s.slots[i] == k {
-			return
-		}
-		i = (i + 1) & s.mask
-	}
-	s.used[i] = true
-	s.slots[i] = k
-	s.size++
-}
-
-// Contains reports whether k is in the set.
-func (s *U32Set) Contains(k uint32) bool {
-	if k == 0 {
-		return s.hasZero
-	}
-	i := hash32(k) & s.mask
-	for s.used[i] {
-		if s.slots[i] == k {
-			return true
-		}
-		i = (i + 1) & s.mask
-	}
-	return false
-}
-
-// Size returns the number of distinct keys.
-func (s *U32Set) Size() int { return s.size }
-
-// SpaceWords returns the storage footprint in machine words.
-func (s *U32Set) SpaceWords() int64 {
-	// slots: one uint32 per slot (half word); used: 1 bit rounded to 1/8
-	// word each; count both as words/2 + words/64 conservatively rounded up.
-	return int64(len(s.slots))/2 + int64(len(s.used))/64 + 2
-}
-
-// hash32 is a Fibonacci/multiplicative mix giving good dispersion for
-// sequential keyword ids.
-func hash32(k uint32) uint32 {
-	k ^= k >> 16
-	k *= 0x7feb352d
-	k ^= k >> 15
-	k *= 0x846ca68b
-	k ^= k >> 16
-	return k
-}

@@ -3,7 +3,6 @@ package bits
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDenseBasic(t *testing.T) {
@@ -41,94 +40,6 @@ func TestDenseZeroLength(t *testing.T) {
 	d := NewDense(0)
 	if d.Count() != 0 || d.Len() != 0 {
 		t.Fatal("zero-length bitset misbehaves")
-	}
-}
-
-func TestU32SetBasic(t *testing.T) {
-	s := NewU32Set([]uint32{5, 7, 7, 9})
-	if s.Size() != 3 {
-		t.Fatalf("Size = %d, want 3 (duplicates collapse)", s.Size())
-	}
-	for _, k := range []uint32{5, 7, 9} {
-		if !s.Contains(k) {
-			t.Fatalf("missing key %d", k)
-		}
-	}
-	for _, k := range []uint32{0, 1, 6, 8, 1 << 30} {
-		if s.Contains(k) {
-			t.Fatalf("phantom key %d", k)
-		}
-	}
-}
-
-func TestU32SetZeroKey(t *testing.T) {
-	s := NewU32Set([]uint32{0, 3})
-	if !s.Contains(0) {
-		t.Fatal("zero key lost")
-	}
-	if s.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", s.Size())
-	}
-	s2 := NewU32Set([]uint32{3})
-	if s2.Contains(0) {
-		t.Fatal("phantom zero key")
-	}
-}
-
-func TestU32SetEmpty(t *testing.T) {
-	s := NewU32Set(nil)
-	if s.Size() != 0 || s.Contains(0) || s.Contains(42) {
-		t.Fatal("empty set misbehaves")
-	}
-}
-
-func TestU32SetCollisionHeavy(t *testing.T) {
-	// Sequential keys stress the probe chain.
-	keys := make([]uint32, 1000)
-	for i := range keys {
-		keys[i] = uint32(i * 2)
-	}
-	s := NewU32Set(keys)
-	for i := 0; i < 2000; i++ {
-		want := i%2 == 0
-		if got := s.Contains(uint32(i)); got != want {
-			t.Fatalf("Contains(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestU32SetSpaceWords(t *testing.T) {
-	s := NewU32Set([]uint32{1, 2, 3})
-	if s.SpaceWords() <= 0 {
-		t.Fatal("SpaceWords must be positive")
-	}
-}
-
-// Property: a U32Set agrees with a reference map for arbitrary key sets.
-func TestU32SetAgainstMapProperty(t *testing.T) {
-	f := func(keys []uint32, probes []uint32) bool {
-		ref := make(map[uint32]bool, len(keys))
-		for _, k := range keys {
-			ref[k] = true
-		}
-		s := NewU32Set(keys)
-		if s.Size() != len(ref) {
-			return false
-		}
-		for _, p := range probes {
-			if s.Contains(p) != ref[p] {
-				return false
-			}
-		}
-		for _, k := range keys {
-			if !s.Contains(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

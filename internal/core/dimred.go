@@ -605,7 +605,6 @@ func (ix *ORPKWHigh) accountSpace() {
 	}
 	walk(ix.root)
 	s.AuxWords = ix.rs.SpaceWords() + int64(len(ix.lastPair))*2
-	s.DocHashWords = ix.ds.DocSpaceWords()
 	ix.space = s
 }
 

@@ -557,13 +557,7 @@ func (d *DynamicORPKW) installInto(ns *dynState, entries []dynEntry, minSlot int
 	}
 	objs := make([]dataset.Object, len(entries))
 	for i, e := range entries {
-		// Clone each document: dataset.New re-normalizes docs in place, and
-		// the entry's doc slice is shared with previously published states
-		// that concurrent readers may be scanning right now.
-		objs[i] = dataset.Object{
-			Point: e.obj.Point,
-			Doc:   append([]dataset.Keyword(nil), e.obj.Doc...),
-		}
+		objs[i] = e.obj
 	}
 	ds, err := dataset.New(objs)
 	if err != nil {

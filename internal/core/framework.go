@@ -98,13 +98,12 @@ func bitmapWords(span int) int { return (span + 63) / 64 }
 // space claims of Table 1 are measurable independent of Go allocator
 // overheads.
 type SpaceBreakdown struct {
-	NodeWords    int64 // tree skeleton: cells, child pointers, counters
-	PivotWords   int64 // pivot set entries
-	LargeWords   int64 // large-keyword hash tables
-	MatWords     int64 // materialized small-keyword lists
-	TensorBits   int64 // k-dimensional non-emptiness bit arrays
-	AuxWords     int64 // problem-specific extras (rank tables, coordinate arrays)
-	DocHashWords int64 // per-object document hash tables (footnote 9)
+	NodeWords  int64 // tree skeleton: cells, child pointers, counters
+	PivotWords int64 // pivot set entries
+	LargeWords int64 // large-keyword hash tables
+	MatWords   int64 // materialized small-keyword lists
+	TensorBits int64 // k-dimensional non-emptiness bit arrays
+	AuxWords   int64 // problem-specific extras (rank tables, coordinate arrays)
 }
 
 // TotalWords converts the breakdown to words, charging the bit arrays at
@@ -115,7 +114,7 @@ func (s SpaceBreakdown) TotalWords(wordBits int) int64 {
 		wordBits = 64
 	}
 	return s.NodeWords + s.PivotWords + s.LargeWords + s.MatWords +
-		s.AuxWords + s.DocHashWords + (s.TensorBits+int64(wordBits)-1)/int64(wordBits)
+		s.AuxWords + (s.TensorBits+int64(wordBits)-1)/int64(wordBits)
 }
 
 // FrameworkConfig controls construction.
@@ -555,7 +554,6 @@ func (f *Framework) accountSpace() {
 	s.LargeWords = int64(len(f.largeKeys)) // key + idx = two int32s
 	s.MatWords = (int64(len(f.matRanks))+1)/2 + int64(len(f.matBits)) + 2*int64(len(f.matLists)) + int64(len(f.matKeys))/2
 	s.TensorBits = f.tensorArena.SpaceBits()
-	s.DocHashWords = f.ds.DocSpaceWords()
 	f.space = s
 }
 

@@ -183,6 +183,5 @@ func (m *MultiK) Space() SpaceBreakdown {
 	for _, lst := range m.single {
 		total.AuxWords += int64(len(lst))/2 + 1
 	}
-	total.DocHashWords = m.ds.DocSpaceWords()
 	return total
 }

@@ -94,12 +94,6 @@ func TestFilterOracle(t *testing.T) {
 	}
 }
 
-func TestDocSpaceWordsPositive(t *testing.T) {
-	if small().DocSpaceWords() <= 0 {
-		t.Fatal("DocSpaceWords must be positive")
-	}
-}
-
 func TestRankSpaceDistinctRanks(t *testing.T) {
 	// Heavy ties: all x equal, several y equal.
 	objs := []Object{

@@ -432,3 +432,101 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 		}
 	}
 }
+
+// The dataset columns of a well-framed image are validated like its rank and
+// list columns: each non-canonical edit (dataset's hostileColumns table, fed
+// through a saved image) is refused as codec.ErrCorrupt by both index kinds,
+// mapped or not — never a panic, never an index.
+func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
+	type cols = func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword)
+	hostile := []struct {
+		name string
+		edit cols
+	}{
+		{"points one coordinate short", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			return p[:len(p)-1], s, w
+		}},
+		{"points one coordinate long", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			return append(p, 0), s, w
+		}},
+		{"docStart[0] != 0", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			s[0] = 1
+			return p, s, w
+		}},
+		{"docStart decreasing pair", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			s[1], s[2] = s[2], s[1]
+			return p, s, w
+		}},
+		{"empty document", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			s[2] = s[1]
+			return p, s, w
+		}},
+		{"last offset != len(docWords)", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			s[len(s)-1]++
+			return p, s, w
+		}},
+		{"offset past the end mid-column", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			s[1] = int64(len(w)) + 5
+			return p, s, w
+		}},
+		{"docStart one entry short", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			return p, s[:len(s)-1], w
+		}},
+		{"docWords descending pair", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			w[s[1]], w[s[1]+1] = w[s[1]+1], w[s[1]]
+			return p, s, w
+		}},
+		{"docWords duplicate in one document", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			w[s[1]+1] = w[s[1]]
+			return p, s, w
+		}},
+	}
+
+	ds := testDataset(t, 13, 300, 3) // d=3: SP-KW's d=2 splitter has no flat form
+	orp, err := core.BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	orpPath, spPath := filepath.Join(dir, "orp.kwflat"), filepath.Join(dir, "sp.kwflat")
+	if err := SaveFileORPKW(orpPath, orp); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFileSPKW(spPath, sp); err != nil {
+		t.Fatal(err)
+	}
+	opens := map[string]func(string, Options) (*Handle, error){
+		orpPath: func(p string, o Options) (*Handle, error) { _, h, err := OpenORPKW(p, o); return h, err },
+		spPath:  func(p string, o Options) (*Handle, error) { _, h, err := OpenSPKW(p, o); return h, err },
+	}
+	p0, s0, w0 := ds.Columns()
+	for _, tc := range hostile {
+		p, s, w := tc.edit(slices.Clone(p0), slices.Clone(s0), slices.Clone(w0))
+		for clean, open := range opens {
+			bad := reframe(t, clean, func(id uint32, data []byte) []byte {
+				switch id {
+				case codec.SecFlatPoints:
+					return codec.PutF64s(p)
+				case codec.SecFlatDocStart:
+					return codec.PutI64s(s)
+				case codec.SecFlatDocWords:
+					return codec.PutU32s(w)
+				}
+				return data
+			})
+			for _, o := range []Options{{}, {NoMmap: true}} {
+				h, err := open(bad, o)
+				if err == nil {
+					h.Close()
+				}
+				if !errors.Is(err, codec.ErrCorrupt) {
+					t.Errorf("%s (%s, NoMmap=%v): open returned %v, want codec.ErrCorrupt", tc.name, filepath.Base(clean), o.NoMmap, err)
+				}
+			}
+		}
+	}
+}

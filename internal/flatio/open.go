@@ -6,7 +6,6 @@ import (
 	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
-	"kwsc/internal/geom"
 	"kwsc/internal/pager"
 )
 
@@ -96,10 +95,10 @@ func openSPKWFrom(f *pager.File, c *codec.Container, opts []core.BuildOption) (*
 	return core.NewSPKWFromParts(ds, fw, opts...)
 }
 
-// loadCommon reconstructs the dataset and the flat arena columns shared by
-// both index kinds. The dataset's points and documents alias the mapping
-// when zero-copy reads are in effect — dataset.NewPrenormalized never
-// mutates them, which is what makes PROT_READ aliasing safe.
+// loadCommon wraps the dataset columns and the flat arena columns shared by
+// both index kinds. The dataset aliases the mapping when zero-copy reads are
+// in effect — dataset.FromColumns validates without writing, which is what
+// makes PROT_READ aliasing safe.
 func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.FlatArenas, error) {
 	if meta.Dim < 1 || meta.Dim > 64 {
 		return nil, nil, fmt.Errorf("%w: flat image dimension %d", codec.ErrCorrupt, meta.Dim)
@@ -144,25 +143,10 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(points) != n*dim {
-		return nil, nil, fmt.Errorf("%w: %d point coordinates for %d objects of dimension %d",
-			codec.ErrCorrupt, len(points), n, dim)
+	if len(docStart) != n+1 {
+		return nil, nil, fmt.Errorf("%w: %d document offsets for %d objects", codec.ErrCorrupt, len(docStart), n)
 	}
-	if len(docStart) != n+1 || docStart[0] != 0 || docStart[n] != int64(len(docWords)) {
-		return nil, nil, fmt.Errorf("%w: document offsets malformed", codec.ErrCorrupt)
-	}
-	objs := make([]dataset.Object, n)
-	for i := 0; i < n; i++ {
-		lo, hi := docStart[i], docStart[i+1]
-		if lo > hi {
-			return nil, nil, fmt.Errorf("%w: document offsets decrease at object %d", codec.ErrCorrupt, i)
-		}
-		objs[i] = dataset.Object{
-			Point: geom.Point(points[i*dim : (i+1)*dim]),
-			Doc:   docWords[lo:hi],
-		}
-	}
-	ds, err := dataset.NewPrenormalized(objs)
+	ds, err := dataset.FromColumns(dim, points, docStart, docWords)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
 	}

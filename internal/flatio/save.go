@@ -81,18 +81,10 @@ func SaveFileSPKW(path string, ix *core.SPKW) error {
 // flatSections encodes the framework columns and the dataset image — the
 // sections common to both index kinds.
 func flatSections(a *core.FlatArenas, ds *dataset.Dataset) ([]codec.Section, error) {
-	n, dim := ds.Len(), ds.Dim()
-	if a.NumObjects != n {
+	if n := ds.Len(); a.NumObjects != n {
 		return nil, fmt.Errorf("flatio: flat image indexes %d objects, dataset has %d", a.NumObjects, n)
 	}
-	points := make([]float64, n*dim)
-	docStart := make([]int64, n+1)
-	var docWords []uint32
-	for i := 0; i < n; i++ {
-		copy(points[i*dim:], ds.Point(int32(i)))
-		docWords = append(docWords, ds.Doc(int32(i))...)
-		docStart[i+1] = int64(len(docWords))
-	}
+	points, docStart, docWords := ds.Columns()
 	lists := make([]int32, 0, 3*len(a.MatLists))
 	for _, l := range a.MatLists {
 		lists = append(lists, l.Start, l.N, l.Rep)

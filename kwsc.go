@@ -135,7 +135,8 @@ type (
 )
 
 // NewDataset validates objects (non-empty documents, consistent dimensions)
-// and builds a dataset; documents are sorted and de-duplicated.
+// and copies them into a dataset whose documents are sorted and
+// de-duplicated; objs itself is left as passed.
 func NewDataset(objs []Object) (*Dataset, error) { return dataset.New(objs) }
 
 // NewRect returns the closed rectangle with the given bounds; use math.Inf
