@@ -12,8 +12,8 @@ all: build test
 # builds, QueryBatch workers, shared-index readers, dynamic-index writers vs
 # lock-free readers, the linearizability harness, the metrics registry, the
 # sharded query service) including the failpoint/resilience tests, the
-# crash-injection suite, a short fuzz smoke over the binary decoders, and an
-# end-to-end serving smoke (kwscd booted, kwsload burst, clean shutdown),
+# crash-injection suite, a short fuzz smoke over the untrusted-input decoders,
+# and an end-to-end serving smoke (kwscd booted, kwsload burst, clean shutdown),
 # and a replication smoke (primary + two followers, bounded-staleness reads
 # surviving a killed follower), and bench-check.
 check: vet
@@ -33,8 +33,9 @@ crash:
 	$(GO) test -race -run 'Crash' ./internal/wal/
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
-# codec, the checkpoint codec, WAL recovery, and the delta-block codec behind
-# invidx.Packed and the paged base. Each target runs briefly; use
+# codec, the checkpoint codec, WAL recovery, the delta-block codec behind
+# invidx.Packed and the paged base, and the /v1 wire codec held to
+# encoding/json in both directions. Each target runs briefly; use
 # `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
@@ -43,6 +44,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPagedSnapshot$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 
 build:
 	$(GO) build ./...

@@ -3,27 +3,25 @@
 package serve
 
 import (
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"kwsc"
 	"kwsc/internal/workload"
 )
 
-// TestServerQueryAllocs guards the pooled scatter: a request whose legs all
-// run inline on a 4-shard static server allocates what the response keeps —
-// the QueryResponse, its Shards and its IDs — plus the bounding rectangle,
-// and nothing per leg. (It was 18 per request with a goroutine, an id slice
-// and a local-id slice per leg.) Under the race detector AllocsPerRun is
-// unreliable, hence the build tag.
-func TestServerQueryAllocs(t *testing.T) {
+// inlineRequests is the allocation guards' fixture: a 4-shard static server
+// and 64 requests whose legs all run inline.
+func inlineRequests(t *testing.T) (*Server, []*kwsc.QueryRequest) {
 	const vocab = 1000
 	objs := objectsOf(workload.Gen(workload.Config{Seed: 5, Objects: 20_000, Dim: 2, Vocab: vocab, DocLen: 6}))
 	s, err := NewStatic(objs, Config{Shards: 4, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	rng := rand.New(rand.NewSource(5))
 	var reqs []*kwsc.QueryRequest
 	for len(reqs) < 64 {
@@ -33,6 +31,17 @@ func TestServerQueryAllocs(t *testing.T) {
 			reqs = append(reqs, req)
 		}
 	}
+	return s, reqs
+}
+
+// TestServerQueryAllocs guards the pooled scatter: a request whose legs all
+// run inline on a 4-shard static server allocates what the response keeps —
+// the QueryResponse, its Shards and its IDs — plus the bounding rectangle,
+// and nothing per leg. (It was 18 per request with a goroutine, an id slice
+// and a local-id slice per leg.) Under the race detector AllocsPerRun is
+// unreliable, hence the build tag.
+func TestServerQueryAllocs(t *testing.T) {
+	s, reqs := inlineRequests(t)
 	query := func() {
 		for _, req := range reqs {
 			if _, err := s.Query(req, false); err != nil {
@@ -43,6 +52,36 @@ func TestServerQueryAllocs(t *testing.T) {
 	query() // warm the pools and grow the leg buffers
 	if allocs := testing.AllocsPerRun(20, query) / float64(len(reqs)); allocs > 4 {
 		t.Fatalf("Server.Query allocates %.2f per request, want <= 4", allocs)
+	}
+}
+
+// TestHandlerQueryAllocs guards the wire codec the same way: the same
+// requests as POST /v1/query bodies through Handler().ServeHTTP on a stub
+// writer. What remains per request: the body limiter, the QueryRequest (it
+// escapes to the legs), its rect and three arrays; admission's release
+// closure and flag; Server.Query's four; two header values and the
+// Content-Length digits. (It was 25 with encoding/json on both sides.)
+func TestHandlerQueryAllocs(t *testing.T) {
+	s, queries := inlineRequests(t)
+	reqs := make([]*replayRequest, len(queries))
+	for i, q := range queries {
+		body, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = newReplayRequest(kwsc.PathQuery, body)
+	}
+	h, w := s.Handler(), &stubWriter{h: make(http.Header)}
+	serve := func() {
+		for _, req := range reqs {
+			if status := req.serve(h, w); status != http.StatusOK {
+				t.Fatalf("status %d", status)
+			}
+		}
+	}
+	serve() // warm the pools and grow the buffers
+	if allocs := testing.AllocsPerRun(20, serve) / float64(len(reqs)); allocs > 15 {
+		t.Fatalf("POST /v1/query allocates %.2f per request, want <= 15", allocs)
 	}
 }
 

@@ -74,22 +74,6 @@ func writeError(w http.ResponseWriter, status int, code, detail string) {
 	writeJSON(w, status, kwsc.ErrorResponse{Code: code, Error: detail})
 }
 
-// decode strictly parses a JSON body: unknown fields and trailing garbage are
-// validation errors, bodies over maxBodyBytes fail rather than allocate.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, kwsc.CodeInvalid, "malformed JSON body: "+err.Error())
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, kwsc.CodeInvalid, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
 // errStatus maps a typed service error onto an HTTP status and error code.
 func errStatus(err error) (int, string) {
 	switch {
@@ -155,9 +139,16 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, _ *http.Request) {
 // no merge — replica groups on a peer primary call this per shard.
 func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		buf := getWireBuf()
+		defer putWireBuf(buf)
 		var req kwsc.QueryRequest
-		if !decode(w, r, &req) {
+		dec, err := buf.readBody(w, r)
+		if err == nil {
+			err = dec.queryRequest(&req)
+		}
+		if err != nil {
 			replQueryRequests.count(http.StatusBadRequest)
+			writeBadBody(w, err)
 			return
 		}
 		if err := req.Validate(s.cfg.Dim, s.cfg.K); err != nil {
@@ -185,11 +176,12 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 			ids = []int64{}
 		}
 		replQueryRequests.count(http.StatusOK)
-		writeJSON(w, http.StatusOK, legReply{
+		buf.b = appendLegReply(buf.b[:0], &legReply{
 			IDs: ids, Ops: res.st.Ops, Seq: res.seq,
 			Truncated: res.st.Truncated, FellBack: res.st.Fallback,
 			Outcome: out.String(), StalenessMs: res.stalenessMs, Stale: res.stale,
 		})
+		buf.send(w)
 	}
 }
 
@@ -224,9 +216,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		queryLatency.Observe(time.Since(start).Microseconds())
 	}()
 
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	var req kwsc.QueryRequest
-	if !decode(w, r, &req) {
+	dec, err := buf.readBody(w, r)
+	if err == nil {
+		err = dec.queryRequest(&req)
+	}
+	if err != nil {
 		status = http.StatusBadRequest
+		writeBadBody(w, err)
 		return
 	}
 	decision, release := s.adm.acquire(req.Client)
@@ -249,7 +248,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf.b = appendQueryResponse(buf.b[:0], resp)
+	buf.send(w)
 }
 
 func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
@@ -260,9 +260,16 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeLatency.Observe(time.Since(start).Microseconds())
 	}()
 
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	var req kwsc.WriteRequest
-	if !decode(w, r, &req) {
+	dec, err := buf.readBody(w, r)
+	if err == nil {
+		err = dec.writeRequest(&req)
+	}
+	if err != nil {
 		status = http.StatusBadRequest
+		writeBadBody(w, err)
 		return
 	}
 	decision, release := s.adm.acquire(req.Client)
@@ -284,7 +291,8 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf.b = appendWriteResponse(buf.b[:0], resp)
+	buf.send(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
