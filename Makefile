@@ -28,19 +28,20 @@ check: vet
 # Crash-injection suite under the race detector: a panic is armed at every
 # durability failpoint (mid-append, pre-fsync, mid-checkpoint, pre-rename,
 # mid-replay), the "process" dies there, and recovery must reproduce exactly
-# the acknowledged prefix (verified against an inverted-index replay).
+# the acknowledged prefix (verified against an inverted-index replay) — plus
+# the damaged-checkpoint recoveries: fall back to an older one and replay, or
+# refuse a directory whose log cannot bridge to the state that validates.
 crash:
-	$(GO) test -race -run 'Crash' ./internal/wal/
+	$(GO) test -race -run 'Crash|DamagedCheckpoint|LogStartingAfterCheckpoint' ./internal/wal/
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
 # codec, the checkpoint codec, WAL recovery, the delta-block codec behind
-# invidx.Packed and the paged base, and the /v1 wire codec held to
-# encoding/json in both directions. Each target runs briefly; use
+# the paged base, and the /v1 wire codec held to encoding/json in both
+# directions. Each target runs briefly; use
 # `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDataset$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPagedSnapshot$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/

@@ -25,11 +25,10 @@ var fallbacksTotal = obs.Default().Counter("kwsc_fallbacks_total")
 // to give up at that wall-clock point, and the baseline would blow through
 // it too. Validation errors surface unchanged: the query itself is broken.
 type Degraded struct {
-	ds   *Dataset
-	ix   rectCollector
-	k    int
-	inv  *invidx.Index  // raw baseline, exposed via Baseline()
-	pinv *invidx.Packed // block-compressed form driving the fallback path
+	ds  *Dataset
+	ix  rectCollector
+	k   int
+	inv *invidx.Index // the fallback path, exposed via Baseline()
 
 	fallbacks atomic.Int64
 }
@@ -44,7 +43,7 @@ type rectCollector interface {
 // NewDegraded builds the primary index (Theorem 1 for d <= 2, Theorem 2
 // otherwise) plus the inverted-index fallback for k-keyword queries.
 // Construction options (WithParallelism, WithTracer, ...) apply to the
-// primary index; the fallback is always the plain packed baseline.
+// primary index; the fallback is always the plain baseline.
 func NewDegraded(ds *Dataset, k int, opts ...Option) (*Degraded, error) {
 	var ix rectCollector
 	var err error
@@ -56,8 +55,7 @@ func NewDegraded(ds *Dataset, k int, opts ...Option) (*Degraded, error) {
 	if err != nil {
 		return nil, err
 	}
-	inv := invidx.Build(ds)
-	return &Degraded{ds: ds, ix: ix, k: k, inv: inv, pinv: inv.Pack()}, nil
+	return &Degraded{ds: ds, ix: ix, k: k, inv: invidx.Build(ds)}, nil
 }
 
 // Collect answers the query, degrading to the baseline on budget exhaustion
@@ -83,8 +81,8 @@ func (d *Degraded) CollectInto(q *Rect, ws []Keyword, opts QueryOpts, buf []int3
 	if obs.MetricsEnabled() {
 		fallbacksTotal.Inc()
 	}
-	full := d.pinv.KeywordsOnly(q, ws)
-	fst := QueryStats{Fallback: true, Ops: st.Ops + d.pinv.ScanCost(ws), Reported: len(full)}
+	full := d.inv.KeywordsOnly(q, ws)
+	fst := QueryStats{Fallback: true, Ops: st.Ops + d.inv.ScanCost(ws), Reported: len(full)}
 	limit := opts.Limit
 	if opts.Policy.MaxResults > 0 && (limit == 0 || opts.Policy.MaxResults < limit) {
 		limit = opts.Policy.MaxResults

@@ -3,11 +3,13 @@ package kwsc_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"kwsc"
 	"kwsc/internal/core"
+	"kwsc/internal/workload"
 )
 
 func degradedFixture(t *testing.T) (*kwsc.Dataset, *kwsc.Degraded, *kwsc.Rect, []kwsc.Keyword) {
@@ -132,5 +134,43 @@ func TestDegradedFallbackRespectsLimit(t *testing.T) {
 	if !st.Fallback || !st.Truncated || len(got) != 3 {
 		t.Fatalf("fallback with Limit=3: %d results, fallback=%v truncated=%v",
 			len(got), st.Fallback, st.Truncated)
+	}
+}
+
+// TestDegradedForcedFallbackDifferential starves the index path of every
+// query (NodeBudget 1 stops at the root) on generated corpora under both
+// primary indexes — Theorem 1 at d = 2, Theorem 2 at d = 3 — so the
+// inverted-index fallback alone produces each answer, held to the brute-force
+// filter.
+func TestDegradedForcedFallbackDifferential(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		ds := workload.Gen(workload.Config{Seed: int64(40 + dim), Objects: 1500, Dim: dim, Vocab: 24, DocLen: 5})
+		d, err := kwsc.NewDegraded(ds, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(dim)))
+		fallbacks, nonEmpty := 0, 0
+		for trial := 0; trial < 80; trial++ {
+			q, ws := workload.RandRect(rng, dim, 0.2+0.7*rng.Float64()), workload.RandKeywords(rng, 24, 2)
+			want := ds.Filter(q, ws)
+			got, st, err := d.Collect(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{NodeBudget: 1}})
+			if err != nil {
+				t.Fatalf("d=%d trial %d: %v", dim, trial, err)
+			}
+			sameIDSet(t, got, want, "forced fallback")
+			if len(want) > 0 {
+				nonEmpty++
+				if !st.Fallback {
+					t.Fatalf("d=%d trial %d: %d results within a node budget of 1, Fallback unset", dim, trial, len(want))
+				}
+			}
+			if st.Fallback {
+				fallbacks++
+			}
+		}
+		if int64(fallbacks) != d.FallbackCount() || nonEmpty < 40 {
+			t.Fatalf("d=%d: %d fallbacks seen, %d counted, %d non-empty answers of 80", dim, fallbacks, d.FallbackCount(), nonEmpty)
+		}
 	}
 }

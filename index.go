@@ -43,7 +43,10 @@ type Index[Q any] interface {
 // DynamicORPKW and the WAL-backed DurableORPKW. Mutators serialize
 // internally; queries run lock-free against the last published state.
 // Results are reported as (stable handle, object) pairs — positions are
-// meaningless under churn.
+// meaningless under churn. The *Object is scratch, valid only during the
+// callback; copy its Point and Doc slice headers out to keep them. They view
+// immutable index columns and stay readable under later churn — except
+// under WithPagedRecovery without a mapping, where they are scratch too.
 type DynamicIndex interface {
 	// Insert adds an object and returns its stable handle.
 	Insert(obj Object) (int64, error)

@@ -8,9 +8,9 @@ import "math"
 // answers from a block's First when it can, and decodes a block's payload
 // only when the block's [First, Max] window straddles the target; over a raw
 // []int32 (the framework's sparse materialized lists) the whole list plays the
-// part of one decoded block. It is the one packed cursor of the in-memory
-// layouts: invidx.Packed intersects posting lists with it and the framework's
-// stop-node intersection (core) walks materialized lists with it.
+// part of one decoded block. It is the one cursor of the in-memory layouts:
+// the framework's stop-node intersection (core) walks materialized lists
+// with it.
 //
 // A Cursor holds its decode scratch inline, so it allocates nothing and must
 // not be copied between Reset and its last Seek.

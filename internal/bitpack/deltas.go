@@ -14,7 +14,7 @@ import (
 // framework's materialized small-keyword lists in id order — compress to a
 // few bits per entry; the per-block maxima let an intersection skip a block
 // entirely, and decode it only when its [First, Max] window admits a match
-// (see invidx.Packed).
+// (see core.PagedBase).
 
 // BlockSize is the number of values per packed block. 128 deltas at the
 // typical 8-16 bit width keep a block's payload within two or four cache

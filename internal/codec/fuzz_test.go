@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"kwsc/internal/dataset"
-	"kwsc/internal/geom"
 	"kwsc/internal/workload"
 )
 
@@ -55,37 +53,6 @@ func FuzzReadDataset(f *testing.F) {
 		}
 		if back.Len() != got.Len() || back.N() != got.N() {
 			t.Fatalf("re-encode changed shape: (%d,%d) vs (%d,%d)", back.Len(), back.N(), got.Len(), got.N())
-		}
-	})
-}
-
-// FuzzReadSnapshot is the same totality property for checkpoint snapshots.
-func FuzzReadSnapshot(f *testing.F) {
-	s := &Snapshot{
-		K: 2, Dim: 2, LastSeq: 17, NextHandle: 6,
-		Entries: []SnapshotEntry{
-			{Handle: 1, Obj: dataset.Object{Point: geom.Point{0.5, 0.5}, Doc: []dataset.Keyword{1, 2}}},
-			{Handle: 5, Obj: dataset.Object{Point: geom.Point{2, -3}, Doc: []dataset.Keyword{0, 7}}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, s); err != nil {
-		f.Fatal(err)
-	}
-	for _, seed := range fuzzSeeds(buf.Bytes()) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteSnapshot(&out, got); err != nil {
-			t.Fatalf("accepted snapshot fails to re-encode: %v", err)
-		}
-		if _, err := ReadSnapshot(bytes.NewReader(out.Bytes())); err != nil {
-			t.Fatalf("re-encoded snapshot fails to parse: %v", err)
 		}
 	})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the KWCP2 container: the page-aligned, offset-addressed,
-// checksummed layout that paged snapshots (snapshot v2 and the flat index
+// checksummed layout that paged snapshots (checkpoints and the flat index
 // images) are framed in. Unlike the varint stream formats in this package,
 // a KWCP2 file is addressable in place — every section is a page-aligned
 // run of fixed-width little-endian values, so an open file can be served
@@ -33,11 +33,6 @@ import (
 //	  table's own pages are 0 (those pages are covered by the superblock CRC
 //	  and tableCRC instead)
 //	then each remaining section, page-aligned, zero-padded to a page multiple
-//
-// PagedMagic is the KWCP2 container magic, exported so checkpoint readers
-// can sniff the format of a file before choosing a decoder.
-const PagedMagic = pagedMagic
-
 const (
 	pagedMagic   = "KWC2"
 	pagedVersion = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kwsc/internal/dataset"
@@ -14,6 +15,7 @@ import (
 func testPagedSnapshot(seed int64, n int) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	s := &Snapshot{K: 2, Dim: 2, LastSeq: 41, NextHandle: int64(3*n + 10)}
+	var objs []dataset.Object
 	h := int64(-1)
 	for i := 0; i < n; i++ {
 		h += 1 + rng.Int63n(3)
@@ -25,8 +27,11 @@ func testPagedSnapshot(seed int64, n int) *Snapshot {
 		for kw := range doc {
 			obj.Doc = append(obj.Doc, kw)
 		}
-		obj.Doc = dataset.NormalizeDoc(obj.Doc)
-		s.Entries = append(s.Entries, SnapshotEntry{Handle: h, Obj: obj})
+		s.Handles = append(s.Handles, h)
+		objs = append(objs, obj)
+	}
+	if n > 0 {
+		s.Objs = dataset.MustNew(objs)
 	}
 	return s
 }
@@ -36,27 +41,19 @@ func snapshotsEqual(t *testing.T, a, b *Snapshot) {
 	if a.K != b.K || a.Dim != b.Dim || a.LastSeq != b.LastSeq || a.NextHandle != b.NextHandle {
 		t.Fatalf("snapshot headers differ: %+v vs %+v", a, b)
 	}
-	if len(a.Entries) != len(b.Entries) {
-		t.Fatalf("entry counts differ: %d vs %d", len(a.Entries), len(b.Entries))
+	if !slices.Equal(a.Handles, b.Handles) {
+		t.Fatalf("handles differ: %v vs %v", a.Handles, b.Handles)
 	}
-	for i := range a.Entries {
-		x, y := &a.Entries[i], &b.Entries[i]
-		if x.Handle != y.Handle {
-			t.Fatalf("entry %d handle %d vs %d", i, x.Handle, y.Handle)
-		}
-		if len(x.Obj.Point) != len(y.Obj.Point) || len(x.Obj.Doc) != len(y.Obj.Doc) {
-			t.Fatalf("entry %d shape differs", i)
-		}
-		for j := range x.Obj.Point {
-			if x.Obj.Point[j] != y.Obj.Point[j] {
-				t.Fatalf("entry %d point differs", i)
-			}
-		}
-		for j := range x.Obj.Doc {
-			if x.Obj.Doc[j] != y.Obj.Doc[j] {
-				t.Fatalf("entry %d doc differs", i)
-			}
-		}
+	if (a.Objs == nil) != (b.Objs == nil) {
+		t.Fatalf("one snapshot has objects, the other none")
+	}
+	if a.Objs == nil {
+		return
+	}
+	ap, as, aw := a.Objs.Columns()
+	bp, bs, bw := b.Objs.Columns()
+	if !slices.Equal(ap, bp) || !slices.Equal(as, bs) || !slices.Equal(aw, bw) {
+		t.Fatalf("object columns differ")
 	}
 }
 

@@ -5,20 +5,30 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"kwsc/internal/bitpack"
 	"kwsc/internal/dataset"
 )
 
-// Snapshot v2: the same logical payload as Snapshot (live handle/object
-// entries plus the WAL watermark), laid out as KWCP2 columns so a recovered
-// process can serve the checkpoint through a mapping instead of decoding it.
-// The columns are struct-of-arrays images of the entries, plus an inverted
-// index (sorted vocabulary, bitpacked postings of entry *indexes*) that the
-// paged base uses to answer queries without scanning every object.
+// Snapshot is the payload of a durability checkpoint: the live entry set of
+// a dynamic index — a handle column beside the dataset's three — together
+// with the log position the checkpoint supersedes and the handle watermark
+// recovery must resume from. On disk it is a KWCP2 container holding the
+// four columns as they lie in memory, so a recovered process can serve the
+// checkpoint through a mapping instead of decoding it, plus an inverted index
+// (sorted vocabulary, bitpacked postings of entry *indexes*) that the paged
+// base uses to answer queries without scanning every object.
+type Snapshot struct {
+	K          int              // query keyword arity of the index
+	Dim        int              // point dimensionality
+	LastSeq    uint64           // last WAL sequence number the snapshot covers
+	NextHandle int64            // handle the next insertion will be assigned
+	Handles    []int64          // strictly ascending; Handles[i] names object i of Objs
+	Objs       *dataset.Dataset // nil when the snapshot is empty
+}
 
-// Section IDs of a snapshot-v2 container (SecPageCRC is the container's own
+// Section IDs of a snapshot container (SecPageCRC is the container's own
 // table).
 const (
 	SecPageCRC    = 0
@@ -136,35 +146,34 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if s.Dim < 1 || s.Dim > 64 {
 		return fmt.Errorf("codec: snapshot dimension %d outside [1, 64]", s.Dim)
 	}
-	count := len(s.Entries)
-	handles := make([]int64, count)
-	points := make([]float64, count*s.Dim)
-	docStart := make([]int64, count+1)
-	var docWords []uint32
+	count := len(s.Handles)
+	for i, h := range s.Handles {
+		if h < 0 || i > 0 && h <= s.Handles[i-1] {
+			return fmt.Errorf("codec: snapshot handles not strictly increasing at %d", h)
+		}
+	}
+	var points []float64
+	docStart, docWords := []int64{0}, []uint32(nil)
+	if s.Objs != nil {
+		if s.Objs.Dim() != s.Dim {
+			return fmt.Errorf("codec: snapshot objects have dimension %d, want %d", s.Objs.Dim(), s.Dim)
+		}
+		points, docStart, docWords = s.Objs.Columns()
+	}
+	if len(docStart)-1 != count {
+		return fmt.Errorf("codec: snapshot has %d handles for %d objects", count, len(docStart)-1)
+	}
 	postings := map[uint32][]int32{}
-	prev := int64(-1)
-	for i := range s.Entries {
-		e := &s.Entries[i]
-		if e.Handle <= prev {
-			return fmt.Errorf("codec: snapshot handles not strictly increasing at %d", e.Handle)
-		}
-		if len(e.Obj.Point) != s.Dim {
-			return fmt.Errorf("codec: snapshot entry %d has dimension %d, want %d", i, len(e.Obj.Point), s.Dim)
-		}
-		prev = e.Handle
-		handles[i] = e.Handle
-		copy(points[i*s.Dim:], e.Obj.Point)
-		for _, kw := range e.Obj.Doc {
-			docWords = append(docWords, kw)
+	for i := 0; i < count; i++ {
+		for _, kw := range docWords[docStart[i]:docStart[i+1]] {
 			postings[kw] = append(postings[kw], int32(i))
 		}
-		docStart[i+1] = int64(len(docWords))
 	}
 	vocab := make([]uint32, 0, len(postings))
 	for kw := range postings {
 		vocab = append(vocab, kw)
 	}
-	sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
+	slices.Sort(vocab)
 	var arena bitpack.PackedLists
 	lists := make([]bitpack.List, len(vocab))
 	for i, kw := range vocab {
@@ -181,7 +190,7 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 		NextHandle: uint64(s.NextHandle),
 	}
 	return WriteContainer(w, meta.Encode(), []Section{
-		{SecHandles, putI64s(handles)},
+		{SecHandles, putI64s(s.Handles)},
 		{SecPoints, putF64s(points)},
 		{SecDocStart, putI64s(docStart)},
 		{SecDocWords, putU32s(docWords)},
@@ -204,10 +213,10 @@ func sectionExact(c *Container, r io.ReaderAt, id uint32, want int64) ([]byte, e
 	return c.SectionBytes(r, id)
 }
 
-// ReadPagedSnapshot fully decodes a snapshot-v2 container, verifying every
-// page checksum and the structural invariants — the eager path used by
-// classic (non-paged) recovery from a v2 checkpoint. Paged serving opens the
-// same bytes through core's paged base instead and never runs this.
+// ReadPagedSnapshot fully decodes a snapshot container, verifying every page
+// checksum and the structural invariants — the eager path used by classic
+// (non-paged) recovery. Paged serving opens the same bytes through core's
+// paged base instead and never runs this.
 func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	c, err := ParseContainer(r, size)
 	if err != nil {
@@ -244,50 +253,35 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	handles := getI64s(handlesB)
-	points := getF64s(pointsB)
 	docStart := getI64s(docStartB)
-	if docStart[0] != 0 {
-		return nil, fmt.Errorf("%w: document offsets do not start at 0", ErrCorrupt)
-	}
 	total := docStart[count]
 	_, dwLen, _ := c.Section(SecDocWords)
-	if dwLen != 4*total {
+	if total < 0 || dwLen != 4*total {
 		return nil, fmt.Errorf("%w: document words sized %d, offsets claim %d", ErrCorrupt, dwLen, 4*total)
 	}
 	docWordsB, err := c.SectionBytes(r, SecDocWords)
 	if err != nil {
 		return nil, err
 	}
-	docWords := getU32s(docWordsB)
-
 	s := &Snapshot{
 		K: int(meta.K), Dim: int(meta.Dim),
 		LastSeq: meta.LastSeq, NextHandle: int64(meta.NextHandle),
-		Entries: make([]SnapshotEntry, 0, count),
+		Handles: getI64s(handlesB),
 	}
 	prev := int64(-1)
-	for i := int64(0); i < count; i++ {
-		h := handles[i]
+	for _, h := range s.Handles {
 		if h <= prev || h >= s.NextHandle {
 			return nil, fmt.Errorf("%w: snapshot handle %d out of order or past watermark", ErrCorrupt, h)
 		}
 		prev = h
-		lo, hi := docStart[i], docStart[i+1]
-		if lo >= hi {
-			return nil, fmt.Errorf("%w: document length", ErrCorrupt)
+	}
+	if count > 0 {
+		s.Objs, err = dataset.FromColumns(s.Dim, getF64s(pointsB), docStart, getU32s(docWordsB))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		doc := make([]dataset.Keyword, hi-lo)
-		for j := range doc {
-			kw := docWords[lo+int64(j)]
-			if j > 0 && kw <= doc[j-1] {
-				return nil, fmt.Errorf("%w: document keywords not strictly increasing", ErrCorrupt)
-			}
-			doc[j] = kw
-		}
-		p := make([]float64, dim)
-		copy(p, points[i*dim:(i+1)*dim])
-		s.Entries = append(s.Entries, SnapshotEntry{Handle: h, Obj: dataset.Object{Point: p, Doc: doc}})
+	} else if docStart[0] != 0 {
+		return nil, fmt.Errorf("%w: document offsets do not start at 0", ErrCorrupt)
 	}
 
 	// The inverted-index sections are unused on this path but must still be

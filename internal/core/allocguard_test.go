@@ -175,3 +175,47 @@ func TestPagedBaseQueryZeroAllocsMapped(t *testing.T) {
 		t.Fatalf("%d objects reported across %d runs, want 500 each", reported, runs)
 	}
 }
+
+// A dynamic query allocates its bucket callback and the scratch Object
+// beside the live count once — not per bucket it visits (the parent: 11 over
+// these 5) and never per reported result: the reported Point and Doc are
+// views of the bucket's columns.
+func TestDynamicQueryAllocsIndependentOfResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	d, err := NewDynamicORPKW(2, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8*0b11111; i++ { // buckets 0..4 occupied, buffer empty
+		if _, err := d.Insert(randObj(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nb := d.NumBuckets(); nb != 5 {
+		t.Fatalf("%d buckets, want 5", nb)
+	}
+	ws := []dataset.Keyword{0, 1}
+	measure := func(q *geom.Rect) (allocs float64, reported int) {
+		report := func(int64, *dataset.Object) { reported++ }
+		for i := 0; i < 4; i++ { // warm the per-bucket pools
+			if _, err := d.QueryWith(q, ws, QueryOpts{}, report); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reported = 0
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := d.QueryWith(q, ws, QueryOpts{}, report); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, reported / 101
+	}
+	few, nFew := measure(geom.NewRect([]float64{0.4, 0.4}, []float64{0.6, 0.6}))
+	many, nMany := measure(geom.UniverseRect(2))
+	if nMany < nFew+5 {
+		t.Fatalf("queries report %d and %d results; test is vacuous", nFew, nMany)
+	}
+	if many > 3 || many != few {
+		t.Fatalf("dynamic query allocates %v for %d results, %v for %d; want <= 3 and equal", many, nMany, few, nFew)
+	}
+}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -219,18 +219,104 @@ type BaseIndex interface {
 	// EstimateWork bounds the work units Query spends on ws, from resident
 	// structures alone.
 	EstimateWork(ws []dataset.Keyword) int64
-	// Entries decodes every base entry, ascending by handle.
-	Entries() ([]DynEntry, error)
+	// Entries decodes every base entry as an entry set: handles strictly
+	// ascending, handles[i] naming object i of objs (nil when the base is
+	// empty).
+	Entries() (handles []int64, objs *dataset.Dataset, err error)
 	// Close releases the base's resources (file references, mappings).
 	Close() error
 }
 
-// dynBucket is one static part. It is immutable after construction: the
-// entries slice is never appended to or reordered, and the static index is
-// safe for concurrent readers, so buckets are shared freely across states.
+// dynBucket is one static part: an index and the handle column beside its
+// dataset's three — handles[i], strictly ascending, names object i. It is
+// immutable after construction and the static index is safe for concurrent
+// readers, so buckets are shared freely across states.
 type dynBucket struct {
 	ix      *ORPKW
-	entries []dynEntry // parallel to the bucket dataset's object ids
+	handles []int64
+}
+
+// has finds a handle as PagedBase.Has does, by binary search.
+func (b *dynBucket) has(h int64) bool {
+	_, ok := slices.BinarySearch(b.handles, h)
+	return ok
+}
+
+// entryCols gathers (handle, object) pairs straight into the four columns of
+// an entry set, skipping the handles dead accepts (nil keeps everything).
+type entryCols struct {
+	dim      int
+	dead     func(int64) bool
+	handles  []int64
+	points   []float64
+	docStart []int64
+	docWords []dataset.Keyword
+}
+
+func (c *entryCols) add(h int64, p geom.Point, doc []dataset.Keyword) {
+	if len(c.docStart) == 0 {
+		c.docStart = append(c.docStart, 0)
+	}
+	c.handles = append(c.handles, h)
+	c.points = append(c.points, p...)
+	c.docWords = append(c.docWords, doc...)
+	c.docStart = append(c.docStart, int64(len(c.docWords)))
+}
+
+// addSet appends the live entries of one entry set (objs nil when empty).
+func (c *entryCols) addSet(handles []int64, objs *dataset.Dataset) {
+	c.handles = slices.Grow(c.handles, len(handles))
+	c.points = slices.Grow(c.points, len(handles)*c.dim)
+	c.docStart = slices.Grow(c.docStart, len(handles)+1)
+	if objs != nil {
+		c.docWords = slices.Grow(c.docWords, int(objs.N()))
+	}
+	for i, h := range handles {
+		if c.dead == nil || !c.dead(h) {
+			c.add(h, objs.Point(int32(i)), objs.Doc(int32(i)))
+		}
+	}
+}
+
+// addParts appends buckets and then the write buffer — oldest first, since a
+// higher slot holds older entries than a lower one and the buffer is the
+// newest part.
+func (c *entryCols) addParts(buckets []*dynBucket, buffer []dynEntry) {
+	for i := len(buckets) - 1; i >= 0; i-- {
+		if b := buckets[i]; b != nil {
+			c.addSet(b.handles, b.ix.ds)
+		}
+	}
+	for i := range buffer {
+		c.add(buffer[i].handle, buffer[i].obj.Point, buffer[i].obj.Doc)
+	}
+}
+
+// finish returns the gathered entry set (nil, nil when empty). Gathering
+// oldest-first leaves the handles ascending already; the permutation is the
+// fallback for a merge that cascaded into an older bucket.
+func (c *entryCols) finish() ([]int64, *dataset.Dataset, error) {
+	if len(c.handles) == 0 {
+		return nil, nil, nil
+	}
+	if !slices.IsSorted(c.handles) {
+		perm := make([]int32, len(c.handles))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(c.handles[a], c.handles[b]) })
+		sorted := entryCols{dim: c.dim}
+		for _, i := range perm {
+			lo, hi := c.docStart[i], c.docStart[i+1]
+			sorted.add(c.handles[i], c.points[int(i)*c.dim:(int(i)+1)*c.dim], c.docWords[lo:hi])
+		}
+		*c = sorted
+	}
+	objs, err := dataset.FromColumns(c.dim, c.points, c.docStart, c.docWords)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.handles, objs, nil
 }
 
 // NewDynamicORPKW creates an empty dynamic index for k-keyword queries over
@@ -375,9 +461,7 @@ func (d *DynamicORPKW) Delete(handle int64) (bool, error) {
 		return false, nil
 	}
 	// Locate the handle first — in the buffer, the base, or some bucket —
-	// so the journal only ever records deletions of live handles. The base
-	// check precedes the bucket scan because Has is a binary search while
-	// the bucket scan is linear.
+	// so the journal only ever records deletions of live handles.
 	bufIdx := -1
 	for i := range st.buffer {
 		if st.buffer[i].handle == handle {
@@ -389,25 +473,8 @@ func (d *DynamicORPKW) Delete(handle int64) (bool, error) {
 	if bufIdx < 0 {
 		if st.base != nil && st.base.Has(handle) {
 			inBase = true
-		} else {
-			found := false
-			for _, b := range st.buckets {
-				if b == nil {
-					continue
-				}
-				for i := range b.entries {
-					if b.entries[i].handle == handle {
-						found = true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-			if !found {
-				return false, nil
-			}
+		} else if !slices.ContainsFunc(st.buckets, func(b *dynBucket) bool { return b != nil && b.has(handle) }) {
+			return false, nil
 		}
 	}
 	if d.journal != nil {
@@ -461,21 +528,20 @@ func (d *DynamicORPKW) carried(st *dynState) (*dynState, error) {
 	if d.fam != famNone {
 		dynCarries.Inc()
 	}
-	entries := append([]dynEntry(nil), st.buffer...)
 	buckets := append([]*dynBucket(nil), st.buckets...)
 	slot := 0
 	for slot < len(buckets) && buckets[slot] != nil {
-		entries = append(entries, buckets[slot].entries...)
-		buckets[slot] = nil
 		slot++
 	}
 	tombs := st.deleted.materialize()
-	entries = purge(entries, tombs)
+	c := d.purging(tombs)
+	c.addParts(buckets[:slot], st.buffer)
+	clear(buckets[:slot])
 	ns := &dynState{
 		buckets: buckets, base: st.base, baseTombs: st.baseTombs,
 		nextHandle: st.nextHandle, live: st.live, seq: st.seq,
 	}
-	if err := d.installInto(ns, entries, slot, tombs); err != nil {
+	if err := d.installInto(ns, c, slot); err != nil {
 		return nil, err
 	}
 	ns.deleted = tombSetFrom(tombs)
@@ -488,88 +554,75 @@ func (d *DynamicORPKW) rebuilt(st *dynState) (*dynState, error) {
 	if d.fam != famNone {
 		dynRebuilds.Inc()
 	}
-	entries := append([]dynEntry(nil), st.buffer...)
-	for _, b := range st.buckets {
-		if b != nil {
-			entries = append(entries, b.entries...)
-		}
-	}
 	tombs := st.deleted.materialize()
-	entries = purge(entries, tombs)
+	c := d.purging(tombs)
+	c.addParts(st.buckets, st.buffer)
 	ns := &dynState{
 		base: st.base, baseTombs: st.baseTombs,
 		nextHandle: st.nextHandle, live: st.live, seq: st.seq,
 	}
-	if len(entries) == 0 {
-		// Base tombstones survive every rebuild (the base is immutable), so
-		// the set is not necessarily empty here.
-		ns.deleted = tombSetFrom(tombs)
-		return ns, nil
-	}
-	if err := d.installInto(ns, entries, 0, tombs); err != nil {
+	if err := d.installInto(ns, c, 0); err != nil {
 		return nil, err
 	}
 	// Every purgeable tombstone names a bucket entry and every bucket was
-	// merged, so the purge consumed all but the base tombstones.
+	// merged, so the purge consumed all but the base tombstones (the base is
+	// immutable: those survive every rebuild).
 	ns.deleted = tombSetFrom(tombs)
 	return ns, nil
 }
 
-// purge filters out tombstoned entries, consuming the matched handles from
-// tombs. entries must be privately owned by the caller (it is filtered in
-// place); published slices are never passed here.
-func purge(entries []dynEntry, tombs map[int64]struct{}) []dynEntry {
-	out := entries[:0]
-	for _, e := range entries {
-		if _, gone := tombs[e.handle]; gone {
-			delete(tombs, e.handle)
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+// purging returns an empty gatherer that drops tombstoned entries, consuming
+// the matched handles from tombs (a private copy, never a published set).
+func (d *DynamicORPKW) purging(tombs map[int64]struct{}) *entryCols {
+	return &entryCols{dim: d.dim, dead: func(h int64) bool {
+		_, gone := tombs[h]
+		delete(tombs, h)
+		return gone
+	}}
 }
 
-// installInto places entries in the smallest slot >= minSlot of ns.buckets
-// whose capacity bufferCap<<slot holds them, growing the bucket slice as
-// needed. ns must be an unpublished state under construction whose buckets
-// slice is privately owned; entries and tombs likewise.
-func (d *DynamicORPKW) installInto(ns *dynState, entries []dynEntry, minSlot int, tombs map[int64]struct{}) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	slot := minSlot
-	for d.bufferCap<<slot < len(entries) {
-		slot++
-	}
+// installInto places the gathered entries in the smallest slot >= minSlot of
+// ns.buckets whose capacity bufferCap<<slot holds them, growing the bucket
+// slice as needed. ns must be an unpublished state under construction whose
+// buckets slice is privately owned.
+func (d *DynamicORPKW) installInto(ns *dynState, c *entryCols, minSlot int) error {
+	slot := d.slotFor(len(c.handles), minSlot)
 	// The target slot may be occupied when a purge shrank a merge below its
 	// natural size; cascade upward.
 	for slot < len(ns.buckets) && ns.buckets[slot] != nil {
-		entries = append(entries, ns.buckets[slot].entries...)
+		c.addSet(ns.buckets[slot].handles, ns.buckets[slot].ix.ds)
 		ns.buckets[slot] = nil
-		entries = purge(entries, tombs)
-		for d.bufferCap<<slot < len(entries) {
-			slot++
-		}
+		slot = d.slotFor(len(c.handles), slot)
+	}
+	handles, objs, err := c.finish()
+	if err != nil || objs == nil {
+		return err
+	}
+	return d.installBucket(ns, slot, handles, objs)
+}
+
+// slotFor returns the smallest slot >= minSlot whose capacity holds n entries.
+func (d *DynamicORPKW) slotFor(n, minSlot int) int {
+	slot := minSlot
+	for d.bufferCap<<slot < n {
+		slot++
+	}
+	return slot
+}
+
+// installBucket builds the static index over an entry set — whose columns
+// become the bucket's own — and stores it in ns.buckets[slot].
+func (d *DynamicORPKW) installBucket(ns *dynState, slot int, handles []int64, objs *dataset.Dataset) error {
+	// Bucket indexes are internal parts: built untagged so a dynamic query
+	// is counted once, under the dynamic family.
+	ix, err := BuildORPKWWith(objs, d.k, d.bopts.inner())
+	if err != nil {
+		return err
 	}
 	for len(ns.buckets) <= slot {
 		ns.buckets = append(ns.buckets, nil)
 	}
-	objs := make([]dataset.Object, len(entries))
-	for i, e := range entries {
-		objs[i] = e.obj
-	}
-	ds, err := dataset.New(objs)
-	if err != nil {
-		return err
-	}
-	// Bucket indexes are internal parts: built untagged so a dynamic query
-	// is counted once, under the dynamic family.
-	ix, err := BuildORPKWWith(ds, d.k, d.bopts.inner())
-	if err != nil {
-		return err
-	}
-	ns.buckets[slot] = &dynBucket{ix: ix, entries: entries}
+	ns.buckets[slot] = &dynBucket{ix: ix, handles: handles}
 	return nil
 }
 
@@ -655,6 +708,29 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 			return st, berr
 		}
 	}
+	// One callback and one scratch for every bucket, so a query allocates
+	// them once however many buckets it visits. Live results are counted
+	// here, not by the bucket's own stats: tombstoned hits must not count
+	// toward the limit. A hit is reported through the scratch object, whose
+	// Point and Doc are views of the bucket's columns — the contract
+	// BaseIndex.Query documents.
+	var hit struct {
+		b    *dynBucket
+		live int
+		obj  dataset.Object
+	}
+	emit := func(id int32) {
+		h := hit.b.handles[id]
+		if sn.deleted.has(h) {
+			return
+		}
+		if opts.Limit > 0 && st.Reported+hit.live >= opts.Limit {
+			return
+		}
+		hit.obj.Point, hit.obj.Doc = hit.b.ix.ds.Point(id), hit.b.ix.ds.Doc(id)
+		report(h, &hit.obj)
+		hit.live++
+	}
 	for _, b := range sn.buckets {
 		if b == nil {
 			continue
@@ -664,22 +740,10 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 			st.Truncated = true
 			return st, nil
 		}
-		// Reported live results are tracked here, not by the bucket's own
-		// stats: tombstoned hits must not count toward the limit.
-		live := 0
+		hit.b, hit.live = b, 0
 		bopts := QueryOpts{Budget: opts.Budget, Policy: opts.Policy.shrunk(st.Ops)}
-		bst, berr := b.ix.Query(q, ws, bopts, func(id int32) {
-			e := &b.entries[id]
-			if sn.deleted.has(e.handle) {
-				return
-			}
-			if opts.Limit > 0 && st.Reported+live >= opts.Limit {
-				return
-			}
-			report(e.handle, &e.obj)
-			live++
-		})
-		bst.Reported = live
+		bst, berr := b.ix.Query(q, ws, bopts, emit)
+		bst.Reported = hit.live
 		st.add(bst)
 		if berr != nil {
 			return st, berr
@@ -705,7 +769,7 @@ func (d *DynamicORPKW) Buckets() []int {
 	out := make([]int, len(st.buckets))
 	for i, b := range st.buckets {
 		if b != nil {
-			out[i] = len(b.entries)
+			out[i] = len(b.handles)
 		}
 	}
 	return out
@@ -789,90 +853,58 @@ func (s *DynSnapshot) Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, Quer
 	return out, st, err
 }
 
-// DynEntry is one live (handle, object) pair of a dynamic index — the unit
-// of a durability snapshot.
-type DynEntry struct {
-	Handle int64
-	Obj    dataset.Object
-}
-
-// Entries returns every entry live at the pinned seq in ascending handle
-// order. The returned objects alias the index's internal copies; callers
-// must treat them as read-only (holding them across further mutations is
-// fine — the pinned state is immutable). With a paged base attached the
-// base file is read in full, which can fail (I/O, checksum) — hence the
-// error.
-func (s *DynSnapshot) Entries() ([]DynEntry, error) {
+// Entries returns the entry set live at the pinned seq: handles strictly
+// ascending, handles[i] naming object i of objs (nil when nothing is live).
+// The columns are freshly gathered and owned by the caller. With a paged
+// base attached the base file is read in full, which can fail (I/O,
+// checksum) — hence the error.
+func (s *DynSnapshot) Entries() (handles []int64, objs *dataset.Dataset, err error) {
 	st := s.st
-	out := make([]DynEntry, 0, st.live)
+	c := &entryCols{dim: s.d.dim, dead: st.deleted.has}
 	if st.base != nil {
-		bes, err := st.base.Entries()
-		if err != nil {
-			return nil, err
+		bh, bobjs, berr := st.base.Entries()
+		if berr != nil {
+			return nil, nil, berr
 		}
-		for i := range bes {
-			if !st.deleted.has(bes[i].Handle) {
-				out = append(out, bes[i])
-			}
-		}
+		c.addSet(bh, bobjs)
 	}
-	for i := range st.buffer {
-		out = append(out, DynEntry{Handle: st.buffer[i].handle, Obj: st.buffer[i].obj})
-	}
-	for _, b := range st.buckets {
-		if b == nil {
-			continue
-		}
-		for i := range b.entries {
-			e := &b.entries[i]
-			if st.deleted.has(e.handle) {
-				continue
-			}
-			out = append(out, DynEntry{Handle: e.handle, Obj: e.obj})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Handle < out[b].Handle })
-	return out, nil
+	c.addParts(st.buckets, st.buffer)
+	return c.finish()
 }
 
 // RestoreDynamicORPKW rebuilds a dynamic index from a durability snapshot:
-// the live entries (any order; they are sorted by handle) plus the
-// next-handle watermark, which must exceed every entry's handle so that
-// handles assigned after recovery never collide with restored ones. The
-// whole load is published as one state; use SetSeq afterwards to align the
-// sequence number with the snapshot's journal position.
-func RestoreDynamicORPKW(dim, k, bufferCap int, entries []DynEntry, nextHandle int64, opts ...BuildOption) (*DynamicORPKW, error) {
+// the entry set a checkpoint stores (handles strictly ascending beside objs,
+// nil when empty) plus the next-handle watermark, which must exceed every
+// handle so that handles assigned after recovery never collide with restored
+// ones. The set becomes one bucket as it stands — the state a full rebuild
+// produces — and objs must not be written to afterwards. Use SetSeq to align
+// the sequence number with the snapshot's journal position.
+func RestoreDynamicORPKW(dim, k, bufferCap int, handles []int64, objs *dataset.Dataset, nextHandle int64, opts ...BuildOption) (*DynamicORPKW, error) {
 	d, err := NewDynamicORPKW(dim, k, bufferCap, opts...)
 	if err != nil {
 		return nil, err
 	}
-	sorted := append([]DynEntry(nil), entries...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Handle < sorted[b].Handle })
-	st := &dynState{}
-	for i, e := range sorted {
-		if e.Handle < 0 || e.Handle >= nextHandle {
-			return nil, fmt.Errorf("core: snapshot handle %d outside [0, %d)", e.Handle, nextHandle)
+	n, odim := 0, dim
+	if objs != nil {
+		n, odim = objs.Len(), objs.Dim()
+	}
+	if n != len(handles) || odim != dim {
+		return nil, fmt.Errorf("core: snapshot has %d handles for %d objects of dimension %d, index dimension %d",
+			len(handles), n, odim, dim)
+	}
+	prev := int64(-1)
+	for _, h := range handles {
+		if h <= prev || h >= nextHandle {
+			return nil, fmt.Errorf("core: snapshot handle %d out of order or outside [0, %d)", h, nextHandle)
 		}
-		if i > 0 && e.Handle == sorted[i-1].Handle {
-			return nil, fmt.Errorf("core: duplicate snapshot handle %d", e.Handle)
-		}
-		if len(e.Obj.Point) != dim {
-			return nil, fmt.Errorf("core: snapshot object dimension %d, index dimension %d", len(e.Obj.Point), dim)
-		}
-		if len(e.Obj.Doc) == 0 {
-			return nil, fmt.Errorf("core: snapshot object with empty document")
-		}
-		st.buffer = append(st.buffer, dynEntry{handle: e.Handle, obj: e.Obj})
-		st.live++
-		if len(st.buffer) >= d.bufferCap {
-			ns, err := d.carried(st)
-			if err != nil {
-				return nil, err
-			}
-			st = ns
+		prev = h
+	}
+	st := &dynState{nextHandle: nextHandle, live: n}
+	if n > 0 {
+		if err := d.installBucket(st, d.slotFor(n, 0), handles, objs); err != nil {
+			return nil, err
 		}
 	}
-	st.nextHandle = nextHandle
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.publish(d.state.Load(), st)
@@ -903,12 +935,3 @@ func RestoreDynamicORPKWFromBase(dim, k, bufferCap int, base BaseIndex, nextHand
 // Base returns the immutable bottom layer, or nil. The durability layer
 // uses it to close the base's file reference on shutdown.
 func (d *DynamicORPKW) Base() BaseIndex { return d.state.Load().base }
-
-// expectedBuckets returns the binary-counter bucket count for n entries and
-// buffer capacity b (a test helper kept here for documentation value).
-func expectedBuckets(n, b int) int {
-	if n <= 0 {
-		return 0
-	}
-	return bits.OnesCount(uint(n / b))
-}

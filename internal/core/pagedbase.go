@@ -107,7 +107,7 @@ func errBase(format string, args ...any) error {
 	return fmt.Errorf("core: paged base: "+format, args...)
 }
 
-// OpenPagedBase opens a snapshot-v2 checkpoint for in-place serving. The
+// OpenPagedBase opens a checkpoint for in-place serving. The
 // returned base holds a pager reference on the file until Close.
 func OpenPagedBase(path string, o PagedBaseOptions) (*PagedBase, error) {
 	var popts []pager.OpenOption
@@ -745,24 +745,20 @@ next:
 	}
 }
 
-// Entries decodes every base entry — the checkpoint-writing path, which is
-// allowed to touch the whole file.
-func (b *PagedBase) Entries() ([]DynEntry, error) {
+// Entries decodes every base entry into the four columns — the
+// checkpoint-writing path, which is allowed to touch the whole file.
+func (b *PagedBase) Entries() ([]int64, *dataset.Dataset, error) {
 	r, err := b.getReader()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer b.putReader(r)
-	out := make([]DynEntry, 0, b.count)
+	c := entryCols{dim: b.dim}
 	for i := int64(0); i < b.count; i++ {
-		obj := dataset.Object{
-			Point: append(geom.Point(nil), r.pointOf(i)...),
-			Doc:   append([]dataset.Keyword(nil), r.docOf(i)...),
-		}
-		out = append(out, DynEntry{Handle: r.handleAt(i), Obj: obj})
+		c.add(r.handleAt(i), r.pointOf(i), r.docOf(i))
 	}
 	if err := r.err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return c.finish()
 }

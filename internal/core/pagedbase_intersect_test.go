@@ -23,14 +23,14 @@ import (
 func snapshotOfDocs(k int, docs [][]dataset.Keyword, seed int64) *codec.Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	s := &codec.Snapshot{K: k, Dim: 2, LastSeq: uint64(len(docs))}
+	objs := make([]dataset.Object, len(docs))
 	h := int64(-1)
-	for _, doc := range docs {
+	for i, doc := range docs {
 		h += 1 + int64(rng.Intn(3))
-		s.Entries = append(s.Entries, codec.SnapshotEntry{
-			Handle: h,
-			Obj:    dataset.Object{Point: geom.Point{rng.Float64(), rng.Float64()}, Doc: doc},
-		})
+		s.Handles = append(s.Handles, h)
+		objs[i] = dataset.Object{Point: geom.Point{rng.Float64(), rng.Float64()}, Doc: doc}
 	}
+	s.Objs = dataset.MustNew(objs)
 	s.NextHandle = h + 1
 	return s
 }
@@ -283,9 +283,9 @@ func TestPagedBaseHasPinsOnePage(t *testing.T) {
 	if len(b.handleFence) != 4 {
 		t.Fatalf("fence has %d entries for a 4-page handle column", len(b.handleFence))
 	}
-	present := make(map[int64]bool, len(snap.Entries))
-	for _, e := range snap.Entries {
-		present[e.Handle] = true
+	present := make(map[int64]bool, len(snap.Handles))
+	for _, h := range snap.Handles {
+		present[h] = true
 	}
 	for h := int64(-2); h < snap.NextHandle+2; h++ {
 		var has bool

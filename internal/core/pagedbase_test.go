@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"testing"
 
 	"kwsc/internal/codec"
@@ -20,6 +20,7 @@ import (
 func testCheckpointSnapshot(seed int64, n, dim int) *codec.Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	s := &codec.Snapshot{K: 2, Dim: dim, LastSeq: uint64(3 * n)}
+	objs := make([]dataset.Object, n)
 	h := int64(-1)
 	for i := 0; i < n; i++ {
 		h += 1 + int64(rng.Intn(3))
@@ -31,11 +32,10 @@ func testCheckpointSnapshot(seed int64, n, dim int) *codec.Snapshot {
 		for j := range pt {
 			pt[j] = rng.Float64()
 		}
-		s.Entries = append(s.Entries, codec.SnapshotEntry{
-			Handle: h,
-			Obj:    dataset.Object{Point: pt, Doc: dataset.NormalizeDoc(doc)},
-		})
+		s.Handles = append(s.Handles, h)
+		objs[i] = dataset.Object{Point: pt, Doc: doc}
 	}
+	s.Objs = dataset.MustNew(objs)
 	s.NextHandle = h + 1
 	return s
 }
@@ -57,13 +57,9 @@ func writePagedCheckpoint(t *testing.T, dir, name string, snap *codec.Snapshot) 
 // snapOracle answers queries by brute force over the snapshot entries.
 func snapOracle(snap *codec.Snapshot, q *geom.Rect, ws []dataset.Keyword) []int64 {
 	var out []int64
-	for i := range snap.Entries {
-		e := &snap.Entries[i]
-		if q.ContainsPoint(e.Obj.Point) && docHasAll(e.Obj.Doc, ws) {
-			out = append(out, e.Handle)
-		}
+	for _, id := range snap.Objs.Filter(q, ws) {
+		out = append(out, snap.Handles[id])
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -79,7 +75,7 @@ func collectBase(t *testing.T, b *PagedBase, q *geom.Rect, ws []dataset.Keyword,
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+	slices.Sort(got)
 	return got, st
 }
 
@@ -131,17 +127,17 @@ func TestPagedBaseQueryBothModes(t *testing.T) {
 	for mode, b := range openBothBaseModes(t, snap) {
 		t.Run(mode, func(t *testing.T) {
 			defer b.Close()
-			if b.Len() != len(snap.Entries) || b.K() != snap.K || b.Dim() != snap.Dim {
+			if b.Len() != len(snap.Handles) || b.K() != snap.K || b.Dim() != snap.Dim {
 				t.Fatalf("meta mismatch: len=%d k=%d dim=%d", b.Len(), b.K(), b.Dim())
 			}
 			if b.LastSeq() != snap.LastSeq || b.NextHandle() != snap.NextHandle {
 				t.Fatalf("watermarks: seq=%d next=%d", b.LastSeq(), b.NextHandle())
 			}
 			present := map[int64]bool{}
-			for _, e := range snap.Entries {
-				present[e.Handle] = true
-				if !b.Has(e.Handle) {
-					t.Fatalf("Has(%d) = false for a base handle", e.Handle)
+			for _, h := range snap.Handles {
+				present[h] = true
+				if !b.Has(h) {
+					t.Fatalf("Has(%d) = false for a base handle", h)
 				}
 			}
 			for h := int64(0); h < snap.NextHandle+2; h++ {
@@ -175,19 +171,11 @@ func TestPagedBaseQueryBothModes(t *testing.T) {
 				t.Fatalf("absent keyword: %d results, %d ops", len(got), st.Ops)
 			}
 			// Entries decodes the full snapshot back.
-			es, err := b.Entries()
+			hs, objs, err := b.Entries()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(es) != len(snap.Entries) {
-				t.Fatalf("Entries: %d, want %d", len(es), len(snap.Entries))
-			}
-			for i, e := range es {
-				se := &snap.Entries[i]
-				if e.Handle != se.Handle || !pointsEq(e.Obj.Point, se.Obj.Point) || !docsEq(e.Obj.Doc, se.Obj.Doc) {
-					t.Fatalf("entry %d differs: %+v vs %+v", i, e, se)
-				}
-			}
+			sameEntrySet(t, hs, objs, snap.Handles, snap.Objs)
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -196,30 +184,6 @@ func TestPagedBaseQueryBothModes(t *testing.T) {
 			}
 		})
 	}
-}
-
-func pointsEq(a, b geom.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func docsEq(a, b []dataset.Keyword) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestPagedBaseStopConditions(t *testing.T) {
@@ -270,11 +234,7 @@ func TestPagedBaseMatchesClassicRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries := make([]DynEntry, len(snap.Entries))
-	for i, e := range snap.Entries {
-		entries[i] = DynEntry{Handle: e.Handle, Obj: e.Obj}
-	}
-	classic, err := RestoreDynamicORPKW(2, 2, 8, entries, snap.NextHandle)
+	classic, err := RestoreDynamicORPKW(2, 2, 8, snap.Handles, snap.Objs, snap.NextHandle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +248,7 @@ func TestPagedBaseMatchesClassicRestore(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(29))
-	handles := make([]int64, len(entries))
-	for i, e := range entries {
-		handles[i] = e.Handle
-	}
+	handles := slices.Clone(snap.Handles)
 	check := func(step int) {
 		q, ws := randRect(rng, 2), randKeywordPair(rng)
 		if step%7 == 0 {
@@ -305,8 +262,8 @@ func TestPagedBaseMatchesClassicRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sort.Slice(gc, func(a, b int) bool { return gc[a] < gc[b] })
-		sort.Slice(gp, func(a, b int) bool { return gp[a] < gp[b] })
+		slices.Sort(gc)
+		slices.Sort(gp)
 		if len(gc) != len(gp) {
 			t.Fatalf("step %d: classic %d results, paged %d", step, len(gc), len(gp))
 		}
@@ -349,22 +306,15 @@ func TestPagedBaseMatchesClassicRestore(t *testing.T) {
 	check(401)
 
 	// The merged durability snapshots agree entry for entry.
-	ec, err := classic.SnapshotNow().Entries()
+	hc, oc, err := classic.SnapshotNow().Entries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := paged.SnapshotNow().Entries()
+	hp, op, err := paged.SnapshotNow().Entries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ec) != len(ep) {
-		t.Fatalf("snapshot entries: %d vs %d", len(ec), len(ep))
-	}
-	for i := range ec {
-		if ec[i].Handle != ep[i].Handle || !pointsEq(ec[i].Obj.Point, ep[i].Obj.Point) || !docsEq(ec[i].Obj.Doc, ep[i].Obj.Doc) {
-			t.Fatalf("snapshot entry %d differs: %+v vs %+v", i, ec[i], ep[i])
-		}
-	}
+	sameEntrySet(t, hc, oc, hp, op)
 }
 
 // TestPagedBaseDeleteSemantics exercises tombstoning of base entries: double
@@ -384,17 +334,17 @@ func TestPagedBaseDeleteSemantics(t *testing.T) {
 	}
 	defer b.Close()
 
-	victim := snap.Entries[10].Handle
+	victim := snap.Handles[10]
 	if ok, err := d.Delete(victim); err != nil || !ok {
 		t.Fatalf("delete base handle: ok=%v err=%v", ok, err)
 	}
 	if ok, _ := d.Delete(victim); ok {
 		t.Fatal("double delete of a base handle reported true")
 	}
-	if d.Len() != len(snap.Entries)-1 {
+	if d.Len() != len(snap.Handles)-1 {
 		t.Fatalf("Len = %d after one delete", d.Len())
 	}
-	got, _, err := d.Collect(geom.UniverseRect(2), snap.Entries[10].Obj.Doc[:1+len(snap.Entries[10].Obj.Doc)%2])
+	got, _, err := d.Collect(geom.UniverseRect(2), snap.Objs.Doc(10)[:1+len(snap.Objs.Doc(10))%2])
 	if err == nil {
 		for _, h := range got {
 			if h == victim {
@@ -420,23 +370,21 @@ func TestPagedBaseDeleteSemantics(t *testing.T) {
 			t.Fatalf("delete inserted %d: ok=%v err=%v", h, ok, err)
 		}
 	}
-	if d.Len() != len(snap.Entries)-1 {
-		t.Fatalf("Len = %d after churn, want %d", d.Len(), len(snap.Entries)-1)
+	if d.Len() != len(snap.Handles)-1 {
+		t.Fatalf("Len = %d after churn, want %d", d.Len(), len(snap.Handles)-1)
 	}
 	if d.Base() == nil {
 		t.Fatal("compaction dropped the base layer")
 	}
-	es, err := d.SnapshotNow().Entries()
+	hs, _, err := d.SnapshotNow().Entries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(es) != len(snap.Entries)-1 {
-		t.Fatalf("snapshot entries = %d, want %d", len(es), len(snap.Entries)-1)
+	if len(hs) != len(snap.Handles)-1 {
+		t.Fatalf("snapshot entries = %d, want %d", len(hs), len(snap.Handles)-1)
 	}
-	for _, e := range es {
-		if e.Handle == victim {
-			t.Fatal("snapshot resurrects the tombstoned base handle")
-		}
+	if slices.Contains(hs, victim) {
+		t.Fatal("snapshot resurrects the tombstoned base handle")
 	}
 	// Compactions must have purged bucket tombstones (65 deletes happened)
 	// while maintaining the rest-state invariant — bucket tombstones (total
@@ -518,12 +466,10 @@ func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	snap := testCheckpointSnapshot(37, 40, 2)
 
-	var v1 bytes.Buffer
-	if err := codec.WriteSnapshot(&v1, snap); err != nil {
-		t.Fatal(err)
-	}
+	// Not a KWCP2 file: a legacy KWCP v1 header padded out to two pages.
+	v1 := append([]byte("KWCP\x01\x02\x02\x00\x00\x00"), make([]byte, 2*pager.PageSize-10)...)
 	p1 := filepath.Join(dir, "v1.ckpt")
-	if err := os.WriteFile(p1, v1.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(p1, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenPagedBase(p1, PagedBaseOptions{}); err == nil {

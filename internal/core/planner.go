@@ -30,7 +30,7 @@ type Planner struct {
 	ds   *dataset.Dataset
 	k    int
 	orp  *ORPKW
-	inv  *invidx.Packed
+	inv  *invidx.Index
 	so   *StructuredOnly
 	bbox *geom.Rect
 	nPow float64 // N^{1-1/k}
@@ -76,7 +76,7 @@ func BuildPlanner(ds *dataset.Dataset, k int, opts ...BuildOption) (*Planner, er
 		ds:     ds,
 		k:      k,
 		orp:    orp,
-		inv:    invidx.BuildPacked(ds),
+		inv:    invidx.Build(ds),
 		so:     BuildStructuredOnly(ds, nil),
 		bbox:   geom.BoundingRect(pts),
 		nPow:   math.Pow(float64(ds.N()), 1-1/float64(k)),

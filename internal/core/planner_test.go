@@ -9,34 +9,41 @@ import (
 	"kwsc/internal/workload"
 )
 
+// TestPlannerAllRoutesAgree holds the route the planner picks, and each of
+// its three routes run directly, to the brute-force filter — at d = 2, where
+// the framework route is Theorem 1's index, and at d = 3.
 func TestPlannerAllRoutesAgree(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 1, Objects: 800, Dim: 2, Vocab: 30, DocLen: 4})
-	p, err := BuildPlanner(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	routesSeen := map[Route]bool{}
-	for trial := 0; trial < 60; trial++ {
-		var q *geom.Rect
-		switch trial % 3 {
-		case 0:
-			q = workload.RandRect(rng, 2, 0.02) // tiny region
-		case 1:
-			q = workload.RandRect(rng, 2, 0.9) // huge region
-		default:
-			q = workload.RandRect(rng, 2, 0.3)
-		}
-		ws := workload.RandKeywords(rng, 30, 2)
-		got, plan, err := p.Collect(q, ws)
+	for _, dim := range []int{2, 3} {
+		ds := workload.Gen(workload.Config{Seed: int64(dim - 1), Objects: 800, Dim: dim, Vocab: 30, DocLen: 4})
+		p, err := BuildPlanner(ds, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		routesSeen[plan.Route] = true
-		equalIDs(t, got, ds.Filter(q, ws), "planner-"+string(plan.Route))
-	}
-	if len(routesSeen) < 2 {
-		t.Fatalf("planner never diversified: %v", routesSeen)
+		rng := rand.New(rand.NewSource(10))
+		routesSeen := map[Route]bool{}
+		for trial := 0; trial < 60; trial++ {
+			q := workload.RandRect(rng, dim, []float64{0.02, 0.9, 0.3}[trial%3]) // tiny, huge, middling
+			ws := workload.RandKeywords(rng, 30, 2)
+			want := ds.Filter(q, ws)
+			got, plan, err := p.Collect(q, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routesSeen[plan.Route] = true
+			equalIDs(t, got, want, "planner-"+string(plan.Route))
+
+			equalIDs(t, p.inv.KeywordsOnly(q, ws), want, string(RouteKeywordsOnly))
+			so, _, _ := p.so.Query(q, ws)
+			equalIDs(t, so, want, string(RouteStructuredOnly))
+			fw, _, err := p.orp.Collect(q, ws, QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalIDs(t, fw, want, string(RouteFramework))
+		}
+		if len(routesSeen) < 2 {
+			t.Fatalf("d=%d: planner never diversified: %v", dim, routesSeen)
+		}
 	}
 }
 

@@ -181,3 +181,39 @@ func TestGallopContainsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The deterministic-ordering regression: equal-length lists must be ordered
+// by keyword id, and any permutation of ws must produce the same list order
+// (the fix for the sort.Slice tie instability).
+func TestOrderedListsDeterministic(t *testing.T) {
+	objs := make([]dataset.Object, 200)
+	for i := range objs {
+		objs[i] = dataset.Object{Point: geom.Point{float64(i)}, Doc: []dataset.Keyword{0, 1, 2}} // three identical-length lists
+	}
+	objs[0].Doc = []dataset.Keyword{0, 1, 2, 3} // keyword 3: shorter list
+	ix := Build(dataset.MustNew(objs))
+	perms := [][]dataset.Keyword{
+		{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1},
+	}
+	base := ix.Intersect(perms[0])
+	for pi, ws := range perms {
+		lists, ok := ix.orderedLists(ws)
+		if !ok {
+			t.Fatal("all keywords present")
+		}
+		// Smallest first; the tie-broken tail must be exactly the postings
+		// of keywords 0, 1, 2, in that order.
+		if len(lists[0]) != 1 {
+			t.Fatalf("perm %d: shortest list not first", pi)
+		}
+		for i, w := range []dataset.Keyword{0, 1, 2} {
+			if &lists[i+1][0] != &ix.Posting(w)[0] {
+				t.Fatalf("perm %d: tie position %d is not keyword %d's list", pi, i, w)
+			}
+		}
+		// The same Intersect answer under every permutation.
+		if got := ix.Intersect(ws); len(got) != len(base) || got[0] != base[0] {
+			t.Fatalf("perm %d: Intersect = %v, want %v", pi, got, base)
+		}
+	}
+}

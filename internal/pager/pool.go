@@ -10,7 +10,7 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum is the page checksum function (crc32c, the same polynomial the
-// WAL frames and the v1 snapshot codec use).
+// WAL frames and the dataset codec use).
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // Pool serves pinned pages of one File and verifies each page against its

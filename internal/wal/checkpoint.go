@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -50,9 +49,8 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 // point — a crash anywhere before it leaves only an ignorable tmp file, and
 // rename-then-crash leaves a complete checkpoint.
 //
-// Checkpoints are always written in the paged KWCP2 layout (snapshot v2) so
-// a later open can serve them in place; readCheckpointAny still accepts the
-// legacy KWCP stream for directories written by older builds.
+// Checkpoints are written in the paged KWCP2 layout so a later open can
+// serve them in place.
 func writeCheckpointFile(dir string, snap *codec.Snapshot) error {
 	var buf bytes.Buffer
 	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
@@ -89,25 +87,16 @@ func writeCheckpointFile(dir string, snap *codec.Snapshot) error {
 	return syncDir(dir)
 }
 
-// readCheckpointAny fully decodes one checkpoint of either format, sniffing
-// the magic: KWCP2 containers go through the paged reader (every page
-// checksum verified), legacy KWCP streams through the v1 decoder. All
-// checkpoint bytes flow through the pager so pruning's retire protocol sees
-// every open (see pruneLocked).
-func readCheckpointAny(path string) (*codec.Snapshot, error) {
+// readCheckpoint fully decodes one checkpoint, every page checksum verified.
+// All checkpoint bytes flow through the pager so pruning's retire protocol
+// sees every open (see pruneLocked).
+func readCheckpoint(path string) (*codec.Snapshot, error) {
 	f, err := pager.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Unref()
-	var magic [4]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return nil, fmt.Errorf("wal: reading checkpoint magic: %w", err)
-	}
-	if string(magic[:]) == codec.PagedMagic {
-		return codec.ReadPagedSnapshot(f, f.Size())
-	}
-	return codec.ReadSnapshot(io.NewSectionReader(f, 0, f.Size()))
+	return codec.ReadPagedSnapshot(f, f.Size())
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.

@@ -94,7 +94,6 @@ func WithBuildOptions(opts ...core.BuildOption) Option {
 // pool, per o) as the dynamic index's immutable bottom layer, so cold start
 // is the map plus the WAL-tail replay — no full decode, no index rebuild —
 // and the resident footprint is bounded by o.CapPages when o.NoMmap is set.
-// Legacy KWCP checkpoints in the directory still recover via full decode.
 func WithPagedRecovery(o core.PagedBaseOptions) Option {
 	return func(c *config) { c.paged, c.pagedOpts = true, o }
 }
@@ -271,16 +270,13 @@ func (d *Durable) checkpointLocked() error {
 	if err := d.log.sync(); err != nil {
 		return err
 	}
-	entries, err := d.idx.SnapshotNow().Entries()
+	handles, objs, err := d.idx.SnapshotNow().Entries()
 	if err != nil {
 		return fmt.Errorf("wal: snapshotting for checkpoint: %w", err)
 	}
 	snap := &codec.Snapshot{
 		K: d.k, Dim: d.dim, LastSeq: d.seq, NextHandle: d.idx.NextHandle(),
-		Entries: make([]codec.SnapshotEntry, len(entries)),
-	}
-	for i, e := range entries {
-		snap.Entries[i] = codec.SnapshotEntry{Handle: e.Handle, Obj: e.Obj}
+		Handles: handles, Objs: objs,
 	}
 	if err := writeCheckpointFile(d.dir, snap); err != nil {
 		return err

@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,34 +229,38 @@ func TestPagedRecoveryRefusesCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointStillRecovers plants a v1 (KWCP stream) checkpoint and
-// recovers it with and without paged recovery: both decode it, the paged
-// open simply finds nothing to map and falls back.
-func TestLegacyCheckpointStillRecovers(t *testing.T) {
+// TestCheckpointBytesPinned: the checkpoint of a fixed seeded history — one
+// that carries, tombstones, rebuilds and leaves a part-filled buffer — keeps
+// the SHA-256 it had before buckets and snapshots became columnar (recorded at
+// commit 3b7e187): the refactor changed how the four columns are gathered,
+// not one byte of what is written.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const want = "49b780e6b5c8df37359f4b68f9a60f89d05ba2fa5979e646f6c4b8682179c22e"
 	dir := t.TempDir()
-	snap := &codec.Snapshot{K: 2, Dim: 2, LastSeq: 7, NextHandle: 40}
-	for i := 0; i < 30; i++ {
-		snap.Entries = append(snap.Entries, codec.SnapshotEntry{
-			Handle: int64(i), Obj: testObj(i),
-		})
+	d := mustOpen(t, dir, WithBufferCap(8))
+	rng := rand.New(rand.NewSource(99))
+	var live []int64
+	for i := 0; i < 3000; i++ {
+		if len(live) > 0 && rng.Intn(10) < 4 {
+			j := rng.Intn(len(live))
+			if ok, err := d.Delete(live[j]); err != nil || !ok {
+				t.Fatalf("Delete(%d): ok=%v err=%v", live[j], ok, err)
+			}
+			live = append(live[:j], live[j+1:]...)
+			continue
+		}
+		live = append(live, mustInsert(t, d, i))
 	}
-	var buf bytes.Buffer
-	if err := codec.WriteSnapshot(&buf, snap); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(checkpointPath(dir, snap.LastSeq), buf.Bytes(), 0o644); err != nil {
+	p := checkpointPath(dir, d.LastSeq())
+	raw, err := os.ReadFile(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{nil, {WithPagedRecovery(core.PagedBaseOptions{})}} {
-		d := mustOpen(t, dir, opts...)
-		if d.Len() != 30 || d.LastSeq() != 7 {
-			t.Fatalf("legacy recovery: len=%d seq=%d", d.Len(), d.LastSeq())
-		}
-		if d.idx.Base() != nil {
-			t.Fatal("legacy checkpoint must not produce a paged base")
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Fatalf("checkpoint of %d entries (%d bytes) hashes to %s, want %s", d.Len(), len(raw), got, want)
 	}
+	d.Close()
 }

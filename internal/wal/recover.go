@@ -31,6 +31,10 @@ type recovered struct {
 //	          checkpoints are skipped (an older one plus a longer replay is
 //	          always consistent, because segments are only deleted after the
 //	          checkpoint superseding them is durable)
+//	BRIDGE    the oldest segment must start at or before the restored
+//	          sequence + 1, and a skipped checkpoint needs a segment at all;
+//	          otherwise ErrCorrupt — an empty tail must not pass for an
+//	          empty history
 //	REPLAY    scan frames across segments in sequence order; skip records a
 //	          checkpoint supersedes, apply the rest; any sequence gap,
 //	          handle mismatch, or inapplicable record is ErrCorrupt
@@ -66,12 +70,13 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 	sort.Slice(ckptSeqs, func(a, b int) bool { return ckptSeqs[a] > ckptSeqs[b] })
 	sort.Slice(segSeqs, func(a, b int) bool { return segSeqs[a] < segSeqs[b] })
 
-	// RESTORE: newest checkpoint that validates. With paged recovery a KWCP2
+	// RESTORE: newest checkpoint that validates. With paged recovery the
 	// checkpoint is not decoded at all — it is opened as the dynamic index's
 	// immutable bottom layer and serves queries in place, so cold start is the
 	// map (or pool attach) plus the WAL-tail replay below.
 	var idx *core.DynamicORPKW
 	base := uint64(0)
+	skipped := "" // the newest checkpoint that failed to validate, and why
 	for _, cs := range ckptSeqs {
 		path := checkpointPath(dir, cs)
 		if cfg.paged {
@@ -91,22 +96,20 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 				base = pb.LastSeq()
 				break
 			}
-			// Not a KWCP2 container (legacy checkpoint) or damaged: fall
-			// through to the decoding path, which refuses damage the same way.
+			// Damaged: the decoding path refuses it the same way.
 		}
-		snap, err := readCheckpointAny(path)
+		snap, err := readCheckpoint(path)
 		if err != nil {
-			continue // damaged checkpoint: fall back to an older one + replay
+			if skipped == "" {
+				skipped = fmt.Sprintf("; checkpoint %s does not validate: %v", filepath.Base(path), err)
+			}
+			continue // fall back to an older one + replay
 		}
 		if snap.K != k || snap.Dim != dim {
 			return nil, fmt.Errorf("wal: checkpoint is for k=%d dim=%d, index opened with k=%d dim=%d",
 				snap.K, snap.Dim, k, dim)
 		}
-		entries := make([]core.DynEntry, len(snap.Entries))
-		for i, e := range snap.Entries {
-			entries[i] = core.DynEntry{Handle: e.Handle, Obj: e.Obj}
-		}
-		idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, entries, snap.NextHandle, cfg.build...)
+		idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, snap.Handles, snap.Objs, snap.NextHandle, cfg.build...)
 		if err != nil {
 			return nil, fmt.Errorf("wal: restoring checkpoint %d: %w", cs, err)
 		}
@@ -135,6 +138,16 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 	// replayed record advances it by one, so after replay the published seq
 	// is exactly the last applied record's — the anchor for snapshot reads.
 	idx.SetSeq(base)
+
+	// BRIDGE. Segments are named by their first sequence and rotate only at
+	// a durable checkpoint, so a log that starts after base+1 — or no log at
+	// all behind a checkpoint that failed — means acknowledged history is
+	// missing, even when the surviving tail is empty and replay would find
+	// nothing to contradict the restored state.
+	if len(segSeqs) > 0 && segSeqs[0] > base+1 || len(segSeqs) == 0 && skipped != "" {
+		return nil, fmt.Errorf("%w: the recovered state ends at seq %d, log segments start at seqs %v%s",
+			ErrCorrupt, base, segSeqs, skipped)
+	}
 
 	// REPLAY.
 	rec := &recovered{idx: idx}

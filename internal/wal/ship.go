@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -111,40 +110,29 @@ func CheckpointFileName(lastSeq uint64) string {
 	return fmt.Sprintf("checkpoint-%016x.ckpt", lastSeq)
 }
 
-// ValidateCheckpointFile verifies a checkpoint file end to end — every page
-// checksum for a KWCP2 container, a full decode for the legacy stream — and
-// returns the sequence it supersedes. A follower calls this on a downloaded
-// checkpoint before trusting it, so a truncated or corrupted transfer is
-// refused instead of recovered from.
+// ValidateCheckpointFile verifies a checkpoint file end to end — the
+// container framing and every page checksum — and returns the sequence it
+// supersedes. A follower calls this on a downloaded checkpoint before
+// trusting it, so a truncated or corrupted transfer is refused instead of
+// recovered from.
 func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
 	f, err := pager.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Unref()
-	var magic [4]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return 0, fmt.Errorf("wal: reading checkpoint magic: %w", err)
-	}
-	if string(magic[:]) == codec.PagedMagic {
-		c, err := codec.ParseContainer(f, f.Size())
-		if err != nil {
-			return 0, err
-		}
-		if err := c.VerifyAllPages(f); err != nil {
-			return 0, err
-		}
-		meta := codec.ParsePagedMeta(c.Meta)
-		if meta.Kind != codec.PagedKindSnapshot {
-			return 0, fmt.Errorf("wal: checkpoint container holds kind %d, want snapshot", meta.Kind)
-		}
-		return meta.LastSeq, nil
-	}
-	snap, err := codec.ReadSnapshot(io.NewSectionReader(f, 0, f.Size()))
+	c, err := codec.ParseContainer(f, f.Size())
 	if err != nil {
 		return 0, err
 	}
-	return snap.LastSeq, nil
+	if err := c.VerifyAllPages(f); err != nil {
+		return 0, err
+	}
+	meta := codec.ParsePagedMeta(c.Meta)
+	if meta.Kind != codec.PagedKindSnapshot {
+		return 0, fmt.Errorf("wal: checkpoint container holds kind %d, want snapshot", meta.Kind)
+	}
+	return meta.LastSeq, nil
 }
 
 // CollectTail gathers the verbatim frames of every record with sequence in

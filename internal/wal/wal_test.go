@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 )
@@ -424,6 +426,98 @@ func TestDamagedCheckpointFallsBackToOlder(t *testing.T) {
 	}
 	if d2.LastSeq() != 10 {
 		t.Fatalf("fallback recovery LastSeq = %d, want 10", d2.LastSeq())
+	}
+}
+
+// TestSoleDamagedCheckpointRefused: the only checkpoint does not validate and
+// the log tail behind it is empty, so nothing contradicts an empty index —
+// recovery must refuse the directory instead of acking the next insert as
+// handle 0 into a log that starts at seq 52. The legacy case plants a KWCP v1
+// stream, which is one more file that does not validate.
+func TestSoleDamagedCheckpointRefused(t *testing.T) {
+	legacy := []byte("KWCP\x01\x02\x02\x33\x32\x00") // k=2 dim=2 lastSeq=51 nextHandle=50 count=0
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(legacy, crc32.MakeTable(crc32.Castagnoli)))
+	for name, damage := range map[string]func([]byte) []byte{
+		"flipped": func(b []byte) []byte { b[len(b)/2] ^= 0xff; b[len(b)/2+1] ^= 0xff; return b },
+		"legacy":  func([]byte) []byte { return legacy },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := mustOpen(t, dir)
+			for i := 0; i < 50; i++ {
+				mustInsert(t, d, i)
+			}
+			d.Delete(7)
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			d.Close()
+			p := checkpointPath(dir, 51)
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refused := func() {
+				for _, opts := range [][]Option{nil, {WithPagedRecovery(core.PagedBaseOptions{})}} {
+					d2, err := Open(dir, 2, 2, opts...)
+					if err == nil {
+						t.Fatalf("opened with err == nil, Len() = %d, LastSeq() = %d", d2.Len(), d2.LastSeq())
+					}
+					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(p)) {
+						t.Fatalf("err = %v, want ErrCorrupt naming %s", err, filepath.Base(p))
+					}
+				}
+			}
+			refused()
+			// The same with no segment at all (a copied-out checkpoint).
+			if err := os.Remove(segmentPath(dir, 52)); err != nil {
+				t.Fatal(err)
+			}
+			refused()
+		})
+	}
+}
+
+// TestLogStartingAfterCheckpointRefused: the older checkpoint validates but
+// the segment that bridged it to the damaged newer one is gone, and the
+// surviving segment is empty — no sequence gap for replay to trip over.
+func TestLogStartingAfterCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir)
+	for i := 0; i < 6; i++ {
+		mustInsert(t, d, i)
+	}
+	if err := d.Checkpoint(); err != nil { // checkpoint A at seq 6
+		t.Fatal(err)
+	}
+	pa, pb := checkpointPath(dir, 6), checkpointPath(dir, 10)
+	a, err := os.ReadFile(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 6; i < 10; i++ {
+		mustInsert(t, d, i)
+	}
+	if err := d.Checkpoint(); err != nil { // checkpoint B at seq 10; prunes A and wal-7
+		t.Fatal(err)
+	}
+	d.Close()
+	if err := os.WriteFile(pa, a, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(pb, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 2, 2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open: err = %v, want ErrCorrupt (log starts at 11, state ends at 6)", err)
 	}
 }
 

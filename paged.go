@@ -66,8 +66,7 @@ func OpenPagedLCKW(path string, o PagedFileOptions, opts ...Option) (*LCKW, *Pag
 // the pager instead of decoding it: the checkpoint file becomes the dynamic
 // index's immutable bottom layer, cold start is map + WAL-tail replay, and
 // checkpoint pruning defers deletion of the serving file until the index
-// releases it (Close). Legacy (pre-KWCP2) checkpoints fall back to the
-// decoding path automatically.
+// releases it (Close).
 func WithPagedRecovery(o PagedBaseOptions) DurableOption {
 	return wal.WithPagedRecovery(o)
 }
