@@ -36,15 +36,17 @@ crash:
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
 # codec, the checkpoint codec, WAL recovery, the delta-block codec behind
-# the paged base, and the /v1 wire codec held to encoding/json in both
-# directions. Each target runs briefly; use
-# `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
+# the paged base, the paged base over re-sealed index sections that lie, and
+# the /v1 wire codec held to encoding/json in both directions. Each target
+# runs briefly; use `go test -fuzz <name> -fuzztime 5m ./internal/...` for a
+# real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDataset$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPagedSnapshot$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
+	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 

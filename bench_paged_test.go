@@ -220,8 +220,10 @@ func BenchmarkPagedResidentCapped(b *testing.B) {
 // (bench/), the pread pool holds a quarter of the checkpoint's pages, and
 // the queries are random keyword pairs over random rectangles, so most of
 // them intersect one short list with one long one. ns/op is the facade
-// Collect; pins/op and misses/op are the page pins (and the faulting share
-// of them) a query makes — counts that do not depend on the host.
+// Collect; the rest are counts that do not depend on the host: ops/op the
+// candidates taken from the drive list inside the rectangle's cells, nodes/op
+// the cell-tree nodes the rectangle's descent visits, pins/op and misses/op
+// the page pins (and the faulting share of them) a query makes.
 func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 	const n, k, vocab = 1 << 16, 2, 1000
 	ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: vocab, DocLen: 6})
@@ -278,15 +280,20 @@ func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 		}
 	}
 	hits0, misses0 := pins()
+	var ops, nodes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, _, err := d.Collect(q.region, q.kws); err != nil {
+		_, st, err := d.Collect(q.region, q.kws)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ops, nodes = ops+st.Ops, nodes+int64(st.NodesVisited)
 	}
 	b.StopTimer()
 	hits, misses := pins()
+	b.ReportMetric(float64(ops)/float64(b.N), "ops/op")
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(hits-hits0+misses-misses0)/float64(b.N), "pins/op")
 	b.ReportMetric(float64(misses-misses0)/float64(b.N), "misses/op")
 }

@@ -151,6 +151,11 @@ func WriteContainer(w io.Writer, meta [64]byte, sections []Section) error {
 	binary.LittleEndian.PutUint32(page[pager.PageSize-4:],
 		crc32.Checksum(page[:pager.PageSize-4], castagnoli))
 
+	// A checkpoint is framed into a bytes.Buffer; sized once, it does not
+	// regrow (and recopy) its way up to the container.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(numPages) * pager.PageSize)
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(page); err != nil {
 		return err

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -154,6 +155,69 @@ func TestWriteContainerRejectsBadSections(t *testing.T) {
 	}
 }
 
+// resealEdited rewrites a snapshot container with edit applied to section
+// id, under fresh checksums: what is left to refuse it is the structural
+// validation.
+func resealEdited(t testing.TB, raw []byte, id uint32, edit func(data []byte)) []byte {
+	t.Helper()
+	c, err := ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []Section
+	for _, s := range c.Sections[1:] {
+		data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.ID == id {
+			edit(data)
+		}
+		secs = append(secs, Section{s.ID, data})
+	}
+	var out bytes.Buffer
+	if err := WriteContainer(&out, c.Meta, secs); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// lyingRankSections are one-value edits of the rank column and the cell boxes
+// of a snapshot of at least two entries in two dimensions that every
+// checksum survives and ReadPagedSnapshot must still refuse.
+var lyingRankSections = []struct {
+	name string
+	id   uint32
+	edit func(data []byte)
+}{
+	{"a rank repeated", SecRankEntry, func(d []byte) { copy(d[4:], d[:4]) }},
+	{"a rank past the count", SecRankEntry, func(d []byte) { copy(d, putI32s([]int32{1 << 20})) }},
+	{"a negative rank", SecRankEntry, func(d []byte) { copy(d, putI32s([]int32{-1})) }},
+	{"a box inside out", SecCellBoxes, func(d []byte) { copy(d, putF64s([]float64{math.Inf(1)})) }},
+	{"a box that leaves out its points", SecCellBoxes, func(d []byte) { copy(d[16:], putF64s([]float64{-1e9, -1e9})) }},
+	{"a NaN bound", SecCellBoxes, func(d []byte) { copy(d[8:], putF64s([]float64{math.NaN()})) }},
+}
+
+// TestPagedSnapshotRefusesLyingRankSections: the decoding reader reads every
+// page anyway, so it holds the rank column to a permutation and every cell
+// box to its cell's points.
+func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for _, lie := range lyingRankSections {
+		raw := resealEdited(t, buf.Bytes(), lie.id, lie.edit)
+		if _, err := ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", lie.name, err)
+		}
+	}
+	raw := resealEdited(t, buf.Bytes(), SecRankEntry, func([]byte) {})
+	if _, err := ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw))); err != nil {
+		t.Fatalf("re-sealed unchanged: %v", err)
+	}
+}
+
 // FuzzReadPagedSnapshot asserts the KWCP2 parser chain — superblock,
 // section directory, page-CRC table, column decode — is total over
 // arbitrary bytes: parse or fail, never panic or over-allocate.
@@ -171,6 +235,23 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		flip[pos] ^= 0x41
 		f.Add(flip)
 		f.Add(flip[:pos])
+	}
+	// The rank column and the cell boxes, damaged where only the structural
+	// checks can see it: the sections re-sealed under fresh checksums with a
+	// rank repeated, a rank out of range, a box turned inside out, and a box
+	// that leaves out its cell's points; and a page of each flipped in place.
+	for _, lie := range lyingRankSections {
+		f.Add(resealEdited(f, golden, lie.id, lie.edit))
+	}
+	c, err := ParseContainer(bytes.NewReader(golden), int64(len(golden)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, id := range []uint32{SecRankEntry, SecCellBoxes} {
+		off, _, _ := c.Section(id)
+		flip := append([]byte(nil), golden...)
+		flip[off+5] ^= 0x41
+		f.Add(flip)
 	}
 	// The same container format frames flat-index images: seed one that
 	// carries the rank columns (rank -> id, interval starts, a bitmap list, a

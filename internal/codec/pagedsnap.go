@@ -15,10 +15,11 @@ import (
 // a dynamic index — a handle column beside the dataset's three — together
 // with the log position the checkpoint supersedes and the handle watermark
 // recovery must resume from. On disk it is a KWCP2 container holding the
-// four columns as they lie in memory, so a recovered process can serve the
-// checkpoint through a mapping instead of decoding it, plus an inverted index
-// (sorted vocabulary, bitpacked postings of entry *indexes*) that the paged
-// base uses to answer queries without scanning every object.
+// handle and document columns as they lie in memory and the index the paged
+// base answers queries from without decoding them: the points in rank order
+// (the kd leaf order of rankorder.go), one bounding box per cell of ranks, an
+// inverted index (sorted vocabulary, bitpacked postings of *ranks*), and the
+// rank -> entry column that leads from a rank back to its handle and document.
 type Snapshot struct {
 	K          int              // query keyword arity of the index
 	Dim        int              // point dimensionality
@@ -32,15 +33,27 @@ type Snapshot struct {
 // table).
 const (
 	SecPageCRC    = 0
-	SecHandles    = 1 // []int64, strictly increasing, count entries
-	SecPoints     = 2 // []float64, count x dim, row-major
-	SecDocStart   = 3 // []int64, count+1 prefix offsets into SecDocWords
-	SecDocWords   = 4 // []uint32, concatenated sorted documents
-	SecVocab      = 5 // []uint32, sorted distinct keywords
-	SecPostLists  = 6 // []int32 triples {block, numBlocks, n} per vocab entry
-	SecPostBlocks = 7 // []int32 quads {off, first, max, n|w<<16} per block
-	SecPostWords  = 8 // []uint64 bitpack payload
+	SecHandles    = 1  // []int64, strictly increasing, count entries
+	SecPoints     = 2  // []float64, count x dim, row-major, by rank
+	SecDocStart   = 3  // []int64, count+1 prefix offsets into SecDocWords
+	SecDocWords   = 4  // []uint32, concatenated sorted documents
+	SecVocab      = 5  // []uint32, sorted distinct keywords
+	SecPostLists  = 6  // []int32 triples {block, numBlocks, n} per vocab entry
+	SecPostBlocks = 7  // []int32 quads {off, first, max, n|w<<16} per block, ids are ranks
+	SecPostWords  = 8  // []uint64 bitpack payload
+	SecRankEntry  = 9  // []int32 rank -> entry, a permutation of [0, count)
+	SecCellBoxes  = 10 // []float64, 2*dim per cell of CellSize(dim) ranks: Lo then Hi
 )
+
+// maxSnapshotCount bounds the entries of one snapshot: ranks and entry
+// indexes are int32 everywhere they are stored.
+const maxSnapshotCount = math.MaxInt32
+
+// ErrNoRankColumn refuses a checkpoint written before its index sections
+// were numbered by rank. There is one snapshot format: such a file is not
+// migrated, the directory it belongs to is re-checkpointed by the release
+// that wrote it.
+var ErrNoRankColumn = fmt.Errorf("%w: snapshot has no rank column (SecRankEntry): written before the rank-order format", ErrCorrupt)
 
 // Kind discriminates what a KWCP2 container holds (PagedMeta.Kind).
 const (
@@ -141,7 +154,8 @@ func DecodePostBlocks(v []int32) ([]bitpack.Block, error) {
 	return out, nil
 }
 
-// WritePagedSnapshot serializes the snapshot as a KWCP2 container.
+// WritePagedSnapshot serializes the snapshot as a KWCP2 container, numbering
+// the points and the postings in kd leaf order.
 func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if s.Dim < 1 || s.Dim > 64 {
 		return fmt.Errorf("codec: snapshot dimension %d outside [1, 64]", s.Dim)
@@ -163,21 +177,56 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if len(docStart)-1 != count {
 		return fmt.Errorf("codec: snapshot has %d handles for %d objects", count, len(docStart)-1)
 	}
-	postings := map[uint32][]int32{}
-	for i := 0; i < count; i++ {
-		for _, kw := range docWords[docStart[i]:docStart[i+1]] {
-			postings[kw] = append(postings[kw], int32(i))
+	if count > maxSnapshotCount {
+		return fmt.Errorf("codec: snapshot of %d entries exceeds %d", count, maxSnapshotCount)
+	}
+	rankEntry, boxes := kdLeafOrder(points, s.Dim, count)
+	// Name each word's posting list and size the lists in entry order, where
+	// the documents are sequential, then fill them in rank order: every list
+	// comes out ascending with one map lookup a word and no regrowth.
+	listOf := map[uint32]int32{} // keyword -> its list
+	wordList := make([]int32, len(docWords))
+	var fill []int // fill[l]: where list l's next rank goes in ranks
+	for i, kw := range docWords {
+		l, ok := listOf[kw]
+		if !ok {
+			l = int32(len(fill))
+			listOf[kw] = l
+			fill = append(fill, 0)
+		}
+		wordList[i] = l
+		fill[l]++
+	}
+	end := 0
+	for l, n := range fill {
+		fill[l] = end
+		end += n
+	}
+	ranks := make([]int32, len(docWords))
+	rankPoints := make([]byte, 8*len(points))
+	for r, e := range rankEntry {
+		for j, v := range points[int(e)*s.Dim : (int(e)+1)*s.Dim] {
+			binary.LittleEndian.PutUint64(rankPoints[8*(r*s.Dim+j):], math.Float64bits(v))
+		}
+		for _, l := range wordList[docStart[e]:docStart[e+1]] {
+			ranks[fill[l]] = int32(r)
+			fill[l]++
 		}
 	}
-	vocab := make([]uint32, 0, len(postings))
-	for kw := range postings {
+	vocab := make([]uint32, 0, len(listOf))
+	for kw := range listOf {
 		vocab = append(vocab, kw)
 	}
 	slices.Sort(vocab)
 	var arena bitpack.PackedLists
 	lists := make([]bitpack.List, len(vocab))
 	for i, kw := range vocab {
-		lists[i] = arena.Append(postings[kw])
+		// fill[l] has advanced to list l's end; list l-1's end is its start.
+		l, start := listOf[kw], 0
+		if l > 0 {
+			start = fill[l-1]
+		}
+		lists[i] = arena.Append(ranks[start:fill[l]])
 	}
 	words, blocks := arena.Raw()
 
@@ -191,13 +240,15 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	}
 	return WriteContainer(w, meta.Encode(), []Section{
 		{SecHandles, putI64s(s.Handles)},
-		{SecPoints, putF64s(points)},
+		{SecPoints, rankPoints},
 		{SecDocStart, putI64s(docStart)},
 		{SecDocWords, putU32s(docWords)},
 		{SecVocab, putU32s(vocab)},
 		{SecPostLists, putI32s(EncodePostLists(lists))},
 		{SecPostBlocks, putI32s(EncodePostBlocks(blocks))},
 		{SecPostWords, putU64s(words)},
+		{SecRankEntry, putI32s(rankEntry)},
+		{SecCellBoxes, putF64s(boxes)},
 	})
 }
 
@@ -213,9 +264,29 @@ func sectionExact(c *Container, r io.ReaderAt, id uint32, want int64) ([]byte, e
 	return c.SectionBytes(r, id)
 }
 
+// SnapshotMeta parses the meta blob of a snapshot container and applies the
+// checks both readers share: the kind, the bounds every later size is
+// computed from, and the presence of the rank column.
+func SnapshotMeta(c *Container) (PagedMeta, error) {
+	meta := ParsePagedMeta(c.Meta)
+	if meta.Kind != PagedKindSnapshot {
+		return meta, fmt.Errorf("%w: container kind %d is not a snapshot", ErrCorrupt, meta.Kind)
+	}
+	if meta.K < 2 || meta.K > 64 || meta.Dim == 0 || meta.Dim > 64 ||
+		meta.Count > maxSnapshotCount || meta.NextHandle > math.MaxInt64 {
+		return meta, fmt.Errorf("%w: implausible snapshot meta %+v", ErrCorrupt, meta)
+	}
+	if _, _, ok := c.Section(SecRankEntry); !ok {
+		return meta, ErrNoRankColumn
+	}
+	return meta, nil
+}
+
 // ReadPagedSnapshot fully decodes a snapshot container, verifying every page
 // checksum and the structural invariants — the eager path used by classic
-// (non-paged) recovery. Paged serving opens the same bytes through core's
+// (non-paged) recovery and by followers. The points are scattered back
+// through the rank column, so the snapshot returned is the one written,
+// column for column. Paged serving opens the same bytes through core's
 // paged base instead and never runs this.
 func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	c, err := ParseContainer(r, size)
@@ -225,31 +296,31 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	if err := c.VerifyAllPages(r); err != nil {
 		return nil, err
 	}
-	meta := ParsePagedMeta(c.Meta)
-	if meta.Kind != PagedKindSnapshot {
-		return nil, fmt.Errorf("%w: container kind %d is not a snapshot", ErrCorrupt, meta.Kind)
-	}
-	if meta.K < 2 || meta.K > 64 {
-		return nil, fmt.Errorf("%w: snapshot arity", ErrCorrupt)
-	}
-	if meta.Dim == 0 || meta.Dim > 64 {
-		return nil, fmt.Errorf("%w: snapshot dimension", ErrCorrupt)
-	}
-	if meta.Count > 1<<31 || meta.NextHandle > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: snapshot count or handle watermark", ErrCorrupt)
+	meta, err := SnapshotMeta(c)
+	if err != nil {
+		return nil, err
 	}
 	count := int64(meta.Count)
-	dim := int64(meta.Dim)
+	dim := int(meta.Dim)
+	cell := int64(CellSize(dim))
 
 	handlesB, err := sectionExact(c, r, SecHandles, 8*count)
 	if err != nil {
 		return nil, err
 	}
-	pointsB, err := sectionExact(c, r, SecPoints, 8*count*dim)
+	pointsB, err := sectionExact(c, r, SecPoints, 8*count*int64(dim))
 	if err != nil {
 		return nil, err
 	}
 	docStartB, err := sectionExact(c, r, SecDocStart, 8*(count+1))
+	if err != nil {
+		return nil, err
+	}
+	rankEntryB, err := sectionExact(c, r, SecRankEntry, 4*count)
+	if err != nil {
+		return nil, err
+	}
+	boxesB, err := sectionExact(c, r, SecCellBoxes, 16*int64(dim)*((count+cell-1)/cell))
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +335,7 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{
-		K: int(meta.K), Dim: int(meta.Dim),
+		K: int(meta.K), Dim: dim,
 		LastSeq: meta.LastSeq, NextHandle: int64(meta.NextHandle),
 		Handles: getI64s(handlesB),
 	}
@@ -276,7 +347,11 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 		prev = h
 	}
 	if count > 0 {
-		s.Objs, err = dataset.FromColumns(s.Dim, getF64s(pointsB), docStart, getU32s(docWordsB))
+		points, err := entryOrderPoints(getF64s(pointsB), getI32s(rankEntryB), getF64s(boxesB), dim)
+		if err != nil {
+			return nil, err
+		}
+		s.Objs, err = dataset.FromColumns(dim, points, docStart, getU32s(docWordsB))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -290,6 +365,31 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// entryOrderPoints scatters the rank-ordered points back to entry order
+// through the rank column, refusing a column that is not a permutation and a
+// cell box that does not hold one of its cell's points (a NaN coordinate
+// needs the unbounded box kdLeafOrder gives it).
+func entryOrderPoints(rankPoints []float64, rankEntry []int32, boxes []float64, dim int) ([]float64, error) {
+	n, cell := len(rankEntry), CellSize(dim)
+	points := make([]float64, len(rankPoints))
+	seen := make([]uint64, (n+63)/64)
+	for r, e := range rankEntry {
+		if e < 0 || int(e) >= n || seen[e>>6]&(1<<(e&63)) != 0 {
+			return nil, fmt.Errorf("%w: rank column is not a permutation at rank %d", ErrCorrupt, r)
+		}
+		seen[e>>6] |= 1 << (e & 63)
+		box := boxes[2*dim*(r/cell):]
+		for j, v := range rankPoints[r*dim : (r+1)*dim] {
+			lo, hi := box[j], box[dim+j]
+			if !(lo <= v && v <= hi) && !(v != v && math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
+				return nil, fmt.Errorf("%w: cell %d box does not hold the point at rank %d", ErrCorrupt, r/cell, r)
+			}
+			points[int(e)*dim+j] = v
+		}
+	}
+	return points, nil
 }
 
 // validateSnapshotPostings checks the vocabulary and bitpacked posting

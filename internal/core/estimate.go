@@ -120,8 +120,12 @@ func (ix *ORPKWHigh) EstimateWork(ws []dataset.Keyword) int64 {
 	return int64(frameworkCost(pow(float64(ix.ds.N()), 1-1/float64(ix.k)), ix.k, float64(ix.ds.Len())))
 }
 
-// EstimateWork of a posting-list base is the shortest of the k lists — the
-// drive list PagedBase.Query charges — read from the resident vocabulary.
+// EstimateWork of the paged base is the length of the shortest of the k
+// lists, read from the resident vocabulary: the drive list, of which
+// PagedBase.Query charges the ranks inside the rectangle's cells. The
+// rectangle is not an argument here, so the estimate is what a rectangle over
+// every cell costs; a small one costs a fraction of it (EXPERIMENTS.md,
+// "Paged base").
 func (b *PagedBase) EstimateWork(ws []dataset.Keyword) int64 {
 	if len(ws) != b.k {
 		return 0

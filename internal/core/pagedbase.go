@@ -24,29 +24,41 @@ import (
 // base entries are tombstoned at the dynamic layer, and insertions go to the
 // buffer/buckets as usual (see BaseIndex).
 //
-// A query is the paper's keywords-only baseline run for page transfers, the
-// cost that matters out of core: intersect the k posting lists, then filter
-// the survivors by the rectangle. The intersection is a k-way leapfrog driven
-// off the shortest list, and it runs on the block directory (First/Max per
-// 128-id block), which is resident: a block is skipped when its Max lies
-// below the sought id and answers from its First when the id lies at or
-// below it, so a posting page is read only for a block whose range really
-// straddles the id. Only ids found in all k lists touch the points section,
-// and only those inside the rectangle touch handles and documents:
-// O(sum of posting pages + |intersection| point pages + OUT doc pages) page
-// reads per query, against none for the directory. That is still weaker than
-// the ORPKW traversal the entries would support fully decoded — Theorem 1's
-// bound is forfeited while the base serves — which is the out-of-core trade:
-// bounded memory and instant start against more work per query. A
-// background-rebuilt bucket index supersedes the base at the next full
-// compaction into RAM (future work; today the base lives until restart).
+// The checkpoint numbers its points and postings by rank, the position in a
+// kd leaf order (codec/rankorder.go): a cell of ranks is one page of points,
+// and every node of the kd tree over the cells is a rank interval. The tree
+// is resident — one box per node, rebuilt at open from the stored cell boxes
+// by the writer's own split arithmetic — so a query first descends it with
+// the rectangle to the ascending runs of cells the rectangle meets, and then
+// intersects the k posting lists inside those runs only: a k-way leapfrog
+// driven off the shortest list, every cursor seeking to a run's first rank
+// and leaving at its last. The leapfrog runs on the block directory
+// (First/Max per 128-rank block), which is resident too: a block is skipped
+// when its Max lies below the sought rank and answers from its First when
+// the rank lies at or below it, so a posting page is read only for a block
+// whose range really straddles the rank. Posting blocks, candidates and
+// point pages outside the rectangle's cells are never touched; a rank found
+// in all k lists reads its point, and one inside the rectangle its entry
+// index, document and handle:
+// O(posting pages inside the runs + |intersection inside the runs| point
+// reads, a page per cell + OUT handle and document pages) page reads per
+// query, against none for the tree and the directory. The rectangle now
+// prunes before the lists are read, but the plan is still keywords first:
+// inside a run nothing bounds the intersection by N^(1-1/k), so Theorem 1's
+// bound is forfeited while the base serves — the out-of-core trade: bounded
+// memory and instant start against more work per query.
 //
-// Structural metadata (vocabulary, posting-list and block directories,
-// handle and document offsets) is validated eagerly at open — O(vocabulary +
-// blocks + entries), no payload pages touched beyond those columns — so the
-// scan path can trust offsets without re-checking. Page content integrity is
-// the pager's job: every page is checksum-verified on first pin, and a
-// mismatch surfaces as an error wrapping pager.ErrChecksum.
+// Structural metadata (vocabulary, posting-list and block directories, cell
+// boxes, handle and document offsets, the rank column) is validated eagerly
+// at open — O(vocabulary + blocks + entries), no payload pages touched
+// beyond those columns — so the scan path can trust offsets without
+// re-checking. What open cannot check is that the index sections tell the
+// truth about the entries: a cell box that leaves out one of its points, or
+// a posting list that leaves out a rank, hides a match. Neither can report a
+// wrong one: every reported entry has had its own point tested against the
+// rectangle and its own document against the keywords. Page content
+// integrity is the pager's job: every page is checksum-verified on first
+// pin, and a mismatch surfaces as an error wrapping pager.ErrChecksum.
 type PagedBase struct {
 	f    *pager.File
 	pool *pager.Pool
@@ -57,25 +69,32 @@ type PagedBase struct {
 	nextHandle int64
 
 	// Absolute byte offsets of the payload sections.
-	handlesOff, pointsOff, docStartOff, docWordsOff, wordsOff int64
-	docTotal, wordsN                                          int64
+	handlesOff, pointsOff, docStartOff, docWordsOff, wordsOff, rankEntryOff int64
+	docTotal, wordsN                                                        int64
 
-	// Always-resident metadata columns (small: O(vocabulary + blocks)).
+	// Always-resident metadata columns (small: O(vocabulary + blocks + cells)).
 	vocab  []uint32
 	lists  []bitpack.List
 	blocks []bitpack.Block
 	// handleFence[p] is the first handle on page p of the handles section, so
 	// Has finds the one page that can hold a handle without reading any.
 	handleFence []int64
+	// The kd tree over the cells, in preorder: 2*dim floats a node (Lo, then
+	// Hi). The node over cells [lo, hi) has its left child next to it and its
+	// right child 2*(mid-lo) boxes on, mid = codec.CellSplit(lo, hi); a leaf
+	// is one cell, ranks [c*cell, (c+1)*cell).
+	tree        []float64
+	cell, cells int
 
 	// Zero-copy typed columns (and the posting payload bytes), non-nil only
 	// when the file is mapped on a little-endian host; otherwise reads go
 	// through pager views.
-	mHandles  []int64
-	mPoints   []float64
-	mDocStart []int64
-	mDocWords []uint32
-	mPayload  []byte
+	mHandles   []int64
+	mPoints    []float64
+	mDocStart  []int64
+	mDocWords  []uint32
+	mRankEntry []int32
+	mPayload   []byte
 
 	// readers recycles baseReaders across queries. The garbage collector
 	// empties a sync.Pool, so the parked readers' pointers back to the base
@@ -134,12 +153,9 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := codec.ParsePagedMeta(c.Meta)
-	if meta.Kind != codec.PagedKindSnapshot {
-		return nil, errBase("container kind %d is not a snapshot", meta.Kind)
-	}
-	if meta.K < 2 || meta.K > 64 || meta.Dim == 0 || meta.Dim > 64 || meta.Count > math.MaxInt32 {
-		return nil, errBase("implausible meta %+v", meta)
+	meta, err := codec.SnapshotMeta(c)
+	if err != nil {
+		return nil, err
 	}
 	b := &PagedBase{
 		f:          f,
@@ -149,7 +165,9 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		count:      int64(meta.Count),
 		lastSeq:    meta.LastSeq,
 		nextHandle: int64(meta.NextHandle),
+		cell:       codec.CellSize(int(meta.Dim)),
 	}
+	b.cells = int((b.count + int64(b.cell) - 1) / int64(b.cell))
 	span := func(id uint32, want int64) (int64, error) {
 		off, n, ok := c.Section(id)
 		if !ok && want == 0 {
@@ -169,6 +187,12 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if b.docStartOff, err = span(codec.SecDocStart, 8*(b.count+1)); err != nil {
 		return nil, err
 	}
+	if b.rankEntryOff, err = span(codec.SecRankEntry, 4*b.count); err != nil {
+		return nil, err
+	}
+	if _, err = span(codec.SecCellBoxes, 16*int64(b.dim)*int64(b.cells)); err != nil {
+		return nil, err
+	}
 
 	// Decode the resident metadata columns through the pool so their pages
 	// are checksum-verified exactly once, here.
@@ -184,8 +208,15 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if err != nil {
 		return nil, err
 	}
+	boxesB, err := b.readSection(c, codec.SecCellBoxes)
+	if err != nil {
+		return nil, err
+	}
 	if len(vocabB)%4 != 0 || len(listsB)%12 != 0 || len(blocksB)%16 != 0 {
 		return nil, errBase("metadata section not a whole number of records")
+	}
+	if err := b.buildCellTree(codec.GetF64s(boxesB)); err != nil {
+		return nil, err
 	}
 	b.vocab = leU32s(vocabB)
 	if b.lists, err = codec.DecodePostLists(leI32s(listsB)); err != nil {
@@ -212,10 +243,11 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		b.mPoints = pager.CastF64(sec(b.pointsOff, 8*b.count*int64(b.dim)))
 		b.mDocStart = pager.CastI64(sec(b.docStartOff, 8*(b.count+1)))
 		b.mDocWords = pager.CastU32(sec(b.docWordsOff, 4*b.docTotal))
+		b.mRankEntry = pager.CastI32(sec(b.rankEntryOff, 4*b.count))
 		b.mPayload = sec(b.wordsOff, 8*b.wordsN)
 		// All casts must land together: the readers key off mHandles.
-		if b.mHandles == nil || b.mPoints == nil || b.mDocStart == nil || b.mDocWords == nil {
-			b.mHandles, b.mPoints, b.mDocStart, b.mDocWords, b.mPayload = nil, nil, nil, nil, nil
+		if b.mHandles == nil || b.mPoints == nil || b.mDocStart == nil || b.mDocWords == nil || b.mRankEntry == nil {
+			b.mHandles, b.mPoints, b.mDocStart, b.mDocWords, b.mRankEntry, b.mPayload = nil, nil, nil, nil, nil, nil
 		}
 	}
 	if b.mHandles != nil {
@@ -272,9 +304,45 @@ func (b *PagedBase) readSection(c *codec.Container, id uint32) ([]byte, error) {
 	return buf, nil
 }
 
+// buildCellTree shape-checks the stored cell boxes (no NaN, lo <= hi; an
+// infinite bound is what the writer gives a cell holding a non-finite
+// coordinate) and fills the tree from them: a leaf's box is its cell's, an
+// inner node's the union of its children's.
+func (b *PagedBase) buildCellTree(leaves []float64) error {
+	d := b.dim
+	for c := 0; c < b.cells; c++ {
+		for j := 0; j < d; j++ {
+			if lo, hi := leaves[2*d*c+j], leaves[2*d*c+d+j]; !(lo <= hi) {
+				return errBase("cell %d box is [%v, %v] on axis %d", c, lo, hi, j)
+			}
+		}
+	}
+	if b.cells == 0 {
+		return nil
+	}
+	b.tree = make([]float64, 2*d*(2*b.cells-1))
+	var fill func(node, lo, hi int) []float64
+	fill = func(node, lo, hi int) []float64 {
+		box := b.tree[2*d*node : 2*d*(node+1)]
+		if hi-lo == 1 {
+			copy(box, leaves[2*d*lo:2*d*hi])
+			return box
+		}
+		mid := codec.CellSplit(lo, hi)
+		l, r := fill(node+1, lo, mid), fill(node+2*(mid-lo), mid, hi)
+		for j := 0; j < d; j++ {
+			box[j], box[d+j] = min(l[j], r[j]), max(l[d+j], r[d+j])
+		}
+		return box
+	}
+	fill(0, 0, b.cells)
+	return nil
+}
+
 // validateStructure checks every offset-bearing column the scan path will
-// trust: handle order, document offsets, vocabulary order, and posting
-// list/block geometry. Runs once at open; touches only those columns.
+// trust: handle order, document offsets, the rank column, vocabulary order,
+// and posting list/block geometry. Runs once at open; touches only those
+// columns.
 func (b *PagedBase) validateStructure(c *codec.Container) error {
 	// Handles: strictly increasing, below the watermark.
 	hv, err := pager.NewView(b.pool, b.handlesOff, 8*b.count)
@@ -339,6 +407,29 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 	}
 	b.docWordsOff = off
 
+	// Rank column: a permutation of the entries, checked a page at a time.
+	rv, err := pager.NewView(b.pool, b.rankEntryOff, 4*b.count)
+	if err != nil {
+		return err
+	}
+	defer rv.Release()
+	const perPage = pager.PageSize / 4
+	seen := make([]uint64, (b.count+63)/64)
+	scratch := make([]byte, pager.PageSize)
+	for r := int64(0); r < b.count; r += perPage {
+		page := rv.Span(4*r, 4*min(perPage, b.count-r), scratch)
+		if page == nil {
+			return rv.Err()
+		}
+		for i := 0; i < len(page); i += 4 {
+			e := int32(binary.LittleEndian.Uint32(page[i:]))
+			if e < 0 || int64(e) >= b.count || seen[e>>6]&(1<<(e&63)) != 0 {
+				return errBase("rank column is not a permutation at rank %d", r+int64(i/4))
+			}
+			seen[e>>6] |= 1 << (e & 63)
+		}
+	}
+
 	// Vocabulary and posting geometry.
 	if len(b.lists) != len(b.vocab) {
 		return errBase("%d posting lists for %d keywords", len(b.lists), len(b.vocab))
@@ -361,10 +452,10 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 				return errBase("posting block payload out of range in list %d", i)
 			}
 			if blk.First < 0 || int64(blk.Max) >= b.count || blk.First > blk.Max {
-				return errBase("posting block ids outside [0,%d) in list %d", b.count, i)
+				return errBase("posting block ranks outside [0,%d) in list %d", b.count, i)
 			}
 			// The query skips whole blocks on Max, which is only sound over
-			// a directory in ascending id order.
+			// a directory in ascending rank order.
 			if blk.First < prevMax {
 				return errBase("posting blocks out of order in list %d", i)
 			}
@@ -447,35 +538,36 @@ func (b *PagedBase) listFor(w dataset.Keyword) (bitpack.List, bool) {
 	return b.lists[i], true
 }
 
-// listCursor walks one posting list in ascending id order. Its position
+// listCursor walks one posting list in ascending rank order. Its position
 // advances over the resident block directory; a block's payload is fetched
 // and decoded only when the directory cannot answer a seek by itself.
 type listCursor struct {
 	blocks []bitpack.Block // the list's directory entries
 	n      int32           // list length, the intersection's ordering key
 	bi     int             // current block
-	dec    int             // block whose ids vals holds, -1 for none
+	dec    int             // block whose ranks vals holds, -1 for none
 	pos    int             // scan position in vals
-	vals   []int32         // decoded ids, capacity BlockSize
+	vals   []int32         // decoded ranks, capacity BlockSize
 	ww     *pager.View     // posting payload (pread mode; nil when mapped)
 }
 
 // baseReader bundles the per-query cursors, views and scratch buffers of one
 // scan. Readers are recycled through PagedBase.readers.
 type baseReader struct {
-	b              *PagedBase
-	hv, pv, dv, wv *pager.View   // handles, points, doc offsets, doc words (pread mode)
-	views          []*pager.View // every view the reader holds, cursors' included
-	cur            []listCursor  // one per query keyword
-	obj            dataset.Object
-	pt             geom.Point
-	ptBuf          []byte
-	doc            []dataset.Keyword
-	blockBuf       [bitpack.MaxBlockBytes]byte // a block payload that crosses a page boundary
+	b                  *PagedBase
+	hv, pv, dv, wv, rv *pager.View   // handles, points, doc offsets, doc words, rank column (pread mode)
+	views              []*pager.View // every view the reader holds, cursors' included
+	cur                []listCursor  // one per query keyword
+	runs               []int32       // the query's cell runs, [lo, hi) pairs ascending
+	obj                dataset.Object
+	pt                 geom.Point
+	ptBuf              []byte
+	doc                []dataset.Keyword
+	blockBuf           [bitpack.MaxBlockBytes]byte // a block payload that crosses a page boundary
 }
 
 func (b *PagedBase) newReader() (*baseReader, error) {
-	r := &baseReader{b: b, cur: make([]listCursor, b.k)}
+	r := &baseReader{b: b, cur: make([]listCursor, b.k), runs: make([]int32, 0, 64)}
 	vals := make([]int32, b.k*bitpack.BlockSize)
 	for i := range r.cur {
 		r.cur[i].vals = vals[i*bitpack.BlockSize : i*bitpack.BlockSize : (i+1)*bitpack.BlockSize]
@@ -498,6 +590,7 @@ func (b *PagedBase) newReader() (*baseReader, error) {
 	r.pv = mk(b.pointsOff, 8*b.count*int64(b.dim))
 	r.dv = mk(b.docStartOff, 8*(b.count+1))
 	r.wv = mk(b.docWordsOff, 4*b.docTotal)
+	r.rv = mk(b.rankEntryOff, 4*b.count)
 	for i := range r.cur {
 		r.cur[i].ww = mk(b.wordsOff, 8*b.wordsN)
 	}
@@ -539,9 +632,9 @@ func (r *baseReader) err() error {
 	return nil
 }
 
-// seek returns the smallest id >= target that c's list holds at or after its
-// current position, or false once the list is exhausted (or a payload read
-// failed — r.err tells which). Targets must not decrease between calls.
+// seek returns the smallest rank >= target that c's list holds at or after
+// its current position, or false once the list is exhausted (or a payload
+// read failed — r.err tells which). Targets must not decrease between calls.
 func (r *baseReader) seek(c *listCursor, target int32) (int32, bool) {
 	for c.bi < len(c.blocks) {
 		blk := &c.blocks[c.bi]
@@ -584,7 +677,7 @@ func (r *baseReader) seek(c *listCursor, target int32) (int32, bool) {
 	return 0, false
 }
 
-// decode fills c.vals with blk's ids, straight from the mapping or from the
+// decode fills c.vals with blk's ranks, straight from the mapping or from the
 // pinned page the payload lies on.
 func (r *baseReader) decode(c *listCursor, blk *bitpack.Block) bool {
 	var payload []byte
@@ -608,14 +701,22 @@ func (r *baseReader) handleAt(i int64) int64 {
 	return r.hv.I64(8 * i)
 }
 
-// pointOf returns entry i's point (mapped subslice or scratch copy), or nil
-// when the read failed.
-func (r *baseReader) pointOf(i int64) geom.Point {
+// entryAt returns the entry at the given rank.
+func (r *baseReader) entryAt(rank int64) int64 {
+	if r.b.mRankEntry != nil {
+		return int64(r.b.mRankEntry[rank])
+	}
+	return int64(r.rv.I32(4 * rank))
+}
+
+// pointAt returns the point at the given rank (mapped subslice or scratch
+// copy), or nil when the read failed.
+func (r *baseReader) pointAt(rank int64) geom.Point {
 	d := int64(r.b.dim)
 	if r.b.mPoints != nil {
-		return r.b.mPoints[i*d : (i+1)*d]
+		return r.b.mPoints[rank*d : (rank+1)*d]
 	}
-	raw := r.pv.Span(8*i*d, 8*d, r.ptBuf)
+	raw := r.pv.Span(8*rank*d, 8*d, r.ptBuf)
 	if raw == nil {
 		return nil
 	}
@@ -645,17 +746,50 @@ func (r *baseReader) docOf(i int64) []dataset.Keyword {
 	return r.doc
 }
 
+// cover descends the cell tree from the node over cells [lo, hi) and appends
+// to r.runs the cells whose boxes meet q, merged into maximal ascending
+// runs. A covered node joins whole, without a visit to its descendants.
+func (r *baseReader) cover(st *QueryStats, q *geom.Rect, node, lo, hi int) {
+	d := r.b.dim
+	box := r.b.tree[2*d*node : 2*d*(node+1)]
+	st.NodesVisited++
+	rel := q.RelateRect(box[:d], box[d:])
+	if rel == geom.Disjoint {
+		return
+	}
+	if rel == geom.Covered {
+		st.CoveredNodes++
+	} else {
+		st.CrossingNodes++
+	}
+	if rel == geom.Crossing && hi-lo > 1 {
+		mid := codec.CellSplit(lo, hi)
+		r.cover(st, q, node+1, lo, mid)
+		r.cover(st, q, node+2*(mid-lo), mid, hi)
+		return
+	}
+	if n := len(r.runs); n > 0 && r.runs[n-1] == int32(lo) {
+		r.runs[n-1] = int32(hi)
+		return
+	}
+	r.runs = append(r.runs, int32(lo), int32(hi))
+}
+
 // Query reports (handle, object) for every base entry in q whose document
-// contains all k keywords, in ascending entry order. The reported object is
-// the reader's scratch, valid only for the duration of the callback; in
-// mapped mode its Point and Doc alias the mapping and remain valid until
-// Close. Tombstone filtering is the caller's job (the dynamic layer owns the
-// tombstone set).
+// contains all k keywords, in rank order: cell by cell along the kd leaf
+// order, not by ascending handle. The reported object is the reader's
+// scratch, valid only for the duration of the callback; in mapped mode its
+// Point and Doc alias the mapping and remain valid until Close. Tombstone
+// filtering is the caller's job (the dynamic layer owns the tombstone set).
 //
-// Ops counts the candidates taken from the shortest list — each one an id
-// the other lists were asked about — so Budget and ExecPolicy.NodeBudget
-// bound the intersection; ids a longer list let the scan leap over are never
-// examined and never charged.
+// NodesVisited, CoveredNodes and CrossingNodes count the cell-tree descent.
+// Ops counts the candidates taken from the shortest list inside the runs of
+// cells the rectangle meets — each one a rank the other lists were asked
+// about — so Budget and ExecPolicy.NodeBudget bound the intersection; ranks
+// a longer list let the scan leap over, and ranks outside the runs, are never
+// examined and never charged. The stop conditions are checked once per run
+// as well, so a rectangle of many runs and few candidates still polls its
+// deadline.
 func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
 	if len(ws) != b.k {
 		return st, fmt.Errorf("%w: query carries %d keywords but the base holds k=%d", ErrInvalidQuery, len(ws), b.k)
@@ -688,65 +822,96 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 			r.cur[j], r.cur[j-1] = r.cur[j-1], r.cur[j]
 		}
 	}
+	r.runs = r.runs[:0]
+	r.cover(&st, q, 0, 0, b.cells)
 	drive, rest := &r.cur[0], r.cur[1:]
 	ps := newPolState(opts.Policy)
-next:
-	for target := int32(0); ; {
-		id, ok := r.seek(drive, target)
-		if !ok {
-			return st, r.err()
-		}
-		st.Ops++
-		st.MatScanned++
+	// stopped applies Budget and the policy to the work done so far.
+	stopped := func() (bool, error) {
 		if opts.Budget > 0 && st.Ops > opts.Budget {
 			st.BudgetHit, st.Truncated = true, true
-			return st, r.err()
+			return true, r.err()
 		}
 		if err := ps.check(&st, st.Ops); err != nil {
+			return true, err
+		}
+		return false, nil
+	}
+	// target is the lowest rank that can still be in the intersection. It
+	// only rises, across runs too, which is what seek requires; a run a list
+	// has already leapt past is skipped without a seek.
+	target := int32(0)
+	for i := 0; i < len(r.runs); i += 2 {
+		lo := int32(int(r.runs[i]) * b.cell)
+		hi := int32(min(int64(r.runs[i+1])*int64(b.cell), b.count))
+		if target >= hi {
+			continue
+		}
+		target = max(target, lo)
+		if stop, err := stopped(); stop {
 			return st, err
 		}
-		// Leapfrog: a list whose next id lies past the candidate names the
-		// next id worth asking the drive list about.
-		for j := range rest {
-			v, ok := r.seek(&rest[j], id)
+	next:
+		for target < hi {
+			rank, ok := r.seek(drive, target)
 			if !ok {
 				return st, r.err()
 			}
-			if v != id {
-				target = v
-				continue next
+			if target = rank; rank >= hi {
+				break
 			}
+			st.Ops++
+			st.MatScanned++
+			if stop, err := stopped(); stop {
+				return st, err
+			}
+			// Leapfrog: a list whose next rank lies past the candidate names
+			// the next rank worth asking the drive list about.
+			for j := range rest {
+				v, ok := r.seek(&rest[j], rank)
+				if !ok {
+					return st, r.err()
+				}
+				if v != rank {
+					target = v
+					continue next
+				}
+			}
+			// rank is in all k lists: only now does the scan leave the
+			// posting section, and only inside the rectangle the points.
+			target = rank + 1
+			p := r.pointAt(int64(rank))
+			if p == nil {
+				return st, r.err()
+			}
+			if !q.ContainsPoint(p) {
+				continue
+			}
+			if opts.Limit > 0 && st.Reported >= opts.Limit {
+				st.Truncated = true
+				return st, nil
+			}
+			e := r.entryAt(int64(rank))
+			r.obj = dataset.Object{Point: p, Doc: r.docOf(e)}
+			h := r.handleAt(e)
+			if err := r.err(); err != nil {
+				return st, err
+			}
+			// The lists are an index, not the truth: an entry is reported on
+			// its own document.
+			if !docHasAll(r.obj.Doc, ws) {
+				continue
+			}
+			report(h, &r.obj)
+			st.Reported++
 		}
-		// id is in all k lists: the intersection is the membership proof,
-		// and only now does the scan leave the posting section.
-		i := int64(id)
-		if i < 0 || i >= b.count {
-			return st, errBase("posting id %d outside [0,%d)", id, b.count)
-		}
-		target = id + 1
-		p := r.pointOf(i)
-		if p == nil {
-			return st, r.err()
-		}
-		if !q.ContainsPoint(p) {
-			continue
-		}
-		if opts.Limit > 0 && st.Reported >= opts.Limit {
-			st.Truncated = true
-			return st, nil
-		}
-		r.obj = dataset.Object{Point: p, Doc: r.docOf(i)}
-		h := r.handleAt(i)
-		if err := r.err(); err != nil {
-			return st, err
-		}
-		report(h, &r.obj)
-		st.Reported++
 	}
+	return st, r.err()
 }
 
 // Entries decodes every base entry into the four columns — the
-// checkpoint-writing path, which is allowed to touch the whole file.
+// checkpoint-writing path, which is allowed to touch the whole file. The
+// points lie in rank order and are scattered back through the rank column.
 func (b *PagedBase) Entries() ([]int64, *dataset.Dataset, error) {
 	r, err := b.getReader()
 	if err != nil {
@@ -754,8 +919,14 @@ func (b *PagedBase) Entries() ([]int64, *dataset.Dataset, error) {
 	}
 	defer b.putReader(r)
 	c := entryCols{dim: b.dim}
+	unplaced := make(geom.Point, b.dim)
 	for i := int64(0); i < b.count; i++ {
-		c.add(r.handleAt(i), r.pointOf(i), r.docOf(i))
+		c.add(r.handleAt(i), unplaced, r.docOf(i))
+	}
+	for rank := int64(0); rank < b.count; rank++ {
+		if p := r.pointAt(rank); p != nil {
+			copy(c.points[r.entryAt(rank)*int64(b.dim):], p)
+		}
 	}
 	if err := r.err(); err != nil {
 		return nil, nil, err

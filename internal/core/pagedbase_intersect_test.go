@@ -88,18 +88,27 @@ func keywordTuples(k int) [][]dataset.Keyword {
 	return out
 }
 
-// reportOrder runs a query and returns the handles in the order reported.
+// reportOrder runs a query and returns the handles in the order reported:
+// rank order, cell by cell — compare with an oracle through sortedHandles.
 func reportOrder(b *PagedBase, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int64, QueryStats, error) {
 	var got []int64
 	st, err := b.Query(q, ws, opts, func(h int64, _ *dataset.Object) { got = append(got, h) })
 	return got, st, err
 }
 
+// sortedHandles sorts got in place and returns it.
+func sortedHandles(got []int64) []int64 {
+	slices.Sort(got)
+	return got
+}
+
 // TestPagedBaseIntersectionDifferential checks the leapfrog intersection
 // against the brute-force oracle for k = 2, 3, 4 in both base modes, over
 // lists of every awkward shape: one block against many, lengths 127/128/129,
-// a single id, ids on block boundaries, and an absent keyword. Results must
-// come duplicate-free in ascending entry order.
+// a single id, ids on block boundaries, and an absent keyword. (The shapes
+// are laid out over entry indexes; the file stores ranks, which scatters them
+// over the blocks differently for every seed.) The answer must be the
+// oracle's set, duplicate-free.
 func TestPagedBaseIntersectionDifferential(t *testing.T) {
 	docs := diffDocs()
 	for _, k := range []int{2, 3, 4} {
@@ -112,10 +121,7 @@ func TestPagedBaseIntersectionDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("k=%d %s ws=%v: %v", k, mode, ws, err)
 					}
-					if !slices.IsSorted(got) {
-						t.Fatalf("k=%d %s ws=%v: results out of entry order: %v", k, mode, ws, got)
-					}
-					if want := snapOracle(snap, q, ws); !slices.Equal(got, want) {
+					if want := snapOracle(snap, q, ws); !slices.Equal(sortedHandles(got), want) {
 						t.Fatalf("k=%d %s ws=%v q=%v: got %v, want %v", k, mode, ws, q, got, want)
 					}
 					if st.Reported != len(got) {
@@ -195,7 +201,7 @@ func TestPagedBaseConcurrentQueriesTinyPool(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if want := snapOracle(snap, q, ws); !slices.Equal(got, want) {
+				if want := snapOracle(snap, q, ws); !slices.Equal(sortedHandles(got), want) {
 					t.Errorf("goroutine %d ws=%v: got %v, want %v", g, ws, got, want)
 					return
 				}
@@ -212,10 +218,13 @@ func pagerPins(fn func()) int64 {
 }
 
 // TestPagedBaseDisjointListsTouchOnlyPostings pins the I/O shape of the
-// intersection so it cannot slide back to candidate-at-a-time: two keywords
-// that never share an entry (their ids interleave, so every posting block
-// must be read) cost no more pins than the pages their posting lists span —
-// which leaves none for the points, handles or document sections.
+// intersection so it cannot slide back to candidate-at-a-time, nor to reading
+// outside the rectangle's cells. Two keywords never share an entry and split
+// every cell between them. Over the universe rectangle — one run, every
+// posting block read — the query costs no more pins than the pages the two
+// lists span, which leaves none for the points, handles or document
+// sections. Over a small rectangle it takes candidates from the cells the
+// rectangle meets only.
 func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 	docs := make([][]dataset.Keyword, 20_000)
 	for i := range docs {
@@ -240,19 +249,59 @@ func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 		lo, hi := 8*int64(first.Off), 8*(int64(last.Off)+int64(last.Words()))-1
 		postingPages += hi/pager.PageSize - lo/pager.PageSize + 1
 	}
-	var st QueryStats
-	pins := pagerPins(func() {
-		var got []int64
-		got, st, err = reportOrder(b, geom.UniverseRect(2), ws, QueryOpts{})
-		if err != nil || len(got) != 0 {
-			t.Fatalf("disjoint keywords: %d results, err=%v", len(got), err)
-		}
-	})
-	if st.Ops < int64(len(docs)/4) {
-		t.Fatalf("only %d candidates examined: the lists were meant to interleave", st.Ops)
+	disjoint := func(q *geom.Rect) (st QueryStats, pins int64) {
+		pins = pagerPins(func() {
+			var got []int64
+			got, st, err = reportOrder(b, q, ws, QueryOpts{})
+			if err != nil || len(got) != 0 {
+				t.Fatalf("disjoint keywords over %v: %d results, err=%v", q, len(got), err)
+			}
+		})
+		return st, pins
 	}
-	if pins == 0 || pins > postingPages {
-		t.Fatalf("%d pins for posting lists spanning %d pages: the scan left the posting section", pins, postingPages)
+	// Entries of the two keywords alternate, and a cell lists its entries
+	// ascending, so the lists interleave in rank space too: a candidate every
+	// few ranks.
+	all, allPins := disjoint(geom.UniverseRect(2))
+	if all.Ops < int64(len(docs)/8) {
+		t.Fatalf("only %d candidates examined: the lists were meant to interleave", all.Ops)
+	}
+	if all.NodesVisited != 1 || all.CoveredNodes != 1 {
+		t.Fatalf("the universe rectangle visited %d nodes (%d covered), want the root alone", all.NodesVisited, all.CoveredNodes)
+	}
+	if allPins == 0 || allPins > postingPages {
+		t.Fatalf("%d pins for posting lists spanning %d pages: the scan left the posting section", allPins, postingPages)
+	}
+
+	// A side-0.2 rectangle holds 4% of the points; its cells hold a little
+	// more, and the candidates are at most the ranks of those cells.
+	q := &geom.Rect{Lo: []float64{0.4, 0.4}, Hi: []float64{0.6, 0.6}}
+	r, err := b.getReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cover QueryStats
+	r.runs = r.runs[:0]
+	r.cover(&cover, q, 0, 0, b.cells)
+	ranks := int64(0)
+	for i := 0; i < len(r.runs); i += 2 {
+		ranks += int64(r.runs[i+1]-r.runs[i]) * int64(b.cell)
+	}
+	b.putReader(r)
+	small, smallPins := disjoint(q)
+	if small.NodesVisited != cover.NodesVisited || small.NodesVisited < 3 || small.CrossingNodes == 0 {
+		t.Fatalf("descent visited %d nodes (%d crossing), the cover alone %d", small.NodesVisited, small.CrossingNodes, cover.NodesVisited)
+	}
+	if ranks > int64(len(docs))/4 {
+		t.Fatalf("the rectangle's cells hold %d of %d ranks: the kd order does not localise", ranks, len(docs))
+	}
+	if small.Ops == 0 || small.Ops > ranks {
+		t.Fatalf("%d candidates for %d ranks in the rectangle's cells", small.Ops, ranks)
+	}
+	// (Both lists fit a few pages here; TestPagedBaseRectanglePrunesWork holds
+	// the pins of a corpus whose lists do not to half.)
+	if smallPins == 0 || smallPins > allPins {
+		t.Fatalf("%d pins inside the rectangle against %d for every block", smallPins, allPins)
 	}
 
 	// The counter does see the other sections when a query has survivors.

@@ -461,7 +461,9 @@ func TestPagedBaseLazyChecksum(t *testing.T) {
 }
 
 // TestOpenPagedBaseRejectsBadFiles: a v1 checkpoint, truncation, and a
-// wrong-kind container are all refused at open.
+// checkpoint from before the rank-order format are all refused at open — the
+// last by name, by the decoding reader too (recovery's refusal is
+// wal.TestSoleDamagedCheckpointRefused's).
 func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	snap := testCheckpointSnapshot(37, 40, 2)
@@ -486,5 +488,21 @@ func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 	}
 	if _, err := OpenPagedBase(p2, PagedBaseOptions{}); err == nil {
 		t.Fatal("truncated container accepted")
+	}
+
+	// Sound in every other respect, but its postings cannot be ranks: there
+	// is no rank column to lead from them to an entry.
+	old := withoutRankSections(t, raw)
+	p3 := filepath.Join(dir, "pre-rank.ckpt")
+	if err := os.WriteFile(p3, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
+		if _, err := OpenPagedBase(p3, opts); !errors.Is(err, codec.ErrNoRankColumn) {
+			t.Fatalf("OpenPagedBase(%+v) of a checkpoint without a rank column: %v", opts, err)
+		}
+	}
+	if _, err := codec.ReadPagedSnapshot(bytes.NewReader(old), int64(len(old))); !errors.Is(err, codec.ErrNoRankColumn) || !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("ReadPagedSnapshot of a checkpoint without a rank column: %v", err)
 	}
 }

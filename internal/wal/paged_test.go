@@ -230,12 +230,15 @@ func TestPagedRecoveryRefusesCorruptCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointBytesPinned: the checkpoint of a fixed seeded history — one
-// that carries, tombstones, rebuilds and leaves a part-filled buffer — keeps
-// the SHA-256 it had before buckets and snapshots became columnar (recorded at
-// commit 3b7e187): the refactor changed how the four columns are gathered,
-// not one byte of what is written.
+// that carries, tombstones, rebuilds and leaves a part-filled buffer — hashes
+// to a recorded SHA-256, so the bytes are a function of the entry set and a
+// change to them is a decision, not an accident. Re-pinned with the
+// rank-order format: the handle and document columns are the bytes commit
+// 3b7e187 wrote (49b780e6…), the points are stored by rank, the postings
+// name ranks, and the rank column and cell boxes are new. The order itself is
+// held to its definition by codec.TestKDLeafOrderMatchesDefinition.
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "49b780e6b5c8df37359f4b68f9a60f89d05ba2fa5979e646f6c4b8682179c22e"
+	const want = "ec37a7b959577fc47e4c3a24d997a25799aff00cbe18a633ff02f676ed5f679f"
 	dir := t.TempDir()
 	d := mustOpen(t, dir, WithBufferCap(8))
 	rng := rand.New(rand.NewSource(99))

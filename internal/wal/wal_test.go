@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
@@ -433,13 +435,38 @@ func TestDamagedCheckpointFallsBackToOlder(t *testing.T) {
 // the log tail behind it is empty, so nothing contradicts an empty index —
 // recovery must refuse the directory instead of acking the next insert as
 // handle 0 into a log that starts at seq 52. The legacy case plants a KWCP v1
-// stream, which is one more file that does not validate.
+// stream, which is one more file that does not validate, and so is the
+// pre-rank case: the checkpoint as a release before the rank-order format
+// wrote it, sound but for the rank column it lacks, refused by name.
 func TestSoleDamagedCheckpointRefused(t *testing.T) {
 	legacy := []byte("KWCP\x01\x02\x02\x33\x32\x00") // k=2 dim=2 lastSeq=51 nextHandle=50 count=0
 	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(legacy, crc32.MakeTable(crc32.Castagnoli)))
+	withoutRankSections := func(raw []byte) []byte {
+		c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var secs []codec.Section
+		for _, s := range c.Sections[1:] {
+			if s.ID == codec.SecRankEntry || s.ID == codec.SecCellBoxes {
+				continue
+			}
+			data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs = append(secs, codec.Section{ID: s.ID, Data: data})
+		}
+		var out bytes.Buffer
+		if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
 	for name, damage := range map[string]func([]byte) []byte{
-		"flipped": func(b []byte) []byte { b[len(b)/2] ^= 0xff; b[len(b)/2+1] ^= 0xff; return b },
-		"legacy":  func([]byte) []byte { return legacy },
+		"flipped":  func(b []byte) []byte { b[len(b)/2] ^= 0xff; b[len(b)/2+1] ^= 0xff; return b },
+		"legacy":   func([]byte) []byte { return legacy },
+		"pre-rank": withoutRankSections,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -468,6 +495,9 @@ func TestSoleDamagedCheckpointRefused(t *testing.T) {
 					}
 					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(p)) {
 						t.Fatalf("err = %v, want ErrCorrupt naming %s", err, filepath.Base(p))
+					}
+					if name == "pre-rank" && !strings.Contains(err.Error(), "no rank column") {
+						t.Fatalf("err = %v, want the missing rank column named", err)
 					}
 				}
 			}
