@@ -222,8 +222,9 @@ func BenchmarkPagedResidentCapped(b *testing.B) {
 // them intersect one short list with one long one. ns/op is the facade
 // Collect; the rest are counts that do not depend on the host: ops/op the
 // candidates taken from the drive list inside the rectangle's cells, nodes/op
-// the cell-tree nodes the rectangle's descent visits, pins/op and misses/op
-// the page pins (and the faulting share of them) a query makes.
+// the cell-tree nodes the rectangle's descent visits, results/op the rows
+// reported, pins/op and misses/op the page pins (and the faulting share of
+// them) a query makes.
 func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 	const n, k, vocab = 1 << 16, 2, 1000
 	ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: vocab, DocLen: 6})
@@ -280,7 +281,7 @@ func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 		}
 	}
 	hits0, misses0 := pins()
-	var ops, nodes int64
+	var ops, nodes, results int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
@@ -288,12 +289,13 @@ func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops, nodes = ops+st.Ops, nodes+int64(st.NodesVisited)
+		ops, nodes, results = ops+st.Ops, nodes+int64(st.NodesVisited), results+int64(st.Reported)
 	}
 	b.StopTimer()
 	hits, misses := pins()
 	b.ReportMetric(float64(ops)/float64(b.N), "ops/op")
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(results)/float64(b.N), "results/op")
 	b.ReportMetric(float64(hits-hits0+misses-misses0)/float64(b.N), "pins/op")
 	b.ReportMetric(float64(misses-misses0)/float64(b.N), "misses/op")
 }

@@ -300,7 +300,7 @@ func (c *Container) VerifyAllPages(r io.ReaderAt) error {
 			return fmt.Errorf("%w: reading page %d", ErrCorrupt, p)
 		}
 		if got := crc32.Checksum(buf, castagnoli); got != want {
-			return fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, p)
+			return fmt.Errorf("%w: page %d: %w", ErrCorrupt, p, pager.ErrChecksum)
 		}
 	}
 	return nil

@@ -182,25 +182,37 @@ func resealEdited(t testing.TB, raw []byte, id uint32, edit func(data []byte)) [
 	return out.Bytes()
 }
 
-// lyingRankSections are one-value edits of the rank column and the cell boxes
-// of a snapshot of at least two entries in two dimensions that every
-// checksum survives and ReadPagedSnapshot must still refuse.
+// lyingRankSections are one-value edits of the entry -> rank column, the row
+// handles and the cell boxes of a snapshot of at least two entries in two
+// dimensions that every checksum survives and ReadPagedSnapshot must still
+// refuse.
 var lyingRankSections = []struct {
 	name string
 	id   uint32
 	edit func(data []byte)
 }{
-	{"a rank repeated", SecRankEntry, func(d []byte) { copy(d[4:], d[:4]) }},
-	{"a rank past the count", SecRankEntry, func(d []byte) { copy(d, putI32s([]int32{1 << 20})) }},
-	{"a negative rank", SecRankEntry, func(d []byte) { copy(d, putI32s([]int32{-1})) }},
+	{"a rank repeated", SecEntryRank, func(d []byte) { copy(d[4:], d[:4]) }},
+	{"a rank past the count", SecEntryRank, func(d []byte) { copy(d, putI32s([]int32{1 << 20})) }},
+	{"a negative rank", SecEntryRank, func(d []byte) { copy(d, putI32s([]int32{-1})) }},
+	{"two rows swapped", SecEntryRank, func(d []byte) {
+		a, b := slices.Clone(d[:4]), slices.Clone(d[4:8])
+		copy(d, b)
+		copy(d[4:], a)
+	}},
+	{"a row handle not its entry's", SecRowHandles, func(d []byte) { copy(d, putI64s([]int64{1 << 40})) }},
+	{"two row handles swapped", SecRowHandles, func(d []byte) {
+		a, b := slices.Clone(d[:8]), slices.Clone(d[8:16])
+		copy(d, b)
+		copy(d[8:], a)
+	}},
 	{"a box inside out", SecCellBoxes, func(d []byte) { copy(d, putF64s([]float64{math.Inf(1)})) }},
 	{"a box that leaves out its points", SecCellBoxes, func(d []byte) { copy(d[16:], putF64s([]float64{-1e9, -1e9})) }},
 	{"a NaN bound", SecCellBoxes, func(d []byte) { copy(d[8:], putF64s([]float64{math.NaN()})) }},
 }
 
 // TestPagedSnapshotRefusesLyingRankSections: the decoding reader reads every
-// page anyway, so it holds the rank column to a permutation and every cell
-// box to its cell's points.
+// page anyway, so it holds the entry -> rank column to a permutation, every
+// row to its entry's handle and every cell box to its cell's points.
 func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
@@ -212,7 +224,7 @@ func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", lie.name, err)
 		}
 	}
-	raw := resealEdited(t, buf.Bytes(), SecRankEntry, func([]byte) {})
+	raw := resealEdited(t, buf.Bytes(), SecEntryRank, func([]byte) {})
 	if _, err := ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw))); err != nil {
 		t.Fatalf("re-sealed unchanged: %v", err)
 	}
@@ -236,10 +248,11 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		f.Add(flip)
 		f.Add(flip[:pos])
 	}
-	// The rank column and the cell boxes, damaged where only the structural
+	// The rank sections and the rows, damaged where only the structural
 	// checks can see it: the sections re-sealed under fresh checksums with a
-	// rank repeated, a rank out of range, a box turned inside out, and a box
-	// that leaves out its cell's points; and a page of each flipped in place.
+	// rank repeated or out of range, two rows or two row handles swapped, a
+	// box turned inside out or leaving out its cell's points; and a page of
+	// each section by rank flipped in place.
 	for _, lie := range lyingRankSections {
 		f.Add(resealEdited(f, golden, lie.id, lie.edit))
 	}
@@ -247,7 +260,7 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, id := range []uint32{SecRankEntry, SecCellBoxes} {
+	for _, id := range []uint32{SecEntryRank, SecCellBoxes, SecRowHandles, SecDocStart, SecDocWords} {
 		off, _, _ := c.Section(id)
 		flip := append([]byte(nil), golden...)
 		flip[off+5] ^= 0x41

@@ -14,12 +14,12 @@ import (
 // Snapshot is the payload of a durability checkpoint: the live entry set of
 // a dynamic index — a handle column beside the dataset's three — together
 // with the log position the checkpoint supersedes and the handle watermark
-// recovery must resume from. On disk it is a KWCP2 container holding the
-// handle and document columns as they lie in memory and the index the paged
-// base answers queries from without decoding them: the points in rank order
-// (the kd leaf order of rankorder.go), one bounding box per cell of ranks, an
-// inverted index (sorted vocabulary, bitpacked postings of *ranks*), and the
-// rank -> entry column that leads from a rank back to its handle and document.
+// recovery must resume from. On disk it is a KWCP2 container the paged base
+// answers queries from without decoding it: every row — point, handle,
+// document — in rank order (the kd leaf order of rankorder.go), one bounding
+// box per cell of ranks, an inverted index (sorted vocabulary, bitpacked
+// postings of *ranks*), and beside them the ascending handle column with the
+// entry -> rank column that leads from a handle to its row.
 type Snapshot struct {
 	K          int              // query keyword arity of the index
 	Dim        int              // point dimensionality
@@ -33,27 +33,30 @@ type Snapshot struct {
 // table).
 const (
 	SecPageCRC    = 0
-	SecHandles    = 1  // []int64, strictly increasing, count entries
-	SecPoints     = 2  // []float64, count x dim, row-major, by rank
-	SecDocStart   = 3  // []int64, count+1 prefix offsets into SecDocWords
-	SecDocWords   = 4  // []uint32, concatenated sorted documents
+	SecHandles    = 1  // []int64 by entry: strictly increasing, count values
+	SecPoints     = 2  // []float64 by rank, count x dim, row-major
+	SecDocStart   = 3  // []int64 by rank, count+1 prefix offsets into SecDocWords
+	SecDocWords   = 4  // []uint32, concatenated sorted documents, by rank
 	SecVocab      = 5  // []uint32, sorted distinct keywords
 	SecPostLists  = 6  // []int32 triples {block, numBlocks, n} per vocab entry
 	SecPostBlocks = 7  // []int32 quads {off, first, max, n|w<<16} per block, ids are ranks
 	SecPostWords  = 8  // []uint64 bitpack payload
-	SecRankEntry  = 9  // []int32 rank -> entry, a permutation of [0, count)
+	SecRankEntry  = 9  // retired: rank -> entry beside entry-ordered documents; never read, never reused
 	SecCellBoxes  = 10 // []float64, 2*dim per cell of CellSize(dim) ranks: Lo then Hi
+	SecRowHandles = 11 // []int64 by rank: rank -> handle
+	SecEntryRank  = 12 // []int32 by entry: entry -> rank, a permutation of [0, count)
 )
 
 // maxSnapshotCount bounds the entries of one snapshot: ranks and entry
 // indexes are int32 everywhere they are stored.
 const maxSnapshotCount = math.MaxInt32
 
-// ErrNoRankColumn refuses a checkpoint written before its index sections
-// were numbered by rank. There is one snapshot format: such a file is not
-// migrated, the directory it belongs to is re-checkpointed by the release
-// that wrote it.
-var ErrNoRankColumn = fmt.Errorf("%w: snapshot has no rank column (SecRankEntry): written before the rank-order format", ErrCorrupt)
+// ErrNoRankRows refuses a checkpoint whose rows are not stored by rank:
+// one written before the rank-order format, or by it with documents in entry
+// order beside SecRankEntry. There is one snapshot format: such a file is
+// not migrated, the directory it belongs to is re-checkpointed by the
+// release that wrote it.
+var ErrNoRankRows = fmt.Errorf("%w: snapshot has no rows by rank (SecRowHandles, SecEntryRank): written before the rank-order row format", ErrCorrupt)
 
 // Kind discriminates what a KWCP2 container holds (PagedMeta.Kind).
 const (
@@ -154,8 +157,8 @@ func DecodePostBlocks(v []int32) ([]bitpack.Block, error) {
 	return out, nil
 }
 
-// WritePagedSnapshot serializes the snapshot as a KWCP2 container, numbering
-// the points and the postings in kd leaf order.
+// WritePagedSnapshot serializes the snapshot as a KWCP2 container, laying
+// the rows out and numbering the postings in kd leaf order.
 func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if s.Dim < 1 || s.Dim > 64 {
 		return fmt.Errorf("codec: snapshot dimension %d outside [1, 64]", s.Dim)
@@ -185,6 +188,7 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	// the documents are sequential, then fill them in rank order: every list
 	// comes out ascending with one map lookup a word and no regrowth.
 	listOf := map[uint32]int32{} // keyword -> its list
+	var wordOf []uint32          // list -> its keyword
 	wordList := make([]int32, len(docWords))
 	var fill []int // fill[l]: where list l's next rank goes in ranks
 	for i, kw := range docWords {
@@ -192,6 +196,7 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 		if !ok {
 			l = int32(len(fill))
 			listOf[kw] = l
+			wordOf = append(wordOf, kw)
 			fill = append(fill, 0)
 		}
 		wordList[i] = l
@@ -202,21 +207,31 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 		fill[l] = end
 		end += n
 	}
+	// The same pass lays every row out by rank, straight into the section
+	// bytes, and inverts the order into the entry -> rank column. A word is
+	// read back through its list, which spares a second scattered read.
 	ranks := make([]int32, len(docWords))
 	rankPoints := make([]byte, 8*len(points))
+	rowHandles := make([]byte, 8*count)
+	rankDocStart := make([]byte, 8*(count+1))
+	rankDocWords := make([]byte, 4*len(docWords))
+	entryRank := make([]byte, 4*count)
+	at := 0 // words laid out so far
 	for r, e := range rankEntry {
 		for j, v := range points[int(e)*s.Dim : (int(e)+1)*s.Dim] {
 			binary.LittleEndian.PutUint64(rankPoints[8*(r*s.Dim+j):], math.Float64bits(v))
 		}
+		binary.LittleEndian.PutUint64(rowHandles[8*r:], uint64(s.Handles[e]))
+		binary.LittleEndian.PutUint32(entryRank[4*e:], uint32(r))
 		for _, l := range wordList[docStart[e]:docStart[e+1]] {
+			binary.LittleEndian.PutUint32(rankDocWords[4*at:], wordOf[l])
+			at++
 			ranks[fill[l]] = int32(r)
 			fill[l]++
 		}
+		binary.LittleEndian.PutUint64(rankDocStart[8*(r+1):], uint64(at))
 	}
-	vocab := make([]uint32, 0, len(listOf))
-	for kw := range listOf {
-		vocab = append(vocab, kw)
-	}
+	vocab := slices.Clone(wordOf)
 	slices.Sort(vocab)
 	var arena bitpack.PackedLists
 	lists := make([]bitpack.List, len(vocab))
@@ -241,14 +256,15 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	return WriteContainer(w, meta.Encode(), []Section{
 		{SecHandles, putI64s(s.Handles)},
 		{SecPoints, rankPoints},
-		{SecDocStart, putI64s(docStart)},
-		{SecDocWords, putU32s(docWords)},
+		{SecDocStart, rankDocStart},
+		{SecDocWords, rankDocWords},
 		{SecVocab, putU32s(vocab)},
 		{SecPostLists, putI32s(EncodePostLists(lists))},
 		{SecPostBlocks, putI32s(EncodePostBlocks(blocks))},
 		{SecPostWords, putU64s(words)},
-		{SecRankEntry, putI32s(rankEntry)},
 		{SecCellBoxes, putF64s(boxes)},
+		{SecRowHandles, rowHandles},
+		{SecEntryRank, entryRank},
 	})
 }
 
@@ -266,7 +282,7 @@ func sectionExact(c *Container, r io.ReaderAt, id uint32, want int64) ([]byte, e
 
 // SnapshotMeta parses the meta blob of a snapshot container and applies the
 // checks both readers share: the kind, the bounds every later size is
-// computed from, and the presence of the rank column.
+// computed from, and the presence of the rows by rank.
 func SnapshotMeta(c *Container) (PagedMeta, error) {
 	meta := ParsePagedMeta(c.Meta)
 	if meta.Kind != PagedKindSnapshot {
@@ -276,16 +292,18 @@ func SnapshotMeta(c *Container) (PagedMeta, error) {
 		meta.Count > maxSnapshotCount || meta.NextHandle > math.MaxInt64 {
 		return meta, fmt.Errorf("%w: implausible snapshot meta %+v", ErrCorrupt, meta)
 	}
-	if _, _, ok := c.Section(SecRankEntry); !ok {
-		return meta, ErrNoRankColumn
+	_, _, rows := c.Section(SecRowHandles)
+	_, _, inverse := c.Section(SecEntryRank)
+	if !rows || !inverse {
+		return meta, ErrNoRankRows
 	}
 	return meta, nil
 }
 
 // ReadPagedSnapshot fully decodes a snapshot container, verifying every page
 // checksum and the structural invariants — the eager path used by classic
-// (non-paged) recovery and by followers. The points are scattered back
-// through the rank column, so the snapshot returned is the one written,
+// (non-paged) recovery and by followers. The rows are gathered back into
+// entry order (Rows.Entries), so the snapshot returned is the one written,
 // column for column. Paged serving opens the same bytes through core's
 // paged base instead and never runs this.
 func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
@@ -304,59 +322,43 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	dim := int(meta.Dim)
 	cell := int64(CellSize(dim))
 
-	handlesB, err := sectionExact(c, r, SecHandles, 8*count)
-	if err != nil {
-		return nil, err
-	}
-	pointsB, err := sectionExact(c, r, SecPoints, 8*count*int64(dim))
-	if err != nil {
-		return nil, err
-	}
-	docStartB, err := sectionExact(c, r, SecDocStart, 8*(count+1))
-	if err != nil {
-		return nil, err
-	}
-	rankEntryB, err := sectionExact(c, r, SecRankEntry, 4*count)
-	if err != nil {
-		return nil, err
+	var rows Rows
+	for _, s := range []struct {
+		into *[]byte
+		id   uint32
+		want int64
+	}{
+		{&rows.Handles, SecHandles, 8 * count},
+		{&rows.EntryRank, SecEntryRank, 4 * count},
+		{&rows.Points, SecPoints, 8 * count * int64(dim)},
+		{&rows.RowHandles, SecRowHandles, 8 * count},
+		{&rows.DocStart, SecDocStart, 8 * (count + 1)},
+	} {
+		if *s.into, err = sectionExact(c, r, s.id, s.want); err != nil {
+			return nil, err
+		}
 	}
 	boxesB, err := sectionExact(c, r, SecCellBoxes, 16*int64(dim)*((count+cell-1)/cell))
 	if err != nil {
 		return nil, err
 	}
-	docStart := getI64s(docStartB)
-	total := docStart[count]
+	total := int64(binary.LittleEndian.Uint64(rows.DocStart[8*count:]))
 	_, dwLen, _ := c.Section(SecDocWords)
 	if total < 0 || dwLen != 4*total {
 		return nil, fmt.Errorf("%w: document words sized %d, offsets claim %d", ErrCorrupt, dwLen, 4*total)
 	}
-	docWordsB, err := c.SectionBytes(r, SecDocWords)
-	if err != nil {
+	if rows.DocWords, err = c.SectionBytes(r, SecDocWords); err != nil {
 		return nil, err
 	}
 	s := &Snapshot{
 		K: int(meta.K), Dim: dim,
 		LastSeq: meta.LastSeq, NextHandle: int64(meta.NextHandle),
-		Handles: getI64s(handlesB),
 	}
-	prev := int64(-1)
-	for _, h := range s.Handles {
-		if h <= prev || h >= s.NextHandle {
-			return nil, fmt.Errorf("%w: snapshot handle %d out of order or past watermark", ErrCorrupt, h)
-		}
-		prev = h
+	if s.Handles, s.Objs, err = rows.Entries(dim, s.NextHandle); err != nil {
+		return nil, err
 	}
-	if count > 0 {
-		points, err := entryOrderPoints(getF64s(pointsB), getI32s(rankEntryB), getF64s(boxesB), dim)
-		if err != nil {
-			return nil, err
-		}
-		s.Objs, err = dataset.FromColumns(dim, points, docStart, getU32s(docWordsB))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	} else if docStart[0] != 0 {
-		return nil, fmt.Errorf("%w: document offsets do not start at 0", ErrCorrupt)
+	if err := checkCellBoxes(getF64s(rows.Points), getF64s(boxesB), dim); err != nil {
+		return nil, err
 	}
 
 	// The inverted-index sections are unused on this path but must still be
@@ -367,29 +369,104 @@ func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
 	return s, nil
 }
 
-// entryOrderPoints scatters the rank-ordered points back to entry order
-// through the rank column, refusing a column that is not a permutation and a
-// cell box that does not hold one of its cell's points (a NaN coordinate
-// needs the unbounded box kdLeafOrder gives it).
-func entryOrderPoints(rankPoints []float64, rankEntry []int32, boxes []float64, dim int) ([]float64, error) {
-	n, cell := len(rankEntry), CellSize(dim)
-	points := make([]float64, len(rankPoints))
-	seen := make([]uint64, (n+63)/64)
-	for r, e := range rankEntry {
-		if e < 0 || int(e) >= n || seen[e>>6]&(1<<(e&63)) != 0 {
-			return nil, fmt.Errorf("%w: rank column is not a permutation at rank %d", ErrCorrupt, r)
+// Rows are the raw little-endian bytes of a snapshot's per-entry sections:
+// SecHandles and SecEntryRank by entry; SecPoints, SecRowHandles,
+// SecDocStart and SecDocWords by rank.
+type Rows struct {
+	Handles, EntryRank, Points, RowHandles, DocStart, DocWords []byte
+}
+
+// Entries gathers the rows back into entry order: the Handles and Objs of
+// the snapshot written (nil, nil when it is empty). Every column is read
+// once, in file order, through a transient rank -> entry scratch. The rows
+// are refused unless they are that snapshot: handles strictly increasing
+// below nextHandle, SecEntryRank a permutation, every row holding its
+// entry's handle, and every document non-empty and canonical.
+func (rows Rows) Entries(dim int, nextHandle int64) ([]int64, *dataset.Dataset, error) {
+	n := len(rows.Handles) / 8
+	if len(rows.Handles) != 8*n || len(rows.EntryRank) != 4*n || len(rows.RowHandles) != 8*n ||
+		len(rows.Points) != 8*n*dim || len(rows.DocStart) != 8*(n+1) || len(rows.DocWords)%4 != 0 {
+		return nil, nil, fmt.Errorf("%w: row sections sized for different entry counts", ErrCorrupt)
+	}
+	le32 := func(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[4*i:]) }
+	le64 := func(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	words := uint64(len(rows.DocWords) / 4)
+	if le64(rows.DocStart, 0) != 0 || le64(rows.DocStart, n) != words {
+		return nil, nil, fmt.Errorf("%w: document offsets run %d..%d over %d words", ErrCorrupt, le64(rows.DocStart, 0), le64(rows.DocStart, n), words)
+	}
+	if n == 0 {
+		return nil, nil, nil
+	}
+	handles := getI64s(rows.Handles)
+	prev := int64(-1)
+	for _, h := range handles {
+		if h <= prev || h >= nextHandle {
+			return nil, nil, fmt.Errorf("%w: snapshot handle %d out of order or past watermark", ErrCorrupt, h)
 		}
-		seen[e>>6] |= 1 << (e & 63)
+		prev = h
+	}
+	rankEntry := make([]int32, n)
+	for r := range rankEntry {
+		rankEntry[r] = -1
+	}
+	for e := 0; e < n; e++ {
+		r := int32(le32(rows.EntryRank, e))
+		if r < 0 || int(r) >= n || rankEntry[r] >= 0 {
+			return nil, nil, fmt.Errorf("%w: entry -> rank column is not a permutation at entry %d", ErrCorrupt, e)
+		}
+		rankEntry[r] = int32(e)
+	}
+	// Rank order: each row's handle, point and document length; then the
+	// words, in rank order too, to where the prefix sums put them.
+	points := make([]float64, n*dim)
+	docStart := make([]int64, n+1)
+	end := uint64(0)
+	for r, e := range rankEntry {
+		if h := int64(le64(rows.RowHandles, r)); h != handles[e] {
+			return nil, nil, fmt.Errorf("%w: row %d holds handle %d, its entry %d's is %d", ErrCorrupt, r, h, e, handles[e])
+		}
+		for j := 0; j < dim; j++ {
+			points[int(e)*dim+j] = math.Float64frombits(le64(rows.Points, r*dim+j))
+		}
+		next := le64(rows.DocStart, r+1)
+		if next <= end || next > words {
+			return nil, nil, fmt.Errorf("%w: empty or out-of-order document at rank %d", ErrCorrupt, r)
+		}
+		docStart[e+1], end = int64(next-end), next
+	}
+	for e := 0; e < n; e++ {
+		docStart[e+1] += docStart[e]
+	}
+	docWords := make([]dataset.Keyword, words)
+	w := 0
+	for _, e := range rankEntry {
+		for i := docStart[e]; i < docStart[e+1]; i++ {
+			docWords[i] = le32(rows.DocWords, w)
+			w++
+		}
+	}
+	objs, err := dataset.FromColumns(dim, points, docStart, docWords)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return handles, objs, nil
+}
+
+// checkCellBoxes refuses a cell box that does not hold one of its cell's
+// points, given by rank (a NaN coordinate needs the unbounded box kdLeafOrder
+// gives it).
+func checkCellBoxes(rankPoints, boxes []float64, dim int) error {
+	cell := CellSize(dim)
+	for r := 0; r < len(rankPoints)/dim; r++ {
 		box := boxes[2*dim*(r/cell):]
 		for j, v := range rankPoints[r*dim : (r+1)*dim] {
 			lo, hi := box[j], box[dim+j]
 			if !(lo <= v && v <= hi) && !(v != v && math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
-				return nil, fmt.Errorf("%w: cell %d box does not hold the point at rank %d", ErrCorrupt, r/cell, r)
+				return fmt.Errorf("%w: cell %d box does not hold the point at rank %d", ErrCorrupt, r/cell, r)
 			}
-			points[int(e)*dim+j] = v
 		}
 	}
-	return points, nil
+	return nil
 }
 
 // validateSnapshotPostings checks the vocabulary and bitpacked posting

@@ -93,14 +93,15 @@ func TestSnapshotHugeClaimedCount(t *testing.T) {
 	if err := WriteContainer(&buf, meta.Encode(), []Section{
 		{SecHandles, putI64s([]int64{0})},
 		{SecDocStart, putI64s([]int64{0, 1})},
-		{SecRankEntry, putI32s([]int32{0})},
+		{SecRowHandles, putI64s([]int64{0})},
+		{SecEntryRank, putI32s([]int32{0})},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() > 8*pager.PageSize {
 		t.Fatalf("container is %d bytes, meant to be small", buf.Len())
 	}
-	if _, err := ReadPagedSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoRankColumn) {
+	if _, err := ReadPagedSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoRankRows) {
 		t.Fatalf("huge claimed count: err = %v", err)
 	}
 }

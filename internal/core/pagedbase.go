@@ -24,9 +24,10 @@ import (
 // base entries are tombstoned at the dynamic layer, and insertions go to the
 // buffer/buckets as usual (see BaseIndex).
 //
-// The checkpoint numbers its points and postings by rank, the position in a
-// kd leaf order (codec/rankorder.go): a cell of ranks is one page of points,
-// and every node of the kd tree over the cells is a rank interval. The tree
+// The checkpoint stores its rows — point, handle, document — and numbers its
+// postings by rank, the position in a kd leaf order (codec/rankorder.go): a
+// cell of ranks is one page of points, and every node of the kd tree over
+// the cells is a rank interval. The tree
 // is resident — one box per node, rebuilt at open from the stored cell boxes
 // by the writer's own split arithmetic — so a query first descends it with
 // the rectangle to the ascending runs of cells the rectangle meets, and then
@@ -38,27 +39,31 @@ import (
 // the rank lies at or below it, so a posting page is read only for a block
 // whose range really straddles the rank. Posting blocks, candidates and
 // point pages outside the rectangle's cells are never touched; a rank found
-// in all k lists reads its point, and one inside the rectangle its entry
-// index, document and handle:
-// O(posting pages inside the runs + |intersection inside the runs| point
-// reads, a page per cell + OUT handle and document pages) page reads per
-// query, against none for the tree and the directory. The rectangle now
+// in all k lists reads its point, and one inside the rectangle its document
+// and handle from the same rank's rows — neighbours in the file, as they are
+// in space: O(posting pages inside the runs + |intersection inside the runs|
+// point reads, a page per cell + the row pages of OUT) page reads per query,
+// against none for the tree and the directory. The rectangle now
 // prunes before the lists are read, but the plan is still keywords first:
 // inside a run nothing bounds the intersection by N^(1-1/k), so Theorem 1's
 // bound is forfeited while the base serves — the out-of-core trade: bounded
 // memory and instant start against more work per query.
 //
 // Structural metadata (vocabulary, posting-list and block directories, cell
-// boxes, handle and document offsets, the rank column) is validated eagerly
-// at open — O(vocabulary + blocks + entries), no payload pages touched
-// beyond those columns — so the scan path can trust offsets without
-// re-checking. What open cannot check is that the index sections tell the
-// truth about the entries: a cell box that leaves out one of its points, or
-// a posting list that leaves out a rank, hides a match. Neither can report a
-// wrong one: every reported entry has had its own point tested against the
-// rectangle and its own document against the keywords. Page content
-// integrity is the pager's job: every page is checksum-verified on first
-// pin, and a mismatch surfaces as an error wrapping pager.ErrChecksum.
+// boxes, the handle column, document offsets, the entry -> rank column) is
+// validated eagerly at open — O(vocabulary + blocks + entries), no payload
+// pages touched beyond those columns — so the scan path can trust offsets
+// without re-checking; a violation is an error wrapping codec.ErrCorrupt.
+// What open cannot check is that the index sections tell the truth about the
+// rows: a cell box that leaves out one of its points, or a posting list that
+// leaves out a rank, hides a match. Neither can report a wrong one: every
+// reported row has had its own point tested against the rectangle and its
+// own document against the keywords. A query reads no index section beyond
+// the boxes and the postings, and Has confirms what the handle column says
+// against the row it leads to, so a lying index can hide a handle but never
+// invent one. Page content integrity is the pager's job: every page is
+// checksum-verified on first pin, and a mismatch surfaces as an error
+// wrapping pager.ErrChecksum.
 type PagedBase struct {
 	f    *pager.File
 	pool *pager.Pool
@@ -68,9 +73,11 @@ type PagedBase struct {
 	lastSeq    uint64
 	nextHandle int64
 
-	// Absolute byte offsets of the payload sections.
-	handlesOff, pointsOff, docStartOff, docWordsOff, wordsOff, rankEntryOff int64
-	docTotal, wordsN                                                        int64
+	// Absolute byte offsets of the payload sections: the handle column and
+	// its entry -> rank column, the rows by rank, the posting payload.
+	handlesOff, entryRankOff                           int64
+	pointsOff, rowHandlesOff, docStartOff, docWordsOff int64
+	wordsOff, docTotal, wordsN                         int64
 
 	// Always-resident metadata columns (small: O(vocabulary + blocks + cells)).
 	vocab  []uint32
@@ -89,12 +96,13 @@ type PagedBase struct {
 	// Zero-copy typed columns (and the posting payload bytes), non-nil only
 	// when the file is mapped on a little-endian host; otherwise reads go
 	// through pager views.
-	mHandles   []int64
-	mPoints    []float64
-	mDocStart  []int64
-	mDocWords  []uint32
-	mRankEntry []int32
-	mPayload   []byte
+	mHandles    []int64
+	mEntryRank  []int32
+	mPoints     []float64
+	mRowHandles []int64
+	mDocStart   []int64
+	mDocWords   []uint32
+	mPayload    []byte
 
 	// readers recycles baseReaders across queries. The garbage collector
 	// empties a sync.Pool, so the parked readers' pointers back to the base
@@ -121,9 +129,10 @@ type PagedBaseOptions struct {
 }
 
 // errBase tags structural corruption that page checksums cannot catch
-// (a well-formed file describing impossible offsets).
+// (a well-formed file describing impossible offsets), as codec.ErrCorrupt,
+// which the decoding reader's refusals wrap too.
 func errBase(format string, args ...any) error {
-	return fmt.Errorf("core: paged base: "+format, args...)
+	return fmt.Errorf("%w: paged base: %s", codec.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
 // OpenPagedBase opens a checkpoint for in-place serving. The
@@ -184,10 +193,13 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if b.pointsOff, err = span(codec.SecPoints, 8*b.count*int64(b.dim)); err != nil {
 		return nil, err
 	}
+	if b.rowHandlesOff, err = span(codec.SecRowHandles, 8*b.count); err != nil {
+		return nil, err
+	}
 	if b.docStartOff, err = span(codec.SecDocStart, 8*(b.count+1)); err != nil {
 		return nil, err
 	}
-	if b.rankEntryOff, err = span(codec.SecRankEntry, 4*b.count); err != nil {
+	if b.entryRankOff, err = span(codec.SecEntryRank, 4*b.count); err != nil {
 		return nil, err
 	}
 	if _, err = span(codec.SecCellBoxes, 16*int64(b.dim)*int64(b.cells)); err != nil {
@@ -240,14 +252,15 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		raw := f.Bytes()
 		sec := func(off, n int64) []byte { return raw[off : off+n] }
 		b.mHandles = pager.CastI64(sec(b.handlesOff, 8*b.count))
+		b.mEntryRank = pager.CastI32(sec(b.entryRankOff, 4*b.count))
 		b.mPoints = pager.CastF64(sec(b.pointsOff, 8*b.count*int64(b.dim)))
+		b.mRowHandles = pager.CastI64(sec(b.rowHandlesOff, 8*b.count))
 		b.mDocStart = pager.CastI64(sec(b.docStartOff, 8*(b.count+1)))
 		b.mDocWords = pager.CastU32(sec(b.docWordsOff, 4*b.docTotal))
-		b.mRankEntry = pager.CastI32(sec(b.rankEntryOff, 4*b.count))
 		b.mPayload = sec(b.wordsOff, 8*b.wordsN)
 		// All casts must land together: the readers key off mHandles.
-		if b.mHandles == nil || b.mPoints == nil || b.mDocStart == nil || b.mDocWords == nil || b.mRankEntry == nil {
-			b.mHandles, b.mPoints, b.mDocStart, b.mDocWords, b.mRankEntry, b.mPayload = nil, nil, nil, nil, nil, nil
+		if b.mHandles == nil || b.mEntryRank == nil || b.mPoints == nil || b.mRowHandles == nil || b.mDocStart == nil || b.mDocWords == nil {
+			b.mHandles, b.mEntryRank, b.mPoints, b.mRowHandles, b.mDocStart, b.mDocWords, b.mPayload = nil, nil, nil, nil, nil, nil, nil
 		}
 	}
 	if b.mHandles != nil {
@@ -287,8 +300,14 @@ func leI32s(b []byte) []int32 {
 // readSection reads a whole section through the pool (checksum-verifying
 // its pages) into a fresh buffer.
 func (b *PagedBase) readSection(c *codec.Container, id uint32) ([]byte, error) {
-	off, n, ok := c.Section(id)
-	if !ok || n == 0 {
+	off, n, _ := c.Section(id)
+	return b.readSpan(off, n)
+}
+
+// readSpan reads the file bytes [off, off+n) through the pool into a fresh
+// buffer (nil when n is 0).
+func (b *PagedBase) readSpan(off, n int64) ([]byte, error) {
+	if n == 0 {
 		return nil, nil
 	}
 	v, err := pager.NewView(b.pool, off, n)
@@ -302,6 +321,29 @@ func (b *PagedBase) readSection(c *codec.Container, id uint32) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// scanPages calls fn with each page of the section [off, off+n) in order —
+// rel is the page's offset in the section — once the pool has verified the
+// page's checksum, so a damaged page is reported as one and never judged by
+// its contents.
+func (b *PagedBase) scanPages(off, n int64, fn func(rel int64, page []byte) error) error {
+	v, err := pager.NewView(b.pool, off, n)
+	if err != nil {
+		return err
+	}
+	defer v.Release()
+	scratch := make([]byte, pager.PageSize)
+	for rel := int64(0); rel < n; rel += pager.PageSize {
+		page := v.Span(rel, min(pager.PageSize, n-rel), scratch)
+		if page == nil {
+			return v.Err()
+		}
+		if err := fn(rel, page); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // buildCellTree shape-checks the stored cell boxes (no NaN, lo <= hi; an
@@ -340,62 +382,51 @@ func (b *PagedBase) buildCellTree(leaves []float64) error {
 }
 
 // validateStructure checks every offset-bearing column the scan path will
-// trust: handle order, document offsets, the rank column, vocabulary order,
-// and posting list/block geometry. Runs once at open; touches only those
-// columns.
+// trust: handle order, document offsets, the entry -> rank column,
+// vocabulary order, and posting list/block geometry. Runs once at open;
+// touches only those columns, a page at a time.
 func (b *PagedBase) validateStructure(c *codec.Container) error {
 	// Handles: strictly increasing, below the watermark.
-	hv, err := pager.NewView(b.pool, b.handlesOff, 8*b.count)
+	prev := int64(-1)
+	b.handleFence = make([]int64, 0, (b.count+handlesPerPage-1)/handlesPerPage)
+	err := b.scanPages(b.handlesOff, 8*b.count, func(rel int64, page []byte) error {
+		b.handleFence = append(b.handleFence, int64(binary.LittleEndian.Uint64(page)))
+		for i := 0; i < len(page); i += 8 {
+			h := int64(binary.LittleEndian.Uint64(page[i:]))
+			if h <= prev {
+				return errBase("handles not strictly increasing at index %d", (rel+int64(i))/8)
+			}
+			prev = h
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	prev := int64(-1)
-	b.handleFence = make([]int64, 0, (b.count+handlesPerPage-1)/handlesPerPage)
-	for i := int64(0); i < b.count; i++ {
-		h := hv.I64(8 * i)
-		if i%handlesPerPage == 0 {
-			b.handleFence = append(b.handleFence, h)
-		}
-		if h <= prev {
-			hv.Release()
-			return errBase("handles not strictly increasing at index %d", i)
-		}
-		prev = h
-	}
-	if err := hv.Err(); err != nil {
-		hv.Release()
-		return err
-	}
-	hv.Release()
 	if b.count > 0 && prev >= b.nextHandle {
 		return errBase("handle %d at or past watermark %d", prev, b.nextHandle)
 	}
 
 	// Document offsets: zero-based, strictly increasing (documents are
 	// non-empty), consistent with the words section length.
-	dv, err := pager.NewView(b.pool, b.docStartOff, 8*(b.count+1))
+	last := int64(-1)
+	err = b.scanPages(b.docStartOff, 8*(b.count+1), func(rel int64, page []byte) error {
+		for i := 0; i < len(page); i += 8 {
+			s, at := int64(binary.LittleEndian.Uint64(page[i:])), (rel+int64(i))/8
+			if at == 0 && s != 0 {
+				return errBase("document offsets do not start at 0")
+			}
+			if at > 0 && s <= last {
+				return errBase("empty or out-of-order document at rank %d", at-1)
+			}
+			last = s
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	defer dv.Release()
-	if dv.I64(0) != 0 {
-		return errBase("document offsets do not start at 0")
-	}
-	last := int64(0)
-	for i := int64(1); i <= b.count; i++ {
-		s := dv.I64(8 * i)
-		if s <= last {
-			return errBase("empty or out-of-order document at index %d", i-1)
-		}
-		last = s
-	}
-	if err := dv.Err(); err != nil {
-		return err
-	}
 	b.docTotal = last
-	if b.count == 0 {
-		b.docTotal = 0
-	}
 	var dwWant int64 = 4 * b.docTotal
 	off, n, ok := c.Section(codec.SecDocWords)
 	if b.docTotal == 0 {
@@ -407,27 +438,20 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 	}
 	b.docWordsOff = off
 
-	// Rank column: a permutation of the entries, checked a page at a time.
-	rv, err := pager.NewView(b.pool, b.rankEntryOff, 4*b.count)
+	// Entry -> rank column: a permutation of the ranks.
+	seen := make([]uint64, (b.count+63)/64)
+	err = b.scanPages(b.entryRankOff, 4*b.count, func(rel int64, page []byte) error {
+		for i := 0; i < len(page); i += 4 {
+			r := int32(binary.LittleEndian.Uint32(page[i:]))
+			if r < 0 || int64(r) >= b.count || seen[r>>6]&(1<<(r&63)) != 0 {
+				return errBase("entry -> rank column is not a permutation at entry %d", (rel+int64(i))/4)
+			}
+			seen[r>>6] |= 1 << (r & 63)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	defer rv.Release()
-	const perPage = pager.PageSize / 4
-	seen := make([]uint64, (b.count+63)/64)
-	scratch := make([]byte, pager.PageSize)
-	for r := int64(0); r < b.count; r += perPage {
-		page := rv.Span(4*r, 4*min(perPage, b.count-r), scratch)
-		if page == nil {
-			return rv.Err()
-		}
-		for i := 0; i < len(page); i += 4 {
-			e := int32(binary.LittleEndian.Uint32(page[i:]))
-			if e < 0 || int64(e) >= b.count || seen[e>>6]&(1<<(e&63)) != 0 {
-				return errBase("rank column is not a permutation at rank %d", r+int64(i/4))
-			}
-			seen[e>>6] |= 1 << (e & 63)
-		}
 	}
 
 	// Vocabulary and posting geometry.
@@ -506,13 +530,16 @@ func (b *PagedBase) NextHandle() int64 { return b.nextHandle }
 // Pool exposes the buffer pool for instrumentation (resident pages, cap).
 func (b *PagedBase) Pool() *pager.Pool { return b.pool }
 
-// Has reports whether handle names an entry of the base. Over a pread pool
-// the resident fence names the one page of the handle column that can hold
-// it, so a lookup pins at most one page.
+// Has reports whether handle names a row of the base. The ascending handle
+// column finds the entry, and the entry -> rank column leads to the row,
+// which must hold the handle: what the handle column says is confirmed, so
+// it can hide a row but never invent one. Over a pread pool the resident
+// fence names the one page of the handle column that can hold the handle,
+// so a lookup pins at most three pages.
 func (b *PagedBase) Has(handle int64) bool {
 	if b.mHandles != nil {
-		i := sort.Search(int(b.count), func(i int) bool { return b.mHandles[i] >= handle })
-		return i < int(b.count) && b.mHandles[i] == handle
+		e := sort.Search(int(b.count), func(i int) bool { return b.mHandles[i] >= handle })
+		return e < int(b.count) && b.mHandles[e] == handle && b.mRowHandles[b.mEntryRank[e]] == handle
 	}
 	p := sort.Search(len(b.handleFence), func(p int) bool { return b.handleFence[p] > handle }) - 1
 	if p < 0 {
@@ -522,11 +549,37 @@ func (b *PagedBase) Has(handle int64) bool {
 	if err != nil {
 		return false
 	}
-	defer fr.Unpin()
 	at := func(i int) int64 { return int64(binary.LittleEndian.Uint64(fr.Data[8*i:])) }
 	n := int(min(handlesPerPage, b.count-int64(p)*handlesPerPage))
 	i := sort.Search(n, func(i int) bool { return at(i) >= handle })
-	return i < n && at(i) == handle
+	found := i < n && at(i) == handle
+	fr.Unpin()
+	if !found {
+		return false
+	}
+	// Open checked the entry -> rank column is a permutation.
+	rank, ok := b.pinWord(b.entryRankOff+4*(int64(p)*handlesPerPage+int64(i)), 4)
+	if !ok {
+		return false
+	}
+	row, ok := b.pinWord(b.rowHandlesOff+8*int64(rank), 8)
+	return ok && int64(row) == handle
+}
+
+// pinWord reads the little-endian word of 4 or 8 bytes at file offset off,
+// which a page holds whole (sections are page-aligned, words aligned), with
+// one pin.
+func (b *PagedBase) pinWord(off int64, size int) (uint64, bool) {
+	fr, err := b.pool.Pin(off / pager.PageSize)
+	if err != nil {
+		return 0, false
+	}
+	defer fr.Unpin()
+	word := fr.Data[off%pager.PageSize:]
+	if size == 4 {
+		return uint64(binary.LittleEndian.Uint32(word)), true
+	}
+	return binary.LittleEndian.Uint64(word), true
 }
 
 // listFor returns the posting list of keyword w, if present.
@@ -554,16 +607,16 @@ type listCursor struct {
 // baseReader bundles the per-query cursors, views and scratch buffers of one
 // scan. Readers are recycled through PagedBase.readers.
 type baseReader struct {
-	b                  *PagedBase
-	hv, pv, dv, wv, rv *pager.View   // handles, points, doc offsets, doc words, rank column (pread mode)
-	views              []*pager.View // every view the reader holds, cursors' included
-	cur                []listCursor  // one per query keyword
-	runs               []int32       // the query's cell runs, [lo, hi) pairs ascending
-	obj                dataset.Object
-	pt                 geom.Point
-	ptBuf              []byte
-	doc                []dataset.Keyword
-	blockBuf           [bitpack.MaxBlockBytes]byte // a block payload that crosses a page boundary
+	b              *PagedBase
+	pv, hv, dv, wv *pager.View   // the rows by rank: points, handles, doc offsets, doc words (pread mode)
+	views          []*pager.View // every view the reader holds, cursors' included
+	cur            []listCursor  // one per query keyword
+	runs           []int32       // the query's cell runs, [lo, hi) pairs ascending
+	obj            dataset.Object
+	pt             geom.Point
+	ptBuf          []byte
+	doc            []dataset.Keyword
+	blockBuf       [bitpack.MaxBlockBytes]byte // a block payload that crosses a page boundary
 }
 
 func (b *PagedBase) newReader() (*baseReader, error) {
@@ -586,11 +639,10 @@ func (b *PagedBase) newReader() (*baseReader, error) {
 		}
 		return v
 	}
-	r.hv = mk(b.handlesOff, 8*b.count)
 	r.pv = mk(b.pointsOff, 8*b.count*int64(b.dim))
+	r.hv = mk(b.rowHandlesOff, 8*b.count)
 	r.dv = mk(b.docStartOff, 8*(b.count+1))
 	r.wv = mk(b.docWordsOff, 4*b.docTotal)
-	r.rv = mk(b.rankEntryOff, 4*b.count)
 	for i := range r.cur {
 		r.cur[i].ww = mk(b.wordsOff, 8*b.wordsN)
 	}
@@ -693,20 +745,12 @@ func (r *baseReader) decode(c *listCursor, blk *bitpack.Block) bool {
 	return true
 }
 
-// handleAt returns the handle of entry i.
-func (r *baseReader) handleAt(i int64) int64 {
-	if r.b.mHandles != nil {
-		return r.b.mHandles[i]
+// handleAt returns the handle of the row at the given rank.
+func (r *baseReader) handleAt(rank int64) int64 {
+	if r.b.mRowHandles != nil {
+		return r.b.mRowHandles[rank]
 	}
-	return r.hv.I64(8 * i)
-}
-
-// entryAt returns the entry at the given rank.
-func (r *baseReader) entryAt(rank int64) int64 {
-	if r.b.mRankEntry != nil {
-		return int64(r.b.mRankEntry[rank])
-	}
-	return int64(r.rv.I32(4 * rank))
+	return r.hv.I64(8 * rank)
 }
 
 // pointAt returns the point at the given rank (mapped subslice or scratch
@@ -726,12 +770,13 @@ func (r *baseReader) pointAt(rank int64) geom.Point {
 	return r.pt
 }
 
-// docOf returns entry i's document (mapped subslice or scratch copy).
-func (r *baseReader) docOf(i int64) []dataset.Keyword {
+// docAt returns the document of the row at the given rank (mapped subslice
+// or scratch copy).
+func (r *baseReader) docAt(rank int64) []dataset.Keyword {
 	if r.b.mDocWords != nil {
-		return r.b.mDocWords[r.b.mDocStart[i]:r.b.mDocStart[i+1]]
+		return r.b.mDocWords[r.b.mDocStart[rank]:r.b.mDocStart[rank+1]]
 	}
-	lo, hi := r.dv.I64(8*i), r.dv.I64(8*(i+1))
+	lo, hi := r.dv.I64(8*rank), r.dv.I64(8*(rank+1))
 	if hi <= lo || r.dv.Err() != nil {
 		return nil
 	}
@@ -878,7 +923,8 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 				}
 			}
 			// rank is in all k lists: only now does the scan leave the
-			// posting section, and only inside the rectangle the points.
+			// posting section, for the rank's point, and only inside the
+			// rectangle for the rest of its row.
 			target = rank + 1
 			p := r.pointAt(int64(rank))
 			if p == nil {
@@ -891,9 +937,8 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 				st.Truncated = true
 				return st, nil
 			}
-			e := r.entryAt(int64(rank))
-			r.obj = dataset.Object{Point: p, Doc: r.docOf(e)}
-			h := r.handleAt(e)
+			r.obj = dataset.Object{Point: p, Doc: r.docAt(int64(rank))}
+			h := r.handleAt(int64(rank))
 			if err := r.err(); err != nil {
 				return st, err
 			}
@@ -910,26 +955,33 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 }
 
 // Entries decodes every base entry into the four columns — the
-// checkpoint-writing path, which is allowed to touch the whole file. The
-// points lie in rank order and are scattered back through the rank column.
+// checkpoint-writing path, which is allowed to touch the whole file. Each
+// row section is read once, in file order, and gathered back into entry
+// order through the entry -> rank column (codec.Rows.Entries), which also
+// refuses a row that does not hold its entry's handle.
 func (b *PagedBase) Entries() ([]int64, *dataset.Dataset, error) {
-	r, err := b.getReader()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer b.putReader(r)
-	c := entryCols{dim: b.dim}
-	unplaced := make(geom.Point, b.dim)
-	for i := int64(0); i < b.count; i++ {
-		c.add(r.handleAt(i), unplaced, r.docOf(i))
-	}
-	for rank := int64(0); rank < b.count; rank++ {
-		if p := r.pointAt(rank); p != nil {
-			copy(c.points[r.entryAt(rank)*int64(b.dim):], p)
+	var rows codec.Rows
+	for _, s := range []struct {
+		into   *[]byte
+		off, n int64
+	}{
+		{&rows.Handles, b.handlesOff, 8 * b.count},
+		{&rows.EntryRank, b.entryRankOff, 4 * b.count},
+		{&rows.Points, b.pointsOff, 8 * b.count * int64(b.dim)},
+		{&rows.RowHandles, b.rowHandlesOff, 8 * b.count},
+		{&rows.DocStart, b.docStartOff, 8 * (b.count + 1)},
+		{&rows.DocWords, b.docWordsOff, 4 * b.docTotal},
+	} {
+		// With the casts active open verified every page, so the mapping
+		// is read in place.
+		if b.mHandles != nil {
+			*s.into = b.f.Bytes()[s.off : s.off+s.n]
+			continue
+		}
+		var err error
+		if *s.into, err = b.readSpan(s.off, s.n); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := r.err(); err != nil {
-		return nil, nil, err
-	}
-	return c.finish()
+	return rows.Entries(b.dim, b.nextHandle)
 }

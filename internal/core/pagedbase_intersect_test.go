@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -314,16 +317,21 @@ func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 	}
 }
 
-// TestPagedBaseHasPinsOnePage: with the resident fence a pread-mode handle
-// lookup pins at most one page of a multi-page handle column, for handles
-// present, absent, and on either side of every page boundary.
-func TestPagedBaseHasPinsOnePage(t *testing.T) {
+// TestPagedBaseHasPinsThreePages: with the resident fence a pread-mode
+// handle lookup pins at most three pages — the one page of a multi-page
+// handle column that can hold the handle, its entry's rank and the row that
+// confirms it — for handles present, absent, and on either side of every
+// page boundary. And the confirmation is real: a handle column re-sealed to
+// name a handle no row holds answers false for it, in both modes, and only
+// hides the handle it replaced.
+func TestPagedBaseHasPinsThreePages(t *testing.T) {
 	docs := make([][]dataset.Keyword, 3*handlesPerPage+17)
 	for i := range docs {
 		docs[i] = []dataset.Keyword{1}
 	}
 	snap := snapshotOfDocs(2, docs, 17)
-	path := writePagedCheckpoint(t, t.TempDir(), "has.ckpt", snap)
+	dir := t.TempDir()
+	path := writePagedCheckpoint(t, dir, "has.ckpt", snap)
 	b, err := OpenPagedBase(path, PagedBaseOptions{NoMmap: true, CapPages: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -342,9 +350,46 @@ func TestPagedBaseHasPinsOnePage(t *testing.T) {
 		if has != present[h] {
 			t.Fatalf("Has(%d) = %v, want %v", h, has, present[h])
 		}
-		if pins > 1 {
+		if pins > 3 {
 			t.Fatalf("Has(%d) pinned %d pages", h, pins)
 		}
+	}
+
+	// Entry e's handle becomes one no row holds, the column still ascending.
+	e := 2 * handlesPerPage
+	for snap.Handles[e]-snap.Handles[e-1] < 2 {
+		e++
+	}
+	forged, hidden := snap.Handles[e-1]+1, snap.Handles[e]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lie := resealSnapshot(t, raw, nil, func(id uint32, data []byte) []byte {
+		if id != codec.SecHandles {
+			return nil
+		}
+		out := slices.Clone(data)
+		copy(out[8*e:], codec.PutI64s([]int64{forged}))
+		return out
+	})
+	for i, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 4}} {
+		p := filepath.Join(dir, fmt.Sprintf("lie-%d.ckpt", i))
+		if err := os.WriteFile(p, lie, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lb, err := OpenPagedBase(p, opts)
+		if err != nil {
+			t.Fatalf("%+v: the lie is structurally sound, open refused it: %v", opts, err)
+		}
+		if lb.Has(forged) || lb.Has(hidden) || !lb.Has(snap.Handles[e-1]) || !lb.Has(snap.Handles[e+1]) {
+			t.Fatalf("%+v: Has(forged %d) = %v, Has(hidden %d) = %v, neighbours %v %v", opts,
+				forged, lb.Has(forged), hidden, lb.Has(hidden), lb.Has(snap.Handles[e-1]), lb.Has(snap.Handles[e+1]))
+		}
+		if _, _, err := lb.Entries(); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%+v: Entries of a row whose handle is not its entry's: %v", opts, err)
+		}
+		lb.Close()
 	}
 }
 

@@ -284,6 +284,78 @@ func TestSnapshotMetaBounds(t *testing.T) {
 	}
 }
 
+// TestPagedBaseOpenTellsDamageFromLies goes over every column open reads.
+// A byte flipped in place fails that column's page checksum, and both
+// readers say so (pager.ErrChecksum) before any value on the page is judged:
+// a damaged handle page is not "handles not strictly increasing". A
+// structural lie re-sealed under fresh checksums is codec.ErrCorrupt from
+// both readers alike.
+func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
+	snap := testCheckpointSnapshot(3, 3000, 2)
+	var buf bytes.Buffer
+	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	golden := buf.Bytes()
+	c, err := codec.ParseContainer(bytes.NewReader(golden), int64(len(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each lie is told in place, on a copy of the section's bytes.
+	for _, col := range []struct {
+		id        uint32
+		what, lie string
+		edit      func(d []byte)
+	}{
+		{codec.SecHandles, "handles", "a handle repeated", func(d []byte) { copy(d[8*1500:], d[8*1499:8*1500]) }},
+		{codec.SecEntryRank, "entry -> rank column", "a rank repeated", func(d []byte) { copy(d[4*1500:], d[:4]) }},
+		{codec.SecDocStart, "document offsets", "an empty document", func(d []byte) { copy(d[8*1500:], d[8*1499:8*1500]) }},
+		{codec.SecVocab, "vocabulary", "a keyword repeated", func(d []byte) { copy(d[4:], d[:4]) }},
+		{codec.SecPostLists, "posting lists", "a list past the block directory", func(d []byte) { copy(d, codec.PutI32s([]int32{1 << 30})) }},
+		{codec.SecPostBlocks, "posting blocks", "a block whose ranks run backwards", func(d []byte) { copy(d[8:], codec.PutI32s([]int32{-1})) }},
+		{codec.SecCellBoxes, "cell boxes", "a box inside out", func(d []byte) { copy(d, codec.PutF64s([]float64{math.Inf(1)})) }},
+	} {
+		off, n, ok := c.Section(col.id)
+		if !ok {
+			t.Fatalf("%s: no section %d", col.what, col.id)
+		}
+		flipped := slices.Clone(golden)
+		flipped[off+n/2] ^= 0x10
+		lie := resealSnapshot(t, golden, nil, func(id uint32, data []byte) []byte {
+			if id != col.id {
+				return nil
+			}
+			out := slices.Clone(data)
+			col.edit(out)
+			return out
+		})
+		for _, damage := range []struct {
+			name string
+			raw  []byte
+			want error
+		}{{"a flipped byte", flipped, pager.ErrChecksum}, {col.lie, lie, codec.ErrCorrupt}} {
+			errs := map[string]error{}
+			_, errs["ReadPagedSnapshot"] = codec.ReadPagedSnapshot(bytes.NewReader(damage.raw), int64(len(damage.raw)))
+			for _, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 8}} {
+				path := filepath.Join(t.TempDir(), "damaged.ckpt")
+				if err := os.WriteFile(path, damage.raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				b, err := OpenPagedBase(path, opts)
+				if err == nil {
+					b.Close()
+				}
+				errs[fmt.Sprintf("OpenPagedBase(%+v)", opts)] = err
+			}
+			for reader, err := range errs {
+				if !errors.Is(err, damage.want) || damage.want == codec.ErrCorrupt && errors.Is(err, pager.ErrChecksum) {
+					t.Errorf("%s, %s: %s returned %v, want %v", col.what, damage.name, reader, err, damage.want)
+				}
+			}
+		}
+	}
+}
+
 // resealSnapshot rewrites a snapshot container — under meta, when given —
 // with edit applied to every section (nil keeps it, an empty non-nil result
 // drops it), through codec.WriteContainer, so every checksum of the result
@@ -325,14 +397,58 @@ func resealSnapshot(t testing.TB, raw []byte, meta *codec.PagedMeta, edit func(i
 }
 
 // withoutRankSections is the checkpoint a release before the rank-order
-// format wrote, as far as a reader can tell: no rank column, no cell boxes.
+// format wrote, as far as a reader can tell: no cell boxes and no rows by
+// rank.
 func withoutRankSections(t testing.TB, raw []byte) []byte {
 	return resealSnapshot(t, raw, nil, func(id uint32, _ []byte) []byte {
-		if id == codec.SecRankEntry || id == codec.SecCellBoxes {
+		if id == codec.SecCellBoxes || id == codec.SecRowHandles || id == codec.SecEntryRank {
 			return []byte{}
 		}
 		return nil
 	})
+}
+
+// pr24Checkpoint is the checkpoint PR 24's format wrote for the same entries:
+// points and postings by rank beside the rank -> entry column
+// (codec.SecRankEntry), documents in entry order, no row handles.
+func pr24Checkpoint(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	snap, err := codec.ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, docStart, docWords := snap.Objs.Columns()
+	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []codec.Section
+	for _, s := range c.Sections[1:] {
+		data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch s.ID {
+		case codec.SecRowHandles:
+			continue
+		case codec.SecEntryRank:
+			rankEntry := make([]int32, len(data)/4)
+			for e, r := range codec.GetI32s(data) {
+				rankEntry[r] = int32(e)
+			}
+			s.ID, data = codec.SecRankEntry, codec.PutI32s(rankEntry)
+		case codec.SecDocStart:
+			data = codec.PutI64s(docStart)
+		case codec.SecDocWords:
+			data = codec.PutU32s(docWords)
+		}
+		secs = append(secs, codec.Section{ID: s.ID, Data: data})
+	}
+	var out bytes.Buffer
+	if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // pagedColdCorpus is the corpus and query stream of bench/'s paged-cold
@@ -355,7 +471,13 @@ func pagedColdCorpus(n int) (*codec.Snapshot, func(rng *rand.Rand) (*geom.Rect, 
 // the candidates and the page pins of a query stream are each under half of
 // what the same keyword pairs cost when the rectangle prunes nothing — the
 // universe rectangle, one run over every cell, which is the unrestricted
-// leapfrog over the whole lists.
+// leapfrog over the whole lists. The counts are exact, so the stream's are
+// pinned too: the candidates and the cell-tree nodes are PR 24's, while the
+// pins and misses sit below what PR 24's rows — documents and handles by
+// entry, reached through a rank -> entry column — cost: 1389 and 234 inside
+// the rectangles, 11811 and 4669 over the universe, whose 2687 results make
+// the rows most of the bill (1221, 216, 7537 and 3494 with every row by
+// rank).
 func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 	snap, next := pagedColdCorpus(1 << 15)
 	path := writePagedCheckpoint(t, t.TempDir(), "cold.ckpt", snap)
@@ -364,9 +486,10 @@ func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	run := func(universe bool) (ops, pins int64, reported int) {
+	type cost struct{ ops, nodes, pins, misses, reported int64 }
+	run := func(universe bool) (c cost) {
 		rng := rand.New(rand.NewSource(2))
-		pins = pagerPins(func() {
+		counters, _, _ := registryDelta(func() {
 			for i := 0; i < 400; i++ {
 				q, ws := next(rng)
 				if universe {
@@ -379,16 +502,25 @@ func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 				if want := snapOracle(snap, q, ws); !slices.Equal(sortedHandles(got), want) {
 					t.Fatalf("query %d: got %v, want %v", i, got, want)
 				}
-				ops, reported = ops+st.Ops, reported+len(got)
+				c.ops, c.nodes, c.reported = c.ops+st.Ops, c.nodes+int64(st.NodesVisited), c.reported+int64(len(got))
 			}
 		})
-		return ops, pins, reported
+		c.misses = counters["kwsc_pager_pin_misses_total"]
+		c.pins = counters["kwsc_pager_pin_hits_total"] + c.misses
+		return c
 	}
-	ops, pins, reported := run(false)
-	allOps, allPins, _ := run(true)
-	t.Logf("rectangle: %d ops, %d pins, %d results; unrestricted: %d ops, %d pins", ops, pins, reported, allOps, allPins)
-	if reported == 0 {
+	rect, all := run(false), run(true)
+	ops, pins, allOps, allPins := rect.ops, rect.pins, all.ops, all.pins
+	t.Logf("rectangle: %+v; unrestricted: %+v", rect, all)
+	if rect.reported == 0 {
 		t.Fatal("the stream reported nothing: the guard measures no survivors")
+	}
+	if rect.ops != 3306 || rect.nodes != 15980 {
+		t.Fatalf("%d candidates and %d nodes, want PR 24's 3306 and 15980", rect.ops, rect.nodes)
+	}
+	if rect.pins > 1300 || rect.misses > 225 || all.pins > 9000 || all.misses > 4000 {
+		t.Fatalf("%d and %d pins, %d and %d misses: over 1300, 9000, 225 and 4000, back towards rows by entry",
+			rect.pins, all.pins, rect.misses, all.misses)
 	}
 	if 2*ops >= allOps {
 		t.Fatalf("%d candidates inside the rectangles against %d unrestricted: not under half", ops, allOps)
@@ -398,13 +530,15 @@ func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 	}
 }
 
-// FuzzPagedBaseHostile changes one value of the rank column, the cell boxes
-// or the posting block directory and re-seals the container, so the page
-// checksums pass and only open's structural checks and the query's own tests
-// stand between the lie and an answer. Open must refuse the file, or every
-// query must return without panic and report true matches only: an entry
-// whose own point lies in the rectangle and whose own document holds the
-// keywords. (A lying section may hide a match; DESIGN §15.4.)
+// FuzzPagedBaseHostile changes one value of the entry -> rank column, the
+// handle column, the cell boxes or the posting block directory and re-seals
+// the container, so the page checksums pass and only open's structural
+// checks and the base's own tests stand between the lie and an answer. Open
+// must refuse the file, or: every query returns without panic and reports
+// true matches only — an entry whose own point lies in the rectangle and
+// whose own document holds the keywords (a lying section may hide a match;
+// DESIGN §15.4); Has is true only for a handle of the written snapshot; and
+// Entries either fails or returns the written snapshot, column for column.
 func FuzzPagedBaseHostile(f *testing.F) {
 	snap := geometrySnapshot(77, 3*codec.CellSize(2)+9, 2, func(rng *rand.Rand, _ int, p geom.Point) {
 		p[0], p[1] = rng.Float64(), rng.Float64()
@@ -418,7 +552,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 	for i, h := range snap.Handles {
 		truth[h] = int32(i)
 	}
-	sections := []uint32{codec.SecRankEntry, codec.SecCellBoxes, codec.SecPostBlocks}
+	sections := []uint32{codec.SecEntryRank, codec.SecHandles, codec.SecCellBoxes, codec.SecPostBlocks}
 	for sec := range sections {
 		for _, at := range []uint32{0, 1, 5, 1 << 20} {
 			for _, v := range []uint64{0, 1, 777, 1 << 31, math.Float64bits(0.5), math.Float64bits(math.NaN()), math.MaxUint64} {
@@ -434,7 +568,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 				return nil
 			}
 			out := slices.Clone(data)
-			if target == codec.SecCellBoxes {
+			if target == codec.SecCellBoxes || target == codec.SecHandles {
 				copy(out[8*(int(at)%(len(out)/8)):], codec.PutU64s([]uint64{v}))
 			} else {
 				copy(out[4*(int(at)%(len(out)/4)):], codec.PutU32s([]uint32{uint32(v)}))
@@ -475,6 +609,17 @@ func FuzzPagedBaseHostile(f *testing.F) {
 				if err != nil {
 					t.Fatalf("q=%v ws=%v: %v", q, ws, err)
 				}
+			}
+			for h := int64(-1); h <= snap.NextHandle; h++ {
+				if _, ok := truth[h]; b.Has(h) && !ok {
+					t.Fatalf("Has(%d) = true for a handle no row holds", h)
+				}
+			}
+			if _, ok := truth[int64(v)]; b.Has(int64(v)) && !ok {
+				t.Fatalf("Has(%d) = true for the written value, which no row holds", int64(v))
+			}
+			if hs, objs, err := b.Entries(); err == nil {
+				sameSnapshotColumns(t, "Entries", hs, objs, snap)
 			}
 			b.Close()
 		}

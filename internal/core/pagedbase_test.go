@@ -460,9 +460,11 @@ func TestPagedBaseLazyChecksum(t *testing.T) {
 	}
 }
 
-// TestOpenPagedBaseRejectsBadFiles: a v1 checkpoint, truncation, and a
-// checkpoint from before the rank-order format are all refused at open — the
-// last by name, by the decoding reader too (recovery's refusal is
+// TestOpenPagedBaseRejectsBadFiles: a v1 checkpoint, truncation, and the
+// checkpoints of the two formats before rows were stored by rank — without
+// any rank section, and PR 24's with the rank -> entry column beside
+// documents in entry order — are all refused at open, the last two by name,
+// by the decoding reader too (recovery's refusal is
 // wal.TestSoleDamagedCheckpointRefused's).
 func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
@@ -490,19 +492,24 @@ func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 		t.Fatal("truncated container accepted")
 	}
 
-	// Sound in every other respect, but its postings cannot be ranks: there
-	// is no rank column to lead from them to an entry.
-	old := withoutRankSections(t, raw)
-	p3 := filepath.Join(dir, "pre-rank.ckpt")
-	if err := os.WriteFile(p3, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
-		if _, err := OpenPagedBase(p3, opts); !errors.Is(err, codec.ErrNoRankColumn) {
-			t.Fatalf("OpenPagedBase(%+v) of a checkpoint without a rank column: %v", opts, err)
+	// Sound in every other respect, but their rows are not stored by rank:
+	// no rank section at all, or PR 24's rank column whose entry-ordered
+	// documents must never be read as rows.
+	for name, old := range map[string][]byte{
+		"pre-rank": withoutRankSections(t, raw),
+		"pr-24":    pr24Checkpoint(t, raw),
+	} {
+		p := filepath.Join(dir, name+".ckpt")
+		if err := os.WriteFile(p, old, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := codec.ReadPagedSnapshot(bytes.NewReader(old), int64(len(old))); !errors.Is(err, codec.ErrNoRankColumn) || !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("ReadPagedSnapshot of a checkpoint without a rank column: %v", err)
+		for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
+			if _, err := OpenPagedBase(p, opts); !errors.Is(err, codec.ErrNoRankRows) {
+				t.Fatalf("%s: OpenPagedBase(%+v): %v", name, opts, err)
+			}
+		}
+		if _, err := codec.ReadPagedSnapshot(bytes.NewReader(old), int64(len(old))); !errors.Is(err, codec.ErrNoRankRows) || !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: ReadPagedSnapshot: %v", name, err)
+		}
 	}
 }

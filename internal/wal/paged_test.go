@@ -232,13 +232,14 @@ func TestPagedRecoveryRefusesCorruptCheckpoint(t *testing.T) {
 // TestCheckpointBytesPinned: the checkpoint of a fixed seeded history — one
 // that carries, tombstones, rebuilds and leaves a part-filled buffer — hashes
 // to a recorded SHA-256, so the bytes are a function of the entry set and a
-// change to them is a decision, not an accident. Re-pinned with the
-// rank-order format: the handle and document columns are the bytes commit
-// 3b7e187 wrote (49b780e6…), the points are stored by rank, the postings
-// name ranks, and the rank column and cell boxes are new. The order itself is
-// held to its definition by codec.TestKDLeafOrderMatchesDefinition.
+// change to them is a decision, not an accident. Re-pinned with the rows by
+// rank: the handle column, the points, the postings and the cell boxes are
+// the bytes commit de7f006 wrote (ec37a7b9…), the documents move from entry
+// to rank order, the rank -> entry column (section 9) gives way to its
+// inverse, and the row handles are new. The order itself is held to its
+// definition by codec.TestKDLeafOrderMatchesDefinition.
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "ec37a7b959577fc47e4c3a24d997a25799aff00cbe18a633ff02f676ed5f679f"
+	const want = "9262852c815ac7d20bb0154f93e36d23a3df138fbefd086a0d7f85f2c76ea332"
 	dir := t.TempDir()
 	d := mustOpen(t, dir, WithBufferCap(8))
 	rng := rand.New(rand.NewSource(99))

@@ -435,38 +435,61 @@ func TestDamagedCheckpointFallsBackToOlder(t *testing.T) {
 // the log tail behind it is empty, so nothing contradicts an empty index —
 // recovery must refuse the directory instead of acking the next insert as
 // handle 0 into a log that starts at seq 52. The legacy case plants a KWCP v1
-// stream, which is one more file that does not validate, and so is the
-// pre-rank case: the checkpoint as a release before the rank-order format
-// wrote it, sound but for the rank column it lacks, refused by name.
+// stream, which is one more file that does not validate, and so are the
+// checkpoints as the two formats before rows were stored by rank wrote
+// them, sound but for the rows by rank they lack, refused by name: pre-rank
+// has no rank section at all, pr-24 the rank -> entry column beside
+// documents in entry order.
 func TestSoleDamagedCheckpointRefused(t *testing.T) {
 	legacy := []byte("KWCP\x01\x02\x02\x33\x32\x00") // k=2 dim=2 lastSeq=51 nextHandle=50 count=0
 	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(legacy, crc32.MakeTable(crc32.Castagnoli)))
-	withoutRankSections := func(raw []byte) []byte {
-		c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var secs []codec.Section
-		for _, s := range c.Sections[1:] {
-			if s.ID == codec.SecRankEntry || s.ID == codec.SecCellBoxes {
-				continue
-			}
-			data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
+	// olderFormat re-seals raw without the sections by rank and, for PR 24's
+	// format, with its rank -> entry column and entry-ordered documents.
+	olderFormat := func(pr24 bool) func(raw []byte) []byte {
+		return func(raw []byte) []byte {
+			snap, err := codec.ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			secs = append(secs, codec.Section{ID: s.ID, Data: data})
+			_, docStart, docWords := snap.Objs.Columns()
+			c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var secs []codec.Section
+			for _, s := range c.Sections[1:] {
+				data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case s.ID == codec.SecRowHandles || !pr24 && (s.ID == codec.SecEntryRank || s.ID == codec.SecCellBoxes):
+					continue
+				case s.ID == codec.SecEntryRank:
+					rankEntry := make([]int32, len(data)/4)
+					for e, r := range codec.GetI32s(data) {
+						rankEntry[r] = int32(e)
+					}
+					s.ID, data = codec.SecRankEntry, codec.PutI32s(rankEntry)
+				case s.ID == codec.SecDocStart:
+					data = codec.PutI64s(docStart)
+				case s.ID == codec.SecDocWords:
+					data = codec.PutU32s(docWords)
+				}
+				secs = append(secs, codec.Section{ID: s.ID, Data: data})
+			}
+			var out bytes.Buffer
+			if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+				t.Fatal(err)
+			}
+			return out.Bytes()
 		}
-		var out bytes.Buffer
-		if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
 	}
 	for name, damage := range map[string]func([]byte) []byte{
 		"flipped":  func(b []byte) []byte { b[len(b)/2] ^= 0xff; b[len(b)/2+1] ^= 0xff; return b },
 		"legacy":   func([]byte) []byte { return legacy },
-		"pre-rank": withoutRankSections,
+		"pre-rank": olderFormat(false),
+		"pr-24":    olderFormat(true),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -496,8 +519,8 @@ func TestSoleDamagedCheckpointRefused(t *testing.T) {
 					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(p)) {
 						t.Fatalf("err = %v, want ErrCorrupt naming %s", err, filepath.Base(p))
 					}
-					if name == "pre-rank" && !strings.Contains(err.Error(), "no rank column") {
-						t.Fatalf("err = %v, want the missing rank column named", err)
+					if (name == "pre-rank" || name == "pr-24") && !strings.Contains(err.Error(), codec.ErrNoRankRows.Error()) {
+						t.Fatalf("err = %v, want the missing rows by rank named", err)
 					}
 				}
 			}
