@@ -556,25 +556,33 @@ func BenchmarkORPKW2DCollectInto(b *testing.B) {
 // materialized lists are dense — bitmaps over the node's rank interval, ANDed
 // a word at a time. sparse: a Zipf k=2 corpus of tiny-scatter's shape, whose
 // stop nodes hold sparse lists — the cursor leapfrog, which the bitmaps
-// bypass. ops/query is the machine-independent cost (node visits, pivot
-// checks, bitmap words and candidates).
+// bypass. clipped: the same corpus at tiny-scatter's rectangle side of 0.05,
+// keeping only the queries whose descent stops at the root (no pivot is
+// examined): every small list there is sparse, so each query is a crossing
+// sparse root that clips its cells before the leapfrog. units/op is the
+// machine-independent cost (node visits, pivot checks, bitmap words and
+// candidates); nodes/op counts node visits, the clip's cells among them.
 func BenchmarkStopNodeIntersect(b *testing.B) {
 	const n = 1 << 16
 	planted, plantedKws, _ := plantedFixture(1, n, 2, 3, 64, n/8)
 	const vocab = 1000
 	zipf := workload.Gen(workload.Config{Seed: 1, Objects: 12_500, Dim: 2, Vocab: vocab, DocLen: 6})
 	for _, corpus := range []struct {
-		name string
-		ds   *Dataset
-		k    int
-		next func(*rand.Rand) (*Rect, []Keyword)
+		name     string
+		ds       *Dataset
+		k        int
+		next     func(*rand.Rand) (*Rect, []Keyword)
+		rootStop bool // keep only queries that stop at the root
 	}{
 		{"dense", planted, 3, func(rng *rand.Rand) (*Rect, []Keyword) {
 			return workload.RandRect(rng, 2, 0.2+0.3*rng.Float64()), plantedKws
-		}},
+		}, false},
 		{"sparse", zipf, 2, func(rng *rand.Rand) (*Rect, []Keyword) {
 			return workload.RandRect(rng, 2, 0.05+0.3*rng.Float64()), workload.RandKeywords(rng, vocab, 2)
-		}},
+		}, false},
+		{"clipped", zipf, 2, func(rng *rand.Rand) (*Rect, []Keyword) {
+			return workload.RandRect(rng, 2, 0.05), workload.RandKeywords(rng, vocab, 2)
+		}, true},
 	} {
 		b.Run(corpus.name, func(b *testing.B) {
 			ix, err := NewORPKW(corpus.ds, corpus.k)
@@ -584,11 +592,19 @@ func BenchmarkStopNodeIntersect(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			rects := make([]*Rect, 256)
 			kws := make([][]Keyword, len(rects))
-			for i := range rects {
-				rects[i], kws[i] = corpus.next(rng)
-			}
 			buf := make([]int32, 0, 1024)
-			var ops int64
+			for i := range rects {
+				for {
+					rects[i], kws[i] = corpus.next(rng)
+					if !corpus.rootStop {
+						break
+					}
+					if _, st, err := ix.CollectInto(rects[i], kws[i], QueryOpts{}, buf); err == nil && st.PivotChecks == 0 && st.MatScanned > 0 {
+						break
+					}
+				}
+			}
+			var ops, nodes int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -596,10 +612,11 @@ func BenchmarkStopNodeIntersect(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ops += st.Ops
+				ops, nodes = ops+st.Ops, nodes+int64(st.NodesVisited)
 				buf = ids[:0]
 			}
-			b.ReportMetric(float64(ops)/float64(b.N), "ops/query")
+			b.ReportMetric(float64(ops)/float64(b.N), "units/op")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 		})
 	}
 }

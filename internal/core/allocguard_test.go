@@ -146,6 +146,45 @@ func TestCollectIntoZeroAllocsStopNodeIntersect(t *testing.T) {
 	}
 }
 
+// The clip of a sparse stop node keeps its runs on the pooled context too: a
+// Zipf corpus of tiny-scatter's shard shape, asked a keyword pair that stops
+// the descent at the root (no pivot examined) over a rectangle of side 0.05
+// whose cells the clip then visits, stays allocation-free.
+func TestCollectIntoZeroAllocsClippedStopNode(t *testing.T) {
+	const vocab = 1000
+	ds := workload.Gen(workload.Config{Seed: 36, Objects: 12_500, Dim: 2, Vocab: vocab, DocLen: 6})
+	ix, err := BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(36))
+	buf := make([]int32, 0, 4096)
+	var q *geom.Rect
+	var ws []dataset.Keyword
+	var st QueryStats
+	run := func() {
+		var ids []int32
+		ids, st, err = ix.CollectInto(q, ws, QueryOpts{}, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = ids[:0]
+	}
+	for tries := 0; st.PivotChecks != 0 || st.NodesVisited < 2 || st.MatScanned == 0; tries++ {
+		if tries == 1000 {
+			t.Fatal("no query of the stream reached a clipped root stop node")
+		}
+		q, ws = workload.RandRect(rng, 2, 0.05), workload.RandKeywords(rng, vocab, 2)
+		run()
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("CollectInto through a clipped stop node (%+v) allocates %v per op, want 0", st, allocs)
+	}
+}
+
 // The paged base's query path is allocation-free in steady state too: the
 // reader (cursors, decode scratch, the reported object) comes back from the
 // base's pool, and over a mapping every column read is a subslice.

@@ -51,7 +51,10 @@ func structuredOnlyCost(sel float64, objects int) float64 { return sel * float64
 // intersectSmall's accounting gives an exact upper bound: 1 + the shortest
 // materialized list when some list is sparse (the drive list's candidates),
 // and 1 + the bitmap's words + the shortest list when every list is a bitmap
-// (the words ANDed, then at most that many set bits). If all are large the
+// (the words ANDed, then at most that many set bits). A crossing sparse root
+// clips its cells by the rectangle first and takes candidates only from the
+// cells that meet it (the cells are node visits, not work units), so the
+// bound still holds and is loose by the rectangle's share. If all are large the
 // traversal descends, and the estimate is the paper's bound with the
 // independence estimate of OUT over the root's keyword counts — geometry is
 // ignored (sel = 1), which errs towards "heavy". A keyword tuple of the wrong

@@ -199,6 +199,11 @@ type qctx struct {
 	bm    [][]uint64
 	probe []dataset.Keyword
 
+	// Clip scratch (clip): the ascending rank runs a sparse stop node's
+	// leapfrog is confined to, and how many more cells its descent may relate.
+	runs     []rankRun
+	clipLeft int64
+
 	// Rect fast path: when q is a *geom.Rect, run caches its bounds so
 	// checkAndEmit tests containment with inlined comparisons over the coords
 	// column instead of an interface call.
@@ -214,7 +219,7 @@ func putQctx(qc *qctx) {
 		qc.cur[i].Release()
 	}
 	clear(qc.bm)
-	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0]}
+	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0], runs: qc.runs[:0]}
 	qctxPool.Put(qc)
 }
 
@@ -295,8 +300,8 @@ func (qc *qctx) scanPivots(lo, hi int32, covered bool) bool {
 // some query keyword is small (Section 3.3). Every query keyword was large at
 // all proper ancestors, so each keyword small here has its list D_u^act(w)
 // materialized here: qc.cur[:ms] walk the lists stored as ascending ranks,
-// qc.bm[:md] are the lists stored as bitmaps over the node's interval, which
-// starts at rank lo (ms+md >= 1), and qc.probe holds the keywords still
+// qc.bm[:md] are the lists stored as bitmaps over u's interval, which starts
+// at rank rankLo[u] (ms+md >= 1), and qc.probe holds the keywords still
 // large. The paper scans one small list and tests every entry; this
 // intersects all of them, and only a rank in every list — the membership
 // proof for the small keywords — pays the region test and a hash probe for
@@ -309,13 +314,25 @@ func (qc *qctx) scanPivots(lo, hi int32, covered bool) bool {
 // membership with one bit test, and the other sparse lists leapfrog: a
 // candidate they leap over names the next rank worth asking the driver about.
 //
+// The leapfrog runs over ascending runs of the interval. At a covered node, or
+// one whose drive list is shorter than clipMinDrive, the one run is the whole
+// interval. At a crossing node with a longer drive list, clip first descends
+// the node's own cells by the rectangle, before any list is read, and the
+// drive list seeks to the start of each run it kept: ranks in cells that miss
+// q are never candidates, and ranks in covered cells skip the region test.
+//
 // MatScanned and Ops count one unit per bitmap word ANDed plus one per
 // candidate examined — a set bit of the AND, or a rank taken from the drive
 // list; bit tests, like ranks leapt over, are free. A dense list of n ranks
 // has at most n/2 + 1 words (denseList), so either way the node costs
-// O(N_u^{1-1/k}). A stop check follows every word and every candidate. Ranks
-// are emitted in ascending order: leaf order.
-func (qc *qctx) intersectSmall(ms, md int, lo int32, covered bool) {
+// O(N_u^{1-1/k}), and 1 + the drive list bounds a sparse node's Ops. The
+// cells clip relates are node visits (NodesVisited, CoveredNodes,
+// CrossingNodes, so NodeBudget), not work units, as in PagedBase.Query. A
+// stop check follows the clip, every word and every candidate. Ranks are
+// emitted in ascending order: leaf order.
+func (qc *qctx) intersectSmall(u int32, ms, md int, covered bool) {
+	f := qc.f
+	lo := f.rankLo[u]
 	bm := qc.bm[:md]
 	if ms == 0 {
 		for wi, w := range bm[0] {
@@ -346,39 +363,128 @@ func (qc *qctx) intersectSmall(ms, md int, lo int32, covered bool) {
 		}
 	}
 	drive := &cur[d]
-	for target, more := int32(0), true; more; {
-		r, ok := drive.Seek(target)
-		if !ok {
-			return
-		}
-		qc.st.MatScanned++
-		qc.st.Ops++
-		target = r + 1
-		hit := true
-		for _, b := range bm {
-			if off := uint32(r - lo); b[off>>6]>>(off&63)&1 == 0 {
-				hit = false
-				break
-			}
-		}
-		for j := 0; hit && j < ms; j++ {
-			if j == d {
-				continue
-			}
-			v, ok := cur[j].Seek(r)
-			if !ok {
-				hit, more = false, false // a list ran out: nothing further can match
-			} else if v != r {
-				hit, target = false, v
-			}
-		}
-		if hit {
-			qc.checkAndEmit(r, covered, qc.probe)
-		}
+	qc.runs = qc.runs[:0]
+	if shortest := int64(drive.Len()); !covered && shortest >= clipMinDrive {
+		qc.clipLeft = shortest
+		qc.clip(u, int64(f.rankSpan[u]), shortest)
 		if qc.stop() {
 			return
 		}
+	} else {
+		qc.runs = append(qc.runs, rankRun{lo, lo + f.rankSpan[u], covered})
 	}
+	// target is the lowest rank that can still be in the intersection. It only
+	// rises, across runs too, which is what Seek requires; a run a list has
+	// already leapt past is skipped without a seek.
+	target := int32(0)
+	for _, run := range qc.runs {
+		if target >= run.hi {
+			continue
+		}
+		target = max(target, run.lo)
+		for target < run.hi {
+			r, ok := drive.Seek(target)
+			if !ok {
+				return
+			}
+			if r >= run.hi {
+				target = r
+				break
+			}
+			qc.st.MatScanned++
+			qc.st.Ops++
+			target = r + 1
+			hit, more := true, true
+			for _, b := range bm {
+				if off := uint32(r - lo); b[off>>6]>>(off&63)&1 == 0 {
+					hit = false
+					break
+				}
+			}
+			for j := 0; hit && j < ms; j++ {
+				if j == d {
+					continue
+				}
+				v, ok := cur[j].Seek(r)
+				if !ok {
+					hit, more = false, false // a list ran out: nothing further can match
+				} else if v != r {
+					hit, target = false, v
+				}
+			}
+			if hit {
+				qc.checkAndEmit(r, run.covered, qc.probe)
+			}
+			if qc.stop() || !more {
+				return
+			}
+		}
+	}
+}
+
+// rankRun is a stretch [lo, hi) of a stop node's interval that the leapfrog
+// scans; a covered run lies in cells inside q and skips the region test.
+type rankRun struct {
+	lo, hi  int32
+	covered bool
+}
+
+// clipMinDrive is the fewest drive-list ranks a crossing cell should hold —
+// its share of the stop node's span times the drive list's length — for clip
+// to relate its children rather than keep it whole: below that, a Relate per
+// child costs more than the region tests it can save. It is a variable only so
+// that tests can raise it past every list and compare against the unclipped
+// scan.
+var clipMinDrive int64 = 4
+
+// clip appends to qc.runs, in rank order, the parts of crossing node v's
+// interval worth scanning: v's pivots, then per child its whole interval if
+// the child's cell is covered by q (marked covered) or crosses q and holds
+// too few drive ranks to split (span_c · shortest < clipMinDrive · span, span
+// the stop node's), the child's own clip if it crosses and holds enough, and
+// nothing if it misses q. The descent relates at most shortest cells; once
+// qc.clipLeft runs out, every child left joins whole and uncovered.
+func (qc *qctx) clip(v int32, span, shortest int64) {
+	f := qc.f
+	lo := f.rankLo[v]
+	qc.addRun(lo, lo+f.pivotCount[v], false)
+	for c, end := f.childFirst[v], f.childFirst[v]+f.childCount[v]; c < end; c++ {
+		clo, chi := f.rankLo[c], f.rankLo[c]+f.rankSpan[c]
+		if qc.clipLeft == 0 {
+			qc.addRun(clo, chi, false)
+			continue
+		}
+		qc.clipLeft--
+		rel := f.split.Relate(f.cells[c], qc.q)
+		if rel == geom.Disjoint {
+			continue
+		}
+		qc.st.NodesVisited++
+		if rel == geom.Covered {
+			qc.st.CoveredNodes++
+			qc.addRun(clo, chi, true)
+			continue
+		}
+		qc.st.CrossingNodes++
+		if f.childCount[c] > 0 && int64(f.rankSpan[c])*shortest >= clipMinDrive*span {
+			qc.clip(c, span, shortest)
+		} else {
+			qc.addRun(clo, chi, false)
+		}
+	}
+}
+
+// addRun appends the ranks [lo, hi) to qc.runs, extending the last run when
+// the two touch and agree on covered.
+func (qc *qctx) addRun(lo, hi int32, covered bool) {
+	if lo == hi {
+		return
+	}
+	if n := len(qc.runs); n > 0 && qc.runs[n-1].hi == lo && qc.runs[n-1].covered == covered {
+		qc.runs[n-1].hi = hi
+		return
+	}
+	qc.runs = append(qc.runs, rankRun{lo, hi, covered})
 }
 
 func (qc *qctx) visit(u int32, rel geom.Relation) {
@@ -433,7 +539,7 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 	}
 	if ms+md > 0 {
 		qc.probe = probe
-		qc.intersectSmall(ms, md, lo, covered)
+		qc.intersectSmall(u, ms, md, covered)
 		return
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	mbits "math/bits"
 	"math/rand"
 	"slices"
@@ -47,41 +48,73 @@ func countedDataset(rng *rand.Rand, n int, counts map[dataset.Keyword]int) *data
 	return dataset.MustNew(objs)
 }
 
-// stopNodeFramework hand-builds a two-node framework over ds whose root is a
-// stop node for any query drawn from large ∪ small ∪ {absent keywords}: the
-// keywords of large sit in its T_u table, those of small carry their full
-// posting list as the materialized list, and the single child is an empty
-// leaf no query reaches. Ranks are a seeded shuffle of the ids, so a list of
-// ranks and the ids it stands for never coincide by accident. dense picks a
-// list's representation from its keyword and length; nil applies the
+// stopNodeFramework hand-builds a framework over ds whose root is a stop node
+// for any query drawn from large ∪ small ∪ {absent keywords}: the keywords of
+// large sit in its T_u table, those of small carry their full posting list as
+// the materialized list. Below the root hangs a plain kd tree over the points
+// (leaves of at most 8, no keyword payload): no keyword descent reaches it,
+// but the clip of a crossing stop node descends its cells. A dataset too
+// small to split keeps every object a root pivot above one empty leaf. dense
+// picks a list's representation from its keyword and length; nil applies the
 // builder's rule (denseList).
 func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keyword, dense func(w dataset.Keyword, n int) bool) *Framework {
 	n := ds.Len()
 	if dense == nil {
 		dense = func(_ dataset.Keyword, ln int) bool { return denseList(ln, n) }
 	}
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	pdim := ds.Dim()
+	split := &spart.KD{Dim: pdim}
+	pts := make([]geom.Point, n)
+	weight := make([]int32, n)
+	objs := make([]int32, n)
+	for i := range objs {
+		objs[i], pts[i], weight[i] = int32(i), ds.Point(int32(i)), ds.DocLen(int32(i))
+	}
+	var nodes []fnode
+	ids := make([]int32, 0, n) // rank -> id, in leaf order
+	var build func(cell spart.Cell, objs []int32, depth int) int32
+	build = func(cell spart.Cell, objs []int32, depth int) int32 {
+		u := int32(len(nodes))
+		nodes = append(nodes, fnode{cell: cell, lo: int32(len(ids))})
+		cells, assign, ok := split.Split(cell, objs, pts, weight, depth)
+		if !ok || (depth > 0 && len(objs) <= 8) {
+			ids = append(ids, objs...)
+			nodes[u].npiv, nodes[u].hi = int32(len(objs)), int32(len(ids))
+			return u
+		}
+		groups := make([][]int32, len(cells))
+		for i, id := range objs {
+			if a := assign[i]; a == spart.PivotChild {
+				ids = append(ids, id)
+				nodes[u].npiv++
+			} else {
+				groups[a] = append(groups[a], id)
+			}
+		}
+		for c, g := range groups {
+			if len(g) > 0 {
+				child := build(cells[c], g, depth+1)
+				nodes[u].children = append(nodes[u].children, child)
+			}
+		}
+		nodes[u].hi = int32(len(ids))
+		return u
+	}
+	build(split.RootCell(pts, objs), objs, 0)
+	root := &nodes[0]
+	if len(root.children) == 0 {
+		root.children = []int32{int32(len(nodes))}
+		nodes = append(nodes, fnode{cell: root.cell, lo: int32(n), hi: int32(n)})
+		root = &nodes[0]
+	}
 	coords := make([]float64, 0, n*pdim)
 	for _, id := range ids {
 		coords = append(coords, ds.Point(id)...)
 	}
-	split := &spart.KD{Dim: pdim}
-	cell := geom.UniverseRect(pdim)
-	root := fnode{
-		cell:     cell,
-		children: []int32{1},
-		hi:       int32(n),
-		npiv:     int32(n),
-		nu:       ds.N(),
-		large:    map[dataset.Keyword]int32{},
-		l:        int32(len(large)),
-		tensors:  []*bits.Dense{bits.NewDense(int(tensorSize(len(large), k)))},
-		mat:      map[dataset.Keyword]int32{},
+	root.nu, root.l = ds.N(), int32(len(large))
+	root.large, root.mat = map[dataset.Keyword]int32{}, map[dataset.Keyword]int32{}
+	for range root.children {
+		root.tensors = append(root.tensors, bits.NewDense(int(tensorSize(len(large), k))))
 	}
 	for i, w := range large {
 		root.large[w] = int32(i)
@@ -103,9 +136,8 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 		root.mat[w] = int32(len(root.lists))
 		root.lists = append(root.lists, l)
 	}
-	leaf := fnode{cell: cell, lo: int32(n), hi: int32(n)}
 	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8}
-	f.pack([]fnode{root, leaf})
+	f.pack(nodes)
 	return f
 }
 
@@ -172,9 +204,14 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 			// What an all-bitmap node is charged: every word of the interval,
 			// then every rank the small lists share.
 			denseUnits := int64(bitmapWords(ds.Len()) + len(ds.Filter(geom.UniverseRect(2), tc.small)))
-			regions := []*geom.Rect{geom.UniverseRect(2)}
+			// A crossing node with a sparse drive list of clipMinDrive ranks or
+			// more is clipped; all-bitmap, absent-keyword and covered nodes
+			// never are.
+			clipped := !hasAbsent && !allDense && int64(shortest) >= clipMinDrive
+			universe := geom.UniverseRect(2)
+			regions := []*geom.Rect{universe}
 			for i := 0; i < 8; i++ {
-				regions = append(regions, workload.RandRect(rng, 2, 0.1+0.8*rng.Float64()))
+				regions = append(regions, workload.RandRect(rng, 2, 0.05+0.45*rng.Float64()))
 			}
 			for _, q := range regions {
 				got, st, err := f.Collect(q, tc.ws, QueryOpts{})
@@ -182,8 +219,10 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 					t.Fatal(err)
 				}
 				equalIDs(t, got, ds.Filter(q, tc.ws), "stop node vs oracle")
-				if st.NodesVisited != 1 || st.PivotChecks != 0 {
-					t.Fatalf("the root did not stop the descent: %+v", st)
+				// The keyword descent stops at the root; only the clip visits
+				// cells below it, at most one per drive-list rank.
+				if st.PivotChecks != 0 || st.NodesVisited > 1+shortest || ((!clipped || q == universe) && st.NodesVisited != 1) {
+					t.Fatalf("the root did not stop the descent (shortest list %d, clipped=%v): %+v", shortest, clipped, st)
 				}
 				switch {
 				case hasAbsent:
@@ -194,10 +233,12 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 					if st.MatScanned != denseUnits {
 						t.Fatalf("all-bitmap node: %d units charged, want words + common ranks = %d", st.MatScanned, denseUnits)
 					}
-				case len(tc.small) == 1 && st.MatScanned != int64(shortest):
-					t.Fatalf("single small list: %d entries scanned, want the whole list (%d)", st.MatScanned, shortest)
 				case st.MatScanned > int64(shortest):
 					t.Fatalf("%d entries scanned, more than the shortest small list holds (%d)", st.MatScanned, shortest)
+				case len(tc.small) == 1 && q == universe && st.MatScanned != int64(shortest):
+					t.Fatalf("single small list, universe: %d entries scanned, want the whole list (%d)", st.MatScanned, shortest)
+				case clipped && q != universe && st.MatScanned == int64(shortest):
+					t.Fatalf("clipped by %v: the whole drive list (%d) was scanned", q, shortest)
 				}
 				if st.Ops != st.MatScanned+1 {
 					t.Fatalf("ops %d != node visit + %d stop-node units", st.Ops, st.MatScanned)
@@ -413,6 +454,180 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 				t.Errorf("no stop node with some keywords small was exercised: %v", tally)
 			}
 		})
+	}
+}
+
+// withoutClip runs fn with the stop-node clip switched off: every stop node
+// then scans its whole interval, the reference the clipped scan must match.
+func withoutClip(fn func()) {
+	defer func(v int64) { clipMinDrive = v }(clipMinDrive)
+	clipMinDrive = math.MaxInt64
+	fn()
+}
+
+// rectHalfspaces is r as the four halfspaces an LC-KW query takes.
+func rectHalfspaces(r *geom.Rect) []geom.Halfspace {
+	return []geom.Halfspace{
+		{Coef: []float64{-1, 0}, Bound: -r.Lo[0]}, {Coef: []float64{1, 0}, Bound: r.Hi[0]},
+		{Coef: []float64{0, -1}, Bound: -r.Lo[1]}, {Coef: []float64{0, 1}, Bound: r.Hi[1]},
+	}
+}
+
+// clipExhausted reports whether the clip of f's root, as a stop node of ws
+// crossing q, relates every cell it may — the drive list's length — before
+// its descent ends. False when the root is no such stop node.
+func clipExhausted(f *Framework, q geom.Region, ws []dataset.Keyword) bool {
+	if f.childCount[0] == 0 || f.split.Relate(f.cells[0], q) != geom.Crossing {
+		return false
+	}
+	shortest := int64(-1)
+	for _, w := range ws {
+		if _, large := f.largeLookup(0, w); large {
+			continue
+		}
+		mi := f.matLookup(0, w)
+		if mi < 0 {
+			return false
+		}
+		if l := f.matLists[mi]; l.Rep == ListRanks && (shortest < 0 || int64(l.N) < shortest) {
+			shortest = int64(l.N)
+		}
+	}
+	if shortest < clipMinDrive {
+		return false
+	}
+	qc := &qctx{f: f, q: q, clipLeft: shortest}
+	qc.clip(0, int64(f.rankSpan[0]), shortest)
+	return qc.clipLeft == 0
+}
+
+// The clipped stop node against the whole-interval scan it replaces, for every
+// family whose stop nodes it reaches — ORP-KW, RR-KW (corner space, through
+// the dimension-reduction tree's secondaries) and SP-KW, over Willard's
+// fanout-4 cells and over the fanout-16 grid of the E6b ablation — on a
+// skewed and a Zipf corpus, over rectangles of side 0.005 to 0.5 and thin
+// slabs: each answer is the oracle's set, in the unclipped scan's order, at
+// no more stop-node units; and every Limit, Budget, NodeBudget and deadline
+// stop returns a prefix of it. Under binary and fanout-4 splits the descent
+// budget does not bind (a cell worth splitting holds 4 drive ranks, so there
+// are too few of them); a grid root with a drive list of 4 to 15 ranks
+// relates that many of its 16 cells and keeps the rest whole, which at least
+// one slab must do.
+func TestClippedStopNodeDifferential(t *testing.T) {
+	corpora := []struct {
+		name  string
+		ds    *dataset.Dataset
+		words func(*rand.Rand) []dataset.Keyword
+	}{
+		{"skewed", skewedVocabDataset(97, 6000), func(rng *rand.Rand) []dataset.Keyword { return randWs(rng, 2, 12) }},
+		{"zipf", workload.Gen(workload.Config{Seed: 98, Objects: 6000, Dim: 2, Vocab: 400, DocLen: 6}),
+			func(rng *rand.Rand) []dataset.Keyword { return workload.RandKeywords(rng, 400, 2) }},
+	}
+	exhausted := 0
+	for _, corpus := range corpora {
+		ds := corpus.ds
+		rng := rand.New(rand.NewSource(99))
+		rects := make([]RectObject, ds.Len())
+		for i := range rects {
+			p, e := ds.Point(int32(i)), 0.01*rng.Float64()
+			rects[i] = RectObject{Rect: geom.NewRect([]float64{p[0] - e, p[1] - e}, []float64{p[0] + e, p[1] + e}), Doc: ds.Doc(int32(i))}
+		}
+		bo := BuildOpts{NoObs: true}
+		orp, err := BuildORPKWWith(ds, 2, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := BuildRRKWWith(rects, 2, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := BuildSPKW(ds, SPKWConfig{K: 2, Build: bo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := BuildSPKW(ds, SPKWConfig{K: 2, Splitter: &spart.Grid2D{G: 4}, Build: bo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type collector func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error)
+		byConstraints := func(ix *SPKW) collector {
+			return func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
+				return ix.CollectConstraints(rectHalfspaces(q), ws, opts)
+			}
+		}
+		filter := func(q *geom.Rect, ws []dataset.Keyword) []int32 { return ds.Filter(q, ws) }
+		families := []struct {
+			name    string
+			collect collector
+			oracle  func(q *geom.Rect, ws []dataset.Keyword) []int32
+		}{
+			{"ORPKW", orp.Collect, filter},
+			{"RRKW", rr.Collect, func(q *geom.Rect, ws []dataset.Keyword) []int32 {
+				return rr.Dataset().Filter(rr.cornerQuery(q), ws)
+			}},
+			{"SPKW", byConstraints(sp), filter},
+			{"SPKW-grid", byConstraints(grid), filter},
+		}
+		for _, fam := range families {
+			t.Run(corpus.name+"/"+fam.name, func(t *testing.T) {
+				answered, pruned := 0, 0
+				for trial := 0; trial < 150; trial++ {
+					// Sides log-uniform over [0.005, 0.5]; every fifth query a
+					// slab 0.002 wide across the unit square.
+					q := workload.RandRect(rng, 2, 0.005*math.Pow(100, rng.Float64()))
+					if trial%5 == 0 {
+						q.Lo[1], q.Hi[1] = 0, 1
+						q.Hi[0] = q.Lo[0] + 0.002
+					}
+					ws := corpus.words(rng)
+					full, fullSt, err := fam.collect(q, ws, QueryOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalIDs(t, full, fam.oracle(q, ws), "clipped stop node vs oracle")
+					var whole []int32
+					var wholeSt QueryStats
+					withoutClip(func() { whole, wholeSt, err = fam.collect(q, ws, QueryOpts{}) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(full, whole) || fullSt.MatScanned > wholeSt.MatScanned {
+						t.Fatalf("%v %v: clipped %v (%d units), unclipped %v (%d units)", q, ws, full, fullSt.MatScanned, whole, wholeSt.MatScanned)
+					}
+					if fullSt.MatScanned < wholeSt.MatScanned {
+						pruned++
+					}
+					if trial%5 == 0 && fam.name == "SPKW-grid" && clipExhausted(grid.fw, geom.NewPolyhedron(rectHalfspaces(q)...), ws) {
+						exhausted++
+					}
+					answered += len(full)
+					restricted := []QueryOpts{
+						{Limit: 1 + rng.Intn(len(full)+1)},
+						{Budget: 1 + rng.Int63n(fullSt.Ops+1)},
+						{Policy: ExecPolicy{NodeBudget: 1 + rng.Int63n(int64(fullSt.NodesVisited)+1)}},
+						{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
+					}
+					for i, opts := range restricted {
+						part, st, err := fam.collect(q, ws, opts)
+						if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
+							t.Fatalf("restriction %d: %v is not a prefix of %v", i, part, full)
+						}
+						if len(part) < len(full) && !st.Truncated && !st.BudgetHit {
+							t.Fatalf("restriction %d: short answer without a stop flag: %+v", i, st)
+						}
+						if i == 3 && !errors.Is(err, ErrDeadline) {
+							t.Fatalf("expired deadline returned %v", err)
+						}
+					}
+				}
+				if answered == 0 || pruned == 0 {
+					t.Fatalf("%d ids answered, %d queries pruned by the clip: nothing was compared", answered, pruned)
+				}
+			})
+		}
+	}
+	if exhausted == 0 {
+		t.Error("no slab spent the clip's descent budget")
 	}
 }
 
