@@ -495,6 +495,18 @@ func BenchmarkBuildLCKW(b *testing.B) {
 	}
 }
 
+// The dimension-reduction build: one secondary framework per x-tree node, so
+// its cost is the per-framework set-up times the secondaries.
+func BenchmarkBuildORPKWHigh(b *testing.B) {
+	ds := workload.Gen(workload.Config{Seed: 20, Objects: 1 << 12, Dim: 3, Vocab: 256, DocLen: 5})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewORPKWHigh(ds, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Parallel construction: the same ORP-KW build at increasing worker budgets.
 // On a multi-core machine the par=4 and par=8 rows should come in well under
 // par=1; on a single core they coincide (the gate hands out no tokens).

@@ -402,6 +402,9 @@ func (d *DynamicORPKW) Insert(obj dataset.Object) (int64, error) {
 	if len(obj.Doc) == 0 {
 		return 0, fmt.Errorf("core: object with empty document")
 	}
+	if err := dataset.ValidatePoint(obj.Point); err != nil {
+		return 0, fmt.Errorf("core: object at %v has a %v", obj.Point, err)
+	}
 	// The document copy is normalized (sorted, de-duplicated) immediately —
 	// not deferred to the first merge — so the buffer, the journal, and the
 	// bucket datasets all see the same canonical form.

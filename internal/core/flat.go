@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"kwsc/internal/bits"
@@ -107,36 +108,28 @@ func (f *Framework) pack(nodes []fnode) {
 	}
 
 	// Pass 2: pack payloads in the new order.
-	var keyScratch []dataset.Keyword
+	var perm []int32
 	for newID, oldID := range order {
 		n := &nodes[oldID]
 		fl.cells[newID] = n.cell
 		fl.nu[newID] = n.nu
-		fl.l[newID] = n.l
+		fl.l[newID] = int32(len(n.large))
 
 		fl.rankLo[newID] = n.lo
 		fl.rankSpan[newID] = n.hi - n.lo
 		fl.pivotCount[newID] = n.npiv
 
-		keyScratch = keyScratch[:0]
-		for w := range n.large {
-			keyScratch = append(keyScratch, w)
-		}
-		slices.Sort(keyScratch)
-		for _, w := range keyScratch {
-			fl.largeKeys = append(fl.largeKeys, w)
-			fl.largeIdx = append(fl.largeIdx, n.large[w])
+		perm = byKeyword(perm[:0], n.large)
+		for _, i := range perm {
+			fl.largeKeys = append(fl.largeKeys, n.large[i])
+			fl.largeIdx = append(fl.largeIdx, i)
 		}
 		fl.largeStart[newID+1] = int32(len(fl.largeKeys))
 
-		keyScratch = keyScratch[:0]
-		for w := range n.mat {
-			keyScratch = append(keyScratch, w)
-		}
-		slices.Sort(keyScratch)
-		for _, w := range keyScratch {
-			fl.matKeys = append(fl.matKeys, w)
-			l := &n.lists[n.mat[w]]
+		perm = byKeyword(perm[:0], n.mat)
+		for _, i := range perm {
+			fl.matKeys = append(fl.matKeys, n.mat[i])
+			l := &n.lists[i]
 			if l.words == nil {
 				fl.matLists = append(fl.matLists, FlatList{Start: int32(len(fl.matRanks)), N: l.n, Rep: ListRanks})
 				fl.matRanks = append(fl.matRanks, l.ranks...)
@@ -149,12 +142,21 @@ func (f *Framework) pack(nodes []fnode) {
 
 		if len(n.tensors) > 0 {
 			fl.tensorOff[newID] = fl.tensorArena.Words()
-			fl.tensorStride[newID] = (tensorSize(int(n.l), f.k) + 63) / 64
+			fl.tensorStride[newID] = (tensorSize(len(n.large), f.k) + 63) / 64
 			for _, t := range n.tensors {
 				fl.tensorArena.AppendDense(t)
 			}
 		}
 	}
+}
+
+// byKeyword appends to perm the indexes of keys in ascending keyword order.
+func byKeyword(perm []int32, keys []dataset.Keyword) []int32 {
+	for i := range keys {
+		perm = append(perm, int32(i))
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return perm
 }
 
 // largeLookup is T_u's table of large keywords: a binary search over the

@@ -65,11 +65,10 @@ type fnode struct {
 	nu       int64 // N_u = sum of |e.Doc| over the active set
 
 	// Secondary structure T_u (internal nodes only):
-	large   map[dataset.Keyword]int32 // large keyword -> index in [0, L)
-	l       int32                     // L = number of large keywords
-	tensors []*bits.Dense             // per child: L^k-bit non-emptiness array
-	mat     map[dataset.Keyword]int32 // small keyword -> index into lists
-	lists   []matList                 // materialized D_u^act(w)
+	large   []dataset.Keyword // large keywords by tensor axis: L = len(large)
+	tensors []*bits.Dense     // per child: L^k-bit non-emptiness array
+	mat     []dataset.Keyword // small keywords with a materialized list
+	lists   []matList         // materialized D_u^act(w), parallel to mat
 }
 
 // matList is one materialized list D_u^act(w) under construction, stored one
@@ -154,13 +153,6 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	if cfg.Splitter == nil {
 		return nil, fmt.Errorf("core: nil splitter")
 	}
-	pts := cfg.Points
-	if pts == nil {
-		pts = make([]geom.Point, ds.Len())
-		for i := range pts {
-			pts[i] = ds.Point(int32(i))
-		}
-	}
 	leaf := cfg.LeafSize
 	if leaf <= 0 {
 		leaf = 8
@@ -178,75 +170,131 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// secondary an x-sorted active set).
 	objs := cfg.Objects
 	if objs == nil {
-		objs = make([]int32, ds.Len())
-		for i := range objs {
-			objs[i] = int32(i)
-		}
+		objs = iota32(ds.Len())
 	} else if !slices.IsSorted(objs) {
 		objs = slices.Clone(objs)
 		slices.Sort(objs)
-	}
-	// The root's incoming keyword set is every keyword present among the
-	// objects: each is vacuously large at all (zero) proper ancestors.
-	seen := make(map[dataset.Keyword]struct{})
-	incoming := make([]dataset.Keyword, 0, 64)
-	for _, id := range objs {
-		for _, w := range ds.Doc(id) {
-			if _, ok := seen[w]; !ok {
-				seen[w] = struct{}{}
-				incoming = append(incoming, w)
-			}
-		}
 	}
 	gate := cfg.gate
 	if gate == nil {
 		gate = newParGate(cfg.Parallelism)
 	}
-	// The splitters index points and weights by dataset id, so the build runs
-	// on dataset ids and writes the leaf order into seq as it goes; weight is
-	// scratch of the build alone, filled for this framework's objects only.
-	b := &builder{
-		f:      f,
-		pts:    pts,
-		weight: make([]int32, ds.Len()),
-		seq:    make([]int32, len(objs)),
-		cnt:    make(map[dataset.Keyword]int64, len(incoming)),
-		gate:   gate,
+	// The splitters index points and weights by object id, so the build runs
+	// on local ids, positions in objs, and carries its own columns under them:
+	// points, weights, and each document read once as dense keyword ids,
+	// numbered in the order the root first meets them (the order that numbers
+	// its tensor axes). Every column is sized to the build's own objects and
+	// keywords, never to the dataset or the keyword values.
+	n := len(objs)
+	b := &builder{f: f, gate: gate, pts: cfg.Points, weight: make([]int32, n), docStart: make([]int32, 1, n+1), seq: make([]int32, n)}
+	local := objs // already 0..n-1 when objs is every object
+	if cfg.Objects != nil {
+		local = iota32(n)
 	}
-	for _, id := range objs {
-		b.weight[id] = ds.DocLen(id)
+	if cfg.Objects != nil || cfg.Points == nil {
+		b.pts = make([]geom.Point, n)
+		for i, id := range objs {
+			if cfg.Points != nil {
+				b.pts[i] = cfg.Points[id]
+			} else {
+				b.pts[i] = ds.Point(id)
+			}
+		}
 	}
-	root := f.split.RootCell(pts, objs)
-	b.build(root, objs, incoming, 0, 0)
+	b.docs = make([]int32, 0, int(ds.N())*n/max(ds.Len(), 1)) // n mean documents
+	dense := make(map[dataset.Keyword]int32)
+	var cnt []int32 // objects per dense id: the root's counts
+	for i, id := range objs {
+		b.weight[i] = ds.DocLen(id)
+		for _, w := range ds.Doc(id) {
+			d, ok := dense[w]
+			if !ok {
+				d = int32(len(b.words))
+				dense[w] = d
+				b.words = append(b.words, w)
+				cnt = append(cnt, 0)
+			}
+			b.docs = append(b.docs, d)
+			cnt[d]++
+		}
+		b.docStart = append(b.docStart, int32(len(b.docs)))
+	}
+	// The root's incoming keyword set is every keyword present among the
+	// objects: each is vacuously large at all (zero) proper ancestors.
+	b.sc = getKwScratch(len(b.words))
+	b.build(f.split.RootCell(b.pts, local), local, iota32(len(b.words)), cnt, 0, 0)
+	kwScratchPool.Put(b.sc)
+	if n > 0 {
+		f.pdim = len(b.pts[0])
+	}
 	f.ids = b.seq
-	if len(pts) > 0 {
-		f.pdim = len(pts[0])
-	}
-	f.coords = make([]float64, len(objs)*f.pdim)
+	f.coords = make([]float64, n*f.pdim)
 	for r, id := range f.ids {
-		copy(f.coords[r*f.pdim:(r+1)*f.pdim], pts[id])
+		copy(f.coords[r*f.pdim:(r+1)*f.pdim], b.pts[id])
+		f.ids[r] = objs[id]
 	}
 	f.pack(b.nodes)
 	f.accountSpace()
 	return f, nil
 }
 
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
 // builder accumulates the subtree it is responsible for in its own nodes
-// slice (child indexes are local to that slice) and carries the reusable
-// scratch map used to count keyword occurrences per node; keys present in
-// the map are exactly the node's incoming keywords. Parallel construction
-// gives each spawned subtree its own builder and grafts the finished slice
-// into the parent's, so builders never share mutable state — except seq, the
-// leaf order under construction, of which every subtree writes only its own
-// rank interval.
+// slice (child indexes are local to that slice). Parallel construction gives
+// each spawned subtree its own builder, sharing the build's read-only columns
+// but with its own keyword scratch, and grafts the finished slice into the
+// parent's. Builders never share mutable state — except seq, the leaf order
+// under construction, of which every subtree writes only its own rank
+// interval.
 type builder struct {
-	f      *Framework
-	pts    []geom.Point // partitioning coordinates by dataset id
-	weight []int32      // |e.Doc| by dataset id: the verbose-set multiplicity
-	seq    []int32      // rank -> dataset id
-	cnt    map[dataset.Keyword]int64
-	nodes  []fnode
-	gate   *parGate
+	f        *Framework
+	gate     *parGate
+	pts      []geom.Point      // partitioning coordinates by local id
+	weight   []int32           // |e.Doc| by local id: the verbose-set multiplicity
+	docStart []int32           // local id i's document is docs[docStart[i]:docStart[i+1]]
+	docs     []int32           // documents as dense keyword ids
+	words    []dataset.Keyword // dense keyword id -> keyword
+	seq      []int32           // rank -> local id
+	sc       *kwScratch
+	nodes    []fnode
+}
+
+func (b *builder) doc(id int32) []int32 { return b.docs[b.docStart[id]:b.docStart[id+1]] }
+
+// keywords translates dense keyword ids back.
+func (b *builder) keywords(ids []int32) []dataset.Keyword {
+	out := make([]dataset.Keyword, len(ids))
+	for i, d := range ids {
+		out[i] = b.words[d]
+	}
+	return out
+}
+
+// kwScratch is one goroutine's keyword scratch: slot has an entry per dense
+// keyword id of the build (or more), -1 except while one node fills tensors
+// or lists through it; cnt and axes are reused node to node. The pool hands
+// it from finished builders to new ones, so the many small builds of the
+// dimension-reduction tree allocate it about once per goroutine.
+type kwScratch struct {
+	slot, cnt, axes []int32
+}
+
+var kwScratchPool = sync.Pool{New: func() any { return new(kwScratch) }}
+
+// getKwScratch returns scratch for a build of d dense keyword ids.
+func getKwScratch(d int) *kwScratch {
+	sc := kwScratchPool.Get().(*kwScratch)
+	for len(sc.slot) < d {
+		sc.slot = append(sc.slot, -1)
+	}
+	return sc
 }
 
 // childResult is one child subtree of an internal node under construction:
@@ -259,10 +307,12 @@ type childResult struct {
 	sub    *builder
 }
 
-// build creates the subtree for objs, whose ranks are [lo, lo+len(objs)), and
-// returns its node index within b.nodes. On return b.seq holds the subtree's
-// leaf order over that interval.
-func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keyword, depth int, lo int32) int32 {
+// build creates the subtree for objs (local ids), whose ranks are
+// [lo, lo+len(objs)), and returns its node index within b.nodes; incoming
+// holds the dense ids of the node's incoming keywords and cnt how many of
+// objs carry each, read before anything else uses the scratch it may live in.
+// On return b.seq holds the subtree's leaf order over that interval.
+func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int, lo int32) int32 {
 	f := b.f
 	idx := int32(len(b.nodes))
 	b.nodes = append(b.nodes, fnode{cell: cell, lo: lo, hi: lo + int32(len(objs))})
@@ -278,45 +328,24 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 
 	// Classify the incoming keywords as large or small at this node
 	// (Section 3.2): w is large iff |D_u^act(w)| >= N_u^{1-1/k}.
-	for _, w := range incoming {
-		b.cnt[w] = 0
-	}
-	for _, id := range objs {
-		for _, w := range f.ds.Doc(id) {
-			if _, track := b.cnt[w]; track {
-				b.cnt[w]++
-			}
-		}
-	}
 	threshold := math.Pow(float64(nu), 1-1/float64(f.k))
-	large := make(map[dataset.Keyword]int32)
-	var largeList []dataset.Keyword
 	// D_u^act(w) is materialized for every small incoming keyword that occurs
 	// here (w was large at all proper ancestors by the inductive invariant).
 	// Only the sizes are known yet: the lists hold ranks, and the subtree's
 	// ranks are settled once the children are built.
-	mat := make(map[dataset.Keyword]int32)
+	var large, mat []int32
 	var lists []matList
-	for _, w := range incoming {
-		switch c := b.cnt[w]; {
+	for i, w := range incoming {
+		switch c := cnt[i]; {
 		case float64(c) >= threshold:
-			large[w] = int32(len(largeList))
-			largeList = append(largeList, w)
+			large = append(large, w)
+			if depth == 0 {
+				f.rootDF = append(f.rootDF, c)
+			}
 		case c > 0:
-			mat[w] = int32(len(lists))
-			lists = append(lists, matList{n: int32(c)})
+			mat = append(mat, w)
+			lists = append(lists, matList{n: c})
 		}
-	}
-	if depth == 0 {
-		f.rootDF = make([]int32, len(largeList))
-		for i, w := range largeList {
-			f.rootDF[i] = int32(b.cnt[w])
-		}
-	}
-	// Release the scratch keys so descendants (whose incoming sets are the
-	// large keywords only) start from a clean map.
-	for _, w := range incoming {
-		delete(b.cnt, w)
 	}
 
 	cells, assign, ok := f.split.Split(cell, objs, b.pts, b.weight, depth)
@@ -328,8 +357,18 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 	// Leaf order: the pivots take the first ranks of the interval, each child
 	// the next len(group) — so every child's interval is known before any
 	// subtree is built, and a parallel build numbers exactly as a sequential
-	// one.
+	// one. The groups are cut from one buffer, each to its exact size.
 	groups := make([][]int32, len(cells))
+	sizes := make([]int, len(cells))
+	for _, a := range assign {
+		if a != spart.PivotChild {
+			sizes[a]++
+		}
+	}
+	buf := make([]int32, len(objs))
+	for c, m := range sizes {
+		groups[c], buf = buf[:0:m], buf[m:]
+	}
 	npiv := int32(0)
 	for i, id := range objs {
 		if a := assign[i]; a == spart.PivotChild {
@@ -340,18 +379,16 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 		}
 	}
 	b.nodes[idx].npiv = npiv
-	b.nodes[idx].large = large
-	b.nodes[idx].l = int32(len(largeList))
+	b.nodes[idx].large = b.keywords(large)
 
 	// Per child: the k-dimensional non-emptiness bit array (bit at the
 	// sorted tuple (i1 < ... < ik) of large-keyword indexes is set iff some
 	// object in the child's active set carries all k keywords) and the child
 	// subtree. Both depend only on the child's objects plus this node's
-	// read-only large map, so heavy children are handed to other goroutines
+	// read-only large list, so heavy children are handed to other goroutines
 	// when the gate has budget; the rest build inline. The results slice is
 	// sized up front because spawned goroutines hold pointers into it.
-	L := len(largeList)
-	tsize := tensorSize(L, f.k)
+	tsize := tensorSize(len(large), f.k)
 	nz := 0
 	for _, g := range groups {
 		if len(g) > 0 {
@@ -371,23 +408,24 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 		childCell, childLo := cells[c], clo
 		clo += int32(len(g))
 		if len(g) >= parallelCutoff && b.gate.tryAcquire() {
-			sub := &builder{
-				f: f, pts: b.pts, weight: b.weight, seq: b.seq,
-				cnt:  make(map[dataset.Keyword]int64, len(largeList)),
-				gate: b.gate,
-			}
-			r.sub = sub
+			sub := *b
+			sub.nodes = nil
+			r.sub = &sub
 			wg.Add(1)
 			go func(g []int32) {
 				defer wg.Done()
 				defer b.gate.release()
-				r.tensor = f.fillTensor(g, large, L, tsize)
-				r.root = sub.build(childCell, g, largeList, depth+1, childLo)
+				sub.sc = getKwScratch(len(b.words))
+				t, cnt := sub.scanChild(g, large, tsize)
+				r.tensor = t
+				r.root = sub.build(childCell, g, large, cnt, depth+1, childLo)
+				kwScratchPool.Put(sub.sc)
 			}(g)
 			continue
 		}
-		r.tensor = f.fillTensor(g, large, L, tsize)
-		r.root = b.build(childCell, g, largeList, depth+1, childLo)
+		t, cnt := b.scanChild(g, large, tsize)
+		r.tensor = t
+		r.root = b.build(childCell, g, large, cnt, depth+1, childLo)
 	}
 	wg.Wait()
 
@@ -425,10 +463,14 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 			l.ranks = make([]int32, 0, l.n)
 		}
 	}
+	slot := b.sc.slot
+	for i, w := range mat {
+		slot[w] = int32(i)
+	}
 	for r := lo; r < n.hi; r++ {
-		for _, w := range f.ds.Doc(b.seq[r]) {
-			li, ok := mat[w]
-			if !ok {
+		for _, w := range b.doc(b.seq[r]) {
+			li := slot[w]
+			if li < 0 {
 				continue
 			}
 			if l := &lists[li]; l.words != nil {
@@ -438,7 +480,10 @@ func (b *builder) build(cell spart.Cell, objs []int32, incoming []dataset.Keywor
 			}
 		}
 	}
-	n.mat, n.lists = mat, lists
+	for _, w := range mat {
+		slot[w] = -1
+	}
+	n.mat, n.lists = b.keywords(mat), lists
 	return idx
 }
 
@@ -449,24 +494,41 @@ func (b *builder) leaf(idx int32, objs []int32) {
 	copy(b.seq[n.lo:], objs)
 }
 
-// fillTensor builds the non-emptiness bit array of one child over its
-// objects g, given the parent's large-keyword numbering.
-func (f *Framework) fillTensor(g []int32, large map[dataset.Keyword]int32, L int, tsize int64) *bits.Dense {
+// scanChild makes the one pass over a child's documents that the parent's
+// large keywords (dense ids by tensor axis) need: it marks the child's
+// non-emptiness bit array, and it counts each large keyword among the child's
+// objects — the counts the child classifies its incoming keywords by. The
+// counts live in b's scratch until its next scan.
+func (b *builder) scanChild(g, large []int32, tsize int64) (*bits.Dense, []int32) {
 	t := bits.NewDense(int(tsize))
-	scratch := make([]int32, 0, 16)
+	cnt := slices.Grow(b.sc.cnt[:0], len(large))[:len(large)]
+	clear(cnt)
+	b.sc.cnt = cnt
+	if len(large) == 0 {
+		return t, cnt
+	}
+	slot, axes := b.sc.slot, b.sc.axes
+	for i, w := range large {
+		slot[w] = int32(i)
+	}
 	for _, id := range g {
-		scratch = scratch[:0]
-		for _, w := range f.ds.Doc(id) {
-			if li, isLarge := large[w]; isLarge {
-				scratch = append(scratch, li)
+		axes = axes[:0]
+		for _, w := range b.doc(id) {
+			if a := slot[w]; a >= 0 {
+				axes = append(axes, a)
+				cnt[a]++
 			}
 		}
-		if len(scratch) >= f.k {
-			sortInt32s(scratch)
-			markCombinations(t, scratch, f.k, L)
+		if len(axes) >= b.f.k {
+			sortInt32s(axes)
+			markCombinations(t, axes, b.f.k, len(large))
 		}
 	}
-	return t
+	for _, w := range large {
+		slot[w] = -1
+	}
+	b.sc.axes = axes
+	return t, cnt
 }
 
 // sortInt32s is an allocation-free insertion sort for the short slices the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -309,5 +310,73 @@ func TestORPKWHighMemoryFollowsItsObjects(t *testing.T) {
 	}
 	if perObject[1] > 1.5*perObject[0] {
 		t.Fatalf("resident bytes per indexed object grew from %.0f to %.0f with N: memory follows secondaries x N, not sum|objs|", perObject[0], perObject[1])
+	}
+}
+
+// The same bound on what a build allocates, not only on what it keeps: build
+// scratch — weights, documents, keyword counters — is sized to a secondary's
+// own objects, so a dimension-reduction build allocates in proportion to the
+// objects its secondaries hold between them.
+func TestORPKWHighAllocationFollowsItsObjects(t *testing.T) {
+	perObject := make([]float64, 0, 2)
+	for _, n := range []int{4096, 16384} {
+		ds := workload.Gen(workload.Config{Seed: 95, Objects: n, Dim: 3, Vocab: 200, DocLen: 5})
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ix, err := BuildORPKWHighWith(ds, 2, BuildOpts{Parallelism: 1, NoObs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		held := 0
+		for _, f := range frameworksOf(t, ix) {
+			held += len(f.ids)
+		}
+		perObject = append(perObject, float64(m1.TotalAlloc-m0.TotalAlloc)/float64(held))
+		t.Logf("n=%d: %d objects in secondaries, %d bytes allocated, %.0f per indexed object",
+			n, held, m1.TotalAlloc-m0.TotalAlloc, perObject[len(perObject)-1])
+	}
+	if perObject[1] > 1.5*perObject[0] {
+		t.Fatalf("allocated bytes per indexed object grew from %.0f to %.0f with N: build scratch follows secondaries x N, not sum|objs|", perObject[0], perObject[1])
+	}
+}
+
+// Build scratch is sized by the keywords a build meets, never by their
+// values: keywords run up to 2^32-1, and a build over them allocates what a
+// build over small keywords does.
+func TestBuildScratchIgnoresKeywordValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	objs := make([]dataset.Object, 4096)
+	for i := range objs {
+		objs[i] = dataset.Object{
+			Point: geom.Point{rng.Float64(), rng.Float64()},
+			Doc: []dataset.Keyword{
+				math.MaxUint32 - dataset.Keyword(rng.Intn(16)),
+				math.MaxUint32 - 16 - dataset.Keyword(rng.Intn(16)),
+				dataset.Keyword(rng.Intn(8)),
+			},
+		}
+	}
+	ds := dataset.MustNew(objs)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ix, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: 1, NoObs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("a build over keywords up to 2^32-1 allocated %d bytes", alloc)
+	}
+	ws := []dataset.Keyword{math.MaxUint32, math.MaxUint32 - 16}
+	q := geom.UniverseRect(2)
+	got, _, err := ix.Collect(q, ws, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ds.Filter(q, ws); len(want) == 0 {
+		t.Fatal("the fixture's query matches nothing")
+	} else {
+		equalIDs(t, sortedIDs(got), want, "keywords near 2^32")
 	}
 }

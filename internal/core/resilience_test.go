@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -455,5 +457,108 @@ func TestLegacyBudgetStaysErrorFree(t *testing.T) {
 	}
 	if !st.BudgetHit {
 		t.Fatal("legacy Budget did not flag BudgetHit")
+	}
+}
+
+// A NaN coordinate has no place in any order: rank space and the splitters
+// would sort it inconsistently, and a rectangle's search would miss finite
+// matches. Every way into an index refuses it, naming the object. Infinite
+// coordinates order like any other, stay accepted, and answer exactly as the
+// brute-force filter, static and dynamic.
+func TestNaNCoordinateRefused(t *testing.T) {
+	objects := func(seed int64, bad float64) []dataset.Object {
+		rng := rand.New(rand.NewSource(seed))
+		objs := make([]dataset.Object, 3000)
+		for i := range objs {
+			p := geom.Point{rng.Float64(), rng.Float64()}
+			if i%10 == 3 {
+				p[rng.Intn(2)] = bad * float64(1-2*rng.Intn(2))
+			}
+			doc := make([]dataset.Keyword, 1+rng.Intn(4))
+			for j := range doc {
+				doc[j] = dataset.Keyword(rng.Intn(12))
+			}
+			objs[i] = dataset.Object{Point: p, Doc: dataset.NormalizeDoc(doc)}
+		}
+		return objs
+	}
+	fromColumns := func(objs []dataset.Object) error {
+		var points []float64
+		var words []dataset.Keyword
+		starts := []int64{0}
+		for _, o := range objs {
+			points = append(points, o.Point...)
+			words = append(words, o.Doc...)
+			starts = append(starts, int64(len(words)))
+		}
+		_, err := dataset.FromColumns(2, points, starts, words)
+		return err
+	}
+	insert := func(objs []dataset.Object) (*DynamicORPKW, []int64, error) {
+		d, err := NewDynamicORPKW(2, 2, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles := make([]int64, len(objs))
+		for i, o := range objs {
+			if handles[i], err = d.Insert(o); err != nil {
+				return nil, nil, err
+			}
+		}
+		return d, handles, nil
+	}
+	for _, path := range []struct {
+		name, names string
+		load        func([]dataset.Object) error
+	}{
+		{"dataset.New", "object 3 ", func(objs []dataset.Object) error { _, err := dataset.New(objs); return err }},
+		{"dataset.FromColumns", "object 3 ", fromColumns},
+		{"DynamicORPKW.Insert", "object at [", func(objs []dataset.Object) error { _, _, err := insert(objs); return err }},
+	} {
+		err := path.load(objects(1, math.NaN()))
+		if err == nil || !strings.Contains(err.Error(), "NaN coordinate") || !strings.Contains(err.Error(), path.names) {
+			t.Fatalf("%s: a NaN coordinate gave %v, want a refusal naming the object", path.name, err)
+		}
+	}
+
+	objs := objects(2, math.Inf(1))
+	if err := fromColumns(objs); err != nil {
+		t.Fatalf("FromColumns refused infinite coordinates: %v", err)
+	}
+	ds, err := dataset.New(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := BuildORPKW(ds, 2, WithoutObs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, handles, err := insert(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idOf := make(map[int64]int32, len(handles))
+	for i, h := range handles {
+		idOf[h] = int32(i)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for q := 0; q < 200; q++ {
+		rect := workload.RandRect(rng, 2, 0.1+0.8*rng.Float64())
+		if q%4 == 0 {
+			rect.Lo[rng.Intn(2)] = math.Inf(-1)
+			rect.Hi[rng.Intn(2)] = math.Inf(1)
+		}
+		ws := workload.RandKeywords(rng, 12, 2)
+		want := sortedIDs(ds.Filter(rect, ws))
+		got, _, err := static.Collect(rect, ws, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalIDs(t, sortedIDs(got), want, "static ORP-KW with infinite coordinates vs filter")
+		var dgot []int32
+		if _, err := dyn.Query(rect, ws, func(h int64, _ *dataset.Object) { dgot = append(dgot, idOf[h]) }); err != nil {
+			t.Fatal(err)
+		}
+		equalIDs(t, sortedIDs(dgot), want, "dynamic ORP-KW with infinite coordinates vs filter")
 	}
 }

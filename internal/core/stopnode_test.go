@@ -111,13 +111,9 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 	for _, id := range ids {
 		coords = append(coords, ds.Point(id)...)
 	}
-	root.nu, root.l = ds.N(), int32(len(large))
-	root.large, root.mat = map[dataset.Keyword]int32{}, map[dataset.Keyword]int32{}
+	root.nu, root.large = ds.N(), slices.Clone(large)
 	for range root.children {
 		root.tensors = append(root.tensors, bits.NewDense(int(tensorSize(len(large), k))))
-	}
-	for i, w := range large {
-		root.large[w] = int32(i)
 	}
 	for _, w := range small {
 		var ranks []int32
@@ -133,7 +129,7 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 				l.words[r>>6] |= 1 << (uint(r) & 63)
 			}
 		}
-		root.mat[w] = int32(len(root.lists))
+		root.mat = append(root.mat, w)
 		root.lists = append(root.lists, l)
 	}
 	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8}

@@ -8,6 +8,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"kwsc/internal/geom"
@@ -46,7 +47,7 @@ var ErrEmpty = errors.New("dataset: no objects")
 // New validates the objects and copies them into the columns, sorting and
 // de-duplicating each document on the way. It never writes to objs. Every
 // object must have a non-empty document and a point of the same
-// dimensionality.
+// dimensionality with no NaN coordinate (see ValidatePoint).
 func New(objs []Object) (*Dataset, error) {
 	if len(objs) == 0 {
 		return nil, ErrEmpty
@@ -62,6 +63,9 @@ func New(objs []Object) (*Dataset, error) {
 		}
 		if len(objs[i].Doc) == 0 {
 			return nil, fmt.Errorf("dataset: object %d has an empty document", i)
+		}
+		if err := ValidatePoint(objs[i].Point); err != nil {
+			return nil, fmt.Errorf("dataset: object %d has a %v", i, err)
 		}
 		words += len(objs[i].Doc)
 	}
@@ -85,8 +89,8 @@ func New(objs []Object) (*Dataset, error) {
 // FromColumns wraps existing columns — in practice the sections of a flat
 // image — without copying or writing to them. Non-canonical input is
 // rejected, not repaired: the lengths must agree, docStart must start at 0,
-// increase strictly and end at len(docWords), and every document must be
-// strictly increasing.
+// increase strictly and end at len(docWords), every document must be
+// strictly increasing, and no coordinate may be NaN.
 func FromColumns(dim int, points []float64, docStart []int64, docWords []Keyword) (*Dataset, error) {
 	n := len(docStart) - 1
 	if n < 1 {
@@ -114,8 +118,23 @@ func FromColumns(dim int, points []float64, docStart []int64, docWords []Keyword
 			}
 		}
 		w = max(w, int(doc[len(doc)-1])+1)
+		if err := ValidatePoint(points[i*dim : (i+1)*dim]); err != nil {
+			return nil, fmt.Errorf("dataset: object %d has a %v", i, err)
+		}
 	}
 	return &Dataset{points: points, docStart: docStart, docWords: docWords, w: w, dim: dim}, nil
+}
+
+// ValidatePoint refuses a NaN coordinate. NaN has no place in any order, so
+// rank space and the splitters would sort it inconsistently and miss finite
+// matches; infinite coordinates order like any other and are accepted.
+func ValidatePoint(p geom.Point) error {
+	for j, x := range p {
+		if math.IsNaN(x) {
+			return fmt.Errorf("NaN coordinate on dimension %d", j)
+		}
+	}
+	return nil
 }
 
 // MustNew is New that panics on error; intended for tests and examples.

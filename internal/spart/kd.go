@@ -1,7 +1,7 @@
 package spart
 
 import (
-	"sort"
+	"slices"
 
 	"kwsc/internal/geom"
 )
@@ -32,70 +32,18 @@ func (k *KD) RootCell(pts []geom.Point, objs []int32) Cell {
 func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, depth int) ([]Cell, []int8, bool) {
 	rect := cell.(*geom.Rect)
 	axis := depth % k.Dim
-	order := append([]int32(nil), objs...)
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]][axis], pts[order[b]][axis]
-		if pa != pb {
-			return pa < pb
-		}
-		return order[a] < order[b]
-	})
-	total := totalWeight(objs, weight)
-	// Weighted median: the first object at which the prefix weight reaches
-	// half the total.
-	var acc int64
-	m := -1
-	for i, id := range order {
-		acc += weightOf(weight, id)
-		if acc*2 >= total {
-			m = i
-			break
-		}
+	coord := func(id int32) float64 { return pts[id][axis] }
+	order := slices.Clone(objs)
+	split, ok, _ := weightedMedian(order, coord, weight)
+	// All coordinates equal on this axis; with rank-space input this cannot
+	// happen for len(objs) > 1, but guard for raw coordinates: try the
+	// remaining axes before giving up.
+	for off := 1; !ok && off < k.Dim; off++ {
+		axis = (depth + off) % k.Dim
+		split, ok, _ = weightedMedian(order, coord, weight)
 	}
-	if m < 0 {
-		m = len(order) - 1
-	}
-	split := pts[order[m]][axis]
-	if split == pts[order[0]][axis] && split == pts[order[len(order)-1]][axis] {
-		// All coordinates equal on this axis; with rank-space input this
-		// cannot happen for len(objs) > 1, but guard for raw coordinates:
-		// try the remaining axes before giving up.
-		found := false
-		for off := 1; off < k.Dim; off++ {
-			a2 := (axis + off) % k.Dim
-			lo, hi := pts[order[0]][a2], pts[order[0]][a2]
-			for _, id := range order[1:] {
-				if c := pts[id][a2]; c < lo {
-					lo = c
-				} else if c > hi {
-					hi = c
-				}
-			}
-			if lo != hi {
-				axis = a2
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, nil, false
-		}
-		sort.Slice(order, func(a, b int) bool {
-			pa, pb := pts[order[a]][axis], pts[order[b]][axis]
-			if pa != pb {
-				return pa < pb
-			}
-			return order[a] < order[b]
-		})
-		acc = 0
-		for i, id := range order {
-			acc += weightOf(weight, id)
-			if acc*2 >= total {
-				m = i
-				break
-			}
-		}
-		split = pts[order[m]][axis]
+	if !ok {
+		return nil, nil, false
 	}
 	left := rect.Clone()
 	left.Hi[axis] = split

@@ -2,7 +2,7 @@ package spart
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"kwsc/internal/geom"
 )
@@ -73,21 +73,13 @@ func (w *Willard2D) Split(cell Cell, objs []int32, pts []geom.Point, weight []in
 	poly := cell.(*geom.Polygon)
 	total := totalWeight(objs, weight)
 	// Step 1: vertical weighted-median line.
-	order := append([]int32(nil), objs...)
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]][0], pts[order[b]][0]
-		if pa != pb {
-			return pa < pb
-		}
-		return order[a] < order[b]
-	})
-	xm, ok := weightedMedianCoord(order, pts, weight, 0, total)
+	xm, ok, _ := weightedMedian(slices.Clone(objs), func(id int32) float64 { return pts[id][0] }, weight)
 	if !ok {
 		return w.fallback(poly, objs, pts, weight)
 	}
 	var left, right []int32
 	pivotsOnA := 0
-	for _, id := range order {
+	for _, id := range objs {
 		switch x := pts[id][0]; {
 		case x < xm:
 			left = append(left, id)
@@ -102,10 +94,11 @@ func (w *Willard2D) Split(cell Cell, objs []int32, pts []geom.Point, weight []in
 	}
 	// Step 2: ham-sandwich cut by angle bisection. g(theta) is the weight
 	// imbalance of the right set w.r.t. the left set's weighted-median line
-	// of normal direction (cos theta, sin theta).
+	// of normal direction (cos theta, sin theta). Every step selects over
+	// left in place, in whatever order the last step left it.
 	cut := func(theta float64) (nx, ny, c float64, g int64) {
 		nx, ny = math.Cos(theta), math.Sin(theta)
-		c = weightedMedianProj(left, pts, weight, nx, ny)
+		c, _, _ = weightedMedian(left, func(id int32) float64 { return nx*pts[id][0] + ny*pts[id][1] }, weight)
 		for _, id := range right {
 			p := pts[id]
 			v := nx*p[0] + ny*p[1]
@@ -224,18 +217,9 @@ func (w *Willard2D) Split(cell Cell, objs []int32, pts []geom.Point, weight []in
 // fallback performs a two-level axis-median split (x then per-side y),
 // which is always available and keeps the four cells convex polygons.
 func (w *Willard2D) fallback(poly *geom.Polygon, objs []int32, pts []geom.Point, weight []int32) ([]Cell, []int8, bool) {
-	total := totalWeight(objs, weight)
-	order := append([]int32(nil), objs...)
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]][0], pts[order[b]][0]
-		if pa != pb {
-			return pa < pb
-		}
-		return order[a] < order[b]
-	})
-	xm, okx := weightedMedianCoord(order, pts, weight, 0, total)
+	xm, okx, _ := weightedMedian(slices.Clone(objs), func(id int32) float64 { return pts[id][0] }, weight)
 	var left, right []int32
-	for _, id := range order {
+	for _, id := range objs {
 		switch x := pts[id][0]; {
 		case okx && x < xm:
 			left = append(left, id)
@@ -249,15 +233,8 @@ func (w *Willard2D) fallback(poly *geom.Polygon, objs []int32, pts []geom.Point,
 		if len(side) == 0 {
 			return 0, false
 		}
-		s := append([]int32(nil), side...)
-		sort.Slice(s, func(a, b int) bool {
-			pa, pb := pts[s[a]][1], pts[s[b]][1]
-			if pa != pb {
-				return pa < pb
-			}
-			return s[a] < s[b]
-		})
-		return weightedMedianCoord(s, pts, weight, 1, totalWeight(s, weight))
+		ym, ok, _ := weightedMedian(side, func(id int32) float64 { return pts[id][1] }, weight)
+		return ym, ok
 	}
 	ylm, okl := ymOf(left)
 	yrm, okr := ymOf(right)
@@ -317,49 +294,4 @@ func (w *Willard2D) fallback(poly *geom.Polygon, objs []int32, pts []geom.Point,
 // Relate implements Splitter.
 func (w *Willard2D) Relate(c Cell, q geom.Region) geom.Relation {
 	return q.RelatePolygon(c.(*geom.Polygon))
-}
-
-// weightedMedianCoord returns the coordinate (on the given axis) of the
-// weighted-median object of the pre-sorted order.
-func weightedMedianCoord(order []int32, pts []geom.Point, weight []int32, axis int, total int64) (float64, bool) {
-	if len(order) == 0 {
-		return 0, false
-	}
-	if pts[order[0]][axis] == pts[order[len(order)-1]][axis] {
-		return 0, false // constant axis: no split possible
-	}
-	var acc int64
-	for _, id := range order {
-		acc += weightOf(weight, id)
-		if acc*2 >= total {
-			return pts[id][axis], true
-		}
-	}
-	return pts[order[len(order)-1]][axis], true
-}
-
-// weightedMedianProj returns the weighted median of the projections
-// n . p over the given objects.
-func weightedMedianProj(objs []int32, pts []geom.Point, weight []int32, nx, ny float64) float64 {
-	type pv struct {
-		v float64
-		w int64
-	}
-	vals := make([]pv, len(objs))
-	var total int64
-	for i, id := range objs {
-		p := pts[id]
-		w := weightOf(weight, id)
-		vals[i] = pv{v: nx*p[0] + ny*p[1], w: w}
-		total += w
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-	var acc int64
-	for _, x := range vals {
-		acc += x.w
-		if acc*2 >= total {
-			return x.v
-		}
-	}
-	return vals[len(vals)-1].v
 }

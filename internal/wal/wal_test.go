@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -252,6 +253,31 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut=%d: handle after truncation = %d, want 8", cut, h)
 		}
 		d2.Close()
+	}
+}
+
+// Replay runs through Insert, so a logged insert with a NaN coordinate —
+// which Insert refuses and so never writes — fails recovery by its seq.
+func TestReplayRefusesNaNInsert(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir)
+	for i := 0; i < 8; i++ {
+		mustInsert(t, d, i)
+	}
+	d.Close()
+	obj := testObj(8)
+	obj.Point[1] = math.NaN()
+	rec := appendRecord(nil, &record{seq: 9, op: opInsert, handle: 8, obj: obj})
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(rec)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(rec, castagnoli))
+	f, err := os.OpenFile(segmentPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(append(frame, rec...))
+	f.Close()
+	if _, err := Open(dir, 2, 2); err == nil || !strings.Contains(err.Error(), "wal: replaying insert seq 9: ") || !strings.Contains(err.Error(), "NaN coordinate") {
+		t.Fatalf("Open over a logged NaN insert: %v", err)
 	}
 }
 
