@@ -3,6 +3,8 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +186,74 @@ func TestRankSpaceQueryEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRankSpace is NewRankSpace's definition run literally: sort each
+// dimension by coordinate with the comparison operators, ties by id.
+func refRankSpace(ds *Dataset) (sorted [][]float64, ranks [][]int32) {
+	n := ds.Len()
+	for j := 0; j < ds.Dim(); j++ {
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sort.Slice(order, func(a, b int) bool {
+			pa, pb := ds.Point(order[a])[j], ds.Point(order[b])[j]
+			if pa != pb {
+				return pa < pb
+			}
+			return order[a] < order[b]
+		})
+		s, r := make([]float64, n), make([]int32, n)
+		for k, id := range order {
+			s[k] = ds.Point(id)[j]
+			r[id] = int32(k)
+		}
+		sorted, ranks = append(sorted, s), append(ranks, r)
+	}
+	return sorted, ranks
+}
+
+// TestRankSpaceMatchesDefinition: the ranks and the sorted coordinates are
+// the ones a comparison sort gives, bit for bit — on random values, one value
+// everywhere, two values, both zeros (which compare equal, so tie by id),
+// infinities and subnormals — for n up to 2^16 and d up to 4.
+func TestRankSpaceMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	tiny := math.SmallestNonzeroFloat64
+	gens := map[string]func() float64{
+		"random":  func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)) },
+		"equal":   func() float64 { return 3.25 },
+		"two":     func() float64 { return float64(rng.Intn(2)) - 0.5 },
+		"zeros":   func() float64 { return []float64{math.Copysign(0, -1), 0, 1, -1}[rng.Intn(4)] },
+		"extreme": func() float64 { return []float64{math.Inf(-1), math.Inf(1), tiny, -tiny, 7 * tiny, 0}[rng.Intn(6)] },
+	}
+	for d := 1; d <= 4; d++ {
+		for _, n := range []int{1, 2, 3, 31, 255, 256, 257, 4099, 1 << 16} {
+			for name, gen := range gens {
+				objs := make([]Object, n)
+				for i := range objs {
+					objs[i] = Object{Point: make(geom.Point, d), Doc: []Keyword{0}}
+					for j := range objs[i].Point {
+						objs[i].Point[j] = gen()
+					}
+				}
+				ds := MustNew(objs)
+				gotSorted, gotRanks := NewRankSpace(ds).Tables()
+				wantSorted, wantRanks := refRankSpace(ds)
+				for j := 0; j < d; j++ {
+					if !slices.Equal(gotRanks[j], wantRanks[j]) {
+						t.Fatalf("%s d=%d n=%d: ranks on dimension %d differ from the definition's", name, d, n, j)
+					}
+					for r := range gotSorted[j] {
+						if math.Float64bits(gotSorted[j][r]) != math.Float64bits(wantSorted[j][r]) {
+							t.Fatalf("%s d=%d n=%d: rank %d on dimension %d holds %v, want %v", name, d, n, r, j, gotSorted[j][r], wantSorted[j][r])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ func TestBuildOutputPinned(t *testing.T) {
 	zipf3 := workload.Gen(workload.Config{Seed: 203, Objects: 20_000, Dim: 3, Vocab: 200, DocLen: 4})
 	small2 := workload.Gen(workload.Config{Seed: 204, Objects: 5000, Dim: 2, Vocab: 120, DocLen: 4})
 	small3 := workload.Gen(workload.Config{Seed: 205, Objects: 5000, Dim: 3, Vocab: 60, DocLen: 4})
+	grid16 := gridDataset(209, 5000, 16, 120, 4)
 	noObs := core.BuildOpts{NoObs: true}
 
 	cases := []struct {
@@ -48,6 +49,14 @@ func TestBuildOutputPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, "e94cafa9aebc823291017d93df45611675c071cdd11520fcf74baae4a6d537be"},
+		// Raw coordinates on a 16x16 grid: every kd split has a run of tied
+		// pivots, which rank space never produces.
+		{"LCKW/KD/grid16/image", func(t *testing.T, h hash.Hash) {
+			ix := buildSPKW(t, grid16, &spart.KD{Dim: 2})
+			if err := SaveSPKW(h, ix); err != nil {
+				t.Fatal(err)
+			}
+		}, "5594ca7a9fbfd417149386acda5d426169d1f7d33d97555b70d63bc785e6a67b"},
 		{"LCKW/Willard2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, buildSPKW(t, small2, &spart.Willard2D{}))
 		}, "9801593b7ab5bfc807707be623ff1cbe484e4c871130e375b5c29b487c34f9e9"},
@@ -103,6 +112,20 @@ func saveORPKW(t *testing.T, h hash.Hash, ds *dataset.Dataset, k int) {
 		t.Fatal(err)
 	}
 	h.Write(buf.Bytes())
+}
+
+// gridDataset places n objects on a side x side grid of integer points, each
+// with a document of docLen keywords drawn from [0, vocab).
+func gridDataset(seed int64, n, side, vocab, docLen int) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]dataset.Object, n)
+	for i := range objs {
+		objs[i].Point = geom.Point{float64(rng.Intn(side)), float64(rng.Intn(side))}
+		for range docLen {
+			objs[i].Doc = append(objs[i].Doc, dataset.Keyword(rng.Intn(vocab)))
+		}
+	}
+	return dataset.MustNew(objs)
 }
 
 func buildSPKW(t *testing.T, ds *dataset.Dataset, split spart.Splitter) *core.SPKW {
