@@ -118,7 +118,7 @@ bench-1m:
 # also matches the 1M tier, which self-skips unless KWSC_BENCH_1M is set (see
 # bench-1m).
 BENCH_TIME ?= 200x
-BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect)
+BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect)
 
 # Snapshot the tier-1 bench families as BENCH_<date>.json so later changes
 # have a perf trajectory to compare against. The snapshot embeds the metrics

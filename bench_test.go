@@ -495,6 +495,16 @@ func BenchmarkBuildLCKW(b *testing.B) {
 	}
 }
 
+// Rank space over raw coordinates, heavy-core's set-up size: one sort per
+// dimension, the first step of every ORP-KW build.
+func BenchmarkNewRankSpace(b *testing.B) {
+	ds := workload.Gen(workload.Config{Seed: 21, Objects: 1 << 18, Dim: 2, Vocab: 256, DocLen: 2})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dataset.NewRankSpace(ds)
+	}
+}
+
 // The dimension-reduction build: one secondary framework per x-tree node, so
 // its cost is the per-framework set-up times the secondaries.
 func BenchmarkBuildORPKWHigh(b *testing.B) {

@@ -3,6 +3,7 @@ package codec
 import (
 	"math"
 
+	"kwsc/internal/dataset"
 	"kwsc/internal/pager"
 )
 
@@ -13,9 +14,11 @@ import (
 // order. Cell c is ranks [c*cell, (c+1)*cell) — one page of SecPoints when
 // 8*dim divides the page size, at most two otherwise — and every node of the
 // tree is an interval of cells, so the reader rebuilds the tree from the
-// cell count and CellSplit alone (core.PagedBase). Ties on a coordinate
-// break by entry index and a cell lists its entries ascending, which makes
-// the order, and so the file's bytes, a function of the entry set.
+// cell count and CellSplit alone (core.PagedBase). Coordinates are ordered
+// by dataset.SortableBits — -0 before +0, NaN beyond the infinities — entries
+// with equal bits break by entry index, and a cell lists its entries
+// ascending, which makes the order, and so the file's bytes, a function of the
+// entry set.
 
 // CellSize is the number of ranks in one cell of a dim-dimensional snapshot.
 func CellSize(dim int) int { return pager.PageSize / (8 * dim) }
@@ -24,17 +27,7 @@ func CellSize(dim int) int { return pager.PageSize / (8 * dim) }
 // its children cover [lo, mid) and [mid, hi).
 func CellSplit(lo, hi int) int { return lo + (hi-lo+1)/2 }
 
-// sortableBits maps a float64 to a uint64 that sorts as the float does, NaN
-// included (beyond the infinities), so the order stays total whatever Insert
-// accepted; sortedFloat is its inverse.
-func sortableBits(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
+// sortedFloat inverts dataset.SortableBits, the key the entries are sorted by.
 func sortedFloat(k uint64) float64 {
 	if k>>63 != 0 {
 		return math.Float64frombits(k &^ (1 << 63))
@@ -42,44 +35,7 @@ func sortedFloat(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
-var keyNegInf, keyPosInf = sortableBits(math.Inf(-1)), sortableBits(math.Inf(1))
-
-// kdKey is one entry on one axis: its coordinate as sortable bits beside its
-// entry index.
-type kdKey struct {
-	key uint64
-	idx int32
-}
-
-// kdSort sorts a by key, stably (so ties stay in entry order when a starts
-// in it), using b as the other buffer of an LSD radix sort on bytes, and
-// returns whichever buffer holds the result. A byte every key shares — the
-// exponent bytes, for coordinates of one magnitude — costs no pass.
-func kdSort(a, b []kdKey) []kdKey {
-	var count [8][256]int32
-	for _, p := range a {
-		for d := range count {
-			count[d][byte(p.key>>(8*d))]++
-		}
-	}
-	for d := range count {
-		c := &count[d]
-		if len(a) > 0 && int(c[byte(a[0].key>>(8*d))]) == len(a) {
-			continue
-		}
-		sum := int32(0)
-		for i, n := range c {
-			c[i], sum = sum, sum+n
-		}
-		for _, p := range a {
-			digit := byte(p.key >> (8 * d))
-			b[c[digit]] = p
-			c[digit]++
-		}
-		a, b = b, a
-	}
-	return a
-}
+var keyNegInf, keyPosInf = dataset.SortableBits(math.Inf(-1)), dataset.SortableBits(math.Inf(1))
 
 // kdLeafOrder computes the rank order of n points: rankEntry[r] is the entry
 // at rank r, and boxes holds one bounding box per cell, dim lows then dim
@@ -101,13 +57,13 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 	}
 	// order[a*n:(a+1)*n] lists the entries ascending on axis a.
 	order := make([]int32, dim*n)
-	pairs, spare := make([]kdKey, n), make([]kdKey, n)
+	keys, spare := make([]dataset.SortKey, n), make([]dataset.SortKey, n)
 	for a := 0; a < dim; a++ {
-		for i := range pairs {
-			pairs[i] = kdKey{sortableBits(points[i*dim+a]), int32(i)}
+		for i := range keys {
+			keys[i] = dataset.SortKey{Key: dataset.SortableBits(points[i*dim+a]), ID: int32(i)}
 		}
-		for i, p := range kdSort(pairs, spare) {
-			order[a*n+i] = p.idx
+		for i, k := range dataset.RadixSort(keys, spare) {
+			order[a*n+i] = k.ID
 		}
 	}
 	// mark[e] is minus the last inner node that sent entry e left, and in the
@@ -124,8 +80,8 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 			into = boxes[2*dim*lo : 2*dim*hi]
 		}
 		for a := 0; a < dim; a++ {
-			kmin := sortableBits(points[int(order[a*n+from])*dim+a])
-			kmax := sortableBits(points[int(order[a*n+to-1])*dim+a])
+			kmin := dataset.SortableBits(points[int(order[a*n+from])*dim+a])
+			kmax := dataset.SortableBits(points[int(order[a*n+to-1])*dim+a])
 			if kmin < keyNegInf || kmax > keyPosInf {
 				kmin, kmax = keyNegInf, keyPosInf
 			}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"kwsc/internal/dataset"
 )
 
 // refLeafOrder is kdLeafOrder's definition run literally: at every node,
@@ -37,7 +39,7 @@ func refLeafOrder(points []float64, dim, n int) []int32 {
 			}
 		}
 		slices.SortFunc(part, func(x, y int32) int {
-			if c := cmp.Compare(sortableBits(points[int(x)*dim+axis]), sortableBits(points[int(y)*dim+axis])); c != 0 {
+			if c := cmp.Compare(dataset.SortableBits(points[int(x)*dim+axis]), dataset.SortableBits(points[int(y)*dim+axis])); c != 0 {
 				return c
 			}
 			return cmp.Compare(x, y)

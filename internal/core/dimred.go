@@ -92,14 +92,7 @@ func BuildORPKWHighWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh,
 		ds: ds, rs: rs, k: k, dim: ds.Dim(), gate: newParGate(opts.Parallelism),
 		fam: opts.famFor(famORPKWHigh), tracer: opts.Tracer,
 	}
-	ix.lastPair = make([]geom.Point, ds.Len())
-	for i := range ix.lastPair {
-		id := int32(i)
-		ix.lastPair[i] = geom.Point{
-			float64(rs.Rank(id, ix.dim-2)),
-			float64(rs.Rank(id, ix.dim-1)),
-		}
-	}
+	ix.lastPair = rs.RankPoints(ix.dim - 2)
 	objs := make([]int32, ds.Len())
 	for i := range objs {
 		objs[i] = int32(i)

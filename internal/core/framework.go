@@ -167,7 +167,8 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// their objects in the order they came, so the tree is a function of the
 	// object set only when every build starts from ascending ids. Callers may
 	// pass Objects in any order (the dimension-reduction tree hands each
-	// secondary an x-sorted active set).
+	// secondary an x-sorted active set). A kd build sorts its axis lists, ties
+	// by id, and its leaves, so the same holds there.
 	objs := cfg.Objects
 	if objs == nil {
 		objs = iota32(ds.Len())
@@ -219,6 +220,10 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 		}
 		b.docStart = append(b.docStart, int32(len(b.docs)))
 	}
+	if kd, ok := f.split.(*spart.KD); ok {
+		b.presort(kd)
+		local = b.sorted[:n]
+	}
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.
 	b.sc = getKwScratch(len(b.words))
@@ -264,6 +269,16 @@ type builder struct {
 	seq      []int32           // rank -> local id
 	sc       *kwScratch
 	nodes    []fnode
+
+	// A kd build keeps every node's objects sorted on each axis (kdSplit):
+	// the node over ranks [lo, hi) lists them ascending on axis a, ties by
+	// local id, in sorted[a*n+lo : a*n+hi]. spare holds the right-hand side
+	// of a partition over the same ranks, and side where each object of the
+	// current split went: 1 left, 2 right, 0 a pivot.
+	kd     *spart.KD
+	sorted []int32
+	spare  []int32
+	side   []uint8
 }
 
 func (b *builder) doc(id int32) []int32 { return b.docs[b.docStart[id]:b.docStart[id+1]] }
@@ -348,35 +363,19 @@ func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int,
 		}
 	}
 
-	cells, assign, ok := f.split.Split(cell, objs, b.pts, b.weight, depth)
+	// Leaf order: the pivots take the first ranks of the interval, each child
+	// the next len(group) — so every child's interval is known before any
+	// subtree is built, and a parallel build numbers exactly as a sequential
+	// one.
+	split := b.split
+	if b.kd != nil {
+		split = b.kdSplit
+	}
+	cells, groups, npiv, ok := split(cell, objs, lo, nu, depth)
 	if !ok {
 		// No geometric progress possible: finish as a leaf.
 		b.leaf(idx, objs)
 		return idx
-	}
-	// Leaf order: the pivots take the first ranks of the interval, each child
-	// the next len(group) — so every child's interval is known before any
-	// subtree is built, and a parallel build numbers exactly as a sequential
-	// one. The groups are cut from one buffer, each to its exact size.
-	groups := make([][]int32, len(cells))
-	sizes := make([]int, len(cells))
-	for _, a := range assign {
-		if a != spart.PivotChild {
-			sizes[a]++
-		}
-	}
-	buf := make([]int32, len(objs))
-	for c, m := range sizes {
-		groups[c], buf = buf[:0:m], buf[m:]
-	}
-	npiv := int32(0)
-	for i, id := range objs {
-		if a := assign[i]; a == spart.PivotChild {
-			b.seq[lo+npiv] = id
-			npiv++
-		} else {
-			groups[a] = append(groups[a], id)
-		}
 	}
 	b.nodes[idx].npiv = npiv
 	b.nodes[idx].large = b.keywords(large)
@@ -487,11 +486,106 @@ func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int,
 	return idx
 }
 
-// leaf finishes node idx as a leaf: its whole active set is its pivot set.
+// split runs the splitter on objs and groups them by child, writing the
+// pivots to b.seq from rank lo; the groups are cut from one buffer, each to
+// its exact size.
+func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
+	cells, assign, ok := b.f.split.Split(cell, objs, b.pts, b.weight, depth)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	groups := make([][]int32, len(cells))
+	sizes := make([]int, len(cells))
+	for _, a := range assign {
+		if a != spart.PivotChild {
+			sizes[a]++
+		}
+	}
+	buf := make([]int32, len(objs))
+	for c, m := range sizes {
+		groups[c], buf = buf[:0:m], buf[m:]
+	}
+	npiv := int32(0)
+	for i, id := range objs {
+		if a := assign[i]; a == spart.PivotChild {
+			b.seq[lo+npiv] = id
+			npiv++
+		} else {
+			groups[a] = append(groups[a], id)
+		}
+	}
+	return cells, groups, npiv, true
+}
+
+// presort sorts the build's objects once on every kd axis, under the key rank
+// space sorts by: the lists kdSplit reads.
+func (b *builder) presort(kd *spart.KD) {
+	n := len(b.seq)
+	b.kd, b.sorted, b.spare, b.side = kd, make([]int32, kd.Dim*n), make([]int32, n), make([]uint8, n)
+	keys, spare := make([]dataset.SortKey, n), make([]dataset.SortKey, n)
+	for a := 0; a < kd.Dim; a++ {
+		for i, p := range b.pts {
+			keys[i] = dataset.SortKey{Key: dataset.RankKey(p[a]), ID: int32(i)}
+		}
+		for r, k := range dataset.RadixSort(keys, spare) {
+			b.sorted[a*n+r] = k.ID
+		}
+	}
+}
+
+// kdSplit is split over the presorted lists of the node over ranks
+// [lo, lo+len(objs)): the median is a prefix-weight scan of the split axis's
+// list, which is then in child order already, and the other axes' lists
+// follow by a stable partition. Each child's objects are its axis-0 list.
+func (b *builder) kdSplit(cell spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
+	n, hi := len(b.seq), int(lo)+len(objs)
+	list := func(a int) []int32 { return b.sorted[a*n+int(lo) : a*n+hi] }
+	coord := func(id int32, a int) float64 { return b.pts[id][a] }
+	cells, axis, from, to, ok := b.kd.SplitSorted(cell, list, coord, b.weight, nu, depth)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	s, npiv := list(axis), to-from
+	copy(b.seq[lo:], s[from:to]) // one coordinate, so ascending ids
+	for _, e := range s[:from] {
+		b.side[e] = 1
+	}
+	for _, e := range s[from:to] {
+		b.side[e] = 0
+	}
+	for _, e := range s[to:] {
+		b.side[e] = 2
+	}
+	right := b.spare[lo:hi]
+	for a := 0; a < b.kd.Dim; a++ {
+		if a == axis {
+			continue
+		}
+		// Left entries close up in place, right ones wait in spare, pivots are
+		// dropped: every entry is written to both and only the counts depend
+		// on its side, so the pass has no branch to mispredict.
+		l, nl, nr := list(a), 0, 0
+		for _, e := range l {
+			sd := b.side[e]
+			l[nl], right[nr] = e, e
+			nl += int(sd & 1)
+			nr += int(sd >> 1)
+		}
+		copy(l[npiv:], l[:nl])
+		copy(l[npiv+nl:], right[:nr])
+	}
+	copy(s[npiv:], s[:from])
+	l0 := list(0)
+	return cells, [][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, int32(npiv), true
+}
+
+// leaf finishes node idx as a leaf: its whole active set is its pivot set,
+// ascending.
 func (b *builder) leaf(idx int32, objs []int32) {
 	n := &b.nodes[idx]
 	n.npiv = int32(len(objs))
 	copy(b.seq[n.lo:], objs)
+	sortInt32s(b.seq[n.lo:n.hi])
 }
 
 // scanChild makes the one pass over a child's documents that the parent's

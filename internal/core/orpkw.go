@@ -41,14 +41,10 @@ func BuildORPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) 
 	}
 	bt := obsBuildStart()
 	rs := dataset.NewRankSpace(ds)
-	pts := make([]geom.Point, ds.Len())
-	for i := range pts {
-		pts[i] = rs.RankPoint(int32(i))
-	}
 	fw, err := BuildFramework(ds, FrameworkConfig{
 		K:           k,
 		Splitter:    &spart.KD{Dim: ds.Dim()},
-		Points:      pts,
+		Points:      rs.RankPoints(0),
 		Parallelism: opts.Parallelism,
 	})
 	if err != nil {

@@ -171,12 +171,13 @@ func TestRankSpaceQueryEquivalenceProperty(t *testing.T) {
 			return true
 		}
 		rq, okc := rs.ToRankRect(q)
+		rankPts := rs.RankPoints(0)
 		for i := 0; i < n; i++ {
 			id := int32(i)
 			orig := q.ContainsPoint(ds.Point(id))
 			var rank bool
 			if okc {
-				rank = rq.ContainsPoint(rs.RankPoint(id))
+				rank = rq.ContainsPoint(rankPts[id])
 			}
 			if orig != rank {
 				return false

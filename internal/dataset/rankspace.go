@@ -19,35 +19,84 @@ type RankSpace struct {
 	ranks  [][]int32   // per dim, per object: the object's rank
 }
 
-// NewRankSpace builds the rank-space conversion for the dataset.
+// NewRankSpace builds the rank-space conversion for the dataset: one radix
+// sort per dimension, keyed by RankKey.
 func NewRankSpace(ds *Dataset) *RankSpace {
-	d := ds.Dim()
-	n := ds.Len()
+	d, n := ds.Dim(), ds.Len()
 	rs := &RankSpace{
 		dim:    d,
 		sorted: make([][]float64, d),
 		ranks:  make([][]int32, d),
 	}
-	order := make([]int32, n)
+	keys, spare := make([]SortKey, n), make([]SortKey, n)
 	for j := 0; j < d; j++ {
-		for i := range order {
-			order[i] = int32(i)
+		for i := range keys {
+			keys[i] = SortKey{RankKey(ds.points[i*d+j]), int32(i)}
 		}
-		sort.Slice(order, func(a, b int) bool {
-			pa, pb := ds.Point(order[a])[j], ds.Point(order[b])[j]
-			if pa != pb {
-				return pa < pb
-			}
-			return order[a] < order[b]
-		})
-		rs.sorted[j] = make([]float64, n)
-		rs.ranks[j] = make([]int32, n)
-		for r, id := range order {
-			rs.sorted[j][r] = ds.Point(id)[j]
-			rs.ranks[j][id] = int32(r)
+		sorted, ranks := make([]float64, n), make([]int32, n)
+		for r, k := range RadixSort(keys, spare) {
+			sorted[r] = ds.points[int(k.ID)*d+j]
+			ranks[k.ID] = int32(r)
 		}
+		rs.sorted[j], rs.ranks[j] = sorted, ranks
 	}
 	return rs
+}
+
+// SortKey is one entry of RadixSort: a key beside the id it orders.
+type SortKey struct {
+	Key uint64
+	ID  int32
+}
+
+// SortableBits maps a float64 to a uint64 that sorts as the float does, with
+// -0 before +0 and NaN beyond the infinities, so the order is total.
+func SortableBits(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// RankKey is the key rank space orders a coordinate by: SortableBits with -0
+// read as +0, so the two zeros tie, as they compare, and break by id.
+func RankKey(v float64) uint64 {
+	if v == 0 {
+		v = 0 // -0 == 0, so this makes it +0
+	}
+	return SortableBits(v)
+}
+
+// RadixSort sorts a by Key, stably — a listing ids ascending comes out in
+// (Key, ID) order — using b, as long as a, as the other buffer of an LSD radix
+// sort on bytes, and returns whichever buffer holds the result. A byte every
+// key shares (the exponent bytes, for coordinates of one magnitude) costs no
+// pass.
+func RadixSort(a, b []SortKey) []SortKey {
+	var count [8][256]int32
+	for _, p := range a {
+		for d := range count {
+			count[d][byte(p.Key>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		if len(a) > 0 && int(c[byte(a[0].Key>>(8*d))]) == len(a) {
+			continue
+		}
+		sum := int32(0)
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, p := range a {
+			digit := byte(p.Key >> (8 * d))
+			b[c[digit]] = p
+			c[digit]++
+		}
+		a, b = b, a
+	}
+	return a
 }
 
 // Dim returns the dimensionality.
@@ -56,13 +105,20 @@ func (rs *RankSpace) Dim() int { return rs.dim }
 // Rank returns object i's rank on dimension j.
 func (rs *RankSpace) Rank(i int32, j int) int32 { return rs.ranks[j][i] }
 
-// RankPoint returns object i's point in rank space.
-func (rs *RankSpace) RankPoint(i int32) geom.Point {
-	p := make(geom.Point, rs.dim)
-	for j := 0; j < rs.dim; j++ {
-		p[j] = float64(rs.ranks[j][i])
+// RankPoints returns every object's point in rank space on dimensions
+// [from, Dim()), the points cut from one column.
+func (rs *RankSpace) RankPoints(from int) []geom.Point {
+	d, n := rs.dim-from, len(rs.ranks[0])
+	col := make([]float64, n*d)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		p := col[i*d : (i+1)*d : (i+1)*d]
+		for j := range p {
+			p[j] = float64(rs.ranks[from+j][i])
+		}
+		pts[i] = p
 	}
-	return p
+	return pts
 }
 
 // ToRankRect converts an original-space rectangle to rank space. ok=false

@@ -125,14 +125,25 @@ func newPartitioner(mode PartitionMode, n int, seed []kwsc.Object) *partitioner 
 }
 
 // split groups the seed objects by owning shard, remembering each object's
-// global id (its position in the input). Groups may be empty — a static
-// shard with no objects serves empty results.
+// global id (its position in the input). Groups may be empty (nil) — a static
+// shard with no objects serves empty results. Each object is routed once and
+// each shard's slices are sized to its count before they are filled.
 func (p *partitioner) split(objs []kwsc.Object) (groups [][]kwsc.Object, globals [][]int64) {
 	groups = make([][]kwsc.Object, p.n)
 	globals = make([][]int64, p.n)
+	shard := make([]int32, len(objs))
+	count := make([]int, p.n)
 	for i, o := range objs {
-		s := p.route(o)
-		groups[s] = append(groups[s], o)
+		shard[i] = int32(p.route(o))
+		count[shard[i]]++
+	}
+	for s, c := range count {
+		if c > 0 {
+			groups[s], globals[s] = make([]kwsc.Object, 0, c), make([]int64, 0, c)
+		}
+	}
+	for i, s := range shard {
+		groups[s] = append(groups[s], objs[i])
 		globals[s] = append(globals[s], int64(i))
 	}
 	return groups, globals

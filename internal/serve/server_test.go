@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -601,6 +602,25 @@ func TestPartitionerDeterminism(t *testing.T) {
 	onCut := kwsc.Object{Point: kwsc.Point{cut, 0}, Doc: []kwsc.Keyword{1, 2}}
 	if got := pr.route(onCut); got != 2 {
 		t.Fatalf("coordinate exactly on cuts[1] routed to %d, want 2", got)
+	}
+	// split groups in input order, each shard's slices sized exactly.
+	for _, p := range []*partitioner{p1, pr} {
+		groups, globals := p.split(objs)
+		for s := 0; s < p.n; s++ {
+			var wantGroup []kwsc.Object
+			var wantGlobal []int64
+			for i, o := range objs {
+				if p.route(o) == s {
+					wantGroup, wantGlobal = append(wantGroup, o), append(wantGlobal, int64(i))
+				}
+			}
+			if !reflect.DeepEqual(groups[s], wantGroup) || !reflect.DeepEqual(globals[s], wantGlobal) {
+				t.Fatalf("%v shard %d: split grouped %v, want %v", p.mode, s, globals[s], wantGlobal)
+			}
+			if cap(groups[s]) != len(groups[s]) || cap(globals[s]) != len(globals[s]) {
+				t.Fatalf("%v shard %d: capacities %d/%d for %d objects", p.mode, s, cap(groups[s]), cap(globals[s]), len(groups[s]))
+			}
+		}
 	}
 	// Handle encoding round-trips.
 	for local := int64(0); local < 5; local++ {

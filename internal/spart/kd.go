@@ -1,6 +1,7 @@
 package spart
 
 import (
+	"cmp"
 	"slices"
 
 	"kwsc/internal/geom"
@@ -28,27 +29,20 @@ func (k *KD) RootCell(pts []geom.Point, objs []int32) Cell {
 	return geom.UniverseRect(k.Dim)
 }
 
-// Split implements Splitter.
+// Split implements Splitter by sorting a copy of objs on each axis it tries
+// and handing the lists to SplitSorted.
 func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, depth int) ([]Cell, []int8, bool) {
-	rect := cell.(*geom.Rect)
-	axis := depth % k.Dim
-	coord := func(id int32) float64 { return pts[id][axis] }
-	order := slices.Clone(objs)
-	split, ok, _ := weightedMedian(order, coord, weight)
-	// All coordinates equal on this axis; with rank-space input this cannot
-	// happen for len(objs) > 1, but guard for raw coordinates: try the
-	// remaining axes before giving up.
-	for off := 1; !ok && off < k.Dim; off++ {
-		axis = (depth + off) % k.Dim
-		split, ok, _ = weightedMedian(order, coord, weight)
+	sorted := func(axis int) []int32 {
+		s := slices.Clone(objs)
+		slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(pts[a][axis], pts[b][axis]) })
+		return s
 	}
+	coord := func(id int32, axis int) float64 { return pts[id][axis] }
+	cells, axis, _, _, ok := k.SplitSorted(cell, sorted, coord, weight, totalWeight(objs, weight), depth)
 	if !ok {
 		return nil, nil, false
 	}
-	left := rect.Clone()
-	left.Hi[axis] = split
-	right := rect.Clone()
-	right.Lo[axis] = split
+	split := cells[0].(*geom.Rect).Hi[axis]
 	assign := make([]int8, len(objs))
 	for i, id := range objs {
 		switch c := pts[id][axis]; {
@@ -60,7 +54,40 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 			assign[i] = PivotChild
 		}
 	}
-	return []Cell{left, right}, assign, true
+	return cells, assign, true
+}
+
+// SplitSorted is Split for a caller that keeps a node's objects sorted on
+// every axis: sorted(a) lists them ascending on axis a, coord reads a
+// coordinate, and total is the objects' weight. The split value is the
+// smallest c with 2·W(<= c) >= total, read off a prefix-weight scan of the
+// split axis's list; on that list the pivots are [from, to), the objects
+// before them go to child 0 and those after to child 1.
+func (k *KD) SplitSorted(cell Cell, sorted func(axis int) []int32, coord func(id int32, axis int) float64, weight []int32, total int64, depth int) (cells []Cell, axis, from, to int, ok bool) {
+	// Every coordinate equal on the axis: with rank-space input this cannot
+	// happen for two objects, but raw coordinates try the remaining axes
+	// before giving up.
+	for off := 0; off < k.Dim; off++ {
+		axis = (depth + off) % k.Dim
+		s := sorted(axis)
+		if coord(s[0], axis) == coord(s[len(s)-1], axis) {
+			continue
+		}
+		i, below := 0, weightOf(weight, s[0])
+		for 2*below < total {
+			i++
+			below += weightOf(weight, s[i])
+		}
+		c := coord(s[i], axis)
+		for from = i; from > 0 && coord(s[from-1], axis) == c; from-- {
+		}
+		for to = i + 1; to < len(s) && coord(s[to], axis) == c; to++ {
+		}
+		left, right := cell.(*geom.Rect).Clone(), cell.(*geom.Rect).Clone()
+		left.Hi[axis], right.Lo[axis] = c, c
+		return []Cell{left, right}, axis, from, to, true
+	}
+	return nil, 0, 0, 0, false
 }
 
 // Relate implements Splitter.
