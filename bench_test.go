@@ -678,7 +678,8 @@ var (
 
 // --- Extension benchmarks (beyond the paper) -----------------------------------
 
-// Dynamization: amortized insertion cost through the logarithmic method.
+// Dynamization: amortized insertion cost through the logarithmic method,
+// with no reads, so carries gather columns and index nothing.
 func BenchmarkExtDynamicInsert(b *testing.B) {
 	d, err := NewDynamicORPKW(2, 2, 64)
 	if err != nil {
@@ -714,6 +715,9 @@ func BenchmarkExtDynamicQuery(b *testing.B) {
 		}
 	}
 	q := NewRect([]float64{0.25, 0.25}, []float64{0.75, 0.75})
+	if _, _, err := d.Collect(q, []Keyword{1, 9}); err != nil { // builds the buckets
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := d.Collect(q, []Keyword{1, 9}); err != nil {

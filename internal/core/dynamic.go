@@ -20,9 +20,14 @@ import (
 // indexes of doubling sizes plus a small linear buffer, insertions trigger
 // binary-counter merges, and deletions are tombstones purged at rebuilds.
 //
-// Amortized insertion cost is O(log n) static-build work per object; a
-// query costs the sum over the O(log n) parts, preserving the
-// O(N^{1-1/k} (1 + OUT^{1/k})) shape up to a logarithmic factor.
+// A merge gathers columns only; the static index over a bucket is built
+// once, when a query first reads the bucket — or right away by the merge that
+// installs it, when a query has read the index since the previous merge. A
+// write burst no query sees (seeding, WAL replay) therefore indexes nothing,
+// and under steady reads the amortized insertion cost is O(log n)
+// static-build work per object as in the classic method. A query costs the
+// sum over the O(log n) parts, preserving the O(N^{1-1/k} (1 + OUT^{1/k}))
+// shape up to a logarithmic factor.
 //
 // Objects are identified by stable handles assigned at insertion; reported
 // results carry handles, not positional ids (positions change at merges).
@@ -33,8 +38,8 @@ import (
 // (internally serialized) writers, and reads never block on writes: all
 // mutable state lives in an immutable dynState value published through an
 // atomic pointer. A mutator — serialized on the writer mutex — builds the
-// successor state off to the side (buckets are immutable static indexes, so
-// a merge reuses them wholesale) and installs it with a single atomic store;
+// successor state off to the side (buckets are immutable entry sets, so a
+// merge reuses them wholesale) and installs it with a single atomic store;
 // a query loads the pointer once and runs entirely against that consistent
 // snapshot, so it can never observe a half-applied mutation. SnapshotNow
 // pins a state explicitly for repeatable reads. See DESIGN.md §13 for the
@@ -54,14 +59,26 @@ type DynamicORPKW struct {
 	// bulk-loads). It is never taken on the query path.
 	mu      sync.Mutex
 	journal Journal
+
+	// read records that a query has read the index since the previous merge;
+	// a merge that finds it set builds the bucket it installs right away, so
+	// steady traffic keeps builds on the write path (see installInto).
+	read atomic.Bool
+
+	// builds and buildEntries count bucket builds and the entries they
+	// indexed, so tests can pin when builds happen.
+	builds, buildEntries atomic.Int64
 }
 
 // dynState is one immutable version of the index. Every field is frozen at
-// publication: successor states copy what they change (the buffer slice, the
-// bucket slice, the tombstone set) and share the rest. Readers therefore see
-// either the state before a mutation or the state after it, never a mix.
+// publication: successor states copy what they change (the bucket slice, the
+// tombstone set) and share the rest. Readers therefore see either the state
+// before a mutation or the state after it, never a mix. The buffer is the one
+// slice appended in place: a state reads only the entries below its own len,
+// and every state sharing a backing array was published with a len no larger
+// than the current one's, so the slot at len is the writer's alone.
 type dynState struct {
-	buffer  []dynEntry   // unindexed recent inserts (never mutated in place)
+	buffer  []dynEntry   // unindexed recent inserts (append-only below len)
 	buckets []*dynBucket // buckets[i] holds at most bufferCap<<i entries
 	deleted *tombSet     // tombstoned handles still present in buckets or base
 
@@ -227,13 +244,42 @@ type BaseIndex interface {
 	Close() error
 }
 
-// dynBucket is one static part: an index and the handle column beside its
-// dataset's three — handles[i], strictly ascending, names object i. It is
-// immutable after construction and the static index is safe for concurrent
-// readers, so buckets are shared freely across states.
+// dynBucket is one static part: an entry set — handles[i], strictly
+// ascending, names object i of objs — and the static index over it, built at
+// most once by index. Merges, deletes and Entries read only the columns, so
+// they never build. The columns are immutable and the index is safe for
+// concurrent readers, so buckets are shared freely across states.
 type dynBucket struct {
-	ix      *ORPKW
 	handles []int64
+	objs    *dataset.Dataset
+
+	once sync.Once
+	ix   *ORPKW // the one build's index; nil when it failed
+	err  error  // the build's error, or its panic as a *PanicError
+}
+
+// index returns the bucket's static index, building it on the first call;
+// concurrent callers wait for that one build. A build that fails or panics
+// leaves its error on the bucket, and every later call returns that error.
+// The build takes no query policy: a deadline or budget stops the traversal
+// that follows, never the build, whose index every later read reuses.
+func (d *DynamicORPKW) index(b *dynBucket) (*ORPKW, error) {
+	b.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				b.ix, b.err = nil, newPanicError("DynamicORPKW.index", r, fmt.Sprintf("bucket of %d entries", len(b.handles)))
+			}
+		}()
+		d.builds.Add(1)
+		d.buildEntries.Add(int64(len(b.handles)))
+		if b.err = failpointError(FPDynamicBuild); b.err != nil {
+			return
+		}
+		// Bucket indexes are internal parts: built untagged so a dynamic
+		// query is counted once, under the dynamic family.
+		b.ix, b.err = BuildORPKWWith(b.objs, d.k, d.bopts.inner())
+	})
+	return b.ix, b.err
 }
 
 // has finds a handle as PagedBase.Has does, by binary search.
@@ -284,7 +330,7 @@ func (c *entryCols) addSet(handles []int64, objs *dataset.Dataset) {
 func (c *entryCols) addParts(buckets []*dynBucket, buffer []dynEntry) {
 	for i := len(buckets) - 1; i >= 0; i-- {
 		if b := buckets[i]; b != nil {
-			c.addSet(b.handles, b.ix.ds)
+			c.addSet(b.handles, b.objs)
 		}
 	}
 	for i := range buffer {
@@ -416,14 +462,19 @@ func (d *DynamicORPKW) Insert(obj dataset.Object) (int64, error) {
 	defer d.mu.Unlock()
 	st := d.state.Load()
 	h := st.nextHandle
+	// The entry goes into the slot at the buffer's len, which no published
+	// state reads (see dynState): a vetoed insert leaves it for the next one
+	// to overwrite.
+	buf := st.buffer
+	if buf == nil {
+		buf = make([]dynEntry, 0, d.bufferCap)
+	}
+	buf = append(buf, dynEntry{handle: h, obj: cp})
 	if d.journal != nil {
 		if err := d.journal.LogInsert(h, cp); err != nil {
 			return 0, err
 		}
 	}
-	buf := make([]dynEntry, len(st.buffer)+1)
-	copy(buf, st.buffer)
-	buf[len(st.buffer)] = dynEntry{handle: h, obj: cp}
 	ns := &dynState{
 		buffer: buf, buckets: st.buckets, deleted: st.deleted,
 		base: st.base, baseTombs: st.baseTombs,
@@ -433,9 +484,9 @@ func (d *DynamicORPKW) Insert(obj dataset.Object) (int64, error) {
 		dynInserts.Inc()
 	}
 	// The op is journaled, so it must become visible even if the merge it
-	// triggers fails: publish the carried state on success, the plain
-	// buffered state otherwise (mirroring recovery, which replays the record
-	// into a buffer append and is free to merge later).
+	// triggers fails gathering: publish the carried state on success, the
+	// plain buffered state otherwise (mirroring recovery, which replays the
+	// record into a buffer append and is free to merge later).
 	var carryErr error
 	if len(ns.buffer) >= d.bufferCap {
 		if merged, err := d.carried(ns); err != nil {
@@ -491,7 +542,9 @@ func (d *DynamicORPKW) Delete(handle int64) (bool, error) {
 		nextHandle: st.nextHandle, live: st.live - 1, seq: st.seq + 1,
 	}
 	if bufIdx >= 0 {
-		buf := make([]dynEntry, 0, len(st.buffer)-1)
+		// Removal shifts entries a published state reads, so it copies, with
+		// room for the inserts that follow.
+		buf := make([]dynEntry, 0, d.bufferCap)
 		buf = append(buf, st.buffer[:bufIdx]...)
 		buf = append(buf, st.buffer[bufIdx+1:]...)
 		ns.buffer = buf
@@ -552,7 +605,7 @@ func (d *DynamicORPKW) carried(st *dynState) (*dynState, error) {
 }
 
 // rebuilt returns the successor of st with everything merged into a single
-// static index and every tombstone purged. st is not modified.
+// bucket and every tombstone purged. st is not modified.
 func (d *DynamicORPKW) rebuilt(st *dynState) (*dynState, error) {
 	if d.fam != famNone {
 		dynRebuilds.Inc()
@@ -586,14 +639,16 @@ func (d *DynamicORPKW) purging(tombs map[int64]struct{}) *entryCols {
 
 // installInto places the gathered entries in the smallest slot >= minSlot of
 // ns.buckets whose capacity bufferCap<<slot holds them, growing the bucket
-// slice as needed. ns must be an unpublished state under construction whose
-// buckets slice is privately owned.
+// slice as needed, and builds the new bucket's index when a query has read
+// the index since the previous merge (otherwise its first reader builds it).
+// ns must be an unpublished state under construction whose buckets slice is
+// privately owned. The only error is from gathering the columns.
 func (d *DynamicORPKW) installInto(ns *dynState, c *entryCols, minSlot int) error {
 	slot := d.slotFor(len(c.handles), minSlot)
 	// The target slot may be occupied when a purge shrank a merge below its
 	// natural size; cascade upward.
 	for slot < len(ns.buckets) && ns.buckets[slot] != nil {
-		c.addSet(ns.buckets[slot].handles, ns.buckets[slot].ix.ds)
+		c.addSet(ns.buckets[slot].handles, ns.buckets[slot].objs)
 		ns.buckets[slot] = nil
 		slot = d.slotFor(len(c.handles), slot)
 	}
@@ -601,7 +656,14 @@ func (d *DynamicORPKW) installInto(ns *dynState, c *entryCols, minSlot int) erro
 	if err != nil || objs == nil {
 		return err
 	}
-	return d.installBucket(ns, slot, handles, objs)
+	b := installBucket(ns, slot, handles, objs)
+	// A query has read since the previous merge: build now, under the writer
+	// mutex, so the reads that follow find the index ready. A failed build
+	// stays on the bucket for its readers; the merge itself succeeded.
+	if d.read.Swap(false) {
+		d.index(b)
+	}
+	return nil
 }
 
 // slotFor returns the smallest slot >= minSlot whose capacity holds n entries.
@@ -613,20 +675,15 @@ func (d *DynamicORPKW) slotFor(n, minSlot int) int {
 	return slot
 }
 
-// installBucket builds the static index over an entry set — whose columns
-// become the bucket's own — and stores it in ns.buckets[slot].
-func (d *DynamicORPKW) installBucket(ns *dynState, slot int, handles []int64, objs *dataset.Dataset) error {
-	// Bucket indexes are internal parts: built untagged so a dynamic query
-	// is counted once, under the dynamic family.
-	ix, err := BuildORPKWWith(objs, d.k, d.bopts.inner())
-	if err != nil {
-		return err
-	}
+// installBucket stores an entry set — whose columns become the bucket's own —
+// in ns.buckets[slot], unbuilt, and returns the bucket.
+func installBucket(ns *dynState, slot int, handles []int64, objs *dataset.Dataset) *dynBucket {
 	for len(ns.buckets) <= slot {
 		ns.buckets = append(ns.buckets, nil)
 	}
-	ns.buckets[slot] = &dynBucket{ix: ix, handles: handles}
-	return nil
+	b := &dynBucket{handles: handles, objs: objs}
+	ns.buckets[slot] = b
+	return b
 }
 
 // Query reports (handle, object) for every live object in q whose document
@@ -643,7 +700,11 @@ func (d *DynamicORPKW) Query(q *geom.Rect, ws []dataset.Keyword, report func(han
 // buckets, though the bucket being scanned runs to completion.
 //
 // The query runs lock-free against the state published when it started;
-// mutations that land mid-query are not observed, in whole or in part.
+// mutations that land mid-query are not observed, in whole or in part. The
+// first query to reach a bucket builds its index (later readers of it wait
+// for that build), and the policy does not bound the build: a deadline or
+// budget stops the traversal after it. A bucket whose build failed returns
+// the build's error to every query that reaches it.
 func (d *DynamicORPKW) QueryWith(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
 	return d.queryState(d.state.Load(), q, ws, opts, report)
 }
@@ -670,6 +731,9 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 	}
 	opts = opts.normalized()
 	ps := newPolState(opts.Policy)
+	if !d.read.Load() { // a load first: steady reads never write the line
+		d.read.Store(true)
+	}
 	// Buffer: linear scan (bounded by bufferCap).
 	for i := range sn.buffer {
 		e := &sn.buffer[i]
@@ -730,7 +794,7 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 		if opts.Limit > 0 && st.Reported+hit.live >= opts.Limit {
 			return
 		}
-		hit.obj.Point, hit.obj.Doc = hit.b.ix.ds.Point(id), hit.b.ix.ds.Doc(id)
+		hit.obj.Point, hit.obj.Doc = hit.b.objs.Point(id), hit.b.objs.Doc(id)
 		report(h, &hit.obj)
 		hit.live++
 	}
@@ -743,9 +807,13 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 			st.Truncated = true
 			return st, nil
 		}
+		ix, err := d.index(b)
+		if err != nil {
+			return st, err
+		}
 		hit.b, hit.live = b, 0
 		bopts := QueryOpts{Budget: opts.Budget, Policy: opts.Policy.shrunk(st.Ops)}
-		bst, berr := b.ix.Query(q, ws, bopts, emit)
+		bst, berr := ix.Query(q, ws, bopts, emit)
 		bst.Reported = hit.live
 		st.add(bst)
 		if berr != nil {
@@ -875,13 +943,14 @@ func (s *DynSnapshot) Entries() (handles []int64, objs *dataset.Dataset, err err
 	return c.finish()
 }
 
-// RestoreDynamicORPKW rebuilds a dynamic index from a durability snapshot:
+// RestoreDynamicORPKW restores a dynamic index from a durability snapshot:
 // the entry set a checkpoint stores (handles strictly ascending beside objs,
 // nil when empty) plus the next-handle watermark, which must exceed every
 // handle so that handles assigned after recovery never collide with restored
 // ones. The set becomes one bucket as it stands — the state a full rebuild
-// produces — and objs must not be written to afterwards. Use SetSeq to align
-// the sequence number with the snapshot's journal position.
+// produces, indexed by the first query that reads it — and objs must not be
+// written to afterwards. Use SetSeq to align the sequence number with the
+// snapshot's journal position.
 func RestoreDynamicORPKW(dim, k, bufferCap int, handles []int64, objs *dataset.Dataset, nextHandle int64, opts ...BuildOption) (*DynamicORPKW, error) {
 	d, err := NewDynamicORPKW(dim, k, bufferCap, opts...)
 	if err != nil {
@@ -904,9 +973,7 @@ func RestoreDynamicORPKW(dim, k, bufferCap int, handles []int64, objs *dataset.D
 	}
 	st := &dynState{nextHandle: nextHandle, live: n}
 	if n > 0 {
-		if err := d.installBucket(st, d.slotFor(n, 0), handles, objs); err != nil {
-			return nil, err
-		}
+		installBucket(st, d.slotFor(n, 0), handles, objs)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -318,8 +318,8 @@ func checkEntrySetInvariant(t *testing.T, d *DynamicORPKW, oracle map[int64]data
 		if b == nil {
 			continue
 		}
-		if len(b.handles) != b.ix.ds.Len() {
-			t.Fatalf("bucket %d: %d handles for %d objects", slot, len(b.handles), b.ix.ds.Len())
+		if len(b.handles) != b.objs.Len() {
+			t.Fatalf("bucket %d: %d handles for %d objects", slot, len(b.handles), b.objs.Len())
 		}
 		for i := 1; i < len(b.handles); i++ {
 			if b.handles[i] <= b.handles[i-1] {

@@ -144,23 +144,26 @@ func (b *PagedBase) EstimateWork(ws []dataset.Keyword) int64 {
 	return shortest
 }
 
-// estimateWork sums the snapshot's parts the way queryState visits them: one
-// unit per buffered entry, the base, then every bucket's root estimate.
-func (sn *dynState) estimateWork(ws []dataset.Keyword) int64 {
+// EstimateWork bounds the work units of a query for ws against the currently
+// published state, summing its parts the way queryState visits them: one unit
+// per buffered entry, the base, then every bucket's root estimate. It is
+// lock-free, and O(k) and allocation-free per bucket already indexed; a
+// bucket no read has reached yet is built first, as a query would (the build
+// is the query's to pay either way). A bucket whose build failed adds
+// nothing: the query stops there with the build's error.
+func (d *DynamicORPKW) EstimateWork(ws []dataset.Keyword) int64 {
+	sn := d.state.Load()
 	est := int64(len(sn.buffer))
 	if sn.base != nil {
 		est += sn.base.EstimateWork(ws)
 	}
 	for _, b := range sn.buckets {
-		if b != nil {
-			est += b.ix.EstimateWork(ws)
+		if b == nil {
+			continue
+		}
+		if ix, err := d.index(b); err == nil {
+			est += ix.EstimateWork(ws)
 		}
 	}
 	return est
-}
-
-// EstimateWork bounds the work units of a query for ws against the currently
-// published state: O(k) per Bentley–Saxe bucket, lock-free, allocation-free.
-func (d *DynamicORPKW) EstimateWork(ws []dataset.Keyword) int64 {
-	return d.state.Load().estimateWork(ws)
 }

@@ -28,6 +28,9 @@ const (
 	// FPDynamicBucket fires once per Bentley–Saxe bucket scanned by a
 	// dynamic-index query.
 	FPDynamicBucket = "dynamic/bucket"
+	// FPDynamicBuild fires once per Bentley–Saxe bucket build: in the first
+	// read that reaches the bucket, or in the merge that installs it.
+	FPDynamicBuild = "dynamic/build"
 	// FPNNProbe fires once per range probe issued by a nearest-neighbor
 	// search.
 	FPNNProbe = "nn/probe"
@@ -37,6 +40,7 @@ var (
 	fpArmed   atomic.Int32 // number of armed failpoints; 0 short-circuits
 	fpMu      sync.Mutex
 	fpActions = map[string]func(){}
+	fpErrs    = map[string]error{} // sites armed to fail, see armFailpointError
 )
 
 // ArmFailpoint registers action to run whenever the named site is reached.
@@ -49,6 +53,16 @@ func ArmFailpoint(name string, action func()) {
 		fpArmed.Add(1)
 	}
 	fpActions[name] = action
+	delete(fpErrs, name)
+}
+
+// armFailpointError arms the named site to fail the operation it guards with
+// err. Only sites that can fail read it, through failpointError.
+func armFailpointError(name string, err error) {
+	ArmFailpoint(name, func() {})
+	fpMu.Lock()
+	defer fpMu.Unlock()
+	fpErrs[name] = err
 }
 
 // DisarmFailpoint removes the named site's action.
@@ -57,6 +71,7 @@ func DisarmFailpoint(name string) {
 	defer fpMu.Unlock()
 	if _, ok := fpActions[name]; ok {
 		delete(fpActions, name)
+		delete(fpErrs, name)
 		fpArmed.Add(-1)
 	}
 }
@@ -65,9 +80,8 @@ func DisarmFailpoint(name string) {
 func DisarmAllFailpoints() {
 	fpMu.Lock()
 	defer fpMu.Unlock()
-	for name := range fpActions {
-		delete(fpActions, name)
-	}
+	clear(fpActions)
+	clear(fpErrs)
 	fpArmed.Store(0)
 }
 
@@ -87,4 +101,19 @@ func failpoint(name string) {
 	if action != nil {
 		action()
 	}
+}
+
+// failpointError runs the site's armed action, if any, and returns the error
+// the site was armed with (nil unless armFailpointError armed it).
+func failpointError(name string) error {
+	if fpArmed.Load() == 0 {
+		return nil
+	}
+	fpMu.Lock()
+	action, err := fpActions[name], fpErrs[name]
+	fpMu.Unlock()
+	if action != nil {
+		action()
+	}
+	return err
 }

@@ -687,3 +687,54 @@ func dirNames(t *testing.T, dir string) []string {
 	sort.Strings(names)
 	return names
 }
+
+// TestFailedBucketBuildLeavesDurabilityWorking: replay and carries gather
+// columns without indexing them, so a bucket whose first build panics fails
+// the reads that reach it — every one of them — while inserts, deletes, a
+// checkpoint and the reopen from it carry on; the reopened store indexes the
+// same entries afresh and answers for all of them.
+func TestFailedBucketBuildLeavesDurabilityWorking(t *testing.T) {
+	defer core.DisarmAllFailpoints()
+	dir := t.TempDir()
+	d := mustOpen(t, dir, WithSyncPolicy(SyncNone))
+	for i := 0; i < 1024; i++ { // 16 carries: one unbuilt bucket
+		mustInsert(t, d, i)
+	}
+	all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
+	ws := []dataset.Keyword{0, 1}
+	core.ArmFailpoint(core.FPDynamicBuild, func() { panic("build dies") })
+	_, _, first := d.Collect(all, ws)
+	core.DisarmAllFailpoints()
+	var pe *core.PanicError
+	if !errors.As(first, &pe) {
+		t.Fatalf("first read returned %v, want the build's *PanicError", first)
+	}
+	if _, _, err := d.Collect(all, ws); err != first {
+		t.Fatalf("second read returned %v, want the first read's error", err)
+	}
+
+	if ok, err := d.Delete(5); !ok || err != nil {
+		t.Fatalf("Delete: ok=%v err=%v", ok, err)
+	}
+	for i := 1024; i < 1040; i++ {
+		mustInsert(t, d, i)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint over a failed bucket: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = mustOpen(t, dir, WithSyncPolicy(SyncNone))
+	defer d.Close()
+	var want []int64
+	for h := int64(0); h < 1040; h++ {
+		if h != 5 {
+			want = append(want, h)
+		}
+	}
+	if got := liveHandles(t, d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store holds %d live handles, want %d", len(got), len(want))
+	}
+}
