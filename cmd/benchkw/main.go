@@ -444,7 +444,7 @@ func e7() {
 	}
 	e, _, r2 := stats.FitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
-	fmt.Printf("lifted to d+1=3 over the box substrate: fitted ops ~ N^%.3f (R^2=%.3f);\n", e, r2)
+	fmt.Printf("lifted to d+1=3 over the kd substrate: fitted ops ~ N^%.3f (R^2=%.3f);\n", e, r2)
 	fmt.Printf("paper predicts N^{1-1/(d+1)} = N^0.667 for d > k-1 (here d=2, k=2)\n")
 }
 

@@ -503,15 +503,14 @@ func (rows Rows) Entries(dim int, nextHandle int64) ([]int64, *dataset.Dataset, 
 }
 
 // checkCellBoxes refuses a cell box that does not hold one of its cell's
-// points, given by rank (a NaN coordinate needs the unbounded box kdLeafOrder
-// gives it).
+// points, given by rank.
 func checkCellBoxes(rankPoints, boxes []float64, dim int) error {
 	cell := CellSize(dim)
 	for r := 0; r < len(rankPoints)/dim; r++ {
 		box := boxes[2*dim*(r/cell):]
 		for j, v := range rankPoints[r*dim : (r+1)*dim] {
 			lo, hi := box[j], box[dim+j]
-			if !(lo <= v && v <= hi) && !(v != v && math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
+			if !(lo <= v && v <= hi) {
 				return fmt.Errorf("%w: cell %d box does not hold the point at rank %d", ErrCorrupt, r/cell, r)
 			}
 		}

@@ -1,10 +1,10 @@
 package codec
 
 import (
-	"math"
+	"slices"
 
-	"kwsc/internal/dataset"
 	"kwsc/internal/pager"
+	"kwsc/internal/spart"
 )
 
 // This file is the rank order of a snapshot checkpoint: the kd leaf order
@@ -15,10 +15,9 @@ import (
 // 8*dim divides the page size, at most two otherwise — and every node of the
 // tree is an interval of cells, so the reader rebuilds the tree from the
 // cell count and CellSplit alone (core.PagedBase). Coordinates are ordered
-// by dataset.SortableBits — -0 before +0, NaN beyond the infinities — entries
-// with equal bits break by entry index, and a cell lists its entries
-// ascending, which makes the order, and so the file's bytes, a function of the
-// entry set.
+// as rank space orders them (dataset.RankKey: -0 ties +0), ties by entry
+// index, and a cell lists its entries ascending, which makes the order, and
+// so the file's bytes, a function of the entry set.
 
 // CellSize is the number of ranks in one cell of a dim-dimensional snapshot.
 func CellSize(dim int) int { return pager.PageSize / (8 * dim) }
@@ -27,26 +26,15 @@ func CellSize(dim int) int { return pager.PageSize / (8 * dim) }
 // its children cover [lo, mid) and [mid, hi).
 func CellSplit(lo, hi int) int { return lo + (hi-lo+1)/2 }
 
-// sortedFloat inverts dataset.SortableBits, the key the entries are sorted by.
-func sortedFloat(k uint64) float64 {
-	if k>>63 != 0 {
-		return math.Float64frombits(k &^ (1 << 63))
-	}
-	return math.Float64frombits(^k)
-}
-
-var keyNegInf, keyPosInf = dataset.SortableBits(math.Inf(-1)), dataset.SortableBits(math.Inf(1))
-
 // kdLeafOrder computes the rank order of n points: rankEntry[r] is the entry
 // at rank r, and boxes holds one bounding box per cell, dim lows then dim
-// highs. An axis on which a cell holds a NaN is unbounded, as
-// Rect.ContainsPoint lets NaN through every interval.
+// highs.
 //
-// The entries are sorted once on every axis; a node is then the same interval
-// of each sorted list, so its box is read off the lists' ends, its median
-// split is the middle of one list, and the other lists follow by a stable
-// partition on which side each entry went: O(dim * n) a level and
-// O(dim * n * log n) whatever the points are.
+// The entries are presorted on every axis (spart.Presort); a node is then the
+// same interval of each sorted list, so its box is read off the lists' ends,
+// its median split is the middle of one list, and spart's stable partition
+// carries the other lists along: O(dim * n) a level and O(dim * n * log n)
+// whatever the points are.
 func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float64) {
 	cell := CellSize(dim)
 	cells := (n + cell - 1) / cell
@@ -55,23 +43,8 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 	if n == 0 {
 		return rankEntry, boxes
 	}
-	// order[a*n:(a+1)*n] lists the entries ascending on axis a.
-	order := make([]int32, dim*n)
-	keys, spare := make([]dataset.SortKey, n), make([]dataset.SortKey, n)
-	for a := 0; a < dim; a++ {
-		for i := range keys {
-			keys[i] = dataset.SortKey{Key: dataset.SortableBits(points[i*dim+a]), ID: int32(i)}
-		}
-		for i, k := range dataset.RadixSort(keys, spare) {
-			order[a*n+i] = k.ID
-		}
-	}
-	// mark[e] is minus the last inner node that sent entry e left, and in the
-	// end the cell e lies in.
-	mark := make([]int32, n)
-	right := make([]int32, n)
+	p := spart.Presort(n, dim, func(e int32, a int) float64 { return points[int(e)*dim+a] })
 	box := make([]float64, 2*dim)
-	node := int32(0)
 	var split func(lo, hi int)
 	split = func(lo, hi int) {
 		from, to := lo*cell, min(hi*cell, n)
@@ -80,17 +53,12 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 			into = boxes[2*dim*lo : 2*dim*hi]
 		}
 		for a := 0; a < dim; a++ {
-			kmin := dataset.SortableBits(points[int(order[a*n+from])*dim+a])
-			kmax := dataset.SortableBits(points[int(order[a*n+to-1])*dim+a])
-			if kmin < keyNegInf || kmax > keyPosInf {
-				kmin, kmax = keyNegInf, keyPosInf
-			}
-			into[a], into[dim+a] = sortedFloat(kmin), sortedFloat(kmax)
+			l := p.List(a, from, to)
+			into[a], into[dim+a] = points[int(l[0])*dim+a], points[int(l[len(l)-1])*dim+a]
 		}
 		if hi-lo == 1 {
-			for _, e := range order[from:to] {
-				mark[e] = int32(lo)
-			}
+			copy(rankEntry[from:to], p.List(0, from, to))
+			slices.Sort(rankEntry[from:to])
 			return
 		}
 		axis := 0
@@ -100,39 +68,10 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 			}
 		}
 		mid := CellSplit(lo, hi)
-		node--
-		for _, e := range order[axis*n+from : axis*n+mid*cell] {
-			mark[e] = node
-		}
-		for a := 0; a < dim; a++ {
-			if a == axis {
-				continue
-			}
-			// Left entries close up in place, right ones wait in right; both
-			// slots are written and only the left count depends on the entry,
-			// so the pass has no branch to mispredict.
-			list := order[a*n+from : a*n+to]
-			l := 0
-			for i, e := range list {
-				list[l], right[i-l] = e, e
-				if mark[e] == node {
-					l++
-				}
-			}
-			copy(list[l:], right[:len(list)-l])
-		}
+		p.Partition(axis, from, to, mid*cell-from, mid*cell-from)
 		split(lo, mid)
 		split(mid, hi)
 	}
 	split(0, cells)
-	// Counting sort by cell: entries ascending inside each.
-	next := make([]int32, cells)
-	for c := range next {
-		next[c] = int32(c * cell)
-	}
-	for e, c := range mark {
-		rankEntry[next[c]] = int32(e)
-		next[c]++
-	}
 	return rankEntry, boxes
 }

@@ -32,17 +32,14 @@ func refLeafOrder(points []float64, dim, n int) []int32 {
 			mn, mx := math.Inf(1), math.Inf(-1)
 			for _, e := range part {
 				v := points[int(e)*dim+a]
-				mn, mx = math.Min(mn, v), math.Max(mx, v) // NaN poisons both, as in the box
+				mn, mx = min(mn, v), max(mx, v)
 			}
 			if w := mx - mn; w > widest {
 				axis, widest = a, w
 			}
 		}
 		slices.SortFunc(part, func(x, y int32) int {
-			if c := cmp.Compare(dataset.SortableBits(points[int(x)*dim+axis]), dataset.SortableBits(points[int(y)*dim+axis])); c != 0 {
-				return c
-			}
-			return cmp.Compare(x, y)
+			return cmp.Or(cmp.Compare(dataset.RankKey(points[int(x)*dim+axis]), dataset.RankKey(points[int(y)*dim+axis])), cmp.Compare(x, y))
 		})
 		mid := CellSplit(lo, hi)
 		split(lo, mid)
@@ -92,8 +89,8 @@ func TestKDLeafOrderMatchesDefinition(t *testing.T) {
 	}
 }
 
-// TestKDLeafOrderNonFinite: NaN and infinite coordinates keep the order a
-// permutation, and a cell holding a NaN is unbounded on that axis.
+// TestKDLeafOrderNonFinite: infinite coordinates and both zeros keep the
+// order a permutation, inside their cells' boxes.
 func TestKDLeafOrderNonFinite(t *testing.T) {
 	const dim = 2
 	n := 3*CellSize(dim) + 1
@@ -102,8 +99,8 @@ func TestKDLeafOrderNonFinite(t *testing.T) {
 	for i := range points {
 		points[i] = rng.Float64()
 	}
-	points[2*10], points[2*11+1], points[2*12] = math.NaN(), math.Inf(1), math.Inf(-1)
-	points[2*13+1] = -math.NaN()
+	points[2*10], points[2*11+1], points[2*12] = math.Inf(-1), math.Inf(1), math.Inf(-1)
+	points[2*13+1], points[2*14+1] = math.Copysign(0, -1), 0
 	got, boxes := kdLeafOrder(points, dim, n)
 	seen := make([]bool, n)
 	for r, e := range got {
@@ -114,7 +111,7 @@ func TestKDLeafOrderNonFinite(t *testing.T) {
 		c := r / CellSize(dim)
 		for a := 0; a < dim; a++ {
 			v, lo, hi := points[int(e)*dim+a], boxes[2*dim*c+a], boxes[2*dim*c+dim+a]
-			if v != v && !(math.IsInf(lo, -1) && math.IsInf(hi, 1)) || v == v && !(lo <= v && v <= hi) {
+			if !(lo <= v && v <= hi) {
 				t.Fatalf("rank %d: coordinate %v outside cell %d's [%v,%v]", r, v, c, lo, hi)
 			}
 		}

@@ -17,11 +17,10 @@ type StructuredOnly struct {
 }
 
 // BuildStructuredOnly builds the baseline over the dataset's points using
-// the given splitter (nil selects kd for rank-free float data of any
-// dimension).
+// the given splitter (nil selects kd over the raw coordinates).
 func BuildStructuredOnly(ds *dataset.Dataset, split spart.Splitter) *StructuredOnly {
 	if split == nil {
-		split = &spart.Box{Dim: ds.Dim()}
+		split = &spart.KD{Dim: ds.Dim()}
 	}
 	pts := make([]geom.Point, ds.Len())
 	for i := range pts {

@@ -16,15 +16,13 @@ import (
 // exposes a Framework as plain columns (FlatArenas), and
 // NewFrameworkFromFlat rebuilds a query-ready Framework from untrusted
 // columns — e.g. ones aliasing a read-only KWCP2 mapping (internal/flatio).
-// Only rectangle splitters (spart.KD, spart.Box) round-trip: their cells are
-// 2*pdim float64 bounds. Willard2D cells are convex polygons built during the
+// Only the rectangle splitter spart.KD round-trips: its cells are 2*pdim
+// float64 bounds. Willard2D cells are convex polygons built during the
 // ham-sandwich recursion and have no fixed-width serialized form.
 
-// Splitter kinds a FlatArenas image can carry.
-const (
-	FlatSplitKD  = 1 // spart.KD over PDim-dimensional points
-	FlatSplitBox = 2 // spart.Box over PDim-dimensional points
-)
+// FlatSplitKD is the splitter kind a FlatArenas image carries: spart.KD over
+// PDim-dimensional points.
+const FlatSplitKD = 1
 
 // FlatArenas is the column image of a Framework: every slice of
 // flatLayout as a flat, fixed-width array, in BFS node order. Slices returned
@@ -33,7 +31,7 @@ const (
 // stay immutable for the index's lifetime (they may point into a PROT_READ
 // mapping).
 type FlatArenas struct {
-	SplitterKind int // FlatSplitKD or FlatSplitBox
+	SplitterKind int // FlatSplitKD
 	K            int // query keyword arity
 	PDim         int // partitioning-coordinate dimensionality
 	NumObjects   int // dataset size; an image indexes every object
@@ -76,17 +74,11 @@ type FlatArenas struct {
 }
 
 // ExportFlat exposes the layout as serializable columns. The splitter must be
-// spart.KD or spart.Box. The returned slices alias the index — callers must
+// spart.KD. The returned slices alias the index — callers must
 // treat them as read-only.
 func (f *Framework) ExportFlat() (*FlatArenas, error) {
-	var kind int
-	switch f.split.(type) {
-	case *spart.KD:
-		kind = FlatSplitKD
-	case *spart.Box:
-		kind = FlatSplitBox
-	default:
-		return nil, fmt.Errorf("core: splitter %T has no serializable cells (KD and Box only)", f.split)
+	if _, ok := f.split.(*spart.KD); !ok {
+		return nil, fmt.Errorf("core: splitter %T has no serializable cells (KD only)", f.split)
 	}
 	if len(f.ids) != f.ds.Len() {
 		return nil, fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
@@ -94,7 +86,7 @@ func (f *Framework) ExportFlat() (*FlatArenas, error) {
 	fl := &f.flatLayout
 	nn := len(fl.cells)
 	a := &FlatArenas{
-		SplitterKind: kind,
+		SplitterKind: FlatSplitKD,
 		K:            f.k,
 		PDim:         f.pdim,
 		NumObjects:   f.ds.Len(),
@@ -153,13 +145,7 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 	if a.PDim < 1 || a.PDim > 64 {
 		return nil, fmt.Errorf("core: flat image point dimension %d outside [1, 64]", a.PDim)
 	}
-	var split spart.Splitter
-	switch a.SplitterKind {
-	case FlatSplitKD:
-		split = &spart.KD{Dim: a.PDim}
-	case FlatSplitBox:
-		split = &spart.Box{Dim: a.PDim}
-	default:
+	if a.SplitterKind != FlatSplitKD {
 		return nil, fmt.Errorf("core: flat image splitter kind %d unknown", a.SplitterKind)
 	}
 
@@ -353,7 +339,7 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 			Hi: a.CellBounds[2*a.PDim*u+a.PDim : 2*a.PDim*(u+1)],
 		}
 	}
-	f := &Framework{ds: ds, k: a.K, split: split, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flatLayout: fl, leafSize: 8}
+	f := &Framework{ds: ds, k: a.K, split: &spart.KD{Dim: a.PDim}, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flatLayout: fl, leafSize: 8}
 	f.accountSpace()
 	f.countRootDF()
 	return f, nil

@@ -221,8 +221,9 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 		b.docStart = append(b.docStart, int32(len(b.docs)))
 	}
 	if kd, ok := f.split.(*spart.KD); ok {
-		b.presort(kd)
-		local = b.sorted[:n]
+		b.kd = kd
+		b.sorted = spart.Presort(n, kd.Dim, func(id int32, a int) float64 { return b.pts[id][a] })
+		local = b.sorted.List(0, 0, n)
 	}
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.
@@ -271,14 +272,9 @@ type builder struct {
 	nodes    []fnode
 
 	// A kd build keeps every node's objects sorted on each axis (kdSplit):
-	// the node over ranks [lo, hi) lists them ascending on axis a, ties by
-	// local id, in sorted[a*n+lo : a*n+hi]. spare holds the right-hand side
-	// of a partition over the same ranks, and side where each object of the
-	// current split went: 1 left, 2 right, 0 a pivot.
+	// the node over ranks [lo, hi) is positions [lo, hi) of sorted.
 	kd     *spart.KD
-	sorted []int32
-	spare  []int32
-	side   []uint8
+	sorted *spart.Presorted
 }
 
 func (b *builder) doc(id int32) []int32 { return b.docs[b.docStart[id]:b.docStart[id+1]] }
@@ -517,65 +513,20 @@ func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth 
 	return cells, groups, npiv, true
 }
 
-// presort sorts the build's objects once on every kd axis, under the key rank
-// space sorts by: the lists kdSplit reads.
-func (b *builder) presort(kd *spart.KD) {
-	n := len(b.seq)
-	b.kd, b.sorted, b.spare, b.side = kd, make([]int32, kd.Dim*n), make([]int32, n), make([]uint8, n)
-	keys, spare := make([]dataset.SortKey, n), make([]dataset.SortKey, n)
-	for a := 0; a < kd.Dim; a++ {
-		for i, p := range b.pts {
-			keys[i] = dataset.SortKey{Key: dataset.RankKey(p[a]), ID: int32(i)}
-		}
-		for r, k := range dataset.RadixSort(keys, spare) {
-			b.sorted[a*n+r] = k.ID
-		}
-	}
-}
-
 // kdSplit is split over the presorted lists of the node over ranks
-// [lo, lo+len(objs)): the median is a prefix-weight scan of the split axis's
-// list, which is then in child order already, and the other axes' lists
-// follow by a stable partition. Each child's objects are its axis-0 list.
+// [lo, lo+len(objs)): the split axis's list names the pivot and the children,
+// and after the partition every list is in child order. Each child's objects
+// are its axis-0 list.
 func (b *builder) kdSplit(cell spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
-	n, hi := len(b.seq), int(lo)+len(objs)
-	list := func(a int) []int32 { return b.sorted[a*n+int(lo) : a*n+hi] }
-	coord := func(id int32, a int) float64 { return b.pts[id][a] }
-	cells, axis, from, to, ok := b.kd.SplitSorted(cell, list, coord, b.weight, nu, depth)
+	l, h := int(lo), int(lo)+len(objs)
+	cells, axis, from, to, ok := b.kd.SplitSorted(cell, b.sorted, l, h, b.weight, nu, depth)
 	if !ok {
 		return nil, nil, 0, false
 	}
-	s, npiv := list(axis), to-from
-	copy(b.seq[lo:], s[from:to]) // one coordinate, so ascending ids
-	for _, e := range s[:from] {
-		b.side[e] = 1
-	}
-	for _, e := range s[from:to] {
-		b.side[e] = 0
-	}
-	for _, e := range s[to:] {
-		b.side[e] = 2
-	}
-	right := b.spare[lo:hi]
-	for a := 0; a < b.kd.Dim; a++ {
-		if a == axis {
-			continue
-		}
-		// Left entries close up in place, right ones wait in spare, pivots are
-		// dropped: every entry is written to both and only the counts depend
-		// on its side, so the pass has no branch to mispredict.
-		l, nl, nr := list(a), 0, 0
-		for _, e := range l {
-			sd := b.side[e]
-			l[nl], right[nr] = e, e
-			nl += int(sd & 1)
-			nr += int(sd >> 1)
-		}
-		copy(l[npiv:], l[:nl])
-		copy(l[npiv+nl:], right[:nr])
-	}
-	copy(s[npiv:], s[:from])
-	l0 := list(0)
+	b.sorted.Partition(axis, l, h, from, to)
+	npiv := to - from
+	l0 := b.sorted.List(0, l, h)
+	copy(b.seq[lo:], l0[:npiv])
 	return cells, [][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, int32(npiv), true
 }
 

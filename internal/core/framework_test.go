@@ -287,8 +287,52 @@ func TestFrameworkAccessors(t *testing.T) {
 	if f.Height() <= 0 {
 		t.Fatal("height must be positive")
 	}
-	if f.MaxPivots() > 1 {
-		t.Fatalf("rank-space kd pivots must be <= 1, got %d", f.MaxPivots())
+}
+
+// TestKDFrameworkAtMostOnePivot: a kd framework has at most one pivot per
+// split whatever its coordinates — rank space, a 16x16 grid of raw integers,
+// a few values, infinities, one point repeated — and answers as the oracle.
+func TestKDFrameworkAtMostOnePivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	inf := math.Inf(1)
+	orp, err := BuildORPKW(workload.Gen(workload.Config{Seed: 10, Objects: 3000, Dim: 2, Vocab: 30, DocLen: 4}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := orp.Framework().MaxPivots(); m > 1 {
+		t.Fatalf("rank space: a split with %d pivots", m)
+	}
+	for name, coord := range map[string]func() float64{
+		"grid16":   func() float64 { return float64(rng.Intn(16)) },
+		"few":      func() float64 { return float64(rng.Intn(3)) },
+		"infinite": func() float64 { return []float64{-inf, -1, 0, 1, inf}[rng.Intn(5)] },
+		"one":      func() float64 { return 7 },
+	} {
+		objs := make([]dataset.Object, 3000)
+		for i := range objs {
+			objs[i] = dataset.Object{Point: geom.Point{coord(), coord()}, Doc: []dataset.Keyword{dataset.Keyword(rng.Intn(6)), dataset.Keyword(6 + rng.Intn(6))}}
+		}
+		ds := dataset.MustNew(objs)
+		f, err := BuildFramework(ds, FrameworkConfig{K: 2, Splitter: &spart.KD{Dim: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := f.MaxPivots(); m > 1 {
+			t.Fatalf("%s: a split with %d pivots", name, m)
+		}
+		for q := 0; q < 50; q++ {
+			a, b := coord(), coord()
+			r := geom.NewRect([]float64{min(a, b), -inf}, []float64{max(a, b), coord()})
+			ws := []dataset.Keyword{dataset.Keyword(rng.Intn(6)), dataset.Keyword(6 + rng.Intn(6))}
+			got, _, err := f.Collect(r, ws, QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got)
+			if want := ds.Filter(r, ws); !slices.Equal(got, want) {
+				t.Fatalf("%s: %v %v: got %v, want %v", name, r, ws, got, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -629,4 +630,67 @@ func FuzzPagedBaseHostile(f *testing.F) {
 			b.Close()
 		}
 	})
+}
+
+// TestPagedBaseNeverReportsNaNRow: a checkpoint re-sealed with one row's x
+// set to NaN opens (open reads no row), but neither mode reports that row for
+// a rectangle that excludes it on x, and ReadPagedSnapshot refuses the file.
+// A NaN passes both halves of lo > x || x > hi, so the row test must ask
+// lo <= x && x <= hi.
+func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	objs := make([]dataset.Object, 50)
+	handles := make([]int64, len(objs))
+	for i := range objs {
+		objs[i] = dataset.Object{Point: geom.Point{rng.Float64(), rng.Float64()}, Doc: []dataset.Keyword{0, 1}}
+		handles[i] = int64(i)
+	}
+	snap := &codec.Snapshot{K: 2, Dim: 2, Handles: handles, Objs: dataset.MustNew(objs), NextHandle: int64(len(objs))}
+	var buf bytes.Buffer
+	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	c, err := codec.ParseContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.SectionBytes(bytes.NewReader(buf.Bytes()), codec.SecRowHandles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 0 of the one cell is not its largest x, so the rectangle just
+	// right of it meets the cell's box and its rows are tested. A handle is
+	// its entry here.
+	h := int64(binary.LittleEndian.Uint64(rows))
+	x, y := objs[h].Point[0], objs[h].Point[1]
+	lie := resealSnapshot(t, buf.Bytes(), nil, func(id uint32, data []byte) []byte {
+		if id != codec.SecPoints {
+			return nil
+		}
+		out := slices.Clone(data)
+		copy(out, codec.PutF64s([]float64{math.NaN()}))
+		return out
+	})
+	if _, err := codec.ReadPagedSnapshot(bytes.NewReader(lie), int64(len(lie))); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("ReadPagedSnapshot of a NaN row: %v", err)
+	}
+	q := geom.NewRect([]float64{x + 1e-9, y - 1e-3}, []float64{x + 2e-3, y + 1e-3})
+	for i, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 8}} {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("nan-%d.ckpt", i))
+		if err := os.WriteFile(path, lie, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := OpenPagedBase(path, opts)
+		if err != nil {
+			t.Fatalf("%+v: open: %v", opts, err)
+		}
+		got, _, err := reportOrder(b, q, []dataset.Keyword{0, 1}, QueryOpts{})
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(got, h) {
+			t.Fatalf("%+v: the NaN row %d is reported for %v", opts, h, q)
+		}
+	}
 }

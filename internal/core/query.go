@@ -270,7 +270,7 @@ func (qc *qctx) checkAndEmit(r int32, covered bool, ws []dataset.Keyword) {
 			}
 		} else {
 			for j, lo := range qc.qLo {
-				if c := f.coords[base+j]; c < lo || c > qc.qHi[j] {
+				if c := f.coords[base+j]; !(lo <= c && c <= qc.qHi[j]) {
 					return
 				}
 			}

@@ -12,7 +12,7 @@ import (
 // SPKW is the simplex/linear-conjunction reporting index of Theorem 12 and
 // Theorem 5 (Appendix D): a partition tree put through the transformation
 // framework, on raw coordinates. The splitter is the Willard ham-sandwich
-// partition tree for d = 2 and the box tree for d >= 3 (see DESIGN.md,
+// partition tree for d = 2 and the kd tree otherwise (see DESIGN.md,
 // substitution 1, for how these stand in for Chan's optimal partition tree).
 // One index answers all of:
 //
@@ -36,7 +36,7 @@ type SPKWConfig struct {
 	// K is the query keyword arity (k >= 2).
 	K int
 	// Splitter overrides the default substrate (Willard2D for d == 2,
-	// Box otherwise). The Grid2D splitter plugs in here for the E6b
+	// KD otherwise). The Grid2D splitter plugs in here for the E6b
 	// crossing-sensitivity ablation.
 	Splitter spart.Splitter
 	// Points overrides the partitioning coordinates (the lifting reduction
@@ -62,7 +62,7 @@ func BuildSPKW(ds *dataset.Dataset, cfg SPKWConfig) (*SPKW, error) {
 		if dim == 2 {
 			split = &spart.Willard2D{}
 		} else {
-			split = &spart.Box{Dim: dim}
+			split = &spart.KD{Dim: dim}
 		}
 	}
 	fw, err := BuildFramework(ds, FrameworkConfig{

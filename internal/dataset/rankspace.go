@@ -49,23 +49,18 @@ type SortKey struct {
 	ID  int32
 }
 
-// SortableBits maps a float64 to a uint64 that sorts as the float does, with
-// -0 before +0 and NaN beyond the infinities, so the order is total.
-func SortableBits(v float64) uint64 {
+// RankKey maps a coordinate to a uint64 that sorts as rank space orders it:
+// as the float compares, with -0 read as +0, so the two zeros tie and break
+// by id.
+func RankKey(v float64) uint64 {
+	if v == 0 {
+		v = 0 // -0 == 0, so this makes it +0
+	}
 	b := math.Float64bits(v)
 	if b>>63 != 0 {
 		return ^b
 	}
 	return b | 1<<63
-}
-
-// RankKey is the key rank space orders a coordinate by: SortableBits with -0
-// read as +0, so the two zeros tie, as they compare, and break by id.
-func RankKey(v float64) uint64 {
-	if v == 0 {
-		v = 0 // -0 == 0, so this makes it +0
-	}
-	return SortableBits(v)
 }
 
 // RadixSort sorts a by Key, stably — a listing ids ascending comes out in

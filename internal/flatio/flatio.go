@@ -8,10 +8,10 @@
 // the page cache is the only copy; otherwise the columns are decoded into
 // RAM through the pager.
 //
-// Only rectangle splitters round-trip (spart.KD, spart.Box): Willard2D's
-// polygon cells have no fixed-width serialized form, so SPKW indexes built
-// over the default d=2 substrate must be built with an explicit Box splitter
-// to be saveable (SaveSPKW reports this as an error, not a panic).
+// Only the rectangle splitter spart.KD round-trips: Willard2D's polygon
+// cells have no fixed-width serialized form, so SPKW indexes built over the
+// default d=2 substrate must be built with an explicit KD splitter to be
+// saveable (SaveSPKW reports this as an error, not a panic).
 package flatio
 
 import (

@@ -168,7 +168,7 @@ func TestORPKWPagedMatchesInRAM(t *testing.T) {
 	}
 }
 
-// TestSPKWPagedMatchesInRAM is the same property for SPKW over a Box
+// TestSPKWPagedMatchesInRAM is the same property for SPKW over a KD
 // splitter (d=3 exercises the non-planar path; halfspace queries exercise
 // the convex, non-rectangular Relate code).
 func TestSPKWPagedMatchesInRAM(t *testing.T) {

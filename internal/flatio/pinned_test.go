@@ -43,26 +43,30 @@ func TestBuildOutputPinned(t *testing.T) {
 			"526158e40f6d31e61bc9097ee4790beab6e7d13b413125fca0f7927f7d8ee443"},
 		{"ORPKW/d=3/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf3, 2) },
 			"64013860840f9f5a44547b57026dc3f82c955e82e6174ce54de6b8a03990d40e"},
-		{"LCKW/Box/image", func(t *testing.T, h hash.Hash) {
-			ix := buildSPKW(t, small2, &spart.Box{Dim: 2})
+		// Was the Box splitter's image; re-pinned as KD, which took over its
+		// families, on the same raw coordinates.
+		{"LCKW/KD/small2/image", func(t *testing.T, h hash.Hash) {
+			ix := buildSPKW(t, small2, &spart.KD{Dim: 2})
 			if err := SaveSPKW(h, ix); err != nil {
 				t.Fatal(err)
 			}
-		}, "e94cafa9aebc823291017d93df45611675c071cdd11520fcf74baae4a6d537be"},
-		// Raw coordinates on a 16x16 grid: every kd split has a run of tied
-		// pivots, which rank space never produces.
+		}, "e878f6fac5b04af30ba43a664bd4db987ee636cfd4982cdf84b1761de0e31a69"},
+		// Raw coordinates on a 16x16 grid: every kd median sits in a tie
+		// block, which rank space never produces. Re-pinned when a split over
+		// a tie block cut at its edge instead of making it the pivot set.
 		{"LCKW/KD/grid16/image", func(t *testing.T, h hash.Hash) {
 			ix := buildSPKW(t, grid16, &spart.KD{Dim: 2})
 			if err := SaveSPKW(h, ix); err != nil {
 				t.Fatal(err)
 			}
-		}, "5594ca7a9fbfd417149386acda5d426169d1f7d33d97555b70d63bc785e6a67b"},
+		}, "1c59837a960d25bc7db2c09c969d0a65d0d792d8bc7d7846b73a6f638e76a0ce"},
 		{"LCKW/Willard2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, buildSPKW(t, small2, &spart.Willard2D{}))
 		}, "9801593b7ab5bfc807707be623ff1cbe484e4c871130e375b5c29b487c34f9e9"},
 		{"LCKW/Grid2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, buildSPKW(t, small2, &spart.Grid2D{G: 4}))
 		}, "257fab50c849ffdeafaa1dd5d4584f97d6c9e42677853e1d48dd81a24c36d20f"},
+		// Re-pinned when its lifted 3-D substrate moved from Box to KD.
 		{"SRPKW/digest", func(t *testing.T, h hash.Hash) {
 			ix, err := core.BuildSRPKWWith(small2, 2, noObs)
 			if err != nil {
@@ -75,7 +79,7 @@ func TestBuildOutputPinned(t *testing.T) {
 				ids, st, err := ix.Collect(ball, workload.RandKeywords(rng, 120, 2), core.QueryOpts{})
 				putAnswer(t, h, ids, st, err)
 			}
-		}, "f50adecd81c426cfb46b55423fbbdfc454d2a155a8708a46860570ba1511771a"},
+		}, "b81507e5422a242f10fd83efc4e3dd8aaf6d0b1f9c837397bb75c3e771e39f21"},
 		{"ORPKWHigh/d=3/digest", func(t *testing.T, h hash.Hash) {
 			ix, err := core.BuildORPKWHighWith(small3, 2, noObs)
 			if err != nil {

@@ -43,10 +43,9 @@ func SaveORPKW(w io.Writer, ix *core.ORPKW) error {
 	return codec.WriteContainer(w, meta.Encode(), secs)
 }
 
-// SaveSPKW serializes an SPKW. The splitter must be spart.Box (or
-// spart.KD): the default d=2 Willard2D substrate has polygon cells with no
-// fixed-width form — build with SPKWConfig.Splitter = &spart.Box{Dim: 2} if
-// the index is to be saved.
+// SaveSPKW serializes an SPKW. The splitter must be spart.KD: the default
+// d=2 Willard2D substrate has polygon cells with no fixed-width form — build
+// with SPKWConfig.Splitter = &spart.KD{Dim: 2} if the index is to be saved.
 func SaveSPKW(w io.Writer, ix *core.SPKW) error {
 	fw := ix.Framework()
 	a, err := fw.ExportFlat()

@@ -64,10 +64,11 @@ func (r *Rect) String() string {
 	return b.String()
 }
 
-// ContainsPoint reports whether p lies in the closed rectangle.
+// ContainsPoint reports whether p lies in the closed rectangle; a NaN
+// coordinate lies in no interval.
 func (r *Rect) ContainsPoint(p Point) bool {
 	for i := range r.Lo {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
+		if !(r.Lo[i] <= p[i] && p[i] <= r.Hi[i]) {
 			return false
 		}
 	}

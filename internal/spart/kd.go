@@ -1,18 +1,18 @@
 package spart
 
 import (
-	"cmp"
-	"slices"
-
+	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 )
 
 // KD is the kd-tree splitter of Section 3.1, generalized to d dimensions:
 // the cell of a node at depth t is split by an axis-parallel hyperplane on
-// dimension t mod d through the weighted-median object. Objects exactly on
-// the split hyperplane become pivots — with rank-space coordinates
-// (Section 3.4) that is exactly one object per split, giving the
-// constant-size pivot sets the analysis needs (footnote 8).
+// dimension t mod d at the weighted median. A median coordinate no other
+// object shares makes its object the one pivot of the split — always so in
+// rank space (Section 3.4). A shared one moves the plane to the edge of the
+// tie block that balances weight better, with no pivot. Either way a split
+// has at most one pivot: the constant-size pivot sets the analysis needs
+// (footnote 8), on raw coordinates too (DESIGN.md, substitution 2).
 //
 // For d = 2 the crossing sensitivity of any axis-parallel line is
 // O(sqrt(N)) (Section 3.3), which is what Theorem 1 rests on.
@@ -29,63 +29,79 @@ func (k *KD) RootCell(pts []geom.Point, objs []int32) Cell {
 	return geom.UniverseRect(k.Dim)
 }
 
-// Split implements Splitter by sorting a copy of objs on each axis it tries
-// and handing the lists to SplitSorted.
+// Split implements Splitter by presorting the node's objects, as positions in
+// objs, and handing the lists to SplitSorted.
 func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, depth int) ([]Cell, []int8, bool) {
-	sorted := func(axis int) []int32 {
-		s := slices.Clone(objs)
-		slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(pts[a][axis], pts[b][axis]) })
-		return s
+	p := Presort(len(objs), k.Dim, func(i int32, axis int) float64 { return pts[objs[i]][axis] })
+	var w []int32
+	if weight != nil {
+		w = make([]int32, len(objs))
+		for i, id := range objs {
+			w[i] = weight[id]
+		}
 	}
-	coord := func(id int32, axis int) float64 { return pts[id][axis] }
-	cells, axis, _, _, ok := k.SplitSorted(cell, sorted, coord, weight, totalWeight(objs, weight), depth)
+	cells, axis, from, to, ok := k.SplitSorted(cell, p, 0, len(objs), w, totalWeight(objs, weight), depth)
 	if !ok {
 		return nil, nil, false
 	}
-	split := cells[0].(*geom.Rect).Hi[axis]
 	assign := make([]int8, len(objs))
-	for i, id := range objs {
-		switch c := pts[id][axis]; {
-		case c < split:
+	for j, i := range p.List(axis, 0, len(objs)) {
+		switch {
+		case j < from:
 			assign[i] = 0
-		case c > split:
-			assign[i] = 1
-		default:
+		case j < to:
 			assign[i] = PivotChild
+		default:
+			assign[i] = 1
 		}
 	}
 	return cells, assign, true
 }
 
-// SplitSorted is Split for a caller that keeps a node's objects sorted on
-// every axis: sorted(a) lists them ascending on axis a, coord reads a
-// coordinate, and total is the objects' weight. The split value is the
-// smallest c with 2·W(<= c) >= total, read off a prefix-weight scan of the
-// split axis's list; on that list the pivots are [from, to), the objects
-// before them go to child 0 and those after to child 1.
-func (k *KD) SplitSorted(cell Cell, sorted func(axis int) []int32, coord func(id int32, axis int) float64, weight []int32, total int64, depth int) (cells []Cell, axis, from, to int, ok bool) {
+// SplitSorted is Split for the node over positions [lo, hi) of p, of total
+// weight total. On the split axis's list, the entries before from go to child
+// 0, those from to on to child 1, and [from, to), at most one entry, is the
+// pivot set. The child cells end at the coordinates on either side of the
+// cut, so no arithmetic is done on a coordinate and ±Inf is an ordinary value.
+func (k *KD) SplitSorted(cell Cell, p *Presorted, lo, hi int, weight []int32, total int64, depth int) (cells []Cell, axis, from, to int, ok bool) {
 	// Every coordinate equal on the axis: with rank-space input this cannot
 	// happen for two objects, but raw coordinates try the remaining axes
 	// before giving up.
 	for off := 0; off < k.Dim; off++ {
 		axis = (depth + off) % k.Dim
-		s := sorted(axis)
-		if coord(s[0], axis) == coord(s[len(s)-1], axis) {
+		s := p.List(axis, lo, hi)
+		c := func(j int) float64 { return p.coord(s[j], axis) }
+		if c(0) == c(len(s)-1) {
 			continue
 		}
-		i, below := 0, weightOf(weight, s[0])
-		for 2*below < total {
+		// The median s[i] is the first entry with 2·W(s[:i+1]) >= total; its
+		// tie block is [from, to), W(s[:from]) = wFrom and W(s[:to]) = wTo.
+		i, wTo := 0, weightOf(weight, s[0])
+		for 2*wTo < total {
 			i++
-			below += weightOf(weight, s[i])
+			wTo += weightOf(weight, s[i])
 		}
-		c := coord(s[i], axis)
-		for from = i; from > 0 && coord(s[from-1], axis) == c; from-- {
+		m := c(i)
+		from, to = i, i+1
+		wFrom := wTo - weightOf(weight, s[i])
+		for ; from > 0 && c(from-1) == m; from-- {
+			wFrom -= weightOf(weight, s[from-1])
 		}
-		for to = i + 1; to < len(s) && coord(s[to], axis) == c; to++ {
+		for ; to < len(s) && c(to) == m; to++ {
+			wTo += weightOf(weight, s[to])
 		}
 		left, right := cell.(*geom.Rect).Clone(), cell.(*geom.Rect).Clone()
-		left.Hi[axis], right.Lo[axis] = c, c
-		return []Cell{left, right}, axis, from, to, true
+		if to-from == 1 {
+			left.Hi[axis], right.Lo[axis] = m, m
+			return []Cell{left, right}, axis, from, to, true
+		}
+		// 2·wFrom < total <= 2·wTo, so cutting at from leaves total-wFrom on
+		// the heavier side and cutting at to leaves wTo.
+		if from == 0 || to < len(s) && wTo < total-wFrom {
+			from = to
+		}
+		left.Hi[axis], right.Lo[axis] = c(from-1), c(from)
+		return []Cell{left, right}, axis, from, from, true
 	}
 	return nil, 0, 0, 0, false
 }
@@ -94,4 +110,78 @@ func (k *KD) SplitSorted(cell Cell, sorted func(axis int) []int32, coord func(id
 func (k *KD) Relate(c Cell, q geom.Region) geom.Relation {
 	r := c.(*geom.Rect)
 	return q.RelateRect(r.Lo, r.Hi)
+}
+
+// Presorted keeps the objects 0..n-1 of a kd build sorted on every axis: the
+// node over positions [lo, hi) lists its objects ascending on axis a in
+// List(a, lo, hi), ordered as rank space orders them (dataset.RankKey), ties
+// by id. A split rearranges only its own node's positions, so the subtrees of
+// a build may split concurrently.
+type Presorted struct {
+	n     int
+	dim   int
+	coord func(id int32, axis int) float64
+	lists []int32 // axis a's list is lists[a*n : (a+1)*n]
+	spare []int32 // by position: the right-hand side of a partition
+	side  []uint8 // by id: where the current split sent it, 1 left, 2 right, 0 a pivot
+}
+
+// Presort sorts the objects 0..n-1 on each of dim axes, coord(id, a) being
+// object id's coordinate on axis a: one dataset.RadixSort an axis.
+func Presort(n, dim int, coord func(id int32, axis int) float64) *Presorted {
+	p := &Presorted{n: n, dim: dim, coord: coord, lists: make([]int32, dim*n), spare: make([]int32, n), side: make([]uint8, n)}
+	keys, spare := make([]dataset.SortKey, n), make([]dataset.SortKey, n)
+	for a := 0; a < dim; a++ {
+		for i := range keys {
+			keys[i] = dataset.SortKey{Key: dataset.RankKey(coord(int32(i), a)), ID: int32(i)}
+		}
+		for r, k := range dataset.RadixSort(keys, spare) {
+			p.lists[a*n+r] = k.ID
+		}
+	}
+	return p
+}
+
+// List returns the node over positions [lo, hi) sorted on axis a.
+func (p *Presorted) List(a, lo, hi int) []int32 { return p.lists[a*p.n+lo : a*p.n+hi] }
+
+// Partition splits the node over positions [lo, hi) as its list on axis
+// reads: the entries before from go left, [from, to) are pivots, and those
+// from to on go right. Afterwards every axis lists the node as the pivots, in
+// the split axis's order, then the left entries, then the right ones, each
+// group in the axis's own order — a stable partition, O(dim·(hi-lo)).
+func (p *Presorted) Partition(axis, lo, hi, from, to int) {
+	s, npiv := p.List(axis, lo, hi), to-from
+	for _, e := range s[:from] {
+		p.side[e] = 1
+	}
+	for _, e := range s[from:to] {
+		p.side[e] = 0
+	}
+	for _, e := range s[to:] {
+		p.side[e] = 2
+	}
+	right := p.spare[lo:hi]
+	for a := 0; a < p.dim; a++ {
+		if a == axis {
+			continue
+		}
+		// Left entries close up in place, right ones wait in spare, pivots are
+		// dropped and copied back in front from the split axis's list: every
+		// entry is written to both and only the counts depend on its side, so
+		// the pass has no branch to mispredict.
+		l, nl, nr := p.List(a, lo, hi), 0, 0
+		for _, e := range l {
+			sd := p.side[e]
+			l[nl], right[nr] = e, e
+			nl += int(sd & 1)
+			nr += int(sd >> 1)
+		}
+		copy(l[npiv+nl:], right[:nr])
+		copy(l[npiv:], l[:nl])
+		copy(l, s[from:to])
+	}
+	copy(right, s[from:to])
+	copy(s[npiv:], s[:from])
+	copy(s, right[:npiv])
 }

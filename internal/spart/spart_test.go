@@ -1,11 +1,14 @@
 package spart
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 )
 
@@ -208,29 +211,29 @@ func TestWillardDegenerateInputs(t *testing.T) {
 	checkSame(t, got, bruteQuery(pts, half), "willard-collinear")
 }
 
-func TestBoxTreeQueries3D(t *testing.T) {
+func TestKDTreeQueries3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randomPoints(rng, 500, 3)
-	tree := BuildTree(pts, nil, &Box{Dim: 3}, 4)
+	tree := BuildTree(pts, nil, &KD{Dim: 3}, 4)
 	for trial := 0; trial < 40; trial++ {
 		ph := geom.NewPolyhedron(geom.Halfspace{
 			Coef:  []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
 			Bound: rng.NormFloat64() * 0.5,
 		})
 		got, _ := collect(tree, ph)
-		checkSame(t, got, bruteQuery(pts, ph), "box-halfspace")
+		checkSame(t, got, bruteQuery(pts, ph), "kd-halfspace")
 	}
 }
 
-func TestBoxTreeIntegerTies(t *testing.T) {
+func TestKDTreeIntegerTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := make([]geom.Point, 400)
 	for i := range pts {
 		pts[i] = geom.Point{float64(rng.Intn(10)), float64(rng.Intn(10)), float64(rng.Intn(10))}
 	}
-	tree := BuildTree(pts, nil, &Box{Dim: 3}, 4)
-	if m := tree.MaxPivots(); m != 0 {
-		t.Fatalf("box splitter must produce no pivots, got %d", m)
+	tree := BuildTree(pts, nil, &KD{Dim: 3}, 4)
+	if m := tree.MaxPivots(); m > 1 {
+		t.Fatalf("kd pivot set of size %d on tied coordinates", m)
 	}
 	for trial := 0; trial < 30; trial++ {
 		q := &geom.Rect{
@@ -241,19 +244,102 @@ func TestBoxTreeIntegerTies(t *testing.T) {
 			continue
 		}
 		got, _ := collect(tree, q)
-		checkSame(t, got, bruteQuery(pts, q), "box-ties")
+		checkSame(t, got, bruteQuery(pts, q), "kd-ties")
 	}
 }
 
-func TestBoxTreeAllIdentical(t *testing.T) {
+func TestKDTreeAllIdentical(t *testing.T) {
 	pts := make([]geom.Point, 30)
 	for i := range pts {
 		pts[i] = geom.Point{1, 2, 3}
 	}
-	tree := BuildTree(pts, nil, &Box{Dim: 3}, 4)
+	tree := BuildTree(pts, nil, &KD{Dim: 3}, 4)
 	got, _ := collect(tree, geom.UniverseRect(3))
 	if len(got) != 30 {
 		t.Fatalf("identical points: got %d of 30", len(got))
+	}
+}
+
+// TestKDSplitInfinities: a split next to infinite coordinates cuts between
+// distinct values and bounds its cells by them, never by a NaN.
+func TestKDSplitInfinities(t *testing.T) {
+	inf := math.Inf(1)
+	for _, xs := range [][]float64{{-inf, -inf, 5, 6}, {5, 6, inf, inf}, {-inf, -inf, inf, inf}, {-inf, -inf, -inf, 0}} {
+		pts := make([]geom.Point, len(xs))
+		objs := make([]int32, len(xs))
+		for i, x := range xs {
+			pts[i], objs[i] = geom.Point{x}, int32(i)
+		}
+		split := &KD{Dim: 1}
+		cells, assign, ok := split.Split(split.RootCell(pts, objs), objs, pts, nil, 0)
+		if !ok {
+			t.Fatalf("%v: no split", xs)
+		}
+		var size [2]int
+		for i, a := range assign {
+			if a == PivotChild {
+				if xs[i] != 6 { // the one median no other object shares
+					t.Fatalf("%v: object %d is a pivot", xs, i)
+				}
+				continue
+			}
+			size[a]++
+			if !cells[a].(*geom.Rect).ContainsPoint(pts[i]) {
+				t.Fatalf("%v: child %d cell %v misses %v", xs, a, cells[a], pts[i])
+			}
+		}
+		if size[0] == 0 || size[1] == 0 {
+			t.Fatalf("%v: children of %d and %d objects", xs, size[0], size[1])
+		}
+		for _, c := range cells {
+			if r := c.(*geom.Rect); math.IsNaN(r.Lo[0]) || math.IsNaN(r.Hi[0]) {
+				t.Fatalf("%v: NaN bound in cell %v", xs, r)
+			}
+		}
+		tree := BuildTree(pts, nil, split, 1)
+		got, _ := collect(tree, geom.NewRect([]float64{-inf}, []float64{-inf}))
+		checkSame(t, got, bruteQuery(pts, geom.NewRect([]float64{-inf}, []float64{-inf})), "kd-inf")
+	}
+}
+
+// TestKDAtMostOnePivot: every kd split has at most one pivot, whatever the
+// input — distinct ranks, coordinates drawn from a few values, a 16x16 grid,
+// one point repeated, infinities, skewed weights — and every cell holds its
+// subtree's points.
+func TestKDAtMostOnePivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	inf := math.Inf(1)
+	for name, coord := range map[string]func(i, j int) float64{
+		"ranks":    func(i, j int) float64 { return float64((i*7919 + j*104729) % 1000) },
+		"few":      func(i, j int) float64 { return float64(rng.Intn(3)) },
+		"grid16":   func(i, j int) float64 { return float64(rng.Intn(16)) },
+		"one":      func(i, j int) float64 { return 0.5 },
+		"infinite": func(i, j int) float64 { return []float64{-inf, -1, 0, 1, inf}[rng.Intn(5)] },
+	} {
+		for dim := 1; dim <= 3; dim++ {
+			pts := make([]geom.Point, 1000)
+			w := make([]int32, len(pts))
+			for i := range pts {
+				pts[i] = make(geom.Point, dim)
+				for j := range pts[i] {
+					pts[i][j] = coord(i, j)
+				}
+				w[i] = int32(1 + rng.Intn(2)*rng.Intn(40))
+			}
+			for _, weight := range [][]int32{nil, w} {
+				tree := BuildTree(pts, weight, &KD{Dim: dim}, 1)
+				if m := tree.MaxPivots(); m > 1 {
+					t.Fatalf("%s d=%d: a split with %d pivots", name, dim, m)
+				}
+				for i := range tree.nodes {
+					for _, id := range subtreeIDs(tree, int32(i)) {
+						if !tree.nodes[i].cell.(*geom.Rect).ContainsPoint(pts[id]) {
+							t.Fatalf("%s d=%d: node %d cell misses point %d", name, dim, i, id)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -482,5 +568,59 @@ func TestWillardSplitBalanceInvariant(t *testing.T) {
 	}
 	if pivots > 16 {
 		t.Fatalf("%d pivots exceed the cap", pivots)
+	}
+}
+
+// TestPresortedPartitionMatchesSort holds Presort and Partition to their
+// definition: after any sequence of splits, each node's list on axis a is its
+// pivots in the split axis's order, then its left and its right objects, each
+// sorted on a by dataset.RankKey, ties by id.
+func TestPresortedPartitionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for dim := 1; dim <= 3; dim++ {
+		const n = 300
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{float64(rng.Intn(20)), math.Copysign(0, float64(1-2*rng.Intn(2))), math.Inf(1 - 2*rng.Intn(2))}[:dim]
+			if rng.Intn(4) == 0 {
+				pts[i][0] = 0
+			}
+		}
+		p := Presort(n, dim, func(id int32, a int) float64 { return pts[id][a] })
+		sorted := func(a int, ids []int32) []int32 {
+			s := slices.Clone(ids)
+			slices.SortFunc(s, func(x, y int32) int {
+				return cmp.Or(cmp.Compare(dataset.RankKey(pts[x][a]), dataset.RankKey(pts[y][a])), cmp.Compare(x, y))
+			})
+			return s
+		}
+		var check func(lo, hi int)
+		check = func(lo, hi int) {
+			for a := 0; a < dim; a++ {
+				if got := p.List(a, lo, hi); !slices.Equal(got, sorted(a, got)) {
+					t.Fatalf("d=%d [%d, %d): axis %d list %v is not sorted", dim, lo, hi, a, got)
+				}
+			}
+			if hi-lo < 2 {
+				return
+			}
+			axis := rng.Intn(dim)
+			s := slices.Clone(p.List(axis, lo, hi))
+			from := rng.Intn(len(s) + 1)
+			to := min(from+rng.Intn(2), len(s))
+			p.Partition(axis, lo, hi, from, to)
+			npiv := to - from
+			for a := 0; a < dim; a++ {
+				l := p.List(a, lo, hi)
+				if !slices.Equal(l[:npiv], s[from:to]) ||
+					!slices.Equal(l[npiv:npiv+from], sorted(a, s[:from])) ||
+					!slices.Equal(l[npiv+from:], sorted(a, s[to:])) {
+					t.Fatalf("d=%d [%d, %d) cut at [%d, %d) of axis %d: axis %d lists %v", dim, lo, hi, from, to, axis, a, l)
+				}
+			}
+			check(lo+npiv, lo+npiv+from)
+			check(lo+npiv+from, hi)
+		}
+		check(0, n)
 	}
 }

@@ -2,21 +2,20 @@
 // paper's transformation framework starts from (Section 3.1 and Appendix
 // D.1): trees whose nodes carry geometric cells such that (i) a node's cell
 // covers all points in its subtree, (ii) the root cell is the whole space,
-// and (iii) sibling cells are interior-disjoint with the parent cell as
-// their union.
+// and (iii) sibling cells are interior-disjoint parts of the parent cell (a
+// kd cut between two distinct coordinates leaves the gap to neither).
 //
 // The package abstracts the partitioning policy behind the Splitter
 // interface so the same keyword-transformation code (internal/core) runs on
 // the 2D kd-tree of Theorem 1, the Willard ham-sandwich partition tree used
 // in place of Chan's optimal partition tree for Theorem 12 (see DESIGN.md,
-// substitution 1), the general-dimension box tree, and the grid splitter
-// used for ablation.
+// substitution 1), and the grid splitter used for ablation.
 package spart
 
 import "kwsc/internal/geom"
 
 // Cell is a node's geometric cell. Its concrete type is owned by the
-// Splitter that produced it (*geom.Rect for kd/box/grid, *geom.Polygon for
+// Splitter that produced it (*geom.Rect for kd/grid, *geom.Polygon for
 // the Willard tree).
 type Cell any
 

@@ -198,7 +198,7 @@ func NewRRKW(rects []RectObject, k int, opts ...Option) (*RRKW, error) {
 
 // NewLCKW builds the Theorem 5 / Theorem 12 index: linear-conjunction and
 // simplex reporting with keywords. The zero config selects the default
-// substrate (Willard partition tree for d = 2, box tree otherwise); Option
+// substrate (Willard partition tree for d = 2, kd tree otherwise); Option
 // values apply on top of cfg.Build.
 func NewLCKW(ds *Dataset, cfg LCKWConfig, opts ...Option) (*LCKW, error) {
 	cfg.Build = cfg.Build.With(opts...)
@@ -274,8 +274,6 @@ type (
 	WillardSplitter = spart.Willard2D
 	// GridSplitter is the slab-grid ablation substrate (DESIGN.md E6b).
 	GridSplitter = spart.Grid2D
-	// BoxSplitter is the general-dimension box substrate.
-	BoxSplitter = spart.Box
 	// KDSplitter is the kd-tree substrate of Theorem 1.
 	KDSplitter = spart.KD
 )

@@ -214,6 +214,57 @@ func TestPublicUniverseAndInfinities(t *testing.T) {
 	idsEqual(t, got, oracle(ds, half, []kwsc.Keyword{0, 1}), "half-open")
 }
 
+// TestPublicInfinite1D: a 1-D LC-KW and the structured-only baseline over
+// points half at -Inf, with +Inf and finite ones beside them, build and
+// answer as the oracle does. (When a split placed its plane between two
+// values by arithmetic, -Inf beside a finite value made it NaN, every point
+// went to one side, and the build recursed until the stack overflowed.)
+func TestPublicInfinite1D(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	objs := make([]kwsc.Object, 40)
+	for i := range objs {
+		x := math.Inf(-1)
+		switch {
+		case i >= 30:
+			x = math.Inf(1)
+		case i >= 20:
+			x = float64(rng.Intn(9) - 4)
+		}
+		objs[i] = kwsc.Object{Point: kwsc.Point{x}, Doc: []kwsc.Keyword{kwsc.Keyword(rng.Intn(2)), 2}}
+	}
+	ds, err := kwsc.NewDataset(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := kwsc.NewLCKW(ds, kwsc.LCKWConfig{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	so, err := kwsc.NewStructuredOnly(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ws := range [][]kwsc.Keyword{{0, 2}, {1, 2}} {
+		for lo := -5; lo <= 5; lo += 2 {
+			for _, hs := range [][]kwsc.Halfspace{
+				{{Coef: []float64{1}, Bound: float64(lo)}},                                                 // x <= lo
+				{{Coef: []float64{-1}, Bound: float64(-lo)}},                                               // x >= lo
+				{{Coef: []float64{-1}, Bound: float64(-lo)}, {Coef: []float64{1}, Bound: float64(lo + 3)}}, // lo <= x <= lo+3
+			} {
+				q := kwsc.NewPolyhedron(hs...)
+				want := oracle(ds, q, ws)
+				got, _, err := lc.Collect(hs, ws, kwsc.QueryOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				idsEqual(t, got, want, fmt.Sprintf("lckw %v %v", hs, ws))
+				got, _, _ = so.Query(q, ws)
+				idsEqual(t, got, want, fmt.Sprintf("structured-only %v %v", hs, ws))
+			}
+		}
+	}
+}
+
 // Indexes are safe for concurrent readers: queries only read. Run many
 // goroutines under -race.
 func TestPublicConcurrentQueries(t *testing.T) {

@@ -51,7 +51,7 @@ func OpenPagedORPKW(path string, o PagedFileOptions, opts ...Option) (*ORPKW, *P
 }
 
 // SavePagedLCKW persists an LC-KW index. The index must use a
-// rectangle splitter (&kwsc.BoxSplitter{Dim: d}); the default d=2 Willard
+// rectangle splitter (&kwsc.KDSplitter{Dim: d}); the default d=2 Willard
 // substrate has polygon cells with no serialized form and is refused.
 func SavePagedLCKW(path string, ix *LCKW) error {
 	return flatio.SaveFileSPKW(path, ix)
