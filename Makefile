@@ -37,8 +37,9 @@ crash:
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
 # codec, the checkpoint codec, WAL recovery, the posting-block format (its one
 # decoder round-trips, and the one list cursor seeks as a binary search
-# does), the paged base over re-sealed index sections that lie, and
-# the /v1 wire codec held to encoding/json in both directions. Each target
+# does), the paged base over re-sealed index sections that lie, the
+# /v1 wire codec held to encoding/json in both directions, and the query
+# stop checks under random limits and node budgets. Each target
 # runs briefly; use `go test -fuzz <name> -fuzztime 5m ./internal/...` for a
 # real session.
 FUZZ_TIME ?= 5s
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzExecPolicy$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 

@@ -60,8 +60,8 @@ func NewDegraded(ds *Dataset, k int, opts ...Option) (*Degraded, error) {
 
 // Collect answers the query, degrading to the baseline on budget exhaustion
 // or index panic. On fallback the returned stats carry Fallback=true, the
-// Ops spent on both attempts, and no error; Limit/MaxResults still cap the
-// fallback's answer (with Truncated set).
+// Ops spent on both attempts, and no error; Limit still caps the fallback's
+// answer (with Truncated set).
 func (d *Degraded) Collect(q *Rect, ws []Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
 	return d.CollectInto(q, ws, opts, nil)
 }
@@ -83,11 +83,7 @@ func (d *Degraded) CollectInto(q *Rect, ws []Keyword, opts QueryOpts, buf []int3
 	}
 	full := d.inv.KeywordsOnly(q, ws)
 	fst := QueryStats{Fallback: true, Ops: st.Ops + d.inv.ScanCost(ws), Reported: len(full)}
-	limit := opts.Limit
-	if opts.Policy.MaxResults > 0 && (limit == 0 || opts.Policy.MaxResults < limit) {
-		limit = opts.Policy.MaxResults
-	}
-	if limit > 0 && len(full) > limit {
+	if limit := opts.Limit; limit > 0 && len(full) > limit {
 		full = full[:limit]
 		fst.Reported = limit
 		fst.Truncated = true

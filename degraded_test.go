@@ -97,7 +97,7 @@ func TestDegradedDoesNotFallBackOnDeadline(t *testing.T) {
 	defer core.DisarmAllFailpoints()
 	_, d, q, ws := degradedFixture(t)
 	core.ArmFailpoint(core.FPFrameworkVisit, func() { time.Sleep(100 * time.Microsecond) })
-	_, st, err := d.Collect(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{Timeout: time.Millisecond}})
+	_, st, err := d.Collect(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{Deadline: time.Now().Add(time.Millisecond)}})
 	if !errors.Is(err, kwsc.ErrDeadline) {
 		t.Fatalf("deadline stop returned %v, want ErrDeadline", err)
 	}

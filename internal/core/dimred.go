@@ -313,7 +313,6 @@ func (ix *ORPKWHigh) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, r
 	if !ix.rs.ToRankRectInto(q, rq) {
 		return QueryStats{}, nil
 	}
-	opts = opts.normalized()
 	qc := getDrQctx()
 	qc.ix, qc.rq, qc.ws, qc.opts, qc.report = ix, rq, ws, opts, report
 	qc.pst = newPolState(opts.Policy)
@@ -358,7 +357,6 @@ func (ix *ORPKWHigh) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryO
 	if !ix.rs.ToRankRectInto(q, rq) {
 		return buf[:0], QueryStats{}, nil
 	}
-	opts = opts.normalized()
 	qc := getDrQctx()
 	qc.ix, qc.rq, qc.ws, qc.opts = ix, rq, ws, opts
 	qc.pst = newPolState(opts.Policy)
@@ -448,11 +446,6 @@ func (qc *drQctx) stop() bool {
 		qc.done = true
 		return true
 	}
-	if qc.opts.Budget > 0 && qc.st.Ops > qc.opts.Budget {
-		qc.st.BudgetHit = true
-		qc.done = true
-		return true
-	}
 	if qc.pst.active {
 		if err := qc.pst.check(&qc.st, int64(qc.st.NodesVisited)); err != nil {
 			qc.stopErr = err
@@ -536,17 +529,16 @@ func (t *drTree) querySecondary(n *drNode, qc *drQctx) {
 		sub := &qc.secRect
 		sub.Lo[0], sub.Lo[1] = qc.rq.Lo[qc.ix.dim-2], qc.rq.Lo[qc.ix.dim-1]
 		sub.Hi[0], sub.Hi[1] = qc.rq.Hi[qc.ix.dim-2], qc.rq.Hi[qc.ix.dim-1]
-		opts := qc.remainingOpts()
-		st, err := n.secKD.Query(sub, qc.ws, opts, qc.emitFn)
+		st, err := n.secKD.Query(sub, qc.ws, qc.remainingOpts(), qc.emitFn)
 		qc.st.add(st)
 		if err != nil {
 			// A policy stop (or converted panic) inside the secondary ends
-			// the whole query; the merged stats carry the cause flags.
+			// the whole query with its error.
 			qc.stopErr = err
 			qc.done = true
 			return
 		}
-		if st.Truncated || st.BudgetHit {
+		if st.Truncated {
 			qc.done = true
 		}
 	case n.secDR != nil:
@@ -554,21 +546,15 @@ func (t *drTree) querySecondary(n *drNode, qc *drQctx) {
 	}
 }
 
-// remainingOpts shrinks the caller's limit/budget — and the policy's node
-// budget — by what has been consumed. The policy deadline and cancellation
-// channel are absolute and pass through unchanged.
+// remainingOpts shrinks the caller's limit and the policy's node budget by
+// what has been consumed. The policy deadline and cancellation channel are
+// absolute and pass through unchanged.
 func (qc *drQctx) remainingOpts() QueryOpts {
 	o := qc.opts
 	if o.Limit > 0 {
 		o.Limit -= qc.st.Reported
 		if o.Limit <= 0 {
 			o.Limit = 1 // stop() would have fired; defensive
-		}
-	}
-	if o.Budget > 0 {
-		o.Budget -= qc.st.Ops
-		if o.Budget <= 0 {
-			o.Budget = 1
 		}
 	}
 	o.Policy = o.Policy.shrunk(int64(qc.st.NodesVisited))

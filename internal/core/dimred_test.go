@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,7 +113,7 @@ func TestDimRedSpaceBlowup(t *testing.T) {
 	}
 }
 
-// Limit and budget flow through secondary structures.
+// Limit and the policy's node budget flow through secondary structures.
 func TestDimRedLimitBudget(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 6, Objects: 3000, Dim: 3, Vocab: 6, DocLen: 4})
 	ix, err := BuildORPKWHigh(ds, 2)
@@ -134,12 +135,9 @@ func TestDimRedLimitBudget(t *testing.T) {
 	if len(got) != 5 || !st.Truncated {
 		t.Fatalf("limit=5: got %d, truncated=%v", len(got), st.Truncated)
 	}
-	_, st, err = ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Budget: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.BudgetHit {
-		t.Fatal("tiny budget must trip")
+	_, st, err = ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Policy: ExecPolicy{NodeBudget: 5}})
+	if !errors.Is(err, ErrBudget) || !st.Truncated {
+		t.Fatalf("tiny node budget must trip: err=%v truncated=%v", err, st.Truncated)
 	}
 }
 

@@ -729,7 +729,6 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 	if err := validateRect(q, d.dim); err != nil {
 		return QueryStats{}, err
 	}
-	opts = opts.normalized()
 	ps := newPolState(opts.Policy)
 	if !d.read.Load() { // a load first: steady reads never write the line
 		d.read.Store(true)
@@ -758,8 +757,7 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 			return st, nil
 		}
 		live := 0
-		bopts := QueryOpts{Budget: opts.Budget, Policy: opts.Policy.shrunk(st.Ops)}
-		bst, berr := sn.base.Query(q, ws, bopts, func(h int64, obj *dataset.Object) {
+		bst, berr := sn.base.Query(q, ws, QueryOpts{Policy: opts.Policy.shrunk(st.Ops)}, func(h int64, obj *dataset.Object) {
 			if sn.deleted.has(h) {
 				return
 			}
@@ -812,8 +810,7 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 			return st, err
 		}
 		hit.b, hit.live = b, 0
-		bopts := QueryOpts{Budget: opts.Budget, Policy: opts.Policy.shrunk(st.Ops)}
-		bst, berr := ix.Query(q, ws, bopts, emit)
+		bst, berr := ix.Query(q, ws, QueryOpts{Policy: opts.Policy.shrunk(st.Ops)}, emit)
 		bst.Reported = hit.live
 		st.add(bst)
 		if berr != nil {

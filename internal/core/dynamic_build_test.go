@@ -210,7 +210,7 @@ func TestDynamicPolicyStopDuringFirstRead(t *testing.T) {
 		policy ExecPolicy
 		want   error
 	}{
-		{"deadline", ExecPolicy{Timeout: time.Microsecond}, ErrDeadline},
+		{"deadline", ExecPolicy{Deadline: time.Now().Add(time.Microsecond)}, ErrDeadline},
 		{"budget", ExecPolicy{NodeBudget: 1}, ErrBudget},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -63,7 +64,7 @@ func TestFlatPolicyDeadline(t *testing.T) {
 	}
 	opts := QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}
 	_, st, err := fl.Collect(workload.RandRect(rand.New(rand.NewSource(42)), 2, 0.5), []dataset.Keyword{1, 2}, opts)
-	if err == nil || !st.DeadlineHit {
+	if !errors.Is(err, ErrDeadline) || !st.Truncated {
 		t.Fatalf("expected deadline stop, got err=%v st=%+v", err, st)
 	}
 }

@@ -170,7 +170,7 @@ func TestQueryStatsConsistency(t *testing.T) {
 		if st.Ops < int64(st.NodesVisited) {
 			t.Fatalf("Ops must count at least node visits: %+v", st)
 		}
-		if st.Truncated || st.BudgetHit {
+		if st.Truncated {
 			t.Fatalf("unlimited query cannot truncate: %+v", st)
 		}
 	}
@@ -204,25 +204,6 @@ func TestQueryLimit(t *testing.T) {
 	}
 	if len(got) != len(full) {
 		t.Fatalf("limit=OUT: got %d, want %d", len(got), len(full))
-	}
-}
-
-func TestQueryBudget(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 7, Objects: 2000, Dim: 2, Vocab: 8, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := geom.UniverseRect(2)
-	_, st, err := ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Budget: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.BudgetHit {
-		t.Fatalf("budget of 10 ops on a 2000-object query must trip: %+v", st)
-	}
-	if st.Ops > 64 {
-		t.Fatalf("budget overshoot too large: %d ops", st.Ops)
 	}
 }
 

@@ -90,7 +90,6 @@ func (m *MultiK) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, repor
 	case len(ws) == 0:
 		return QueryStats{}, fmt.Errorf("%w: at least one keyword required", ErrInvalidQuery)
 	case len(ws) == 1:
-		opts = opts.normalized()
 		ps := newPolState(opts.Policy)
 		for _, id := range m.single[ws[0]] {
 			st.Ops++
@@ -104,10 +103,6 @@ func (m *MultiK) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, repor
 					st.Truncated = true
 					break
 				}
-			}
-			if opts.Budget > 0 && st.Ops > opts.Budget {
-				st.BudgetHit = true
-				break
 			}
 		}
 		return st, nil

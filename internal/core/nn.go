@@ -176,8 +176,7 @@ func (ix *LinfNN) kthCandidate(q geom.Point, i int64, maxR float64) float64 {
 // opts applies to the whole search: the policy's deadline, node budget and
 // cancellation channel are shared across every range probe, so a policy
 // violation ends the search with a typed error and NNStats describing the
-// work done so far; Limit additionally caps t; Budget bounds each
-// individual probe.
+// work done so far; Limit additionally caps t.
 func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts) (res []NNResult, ns NNStats, err error) {
 	qt := obsBegin(ix.fam, "Query", ix.tracer)
 	defer func() {
@@ -197,8 +196,6 @@ func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpt
 	if err := dataset.ValidateKeywords(ws); err != nil {
 		return nil, NNStats{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
-	opts = opts.normalized()
-	pol := opts.Policy
 	if opts.Limit > 0 && opts.Limit < t {
 		t = opts.Limit
 	}
@@ -207,7 +204,7 @@ func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpt
 		failpoint(FPNNProbe)
 		ns.Probes++
 		st, err := ix.base.Query(linfBallInto(ball, q, r), ws,
-			QueryOpts{Limit: t, Budget: opts.Budget, Policy: pol.shrunk(int64(ns.NodesVisited))}, func(int32) {})
+			QueryOpts{Limit: t, Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(int32) {})
 		ns.QueryStats.add(st)
 		return st.Reported >= t, err
 	}
@@ -251,7 +248,7 @@ func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpt
 	// arbitrarily, as the problem statement allows.
 	ns.Probes++
 	st, err := ix.base.Query(linfBallInto(ball, q, rStar), ws,
-		QueryOpts{Budget: opts.Budget, Policy: pol.shrunk(int64(ns.NodesVisited))}, func(id int32) {
+		QueryOpts{Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(id int32) {
 			res = append(res, NNResult{ID: id, Dist: q.LInf(ix.ds.Point(id))})
 		})
 	ns.QueryStats.add(st)
@@ -349,8 +346,6 @@ func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts)
 	if err := dataset.ValidateKeywords(ws); err != nil {
 		return nil, NNStats{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
-	opts = opts.normalized()
-	pol := opts.Policy
 	if opts.Limit > 0 && opts.Limit < t {
 		t = opts.Limit
 	}
@@ -358,7 +353,7 @@ func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts)
 		failpoint(FPNNProbe)
 		ns.Probes++
 		st, err := ix.srp.QuerySq(q, float64(r2), ws,
-			QueryOpts{Limit: t, Budget: opts.Budget, Policy: pol.shrunk(int64(ns.NodesVisited))}, func(int32) {})
+			QueryOpts{Limit: t, Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(int32) {})
 		ns.QueryStats.add(st)
 		return st.Reported >= t, err
 	}
@@ -390,7 +385,7 @@ func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts)
 	}
 	ns.Probes++
 	st, err := ix.srp.QuerySq(q, float64(r2Star), ws,
-		QueryOpts{Budget: opts.Budget, Policy: pol.shrunk(int64(ns.NodesVisited))}, func(id int32) {
+		QueryOpts{Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(id int32) {
 			res = append(res, NNResult{ID: id, Dist: q.L2(ix.ds.Point(id))})
 		})
 	ns.QueryStats.add(st)

@@ -691,9 +691,9 @@ func (r *baseReader) cover(st *QueryStats, q *geom.Rect, node, lo, hi int) {
 // NodesVisited, CoveredNodes and CrossingNodes count the cell-tree descent.
 // Ops counts the candidates taken from the shortest list inside the runs of
 // cells the rectangle meets — each one a rank the other lists were asked
-// about — so Budget and ExecPolicy.NodeBudget bound the intersection; ranks
-// a longer list let the scan leap over, and ranks outside the runs, are never
-// examined and never charged.
+// about — so ExecPolicy.NodeBudget bounds the intersection; ranks a longer
+// list let the scan leap over, and ranks outside the runs, are never examined
+// and never charged.
 func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
 	if len(ws) != b.k {
 		return st, fmt.Errorf("%w: query carries %d keywords but the base holds k=%d", ErrInvalidQuery, len(ws), b.k)
@@ -704,7 +704,6 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 	if err := validateRect(q, b.dim); err != nil {
 		return st, err
 	}
-	opts = opts.normalized()
 	if b.count == 0 {
 		return st, nil
 	}
@@ -762,17 +761,13 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 		st.Reported++
 		return false
 	}
-	// The stop check, Budget and the policy, made early only: before each run,
-	// so a rectangle of many runs and few candidates still polls its
-	// deadline, and before a charged candidate is probed, so none past the
-	// budget is examined.
+	// The policy's stop check, made early only: before each run, so a
+	// rectangle of many runs and few candidates still polls its deadline,
+	// and before a charged candidate is probed, so none past the budget is
+	// examined.
 	ps := newPolState(opts.Policy)
 	var stopErr error
 	early := func() bool {
-		if opts.Budget > 0 && st.Ops > opts.Budget {
-			st.BudgetHit, st.Truncated = true, true
-			return true
-		}
 		stopErr = ps.check(&st, st.Ops)
 		return stopErr != nil
 	}

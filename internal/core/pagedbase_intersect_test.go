@@ -139,7 +139,7 @@ func TestPagedBaseIntersectionDifferential(t *testing.T) {
 }
 
 // TestPagedBaseStopsReturnPrefix: every way of stopping a query early —
-// Limit, Budget, the policy's node budget, a deadline — reports a prefix of
+// Limit, the policy's node budget, a deadline — reports a prefix of
 // the unrestricted answer, in the same order.
 func TestPagedBaseStopsReturnPrefix(t *testing.T) {
 	snap := snapshotOfDocs(2, diffDocs(), 7)
@@ -156,9 +156,7 @@ func TestPagedBaseStopsReturnPrefix(t *testing.T) {
 			wantLen int // -1: any proper prefix
 		}{
 			{"limit", QueryOpts{Limit: 7}, nil, 7},
-			{"budget", QueryOpts{Budget: 50}, nil, 50},
 			{"node-budget", QueryOpts{Policy: ExecPolicy{NodeBudget: 50}}, ErrBudget, 50},
-			{"max-results", QueryOpts{Policy: ExecPolicy{MaxResults: 3}}, nil, 3},
 			{"deadline", QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}, ErrDeadline, -1},
 		} {
 			got, st, err := reportOrder(b, geom.UniverseRect(2), ws, c.opts)

@@ -198,18 +198,13 @@ func TestPagedBaseStopConditions(t *testing.T) {
 			}
 			// Limit truncates silently after the cap.
 			got, st := collectBase(t, b, geom.UniverseRect(2), ws, QueryOpts{Limit: 2})
-			if len(got) != 2 || !st.Truncated || st.BudgetHit {
-				t.Fatalf("limit: %d results, truncated=%v budgetHit=%v", len(got), st.Truncated, st.BudgetHit)
-			}
-			// Budget exhaustion is a silent stop with BudgetHit.
-			_, st = collectBase(t, b, geom.UniverseRect(2), ws, QueryOpts{Budget: 1})
-			if !st.BudgetHit || !st.Truncated {
-				t.Fatalf("budget: budgetHit=%v truncated=%v", st.BudgetHit, st.Truncated)
+			if len(got) != 2 || !st.Truncated {
+				t.Fatalf("limit: %d results, truncated=%v", len(got), st.Truncated)
 			}
 			// Policy node budget surfaces as a typed error with partial stats.
-			_, err := b.Query(geom.UniverseRect(2), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 1}}, func(int64, *dataset.Object) {})
-			if !errors.Is(err, ErrBudget) {
-				t.Fatalf("policy budget: err=%v, want ErrBudget", err)
+			st, err := b.Query(geom.UniverseRect(2), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 1}}, func(int64, *dataset.Object) {})
+			if !errors.Is(err, ErrBudget) || !st.Truncated {
+				t.Fatalf("policy budget: err=%v truncated=%v, want ErrBudget", err, st.Truncated)
 			}
 			// Arity and rectangle validation match the in-RAM indexes.
 			if _, err := b.Query(geom.UniverseRect(2), []dataset.Keyword{1}, QueryOpts{}, nil); !errors.Is(err, ErrInvalidQuery) {

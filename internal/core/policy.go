@@ -24,8 +24,7 @@ import (
 // PARTIAL results: whatever was reported before the stop remains valid and
 // is a prefix of the unbounded answer sequence.
 var (
-	// ErrDeadline is returned when ExecPolicy.Deadline (or Timeout) passes
-	// mid-traversal.
+	// ErrDeadline is returned when ExecPolicy.Deadline passes mid-traversal.
 	ErrDeadline = errors.New("core: query deadline exceeded")
 	// ErrBudget is returned when ExecPolicy.NodeBudget visits are exhausted
 	// mid-traversal.
@@ -54,9 +53,8 @@ func checkDataset(ds *dataset.Dataset) error {
 }
 
 // ExecPolicy bounds the execution of one query. The zero value imposes no
-// bounds and costs nothing on the traversal hot path. Unlike QueryOpts.Limit
-// and QueryOpts.Budget — which stop a query silently with a stats flag — a
-// policy violation surfaces as a typed error (ErrDeadline, ErrBudget,
+// bounds and costs nothing on the traversal hot path. A stop sets
+// QueryStats.Truncated and surfaces as a typed error (ErrDeadline, ErrBudget,
 // ErrCanceled) alongside the partial results, so callers and the Degraded
 // executor can react.
 type ExecPolicy struct {
@@ -64,19 +62,11 @@ type ExecPolicy struct {
 	// traversal polls the clock every polPollEvery stop checks, so overshoot
 	// is bounded by a few microseconds of node work.
 	Deadline time.Time
-	// Timeout is a relative deadline resolved against time.Now at query
-	// entry; ignored when Deadline is set. Nested and secondary traversals
-	// share the resolved absolute deadline.
-	Timeout time.Duration
 	// NodeBudget stops the query after this many tree-node visits
 	// (0 = unlimited). Secondary structures and Bentley–Saxe buckets charge
 	// the same budget; scan-shaped paths (posting lists, write buffers)
 	// charge per examined entry.
 	NodeBudget int64
-	// MaxResults caps the number of reported objects (0 = unlimited). It
-	// folds into QueryOpts.Limit, so hitting it sets QueryStats.Truncated
-	// without an error.
-	MaxResults int
 	// Done cancels the query when closed (nil = none); pass ctx.Done() to
 	// integrate with context.Context. Polled at the same cadence as
 	// Deadline.
@@ -88,29 +78,6 @@ type ExecPolicy struct {
 // object, so polls land every few microseconds while keeping time.Now off
 // the per-node path.
 const polPollEvery = 64
-
-// Zero reports whether the policy imposes no bounds at all.
-func (p ExecPolicy) Zero() bool { return p == ExecPolicy{} }
-
-// normalized resolves the policy at query entry: Timeout becomes an absolute
-// Deadline (shared by nested traversals) and MaxResults folds into the
-// opts Limit. Idempotent, so stacked entry points may each call it.
-func (o QueryOpts) normalized() QueryOpts {
-	p := o.Policy
-	if p.Zero() {
-		return o
-	}
-	if p.Timeout > 0 && p.Deadline.IsZero() {
-		p.Deadline = time.Now().Add(p.Timeout)
-	}
-	p.Timeout = 0
-	if p.MaxResults > 0 && (o.Limit == 0 || p.MaxResults < o.Limit) {
-		o.Limit = p.MaxResults
-	}
-	p.MaxResults = 0
-	o.Policy = p
-	return o
-}
 
 // shrunk returns the policy with its node budget reduced by work already
 // consumed, for handing to a secondary traversal that restarts its own
@@ -125,9 +92,8 @@ func (p ExecPolicy) shrunk(consumed int64) ExecPolicy {
 	return p
 }
 
-// polState tracks one traversal's progress against its (normalized) policy.
-// It lives inside the pooled query contexts, so activating it allocates
-// nothing.
+// polState tracks one traversal's progress against its policy. It lives
+// inside the pooled query contexts, so activating it allocates nothing.
 type polState struct {
 	pol    ExecPolicy
 	active bool
@@ -141,16 +107,16 @@ func newPolState(p ExecPolicy) polState {
 	}
 }
 
-// check returns the typed error that should stop the traversal now, or nil.
-// work is the traversal's progress measure charged against NodeBudget
-// (node visits for tree traversals, scanned entries for list scans). The
-// matching QueryStats flag is stamped before returning.
+// check returns the typed error that should stop the traversal now, or nil;
+// a stop sets st.Truncated. work is the traversal's progress measure charged
+// against NodeBudget (node visits for tree traversals, scanned entries for
+// list scans).
 func (ps *polState) check(st *QueryStats, work int64) error {
 	if !ps.active {
 		return nil
 	}
 	if ps.pol.NodeBudget > 0 && work > ps.pol.NodeBudget {
-		st.NodeBudgetHit, st.Truncated = true, true
+		st.Truncated = true
 		return ErrBudget
 	}
 	if ps.tick == 0 {
@@ -158,13 +124,13 @@ func (ps *polState) check(st *QueryStats, work int64) error {
 		if ps.pol.Done != nil {
 			select {
 			case <-ps.pol.Done:
-				st.Canceled, st.Truncated = true, true
+				st.Truncated = true
 				return ErrCanceled
 			default:
 			}
 		}
 		if !ps.pol.Deadline.IsZero() && !time.Now().Before(ps.pol.Deadline) {
-			st.DeadlineHit, st.Truncated = true, true
+			st.Truncated = true
 			return ErrDeadline
 		}
 	}

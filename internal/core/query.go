@@ -17,17 +17,10 @@ type QueryOpts struct {
 	// The L∞NN-KW and L2NN-KW searches (Corollaries 4 and 7) use it to
 	// implement the "terminate manually once t results are found" step.
 	Limit int
-	// Budget stops the query after this many work units (pivot checks,
-	// materialized-list scans and node visits; 0 = unlimited). It realizes
-	// the paper's manual-termination argument for emptiness queries
-	// (footnote 4). Exhaustion sets QueryStats.BudgetHit without an error;
-	// for the error-surfacing wall-clock and visit bounds of the serving
-	// path, use Policy.
-	Budget int64
-	// Policy bounds the query in wall-clock terms (deadline, node-visit
-	// budget, cancellation). The zero value imposes nothing and keeps the
-	// query path allocation-free; violations surface as typed errors
-	// (ErrDeadline, ErrBudget, ErrCanceled) alongside partial results.
+	// Policy bounds the query's work (deadline, node-visit budget,
+	// cancellation). The zero value imposes nothing and keeps the query path
+	// allocation-free; a stop surfaces as a typed error (ErrDeadline,
+	// ErrBudget, ErrCanceled) alongside partial results.
 	Policy ExecPolicy
 }
 
@@ -41,13 +34,7 @@ type QueryStats struct {
 	MatScanned    int64 // objects examined in materialized small lists
 	Reported      int
 	Ops           int64
-	Truncated     bool // stopped early: Limit, MaxResults, or any policy stop
-	BudgetHit     bool // stopped by Budget
-
-	// Resilience instrumentation (ExecPolicy and degraded-mode outcomes).
-	DeadlineHit   bool // stopped by Policy.Deadline/Timeout
-	NodeBudgetHit bool // stopped by Policy.NodeBudget
-	Canceled      bool // stopped by Policy.Done
+	Truncated     bool // stopped early by Limit or the policy; the error names a policy stop
 	Fallback      bool // answered by the degraded-mode baseline
 
 	// Dimension-reduction instrumentation (Section 4 / Figure 2): counts of
@@ -67,10 +54,6 @@ func (st *QueryStats) add(o QueryStats) {
 	st.Reported += o.Reported
 	st.Ops += o.Ops
 	st.Truncated = st.Truncated || o.Truncated
-	st.BudgetHit = st.BudgetHit || o.BudgetHit
-	st.DeadlineHit = st.DeadlineHit || o.DeadlineHit
-	st.NodeBudgetHit = st.NodeBudgetHit || o.NodeBudgetHit
-	st.Canceled = st.Canceled || o.Canceled
 	st.Fallback = st.Fallback || o.Fallback
 	st.Type1Nodes += o.Type1Nodes
 	st.Type2Nodes += o.Type2Nodes
@@ -89,7 +72,6 @@ func (f *Framework) Query(q geom.Region, ws []dataset.Keyword, opts QueryOpts, r
 	if err := f.checkQuery(ws); err != nil {
 		return QueryStats{}, err
 	}
-	opts = opts.normalized()
 	qc := getQctx()
 	qc.f, qc.q, qc.ws, qc.opts, qc.report = f, q, ws, opts, report
 	qc.pst = newPolState(opts.Policy)
@@ -120,7 +102,6 @@ func (f *Framework) CollectInto(q geom.Region, ws []dataset.Keyword, opts QueryO
 	if err := f.checkQuery(ws); err != nil {
 		return nil, QueryStats{}, err
 	}
-	opts = opts.normalized()
 	qc := getQctx()
 	qc.f, qc.q, qc.ws, qc.opts = f, q, ws, opts
 	qc.pst = newPolState(opts.Policy)
@@ -228,11 +209,6 @@ func (qc *qctx) stop() bool {
 	}
 	if qc.opts.Limit > 0 && qc.st.Reported >= qc.opts.Limit {
 		qc.st.Truncated = true
-		qc.done = true
-		return true
-	}
-	if qc.opts.Budget > 0 && qc.st.Ops > qc.opts.Budget {
-		qc.st.BudgetHit = true
 		qc.done = true
 		return true
 	}

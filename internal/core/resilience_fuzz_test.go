@@ -42,8 +42,9 @@ func fuzzFixtures(t testing.TB) {
 // tuples through the policy machinery and asserts the resilience invariants:
 //
 //   - a policy-stopped answer is a prefix of the unbounded answer;
-//   - the typed error matches the stats flags (ErrBudget <=> NodeBudgetHit);
-//   - MaxResults truncates silently and never yields more than the cap;
+//   - the only error is ErrBudget, and it comes with Truncated set;
+//   - an answer without Truncated is the whole unbounded answer;
+//   - Limit truncates silently and never yields more than the cap;
 //   - an unconstrained rerun of the same query is untouched by the policy
 //     machinery having run before it (no pooled-context contamination).
 func FuzzExecPolicy(f *testing.F) {
@@ -89,21 +90,17 @@ func FuzzExecPolicy(f *testing.F) {
 			t.Fatalf("unbounded query failed: %v", err)
 		}
 
-		pol := ExecPolicy{NodeBudget: budget, MaxResults: maxRes}
-		got, st, err := collect(q, ws, QueryOpts{Policy: pol})
+		opts := QueryOpts{Limit: maxRes, Policy: ExecPolicy{NodeBudget: budget}}
+		got, st, err := collect(q, ws, opts)
 
-		if err != nil {
-			if !errors.Is(err, ErrBudget) {
-				t.Fatalf("policy %+v: unexpected error %v", pol, err)
-			}
-			if !st.NodeBudgetHit || !st.Truncated {
-				t.Fatalf("ErrBudget without matching flags: %+v", st)
-			}
-		} else if st.NodeBudgetHit {
-			t.Fatalf("NodeBudgetHit set without ErrBudget")
+		if err != nil && (!errors.Is(err, ErrBudget) || !st.Truncated) {
+			t.Fatalf("opts %+v: error %v with Truncated=%v, want ErrBudget with Truncated", opts, err, st.Truncated)
+		}
+		if !st.Truncated && len(got) != len(full) {
+			t.Fatalf("opts %+v: %d of %d results without Truncated", opts, len(got), len(full))
 		}
 		if maxRes > 0 && len(got) > maxRes {
-			t.Fatalf("MaxResults=%d but %d results returned", maxRes, len(got))
+			t.Fatalf("Limit=%d but %d results returned", maxRes, len(got))
 		}
 		if len(got) > len(full) {
 			t.Fatalf("policy run returned %d results, unbounded returned %d", len(got), len(full))
@@ -119,7 +116,7 @@ func FuzzExecPolicy(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rerun failed: %v", err)
 		}
-		if ast.Truncated || ast.NodeBudgetHit || ast.DeadlineHit || ast.Canceled {
+		if ast.Truncated {
 			t.Fatalf("rerun stats contaminated: %+v", ast)
 		}
 		if len(again) != len(full) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -95,13 +96,13 @@ func TestDeadlineStopsStalledTraversal(t *testing.T) {
 	// checks) must fire long before the traversal would finish on its own.
 	ArmFailpoint(FPFrameworkVisit, func() { time.Sleep(100 * time.Microsecond) })
 	start := time.Now()
-	partial, st, err := ix.Collect(q, ws, QueryOpts{Policy: ExecPolicy{Timeout: time.Millisecond}})
+	partial, st, err := ix.Collect(q, ws, QueryOpts{Policy: ExecPolicy{Deadline: start.Add(time.Millisecond)}})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("stalled traversal returned %v, want ErrDeadline", err)
 	}
-	if !st.DeadlineHit || !st.Truncated {
-		t.Fatalf("stats flags after deadline: %+v", st)
+	if !st.Truncated {
+		t.Fatalf("deadline stop without Truncated: %+v", st)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("deadline stop took %v, want prompt return", elapsed)
@@ -129,8 +130,8 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("budget %d: err = %v, want ErrBudget", budget, err)
 		}
-		if !st.NodeBudgetHit || !st.Truncated {
-			t.Fatalf("budget %d: stats flags %+v", budget, st)
+		if !st.Truncated {
+			t.Fatalf("budget %d: stop without Truncated: %+v", budget, st)
 		}
 		assertPrefix(t, partial, full, "budget")
 	}
@@ -139,8 +140,8 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ample budget errored: %v", err)
 	}
-	if st.NodeBudgetHit {
-		t.Fatal("ample budget flagged NodeBudgetHit")
+	if st.Truncated {
+		t.Fatal("ample budget flagged Truncated")
 	}
 	equalIDs(t, all, full, "ample budget")
 }
@@ -158,34 +159,9 @@ func TestCancellation(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("closed Done returned %v, want ErrCanceled", err)
 	}
-	if !st.Canceled || !st.Truncated {
-		t.Fatalf("stats flags after cancel: %+v", st)
+	if !st.Truncated {
+		t.Fatalf("cancel without Truncated: %+v", st)
 	}
-}
-
-func TestMaxResultsTruncatesWithoutError(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 16, Objects: 800, Dim: 2, Vocab: 6, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := geom.UniverseRect(2)
-	ws := []dataset.Keyword{1, 2}
-	full, _, err := ix.Collect(q, ws, QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) < 5 {
-		t.Skipf("only %d results", len(full))
-	}
-	got, st, err := ix.Collect(q, ws, QueryOpts{Policy: ExecPolicy{MaxResults: 3}})
-	if err != nil {
-		t.Fatalf("MaxResults errored: %v", err)
-	}
-	if len(got) != 3 || !st.Truncated {
-		t.Fatalf("MaxResults=3 returned %d results, Truncated=%v", len(got), st.Truncated)
-	}
-	assertPrefix(t, got, full, "maxresults")
 }
 
 func TestBatchPanicIsolatedPositionally(t *testing.T) {
@@ -335,8 +311,8 @@ func TestMultiKArityOnePolicy(t *testing.T) {
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("arity-1 budget: err = %v, want ErrBudget", err)
 	}
-	if !st.NodeBudgetHit {
-		t.Fatalf("stats flags: %+v", st)
+	if !st.Truncated {
+		t.Fatalf("arity-1 budget stop without Truncated: %+v", st)
 	}
 	assertPrefix(t, partial, full, "multik arity-1")
 }
@@ -442,24 +418,6 @@ func TestPolicyAcrossFamilies(t *testing.T) {
 	}
 }
 
-// TestLegacyBudgetStaysErrorFree pins the pre-existing QueryOpts.Budget
-// contract: a silent stop with BudgetHit set, no error — distinct from the
-// policy's ErrBudget.
-func TestLegacyBudgetStaysErrorFree(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 24, Objects: 800, Dim: 2, Vocab: 6, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{Budget: 3})
-	if err != nil {
-		t.Fatalf("legacy Budget returned error %v", err)
-	}
-	if !st.BudgetHit {
-		t.Fatal("legacy Budget did not flag BudgetHit")
-	}
-}
-
 // A NaN coordinate has no place in any order: rank space and the splitters
 // would sort it inconsistently, and a rectangle's search would miss finite
 // matches. Every way into an index refuses it, naming the object. Infinite
@@ -560,5 +518,133 @@ func TestNaNCoordinateRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalIDs(t, sortedIDs(dgot), want, "dynamic ORP-KW with infinite coordinates vs filter")
+	}
+}
+
+// TestEachStopCauseHasItsError: with the stop flags gone the typed error is
+// the only record of why a query stopped, so every traversal that polls the
+// policy is held to it — a closed Done, a past Deadline and a one-node budget
+// each stop with their own error, Truncated set, and a proper prefix of the
+// unbounded answer.
+func TestEachStopCauseHasItsError(t *testing.T) {
+	ds := workload.Gen(workload.Config{Seed: 25, Objects: 2000, Dim: 2, Vocab: 8, DocLen: 4})
+	hi := workload.Gen(workload.Config{Seed: 26, Objects: 2000, Dim: 3, Vocab: 8, DocLen: 4})
+	ws := []dataset.Keyword{1, 2}
+	u2, u3 := geom.UniverseRect(2), geom.UniverseRect(3)
+	ids := func(in []int32) []int64 {
+		out := make([]int64, len(in))
+		for i, id := range in {
+			out[i] = int64(id)
+		}
+		return out
+	}
+	type run func(QueryOpts) ([]int64, QueryStats, error)
+	collect := func(f func(QueryOpts) ([]int32, QueryStats, error)) run {
+		return func(o QueryOpts) ([]int64, QueryStats, error) {
+			got, st, err := f(o)
+			return ids(got), st, err
+		}
+	}
+	dynamic := func(d *DynamicORPKW) run {
+		return func(o QueryOpts) ([]int64, QueryStats, error) {
+			var got []int64
+			st, err := d.QueryWith(u2, ws, o, func(h int64, _ *dataset.Object) { got = append(got, h) })
+			return got, st, err
+		}
+	}
+	// filled inserts the first n objects of ds; a write buffer of bufferCap
+	// leaves them all in the buffer when n < bufferCap, none when n is a
+	// multiple of it.
+	filled := func(n, bufferCap int) *DynamicORPKW {
+		d, err := NewDynamicORPKW(2, 2, bufferCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := d.Insert(*ds.Object(int32(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+
+	low, err := BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	high, err := BuildORPKWHigh(hi, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := BuildMultiK(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := BuildLinfNN(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffered, bucketed := filled(600, 1024), filled(640, 16)
+	if buffered.NumBuckets() != 0 || bucketed.NumBuckets() == 0 {
+		t.Fatalf("fixtures: %d buffered-index buckets, %d bucketed-index buckets", buffered.NumBuckets(), bucketed.NumBuckets())
+	}
+	snap := testCheckpointSnapshot(27, 1500, 2)
+	base := openBothBaseModes(t, snap)["mmap"]
+	defer base.Close()
+	paged, err := RestoreDynamicORPKWFromBase(2, 2, 4, base, snap.NextHandle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq := geom.Point{0.5, 0.5}
+
+	traversals := []struct {
+		name string
+		run  run
+	}{
+		{"ORPKW", collect(func(o QueryOpts) ([]int32, QueryStats, error) { return low.Collect(u2, ws, o) })},
+		{"ORPKWHigh", collect(func(o QueryOpts) ([]int32, QueryStats, error) { return high.Collect(u3, ws, o) })},
+		{"MultiK/arity-1", collect(func(o QueryOpts) ([]int32, QueryStats, error) {
+			return mk.Collect(u2, ws[:1], o)
+		})},
+		{"Dynamic/buffer", dynamic(buffered)},
+		{"Dynamic/bucket", dynamic(bucketed)},
+		{"Dynamic/paged-base", dynamic(paged)},
+		{"LinfNN", func(o QueryOpts) ([]int64, QueryStats, error) {
+			res, ns, err := nn.Query(pq, 20, ws, o)
+			got := make([]int64, len(res))
+			for i, r := range res {
+				got[i] = int64(r.ID)
+			}
+			return got, ns.QueryStats, err
+		}},
+	}
+	closed := make(chan struct{})
+	close(closed)
+	causes := []struct {
+		name   string
+		policy ExecPolicy
+		want   error
+	}{
+		{"canceled", ExecPolicy{Done: closed}, ErrCanceled},
+		{"deadline", ExecPolicy{Deadline: time.Now().Add(-time.Second)}, ErrDeadline},
+		{"node-budget", ExecPolicy{NodeBudget: 1}, ErrBudget},
+	}
+	for _, tr := range traversals {
+		full, _, err := tr.run(QueryOpts{})
+		if err != nil || len(full) < 2 {
+			t.Fatalf("%s: unbounded answer has %d results, err %v", tr.name, len(full), err)
+		}
+		for _, c := range causes {
+			part, st, err := tr.run(QueryOpts{Policy: c.policy})
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s %s: err = %v, want %v", tr.name, c.name, err, c.want)
+			}
+			if !st.Truncated {
+				t.Errorf("%s %s: stop without Truncated: %+v", tr.name, c.name, st)
+			}
+			if len(part) >= len(full) || !slices.Equal(part, full[:len(part)]) {
+				t.Errorf("%s %s: %d results are not a proper prefix of the %d-result answer", tr.name, c.name, len(part), len(full))
+			}
+		}
 	}
 }

@@ -271,7 +271,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					label := fmt.Sprintf("n=%d/m=%d/large=%v/dense=%04b", n, m, withLarge, mask)
 					dense := func(w dataset.Keyword, _ int) bool { return mask>>slices.Index(small, w)&1 == 1 }
 					f := stopNodeFramework(ds, len(ws), large, small, dense)
-					full, fullSt, err := f.Collect(universe, ws, QueryOpts{})
+					full, _, err := f.Collect(universe, ws, QueryOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -286,7 +286,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					restricted := []QueryOpts{
 						{Limit: 1},
 						{Limit: 1 + rng.Intn(len(full)+1)},
-						{Budget: 1 + rng.Int63n(fullSt.Ops)},
+						{Limit: 1 + rng.Intn(max(1, len(full)))},
 						{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 					}
 					for i, opts := range restricted {
@@ -294,7 +294,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 						if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 							t.Fatalf("%s restriction %d: %v is not a prefix of %v", label, i, part, full)
 						}
-						if len(part) < len(full) && !st.Truncated && !st.BudgetHit {
+						if len(part) < len(full) && !st.Truncated {
 							t.Fatalf("%s restriction %d: short answer without a stop flag: %+v", label, i, st)
 						}
 						if i == 3 && !errors.Is(err, ErrDeadline) {
@@ -395,7 +395,7 @@ func smallCounts(f *Framework, q geom.Region, ws []dataset.Keyword, tally map[in
 }
 
 // The differential property over built indexes: for k in {2,3,4}, the index
-// reports exactly the oracle's objects, and every Limit, Budget, NodeBudget
+// reports exactly the oracle's objects, and every Limit, NodeBudget
 // and deadline stop returns a prefix of the unrestricted answer.
 func TestStopNodeIntersectDifferential(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
@@ -424,7 +424,7 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 
 				restricted := []QueryOpts{
 					{Limit: 1 + rng.Intn(len(full)+1)},
-					{Budget: 1 + rng.Int63n(fullSt.Ops+1)},
+					{Limit: 1 + rng.Intn(max(1, len(full)))},
 					{Policy: ExecPolicy{NodeBudget: 1 + rng.Int63n(int64(fullSt.NodesVisited)+1)}},
 					{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 				}
@@ -433,7 +433,7 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 					if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 						t.Fatalf("restriction %d: %v is not a prefix of %v", i, part, full)
 					}
-					if len(part) < len(full) && !st.Truncated && !st.BudgetHit {
+					if len(part) < len(full) && !st.Truncated {
 						t.Fatalf("restriction %d: short answer without a stop flag: %+v", i, st)
 					}
 					if i == 3 && !errors.Is(err, ErrDeadline) {
@@ -503,7 +503,7 @@ func clipExhausted(f *Framework, q geom.Region, ws []dataset.Keyword) bool {
 // fanout-4 cells and over the fanout-16 grid of the E6b ablation — on a
 // skewed and a Zipf corpus, over rectangles of side 0.005 to 0.5 and thin
 // slabs: each answer is the oracle's set, in the unclipped scan's order, at
-// no more stop-node units; and every Limit, Budget, NodeBudget and deadline
+// no more stop-node units; and every Limit, NodeBudget and deadline
 // stop returns a prefix of it. Under binary and fanout-4 splits the descent
 // budget does not bind (a cell worth splitting holds 4 drive ranks, so there
 // are too few of them); a grid root with a drive list of 4 to 15 ranks
@@ -599,7 +599,7 @@ func TestClippedStopNodeDifferential(t *testing.T) {
 					answered += len(full)
 					restricted := []QueryOpts{
 						{Limit: 1 + rng.Intn(len(full)+1)},
-						{Budget: 1 + rng.Int63n(fullSt.Ops+1)},
+						{Limit: 1 + rng.Intn(max(1, len(full)))},
 						{Policy: ExecPolicy{NodeBudget: 1 + rng.Int63n(int64(fullSt.NodesVisited)+1)}},
 						{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 					}
@@ -608,7 +608,7 @@ func TestClippedStopNodeDifferential(t *testing.T) {
 						if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 							t.Fatalf("restriction %d: %v is not a prefix of %v", i, part, full)
 						}
-						if len(part) < len(full) && !st.Truncated && !st.BudgetHit {
+						if len(part) < len(full) && !st.Truncated {
 							t.Fatalf("restriction %d: short answer without a stop flag: %+v", i, st)
 						}
 						if i == 3 && !errors.Is(err, ErrDeadline) {

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"kwsc/internal/codec"
 	"kwsc/internal/core"
@@ -77,18 +78,17 @@ func randKeywords(rng *rand.Rand, k int) []dataset.Keyword {
 	}
 }
 
-// randOpts exercises every stop mechanism: plain, Limit, Budget, and the
-// error-surfacing Policy bounds.
+// randOpts exercises every stop mechanism: plain, Limit, and the
+// error-surfacing Policy bounds (an expired deadline stops at the first
+// check, so both access modes stop at the same place).
 func randOpts(rng *rand.Rand) core.QueryOpts {
-	switch rng.Intn(5) {
+	switch rng.Intn(4) {
 	case 0:
 		return core.QueryOpts{Limit: 1 + rng.Intn(4)}
 	case 1:
-		return core.QueryOpts{Budget: 1 + int64(rng.Intn(40))}
-	case 2:
 		return core.QueryOpts{Policy: core.ExecPolicy{NodeBudget: 1 + int64(rng.Intn(30))}}
-	case 3:
-		return core.QueryOpts{Policy: core.ExecPolicy{MaxResults: 1 + rng.Intn(4)}}
+	case 2:
+		return core.QueryOpts{Policy: core.ExecPolicy{Deadline: time.Now().Add(-time.Second)}}
 	default:
 		return core.QueryOpts{}
 	}

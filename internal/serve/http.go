@@ -158,10 +158,6 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 			return
 		}
 		opts := req.Opts(s.cfg.DefaultTimeout)
-		if opts.Policy.Timeout > 0 && opts.Policy.Deadline.IsZero() {
-			opts.Policy.Deadline = time.Now().Add(opts.Policy.Timeout)
-			opts.Policy.Timeout = 0
-		}
 		res := s.locals[i].collect(&req, req.BoundingRect(s.cfg.Dim), req.ExactRegion(), req.Keywords,
 			opts, time.Duration(req.MaxStalenessMs)*time.Millisecond, new(legBuf))
 		out := outcomeOf(res.err)

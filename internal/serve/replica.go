@@ -126,10 +126,12 @@ func (l *remoteLeg) probe() {
 }
 
 // query executes the leg remotely, forwarding the request bounded by the
-// caller's remaining deadline.
+// caller's remaining deadline and its node budget (which the degraded band
+// may have clamped below the request's).
 func (l *remoteLeg) query(req *kwsc.QueryRequest, opts kwsc.QueryOpts) legResult {
 	fwd := *req
 	fwd.Limit = 0 // the gather applies the limit to the merged sequence
+	fwd.NodeBudget = opts.Policy.NodeBudget
 	if !opts.Policy.Deadline.IsZero() {
 		remaining := time.Until(opts.Policy.Deadline)
 		if remaining <= 0 {

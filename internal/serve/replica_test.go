@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,12 +136,23 @@ func TestFollowerDeploymentConverges(t *testing.T) {
 	}
 }
 
-// fakeLegServer serves a canned replica leg: /query returns reply, /health
-// returns health.
-func fakeLegServer(t *testing.T, reply legReply, delay time.Duration) *httptest.Server {
+// fakeLeg is a canned replica leg: /query returns reply and records the
+// node_budget it was sent, /health returns health.
+type fakeLeg struct {
+	*httptest.Server
+	nodeBudget atomic.Int64
+}
+
+func fakeLegServer(t *testing.T, reply legReply, delay time.Duration) *fakeLeg {
 	t.Helper()
+	f := new(fakeLeg)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
+		var req kwsc.QueryRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("fake leg: %v", err)
+		}
+		f.nodeBudget.Store(req.NodeBudget)
 		if delay > 0 {
 			time.Sleep(delay)
 		}
@@ -149,7 +161,8 @@ func fakeLegServer(t *testing.T, reply legReply, delay time.Duration) *httptest.
 	mux.HandleFunc("GET /health", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, healthReply{StalenessMs: reply.StalenessMs})
 	})
-	return httptest.NewServer(mux)
+	f.Server = httptest.NewServer(mux)
+	return f
 }
 
 // testGroup builds a replica group over a one-shard in-memory writer seeded
@@ -264,6 +277,23 @@ func TestReplicaGroupRouting(t *testing.T) {
 			t.Fatal("every leg down, but collect reported success")
 		}
 	})
+}
+
+// TestReplicaLegForwardsNodeBudget: a replica leg forwards the node budget
+// the query runs under, not the request's — the degraded band's clamp must
+// bound the follower's traversal too.
+func TestReplicaLegForwardsNodeBudget(t *testing.T) {
+	remote := fakeLegServer(t, legReply{IDs: []int64{999}, Outcome: "ok"}, 0)
+	defer remote.Close()
+	leg := &remoteLeg{name: "replica-0", baseURL: remote.URL, client: &http.Client{Timeout: time.Second}}
+	req := &kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}, NodeBudget: 5000}
+	res := leg.query(req, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{NodeBudget: 64}})
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if got := remote.nodeBudget.Load(); got != 64 {
+		t.Fatalf("follower received node_budget %d, want the clamped 64", got)
+	}
 }
 
 // TestHedgedReads: a slow replica leg is hedged to the writer after

@@ -520,12 +520,6 @@ func (s *Server) Query(req *kwsc.QueryRequest, degraded bool) (*kwsc.QueryRespon
 			opts.Policy.NodeBudget = s.cfg.DegradedNodeBudget
 		}
 	}
-	// Resolve the relative timeout to one absolute deadline here so every
-	// shard races the same clock instead of restarting the budget.
-	if opts.Policy.Timeout > 0 && opts.Policy.Deadline.IsZero() {
-		opts.Policy.Deadline = time.Now().Add(opts.Policy.Timeout)
-		opts.Policy.Timeout = 0
-	}
 	start := time.Now()
 	st := s.getScatter()
 	defer s.putScatter(st)

@@ -121,10 +121,10 @@ type (
 	NNResult = core.NNResult
 	// NNStats instruments a nearest-neighbor search.
 	NNStats = core.NNStats
-	// QueryOpts carries optional result limits and work budgets.
+	// QueryOpts carries the optional result limit and execution policy.
 	QueryOpts = core.QueryOpts
 	// QueryStats instruments one query (visited/covered/crossing nodes,
-	// work units, truncation flags).
+	// work units, truncation).
 	QueryStats = core.QueryStats
 	// SpaceBreakdown is the analytic space audit of an index.
 	SpaceBreakdown = core.SpaceBreakdown
@@ -393,12 +393,14 @@ func NewPlanner(ds *Dataset, k int, opts ...Option) (*QueryPlanner, error) {
 	return core.BuildPlanner(ds, k, opts...)
 }
 
-// Resilience: every query accepts an ExecPolicy (via QueryOpts.Policy) bounding its execution by wall-clock deadline, node
-// budget, result cap, and cancellation channel. A policy stop returns the
-// results reported so far — a prefix of the full answer — together with a
-// typed error (ErrDeadline, ErrBudget, ErrCanceled). Index-internal panics
-// are converted to *PanicError values carrying the offending query, so a
-// corrupted traversal cannot take the process down.
+// Resilience: every query accepts an ExecPolicy (via QueryOpts.Policy)
+// bounding its execution by wall-clock deadline, node budget and
+// cancellation channel; QueryOpts.Limit caps its results. A policy stop
+// returns the results reported so far — a prefix of the full answer — with
+// Truncated set and a typed error (ErrDeadline, ErrBudget, ErrCanceled),
+// the only record of the cause. Index-internal panics are converted to
+// *PanicError values carrying the offending query, so a corrupted traversal
+// cannot take the process down.
 type (
 	// ExecPolicy bounds one query's execution; the zero value imposes none.
 	ExecPolicy = core.ExecPolicy
@@ -423,8 +425,8 @@ var (
 )
 
 // PolicyFromContext derives an ExecPolicy from a context: its deadline (if
-// any) and its cancellation channel. Compose further bounds by setting
-// NodeBudget or MaxResults on the returned value.
+// any) and its cancellation channel. Compose a node budget by setting
+// NodeBudget on the returned value.
 func PolicyFromContext(ctx context.Context) ExecPolicy {
 	p := ExecPolicy{Done: ctx.Done()}
 	if dl, ok := ctx.Deadline(); ok {

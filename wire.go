@@ -59,9 +59,10 @@ type QueryRequest struct {
 	Keywords []Keyword `json:"keywords"`
 	// Limit caps the number of returned ids (0 = all).
 	Limit int `json:"limit,omitempty"`
-	// TimeoutMs bounds the query's wall-clock execution; a deadline stop
-	// returns the prefix-correct partial result with Truncated set.
-	// 0 uses the server default.
+	// TimeoutMs sets the query's deadline this many milliseconds after the
+	// server receives it (0 = the server default; past a time.Duration is
+	// invalid); a deadline stop returns the prefix-correct partial result
+	// with Truncated set.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// NodeBudget bounds per-shard tree-node visits (0 = server default,
 	// which is unlimited unless the server is shedding load).
@@ -181,6 +182,9 @@ func checkFinite(what string, v []float64) error {
 	return nil
 }
 
+// maxDurationMs is the largest millisecond count a time.Duration holds.
+const maxDurationMs = math.MaxInt64 / int64(time.Millisecond)
+
 // Validate checks the request against the serving index's dimensionality
 // and keyword arity; every failure wraps ErrInvalidQuery. dim <= 0 or
 // k <= 0 skip the respective shape checks (for clients validating before
@@ -233,14 +237,14 @@ func (r *QueryRequest) Validate(dim, k int) error {
 	if r.Limit < 0 {
 		return fmt.Errorf("%w: negative limit %d", ErrInvalidQuery, r.Limit)
 	}
-	if r.TimeoutMs < 0 {
-		return fmt.Errorf("%w: negative timeout_ms %d", ErrInvalidQuery, r.TimeoutMs)
+	if r.TimeoutMs < 0 || r.TimeoutMs > maxDurationMs {
+		return fmt.Errorf("%w: timeout_ms %d outside [0, %d]", ErrInvalidQuery, r.TimeoutMs, maxDurationMs)
 	}
 	if r.NodeBudget < 0 {
 		return fmt.Errorf("%w: negative node_budget %d", ErrInvalidQuery, r.NodeBudget)
 	}
-	if r.MaxStalenessMs < 0 {
-		return fmt.Errorf("%w: negative max_staleness_ms %d", ErrInvalidQuery, r.MaxStalenessMs)
+	if r.MaxStalenessMs < 0 || r.MaxStalenessMs > maxDurationMs {
+		return fmt.Errorf("%w: max_staleness_ms %d outside [0, %d]", ErrInvalidQuery, r.MaxStalenessMs, maxDurationMs)
 	}
 	return nil
 }
@@ -275,16 +279,18 @@ func (r *QueryRequest) ExactRegion() Region {
 	return nil
 }
 
-// Opts converts the request's knobs into QueryOpts; defaultTimeout applies
-// when the request carries none (<= 0 disables the default too).
+// Opts converts the request's knobs into QueryOpts, resolving its timeout —
+// defaultTimeout when the request carries none (<= 0 disables the default
+// too) — to one absolute deadline, so every shard races the same clock.
 func (r *QueryRequest) Opts(defaultTimeout time.Duration) QueryOpts {
-	opts := QueryOpts{Limit: r.Limit}
+	opts := QueryOpts{Limit: r.Limit, Policy: ExecPolicy{NodeBudget: r.NodeBudget}}
+	timeout := defaultTimeout
 	if r.TimeoutMs > 0 {
-		opts.Policy.Timeout = time.Duration(r.TimeoutMs) * time.Millisecond
-	} else if defaultTimeout > 0 {
-		opts.Policy.Timeout = defaultTimeout
+		timeout = time.Duration(r.TimeoutMs) * time.Millisecond
 	}
-	opts.Policy.NodeBudget = r.NodeBudget
+	if timeout > 0 {
+		opts.Policy.Deadline = time.Now().Add(timeout)
+	}
 	return opts
 }
 

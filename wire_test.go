@@ -55,6 +55,15 @@ func TestQueryRequestValidate(t *testing.T) {
 		{"negative-timeout", func(r *QueryRequest) { r.TimeoutMs = -5 }, true},
 		{"negative-budget", func(r *QueryRequest) { r.NodeBudget = -5 }, true},
 		{"negative-staleness", func(r *QueryRequest) { r.MaxStalenessMs = -5 }, true},
+		// Millisecond counts past what a time.Duration holds would wrap: to a
+		// negative timeout (no deadline at all) or to a deadline microseconds
+		// away.
+		{"largest-timeout", func(r *QueryRequest) { r.TimeoutMs = 9_223_372_036_854 }, false},
+		{"timeout-wraps-negative", func(r *QueryRequest) { r.TimeoutMs = 9_223_372_036_855 }, true},
+		{"timeout-wraps-short", func(r *QueryRequest) { r.TimeoutMs = 9_223_372_036_854_776 }, true},
+		{"largest-staleness", func(r *QueryRequest) { r.MaxStalenessMs = 9_223_372_036_854 }, false},
+		{"staleness-wraps-negative", func(r *QueryRequest) { r.MaxStalenessMs = 9_223_372_036_855 }, true},
+		{"staleness-wraps-short", func(r *QueryRequest) { r.MaxStalenessMs = 9_223_372_036_854_776 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,19 +148,28 @@ func TestQueryRequestGeometry(t *testing.T) {
 }
 
 func TestQueryRequestOpts(t *testing.T) {
+	// The timeout resolves to a deadline that far past the call.
+	deadlineIn := func(t *testing.T, opts QueryOpts, want time.Duration, before time.Time) {
+		t.Helper()
+		after := time.Now()
+		if dl := opts.Policy.Deadline; dl.Before(before.Add(want)) || dl.After(after.Add(want)) {
+			t.Fatalf("deadline %v not %v after [%v, %v]", dl, want, before, after)
+		}
+	}
 	req := &QueryRequest{Keywords: []Keyword{1, 2}, Limit: 7, TimeoutMs: 50, NodeBudget: 100}
+	before := time.Now()
 	opts := req.Opts(2 * time.Second)
-	if opts.Limit != 7 || opts.Policy.Timeout != 50*time.Millisecond || opts.Policy.NodeBudget != 100 {
+	if opts.Limit != 7 || opts.Policy.NodeBudget != 100 || opts.Policy.Done != nil {
 		t.Fatalf("opts: %+v", opts)
 	}
+	deadlineIn(t, opts, 50*time.Millisecond, before)
 	// No explicit timeout: the server default applies.
 	req.TimeoutMs = 0
-	if got := req.Opts(2 * time.Second).Policy.Timeout; got != 2*time.Second {
-		t.Fatalf("default timeout: %v", got)
-	}
+	before = time.Now()
+	deadlineIn(t, req.Opts(2*time.Second), 2*time.Second, before)
 	// Default disabled.
-	if got := req.Opts(0).Policy.Timeout; got != 0 {
-		t.Fatalf("disabled default timeout: %v", got)
+	if dl := req.Opts(0).Policy.Deadline; !dl.IsZero() {
+		t.Fatalf("disabled default timeout set deadline %v", dl)
 	}
 }
 
