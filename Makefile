@@ -38,8 +38,9 @@ crash:
 # codec, the checkpoint codec, WAL recovery, the posting-block format (its one
 # decoder round-trips, and the one list cursor seeks as a binary search
 # does), the paged base over re-sealed index sections that lie, the
-# /v1 wire codec held to encoding/json in both directions, and the query
-# stop checks under random limits and node budgets. Each target
+# /v1 wire codec held to encoding/json in both directions, the query
+# stop checks under random limits and node budgets, and the rank-space
+# directory search held to its binary-search definition. Each target
 # runs briefly; use `go test -fuzz <name> -fuzztime 5m ./internal/...` for a
 # real session.
 FUZZ_TIME ?= 5s
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecPolicy$$' -fuzztime $(FUZZ_TIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzRankDirectory$$' -fuzztime $(FUZZ_TIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 
@@ -120,7 +122,7 @@ bench-1m:
 # also matches the 1M tier, which self-skips unless KWSC_BENCH_1M is set (see
 # bench-1m).
 BENCH_TIME ?= 200x
-BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect)
+BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect|BenchmarkDynamicQueryShard)
 
 # Snapshot the tier-1 bench families as BENCH_<date>.json so later changes
 # have a perf trajectory to compare against. The snapshot embeds the metrics

@@ -726,6 +726,63 @@ func BenchmarkExtDynamicQuery(b *testing.B) {
 	}
 }
 
+// estimateSink keeps BenchmarkDynamicQueryShard's EstimateWork calls live.
+var estimateSink int64
+
+// One dynamic shard shaped like rw-mixed's: 10 000 live objects of a
+// vocabulary of 1 000 after 1 500 inserts and 1 500 deletes of the oldest, so
+// queries cross the write buffer, several Bentley–Saxe buckets and their
+// tombstones. An op is what the serving layer does per shard leg: one
+// EstimateWork and one QueryWith at side 0.1, k=2, Limit 100. buckets/op is
+// the occupied buckets each query runs over; units/op the work units it is
+// charged (a bucket a query keyword is absent from costs none).
+func BenchmarkDynamicQueryShard(b *testing.B) {
+	const live, churn, vocab = 10_000, 1_500, 1000
+	all := workload.Gen(workload.Config{Seed: 1, Objects: live + churn, Dim: 2, Vocab: vocab, DocLen: 6})
+	d, err := NewDynamicORPKW(2, 2, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var handles []int64
+	for i := 0; i < all.Len(); i++ {
+		h, err := d.Insert(*all.Object(int32(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		handles = append(handles, h)
+		if i >= live {
+			if _, err := d.Delete(handles[i-live]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	rects := make([]*Rect, 4096)
+	kws := make([][]Keyword, len(rects))
+	for i := range rects {
+		rects[i], kws[i] = workload.RandRect(rng, 2, 0.1), workload.RandKeywords(rng, vocab, 2)
+	}
+	report := func(int64, *Object) {}
+	opts := QueryOpts{Limit: 100}
+	if _, err := d.QueryWith(rects[0], kws[0], opts, report); err != nil { // builds the buckets
+		b.Fatal(err)
+	}
+	var units int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, ws := rects[i%len(rects)], kws[i%len(rects)]
+		estimateSink = d.EstimateWork(ws)
+		st, err := d.QueryWith(q, ws, opts, report)
+		if err != nil {
+			b.Fatal(err)
+		}
+		units += st.Ops
+	}
+	b.ReportMetric(float64(d.NumBuckets()), "buckets/op")
+	b.ReportMetric(float64(units)/float64(b.N), "units/op")
+}
+
 // The Cohen–Porat 2-SI ancestor structure on the E9 workload.
 func BenchmarkExtTwoSI(b *testing.B) {
 	ds, kws, _ := plantedFixture(22, 1<<15, 2, 2, 64, 1<<12)

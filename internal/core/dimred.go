@@ -33,7 +33,8 @@ type ORPKWHigh struct {
 	fam    family     // metrics family (famNone when built with NoObs)
 	tracer obs.Tracer // per-index tracer, may be nil
 
-	// rqPool recycles rank-space query rectangles (see ORPKW.rqPool).
+	// rqPool recycles rank-space query rectangles so the steady-state query
+	// path allocates nothing; entries never leave this index's methods.
 	rqPool sync.Pool
 }
 

@@ -231,8 +231,9 @@ type BaseIndex interface {
 	Has(handle int64) bool
 	// Query reports every base entry in q whose document contains all
 	// keywords. Reported objects may alias scratch valid only during the
-	// callback.
-	Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error)
+	// callback. report returns whether the entry counts: one the caller drops
+	// (a tombstoned handle) does not count toward Reported or opts.Limit.
+	Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object) bool) (QueryStats, error)
 	// EstimateWork bounds the work units Query spends on ws, from resident
 	// structures alone.
 	EstimateWork(ws []dataset.Keyword) int64
@@ -696,8 +697,8 @@ func (d *DynamicORPKW) Query(q *geom.Rect, ws []dataset.Keyword, report func(han
 // budget and cancellation channel span the write-buffer scan and every
 // Bentley–Saxe bucket (buffer entries charge the node budget per scanned
 // entry); a violation returns the partial results reported so far with a
-// typed error. Limit suppresses reports past the cap and skips the remaining
-// buckets, though the bucket being scanned runs to completion.
+// typed error. Limit counts live results: once that many are reported the
+// part being traversed ends and the remaining parts are skipped.
 //
 // The query runs lock-free against the state published when it started;
 // mutations that land mid-query are not observed, in whole or in part. The
@@ -709,7 +710,9 @@ func (d *DynamicORPKW) QueryWith(q *geom.Rect, ws []dataset.Keyword, opts QueryO
 	return d.queryState(d.state.Load(), q, ws, opts, report)
 }
 
-// queryState runs one query entirely against the snapshot sn.
+// queryState runs one query entirely against the snapshot sn. The query is
+// validated, observed and guarded against panics once, and runs every part
+// through one pooled context.
 func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
 	qt := obsBegin(d.fam, "Query", d.tracer)
 	defer func() {
@@ -729,98 +732,112 @@ func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keywo
 	if err := validateRect(q, d.dim); err != nil {
 		return QueryStats{}, err
 	}
-	ps := newPolState(opts.Policy)
 	if !d.read.Load() { // a load first: steady reads never write the line
 		d.read.Store(true)
+	}
+	qc := newQctx(ws, opts)
+	st, err = d.queryParts(sn, qc, q, report)
+	putQctx(qc)
+	return st, err
+}
+
+// queryParts runs the parts of sn in order — the write buffer, the base,
+// every bucket — with qc's one policy state, whose clock polls span the
+// parts. A part's node budget is what the work before it left over
+// (ExecPolicy.shrunk), and its Limit the live results still wanted.
+func (d *DynamicORPKW) queryParts(sn *dynState, qc *qctx, q *geom.Rect, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
+	opts := qc.opts
+	full := func() bool {
+		if opts.Limit > 0 && st.Reported >= opts.Limit {
+			st.Truncated = true
+			return true
+		}
+		return false
 	}
 	// Buffer: linear scan (bounded by bufferCap).
 	for i := range sn.buffer {
 		e := &sn.buffer[i]
 		st.Ops++
-		if err := ps.check(&st, st.Ops); err != nil {
+		if err := qc.pst.check(&st, st.Ops); err != nil {
 			return st, err
 		}
-		if q.ContainsPoint(e.obj.Point) && docHasAll(e.obj.Doc, ws) {
-			if opts.Limit > 0 && st.Reported >= opts.Limit {
-				st.Truncated = true
+		if q.ContainsPoint(e.obj.Point) && docHasAll(e.obj.Doc, qc.ws) {
+			if full() {
 				return st, nil
 			}
 			report(e.handle, &e.obj)
 			st.Reported++
 		}
 	}
-	// Base: the paged checkpoint layer, scanned like a bucket with
-	// tombstones filtered here (the base has no liveness knowledge).
+	// Base: the paged checkpoint layer, with tombstones filtered here (the
+	// base has no liveness knowledge); a tombstoned hit does not count.
 	if sn.base != nil {
-		if opts.Limit > 0 && st.Reported >= opts.Limit {
-			st.Truncated = true
+		if full() {
 			return st, nil
 		}
-		live := 0
-		bst, berr := sn.base.Query(q, ws, QueryOpts{Policy: opts.Policy.shrunk(st.Ops)}, func(h int64, obj *dataset.Object) {
+		bopts := QueryOpts{Limit: max(opts.Limit-st.Reported, 0), Policy: opts.Policy.shrunk(st.Ops)}
+		bst, berr := sn.base.Query(q, qc.ws, bopts, func(h int64, obj *dataset.Object) bool {
 			if sn.deleted.has(h) {
-				return
-			}
-			if opts.Limit > 0 && st.Reported+live >= opts.Limit {
-				return
+				return false
 			}
 			report(h, obj)
-			live++
+			return true
 		})
-		bst.Reported = live
 		st.add(bst)
 		if berr != nil {
 			return st, berr
 		}
 	}
-	// One callback and one scratch for every bucket, so a query allocates
-	// them once however many buckets it visits. Live results are counted
-	// here, not by the bucket's own stats: tombstoned hits must not count
-	// toward the limit. A hit is reported through the scratch object, whose
-	// Point and Doc are views of the bucket's columns — the contract
-	// BaseIndex.Query documents.
-	var hit struct {
-		b    *dynBucket
-		live int
-		obj  dataset.Object
-	}
-	emit := func(id int32) {
-		h := hit.b.handles[id]
-		if sn.deleted.has(h) {
-			return
-		}
-		if opts.Limit > 0 && st.Reported+hit.live >= opts.Limit {
-			return
-		}
-		hit.obj.Point, hit.obj.Doc = hit.b.objs.Point(id), hit.b.objs.Doc(id)
-		report(h, &hit.obj)
-		hit.live++
-	}
+	// Buckets: each entered through ORPKW.run, its hits reported as handles
+	// by qc.part.
+	qc.part = dynPart{deleted: sn.deleted, report: report}
 	for _, b := range sn.buckets {
 		if b == nil {
 			continue
 		}
 		failpoint(FPDynamicBucket)
-		if opts.Limit > 0 && st.Reported >= opts.Limit {
-			st.Truncated = true
+		if full() {
 			return st, nil
 		}
 		ix, err := d.index(b)
 		if err != nil {
 			return st, err
 		}
-		hit.b, hit.live = b, 0
-		bst, berr := ix.Query(q, ws, QueryOpts{Policy: opts.Policy.shrunk(st.Ops)}, emit)
-		bst.Reported = hit.live
-		st.add(bst)
-		if berr != nil {
-			return st, berr
+		qc.part.b = b
+		qc.opts.Limit = max(opts.Limit-st.Reported, 0)
+		qc.pst.pol = opts.Policy.shrunk(st.Ops)
+		ix.run(qc, q)
+		st.add(qc.st)
+		if qc.stopErr != nil {
+			return st, qc.stopErr
 		}
 	}
-	if opts.Limit > 0 && st.Reported >= opts.Limit {
-		st.Truncated = true
-	}
+	full()
 	return st, nil
+}
+
+// dynPart is what a query context carries while it runs one bucket of a
+// dynamic query: the bucket, whose ids it reports as handles, the state's
+// tombstones, the caller's report, and the scratch Object a hit is reported
+// through — its Point and Doc views of the bucket's columns, the contract
+// BaseIndex.Query documents.
+type dynPart struct {
+	b       *dynBucket
+	deleted *tombSet
+	report  func(handle int64, obj *dataset.Object)
+	obj     dataset.Object
+}
+
+// emit reports the bucket's object id unless it is tombstoned; false means
+// it was dropped.
+func (p *dynPart) emit(id int32) bool {
+	h := p.b.handles[id]
+	if p.deleted.has(h) {
+		return false
+	}
+	p.obj.Point, p.obj.Doc = p.b.objs.Point(id), p.b.objs.Doc(id)
+	p.report(h, &p.obj)
+	return true
 }
 
 // Collect is Query returning the handles.

@@ -69,14 +69,15 @@ func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 	shortest, allDense := int64(-1), true
 	est := newOutEstimate(f.ds.Len())
 	for _, w := range ws {
-		if li, ok := f.largeLookup(0, w); ok {
+		li, large, mi := f.rootLookup(w)
+		if large {
 			est.add(float64(f.rootDF[li]))
 			continue
 		}
 		// A small keyword's list: its length and representation (a keyword
 		// that occurs nowhere has none: an empty sparse list).
 		var l FlatList
-		if mi := f.matLookup(0, w); mi >= 0 {
+		if mi >= 0 {
 			l = f.matLists[mi]
 		}
 		if allDense = allDense && l.Rep == ListBitmap; shortest < 0 || int64(l.N) < shortest {
@@ -95,16 +96,21 @@ func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 
 // countRootDF fills rootDF — the root's per-large-keyword object counts that
 // EstimateWork reads — for a framework rebuilt from a flat image, which
-// carries the root's large keywords but not their counts.
+// carries the root's large keywords but not their counts. Every document word
+// is looked up, so the lookups go through a directory over the root's large
+// keywords whatever the family, derived here for the count alone.
 func (f *Framework) countRootDF() {
 	f.rootDF = make([]int32, f.l[0])
 	if f.l[0] == 0 {
 		return
 	}
+	run := f.largeKeys[f.largeStart[0]:f.largeStart[1]]
+	dir := dataset.NewDirectory(run)
 	for i := 0; i < f.ds.Len(); i++ {
 		for _, w := range f.ds.Doc(int32(i)) {
-			if li, ok := f.largeLookup(0, w); ok {
-				f.rootDF[li]++
+			from, to := dir.Span(float64(w), len(run))
+			if at := keyAt(run, int32(from), int32(to), w); at >= 0 {
+				f.rootDF[f.largeIdx[f.largeStart[0]+at]]++
 			}
 		}
 	}

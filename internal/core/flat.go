@@ -20,7 +20,8 @@ import (
 //   - pivots:       implicit — node u's are the ranks [rankLo[u],
 //     rankLo[u]+pivotCount[u]);
 //   - large keys:   sorted per node in one arena with the tensor numbering
-//     alongside (lookup by binary search);
+//     alongside (lookup by binary search; at the root of an ORP-KW index
+//     inside the span its directory leaves);
 //   - mat lists:    sparse ones as their ascending ranks, back to back in one
 //     int32 arena that bitpack.Cursors seek over in place; dense ones
 //     (denseList) as bitmaps over the node's rank interval, back to back in
@@ -63,6 +64,12 @@ type flatLayout struct {
 	tensorOff    []int64
 	tensorStride []int64
 	tensorArena  bits.Arena
+
+	// Directories over the root's runs of largeKeys and matKeys for
+	// rootLookup, derived by indexRoot and never stored. The zero Directory,
+	// which an index that does not call indexRoot has, leaves a lookup the
+	// whole run.
+	rootLarge, rootMat dataset.Directory
 }
 
 // FlatList is the handle of one materialized list of N ranks at a node u:
@@ -159,22 +166,39 @@ func byKeyword(perm []int32, keys []dataset.Keyword) []int32 {
 	return perm
 }
 
-// largeLookup is T_u's table of large keywords: a binary search over the
-// node's sorted key range, returning the tensor axis index. Manual search
-// keeps the query path closure-free.
-func (fl *flatLayout) largeLookup(u int32, w dataset.Keyword) (int32, bool) {
-	lo, hi := fl.largeStart[u], fl.largeStart[u+1]
+// indexRoot derives the root's keyword directories and returns their words.
+// An index calls it when its queries look the root up once per part — every
+// Bentley–Saxe bucket of a dynamic query — so that rootLookup costs O(1)
+// expected; a keyword converts to float64 exactly.
+func (fl *flatLayout) indexRoot() int64 {
+	fl.rootLarge = dataset.NewDirectory(fl.largeKeys[fl.largeStart[0]:fl.largeStart[1]])
+	fl.rootMat = dataset.NewDirectory(fl.matKeys[fl.matStart[0]:fl.matStart[1]])
+	return fl.rootLarge.Words() + fl.rootMat.Words()
+}
+
+// keyAt returns the position of w in the ascending keys[lo:hi], or -1. The
+// search is written out so the query path stays closure-free.
+func keyAt(keys []dataset.Keyword, lo, hi int32, w dataset.Keyword) int32 {
 	end := hi
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		if fl.largeKeys[mid] < w {
+		if keys[mid] < w {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < end && fl.largeKeys[lo] == w {
-		return fl.largeIdx[lo], true
+	if lo < end && keys[lo] == w {
+		return lo
+	}
+	return -1
+}
+
+// largeLookup is T_u's table of large keywords: a binary search over the
+// node's sorted key range, returning the tensor axis index.
+func (fl *flatLayout) largeLookup(u int32, w dataset.Keyword) (int32, bool) {
+	if i := keyAt(fl.largeKeys, fl.largeStart[u], fl.largeStart[u+1], w); i >= 0 {
+		return fl.largeIdx[i], true
 	}
 	return 0, false
 }
@@ -182,20 +206,22 @@ func (fl *flatLayout) largeLookup(u int32, w dataset.Keyword) (int32, bool) {
 // matLookup returns the index into matLists of node u's materialized list for
 // w, or -1 when u has none.
 func (fl *flatLayout) matLookup(u int32, w dataset.Keyword) int32 {
-	lo, hi := fl.matStart[u], fl.matStart[u+1]
-	end := hi
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if fl.matKeys[mid] < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return keyAt(fl.matKeys, fl.matStart[u], fl.matStart[u+1], w)
+}
+
+// rootLookup is largeLookup and then matLookup at the root, each search
+// confined to the span the run's directory leaves for w. li is w's tensor
+// axis index when w is large at the root; otherwise mi is the index into
+// matLists of its list there, or -1.
+func (fl *flatLayout) rootLookup(w dataset.Keyword) (li int32, large bool, mi int32) {
+	lo, hi := fl.largeStart[0], fl.largeStart[1]
+	from, to := fl.rootLarge.Span(float64(w), int(hi-lo))
+	if i := keyAt(fl.largeKeys, lo+int32(from), lo+int32(to), w); i >= 0 {
+		return fl.largeIdx[i], true, -1
 	}
-	if lo < end && fl.matKeys[lo] == w {
-		return lo
-	}
-	return -1
+	lo, hi = fl.matStart[0], fl.matStart[1]
+	from, to = fl.rootMat.Span(float64(w), int(hi-lo))
+	return 0, false, keyAt(fl.matKeys, lo+int32(from), lo+int32(to), w)
 }
 
 // tensorGet reads the non-emptiness bit lin of node u's child ci.

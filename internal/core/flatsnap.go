@@ -433,9 +433,7 @@ func NewORPKWFromParts(ds *dataset.Dataset, rs *dataset.RankSpace, fw *Framework
 		return nil, fmt.Errorf("core: rank space dim %d, framework dim %d, dataset dim %d disagree",
 			rs.Dim(), fw.PointDim(), ds.Dim())
 	}
-	ix := &ORPKW{ds: ds, rs: rs, fw: fw, fam: o.famFor(famORPKW), tracer: o.Tracer}
-	ix.fw.space.AuxWords += rs.SpaceWords()
-	return ix, nil
+	return newORPKW(ds, rs, fw, o), nil
 }
 
 // NewSPKWFromParts assembles an SPKW around a reconstructed framework — the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/obs"
@@ -22,10 +20,6 @@ type ORPKW struct {
 
 	fam    family     // metrics family (famNone when built with NoObs)
 	tracer obs.Tracer // per-index tracer, may be nil
-
-	// rqPool recycles rank-space query rectangles so the steady-state query
-	// path allocates nothing; entries never leave this index's methods.
-	rqPool sync.Pool
 }
 
 // BuildORPKW constructs the index for queries carrying exactly k keywords.
@@ -50,22 +44,20 @@ func BuildORPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) 
 	if err != nil {
 		return nil, err
 	}
-	ix := &ORPKW{ds: ds, rs: rs, fw: fw, fam: opts.famFor(famORPKW), tracer: opts.Tracer}
-	ix.fw.space.AuxWords += rs.SpaceWords()
+	ix := newORPKW(ds, rs, fw, opts)
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
 
-func (ix *ORPKW) getRankRect() *geom.Rect {
-	if rq, ok := ix.rqPool.Get().(*geom.Rect); ok {
-		return rq
-	}
-	d := ix.ds.Dim()
-	return &geom.Rect{Lo: make([]float64, d), Hi: make([]float64, d)}
+// newORPKW assembles the index around its rank space and framework, deriving
+// the root's keyword directories; the space audit counts the rank tables and
+// every directory beside the tree.
+func newORPKW(ds *dataset.Dataset, rs *dataset.RankSpace, fw *Framework, opts BuildOpts) *ORPKW {
+	fw.space.AuxWords += rs.SpaceWords() + fw.indexRoot()
+	return &ORPKW{ds: ds, rs: rs, fw: fw, fam: opts.famFor(famORPKW), tracer: opts.Tracer}
 }
 
-// Query reports every object in q whose document contains all keywords,
-// converting q to rank space in O(log N) first.
+// Query reports every object in q whose document contains all keywords.
 func (ix *ORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
 	qt := obsBegin(ix.fam, "Query", ix.tracer)
 	defer func() {
@@ -76,19 +68,13 @@ func (ix *ORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, repor
 			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.fw.K(), qt, &st, err, ix.tracer)
 		}
 	}()
-	if err := validateRect(q, ix.ds.Dim()); err != nil {
+	if err := ix.check(q, ws); err != nil {
 		return QueryStats{}, err
 	}
-	rq := ix.getRankRect()
-	defer ix.rqPool.Put(rq)
-	if !ix.rs.ToRankRectInto(q, rq) {
-		// The rectangle misses every coordinate on some dimension.
-		if err := ix.fw.checkQuery(ws); err != nil {
-			return QueryStats{}, err
-		}
-		return QueryStats{}, nil
-	}
-	return ix.fw.Query(rq, ws, opts, report)
+	qc := newQctx(ws, opts)
+	qc.report = report
+	ix.run(qc, q)
+	return qc.finish()
 }
 
 // Collect is Query returning a freshly allocated, caller-owned slice.
@@ -109,18 +95,41 @@ func (ix *ORPKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts,
 			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.fw.K(), qt, &st, err, ix.tracer)
 		}
 	}()
-	if err := validateRect(q, ix.ds.Dim()); err != nil {
+	if err := ix.check(q, ws); err != nil {
 		return nil, QueryStats{}, err
 	}
-	rq := ix.getRankRect()
-	defer ix.rqPool.Put(rq)
-	if !ix.rs.ToRankRectInto(q, rq) {
-		if err := ix.fw.checkQuery(ws); err != nil {
-			return nil, QueryStats{}, err
-		}
-		return buf[:0], QueryStats{}, nil
+	qc := newQctx(ws, opts)
+	qc.collectInto(buf)
+	ix.run(qc, q)
+	return qc.finishCollect(buf == nil)
+}
+
+// check rejects a query the index cannot answer: an invalid rectangle or a
+// keyword tuple of the wrong arity or with duplicates.
+func (ix *ORPKW) check(q *geom.Rect, ws []dataset.Keyword) error {
+	if err := validateRect(q, ix.ds.Dim()); err != nil {
+		return err
 	}
-	return ix.fw.CollectInto(rq, ws, opts, buf)
+	return ix.fw.checkQuery(ws)
+}
+
+// run is the one entry into the index — for Query, CollectInto and every
+// bucket of a dynamic query — with a checked rectangle q in original space
+// and qc's keywords, options and policy. After the policy's first stop check
+// the keywords are resolved at the root (resolveRoot): one neither large
+// there nor with a non-empty list occurs in no object, so the answer is empty
+// before q is converted and no node is visited. Otherwise q converts to rank
+// space (Step 4) into the context's rank rectangle and the traversal starts.
+func (ix *ORPKW) run(qc *qctx, q *geom.Rect) {
+	f := ix.fw
+	rq := qc.rankRect(ix.rs.Dim())
+	qc.enter(f, rq)
+	if qc.stop() || !qc.resolveRoot() || !ix.rs.ToRankRectInto(q, rq) {
+		return
+	}
+	if rel := f.split.Relate(f.cells[0], rq); rel != geom.Disjoint {
+		qc.visit(0, rel)
+	}
 }
 
 // Framework exposes the underlying transformed index (for instrumentation).

@@ -686,7 +686,9 @@ func (r *baseReader) cover(st *QueryStats, q *geom.Rect, node, lo, hi int) {
 // order, not by ascending handle. The reported object is the reader's
 // scratch, valid only for the duration of the callback; in mapped mode its
 // Point and Doc alias the mapping and remain valid until Close. Tombstone
-// filtering is the caller's job (the dynamic layer owns the tombstone set).
+// filtering is the caller's job (the dynamic layer owns the tombstone set):
+// report returns false for an entry it drops, which does not count toward
+// Reported or opts.Limit, and the query ends once Limit entries counted.
 //
 // NodesVisited, CoveredNodes and CrossingNodes count the cell-tree descent.
 // Ops counts the candidates taken from the shortest list inside the runs of
@@ -694,7 +696,7 @@ func (r *baseReader) cover(st *QueryStats, q *geom.Rect, node, lo, hi int) {
 // about — so ExecPolicy.NodeBudget bounds the intersection; ranks a longer
 // list let the scan leap over, and ranks outside the runs, are never examined
 // and never charged.
-func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
+func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object) bool) (st QueryStats, err error) {
 	if len(ws) != b.k {
 		return st, fmt.Errorf("%w: query carries %d keywords but the base holds k=%d", ErrInvalidQuery, len(ws), b.k)
 	}
@@ -745,10 +747,6 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 		if !q.ContainsPoint(p) {
 			return false
 		}
-		if opts.Limit > 0 && st.Reported >= opts.Limit {
-			st.Truncated = true
-			return true
-		}
 		r.obj = dataset.Object{Point: p, Doc: r.docAt(int64(rank))}
 		if !docHasAll(r.obj.Doc, ws) {
 			return r.err() != nil
@@ -757,8 +755,14 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 		if r.err() != nil {
 			return true
 		}
-		report(h, &r.obj)
+		if !report(h, &r.obj) {
+			return false
+		}
 		st.Reported++
+		if opts.Limit > 0 && st.Reported >= opts.Limit {
+			st.Truncated = true
+			return true
+		}
 		return false
 	}
 	// The policy's stop check, made early only: before each run, so a

@@ -96,7 +96,7 @@ func keywordTuples(k int) [][]dataset.Keyword {
 // rank order, cell by cell — compare with an oracle through sortedHandles.
 func reportOrder(b *PagedBase, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int64, QueryStats, error) {
 	var got []int64
-	st, err := b.Query(q, ws, opts, func(h int64, _ *dataset.Object) { got = append(got, h) })
+	st, err := b.Query(q, ws, opts, func(h int64, _ *dataset.Object) bool { got = append(got, h); return true })
 	return got, st, err
 }
 

@@ -603,7 +603,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 				for ws[1] = dataset.Keyword(rng.Intn(6)); ws[1] == ws[0]; {
 					ws[1] = dataset.Keyword(rng.Intn(6))
 				}
-				_, err := b.Query(q, ws, QueryOpts{}, func(h int64, obj *dataset.Object) {
+				_, err := b.Query(q, ws, QueryOpts{}, func(h int64, obj *dataset.Object) bool {
 					e, ok := truth[h]
 					if !ok {
 						t.Fatalf("reported handle %d names no entry", h)
@@ -611,6 +611,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 					if !q.ContainsPoint(snap.Objs.Point(e)) || !snap.Objs.HasAll(e, ws) {
 						t.Fatalf("q=%v ws=%v: reported handle %d (entry %d) is not a match", q, ws, h, e)
 					}
+					return true
 				})
 				if err != nil {
 					t.Fatalf("q=%v ws=%v: %v", q, ws, err)

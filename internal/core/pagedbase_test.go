@@ -66,11 +66,12 @@ func snapOracle(snap *codec.Snapshot, q *geom.Rect, ws []dataset.Keyword) []int6
 func collectBase(t *testing.T, b *PagedBase, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int64, QueryStats) {
 	t.Helper()
 	var got []int64
-	st, err := b.Query(q, ws, opts, func(h int64, obj *dataset.Object) {
+	st, err := b.Query(q, ws, opts, func(h int64, obj *dataset.Object) bool {
 		if len(obj.Point) != b.Dim() || len(obj.Doc) == 0 {
 			t.Fatalf("reported object malformed: %v", obj)
 		}
 		got = append(got, h)
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestPagedBaseStopConditions(t *testing.T) {
 				t.Fatalf("limit: %d results, truncated=%v", len(got), st.Truncated)
 			}
 			// Policy node budget surfaces as a typed error with partial stats.
-			st, err := b.Query(geom.UniverseRect(2), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 1}}, func(int64, *dataset.Object) {})
+			st, err := b.Query(geom.UniverseRect(2), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 1}}, func(int64, *dataset.Object) bool { return true })
 			if !errors.Is(err, ErrBudget) || !st.Truncated {
 				t.Fatalf("policy budget: err=%v truncated=%v, want ErrBudget", err, st.Truncated)
 			}
@@ -427,7 +428,7 @@ func TestPagedBaseLazyChecksum(t *testing.T) {
 	var qerr error
 	for i := 0; i < 60 && qerr == nil; i++ {
 		ws := []dataset.Keyword{dataset.Keyword(i % 12), dataset.Keyword((i + 1) % 12)}
-		_, qerr = b.Query(geom.UniverseRect(4), ws, QueryOpts{}, func(int64, *dataset.Object) {})
+		_, qerr = b.Query(geom.UniverseRect(4), ws, QueryOpts{}, func(int64, *dataset.Object) bool { return true })
 	}
 	if !errors.Is(qerr, pager.ErrChecksum) {
 		t.Fatalf("corrupt payload page served without ErrChecksum (err=%v)", qerr)
@@ -445,7 +446,7 @@ func TestPagedBaseLazyChecksum(t *testing.T) {
 		var qerr2 error
 		for i := 0; i < 60 && qerr2 == nil; i++ {
 			ws := []dataset.Keyword{dataset.Keyword(i % 12), dataset.Keyword((i + 1) % 12)}
-			_, qerr2 = b2.Query(geom.UniverseRect(4), ws, QueryOpts{}, func(int64, *dataset.Object) {})
+			_, qerr2 = b2.Query(geom.UniverseRect(4), ws, QueryOpts{}, func(int64, *dataset.Object) bool { return true })
 		}
 		if !errors.Is(qerr2, pager.ErrChecksum) {
 			t.Fatalf("mapped mode served corrupt page (err=%v)", qerr2)

@@ -72,13 +72,10 @@ func (f *Framework) Query(q geom.Region, ws []dataset.Keyword, opts QueryOpts, r
 	if err := f.checkQuery(ws); err != nil {
 		return QueryStats{}, err
 	}
-	qc := getQctx()
-	qc.f, qc.q, qc.ws, qc.opts, qc.report = f, q, ws, opts, report
-	qc.pst = newPolState(opts.Policy)
-	f.run(qc)
-	st, err = qc.st, qc.stopErr
-	putQctx(qc)
-	return st, err
+	qc := newQctx(ws, opts)
+	qc.report = report
+	f.run(qc, q)
+	return qc.finish()
 }
 
 // Collect is Query returning a slice of object ids. The slice is freshly
@@ -102,17 +99,42 @@ func (f *Framework) CollectInto(q geom.Region, ws []dataset.Keyword, opts QueryO
 	if err := f.checkQuery(ws); err != nil {
 		return nil, QueryStats{}, err
 	}
-	qc := getQctx()
-	qc.f, qc.q, qc.ws, qc.opts = f, q, ws, opts
+	qc := newQctx(ws, opts)
+	qc.collectInto(buf)
+	f.run(qc, q)
+	return qc.finishCollect(buf == nil)
+}
+
+// newQctx takes a context from the pool for one query: its keywords, options
+// and a policy state spanning everything the query traverses.
+func newQctx(ws []dataset.Keyword, opts QueryOpts) *qctx {
+	qc := qctxPool.Get().(*qctx)
+	qc.ws, qc.opts = ws, opts
 	qc.pst = newPolState(opts.Policy)
+	return qc
+}
+
+// collectInto makes the query gather its ids instead of reporting them: into
+// buf, or into pooled scratch when buf is nil.
+func (qc *qctx) collectInto(buf []int32) {
 	qc.collecting = true
-	scratch := buf == nil
-	if scratch {
+	if buf == nil {
 		qc.out = qc.res[:0]
 	} else {
 		qc.out = buf[:0]
 	}
-	f.run(qc)
+}
+
+// finish returns a reporting query's outcome and the context to the pool.
+func (qc *qctx) finish() (QueryStats, error) {
+	st, err := qc.st, qc.stopErr
+	putQctx(qc)
+	return st, err
+}
+
+// finishCollect is finish for a collecting query; with scratch (a nil buf)
+// the ids are copied out of pooled scratch, which keeps its growth.
+func (qc *qctx) finishCollect(scratch bool) (out []int32, st QueryStats, err error) {
 	out, st, err = qc.out, qc.st, qc.stopErr
 	if scratch {
 		qc.res = out[:0] // keep the grown scratch for the next query
@@ -136,19 +158,69 @@ func (f *Framework) checkQuery(ws []dataset.Keyword) error {
 	return nil
 }
 
-func (f *Framework) run(qc *qctx) {
-	if cap(qc.sorted) < f.k { // the four k-sized scratches grow together
+// run traverses f for region q from the root. Unlike at the ORPKW entry, a
+// keyword absent from the root still costs the root's visit here, so the
+// other families count their work as they always have.
+func (f *Framework) run(qc *qctx, q geom.Region) {
+	qc.enter(f, q)
+	qc.resolveRoot()
+	if rel := f.split.Relate(f.cells[0], q); rel != geom.Disjoint {
+		qc.visit(0, rel)
+	}
+}
+
+// enter points qc at index f and region q, growing the k-sized scratches to
+// f's arity: the start of one index part of a query, with the part's own
+// stats and stop flag.
+func (qc *qctx) enter(f *Framework, q geom.Region) {
+	if cap(qc.sorted) < f.k { // the five k-sized scratches grow together
 		qc.sorted = make([]int32, 0, f.k)
 		qc.probe = make([]dataset.Keyword, 0, f.k)
 		qc.cur = make([]bitpack.Cursor, f.k)
 		qc.bm = make([][]uint64, f.k)
+		qc.roots = make([]rootKey, f.k)
 	}
-	if r, ok := qc.q.(*geom.Rect); ok && len(r.Lo) == f.pdim {
+	qc.f, qc.q, qc.st, qc.done = f, q, QueryStats{}, false
+	qc.qLo, qc.qHi = nil, nil
+	if r, ok := q.(*geom.Rect); ok && len(r.Lo) == f.pdim {
 		qc.qLo, qc.qHi = r.Lo, r.Hi
 	}
-	if rel := f.split.Relate(f.cells[0], qc.q); rel != geom.Disjoint {
-		qc.visit(0, rel)
+}
+
+// rootKey is one query keyword as the root's T_u classifies it: its tensor
+// axis index li when large there, otherwise its list mi (-1: none).
+type rootKey struct {
+	li, mi int32
+	large  bool
+}
+
+// resolveRoot looks every query keyword up at the root of an internal-rooted
+// qc.f, through the root's directories (rootLookup), into qc.roots, where
+// visit reads them. It reports whether some object can hold them all: false
+// when a keyword is neither large at the root nor has a non-empty list there.
+// A leaf root has no T_u: nothing is looked up, and the answer is true.
+func (qc *qctx) resolveRoot() bool {
+	f := qc.f
+	if f.childCount[0] == 0 {
+		return true
 	}
+	holds := true
+	for i, w := range qc.ws {
+		r := &qc.roots[i]
+		r.li, r.large, r.mi = f.rootLookup(w)
+		holds = holds && (r.large || r.mi >= 0 && f.matLists[r.mi].N > 0)
+	}
+	return holds
+}
+
+// rankRect returns the context's rank-space rectangle, sized to dim: one per
+// query, taken only when a part needs a rectangle converted.
+func (qc *qctx) rankRect(dim int) *geom.Rect {
+	if cap(qc.rank.Lo) < dim {
+		qc.rank.Lo, qc.rank.Hi = make([]float64, dim), make([]float64, dim)
+	}
+	qc.rank.Lo, qc.rank.Hi = qc.rank.Lo[:dim], qc.rank.Hi[:dim]
+	return &qc.rank
 }
 
 // qctx is the per-query traversal state. Contexts are pooled: the sorted
@@ -178,28 +250,33 @@ type qctx struct {
 	cur   []bitpack.Cursor
 	bm    [][]uint64
 	probe []dataset.Keyword
+	roots []rootKey // the root's lookups, by query keyword (resolveRoot)
 
 	// Clip scratch (clip): the ascending rank runs a sparse stop node's
 	// leapfrog is confined to, and how many more cells its descent may relate.
 	runs     []rankRun
 	clipLeft int64
 
-	// Rect fast path: when q is a *geom.Rect, run caches its bounds so
+	// Rect fast path: when q is a *geom.Rect, enter caches its bounds so
 	// checkAndEmit tests containment with inlined comparisons over the coords
 	// column instead of an interface call.
 	qLo, qHi []float64
+
+	// rank is the query's rank-space rectangle (rankRect); part is set while
+	// the context runs one Bentley–Saxe bucket of a dynamic query.
+	rank geom.Rect
+	part dynPart
 }
 
 var qctxPool = sync.Pool{New: func() any { return new(qctx) }}
-
-func getQctx() *qctx { return qctxPool.Get().(*qctx) }
 
 func putQctx(qc *qctx) {
 	for i := range qc.cur {
 		qc.cur[i].Release()
 	}
 	clear(qc.bm)
-	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0], runs: qc.runs[:0]}
+	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0], roots: qc.roots, runs: qc.runs[:0],
+		rank: geom.Rect{Lo: qc.rank.Lo[:0], Hi: qc.rank.Hi[:0]}}
 	qctxPool.Put(qc)
 }
 
@@ -222,10 +299,17 @@ func (qc *qctx) stop() bool {
 	return false
 }
 
+// emit reports one object. Inside a dynamic bucket, a tombstoned object is
+// dropped and does not count toward Reported, so Limit counts live results.
 func (qc *qctx) emit(id int32) {
-	if qc.collecting {
+	switch {
+	case qc.part.b != nil:
+		if !qc.part.emit(id) {
+			return
+		}
+	case qc.collecting:
 		qc.out = append(qc.out, id)
-	} else {
+	default:
 		qc.report(id)
 	}
 	qc.st.Reported++
@@ -517,17 +601,24 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 	// Use T_u to sort the query keywords, in O(k) time, into those large at u
 	// (tensor axis index into qc.sorted, keyword into qc.probe) and those
 	// small at u (a cursor or a bitmap on the materialized list D_u^act(w)).
-	// If any is small the node is answered from the lists and the subtree is
-	// never descended; qualifying pivots of u are contained in every such
-	// list, so they need no separate scan. A small keyword without a list, or
-	// with an empty one, occurs nowhere below u and ends the node at once.
+	// The root's lookups were made by resolveRoot. If any is small the node
+	// is answered from the lists and the subtree is never descended;
+	// qualifying pivots of u are contained in every such list, so they need
+	// no separate scan. A small keyword without a list, or with an empty one,
+	// occurs nowhere below u and ends the node at once.
 	s, probe, ms, md := qc.sorted[:0], qc.probe[:0], 0, 0
-	for _, w := range qc.ws {
-		if li, ok := f.largeLookup(u, w); ok {
+	for i, w := range qc.ws {
+		var li, mi int32
+		var large bool
+		if u == 0 {
+			li, large, mi = qc.roots[i].li, qc.roots[i].large, qc.roots[i].mi
+		} else if li, large = f.largeLookup(u, w); !large {
+			mi = f.matLookup(u, w)
+		}
+		if large {
 			s, probe = append(s, li), append(probe, w)
 			continue
 		}
-		mi := f.matLookup(u, w)
 		if mi < 0 {
 			return
 		}

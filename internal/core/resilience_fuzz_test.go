@@ -19,6 +19,7 @@ var (
 	fuzzHiDS *dataset.Dataset
 	fuzzHigh *ORPKWHigh
 	fuzzMK   *MultiK
+	fuzzDyn  *DynamicORPKW
 )
 
 func fuzzFixtures(t testing.TB) {
@@ -34,6 +35,21 @@ func fuzzFixtures(t testing.TB) {
 		}
 		if fuzzMK, err = BuildMultiK(fuzzDS, 3); err != nil {
 			t.Fatal(err)
+		}
+		// fuzzDS inserted in order (handle i is object i) into buckets and a
+		// buffer, with every fifth handle tombstoned.
+		if fuzzDyn, err = NewDynamicORPKW(2, 2, 64); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < fuzzDS.Len(); i++ {
+			if _, err := fuzzDyn.Insert(*fuzzDS.Object(int32(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for h := int64(0); h < int64(fuzzDS.Len()); h += 5 {
+			if _, err := fuzzDyn.Delete(h); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -52,6 +68,7 @@ func FuzzExecPolicy(f *testing.F) {
 	f.Add(uint8(1), uint16(9), uint16(5), int64(200), int64(0), int64(-2), int64(3))
 	f.Add(uint8(2), uint16(50), uint16(2), int64(1), int64(4), int64(5), int64(6))
 	f.Add(uint8(0), uint16(1000), uint16(7), int64(64), int64(0), int64(0), int64(0))
+	f.Add(uint8(3), uint16(40), uint16(2), int64(0), int64(0), int64(39), int64(39))
 	f.Fuzz(func(t *testing.T, family uint8, budget16 uint16, cap16 uint16, ax, ay, bx, by int64) {
 		fuzzFixtures(t)
 		budget := int64(budget16)
@@ -71,7 +88,7 @@ func FuzzExecPolicy(f *testing.F) {
 
 		type collector func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error)
 		var collect collector
-		switch family % 3 {
+		switch family % 4 {
 		case 0:
 			collect = fuzzLow.Collect
 		case 1:
@@ -82,6 +99,12 @@ func FuzzExecPolicy(f *testing.F) {
 		case 2:
 			collect = func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
 				return fuzzMK.Collect(q, ws, opts)
+			}
+		case 3:
+			collect = func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
+				var out []int32
+				st, err := fuzzDyn.QueryWith(q, ws, opts, func(h int64, _ *dataset.Object) { out = append(out, int32(h)) })
+				return out, st, err
 			}
 		}
 

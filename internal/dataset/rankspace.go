@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"sort"
 
 	"kwsc/internal/geom"
 )
@@ -12,11 +11,15 @@ import (
 // ranks. Objects are sorted on each dimension with ties broken by the object
 // with the smaller id, so every object receives a distinct integer rank per
 // dimension. A query rectangle in the original space converts to a rank-space
-// rectangle in O(log N) time by binary search, without affecting the result.
+// rectangle by binary search, without affecting the result. The paper's bound
+// for that is O(log N); a Directory per dimension narrows each search to one
+// bucket's positions first, which makes the conversion O(1) expected on a
+// column whose values spread evenly and keeps O(log N) as the worst case.
 type RankSpace struct {
 	dim    int
 	sorted [][]float64 // per dim: coordinate values in rank order
 	ranks  [][]int32   // per dim, per object: the object's rank
+	dirs   []Directory // per dim: derived from sorted, never stored
 }
 
 // NewRankSpace builds the rank-space conversion for the dataset: one radix
@@ -40,7 +43,16 @@ func NewRankSpace(ds *Dataset) *RankSpace {
 		}
 		rs.sorted[j], rs.ranks[j] = sorted, ranks
 	}
+	rs.index()
 	return rs
+}
+
+// index derives the directory of every dimension's sorted column.
+func (rs *RankSpace) index() {
+	rs.dirs = make([]Directory, rs.dim)
+	for j, s := range rs.sorted {
+		rs.dirs[j] = NewDirectory(s)
+	}
 }
 
 // SortKey is one entry of RadixSort: a key beside the id it orders.
@@ -134,18 +146,8 @@ func (rs *RankSpace) ToRankRect(q *geom.Rect) (_ *geom.Rect, ok bool) {
 // ok=false leaves dst in an unspecified state.
 func (rs *RankSpace) ToRankRectInto(q *geom.Rect, dst *geom.Rect) (ok bool) {
 	for j := 0; j < rs.dim; j++ {
-		s := rs.sorted[j]
-		var lr, hr int
-		if math.IsInf(q.Lo[j], -1) {
-			lr = 0
-		} else {
-			lr = sort.SearchFloat64s(s, q.Lo[j]) // first rank with coord >= lo
-		}
-		if math.IsInf(q.Hi[j], 1) {
-			hr = len(s) - 1
-		} else {
-			hr = sort.Search(len(s), func(r int) bool { return s[r] > q.Hi[j] }) - 1
-		}
+		lr := rs.search(j, q.Lo[j], false)    // first rank with coord >= lo
+		hr := rs.search(j, q.Hi[j], true) - 1 // last rank with coord <= hi
 		if lr > hr {
 			return false
 		}
@@ -154,11 +156,30 @@ func (rs *RankSpace) ToRankRectInto(q *geom.Rect, dst *geom.Rect) (ok bool) {
 	return true
 }
 
-// SpaceWords returns the footprint of the conversion tables in words.
+// search returns the first rank on dimension j whose coordinate is >= v, or
+// with above the first whose coordinate is > v, binary-searching only the
+// positions the dimension's directory leaves open. The search is written out
+// so the conversion stays closure-free.
+func (rs *RankSpace) search(j int, v float64, above bool) int {
+	s := rs.sorted[j]
+	lo, hi := rs.dirs[j].Span(v, len(s))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := s[mid]; c < v || above && c == v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// SpaceWords returns the footprint of the conversion tables and their
+// directories in words.
 func (rs *RankSpace) SpaceWords() int64 {
 	var s int64
 	for j := 0; j < rs.dim; j++ {
-		s += int64(len(rs.sorted[j])) + int64(len(rs.ranks[j]))/2
+		s += int64(len(rs.sorted[j])) + int64(len(rs.ranks[j]))/2 + rs.dirs[j].Words()
 	}
 	return s
 }
@@ -173,7 +194,10 @@ func (rs *RankSpace) Tables() (sorted [][]float64, ranks [][]int32) {
 // RankSpaceFromTables reassembles a RankSpace from serialized tables (the
 // inverse of Tables), e.g. columns of a paged flat-index image. Callers own
 // validation of the tables' mutual consistency; each dimension must carry
-// one value and one rank per object.
+// one value and one rank per object, values ascending. The directories are
+// derived again here: they are never part of the tables.
 func RankSpaceFromTables(dim int, sorted [][]float64, ranks [][]int32) *RankSpace {
-	return &RankSpace{dim: dim, sorted: sorted, ranks: ranks}
+	rs := &RankSpace{dim: dim, sorted: sorted, ranks: ranks}
+	rs.index()
+	return rs
 }

@@ -81,6 +81,7 @@ type admission struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	swept   int // len(buckets) after the last sweep
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
@@ -133,21 +134,45 @@ func (a *admission) takeToken(client string) bool {
 	defer a.mu.Unlock()
 	b, ok := a.buckets[client]
 	if !ok {
+		if len(a.buckets) >= 2*max(a.swept, sweepMin) {
+			a.sweep(now, burst)
+		}
 		b = &bucket{tokens: burst, last: now}
 		a.buckets[client] = b
 	}
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * a.cfg.ClientRate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
-		b.last = now
-	}
+	a.refill(b, now, burst)
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
+}
+
+// sweepMin is the smallest map a sweep runs on, so a handful of clients never
+// pays for one.
+const sweepMin = 64
+
+// refill credits b with the tokens earned since its last refill, capped at
+// burst.
+func (a *admission) refill(b *bucket, now time.Time, burst float64) {
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens = min(burst, b.tokens+dt*a.cfg.ClientRate)
+		b.last = now
+	}
+}
+
+// sweep drops every bucket that has refilled to burst: such a bucket admits
+// exactly what a fresh one would, so forgetting its client changes no
+// decision. It runs when the map has doubled since the last sweep, so its
+// cost is amortized over the clients added in between and the map stays
+// within twice the clients whose buckets are still refilling.
+func (a *admission) sweep(now time.Time, burst float64) {
+	for c, b := range a.buckets {
+		if a.refill(b, now, burst); b.tokens >= burst {
+			delete(a.buckets, c)
+		}
+	}
+	a.swept = len(a.buckets)
 }
 
 // Inflight returns the number of currently executing requests.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -99,5 +100,34 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 	release() // double release must not underflow the window
 	if got := a.Inflight(); got != 0 {
 		t.Fatalf("inflight after double release = %d, want 0", got)
+	}
+}
+
+// A stream of distinct client names keeps the bucket map bounded by the
+// clients still refilling, and a sweep never forgets a client that is.
+func TestAdmissionBucketsBounded(t *testing.T) {
+	clk := newFakeClock()
+	a := withClock(newAdmission(AdmissionConfig{ClientRate: 10, ClientBurst: 2}), clk)
+	// alice empties her bucket; the waves below sweep around her while she
+	// is still refilling.
+	mustDecision(t, a, "alice", Admit)()
+	mustDecision(t, a, "alice", Admit)()
+	const waves, wave = 100, 1000
+	peak := 0
+	for w := 0; w < waves; w++ {
+		for i := 0; i < wave; i++ {
+			mustDecision(t, a, fmt.Sprintf("c%d-%d", w, i), Admit)()
+			peak = max(peak, len(a.buckets))
+		}
+		if w == 0 {
+			mustDecision(t, a, "alice", ShedQuota)()
+		}
+		// Long enough for a one-token debit to refill: the wave goes idle.
+		clk.advance(200 * time.Millisecond)
+	}
+	// Each wave's clients refill before the next wave's sweep, so at most one
+	// wave (and alice) is ever refilling: the map stays within twice that.
+	if limit := 2 * (wave + 1); peak > limit {
+		t.Fatalf("bucket map peaked at %d entries over %d distinct clients, want <= %d", peak, waves*wave, limit)
 	}
 }
