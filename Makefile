@@ -120,9 +120,10 @@ bench-1m:
 # the zero-alloc metrics-on property in the perf trajectory. The E1/E2
 # families report bytes-resident beside ns/op; the BenchmarkE1ORPKW2D prefix
 # also matches the 1M tier, which self-skips unless KWSC_BENCH_1M is set (see
-# bench-1m).
+# bench-1m), as BenchmarkColdStartPagedORPKW matches its 1M tier: the cold
+# start guards the open, which derives every kd box from the coordinates.
 BENCH_TIME ?= 200x
-BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect|BenchmarkDynamicQueryShard)
+BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect|BenchmarkDynamicQueryShard|BenchmarkColdStartPagedORPKW)
 
 # Snapshot the tier-1 bench families as BENCH_<date>.json so later changes
 # have a perf trajectory to compare against. The snapshot embeds the metrics

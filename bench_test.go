@@ -388,8 +388,7 @@ func BenchmarkF1VerticalLineCrossing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := float64(ds.Len() / 2)
-	line := &Rect{Lo: []float64{x, -1e308}, Hi: []float64{x, 1e308}}
+	line := workload.VerticalLine(ds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.Framework().CrossingCost(line, []Keyword{0, 1}); err != nil {

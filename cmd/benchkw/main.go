@@ -549,9 +549,7 @@ func f1() {
 		ds := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n, Dim: 2, Vocab: 16, DocLen: 4})
 		ix, err := core.BuildORPKW(ds, 2)
 		check(err)
-		x := float64(ds.Len() / 2)
-		line := &geom.Rect{Lo: []float64{x, math.Inf(-1)}, Hi: []float64{x, math.Inf(1)}}
-		cost, err := ix.Framework().CrossingCost(line, []dataset.Keyword{0, 1})
+		cost, err := ix.Framework().CrossingCost(workload.VerticalLine(ds), []dataset.Keyword{0, 1})
 		check(err)
 		// Also count raw crossing cells of the substrate.
 		rng := rand.New(rand.NewSource(*flagSeed))
@@ -560,6 +558,7 @@ func f1() {
 			pts[i] = geom.Point{float64(i), rng.Float64()}
 		}
 		tree := spart.BuildTree(pts, nil, &spart.KD{Dim: 2}, 1)
+		x := float64(n / 2)
 		prof := tree.CrossingProfile(&geom.Rect{Lo: []float64{x, math.Inf(-1)}, Hi: []float64{x, math.Inf(1)}})
 		cells := 0
 		for _, c := range prof {

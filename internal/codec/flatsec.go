@@ -2,19 +2,21 @@ package codec
 
 // FlatImageVersion is the version of the flat-index section set below,
 // carried in SecFlatMeta. Version 1 (object ids in every column, explicit
-// pivot id lists, no version field) and version 2 (sparse lists as
-// delta-packed blocks) are refused at open: images are rebuilt, not migrated.
-const FlatImageVersion = 3
+// pivot id lists, no version field), version 2 (sparse lists as delta-packed
+// blocks) and version 3 (stored kd cells and, for ORPKW, rank tables) are
+// refused at open, each by name: images are rebuilt, not migrated.
+const FlatImageVersion = 4
 
 // Section IDs of a flat-index KWCP2 container (PagedKindFlatORPKW or
 // PagedKindFlatSPKW). Sections 10-29 and 35-38 are the FlatArenas columns of
 // internal/core (BFS node order; objects named by rank, their position in
-// the tree's leaf order), 30-32 the dataset image, 33-34 the rank tables
-// (ORPKW only). internal/flatio owns the read/write paths; the IDs live here
-// so every KWCP2 section registry is in one place.
+// the tree's leaf order), 30-32 the dataset image. No section carries a
+// node's box: open derives it from SecFlatCoords. Ids 11 (kd cells), 33 and
+// 34 (ORPKW rank tables) were version 3's and are never reused.
+// internal/flatio owns the read/write paths; the IDs live here so every
+// KWCP2 section registry is in one place.
 const (
 	SecFlatMeta       = 10 // []uint64 {splitterKind, pdim, numNodes, FlatImageVersion}
-	SecFlatCells      = 11 // []float64, 2*pdim per node: Lo then Hi
 	SecFlatNu         = 12 // []int64 node weights
 	SecFlatL          = 13 // []int32 large-keyword counts
 	SecFlatChildFirst = 14 // []int32
@@ -29,12 +31,10 @@ const (
 	SecFlatTensorOff  = 26 // []int64 word offsets per node
 	SecFlatTensorStr  = 27 // []int64 word strides per node
 	SecFlatTensorWrds = 28 // []uint64 non-emptiness bit arrays
-	SecFlatCoords     = 29 // []float64 partitioning coordinates by rank, n x pdim
+	SecFlatCoords     = 29 // []float64 the coordinates queries compare, by rank, n x pdim; for ORPKW the dataset's points
 	SecFlatPoints     = 30 // []float64 dataset points, n x dim
 	SecFlatDocStart   = 31 // []int64, n+1 prefix offsets
 	SecFlatDocWords   = 32 // []uint32 concatenated sorted documents
-	SecFlatRankSorted = 33 // []float64 rank tables, dim x n (ORPKW only)
-	SecFlatRankRanks  = 34 // []int32 rank tables, dim x n (ORPKW only)
 	SecFlatRankIDs    = 35 // []int32 rank -> dataset id, a permutation of [0, n)
 	SecFlatRankLo     = 36 // []int32 first rank of each node's interval
 	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = rank rankLo+i

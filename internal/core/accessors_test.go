@@ -16,9 +16,6 @@ func TestAccessorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orp.RankSpace() == nil {
-		t.Fatal("RankSpace accessor nil")
-	}
 	if _, _, err := orp.Framework().Collect(geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{}); err != nil {
 		t.Fatal(err)
 	}

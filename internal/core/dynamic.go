@@ -254,9 +254,10 @@ type dynBucket struct {
 	handles []int64
 	objs    *dataset.Dataset
 
-	once sync.Once
-	ix   *ORPKW // the one build's index; nil when it failed
-	err  error  // the build's error, or its panic as a *PanicError
+	once  sync.Once
+	built atomic.Bool // set once the build has run, whatever its outcome
+	ix    *ORPKW      // the one build's index; nil when it failed
+	err   error       // the build's error, or its panic as a *PanicError
 }
 
 // index returns the bucket's static index, building it on the first call;
@@ -266,6 +267,7 @@ type dynBucket struct {
 // that follows, never the build, whose index every later read reuses.
 func (d *DynamicORPKW) index(b *dynBucket) (*ORPKW, error) {
 	b.once.Do(func() {
+		defer b.built.Store(true)
 		defer func() {
 			if r := recover(); r != nil {
 				b.ix, b.err = nil, newPanicError("DynamicORPKW.index", r, fmt.Sprintf("bucket of %d entries", len(b.handles)))

@@ -153,22 +153,28 @@ func (b *PagedBase) EstimateWork(ws []dataset.Keyword) int64 {
 // EstimateWork bounds the work units of a query for ws against the currently
 // published state, summing its parts the way queryState visits them: one unit
 // per buffered entry, the base, then every bucket's root estimate. It is
-// lock-free, and O(k) and allocation-free per bucket already indexed; a
-// bucket no read has reached yet is built first, as a query would (the build
-// is the query's to pay either way). A bucket whose build failed adds
-// nothing: the query stops there with the build's error.
+// lock-free and allocation-free, and it builds nothing: a bucket no read has
+// indexed yet is priced from its entry count alone, at Theorem 1's bound with
+// OUT = every entry (as ORPKWHigh.EstimateWork prices its index), which marks
+// a leg that will pay a build as heavy; the leg that reads the bucket builds
+// it. A bucket whose build failed adds nothing: the query stops there with
+// the build's error. A keyword tuple of the wrong arity estimates 0.
 func (d *DynamicORPKW) EstimateWork(ws []dataset.Keyword) int64 {
+	if len(ws) != d.k {
+		return 0
+	}
 	sn := d.state.Load()
 	est := int64(len(sn.buffer))
 	if sn.base != nil {
 		est += sn.base.EstimateWork(ws)
 	}
 	for _, b := range sn.buckets {
-		if b == nil {
-			continue
-		}
-		if ix, err := d.index(b); err == nil {
-			est += ix.EstimateWork(ws)
+		switch {
+		case b == nil:
+		case !b.built.Load():
+			est += int64(frameworkCost(pow(float64(b.objs.N()), 1-1/float64(d.k)), d.k, float64(len(b.handles))))
+		case b.err == nil:
+			est += b.ix.EstimateWork(ws)
 		}
 	}
 	return est

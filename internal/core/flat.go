@@ -2,10 +2,12 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"kwsc/internal/bits"
 	"kwsc/internal/dataset"
+	"kwsc/internal/geom"
 	"kwsc/internal/spart"
 )
 
@@ -17,6 +19,10 @@ import (
 // chasing per-node slice headers. Node payloads live in shared arenas
 // addressed by monotone start offsets:
 //
+//   - boxes:        a kd node's tight box — the componentwise min and max of
+//     coords over its rank interval — 2·pdim floats in one arena, derived
+//     from coords at build and at open and never stored (deriveBoxes); the
+//     other splitters keep cells, as the splitter made them;
 //   - pivots:       implicit — node u's are the ranks [rankLo[u],
 //     rankLo[u]+pivotCount[u]);
 //   - large keys:   sorted per node in one arena with the tensor numbering
@@ -31,7 +37,10 @@ import (
 type flatLayout struct {
 	// Node skeleton, BFS order. Children of node u are exactly the ids
 	// [childFirst[u], childFirst[u]+childCount[u]), in original child order.
+	// A kd tree keeps boxes, node u's Lo at boxes[2·pdim·u:] and its Hi
+	// pdim floats on, and no cells; every other tree keeps cells only.
 	cells      []spart.Cell
+	boxes      []float64
 	nu         []int64
 	l          []int32 // L = number of large keywords
 	childFirst []int32
@@ -86,14 +95,14 @@ const (
 	ListBitmap = 1
 )
 
-// pack fills the layout from the builder's nodes (index 0 is the root).
-func (f *Framework) pack(nodes []fnode) {
+// pack fills the layout from the builder's nodes (index 0 is the root); a kd
+// tree keeps no cells, its boxes are derived once coords are in place.
+func (f *Framework) pack(nodes []fnode, kd bool) {
 	nn := len(nodes)
 	// Pass 1: BFS over the builder's tree. order[newID] = oldID; a node's
 	// children are assigned consecutive new ids the moment it is dequeued.
 	order := make([]int32, 1, nn)
 	f.flatLayout = flatLayout{
-		cells:        make([]spart.Cell, nn),
 		nu:           make([]int64, nn),
 		l:            make([]int32, nn),
 		childFirst:   make([]int32, nn),
@@ -107,6 +116,9 @@ func (f *Framework) pack(nodes []fnode) {
 		tensorStride: make([]int64, nn),
 	}
 	fl := &f.flatLayout
+	if !kd {
+		fl.cells = make([]spart.Cell, nn)
+	}
 	for head := 0; head < len(order); head++ {
 		n := &nodes[order[head]]
 		fl.childFirst[head] = int32(len(order))
@@ -118,7 +130,9 @@ func (f *Framework) pack(nodes []fnode) {
 	var perm []int32
 	for newID, oldID := range order {
 		n := &nodes[oldID]
-		fl.cells[newID] = n.cell
+		if fl.cells != nil {
+			fl.cells[newID] = n.cell
+		}
 		fl.nu[newID] = n.nu
 		fl.l[newID] = int32(len(n.large))
 
@@ -155,6 +169,48 @@ func (f *Framework) pack(nodes []fnode) {
 			}
 		}
 	}
+}
+
+// deriveBoxes sets every node's tight box from f.coords: the componentwise
+// min and max of the coordinates of its rank interval, pivots included.
+// Children follow their parent in BFS order, so one backward pass folds a
+// node's pivots and its children's boxes — every coordinate and every box is
+// read once, O(N·pdim + nodes·pdim). It reports false, leaving no boxes, on a
+// NaN coordinate, which no box can hold.
+func (f *Framework) deriveBoxes() bool {
+	fl, d := &f.flatLayout, f.pdim
+	boxes := make([]float64, 2*d*len(fl.nu))
+	for u := len(fl.nu) - 1; u >= 0; u-- {
+		lo, hi := boxes[2*d*u:(2*u+1)*d], boxes[(2*u+1)*d:2*d*(u+1)]
+		for j := range lo {
+			lo[j], hi[j] = math.Inf(1), math.Inf(-1)
+		}
+		for r := fl.rankLo[u]; r < fl.rankLo[u]+fl.pivotCount[u]; r++ {
+			for j, c := range f.coords[int(r)*d : int(r+1)*d] {
+				if c != c {
+					return false
+				}
+				lo[j], hi[j] = min(lo[j], c), max(hi[j], c)
+			}
+		}
+		for c := int(fl.childFirst[u]); c < int(fl.childFirst[u]+fl.childCount[u]); c++ {
+			for j := range lo {
+				lo[j], hi[j] = min(lo[j], boxes[2*d*c+j]), max(hi[j], boxes[(2*c+1)*d+j])
+			}
+		}
+	}
+	fl.boxes = boxes
+	return true
+}
+
+// relate classifies region q against node u: its tight box in a kd tree, its
+// splitter cell in any other.
+func (f *Framework) relate(u int32, q geom.Region) geom.Relation {
+	if f.boxes == nil {
+		return f.split.Relate(f.cells[u], q)
+	}
+	d := int(u) * 2 * f.pdim
+	return q.RelateRect(f.boxes[d:d+f.pdim], f.boxes[d+f.pdim:d+2*f.pdim])
 }
 
 // byKeyword appends to perm the indexes of keys in ascending keyword order.

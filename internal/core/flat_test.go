@@ -40,15 +40,18 @@ func randWs(rng *rand.Rand, k, vocab int) []dataset.Keyword {
 	return ws
 }
 
-// The space claim as a number: the seed-31 corpus audits at 69 316 words. It
+// The space claim as a number: the seed-31 corpus audits at 47 416 words. It
 // was 132 476 while every object carried a document hash table; membership
 // now probes the sorted document, so the audit has no such term to grow back.
 // It was 67 252 before the audit counted the directories that make rank
 // conversion and the root's keyword lookups O(1) expected: 2 050 words for
 // the two rank-space dimensions, one int32 per 4 coordinates, and 14 for the
-// root's keyword runs.
+// root's keyword runs. It was 69 316 while queries converted to rank space:
+// the 26 626 words of the rank tables and their directories went, and each
+// of the 2 363 kd nodes now counts its box, 4 words, where it counted a
+// 2-word cell interface (+4 726).
 func TestFlatSpaceSmaller(t *testing.T) {
-	const pinWords, hashSetWords = 69_316, 132_476
+	const pinWords, hashSetWords = 47_416, 132_476
 	ds := workload.Gen(workload.Config{Seed: 31, Objects: 1 << 13, Dim: 2, Vocab: 100, DocLen: 6})
 	ix, err := BuildORPKW(ds, 2, WithoutObs())
 	if err != nil {

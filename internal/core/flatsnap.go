@@ -8,7 +8,6 @@ import (
 	"kwsc/internal/bits"
 	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
-	"kwsc/internal/geom"
 	"kwsc/internal/spart"
 )
 
@@ -16,9 +15,10 @@ import (
 // exposes a Framework as plain columns (FlatArenas), and
 // NewFrameworkFromFlat rebuilds a query-ready Framework from untrusted
 // columns — e.g. ones aliasing a read-only KWCP2 mapping (internal/flatio).
-// Only the rectangle splitter spart.KD round-trips: its cells are 2*pdim
-// float64 bounds. Willard2D cells are convex polygons built during the
-// ham-sandwich recursion and have no fixed-width serialized form.
+// Only the rectangle splitter spart.KD round-trips: its cells are the tight
+// boxes of its nodes, which the image does not carry — they are derived from
+// the coordinates again at open. Willard2D cells are convex polygons built
+// during the ham-sandwich recursion and have no fixed-width serialized form.
 
 // FlatSplitKD is the splitter kind a FlatArenas image carries: spart.KD over
 // PDim-dimensional points.
@@ -37,15 +37,14 @@ type FlatArenas struct {
 	NumObjects   int // dataset size; an image indexes every object
 
 	// Objects by rank (leaf order, see Framework): RankIDs[r] is the dataset
-	// id of rank r, Coords its PDim partitioning coordinates, row-major.
+	// id of rank r, Coords the PDim coordinates queries compare, row-major.
+	// Every node's box is derived from Coords.
 	RankIDs []int32
 	Coords  []float64
 
-	// Node skeleton, BFS order (see flatLayout). CellBounds packs each cell
-	// as Lo[0..PDim) then Hi[0..PDim). Node u's active set is the rank
-	// interval starting at RankLo[u]; its first PivotCount[u] ranks are the
-	// pivot set and its children's intervals follow in child order.
-	CellBounds []float64
+	// Node skeleton, BFS order (see flatLayout). Node u's active set is the
+	// rank interval starting at RankLo[u]; its first PivotCount[u] ranks are
+	// the pivot set and its children's intervals follow in child order.
 	Nu         []int64
 	L          []int32
 	ChildFirst []int32
@@ -84,8 +83,7 @@ func (f *Framework) ExportFlat() (*FlatArenas, error) {
 		return nil, fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
 	}
 	fl := &f.flatLayout
-	nn := len(fl.cells)
-	a := &FlatArenas{
+	return &FlatArenas{
 		SplitterKind: FlatSplitKD,
 		K:            f.k,
 		PDim:         f.pdim,
@@ -111,17 +109,7 @@ func (f *Framework) ExportFlat() (*FlatArenas, error) {
 		TensorOff:    fl.tensorOff,
 		TensorStride: fl.tensorStride,
 		TensorWords:  fl.tensorArena.Raw(),
-	}
-	a.CellBounds = make([]float64, 0, 2*f.pdim*nn)
-	for u, c := range fl.cells {
-		r, ok := c.(*geom.Rect)
-		if !ok {
-			return nil, fmt.Errorf("core: node %d cell is %T, not a rectangle", u, c)
-		}
-		a.CellBounds = append(a.CellBounds, r.Lo...)
-		a.CellBounds = append(a.CellBounds, r.Hi...)
-	}
-	return a, nil
+	}, nil
 }
 
 // NewFrameworkFromFlat rebuilds a query-ready Framework from exported
@@ -158,10 +146,6 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		len(a.RankLo) != nn || len(a.PivotCount) != nn ||
 		len(a.TensorOff) != nn || len(a.TensorStride) != nn {
 		return nil, fmt.Errorf("core: flat image skeleton columns disagree on node count")
-	}
-	if len(a.CellBounds) != 2*a.PDim*nn {
-		return nil, fmt.Errorf("core: flat image carries %d cell bounds for %d nodes of dimension %d",
-			len(a.CellBounds), nn, a.PDim)
 	}
 	if len(a.Coords) != n*a.PDim {
 		return nil, fmt.Errorf("core: flat image carries %d coordinates for %d objects of dimension %d",
@@ -246,15 +230,6 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 			next += span[c]
 		}
 	}
-	for j := 0; j < 2*a.PDim*nn; j += 2 * a.PDim {
-		for d := 0; d < a.PDim; d++ {
-			lo, hi := a.CellBounds[j+d], a.CellBounds[j+a.PDim+d]
-			if !(lo <= hi) { // also rejects NaN
-				return nil, fmt.Errorf("core: node %d cell is empty or NaN on dimension %d", j/(2*a.PDim), d)
-			}
-		}
-	}
-
 	for u := 0; u < nn; u++ {
 		ls, le := a.LargeStart[u], a.LargeStart[u+1]
 		if int(a.L[u]) != int(le-ls) {
@@ -313,7 +288,6 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 	}
 
 	fl := flatLayout{
-		cells:        make([]spart.Cell, nn),
 		nu:           a.Nu,
 		l:            a.L,
 		childFirst:   a.ChildFirst,
@@ -333,13 +307,13 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 		tensorStride: a.TensorStride,
 		tensorArena:  bits.ArenaFromWords(a.TensorWords),
 	}
-	for u := 0; u < nn; u++ {
-		fl.cells[u] = &geom.Rect{
-			Lo: a.CellBounds[2*a.PDim*u : 2*a.PDim*u+a.PDim],
-			Hi: a.CellBounds[2*a.PDim*u+a.PDim : 2*a.PDim*(u+1)],
-		}
-	}
+	// The boxes are derived, never read: whatever the sections say, a box
+	// bounds exactly the coordinates of its node's ranks, so no box can call a
+	// point covered that lies outside the query.
 	f := &Framework{ds: ds, k: a.K, split: &spart.KD{Dim: a.PDim}, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flatLayout: fl, leafSize: 8}
+	if !f.deriveBoxes() {
+		return nil, fmt.Errorf("%w: a NaN coordinate", codec.ErrCorrupt)
+	}
 	f.accountSpace()
 	f.countRootDF()
 	return f, nil
@@ -418,22 +392,30 @@ func tensorWordsChecked(L int64, k int) (int64, bool) {
 	return (s + 63) / 64, true
 }
 
-// NewORPKWFromParts assembles an ORPKW around a reconstructed framework and
-// rank space — the open path for paged flat images (internal/flatio). The
-// framework must have been built (or rebuilt) over ds's rank-space points.
-func NewORPKWFromParts(ds *dataset.Dataset, rs *dataset.RankSpace, fw *Framework, opts ...BuildOption) (*ORPKW, error) {
+// NewORPKWFromParts assembles an ORPKW around a reconstructed framework — the
+// open path for paged flat images (internal/flatio). An ORPKW compares the
+// dataset's own points, so the framework's coordinates must be ds's points
+// read through its rank column, bit for bit; an image whose coordinates
+// differ is refused as codec.ErrCorrupt.
+func NewORPKWFromParts(ds *dataset.Dataset, fw *Framework, opts ...BuildOption) (*ORPKW, error) {
 	o := resolveOpts(opts)
-	if fw == nil || rs == nil {
+	if fw == nil {
 		return nil, fmt.Errorf("core: ORPKW parts incomplete")
 	}
 	if fw.Dataset() != ds {
 		return nil, fmt.Errorf("core: framework was built over a different dataset")
 	}
-	if rs.Dim() != ds.Dim() || fw.PointDim() != ds.Dim() {
-		return nil, fmt.Errorf("core: rank space dim %d, framework dim %d, dataset dim %d disagree",
-			rs.Dim(), fw.PointDim(), ds.Dim())
+	if d := fw.PointDim(); d != ds.Dim() {
+		return nil, fmt.Errorf("core: framework dim %d, dataset dim %d disagree", d, ds.Dim())
 	}
-	return newORPKW(ds, rs, fw, o), nil
+	for r, id := range fw.ids {
+		for j, p := range ds.Point(id) {
+			if c := fw.coords[r*fw.pdim+j]; math.Float64bits(c) != math.Float64bits(p) {
+				return nil, fmt.Errorf("%w: rank %d coordinate %d is %g, the point of object %d has %g", codec.ErrCorrupt, r, j, c, id, p)
+			}
+		}
+	}
+	return newORPKW(ds, fw, o), nil
 }
 
 // NewSPKWFromParts assembles an SPKW around a reconstructed framework — the

@@ -43,7 +43,7 @@ type Framework struct {
 	// Framework — lists, bitmaps and coords are all addressed by them — and
 	// ids translates back where an object leaves it: emit and document probes.
 	ids    []int32   // rank -> dataset id
-	coords []float64 // partitioning coordinates (rank space or original), pdim per rank
+	coords []float64 // the coordinates queries compare, pdim per rank
 	pdim   int
 
 	flatLayout // the tree: node skeleton and payload arenas (flat.go)
@@ -56,7 +56,8 @@ type Framework struct {
 }
 
 // fnode is one tree node as the builder assembles it: scratch that pack
-// turns into the flatLayout columns and BuildFramework drops on return.
+// turns into the flatLayout columns and BuildFramework drops on return. A kd
+// build leaves cell nil: its nodes are related by their tight boxes.
 type fnode struct {
 	cell     spart.Cell
 	children []int32
@@ -102,7 +103,7 @@ type SpaceBreakdown struct {
 	LargeWords int64 // large-keyword hash tables
 	MatWords   int64 // materialized small-keyword lists
 	TensorBits int64 // k-dimensional non-emptiness bit arrays
-	AuxWords   int64 // problem-specific extras (rank tables, coordinate arrays)
+	AuxWords   int64 // problem-specific extras (rank tables, directories, coordinate arrays)
 }
 
 // TotalWords converts the breakdown to words, charging the bit arrays at
@@ -143,6 +144,10 @@ type FrameworkConfig struct {
 	// dimension-reduction tree builds one framework per node); when set it
 	// overrides Parallelism.
 	gate *parGate
+	// ownCoords keeps the dataset's own points as the coordinates queries
+	// compare, Points only steering the splits: ORP-KW splits in rank space
+	// and answers in the original one (DESIGN.md, substitution 2).
+	ownCoords bool
 }
 
 // BuildFramework runs Step 2 of the framework over the dataset.
@@ -227,19 +232,33 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	}
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.
+	var root spart.Cell
+	if b.kd == nil {
+		root = f.split.RootCell(b.pts, local)
+	}
 	b.sc = getKwScratch(len(b.words))
-	b.build(f.split.RootCell(b.pts, local), local, iota32(len(b.words)), cnt, 0, 0)
+	b.build(root, local, iota32(len(b.words)), cnt, 0, 0)
 	kwScratchPool.Put(b.sc)
-	if n > 0 {
+	switch {
+	case n > 0:
 		f.pdim = len(b.pts[0])
+	case b.kd != nil:
+		f.pdim = b.kd.Dim
 	}
 	f.ids = b.seq
 	f.coords = make([]float64, n*f.pdim)
 	for r, id := range f.ids {
-		copy(f.coords[r*f.pdim:(r+1)*f.pdim], b.pts[id])
+		p := b.pts[id]
+		if cfg.ownCoords {
+			p = ds.Point(objs[id])
+		}
+		copy(f.coords[r*f.pdim:(r+1)*f.pdim], p)
 		f.ids[r] = objs[id]
 	}
-	f.pack(b.nodes)
+	f.pack(b.nodes, b.kd != nil)
+	if b.kd != nil && !f.deriveBoxes() {
+		return nil, fmt.Errorf("core: a NaN partitioning coordinate has no place in a box")
+	}
 	f.accountSpace()
 	return f, nil
 }
@@ -400,7 +419,11 @@ func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int,
 		}
 		r := &results[ri]
 		ri++
-		childCell, childLo := cells[c], clo
+		var childCell spart.Cell
+		if cells != nil {
+			childCell = cells[c]
+		}
+		childLo := clo
 		clo += int32(len(g))
 		if len(g) >= parallelCutoff && b.gate.tryAcquire() {
 			sub := *b
@@ -516,10 +539,11 @@ func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth 
 // kdSplit is split over the presorted lists of the node over ranks
 // [lo, lo+len(objs)): the split axis's list names the pivot and the children,
 // and after the partition every list is in child order. Each child's objects
-// are its axis-0 list.
-func (b *builder) kdSplit(cell spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
+// are its axis-0 list. It returns no cells: a kd node is related by its tight
+// box, which the finished tree derives (deriveBoxes).
+func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
 	l, h := int(lo), int(lo)+len(objs)
-	cells, axis, from, to, ok := b.kd.SplitSorted(cell, b.sorted, l, h, b.weight, nu, depth)
+	axis, from, to, ok := b.kd.SplitSorted(b.sorted, l, h, b.weight, nu, depth)
 	if !ok {
 		return nil, nil, 0, false
 	}
@@ -527,7 +551,7 @@ func (b *builder) kdSplit(cell spart.Cell, objs []int32, lo int32, nu int64, dep
 	npiv := to - from
 	l0 := b.sorted.List(0, l, h)
 	copy(b.seq[lo:], l0[:npiv])
-	return cells, [][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, int32(npiv), true
+	return nil, [][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, int32(npiv), true
 }
 
 // leaf finishes node idx as a leaf: its whole active set is its pivot set,
@@ -636,11 +660,11 @@ func (f *Framework) K() int { return f.k }
 func (f *Framework) Dataset() *dataset.Dataset { return f.ds }
 
 // NumNodes returns the number of tree nodes.
-func (f *Framework) NumNodes() int { return len(f.cells) }
+func (f *Framework) NumNodes() int { return len(f.nu) }
 
-// PointDim returns the dimensionality of the partitioning coordinates (the
-// lifted dimension for SRP-KW, the rank-space dimension for ORP-KW); query
-// validation checks constraints against it.
+// PointDim returns the dimensionality of the coordinates queries compare (the
+// lifted dimension for SRP-KW, the dataset's for ORP-KW); query validation
+// checks constraints against it.
 func (f *Framework) PointDim() int { return f.pdim }
 
 // Space returns the analytic space audit.
@@ -650,11 +674,16 @@ func (f *Framework) Space() SpaceBreakdown { return f.space }
 // counts as two words. AuxWords accrue outside the tree, after this runs.
 func (f *Framework) accountSpace() {
 	var s SpaceBreakdown
-	nn := int64(len(f.cells))
-	// Skeleton: cell (2 words: interface), nu, tensorOff, tensorStride, plus
-	// the eight int32 columns (l, childFirst, childCount, rankLo, rankSpan,
-	// pivotCount, largeStart, matStart) at half a word each.
-	s.NodeWords = 5*nn + 4*nn
+	nn := int64(len(f.nu))
+	// Skeleton: the cell — a kd node's box, 2·pdim floats, or else an
+	// interface of 2 words — nu, tensorOff, tensorStride, plus the eight int32
+	// columns (l, childFirst, childCount, rankLo, rankSpan, pivotCount,
+	// largeStart, matStart) at half a word each.
+	cellWords := 2 * nn
+	if f.boxes != nil {
+		cellWords = int64(len(f.boxes))
+	}
+	s.NodeWords = cellWords + 3*nn + 4*nn
 	// The rank -> id column is the pivot sets themselves, concatenated in leaf
 	// order; a node says which stretch is its own with rankLo and pivotCount.
 	s.PivotWords = (int64(len(f.ids)) + 1) / 2

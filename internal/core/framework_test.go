@@ -53,7 +53,7 @@ func TestLargeSmallInvariants(t *testing.T) {
 	}
 	f := ix.Framework()
 	k := float64(f.k)
-	for u := range f.cells {
+	for u := range f.nu {
 		if f.childCount[u] == 0 {
 			continue
 		}
@@ -118,7 +118,7 @@ func TestTensorSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ix.Framework()
-	for u := range f.cells {
+	for u := range f.nu {
 		L := f.l[u]
 		if f.childCount[u] == 0 || L < 2 {
 			continue
@@ -326,13 +326,10 @@ func TestCrossingCostVerticalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A zero-width rank rectangle behaves as a vertical line.
+	// A zero-width rectangle at the median x coordinate behaves as a
+	// vertical line through the middle of the points.
 	n := float64(ds.N())
-	rq := &geom.Rect{
-		Lo: []float64{float64(ds.Len() / 2), math.Inf(-1)},
-		Hi: []float64{float64(ds.Len() / 2), math.Inf(1)},
-	}
-	cost, err := ix.Framework().CrossingCost(rq, []dataset.Keyword{0, 1})
+	cost, err := ix.Framework().CrossingCost(workload.VerticalLine(ds), []dataset.Keyword{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,17 @@ import (
 )
 
 // ORPKW is the orthogonal-range-reporting-with-keywords index of Theorem 1:
-// the kd-tree put through the transformation framework, operating in rank
-// space (Step 4, Section 3.4). For d <= 2 it provides the paper's
+// the kd-tree put through the transformation framework. The tree is split in
+// rank space (Step 4, Section 3.4), which gives it general position, and
+// queried in the points' own coordinates: its coords are the dataset's
+// points by rank and a node's cell is their tight box, which relates to a
+// rectangle exactly as the node's rank box relates to the rectangle's rank
+// conversion (DESIGN.md, substitution 2). For d <= 2 it provides the paper's
 // O(N)-space, O(N^{1-1/k} (1 + OUT^{1/k}))-query guarantee; for d >= 3 the
 // same construction still answers correctly but its crossing sensitivity
 // degrades as noted in Section 3.5 — use ORPKWHigh (Theorem 2) there.
 type ORPKW struct {
 	ds *dataset.Dataset
-	rs *dataset.RankSpace
 	fw *Framework
 
 	fam    family     // metrics family (famNone when built with NoObs)
@@ -34,27 +37,26 @@ func BuildORPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) 
 		return nil, err
 	}
 	bt := obsBuildStart()
-	rs := dataset.NewRankSpace(ds)
 	fw, err := BuildFramework(ds, FrameworkConfig{
 		K:           k,
 		Splitter:    &spart.KD{Dim: ds.Dim()},
-		Points:      rs.RankPoints(0),
+		Points:      dataset.NewRankSpace(ds).RankPoints(0),
 		Parallelism: opts.Parallelism,
+		ownCoords:   true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ix := newORPKW(ds, rs, fw, opts)
+	ix := newORPKW(ds, fw, opts)
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
 
-// newORPKW assembles the index around its rank space and framework, deriving
-// the root's keyword directories; the space audit counts the rank tables and
-// every directory beside the tree.
-func newORPKW(ds *dataset.Dataset, rs *dataset.RankSpace, fw *Framework, opts BuildOpts) *ORPKW {
-	fw.space.AuxWords += rs.SpaceWords() + fw.indexRoot()
-	return &ORPKW{ds: ds, rs: rs, fw: fw, fam: opts.famFor(famORPKW), tracer: opts.Tracer}
+// newORPKW assembles the index around its framework, deriving the root's
+// keyword directories; the space audit counts them beside the tree.
+func newORPKW(ds *dataset.Dataset, fw *Framework, opts BuildOpts) *ORPKW {
+	fw.space.AuxWords += fw.indexRoot()
+	return &ORPKW{ds: ds, fw: fw, fam: opts.famFor(famORPKW), tracer: opts.Tracer}
 }
 
 // Query reports every object in q whose document contains all keywords.
@@ -114,30 +116,23 @@ func (ix *ORPKW) check(q *geom.Rect, ws []dataset.Keyword) error {
 }
 
 // run is the one entry into the index — for Query, CollectInto and every
-// bucket of a dynamic query — with a checked rectangle q in original space
-// and qc's keywords, options and policy. After the policy's first stop check
-// the keywords are resolved at the root (resolveRoot): one neither large
-// there nor with a non-empty list occurs in no object, so the answer is empty
-// before q is converted and no node is visited. Otherwise q converts to rank
-// space (Step 4) into the context's rank rectangle and the traversal starts.
+// bucket of a dynamic query — with a checked rectangle q and qc's keywords,
+// options and policy. After the policy's first stop check the keywords are
+// resolved at the root (resolveRoot): one neither large there nor with a
+// non-empty list occurs in no object, so the answer is empty and no node is
+// visited. Otherwise the traversal relates q to the boxes as it is.
 func (ix *ORPKW) run(qc *qctx, q *geom.Rect) {
-	f := ix.fw
-	rq := qc.rankRect(ix.rs.Dim())
-	qc.enter(f, rq)
-	if qc.stop() || !qc.resolveRoot() || !ix.rs.ToRankRectInto(q, rq) {
+	qc.enter(ix.fw, q)
+	if qc.stop() || !qc.resolveRoot() {
 		return
 	}
-	if rel := f.split.Relate(f.cells[0], rq); rel != geom.Disjoint {
+	if rel := qc.relate(0); rel != geom.Disjoint {
 		qc.visit(0, rel)
 	}
 }
 
 // Framework exposes the underlying transformed index (for instrumentation).
 func (ix *ORPKW) Framework() *Framework { return ix.fw }
-
-// RankSpace exposes the rank conversion (for instrumentation and the NN
-// searches of Corollary 4, which binary-search over rank-space rectangles).
-func (ix *ORPKW) RankSpace() *dataset.RankSpace { return ix.rs }
 
 // Space returns the analytic space audit.
 func (ix *ORPKW) Space() SpaceBreakdown { return ix.fw.Space() }

@@ -164,7 +164,7 @@ func (f *Framework) checkQuery(ws []dataset.Keyword) error {
 func (f *Framework) run(qc *qctx, q geom.Region) {
 	qc.enter(f, q)
 	qc.resolveRoot()
-	if rel := f.split.Relate(f.cells[0], q); rel != geom.Disjoint {
+	if rel := qc.relate(0); rel != geom.Disjoint {
 		qc.visit(0, rel)
 	}
 }
@@ -213,14 +213,28 @@ func (qc *qctx) resolveRoot() bool {
 	return holds
 }
 
-// rankRect returns the context's rank-space rectangle, sized to dim: one per
-// query, taken only when a part needs a rectangle converted.
-func (qc *qctx) rankRect(dim int) *geom.Rect {
-	if cap(qc.rank.Lo) < dim {
-		qc.rank.Lo, qc.rank.Hi = make([]float64, dim), make([]float64, dim)
+// relate classifies q against node u. A rectangle against a kd tree's box is
+// compared inline on the arena, as Rect.RelateRect compares; any other pair
+// goes through Framework.relate.
+func (qc *qctx) relate(u int32) geom.Relation {
+	f := qc.f
+	if qc.qLo == nil || f.boxes == nil {
+		return f.relate(u, qc.q)
 	}
-	qc.rank.Lo, qc.rank.Hi = qc.rank.Lo[:dim], qc.rank.Hi[:dim]
-	return &qc.rank
+	d := f.pdim
+	box := f.boxes[2*d*int(u) : 2*d*(int(u)+1)]
+	lo, hi := box[:d], box[d:]
+	rel := geom.Covered
+	for j, ql := range qc.qLo {
+		qh := qc.qHi[j]
+		if hi[j] < ql || lo[j] > qh {
+			return geom.Disjoint
+		}
+		if lo[j] < ql || hi[j] > qh {
+			rel = geom.Crossing
+		}
+	}
+	return rel
 }
 
 // qctx is the per-query traversal state. Contexts are pooled: the sorted
@@ -258,13 +272,12 @@ type qctx struct {
 	clipLeft int64
 
 	// Rect fast path: when q is a *geom.Rect, enter caches its bounds so
-	// checkAndEmit tests containment with inlined comparisons over the coords
-	// column instead of an interface call.
+	// relate and checkAndEmit compare them inline against the box arena and
+	// the coords column instead of through an interface call.
 	qLo, qHi []float64
 
-	// rank is the query's rank-space rectangle (rankRect); part is set while
-	// the context runs one Bentley–Saxe bucket of a dynamic query.
-	rank geom.Rect
+	// part is set while the context runs one Bentley–Saxe bucket of a
+	// dynamic query.
 	part dynPart
 }
 
@@ -275,8 +288,7 @@ func putQctx(qc *qctx) {
 		qc.cur[i].Release()
 	}
 	clear(qc.bm)
-	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0], roots: qc.roots, runs: qc.runs[:0],
-		rank: geom.Rect{Lo: qc.rank.Lo[:0], Hi: qc.rank.Hi[:0]}}
+	*qc = qctx{sorted: qc.sorted[:0], res: qc.res[:0], cur: qc.cur, bm: qc.bm, probe: qc.probe[:0], roots: qc.roots, runs: qc.runs[:0]}
 	qctxPool.Put(qc)
 }
 
@@ -366,9 +378,9 @@ func (qc *qctx) scanPivots(lo, hi int32, covered bool) bool {
 // proof for the small keywords — pays the region test and a hash probe for
 // the large ones.
 //
-// If every list is a bitmap they are ANDed a word — 64 ranks — at a time and
-// the set bits of the result are the candidates; with one bitmap that is the
-// paper's scan, bit by bit. Otherwise the lists leapfrog, driven by the
+// If every list is a bitmap they are ANDed a block of bmBlock words at a time
+// (andBlock) and the set bits of the result are the candidates; with one
+// bitmap that is the paper's scan, bit by bit. Otherwise the lists leapfrog, driven by the
 // shortest sparse one (a sparse list is shorter than any dense one at the
 // same node), inside ascending runs of the interval. At a covered node, or
 // one whose drive list is shorter than clipMinDrive, the one run is the whole
@@ -384,27 +396,36 @@ func (qc *qctx) scanPivots(lo, hi int32, covered bool) bool {
 // O(N_u^{1-1/k}), and 1 + the drive list bounds a sparse node's Ops. The
 // cells clip relates are node visits (NodesVisited, CoveredNodes,
 // CrossingNodes, so NodeBudget), not work units, as in PagedBase.Query. A
-// stop check follows the clip, every word and every candidate. Ranks are
-// emitted in ascending order: leaf order.
+// stop check follows the clip and every candidate, and in an all-bitmap node
+// every block: the node visits NodeBudget counts do not change inside a stop
+// node, Limit is met at a candidate, and the policy reads the clock every
+// polPollEvery checks, so at most polPollEvery blocks pass between reads.
+// Ranks are emitted in ascending order: leaf order.
 func (qc *qctx) intersectSmall(u int32, ms, md int, covered bool) {
 	f := qc.f
 	lo := f.rankLo[u]
 	bm := qc.bm[:md]
 	if ms == 0 {
-		for wi, w := range bm[0] {
-			for _, b := range bm[1:] {
-				w &= b[wi]
-			}
-			qc.st.MatScanned++
-			qc.st.Ops++
-			for base := lo + int32(wi)<<6; w != 0; w &= w - 1 {
-				qc.st.MatScanned++
-				qc.st.Ops++
-				qc.checkAndEmit(base+int32(bits.TrailingZeros64(w)), covered, qc.probe)
-				if qc.stop() {
-					return
+		// A block's words are charged when it ends, or up to the word whose
+		// candidate stopped the query: no stop check reads the units.
+		var blk [bmBlock]uint64
+		for from := 0; from < len(bm[0]); from += bmBlock {
+			words := blk[:min(bmBlock, len(bm[0])-from)]
+			andBlock(words, bm, from)
+			for i, w := range words {
+				for base := lo + int32(from+i)<<6; w != 0; w &= w - 1 {
+					qc.st.MatScanned++
+					qc.st.Ops++
+					qc.checkAndEmit(base+int32(bits.TrailingZeros64(w)), covered, qc.probe)
+					if qc.stop() {
+						qc.st.MatScanned += int64(i + 1)
+						qc.st.Ops += int64(i + 1)
+						return
+					}
 				}
 			}
+			qc.st.MatScanned += int64(len(words))
+			qc.st.Ops += int64(len(words))
 			if qc.stop() {
 				return
 			}
@@ -429,6 +450,22 @@ func (qc *qctx) intersectSmall(u int32, ms, md int, covered bool) {
 		qc.runs = append(qc.runs, rankRun{lo, lo + f.rankSpan[u], covered})
 	}
 	leapfrog(&qc.st, qc.runs, cur, d, bm, lo, qc.match, nil, qc.stop)
+}
+
+// bmBlock is how many words of an all-bitmap stop node are ANDed between two
+// stop checks.
+const bmBlock = 64
+
+// andBlock writes to words the AND of the bitmaps bm over their words
+// [from, from+len(words)): one pass per bitmap over the block.
+func andBlock(words []uint64, bm [][]uint64, from int) {
+	copy(words, bm[0][from:])
+	for _, b := range bm[1:] {
+		b = b[from : from+len(words)]
+		for i := range words {
+			words[i] &= b[i]
+		}
+	}
 }
 
 // match is the framework's candidate step: checkAndEmit, vouched for by the
@@ -544,7 +581,7 @@ func (qc *qctx) clip(v int32, span, shortest int64) {
 			continue
 		}
 		qc.clipLeft--
-		rel := f.split.Relate(f.cells[c], qc.q)
+		rel := qc.relate(c)
 		if rel == geom.Disjoint {
 			continue
 		}
@@ -654,7 +691,7 @@ func (qc *qctx) visit(u int32, rel geom.Relation) {
 		child := first + ci
 		crel := geom.Covered
 		if !covered {
-			crel = f.split.Relate(f.cells[child], qc.q)
+			crel = qc.relate(child)
 			if crel == geom.Disjoint {
 				continue
 			}
@@ -706,12 +743,12 @@ func (f *Framework) CrossingCost(q geom.Region, ws []dataset.Keyword) (float64, 
 			if !f.tensorGet(u, ci, lin) {
 				continue
 			}
-			if f.split.Relate(f.cells[first+ci], q) == geom.Crossing {
+			if f.relate(first+ci, q) == geom.Crossing {
 				rec(first + ci)
 			}
 		}
 	}
-	if f.split.Relate(f.cells[0], q) == geom.Crossing {
+	if f.relate(0, q) == geom.Crossing {
 		rec(0)
 	}
 	return cost, nil

@@ -133,7 +133,8 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 		root.lists = append(root.lists, l)
 	}
 	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8}
-	f.pack(nodes)
+	f.pack(nodes, true)
+	f.deriveBoxes()
 	return f
 }
 
@@ -386,7 +387,7 @@ func smallCounts(f *Framework, q geom.Region, ws []dataset.Keyword, tally map[in
 			return
 		}
 		for c, end := f.childFirst[u], f.childFirst[u]+f.childCount[u]; c < end; c++ {
-			if f.split.Relate(f.cells[c], q) != geom.Disjoint {
+			if f.relate(c, q) != geom.Disjoint {
 				rec(c)
 			}
 		}
@@ -418,9 +419,7 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				equalIDs(t, full, ds.Filter(q, ws), "built index vs oracle")
-				if rq, ok := ix.rs.ToRankRect(q); ok {
-					smallCounts(ix.fw, rq, ws, tally)
-				}
+				smallCounts(ix.fw, q, ws, tally)
 
 				restricted := []QueryOpts{
 					{Limit: 1 + rng.Intn(len(full)+1)},
@@ -473,7 +472,7 @@ func rectHalfspaces(r *geom.Rect) []geom.Halfspace {
 // crossing q, relates every cell it may — the drive list's length — before
 // its descent ends. False when the root is no such stop node.
 func clipExhausted(f *Framework, q geom.Region, ws []dataset.Keyword) bool {
-	if f.childCount[0] == 0 || f.split.Relate(f.cells[0], q) != geom.Crossing {
+	if f.childCount[0] == 0 || f.relate(0, q) != geom.Crossing {
 		return false
 	}
 	shortest := int64(-1)
@@ -679,7 +678,7 @@ func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int)
 	if f.rankLo[0] != 0 || int(f.rankSpan[0]) != len(f.ids) {
 		t.Fatalf("%s: root interval [%d, +%d) over %d objects", label, f.rankLo[0], f.rankSpan[0], len(f.ids))
 	}
-	for u := range f.cells {
+	for u := range f.nu {
 		lo, hi := f.rankLo[u], f.rankLo[u]+f.rankSpan[u]
 		next := lo + f.pivotCount[u]
 		for c := f.childFirst[u]; c < f.childFirst[u]+f.childCount[u]; c++ {
@@ -820,7 +819,7 @@ func TestFlatImageRankValidation(t *testing.T) {
 	// An internal node with at least two children, a sparse list and a bitmap
 	// list (of a span that is not a whole number of words) to aim at.
 	inner, sparse, bitmap := -1, -1, -1
-	for u := range fl.cells {
+	for u := range fl.nu {
 		if inner < 0 && u > 0 && fl.childCount[u] >= 2 {
 			inner = u
 		}
@@ -837,7 +836,7 @@ func TestFlatImageRankValidation(t *testing.T) {
 		t.Fatalf("fixture lacks a target: inner=%d sparse=%d bitmap=%d", inner, sparse, bitmap)
 	}
 	nodeOf := func(list int) int {
-		for u := range fl.cells {
+		for u := range fl.nu {
 			if int(fl.matStart[u]) <= list && list < int(fl.matStart[u+1]) {
 				return u
 			}
@@ -933,5 +932,71 @@ func TestFlatImageRankValidation(t *testing.T) {
 				t.Fatalf("opened as a framework of %d nodes", f.NumNodes())
 			}
 		})
+	}
+}
+
+// An all-bitmap stop node checks for a stop once per bmBlock words and after
+// every candidate. A deadline that passes, or a Done that closes, while the
+// node is being scanned ends the query within polPollEvery further checks,
+// with its typed error and a prefix of the full answer; Limit 1 ends it at the
+// first common rank, charging the words up to it and that one candidate.
+func TestBitmapStopNodePolling(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ds := countedDataset(rng, 20_000, map[dataset.Keyword]int{1: 9000, 2: 7000})
+	ws := []dataset.Keyword{1, 2}
+	f := stopNodeFramework(ds, 2, nil, ws, nil)
+	q := geom.UniverseRect(2)
+	full, fullSt, err := f.Collect(q, ws, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fullSt.NodesVisited != 1 || fullSt.MatScanned != int64(bitmapWords(ds.Len())+len(full)) || len(full) < 4*polPollEvery {
+		t.Fatalf("the root is no all-bitmap stop node of many common ranks: %d ids, %+v", len(full), fullSt)
+	}
+
+	for _, tc := range []struct {
+		name string
+		pol  func() (ExecPolicy, func())
+		want error
+	}{
+		{"deadline", func() (ExecPolicy, func()) {
+			deadline := time.Now().Add(20 * time.Millisecond)
+			return ExecPolicy{Deadline: deadline}, func() { time.Sleep(time.Until(deadline) + time.Millisecond) }
+		}, ErrDeadline},
+		{"done", func() (ExecPolicy, func()) {
+			done := make(chan struct{})
+			return ExecPolicy{Done: done}, func() { close(done) }
+		}, ErrCanceled},
+	} {
+		pol, expire := tc.pol()
+		var got []int32
+		st, err := f.Query(q, ws, QueryOpts{Policy: pol}, func(id int32) {
+			if len(got) == 0 {
+				expire() // the first report comes from inside the stop node
+			}
+			got = append(got, id)
+		})
+		if !errors.Is(err, tc.want) || !st.Truncated {
+			t.Fatalf("%s: err %v, truncated %v; want %v", tc.name, err, st.Truncated, tc.want)
+		}
+		if len(got) > 1+polPollEvery || !slices.Equal(got, full[:len(got)]) {
+			t.Fatalf("%s: %d ids after the stop, not a prefix of the answer cut within %d checks", tc.name, len(got), polPollEvery)
+		}
+	}
+
+	// Limit 1: the first set bit of the AND lies in word first.
+	first := int64(-1)
+	for r := 0; first < 0; r++ {
+		if ds.Has(f.ids[r], 1) && ds.Has(f.ids[r], 2) {
+			first = int64(r) >> 6
+		}
+	}
+	got, st, err := f.Collect(q, ws, QueryOpts{Limit: 1})
+	if err != nil || len(got) != 1 || got[0] != full[0] || !st.Truncated {
+		t.Fatalf("Limit 1: %v, %+v, %v", got, st, err)
+	}
+	if st.NodesVisited != 1 || st.MatScanned != first+2 || st.Ops != first+3 {
+		t.Fatalf("Limit 1: %d nodes, %d units, %d ops; want 1 node, %d units (words to the first common rank, then it), %d ops",
+			st.NodesVisited, st.MatScanned, st.Ops, first+2, first+3)
 	}
 }

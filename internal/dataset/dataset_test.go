@@ -241,7 +241,8 @@ func TestRankSpaceMatchesDefinition(t *testing.T) {
 					}
 				}
 				ds := MustNew(objs)
-				gotSorted, gotRanks := NewRankSpace(ds).Tables()
+				rs := NewRankSpace(ds)
+				gotSorted, gotRanks := rs.sorted, rs.ranks
 				wantSorted, wantRanks := refRankSpace(ds)
 				for j := 0; j < d; j++ {
 					if !slices.Equal(gotRanks[j], wantRanks[j]) {

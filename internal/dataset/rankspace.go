@@ -15,6 +15,9 @@ import (
 // for that is O(log N); a Directory per dimension narrows each search to one
 // bucket's positions first, which makes the conversion O(1) expected on a
 // column whose values spread evenly and keeps O(log N) as the worst case.
+// ORP-KW needs the ranks only to build its tree, which it then queries in the
+// original coordinates (DESIGN.md, substitution 2); the dimension-reduction
+// index of Theorem 2 converts every query.
 type RankSpace struct {
 	dim    int
 	sorted [][]float64 // per dim: coordinate values in rank order
@@ -182,22 +185,4 @@ func (rs *RankSpace) SpaceWords() int64 {
 		s += int64(len(rs.sorted[j])) + int64(len(rs.ranks[j]))/2 + rs.dirs[j].Words()
 	}
 	return s
-}
-
-// Tables exposes the conversion tables for serialization: per-dimension
-// coordinate values in rank order and per-dimension object ranks. The
-// returned slices alias the RankSpace and must be treated as read-only.
-func (rs *RankSpace) Tables() (sorted [][]float64, ranks [][]int32) {
-	return rs.sorted, rs.ranks
-}
-
-// RankSpaceFromTables reassembles a RankSpace from serialized tables (the
-// inverse of Tables), e.g. columns of a paged flat-index image. Callers own
-// validation of the tables' mutual consistency; each dimension must carry
-// one value and one rank per object, values ascending. The directories are
-// derived again here: they are never part of the tables.
-func RankSpaceFromTables(dim int, sorted [][]float64, ranks [][]int32) *RankSpace {
-	rs := &RankSpace{dim: dim, sorted: sorted, ranks: ranks}
-	rs.index()
-	return rs
 }

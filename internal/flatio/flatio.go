@@ -1,9 +1,8 @@
 // Package flatio persists built static indexes (ORPKW, SPKW) as flat-index
 // KWCP2 containers and reopens them without rebuilding. A saved file holds
-// the dataset image (points, documents), the framework's column
-// arenas (internal/core's FlatArenas), and — for ORPKW — the rank tables, so
-// an open is: map the file, verify page checksums, validate structure, and
-// serve. On a little-endian host with the file mapped, the big columns
+// the dataset image (points, documents) and the framework's column arenas
+// (internal/core's FlatArenas), so an open is: map the file, verify page
+// checksums, validate structure, derive the kd boxes, and serve. On a little-endian host with the file mapped, the big columns
 // (coordinates, posting payloads, tensors) alias the mapping directly and
 // the page cache is the only copy; otherwise the columns are decoded into
 // RAM through the pager.

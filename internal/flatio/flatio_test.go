@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -355,8 +356,9 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version "+current) {
 		t.Fatalf("version 1 image: err %v, want a refusal naming versions 1 and %s", err, current)
 	}
-	// Version 2 packed sparse lists into delta blocks; 9 is yet to come.
-	for _, v := range []uint64{2, 9} {
+	// Version 2 packed sparse lists into delta blocks, version 3 stored kd
+	// cells and ORPKW's rank tables; 9 is yet to come.
+	for _, v := range []uint64{2, 3, 9} {
 		other := reframe(t, clean, func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMeta {
 				data = slices.Clone(data)
@@ -528,5 +530,122 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// An ORPKW image's coordinates are its dataset's points read through its
+// rank column; open derives every box from them, so an image whose
+// coordinates say anything else — one float off, two ranks swapped, a NaN —
+// is refused as codec.ErrCorrupt, mapped or not, and one cut short is
+// refused too.
+func TestOpenRefusesCoordsOffThePoints(t *testing.T) {
+	ds := testDataset(t, 17, 300, 2)
+	built, err := core.BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := filepath.Join(t.TempDir(), "clean.kwflat")
+	if err := SaveFileORPKW(clean, built); err != nil {
+		t.Fatal(err)
+	}
+	coords := func(edit func(c []float64) []float64) func(uint32, []byte) []byte {
+		return func(id uint32, data []byte) []byte {
+			if id != codec.SecFlatCoords {
+				return data
+			}
+			return codec.PutF64s(edit(codec.GetF64s(data)))
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(c []float64) []float64
+		corrupt bool
+	}{
+		{"one float up", func(c []float64) []float64 { c[5] = math.Nextafter(c[5], math.Inf(1)); return c }, true},
+		{"two ranks swapped", func(c []float64) []float64 { c[0], c[1], c[2], c[3] = c[2], c[3], c[0], c[1]; return c }, true},
+		{"NaN", func(c []float64) []float64 { c[len(c)-1] = math.NaN(); return c }, true},
+		{"moved outside every query", func(c []float64) []float64 { c[8], c[9] = 1e9, 1e9; return c }, true},
+		{"one float short", func(c []float64) []float64 { return c[:len(c)-1] }, false},
+	} {
+		bad := reframe(t, clean, coords(tc.edit))
+		for _, o := range []Options{{}, {NoMmap: true}} {
+			if _, _, err := OpenORPKW(bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("%s (NoMmap=%v): open returned %v", tc.name, o.NoMmap, err)
+			}
+		}
+	}
+}
+
+// The boxes of an opened image are derived from the coordinates it compares,
+// never read from it, so no section can make a box vouch for a coordinate
+// outside it. An SPKW image may compare coordinates other than its points
+// (lifted ones), so one whose coordinates were moved opens — and still
+// reports only objects whose compared coordinate satisfies every constraint:
+// the object moved far outside is never reported, though its point lies
+// inside the queries and a covered cell stored by an older image would have
+// reported it unexamined.
+func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
+	ds := testDataset(t, 19, 400, 3)
+	built, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := filepath.Join(t.TempDir(), "clean.kwflat")
+	if err := SaveFileSPKW(clean, built); err != nil {
+		t.Fatal(err)
+	}
+	const moved = 37 // the rank sent far away
+	bad := reframe(t, clean, func(id uint32, data []byte) []byte {
+		if id != codec.SecFlatCoords {
+			return data
+		}
+		c := codec.GetF64s(data)
+		c[3*moved], c[3*moved+1], c[3*moved+2] = 1e9, -1e9, 1e9
+		return codec.PutF64s(c)
+	})
+	for _, o := range []Options{{}, {NoMmap: true}} {
+		ix, h, err := OpenSPKW(bad, o)
+		if err != nil {
+			t.Fatalf("NoMmap=%v: %v", o.NoMmap, err)
+		}
+		a, err := ix.Framework().ExportFlat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rankOf := make([]int, ds.Len())
+		for r, id := range a.RankIDs {
+			rankOf[id] = r
+		}
+		victim := a.RankIDs[moved]
+		rng := rand.New(rand.NewSource(20))
+		vouched := 0 // queries the built index answers with the victim
+		for qi := 0; qi < 200; qi++ {
+			hs := []geom.Halfspace{
+				{Coef: []float64{1, 0, 0}, Bound: 1e6},
+				{Coef: []float64{0, -1, 0}, Bound: 1e6},
+				{Coef: []float64{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() - 0.5}, Bound: rng.Float64() * 40},
+			}
+			ws := randKeywords(rng, 2)
+			if qi%2 == 0 {
+				ws = ds.Doc(victim)[:2]
+			}
+			ids, _, err := ix.Collect(hs, ws, core.QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _, _ := built.Collect(hs, ws, core.QueryOpts{}); slices.Contains(want, victim) {
+				vouched++
+			}
+			for _, id := range ids {
+				p := a.Coords[3*rankOf[id] : 3*rankOf[id]+3]
+				if id == victim || !geom.NewPolyhedron(hs...).ContainsPoint(p) {
+					t.Fatalf("query %d (NoMmap=%v): reported %d, compared at %v, outside %v", qi, o.NoMmap, id, p, hs)
+				}
+			}
+		}
+		if vouched == 0 {
+			t.Fatal("no query would have reported the moved object: the test proves nothing")
+		}
+		h.Close()
 	}
 }

@@ -46,7 +46,7 @@ func OpenSPKW(path string, o Options, opts ...core.BuildOption) (*core.SPKW, *Ha
 // demand-paged. Best-effort; no-op off Linux.
 func adviseSkeleton(f *pager.File, c *codec.Container) {
 	skeleton := []uint32{
-		codec.SecFlatMeta, codec.SecFlatCells, codec.SecFlatNu, codec.SecFlatL,
+		codec.SecFlatMeta, codec.SecFlatNu, codec.SecFlatL,
 		codec.SecFlatChildFirst, codec.SecFlatChildCount,
 		codec.SecFlatPivotCount, codec.SecFlatRankLo,
 	}
@@ -67,15 +67,11 @@ func openORPKWFrom(f *pager.File, c *codec.Container, opts []core.BuildOption) (
 	if err != nil {
 		return nil, err
 	}
-	rs, err := loadRankSpace(sr, ds)
-	if err != nil {
-		return nil, err
-	}
 	fw, err := core.NewFrameworkFromFlat(ds, a)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewORPKWFromParts(ds, rs, fw, opts...)
+	return core.NewORPKWFromParts(ds, fw, opts...)
 }
 
 func openSPKWFrom(f *pager.File, c *codec.Container, opts []core.BuildOption) (*core.SPKW, error) {
@@ -159,9 +155,6 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 		PDim:         int(fm[1]),
 		NumObjects:   n,
 	}
-	if a.CellBounds, err = sr.f64s(codec.SecFlatCells, "cells"); err != nil {
-		return nil, nil, err
-	}
 	if a.Nu, err = sr.i64s(codec.SecFlatNu, "node weights"); err != nil {
 		return nil, nil, err
 	}
@@ -231,41 +224,4 @@ func loadCommon(sr *secReader, meta codec.PagedMeta) (*dataset.Dataset, *core.Fl
 		return nil, nil, fmt.Errorf("%w: flat meta claims %d nodes, weights carry %d", codec.ErrCorrupt, nn, len(a.Nu))
 	}
 	return ds, a, nil
-}
-
-// loadRankSpace reconstructs the ORPKW rank tables: per dimension, the
-// sorted coordinate array (what query rectangles binary-search against) and
-// the per-object ranks. Both must be exactly n entries per dimension; the
-// sorted arrays must be non-decreasing and the ranks in [0, n).
-func loadRankSpace(sr *secReader, ds *dataset.Dataset) (*dataset.RankSpace, error) {
-	n, dim := ds.Len(), ds.Dim()
-	ss, err := sr.f64s(codec.SecFlatRankSorted, "rank sorted")
-	if err != nil {
-		return nil, err
-	}
-	rr, err := sr.i32s(codec.SecFlatRankRanks, "rank indexes")
-	if err != nil {
-		return nil, err
-	}
-	if len(ss) != dim*n || len(rr) != dim*n {
-		return nil, fmt.Errorf("%w: rank tables sized %d/%d for %d objects of dimension %d",
-			codec.ErrCorrupt, len(ss), len(rr), n, dim)
-	}
-	sorted := make([][]float64, dim)
-	ranks := make([][]int32, dim)
-	for j := 0; j < dim; j++ {
-		sorted[j] = ss[j*n : (j+1)*n]
-		ranks[j] = rr[j*n : (j+1)*n]
-		for i := 1; i < n; i++ {
-			if !(sorted[j][i-1] <= sorted[j][i]) { // also rejects NaN
-				return nil, fmt.Errorf("%w: rank table %d not sorted", codec.ErrCorrupt, j)
-			}
-		}
-		for _, r := range ranks[j] {
-			if r < 0 || int(r) >= n {
-				return nil, fmt.Errorf("%w: rank %d outside [0, %d)", codec.ErrCorrupt, r, n)
-			}
-		}
-	}
-	return dataset.RankSpaceFromTables(dim, sorted, ranks), nil
 }

@@ -37,20 +37,24 @@ func TestBuildOutputPinned(t *testing.T) {
 		digest func(t *testing.T, h hash.Hash)
 		want   string
 	}{
+		// The ORP-KW images were re-pinned for image version 4: the same tree,
+		// its coordinates the dataset's points by rank instead of their ranks,
+		// and no cell or rank-table section.
 		{"ORPKW/d=2/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf2, 2) },
-			"79fa4b63bd57a26104c947749918b5dd8f2ea2dfd4ee63d5e130c4d138be04d5"},
+			"a3f12d72801eea5aa6d0c0cd88fb3d0cdd7a6e640de7612f52a38d3399190de9"},
 		{"ORPKW/d=2/k=3/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, planted, 3) },
-			"526158e40f6d31e61bc9097ee4790beab6e7d13b413125fca0f7927f7d8ee443"},
+			"b044b067007deece675b65dc983d1e5ec7f0cabe927cba8269fb006482cc3921"},
 		{"ORPKW/d=3/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf3, 2) },
-			"64013860840f9f5a44547b57026dc3f82c955e82e6174ce54de6b8a03990d40e"},
+			"f88532be0d7a4baa3aa43a0d6be0ef3ec028f9a5ba84ffc02da9e7b07cd8dbbe"},
 		// Was the Box splitter's image; re-pinned as KD, which took over its
-		// families, on the same raw coordinates.
+		// families, on the same raw coordinates. Both KD images were re-pinned
+		// again for version 4, which drops the cell section.
 		{"LCKW/KD/small2/image", func(t *testing.T, h hash.Hash) {
 			ix := buildSPKW(t, small2, &spart.KD{Dim: 2})
 			if err := SaveSPKW(h, ix); err != nil {
 				t.Fatal(err)
 			}
-		}, "e878f6fac5b04af30ba43a664bd4db987ee636cfd4982cdf84b1761de0e31a69"},
+		}, "0b8afc42f073dc1339d361c6c7b26e16839c64ce3bd27f8e025c4f6f9e8eb574"},
 		// Raw coordinates on a 16x16 grid: every kd median sits in a tie
 		// block, which rank space never produces. Re-pinned when a split over
 		// a tie block cut at its edge instead of making it the pivot set.
@@ -59,14 +63,18 @@ func TestBuildOutputPinned(t *testing.T) {
 			if err := SaveSPKW(h, ix); err != nil {
 				t.Fatal(err)
 			}
-		}, "1c59837a960d25bc7db2c09c969d0a65d0d792d8bc7d7846b73a6f638e76a0ce"},
+		}, "0f293e7659e27b76cf604a716ce514fbea8a89a49dea90d36e5ba752b5f56f21"},
 		{"LCKW/Willard2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, buildSPKW(t, small2, &spart.Willard2D{}))
 		}, "9801593b7ab5bfc807707be623ff1cbe484e4c871130e375b5c29b487c34f9e9"},
 		{"LCKW/Grid2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, buildSPKW(t, small2, &spart.Grid2D{G: 4}))
 		}, "257fab50c849ffdeafaa1dd5d4584f97d6c9e42677853e1d48dd81a24c36d20f"},
-		// Re-pinned when its lifted 3-D substrate moved from Box to KD.
+		// Re-pinned when its lifted 3-D substrate moved from Box to KD, and
+		// again when kd nodes began to relate by their tight boxes: the audit
+		// counts a box's 2·pdim floats where it counted a cell's interface,
+		// and a box decides some nodes a cell left crossing, so node and work
+		// counts fall. The answers are unchanged.
 		{"SRPKW/digest", func(t *testing.T, h hash.Hash) {
 			ix, err := core.BuildSRPKWWith(small2, 2, noObs)
 			if err != nil {
@@ -79,9 +87,11 @@ func TestBuildOutputPinned(t *testing.T) {
 				ids, st, err := ix.Collect(ball, workload.RandKeywords(rng, 120, 2), core.QueryOpts{})
 				putAnswer(t, h, ids, st, err)
 			}
-		}, "b81507e5422a242f10fd83efc4e3dd8aaf6d0b1f9c837397bb75c3e771e39f21"},
+		}, "fe1834a6f4c8d06c36df406a82f3b5384e0b1350ffeeb38bd3520952197e3632"},
 		// Re-pinned when the space audit began to count the rank space's
 		// directories (AuxWords); the tree and every answer are unchanged.
+		// Re-pinned again, as SRPKW was, when its secondary kd trees began to
+		// relate by tight boxes.
 		{"ORPKWHigh/d=3/digest", func(t *testing.T, h hash.Hash) {
 			ix, err := core.BuildORPKWHighWith(small3, 2, noObs)
 			if err != nil {
@@ -94,7 +104,7 @@ func TestBuildOutputPinned(t *testing.T) {
 				ids, st, err := ix.Collect(workload.RandRect(rng, 3, 0.2+0.6*rng.Float64()), workload.RandKeywords(rng, 60, 2), core.QueryOpts{})
 				putAnswer(t, h, ids, st, err)
 			}
-		}, "8b1b54b6a72b7f8ba31c29e7a7a4ded815a2a81de338695cdcf30ef08633b579"},
+		}, "1b8aff74ca339ac11fce7e17410810540f6166cc8b80d112db6792774fe03e65"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 	"kwsc/internal/dataset"
 )
 
-// SaveORPKW serializes an ORPKW (dataset, rank tables, flat arenas) as a
-// flat-index KWCP2 container; ORPKW's KD splitter always serializes.
+// SaveORPKW serializes an ORPKW (dataset, flat arenas) as a flat-index KWCP2
+// container; ORPKW's KD splitter always serializes.
 func SaveORPKW(w io.Writer, ix *core.ORPKW) error {
 	fw := ix.Framework()
 	a, err := fw.ExportFlat()
@@ -23,17 +23,6 @@ func SaveORPKW(w io.Writer, ix *core.ORPKW) error {
 	if err != nil {
 		return err
 	}
-	sorted, ranks := ix.RankSpace().Tables()
-	ss := make([]float64, 0, ds.Dim()*ds.Len())
-	rr := make([]int32, 0, ds.Dim()*ds.Len())
-	for j := 0; j < ds.Dim(); j++ {
-		ss = append(ss, sorted[j]...)
-		rr = append(rr, ranks[j]...)
-	}
-	secs = append(secs,
-		codec.Section{ID: codec.SecFlatRankSorted, Data: codec.PutF64s(ss)},
-		codec.Section{ID: codec.SecFlatRankRanks, Data: codec.PutI32s(rr)},
-	)
 	meta := codec.PagedMeta{
 		Kind:  codec.PagedKindFlatORPKW,
 		K:     uint32(a.K),
@@ -91,7 +80,6 @@ func flatSections(a *core.FlatArenas, ds *dataset.Dataset) ([]codec.Section, err
 	nn := len(a.Nu)
 	return []codec.Section{
 		{ID: codec.SecFlatMeta, Data: codec.PutU64s([]uint64{uint64(a.SplitterKind), uint64(a.PDim), uint64(nn), codec.FlatImageVersion})},
-		{ID: codec.SecFlatCells, Data: codec.PutF64s(a.CellBounds)},
 		{ID: codec.SecFlatNu, Data: codec.PutI64s(a.Nu)},
 		{ID: codec.SecFlatL, Data: codec.PutI32s(a.L)},
 		{ID: codec.SecFlatChildFirst, Data: codec.PutI32s(a.ChildFirst)},

@@ -179,6 +179,12 @@ func TestInlineScatterSharedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dynamic.Close()
+	// A dynamic leg over a bucket no read has indexed is priced heavy — the
+	// leg pays the build — so one unbounded read indexes every bucket before
+	// legs are counted.
+	if _, err := dynamic.Query(&kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}, TimeoutMs: 60_000}, false); err != nil {
+		t.Fatal(err)
+	}
 
 	for name, s := range map[string]*Server{"static": static, "dynamic": dynamic} {
 		rng := rand.New(rand.NewSource(59))

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kwsc"
 	"kwsc/internal/geom"
@@ -665,6 +666,43 @@ func TestStalenessCache(t *testing.T) {
 	}
 	if got.Count != 1 {
 		t.Fatalf("fresh read missed the write (count=%d)", got.Count)
+	}
+}
+
+// A read that allows no staleness pins the shard's current state without the
+// staleness cache: its collect returns while the test holds the cache's
+// mutex, and it never reads the shard's clock.
+func TestFreshReadTakesNoCacheLock(t *testing.T) {
+	s, err := NewDynamic("", nil, Config{Shards: 1, Dim: 2, K: testK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Write(&kwsc.WriteRequest{Op: kwsc.OpInsert,
+		Point: []float64{0.5, 0.5}, Doc: []kwsc.Keyword{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0].(*dynamicShard)
+	sh.now = func() time.Time {
+		t.Error("a fresh read read the clock")
+		return time.Now()
+	}
+	sh.mu.Lock()
+	done := make(chan legResult, 1)
+	go func() {
+		req := &kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}}
+		done <- sh.collect(req, req.BoundingRect(2), req.ExactRegion(), req.Keywords, kwsc.QueryOpts{}, 0, new(legBuf))
+	}()
+	select {
+	case res := <-done:
+		sh.mu.Unlock()
+		if res.err != nil || len(res.ids) != 1 {
+			t.Fatalf("fresh read: %d ids, %v; want the one write", len(res.ids), res.err)
+		}
+	case <-time.After(10 * time.Second):
+		sh.mu.Unlock()
+		<-done
+		t.Fatal("a fresh read waited on the staleness cache's mutex")
 	}
 }
 

@@ -189,12 +189,18 @@ func (s *dynamicShard) seq() uint64 {
 }
 
 // view returns the read view for a query: a cached snapshot no older than
-// staleness when one is allowed and available, else a fresh pin.
+// staleness when one is allowed and available, else a fresh pin. A read that
+// allows no staleness pins the current state with no lock and no clock read,
+// so concurrent fresh reads never queue; only a bounded read consults and
+// refreshes the cache.
 func (s *dynamicShard) view(staleness time.Duration) *kwsc.DynSnapshot {
+	if staleness <= 0 {
+		return s.pin()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
-	if staleness > 0 && s.snap != nil && now.Sub(s.snapAt) <= staleness {
+	if s.snap != nil && now.Sub(s.snapAt) <= staleness {
 		return s.snap
 	}
 	if snap := s.pin(); snap != nil {

@@ -30,7 +30,10 @@ func (k *KD) RootCell(pts []geom.Point, objs []int32) Cell {
 }
 
 // Split implements Splitter by presorting the node's objects, as positions in
-// objs, and handing the lists to SplitSorted.
+// objs, and handing the lists to SplitSorted. The child cells end at the
+// coordinates on either side of the cut — the pivot's, on both sides, when
+// there is one — so no arithmetic is done on a coordinate and ±Inf is an
+// ordinary value.
 func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, depth int) ([]Cell, []int8, bool) {
 	p := Presort(len(objs), k.Dim, func(i int32, axis int) float64 { return pts[objs[i]][axis] })
 	var w []int32
@@ -40,12 +43,19 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 			w[i] = weight[id]
 		}
 	}
-	cells, axis, from, to, ok := k.SplitSorted(cell, p, 0, len(objs), w, totalWeight(objs, weight), depth)
+	axis, from, to, ok := k.SplitSorted(p, 0, len(objs), w, totalWeight(objs, weight), depth)
 	if !ok {
 		return nil, nil, false
 	}
+	s := p.List(axis, 0, len(objs))
+	left, right := cell.(*geom.Rect).Clone(), cell.(*geom.Rect).Clone()
+	cut := p.coord(s[from], axis)
+	left.Hi[axis], right.Lo[axis] = cut, cut
+	if from == to {
+		left.Hi[axis] = p.coord(s[from-1], axis)
+	}
 	assign := make([]int8, len(objs))
-	for j, i := range p.List(axis, 0, len(objs)) {
+	for j, i := range s {
 		switch {
 		case j < from:
 			assign[i] = 0
@@ -55,15 +65,14 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 			assign[i] = 1
 		}
 	}
-	return cells, assign, true
+	return []Cell{left, right}, assign, true
 }
 
-// SplitSorted is Split for the node over positions [lo, hi) of p, of total
-// weight total. On the split axis's list, the entries before from go to child
-// 0, those from to on to child 1, and [from, to), at most one entry, is the
-// pivot set. The child cells end at the coordinates on either side of the
-// cut, so no arithmetic is done on a coordinate and ±Inf is an ordinary value.
-func (k *KD) SplitSorted(cell Cell, p *Presorted, lo, hi int, weight []int32, total int64, depth int) (cells []Cell, axis, from, to int, ok bool) {
+// SplitSorted chooses the split of the node over positions [lo, hi) of p, of
+// total weight total. On the split axis's list, the entries before from go to
+// child 0, those from to on to child 1, and [from, to), at most one entry, is
+// the pivot set.
+func (k *KD) SplitSorted(p *Presorted, lo, hi int, weight []int32, total int64, depth int) (axis, from, to int, ok bool) {
 	// Every coordinate equal on the axis: with rank-space input this cannot
 	// happen for two objects, but raw coordinates try the remaining axes
 	// before giving up.
@@ -90,20 +99,17 @@ func (k *KD) SplitSorted(cell Cell, p *Presorted, lo, hi int, weight []int32, to
 		for ; to < len(s) && c(to) == m; to++ {
 			wTo += weightOf(weight, s[to])
 		}
-		left, right := cell.(*geom.Rect).Clone(), cell.(*geom.Rect).Clone()
 		if to-from == 1 {
-			left.Hi[axis], right.Lo[axis] = m, m
-			return []Cell{left, right}, axis, from, to, true
+			return axis, from, to, true
 		}
 		// 2·wFrom < total <= 2·wTo, so cutting at from leaves total-wFrom on
 		// the heavier side and cutting at to leaves wTo.
 		if from == 0 || to < len(s) && wTo < total-wFrom {
 			from = to
 		}
-		left.Hi[axis], right.Lo[axis] = c(from-1), c(from)
-		return []Cell{left, right}, axis, from, from, true
+		return axis, from, from, true
 	}
-	return nil, 0, 0, 0, false
+	return 0, 0, 0, false
 }
 
 // Relate implements Splitter.

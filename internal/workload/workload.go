@@ -9,6 +9,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
@@ -214,6 +215,25 @@ func RandRect(rng *rand.Rand, dim int, side float64) *geom.Rect {
 		lo[j], hi[j] = c, c+side
 	}
 	return &geom.Rect{Lo: lo, Hi: hi}
+}
+
+// VerticalLine is the zero-width rectangle {x = m} of the plane that Lemma
+// 10's crossing experiment (F1) sends through ds: m is the midpoint of the x
+// coordinates a third of the way through their sorted order, so that with
+// distinct coordinates no point lies on it. A kd tree cuts x at dyadic
+// quantiles — the median, the quartiles, ... — and a tight box ends at its
+// points, so a line through a cut's gap misses both children and is far
+// kinder than the lemma's bound; a third is no dyadic fraction, so the line
+// keeps crossing a node on every level that cuts y. ds needs three objects.
+func VerticalLine(ds *dataset.Dataset) *geom.Rect {
+	xs := make([]float64, ds.Len())
+	for i := range xs {
+		xs[i] = ds.Point(int32(i))[0]
+	}
+	slices.Sort(xs)
+	i := len(xs) / 3
+	m := xs[i-1]/2 + xs[i]/2
+	return &geom.Rect{Lo: []float64{m, math.Inf(-1)}, Hi: []float64{m, math.Inf(1)}}
 }
 
 // RandKeywords picks k distinct keywords from the vocabulary, weighted
