@@ -9,7 +9,7 @@ all: build test
 
 # The full pre-merge gate: vet + formatting + pager hygiene, the
 # complete test suite, the race detector over the concurrent paths (parallel
-# builds, QueryBatch workers, shared-index readers, dynamic-index writers vs
+# builds, shared-index readers, dynamic-index writers vs
 # lock-free readers, the linearizability harness, the metrics registry, the
 # sharded query service) including the failpoint/resilience tests, the
 # crash-injection suite, a short fuzz smoke over the untrusted-input decoders,
@@ -94,8 +94,8 @@ vet-pager:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Race coverage over the concurrent paths: parallel builds, QueryBatch and
-# shared-index Collect calls, dynamic-index churn against lock-free readers
+# Race coverage over the concurrent paths: parallel builds, shared-index
+# CollectInto calls, dynamic-index churn against lock-free readers
 # and pinned snapshots, the WAL linearizability harness, and the metrics
 # registry/tracer/slow-log all run under the detector.
 race:

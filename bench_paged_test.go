@@ -64,7 +64,7 @@ func benchColdStartPaged(b *testing.B, n, k int, o PagedFileOptions, name string
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, _, err := ix.Collect(region, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func BenchmarkColdStartRebuildORPKW(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			got, _, err := ix.Collect(region, kws, QueryOpts{})
+			got, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,11 +14,13 @@ import (
 	"runtime"
 	"testing"
 
+	"kwsc/internal/bitpack"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/obs"
 	"kwsc/internal/spart"
+	"kwsc/internal/twosi"
 	"kwsc/internal/workload"
 )
 
@@ -75,7 +77,7 @@ func benchE1Collect(b *testing.B, n, k int) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, _, err := ix.Collect(region, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func BenchmarkE1OutSweep(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.Collect(region, kws, QueryOpts{}); err != nil {
+				if _, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,7 +153,7 @@ func BenchmarkE1Baselines(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ix.Collect(region, kws, QueryOpts{}); err != nil {
+			if _, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -173,7 +175,7 @@ func BenchmarkE2ORPKW3D(b *testing.B) {
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.Collect(region, kws, QueryOpts{}); err != nil {
+				if _, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,7 +196,7 @@ func BenchmarkE3RectViaLCKW(b *testing.B) {
 	hs := region.Halfspaces()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.CollectConstraints(hs, kws, QueryOpts{}); err != nil {
+		if _, _, err := ix.CollectInto(hs, kws, QueryOpts{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,7 +228,7 @@ func benchRRKW(b *testing.B, d, n int) {
 	kws := []Keyword{1, 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Collect(q, kws, QueryOpts{}); err != nil {
+		if _, _, err := ix.CollectInto(q, kws, QueryOpts{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +273,7 @@ func BenchmarkE6LCKW(b *testing.B) {
 			hs := workload.RandHalfspaces(rng, 2, s, 0.3)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.CollectConstraints(hs, []Keyword{1, 2}, QueryOpts{}); err != nil {
+				if _, _, err := ix.CollectInto(hs, []Keyword{1, 2}, QueryOpts{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -299,7 +301,7 @@ func BenchmarkE6bSubstrates(b *testing.B) {
 			hs := workload.RandHalfspaces(rng, 2, 1, 0.4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.CollectConstraints(hs, []Keyword{1, 2}, QueryOpts{}); err != nil {
+				if _, _, err := ix.CollectInto(hs, []Keyword{1, 2}, QueryOpts{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -319,7 +321,7 @@ func BenchmarkE7SRPKW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewSphere(Point{rng.Float64(), rng.Float64()}, 0.1)
-		if _, _, err := ix.Collect(s, []Keyword{1, 2}, QueryOpts{}); err != nil {
+		if _, _, err := ix.CollectInto(s, []Keyword{1, 2}, QueryOpts{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,7 +428,7 @@ func BenchmarkA1Routes(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ix.Collect(region, kws, QueryOpts{}); err != nil {
+			if _, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -439,7 +441,7 @@ func BenchmarkA1Routes(b *testing.B) {
 		hs := region.Halfspaces()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ix.CollectConstraints(hs, kws, QueryOpts{}); err != nil {
+			if _, _, err := ix.CollectInto(hs, kws, QueryOpts{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -536,8 +538,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 	}
 }
 
-// Steady-state query allocation profile: Collect allocates only the result
-// slice; CollectInto with a warmed buffer allocates nothing.
+// Steady-state query allocation profile: CollectInto into a nil buffer
+// allocates only the result slice; with a warmed buffer it allocates nothing.
 func BenchmarkORPKW2DCollect(b *testing.B) {
 	ds, kws, region := plantedFixture(24, 1<<15, 2, 2, 64, 1<<12)
 	ix, err := NewORPKW(ds, 2)
@@ -547,7 +549,7 @@ func BenchmarkORPKW2DCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Collect(region, kws, QueryOpts{}); err != nil {
+		if _, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -732,7 +734,7 @@ var estimateSink int64
 // vocabulary of 1 000 after 1 500 inserts and 1 500 deletes of the oldest, so
 // queries cross the write buffer, several Bentley–Saxe buckets and their
 // tombstones. An op is what the serving layer does per shard leg: one
-// EstimateWork and one QueryWith at side 0.1, k=2, Limit 100. buckets/op is
+// EstimateWork and one Query at side 0.1, k=2, Limit 100. buckets/op is
 // the occupied buckets each query runs over; units/op the work units it is
 // charged (a bucket a query keyword is absent from costs none).
 func BenchmarkDynamicQueryShard(b *testing.B) {
@@ -763,7 +765,7 @@ func BenchmarkDynamicQueryShard(b *testing.B) {
 	}
 	report := func(int64, *Object) {}
 	opts := QueryOpts{Limit: 100}
-	if _, err := d.QueryWith(rects[0], kws[0], opts, report); err != nil { // builds the buckets
+	if _, err := d.Query(rects[0], kws[0], opts, report); err != nil { // builds the buckets
 		b.Fatal(err)
 	}
 	var units int64
@@ -772,7 +774,7 @@ func BenchmarkDynamicQueryShard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q, ws := rects[i%len(rects)], kws[i%len(rects)]
 		estimateSink = d.EstimateWork(ws)
-		st, err := d.QueryWith(q, ws, opts, report)
+		st, err := d.Query(q, ws, opts, report)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -785,7 +787,7 @@ func BenchmarkDynamicQueryShard(b *testing.B) {
 // The Cohen–Porat 2-SI ancestor structure on the E9 workload.
 func BenchmarkExtTwoSI(b *testing.B) {
 	ds, kws, _ := plantedFixture(22, 1<<15, 2, 2, 64, 1<<12)
-	ix, _ := NewTwoSI(ds)
+	ix := twosi.Build(ds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ix.Report(kws[0], kws[1]); err != nil {
@@ -812,7 +814,7 @@ func BenchmarkExtWordParallel1D(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := NewWordParallel1D(ds)
+	ix, err := bitpack.Build(ds)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func e2() {
 		ix, err := core.BuildORPKWHigh(ds, 2)
 		check(err)
 		ops, _ := meanQueryOps(func(i int) (core.QueryStats, int) {
-			ids, st, err := ix.Collect(slab, kws, core.QueryOpts{})
+			ids, st, err := ix.CollectInto(slab, kws, core.QueryOpts{}, nil)
 			check(err)
 			return st, len(ids)
 		})
@@ -241,7 +241,7 @@ func e3() {
 			{Coef: []float64{-1, 0}, Bound: -slab.Lo[0]},
 		}
 		ops, _ := meanQueryOps(func(i int) (core.QueryStats, int) {
-			ids, st, err := ix.CollectConstraints(hs, kws, core.QueryOpts{})
+			ids, st, err := ix.CollectInto(hs, kws, core.QueryOpts{}, nil)
 			check(err)
 			return st, len(ids)
 		})
@@ -290,7 +290,7 @@ func e4() {
 		check(err)
 		window := &geom.Rect{Lo: []float64{0.47}, Hi: []float64{0.52}}
 		ops, out := meanQueryOps(func(i int) (core.QueryStats, int) {
-			ids, st, err := ix.Collect(window, []dataset.Keyword{0, 1}, core.QueryOpts{})
+			ids, st, err := ix.CollectInto(window, []dataset.Keyword{0, 1}, core.QueryOpts{}, nil)
 			check(err)
 			return st, len(ids)
 		})
@@ -361,7 +361,7 @@ func e6() {
 			}
 			hs = append(hs, extras[:s-1]...)
 			ops, _ := meanQueryOps(func(i int) (core.QueryStats, int) {
-				ids, st, err := ix.CollectConstraints(hs, kws, core.QueryOpts{})
+				ids, st, err := ix.CollectInto(hs, kws, core.QueryOpts{}, nil)
 				check(err)
 				return st, len(ids)
 			})
@@ -429,7 +429,7 @@ func e7() {
 		check(err)
 		sphere := geom.NewSphere(geom.Point{0.5, 0.5}, (workload.SlabHi-workload.SlabLo)/2-0.006)
 		ops, out := meanQueryOps(func(i int) (core.QueryStats, int) {
-			ids, st, err := ix.Collect(sphere, kws, core.QueryOpts{})
+			ids, st, err := ix.CollectInto(sphere, kws, core.QueryOpts{}, nil)
 			check(err)
 			return st, len(ids)
 		})
@@ -623,12 +623,12 @@ func a1() {
 	check(err)
 	hs := region.Halfspaces()
 	kdOps, _ := meanQueryOps(func(i int) (core.QueryStats, int) {
-		ids, st, err := kd.Collect(region, kws, core.QueryOpts{})
+		ids, st, err := kd.CollectInto(region, kws, core.QueryOpts{}, nil)
 		check(err)
 		return st, len(ids)
 	})
 	ptOps, _ := meanQueryOps(func(i int) (core.QueryStats, int) {
-		ids, st, err := pt.CollectConstraints(hs, kws, core.QueryOpts{})
+		ids, st, err := pt.CollectInto(hs, kws, core.QueryOpts{}, nil)
 		check(err)
 		return st, len(ids)
 	})
@@ -701,7 +701,7 @@ func a3() {
 			hi := lo + 0.1
 			_, bst, err := bp.Collect(lo, hi, kws)
 			check(err)
-			ids, fst, err := fw.Collect(&geom.Rect{Lo: []float64{lo}, Hi: []float64{hi}}, kws, core.QueryOpts{})
+			ids, fst, err := fw.CollectInto(&geom.Rect{Lo: []float64{lo}, Hi: []float64{hi}}, kws, core.QueryOpts{}, nil)
 			check(err)
 			bpOps += float64(bst.WordOps + bst.ListOps)
 			fwOps += float64(fst.Ops)
@@ -752,7 +752,7 @@ func plannerExp() {
 		n = 1 << 12
 	}
 	ds := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n, Dim: 2, Vocab: 400, DocLen: 5, ZipfS: 1.6})
-	p, err := core.BuildPlanner(ds, 2)
+	p, err := buildPlanner(ds, 2)
 	check(err)
 	inv := invidx.Build(ds)
 	tb := stats.NewTable("regime", "route chosen", "est cost", "actual results")
@@ -772,24 +772,24 @@ func plannerExp() {
 		},
 	}
 	for _, c := range cases {
-		got, plan, err := p.Collect(c.q, c.ws)
+		got, pl, err := p.collect(c.q, c.ws)
 		check(err)
-		tb.AddRow(c.name, string(plan.Route), plan.Estimates[plan.Route], len(got))
+		tb.AddRow(c.name, string(pl.route), pl.estimates[pl.route], len(got))
 		// Cross-check against the oracle.
 		want := ds.Filter(c.q, c.ws)
 		if len(want) != len(got) {
 			fmt.Printf("WARNING: route %s disagreed with the oracle (%d vs %d)\n",
-				plan.Route, len(got), len(want))
+				pl.route, len(got), len(want))
 		}
 	}
 	// The framework's regime: long, rarely co-occurring posting lists over a
 	// selective region (the adversarial workload).
 	adv, advKws, slab := workload.GenAdversarial(workload.Adversarial{Seed: *flagSeed, Objects: n, Dim: 2, K: 2})
-	pAdv, err := core.BuildPlanner(adv, 2)
+	pAdv, err := buildPlanner(adv, 2)
 	check(err)
-	got, plan, err := pAdv.Collect(slab, advKws)
+	got, pl, err := pAdv.collect(slab, advKws)
 	check(err)
-	tb.AddRow("long disjoint postings, slab", string(plan.Route), plan.Estimates[plan.Route], len(got))
+	tb.AddRow("long disjoint postings, slab", string(pl.route), pl.estimates[pl.route], len(got))
 	fmt.Print(tb.String())
 	fmt.Printf("the planner applies the paper's cost formulas per query: posting scans for\n")
 	fmt.Printf("rare terms, geometric filters for tiny regions, the framework when postings\n")

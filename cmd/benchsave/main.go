@@ -8,6 +8,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -176,18 +177,17 @@ func mergeMin(recs []Record) []Record {
 	return out
 }
 
-// parseBaseline accepts both schema generations: the current
-// {records, metrics} object and the legacy bare record array.
+// parseBaseline reads a {records, metrics} snapshot. One without records
+// can gate nothing, so it is an error.
 func parseBaseline(raw []byte) ([]Record, error) {
 	var snap SnapshotFile
-	if err := json.Unmarshal(raw, &snap); err == nil && len(snap.Records) > 0 {
-		return snap.Records, nil
-	}
-	var recs []Record
-	if err := json.Unmarshal(raw, &recs); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		return nil, err
 	}
-	return recs, nil
+	if len(snap.Records) == 0 {
+		return nil, errors.New("no benchmark records")
+	}
+	return snap.Records, nil
 }
 
 func ratio(a, b float64) float64 {

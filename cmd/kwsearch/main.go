@@ -196,7 +196,7 @@ func (s *session) dispatch(fields []string) (err error) {
 		// A struct literal, not kwsc.NewRect: the facade validation turns
 		// inverted or NaN bounds into a printable error instead of a panic.
 		q := &kwsc.Rect{Lo: []float64{args[0], args[2]}, Hi: []float64{args[1], args[3]}}
-		ids, st, err := s.orp.Collect(q, kws(args[4], args[5]), opts)
+		ids, st, err := s.orp.CollectInto(q, kws(args[4], args[5]), opts, nil)
 		report(ids, st.Ops, err)
 	case "near":
 		args, err := floats(fields[1:], 5)
@@ -222,7 +222,7 @@ func (s *session) dispatch(fields []string) (err error) {
 			return err
 		}
 		sp := &kwsc.Sphere{Center: kwsc.Point{args[0], args[1]}, Radius: args[2]}
-		ids, st, err := s.srp.Collect(sp, kws(args[3], args[4]), opts)
+		ids, st, err := s.srp.CollectInto(sp, kws(args[3], args[4]), opts, nil)
 		report(ids, st.Ops, err)
 	case "line":
 		args, err := floats(fields[1:], 5)
@@ -231,7 +231,7 @@ func (s *session) dispatch(fields []string) (err error) {
 		}
 		hs := []kwsc.Halfspace{{Coef: []float64{args[0], args[1]}, Bound: args[2]}}
 		var ids []int32
-		st, err := s.lc.QueryConstraints(hs, kws(args[3], args[4]), opts,
+		st, err := s.lc.Query(hs, kws(args[3], args[4]), opts,
 			func(id int32) { ids = append(ids, id) })
 		report(ids, st.Ops, err)
 	case "isect":

@@ -60,6 +60,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("kwsload: discovering server shape: %v", err)
 	}
+	if err := checkVocab(*vocab, k, *writeFrac); err != nil {
+		log.Fatalf("kwsload: %v", err)
+	}
 
 	var concs []int
 	for _, f := range strings.Split(*sweep, ",") {
@@ -121,6 +124,7 @@ func waitHealthy(base string, timeout time.Duration) error {
 			if resp.StatusCode == http.StatusOK {
 				return nil
 			}
+			err = fmt.Errorf("/healthz answered %s", resp.Status)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("server not healthy within %v: %v", timeout, err)
@@ -147,6 +151,19 @@ func serverShape(base string) (dim, k int, err error) {
 		return 0, 0, fmt.Errorf("implausible server shape dim=%d k=%d", stats.Dim, stats.K)
 	}
 	return stats.Dim, stats.K, nil
+}
+
+// checkVocab refuses a keyword range too small for the distinct ids a run
+// draws: k per query and, when the run writes, k+1 per inserted document.
+func checkVocab(vocab, k int, writeFrac float64) error {
+	need := k
+	if writeFrac > 0 {
+		need = k + 1
+	}
+	if vocab < need {
+		return fmt.Errorf("-vocab %d is too small for the server's k=%d: need at least %d", vocab, k, need)
+	}
+	return nil
 }
 
 type stepConfig struct {

@@ -1,17 +1,20 @@
-package core
+package kwsc_test
 
 import (
 	"math/rand"
 	"testing"
 
-	"kwsc/internal/dataset"
+	"kwsc"
 	"kwsc/internal/geom"
 	"kwsc/internal/workload"
 )
 
+// Count and Empty are written once over Index; these tests run them on every
+// family against the brute-force filter.
+
 func TestCountAndEmptyORPKW(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 1, Objects: 400, Dim: 2, Vocab: 20, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
+	ix, err := kwsc.NewORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +23,14 @@ func TestCountAndEmptyORPKW(t *testing.T) {
 		q := workload.RandRect(rng, 2, 0.4)
 		ws := workload.RandKeywords(rng, 20, 2)
 		want := len(ds.Filter(q, ws))
-		n, _, err := ix.Count(q, ws)
+		n, _, err := kwsc.Count(ix, q, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != want {
 			t.Fatalf("Count = %d, want %d", n, want)
 		}
-		empty, st, err := ix.Empty(q, ws)
+		empty, st, err := kwsc.Empty(ix, q, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +45,7 @@ func TestCountAndEmptyORPKW(t *testing.T) {
 
 func TestCountAndEmptyHighDim(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 2, Objects: 600, Dim: 3, Vocab: 15, DocLen: 4})
-	ix, err := BuildORPKWHigh(ds, 2)
+	ix, err := kwsc.NewORPKWHigh(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +54,14 @@ func TestCountAndEmptyHighDim(t *testing.T) {
 		q := workload.RandRect(rng, 3, 0.6)
 		ws := workload.RandKeywords(rng, 15, 2)
 		want := len(ds.Filter(q, ws))
-		n, _, err := ix.Count(q, ws)
+		n, _, err := kwsc.Count(ix, q, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != want {
 			t.Fatalf("Count = %d, want %d", n, want)
 		}
-		empty, _, err := ix.Empty(q, ws)
+		empty, _, err := kwsc.Empty(ix, q, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +73,11 @@ func TestCountAndEmptyHighDim(t *testing.T) {
 
 func TestCountConstraintsAndSphere(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 3, Objects: 400, Dim: 2, Vocab: 15, DocLen: 4})
-	lc, err := BuildSPKW(ds, SPKWConfig{K: 2})
+	lc, err := kwsc.NewLCKW(ds, kwsc.LCKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srp, err := BuildSRPKW(ds, 2)
+	srp, err := kwsc.NewSRPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,30 +86,30 @@ func TestCountConstraintsAndSphere(t *testing.T) {
 		ws := workload.RandKeywords(rng, 15, 2)
 		hs := workload.RandHalfspaces(rng, 2, 2, 0.6)
 		want := len(ds.Filter(geom.NewPolyhedron(hs...), ws))
-		n, _, err := lc.CountConstraints(hs, ws)
+		n, _, err := kwsc.Count(lc, hs, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != want {
-			t.Fatalf("CountConstraints = %d, want %d", n, want)
+			t.Fatalf("LC-KW Count = %d, want %d", n, want)
 		}
-		empty, _, err := lc.EmptyConstraints(hs, ws)
+		empty, _, err := kwsc.Empty(lc, hs, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if empty != (want == 0) {
-			t.Fatal("EmptyConstraints disagrees with Count")
+			t.Fatal("LC-KW Empty disagrees with Count")
 		}
 		s := geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.2)
 		wantS := len(ds.Filter(s, ws))
-		nS, _, err := srp.Count(s, ws)
+		nS, _, err := kwsc.Count(srp, s, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if nS != wantS {
 			t.Fatalf("sphere Count = %d, want %d", nS, wantS)
 		}
-		emptyS, _, err := srp.Empty(s, ws)
+		emptyS, _, err := kwsc.Empty(srp, s, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,34 +121,34 @@ func TestCountConstraintsAndSphere(t *testing.T) {
 
 func TestCountRRKW(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	rects := make([]RectObject, 200)
+	rects := make([]kwsc.RectObject, 200)
 	for i := range rects {
 		a := rng.Float64()
-		rects[i] = RectObject{
+		rects[i] = kwsc.RectObject{
 			Rect: &geom.Rect{Lo: []float64{a}, Hi: []float64{a + 0.1}},
-			Doc:  []dataset.Keyword{dataset.Keyword(rng.Intn(4)), 4 + dataset.Keyword(rng.Intn(4))},
+			Doc:  []kwsc.Keyword{kwsc.Keyword(rng.Intn(4)), 4 + kwsc.Keyword(rng.Intn(4))},
 		}
 	}
-	ix, err := BuildRRKW(rects, 2)
+	ix, err := kwsc.NewRRKW(rects, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := &geom.Rect{Lo: []float64{0.4}, Hi: []float64{0.6}}
-	ws := []dataset.Keyword{1, 5}
+	ws := []kwsc.Keyword{1, 5}
 	want := 0
 	for i, r := range rects {
 		if ix.Dataset().HasAll(int32(i), ws) && r.Rect.Hi[0] >= 0.4 && r.Rect.Lo[0] <= 0.6 {
 			want++
 		}
 	}
-	n, _, err := ix.Count(q, ws)
+	n, _, err := kwsc.Count(ix, q, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != want {
 		t.Fatalf("RRKW Count = %d, want %d", n, want)
 	}
-	empty, _, err := ix.Empty(q, ws)
+	empty, _, err := kwsc.Empty(ix, q, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

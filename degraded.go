@@ -58,16 +58,10 @@ func NewDegraded(ds *Dataset, k int, opts ...Option) (*Degraded, error) {
 	return &Degraded{ds: ds, ix: ix, k: k, inv: invidx.Build(ds)}, nil
 }
 
-// Collect answers the query, degrading to the baseline on budget exhaustion
-// or index panic. On fallback the returned stats carry Fallback=true, the
-// Ops spent on both attempts, and no error; Limit still caps the fallback's
-// answer (with Truncated set).
-func (d *Degraded) Collect(q *Rect, ws []Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return d.CollectInto(q, ws, opts, nil)
-}
-
-// CollectInto is Collect appending into buf, reusing its capacity; the
-// returned slice aliases buf only.
+// CollectInto answers the query into buf (Index's contract), degrading to
+// the baseline on budget exhaustion or index panic. On fallback the returned
+// stats carry Fallback=true, the Ops spent on both attempts, and no error;
+// Limit still caps the fallback's answer (with Truncated set).
 func (d *Degraded) CollectInto(q *Rect, ws []Keyword, opts QueryOpts, buf []int32) ([]int32, QueryStats, error) {
 	ids, st, err := d.ix.CollectInto(q, ws, opts, buf)
 	if err == nil {
@@ -92,7 +86,7 @@ func (d *Degraded) CollectInto(q *Rect, ws []Keyword, opts QueryOpts, buf []int3
 }
 
 // Query streams the answer to report, with the same fallback semantics as
-// Collect. (The fallback materializes internally, so Query exists for
+// CollectInto. (The fallback materializes internally, so Query exists for
 // interface uniformity, not streaming economy.)
 func (d *Degraded) Query(q *Rect, ws []Keyword, opts QueryOpts, report func(int32)) (QueryStats, error) {
 	ids, st, err := d.CollectInto(q, ws, opts, nil)

@@ -57,7 +57,7 @@ func TestDegradedFallsBackOnBudget(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("fixture produced no matches")
 	}
-	got, st, err := d.Collect(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{NodeBudget: 2}})
+	got, st, err := d.CollectInto(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{NodeBudget: 2}}, nil)
 	if err != nil {
 		t.Fatalf("degraded collect errored: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestDegradedFallsBackOnBudget(t *testing.T) {
 	}
 
 	// An unconstrained query uses the index path and matches too.
-	got2, st2, err := d.Collect(q, ws, kwsc.QueryOpts{})
+	got2, st2, err := d.CollectInto(q, ws, kwsc.QueryOpts{}, nil)
 	if err != nil || st2.Fallback {
 		t.Fatalf("unconstrained query: err=%v fallback=%v", err, st2.Fallback)
 	}
@@ -83,7 +83,7 @@ func TestDegradedFallsBackOnPanic(t *testing.T) {
 	want := ds.Filter(q, ws)
 
 	core.ArmFailpoint(core.FPFrameworkVisit, func() { panic("index corrupted") })
-	got, st, err := d.Collect(q, ws, kwsc.QueryOpts{})
+	got, st, err := d.CollectInto(q, ws, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatalf("degraded collect errored despite fallback: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestDegradedDoesNotFallBackOnDeadline(t *testing.T) {
 	defer core.DisarmAllFailpoints()
 	_, d, q, ws := degradedFixture(t)
 	core.ArmFailpoint(core.FPFrameworkVisit, func() { time.Sleep(100 * time.Microsecond) })
-	_, st, err := d.Collect(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{Deadline: time.Now().Add(time.Millisecond)}})
+	_, st, err := d.CollectInto(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{Deadline: time.Now().Add(time.Millisecond)}}, nil)
 	if !errors.Is(err, kwsc.ErrDeadline) {
 		t.Fatalf("deadline stop returned %v, want ErrDeadline", err)
 	}
@@ -109,7 +109,7 @@ func TestDegradedDoesNotFallBackOnDeadline(t *testing.T) {
 func TestDegradedDoesNotFallBackOnInvalidQuery(t *testing.T) {
 	_, d, _, ws := degradedFixture(t)
 	bad := &kwsc.Rect{Lo: []float64{math.NaN(), 0}, Hi: []float64{1, 1}}
-	_, st, err := d.Collect(bad, ws, kwsc.QueryOpts{})
+	_, st, err := d.CollectInto(bad, ws, kwsc.QueryOpts{}, nil)
 	if !errors.Is(err, kwsc.ErrInvalidQuery) {
 		t.Fatalf("NaN rect returned %v, want ErrInvalidQuery", err)
 	}
@@ -124,10 +124,10 @@ func TestDegradedFallbackRespectsLimit(t *testing.T) {
 	if len(want) < 5 {
 		t.Fatal("fixture too small")
 	}
-	got, st, err := d.Collect(q, ws, kwsc.QueryOpts{
+	got, st, err := d.CollectInto(q, ws, kwsc.QueryOpts{
 		Limit:  3,
 		Policy: kwsc.ExecPolicy{NodeBudget: 2},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("degraded collect errored: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestDegradedForcedFallbackDifferential(t *testing.T) {
 		for trial := 0; trial < 80; trial++ {
 			q, ws := workload.RandRect(rng, dim, 0.2+0.7*rng.Float64()), workload.RandKeywords(rng, 24, 2)
 			want := ds.Filter(q, ws)
-			got, st, err := d.Collect(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{NodeBudget: 1}})
+			got, st, err := d.CollectInto(q, ws, kwsc.QueryOpts{Policy: kwsc.ExecPolicy{NodeBudget: 1}}, nil)
 			if err != nil {
 				t.Fatalf("d=%d trial %d: %v", dim, trial, err)
 			}

@@ -84,7 +84,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ball := kwsc.NewSphere(addr, 150)
-	ids, st, err := srp.Collect(ball, kws, kwsc.QueryOpts{})
+	ids, st, err := srp.CollectInto(ball, kws, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 	c1 := kwsc.NewRect([]float64{100, 8}, []float64{200, math.Inf(1)})
-	ids, st, err := orp.Collect(c1, kws, kwsc.QueryOpts{})
+	ids, st, err := orp.CollectInto(c1, kws, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 	}
 	c2 := []kwsc.Halfspace{{Coef: []float64{1, -40}, Bound: -140}}
 	var lcIDs []int32
-	stLC, err := lc.QueryConstraints(c2, kws, kwsc.QueryOpts{}, func(id int32) {
+	stLC, err := lc.Query(c2, kws, kwsc.QueryOpts{}, func(id int32) {
 		lcIDs = append(lcIDs, id)
 	})
 	if err != nil {

@@ -85,7 +85,7 @@ func main() {
 
 	// Persist a snapshot of the current catalog as a static dataset.
 	var objs []kwsc.Object
-	if _, err := dyn.Query(kwsc.Universe(2), []kwsc.Keyword{organic, vegan},
+	if _, err := dyn.Query(kwsc.Universe(2), []kwsc.Keyword{organic, vegan}, kwsc.QueryOpts{},
 		func(h int64, o *kwsc.Object) {
 			objs = append(objs, kwsc.Object{Point: o.Point, Doc: o.Doc})
 		}); err != nil {

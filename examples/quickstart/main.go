@@ -60,7 +60,7 @@ func main() {
 	// ... and the document must contain all three keywords.
 	kws := []kwsc.Keyword{kwPool, kwFreeParking, kwPetFriendly}
 
-	ids, st, err := ix.Collect(q, kws, kwsc.QueryOpts{})
+	ids, st, err := ix.CollectInto(q, kws, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 	window := kwsc.NewRect([]float64{day(winStart)}, []float64{day(winStart + 30)})
 	kws := []kwsc.Keyword{3, 7}
 
-	ids, st, err := ix.Collect(window, kws, kwsc.QueryOpts{})
+	ids, st, err := ix.CollectInto(window, kws, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,14 +2,15 @@ package kwsc
 
 // Unified index API. Every static family answers the same shaped question —
 // "report the objects inside query shape Q whose documents carry all k
-// keywords" — through the same three methods; only the shape of Q differs
-// per family (rectangles, spheres, halfspace conjunctions). Index captures
-// that surface once, generically over the query shape, so layers above the
-// facade (internal/serve's shards, user fan-out code) can hold any family
-// behind one type instead of switching on concrete structs:
+// keywords" — through the same methods; only the shape of Q differs per
+// family (rectangles, spheres, halfspace conjunctions). Index captures that
+// surface once, generically over the query shape, so layers above the facade
+// (internal/serve's shards, user fan-out code) can hold any family behind one
+// type instead of switching on concrete structs, and Count and Empty are
+// written once over it:
 //
-//	var ix kwsc.Index[*kwsc.Rect] = orpkw // or ORPKWHigh, RRKW, MultiK
-//	ids, st, err := ix.Collect(q, ws, kwsc.QueryOpts{})
+//	var ix kwsc.Index[*kwsc.Rect] = orpkw // or ORPKWHigh, RRKW, Degraded
+//	ids, st, err := ix.CollectInto(q, ws, kwsc.QueryOpts{}, nil)
 //
 // DynamicIndex is the same idea for the mutable indexes: DynamicORPKW and
 // its durable wrapper share the mutator + handle-reporting query surface.
@@ -17,7 +18,7 @@ package kwsc
 // Index is the read surface shared by every static index family,
 // parameterized by the family's query shape Q:
 //
-//	Index[*Rect]       ORPKW, ORPKWHigh, RRKW, MultiK
+//	Index[*Rect]       ORPKW, ORPKWHigh, RRKW, Degraded
 //	Index[*Sphere]     SRPKW
 //	Index[[]Halfspace] LCKW
 //
@@ -29,14 +30,28 @@ package kwsc
 type Index[Q any] interface {
 	// Query streams matching object ids to report.
 	Query(q Q, ws []Keyword, opts QueryOpts, report func(int32)) (QueryStats, error)
-	// Collect is Query returning a freshly allocated, caller-owned slice.
-	Collect(q Q, ws []Keyword, opts QueryOpts) ([]int32, QueryStats, error)
-	// CollectInto is Collect appending into buf, reusing its capacity; the
-	// returned slice aliases buf only (0 steady-state allocs/op).
+	// CollectInto is Query returning the ids. The result overwrites buf
+	// from index 0 — it does not append — reusing buf's capacity, and
+	// aliases buf, never index scratch, so the caller owns it (0
+	// steady-state allocs/op with a warmed buf). A nil buf yields one
+	// exact-size allocation.
 	CollectInto(q Q, ws []Keyword, opts QueryOpts, buf []int32) ([]int32, QueryStats, error)
-	// K returns the keyword arity queries must carry (for MultiK, the
-	// largest supported arity).
+	// K returns the keyword arity queries must carry.
 	K() int
+}
+
+// Count returns the number of objects ix reports for q and ws.
+func Count[Q any](ix Index[Q], q Q, ws []Keyword) (int, QueryStats, error) {
+	n := 0
+	st, err := ix.Query(q, ws, QueryOpts{}, func(int32) { n++ })
+	return n, st, err
+}
+
+// Empty reports whether ix has no answer for q and ws: a query stopped at
+// its first result, as the paper's footnote 4 decides emptiness.
+func Empty[Q any](ix Index[Q], q Q, ws []Keyword) (bool, QueryStats, error) {
+	st, err := ix.Query(q, ws, QueryOpts{Limit: 1}, func(int32) {})
+	return st.Reported == 0, st, err
 }
 
 // DynamicIndex is the surface shared by the mutable indexes: the in-memory
@@ -53,11 +68,10 @@ type DynamicIndex interface {
 	// Delete removes the object with the given handle; deleting an unknown
 	// or already-deleted handle returns (false, nil).
 	Delete(handle int64) (bool, error)
-	// Query reports every live object in q carrying all k keywords.
-	Query(q *Rect, ws []Keyword, report func(handle int64, obj *Object)) (QueryStats, error)
-	// QueryWith is Query under explicit options (limits, budgets, deadlines).
-	QueryWith(q *Rect, ws []Keyword, opts QueryOpts, report func(handle int64, obj *Object)) (QueryStats, error)
-	// Collect is Query returning the handles.
+	// Query reports every live object in q carrying all k keywords, under
+	// opts (limits, budgets, deadlines).
+	Query(q *Rect, ws []Keyword, opts QueryOpts, report func(handle int64, obj *Object)) (QueryStats, error)
+	// Collect is Query without options, returning the handles.
 	Collect(q *Rect, ws []Keyword) ([]int64, QueryStats, error)
 	// Len returns the number of live objects.
 	Len() int
@@ -71,7 +85,6 @@ var (
 	_ Index[*Rect]       = (*ORPKW)(nil)
 	_ Index[*Rect]       = (*ORPKWHigh)(nil)
 	_ Index[*Rect]       = (*RRKW)(nil)
-	_ Index[*Rect]       = (*MultiK)(nil)
 	_ Index[*Rect]       = (*Degraded)(nil)
 	_ Index[*Sphere]     = (*SRPKW)(nil)
 	_ Index[[]Halfspace] = (*LCKW)(nil)

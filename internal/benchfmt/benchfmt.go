@@ -6,8 +6,7 @@
 // agrees on the field names.
 //
 // The schema is additive: fields are never removed or repurposed, and
-// readers must accept files missing any of the newer sections (the legacy
-// generation was a bare Record array; benchsave still parses it).
+// readers must accept files missing any of the newer sections.
 package benchfmt
 
 import "encoding/json"

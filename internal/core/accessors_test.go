@@ -16,7 +16,7 @@ func TestAccessorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := orp.Framework().Collect(geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{}); err != nil {
+	if _, _, err := orp.Framework().CollectInto(geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,7 +38,7 @@ func TestAccessorSurfaces(t *testing.T) {
 	if srp.K() != 2 || srp.Space().TotalWords(64) <= 0 {
 		t.Fatal("SRPKW accessors broken")
 	}
-	if _, _, err := srp.Collect(geom.NewSphere(geom.Point{0.5}, 1), []dataset.Keyword{0, 1}, QueryOpts{}); err == nil {
+	if _, _, err := srp.CollectInto(geom.NewSphere(geom.Point{0.5}, 1), []dataset.Keyword{0, 1}, QueryOpts{}, nil); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 

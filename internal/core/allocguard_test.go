@@ -272,13 +272,13 @@ func TestDynamicQueryAllocsIndependentOfResults(t *testing.T) {
 	measure := func(q *geom.Rect) (allocs float64, reported int) {
 		report := func(int64, *dataset.Object) { reported++ }
 		for i := 0; i < 4; i++ { // warm the per-bucket pools
-			if _, err := d.QueryWith(q, ws, QueryOpts{}, report); err != nil {
+			if _, err := d.Query(q, ws, QueryOpts{}, report); err != nil {
 				t.Fatal(err)
 			}
 		}
 		reported = 0
 		allocs = testing.AllocsPerRun(100, func() {
-			if _, err := d.QueryWith(q, ws, QueryOpts{}, report); err != nil {
+			if _, err := d.Query(q, ws, QueryOpts{}, report); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -129,7 +129,7 @@ func TestTightBoxesOriginalCoordinates(t *testing.T) {
 						what string
 						ix   *ORPKW
 					}{{"static", ix}, {"opened", opened}} {
-						got, _, err := c.ix.Collect(q, ws, QueryOpts{})
+						got, _, err := c.ix.CollectInto(q, ws, QueryOpts{}, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

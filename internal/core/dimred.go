@@ -70,14 +70,14 @@ type drNode struct {
 const drLeafSize = 8
 
 // BuildORPKWHigh constructs the index; the dataset must have dimension >= 3.
-func BuildORPKWHigh(ds *dataset.Dataset, k int, opts ...BuildOption) (*ORPKWHigh, error) {
-	return BuildORPKWHighWith(ds, k, resolveOpts(opts))
-}
-
-// BuildORPKWHighWith is BuildORPKWHigh with explicit construction options.
 // The goroutine budget is shared between the x-dimension tree and every
 // per-node secondary framework build.
-func BuildORPKWHighWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh, error) {
+func BuildORPKWHigh(ds *dataset.Dataset, k int, opts ...BuildOption) (*ORPKWHigh, error) {
+	return buildORPKWHigh(ds, k, resolveOpts(opts))
+}
+
+// buildORPKWHigh is BuildORPKWHigh with resolved options.
+func buildORPKWHigh(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh, error) {
 	if err := checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -333,13 +333,8 @@ func (ix *ORPKWHigh) checkQuery(q *geom.Rect, ws []dataset.Keyword) error {
 	return validateRect(q, ix.dim)
 }
 
-// Collect is Query returning a freshly allocated, caller-owned slice.
-func (ix *ORPKWHigh) Collect(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return ix.CollectInto(q, ws, opts, nil)
-}
-
-// CollectInto is Collect appending into buf, reusing its capacity. The
-// returned slice aliases buf only — never pooled scratch.
+// CollectInto is Query returning the ids, with Framework.CollectInto's
+// buffer contract.
 func (ix *ORPKWHigh) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
 	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
 	defer func() {

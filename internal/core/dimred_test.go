@@ -121,21 +121,21 @@ func TestDimRedLimitBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := geom.UniverseRect(3)
-	full, _, err := ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{})
+	full, _, err := ix.CollectInto(u, []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) < 10 {
 		t.Skip("too few matches for limit test")
 	}
-	got, st, err := ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Limit: 5})
+	got, st, err := ix.CollectInto(u, []dataset.Keyword{0, 1}, QueryOpts{Limit: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 || !st.Truncated {
 		t.Fatalf("limit=5: got %d, truncated=%v", len(got), st.Truncated)
 	}
-	_, st, err = ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Policy: ExecPolicy{NodeBudget: 5}})
+	_, st, err = ix.CollectInto(u, []dataset.Keyword{0, 1}, QueryOpts{Policy: ExecPolicy{NodeBudget: 5}}, nil)
 	if !errors.Is(err, ErrBudget) || !st.Truncated {
 		t.Fatalf("tiny node budget must trip: err=%v truncated=%v", err, st.Truncated)
 	}
@@ -149,7 +149,7 @@ func TestDimRedStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := workload.RandRect(rand.New(rand.NewSource(1)), 3, 0.5)
-	_, st, err := ix.Collect(q, []dataset.Keyword{0, 1}, QueryOpts{})
+	_, st, err := ix.CollectInto(q, []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDimRedNested4D(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		q := workload.RandRect(rng, 4, 0.6)
 		ws := workload.RandKeywords(rng, 40, 2)
-		got, _, err := ix.Collect(q, ws, QueryOpts{})
+		got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestDimRedK3(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		q := workload.RandRect(rng, 3, 0.7)
 		ws := workload.RandKeywords(rng, 15, 3)
-		got, _, err := ix.Collect(q, ws, QueryOpts{})
+		got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,7 +280,7 @@ func (d *DynamicORPKW) index(b *dynBucket) (*ORPKW, error) {
 		}
 		// Bucket indexes are internal parts: built untagged so a dynamic
 		// query is counted once, under the dynamic family.
-		b.ix, b.err = BuildORPKWWith(b.objs, d.k, d.bopts.inner())
+		b.ix, b.err = buildORPKW(b.objs, d.k, d.bopts.inner())
 	})
 	return b.ix, b.err
 }
@@ -690,12 +690,7 @@ func installBucket(ns *dynState, slot int, handles []int64, objs *dataset.Datase
 }
 
 // Query reports (handle, object) for every live object in q whose document
-// contains all k keywords.
-func (d *DynamicORPKW) Query(q *geom.Rect, ws []dataset.Keyword, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
-	return d.QueryWith(q, ws, QueryOpts{}, report)
-}
-
-// QueryWith is Query under explicit options. The policy's deadline, node
+// contains all k keywords. The policy's deadline, node
 // budget and cancellation channel span the write-buffer scan and every
 // Bentley–Saxe bucket (buffer entries charge the node budget per scanned
 // entry); a violation returns the partial results reported so far with a
@@ -708,7 +703,7 @@ func (d *DynamicORPKW) Query(q *geom.Rect, ws []dataset.Keyword, report func(han
 // for that build), and the policy does not bound the build: a deadline or
 // budget stops the traversal after it. A bucket whose build failed returns
 // the build's error to every query that reaches it.
-func (d *DynamicORPKW) QueryWith(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
+func (d *DynamicORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
 	return d.queryState(d.state.Load(), q, ws, opts, report)
 }
 
@@ -845,7 +840,7 @@ func (p *dynPart) emit(id int32) bool {
 // Collect is Query returning the handles.
 func (d *DynamicORPKW) Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, QueryStats, error) {
 	var out []int64
-	st, err := d.Query(q, ws, func(h int64, _ *dataset.Object) { out = append(out, h) })
+	st, err := d.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
 	return out, st, err
 }
 
@@ -920,13 +915,8 @@ func (s *DynSnapshot) NumBuckets() int { return s.st.numBuckets() }
 func (s *DynSnapshot) Tombstones() int { return s.st.deleted.size() }
 
 // Query reports (handle, object) for every object live at the pinned seq in
-// q whose document contains all k keywords.
-func (s *DynSnapshot) Query(q *geom.Rect, ws []dataset.Keyword, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
-	return s.QueryWith(q, ws, QueryOpts{}, report)
-}
-
-// QueryWith is Query under explicit options; see DynamicORPKW.QueryWith.
-func (s *DynSnapshot) QueryWith(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
+// q whose document contains all k keywords; opts as in DynamicORPKW.Query.
+func (s *DynSnapshot) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
 	if s.d.fam != famNone {
 		dynSnapStaleness.Set(int64(s.d.state.Load().seq - s.st.seq))
 	}
@@ -936,7 +926,7 @@ func (s *DynSnapshot) QueryWith(q *geom.Rect, ws []dataset.Keyword, opts QueryOp
 // Collect is Query returning the handles.
 func (s *DynSnapshot) Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, QueryStats, error) {
 	var out []int64
-	st, err := s.Query(q, ws, func(h int64, _ *dataset.Object) { out = append(out, h) })
+	st, err := s.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
 	return out, st, err
 }
 

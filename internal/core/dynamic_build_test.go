@@ -48,7 +48,7 @@ func burst(t testing.TB, src *dataset.Dataset, n int) *DynamicORPKW {
 // collectAll runs one query against d and returns its answer in report order.
 func collectAll(d *DynamicORPKW, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int64, error) {
 	var out []int64
-	_, err := d.QueryWith(q, ws, opts, func(h int64, _ *dataset.Object) { out = append(out, h) })
+	_, err := d.Query(q, ws, opts, func(h int64, _ *dataset.Object) { out = append(out, h) })
 	return out, err
 }
 

@@ -24,7 +24,7 @@ func allMatching(seed int64, n int) []dataset.Object {
 func collectDyn(t *testing.T, d *DynamicORPKW, opts QueryOpts) ([]int64, QueryStats) {
 	t.Helper()
 	var got []int64
-	st, err := d.QueryWith(geom.UniverseRect(2), []dataset.Keyword{1, 2}, opts, func(h int64, _ *dataset.Object) { got = append(got, h) })
+	st, err := d.Query(geom.UniverseRect(2), []dataset.Keyword{1, 2}, opts, func(h int64, _ *dataset.Object) { got = append(got, h) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestDynamicLimitEndsBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, one, err := static.Collect(geom.UniverseRect(2), ws, QueryOpts{Limit: 1})
+	_, one, err := static.CollectInto(geom.UniverseRect(2), ws, QueryOpts{Limit: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, two, err := static.Collect(geom.UniverseRect(2), ws, QueryOpts{Limit: 2})
+	_, two, err := static.CollectInto(geom.UniverseRect(2), ws, QueryOpts{Limit: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -469,7 +469,7 @@ func TestDynamicReportedSlicesSurviveChurn(t *testing.T) {
 		view, own dataset.Object
 	}
 	var keep []kept
-	if _, err := d.Query(geom.UniverseRect(2), []dataset.Keyword{0, 1}, func(h int64, o *dataset.Object) {
+	if _, err := d.Query(geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{}, func(h int64, o *dataset.Object) {
 		keep = append(keep, kept{h, dataset.Object{Point: o.Point, Doc: o.Doc},
 			dataset.Object{Point: slices.Clone(o.Point), Doc: slices.Clone(o.Doc)}})
 	}); err != nil {

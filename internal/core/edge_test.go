@@ -18,14 +18,14 @@ func TestSingleObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{})
+	got, _, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("got %d, want 1", len(got))
 	}
-	got, _, err = ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 4}, QueryOpts{})
+	got, _, err = ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 4}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAllObjectsSamePoint(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		ws := workload.RandKeywords(rng, 8, 2)
-		got, _, err := ix.Collect(geom.UniverseRect(2), ws, QueryOpts{})
+		got, _, err := ix.CollectInto(geom.UniverseRect(2), ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestAllObjectsSamePoint(t *testing.T) {
 	}
 	// A rectangle missing the point returns nothing.
 	off := geom.NewRect([]float64{0.6, 0.6}, []float64{0.9, 0.9})
-	got, _, err := ix.Collect(off, []dataset.Keyword{0, 1}, QueryOpts{})
+	got, _, err := ix.CollectInto(off, []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAllObjectsSameDoc(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		q := workload.RandRect(rng, 2, 0.3)
-		got, _, err := ix.Collect(q, []dataset.Keyword{0, 2}, QueryOpts{})
+		got, _, err := ix.CollectInto(q, []dataset.Keyword{0, 2}, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestAbsentKeywords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{9999, 10000}, QueryOpts{})
+	got, st, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{9999, 10000}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestHalfAbsentKeywords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{0, 9999}, QueryOpts{})
+	got, _, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{0, 9999}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDegenerateQueryRects(t *testing.T) {
 	}
 	// Point query hitting an object exactly.
 	pt := geom.NewRect([]float64{0.25, 0.25}, []float64{0.25, 0.25})
-	got, _, err := ix.Collect(pt, []dataset.Keyword{0, 1}, QueryOpts{})
+	got, _, err := ix.CollectInto(pt, []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDegenerateQueryRects(t *testing.T) {
 	}
 	// Vertical line through x=0.25.
 	line := geom.NewRect([]float64{0.25, 0}, []float64{0.25, 1})
-	got, _, err = ix.Collect(line, []dataset.Keyword{0, 1}, QueryOpts{})
+	got, _, err = ix.CollectInto(line, []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestKExceedsDocSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{0, 1, 5, 6}, QueryOpts{})
+	got, _, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{0, 1, 5, 6}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestORPKW1D(t *testing.T) {
 		a := rng.Float64() * 0.8
 		q := geom.NewRect([]float64{a}, []float64{a + 0.2})
 		ws := workload.RandKeywords(rng, 12, 2)
-		got, _, err := ix.Collect(q, ws, QueryOpts{})
+		got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestK5(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		q := workload.RandRect(rng, 2, 0.7)
 		ws := workload.RandKeywords(rng, 10, 5)
-		got, _, err := ix.Collect(q, ws, QueryOpts{})
+		got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestDisjointKeywordPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{})
+	got, st, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLCKWNoConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.CollectConstraints(nil, []dataset.Keyword{0, 1}, QueryOpts{}); err == nil {
+	if _, _, err := ix.CollectInto(nil, []dataset.Keyword{0, 1}, QueryOpts{}, nil); err == nil {
 		t.Fatal("empty constraint list must error")
 	}
 }
@@ -325,7 +325,7 @@ func TestSPKWSimplexQuery(t *testing.T) {
 		}
 		ws := workload.RandKeywords(rng, 20, 2)
 		var got []int32
-		if _, err := ix.QuerySimplex(tri, ws, QueryOpts{}, func(id int32) { got = append(got, id) }); err != nil {
+		if _, err := ix.Query(ph.HS, ws, QueryOpts{}, func(id int32) { got = append(got, id) }); err != nil {
 			t.Fatal(err)
 		}
 		equalIDs(t, got, ds.Filter(ph, ws), "spkw-simplex")
@@ -348,12 +348,12 @@ func TestSRPKWDirectVsLifted(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		s := geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.05+rng.Float64()*0.25)
 		ws := workload.RandKeywords(rng, 20, 2)
-		a, _, err := lifted.Collect(s, ws, QueryOpts{})
+		a, _, err := lifted.CollectInto(s, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b []int32
-		if _, err := direct.QueryRegion(s, ws, QueryOpts{}, func(id int32) { b = append(b, id) }); err != nil {
+		if _, err := direct.Framework().Query(s, ws, QueryOpts{}, func(id int32) { b = append(b, id) }); err != nil {
 			t.Fatal(err)
 		}
 		equalIDs(t, a, b, "srpkw-routes")
@@ -375,7 +375,7 @@ func TestLCKWSimplexPartitionRoute(t *testing.T) {
 		s := 1 + rng.Intn(3)
 		hs := workload.RandHalfspaces(rng, 2, s, 0.3+rng.Float64()*0.5)
 		ws := workload.RandKeywords(rng, 20, 2)
-		direct, _, err := ix.CollectConstraints(hs, ws, QueryOpts{})
+		direct, _, err := ix.CollectInto(hs, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,8 @@ import (
 	"kwsc/internal/dataset"
 )
 
-// The paper's cost formulas as work-unit estimates. They live here once:
-// Planner.Explain prices its three routes with them, and EstimateWork prices
-// a query from an index's root so a serving layer can tell a leg cheaper than
+// The paper's cost formulas as work-unit estimates: EstimateWork prices a
+// query from an index's root so a serving layer can tell a leg cheaper than
 // one goroutine wake-up from one that deserves a core.
 
 // outEstimate accumulates the classic independence estimate of the output
@@ -37,12 +36,6 @@ func (e *outEstimate) out(sel float64) float64 { return math.Min(e.minDF, e.inde
 func frameworkCost(nPow float64, k int, estOut float64) float64 {
 	return nPow * (1 + math.Pow(estOut, 1/float64(k)))
 }
-
-// keywordsOnlyCost is the galloping posting intersection: k * min_w |S_w|.
-func keywordsOnlyCost(k int, minDF float64) float64 { return float64(k) * minDF }
-
-// structuredOnlyCost is the geometric filter under uniformity: sel(q) * |D|.
-func structuredOnlyCost(sel float64, objects int) float64 { return sel * float64(objects) }
 
 // EstimateWork bounds the work units (QueryStats.Ops) a query for ws costs,
 // from the root node alone: O(k) lookups in structures the index already

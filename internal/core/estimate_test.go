@@ -92,7 +92,7 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 				if est != want {
 					t.Fatalf("ws %v: root stop node (all bitmaps=%v, shortest list %d) estimated %d, want %d", ws, allBitmaps, shortest, est, want)
 				}
-				_, st, err := ix.Collect(workload.RandRect(rng, 2, 0.1+0.9*rng.Float64()), ws, QueryOpts{})
+				_, st, err := ix.CollectInto(workload.RandRect(rng, 2, 0.1+0.9*rng.Float64()), ws, QueryOpts{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,8 +23,6 @@ const (
 	// FPDimredVisit fires once per node visit of the Section 4
 	// dimension-reduction tree (ORP-KW d>=3).
 	FPDimredVisit = "dimred/visit"
-	// FPBatchQuery fires once per query claimed by a batch worker.
-	FPBatchQuery = "batch/query"
 	// FPDynamicBucket fires once per Bentley–Saxe bucket scanned by a
 	// dynamic-index query.
 	FPDynamicBucket = "dynamic/bucket"

@@ -71,7 +71,7 @@ func TestFlatPolicyDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}
-	_, st, err := fl.Collect(workload.RandRect(rand.New(rand.NewSource(42)), 2, 0.5), []dataset.Keyword{1, 2}, opts)
+	_, st, err := fl.CollectInto(workload.RandRect(rand.New(rand.NewSource(42)), 2, 0.5), []dataset.Keyword{1, 2}, opts, nil)
 	if !errors.Is(err, ErrDeadline) || !st.Truncated {
 		t.Fatalf("expected deadline stop, got err=%v st=%+v", err, st)
 	}

@@ -29,16 +29,16 @@ func TestQueryValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := geom.UniverseRect(2)
-	if _, _, err := ix.Collect(u, []dataset.Keyword{1}, QueryOpts{}); err == nil {
+	if _, _, err := ix.CollectInto(u, []dataset.Keyword{1}, QueryOpts{}, nil); err == nil {
 		t.Fatal("wrong arity must error")
 	}
-	if _, _, err := ix.Collect(u, []dataset.Keyword{1, 1}, QueryOpts{}); err == nil {
+	if _, _, err := ix.CollectInto(u, []dataset.Keyword{1, 1}, QueryOpts{}, nil); err == nil {
 		t.Fatal("duplicate keywords must error")
 	}
-	if _, _, err := ix.Collect(u, []dataset.Keyword{1, 2, 3}, QueryOpts{}); err == nil {
+	if _, _, err := ix.CollectInto(u, []dataset.Keyword{1, 2, 3}, QueryOpts{}, nil); err == nil {
 		t.Fatal("over-arity must error")
 	}
-	if _, _, err := ix.Collect(geom.UniverseRect(3), []dataset.Keyword{1, 2}, QueryOpts{}); err == nil {
+	if _, _, err := ix.CollectInto(geom.UniverseRect(3), []dataset.Keyword{1, 2}, QueryOpts{}, nil); err == nil {
 		t.Fatal("wrong query dimension must error")
 	}
 }
@@ -157,7 +157,7 @@ func TestQueryStatsConsistency(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		q := workload.RandRect(rng, 2, 0.4)
 		ws := workload.RandKeywords(rng, 30, 2)
-		ids, st, err := ix.Collect(q, ws, QueryOpts{})
+		ids, st, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +183,14 @@ func TestQueryLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := geom.UniverseRect(2)
-	full, _, err := ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{})
+	full, _, err := ix.CollectInto(u, []dataset.Keyword{0, 1}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) < 5 {
 		t.Skip("workload produced too few matches for the limit test")
 	}
-	got, st, err := ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Limit: 3})
+	got, st, err := ix.CollectInto(u, []dataset.Keyword{0, 1}, QueryOpts{Limit: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestQueryLimit(t *testing.T) {
 		t.Fatalf("limit=3: got %d results, truncated=%v", len(got), st.Truncated)
 	}
 	// Limit >= OUT reports everything without truncation.
-	got, st, err = ix.Collect(u, []dataset.Keyword{0, 1}, QueryOpts{Limit: len(full)})
+	got, st, err = ix.CollectInto(u, []dataset.Keyword{0, 1}, QueryOpts{Limit: len(full)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestKDFrameworkAtMostOnePivot(t *testing.T) {
 			a, b := coord(), coord()
 			r := geom.NewRect([]float64{min(a, b), -inf}, []float64{max(a, b), coord()})
 			ws := []dataset.Keyword{dataset.Keyword(rng.Intn(6)), dataset.Keyword(6 + rng.Intn(6))}
-			got, _, err := f.Collect(r, ws, QueryOpts{})
+			got, _, err := f.CollectInto(r, ws, QueryOpts{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

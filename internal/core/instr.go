@@ -9,9 +9,9 @@ import (
 
 // family identifies which index family a public entry point belongs to in
 // the metrics registry. famNone means "not observed": composite indexes
-// (RRKW over ORPKW, NN probes over ORPKW, dynamic buckets, planner routes,
-// MultiK per-arity indexes) build their inner indexes untagged so each user
-// query is counted exactly once, at the entry point the caller invoked.
+// (RRKW over ORPKW, NN probes over ORPKW, dynamic buckets) build their inner
+// indexes untagged so each user query is counted exactly once, at the entry
+// point the caller invoked.
 type family uint8
 
 const (
@@ -25,8 +25,6 @@ const (
 	famL2NN
 	famKSI
 	famDynamic
-	famMultiK
-	famPlanner
 	famCount
 )
 
@@ -41,8 +39,6 @@ var famNames = [famCount]string{
 	famL2NN:      "l2_nn",
 	famKSI:       "ksi",
 	famDynamic:   "dynamic",
-	famMultiK:    "multik",
-	famPlanner:   "planner",
 }
 
 // famMeter holds one family's pre-resolved metric pointers. Resolution
@@ -88,9 +84,8 @@ func init() {
 	}
 }
 
-// Cross-family metrics: dynamic-index churn (Bentley–Saxe health), batch
-// throughput, planner route decisions, degraded-mode fallbacks. Gauges are
-// updated with deltas so several indexes share them coherently as fleet
+// Cross-family metrics: dynamic-index churn (Bentley–Saxe health). Gauges
+// are updated with deltas so several indexes share them coherently as fleet
 // totals.
 var (
 	dynInserts    = obs.Default().Counter("kwsc_dynamic_inserts_total")
@@ -110,13 +105,6 @@ var (
 	dynPublishes     = obs.Default().Counter("kwsc_dynamic_state_publishes_total")
 	dynSnapshotPins  = obs.Default().Counter("kwsc_dynamic_snapshot_pins_total")
 	dynSnapStaleness = obs.Default().Gauge("kwsc_dynamic_snapshot_staleness_ops")
-
-	batchRuns    = obs.Default().Counter("kwsc_batch_runs_total")
-	batchQueries = obs.Default().Counter("kwsc_batch_queries_total")
-
-	routeFrameworkHits  = obs.Default().Counter(`kwsc_planner_route_total{route="framework"}`)
-	routeKeywordsHits   = obs.Default().Counter(`kwsc_planner_route_total{route="keywords-only"}`)
-	routeStructuredHits = obs.Default().Counter(`kwsc_planner_route_total{route="structured-only"}`)
 )
 
 // errCounter maps a typed query error to its per-family counter (nil for
@@ -219,12 +207,6 @@ func obsSpan(fam family, op, echo string, k int, start time.Time, st *QueryStats
 		Outcome: outcomeOf(err),
 		Err:     err,
 	}
-	emitSpan(sp, local)
-}
-
-// emitSpan delivers a completed span (also used directly by the planner,
-// which attaches route and estimate fields).
-func emitSpan(sp obs.Span, local obs.Tracer) {
 	if local != nil {
 		local.End(sp)
 	}

@@ -50,8 +50,8 @@ func registryDelta(fn func()) (counters map[string]int64, histCount map[string]i
 // The central cross-family invariant: one user-visible query increments
 // exactly one family's queries_total, and the ops histogram absorbs exactly
 // the Ops figure the query's own QueryStats reported — composites (RRKW over
-// ORPKW, NN probes, KSI's inner ORP-KW, MultiK's per-arity indexes) must not
-// double-count through their inner structures.
+// ORPKW, NN probes, KSI's inner ORP-KW) must not double-count through their
+// inner structures.
 func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 61, Objects: 1 << 10, Dim: 2, Vocab: 32, DocLen: 4})
 	q := geom.UniverseRect(2)
@@ -73,17 +73,13 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, err := BuildMultiK(ds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
 		fam string
 		run func() int64 // returns QueryStats.Ops
 	}{
 		{"orpkw", func() int64 {
-			_, st, err := orp.Collect(q, ws, QueryOpts{})
+			_, st, err := orp.CollectInto(q, ws, QueryOpts{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +93,7 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 			return ns.Ops
 		}},
 		{"srpkw", func() int64 {
-			_, st, err := srp.Collect(geom.NewSphere(geom.Point{0.5, 0.5}, 0.3), ws, QueryOpts{})
+			_, st, err := srp.CollectInto(geom.NewSphere(geom.Point{0.5, 0.5}, 0.3), ws, QueryOpts{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,13 +101,6 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 		}},
 		{"ksi", func() int64 {
 			_, st, err := ksi.Report(ws, QueryOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st.Ops
-		}},
-		{"multik", func() int64 {
-			_, st, err := mk.Collect(q, []dataset.Keyword{1, 2, 3}, QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +139,7 @@ func TestErrorCountersMatchTypedErrors(t *testing.T) {
 	ws := []dataset.Keyword{1, 2}
 
 	counters, _, _ := registryDelta(func() {
-		_, _, err := ix.Collect(nil, ws, QueryOpts{})
+		_, _, err := ix.CollectInto(nil, ws, QueryOpts{}, nil)
 		if !errors.Is(err, ErrInvalidQuery) {
 			t.Fatalf("want ErrInvalidQuery, got %v", err)
 		}
@@ -160,8 +149,8 @@ func TestErrorCountersMatchTypedErrors(t *testing.T) {
 	}
 
 	counters, _, _ = registryDelta(func() {
-		_, _, err := ix.Collect(geom.UniverseRect(2), ws,
-			QueryOpts{Policy: ExecPolicy{NodeBudget: 1}})
+		_, _, err := ix.CollectInto(geom.UniverseRect(2), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 1}}, nil)
+
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("want ErrBudget, got %v", err)
 		}
@@ -172,7 +161,7 @@ func TestErrorCountersMatchTypedErrors(t *testing.T) {
 
 	ArmFailpoint(FPFrameworkVisit, func() { panic("instr test") })
 	counters, _, _ = registryDelta(func() {
-		_, _, err := ix.Collect(geom.UniverseRect(2), ws, QueryOpts{})
+		_, _, err := ix.CollectInto(geom.UniverseRect(2), ws, QueryOpts{}, nil)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("want *PanicError, got %v", err)
@@ -220,7 +209,7 @@ func TestWithoutObsSilencesIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}); err != nil {
+		if _, _, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -261,7 +250,7 @@ func TestPerIndexTracerSpans(t *testing.T) {
 	}
 	q := workload.RandRect(rand.New(rand.NewSource(65)), 2, 0.5)
 	ws := []dataset.Keyword{1, 2}
-	ids, st, err := ix.Collect(q, ws, QueryOpts{})
+	ids, st, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,45 +272,6 @@ func TestPerIndexTracerSpans(t *testing.T) {
 	}
 }
 
-// The planner's span is its decision trace: route plus the cost estimates.
-func TestPlannerSpanCarriesRouteAndEstimates(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 66, Objects: 1 << 10, Dim: 2, Vocab: 32, DocLen: 4})
-	tr := &spanTracer{}
-	p, err := BuildPlanner(ds, 2, WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counters, _, _ := registryDelta(func() {
-		if _, _, err := p.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if len(tr.spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(tr.spans))
-	}
-	sp := tr.spans[0]
-	if sp.Route == "" || len(sp.Estimates) != 3 {
-		t.Fatalf("planner span must carry route + 3 estimates: %+v", sp)
-	}
-	routeTotal := int64(0)
-	for name, d := range counters {
-		if strings.HasPrefix(name, "kwsc_planner_route_total{") {
-			routeTotal += d
-		}
-	}
-	if routeTotal != 1 {
-		t.Fatalf("route counters moved by %d, want exactly 1", routeTotal)
-	}
-	qSeries, _ := famSeries("planner")
-	if counters[qSeries] != 1 {
-		t.Fatalf("planner queries_total delta = %d, want 1", counters[qSeries])
-	}
-	// The framework route runs an untagged inner ORPKW: orpkw must not move.
-	if counters[`kwsc_queries_total{family="orpkw"}`] != 0 {
-		t.Fatal("planner's inner framework query leaked into orpkw counters")
-	}
-}
-
 // Slow-log entries must reproduce the query (echo) and rank by ops.
 func TestSlowLogCapturesExpensiveQueries(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 67, Objects: 1 << 11, Dim: 2, Vocab: 16, DocLen: 4})
@@ -332,7 +282,7 @@ func TestSlowLogCapturesExpensiveQueries(t *testing.T) {
 	obs.EnableSlowLog(4, 1)
 	defer obs.EnableSlowLog(0, 0)
 
-	_, st, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{})
+	_, st, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,37 +338,6 @@ func TestDynamicGaugesStayCoherent(t *testing.T) {
 	}
 }
 
-// Batch runs feed the batch throughput counters, and every query of the
-// batch still lands in the index family's own counters.
-func TestBatchCounters(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 68, Objects: 1 << 10, Dim: 2, Vocab: 32, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]RectQuery, 6)
-	for i := range queries {
-		queries[i] = RectQuery{Rect: geom.UniverseRect(2), Keywords: []dataset.Keyword{1, 2}}
-	}
-	counters, _, _ := registryDelta(func() {
-		for _, r := range ix.QueryBatch(queries, 2) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
-	})
-	if counters["kwsc_batch_runs_total"] != 1 {
-		t.Errorf("batch runs delta = %d, want 1", counters["kwsc_batch_runs_total"])
-	}
-	if counters["kwsc_batch_queries_total"] != 6 {
-		t.Errorf("batch queries delta = %d, want 6", counters["kwsc_batch_queries_total"])
-	}
-	qSeries, _ := famSeries("orpkw")
-	if counters[qSeries] != 6 {
-		t.Errorf("orpkw queries_total delta = %d, want 6 (one per batch member)", counters[qSeries])
-	}
-}
-
 // EnableMetrics(false) must freeze the registry without breaking queries.
 func TestMetricsDisableFreezesRegistry(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 69, Objects: 1 << 9, Dim: 2, Vocab: 16, DocLen: 3})
@@ -429,7 +348,7 @@ func TestMetricsDisableFreezesRegistry(t *testing.T) {
 	obs.SetMetricsEnabled(false)
 	defer obs.SetMetricsEnabled(true)
 	counters, histCount, _ := registryDelta(func() {
-		if _, _, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}); err != nil {
+		if _, _, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -61,7 +61,7 @@ func BuildKSIFromDataset(ds *dataset.Dataset, k int, opts ...BuildOption) (*KSI,
 	bt := obsBuildStart()
 	// The ORP-KW instance is the reduction's vehicle: untagged, so k-SI
 	// queries are counted under the ksi family only.
-	orp, err := BuildORPKWWith(ds, k, o.inner())
+	orp, err := buildORPKW(ds, k, o.inner())
 	if err != nil {
 		return nil, err
 	}

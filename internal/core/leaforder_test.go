@@ -67,37 +67,37 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 		balls[i] = geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.15+0.4*rng.Float64())
 	}
 
-	bo := BuildOpts{NoObs: true}
-	orp2, err := BuildORPKWWith(ds2, 2, bo)
+	bo := WithoutObs()
+	orp2, err := BuildORPKW(ds2, 2, bo)
 	must(t, err)
-	orp3, err := BuildORPKWHighWith(ds3, 2, bo)
+	orp3, err := BuildORPKWHigh(ds3, 2, bo)
 	must(t, err)
-	lc, err := BuildSPKW(ds2, SPKWConfig{K: 2, Build: bo})
+	lc, err := BuildSPKW(ds2, SPKWConfig{K: 2}, bo)
 	must(t, err)
-	srp, err := BuildSRPKWWith(ds2, 2, bo)
+	srp, err := BuildSRPKW(ds2, 2, bo)
 	must(t, err)
-	rr, err := BuildRRKWWith(rects, 2, bo)
+	rr, err := BuildRRKW(rects, 2, bo)
 	must(t, err)
 	rrOracle := invidx.Build(rr.Dataset())
 	fams := []family{
 		{"ORPKW d=2",
 			func(i int) collector {
 				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-					return orp2.Collect(rect2[i], ws, o)
+					return orp2.CollectInto(rect2[i], ws, o, nil)
 				}
 			},
 			func(i int, ws []dataset.Keyword) []int32 { return oracle2.KeywordsOnly(rect2[i], ws) }},
 		{"ORPKWHigh d=3",
 			func(i int) collector {
 				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-					return orp3.Collect(rect3[i], ws, o)
+					return orp3.CollectInto(rect3[i], ws, o, nil)
 				}
 			},
 			func(i int, ws []dataset.Keyword) []int32 { return oracle3.KeywordsOnly(rect3[i], ws) }},
 		{"LCKW",
 			func(i int) collector {
 				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-					return lc.CollectConstraints(hs[i], ws, o)
+					return lc.CollectInto(hs[i], ws, o, nil)
 				}
 			},
 			func(i int, ws []dataset.Keyword) []int32 {
@@ -106,14 +106,14 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 		{"SRPKW",
 			func(i int) collector {
 				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-					return srp.Collect(balls[i], ws, o)
+					return srp.CollectInto(balls[i], ws, o, nil)
 				}
 			},
 			func(i int, ws []dataset.Keyword) []int32 { return oracle2.KeywordsOnly(balls[i], ws) }},
 		{"RRKW",
 			func(i int) collector {
 				return func(ws []dataset.Keyword, o QueryOpts) ([]int32, QueryStats, error) {
-					return rr.Collect(rect2[i], ws, o)
+					return rr.CollectInto(rect2[i], ws, o, nil)
 				}
 			},
 			func(i int, ws []dataset.Keyword) []int32 { return rrOracle.KeywordsOnly(rr.cornerQuery(rect2[i]), ws) }},
@@ -234,7 +234,7 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 		for i := range rect2 {
 			ws := randWs(rng, 2, vocab-1)
 			var full []int32
-			_, err := d.Query(rect2[i], ws, func(h int64, _ *dataset.Object) { full = append(full, objOf[h]) })
+			_, err := d.Query(rect2[i], ws, QueryOpts{}, func(h int64, _ *dataset.Object) { full = append(full, objOf[h]) })
 			must(t, err)
 			equalIDs(t, full, oracle2.KeywordsOnly(rect2[i], ws), "dynamic vs invidx oracle")
 			for _, tc := range []struct {
@@ -246,7 +246,7 @@ func TestLeafOrderDifferentialFamilies(t *testing.T) {
 				{QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}, ErrDeadline},
 			} {
 				var part []int32
-				_, err := d.QueryWith(rect2[i], ws, tc.opts, func(h int64, _ *dataset.Object) { part = append(part, objOf[h]) })
+				_, err := d.Query(rect2[i], ws, tc.opts, func(h int64, _ *dataset.Object) { part = append(part, objOf[h]) })
 				for _, id := range part {
 					if !slices.Contains(full, id) {
 						t.Fatalf("%+v: reported object %d, no member of the full answer", tc.opts, id)
@@ -323,7 +323,7 @@ func TestORPKWHighAllocationFollowsItsObjects(t *testing.T) {
 		ds := workload.Gen(workload.Config{Seed: 95, Objects: n, Dim: 3, Vocab: 200, DocLen: 5})
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		ix, err := BuildORPKWHighWith(ds, 2, BuildOpts{Parallelism: 1, NoObs: true})
+		ix, err := BuildORPKWHigh(ds, 2, WithParallelism(1), WithoutObs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestBuildScratchIgnoresKeywordValues(t *testing.T) {
 	ds := dataset.MustNew(objs)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	ix, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: 1, NoObs: true})
+	ix, err := BuildORPKW(ds, 2, WithParallelism(1), WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestBuildScratchIgnoresKeywordValues(t *testing.T) {
 	}
 	ws := []dataset.Keyword{math.MaxUint32, math.MaxUint32 - 16}
 	q := geom.UniverseRect(2)
-	got, _, err := ix.Collect(q, ws, QueryOpts{})
+	got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

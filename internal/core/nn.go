@@ -47,12 +47,8 @@ type LinfNN struct {
 }
 
 // BuildLinfNN constructs the index for k-keyword queries.
-func BuildLinfNN(ds *dataset.Dataset, k int, opts ...BuildOption) (*LinfNN, error) {
-	return BuildLinfNNWith(ds, k, resolveOpts(opts))
-}
-
-// BuildLinfNNWith is BuildLinfNN with an explicit options struct.
-func BuildLinfNNWith(ds *dataset.Dataset, k int, opts BuildOpts) (*LinfNN, error) {
+func BuildLinfNN(ds *dataset.Dataset, k int, options ...BuildOption) (*LinfNN, error) {
+	opts := resolveOpts(options)
 	if err := checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -62,9 +58,9 @@ func BuildLinfNNWith(ds *dataset.Dataset, k int, opts BuildOpts) (*LinfNN, error
 	// The probe index is internal: built untagged so a search counts as one
 	// linf_nn query, not O(log N) orpkw queries.
 	if ds.Dim() <= 2 {
-		base, err = BuildORPKWWith(ds, k, opts.inner())
+		base, err = buildORPKW(ds, k, opts.inner())
 	} else {
-		base, err = BuildORPKWHighWith(ds, k, opts.inner())
+		base, err = buildORPKWHigh(ds, k, opts.inner())
 	}
 	if err != nil {
 		return nil, err
@@ -283,12 +279,8 @@ type L2NN struct {
 
 // BuildL2NN constructs the index; every coordinate must be integral (the
 // problem fixes D in N^d, the O(log N)-bit integers).
-func BuildL2NN(ds *dataset.Dataset, k int, opts ...BuildOption) (*L2NN, error) {
-	return BuildL2NNWith(ds, k, resolveOpts(opts))
-}
-
-// BuildL2NNWith is BuildL2NN with an explicit options struct.
-func BuildL2NNWith(ds *dataset.Dataset, k int, opts BuildOpts) (*L2NN, error) {
+func BuildL2NN(ds *dataset.Dataset, k int, options ...BuildOption) (*L2NN, error) {
+	opts := resolveOpts(options)
 	if err := checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -300,7 +292,7 @@ func BuildL2NNWith(ds *dataset.Dataset, k int, opts BuildOpts) (*L2NN, error) {
 			}
 		}
 	}
-	srp, err := BuildSRPKWWith(ds, k, opts.inner())
+	srp, err := buildSRPKW(ds, k, opts.inner())
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,8 @@ package core
 
 import "kwsc/internal/obs"
 
-// BuildOption is a functional construction option. The plain builders are
-// variadic — BuildORPKW(ds, k, WithParallelism(4), WithTracer(t)) — which
-// supersedes the Build*With(ds, k, BuildOpts{...}) pairs; those remain as
-// thin wrappers.
+// BuildOption is a functional construction option. Every builder takes them
+// variadically: BuildORPKW(ds, k, WithParallelism(4), WithTracer(t)).
 type BuildOption func(*BuildOpts)
 
 // WithParallelism caps the number of goroutines the build may use (see
@@ -28,19 +26,15 @@ func WithoutObs() BuildOption {
 	return func(o *BuildOpts) { o.NoObs = true }
 }
 
-// With returns a copy of o with opts applied.
-func (o BuildOpts) With(opts ...BuildOption) BuildOpts {
+// resolveOpts folds a variadic option list into a BuildOpts value.
+func resolveOpts(opts []BuildOption) BuildOpts {
+	var o BuildOpts
 	for _, f := range opts {
 		if f != nil {
 			f(&o)
 		}
 	}
 	return o
-}
-
-// resolveOpts folds a variadic option list into a BuildOpts value.
-func resolveOpts(opts []BuildOption) BuildOpts {
-	return BuildOpts{}.With(opts...)
 }
 
 // inner returns the options a composite index passes to the structures it

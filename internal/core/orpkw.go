@@ -26,13 +26,14 @@ type ORPKW struct {
 }
 
 // BuildORPKW constructs the index for queries carrying exactly k keywords.
+// Parallel and sequential builds answer every query identically.
 func BuildORPKW(ds *dataset.Dataset, k int, opts ...BuildOption) (*ORPKW, error) {
-	return BuildORPKWWith(ds, k, resolveOpts(opts))
+	return buildORPKW(ds, k, resolveOpts(opts))
 }
 
-// BuildORPKWWith is BuildORPKW with an explicit options struct. Parallel
-// and sequential builds answer every query identically.
-func BuildORPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) {
+// buildORPKW is BuildORPKW with resolved options; composites pass their
+// inner() options through it.
+func buildORPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) {
 	if err := checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -79,14 +80,8 @@ func (ix *ORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, repor
 	return qc.finish()
 }
 
-// Collect is Query returning a freshly allocated, caller-owned slice.
-func (ix *ORPKW) Collect(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return ix.CollectInto(q, ws, opts, nil)
-}
-
-// CollectInto is Collect appending into buf, reusing its capacity. With a
-// warmed buffer the query path performs zero heap allocations; the returned
-// slice aliases buf only, so the caller owns the result.
+// CollectInto is Query returning the ids, with Framework.CollectInto's
+// buffer contract.
 func (ix *ORPKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
 	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
 	defer func() {

@@ -6,9 +6,9 @@ import (
 	"kwsc/internal/obs"
 )
 
-// BuildOpts tunes index construction across the whole suite. The variadic
-// builders accept functional BuildOptions (see options.go); the Build*With
-// forms accept this struct directly and remain for compatibility.
+// BuildOpts tunes index construction across the whole suite. Builders take
+// functional BuildOptions (see options.go) and resolve them into this struct;
+// composites pass its inner() form to the unexported builders they wrap.
 type BuildOpts struct {
 	// Parallelism caps the number of goroutines a build may use: <= 0
 	// selects runtime.GOMAXPROCS(0), 1 forces a fully sequential build.

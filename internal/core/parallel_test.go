@@ -31,11 +31,11 @@ func sameSorted(t *testing.T, label string, got, want []int32) {
 // exceed the sequential cutoff, so the parallel path genuinely runs.
 func TestParallelBuildDeterminismORPKW2D(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 11, Objects: 6000, Dim: 2, Vocab: 25, DocLen: 4})
-	serial, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: 1})
+	serial, err := BuildORPKW(ds, 2, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: 4})
+	par, err := BuildORPKW(ds, 2, WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestParallelBuildDeterminismORPKW2D(t *testing.T) {
 	for q := 0; q < 60; q++ {
 		rect := workload.RandRect(rng, 2, 0.4)
 		ws := workload.RandKeywords(rng, 25, 2)
-		a, _, err := serial.Collect(rect, ws, QueryOpts{})
+		a, _, err := serial.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := par.Collect(rect, ws, QueryOpts{})
+		b, _, err := par.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +62,11 @@ func TestParallelBuildDeterminismORPKW2D(t *testing.T) {
 // parallel build also covers per-node secondary structures.
 func TestParallelBuildDeterminismORPKW3D(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 21, Objects: 4000, Dim: 3, Vocab: 20, DocLen: 4})
-	serial, err := BuildORPKWHighWith(ds, 2, BuildOpts{Parallelism: 1})
+	serial, err := BuildORPKWHigh(ds, 2, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildORPKWHighWith(ds, 2, BuildOpts{Parallelism: 4})
+	par, err := BuildORPKWHigh(ds, 2, WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestParallelBuildDeterminismORPKW3D(t *testing.T) {
 	for q := 0; q < 40; q++ {
 		rect := workload.RandRect(rng, 3, 0.5)
 		ws := workload.RandKeywords(rng, 20, 2)
-		a, _, err := serial.Collect(rect, ws, QueryOpts{})
+		a, _, err := serial.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := par.Collect(rect, ws, QueryOpts{})
+		b, _, err := par.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +92,11 @@ func TestParallelBuildDeterminismORPKW3D(t *testing.T) {
 // Same determinism contract for the partition-tree LC-KW route.
 func TestParallelBuildDeterminismLCKW(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 31, Objects: 5000, Dim: 2, Vocab: 20, DocLen: 4})
-	serial, err := BuildSPKW(ds, SPKWConfig{K: 2, Build: BuildOpts{Parallelism: 1}})
+	serial, err := BuildSPKW(ds, SPKWConfig{K: 2}, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildSPKW(ds, SPKWConfig{K: 2, Build: BuildOpts{Parallelism: 4}})
+	par, err := BuildSPKW(ds, SPKWConfig{K: 2}, WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestParallelBuildDeterminismLCKW(t *testing.T) {
 			{Coef: []float64{0, 1}, Bound: rect.Hi[1]},
 		}
 		ws := workload.RandKeywords(rng, 20, 2)
-		a, _, err := serial.CollectConstraints(hs, ws, QueryOpts{})
+		a, _, err := serial.CollectInto(hs, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := par.CollectConstraints(hs, ws, QueryOpts{})
+		b, _, err := par.CollectInto(hs, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +146,11 @@ func TestParallelBuildDeterminismKDSplitter(t *testing.T) {
 	for q := 0; q < 30; q++ {
 		rect := workload.RandRect(rng, 2, 0.4)
 		ws := workload.RandKeywords(rng, 18, 2)
-		a, _, err := serial.Collect(rect, ws, QueryOpts{})
+		a, _, err := serial.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := par.Collect(rect, ws, QueryOpts{})
+		b, _, err := par.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,9 +158,9 @@ func TestParallelBuildDeterminismKDSplitter(t *testing.T) {
 	}
 }
 
-// A shared index must serve QueryBatch and plain Collect calls from many
-// goroutines at once; run under -race this exercises the pooled query
-// contexts for write collisions.
+// A shared index must serve CollectInto calls — into a per-goroutine buffer
+// and into pooled scratch — from many goroutines at once; run under -race
+// this exercises the pooled query contexts for write collisions.
 func TestConcurrentQueriesShareIndex(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 51, Objects: 1200, Dim: 2, Vocab: 20, DocLen: 4})
 	ix, err := BuildORPKW(ds, 2)
@@ -168,35 +168,35 @@ func TestConcurrentQueriesShareIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(52))
-	queries := makeBatch(rng, 48)
+	type query struct {
+		rect *geom.Rect
+		ws   []dataset.Keyword
+	}
+	queries := make([]query, 48)
 	want := make([][]int32, len(queries))
-	for i, q := range queries {
-		want[i] = sortedIDs(ds.Filter(q.Rect, q.Keywords))
+	for i := range queries {
+		queries[i] = query{workload.RandRect(rng, 2, 0.1+0.8*rng.Float64()), workload.RandKeywords(rng, 20, 2)}
+		want[i] = sortedIDs(ds.Filter(queries[i].rect, queries[i].ws))
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results := ix.QueryBatch(queries, 4)
-			for i, r := range results {
-				if r.Err != nil {
-					t.Errorf("goroutine %d query %d: %v", g, i, r.Err)
-					return
-				}
-				sameSorted(t, "batch", sortedIDs(r.IDs), want[i])
+			var buf []int32
+			if g%2 == 0 {
+				buf = make([]int32, 0, 64)
 			}
-		}(g)
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
 			for i := range queries {
-				ids, _, err := ix.Collect(queries[i].Rect, queries[i].Keywords, QueryOpts{})
+				ids, _, err := ix.CollectInto(queries[i].rect, queries[i].ws, QueryOpts{}, buf)
 				if err != nil {
-					t.Errorf("goroutine %d collect %d: %v", g, i, err)
+					t.Errorf("goroutine %d query %d: %v", g, i, err)
 					return
 				}
 				sameSorted(t, "collect", sortedIDs(ids), want[i])
+				if buf != nil {
+					buf = ids
+				}
 			}
 		}(g)
 	}
@@ -204,8 +204,7 @@ func TestConcurrentQueriesShareIndex(t *testing.T) {
 }
 
 // Returned ID slices are caller-owned: scribbling over one result must not
-// corrupt any later query, and batch results must stay independent of the
-// buffers a subsequent QueryBatchInto reuses.
+// corrupt any later query.
 func TestCollectResultsCallerOwned(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 61, Objects: 900, Dim: 2, Vocab: 15, DocLen: 4})
 	ix, err := BuildORPKW(ds, 2)
@@ -226,7 +225,7 @@ func TestCollectResultsCallerOwned(t *testing.T) {
 	}
 	var held [][]int32
 	for _, p := range probes {
-		ids, _, err := ix.Collect(p.rect, p.ws, QueryOpts{})
+		ids, _, err := ix.CollectInto(p.rect, p.ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +241,7 @@ func TestCollectResultsCallerOwned(t *testing.T) {
 	}
 	// One clean pass after all the vandalism.
 	for _, p := range probes {
-		ids, _, err := ix.Collect(p.rect, p.ws, QueryOpts{})
+		ids, _, err := ix.CollectInto(p.rect, p.ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,37 +249,7 @@ func TestCollectResultsCallerOwned(t *testing.T) {
 	}
 }
 
-// QueryBatchInto reuses prior IDs buffers without leaking stale contents
-// into the new answers.
-func TestQueryBatchIntoReuse(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 71, Objects: 900, Dim: 2, Vocab: 15, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(72))
-	first := makeBatch(rng, 30)
-	second := makeBatch(rng, 30)
-	prev := ix.QueryBatch(first, 4)
-	results := ix.QueryBatchInto(second, 4, prev)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		sameSorted(t, "into", sortedIDs(r.IDs), sortedIDs(ds.Filter(second[i].Rect, second[i].Keywords)))
-	}
-	// A shorter prev must also be fine.
-	third := makeBatch(rng, 30)
-	results = ix.QueryBatchInto(third, 4, results[:7])
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		sameSorted(t, "short-prev", sortedIDs(r.IDs), sortedIDs(ds.Filter(third[i].Rect, third[i].Keywords)))
-	}
-}
-
-// CollectInto appends into the supplied buffer, reusing its capacity.
+// CollectInto writes into the supplied buffer, reusing its capacity.
 func TestCollectIntoReusesBuffer(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 81, Objects: 700, Dim: 2, Vocab: 12, DocLen: 4})
 	ix, err := BuildORPKW(ds, 2)
@@ -315,7 +284,7 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 	images := make([]*FlatArenas, 2)
 	indexes := make([]*ORPKW, 2)
 	for i, par := range []int{1, 4} {
-		ix, err := BuildORPKWWith(ds, 2, BuildOpts{Parallelism: par, NoObs: true})
+		ix, err := BuildORPKW(ds, 2, WithParallelism(par), WithoutObs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,15 +300,15 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for q := 0; q < 40; q++ {
 		rect, ws := workload.RandRect(rng, 2, 0.4), workload.RandKeywords(rng, 30, 2)
-		a, sa, errA := indexes[0].Collect(rect, ws, QueryOpts{})
-		b, sb, errB := indexes[1].Collect(rect, ws, QueryOpts{})
+		a, sa, errA := indexes[0].CollectInto(rect, ws, QueryOpts{}, nil)
+		b, sb, errB := indexes[1].CollectInto(rect, ws, QueryOpts{}, nil)
 		sameIDsAndStats(t, "sequential vs parallel image", b, a, sb, sa, errB, errA)
 	}
 
 	ds3 := workload.Gen(workload.Config{Seed: 33, Objects: 6000, Dim: 3, Vocab: 20, DocLen: 4})
 	var secondaries [2][]*Framework
 	for i, par := range []int{1, 4} {
-		ix, err := BuildORPKWHighWith(ds3, 2, BuildOpts{Parallelism: par, NoObs: true})
+		ix, err := BuildORPKWHigh(ds3, 2, WithParallelism(par), WithoutObs())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestPropertyORPKWEquivalence(t *testing.T) {
 			hi := []float64{lo[0] + float64(rng.Intn(10)), lo[1] + float64(rng.Intn(10))}
 			rect := &geom.Rect{Lo: lo, Hi: hi}
 			ws := randKws(rng, ds, k)
-			got, _, err := ix.Collect(rect, ws, QueryOpts{})
+			got, _, err := ix.CollectInto(rect, ws, QueryOpts{}, nil)
 			if err != nil {
 				return false
 			}
@@ -98,7 +98,7 @@ func TestPropertySPKWEquivalence(t *testing.T) {
 				}
 			}
 			ws := randKws(rng, ds, k)
-			got, _, err := ix.CollectConstraints(hs, ws, QueryOpts{})
+			got, _, err := ix.CollectInto(hs, ws, QueryOpts{}, nil)
 			if err != nil {
 				return false
 			}
@@ -133,7 +133,7 @@ func TestPropertyORPKWHighEquivalence(t *testing.T) {
 			}
 			rect := &geom.Rect{Lo: lo, Hi: hi}
 			ws := randKws(rng, ds, 2)
-			got, _, err := ix.Collect(rect, ws, QueryOpts{})
+			got, _, err := ix.CollectInto(rect, ws, QueryOpts{}, nil)
 			if err != nil {
 				return false
 			}
@@ -167,11 +167,11 @@ func TestPropertySplitterAgnostic(t *testing.T) {
 			Bound: rng.NormFloat64() * 8,
 		}}
 		ws := randKws(rng, ds, 2)
-		ra, _, err := a.CollectConstraints(hs, ws, QueryOpts{})
+		ra, _, err := a.CollectInto(hs, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, _, err := b.CollectConstraints(hs, ws, QueryOpts{})
+		rb, _, err := b.CollectInto(hs, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestPropertyPlantedOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ix.Collect(region, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(region, kws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

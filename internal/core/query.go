@@ -78,18 +78,12 @@ func (f *Framework) Query(q geom.Region, ws []dataset.Keyword, opts QueryOpts, r
 	return qc.finish()
 }
 
-// Collect is Query returning a slice of object ids. The slice is freshly
-// allocated and owned by the caller; use CollectInto to amortize it.
-func (f *Framework) Collect(q geom.Region, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return f.CollectInto(q, ws, opts, nil)
-}
-
-// CollectInto is Collect appending into buf (reusing its capacity, like
-// append). With a warmed buffer and a pooled context the steady-state query
-// path performs zero heap allocations. The returned slice aliases buf, never
-// pooled scratch, so the caller owns it outright; with a nil buf the ids
-// accumulate in pooled scratch and are copied out in one exact-size
-// allocation.
+// CollectInto is Query returning the ids instead of reporting them. The
+// result overwrites buf from index 0, reusing its capacity, and aliases buf,
+// never pooled scratch, so the caller owns it outright; with a warmed buffer
+// and a pooled context the steady-state query path performs zero heap
+// allocations. With a nil buf the ids accumulate in pooled scratch and are
+// copied out in one exact-size allocation.
 func (f *Framework) CollectInto(q geom.Region, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {

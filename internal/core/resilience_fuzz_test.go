@@ -18,7 +18,6 @@ var (
 	fuzzLow  *ORPKW
 	fuzzHiDS *dataset.Dataset
 	fuzzHigh *ORPKWHigh
-	fuzzMK   *MultiK
 	fuzzDyn  *DynamicORPKW
 )
 
@@ -31,9 +30,6 @@ func fuzzFixtures(t testing.TB) {
 			t.Fatal(err)
 		}
 		if fuzzHigh, err = BuildORPKWHigh(fuzzHiDS, 2); err != nil {
-			t.Fatal(err)
-		}
-		if fuzzMK, err = BuildMultiK(fuzzDS, 3); err != nil {
 			t.Fatal(err)
 		}
 		// fuzzDS inserted in order (handle i is object i) into buckets and a
@@ -66,9 +62,9 @@ func fuzzFixtures(t testing.TB) {
 func FuzzExecPolicy(f *testing.F) {
 	f.Add(uint8(0), uint16(3), uint16(0), int64(0), int64(1), int64(0), int64(1))
 	f.Add(uint8(1), uint16(9), uint16(5), int64(200), int64(0), int64(-2), int64(3))
-	f.Add(uint8(2), uint16(50), uint16(2), int64(1), int64(4), int64(5), int64(6))
+	f.Add(uint8(0), uint16(50), uint16(2), int64(1), int64(4), int64(5), int64(6))
 	f.Add(uint8(0), uint16(1000), uint16(7), int64(64), int64(0), int64(0), int64(0))
-	f.Add(uint8(3), uint16(40), uint16(2), int64(0), int64(0), int64(39), int64(39))
+	f.Add(uint8(2), uint16(40), uint16(2), int64(0), int64(0), int64(39), int64(39))
 	f.Fuzz(func(t *testing.T, family uint8, budget16 uint16, cap16 uint16, ax, ay, bx, by int64) {
 		fuzzFixtures(t)
 		budget := int64(budget16)
@@ -88,22 +84,20 @@ func FuzzExecPolicy(f *testing.F) {
 
 		type collector func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error)
 		var collect collector
-		switch family % 4 {
+		switch family % 3 {
 		case 0:
-			collect = fuzzLow.Collect
+			collect = func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
+				return fuzzLow.CollectInto(q, ws, opts, nil)
+			}
 		case 1:
 			q3 := geom.NewRect(append(lo, 0), append(hi, 1))
 			collect = func(_ *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-				return fuzzHigh.Collect(q3, ws, opts)
+				return fuzzHigh.CollectInto(q3, ws, opts, nil)
 			}
 		case 2:
 			collect = func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-				return fuzzMK.Collect(q, ws, opts)
-			}
-		case 3:
-			collect = func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
 				var out []int32
-				st, err := fuzzDyn.QueryWith(q, ws, opts, func(h int64, _ *dataset.Object) { out = append(out, int32(h)) })
+				st, err := fuzzDyn.Query(q, ws, opts, func(h int64, _ *dataset.Object) { out = append(out, int32(h)) })
 				return out, st, err
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,7 +40,7 @@ func TestPanicIsolationFramework(t *testing.T) {
 	ws := []dataset.Keyword{1, 2}
 
 	ArmFailpoint(FPFrameworkVisit, func() { panic("injected traversal corruption") })
-	_, _, err = ix.Collect(q, ws, QueryOpts{})
+	_, _, err = ix.CollectInto(q, ws, QueryOpts{}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("armed panic surfaced as %v, want *PanicError", err)
@@ -56,7 +55,7 @@ func TestPanicIsolationFramework(t *testing.T) {
 	// Disarming restores normal service on the same index: the panic left no
 	// poisoned state behind.
 	DisarmFailpoint(FPFrameworkVisit)
-	got, _, err := ix.Collect(q, ws, QueryOpts{})
+	got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatalf("query after disarm: %v", err)
 	}
@@ -71,7 +70,7 @@ func TestPanicIsolationDimred(t *testing.T) {
 		t.Fatal(err)
 	}
 	ArmFailpoint(FPDimredVisit, func() { panic("dimred boom") })
-	_, _, err = ix.Collect(geom.UniverseRect(3), []dataset.Keyword{1, 2}, QueryOpts{})
+	_, _, err = ix.CollectInto(geom.UniverseRect(3), []dataset.Keyword{1, 2}, QueryOpts{}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("dimred panic surfaced as %v, want *PanicError", err)
@@ -87,7 +86,7 @@ func TestDeadlineStopsStalledTraversal(t *testing.T) {
 	}
 	q := geom.UniverseRect(2)
 	ws := []dataset.Keyword{1, 2}
-	full, _, err := ix.Collect(q, ws, QueryOpts{})
+	full, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestDeadlineStopsStalledTraversal(t *testing.T) {
 	// checks) must fire long before the traversal would finish on its own.
 	ArmFailpoint(FPFrameworkVisit, func() { time.Sleep(100 * time.Microsecond) })
 	start := time.Now()
-	partial, st, err := ix.Collect(q, ws, QueryOpts{Policy: ExecPolicy{Deadline: start.Add(time.Millisecond)}})
+	partial, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{Deadline: start.Add(time.Millisecond)}}, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("stalled traversal returned %v, want ErrDeadline", err)
@@ -118,7 +117,7 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 	}
 	q := geom.UniverseRect(2)
 	ws := []dataset.Keyword{1, 2}
-	full, fullSt, err := ix.Collect(q, ws, QueryOpts{})
+	full, fullSt, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 		t.Skipf("traversal too small to budget (visited %d)", fullSt.NodesVisited)
 	}
 	for _, budget := range []int64{1, 5, int64(fullSt.NodesVisited) / 2} {
-		partial, st, err := ix.Collect(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: budget}})
+		partial, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: budget}}, nil)
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("budget %d: err = %v, want ErrBudget", budget, err)
 		}
@@ -136,7 +135,7 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 		assertPrefix(t, partial, full, "budget")
 	}
 	// A budget generous enough for the whole traversal changes nothing.
-	all, st, err := ix.Collect(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: int64(fullSt.NodesVisited) + 10}})
+	all, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: int64(fullSt.NodesVisited) + 10}}, nil)
 	if err != nil {
 		t.Fatalf("ample budget errored: %v", err)
 	}
@@ -154,47 +153,13 @@ func TestCancellation(t *testing.T) {
 	}
 	done := make(chan struct{})
 	close(done)
-	_, st, err := ix.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2},
-		QueryOpts{Policy: ExecPolicy{Done: done}})
+	_, st, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{Policy: ExecPolicy{Done: done}}, nil)
+
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("closed Done returned %v, want ErrCanceled", err)
 	}
 	if !st.Truncated {
 		t.Fatalf("cancel without Truncated: %+v", st)
-	}
-}
-
-func TestBatchPanicIsolatedPositionally(t *testing.T) {
-	defer DisarmAllFailpoints()
-	ds := workload.Gen(workload.Config{Seed: 17, Objects: 600, Dim: 2, Vocab: 12, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]RectQuery, 5)
-	for i := range queries {
-		queries[i] = RectQuery{Rect: geom.UniverseRect(2), Keywords: []dataset.Keyword{1, 2}}
-	}
-	// With parallelism 1 the batch runs in order; panic exactly on query 2.
-	var n atomic.Int64
-	ArmFailpoint(FPBatchQuery, func() {
-		if n.Add(1) == 3 {
-			panic("query 2 dies")
-		}
-	})
-	results := ix.QueryBatch(queries, 1)
-	for i, r := range results {
-		var pe *PanicError
-		if i == 2 {
-			if !errors.As(r.Err, &pe) {
-				t.Fatalf("query 2: err = %v, want *PanicError", r.Err)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("query %d: unexpected error %v", i, r.Err)
-		}
-		equalIDs(t, r.IDs, ds.Filter(queries[i].Rect, queries[i].Keywords), "batch neighbor")
 	}
 }
 
@@ -217,7 +182,7 @@ func TestDynamicPolicyAndPanic(t *testing.T) {
 	q := geom.UniverseRect(2)
 	ws := []dataset.Keyword{1, 2}
 	var full []int64
-	if _, err := d.Query(q, ws, func(h int64, _ *dataset.Object) { full = append(full, h) }); err != nil {
+	if _, err := d.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { full = append(full, h) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(full) == 0 {
@@ -225,7 +190,7 @@ func TestDynamicPolicyAndPanic(t *testing.T) {
 	}
 
 	var partial []int64
-	_, err = d.QueryWith(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 10}},
+	_, err = d.Query(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 10}},
 		func(h int64, _ *dataset.Object) { partial = append(partial, h) })
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("dynamic budget: err = %v, want ErrBudget", err)
@@ -240,7 +205,7 @@ func TestDynamicPolicyAndPanic(t *testing.T) {
 	}
 
 	ArmFailpoint(FPDynamicBucket, func() { panic("bucket corrupt") })
-	_, err = d.Query(q, ws, func(int64, *dataset.Object) {})
+	_, err = d.Query(q, ws, QueryOpts{}, func(int64, *dataset.Object) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("dynamic panic surfaced as %v, want *PanicError", err)
@@ -249,7 +214,7 @@ func TestDynamicPolicyAndPanic(t *testing.T) {
 
 	// The dynamic wrapper still answers correctly after both failures.
 	var again []int64
-	if _, err := d.Query(q, ws, func(h int64, _ *dataset.Object) { again = append(again, h) }); err != nil {
+	if _, err := d.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { again = append(again, h) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(again) != len(full) {
@@ -293,30 +258,6 @@ func TestNNPolicyAndPanic(t *testing.T) {
 	}
 }
 
-func TestMultiKArityOnePolicy(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 20, Objects: 600, Dim: 2, Vocab: 6, DocLen: 4})
-	m, err := BuildMultiK(ds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := geom.UniverseRect(2)
-	full, _, err := m.Collect(q, []dataset.Keyword{1}, QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) < 10 {
-		t.Skipf("only %d arity-1 matches", len(full))
-	}
-	partial, st, err := m.Collect(q, []dataset.Keyword{1}, QueryOpts{Policy: ExecPolicy{NodeBudget: 5}})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("arity-1 budget: err = %v, want ErrBudget", err)
-	}
-	if !st.Truncated {
-		t.Fatalf("arity-1 budget stop without Truncated: %+v", st)
-	}
-	assertPrefix(t, partial, full, "multik arity-1")
-}
-
 func TestValidationRejectsMalformedQueries(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 21, Objects: 200, Dim: 2, Vocab: 10, DocLen: 4})
 	ix, err := BuildORPKW(ds, 2)
@@ -337,15 +278,14 @@ func TestValidationRejectsMalformedQueries(t *testing.T) {
 		{"duplicate keywords", geom.UniverseRect(2), []dataset.Keyword{1, 1}},
 	}
 	for _, c := range cases {
-		if _, _, err := ix.Collect(c.q, c.ws, QueryOpts{}); !errors.Is(err, ErrInvalidQuery) {
+		if _, _, err := ix.CollectInto(c.q, c.ws, QueryOpts{}, nil); !errors.Is(err, ErrInvalidQuery) {
 			t.Errorf("%s: err = %v, want ErrInvalidQuery", c.name, err)
 		}
 	}
 
 	// Infinite bounds remain a legal half-open range.
 	inf := math.Inf(1)
-	if _, _, err := ix.Collect(geom.NewRect([]float64{0, 0}, []float64{inf, inf}),
-		[]dataset.Keyword{1, 2}, QueryOpts{}); err != nil {
+	if _, _, err := ix.CollectInto(geom.NewRect([]float64{0, 0}, []float64{inf, inf}), []dataset.Keyword{1, 2}, QueryOpts{}, nil); err != nil {
 		t.Errorf("infinite bounds rejected: %v", err)
 	}
 
@@ -354,12 +294,10 @@ func TestValidationRejectsMalformedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srp.Collect(&geom.Sphere{Center: geom.Point{0, 0}, Radius: nan},
-		[]dataset.Keyword{1, 2}, QueryOpts{}); !errors.Is(err, ErrInvalidQuery) {
+	if _, _, err := srp.CollectInto(&geom.Sphere{Center: geom.Point{0, 0}, Radius: nan}, []dataset.Keyword{1, 2}, QueryOpts{}, nil); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("NaN radius: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, _, err := srp.Collect(&geom.Sphere{Center: geom.Point{0, 0}, Radius: -1},
-		[]dataset.Keyword{1, 2}, QueryOpts{}); !errors.Is(err, ErrInvalidQuery) {
+	if _, _, err := srp.CollectInto(&geom.Sphere{Center: geom.Point{0, 0}, Radius: -1}, []dataset.Keyword{1, 2}, QueryOpts{}, nil); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("negative radius: err = %v, want ErrInvalidQuery", err)
 	}
 	nn, err := BuildLinfNN(ds, 2)
@@ -377,7 +315,7 @@ func TestValidationRejectsMalformedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []geom.Halfspace{{Coef: []float64{nan, 1}, Bound: 0}}
-	if _, err := sp.QueryConstraints(bad, []dataset.Keyword{1, 2}, QueryOpts{}, func(int32) {}); !errors.Is(err, ErrInvalidQuery) {
+	if _, err := sp.Query(bad, []dataset.Keyword{1, 2}, QueryOpts{}, func(int32) {}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("NaN halfspace: err = %v, want ErrInvalidQuery", err)
 	}
 }
@@ -394,7 +332,7 @@ func TestPolicyAcrossFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := []geom.Halfspace{{Coef: []float64{1, 0}, Bound: 2}}
-	if _, _, err := sp.CollectConstraints(hs, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 2}}); !errors.Is(err, ErrBudget) {
+	if _, _, err := sp.CollectInto(hs, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 2}}, nil); !errors.Is(err, ErrBudget) {
 		t.Errorf("SPKW budget: err = %v, want ErrBudget", err)
 	}
 
@@ -402,8 +340,7 @@ func TestPolicyAcrossFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srp.Collect(geom.NewSphere(geom.Point{0.5, 0.5}, 10), ws,
-		QueryOpts{Policy: ExecPolicy{NodeBudget: 2}}); !errors.Is(err, ErrBudget) {
+	if _, _, err := srp.CollectInto(geom.NewSphere(geom.Point{0.5, 0.5}, 10), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 2}}, nil); !errors.Is(err, ErrBudget) {
 		t.Errorf("SRPKW budget: err = %v, want ErrBudget", err)
 	}
 
@@ -412,8 +349,7 @@ func TestPolicyAcrossFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := drx.Collect(geom.UniverseRect(3), ws,
-		QueryOpts{Policy: ExecPolicy{NodeBudget: 2}}); !errors.Is(err, ErrBudget) {
+	if _, _, err := drx.CollectInto(geom.UniverseRect(3), ws, QueryOpts{Policy: ExecPolicy{NodeBudget: 2}}, nil); !errors.Is(err, ErrBudget) {
 		t.Errorf("ORPKWHigh budget: err = %v, want ErrBudget", err)
 	}
 }
@@ -508,13 +444,13 @@ func TestNaNCoordinateRefused(t *testing.T) {
 		}
 		ws := workload.RandKeywords(rng, 12, 2)
 		want := sortedIDs(ds.Filter(rect, ws))
-		got, _, err := static.Collect(rect, ws, QueryOpts{})
+		got, _, err := static.CollectInto(rect, ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		equalIDs(t, sortedIDs(got), want, "static ORP-KW with infinite coordinates vs filter")
 		var dgot []int32
-		if _, err := dyn.Query(rect, ws, func(h int64, _ *dataset.Object) { dgot = append(dgot, idOf[h]) }); err != nil {
+		if _, err := dyn.Query(rect, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { dgot = append(dgot, idOf[h]) }); err != nil {
 			t.Fatal(err)
 		}
 		equalIDs(t, sortedIDs(dgot), want, "dynamic ORP-KW with infinite coordinates vs filter")
@@ -548,7 +484,7 @@ func TestEachStopCauseHasItsError(t *testing.T) {
 	dynamic := func(d *DynamicORPKW) run {
 		return func(o QueryOpts) ([]int64, QueryStats, error) {
 			var got []int64
-			st, err := d.QueryWith(u2, ws, o, func(h int64, _ *dataset.Object) { got = append(got, h) })
+			st, err := d.Query(u2, ws, o, func(h int64, _ *dataset.Object) { got = append(got, h) })
 			return got, st, err
 		}
 	}
@@ -576,10 +512,6 @@ func TestEachStopCauseHasItsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, err := BuildMultiK(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nn, err := BuildLinfNN(ds, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -601,11 +533,8 @@ func TestEachStopCauseHasItsError(t *testing.T) {
 		name string
 		run  run
 	}{
-		{"ORPKW", collect(func(o QueryOpts) ([]int32, QueryStats, error) { return low.Collect(u2, ws, o) })},
-		{"ORPKWHigh", collect(func(o QueryOpts) ([]int32, QueryStats, error) { return high.Collect(u3, ws, o) })},
-		{"MultiK/arity-1", collect(func(o QueryOpts) ([]int32, QueryStats, error) {
-			return mk.Collect(u2, ws[:1], o)
-		})},
+		{"ORPKW", collect(func(o QueryOpts) ([]int32, QueryStats, error) { return low.CollectInto(u2, ws, o, nil) })},
+		{"ORPKWHigh", collect(func(o QueryOpts) ([]int32, QueryStats, error) { return high.CollectInto(u3, ws, o, nil) })},
 		{"Dynamic/buffer", dynamic(buffered)},
 		{"Dynamic/bucket", dynamic(bucketed)},
 		{"Dynamic/paged-base", dynamic(paged)},

@@ -37,12 +37,8 @@ type RectObject struct {
 }
 
 // BuildRRKW constructs the index for k-keyword queries.
-func BuildRRKW(rects []RectObject, k int, opts ...BuildOption) (*RRKW, error) {
-	return BuildRRKWWith(rects, k, resolveOpts(opts))
-}
-
-// BuildRRKWWith is BuildRRKW with an explicit options struct.
-func BuildRRKWWith(rects []RectObject, k int, opts BuildOpts) (*RRKW, error) {
+func BuildRRKW(rects []RectObject, k int, options ...BuildOption) (*RRKW, error) {
+	opts := resolveOpts(options)
 	if len(rects) == 0 {
 		return nil, fmt.Errorf("%w: RR-KW needs at least one rectangle", ErrInvalidDataset)
 	}
@@ -70,9 +66,9 @@ func BuildRRKWWith(rects []RectObject, k int, opts BuildOpts) (*RRKW, error) {
 	// The corner-space index is an implementation detail: build it untagged
 	// so each RR-KW query is counted once, at this entry point.
 	if 2*d <= 2 {
-		ix.low, err = BuildORPKWWith(ds, k, opts.inner())
+		ix.low, err = buildORPKW(ds, k, opts.inner())
 	} else {
-		ix.high, err = BuildORPKWHighWith(ds, k, opts.inner())
+		ix.high, err = buildORPKWHigh(ds, k, opts.inner())
 	}
 	if err != nil {
 		return nil, err
@@ -112,13 +108,8 @@ func (ix *RRKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report
 	return ix.high.Query(cq, ws, opts, report)
 }
 
-// Collect is Query returning a freshly allocated, caller-owned slice.
-func (ix *RRKW) Collect(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return ix.CollectInto(q, ws, opts, nil)
-}
-
-// CollectInto is Collect appending into buf, reusing its capacity; the
-// returned slice aliases buf only.
+// CollectInto is Query returning the ids, with Framework.CollectInto's
+// buffer contract.
 func (ix *RRKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
 	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
 	defer func() {

@@ -39,7 +39,7 @@ func TestSmokeORPKW(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		rect := workload.RandRect(rng, 2, 0.3)
 		kws := workload.RandKeywords(rng, 60, 2)
-		got, _, err := ix.Collect(rect, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(rect, kws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestSmokeSPKW(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		hs := workload.RandHalfspaces(rng, 2, 2, 0.6)
 		kws := workload.RandKeywords(rng, 60, 2)
-		got, _, err := ix.CollectConstraints(hs, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(hs, kws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestSmokeORPKWHigh(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		rect := workload.RandRect(rng, 3, 0.5)
 		kws := workload.RandKeywords(rng, 50, 2)
-		got, _, err := ix.Collect(rect, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(rect, kws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSmokeSRPKW(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		s := geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.05+rng.Float64()*0.3)
 		kws := workload.RandKeywords(rng, 50, 2)
-		got, _, err := ix.Collect(s, kws, QueryOpts{})
+		got, _, err := ix.CollectInto(s, kws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestSmokeRRKW(t *testing.T) {
 		for q := 0; q < 30; q++ {
 			qr := workload.RandRect(rng, d, 0.3)
 			kws := workload.RandKeywords(rng, 40, 2)
-			got, _, err := ix.Collect(qr, kws, QueryOpts{})
+			got, _, err := ix.CollectInto(qr, kws, QueryOpts{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

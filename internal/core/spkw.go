@@ -14,15 +14,13 @@ import (
 // framework, on raw coordinates. The splitter is the Willard ham-sandwich
 // partition tree for d = 2 and the kd tree otherwise (see DESIGN.md,
 // substitution 1, for how these stand in for Chan's optimal partition tree).
-// One index answers all of:
-//
-//   - SP-KW: a d-simplex plus keywords (QuerySimplex);
-//   - LC-KW: s = O(1) linear constraints plus keywords (QueryConstraints) —
-//     the paper triangulates the constraint polyhedron into simplices, but
-//     the framework's cell tests work on any convex region, so the
-//     polyhedron is queried directly, avoiding boundary double-reporting;
-//   - any convex Region (QueryRegion), which the SRP-KW ablation uses to run
-//     sphere queries without lifting.
+// Its query shape is a conjunction of s = O(1) linear constraints (LC-KW).
+// The paper triangulates the constraint polyhedron into simplices, but the
+// framework's cell tests work on any convex region, so the polyhedron is
+// queried directly, avoiding boundary double-reporting. An SP-KW query is
+// the conjunction of a simplex's facets (Simplex.Polyhedron), and any other
+// convex region goes through Framework().Query, as the SRP-KW ablation runs
+// sphere queries without lifting.
 type SPKW struct {
 	ds *dataset.Dataset
 	fw *Framework
@@ -42,13 +40,15 @@ type SPKWConfig struct {
 	// Points overrides the partitioning coordinates (the lifting reduction
 	// of Corollary 6 passes lifted points of dimension d+1).
 	Points []geom.Point
-	// Build tunes construction (parallelism); the zero value uses every
-	// core.
-	Build BuildOpts
 }
 
 // BuildSPKW constructs the index.
-func BuildSPKW(ds *dataset.Dataset, cfg SPKWConfig) (*SPKW, error) {
+func BuildSPKW(ds *dataset.Dataset, cfg SPKWConfig, opts ...BuildOption) (*SPKW, error) {
+	return buildSPKW(ds, cfg, resolveOpts(opts))
+}
+
+// buildSPKW is BuildSPKW with resolved options.
+func buildSPKW(ds *dataset.Dataset, cfg SPKWConfig, opts BuildOpts) (*SPKW, error) {
 	if err := checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -69,39 +69,23 @@ func BuildSPKW(ds *dataset.Dataset, cfg SPKWConfig) (*SPKW, error) {
 		K:           cfg.K,
 		Splitter:    split,
 		Points:      cfg.Points,
-		Parallelism: cfg.Build.Parallelism,
+		Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ix := &SPKW{ds: ds, fw: fw, fam: cfg.Build.famFor(famLCKW), tracer: cfg.Build.Tracer}
+	ix := &SPKW{ds: ds, fw: fw, fam: opts.famFor(famLCKW), tracer: opts.Tracer}
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
 
-// QuerySimplex answers an SP-KW query: report the objects inside the
-// d-simplex whose documents contain all keywords.
-func (ix *SPKW) QuerySimplex(s *geom.Simplex, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "QuerySimplex", ix.tracer)
+// Query answers an LC-KW query: report the objects satisfying every linear
+// constraint whose documents contain all keywords.
+func (ix *SPKW) Query(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
+	qt := obsBegin(ix.fam, "Query", ix.tracer)
 	defer func() {
 		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "QuerySimplex", echoQuery(s, ws), ix.fw.K(), qt, &st, err, ix.tracer)
-		}
-	}()
-	ph, err := s.Polyhedron()
-	if err != nil {
-		return QueryStats{}, err
-	}
-	return ix.fw.Query(ph, ws, opts, report)
-}
-
-// QueryConstraints answers an LC-KW query: report the objects satisfying
-// every linear constraint whose documents contain all keywords.
-func (ix *SPKW) QueryConstraints(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "QueryConstraints", ix.tracer)
-	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "QueryConstraints", echoQuery(hs, ws), ix.fw.K(), qt, &st, err, ix.tracer)
+			obsSpan(ix.fam, "Query", echoQuery(hs, ws), ix.fw.K(), qt, &st, err, ix.tracer)
 		}
 	}()
 	if err := validateHalfspaces(hs, ix.fw.PointDim()); err != nil {
@@ -110,56 +94,19 @@ func (ix *SPKW) QueryConstraints(hs []geom.Halfspace, ws []dataset.Keyword, opts
 	return ix.fw.Query(geom.NewPolyhedron(hs...), ws, opts, report)
 }
 
-// QueryRegion answers a query against an arbitrary convex region.
-func (ix *SPKW) QueryRegion(q geom.Region, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "QueryRegion", ix.tracer)
+// CollectInto is Query returning the ids, with Framework.CollectInto's
+// buffer contract.
+func (ix *SPKW) CollectInto(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
+	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
 	defer func() {
 		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "QueryRegion", echoRegion(q, ws), ix.fw.K(), qt, &st, err, ix.tracer)
-		}
-	}()
-	return ix.fw.Query(q, ws, opts, report)
-}
-
-// CollectConstraints is QueryConstraints returning a freshly allocated,
-// caller-owned slice.
-func (ix *SPKW) CollectConstraints(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return ix.CollectConstraintsInto(hs, ws, opts, nil)
-}
-
-// CollectConstraintsInto is CollectConstraints appending into buf, reusing
-// its capacity; the returned slice aliases buf only.
-func (ix *SPKW) CollectConstraintsInto(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "CollectConstraintsInto", ix.tracer)
-	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "CollectConstraintsInto", echoQuery(hs, ws), ix.fw.K(), qt, &st, err, ix.tracer)
+			obsSpan(ix.fam, "CollectInto", echoQuery(hs, ws), ix.fw.K(), qt, &st, err, ix.tracer)
 		}
 	}()
 	if err := validateHalfspaces(hs, ix.fw.PointDim()); err != nil {
 		return nil, QueryStats{}, err
 	}
 	return ix.fw.CollectInto(geom.NewPolyhedron(hs...), ws, opts, buf)
-}
-
-// Query, Collect, and CollectInto are the unified-interface names for the
-// constraint-conjunction query: SPKW's query shape is a halfspace list the
-// way ORPKW's is a rectangle, so the aliases let SPKW satisfy
-// Index[[]Halfspace] (see the facade's index.go) without a wrapper type.
-
-// Query is QueryConstraints under the unified Index method name.
-func (ix *SPKW) Query(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (QueryStats, error) {
-	return ix.QueryConstraints(hs, ws, opts, report)
-}
-
-// Collect is CollectConstraints under the unified Index method name.
-func (ix *SPKW) Collect(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return ix.CollectConstraints(hs, ws, opts)
-}
-
-// CollectInto is CollectConstraintsInto under the unified Index method name.
-func (ix *SPKW) CollectInto(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, buf []int32) ([]int32, QueryStats, error) {
-	return ix.CollectConstraintsInto(hs, ws, opts, buf)
 }
 
 // Framework exposes the underlying transformed index.
@@ -175,7 +122,7 @@ func (ix *SPKW) K() int { return ix.fw.K() }
 // Appendix D reduction describes it: materialize the constraint polyhedron
 // (clipped to the data's bounding box), partition it into simplices, query
 // each, and de-duplicate objects on shared triangle edges. It returns the
-// same results as QueryConstraints, which queries the polyhedron directly;
+// same results as Query, which queries the polyhedron directly;
 // both are exposed so the reduction itself is testable. Only d = 2 is
 // supported (the materialization uses polygon clipping).
 func (ix *SPKW) QueryConstraintsViaSimplices(hs []geom.Halfspace, ws []dataset.Keyword, report func(int32)) (QueryStats, error) {
@@ -199,7 +146,11 @@ func (ix *SPKW) QueryConstraintsViaSimplices(hs []geom.Halfspace, ws []dataset.K
 	var total QueryStats
 	seen := make(map[int32]struct{})
 	for _, tri := range poly.FanTriangulate() {
-		st, err := ix.QuerySimplex(tri, ws, QueryOpts{}, func(id int32) {
+		ph, err := tri.Polyhedron()
+		if err != nil {
+			return total, err
+		}
+		st, err := ix.fw.Query(ph, ws, QueryOpts{}, func(id int32) {
 			if _, dup := seen[id]; dup {
 				return
 			}

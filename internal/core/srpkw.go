@@ -24,11 +24,11 @@ type SRPKW struct {
 
 // BuildSRPKW constructs the lifted index for k-keyword queries.
 func BuildSRPKW(ds *dataset.Dataset, k int, opts ...BuildOption) (*SRPKW, error) {
-	return BuildSRPKWWith(ds, k, resolveOpts(opts))
+	return buildSRPKW(ds, k, resolveOpts(opts))
 }
 
-// BuildSRPKWWith is BuildSRPKW with an explicit options struct.
-func BuildSRPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*SRPKW, error) {
+// buildSRPKW is BuildSRPKW with resolved options.
+func buildSRPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*SRPKW, error) {
 	if err := checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func BuildSRPKWWith(ds *dataset.Dataset, k int, opts BuildOpts) (*SRPKW, error) 
 	}
 	// The lifted SP-KW index is internal to the reduction: untagged, so each
 	// sphere query is counted once as srpkw.
-	sp, err := BuildSPKW(ds, SPKWConfig{K: k, Points: lifted, Build: opts.inner()})
+	sp, err := buildSPKW(ds, SPKWConfig{K: k, Points: lifted}, opts.inner())
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (ix *SRPKW) Query(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpts, rep
 		return QueryStats{}, err
 	}
 	hs := geom.LiftSphere(s)
-	return ix.sp.QueryConstraints([]geom.Halfspace{hs}, ws, opts, report)
+	return ix.sp.Query([]geom.Halfspace{hs}, ws, opts, report)
 }
 
 // QuerySq is Query for a sphere given by its squared radius; the L2NN-KW
@@ -81,16 +81,11 @@ func (ix *SRPKW) QuerySq(center geom.Point, radiusSq float64, ws []dataset.Keywo
 		return QueryStats{}, fmt.Errorf("%w: squared radius %v", ErrInvalidQuery, radiusSq)
 	}
 	hs := geom.LiftSphereSq(center, radiusSq)
-	return ix.sp.QueryConstraints([]geom.Halfspace{hs}, ws, opts, report)
+	return ix.sp.Query([]geom.Halfspace{hs}, ws, opts, report)
 }
 
-// Collect is Query returning a freshly allocated, caller-owned slice.
-func (ix *SRPKW) Collect(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-	return ix.CollectInto(s, ws, opts, nil)
-}
-
-// CollectInto is Collect appending into buf, reusing its capacity; the
-// returned slice aliases buf only.
+// CollectInto is Query returning the ids, with Framework.CollectInto's
+// buffer contract.
 func (ix *SRPKW) CollectInto(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
 	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
 	defer func() {
@@ -102,7 +97,7 @@ func (ix *SRPKW) CollectInto(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpt
 		return nil, QueryStats{}, err
 	}
 	hs := geom.LiftSphere(s)
-	return ix.sp.CollectConstraintsInto([]geom.Halfspace{hs}, ws, opts, buf)
+	return ix.sp.CollectInto([]geom.Halfspace{hs}, ws, opts, buf)
 }
 
 // Space returns the analytic space audit.

@@ -211,7 +211,7 @@ func TestStopNodeIntersectHandBuilt(t *testing.T) {
 				regions = append(regions, workload.RandRect(rng, 2, 0.05+0.45*rng.Float64()))
 			}
 			for _, q := range regions {
-				got, st, err := f.Collect(q, tc.ws, QueryOpts{})
+				got, st, err := f.CollectInto(q, tc.ws, QueryOpts{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,13 +272,13 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					label := fmt.Sprintf("n=%d/m=%d/large=%v/dense=%04b", n, m, withLarge, mask)
 					dense := func(w dataset.Keyword, _ int) bool { return mask>>slices.Index(small, w)&1 == 1 }
 					f := stopNodeFramework(ds, len(ws), large, small, dense)
-					full, _, err := f.Collect(universe, ws, QueryOpts{})
+					full, _, err := f.CollectInto(universe, ws, QueryOpts{}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					equalIDs(t, full, ds.Filter(geom.UniverseRect(2), ws), label)
 					q := workload.RandRect(rng, 2, 0.3+0.6*rng.Float64())
-					inQ, _, err := f.Collect(q, ws, QueryOpts{})
+					inQ, _, err := f.CollectInto(q, ws, QueryOpts{}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -291,7 +291,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 						{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 					}
 					for i, opts := range restricted {
-						part, st, err := f.Collect(universe, ws, opts)
+						part, st, err := f.CollectInto(universe, ws, opts, nil)
 						if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 							t.Fatalf("%s restriction %d: %v is not a prefix of %v", label, i, part, full)
 						}
@@ -307,7 +307,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					// word — the words up to it and that one candidate are all
 					// that is charged.
 					if mask == 1<<m-1 && !withLarge && len(full) > 1 {
-						_, st, _ := f.Collect(universe, ws, QueryOpts{Limit: 1})
+						_, st, _ := f.CollectInto(universe, ws, QueryOpts{Limit: 1}, nil)
 						first := slices.Index(f.ids, full[0])
 						if want := int64(first/64 + 1 + 1); st.MatScanned != want || !st.Truncated {
 							t.Fatalf("%s: limit 1 charged %d units (truncated=%v), want %d", label, st.MatScanned, st.Truncated, want)
@@ -321,7 +321,7 @@ func TestIntersectSmallRepresentations(t *testing.T) {
 					withEmpty := append(slices.Clone(small), nobody)
 					wsE := append(slices.Clone(ws), nobody)
 					f := stopNodeFramework(ds, len(wsE), large, withEmpty, dense)
-					got, st, err := f.Collect(universe, wsE, QueryOpts{})
+					got, st, err := f.CollectInto(universe, wsE, QueryOpts{}, nil)
 					if err != nil || len(got) != 0 || st.MatScanned != 0 {
 						t.Fatalf("n=%d m=%d empty list (bitmap=%v): ids %v, stats %+v, err %v", n, m, asBitmap, got, st, err)
 					}
@@ -339,7 +339,7 @@ func TestStopNodeIntersectAdversarialSkew(t *testing.T) {
 	ds := countedDataset(rng, 120_000, map[dataset.Keyword]int{1: 100_000, 2: 3})
 	ws := []dataset.Keyword{1, 2}
 	for _, dense := range []func(dataset.Keyword, int) bool{nil, func(dataset.Keyword, int) bool { return false }} {
-		got, st, err := stopNodeFramework(ds, 2, nil, ws, dense).Collect(geom.UniverseRect(2), ws, QueryOpts{})
+		got, st, err := stopNodeFramework(ds, 2, nil, ws, dense).CollectInto(geom.UniverseRect(2), ws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 				if trial%10 == 0 {
 					ws[rng.Intn(k)] = 900 // a keyword no document holds
 				}
-				full, fullSt, err := ix.Collect(q, ws, QueryOpts{})
+				full, fullSt, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -428,7 +428,7 @@ func TestStopNodeIntersectDifferential(t *testing.T) {
 					{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}},
 				}
 				for i, opts := range restricted {
-					part, st, err := ix.Collect(q, ws, opts)
+					part, st, err := ix.CollectInto(q, ws, opts, nil)
 					if len(part) > len(full) || !slices.Equal(part, full[:len(part)]) {
 						t.Fatalf("restriction %d: %v is not a prefix of %v", i, part, full)
 					}
@@ -527,27 +527,32 @@ func TestClippedStopNodeDifferential(t *testing.T) {
 			p, e := ds.Point(int32(i)), 0.01*rng.Float64()
 			rects[i] = RectObject{Rect: geom.NewRect([]float64{p[0] - e, p[1] - e}, []float64{p[0] + e, p[1] + e}), Doc: ds.Doc(int32(i))}
 		}
-		bo := BuildOpts{NoObs: true}
-		orp, err := BuildORPKWWith(ds, 2, bo)
+		bo := WithoutObs()
+		orp, err := BuildORPKW(ds, 2, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := BuildRRKWWith(rects, 2, bo)
+		rr, err := BuildRRKW(rects, 2, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := BuildSPKW(ds, SPKWConfig{K: 2, Build: bo})
+		sp, err := BuildSPKW(ds, SPKWConfig{K: 2}, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := BuildSPKW(ds, SPKWConfig{K: 2, Splitter: &spart.Grid2D{G: 4}, Build: bo})
+		grid, err := BuildSPKW(ds, SPKWConfig{K: 2, Splitter: &spart.Grid2D{G: 4}}, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		type collector func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error)
+		fresh := func(into func(*geom.Rect, []dataset.Keyword, QueryOpts, []int32) ([]int32, QueryStats, error)) collector {
+			return func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
+				return into(q, ws, opts, nil)
+			}
+		}
 		byConstraints := func(ix *SPKW) collector {
 			return func(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int32, QueryStats, error) {
-				return ix.CollectConstraints(rectHalfspaces(q), ws, opts)
+				return ix.CollectInto(rectHalfspaces(q), ws, opts, nil)
 			}
 		}
 		filter := func(q *geom.Rect, ws []dataset.Keyword) []int32 { return ds.Filter(q, ws) }
@@ -556,8 +561,8 @@ func TestClippedStopNodeDifferential(t *testing.T) {
 			collect collector
 			oracle  func(q *geom.Rect, ws []dataset.Keyword) []int32
 		}{
-			{"ORPKW", orp.Collect, filter},
-			{"RRKW", rr.Collect, func(q *geom.Rect, ws []dataset.Keyword) []int32 {
+			{"ORPKW", fresh(orp.CollectInto), filter},
+			{"RRKW", fresh(rr.CollectInto), func(q *geom.Rect, ws []dataset.Keyword) []int32 {
 				return rr.Dataset().Filter(rr.cornerQuery(q), ws)
 			}},
 			{"SPKW", byConstraints(sp), filter},
@@ -946,7 +951,7 @@ func TestBitmapStopNodePolling(t *testing.T) {
 	ws := []dataset.Keyword{1, 2}
 	f := stopNodeFramework(ds, 2, nil, ws, nil)
 	q := geom.UniverseRect(2)
-	full, fullSt, err := f.Collect(q, ws, QueryOpts{})
+	full, fullSt, err := f.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -991,7 +996,7 @@ func TestBitmapStopNodePolling(t *testing.T) {
 			first = int64(r) >> 6
 		}
 	}
-	got, st, err := f.Collect(q, ws, QueryOpts{Limit: 1})
+	got, st, err := f.CollectInto(q, ws, QueryOpts{Limit: 1}, nil)
 	if err != nil || len(got) != 1 || got[0] != full[0] || !st.Truncated {
 		t.Fatalf("Limit 1: %v, %+v, %v", got, st, err)
 	}

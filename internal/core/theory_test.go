@@ -176,7 +176,7 @@ func TestHeadlineExponentRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := ix.Collect(slab, kws, QueryOpts{})
+		_, st, err := ix.CollectInto(slab, kws, QueryOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

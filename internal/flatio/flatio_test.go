@@ -140,9 +140,9 @@ func TestORPKWPagedMatchesInRAM(t *testing.T) {
 		q := randRect(rng, 2)
 		ws := randKeywords(rng, 2)
 		opts := randOpts(rng)
-		wantIDs, wantSt, wantErr := built.Collect(q, ws, opts)
+		wantIDs, wantSt, wantErr := built.CollectInto(q, ws, opts, nil)
 		for name, ix := range opened {
-			gotIDs, gotSt, gotErr := ix.Collect(q, ws, opts)
+			gotIDs, gotSt, gotErr := ix.CollectInto(q, ws, opts, nil)
 			if !reflect.DeepEqual(gotIDs, wantIDs) {
 				t.Fatalf("query %d (%s): ids %v, want %v", qi, name, gotIDs, wantIDs)
 			}
@@ -205,9 +205,9 @@ func TestSPKWPagedMatchesInRAM(t *testing.T) {
 		}
 		ws := randKeywords(rng, 2)
 		opts := randOpts(rng)
-		wantIDs, wantSt, wantErr := built.Collect(hs, ws, opts)
+		wantIDs, wantSt, wantErr := built.CollectInto(hs, ws, opts, nil)
 		for name, ix := range opened {
-			gotIDs, gotSt, gotErr := ix.Collect(hs, ws, opts)
+			gotIDs, gotSt, gotErr := ix.CollectInto(hs, ws, opts, nil)
 			if !reflect.DeepEqual(gotIDs, wantIDs) {
 				t.Fatalf("query %d (%s): ids %v, want %v", qi, name, gotIDs, wantIDs)
 			}
@@ -629,11 +629,11 @@ func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 			if qi%2 == 0 {
 				ws = ds.Doc(victim)[:2]
 			}
-			ids, _, err := ix.Collect(hs, ws, core.QueryOpts{})
+			ids, _, err := ix.CollectInto(hs, ws, core.QueryOpts{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _, _ := built.Collect(hs, ws, core.QueryOpts{}); slices.Contains(want, victim) {
+			if want, _, _ := built.CollectInto(hs, ws, core.QueryOpts{}, nil); slices.Contains(want, victim) {
 				vouched++
 			}
 			for _, id := range ids {

@@ -30,7 +30,7 @@ func TestBuildOutputPinned(t *testing.T) {
 	small2 := workload.Gen(workload.Config{Seed: 204, Objects: 5000, Dim: 2, Vocab: 120, DocLen: 4})
 	small3 := workload.Gen(workload.Config{Seed: 205, Objects: 5000, Dim: 3, Vocab: 60, DocLen: 4})
 	grid16 := gridDataset(209, 5000, 16, 120, 4)
-	noObs := core.BuildOpts{NoObs: true}
+	noObs := core.WithoutObs()
 
 	cases := []struct {
 		name   string
@@ -76,7 +76,7 @@ func TestBuildOutputPinned(t *testing.T) {
 		// and a box decides some nodes a cell left crossing, so node and work
 		// counts fall. The answers are unchanged.
 		{"SRPKW/digest", func(t *testing.T, h hash.Hash) {
-			ix, err := core.BuildSRPKWWith(small2, 2, noObs)
+			ix, err := core.BuildSRPKW(small2, 2, noObs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestBuildOutputPinned(t *testing.T) {
 			rng := rand.New(rand.NewSource(206))
 			for q := 0; q < 300; q++ {
 				ball := geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.05+0.3*rng.Float64())
-				ids, st, err := ix.Collect(ball, workload.RandKeywords(rng, 120, 2), core.QueryOpts{})
+				ids, st, err := ix.CollectInto(ball, workload.RandKeywords(rng, 120, 2), core.QueryOpts{}, nil)
 				putAnswer(t, h, ids, st, err)
 			}
 		}, "fe1834a6f4c8d06c36df406a82f3b5384e0b1350ffeeb38bd3520952197e3632"},
@@ -93,7 +93,7 @@ func TestBuildOutputPinned(t *testing.T) {
 		// Re-pinned again, as SRPKW was, when its secondary kd trees began to
 		// relate by tight boxes.
 		{"ORPKWHigh/d=3/digest", func(t *testing.T, h hash.Hash) {
-			ix, err := core.BuildORPKWHighWith(small3, 2, noObs)
+			ix, err := core.BuildORPKWHigh(small3, 2, noObs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestBuildOutputPinned(t *testing.T) {
 			putInts(h, int64(ix.Levels()), ix.MaxFanout())
 			rng := rand.New(rand.NewSource(207))
 			for q := 0; q < 300; q++ {
-				ids, st, err := ix.Collect(workload.RandRect(rng, 3, 0.2+0.6*rng.Float64()), workload.RandKeywords(rng, 60, 2), core.QueryOpts{})
+				ids, st, err := ix.CollectInto(workload.RandRect(rng, 3, 0.2+0.6*rng.Float64()), workload.RandKeywords(rng, 60, 2), core.QueryOpts{}, nil)
 				putAnswer(t, h, ids, st, err)
 			}
 		}, "1b8aff74ca339ac11fce7e17410810540f6166cc8b80d112db6792774fe03e65"},
@@ -146,7 +146,7 @@ func gridDataset(seed int64, n, side, vocab, docLen int) *dataset.Dataset {
 
 func buildSPKW(t *testing.T, ds *dataset.Dataset, split spart.Splitter) *core.SPKW {
 	t.Helper()
-	ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2, Splitter: split, Build: core.BuildOpts{NoObs: true}})
+	ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2, Splitter: split}, core.WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func digestSPKW(t *testing.T, h hash.Hash, ix *core.SPKW) {
 	rng := rand.New(rand.NewSource(208))
 	for q := 0; q < 300; q++ {
 		hs := workload.RandHalfspaces(rng, 2, 2, 0.2+0.6*rng.Float64())
-		ids, st, err := ix.CollectConstraints(hs, workload.RandKeywords(rng, 120, 2), core.QueryOpts{})
+		ids, st, err := ix.CollectInto(hs, workload.RandKeywords(rng, 120, 2), core.QueryOpts{}, nil)
 		putAnswer(t, h, ids, st, err)
 	}
 }

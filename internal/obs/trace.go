@@ -26,7 +26,7 @@ const (
 // the constraint the same way PanicError does ("region=... keywords=..."),
 // so a span can be replayed by hand.
 type Span struct {
-	Family  string        // index family, e.g. "orpkw", "planner"
+	Family  string        // index family, e.g. "orpkw", "dynamic"
 	Op      string        // entry point, e.g. "CollectInto"
 	Query   string        // human-readable query echo
 	K       int           // keyword arity the index was built for
@@ -36,11 +36,6 @@ type Span struct {
 	Elapsed time.Duration // wall-clock time inside the entry point
 	Outcome Outcome       // policy outcome classification
 	Err     error         // the returned error, if any
-
-	// Planner-only fields: the winning route and the per-route cost
-	// estimates the decision was based on.
-	Route     string             `json:",omitempty"`
-	Estimates map[string]float64 `json:",omitempty"`
 }
 
 // Tracer receives query spans. Begin fires on entry (before any work),

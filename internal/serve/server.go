@@ -42,8 +42,6 @@ type Config struct {
 	// it fall back to their inverted-index baseline; dynamic shards return
 	// the prefix collected so far.
 	DegradedNodeBudget int64
-	// BuildOptions are forwarded to every shard index construction.
-	BuildOptions []kwsc.Option
 	// DurableOptions are forwarded to OpenDurable for durable shards.
 	DurableOptions []kwsc.DurableOption
 
@@ -155,7 +153,7 @@ func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d dataset: %w", i, err)
 		}
-		deg, err := kwsc.NewDegraded(ds, cfg.K, cfg.BuildOptions...)
+		deg, err := kwsc.NewDegraded(ds, cfg.K)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d index: %w", i, err)
 		}
@@ -182,7 +180,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 	for i := range shards {
 		var ix dynamicIndex
 		if dir == "" {
-			d, err := kwsc.NewDynamicORPKW(cfg.Dim, cfg.K, 0, cfg.BuildOptions...)
+			d, err := kwsc.NewDynamicORPKW(cfg.Dim, cfg.K, 0)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 			}
@@ -192,11 +190,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 			if err := os.MkdirAll(sub, 0o755); err != nil {
 				return nil, fmt.Errorf("serve: shard %d dir: %w", i, err)
 			}
-			opts := append([]kwsc.DurableOption(nil), cfg.DurableOptions...)
-			if len(cfg.BuildOptions) > 0 {
-				opts = append(opts, kwsc.WithDurableBuild(cfg.BuildOptions...))
-			}
-			d, err := kwsc.OpenDurable(sub, cfg.Dim, cfg.K, opts...)
+			d, err := kwsc.OpenDurable(sub, cfg.Dim, cfg.K, cfg.DurableOptions...)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d open: %w", i, err)
 			}

@@ -226,10 +226,10 @@ func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Re
 	var err error
 	var seq uint64
 	if snap := s.view(staleness); snap != nil {
-		st, err = snap.QueryWith(q, ws, opts, report)
+		st, err = snap.Query(q, ws, opts, report)
 		seq = snap.Seq()
 	} else {
-		st, err = s.ix.QueryWith(q, ws, opts, report)
+		st, err = s.ix.Query(q, ws, opts, report)
 		seq = s.seq()
 	}
 	slices.Sort(buf.ids)

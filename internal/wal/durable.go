@@ -359,13 +359,8 @@ func (d *Durable) Close() error {
 // mutation and never wait on writers, checkpoints, or fsyncs. (Without a
 // paged base they also keep working after Close — the in-memory state
 // outlives the log; with one, Close releases the mapping they read from.)
-func (d *Durable) Query(q *geom.Rect, ws []dataset.Keyword, report func(handle int64, obj *dataset.Object)) (core.QueryStats, error) {
-	return d.idx.Query(q, ws, report)
-}
-
-// QueryWith is Query under explicit options (limits, budgets, deadlines).
-func (d *Durable) QueryWith(q *geom.Rect, ws []dataset.Keyword, opts core.QueryOpts, report func(handle int64, obj *dataset.Object)) (core.QueryStats, error) {
-	return d.idx.QueryWith(q, ws, opts, report)
+func (d *Durable) Query(q *geom.Rect, ws []dataset.Keyword, opts core.QueryOpts, report func(handle int64, obj *dataset.Object)) (core.QueryStats, error) {
+	return d.idx.Query(q, ws, opts, report)
 }
 
 // Collect is Query returning the handles.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/obs"
@@ -20,7 +21,7 @@ func handleView(t *testing.T, d *Durable) map[int64]string {
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
 			ws := []dataset.Keyword{dataset.Keyword(a), dataset.Keyword(b)}
-			_, err := d.Query(all, ws, func(h int64, obj *dataset.Object) {
+			_, err := d.Query(all, ws, core.QueryOpts{}, func(h int64, obj *dataset.Object) {
 				view[h] = fmt.Sprintf("%v|%v", obj.Point, obj.Doc)
 			})
 			if err != nil {

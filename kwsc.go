@@ -37,9 +37,10 @@
 //	}
 //	ds, _ := kwsc.NewDataset(objs)
 //	ix, _ := kwsc.NewORPKW(ds, 2) // queries will carry 2 keywords
-//	ids, _, _ := ix.Collect(kwsc.NewRect(
-//		[]float64{100, 8}, []float64{200, 10}), // price, rating ranges
-//		[]kwsc.Keyword{pool, parking}, kwsc.QueryOpts{})
+//	q := kwsc.NewRect([]float64{100, 8}, []float64{200, 10}) // price, rating ranges
+//	ws := []kwsc.Keyword{pool, parking}
+//	ids, _, _ := ix.CollectInto(q, ws, kwsc.QueryOpts{}, nil)
+//	n, _, _ := kwsc.Count(ix, q, ws)
 //
 // Beyond the static indexes, the package grows the paper's structures into a
 // small system: mutable indexes (NewDynamicORPKW), crash-safe durability
@@ -56,14 +57,12 @@ import (
 	"fmt"
 	"io"
 
-	"kwsc/internal/bitpack"
 	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/invidx"
 	"kwsc/internal/spart"
-	"kwsc/internal/twosi"
 )
 
 // Re-exported data-model types.
@@ -152,13 +151,6 @@ func NewSimplex(v ...Point) *Simplex { return geom.NewSimplex(v...) }
 // NewPolyhedron returns the intersection of the given halfspaces.
 func NewPolyhedron(hs ...Halfspace) *Polyhedron { return geom.NewPolyhedron(hs...) }
 
-// BuildOpts tunes index construction. The zero value builds subtrees in
-// parallel across every core; Parallelism: 1 forces a sequential build.
-// Parallel and sequential builds produce indexes that answer every query
-// identically. Most callers pass Option values to the constructors instead
-// of filling this struct.
-type BuildOpts = core.BuildOpts
-
 // Option is a functional construction option accepted by every index
 // constructor: NewORPKW(ds, k, WithParallelism(4), WithTracer(t)).
 type Option = core.BuildOption
@@ -198,11 +190,11 @@ func NewRRKW(rects []RectObject, k int, opts ...Option) (*RRKW, error) {
 
 // NewLCKW builds the Theorem 5 / Theorem 12 index: linear-conjunction and
 // simplex reporting with keywords. The zero config selects the default
-// substrate (Willard partition tree for d = 2, kd tree otherwise); Option
-// values apply on top of cfg.Build.
+// substrate (Willard partition tree for d = 2, kd tree otherwise). A simplex
+// query is the conjunction of its facets: pass the HS of
+// Simplex.Polyhedron().
 func NewLCKW(ds *Dataset, cfg LCKWConfig, opts ...Option) (*LCKW, error) {
-	cfg.Build = cfg.Build.With(opts...)
-	return core.BuildSPKW(ds, cfg)
+	return core.BuildSPKW(ds, cfg, opts...)
 }
 
 // NewSRPKW builds the Corollary 6 index: spherical range reporting with
@@ -292,29 +284,7 @@ func NewDynamicORPKW(dim, k, bufferCap int, opts ...Option) (*DynamicORPKW, erro
 	return core.NewDynamicORPKW(dim, k, bufferCap, opts...)
 }
 
-// NewTwoSI builds the Cohen–Porat-style 2-set-intersection index over a
-// dataset's documents: the O(N)-space, O(sqrt(N) (1 + sqrt(OUT)))-query
-// structure Section 3.5 of the paper credits as the framework's inspiration.
-func NewTwoSI(ds *Dataset) (*TwoSI, error) {
-	if err := checkDataset(ds); err != nil {
-		return nil, err
-	}
-	return twosi.Build(ds), nil
-}
-
-// NewWordParallel1D builds the word-parallel one-dimensional range+keywords
-// index of the literature line reviewed in the paper's Section 2 (Bille et
-// al. / Goodrich): per-keyword position bitmaps AND-ed 64 positions at a
-// time. The dataset must be 1-dimensional; query arity is not fixed at
-// build time.
-func NewWordParallel1D(ds *Dataset) (*WordParallel1D, error) {
-	if err := checkDataset(ds); err != nil {
-		return nil, err
-	}
-	return bitpack.Build(ds)
-}
-
-// Extension and baseline index types.
+// Extension index types.
 type (
 	// DynamicORPKW is the insert/delete-capable ORP-KW index.
 	DynamicORPKW = core.DynamicORPKW
@@ -323,23 +293,7 @@ type (
 	// are repeatable no matter how much churn lands after the pin, and Seq()
 	// identifies the exact operation prefix it reflects.
 	DynSnapshot = core.DynSnapshot
-	// TwoSI is the Cohen–Porat-style 2-set-intersection structure.
-	TwoSI = twosi.Index
-	// WordParallel1D is the bitmap-based 1D range+keywords index.
-	WordParallel1D = bitpack.Index
 )
-
-// MultiK answers rectangle+keywords queries of any arity in [1, KMax] by
-// maintaining one index per arity (the paper fixes k per index; this wrapper
-// trades an O(KMax) space factor for arity freedom).
-type MultiK = core.MultiK
-
-// NewMultiK builds indexes for every keyword arity in [2, kMax]; queries
-// with one keyword use posting lists, queries beyond kMax filter through the
-// kMax index.
-func NewMultiK(ds *Dataset, kMax int, opts ...Option) (*MultiK, error) {
-	return core.BuildMultiK(ds, kMax, opts...)
-}
 
 // WriteDataset serializes a dataset to w in the library's compact,
 // checksummed binary format; ReadDataset restores it. Indexes are rebuilt
@@ -357,41 +311,6 @@ type Vocabulary = dataset.Vocabulary
 
 // NewVocabulary returns an empty vocabulary; use ID/Doc to intern words.
 func NewVocabulary() *Vocabulary { return dataset.NewVocabulary() }
-
-// Batch query plumbing: static indexes are concurrency-safe for readers, so
-// ORPKW.QueryBatch / ORPKWHigh.QueryBatch answer many queries in parallel.
-type (
-	// RectQuery is one query of a batch.
-	RectQuery = core.RectQuery
-	// BatchResult is the outcome of one batch query.
-	BatchResult = core.BatchResult
-)
-
-// Planner routes each rectangle+keywords query to the cheapest of the three
-// strategies — the paper's index, the posting-list scan, or the geometric
-// filter — using the paper's own cost formulas as estimates. All routes
-// return identical results.
-type (
-	// Plan records one routing decision with per-strategy cost estimates.
-	Plan = core.Plan
-	// Route identifies a planner strategy.
-	Route = core.Route
-	// QueryPlanner is the cost-based router.
-	QueryPlanner = core.Planner
-)
-
-// Planner route identifiers.
-const (
-	RouteFramework      = core.RouteFramework
-	RouteKeywordsOnly   = core.RouteKeywordsOnly
-	RouteStructuredOnly = core.RouteStructuredOnly
-)
-
-// NewPlanner builds all three strategies for k-keyword queries over the
-// dataset.
-func NewPlanner(ds *Dataset, k int, opts ...Option) (*QueryPlanner, error) {
-	return core.BuildPlanner(ds, k, opts...)
-}
 
 // Resilience: every query accepts an ExecPolicy (via QueryOpts.Policy)
 // bounding its execution by wall-clock deadline, node budget and

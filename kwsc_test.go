@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"kwsc"
+	"kwsc/internal/bitpack"
+	"kwsc/internal/twosi"
 )
 
 func buildCatalog(t testing.TB, n int, seed int64) (*kwsc.Dataset, []kwsc.Object) {
@@ -66,7 +68,7 @@ func TestPublicORPKW(t *testing.T) {
 	}
 	q := kwsc.NewRect([]float64{20, 2}, []float64{70, 8})
 	ws := []kwsc.Keyword{0, 1}
-	got, st, err := ix.Collect(q, ws, kwsc.QueryOpts{})
+	got, st, err := ix.CollectInto(q, ws, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +89,20 @@ func TestPublicLCKWAndSimplex(t *testing.T) {
 	}
 	hs := []kwsc.Halfspace{{Coef: []float64{1, 5}, Bound: 80}}
 	var got []int32
-	if _, err := ix.QueryConstraints(hs, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{},
+	if _, err := ix.Query(hs, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{},
 		func(id int32) { got = append(got, id) }); err != nil {
 		t.Fatal(err)
 	}
 	idsEqual(t, got, oracle(ds, kwsc.NewPolyhedron(hs...), []kwsc.Keyword{0, 1}), "public lckw")
 
 	tri := kwsc.NewSimplex(kwsc.Point{0, 0}, kwsc.Point{100, 0}, kwsc.Point{0, 10})
-	var simGot []int32
-	if _, err := ix.QuerySimplex(tri, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{},
-		func(id int32) { simGot = append(simGot, id) }); err != nil {
-		t.Fatal(err)
-	}
 	ph, err := tri.Polyhedron()
 	if err != nil {
+		t.Fatal(err)
+	}
+	var simGot []int32
+	if _, err := ix.Query(ph.HS, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{},
+		func(id int32) { simGot = append(simGot, id) }); err != nil {
 		t.Fatal(err)
 	}
 	idsEqual(t, simGot, oracle(ds, ph, []kwsc.Keyword{0, 1}), "public simplex")
@@ -113,7 +115,7 @@ func TestPublicSRPKW(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := kwsc.NewSphere(kwsc.Point{50, 5}, 20)
-	got, _, err := ix.Collect(s, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{})
+	got, _, err := ix.CollectInto(s, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestPublicRRKW(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := kwsc.NewRect([]float64{4}, []float64{6})
-	got, _, err := ix.Collect(q, []kwsc.Keyword{1, 4}, kwsc.QueryOpts{})
+	got, _, err := ix.CollectInto(q, []kwsc.Keyword{1, 4}, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +203,13 @@ func TestPublicUniverseAndInfinities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Collect(kwsc.Universe(2), []kwsc.Keyword{0, 1}, kwsc.QueryOpts{})
+	got, _, err := ix.CollectInto(kwsc.Universe(2), []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idsEqual(t, got, oracle(ds, kwsc.FullSpace{}, []kwsc.Keyword{0, 1}), "universe")
 	half := kwsc.NewRect([]float64{50, math.Inf(-1)}, []float64{math.Inf(1), math.Inf(1)})
-	got, _, err = ix.Collect(half, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{})
+	got, _, err = ix.CollectInto(half, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestPublicInfinite1D(t *testing.T) {
 			} {
 				q := kwsc.NewPolyhedron(hs...)
 				want := oracle(ds, q, ws)
-				got, _, err := lc.Collect(hs, ws, kwsc.QueryOpts{})
+				got, _, err := lc.CollectInto(hs, ws, kwsc.QueryOpts{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +281,7 @@ func TestPublicConcurrentQueries(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				got, _, err := ix.Collect(q, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{})
+				got, _, err := ix.CollectInto(q, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
 				if err != nil {
 					done <- err
 					return
@@ -327,10 +329,7 @@ func TestPublicExtensions(t *testing.T) {
 	}
 
 	// Cohen–Porat 2-SI.
-	cp, err := kwsc.NewTwoSI(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := twosi.Build(ds)
 	got, _, err := cp.Report(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +348,7 @@ func TestPublicExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := kwsc.NewWordParallel1D(ds1)
+	wp, err := bitpack.Build(ds1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,18 +362,6 @@ func TestPublicExtensions(t *testing.T) {
 			t.Fatalf("word-parallel hit out of range: %v", p)
 		}
 	}
-
-	// MultiK.
-	mk, err := kwsc.NewMultiK(ds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := kwsc.NewRect([]float64{0, 0}, []float64{100, 10})
-	got3, _, err := mk.Collect(q, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idsEqual(t, got3, oracle(ds, q, []kwsc.Keyword{0, 1}), "public multik")
 
 	// Vocabulary.
 	v := kwsc.NewVocabulary()
@@ -396,28 +383,26 @@ func TestPublicExtensions(t *testing.T) {
 		t.Fatal("codec round trip changed the dataset")
 	}
 
-	// Batch queries.
+	// Count/Empty.
 	ix, err := kwsc.NewORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []kwsc.RectQuery{
-		{Rect: q, Keywords: []kwsc.Keyword{0, 1}},
-		{Rect: kwsc.NewRect([]float64{0, 0}, []float64{50, 5}), Keywords: []kwsc.Keyword{0, 1}},
-	}
-	res := ix.QueryBatch(batch, 2)
-	if len(res) != 2 || res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("batch failed: %+v", res)
-	}
-	idsEqual(t, res[0].IDs, got3, "batch vs direct")
-
-	// Count/Empty.
-	n, _, err := ix.Count(q, []kwsc.Keyword{0, 1})
+	q := kwsc.NewRect([]float64{0, 0}, []float64{100, 10})
+	want2 := oracle(ds, q, []kwsc.Keyword{0, 1})
+	n, _, err := kwsc.Count(ix, q, []kwsc.Keyword{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(got3) {
-		t.Fatalf("Count = %d, want %d", n, len(got3))
+	if n != len(want2) {
+		t.Fatalf("Count = %d, want %d", n, len(want2))
+	}
+	empty, _, err := kwsc.Empty(ix, q, []kwsc.Keyword{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty != (len(want2) == 0) {
+		t.Fatalf("Empty = %v with %d results", empty, len(want2))
 	}
 }
 
@@ -437,11 +422,11 @@ func Example() {
 	ds, _ := kwsc.NewDataset(objs)
 	ix, _ := kwsc.NewORPKW(ds, 3)
 	// price in [100, 200], rating >= 8, all three amenity tags.
-	ids, _, _ := ix.Collect(
+	ids, _, _ := ix.CollectInto(
 		kwsc.NewRect([]float64{100, 8}, []float64{200, math.Inf(1)}),
 		[]kwsc.Keyword{pool, parking, petFriendly},
-		kwsc.QueryOpts{},
-	)
+		kwsc.QueryOpts{}, nil)
+
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	fmt.Println(ids)
 	// Output: [0 2]

@@ -28,8 +28,7 @@ type (
 	// may be called concurrently and must be cheap or buffer internally.
 	Tracer = obs.Tracer
 	// Span is one completed query: family, operation, echoed query, arity,
-	// result count, work, latency, and the policy outcome. Planner spans
-	// also carry the chosen route and per-strategy cost estimates.
+	// result count, work, latency, and the policy outcome.
 	Span = obs.Span
 	// Outcome classifies how a query ended ("ok", "deadline", "budget",
 	// "canceled", "invalid", "panic", "error").
@@ -57,7 +56,7 @@ const (
 
 // Metrics returns a snapshot of the process-wide registry: per-family query
 // and error counters, latency/work histograms, build times, dynamic-index
-// churn, batch throughput, planner route decisions, and fallback counts.
+// churn, and fallback counts.
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
 // ResetMetrics zeroes every metric in the registry (counters, gauges,

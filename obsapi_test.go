@@ -39,7 +39,7 @@ func buildObsFixture(t *testing.T) (*kwsc.Dataset, *kwsc.ORPKW) {
 func TestMetricsSnapshotRoundTrips(t *testing.T) {
 	ds, ix := buildObsFixture(t)
 	// Touch several families so the registry is populated.
-	if _, _, err := ix.Collect(kwsc.Universe(2), []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}); err != nil {
+	if _, _, err := ix.CollectInto(kwsc.Universe(2), []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	nn, err := kwsc.NewLinfNN(ds, 2)
@@ -121,7 +121,7 @@ func TestGlobalTracerAndSlowLog(t *testing.T) {
 	kwsc.EnableSlowLog(8, 1)
 	defer kwsc.EnableSlowLog(0, 0)
 
-	ids, st, err := ix.Collect(kwsc.Universe(2), []kwsc.Keyword{0, 1}, kwsc.QueryOpts{})
+	ids, st, err := ix.CollectInto(kwsc.Universe(2), []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,6 @@ func TestConstructorsRejectBadDatasets(t *testing.T) {
 	wantInvalid("NewInvertedIndex(nil)", err)
 	_, err = kwsc.NewStructuredOnly(empty)
 	wantInvalid("NewStructuredOnly(empty)", err)
-	_, err = kwsc.NewTwoSI(nil)
-	wantInvalid("NewTwoSI(nil)", err)
-	_, err = kwsc.NewWordParallel1D(empty)
-	wantInvalid("NewWordParallel1D(empty)", err)
 	_, err = kwsc.NewORPKW(nil, 2)
 	wantInvalid("NewORPKW(nil)", err)
 }
