@@ -1,8 +1,9 @@
 package kwsc
 
-// Out-of-core cold-start series (DESIGN.md §15, `make bench-coldstart`):
-// how fast a process goes from nothing to answering its first query, for
-// each of the ways an index can come up.
+// Out-of-core cold-start benchmarks (DESIGN.md §15; run by `make bench`,
+// ColdStartPagedORPKW also by bench-save and bench-compare): how fast a
+// process goes from nothing to answering its first query, for each of the
+// ways an index can come up.
 //
 //   - ColdStartPagedORPKW      open a saved KWCP2 flat image (mmap and
 //                              pread) and answer the probe query

@@ -14,13 +14,11 @@ import (
 	"runtime"
 	"testing"
 
-	"kwsc/internal/bitpack"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/obs"
 	"kwsc/internal/spart"
-	"kwsc/internal/twosi"
 	"kwsc/internal/workload"
 )
 
@@ -782,47 +780,4 @@ func BenchmarkDynamicQueryShard(b *testing.B) {
 	}
 	b.ReportMetric(float64(d.NumBuckets()), "buckets/op")
 	b.ReportMetric(float64(units)/float64(b.N), "units/op")
-}
-
-// The Cohen–Porat 2-SI ancestor structure on the E9 workload.
-func BenchmarkExtTwoSI(b *testing.B) {
-	ds, kws, _ := plantedFixture(22, 1<<15, 2, 2, 64, 1<<12)
-	ix := twosi.Build(ds)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Report(kws[0], kws[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Word-parallel 1D bitmaps on dense keywords.
-func BenchmarkExtWordParallel1D(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	objs := make([]Object, 1<<16)
-	for i := range objs {
-		doc := []Keyword{2 + Keyword(rng.Intn(62))}
-		if rng.Float64() < 0.3 {
-			doc = append(doc, 0)
-		}
-		if rng.Float64() < 0.3 {
-			doc = append(doc, 1)
-		}
-		objs[i] = Object{Point: Point{rng.Float64()}, Doc: doc}
-	}
-	ds, err := NewDataset(objs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := bitpack.Build(ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := rng.Float64() * 0.8
-		if _, _, err := ix.Collect(lo, lo+0.1, []Keyword{0, 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -21,15 +21,12 @@ import (
 	"sort"
 	"strings"
 
-	"kwsc/internal/bitpack"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/invidx"
 	"kwsc/internal/obs"
 	"kwsc/internal/spart"
-	"kwsc/internal/stats"
-	"kwsc/internal/twosi"
 	"kwsc/internal/workload"
 )
 
@@ -122,7 +119,7 @@ func meanQueryOps(run func(i int) (core.QueryStats, int)) (ops, out float64) {
 
 func e1() {
 	for _, k := range []int{2, 3} {
-		tb := stats.NewTable("N", "ops(OUT=0)", "nodes", "N^{1-1/k}", "ops/bound")
+		tb := newTable("N", "ops(OUT=0)", "nodes", "N^{1-1/k}", "ops/bound")
 		var xs, ys []float64
 		for _, n := range sizes(1<<15, 1<<17) {
 			ds, kws, slab := workload.GenAdversarial(workload.Adversarial{
@@ -144,9 +141,9 @@ func e1() {
 			bound := math.Pow(nn, 1-1/float64(k))
 			xs = append(xs, nn)
 			ys = append(ys, ops)
-			tb.AddRow(int(nn), ops, ix.Framework().NumNodes(), bound, ops/bound)
+			tb.addRow(int(nn), ops, ix.Framework().NumNodes(), bound, ops/bound)
 		}
-		e, _, r2 := stats.FitPowerLaw(xs, ys)
+		e, _, r2 := fitPowerLaw(xs, ys)
 		fmt.Print(tb.String())
 		fmt.Printf("k=%d: fitted ops ~ N^%.3f (R^2=%.3f); paper's upper bound is N^%.3f\n",
 			k, e, r2, 1-1/float64(k))
@@ -159,7 +156,7 @@ func e1b() {
 	if *flagQuick {
 		n = 1 << 14
 	}
-	tb := stats.NewTable("OUT", "index ops", "kw-only ops", "struct-only ops", "OUT^{1/2}")
+	tb := newTable("OUT", "index ops", "kw-only ops", "struct-only ops", "OUT^{1/2}")
 	var xs, ys []float64
 	for _, out := range []int{1, 4, 16, 64, 256, 1024, 4096} {
 		ds, kws, region := workload.GenPlanted(workload.Planted{
@@ -181,16 +178,16 @@ func e1b() {
 		soOps := float64(sost.PtChecks) + float64(cand)
 		xs = append(xs, float64(out))
 		ys = append(ys, ops)
-		tb.AddRow(out, ops, kwOps, soOps, math.Sqrt(float64(out)))
+		tb.addRow(out, ops, kwOps, soOps, math.Sqrt(float64(out)))
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("fitted index ops ~ OUT^%.3f (R^2=%.3f); paper predicts the output-\n", e, r2)
 	fmt.Printf("sensitive term OUT^{1/k} = OUT^0.500 (plus the fixed N^{1-1/k} floor)\n")
 }
 
 func e2() {
-	tb := stats.NewTable("N", "ops(OUT=0)", "space words", "N loglogN", "levels", "maxType2/level")
+	tb := newTable("N", "ops(OUT=0)", "space words", "N loglogN", "levels", "maxType2/level")
 	var xs, ys []float64
 	for _, n := range sizes(1<<13, 1<<14) {
 		ds, kws, slab := workload.GenAdversarial(workload.Adversarial{
@@ -218,17 +215,17 @@ func e2() {
 		nn := float64(ds.N())
 		xs = append(xs, nn)
 		ys = append(ys, ops)
-		tb.AddRow(int(nn), ops, ix.Space().TotalWords(64),
+		tb.addRow(int(nn), ops, ix.Space().TotalWords(64),
 			nn*math.Log2(math.Log2(nn)), ix.Levels(), maxT2)
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("fitted ops ~ N^%.3f (R^2=%.3f); paper predicts N^0.500 at k=2,\n", e, r2)
 	fmt.Printf("space O(N loglogN) at d=3, <=2 type-2 nodes per level (Figure 2)\n")
 }
 
 func e3() {
-	tb := stats.NewTable("N", "ops(OUT=0)", "N^{1/2}")
+	tb := newTable("N", "ops(OUT=0)", "N^{1/2}")
 	var xs, ys []float64
 	for _, n := range sizes(1<<14, 1<<16) {
 		ds, kws, slab := workload.GenAdversarial(workload.Adversarial{
@@ -248,16 +245,16 @@ func e3() {
 		nn := float64(ds.N())
 		xs = append(xs, nn)
 		ys = append(ys, ops)
-		tb.AddRow(int(nn), ops, math.Sqrt(nn))
+		tb.addRow(int(nn), ops, math.Sqrt(nn))
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("rectangle-as-4-constraints through the partition tree: fitted ops ~ N^%.3f\n", e)
 	fmt.Printf("(R^2=%.3f); paper's Theorem 5 predicts N^{1-1/k} log N = N^0.5 logN shape\n", r2)
 }
 
 func e4() {
-	tb := stats.NewTable("N", "ops", "OUT", "N^{1/2}")
+	tb := newTable("N", "ops", "OUT", "N^{1/2}")
 	var xs, ys []float64
 	rng := rand.New(rand.NewSource(*flagSeed))
 	for _, n := range sizes(1<<14, 1<<16) {
@@ -297,9 +294,9 @@ func e4() {
 		nn := float64(ix.Dataset().N())
 		xs = append(xs, nn)
 		ys = append(ys, ops)
-		tb.AddRow(int(nn), ops, out, math.Sqrt(nn))
+		tb.addRow(int(nn), ops, out, math.Sqrt(nn))
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("temporal intervals (d=1, corner space d=2): fitted ops ~ N^%.3f (R^2=%.3f);\n", e, r2)
 	fmt.Printf("paper predicts N^{1-1/k} = N^0.500 for OUT=0 (keywords never co-occur)\n")
@@ -313,7 +310,7 @@ func e5() {
 	ds := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n, Dim: 2, Vocab: 64, DocLen: 5})
 	ix, err := core.BuildLinfNN(ds, 2)
 	check(err)
-	tb := stats.NewTable("t", "inner ops", "probes", "t^{1/2}")
+	tb := newTable("t", "inner ops", "probes", "t^{1/2}")
 	var xs, ys []float64
 	rng := rand.New(rand.NewSource(*flagSeed + 5))
 	for _, t := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
@@ -330,9 +327,9 @@ func e5() {
 		probes /= reps
 		xs = append(xs, float64(t))
 		ys = append(ys, ops)
-		tb.AddRow(t, ops, probes, math.Sqrt(float64(t)))
+		tb.addRow(t, ops, probes, math.Sqrt(float64(t)))
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("fitted inner ops ~ t^%.3f (R^2=%.3f); paper predicts t^{1/k} = t^0.500\n", e, r2)
 	fmt.Printf("with an O(log N) probe count (binary search over candidate radii)\n")
@@ -340,7 +337,7 @@ func e5() {
 
 func e6() {
 	for _, s := range []int{1, 2, 3} {
-		tb := stats.NewTable("N", "ops(OUT=0)", "N^{0.7925}")
+		tb := newTable("N", "ops(OUT=0)", "N^{0.7925}")
 		var xs, ys []float64
 		for _, n := range sizes(1<<14, 1<<15) {
 			ds, kws, slab := workload.GenAdversarial(workload.Adversarial{
@@ -368,9 +365,9 @@ func e6() {
 			nn := float64(ds.N())
 			xs = append(xs, nn)
 			ys = append(ys, ops)
-			tb.AddRow(int(nn), ops, math.Pow(nn, 0.7925))
+			tb.addRow(int(nn), ops, math.Pow(nn, 0.7925))
 		}
-		e, _, r2 := stats.FitPowerLaw(xs, ys)
+		e, _, r2 := fitPowerLaw(xs, ys)
 		fmt.Print(tb.String())
 		fmt.Printf("s=%d constraints: fitted ops ~ N^%.3f (R^2=%.3f); Willard substrate\n", s, e, r2)
 		fmt.Printf("guarantees N^0.7925 worst case vs the paper's N^0.500 with Chan's tree\n\n")
@@ -387,7 +384,7 @@ func e6b() {
 		{"willard", &spart.Willard2D{}, "<= log4(3)=0.792 guaranteed; ~0.5 typical"},
 		{"grid", &spart.Grid2D{G: 4}, "no worst-case guarantee (ablation)"},
 	} {
-		tb := stats.NewTable("n points", "crossing nodes (mean)", "sqrt(n)")
+		tb := newTable("n points", "crossing nodes (mean)", "sqrt(n)")
 		var xs, ys []float64
 		for _, n := range sizes(1<<14, 1<<16) {
 			pts := make([]geom.Point, n)
@@ -407,9 +404,9 @@ func e6b() {
 			total /= reps
 			xs = append(xs, float64(n))
 			ys = append(ys, total)
-			tb.AddRow(n, total, math.Sqrt(float64(n)))
+			tb.addRow(n, total, math.Sqrt(float64(n)))
 		}
-		e, _, r2 := stats.FitPowerLaw(xs, ys)
+		e, _, r2 := fitPowerLaw(xs, ys)
 		fmt.Print(tb.String())
 		fmt.Printf("%s: fitted crossing nodes ~ n^%.3f (R^2=%.3f); expected %s\n\n",
 			sub.name, e, r2, sub.want)
@@ -417,7 +414,7 @@ func e6b() {
 }
 
 func e7() {
-	tb := stats.NewTable("N", "ops(OUT=0)", "N^{2/3}", "ops/bound")
+	tb := newTable("N", "ops(OUT=0)", "N^{2/3}", "ops/bound")
 	var xs, ys []float64
 	for _, n := range sizes(1<<13, 1<<15) {
 		// Worst-case-shaped input; the query sphere fits inside the empty
@@ -440,9 +437,9 @@ func e7() {
 		bound := math.Pow(nn, 2.0/3)
 		xs = append(xs, nn)
 		ys = append(ys, ops)
-		tb.AddRow(int(nn), ops, bound, ops/bound)
+		tb.addRow(int(nn), ops, bound, ops/bound)
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("lifted to d+1=3 over the kd substrate: fitted ops ~ N^%.3f (R^2=%.3f);\n", e, r2)
 	fmt.Printf("paper predicts N^{1-1/(d+1)} = N^0.667 for d > k-1 (here d=2, k=2)\n")
@@ -472,7 +469,7 @@ func e8() {
 	ds := dataset.MustNew(objs)
 	ix, err := core.BuildL2NN(ds, 2)
 	check(err)
-	tb := stats.NewTable("t", "inner ops", "probes", "t^{1/2}")
+	tb := newTable("t", "inner ops", "probes", "t^{1/2}")
 	var xs, ys []float64
 	rng := rand.New(rand.NewSource(*flagSeed + 8))
 	for _, t := range []int{1, 4, 16, 64, 256, 1024} {
@@ -489,7 +486,7 @@ func e8() {
 		probes /= reps
 		xs = append(xs, float64(t))
 		ys = append(ys, ops)
-		tb.AddRow(t, ops, probes, math.Sqrt(float64(t)))
+		tb.addRow(t, ops, probes, math.Sqrt(float64(t)))
 	}
 	// The bound is log N * (N^{1-1/(d+1)} + N^{1-1/k} t^{1/k}): subtract the
 	// t-independent floor before fitting the t exponent.
@@ -501,7 +498,7 @@ func e8() {
 			my = append(my, ys[i]-floor)
 		}
 	}
-	e, _, r2 := stats.FitPowerLaw(mx, my)
+	e, _, r2 := fitPowerLaw(mx, my)
 	fmt.Print(tb.String())
 	fmt.Printf("fitted marginal inner ops ~ t^%.3f (R^2=%.3f) above the t-independent\n", e, r2)
 	fmt.Printf("floor; paper predicts t^{1/k} = t^0.500 with O(log N) probes\n")
@@ -514,7 +511,7 @@ func e9() {
 	if *flagQuick {
 		n = 1 << 14
 	}
-	tb := stats.NewTable("posting |S_w|", "OUT", "index ops", "baseline ops", "winner")
+	tb := newTable("posting |S_w|", "OUT", "index ops", "baseline ops", "winner")
 	for _, part := range []int{n / 64, n / 16, n / 4} {
 		for _, out := range []int{0, 64, part / 2} {
 			ds, kws, _ := workload.GenPlanted(workload.Planted{
@@ -534,7 +531,7 @@ func e9() {
 			if base < float64(st.Ops) {
 				winner = "baseline"
 			}
-			tb.AddRow(part+out, out, float64(st.Ops), base, winner)
+			tb.addRow(part+out, out, float64(st.Ops), base, winner)
 		}
 	}
 	fmt.Print(tb.String())
@@ -543,7 +540,7 @@ func e9() {
 }
 
 func f1() {
-	tb := stats.NewTable("N", "crossing cost (7)", "crossing nodes", "N^{1/2}")
+	tb := newTable("N", "crossing cost (7)", "crossing nodes", "N^{1/2}")
 	var xs, ys []float64
 	for _, n := range sizes(1<<14, 1<<16) {
 		ds := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n, Dim: 2, Vocab: 16, DocLen: 4})
@@ -567,9 +564,9 @@ func f1() {
 		nn := float64(ds.N())
 		xs = append(xs, nn)
 		ys = append(ys, cost)
-		tb.AddRow(int(nn), cost, cells, math.Sqrt(nn))
+		tb.addRow(int(nn), cost, cells, math.Sqrt(nn))
 	}
-	e, _, r2 := stats.FitPowerLaw(xs, ys)
+	e, _, r2 := fitPowerLaw(xs, ys)
 	fmt.Print(tb.String())
 	fmt.Printf("fitted crossing cost ~ N^%.3f (R^2=%.3f); Lemma 10 predicts O(N^{1-1/k})\n", e, r2)
 	fmt.Printf("= N^0.500 at k=2 for any vertical line\n")
@@ -594,14 +591,14 @@ func f2() {
 			}
 		}
 	}
-	tb := stats.NewTable("level", "max type-2 nodes (50 queries)", "paper bound")
+	tb := newTable("level", "max type-2 nodes (50 queries)", "paper bound")
 	var levels []int
 	for lvl := range maxPerLevel {
 		levels = append(levels, lvl)
 	}
 	sort.Ints(levels)
 	for _, lvl := range levels {
-		tb.AddRow(lvl, maxPerLevel[lvl], 2)
+		tb.addRow(lvl, maxPerLevel[lvl], 2)
 	}
 	fmt.Print(tb.String())
 	fmt.Printf("levels=%d (Proposition 1: O(loglog N)); max fanout=%d (Proposition 3:\n",
@@ -632,9 +629,9 @@ func a1() {
 		check(err)
 		return st, len(ids)
 	})
-	tb := stats.NewTable("route", "query ops", "space words", "substrate")
-	tb.AddRow("Theorem 1 (kd)", kdOps, kd.Space().TotalWords(64), "rank-space kd-tree")
-	tb.AddRow("Theorem 5 (partition)", ptOps, pt.Space().TotalWords(64), "Willard ham-sandwich")
+	tb := newTable("route", "query ops", "space words", "substrate")
+	tb.addRow("Theorem 1 (kd)", kdOps, kd.Space().TotalWords(64), "rank-space kd-tree")
+	tb.addRow("Theorem 5 (partition)", ptOps, pt.Space().TotalWords(64), "Willard ham-sandwich")
 	fmt.Print(tb.String())
 	fmt.Printf("both answer the same rectangle queries; the kd route is cheaper per\n")
 	fmt.Printf("query (crossing exponent 0.5 vs 0.79), the partition route generalizes\n")
@@ -646,7 +643,7 @@ func a2() {
 	if *flagQuick {
 		n = 1 << 13
 	}
-	tb := stats.NewTable("OUT/posting ratio", "framework ops", "twosi scans", "invidx ops")
+	tb := newTable("OUT/posting ratio", "framework ops", "twosi scans", "invidx ops")
 	for _, ratio := range []float64{0, 0.01, 0.1, 0.5, 1} {
 		part := n / 8
 		out := int(ratio * float64(part))
@@ -655,14 +652,14 @@ func a2() {
 		})
 		ix, err := core.BuildKSIFromDataset(ds, 2)
 		check(err)
-		cp := twosi.Build(ds)
+		cp := buildTwoSI(ds)
 		inv := invidx.Build(ds)
 		_, st, err := ix.Report(kws, core.QueryOpts{})
 		check(err)
-		_, cpSt, err := cp.Report(kws[0], kws[1])
+		_, cpSt, err := cp.report(kws[0], kws[1])
 		check(err)
 		base := float64(inv.ScanCost(kws))
-		tb.AddRow(ratio, float64(st.Ops), float64(cpSt.Scanned)+float64(cpSt.NodesVisited), base)
+		tb.addRow(ratio, float64(st.Ops), float64(cpSt.Scanned)+float64(cpSt.NodesVisited), base)
 	}
 	fmt.Print(tb.String())
 	fmt.Printf("the framework matches its Cohen–Porat ancestor on pure 2-SI (both beat the\n")
@@ -675,7 +672,7 @@ func a3() {
 		n = 1 << 14
 	}
 	rng := rand.New(rand.NewSource(*flagSeed))
-	tb := stats.NewTable("keyword density", "bitmap ops", "framework ops", "OUT")
+	tb := newTable("keyword density", "bitmap ops", "framework ops", "OUT")
 	for _, density := range []float64{0.02, 0.1, 0.4} {
 		objs := make([]dataset.Object, n)
 		for i := range objs {
@@ -689,7 +686,7 @@ func a3() {
 		}
 		ds, err := dataset.New(objs)
 		check(err)
-		bp, err := bitpack.Build(ds)
+		bp, err := buildWordParallel1D(ds)
 		check(err)
 		fw, err := core.BuildORPKW(ds, 2)
 		check(err)
@@ -699,7 +696,7 @@ func a3() {
 		for i := 0; i < reps; i++ {
 			lo := rng.Float64() * 0.8
 			hi := lo + 0.1
-			_, bst, err := bp.Collect(lo, hi, kws)
+			_, bst, err := bp.collect(lo, hi, kws)
 			check(err)
 			ids, fst, err := fw.CollectInto(&geom.Rect{Lo: []float64{lo}, Hi: []float64{hi}}, kws, core.QueryOpts{}, nil)
 			check(err)
@@ -707,7 +704,7 @@ func a3() {
 			fwOps += float64(fst.Ops)
 			outAvg += float64(len(ids))
 		}
-		tb.AddRow(density, bpOps/reps, fwOps/reps, outAvg/reps)
+		tb.addRow(density, bpOps/reps, fwOps/reps, outAvg/reps)
 	}
 	fmt.Print(tb.String())
 	fmt.Printf("dense keywords favor the word-parallel route (O(n k / w + OUT)); the\n")
@@ -722,9 +719,9 @@ func spaceAudit() {
 	ds2 := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n, Dim: 2, Vocab: 512, DocLen: 6})
 	ds3 := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n / 4, Dim: 3, Vocab: 512, DocLen: 6})
 	grid := workload.Gen(workload.Config{Seed: *flagSeed, Objects: n / 4, Dim: 2, Vocab: 512, DocLen: 6, Points: "grid"})
-	tb := stats.NewTable("index", "N", "total words", "words/N", "tensor bits", "pivot max")
+	tb := newTable("index", "N", "total words", "words/N", "tensor bits", "pivot max")
 	add := func(name string, nn int64, sp core.SpaceBreakdown, piv int) {
-		tb.AddRow(name, nn, sp.TotalWords(64), float64(sp.TotalWords(64))/float64(nn), sp.TensorBits, piv)
+		tb.addRow(name, nn, sp.TotalWords(64), float64(sp.TotalWords(64))/float64(nn), sp.TensorBits, piv)
 	}
 	orp, err := core.BuildORPKW(ds2, 2)
 	check(err)
@@ -755,7 +752,7 @@ func plannerExp() {
 	p, err := buildPlanner(ds, 2)
 	check(err)
 	inv := invidx.Build(ds)
-	tb := stats.NewTable("regime", "route chosen", "est cost", "actual results")
+	tb := newTable("regime", "route chosen", "est cost", "actual results")
 	cases := []struct {
 		name string
 		q    *geom.Rect
@@ -774,7 +771,7 @@ func plannerExp() {
 	for _, c := range cases {
 		got, pl, err := p.collect(c.q, c.ws)
 		check(err)
-		tb.AddRow(c.name, string(pl.route), pl.estimates[pl.route], len(got))
+		tb.addRow(c.name, string(pl.route), pl.estimates[pl.route], len(got))
 		// Cross-check against the oracle.
 		want := ds.Filter(c.q, c.ws)
 		if len(want) != len(got) {
@@ -789,7 +786,7 @@ func plannerExp() {
 	check(err)
 	got, pl, err := pAdv.collect(slab, advKws)
 	check(err)
-	tb.AddRow("long disjoint postings, slab", string(pl.route), pl.estimates[pl.route], len(got))
+	tb.addRow("long disjoint postings, slab", string(pl.route), pl.estimates[pl.route], len(got))
 	fmt.Print(tb.String())
 	fmt.Printf("the planner applies the paper's cost formulas per query: posting scans for\n")
 	fmt.Printf("rare terms, geometric filters for tiny regions, the framework when postings\n")

@@ -1,7 +1,4 @@
-// Package stats provides the measurement utilities of the benchmark
-// harness: log-log power-law fitting (for the query-time exponents of
-// Table 1) and plain-text table rendering for the per-experiment reports.
-package stats
+package main
 
 import (
 	"fmt"
@@ -9,10 +6,10 @@ import (
 	"strings"
 )
 
-// FitPowerLaw fits y = c * x^e by least squares on (ln x, ln y) and returns
+// fitPowerLaw fits y = c * x^e by least squares on (ln x, ln y) and returns
 // the exponent e, the constant c, and the coefficient of determination R^2.
 // Non-positive samples are skipped.
-func FitPowerLaw(xs, ys []float64) (e, c, r2 float64) {
+func fitPowerLaw(xs, ys []float64) (e, c, r2 float64) {
 	var lx, ly []float64
 	for i := range xs {
 		if xs[i] > 0 && ys[i] > 0 {
@@ -52,53 +49,23 @@ func FitPowerLaw(xs, ys []float64) (e, c, r2 float64) {
 	return e, c, 1 - ssRes/ssTot
 }
 
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	var s float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Table renders aligned plain-text tables, one experiment report each.
-type Table struct {
+// table renders an aligned plain-text table, one experiment report each.
+type table struct {
 	header []string
 	rows   [][]string
 }
 
-// NewTable starts a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
+// newTable starts a table with the given column headers.
+func newTable(header ...string) *table { return &table{header: header} }
 
-// AddRow appends a row; values are formatted with %v, floats with 4
+// addRow appends a row; values are formatted with %v, floats with 4
 // significant digits.
-func (t *Table) AddRow(cells ...interface{}) {
+func (t *table) addRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
 			row[i] = formatFloat(v)
-		case float32:
-			row[i] = formatFloat(float64(v))
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -120,7 +87,7 @@ func formatFloat(v float64) string {
 }
 
 // String renders the table.
-func (t *Table) String() string {
+func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
 		widths[i] = len(h)

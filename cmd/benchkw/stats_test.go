@@ -1,4 +1,4 @@
-package stats
+package main
 
 import (
 	"math"
@@ -13,7 +13,7 @@ func TestFitPowerLawExact(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 3 * math.Pow(x, 1.5)
 	}
-	e, c, r2 := FitPowerLaw(xs, ys)
+	e, c, r2 := fitPowerLaw(xs, ys)
 	if math.Abs(e-1.5) > 1e-9 {
 		t.Fatalf("exponent = %v, want 1.5", e)
 	}
@@ -28,7 +28,7 @@ func TestFitPowerLawExact(t *testing.T) {
 func TestFitPowerLawConstant(t *testing.T) {
 	xs := []float64{1, 2, 4, 8}
 	ys := []float64{5, 5, 5, 5}
-	e, _, _ := FitPowerLaw(xs, ys)
+	e, _, _ := fitPowerLaw(xs, ys)
 	if math.Abs(e) > 1e-9 {
 		t.Fatalf("flat data exponent = %v, want 0", e)
 	}
@@ -37,46 +37,25 @@ func TestFitPowerLawConstant(t *testing.T) {
 func TestFitPowerLawSkipsNonPositive(t *testing.T) {
 	xs := []float64{1, 2, 0, 4, 8}
 	ys := []float64{2, 4, -7, 8, 16}
-	e, _, _ := FitPowerLaw(xs, ys)
+	e, _, _ := fitPowerLaw(xs, ys)
 	if math.Abs(e-1) > 1e-9 {
 		t.Fatalf("exponent = %v, want 1", e)
 	}
 }
 
 func TestFitPowerLawDegenerate(t *testing.T) {
-	if e, _, _ := FitPowerLaw([]float64{1}, []float64{2}); !math.IsNaN(e) {
+	if e, _, _ := fitPowerLaw([]float64{1}, []float64{2}); !math.IsNaN(e) {
 		t.Fatal("single point must yield NaN")
 	}
-	if e, _, _ := FitPowerLaw([]float64{3, 3}, []float64{2, 5}); !math.IsNaN(e) {
+	if e, _, _ := fitPowerLaw([]float64{3, 3}, []float64{2, 5}); !math.IsNaN(e) {
 		t.Fatal("vertical data must yield NaN")
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("GeoMean(nil) = %v, want 0", g)
-	}
-	if g := GeoMean([]float64{-1, 0}); g != 0 {
-		t.Fatal("non-positive inputs must be skipped")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Fatalf("Mean(nil) = %v", m)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
-	tb := NewTable("n", "ops", "note")
-	tb.AddRow(1024, 32.5, "fast")
-	tb.AddRow(1<<20, 1e9, "slow")
+	tb := newTable("n", "ops", "note")
+	tb.addRow(1024, 32.5, "fast")
+	tb.addRow(1<<20, 1e9, "slow")
 	out := tb.String()
 	if !strings.Contains(out, "n") || !strings.Contains(out, "fast") {
 		t.Fatalf("table missing content:\n%s", out)

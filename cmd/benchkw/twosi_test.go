@@ -1,4 +1,4 @@
-package twosi
+package main
 
 import (
 	"math"
@@ -8,9 +8,10 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
+	"kwsc/internal/workload"
 )
 
-func buildRandom(rng *rand.Rand, n, vocab int) *dataset.Dataset {
+func buildRandomDocs(rng *rand.Rand, n, vocab int) *dataset.Dataset {
 	objs := make([]dataset.Object, n)
 	for i := range objs {
 		l := 1 + rng.Intn(5)
@@ -23,7 +24,7 @@ func buildRandom(rng *rand.Rand, n, vocab int) *dataset.Dataset {
 	return dataset.MustNew(objs)
 }
 
-func brute(ds *dataset.Dataset, a, b dataset.Keyword) []int32 {
+func bruteTwoSI(ds *dataset.Dataset, a, b dataset.Keyword) []int32 {
 	var out []int32
 	for i := 0; i < ds.Len(); i++ {
 		if ds.Has(int32(i), a) && ds.Has(int32(i), b) {
@@ -33,32 +34,31 @@ func brute(ds *dataset.Dataset, a, b dataset.Keyword) []int32 {
 	return out
 }
 
+// The index ignores the points, so a spatial dataset's answer is the keyword
+// filter over the whole space.
 func TestReportMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	ds := buildRandom(rng, 500, 16)
-	ix := Build(ds)
-	for a := dataset.Keyword(0); a < 16; a++ {
-		for b := a + 1; b < 16; b++ {
-			got, _, err := ix.Report(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := brute(ds, a, b)
-			sort.Slice(got, func(x, y int) bool { return got[x] < got[y] })
-			if len(got) != len(want) {
-				t.Fatalf("(%d,%d): got %d, want %d", a, b, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("(%d,%d): element %d mismatch", a, b, i)
+	for _, ds := range []*dataset.Dataset{
+		buildRandomDocs(rng, 500, 16),
+		workload.Gen(workload.Config{Seed: 8, Objects: 300, Dim: 2, Vocab: 16, DocLen: 3}),
+	} {
+		ix := buildTwoSI(ds)
+		for a := dataset.Keyword(0); a < 16; a++ {
+			for b := a + 1; b < 16; b++ {
+				got, _, err := ix.report(a, b)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			empty, err := ix.Empty(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if empty != (len(want) == 0) {
-				t.Fatalf("(%d,%d): emptiness mismatch", a, b)
+				want := bruteTwoSI(ds, a, b)
+				sort.Slice(got, func(x, y int) bool { return got[x] < got[y] })
+				if len(got) != len(want) {
+					t.Fatalf("(%d,%d): got %d, want %d", a, b, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("(%d,%d): element %d mismatch", a, b, i)
+					}
+				}
 			}
 		}
 	}
@@ -66,20 +66,17 @@ func TestReportMatchesBrute(t *testing.T) {
 
 func TestDuplicateKeywordRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	ix := Build(buildRandom(rng, 50, 8))
-	if _, _, err := ix.Report(3, 3); err == nil {
+	ix := buildTwoSI(buildRandomDocs(rng, 50, 8))
+	if _, _, err := ix.report(3, 3); err == nil {
 		t.Fatal("duplicate keyword must error")
-	}
-	if _, err := ix.Empty(3, 3); err == nil {
-		t.Fatal("duplicate keyword must error in Empty")
 	}
 }
 
 func TestAbsentKeywords(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ds := buildRandom(rng, 100, 8)
-	ix := Build(ds)
-	got, st, err := ix.Report(100, 200)
+	ds := buildRandomDocs(rng, 100, 8)
+	ix := buildTwoSI(ds)
+	got, st, err := ix.report(100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +106,8 @@ func TestEmptyIntersectionCostSqrtN(t *testing.T) {
 			objs[i] = dataset.Object{Point: geom.Point{0}, Doc: doc}
 		}
 		ds := dataset.MustNew(objs)
-		ix := Build(ds)
-		got, st, err := ix.Report(0, 1)
+		ix := buildTwoSI(ds)
+		got, st, err := ix.report(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,26 +122,14 @@ func TestEmptyIntersectionCostSqrtN(t *testing.T) {
 	}
 }
 
-func TestSpaceLinearish(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s1 := Build(buildRandom(rng, 1000, 64)).SpaceWords()
-	s4 := Build(buildRandom(rng, 4000, 64)).SpaceWords()
-	if ratio := float64(s4) / float64(s1); ratio > 7 {
-		t.Fatalf("space grew %.1fx on 4x data", ratio)
-	}
-}
-
-func TestKeywordsEnumeration(t *testing.T) {
-	ds := dataset.MustNew([]dataset.Object{
-		{Point: geom.Point{0}, Doc: []dataset.Keyword{5, 2}},
-		{Point: geom.Point{0}, Doc: []dataset.Keyword{2, 9}},
-	})
-	ix := Build(ds)
-	ws := ix.Keywords()
-	if len(ws) != 3 || ws[0] != 2 || ws[1] != 5 || ws[2] != 9 {
-		t.Fatalf("Keywords = %v", ws)
-	}
-	if ix.NumNodes() < 1 {
-		t.Fatal("no nodes")
+// The Cohen–Porat structure on the E9 workload.
+func BenchmarkExtTwoSI(b *testing.B) {
+	ds, kws, _ := workload.GenPlanted(workload.Planted{Seed: 22, Objects: 1 << 15, Dim: 2, K: 2, Out: 64, Partial: 1 << 12})
+	ix := buildTwoSI(ds)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ix.report(kws[0], kws[1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

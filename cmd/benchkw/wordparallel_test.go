@@ -1,4 +1,4 @@
-package bitpack
+package main
 
 import (
 	"math/rand"
@@ -26,7 +26,7 @@ func build1D(rng *rand.Rand, n, vocab int, denseFrac float64) *dataset.Dataset {
 	return dataset.MustNew(objs)
 }
 
-func brute(ds *dataset.Dataset, lo, hi float64, ws []dataset.Keyword) []int32 {
+func brute1D(ds *dataset.Dataset, lo, hi float64, ws []dataset.Keyword) []int32 {
 	var out []int32
 	for i := 0; i < ds.Len(); i++ {
 		id := int32(i)
@@ -38,7 +38,7 @@ func brute(ds *dataset.Dataset, lo, hi float64, ws []dataset.Keyword) []int32 {
 	return out
 }
 
-func checkEqual(t *testing.T, got, want []int32) {
+func checkEqualIDs(t *testing.T, got, want []int32) {
 	t.Helper()
 	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 	sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
@@ -54,7 +54,7 @@ func checkEqual(t *testing.T, got, want []int32) {
 
 func TestRejectsHigherDimensions(t *testing.T) {
 	ds := dataset.MustNew([]dataset.Object{{Point: geom.Point{1, 2}, Doc: []dataset.Keyword{0}}})
-	if _, err := Build(ds); err == nil {
+	if _, err := buildWordParallel1D(ds); err == nil {
 		t.Fatal("2D dataset must be rejected")
 	}
 }
@@ -62,31 +62,31 @@ func TestRejectsHigherDimensions(t *testing.T) {
 func TestDensePathMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds := build1D(rng, 2000, 32, 0.5) // keywords 0,1 dense
-	ix, err := Build(ds)
+	ix, err := buildWordParallel1D(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.DenseKeywords() == 0 {
+	if ix.denseKeywords() == 0 {
 		t.Fatal("expected dense keywords in this workload")
 	}
 	for trial := 0; trial < 50; trial++ {
 		lo := rng.Float64() * 0.8
 		hi := lo + rng.Float64()*0.2
-		got, st, err := ix.Collect(lo, hi, []dataset.Keyword{0, 1})
+		got, st, err := ix.collect(lo, hi, []dataset.Keyword{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.WordOps == 0 && len(got) > 0 {
 			t.Fatal("dense query did not take the word-parallel path")
 		}
-		checkEqual(t, got, brute(ds, lo, hi, []dataset.Keyword{0, 1}))
+		checkEqualIDs(t, got, brute1D(ds, lo, hi, []dataset.Keyword{0, 1}))
 	}
 }
 
 func TestSparsePathMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := build1D(rng, 2000, 800, 0.3)
-	ix, err := Build(ds)
+	ix, err := buildWordParallel1D(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,71 +95,71 @@ func TestSparsePathMatchesBrute(t *testing.T) {
 		hi := lo + rng.Float64()*0.2
 		// Rare keyword 2.. range: likely sparse.
 		ws := []dataset.Keyword{0, 2 + dataset.Keyword(rng.Intn(700))}
-		got, _, err := ix.Collect(lo, hi, ws)
+		got, _, err := ix.collect(lo, hi, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEqual(t, got, brute(ds, lo, hi, ws))
+		checkEqualIDs(t, got, brute1D(ds, lo, hi, ws))
 	}
 }
 
 func TestSingleKeyword(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := build1D(rng, 500, 16, 0.4)
-	ix, err := Build(ds)
+	ix, err := buildWordParallel1D(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Collect(0, 1, []dataset.Keyword{0})
+	got, _, err := ix.collect(0, 1, []dataset.Keyword{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEqual(t, got, brute(ds, 0, 1, []dataset.Keyword{0}))
+	checkEqualIDs(t, got, brute1D(ds, 0, 1, []dataset.Keyword{0}))
 }
 
 func TestManyKeywords(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ds := build1D(rng, 1500, 8, 0.7)
-	ix, err := Build(ds)
+	ix, err := buildWordParallel1D(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := []dataset.Keyword{0, 1, 2, 3}
-	got, _, err := ix.Collect(0.1, 0.9, ws)
+	got, _, err := ix.collect(0.1, 0.9, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEqual(t, got, brute(ds, 0.1, 0.9, ws))
+	checkEqualIDs(t, got, brute1D(ds, 0.1, 0.9, ws))
 }
 
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ix, err := Build(build1D(rng, 100, 8, 0.5))
+	ix, err := buildWordParallel1D(build1D(rng, 100, 8, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.Collect(0, 1, nil); err == nil {
+	if _, _, err := ix.collect(0, 1, nil); err == nil {
 		t.Fatal("empty keywords must error")
 	}
-	if _, _, err := ix.Collect(0, 1, []dataset.Keyword{1, 1}); err == nil {
+	if _, _, err := ix.collect(0, 1, []dataset.Keyword{1, 1}); err == nil {
 		t.Fatal("duplicates must error")
 	}
 }
 
 func TestAbsentKeywordAndEmptyRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	ix, err := Build(build1D(rng, 100, 8, 0.9))
+	ix, err := buildWordParallel1D(build1D(rng, 100, 8, 0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ix.Collect(0, 1, []dataset.Keyword{0, 9999})
+	got, _, err := ix.collect(0, 1, []dataset.Keyword{0, 9999})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatal("absent keyword produced results")
 	}
-	got, _, err = ix.Collect(2, 3, []dataset.Keyword{0, 1})
+	got, _, err = ix.collect(2, 3, []dataset.Keyword{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +175,12 @@ func TestWordBoundaries(t *testing.T) {
 		objs[i] = dataset.Object{Point: geom.Point{float64(i)}, Doc: []dataset.Keyword{0, 1}}
 	}
 	ds := dataset.MustNew(objs)
-	ix, err := Build(ds)
+	ix, err := buildWordParallel1D(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]float64{{0, 127}, {0, 63}, {64, 127}, {63, 64}, {1, 126}, {0, 0}, {127, 127}} {
-		got, _, err := ix.Collect(r[0], r[1], []dataset.Keyword{0, 1})
+		got, _, err := ix.collect(r[0], r[1], []dataset.Keyword{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +189,20 @@ func TestWordBoundaries(t *testing.T) {
 			t.Fatalf("range [%v,%v]: got %d, want %d", r[0], r[1], len(got), want)
 		}
 	}
+	// 200 objects with keyword 1 on every third: the AND leaves gaps.
+	objs = make([]dataset.Object, 200)
+	for i := range objs {
+		objs[i] = dataset.Object{Point: geom.Point{float64(i)}, Doc: []dataset.Keyword{0, dataset.Keyword(1 + i%3)}}
+	}
+	ds = dataset.MustNew(objs)
+	if ix, err = buildWordParallel1D(ds); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ix.collect(10, 20, []dataset.Keyword{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEqualIDs(t, got, brute1D(ds, 10, 20, []dataset.Keyword{0, 1}))
 }
 
 // Property: agrees with brute force on arbitrary random instances.
@@ -197,7 +211,7 @@ func TestAgainstBruteProperty(t *testing.T) {
 	f := func() bool {
 		n := 2 + rng.Intn(300)
 		ds := build1D(rng, n, 4+rng.Intn(12), rng.Float64())
-		ix, err := Build(ds)
+		ix, err := buildWordParallel1D(ds)
 		if err != nil {
 			return false
 		}
@@ -214,11 +228,11 @@ func TestAgainstBruteProperty(t *testing.T) {
 					ws = append(ws, w)
 				}
 			}
-			got, _, err := ix.Collect(lo, hi, ws)
+			got, _, err := ix.collect(lo, hi, ws)
 			if err != nil {
 				return false
 			}
-			want := brute(ds, lo, hi, ws)
+			want := brute1D(ds, lo, hi, ws)
 			if len(got) != len(want) {
 				return false
 			}
@@ -236,13 +250,33 @@ func TestAgainstBruteProperty(t *testing.T) {
 	}
 }
 
-func TestSpaceWordsPositive(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	ix, err := Build(build1D(rng, 500, 16, 0.5))
-	if err != nil {
-		t.Fatal(err)
+// Word-parallel 1D bitmaps on dense keywords.
+func BenchmarkExtWordParallel1D(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	objs := make([]dataset.Object, 1<<16)
+	for i := range objs {
+		doc := []dataset.Keyword{2 + dataset.Keyword(rng.Intn(62))}
+		if rng.Float64() < 0.3 {
+			doc = append(doc, 0)
+		}
+		if rng.Float64() < 0.3 {
+			doc = append(doc, 1)
+		}
+		objs[i] = dataset.Object{Point: geom.Point{rng.Float64()}, Doc: doc}
 	}
-	if ix.SpaceWords() <= 0 {
-		t.Fatal("space must be positive")
+	ds, err := dataset.New(objs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := buildWordParallel1D(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := rng.Float64() * 0.8
+		if _, _, err := ix.collect(lo, lo+0.1, []dataset.Keyword{0, 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

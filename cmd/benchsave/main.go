@@ -14,16 +14,28 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"kwsc/internal/benchfmt"
 )
 
-// The snapshot schema lives in internal/benchfmt, shared with cmd/kwsload
-// (which contributes the serving-goodput section of a baseline).
-type (
-	Record       = benchfmt.Record
-	SnapshotFile = benchfmt.SnapshotFile
-)
+// Record is one micro-benchmark measurement. BytesResident captures the
+// custom "bytes-resident" metric the flat-layout benchmarks report via
+// b.ReportMetric: the live heap the built index retains, as opposed to
+// B/op allocation churn.
+type Record struct {
+	Name          string  `json:"name"`
+	Iterations    int64   `json:"iterations"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	BytesPerOp    int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp   int64   `json:"allocs_per_op,omitempty"`
+	BytesResident int64   `json:"bytes_resident,omitempty"`
+}
+
+// SnapshotFile is the committed BENCH_*.json schema: the micro-benchmark
+// records and the metrics registry the run emitted (the `# kwsc-metrics:`
+// line TestMain prints under -bench).
+type SnapshotFile struct {
+	Records []Record        `json:"records,omitempty"`
+	Metrics json.RawMessage `json:"metrics,omitempty"`
+}
 
 // metricsPrefix marks the registry snapshot line in benchmark output.
 const metricsPrefix = "# kwsc-metrics: "
@@ -90,8 +102,9 @@ func main() {
 // query paths are a structural property and any new allocation there is a
 // regression, not noise, while bulk benchmarks (recovery replay at ~200k
 // allocs/op) legitimately jitter by a handful of map-growth allocations.
-// Benchmarks present on only one side are reported but not fatal (families
-// evolve).
+// A baseline row the run did not measure fails the comparison, so a renamed
+// or deleted benchmark cannot silently stop being guarded; a measured row
+// with no baseline is reported but not fatal.
 func compareBaseline(recs []Record, path string, tolerance float64) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -132,13 +145,14 @@ func compareBaseline(recs []Record, path string, tolerance float64) int {
 	}
 	for name := range byName {
 		fmt.Printf("  gone  %s (in baseline, not measured)\n", name)
+		failures++
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "benchsave: no benchmark matched the baseline")
 		return 1
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchsave: %d regression(s) vs %s (tolerance %.2fx)\n",
+		fmt.Fprintf(os.Stderr, "benchsave: %d failure(s) vs %s (tolerance %.2fx)\n",
 			failures, path, tolerance)
 		return 1
 	}

@@ -87,6 +87,7 @@ func TestCompareBaselineExitCodes(t *testing.T) {
 		{"slower", []Record{{Name: "BenchmarkQuery", NsPerOp: 201}}, base, 1},
 		{"one new alloc on a zero-alloc path", []Record{{Name: "BenchmarkQuery", NsPerOp: 100, AllocsPerOp: 1}}, base, 1},
 		{"allocs past 0.1%", []Record{{Name: "BenchmarkReplay", NsPerOp: 1000, AllocsPerOp: 2003}}, base, 1},
+		{"baseline row not measured", []Record{{Name: "BenchmarkQuery", NsPerOp: 100}}, base, 1},
 		{"no row matched", []Record{{Name: "BenchmarkOther", NsPerOp: 1}}, base, 1},
 		{"baseline without records", []Record{{Name: "BenchmarkQuery", NsPerOp: 100}}, write("empty.json", SnapshotFile{}), 1},
 		{"legacy bare array", []Record{{Name: "BenchmarkQuery", NsPerOp: 100}}, write("legacy.json", []Record{{Name: "BenchmarkQuery", NsPerOp: 100}}), 1},

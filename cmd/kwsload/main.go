@@ -3,10 +3,9 @@
 // sweep (-sweep) produces the goodput-under-overload curve: each step runs C
 // closed-loop clients for -duration, counting 200s (goodput), 429s (shed),
 // and errors, with p50/p99/p999 over the successful responses. Results are
-// printed as a table and optionally written as a benchfmt snapshot (-out)
-// for committing next to micro-benchmark baselines.
+// printed as a table, one row per step.
 //
-//	kwsload -addr localhost:8080 -sweep 1,2,4,8,16 -duration 5s -out BENCH_serve.json
+//	kwsload -addr localhost:8080 -sweep 1,2,4,8,16 -duration 5s
 //
 // The generator discovers the server's dimensionality and keyword arity from
 // /debug/stats, so requests always validate against the serving index.
@@ -21,7 +20,6 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,7 +27,6 @@ import (
 	"time"
 
 	"kwsc"
-	"kwsc/internal/benchfmt"
 )
 
 func main() {
@@ -45,8 +42,6 @@ func main() {
 		timeoutMs = flag.Int64("timeout-ms", 0, "per-query timeout knob (0 = server default)")
 		staleMs   = flag.Int64("max-staleness", 0, "per-query max_staleness_ms: lets the server answer from cached snapshots and replicas no older than this (0 = always fresh)")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		name      = flag.String("name", "query", "step label prefix in the snapshot")
-		out       = flag.String("out", "", "write a benchfmt snapshot with the serve records here")
 	)
 	flag.Parse()
 	base := "http://" + *addr
@@ -75,11 +70,9 @@ func main() {
 
 	fmt.Printf("%-14s %6s %10s %10s %10s %8s %8s %9s %9s %9s\n",
 		"step", "conc", "qps", "goodput", "shed/s", "errors", "degraded", "p50(us)", "p99(us)", "p999(us)")
-	var records []benchfmt.ServeRecord
 	totalOK := int64(0)
 	for _, c := range concs {
 		rec := runStep(base, stepConfig{
-			name:      fmt.Sprintf("%s-c%d", *name, c),
 			conc:      c,
 			duration:  *duration,
 			dim:       dim,
@@ -91,25 +84,13 @@ func main() {
 			staleMs:   *staleMs,
 			seed:      *seed + int64(c)*1000,
 		})
-		records = append(records, rec)
-		totalOK += rec.OK
+		totalOK += rec.ok
 		fmt.Printf("%-14s %6d %10.1f %10.1f %10.1f %8d %8d %9d %9d %9d\n",
-			rec.Name, rec.Concurrency, rec.QPS, rec.GoodputQPS,
-			float64(rec.Shed)/rec.DurationSec, rec.Errors, rec.Degraded,
-			rec.P50Us, rec.P99Us, rec.P999Us)
+			fmt.Sprintf("query-c%d", c), c, float64(rec.requests)/rec.seconds,
+			float64(rec.ok)/rec.seconds, float64(rec.shed)/rec.seconds,
+			rec.errs, rec.degraded, rec.p50Us, rec.p99Us, rec.p999Us)
 	}
 
-	if *out != "" {
-		snap := benchfmt.SnapshotFile{Serve: records}
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			log.Fatalf("kwsload: %v", err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("kwsload: %v", err)
-		}
-		log.Printf("kwsload: wrote %d serve records to %s", len(records), *out)
-	}
 	if totalOK == 0 {
 		log.Fatal("kwsload: zero goodput — no request succeeded")
 	}
@@ -167,7 +148,6 @@ func checkVocab(vocab, k int, writeFrac float64) error {
 }
 
 type stepConfig struct {
-	name      string
 	conc      int
 	duration  time.Duration
 	dim, k    int
@@ -181,12 +161,20 @@ type stepConfig struct {
 
 // workerResult accumulates one closed-loop client's step counts.
 type workerResult struct {
-	requests, ok, shed, errs int64
-	degraded, truncated      int64
-	latencies                []int64 // microseconds, OK responses only
+	requests, ok, shed, errs, degraded int64
+	latencies                          []int64 // microseconds, OK responses only
 }
 
-func runStep(base string, cfg stepConfig) benchfmt.ServeRecord {
+// stepRow is one printed row of the sweep: the clients' summed counts, the
+// step's measured wall-clock seconds, and latency percentiles over the OK
+// responses in microseconds.
+type stepRow struct {
+	workerResult
+	seconds              float64
+	p50Us, p99Us, p999Us int64
+}
+
+func runStep(base string, cfg stepConfig) stepRow {
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        cfg.conc * 2,
 		MaxIdleConnsPerHost: cfg.conc * 2,
@@ -223,9 +211,6 @@ func runStep(base string, cfg stepConfig) benchfmt.ServeRecord {
 					if resp.Degraded {
 						res.degraded++
 					}
-					if resp.Truncated {
-						res.truncated++
-					}
 				case status == http.StatusTooManyRequests:
 					res.shed++
 				default:
@@ -235,26 +220,21 @@ func runStep(base string, cfg stepConfig) benchfmt.ServeRecord {
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	rec := benchfmt.ServeRecord{Name: cfg.name, Concurrency: cfg.conc, DurationSec: elapsed}
+	row := stepRow{seconds: time.Since(start).Seconds()}
 	var all []int64
 	for _, r := range results {
-		rec.Requests += r.requests
-		rec.OK += r.ok
-		rec.Shed += r.shed
-		rec.Errors += r.errs
-		rec.Degraded += r.degraded
-		rec.Truncated += r.truncated
+		row.requests += r.requests
+		row.ok += r.ok
+		row.shed += r.shed
+		row.errs += r.errs
+		row.degraded += r.degraded
 		all = append(all, r.latencies...)
 	}
-	rec.QPS = float64(rec.Requests) / elapsed
-	rec.GoodputQPS = float64(rec.OK) / elapsed
 	slices.Sort(all)
-	rec.P50Us = percentile(all, 0.50)
-	rec.P99Us = percentile(all, 0.99)
-	rec.P999Us = percentile(all, 0.999)
-	return rec
+	row.p50Us = percentile(all, 0.50)
+	row.p99Us = percentile(all, 0.99)
+	row.p999Us = percentile(all, 0.999)
+	return row
 }
 
 // post sends one JSON request; it returns 0 on transport failure. The

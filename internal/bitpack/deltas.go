@@ -1,18 +1,20 @@
+// Package bitpack holds lists, blocks and cursors: the block format a
+// checkpoint stores its posting lists in (codec/pagedsnap.go), and the one
+// list cursor every rank list is intersected with (cursor.go).
+//
+// A list is an int32 sequence delta-encoded (zigzag, so unsorted sequences
+// round-trip too) and bit-packed at a fixed per-block width into
+// little-endian 64-bit words, in blocks of BlockSize values under a directory
+// of per-block skip metadata (first value, max value, payload offset). A
+// sorted rank list compresses to a few bits per entry, and the directory lets
+// a Cursor skip a block on its Max and answer from its First, decoding a
+// payload only when the block's [First, Max] window straddles the target.
 package bitpack
 
 import (
 	"encoding/binary"
 	"math/bits"
 )
-
-// This file is the block format a checkpoint stores its posting lists in
-// (codec/pagedsnap.go): int32 sequences delta-encoded (zigzag, so unsorted
-// sequences round-trip too) and bit-packed at a fixed per-block width into
-// little-endian 64-bit words, in blocks of BlockSize values under a directory
-// of per-block skip metadata (first value, max value, payload offset). A
-// sorted rank list compresses to a few bits per entry, and the directory lets
-// a Cursor skip a block on its Max and answer from its First, decoding a
-// payload only when the block's [First, Max] window straddles the target.
 
 // BlockSize is the number of values per packed block. 128 deltas at the
 // typical 8-16 bit width keep a block's payload within two or four cache

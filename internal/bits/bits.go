@@ -35,10 +35,6 @@ func (d *Dense) Count() int {
 	return c
 }
 
-// SpaceBits returns the storage footprint in bits (the unit Appendix B uses
-// when accounting the T_u structures).
-func (d *Dense) SpaceBits() int64 { return int64(len(d.words)) * 64 }
-
 // Arena is a single word slice holding many concatenated bitsets, each
 // word-aligned and addressed by the word offset its owner recorded at append
 // time. The flat index layout concatenates every per-child non-emptiness

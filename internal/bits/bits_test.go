@@ -22,9 +22,6 @@ func TestDenseBasic(t *testing.T) {
 	if c := d.Count(); c != 6 {
 		t.Fatalf("Count = %d, want 6", c)
 	}
-	if d.SpaceBits() != 192 { // 3 words
-		t.Fatalf("SpaceBits = %d, want 192", d.SpaceBits())
-	}
 }
 
 func TestDenseSetIdempotent(t *testing.T) {

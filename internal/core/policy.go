@@ -121,6 +121,12 @@ func (ps *polState) check(st *QueryStats, work int64) error {
 	}
 	if ps.tick == 0 {
 		ps.tick = polPollEvery
+		// The deadline is tested first: a context past its deadline also
+		// closes Done, and the cause to report is the deadline.
+		if !ps.pol.Deadline.IsZero() && !time.Now().Before(ps.pol.Deadline) {
+			st.Truncated = true
+			return ErrDeadline
+		}
 		if ps.pol.Done != nil {
 			select {
 			case <-ps.pol.Done:
@@ -128,10 +134,6 @@ func (ps *polState) check(st *QueryStats, work int64) error {
 				return ErrCanceled
 			default:
 			}
-		}
-		if !ps.pol.Deadline.IsZero() && !time.Now().Before(ps.pol.Deadline) {
-			st.Truncated = true
-			return ErrDeadline
 		}
 	}
 	ps.tick--

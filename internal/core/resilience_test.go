@@ -556,6 +556,8 @@ func TestEachStopCauseHasItsError(t *testing.T) {
 	}{
 		{"canceled", ExecPolicy{Done: closed}, ErrCanceled},
 		{"deadline", ExecPolicy{Deadline: time.Now().Add(-time.Second)}, ErrDeadline},
+		// A context past its deadline closes Done too; the deadline is the cause.
+		{"deadline+done", ExecPolicy{Done: closed, Deadline: time.Now().Add(-time.Second)}, ErrDeadline},
 		{"node-budget", ExecPolicy{NodeBudget: 1}, ErrBudget},
 	}
 	for _, tr := range traversals {

@@ -5,15 +5,18 @@ package kwsc_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"kwsc"
-	"kwsc/internal/bitpack"
-	"kwsc/internal/twosi"
 )
 
 func buildCatalog(t testing.TB, n int, seed int64) (*kwsc.Dataset, []kwsc.Object) {
@@ -106,6 +109,48 @@ func TestPublicLCKWAndSimplex(t *testing.T) {
 		t.Fatal(err)
 	}
 	idsEqual(t, simGot, oracle(ds, ph, []kwsc.Keyword{0, 1}), "public simplex")
+
+	// Paged images: the default Willard substrate has no serializable cells
+	// and is refused; a kd LC-KW reopened under mmap and under pread answers
+	// exactly as the in-RAM index does.
+	dir := t.TempDir()
+	if err := kwsc.SavePagedLCKW(filepath.Join(dir, "willard.kwcp"), ix); err == nil {
+		t.Fatal("SavePagedLCKW accepted a Willard LC-KW")
+	}
+	kd, err := kwsc.NewLCKW(ds, kwsc.LCKWConfig{K: 2, Splitter: &kwsc.KDSplitter{Dim: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "kd.kwcp")
+	if err := kwsc.SavePagedLCKW(path, kd); err != nil {
+		t.Fatal(err)
+	}
+	queries := [][]kwsc.Halfspace{hs, ph.HS, {{Coef: []float64{-1, 2}, Bound: -20}, {Coef: []float64{1, 0}, Bound: 90}}}
+	for mode, o := range map[string]kwsc.PagedFileOptions{"mmap": {}, "pread": {NoMmap: true}} {
+		paged, h, err := kwsc.OpenPagedLCKW(path, o)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		for qi, q := range queries {
+			want, _, err := kd.CollectInto(q, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := paged.CollectInto(q, []kwsc.Keyword{0, 1}, kwsc.QueryOpts{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("query %d matches nothing", qi)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("paged lckw %s query %d: %v, want %v", mode, qi, got, want)
+			}
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestPublicSRPKW(t *testing.T) {
@@ -328,41 +373,6 @@ func TestPublicExtensions(t *testing.T) {
 		t.Fatalf("dynamic query = %v", ids)
 	}
 
-	// Cohen–Porat 2-SI.
-	cp := twosi.Build(ds)
-	got, _, err := cp.Report(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle(ds, kwsc.FullSpace{}, []kwsc.Keyword{0, 1})
-	if len(got) != len(want) {
-		t.Fatalf("twosi: %d vs %d", len(got), len(want))
-	}
-
-	// Word-parallel 1D.
-	objs1d := make([]kwsc.Object, 200)
-	for i := range objs1d {
-		objs1d[i] = kwsc.Object{Point: kwsc.Point{float64(i)}, Doc: []kwsc.Keyword{0, kwsc.Keyword(1 + i%3)}}
-	}
-	ds1, err := kwsc.NewDataset(objs1d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, err := bitpack.Build(ds1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, _, err := wp.Collect(10, 20, []kwsc.Keyword{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range hits {
-		p := ds1.Point(id)[0]
-		if p < 10 || p > 20 {
-			t.Fatalf("word-parallel hit out of range: %v", p)
-		}
-	}
-
 	// Vocabulary.
 	v := kwsc.NewVocabulary()
 	doc := v.Doc("pool", "spa")
@@ -404,6 +414,49 @@ func TestPublicExtensions(t *testing.T) {
 	if empty != (len(want2) == 0) {
 		t.Fatalf("Empty = %v with %d results", empty, len(want2))
 	}
+}
+
+// PolicyFromContext bounds a query by its context: a canceled context stops
+// it with ErrCanceled, an expired one with ErrDeadline (its Done is closed
+// too), and a context that can never stop yields a policy that bounds
+// nothing.
+func TestPolicyFromContext(t *testing.T) {
+	ds, _ := buildCatalog(t, 2000, 12)
+	ix, err := kwsc.NewORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := kwsc.NewRect([]float64{0, 0}, []float64{100, 10})
+	ws := []kwsc.Keyword{0, 1}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"canceled", canceled, kwsc.ErrCanceled},
+		{"expired", expired, kwsc.ErrDeadline},
+	} {
+		_, st, err := ix.CollectInto(q, ws, kwsc.QueryOpts{Policy: kwsc.PolicyFromContext(c.ctx)}, nil)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if !st.Truncated {
+			t.Errorf("%s: stop without Truncated", c.name)
+		}
+	}
+	p := kwsc.PolicyFromContext(context.Background())
+	if !p.Deadline.IsZero() || p.Done != nil {
+		t.Fatalf("Background policy = %+v, want zero Deadline and nil Done", p)
+	}
+	got, _, err := ix.CollectInto(q, ws, kwsc.QueryOpts{Policy: p}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idsEqual(t, got, oracle(ds, q, ws), "Background policy")
 }
 
 // Example demonstrates the paper's introductory query end to end.
