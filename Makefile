@@ -39,8 +39,8 @@ crash:
 # decoder round-trips, and the one list cursor seeks as a binary search
 # does), the paged base over re-sealed index sections that lie, the
 # /v1 wire codec held to encoding/json in both directions, the query
-# stop checks under random limits and node budgets, and the rank-space
-# directory search held to its binary-search definition. Each target
+# stop checks under random limits and node budgets, and the root keyword
+# directory held to its span contract. Each target
 # runs briefly; use `go test -fuzz <name> -fuzztime 5m ./internal/...` for a
 # real session.
 FUZZ_TIME ?= 5s
@@ -51,7 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecPolicy$$' -fuzztime $(FUZZ_TIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzRankDirectory$$' -fuzztime $(FUZZ_TIME) ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeywordDirectory$$' -fuzztime $(FUZZ_TIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 

@@ -157,6 +157,81 @@ func TestTightBoxesOriginalCoordinates(t *testing.T) {
 	}
 }
 
+// Theorem 2's index takes rank space only to build: over every degenerate
+// coordinate shape, in 3 and 4 dimensions, every d = 2 secondary keeps the
+// final two coordinates of its objects' own points over tight boxes, and the
+// index reports exactly dataset.Filter's objects — as does RR-KW at d = 2,
+// whose corner queries carry ±Inf.
+func TestDimRedOriginalCoordinates(t *testing.T) {
+	const n, vocab = 500, 8
+	for ki, kind := range degenerateKinds {
+		for dim := 3; dim <= 4; dim++ {
+			ds := genDegenerate(kind, int64(100*ki+dim), n, dim, vocab)
+			for _, k := range []int{2, 3} {
+				name := fmt.Sprintf("%s/d=%d/k=%d", kind, dim, k)
+				ix, err := BuildORPKWHigh(ds, k, WithoutObs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var walk func(tr *drTree)
+				walk = func(tr *drTree) {
+					for _, nd := range tr.nodes {
+						if nd.secDR != nil {
+							walk(nd.secDR)
+						}
+						if f := nd.secKD; f != nil {
+							for r, id := range f.ids {
+								if !slices.Equal(f.coords[2*r:2*r+2], ds.Point(id)[dim-2:]) {
+									t.Fatalf("%s: a secondary's rank %d keeps %v, object %d is at %v", name, r, f.coords[2*r:2*r+2], id, ds.Point(id))
+								}
+							}
+							checkTightBoxes(t, name, f)
+						}
+					}
+				}
+				walk(ix.root)
+				rng := rand.New(rand.NewSource(int64(ki*10 + dim*3 + k)))
+				for trial := 0; trial < 100; trial++ {
+					q := degenerateRect(rng, ds)
+					ws := workload.RandKeywords(rng, vocab, k)
+					got, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					slices.Sort(got)
+					if want := ds.Filter(q, ws); !slices.Equal(got, want) {
+						t.Fatalf("%s: %v %v: got %v, want %v", name, q, ws, got, want)
+					}
+				}
+			}
+		}
+		// RR-KW over rectangles whose corners are two degenerate points.
+		a, b := genDegenerate(kind, int64(100*ki+5), n, 2, vocab), genDegenerate(kind, int64(100*ki+6), n, 2, vocab)
+		rects := make([]RectObject, n)
+		for i := range rects {
+			p, q := a.Point(int32(i)), b.Point(int32(i))
+			rects[i] = RectObject{Rect: &geom.Rect{Lo: []float64{min(p[0], q[0]), min(p[1], q[1])}, Hi: []float64{max(p[0], q[0]), max(p[1], q[1])}}, Doc: a.Doc(int32(i))}
+		}
+		rr, err := BuildRRKW(rects, 2, WithoutObs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(ki)))
+		for trial := 0; trial < 100; trial++ {
+			q := degenerateRect(rng, a)
+			ws := workload.RandKeywords(rng, vocab, 2)
+			got, _, err := rr.CollectInto(q, ws, QueryOpts{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got)
+			if want := rr.Dataset().Filter(rr.cornerQuery(q), ws); !slices.Equal(got, want) {
+				t.Fatalf("%s RR-KW: %v %v: got %v, want %v", kind, q, ws, got, want)
+			}
+		}
+	}
+}
+
 // degenerateKinds are the coordinate shapes genDegenerate makes, each a
 // corner of float order a kd tree over ranks and boxes over the points' own
 // coordinates must agree on.

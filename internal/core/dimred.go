@@ -20,25 +20,29 @@ import (
 // over that node's active set. The recursion bottoms out at d = 2 with the
 // kd-tree framework of Theorem 1. Space grows by one O(log log N) factor per
 // dimension (Lemma 11); query time stays O(N^{1-1/k} (1 + OUT^{1/k})).
+//
+// Rank space (Section 3.4) orders every cut and splits the d = 2
+// secondaries, as it splits ORP-KW's tree, and is dropped once the index is
+// built: sigma(u), the pivot tests and the secondaries' coordinates are the
+// points' own, which a query compares as given (DESIGN.md, substitution 2).
 type ORPKWHigh struct {
-	ds       *dataset.Dataset
-	rs       *dataset.RankSpace
-	k, dim   int
-	lastPair []geom.Point // rank coords of the final two dimensions
-	root     *drTree
-	space    SpaceBreakdown
+	ds     *dataset.Dataset
+	k, dim int
+	root   *drTree
+	space  SpaceBreakdown
 
-	gate *parGate // build-time goroutine budget, shared with secondaries
+	// Build-time only, nil once the build returns: the goroutine budget
+	// shared with the secondaries, the ranks that order the cuts, and the
+	// rank points of the final two dimensions the d = 2 secondaries split on.
+	gate     *parGate
+	rs       *dataset.RankSpace
+	lastPair []geom.Point
 
 	fam    family     // metrics family (famNone when built with NoObs)
 	tracer obs.Tracer // per-index tracer, may be nil
-
-	// rqPool recycles rank-space query rectangles so the steady-state query
-	// path allocates nothing; entries never leave this index's methods.
-	rqPool sync.Pool
 }
 
-// drTree is the x-dimension tree cutting rank dimension off; its nodes carry
+// drTree is the x-dimension tree cutting dimension off; its nodes carry
 // secondary indexes over dimensions [off+1, dim).
 type drTree struct {
 	owner *ORPKWHigh
@@ -60,7 +64,7 @@ type pendingSec struct {
 type drNode struct {
 	level            int
 	fu               int64
-	sigmaLo, sigmaHi float64 // sigma(u): rank range on dimension off
+	sigmaLo, sigmaHi float64 // sigma(u): coordinate range on dimension off
 	pivots           []int32 // the cut separators e*_1..e*_{f-1}; for leaves, all objects
 	children         []int32
 	secKD            *Framework // when d - off - 1 == 2
@@ -103,7 +107,7 @@ func buildORPKWHigh(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh, err
 		return nil, err
 	}
 	ix.root = t
-	ix.gate = nil
+	ix.gate, ix.rs, ix.lastPair = nil, nil, nil
 	ix.accountSpace()
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
@@ -171,13 +175,8 @@ func (t *drTree) build(objs []int32, level int) (int32, error) {
 	n := &t.nodes[idx]
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, id := range objs {
-		r := float64(ix.rs.Rank(id, t.off))
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
+		c := ix.ds.Point(id)[t.off]
+		lo, hi = min(lo, c), max(hi, c)
 	}
 	n.sigmaLo, n.sigmaHi = lo, hi
 	if len(objs) <= drLeafSize {
@@ -259,6 +258,7 @@ func (t *drTree) buildSecondary(idx int32, objs []int32) error {
 			// secondary sequential when the owner has no gate at all.
 			Parallelism: 1,
 			gate:        ix.gate,
+			ownCoords:   true,
 		})
 		if err != nil {
 			return err
@@ -309,18 +309,10 @@ func (ix *ORPKWHigh) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, r
 	if err := ix.checkQuery(q, ws); err != nil {
 		return QueryStats{}, err
 	}
-	rq := ix.getRankRect()
-	defer ix.rqPool.Put(rq)
-	if !ix.rs.ToRankRectInto(q, rq) {
-		return QueryStats{}, nil
-	}
-	qc := getDrQctx()
-	qc.ix, qc.rq, qc.ws, qc.opts, qc.report = ix, rq, ws, opts, report
-	qc.pst = newPolState(opts.Policy)
-	ix.root.visit(0, qc)
-	st, err = qc.st, qc.stopErr
-	putDrQctx(qc)
-	return st, err
+	qc := newQctx(ws, opts)
+	qc.report = report
+	ix.root.visit(0, q, qc)
+	return qc.finish()
 }
 
 func (ix *ORPKWHigh) checkQuery(q *geom.Rect, ws []dataset.Keyword) error {
@@ -348,137 +340,36 @@ func (ix *ORPKWHigh) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryO
 	if err := ix.checkQuery(q, ws); err != nil {
 		return nil, QueryStats{}, err
 	}
-	rq := ix.getRankRect()
-	defer ix.rqPool.Put(rq)
-	if !ix.rs.ToRankRectInto(q, rq) {
-		return buf[:0], QueryStats{}, nil
-	}
-	qc := getDrQctx()
-	qc.ix, qc.rq, qc.ws, qc.opts = ix, rq, ws, opts
-	qc.pst = newPolState(opts.Policy)
-	qc.collecting = true
-	scratch := buf == nil
-	if scratch {
-		qc.out = qc.res[:0]
-	} else {
-		qc.out = buf[:0]
-	}
-	ix.root.visit(0, qc)
-	out, st, err = qc.out, qc.st, qc.stopErr
-	if scratch {
-		qc.res = out[:0] // keep the grown scratch for the next query
-		if len(out) > 0 {
-			out = append([]int32(nil), out...)
-		} else {
-			out = nil
-		}
-	}
-	putDrQctx(qc) // clears qc.out: the pool never retains the returned slice
-	return out, st, err
+	qc := newQctx(ws, opts)
+	qc.collectInto(buf)
+	ix.root.visit(0, q, qc)
+	return qc.finishCollect(buf == nil)
 }
 
-func (ix *ORPKWHigh) getRankRect() *geom.Rect {
-	if rq, ok := ix.rqPool.Get().(*geom.Rect); ok {
-		return rq
-	}
-	return &geom.Rect{Lo: make([]float64, ix.dim), Hi: make([]float64, ix.dim)}
-}
-
-// drQctx is the per-query traversal state of the dimension-reduction tree.
-// Contexts are pooled; the secondary-query rectangle and the emit closure
-// are built once per context and survive between queries.
-type drQctx struct {
-	ix         *ORPKWHigh
-	rq         *geom.Rect
-	ws         []dataset.Keyword
-	opts       QueryOpts
-	report     func(int32)
-	collecting bool
-	out        []int32
-	res        []int32 // scratch accumulator for buf-less CollectInto
-	st         QueryStats
-	done       bool
-	pst        polState // ExecPolicy progress (zero when no policy is set)
-	stopErr    error    // typed policy error that ended the traversal
-
-	secRect geom.Rect   // scratch rectangle for type-1 secondary queries
-	emitFn  func(int32) // persistent closure handed to secondary queries
-}
-
-var drQctxPool = sync.Pool{New: func() any {
-	qc := &drQctx{secRect: geom.Rect{Lo: make([]float64, 2), Hi: make([]float64, 2)}}
-	qc.emitFn = qc.deliver
-	return qc
-}}
-
-func getDrQctx() *drQctx { return drQctxPool.Get().(*drQctx) }
-
-func putDrQctx(qc *drQctx) {
-	qc.ix, qc.rq, qc.ws, qc.report, qc.out = nil, nil, nil, nil, nil
-	qc.res = qc.res[:0]
-	qc.opts, qc.st = QueryOpts{}, QueryStats{}
-	qc.collecting, qc.done = false, false
-	qc.pst, qc.stopErr = polState{}, nil
-	drQctxPool.Put(qc)
-}
-
-// deliver routes one reported object id to the caller (Reported counting is
-// the caller's job: pivot checks count directly, secondary queries are
-// merged via QueryStats.add).
-func (qc *drQctx) deliver(id int32) {
-	if qc.collecting {
-		qc.out = append(qc.out, id)
-	} else {
-		qc.report(id)
-	}
-}
-
-func (qc *drQctx) stop() bool {
-	if qc.done {
-		return true
-	}
-	if qc.opts.Limit > 0 && qc.st.Reported >= qc.opts.Limit {
-		qc.st.Truncated = true
-		qc.done = true
-		return true
-	}
-	if qc.pst.active {
-		if err := qc.pst.check(&qc.st, int64(qc.st.NodesVisited)); err != nil {
-			qc.stopErr = err
-			qc.done = true
-			return true
-		}
-	}
-	return false
-}
-
-// containsFrom checks the rank rectangle on dimensions [from, dim) only:
-// dimensions below from are guaranteed by the ancestors' sigma containment.
-func (qc *drQctx) containsFrom(id int32, from int) bool {
-	for j := from; j < qc.ix.dim; j++ {
-		r := float64(qc.ix.rs.Rank(id, j))
-		if r < qc.rq.Lo[j] || r > qc.rq.Hi[j] {
-			return false
-		}
-	}
-	return true
-}
-
-func (qc *drQctx) checkPivot(id int32, from int) {
+// checkPivot examines one pivot against q on dimensions [t.off, dim): the
+// dimensions below are vouched for by the ancestors' sigma containment.
+func (t *drTree) checkPivot(id int32, q *geom.Rect, qc *qctx) {
 	qc.st.PivotChecks++
 	qc.st.Ops++
-	if qc.containsFrom(id, from) && qc.ix.ds.HasAll(id, qc.ws) {
-		qc.deliver(id)
-		qc.st.Reported++
+	p := t.owner.ds.Point(id)
+	for j := t.off; j < len(p); j++ {
+		if !(q.Lo[j] <= p[j] && p[j] <= q.Hi[j]) {
+			return
+		}
+	}
+	if t.owner.ds.HasAll(id, qc.ws) {
+		qc.emit(id)
 	}
 }
 
-func (t *drTree) visit(u int32, qc *drQctx) {
+// visit walks node u for the rectangle q, which every test compares in the
+// points' own coordinates. The query's stats, Limit and policy live on qc.
+func (t *drTree) visit(u int32, q *geom.Rect, qc *qctx) {
 	if qc.stop() {
 		return
 	}
 	n := &t.nodes[u]
-	lo, hi := qc.rq.Lo[t.off], qc.rq.Hi[t.off]
+	lo, hi := q.Lo[t.off], q.Hi[t.off]
 	if n.sigmaHi < lo || n.sigmaLo > hi {
 		return // sigma(u) disjoint from q's range on this dimension
 	}
@@ -488,7 +379,7 @@ func (t *drTree) visit(u int32, qc *drQctx) {
 	if len(n.children) == 0 && n.secKD == nil && n.secDR == nil {
 		// Leaf: scan all objects.
 		for _, id := range n.pivots {
-			qc.checkPivot(id, t.off)
+			t.checkPivot(id, q, qc)
 			if qc.stop() {
 				return
 			}
@@ -499,62 +390,45 @@ func (t *drTree) visit(u int32, qc *drQctx) {
 		// Type 1: sigma(u) contained in the query range; delegate to the
 		// secondary structure over the remaining dimensions.
 		qc.st.Type1Nodes++
-		t.querySecondary(n, qc)
+		t.querySecondary(n, q, qc)
 		return
 	}
 	// Type 2: examine the pivot separators, recurse into overlapping
 	// children. At most two children per node can remain type 2.
 	qc.st.Type2Nodes++
 	for _, id := range n.pivots {
-		qc.checkPivot(id, t.off)
+		t.checkPivot(id, q, qc)
 		if qc.stop() {
 			return
 		}
 	}
 	for _, c := range n.children {
-		t.visit(c, qc)
+		t.visit(c, q, qc)
 		if qc.done {
 			return
 		}
 	}
 }
 
-func (t *drTree) querySecondary(n *drNode, qc *drQctx) {
-	switch {
-	case n.secKD != nil:
-		sub := &qc.secRect
-		sub.Lo[0], sub.Lo[1] = qc.rq.Lo[qc.ix.dim-2], qc.rq.Lo[qc.ix.dim-1]
-		sub.Hi[0], sub.Hi[1] = qc.rq.Hi[qc.ix.dim-2], qc.rq.Hi[qc.ix.dim-1]
-		st, err := n.secKD.Query(sub, qc.ws, qc.remainingOpts(), qc.emitFn)
-		qc.st.add(st)
-		if err != nil {
-			// A policy stop (or converted panic) inside the secondary ends
-			// the whole query with its error.
-			qc.stopErr = err
-			qc.done = true
-			return
-		}
-		if st.Truncated {
-			qc.done = true
-		}
-	case n.secDR != nil:
-		n.secDR.visit(0, qc)
+// querySecondary answers a type-1 node from its secondary structure: a
+// deeper tree on the same walk, or a d = 2 framework run on qc as one part
+// of the query over q's final two dimensions, as a dynamic query runs a
+// bucket. The part's Limit is the results still wanted and its node budget
+// what the visits so far left over; its stats join the query's, and a stop
+// inside it ends the query.
+func (t *drTree) querySecondary(n *drNode, q *geom.Rect, qc *qctx) {
+	if n.secDR != nil {
+		n.secDR.visit(0, q, qc)
+		return
 	}
-}
-
-// remainingOpts shrinks the caller's limit and the policy's node budget by
-// what has been consumed. The policy deadline and cancellation channel are
-// absolute and pass through unchanged.
-func (qc *drQctx) remainingOpts() QueryOpts {
-	o := qc.opts
-	if o.Limit > 0 {
-		o.Limit -= qc.st.Reported
-		if o.Limit <= 0 {
-			o.Limit = 1 // stop() would have fired; defensive
-		}
-	}
-	o.Policy = o.Policy.shrunk(int64(qc.st.NodesVisited))
-	return o
+	st, opts := qc.st, qc.opts
+	d := t.owner.dim
+	qc.sub.Lo, qc.sub.Hi = q.Lo[d-2:], q.Hi[d-2:]
+	qc.opts.Limit = max(opts.Limit-st.Reported, 0)
+	qc.pst.pol = opts.Policy.shrunk(int64(st.NodesVisited))
+	n.secKD.run(qc, &qc.sub)
+	st.add(qc.st)
+	qc.st, qc.opts, qc.pst.pol = st, opts, opts.Policy
 }
 
 func (ix *ORPKWHigh) accountSpace() {
@@ -579,7 +453,6 @@ func (ix *ORPKWHigh) accountSpace() {
 		}
 	}
 	walk(ix.root)
-	s.AuxWords = ix.rs.SpaceWords() + int64(len(ix.lastPair))*2
 	ix.space = s
 }
 
@@ -617,16 +490,15 @@ func (ix *ORPKWHigh) MaxFanout() int64 {
 // many type-2 nodes were visited — the quantity Figure 2 illustrates (at
 // most two per level).
 func (ix *ORPKWHigh) Type2Profile(q *geom.Rect, ws []dataset.Keyword) ([]int, error) {
-	rq, ok := ix.rs.ToRankRect(q)
-	if !ok {
-		return nil, nil
+	if err := ix.checkQuery(q, ws); err != nil {
+		return nil, err
 	}
 	var levels []int
 	var rec func(u int32)
 	t := ix.root
 	rec = func(u int32) {
 		n := &t.nodes[u]
-		lo, hi := rq.Lo[t.off], rq.Hi[t.off]
+		lo, hi := q.Lo[t.off], q.Hi[t.off]
 		if n.sigmaHi < lo || n.sigmaLo > hi {
 			return
 		}

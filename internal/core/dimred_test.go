@@ -91,6 +91,31 @@ func TestDimRedType2PerLevel(t *testing.T) {
 	}
 }
 
+// Type2Profile rejects what CollectInto rejects, with ErrInvalidQuery.
+func TestType2ProfileRejectsInvalidQueries(t *testing.T) {
+	ds := workload.Gen(workload.Config{Seed: 10, Objects: 300, Dim: 3, Vocab: 20, DocLen: 3})
+	ix, err := BuildORPKWHigh(ds, 2, WithoutObs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := geom.UniverseRect(3)
+	for _, c := range []struct {
+		name string
+		q    *geom.Rect
+		ws   []dataset.Keyword
+	}{
+		{"1-D rectangle", geom.UniverseRect(1), []dataset.Keyword{0, 1}},
+		{"NaN bound", &geom.Rect{Lo: []float64{0, math.NaN(), 0}, Hi: []float64{1, 1, 1}}, []dataset.Keyword{0, 1}},
+		{"inverted", &geom.Rect{Lo: []float64{0, 0.6, 0}, Hi: []float64{1, 0.4, 1}}, []dataset.Keyword{0, 1}},
+		{"duplicate keyword", u, []dataset.Keyword{1, 1}},
+		{"k=3", u, []dataset.Keyword{0, 1, 2}},
+	} {
+		if levels, err := ix.Type2Profile(c.q, c.ws); !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s: Type2Profile = %v, %v; want ErrInvalidQuery", c.name, levels, err)
+		}
+	}
+}
+
 // The space blow-up per added dimension stays modest (the log log N factor
 // of Lemma 11): compare the audit for d=3 against the d=2 framework.
 func TestDimRedSpaceBlowup(t *testing.T) {

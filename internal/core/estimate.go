@@ -101,7 +101,7 @@ func (f *Framework) countRootDF() {
 	dir := dataset.NewDirectory(run)
 	for i := 0; i < f.ds.Len(); i++ {
 		for _, w := range f.ds.Doc(int32(i)) {
-			from, to := dir.Span(float64(w), len(run))
+			from, to := dir.Span(w, len(run))
 			if at := keyAt(run, int32(from), int32(to), w); at >= 0 {
 				f.rootDF[f.largeIdx[f.largeStart[0]+at]]++
 			}

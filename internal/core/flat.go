@@ -225,7 +225,7 @@ func byKeyword(perm []int32, keys []dataset.Keyword) []int32 {
 // indexRoot derives the root's keyword directories and returns their words.
 // An index calls it when its queries look the root up once per part — every
 // Bentley–Saxe bucket of a dynamic query — so that rootLookup costs O(1)
-// expected; a keyword converts to float64 exactly.
+// expected.
 func (fl *flatLayout) indexRoot() int64 {
 	fl.rootLarge = dataset.NewDirectory(fl.largeKeys[fl.largeStart[0]:fl.largeStart[1]])
 	fl.rootMat = dataset.NewDirectory(fl.matKeys[fl.matStart[0]:fl.matStart[1]])
@@ -271,12 +271,12 @@ func (fl *flatLayout) matLookup(u int32, w dataset.Keyword) int32 {
 // matLists of its list there, or -1.
 func (fl *flatLayout) rootLookup(w dataset.Keyword) (li int32, large bool, mi int32) {
 	lo, hi := fl.largeStart[0], fl.largeStart[1]
-	from, to := fl.rootLarge.Span(float64(w), int(hi-lo))
+	from, to := fl.rootLarge.Span(w, int(hi-lo))
 	if i := keyAt(fl.largeKeys, lo+int32(from), lo+int32(to), w); i >= 0 {
 		return fl.largeIdx[i], true, -1
 	}
 	lo, hi = fl.matStart[0], fl.matStart[1]
-	from, to = fl.rootMat.Span(float64(w), int(hi-lo))
+	from, to = fl.rootMat.Span(w, int(hi-lo))
 	return 0, false, keyAt(fl.matKeys, lo+int32(from), lo+int32(to), w)
 }
 

@@ -144,9 +144,10 @@ type FrameworkConfig struct {
 	// dimension-reduction tree builds one framework per node); when set it
 	// overrides Parallelism.
 	gate *parGate
-	// ownCoords keeps the dataset's own points as the coordinates queries
-	// compare, Points only steering the splits: ORP-KW splits in rank space
-	// and answers in the original one (DESIGN.md, substitution 2).
+	// ownCoords keeps the last pdim coordinates of the dataset's own points
+	// as the coordinates queries compare, Points only steering the splits:
+	// ORP-KW, and the d = 2 secondaries of Theorem 2's index, split in rank
+	// space and answer in the original one (DESIGN.md, substitution 2).
 	ownCoords bool
 }
 
@@ -250,7 +251,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	for r, id := range f.ids {
 		p := b.pts[id]
 		if cfg.ownCoords {
-			p = ds.Point(objs[id])
+			p = ds.Point(objs[id])[ds.Dim()-f.pdim:]
 		}
 		copy(f.coords[r*f.pdim:(r+1)*f.pdim], p)
 		f.ids[r] = objs[id]

@@ -273,6 +273,9 @@ type qctx struct {
 	// part is set while the context runs one Bentley–Saxe bucket of a
 	// dynamic query.
 	part dynPart
+	// sub is the final two dimensions of a dimension-reduction query, which
+	// its d = 2 secondaries run for (drTree.querySecondary).
+	sub geom.Rect
 }
 
 var qctxPool = sync.Pool{New: func() any { return new(qctx) }}

@@ -1,27 +1,25 @@
 package dataset
 
-import "math"
-
-// Directory narrows searches over one ascending column to a few positions:
-// the column's finite value range [lo, hi] is cut into a power-of-two number
-// of equal-width buckets, and first[b] is the first position whose value falls
-// in bucket b or later (first[nb] is the column's length). A search for v
-// reads first[bucket(v)] and first[bucket(v)+1] and needs to look only
-// between them, so a column whose values spread evenly is searched in O(1)
-// expected time and any column in O(log n).
+// Directory narrows searches over one ascending keyword column to a few
+// positions: the column's value range [lo, hi] is cut into a power-of-two
+// number of equal-width buckets, and first[b] is the first position whose
+// value falls in bucket b or later (first[nb] is the column's length). A
+// search for w reads first[bucket(w)] and first[bucket(w)+1] and needs to
+// look only between them, so a column whose values spread evenly is searched
+// in O(1) expected time and any column in O(log n).
 //
 // The whole correctness argument is that bucket is monotone in the value: it
 // subtracts, multiplies by a positive factor and clamps, all in floating
 // point, before converting to an integer, and each of those steps preserves
-// order. ±Inf and values outside [lo, hi] land in the end buckets. Every
-// position before first[bucket(v)] therefore holds a value below v and every
-// position from first[bucket(v)+1] on a value above it.
+// order; every uint32 converts to float64 exactly. Every position before
+// first[bucket(w)] therefore holds a value below w and every position from
+// first[bucket(w)+1] on a value above it.
 //
-// A column shorter than dirMinLen, or with no finite spread, has no
-// directory: the zero Directory, whose Span is always the whole column, so
-// every search runs through the same call.
+// A column shorter than dirMinLen, or holding one value, has no directory:
+// the zero Directory, whose Span is always the whole column, so every search
+// runs through the same call.
 type Directory struct {
-	lo, scale, top float64 // bucket(v) = clamp((v-lo)*scale, 0, top)
+	lo, scale, top float64 // bucket(w) = clamp((w-lo)*scale, 0, top)
 	first          []int32
 }
 
@@ -33,39 +31,21 @@ const (
 	dirPerBucket = 4
 )
 
-// NewDirectory derives the directory of vals, which must be ascending (as the
-// float compares; NaN-free). A keyword column converts exactly: every uint32
-// is a float64.
-func NewDirectory[T ~float64 | ~uint32](vals []T) Directory {
+// NewDirectory derives the directory of vals, which must be ascending.
+func NewDirectory(vals []Keyword) Directory {
 	n := len(vals)
-	if n < dirMinLen {
+	if n < dirMinLen || vals[0] == vals[n-1] {
 		return Directory{}
 	}
-	// The finite range: infinities sit at the ends of an ascending column.
-	i, j := 0, n-1
-	for i < n && math.IsInf(float64(vals[i]), -1) {
-		i++
-	}
-	for j >= i && math.IsInf(float64(vals[j]), 1) {
-		j--
-	}
-	if i >= j {
-		return Directory{}
-	}
-	lo, hi := float64(vals[i]), float64(vals[j])
+	lo, hi := float64(vals[0]), float64(vals[n-1])
 	nb := 1
 	for nb*2 <= n/dirPerBucket {
 		nb *= 2
 	}
-	// hi/2 - lo/2 cannot overflow where hi - lo could (±1e308).
-	scale := float64(nb) / 2 / (hi/2 - lo/2)
-	if !(scale > 0) || math.IsInf(scale, 1) {
-		return Directory{} // no finite spread to cut: equal or subnormal-close ends
-	}
-	d := Directory{lo: lo, scale: scale, top: float64(nb - 1), first: make([]int32, nb+1)}
+	d := Directory{lo: lo, scale: float64(nb) / (hi - lo), top: float64(nb - 1), first: make([]int32, nb+1)}
 	b := 0 // first[0..b] are filled
 	for p, v := range vals {
-		for vb := d.bucket(float64(v)); b < vb; {
+		for vb := d.bucket(v); b < vb; {
 			b++
 			d.first[b] = int32(p)
 		}
@@ -77,11 +57,10 @@ func NewDirectory[T ~float64 | ~uint32](vals []T) Directory {
 	return d
 }
 
-// bucket is the monotone map from a value to its bucket. NaN, which a query
-// never carries, lands in bucket 0.
-func (d *Directory) bucket(v float64) int {
-	x := (v - d.lo) * d.scale
-	if !(x >= 0) {
+// bucket is the monotone map from a value to its bucket.
+func (d *Directory) bucket(w Keyword) int {
+	x := (float64(w) - d.lo) * d.scale
+	if x < 0 {
 		return 0
 	}
 	if x > d.top {
@@ -91,15 +70,15 @@ func (d *Directory) bucket(v float64) int {
 }
 
 // Span returns the positions [from, to) of an ascending column of n values
-// that a search for v must examine: every position before from holds a value
-// below v and every position from to on a value above it. Both the first
-// position holding a value >= v and the first holding one > v lie in
+// that a search for w must examine: every position before from holds a value
+// below w and every position from to on a value above it. Both the first
+// position holding a value >= w and the first holding one > w lie in
 // [from, to].
-func (d *Directory) Span(v float64, n int) (from, to int) {
+func (d *Directory) Span(w Keyword, n int) (from, to int) {
 	if d.first == nil {
 		return 0, n
 	}
-	b := d.bucket(v)
+	b := d.bucket(w)
 	return int(d.first[b]), int(d.first[b+1])
 }
 

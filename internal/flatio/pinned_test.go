@@ -91,7 +91,11 @@ func TestBuildOutputPinned(t *testing.T) {
 		// Re-pinned when the space audit began to count the rank space's
 		// directories (AuxWords); the tree and every answer are unchanged.
 		// Re-pinned again, as SRPKW was, when its secondary kd trees began to
-		// relate by tight boxes.
+		// relate by tight boxes. Re-pinned a third time when the index began
+		// to query in the points' own coordinates: the audit lost the rank
+		// tables, their directories and the rank copies of the final two
+		// axes (AuxWords 34 039 -> 0); the tree, every answer and every work
+		// count are unchanged.
 		{"ORPKWHigh/d=3/digest", func(t *testing.T, h hash.Hash) {
 			ix, err := core.BuildORPKWHigh(small3, 2, noObs)
 			if err != nil {
@@ -104,7 +108,7 @@ func TestBuildOutputPinned(t *testing.T) {
 				ids, st, err := ix.CollectInto(workload.RandRect(rng, 3, 0.2+0.6*rng.Float64()), workload.RandKeywords(rng, 60, 2), core.QueryOpts{}, nil)
 				putAnswer(t, h, ids, st, err)
 			}
-		}, "1b8aff74ca339ac11fce7e17410810540f6166cc8b80d112db6792774fe03e65"},
+		}, "c130bf6e8957e53f911ee07c43b19d9a69a05a26a184f418db8339d66aa809a5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
