@@ -15,7 +15,7 @@ all: build test
 # crash-injection suite, a short fuzz smoke over the untrusted-input decoders,
 # and an end-to-end serving smoke (kwscd booted, kwsload burst, clean shutdown),
 # and a replication smoke (primary + two followers, bounded-staleness reads
-# surviving a killed follower), and bench-check.
+# surviving a killed follower), bench-check, and the two facade examples.
 check: vet
 	$(GO) test ./...
 	$(MAKE) bench-check
@@ -24,6 +24,7 @@ check: vet
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) replica-smoke
+	$(MAKE) examples
 
 # Crash-injection suite under the race detector: a panic is armed at every
 # durability failpoint (mid-append, pre-fsync, mid-checkpoint, pre-rename,
@@ -97,7 +98,7 @@ bench-check:
 # Race coverage over the concurrent paths: parallel builds, shared-index
 # CollectInto calls, dynamic-index churn against lock-free readers
 # and pinned snapshots, the WAL linearizability harness, and the metrics
-# registry/tracer/slow-log all run under the detector.
+# registry and tracer all run under the detector.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/ ./internal/spart/ ./internal/obs/ ./internal/wal/ ./internal/repl/ ./internal/serve/ ./internal/pager/ ./internal/flatio/ .

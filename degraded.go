@@ -42,7 +42,7 @@ type rectCollector interface {
 
 // NewDegraded builds the primary index (Theorem 1 for d <= 2, Theorem 2
 // otherwise) plus the inverted-index fallback for k-keyword queries.
-// Construction options (WithParallelism, WithTracer, ...) apply to the
+// Construction options (WithParallelism, WithoutObs) apply to the
 // primary index; the fallback is always the plain baseline.
 func NewDegraded(ds *Dataset, k int, opts ...Option) (*Degraded, error) {
 	var ix rectCollector

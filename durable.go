@@ -73,7 +73,7 @@ func WithAutoCheckpoint(n int) DurableOption { return wal.WithAutoCheckpoint(n) 
 func WithDurableBufferCap(n int) DurableOption { return wal.WithBufferCap(n) }
 
 // WithDurableBuild forwards index construction options (WithParallelism,
-// WithTracer, WithoutObs) to the underlying dynamic index.
+// WithoutObs) to the underlying dynamic index.
 func WithDurableBuild(opts ...Option) DurableOption { return wal.WithBuildOptions(opts...) }
 
 // OpenDurable opens (creating or recovering) a durable dynamic ORP-KW index

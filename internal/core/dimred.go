@@ -8,7 +8,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 	"kwsc/internal/spart"
 )
 
@@ -38,8 +37,7 @@ type ORPKWHigh struct {
 	rs       *dataset.RankSpace
 	lastPair []geom.Point
 
-	fam    family     // metrics family (famNone when built with NoObs)
-	tracer obs.Tracer // per-index tracer, may be nil
+	fam family // metrics family (famNone when built with NoObs)
 }
 
 // drTree is the x-dimension tree cutting dimension off; its nodes carry
@@ -95,7 +93,7 @@ func buildORPKWHigh(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh, err
 	rs := dataset.NewRankSpace(ds)
 	ix := &ORPKWHigh{
 		ds: ds, rs: rs, k: k, dim: ds.Dim(), gate: newParGate(opts.Parallelism),
-		fam: opts.famFor(famORPKWHigh), tracer: opts.Tracer,
+		fam: opts.famFor(famORPKWHigh),
 	}
 	ix.lastPair = rs.RankPoints(ix.dim - 2)
 	objs := make([]int32, ds.Len())
@@ -297,13 +295,13 @@ func fanoutAt(k, level int, cap int64) int64 {
 // Query reports every object in q (original coordinates) whose document
 // contains all k keywords.
 func (ix *ORPKWHigh) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			err = newPanicError("ORPKWHigh.Query", r, echoRegion(q, ws))
 		}
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.k, qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.k, qt, &st, err)
 		}
 	}()
 	if err := ix.checkQuery(q, ws); err != nil {
@@ -328,13 +326,13 @@ func (ix *ORPKWHigh) checkQuery(q *geom.Rect, ws []dataset.Keyword) error {
 // CollectInto is Query returning the ids, with Framework.CollectInto's
 // buffer contract.
 func (ix *ORPKWHigh) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, newPanicError("ORPKWHigh.CollectInto", r, echoRegion(q, ws))
 		}
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.k, qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.k, qt, &st, err)
 		}
 	}()
 	if err := ix.checkQuery(q, ws); err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 )
 
 // DynamicORPKW maintains an ORP-KW index under insertions and deletions via
@@ -48,7 +47,6 @@ type DynamicORPKW struct {
 	k, dim    int
 	bufferCap int
 	fam       family
-	tracer    obs.Tracer
 	bopts     BuildOpts // construction options for bucket rebuilds
 
 	// state is the current published snapshot; readers Load it exactly once
@@ -384,7 +382,7 @@ func NewDynamicORPKW(dim, k, bufferCap int, opts ...BuildOption) (*DynamicORPKW,
 	o := resolveOpts(opts)
 	d := &DynamicORPKW{
 		k: k, dim: dim, bufferCap: bufferCap,
-		fam: o.famFor(famDynamic), tracer: o.Tracer, bopts: o,
+		fam: o.famFor(famDynamic), bopts: o,
 	}
 	d.state.Store(&dynState{})
 	return d, nil
@@ -711,13 +709,13 @@ func (d *DynamicORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts,
 // validated, observed and guarded against panics once, and runs every part
 // through one pooled context.
 func (d *DynamicORPKW) queryState(sn *dynState, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (st QueryStats, err error) {
-	qt := obsBegin(d.fam, "Query", d.tracer)
+	qt := obsBegin(d.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			err = newPanicError("DynamicORPKW.Query", r, echoRegion(q, ws))
 		}
-		if obsEnd(d.fam, qt, &st, err, d.tracer) {
-			obsSpan(d.fam, "Query", echoRegion(q, ws), d.k, qt, &st, err, d.tracer)
+		if obsEnd(d.fam, qt, &st, err) {
+			obsSpan(d.fam, "Query", echoRegion(q, ws), d.k, qt, &st, err)
 		}
 	}()
 	if len(ws) != d.k {

@@ -428,5 +428,5 @@ func NewSPKWFromParts(ds *dataset.Dataset, fw *Framework, opts ...BuildOption) (
 	if fw.Dataset() != ds {
 		return nil, fmt.Errorf("core: framework was built over a different dataset")
 	}
-	return &SPKW{ds: ds, fw: fw, fam: o.famFor(famLCKW), tracer: o.Tracer}, nil
+	return &SPKW{ds: ds, fw: fw, fam: o.famFor(famLCKW)}, nil
 }

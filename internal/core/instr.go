@@ -150,30 +150,23 @@ func outcomeOf(err error) obs.Outcome {
 	return obs.OutcomeError
 }
 
-// obsBegin marks entry into an instrumented query method: it fires tracer
-// Begin hooks and returns the start time, or the zero Time when nothing is
-// observing this index (untagged family, or metrics/tracing/slow-log all
-// off). The zero return short-circuits obsEnd, so a disarmed query pays one
-// atomic load and no clock read.
-func obsBegin(fam family, op string, local obs.Tracer) time.Time {
-	if fam == famNone || (local == nil && !obs.Armed()) {
+// obsBegin marks entry into an instrumented query method: it returns the
+// start time, or the zero Time when nothing is observing this index
+// (untagged family, or metrics and tracing both off). The zero return
+// short-circuits obsEnd, so a disarmed query pays one atomic load and no
+// clock read.
+func obsBegin(fam family) time.Time {
+	if fam == famNone || !obs.Armed() {
 		return time.Time{}
-	}
-	if local != nil {
-		local.Begin(famNames[fam], op)
-	}
-	if g := obs.ActiveTracer(); g != nil {
-		g.Begin(famNames[fam], op)
 	}
 	return time.Now()
 }
 
 // obsEnd records a finished query into the registry — atomics only, no
 // allocation — and reports whether the caller must also emit a span (a
-// tracer is installed or the slow log would admit this query). Span
-// emission is separate so the query echo is only formatted off the
-// metrics-only hot path.
-func obsEnd(fam family, start time.Time, st *QueryStats, err error, local obs.Tracer) bool {
+// tracer is installed). Span emission is separate so the query echo is only
+// formatted off the metrics-only hot path.
+func obsEnd(fam family, start time.Time, st *QueryStats, err error) bool {
 	if start.IsZero() {
 		return false
 	}
@@ -187,15 +180,19 @@ func obsEnd(fam family, start time.Time, st *QueryStats, err error, local obs.Tr
 		m.ops.Observe(st.Ops)
 		m.nodes.Observe(int64(st.NodesVisited))
 	}
-	return local != nil || obs.ActiveTracer() != nil || obs.SlowAdmits(st.Ops)
+	return obs.ActiveTracer() != nil
 }
 
-// obsSpan builds and emits the end-of-query span to the per-index tracer,
-// the global tracer, and the slow-query log. Callers invoke it only when
-// obsEnd returned true; echo is the human-readable query (echoRegion-style),
-// formatted by the caller at that point and not before.
-func obsSpan(fam family, op, echo string, k int, start time.Time, st *QueryStats, err error, local obs.Tracer) {
-	sp := obs.Span{
+// obsSpan builds and emits the end-of-query span to the process-wide
+// tracer. Callers invoke it only when obsEnd returned true; echo is the
+// human-readable query (echoRegion-style), formatted by the caller at that
+// point and not before.
+func obsSpan(fam family, op, echo string, k int, start time.Time, st *QueryStats, err error) {
+	t := obs.ActiveTracer()
+	if t == nil {
+		return
+	}
+	t.End(obs.Span{
 		Family:  famNames[fam],
 		Op:      op,
 		Query:   echo,
@@ -206,24 +203,7 @@ func obsSpan(fam family, op, echo string, k int, start time.Time, st *QueryStats
 		Elapsed: time.Since(start),
 		Outcome: outcomeOf(err),
 		Err:     err,
-	}
-	if local != nil {
-		local.End(sp)
-	}
-	if g := obs.ActiveTracer(); g != nil {
-		g.End(sp)
-	}
-	if obs.SlowAdmits(sp.Ops) {
-		obs.RecordSlow(obs.SlowEntry{
-			Family:  sp.Family,
-			Op:      sp.Op,
-			Query:   sp.Query,
-			Ops:     sp.Ops,
-			Nodes:   sp.Nodes,
-			Elapsed: sp.Elapsed,
-			Outcome: sp.Outcome,
-		})
-	}
+	})
 }
 
 // obsBuildStart/obsBuildEnd time index construction. Composite indexes

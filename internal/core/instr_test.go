@@ -48,12 +48,15 @@ func registryDelta(fn func()) (counters map[string]int64, histCount map[string]i
 }
 
 // The central cross-family invariant: one user-visible query increments
-// exactly one family's queries_total, and the ops histogram absorbs exactly
-// the Ops figure the query's own QueryStats reported — composites (RRKW over
-// ORPKW, NN probes, KSI's inner ORP-KW) must not double-count through their
-// inner structures.
+// exactly one family's queries_total, the ops histogram absorbs exactly the
+// Ops figure the query's own QueryStats reported, and the process-wide
+// tracer sees exactly one span carrying the same figure — composites (RRKW
+// over ORPKWHigh, NN probes, KSI's inner ORP-KW, dynamic buckets) must not
+// double-count through their inner structures.
 func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 61, Objects: 1 << 10, Dim: 2, Vocab: 32, DocLen: 4})
+	ds3 := workload.Gen(workload.Config{Seed: 61, Objects: 1 << 10, Dim: 3, Vocab: 32, DocLen: 4})
+	grid := workload.Gen(workload.Config{Seed: 61, Objects: 1 << 10, Dim: 2, Vocab: 32, DocLen: 4, Points: "grid", GridSide: 64})
 	q := geom.UniverseRect(2)
 	ws := []dataset.Keyword{1, 2}
 
@@ -61,7 +64,28 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	high, err := BuildORPKWHigh(ds3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rects := make([]RectObject, ds.Len())
+	for i := range rects {
+		p := ds.Point(int32(i))
+		rects[i] = RectObject{Rect: geom.NewRect([]float64{p[0], p[1]}, []float64{p[0] + 0.05, p[1] + 0.05}), Doc: ds.Doc(int32(i))}
+	}
+	rr, err := BuildRRKW(rects, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := BuildSPKW(ds, SPKWConfig{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	nn, err := BuildLinfNN(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := BuildL2NN(grid, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +96,15 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 	ksi, err := BuildKSIFromDataset(ds, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	dyn, err := NewDynamicORPKW(2, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ds.Len(); i++ {
+		if _, err := dyn.Insert(*ds.Object(int32(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cases := []struct {
@@ -85,8 +118,37 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 			}
 			return st.Ops
 		}},
+		{"orpkw_high", func() int64 {
+			_, st, err := high.CollectInto(geom.UniverseRect(3), ws, QueryOpts{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Ops
+		}},
+		{"rrkw", func() int64 {
+			_, st, err := rr.CollectInto(geom.NewRect([]float64{0.2, 0.2}, []float64{0.7, 0.7}), ws, QueryOpts{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Ops
+		}},
+		{"lckw", func() int64 {
+			hs := []geom.Halfspace{{Coef: []float64{1, 1}, Bound: 1}}
+			_, st, err := lc.CollectInto(hs, ws, QueryOpts{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Ops
+		}},
 		{"linf_nn", func() int64 {
 			_, ns, err := nn.Query(geom.Point{0.5, 0.5}, 3, ws, QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ns.Ops
+		}},
+		{"l2_nn", func() int64 {
+			_, ns, err := l2.Query(geom.Point{32, 32}, 3, ws, QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,10 +168,21 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 			}
 			return st.Ops
 		}},
+		{"dynamic", func() int64 {
+			_, st, err := dyn.Collect(q, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Ops
+		}},
 	}
+	defer obs.SetTracer(nil)
 	for _, c := range cases {
 		var ops int64
+		tr := &spanTracer{}
+		obs.SetTracer(tr)
 		counters, histCount, histSum := registryDelta(func() { ops = c.run() })
+		obs.SetTracer(nil)
 		qSeries, opsSeries := famSeries(c.fam)
 		if counters[qSeries] != 1 {
 			t.Errorf("[%s] queries_total delta = %d, want 1 (all deltas: %v)",
@@ -124,6 +197,12 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 		if histCount[opsSeries] != 1 || histSum[opsSeries] != ops {
 			t.Errorf("[%s] ops histogram delta count=%d sum=%d, want count=1 sum=%d (QueryStats.Ops)",
 				c.fam, histCount[opsSeries], histSum[opsSeries], ops)
+		}
+		if len(tr.spans) != 1 {
+			t.Errorf("[%s] tracer saw %d spans, want 1: %+v", c.fam, len(tr.spans), tr.spans)
+		} else if sp := tr.spans[0]; sp.Family != c.fam || sp.Ops != ops {
+			t.Errorf("[%s] span family=%q ops=%d, want family=%q ops=%d (QueryStats.Ops)",
+				c.fam, sp.Family, sp.Ops, c.fam, ops)
 		}
 	}
 }
@@ -202,6 +281,9 @@ func TestBuildCountersCountedOnce(t *testing.T) {
 // WithoutObs must make an index invisible: no counters move, no spans fire.
 func TestWithoutObsSilencesIndex(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 64, Objects: 1 << 9, Dim: 2, Vocab: 16, DocLen: 3})
+	tr := &spanTracer{}
+	obs.SetTracer(tr)
+	defer obs.SetTracer(nil)
 	var ix *ORPKW
 	counters, _, _ := registryDelta(func() {
 		var err error
@@ -218,19 +300,15 @@ func TestWithoutObsSilencesIndex(t *testing.T) {
 			t.Errorf("WithoutObs index moved %s by %d", name, d)
 		}
 	}
+	if len(tr.spans) != 0 {
+		t.Errorf("WithoutObs index emitted %d spans: %+v", len(tr.spans), tr.spans)
+	}
 }
 
 // spanTracer records spans for assertions.
 type spanTracer struct {
-	mu     sync.Mutex
-	begins []string
-	spans  []obs.Span
-}
-
-func (s *spanTracer) Begin(family, op string) {
-	s.mu.Lock()
-	s.begins = append(s.begins, family+"."+op)
-	s.mu.Unlock()
+	mu    sync.Mutex
+	spans []obs.Span
 }
 
 func (s *spanTracer) End(sp obs.Span) {
@@ -239,23 +317,22 @@ func (s *spanTracer) End(sp obs.Span) {
 	s.mu.Unlock()
 }
 
-// A per-index tracer sees exactly the spans of that index, with the stats
-// the caller got and the query echoed PanicError-style.
-func TestPerIndexTracerSpans(t *testing.T) {
+// The process-wide tracer sees one span per query, with the stats the
+// caller got and the query echoed PanicError-style, so it can be replayed.
+func TestTracerSpans(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 65, Objects: 1 << 10, Dim: 2, Vocab: 32, DocLen: 4})
-	tr := &spanTracer{}
-	ix, err := BuildORPKW(ds, 2, WithTracer(tr))
+	ix, err := BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := &spanTracer{}
+	obs.SetTracer(tr)
+	defer obs.SetTracer(nil)
 	q := workload.RandRect(rand.New(rand.NewSource(65)), 2, 0.5)
 	ws := []dataset.Keyword{1, 2}
 	ids, st, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(tr.begins) != 1 || tr.begins[0] != "orpkw.CollectInto" {
-		t.Fatalf("begins = %v, want [orpkw.CollectInto]", tr.begins)
 	}
 	if len(tr.spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(tr.spans))
@@ -267,38 +344,8 @@ func TestPerIndexTracerSpans(t *testing.T) {
 	if sp.Ops != st.Ops || sp.Out != len(ids) || sp.Outcome != obs.OutcomeOK {
 		t.Fatalf("span stats disagree with QueryStats: %+v vs %+v", sp, st)
 	}
-	if !strings.Contains(sp.Query, "keywords=") {
-		t.Fatalf("span must echo the query, got %q", sp.Query)
-	}
-}
-
-// Slow-log entries must reproduce the query (echo) and rank by ops.
-func TestSlowLogCapturesExpensiveQueries(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 67, Objects: 1 << 11, Dim: 2, Vocab: 16, DocLen: 4})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs.EnableSlowLog(4, 1)
-	defer obs.EnableSlowLog(0, 0)
-
-	_, st, err := ix.CollectInto(geom.UniverseRect(2), []dataset.Keyword{1, 2}, QueryOpts{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := obs.SlowQueries()
-	if len(entries) == 0 {
-		t.Fatal("universe query must enter the slow log")
-	}
-	e := entries[0]
-	if e.Family != "orpkw" || e.Op != "CollectInto" {
-		t.Fatalf("slow entry identity wrong: %+v", e)
-	}
-	if e.Ops != st.Ops {
-		t.Fatalf("slow entry ops = %d, want %d", e.Ops, st.Ops)
-	}
-	if !strings.Contains(e.Query, "region=") || !strings.Contains(e.Query, "keywords=[1 2]") {
-		t.Fatalf("slow entry must echo the query for reproduction, got %q", e.Query)
+	if !strings.Contains(sp.Query, "region=") || !strings.Contains(sp.Query, "keywords=[1 2]") {
+		t.Fatalf("span must echo the query for reproduction, got %q", sp.Query)
 	}
 }
 

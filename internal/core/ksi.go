@@ -5,7 +5,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 )
 
 // KSI is the k-set-intersection index of Section 1.2: pure keyword search as
@@ -18,8 +17,7 @@ type KSI struct {
 	ds *dataset.Dataset
 	fw *Framework
 
-	fam    family
-	tracer obs.Tracer
+	fam family
 }
 
 // BuildKSI indexes the sets S_0..S_{m-1}: sets[i] lists the elements of set
@@ -65,7 +63,7 @@ func BuildKSIFromDataset(ds *dataset.Dataset, k int, opts ...BuildOption) (*KSI,
 	if err != nil {
 		return nil, err
 	}
-	ix := &KSI{ds: ds, fw: orp.Framework(), fam: o.famFor(famKSI), tracer: o.Tracer}
+	ix := &KSI{ds: ds, fw: orp.Framework(), fam: o.famFor(famKSI)}
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
@@ -73,10 +71,10 @@ func BuildKSIFromDataset(ds *dataset.Dataset, k int, opts ...BuildOption) (*KSI,
 // Report answers a k-SI reporting query: the ids of the objects carrying all
 // k keywords (equivalently, the intersection of the k sets).
 func (ix *KSI) Report(ws []dataset.Keyword, opts QueryOpts) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Report", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Report", echoQuery("k-SI", ws), ix.fw.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Report", echoQuery("k-SI", ws), ix.fw.K(), qt, &st, err)
 		}
 	}()
 	st, err = ix.fw.Query(geom.FullSpace{}, ws, opts, func(id int32) { out = append(out, id) })
@@ -87,10 +85,10 @@ func (ix *KSI) Report(ws []dataset.Keyword, opts QueryOpts) (out []int32, st Que
 // query: per Section 1.2 (footnote 4), if the reporting query exceeds its
 // O(N^{1-1/k}) budget without finishing, the intersection must be non-empty.
 func (ix *KSI) Empty(ws []dataset.Keyword) (empty bool, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Empty", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Empty", echoQuery("k-SI", ws), ix.fw.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Empty", echoQuery("k-SI", ws), ix.fw.K(), qt, &st, err)
 		}
 	}()
 	st, err = ix.fw.Query(geom.FullSpace{}, ws, QueryOpts{Limit: 1}, func(int32) {})

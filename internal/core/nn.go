@@ -7,7 +7,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 )
 
 // rectQuerier is the ORP-KW capability both nearest-neighbor searches build
@@ -42,8 +41,7 @@ type LinfNN struct {
 	sorted [][]float64
 	dim, k int
 
-	fam    family
-	tracer obs.Tracer
+	fam family
 }
 
 // BuildLinfNN constructs the index for k-keyword queries.
@@ -65,7 +63,7 @@ func BuildLinfNN(ds *dataset.Dataset, k int, options ...BuildOption) (*LinfNN, e
 	if err != nil {
 		return nil, err
 	}
-	ix := &LinfNN{ds: ds, base: base, dim: ds.Dim(), k: k, fam: opts.famFor(famLinfNN), tracer: opts.Tracer}
+	ix := &LinfNN{ds: ds, base: base, dim: ds.Dim(), k: k, fam: opts.famFor(famLinfNN)}
 	ix.sorted = make([][]float64, ix.dim)
 	for j := 0; j < ix.dim; j++ {
 		c := make([]float64, ds.Len())
@@ -174,13 +172,13 @@ func (ix *LinfNN) kthCandidate(q geom.Point, i int64, maxR float64) float64 {
 // violation ends the search with a typed error and NNStats describing the
 // work done so far; Limit additionally caps t.
 func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts) (res []NNResult, ns NNStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, newPanicError("LinfNN.Query", r, echoPoint(q, t, ws))
 		}
-		if obsEnd(ix.fam, qt, &ns.QueryStats, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoPoint(q, t, ws), ix.k, qt, &ns.QueryStats, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &ns.QueryStats, err) {
+			obsSpan(ix.fam, "Query", echoPoint(q, t, ws), ix.k, qt, &ns.QueryStats, err)
 		}
 	}()
 	if err := validatePoint(q, ix.dim); err != nil {
@@ -273,8 +271,7 @@ type L2NN struct {
 	dim, k     int
 	bbLo, bbHi []float64
 
-	fam    family
-	tracer obs.Tracer
+	fam family
 }
 
 // BuildL2NN constructs the index; every coordinate must be integral (the
@@ -296,7 +293,7 @@ func BuildL2NN(ds *dataset.Dataset, k int, options ...BuildOption) (*L2NN, error
 	if err != nil {
 		return nil, err
 	}
-	ix := &L2NN{ds: ds, srp: srp, dim: ds.Dim(), k: k, fam: opts.famFor(famL2NN), tracer: opts.Tracer}
+	ix := &L2NN{ds: ds, srp: srp, dim: ds.Dim(), k: k, fam: opts.famFor(famL2NN)}
 	ix.bbLo = make([]float64, ix.dim)
 	ix.bbHi = make([]float64, ix.dim)
 	copy(ix.bbLo, ds.Point(0))
@@ -320,13 +317,13 @@ func BuildL2NN(ds *dataset.Dataset, k int, options ...BuildOption) (*L2NN, error
 // sorted by distance. q must have integer coordinates. opts applies to the
 // whole search (see LinfNN.Query).
 func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts) (res []NNResult, ns NNStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, newPanicError("L2NN.Query", r, echoPoint(q, t, ws))
 		}
-		if obsEnd(ix.fam, qt, &ns.QueryStats, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoPoint(q, t, ws), ix.k, qt, &ns.QueryStats, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &ns.QueryStats, err) {
+			obsSpan(ix.fam, "Query", echoPoint(q, t, ws), ix.k, qt, &ns.QueryStats, err)
 		}
 	}()
 	if err := validatePoint(q, ix.dim); err != nil {

@@ -1,21 +1,13 @@
 package core
 
-import "kwsc/internal/obs"
-
 // BuildOption is a functional construction option. Every builder takes them
-// variadically: BuildORPKW(ds, k, WithParallelism(4), WithTracer(t)).
+// variadically: BuildORPKW(ds, k, WithParallelism(4), WithoutObs()).
 type BuildOption func(*BuildOpts)
 
 // WithParallelism caps the number of goroutines the build may use (see
 // BuildOpts.Parallelism).
 func WithParallelism(p int) BuildOption {
 	return func(o *BuildOpts) { o.Parallelism = p }
-}
-
-// WithTracer installs a per-index tracer: every query span this index emits
-// goes to t in addition to any process-wide tracer (obs.SetTracer).
-func WithTracer(t obs.Tracer) BuildOption {
-	return func(o *BuildOpts) { o.Tracer = t }
 }
 
 // WithoutObs excludes the index from the metrics registry and tracing.
@@ -39,10 +31,9 @@ func resolveOpts(opts []BuildOption) BuildOpts {
 
 // inner returns the options a composite index passes to the structures it
 // builds internally: same parallelism, but untagged (the composite's own
-// entry points carry the instrumentation) and without the per-index tracer.
+// entry points carry the instrumentation).
 func (o BuildOpts) inner() BuildOpts {
 	o.NoObs = true
-	o.Tracer = nil
 	return o
 }
 

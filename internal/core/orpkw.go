@@ -3,7 +3,6 @@ package core
 import (
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 	"kwsc/internal/spart"
 )
 
@@ -21,8 +20,7 @@ type ORPKW struct {
 	ds *dataset.Dataset
 	fw *Framework
 
-	fam    family     // metrics family (famNone when built with NoObs)
-	tracer obs.Tracer // per-index tracer, may be nil
+	fam family // metrics family (famNone when built with NoObs)
 }
 
 // BuildORPKW constructs the index for queries carrying exactly k keywords.
@@ -57,18 +55,18 @@ func buildORPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) {
 // keyword directories; the space audit counts them beside the tree.
 func newORPKW(ds *dataset.Dataset, fw *Framework, opts BuildOpts) *ORPKW {
 	fw.space.AuxWords += fw.indexRoot()
-	return &ORPKW{ds: ds, fw: fw, fam: opts.famFor(famORPKW), tracer: opts.Tracer}
+	return &ORPKW{ds: ds, fw: fw, fam: opts.famFor(famORPKW)}
 }
 
 // Query reports every object in q whose document contains all keywords.
 func (ix *ORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			err = newPanicError("ORPKW.Query", r, echoRegion(q, ws))
 		}
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.fw.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.fw.K(), qt, &st, err)
 		}
 	}()
 	if err := ix.check(q, ws); err != nil {
@@ -83,13 +81,13 @@ func (ix *ORPKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, repor
 // CollectInto is Query returning the ids, with Framework.CollectInto's
 // buffer contract.
 func (ix *ORPKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, newPanicError("ORPKW.CollectInto", r, echoRegion(q, ws))
 		}
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.fw.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.fw.K(), qt, &st, err)
 		}
 	}()
 	if err := ix.check(q, ws); err != nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-
-	"kwsc/internal/obs"
-)
+import "runtime"
 
 // BuildOpts tunes index construction across the whole suite. Builders take
 // functional BuildOptions (see options.go) and resolve them into this struct;
@@ -16,10 +12,6 @@ type BuildOpts struct {
 	// answer every query identically (the recursion splits the object set
 	// the same way; only which goroutine builds which subtree differs).
 	Parallelism int
-
-	// Tracer, when non-nil, receives a span for every query this index
-	// answers, in addition to the process-wide tracer (obs.SetTracer).
-	Tracer obs.Tracer
 
 	// NoObs excludes the index from the metrics registry and tracing.
 	// Composite indexes set it on their inner structures so each user query

@@ -6,7 +6,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 )
 
 // RRKW is the rectangle-reporting-with-keywords index of Corollary 3. Data
@@ -26,8 +25,7 @@ type RRKW struct {
 	high  *ORPKWHigh // corner dimension >= 4 (d >= 2)
 	ds    *dataset.Dataset
 
-	fam    family
-	tracer obs.Tracer
+	fam family
 }
 
 // RectObject is one input element of RR-KW: a d-rectangle plus a document.
@@ -62,7 +60,7 @@ func BuildRRKW(rects []RectObject, k int, options ...BuildOption) (*RRKW, error)
 	if err != nil {
 		return nil, err
 	}
-	ix := &RRKW{d: d, k: k, rects: geomRects, ds: ds, fam: opts.famFor(famRRKW), tracer: opts.Tracer}
+	ix := &RRKW{d: d, k: k, rects: geomRects, ds: ds, fam: opts.famFor(famRRKW)}
 	// The corner-space index is an implementation detail: build it untagged
 	// so each RR-KW query is counted once, at this entry point.
 	if 2*d <= 2 {
@@ -92,10 +90,10 @@ func (ix *RRKW) cornerQuery(q *geom.Rect) *geom.Rect {
 // Query reports every data rectangle intersecting q whose document contains
 // all keywords.
 func (ix *RRKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.k, qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Query", echoRegion(q, ws), ix.k, qt, &st, err)
 		}
 	}()
 	if err := validateRect(q, ix.d); err != nil {
@@ -111,10 +109,10 @@ func (ix *RRKW) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report
 // CollectInto is Query returning the ids, with Framework.CollectInto's
 // buffer contract.
 func (ix *RRKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.k, qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "CollectInto", echoRegion(q, ws), ix.k, qt, &st, err)
 		}
 	}()
 	if err := validateRect(q, ix.d); err != nil {

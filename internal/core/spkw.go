@@ -5,7 +5,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 	"kwsc/internal/spart"
 )
 
@@ -25,8 +24,7 @@ type SPKW struct {
 	ds *dataset.Dataset
 	fw *Framework
 
-	fam    family
-	tracer obs.Tracer
+	fam family
 }
 
 // SPKWConfig controls construction.
@@ -74,7 +72,7 @@ func buildSPKW(ds *dataset.Dataset, cfg SPKWConfig, opts BuildOpts) (*SPKW, erro
 	if err != nil {
 		return nil, err
 	}
-	ix := &SPKW{ds: ds, fw: fw, fam: opts.famFor(famLCKW), tracer: opts.Tracer}
+	ix := &SPKW{ds: ds, fw: fw, fam: opts.famFor(famLCKW)}
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
@@ -82,10 +80,10 @@ func buildSPKW(ds *dataset.Dataset, cfg SPKWConfig, opts BuildOpts) (*SPKW, erro
 // Query answers an LC-KW query: report the objects satisfying every linear
 // constraint whose documents contain all keywords.
 func (ix *SPKW) Query(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoQuery(hs, ws), ix.fw.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Query", echoQuery(hs, ws), ix.fw.K(), qt, &st, err)
 		}
 	}()
 	if err := validateHalfspaces(hs, ix.fw.PointDim()); err != nil {
@@ -97,10 +95,10 @@ func (ix *SPKW) Query(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts,
 // CollectInto is Query returning the ids, with Framework.CollectInto's
 // buffer contract.
 func (ix *SPKW) CollectInto(hs []geom.Halfspace, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "CollectInto", echoQuery(hs, ws), ix.fw.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "CollectInto", echoQuery(hs, ws), ix.fw.K(), qt, &st, err)
 		}
 	}()
 	if err := validateHalfspaces(hs, ix.fw.PointDim()); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/obs"
 )
 
 // SRPKW is the spherical-range-reporting-with-keywords index of Corollary 6:
@@ -18,8 +17,7 @@ type SRPKW struct {
 	sp  *SPKW
 	dim int
 
-	fam    family
-	tracer obs.Tracer
+	fam family
 }
 
 // BuildSRPKW constructs the lifted index for k-keyword queries.
@@ -43,7 +41,7 @@ func buildSRPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*SRPKW, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &SRPKW{ds: ds, sp: sp, dim: ds.Dim(), fam: opts.famFor(famSRPKW), tracer: opts.Tracer}
+	ix := &SRPKW{ds: ds, sp: sp, dim: ds.Dim(), fam: opts.famFor(famSRPKW)}
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
@@ -51,10 +49,10 @@ func buildSRPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*SRPKW, error) {
 // Query reports every object inside the sphere whose document contains all
 // keywords.
 func (ix *SRPKW) Query(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "Query", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "Query", echoRegion(s, ws), ix.sp.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "Query", echoRegion(s, ws), ix.sp.K(), qt, &st, err)
 		}
 	}()
 	if err := validateSphere(s, ix.dim); err != nil {
@@ -68,10 +66,10 @@ func (ix *SRPKW) Query(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpts, rep
 // search of Corollary 7 uses it to binary-search exact integer squared
 // distances.
 func (ix *SRPKW) QuerySq(center geom.Point, radiusSq float64, ws []dataset.Keyword, opts QueryOpts, report func(int32)) (st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "QuerySq", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "QuerySq", echoQuery(center, ws), ix.sp.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "QuerySq", echoQuery(center, ws), ix.sp.K(), qt, &st, err)
 		}
 	}()
 	if err := validatePoint(center, ix.dim); err != nil {
@@ -87,10 +85,10 @@ func (ix *SRPKW) QuerySq(center geom.Point, radiusSq float64, ws []dataset.Keywo
 // CollectInto is Query returning the ids, with Framework.CollectInto's
 // buffer contract.
 func (ix *SRPKW) CollectInto(s *geom.Sphere, ws []dataset.Keyword, opts QueryOpts, buf []int32) (out []int32, st QueryStats, err error) {
-	qt := obsBegin(ix.fam, "CollectInto", ix.tracer)
+	qt := obsBegin(ix.fam)
 	defer func() {
-		if obsEnd(ix.fam, qt, &st, err, ix.tracer) {
-			obsSpan(ix.fam, "CollectInto", echoRegion(s, ws), ix.sp.K(), qt, &st, err, ix.tracer)
+		if obsEnd(ix.fam, qt, &st, err) {
+			obsSpan(ix.fam, "CollectInto", echoRegion(s, ws), ix.sp.K(), qt, &st, err)
 		}
 	}()
 	if err := validateSphere(s, ix.dim); err != nil {

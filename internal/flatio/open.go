@@ -11,8 +11,8 @@ import (
 
 // OpenORPKW opens a container written by SaveORPKW and returns a
 // query-ready index plus the handle that owns the file reference. Build
-// options tune observability only (core.WithTracer, core.NoObs); nothing is
-// rebuilt. On failure the file reference is released.
+// options tune observability only (core.WithoutObs); nothing is rebuilt.
+// On failure the file reference is released.
 func OpenORPKW(path string, o Options, opts ...core.BuildOption) (*core.ORPKW, *Handle, error) {
 	f, c, err := openContainer(path, o)
 	if err != nil {

@@ -1,14 +1,14 @@
 // Package obs is the zero-dependency observability layer: a lock-cheap
-// metrics registry (atomic counters, gauges and fixed-bucket histograms),
-// an optional query tracer, and a ring-buffer slow-query log.
+// metrics registry (atomic counters, gauges and fixed-bucket histograms)
+// and an optional process-wide query tracer.
 //
 // The package is designed around one constraint: the query hot path in
 // internal/core must stay at 0 allocs/op with the global registry enabled.
 // Every per-query operation here is therefore a handful of atomic
 // instructions on pre-resolved metric pointers — the name-keyed map is only
 // consulted at index-build or snapshot time, never per query. Anything that
-// needs to format or allocate (span echoes, slow-log entries) is gated
-// behind Armed/SlowAdmits fast paths that are single atomic loads.
+// needs to format or allocate (span echoes) is gated behind the Armed and
+// ActiveTracer fast paths, which are single atomic loads.
 package obs
 
 import (
@@ -289,7 +289,6 @@ func Default() *Registry { return defaultReg }
 const (
 	flagMetrics = 1 << iota
 	flagTracer
-	flagSlow
 )
 
 var armedFlags atomic.Uint32
@@ -309,7 +308,7 @@ func setFlag(bit uint32, on bool) {
 	}
 }
 
-// Armed reports whether any consumer (metrics, tracer, slow log) is active.
+// Armed reports whether any consumer (metrics, tracer) is active.
 // Instrumented entry points skip even the clock read when this is false.
 func Armed() bool { return armedFlags.Load() != 0 }
 

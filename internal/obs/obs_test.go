@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -180,15 +179,8 @@ func TestPrometheusRoundTrip(t *testing.T) {
 }
 
 type captureTracer struct {
-	mu     sync.Mutex
-	begins int
-	spans  []Span
-}
-
-func (c *captureTracer) Begin(family, op string) {
-	c.mu.Lock()
-	c.begins++
-	c.mu.Unlock()
+	mu    sync.Mutex
+	spans []Span
 }
 
 func (c *captureTracer) End(sp Span) {
@@ -217,50 +209,8 @@ func TestSetTracerArming(t *testing.T) {
 	}
 }
 
-func TestSlowLogTopM(t *testing.T) {
-	EnableSlowLog(3, 10)
-	defer EnableSlowLog(0, 0)
-
-	if SlowAdmits(9) {
-		t.Fatal("below-floor ops must not admit")
-	}
-	for _, ops := range []int64{15, 11, 30, 12, 50} {
-		if SlowAdmits(ops) {
-			RecordSlow(SlowEntry{Query: fmt.Sprintf("q%d", ops), Ops: ops, Elapsed: time.Millisecond})
-		}
-	}
-	got := SlowQueries()
-	if len(got) != 3 {
-		t.Fatalf("kept %d entries, want 3", len(got))
-	}
-	// Top-3 by ops of {15,11,30,12,50} is {50,30,15}.
-	for i, want := range []int64{50, 30, 15} {
-		if got[i].Ops != want {
-			t.Fatalf("entry %d ops = %d, want %d (%+v)", i, got[i].Ops, want, got)
-		}
-	}
-	// The gate has risen past the current minimum: equal-cost traffic stops
-	// paying for span formatting.
-	if SlowAdmits(15) {
-		t.Fatal("gate must rise to min+1 once full")
-	}
-	if !SlowAdmits(16) {
-		t.Fatal("strictly more expensive queries must still admit")
-	}
-
-	EnableSlowLog(0, 0)
-	if SlowAdmits(1 << 40) {
-		t.Fatal("disabled log must admit nothing")
-	}
-	if len(SlowQueries()) != 0 {
-		t.Fatal("disabling must drop retained entries")
-	}
-}
-
-func TestConcurrentMetricsAndSlowLog(t *testing.T) {
+func TestConcurrentMetricsAndTracer(t *testing.T) {
 	r := NewRegistry()
-	EnableSlowLog(8, 1)
-	defer EnableSlowLog(0, 0)
 	tr := &captureTracer{}
 	SetTracer(tr)
 	defer SetTracer(nil)
@@ -275,11 +225,7 @@ func TestConcurrentMetricsAndSlowLog(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(int64(i))
-				if ops := int64(i); SlowAdmits(ops) {
-					RecordSlow(SlowEntry{Ops: ops})
-				}
 				if g := ActiveTracer(); g != nil {
-					g.Begin("fam", "op")
 					g.End(Span{Ops: int64(i)})
 				}
 			}
@@ -290,7 +236,6 @@ func TestConcurrentMetricsAndSlowLog(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			r.Snapshot()
-			SlowQueries()
 			SetMetricsEnabled(i%2 == 0)
 		}
 	}()
@@ -304,7 +249,7 @@ func TestConcurrentMetricsAndSlowLog(t *testing.T) {
 	if got := r.Histogram("h").Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
-	if len(SlowQueries()) == 0 {
-		t.Fatal("slow log should have retained entries")
+	if len(tr.spans) != 8000 {
+		t.Fatalf("tracer saw %d spans, want 8000", len(tr.spans))
 	}
 }

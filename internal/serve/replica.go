@@ -449,7 +449,7 @@ func (s *followerShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.R
 		}
 		buf.ids = append(buf.ids, globalHandle(h, s.id, s.n))
 	}
-	st, err := snap.Query(q, ws, opts, report)
+	st, err := snap.Query(q, ws, legOpts(opts, exact), report)
 	slices.Sort(buf.ids)
 	res := legResult{ids: buf.ids, st: st, seq: snap.Seq(), err: err}
 	res.stalenessMs = s.replicationStalenessMs()

@@ -162,6 +162,51 @@ func TestStaticLimitPrefix(t *testing.T) {
 	}
 }
 
+// TestSphereLimitCountsOnlyExactMatches: a sphere leg runs its index on the
+// bounding box and drops the hits outside the ball, so the index must not
+// spend the limit on those hits. 200 box-only matches precede the one true
+// match in every index order; a limited query must still find it.
+func TestSphereLimitCountsOnlyExactMatches(t *testing.T) {
+	objs := make([]kwsc.Object, 0, 201)
+	for i := 0; i < 200; i++ {
+		c := 0.8 + 0.001*float64(i)
+		objs = append(objs, kwsc.Object{Point: kwsc.Point{c, c}, Doc: []kwsc.Keyword{1, 2}})
+	}
+	objs = append(objs, kwsc.Object{Point: kwsc.Point{0, 0}, Doc: []kwsc.Keyword{1, 2}})
+	cfg := Config{Shards: 1, Dim: 2, K: 2}
+	static, err := NewStatic(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer static.Close()
+	dynamic, err := NewDynamic("", objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dynamic.Close()
+	for _, c := range []struct {
+		name string
+		s    *Server
+	}{{"static", static}, {"dynamic", dynamic}} {
+		for _, limit := range []int{1, 5} {
+			t.Run(fmt.Sprintf("%s/limit=%d", c.name, limit), func(t *testing.T) {
+				req := &kwsc.QueryRequest{
+					Sphere:   &kwsc.SphereWire{Center: []float64{0, 0}, Radius: 1},
+					Keywords: []kwsc.Keyword{1, 2},
+					Limit:    limit,
+				}
+				resp, err := c.s.Query(req, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(resp.IDs, []int64{200}) || resp.Truncated {
+					t.Fatalf("ids %v truncated %v, want [200] truncated false", resp.IDs, resp.Truncated)
+				}
+			})
+		}
+	}
+}
+
 // TestDynamicShardedEqualsUnsharded routes inserts and deletes through the
 // write path, then checks sharded queries return exactly the live matching
 // objects (by handle identity).

@@ -95,6 +95,17 @@ func (s *staticShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
 	return s.ix.EstimateWork(ws)
 }
 
+// legOpts is the options a leg runs its index with. A leg that filters the
+// index's bounding-box hits by an exact region runs without a limit: the
+// index would spend it on hits the filter then drops. gather cuts the
+// merged ids to the limit either way.
+func legOpts(opts kwsc.QueryOpts, exact kwsc.Region) kwsc.QueryOpts {
+	if exact != nil {
+		opts.Limit = 0
+	}
+	return opts
+}
+
 func (s *staticShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, _ time.Duration, buf *legBuf) legResult {
 	if s.ix == nil {
 		return legResult{}
@@ -102,7 +113,7 @@ func (s *staticShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Reg
 	if buf.local == nil {
 		buf.local = make([]int32, 0, 64) // a nil buffer would make CollectInto allocate its result
 	}
-	local, st, err := s.ix.CollectInto(q, ws, opts, buf.local)
+	local, st, err := s.ix.CollectInto(q, ws, legOpts(opts, exact), buf.local)
 	if local != nil {
 		buf.local = local
 	}
@@ -225,6 +236,7 @@ func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Re
 	var st kwsc.QueryStats
 	var err error
 	var seq uint64
+	opts = legOpts(opts, exact)
 	if snap := s.view(staleness); snap != nil {
 		st, err = snap.Query(q, ws, opts, report)
 		seq = snap.Seq()

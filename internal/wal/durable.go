@@ -83,7 +83,7 @@ func WithAutoCheckpoint(n int) Option {
 	return func(c *config) { c.autoCkpt = n }
 }
 
-// WithBuildOptions forwards construction options (parallelism, tracer,
+// WithBuildOptions forwards construction options (parallelism,
 // observability) to the underlying dynamic index and its bucket rebuilds.
 func WithBuildOptions(opts ...core.BuildOption) Option {
 	return func(c *config) { c.build = append(c.build, opts...) }

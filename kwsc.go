@@ -152,20 +152,15 @@ func NewSimplex(v ...Point) *Simplex { return geom.NewSimplex(v...) }
 func NewPolyhedron(hs ...Halfspace) *Polyhedron { return geom.NewPolyhedron(hs...) }
 
 // Option is a functional construction option accepted by every index
-// constructor: NewORPKW(ds, k, WithParallelism(4), WithTracer(t)).
+// constructor: NewORPKW(ds, k, WithParallelism(4), WithoutObs()).
 type Option = core.BuildOption
 
 // WithParallelism caps the number of goroutines a build may use; 1 forces a
 // sequential build.
 func WithParallelism(p int) Option { return core.WithParallelism(p) }
 
-// WithTracer installs a per-index tracer: every query span the index emits
-// goes to t in addition to any process-wide tracer (SetTracer).
-func WithTracer(t Tracer) Option { return core.WithTracer(t) }
-
-// WithoutObs excludes the index from the metrics registry, tracing, and the
-// slow-query log (e.g. shadow indexes that must stay invisible to
-// monitoring).
+// WithoutObs excludes the index from the metrics registry and tracing (e.g.
+// shadow indexes that must stay invisible to monitoring).
 func WithoutObs() Option { return core.WithoutObs() }
 
 // NewORPKW builds the Theorem 1 index: O(N) space and

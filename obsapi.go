@@ -1,17 +1,16 @@
 package kwsc
 
 // Observability surface: a process-wide metrics registry fed by every index
-// family, an optional tracing hook, and a slow-query log. All of it is
-// zero-dependency and cheap enough to leave on in production — the metrics
-// path is atomic increments on pre-resolved counters, and the query hot
-// paths stay allocation-free with the registry enabled (see the
-// MetricsOn/MetricsOff benchmark pair and the alloc guard).
+// family and one optional process-wide tracer. Both are zero-dependency and
+// cheap enough to leave on in production — the metrics path is atomic
+// increments on pre-resolved counters, and the query hot paths stay
+// allocation-free with the registry enabled (see the MetricsOn/MetricsOff
+// benchmark pair and the alloc guard).
 //
 //	reg := kwsc.Metrics()                       // snapshot, a plain struct
 //	fmt.Println(reg.Counter(`kwsc_queries_total{family="orpkw"}`))
 //	kwsc.WriteMetricsPrometheus(os.Stdout)      // Prometheus text format
-//	kwsc.EnableSlowLog(32, 10_000)              // keep top-32 queries >= 10k ops
-//	for _, e := range kwsc.SlowQueries() { ... } // each echoes its query
+//	kwsc.SetTracer(t)                           // t.End(span) after every query
 
 import (
 	"bytes"
@@ -22,10 +21,9 @@ import (
 
 // Tracing and metrics types.
 type (
-	// Tracer observes query execution: Begin fires at entry of every
-	// instrumented query method, End receives the completed Span. Install
-	// process-wide with SetTracer or per-index with WithTracer. Both hooks
-	// may be called concurrently and must be cheap or buffer internally.
+	// Tracer observes query execution: End receives the completed Span of
+	// every instrumented query method. Install it with SetTracer. End may be
+	// called concurrently and must be cheap or buffer internally.
 	Tracer = obs.Tracer
 	// Span is one completed query: family, operation, echoed query, arity,
 	// result count, work, latency, and the policy outcome.
@@ -33,9 +31,6 @@ type (
 	// Outcome classifies how a query ended ("ok", "deadline", "budget",
 	// "canceled", "invalid", "panic", "error").
 	Outcome = obs.Outcome
-	// SlowEntry is one retained slow query, echoing its inputs like
-	// PanicError does so it can be reproduced.
-	SlowEntry = obs.SlowEntry
 	// MetricsSnapshot is a point-in-time copy of the registry: plain maps of
 	// counters, gauges, and histograms keyed by series name.
 	MetricsSnapshot = obs.Snapshot
@@ -43,7 +38,7 @@ type (
 	HistogramSnapshot = obs.HistSnapshot
 )
 
-// Query outcomes reported in spans and slow-log entries.
+// Query outcomes reported in spans.
 const (
 	OutcomeOK       = obs.OutcomeOK
 	OutcomeInvalid  = obs.OutcomeInvalid
@@ -72,17 +67,8 @@ func EnableMetrics(on bool) { obs.SetMetricsEnabled(on) }
 func MetricsEnabled() bool { return obs.MetricsEnabled() }
 
 // SetTracer installs t as the process-wide tracer receiving a Span for every
-// query on every instrumented index; nil uninstalls. Per-index tracers
-// (WithTracer) fire in addition to the global one.
+// query on every instrumented index; nil uninstalls.
 func SetTracer(t Tracer) { obs.SetTracer(t) }
-
-// EnableSlowLog starts retaining the top-capacity queries by work (ops) among
-// those costing at least minOps, each echoing its query inputs. capacity <= 0
-// disables the log and discards retained entries.
-func EnableSlowLog(capacity int, minOps int64) { obs.EnableSlowLog(capacity, minOps) }
-
-// SlowQueries returns the retained slow queries, most expensive first.
-func SlowQueries() []SlowEntry { return obs.SlowQueries() }
 
 // WriteMetricsJSON writes the current registry snapshot as indented JSON
 // (expvar-style: one object with counters, gauges, and histograms).

@@ -43,9 +43,8 @@ func SavePagedORPKW(path string, ix *ORPKW) error {
 }
 
 // OpenPagedORPKW maps a file written by SavePagedORPKW and returns a
-// query-ready index without rebuilding. Options forward observability
-// settings (WithTracer, WithoutObs); construction-time options are
-// meaningless here. Close the handle when done with the index.
+// query-ready index without rebuilding. Options forward the observability
+// setting (WithoutObs); construction-time options are meaningless here. Close the handle when done with the index.
 func OpenPagedORPKW(path string, o PagedFileOptions, opts ...Option) (*ORPKW, *PagedHandle, error) {
 	return flatio.OpenORPKW(path, o, opts...)
 }
