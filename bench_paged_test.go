@@ -151,7 +151,7 @@ func benchColdStartDurable(b *testing.B, dir string, kws []Keyword, region *Rect
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, _, err := d.Collect(region, kws)
+		got, _, err := collectHandles(d, region, kws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func BenchmarkPagedResidentCapped(b *testing.B) {
 	defer d.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, _, err := d.Collect(region, kws)
+		got, _, err := collectHandles(d, region, kws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 	// One pass over the query ring fills the pool, so the timed loop starts
 	// from the steady state whatever b.N is.
 	for _, q := range queries {
-		if _, _, err := d.Collect(q.region, q.kws); err != nil {
+		if _, _, err := collectHandles(d, q.region, q.kws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +286,7 @@ func BenchmarkPagedBaseQueryCapped(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		_, st, err := d.Collect(q.region, q.kws)
+		_, st, err := collectHandles(d, q.region, q.kws)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,6 +22,13 @@ import (
 	"kwsc/internal/workload"
 )
 
+// collectHandles answers q and ws with no options, returning the handles.
+func collectHandles(ix DynamicIndex, q *Rect, ws []Keyword) ([]int64, QueryStats, error) {
+	var out []int64
+	st, err := ix.Query(q, ws, QueryOpts{}, func(h int64, _ *Object) { out = append(out, h) })
+	return out, st, err
+}
+
 // TestMain emits the metrics registry after a benchmark run as a single
 // `# kwsc-metrics:` line, which cmd/benchsave embeds in the committed
 // baseline snapshot ({records, metrics}); plain test runs stay silent.
@@ -714,12 +721,12 @@ func BenchmarkExtDynamicQuery(b *testing.B) {
 		}
 	}
 	q := NewRect([]float64{0.25, 0.25}, []float64{0.75, 0.75})
-	if _, _, err := d.Collect(q, []Keyword{1, 9}); err != nil { // builds the buckets
+	if _, _, err := collectHandles(d, q, []Keyword{1, 9}); err != nil { // builds the buckets
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := d.Collect(q, []Keyword{1, 9}); err != nil {
+		if _, _, err := collectHandles(d, q, []Keyword{1, 9}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,6 +24,9 @@ var fallbacksTotal = obs.Default().Counter("kwsc_fallbacks_total")
 // Deadline and cancellation stops do NOT trigger fallback — the caller asked
 // to give up at that wall-clock point, and the baseline would blow through
 // it too. Validation errors surface unchanged: the query itself is broken.
+//
+// internal/serve no longer uses it (a shard serves its index alone); it
+// stays while bench/'s phase D measures it (ROADMAP [instruments]).
 type Degraded struct {
 	ds  *Dataset
 	ix  rectCollector

@@ -20,7 +20,7 @@ import (
 //
 //	d, err := kwsc.OpenDurable("idx.d", 2, 2) // dim=2, k=2
 //	h, err := d.Insert(obj)                   // durable once err == nil
-//	s := d.Snapshot()                         // pinned view of seq [1, s.Seq()]
+//	s := d.SnapshotNow()                      // pinned view of seq [1, s.Seq()]
 //	err = d.Checkpoint()                      // bound future recovery time
 //	err = d.Close()
 //	d, err = kwsc.OpenDurable("idx.d", 2, 2)  // recovers, handles stable

@@ -88,7 +88,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 						b.Fatalf("replay recovered %d objects, want %d", d.Len(), ops)
 					}
 					if query {
-						if _, _, err := d.Collect(all, []Keyword{1, 2}); err != nil {
+						if _, _, err := collectHandles(d, all, []Keyword{1, 2}); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -161,12 +161,12 @@ func BenchmarkConcurrentReadDuringChurn(b *testing.B) {
 			ws := []Keyword{1, 2}
 			// Replay indexed nothing: one query builds the buckets, so the
 			// loop times steady reads, not their first build.
-			if _, _, err := d.Collect(q, ws); err != nil {
+			if _, _, err := collectHandles(d, q, ws); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := d.Collect(q, ws); err != nil {
+				if _, _, err := collectHandles(d, q, ws); err != nil {
 					b.Fatal(err)
 				}
 			}

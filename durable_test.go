@@ -8,6 +8,16 @@ import (
 	"kwsc"
 )
 
+// collectHandles answers q and ws with no options, returning the handles:
+// the one query surface the dynamic indexes and DynSnapshot share.
+func collectHandles(ix interface {
+	Query(*kwsc.Rect, []kwsc.Keyword, kwsc.QueryOpts, func(int64, *kwsc.Object)) (kwsc.QueryStats, error)
+}, q *kwsc.Rect, ws []kwsc.Keyword) ([]int64, kwsc.QueryStats, error) {
+	var out []int64
+	st, err := ix.Query(q, ws, kwsc.QueryOpts{}, func(h int64, _ *kwsc.Object) { out = append(out, h) })
+	return out, st, err
+}
+
 func TestOpenDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d, err := kwsc.OpenDurable(dir, 2, 2,
@@ -53,7 +63,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	if d2.Len() != 3 {
 		t.Fatalf("recovered Len = %d, want 3", d2.Len())
 	}
-	got, _, err := d2.Collect(kwsc.NewRect([]float64{0, 0}, []float64{1, 1}), []kwsc.Keyword{1, 2})
+	got, _, err := collectHandles(d2, kwsc.NewRect([]float64{0, 0}, []float64{1, 1}), []kwsc.Keyword{1, 2})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -86,13 +96,13 @@ func TestDurableSnapshotPinned(t *testing.T) {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	var s *kwsc.DynSnapshot = d.Snapshot()
-	if s.Seq() != d.LastSeq() {
-		t.Fatalf("snapshot seq %d, head %d", s.Seq(), d.LastSeq())
+	var s *kwsc.DynSnapshot = d.SnapshotNow()
+	if s.Seq() != d.Seq() {
+		t.Fatalf("snapshot seq %d, head %d", s.Seq(), d.Seq())
 	}
 	all := kwsc.NewRect([]float64{0, 0}, []float64{1, 1})
 	ws := []kwsc.Keyword{1, 2}
-	before, _, err := s.Collect(all, ws)
+	before, _, err := collectHandles(s, all, ws)
 	if err != nil {
 		t.Fatalf("snapshot Collect: %v", err)
 	}
@@ -114,7 +124,7 @@ func TestDurableSnapshotPinned(t *testing.T) {
 		}
 	}
 
-	after, _, err := s.Collect(all, ws)
+	after, _, err := collectHandles(s, all, ws)
 	if err != nil {
 		t.Fatalf("pinned Collect after churn: %v", err)
 	}
@@ -128,14 +138,14 @@ func TestDurableSnapshotPinned(t *testing.T) {
 		}
 	}
 	// The live index, by contrast, sees the churn.
-	liveNow, _, err := d.Collect(all, ws)
+	liveNow, _, err := collectHandles(d, all, ws)
 	if err != nil {
 		t.Fatalf("live Collect: %v", err)
 	}
 	if len(liveNow) == len(before) {
 		t.Fatalf("churn did not change the live answer (%d handles)", len(liveNow))
 	}
-	if d.LastSeq() <= s.Seq() {
-		t.Fatalf("head seq %d did not advance past pin %d", d.LastSeq(), s.Seq())
+	if d.Seq() <= s.Seq() {
+		t.Fatalf("head seq %d did not advance past pin %d", d.Seq(), s.Seq())
 	}
 }

@@ -9,11 +9,12 @@ package kwsc
 // type instead of switching on concrete structs, and Count and Empty are
 // written once over it:
 //
-//	var ix kwsc.Index[*kwsc.Rect] = orpkw // or ORPKWHigh, RRKW, Degraded
+//	var ix kwsc.Index[*kwsc.Rect] = orpkw // or ORPKWHigh, RRKW
 //	ids, st, err := ix.CollectInto(q, ws, kwsc.QueryOpts{}, nil)
 //
 // DynamicIndex is the same idea for the mutable indexes: DynamicORPKW and
-// its durable wrapper share the mutator + handle-reporting query surface.
+// its durable wrapper share the mutator, handle-reporting query and snapshot
+// surface under the same names.
 
 // Index is the read surface shared by every static index family,
 // parameterized by the family's query shape Q:
@@ -71,10 +72,19 @@ type DynamicIndex interface {
 	// Query reports every live object in q carrying all k keywords, under
 	// opts (limits, budgets, deadlines).
 	Query(q *Rect, ws []Keyword, opts QueryOpts, report func(handle int64, obj *Object)) (QueryStats, error)
-	// Collect is Query without options, returning the handles.
-	Collect(q *Rect, ws []Keyword) ([]int64, QueryStats, error)
-	// Len returns the number of live objects.
+	// SnapshotNow pins the current state for repeatable reads.
+	SnapshotNow() *DynSnapshot
+	// Seq returns the sequence number of the last applied mutation: the
+	// operation prefix a query entered now answers at.
+	Seq() uint64
+	// EstimateWork bounds the work units (QueryStats.Ops) a query for ws
+	// spends, from resident structures alone.
+	EstimateWork(ws []Keyword) int64
+	// Len returns the number of live objects; NumBuckets the occupied
+	// static parts; Tombstones the deleted-but-unpurged entries.
 	Len() int
+	NumBuckets() int
+	Tombstones() int
 	// K returns the keyword arity queries must carry.
 	K() int
 }

@@ -138,7 +138,7 @@ func TestTightBoxesOriginalCoordinates(t *testing.T) {
 							t.Fatalf("%s %s: %v %v: got %v, want %v", name, c.what, q, ws, got, want)
 						}
 					}
-					hs, _, err := dyn.Collect(q, ws)
+					hs, _, err := collectHandles(dyn, q, ws)
 					if err != nil {
 						t.Fatal(err)
 					}

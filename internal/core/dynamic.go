@@ -81,11 +81,12 @@ type dynState struct {
 	deleted *tombSet     // tombstoned handles still present in buckets or base
 
 	// base is an optional immutable bottom layer served out-of-core (a
-	// paged checkpoint opened in place). It is shared by every successor
+	// paged checkpoint opened in place); it has no liveness knowledge, so
+	// the query filters its hits by deleted. It is shared by every successor
 	// state for the process lifetime: merges never fold it in, deletions of
 	// its entries stay tombstones, and baseTombs counts them so compaction
 	// triggers only on the purgeable (bucket-resident) tombstones.
-	base      BaseIndex
+	base      *PagedBase
 	baseTombs int
 
 	nextHandle int64
@@ -216,31 +217,6 @@ func (d *DynamicORPKW) SetJournal(j Journal) {
 type dynEntry struct {
 	handle int64
 	obj    dataset.Object
-}
-
-// BaseIndex is an immutable bottom layer a dynamic index can sit on — in
-// practice a PagedBase serving a checkpoint file in place. The dynamic layer
-// owns liveness: tombstoned handles are filtered by the caller of Query, and
-// Entries enumerates every base entry regardless of tombstones.
-type BaseIndex interface {
-	// Len returns the number of entries in the base.
-	Len() int
-	// Has reports whether handle names a base entry.
-	Has(handle int64) bool
-	// Query reports every base entry in q whose document contains all
-	// keywords. Reported objects may alias scratch valid only during the
-	// callback. report returns whether the entry counts: one the caller drops
-	// (a tombstoned handle) does not count toward Reported or opts.Limit.
-	Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object) bool) (QueryStats, error)
-	// EstimateWork bounds the work units Query spends on ws, from resident
-	// structures alone.
-	EstimateWork(ws []dataset.Keyword) int64
-	// Entries decodes every base entry as an entry set: handles strictly
-	// ascending, handles[i] naming object i of objs (nil when the base is
-	// empty).
-	Entries() (handles []int64, objs *dataset.Dataset, err error)
-	// Close releases the base's resources (file references, mappings).
-	Close() error
 }
 
 // dynBucket is one static part: an entry set — handles[i], strictly
@@ -815,7 +791,7 @@ func (d *DynamicORPKW) queryParts(sn *dynState, qc *qctx, q *geom.Rect, report f
 // dynamic query: the bucket, whose ids it reports as handles, the state's
 // tombstones, the caller's report, and the scratch Object a hit is reported
 // through — its Point and Doc views of the bucket's columns, the contract
-// BaseIndex.Query documents.
+// PagedBase.Query documents.
 type dynPart struct {
 	b       *dynBucket
 	deleted *tombSet
@@ -833,13 +809,6 @@ func (p *dynPart) emit(id int32) bool {
 	p.obj.Point, p.obj.Doc = p.b.objs.Point(id), p.b.objs.Doc(id)
 	p.report(h, &p.obj)
 	return true
-}
-
-// Collect is Query returning the handles.
-func (d *DynamicORPKW) Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, QueryStats, error) {
-	var out []int64
-	st, err := d.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
-	return out, st, err
 }
 
 // Buckets returns the occupancy pattern (entry counts per slot), exposed for
@@ -921,13 +890,6 @@ func (s *DynSnapshot) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, 
 	return s.d.queryState(s.st, q, ws, opts, report)
 }
 
-// Collect is Query returning the handles.
-func (s *DynSnapshot) Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, QueryStats, error) {
-	var out []int64
-	st, err := s.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
-	return out, st, err
-}
-
 // Entries returns the entry set live at the pinned seq: handles strictly
 // ascending, handles[i] naming object i of objs (nil when nothing is live).
 // The columns are freshly gathered and owned by the caller. With a paged
@@ -991,7 +953,7 @@ func RestoreDynamicORPKW(dim, k, bufferCap int, handles []int64, objs *dataset.D
 // above it, and deletions of base entries become permanent tombstones. The
 // base's entry count and handle watermark must come from its own validated
 // metadata (the caller — recovery — passes them through).
-func RestoreDynamicORPKWFromBase(dim, k, bufferCap int, base BaseIndex, nextHandle int64, opts ...BuildOption) (*DynamicORPKW, error) {
+func RestoreDynamicORPKWFromBase(dim, k, bufferCap int, base *PagedBase, nextHandle int64, opts ...BuildOption) (*DynamicORPKW, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil base index")
 	}
@@ -1008,4 +970,4 @@ func RestoreDynamicORPKWFromBase(dim, k, bufferCap int, base BaseIndex, nextHand
 
 // Base returns the immutable bottom layer, or nil. The durability layer
 // uses it to close the base's file reference on shutdown.
-func (d *DynamicORPKW) Base() BaseIndex { return d.state.Load().base }
+func (d *DynamicORPKW) Base() *PagedBase { return d.state.Load().base }

@@ -436,7 +436,7 @@ func TestDynamicPinnedBufferSurvivesInPlaceAppends(t *testing.T) {
 	var pins []pin
 	pinNow := func() {
 		s := d.SnapshotNow()
-		answer, _, err := s.Collect(all, ws)
+		answer, _, err := collectHandles(s, all, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func TestDynamicPinnedBufferSurvivesInPlaceAppends(t *testing.T) {
 		t.Fatalf("insert after a veto got handle %d, want 8", h8)
 	}
 	for k, p := range pins {
-		answer, _, err := p.s.Collect(all, ws)
+		answer, _, err := collectHandles(p.s, all, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +496,7 @@ func TestDynamicPinnedBufferSurvivesInPlaceAppends(t *testing.T) {
 		sameEntrySet(t, h, o, p.handles, p.objs)
 	}
 	want := []int64{0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11}
-	got, _, err := d.Collect(all, ws)
+	got, _, err := collectHandles(d, all, ws)
 	if slices.Sort(got); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("head answers %v (err %v), want %v", got, err, want)
 	}

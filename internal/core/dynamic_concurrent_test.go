@@ -109,7 +109,7 @@ func TestDynamicConcurrentSnapshotConsistency(t *testing.T) {
 				a := dataset.Keyword(rng.Intn(9))
 				ws := []dataset.Keyword{a, a + 1}
 				q := geom.NewRect([]float64{0, 0}, []float64{rng.Float64(), 1})
-				got, _, err := s.Collect(q, ws)
+				got, _, err := collectHandles(s, q, ws)
 				if err != nil {
 					t.Errorf("reader %d: Collect: %v", r, err)
 					return
@@ -120,7 +120,7 @@ func TestDynamicConcurrentSnapshotConsistency(t *testing.T) {
 					t.Errorf("reader %d: seq %d: Collect %v, entries say %v", r, s.Seq(), got, want)
 					return
 				}
-				again, _, err := s.Collect(q, ws)
+				again, _, err := collectHandles(s, q, ws)
 				if err != nil {
 					t.Errorf("reader %d: repeat Collect: %v", r, err)
 					return
@@ -158,7 +158,7 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	pinSeq := s.Seq()
 	all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
 	ws := []dataset.Keyword{2, 5}
-	before, _, err := s.Collect(all, ws)
+	before, _, err := collectHandles(s, all, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	if s.Seq() != pinSeq {
 		t.Fatalf("pinned seq moved: %d -> %d", pinSeq, s.Seq())
 	}
-	after, _, err := s.Collect(all, ws)
+	after, _, err := collectHandles(s, all, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,16 @@ import (
 	"kwsc/internal/geom"
 )
 
+// collectHandles answers q and ws with no options, returning the handles:
+// the one query surface DynamicORPKW and DynSnapshot share.
+func collectHandles(ix interface {
+	Query(*geom.Rect, []dataset.Keyword, QueryOpts, func(int64, *dataset.Object)) (QueryStats, error)
+}, q *geom.Rect, ws []dataset.Keyword) ([]int64, QueryStats, error) {
+	var out []int64
+	st, err := ix.Query(q, ws, QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
+	return out, st, err
+}
+
 // dynOracle mirrors the dynamic index with a plain map.
 type dynOracle struct {
 	objs map[int64]dataset.Object
@@ -55,7 +65,7 @@ func TestDynamicValidation(t *testing.T) {
 	if _, err := d.Insert(dataset.Object{Point: geom.Point{1, 2}}); err == nil {
 		t.Fatal("empty document must be rejected")
 	}
-	if _, _, err := d.Collect(geom.UniverseRect(2), []dataset.Keyword{1}); err == nil {
+	if _, _, err := collectHandles(d, geom.UniverseRect(2), []dataset.Keyword{1}); err == nil {
 		t.Fatal("wrong arity query must be rejected")
 	}
 }
@@ -79,7 +89,7 @@ func TestDynamicInsertQuery(t *testing.T) {
 				Lo: []float64{rng.Float64() * 0.5, rng.Float64() * 0.5},
 				Hi: []float64{0.5 + rng.Float64()*0.5, 0.5 + rng.Float64()*0.5},
 			}
-			got, _, err := d.Collect(q, []dataset.Keyword{0, 1})
+			got, _, err := collectHandles(d, q, []dataset.Keyword{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +157,7 @@ func TestDynamicDelete(t *testing.T) {
 		}
 		delete(oracle.objs, h)
 		if i%25 == 0 {
-			got, _, err := d.Collect(geom.UniverseRect(2), []dataset.Keyword{0, 1})
+			got, _, err := collectHandles(d, geom.UniverseRect(2), []dataset.Keyword{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +210,7 @@ func TestDynamicMixedChurn(t *testing.T) {
 				Lo: []float64{0.2, 0.2},
 				Hi: []float64{0.8, 0.8},
 			}
-			got, _, err := d.Collect(q, []dataset.Keyword{0, 1})
+			got, _, err := collectHandles(d, q, []dataset.Keyword{0, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +244,7 @@ func TestDynamicBufferDeletion(t *testing.T) {
 	if ok, _ := d.Delete(h1); !ok {
 		t.Fatal("buffer delete failed")
 	}
-	got, _, err := d.Collect(geom.UniverseRect(2), []dataset.Keyword{0, 1})
+	got, _, err := collectHandles(d, geom.UniverseRect(2), []dataset.Keyword{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 			return st.Ops
 		}},
 		{"dynamic", func() int64 {
-			_, st, err := dyn.Collect(q, ws)
+			_, st, err := collectHandles(dyn, q, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +365,7 @@ func TestDynamicGaugesStayCoherent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := d.Collect(geom.UniverseRect(2), []dataset.Keyword{1, 2}); err != nil {
+		if _, _, err := collectHandles(d, geom.UniverseRect(2), []dataset.Keyword{1, 2}); err != nil {
 			t.Fatal(err)
 		}
 	})

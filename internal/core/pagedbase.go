@@ -22,7 +22,7 @@ import (
 // of after a full decode and index rebuild. It plugs into DynamicORPKW as
 // the immutable base layer beneath the Bentley–Saxe buckets: deletions of
 // base entries are tombstoned at the dynamic layer, and insertions go to the
-// buffer/buckets as usual (see BaseIndex).
+// buffer/buckets as usual (see RestoreDynamicORPKWFromBase).
 //
 // The checkpoint stores its rows — point, handle, document — and numbers its
 // postings by rank, the position in a kd leaf order (codec/rankorder.go): a

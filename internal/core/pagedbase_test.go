@@ -250,11 +250,11 @@ func TestPagedBaseMatchesClassicRestore(t *testing.T) {
 		if step%7 == 0 {
 			q = geom.UniverseRect(2)
 		}
-		gc, _, err := classic.Collect(q, ws)
+		gc, _, err := collectHandles(classic, q, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gp, _, err := paged.Collect(q, ws)
+		gp, _, err := collectHandles(paged, q, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestPagedBaseDeleteSemantics(t *testing.T) {
 	if d.Len() != len(snap.Handles)-1 {
 		t.Fatalf("Len = %d after one delete", d.Len())
 	}
-	got, _, err := d.Collect(geom.UniverseRect(2), snap.Objs.Doc(10)[:1+len(snap.Objs.Doc(10))%2])
+	got, _, err := collectHandles(d, geom.UniverseRect(2), snap.Objs.Doc(10)[:1+len(snap.Objs.Doc(10))%2])
 	if err == nil {
 		for _, h := range got {
 			if h == victim {

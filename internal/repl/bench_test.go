@@ -38,8 +38,8 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 			handles[i] = h
 		}
 	}
-	want := d.LastSeq()
-	ship := &Shipper{Dir: dir, Dim: 2, K: 2, LastSeq: d.LastSeq}
+	want := d.Seq()
+	ship := &Shipper{Dir: dir, Dim: 2, K: 2, LastSeq: d.Seq}
 	srv := httptest.NewServer(ship.Handler())
 	defer srv.Close()
 

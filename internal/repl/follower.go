@@ -156,7 +156,7 @@ func (f *Follower) openLocked() error {
 	f.mu.Lock()
 	f.d = d
 	f.mu.Unlock()
-	f.setApplied(d.LastSeq())
+	f.setApplied(d.Seq())
 	return nil
 }
 

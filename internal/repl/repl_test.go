@@ -23,6 +23,13 @@ import (
 	"kwsc/internal/wal"
 )
 
+// collectHandles answers q and ws with no options, returning the handles.
+func collectHandles(d *wal.Durable, q *geom.Rect, ws []dataset.Keyword) ([]int64, core.QueryStats, error) {
+	var out []int64
+	st, err := d.Query(q, ws, core.QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
+	return out, st, err
+}
+
 // Fault-injection suite for WAL-shipping replication: a follower is killed
 // mid-replay, fed truncated and corrupted streams, starved by a stalled
 // shipper, and orphaned by a pruning checkpoint — in every case it must serve
@@ -138,7 +145,7 @@ func verifyPrefix(t *testing.T, f *Follower, ops []replOp, n int) {
 		for b := a + 1; b < 8; b++ {
 			ws := []dataset.Keyword{dataset.Keyword(a), dataset.Keyword(b)}
 			for ri, q := range rects {
-				got, _, err := d.Collect(q, ws)
+				got, _, err := collectHandles(d, q, ws)
 				if err != nil {
 					t.Fatalf("Collect(%v): %v", ws, err)
 				}
@@ -166,7 +173,7 @@ func newPrimary(t *testing.T) (d *wal.Durable, srv *httptest.Server, ckptFetches
 		t.Fatalf("primary Open: %v", err)
 	}
 	t.Cleanup(func() { d.Close() })
-	ship := &Shipper{Dir: dir, Dim: 2, K: 2, LastSeq: d.LastSeq}
+	ship := &Shipper{Dir: dir, Dim: 2, K: 2, LastSeq: d.Seq}
 	ckptFetches = &atomic.Int64{}
 	h := ship.Handler()
 	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

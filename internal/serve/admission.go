@@ -16,15 +16,16 @@ type AdmissionConfig struct {
 	MaxInflight int
 	// SoftInflight is the degrade threshold: with more than this many
 	// requests in flight (but still under MaxInflight), queries are
-	// admitted in degraded mode — a strict node budget that makes the
-	// index path stop early and static shards fall back to their
-	// predictable-cost baseline (0 = no degraded band).
+	// admitted in degraded mode — Config.DegradedNodeBudget per shard, so
+	// every shard kind stops early with its prefix-correct partial answer
+	// (0 = no degraded band).
 	SoftInflight int
 	// ClientRate refills each client's token bucket at this many requests
 	// per second (0 = no per-client quota).
 	ClientRate float64
 	// ClientBurst is each bucket's capacity (0 with ClientRate > 0 defaults
-	// to max(1, ClientRate)).
+	// to ClientRate). Any burst below 1 counts as 1: a bucket that never
+	// holds a whole token would shed every request.
 	ClientBurst float64
 }
 
@@ -125,10 +126,8 @@ func (a *admission) takeToken(client string) bool {
 	burst := a.cfg.ClientBurst
 	if burst <= 0 {
 		burst = a.cfg.ClientRate
-		if burst < 1 {
-			burst = 1
-		}
 	}
+	burst = max(burst, 1)
 	now := a.now()
 	a.mu.Lock()
 	defer a.mu.Unlock()

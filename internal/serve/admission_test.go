@@ -63,6 +63,19 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	mustDecision(t, a, "alice", ShedQuota)()
 }
 
+// A burst below one token is clamped to one, like the default burst: a bucket
+// capped under a whole token would shed every request forever.
+func TestAdmissionFractionalBurst(t *testing.T) {
+	clk := newFakeClock()
+	a := withClock(newAdmission(AdmissionConfig{ClientRate: 100, ClientBurst: 0.5}), clk)
+	for i := 0; i < 100; i++ {
+		mustDecision(t, a, "alice", Admit)()
+		clk.advance(time.Second)
+	}
+	mustDecision(t, a, "alice", Admit)()
+	mustDecision(t, a, "alice", ShedQuota)()
+}
+
 func TestAdmissionInflightBands(t *testing.T) {
 	a := newAdmission(AdmissionConfig{MaxInflight: 4, SoftInflight: 2})
 

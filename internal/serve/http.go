@@ -174,8 +174,8 @@ func (s *Server) legQueryHandler(i int) http.HandlerFunc {
 		replQueryRequests.count(http.StatusOK)
 		buf.b = appendLegReply(buf.b[:0], &legReply{
 			IDs: ids, Ops: res.st.Ops, Seq: res.seq,
-			Truncated: res.st.Truncated, FellBack: res.st.Fallback,
-			Outcome: out.String(), StalenessMs: res.stalenessMs, Stale: res.stale,
+			Truncated: res.st.Truncated,
+			Outcome:   out.String(), StalenessMs: res.stalenessMs, Stale: res.stale,
 		})
 		buf.send(w)
 	}

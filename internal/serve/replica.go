@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,6 @@ type legReply struct {
 	Ops         int64   `json:"ops"`
 	Seq         uint64  `json:"seq"`
 	Truncated   bool    `json:"truncated,omitempty"`
-	FellBack    bool    `json:"fell_back,omitempty"`
 	Outcome     string  `json:"outcome"`
 	StalenessMs int64   `json:"staleness_ms"`
 	Stale       bool    `json:"stale,omitempty"`
@@ -159,7 +157,7 @@ func (l *remoteLeg) query(req *kwsc.QueryRequest, opts kwsc.QueryOpts) legResult
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&rep); err != nil {
 		return legResult{err: fmt.Errorf("serve: replica leg decode: %w", err), replica: l.name}
 	}
-	st := kwsc.QueryStats{Ops: rep.Ops, Truncated: rep.Truncated, Fallback: rep.FellBack}
+	st := kwsc.QueryStats{Ops: rep.Ops, Truncated: rep.Truncated}
 	return legResult{
 		ids: rep.IDs, st: st, seq: rep.Seq, err: errFromOutcome(rep.Outcome),
 		replica: l.name, stalenessMs: rep.StalenessMs, stale: rep.Stale,
@@ -388,36 +386,13 @@ func (g *replicaGroup) close() error {
 }
 
 // followerShard serves one shard of a read-only follower deployment from its
-// continuously-replayed local index. Staleness is measured, not assumed: a
-// request whose bound the follower cannot meet is still answered — the
-// response says so.
+// continuously-replayed local index, through the same leg and staleness cache
+// as a dynamicShard. Staleness is measured, not assumed: a request whose
+// bound the follower cannot meet is still answered — the response says so.
 type followerShard struct {
 	id, n int
 	f     *repl.Follower
-	now   func() time.Time
-
-	// Bounded-staleness snapshot cache (same contract as dynamicShard).
-	mu     sync.Mutex
-	snap   *kwsc.DynSnapshot
-	snapAt time.Time
-}
-
-func (s *followerShard) view(staleness time.Duration) *kwsc.DynSnapshot {
-	d := s.f.Durable()
-	if d == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	if staleness > 0 && s.snap != nil && now.Sub(s.snapAt) <= staleness {
-		return s.snap
-	}
-	snap := d.Snapshot()
-	if snap != nil {
-		s.snap, s.snapAt = snap, now
-	}
-	return snap
+	snapCache
 }
 
 // replicationStalenessMs reports the follower's measured lag age in ms
@@ -438,20 +413,11 @@ func (s *followerShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
 }
 
 func (s *followerShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
-	snap := s.view(staleness)
-	if snap == nil {
+	d := s.f.Durable()
+	if d == nil {
 		return legResult{err: fmt.Errorf("serve: follower shard %d has no replayed state yet", s.id)}
 	}
-	buf.ids = buf.ids[:0]
-	report := func(h int64, obj *kwsc.Object) {
-		if exact != nil && !exact.ContainsPoint(obj.Point) {
-			return
-		}
-		buf.ids = append(buf.ids, globalHandle(h, s.id, s.n))
-	}
-	st, err := snap.Query(q, ws, legOpts(opts, exact), report)
-	slices.Sort(buf.ids)
-	res := legResult{ids: buf.ids, st: st, seq: snap.Seq(), err: err}
+	res := dynamicLeg(s.view(d, staleness), s.id, s.n, q, exact, ws, opts, buf)
 	res.stalenessMs = s.replicationStalenessMs()
 	// Degradation surfaced: the answer exceeds the requested bound when the
 	// replication lag alone is already older than the bound.
@@ -467,7 +433,7 @@ func (s *followerShard) remove(int64) (bool, uint64, error)        { return fals
 
 func (s *followerShard) seq() uint64 {
 	if d := s.f.Durable(); d != nil {
-		return d.LastSeq()
+		return d.Seq()
 	}
 	return 0
 }
@@ -571,7 +537,7 @@ func NewFollower(dir, primary string, cfg Config) (*Server, error) {
 			}
 			return nil, fmt.Errorf("serve: follower shard %d: %w", i, err)
 		}
-		shards[i] = &followerShard{id: i, n: cfg.Shards, f: f, now: time.Now}
+		shards[i] = &followerShard{id: i, n: cfg.Shards, f: f, snapCache: snapCache{now: time.Now}}
 	}
 	part := newPartitioner(cfg.Partition, cfg.Shards, nil)
 	s := newServer(cfg, false, shards, part)

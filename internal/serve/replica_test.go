@@ -185,7 +185,7 @@ func testGroup(t *testing.T, legs []*remoteLeg, hedgeAfter time.Duration) (*repl
 		}
 		want = append(want, h)
 	}
-	writer := &dynamicShard{id: 0, n: 1, ix: ix, now: time.Now}
+	writer := &dynamicShard{id: 0, n: 1, ix: ix, snapCache: snapCache{now: time.Now}}
 	g := newReplicaGroup(0, writer, legs, hedgeAfter, time.Hour)
 	t.Cleanup(func() { g.close() })
 	return g, want

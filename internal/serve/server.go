@@ -38,9 +38,8 @@ type Config struct {
 	// (0 means 2s; negative disables the default).
 	DefaultTimeout time.Duration
 	// DegradedNodeBudget is the per-shard node budget forced onto queries
-	// admitted in the degraded band (0 means 4096). Static shards hitting
-	// it fall back to their inverted-index baseline; dynamic shards return
-	// the prefix collected so far.
+	// admitted in the degraded band (0 means 4096). A shard of any kind
+	// that hits it returns the prefix collected so far, outcome "budget".
 	DegradedNodeBudget int64
 	// DurableOptions are forwarded to OpenDurable for durable shards.
 	DurableOptions []kwsc.DurableOption
@@ -133,8 +132,8 @@ type Server struct {
 }
 
 // NewStatic partitions objs and builds one read-only shard per partition:
-// a kwsc.Degraded (primary index + inverted-index fallback) behind the
-// unified Index surface. Global ids are positions in objs.
+// Theorem 1's kwsc.ORPKW at d <= 2, Theorem 2's kwsc.ORPKWHigh at d >= 3.
+// Global ids are positions in objs.
 func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(objs) == 0 {
@@ -153,11 +152,16 @@ func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d dataset: %w", i, err)
 		}
-		deg, err := kwsc.NewDegraded(ds, cfg.K)
+		var ix staticIndex
+		if cfg.Dim <= 2 {
+			ix, err = kwsc.NewORPKW(ds, cfg.K)
+		} else {
+			ix, err = kwsc.NewORPKWHigh(ds, cfg.K)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d index: %w", i, err)
 		}
-		shards[i] = &staticShard{ix: deg, ds: ds, globals: globals[i]}
+		shards[i] = &staticShard{ix: ix, ds: ds, globals: globals[i]}
 	}
 	s := newServer(cfg, false, shards, part)
 	s.prune = true
@@ -178,7 +182,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 	ships := make([]*repl.Shipper, 0, cfg.Shards)
 	fresh := true
 	for i := range shards {
-		var ix dynamicIndex
+		var ix kwsc.DynamicIndex
 		if dir == "" {
 			d, err := kwsc.NewDynamicORPKW(cfg.Dim, cfg.K, 0)
 			if err != nil {
@@ -194,13 +198,13 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d open: %w", i, err)
 			}
-			if d.LastSeq() > 0 {
+			if d.Seq() > 0 {
 				fresh = false
 			}
 			ix = d
-			ships = append(ships, &repl.Shipper{Dir: sub, Dim: cfg.Dim, K: cfg.K, LastSeq: d.LastSeq})
+			ships = append(ships, &repl.Shipper{Dir: sub, Dim: cfg.Dim, K: cfg.K, LastSeq: d.Seq})
 		}
-		shards[i] = &dynamicShard{id: i, n: cfg.Shards, ix: ix, now: time.Now}
+		shards[i] = &dynamicShard{id: i, n: cfg.Shards, ix: ix, snapCache: snapCache{now: time.Now}}
 	}
 	s := newServer(cfg, true, shards, part)
 	s.prune = fresh
@@ -475,9 +479,6 @@ func gather(st *scatterState, limit int) (*kwsc.QueryResponse, error) {
 		if rep.err != nil || rep.st.Truncated {
 			resp.Truncated = true
 		}
-		if rep.st.Fallback {
-			resp.Degraded = true
-		}
 		if rep.stale {
 			resp.Stale = true
 		}
@@ -487,7 +488,7 @@ func gather(st *scatterState, limit int) (*kwsc.QueryResponse, error) {
 		total += len(ids)
 		resp.Shards[i] = kwsc.ShardOutcome{
 			Shard: i, Reported: len(ids), Ops: rep.st.Ops,
-			Seq: rep.seq, Outcome: out.String(), FellBack: rep.st.Fallback,
+			Seq: rep.seq, Outcome: out.String(),
 			Replica: rep.replica, StalenessMs: rep.stalenessMs, Stale: rep.stale,
 		}
 	}
@@ -523,7 +524,7 @@ func (s *Server) Query(req *kwsc.QueryRequest, degraded bool) (*kwsc.QueryRespon
 	if err != nil {
 		return nil, err
 	}
-	resp.Degraded = resp.Degraded || degraded
+	resp.Degraded = degraded
 	resp.ElapsedUs = time.Since(start).Microseconds()
 	return resp, nil
 }

@@ -331,40 +331,72 @@ func TestBudgetStopPrefixCorrect(t *testing.T) {
 	}
 }
 
-// TestDegradedModeStaysCorrect: the degraded execution path (strict node
-// budget + inverted-index fallback on static shards) must still return
-// exactly the right answer — degradation trades latency predictability, not
-// correctness.
+// TestDegradedModeStaysCorrect: the degraded band means one thing on every
+// shard kind — the clamped node budget, then the prefix collected so far,
+// outcome "budget". Every id a degraded query returns is in the unbudgeted
+// answer, the response is Truncated exactly when some shard stopped, and no
+// shard falls back to a keywords-only scan.
 func TestDegradedModeStaysCorrect(t *testing.T) {
 	objs := genObjects(1200, 37)
-	s, err := NewStatic(objs, Config{Shards: 3, K: testK, DegradedNodeBudget: 4})
+	cfg := Config{Shards: 3, K: testK, DegradedNodeBudget: 4}
+	static, err := NewStatic(objs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(41))
-	sawFallback := false
-	for q := 0; q < 30; q++ {
-		req := randQuery(rng)
-		resp, err := s.Query(req, true) // degraded admission band
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resp.Degraded {
-			t.Fatal("degraded query not flagged Degraded")
-		}
-		want := brute(objs, regionOf(req), req.Keywords)
-		if !slices.Equal(resp.IDs, want) && !(len(resp.IDs) == 0 && len(want) == 0) {
-			t.Fatalf("degraded query %d: got %v, want %v", q, resp.IDs, want)
-		}
-		for _, so := range resp.Shards {
-			if so.FellBack {
-				sawFallback = true
+	defer static.Close()
+	dynamic, err := NewDynamic("", objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dynamic.Close()
+	fallbacks := obs.Default().Snapshot().Counter("kwsc_fallbacks_total")
+	for _, c := range []struct {
+		name string
+		s    *Server
+	}{{"static", static}, {"dynamic", dynamic}} {
+		rng := rand.New(rand.NewSource(41))
+		stops := 0
+		for q := 0; q < 30; q++ {
+			req := randQuery(rng)
+			full, err := c.s.Query(req, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.s.Query(req, true) // degraded admission band
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Degraded || full.Degraded {
+				t.Fatalf("%s query %d: Degraded %v admitted degraded, %v admitted in full", c.name, q, resp.Degraded, full.Degraded)
+			}
+			for _, id := range resp.IDs {
+				if _, ok := slices.BinarySearch(full.IDs, id); !ok {
+					t.Fatalf("%s query %d: degraded answer holds %d, outside the full answer", c.name, q, id)
+				}
+			}
+			stopped := false
+			for _, so := range resp.Shards {
+				if so.FellBack || (so.Outcome != "ok" && so.Outcome != "budget") {
+					t.Fatalf("%s query %d: shard %+v", c.name, q, so)
+				}
+				if so.Outcome == "budget" {
+					stopped = true
+					stops++
+				}
+			}
+			if resp.Truncated != stopped {
+				t.Fatalf("%s query %d: Truncated %v with a budget stop %v", c.name, q, resp.Truncated, stopped)
+			}
+			if !stopped && !slices.Equal(resp.IDs, full.IDs) {
+				t.Fatalf("%s query %d: no stop but %d ids, want %d", c.name, q, len(resp.IDs), len(full.IDs))
 			}
 		}
+		if stops == 0 {
+			t.Fatalf("%s: the degraded budget never stopped a shard; test is vacuous", c.name)
+		}
 	}
-	if !sawFallback {
-		t.Fatal("degraded budget never forced a fallback; test is vacuous")
+	if got := obs.Default().Snapshot().Counter("kwsc_fallbacks_total"); got != fallbacks {
+		t.Fatalf("kwsc_fallbacks_total moved %d -> %d", fallbacks, got)
 	}
 }
 
@@ -716,9 +748,10 @@ func TestStalenessCache(t *testing.T) {
 
 // A read that allows no staleness pins the shard's current state without the
 // staleness cache: its collect returns while the test holds the cache's
-// mutex, and it never reads the shard's clock.
+// mutex, and it never reads the shard's clock — on a writer's shard and on a
+// follower's alike.
 func TestFreshReadTakesNoCacheLock(t *testing.T) {
-	s, err := NewDynamic("", nil, Config{Shards: 1, Dim: 2, K: testK})
+	s, err := NewDynamic(t.TempDir(), nil, Config{Shards: 1, Dim: 2, K: testK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,27 +760,44 @@ func TestFreshReadTakesNoCacheLock(t *testing.T) {
 		Point: []float64{0.5, 0.5}, Doc: []kwsc.Keyword{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	sh := s.shards[0].(*dynamicShard)
-	sh.now = func() time.Time {
-		t.Error("a fresh read read the clock")
-		return time.Now()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	f, err := NewFollower(t.TempDir(), ts.URL, Config{FollowerPoll: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sh.mu.Lock()
-	done := make(chan legResult, 1)
-	go func() {
-		req := &kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}}
-		done <- sh.collect(req, req.BoundingRect(2), req.ExactRegion(), req.Keywords, kwsc.QueryOpts{}, 0, new(legBuf))
-	}()
-	select {
-	case res := <-done:
-		sh.mu.Unlock()
-		if res.err != nil || len(res.ids) != 1 {
-			t.Fatalf("fresh read: %d ids, %v; want the one write", len(res.ids), res.err)
+	defer f.Close()
+	seqs := primarySeqs(s)
+	waitFor(t, 5*time.Second, "follower catch-up", func() bool { return followerCaughtUp(f, seqs) })
+
+	writer := s.shards[0].(*dynamicShard)
+	follower := f.shards[0].(*followerShard)
+	for _, c := range []struct {
+		name  string
+		sh    shard
+		cache *snapCache
+	}{{"writer", writer, &writer.snapCache}, {"follower", follower, &follower.snapCache}} {
+		c.cache.now = func() time.Time {
+			t.Errorf("a fresh read on the %s read the clock", c.name)
+			return time.Now()
 		}
-	case <-time.After(10 * time.Second):
-		sh.mu.Unlock()
-		<-done
-		t.Fatal("a fresh read waited on the staleness cache's mutex")
+		c.cache.mu.Lock()
+		done := make(chan legResult, 1)
+		go func() {
+			req := &kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}}
+			done <- c.sh.collect(req, req.BoundingRect(2), req.ExactRegion(), req.Keywords, kwsc.QueryOpts{}, 0, new(legBuf))
+		}()
+		select {
+		case res := <-done:
+			c.cache.mu.Unlock()
+			if res.err != nil || len(res.ids) != 1 {
+				t.Fatalf("fresh read on the %s: %d ids, %v; want the one write", c.name, len(res.ids), res.err)
+			}
+		case <-time.After(10 * time.Second):
+			c.cache.mu.Unlock()
+			<-done
+			t.Fatalf("a fresh read on the %s waited on the staleness cache's mutex", c.name)
+		}
 	}
 }
 

@@ -45,13 +45,6 @@ type legBuf struct {
 // never cheaper than a wake-up.
 const estimateRemote = math.MaxInt64
 
-// estimator prices a query for ws in work units (QueryStats.Ops) from the
-// index's resident structures; kwsc.Degraded, DynamicORPKW and DurableORPKW
-// all carry it.
-type estimator interface {
-	EstimateWork(ws []kwsc.Keyword) int64
-}
-
 // shard is one partition of the served dataset. Implementations must be
 // safe for concurrent use; collect must return ids ascending, appended into
 // buf when the leg is answered locally. req is the original wire request,
@@ -72,16 +65,17 @@ type shard interface {
 	close() error
 }
 
-// staticIndex is what a static shard serves from.
+// staticIndex is what a static shard serves from: kwsc.ORPKW at d <= 2,
+// kwsc.ORPKWHigh at d >= 3. EstimateWork prices a query in work units
+// (QueryStats.Ops) from the index's root alone.
 type staticIndex interface {
 	kwsc.Index[*kwsc.Rect]
-	estimator
+	EstimateWork(ws []kwsc.Keyword) int64
 }
 
-// staticShard serves a read-only partition through the unified Index
-// surface — any rectangle-capable family works; the server builds a
-// *kwsc.Degraded so overload-mode node budgets degrade to the baseline
-// instead of failing.
+// staticShard serves a read-only partition from its index alone. In the
+// degraded band a node-budget stop returns the prefix-correct partial answer,
+// as on every shard kind; a recovered index panic is a failed leg.
 type staticShard struct {
 	ix      staticIndex // nil for an empty partition
 	ds      *kwsc.Dataset
@@ -146,106 +140,70 @@ func (s *staticShard) describe() map[string]any {
 
 func (s *staticShard) close() error { return nil }
 
-// Capability probes reconciling the two dynamic backends' accessor names
-// (DurableORPKW: Snapshot/LastSeq; DynamicORPKW: SnapshotNow/Seq).
-type (
-	snapshotter    interface{ Snapshot() *kwsc.DynSnapshot }
-	snapshotNower  interface{ SnapshotNow() *kwsc.DynSnapshot }
-	lastSeqer      interface{ LastSeq() uint64 }
-	seqer          interface{ Seq() uint64 }
-	bucketCounter  interface{ NumBuckets() int }
-	tombstoneCount interface{ Tombstones() int }
-	closer         interface{ Close() error }
-)
+// closer is the in-memory index's missing method: it owns nothing to close.
+type closer interface{ Close() error }
 
-// dynamicIndex is what a dynamic shard serves from.
-type dynamicIndex interface {
-	kwsc.DynamicIndex
-	estimator
-}
-
-// dynamicShard serves one partition from a mutable index (durable or
-// in-memory) through the unified DynamicIndex surface. Global handles
-// encode the shard id (see globalHandle) so deletes route statelessly.
-type dynamicShard struct {
-	id, n int
-	ix    dynamicIndex
-	now   func() time.Time
-
-	// Bounded-staleness read cache: one pinned MVCC snapshot, refreshed
-	// when a request's staleness bound is tighter than its age.
+// snapCache is a dynamic leg's bounded-staleness read cache: one pinned MVCC
+// snapshot, refreshed when a request's staleness bound is tighter than its
+// age.
+type snapCache struct {
+	now    func() time.Time
 	mu     sync.Mutex
 	snap   *kwsc.DynSnapshot
 	snapAt time.Time
 }
 
-func (s *dynamicShard) pin() *kwsc.DynSnapshot {
-	switch v := s.ix.(type) {
-	case snapshotter:
-		return v.Snapshot()
-	case snapshotNower:
-		return v.SnapshotNow()
-	}
-	return nil
-}
-
-func (s *dynamicShard) seq() uint64 {
-	switch v := s.ix.(type) {
-	case lastSeqer:
-		return v.LastSeq()
-	case seqer:
-		return v.Seq()
-	}
-	return 0
-}
-
-// view returns the read view for a query: a cached snapshot no older than
-// staleness when one is allowed and available, else a fresh pin. A read that
-// allows no staleness pins the current state with no lock and no clock read,
-// so concurrent fresh reads never queue; only a bounded read consults and
+// view returns the read view of ix for a query: a cached snapshot no older
+// than staleness when one is allowed, else a fresh pin. A read that allows no
+// staleness pins the current state with no lock and no clock read, so
+// concurrent fresh reads never queue; only a bounded read consults and
 // refreshes the cache.
-func (s *dynamicShard) view(staleness time.Duration) *kwsc.DynSnapshot {
+func (c *snapCache) view(ix kwsc.DynamicIndex, staleness time.Duration) *kwsc.DynSnapshot {
 	if staleness <= 0 {
-		return s.pin()
+		return ix.SnapshotNow()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	if s.snap != nil && now.Sub(s.snapAt) <= staleness {
-		return s.snap
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	if c.snap == nil || now.Sub(c.snapAt) > staleness {
+		c.snap, c.snapAt = ix.SnapshotNow(), now
 	}
-	if snap := s.pin(); snap != nil {
-		s.snap, s.snapAt = snap, now
-		return snap
-	}
-	return nil
+	return c.snap
 }
+
+// dynamicLeg answers shard id of n from snap: handles become global ids (see
+// globalHandle), hits outside the exact region are dropped, and the ids are
+// sorted into buf.
+func dynamicLeg(snap *kwsc.DynSnapshot, id, n int, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, buf *legBuf) legResult {
+	buf.ids = buf.ids[:0]
+	report := func(h int64, obj *kwsc.Object) {
+		if exact != nil && !exact.ContainsPoint(obj.Point) {
+			return
+		}
+		buf.ids = append(buf.ids, globalHandle(h, id, n))
+	}
+	st, err := snap.Query(q, ws, legOpts(opts, exact), report)
+	slices.Sort(buf.ids)
+	return legResult{ids: buf.ids, st: st, seq: snap.Seq(), err: err}
+}
+
+// dynamicShard serves one partition from a mutable index (durable or
+// in-memory). Global handles encode the shard id (see globalHandle) so
+// deletes route statelessly.
+type dynamicShard struct {
+	id, n int
+	ix    kwsc.DynamicIndex
+	snapCache
+}
+
+func (s *dynamicShard) seq() uint64 { return s.ix.Seq() }
 
 func (s *dynamicShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
 	return s.ix.EstimateWork(ws)
 }
 
 func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
-	buf.ids = buf.ids[:0]
-	report := func(h int64, obj *kwsc.Object) {
-		if exact != nil && !exact.ContainsPoint(obj.Point) {
-			return
-		}
-		buf.ids = append(buf.ids, globalHandle(h, s.id, s.n))
-	}
-	var st kwsc.QueryStats
-	var err error
-	var seq uint64
-	opts = legOpts(opts, exact)
-	if snap := s.view(staleness); snap != nil {
-		st, err = snap.Query(q, ws, opts, report)
-		seq = snap.Seq()
-	} else {
-		st, err = s.ix.Query(q, ws, opts, report)
-		seq = s.seq()
-	}
-	slices.Sort(buf.ids)
-	return legResult{ids: buf.ids, st: st, seq: seq, err: err}
+	return dynamicLeg(s.view(s.ix, staleness), s.id, s.n, q, exact, ws, opts, buf)
 }
 
 func (s *dynamicShard) insert(obj kwsc.Object) (int64, uint64, error) {
@@ -267,14 +225,8 @@ func (s *dynamicShard) remove(local int64) (bool, uint64, error) {
 func (s *dynamicShard) live() int { return s.ix.Len() }
 
 func (s *dynamicShard) describe() map[string]any {
-	d := map[string]any{"type": "dynamic", "live": s.live(), "seq": s.seq()}
-	if v, ok := s.ix.(bucketCounter); ok {
-		d["buckets"] = v.NumBuckets()
-	}
-	if v, ok := s.ix.(tombstoneCount); ok {
-		d["tombstones"] = v.Tombstones()
-	}
-	return d
+	return map[string]any{"type": "dynamic", "live": s.live(), "seq": s.seq(),
+		"buckets": s.ix.NumBuckets(), "tombstones": s.ix.Tombstones()}
 }
 
 func (s *dynamicShard) close() error {

@@ -509,7 +509,6 @@ func appendLegReply(b []byte, r *legReply) []byte {
 	b = strconv.AppendInt(append(b, `,"ops":`...), r.Ops, 10)
 	b = strconv.AppendUint(append(b, `,"seq":`...), r.Seq, 10)
 	b = appendTrue(b, `,"truncated":true`, r.Truncated)
-	b = appendTrue(b, `,"fell_back":true`, r.FellBack)
 	b = appendString(append(b, `,"outcome":`...), r.Outcome)
 	b = strconv.AppendInt(append(b, `,"staleness_ms":`...), r.StalenessMs, 10)
 	b = appendTrue(b, `,"stale":true`, r.Stale)

@@ -568,7 +568,7 @@ func encodeCase(rng *rand.Rand, strs []string, ints []int64) (*kwsc.QueryRespons
 		}
 	}
 	w := &kwsc.WriteResponse{Handle: num() * int64(rng.Intn(2)), Deleted: flag(), Seq: uint64(num()) * uint64(rng.Intn(2)), Shard: int(num())}
-	l := &legReply{IDs: ids(), Ops: num(), Seq: uint64(num()), Truncated: flag(), FellBack: flag(),
+	l := &legReply{IDs: ids(), Ops: num(), Seq: uint64(num()), Truncated: flag(),
 		Outcome: str(), StalenessMs: num(), Stale: flag()}
 	return q, w, l
 }

@@ -128,10 +128,10 @@ func modelAfter(ops []crashOp, n int) (live map[int64]dataset.Object, nextHandle
 	return live, nextHandle
 }
 
-// queryable is anything that answers Collect/Len over handles — a live
+// queryable is anything that answers queries and Len over handles — a live
 // Durable or a pinned DynSnapshot view.
 type queryable interface {
-	Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, core.QueryStats, error)
+	handleQuerier
 	Len() int
 }
 
@@ -175,7 +175,7 @@ func verifyAgainstBaseline(t *testing.T, d queryable, live map[int64]dataset.Obj
 		for b := a + 1; b < 8; b++ {
 			ws := []dataset.Keyword{dataset.Keyword(a), dataset.Keyword(b)}
 			for ri, q := range rects {
-				got, _, err := d.Collect(q, ws)
+				got, _, err := collectHandles(d, q, ws)
 				if err != nil {
 					t.Fatalf("Collect(%v): %v", ws, err)
 				}
@@ -202,7 +202,7 @@ func crashAndRecover(t *testing.T, dir string, ops []crashOp, acked int) *Durabl
 		t.Fatalf("recovery Open: %v", err)
 	}
 	t.Cleanup(func() { d2.Close() })
-	survived := d2.LastSeq()
+	survived := d2.Seq()
 	// Durability: under SyncEveryOp nothing acknowledged may be lost. The
 	// in-flight (unacknowledged) op may or may not have survived — both are
 	// legal — but nothing past it can exist.

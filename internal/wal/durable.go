@@ -18,7 +18,7 @@ import (
 // checkpoints bound replay time, and Open recovers the exact acknowledged
 // state after a crash. Safe for concurrent use: writers are serialized on an
 // internal write mutex, while queries, snapshots, and the metrics-style
-// accessors (Len, LastSeq, NumBuckets, Tombstones) run lock-free against the
+// accessors (Len, Seq, NumBuckets, Tombstones) run lock-free against the
 // dynamic index's published copy-on-write state — they never wait on a
 // mutation, a checkpoint, or an fsync.
 type Durable struct {
@@ -363,17 +363,12 @@ func (d *Durable) Query(q *geom.Rect, ws []dataset.Keyword, opts core.QueryOpts,
 	return d.idx.Query(q, ws, opts, report)
 }
 
-// Collect is Query returning the handles.
-func (d *Durable) Collect(q *geom.Rect, ws []dataset.Keyword) ([]int64, core.QueryStats, error) {
-	return d.idx.Collect(q, ws)
-}
-
-// Snapshot pins the current acknowledged state for repeatable reads: queries
+// SnapshotNow pins the current acknowledged state for repeatable reads: queries
 // against the returned view answer identically no matter how many mutations
 // are applied afterwards, and its Seq() is the WAL sequence number of the
 // last acknowledged record it includes — the view is exactly the acked-WAL
 // prefix [1, Seq()]. Pinning takes one atomic load and no locks.
-func (d *Durable) Snapshot() *core.DynSnapshot {
+func (d *Durable) SnapshotNow() *core.DynSnapshot {
 	return d.idx.SnapshotNow()
 }
 
@@ -390,11 +385,11 @@ func (d *Durable) K() int { return d.k }
 // Dim returns the point dimensionality.
 func (d *Durable) Dim() int { return d.dim }
 
-// LastSeq returns the sequence number of the last acknowledged operation —
+// Seq returns the sequence number of the last acknowledged operation —
 // the length of the operation history a recovery of the current state would
 // replay to. It reads the published state (no lock), so a mutation in flight
 // is not counted until it is applied and acknowledged.
-func (d *Durable) LastSeq() uint64 { return d.idx.Seq() }
+func (d *Durable) Seq() uint64 { return d.idx.Seq() }
 
 // NumBuckets exposes the Bentley–Saxe occupancy for instrumentation.
 func (d *Durable) NumBuckets() int { return d.idx.NumBuckets() }

@@ -50,7 +50,7 @@ func FuzzReplayWAL(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
-		seq := d.LastSeq()
+		seq := d.Seq()
 		if _, err := d.Insert(testObj(1000)); err != nil {
 			t.Fatalf("accepted log, but store not insertable: %v", err)
 		}
@@ -61,7 +61,7 @@ func FuzzReplayWAL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted input failed to reopen: %v", err)
 		}
-		if got := d2.LastSeq(); got != seq+1 {
+		if got := d2.Seq(); got != seq+1 {
 			t.Fatalf("reopen LastSeq = %d, want %d", got, seq+1)
 		}
 		d2.Close()

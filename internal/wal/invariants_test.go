@@ -55,7 +55,7 @@ func TestRecoveryInvariants(t *testing.T) {
 	}
 	d.Delete(45)
 	before := handleView(t, d)
-	wantLen, wantSeq := d.Len(), d.LastSeq()
+	wantLen, wantSeq := d.Len(), d.Seq()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestRecoveryInvariants(t *testing.T) {
 	if d2.Len() != wantLen {
 		t.Fatalf("Len = %d, want %d", d2.Len(), wantLen)
 	}
-	if d2.LastSeq() != wantSeq {
-		t.Fatalf("LastSeq = %d, want %d", d2.LastSeq(), wantSeq)
+	if d2.Seq() != wantSeq {
+		t.Fatalf("LastSeq = %d, want %d", d2.Seq(), wantSeq)
 	}
 	// Handle stability: every handle resolves to the object it named before
 	// the restart, and no handle appeared or vanished.

@@ -142,7 +142,7 @@ func linVerifySnapshot(t *testing.T, v *core.DynSnapshot, hist *linHistory, rng 
 		b := a + 1 + rng.Intn(7-a)
 		ws := []dataset.Keyword{dataset.Keyword(a), dataset.Keyword(b)}
 		q := rects[rng.Intn(len(rects))]
-		got, _, err := v.Collect(q, ws)
+		got, _, err := collectHandles(v, q, ws)
 		if err != nil {
 			t.Errorf("snapshot Collect at seq %d: %v", seq, err)
 			return false
@@ -160,7 +160,7 @@ func linVerifySnapshot(t *testing.T, v *core.DynSnapshot, hist *linHistory, rng 
 		}
 		// Repeatability: the same pinned view must answer identically even
 		// though the writer kept mutating after the first run.
-		again, _, err := v.Collect(q, ws)
+		again, _, err := collectHandles(v, q, ws)
 		if err != nil {
 			t.Errorf("snapshot re-Collect at seq %d: %v", seq, err)
 			return false
@@ -190,7 +190,7 @@ func runConcurrentHistory(t *testing.T, d *Durable, ops []crashOp, nReaders int,
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed<<8 + int64(r)))
 			for !stop.Load() {
-				if linVerifySnapshot(t, d.Snapshot(), hist, rng) {
+				if linVerifySnapshot(t, d.SnapshotNow(), hist, rng) {
 					verified.Add(1)
 				} else {
 					return
@@ -229,7 +229,7 @@ func runConcurrentHistory(t *testing.T, d *Durable, ops []crashOp, nReaders int,
 		// histories (they all stop once the flag is up).
 		if verified.Load() == 0 {
 			rng := rand.New(rand.NewSource(seed))
-			linVerifySnapshot(t, d.Snapshot(), hist, rng)
+			linVerifySnapshot(t, d.SnapshotNow(), hist, rng)
 		}
 	}
 	return acked, crashed
@@ -260,17 +260,17 @@ func TestLinearizableConcurrentHistory(t *testing.T) {
 			live, _ := modelAfter(ops, len(ops))
 			verifyAgainstBaseline(t, d, live)
 			// And a snapshot pinned now stays byte-identical across churn.
-			v := d.Snapshot()
+			v := d.SnapshotNow()
 			all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
 			ws := []dataset.Keyword{0, 1}
-			before, _, err := v.Collect(all, ws)
+			before, _, err := collectHandles(v, all, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 80; i++ {
 				mustInsert(t, d, 9000+i)
 			}
-			after, _, err := v.Collect(all, ws)
+			after, _, err := collectHandles(v, all, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,15 +381,15 @@ func TestReadersNotBlockedBySlowFsync(t *testing.T) {
 	go func() {
 		defer close(done)
 		all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
-		if _, _, err := d.Collect(all, []dataset.Keyword{0, 1}); err != nil {
+		if _, _, err := collectHandles(d, all, []dataset.Keyword{0, 1}); err != nil {
 			t.Errorf("Collect during stalled fsync: %v", err)
 		}
-		v := d.Snapshot()
-		if _, _, err := v.Collect(all, []dataset.Keyword{0, 1}); err != nil {
+		v := d.SnapshotNow()
+		if _, _, err := collectHandles(v, all, []dataset.Keyword{0, 1}); err != nil {
 			t.Errorf("snapshot Collect during stalled fsync: %v", err)
 		}
 		_ = d.Len()
-		_ = d.LastSeq()
+		_ = d.Seq()
 		_ = d.NumBuckets()
 		_ = d.Tombstones()
 	}()
@@ -422,8 +422,8 @@ func TestConcurrentWritersFinalState(t *testing.T) {
 			defer wg.Done()
 			all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
 			for !stop.Load() {
-				v := d.Snapshot()
-				if _, _, err := v.Collect(all, []dataset.Keyword{0, 1}); err != nil {
+				v := d.SnapshotNow()
+				if _, _, err := collectHandles(v, all, []dataset.Keyword{0, 1}); err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}

@@ -81,9 +81,9 @@ func TestPagedRecoveryMatchesClassic(t *testing.T) {
 	if classic.idx.Base() != nil {
 		t.Fatal("classic recovery attached a base layer")
 	}
-	if paged.Len() != classic.Len() || paged.LastSeq() != classic.LastSeq() {
+	if paged.Len() != classic.Len() || paged.Seq() != classic.Seq() {
 		t.Fatalf("paged len=%d seq=%d, classic len=%d seq=%d",
-			paged.Len(), paged.LastSeq(), classic.Len(), classic.LastSeq())
+			paged.Len(), paged.Seq(), classic.Len(), classic.Seq())
 	}
 	if got, want := liveHandles(t, paged), liveHandles(t, classic); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live handles differ:\npaged   %v\nclassic %v", got, want)
@@ -142,7 +142,7 @@ func TestCheckpointPruningDefersForPinnedBase(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	oldSeq := d.LastSeq()
+	oldSeq := d.Seq()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCheckpointPruningDefersForPinnedBase(t *testing.T) {
 		t.Fatalf("pinned checkpoint unlinked by pruning: %v", err)
 	}
 	all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
-	if _, _, err := d.Collect(all, []dataset.Keyword{0, 1}); err != nil {
+	if _, _, err := collectHandles(d, all, []dataset.Keyword{0, 1}); err != nil {
 		t.Fatalf("query against retired-but-pinned base: %v", err)
 	}
 	// Close drops the base's reference — the deferred deletion fires.
@@ -199,7 +199,7 @@ func TestPagedRecoveryRefusesCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustInsert(t, d, 50)
-	seq := d.LastSeq()
+	seq := d.Seq()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	p := checkpointPath(dir, d.LastSeq())
+	p := checkpointPath(dir, d.Seq())
 	raw, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,18 @@ import (
 	"kwsc/internal/geom"
 )
 
+// handleQuerier is the query surface Durable and DynSnapshot share.
+type handleQuerier interface {
+	Query(*geom.Rect, []dataset.Keyword, core.QueryOpts, func(int64, *dataset.Object)) (core.QueryStats, error)
+}
+
+// collectHandles answers q and ws with no options, returning the handles.
+func collectHandles(ix handleQuerier, q *geom.Rect, ws []dataset.Keyword) ([]int64, core.QueryStats, error) {
+	var out []int64
+	st, err := ix.Query(q, ws, core.QueryOpts{}, func(h int64, _ *dataset.Object) { out = append(out, h) })
+	return out, st, err
+}
+
 // testObj builds a deterministic object from a seed.
 func testObj(seed int) dataset.Object {
 	r := rand.New(rand.NewSource(int64(seed)))
@@ -66,7 +78,7 @@ func liveHandles(t *testing.T, d *Durable) []int64 {
 	// the snapshot through Len/Collect over the full vocabulary instead.
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
-			hs, _, err := d.Collect(all, []dataset.Keyword{dataset.Keyword(a), dataset.Keyword(b)})
+			hs, _, err := collectHandles(d, all, []dataset.Keyword{dataset.Keyword(a), dataset.Keyword(b)})
 			if err != nil {
 				t.Fatalf("Collect: %v", err)
 			}
@@ -187,7 +199,7 @@ func TestOpenInsertDeleteReopen(t *testing.T) {
 		t.Fatalf("Delete(unknown): ok=%v err=%v (want false, nil)", ok, err)
 	}
 	wantLive := liveHandles(t, d)
-	wantLen, wantSeq := d.Len(), d.LastSeq()
+	wantLen, wantSeq := d.Len(), d.Seq()
 	if wantSeq != 25 {
 		t.Fatalf("LastSeq = %d, want 25 (20 inserts + 5 deletes)", wantSeq)
 	}
@@ -203,8 +215,8 @@ func TestOpenInsertDeleteReopen(t *testing.T) {
 	if d2.Len() != wantLen {
 		t.Fatalf("recovered Len = %d, want %d", d2.Len(), wantLen)
 	}
-	if d2.LastSeq() != wantSeq {
-		t.Fatalf("recovered LastSeq = %d, want %d", d2.LastSeq(), wantSeq)
+	if d2.Seq() != wantSeq {
+		t.Fatalf("recovered LastSeq = %d, want %d", d2.Seq(), wantSeq)
 	}
 	if got := liveHandles(t, d2); !reflect.DeepEqual(got, wantLive) {
 		t.Fatalf("recovered handles %v, want %v", got, wantLive)
@@ -239,8 +251,8 @@ func TestTornTailTruncated(t *testing.T) {
 		f.Close()
 
 		d2 := mustOpen(t, dir)
-		if d2.LastSeq() != 8 {
-			t.Fatalf("cut=%d: LastSeq = %d, want 8 (torn tail dropped)", cut, d2.LastSeq())
+		if d2.Seq() != 8 {
+			t.Fatalf("cut=%d: LastSeq = %d, want 8 (torn tail dropped)", cut, d2.Seq())
 		}
 		if d2.Len() != 8 {
 			t.Fatalf("cut=%d: Len = %d, want 8", cut, d2.Len())
@@ -377,8 +389,8 @@ func TestCheckpointSupersedesAndPrunes(t *testing.T) {
 		t.Fatalf("recovery from checkpoint+tail: Len=%d want %d, handles %v want %v",
 			d2.Len(), wantLen, liveHandles(t, d2), wantLive)
 	}
-	if d2.LastSeq() != 15 {
-		t.Fatalf("LastSeq = %d, want 15", d2.LastSeq())
+	if d2.Seq() != 15 {
+		t.Fatalf("LastSeq = %d, want 15", d2.Seq())
 	}
 }
 
@@ -398,8 +410,8 @@ func TestCheckpointWithoutNewOps(t *testing.T) {
 	d.Close()
 	d2 := mustOpen(t, dir)
 	defer d2.Close()
-	if d2.Len() != 2 || d2.LastSeq() != 2 {
-		t.Fatalf("after idempotent checkpoint: Len=%d LastSeq=%d, want 2, 2", d2.Len(), d2.LastSeq())
+	if d2.Len() != 2 || d2.Seq() != 2 {
+		t.Fatalf("after idempotent checkpoint: Len=%d LastSeq=%d, want 2, 2", d2.Len(), d2.Seq())
 	}
 }
 
@@ -452,8 +464,8 @@ func TestDamagedCheckpointFallsBackToOlder(t *testing.T) {
 	if d2.Len() != wantLen || !reflect.DeepEqual(liveHandles(t, d2), wantLive) {
 		t.Fatalf("fallback recovery: Len=%d want %d", d2.Len(), wantLen)
 	}
-	if d2.LastSeq() != 10 {
-		t.Fatalf("fallback recovery LastSeq = %d, want 10", d2.LastSeq())
+	if d2.Seq() != 10 {
+		t.Fatalf("fallback recovery LastSeq = %d, want 10", d2.Seq())
 	}
 }
 
@@ -540,7 +552,7 @@ func TestSoleDamagedCheckpointRefused(t *testing.T) {
 				for _, opts := range [][]Option{nil, {WithPagedRecovery(core.PagedBaseOptions{})}} {
 					d2, err := Open(dir, 2, 2, opts...)
 					if err == nil {
-						t.Fatalf("opened with err == nil, Len() = %d, LastSeq() = %d", d2.Len(), d2.LastSeq())
+						t.Fatalf("opened with err == nil, Len() = %d, LastSeq() = %d", d2.Len(), d2.Seq())
 					}
 					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(p)) {
 						t.Fatalf("err = %v, want ErrCorrupt naming %s", err, filepath.Base(p))
@@ -659,8 +671,8 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 	d2 := mustOpen(t, dir)
 	defer d2.Close()
-	if d2.Len() != 12 || d2.LastSeq() != 12 {
-		t.Fatalf("after auto-checkpoints: Len=%d LastSeq=%d, want 12, 12", d2.Len(), d2.LastSeq())
+	if d2.Len() != 12 || d2.Seq() != 12 {
+		t.Fatalf("after auto-checkpoints: Len=%d LastSeq=%d, want 12, 12", d2.Len(), d2.Seq())
 	}
 }
 
@@ -703,13 +715,13 @@ func TestFailedBucketBuildLeavesDurabilityWorking(t *testing.T) {
 	all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
 	ws := []dataset.Keyword{0, 1}
 	core.ArmFailpoint(core.FPDynamicBuild, func() { panic("build dies") })
-	_, _, first := d.Collect(all, ws)
+	_, _, first := collectHandles(d, all, ws)
 	core.DisarmAllFailpoints()
 	var pe *core.PanicError
 	if !errors.As(first, &pe) {
 		t.Fatalf("first read returned %v, want the build's *PanicError", first)
 	}
-	if _, _, err := d.Collect(all, ws); err != first {
+	if _, _, err := collectHandles(d, all, ws); err != first {
 		t.Fatalf("second read returned %v, want the first read's error", err)
 	}
 

@@ -284,7 +284,7 @@ type (
 	// DynamicORPKW is the insert/delete-capable ORP-KW index.
 	DynamicORPKW = core.DynamicORPKW
 	// DynSnapshot is a pinned, immutable view of a dynamic index (from
-	// DynamicORPKW.SnapshotNow or DurableORPKW.Snapshot): queries against it
+	// DynamicIndex.SnapshotNow): queries against it
 	// are repeatable no matter how much churn lands after the pin, and Seq()
 	// identifies the exact operation prefix it reflects.
 	DynSnapshot = core.DynSnapshot

@@ -365,7 +365,7 @@ func TestPublicExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, err := dyn.Collect(kwsc.Universe(2), []kwsc.Keyword{0, 1})
+	ids, _, err := collectHandles(dyn, kwsc.Universe(2), []kwsc.Keyword{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

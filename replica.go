@@ -17,7 +17,7 @@ package kwsc
 //		Dim:     2, K: 2,
 //	})
 //	...
-//	ids, _, _ := f.Durable().Collect(q, ws) // acked prefix [1, f.AppliedSeq()]
+//	st, _ := f.Durable().Query(q, ws, kwsc.QueryOpts{}, report) // acked prefix [1, f.AppliedSeq()]
 
 import (
 	"kwsc/internal/repl"

@@ -85,8 +85,8 @@ type ShardOutcome struct {
 	// Outcome is "ok", "deadline", "budget", "canceled", "panic", or
 	// "error".
 	Outcome string `json:"outcome"`
-	// FellBack reports that the shard's degraded executor answered via the
-	// inverted-index baseline.
+	// FellBack is never set; bench/ reads it until ROADMAP [instruments]
+	// removes it.
 	FellBack bool `json:"fell_back,omitempty"`
 	// Replica names the replica-group member that answered this leg
 	// ("writer", "replica-N"; empty on non-replicated deployments).
@@ -110,8 +110,8 @@ type QueryResponse struct {
 	// Truncated reports a partial (but prefix-correct) result: some shard
 	// stopped on a limit, deadline, budget, or failure.
 	Truncated bool `json:"truncated,omitempty"`
-	// Degraded reports the server answered in degraded mode (load shed into
-	// the fallback path, or a shard fell back to its baseline).
+	// Degraded reports the request was admitted in the degraded band: each
+	// shard ran under the server's degraded node budget.
 	Degraded bool `json:"degraded,omitempty"`
 	// Stale reports that at least one shard answered beyond the request's
 	// max_staleness_ms bound (see ShardOutcome.Stale for which).
