@@ -40,38 +40,3 @@ const (
 	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = rank rankLo+i
 	SecFlatMatRanks   = 38 // []int32 sparse lists, strictly ascending ranks of the node's interval
 )
-
-// Exported little-endian column codecs for sibling packages that assemble
-// their own KWCP2 section payloads (internal/flatio). Put* allocates the
-// byte image; Get* decodes a fresh slice (zero-copy readers use
-// pager.Cast* on mapped bytes instead).
-
-// PutU32s encodes v little-endian.
-func PutU32s(v []uint32) []byte { return putU32s(v) }
-
-// PutI32s encodes v little-endian.
-func PutI32s(v []int32) []byte { return putI32s(v) }
-
-// PutU64s encodes v little-endian.
-func PutU64s(v []uint64) []byte { return putU64s(v) }
-
-// PutI64s encodes v little-endian.
-func PutI64s(v []int64) []byte { return putI64s(v) }
-
-// PutF64s encodes v little-endian (IEEE 754 bits).
-func PutF64s(v []float64) []byte { return putF64s(v) }
-
-// GetU32s decodes a little-endian column; len(b) must be a multiple of 4.
-func GetU32s(b []byte) []uint32 { return getU32s(b) }
-
-// GetI32s decodes a little-endian column; len(b) must be a multiple of 4.
-func GetI32s(b []byte) []int32 { return getI32s(b) }
-
-// GetU64s decodes a little-endian column; len(b) must be a multiple of 8.
-func GetU64s(b []byte) []uint64 { return getU64s(b) }
-
-// GetI64s decodes a little-endian column; len(b) must be a multiple of 8.
-func GetI64s(b []byte) []int64 { return getI64s(b) }
-
-// GetF64s decodes a little-endian column; len(b) must be a multiple of 8.
-func GetF64s(b []byte) []float64 { return getF64s(b) }

@@ -124,7 +124,7 @@ func WriteContainer(w io.Writer, meta [64]byte, sections []Section) error {
 			crcs[e.Off/pager.PageSize+p] = c
 		}
 	}
-	table := putU32s(crcs)
+	table := PutU32s(crcs)
 	// The table checksum covers the padded table pages, so a flipped bit
 	// anywhere in that region — padding included — is detected, matching the
 	// full-page coverage data pages get.
@@ -245,7 +245,7 @@ func ParseContainer(r io.ReaderAt, size int64) (*Container, error) {
 	if got := crc32.Checksum(table, castagnoli); got != binary.LittleEndian.Uint32(page[superTableCRCOff:]) {
 		return nil, fmt.Errorf("%w: page-CRC table checksum mismatch", ErrCorrupt)
 	}
-	c.PageCRCs = getU32s(table[:tLen])
+	c.PageCRCs = GetU32s(table[:tLen])
 	// The superblock and the table verify through their own checksums; their
 	// table entries are defined 0 regardless of what the file claims.
 	c.PageCRCs[0] = 0
@@ -306,11 +306,13 @@ func (c *Container) VerifyAllPages(r io.ReaderAt) error {
 	return nil
 }
 
-// Fixed-width little-endian column codecs. The encode side is explicit (a
-// checkpoint write is not hot); the mapped read side bypasses these with
-// aligned casts and the pread side decodes through them.
+// Fixed-width little-endian column codecs, for this package and the ones
+// that assemble or read KWCP2 sections of their own (flatio, core). Put*
+// allocates the byte image; Get* decodes a fresh slice. The mapped read side
+// bypasses these with aligned casts (pager.Cast*).
 
-func putU32s(v []uint32) []byte {
+// PutU32s encodes v little-endian.
+func PutU32s(v []uint32) []byte {
 	b := make([]byte, 4*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], x)
@@ -318,7 +320,8 @@ func putU32s(v []uint32) []byte {
 	return b
 }
 
-func putI32s(v []int32) []byte {
+// PutI32s encodes v little-endian.
+func PutI32s(v []int32) []byte {
 	b := make([]byte, 4*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
@@ -326,7 +329,8 @@ func putI32s(v []int32) []byte {
 	return b
 }
 
-func putU64s(v []uint64) []byte {
+// PutU64s encodes v little-endian.
+func PutU64s(v []uint64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], x)
@@ -334,7 +338,8 @@ func putU64s(v []uint64) []byte {
 	return b
 }
 
-func putI64s(v []int64) []byte {
+// PutI64s encodes v little-endian.
+func PutI64s(v []int64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
@@ -342,7 +347,8 @@ func putI64s(v []int64) []byte {
 	return b
 }
 
-func putF64s(v []float64) []byte {
+// PutF64s encodes v little-endian (IEEE 754 bits).
+func PutF64s(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
@@ -350,7 +356,8 @@ func putF64s(v []float64) []byte {
 	return b
 }
 
-func getU32s(b []byte) []uint32 {
+// GetU32s decodes a little-endian column; len(b) must be a multiple of 4.
+func GetU32s(b []byte) []uint32 {
 	v := make([]uint32, len(b)/4)
 	for i := range v {
 		v[i] = binary.LittleEndian.Uint32(b[4*i:])
@@ -358,7 +365,8 @@ func getU32s(b []byte) []uint32 {
 	return v
 }
 
-func getI32s(b []byte) []int32 {
+// GetI32s decodes a little-endian column; len(b) must be a multiple of 4.
+func GetI32s(b []byte) []int32 {
 	v := make([]int32, len(b)/4)
 	for i := range v {
 		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
@@ -366,7 +374,8 @@ func getI32s(b []byte) []int32 {
 	return v
 }
 
-func getU64s(b []byte) []uint64 {
+// GetU64s decodes a little-endian column; len(b) must be a multiple of 8.
+func GetU64s(b []byte) []uint64 {
 	v := make([]uint64, len(b)/8)
 	for i := range v {
 		v[i] = binary.LittleEndian.Uint64(b[8*i:])
@@ -374,7 +383,8 @@ func getU64s(b []byte) []uint64 {
 	return v
 }
 
-func getI64s(b []byte) []int64 {
+// GetI64s decodes a little-endian column; len(b) must be a multiple of 8.
+func GetI64s(b []byte) []int64 {
 	v := make([]int64, len(b)/8)
 	for i := range v {
 		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
@@ -382,7 +392,8 @@ func getI64s(b []byte) []int64 {
 	return v
 }
 
-func getF64s(b []byte) []float64 {
+// GetF64s decodes a little-endian column; len(b) must be a multiple of 8.
+func GetF64s(b []byte) []float64 {
 	v := make([]float64, len(b)/8)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))

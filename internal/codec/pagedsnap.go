@@ -14,12 +14,15 @@ import (
 // Snapshot is the payload of a durability checkpoint: the live entry set of
 // a dynamic index — a handle column beside the dataset's three — together
 // with the log position the checkpoint supersedes and the handle watermark
-// recovery must resume from. On disk it is a KWCP2 container the paged base
-// answers queries from without decoding it: every row — point, handle,
-// document — in rank order (the kd leaf order of rankorder.go), one bounding
-// box per cell of ranks, an inverted index (sorted vocabulary, bitpacked
-// postings of *ranks*), and beside them the ascending handle column with the
-// entry -> rank column that leads from a handle to its row.
+// recovery must resume from. This package only writes it
+// (WritePagedSnapshot): on disk it is a KWCP2 container — every row — point,
+// handle, document — in rank order (the kd leaf order of rankorder.go), one
+// bounding box per cell of ranks, an inverted index (sorted vocabulary,
+// bitpacked postings of *ranks*), and beside them the ascending handle column
+// with the entry -> rank column that leads from a handle to its row. It has
+// one reader, core.OpenPagedBase, which answers queries from the file without
+// decoding it; a reader that takes the entries in adds the base's Verify and
+// Entries, which gathers back the entry set written.
 type Snapshot struct {
 	K          int              // query keyword arity of the index
 	Dim        int              // point dimensionality
@@ -123,15 +126,15 @@ func encodePostings(lists []bitpack.List, blocks []bitpack.Block) (listsB, block
 	for _, b := range blocks {
 		bv = append(bv, b.Off, b.First, b.Max, int32(b.N)|int32(b.W)<<16)
 	}
-	return putI32s(lv), putI32s(bv)
+	return PutI32s(lv), PutI32s(bv)
 }
 
 // ParsePostings decodes the vocabulary, list and block-directory sections of
 // a snapshot and checks them against what they index: a payload of
 // payloadBytes (SecPostWords), count ranks and docWords document words. It
-// is the one check of the posting directory; the decoding reader and the
-// paged base both trust what it passes, and a cursor reads payloads on it
-// without a bounds check of its own:
+// is the one check of the posting directory; the paged base trusts what it
+// passes, and a cursor reads payloads on it without a bounds check of its
+// own:
 //   - the vocabulary strictly ascends, one list a keyword;
 //   - a list's blocks lie in the directory and hold the ranks it claims;
 //   - a block holds 1..BlockSize ranks at deltas of at most 32 bits, its
@@ -143,8 +146,8 @@ func ParsePostings(vocabB, listsB, blocksB []byte, payloadBytes, count, docWords
 	if len(vocabB)%4 != 0 || len(listsB)%12 != 0 || len(blocksB)%16 != 0 || payloadBytes%8 != 0 {
 		return Postings{}, fmt.Errorf("%w: posting section not a whole number of records", ErrCorrupt)
 	}
-	p := Postings{Vocab: getU32s(vocabB)}
-	lv, bv := getI32s(listsB), getI32s(blocksB)
+	p := Postings{Vocab: GetU32s(vocabB)}
+	lv, bv := GetI32s(listsB), GetI32s(blocksB)
 	p.Lists = make([]bitpack.List, len(lv)/3)
 	for i := range p.Lists {
 		p.Lists[i] = bitpack.List{Block: lv[3*i], NumBlocks: lv[3*i+1], N: lv[3*i+2]}
@@ -297,35 +300,23 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 		NextHandle: uint64(s.NextHandle),
 	}
 	return WriteContainer(w, meta.Encode(), []Section{
-		{SecHandles, putI64s(s.Handles)},
+		{SecHandles, PutI64s(s.Handles)},
 		{SecPoints, rankPoints},
 		{SecDocStart, rankDocStart},
 		{SecDocWords, rankDocWords},
-		{SecVocab, putU32s(vocab)},
+		{SecVocab, PutU32s(vocab)},
 		{SecPostLists, listsB},
 		{SecPostBlocks, blocksB},
 		{SecPostWords, payload},
-		{SecCellBoxes, putF64s(boxes)},
+		{SecCellBoxes, PutF64s(boxes)},
 		{SecRowHandles, rowHandles},
 		{SecEntryRank, entryRank},
 	})
 }
 
-// sectionExact reads section id and checks its byte length is exactly want.
-func sectionExact(c *Container, r io.ReaderAt, id uint32, want int64) ([]byte, error) {
-	_, n, ok := c.Section(id)
-	if !ok && want == 0 {
-		return nil, nil
-	}
-	if !ok || n != want {
-		return nil, fmt.Errorf("%w: section %d is %d bytes, want %d", ErrCorrupt, id, n, want)
-	}
-	return c.SectionBytes(r, id)
-}
-
 // SnapshotMeta parses the meta blob of a snapshot container and applies the
-// checks both readers share: the kind, the bounds every later size is
-// computed from, and the presence of the rows by rank.
+// checks that come before any section is read: the kind, the bounds every
+// later size is computed from, and the presence of the rows by rank.
 func SnapshotMeta(c *Container) (PagedMeta, error) {
 	meta := ParsePagedMeta(c.Meta)
 	if meta.Kind != PagedKindSnapshot {
@@ -341,82 +332,6 @@ func SnapshotMeta(c *Container) (PagedMeta, error) {
 		return meta, ErrNoRankRows
 	}
 	return meta, nil
-}
-
-// ReadPagedSnapshot fully decodes a snapshot container, verifying every page
-// checksum and the structural invariants — the eager path used by classic
-// (non-paged) recovery and by followers. The rows are gathered back into
-// entry order (Rows.Entries), so the snapshot returned is the one written,
-// column for column. Paged serving opens the same bytes through core's
-// paged base instead and never runs this.
-func ReadPagedSnapshot(r io.ReaderAt, size int64) (*Snapshot, error) {
-	c, err := ParseContainer(r, size)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.VerifyAllPages(r); err != nil {
-		return nil, err
-	}
-	meta, err := SnapshotMeta(c)
-	if err != nil {
-		return nil, err
-	}
-	count := int64(meta.Count)
-	dim := int(meta.Dim)
-	cell := int64(CellSize(dim))
-
-	var rows Rows
-	for _, s := range []struct {
-		into *[]byte
-		id   uint32
-		want int64
-	}{
-		{&rows.Handles, SecHandles, 8 * count},
-		{&rows.EntryRank, SecEntryRank, 4 * count},
-		{&rows.Points, SecPoints, 8 * count * int64(dim)},
-		{&rows.RowHandles, SecRowHandles, 8 * count},
-		{&rows.DocStart, SecDocStart, 8 * (count + 1)},
-	} {
-		if *s.into, err = sectionExact(c, r, s.id, s.want); err != nil {
-			return nil, err
-		}
-	}
-	boxesB, err := sectionExact(c, r, SecCellBoxes, 16*int64(dim)*((count+cell-1)/cell))
-	if err != nil {
-		return nil, err
-	}
-	total := int64(binary.LittleEndian.Uint64(rows.DocStart[8*count:]))
-	_, dwLen, _ := c.Section(SecDocWords)
-	if total < 0 || dwLen != 4*total {
-		return nil, fmt.Errorf("%w: document words sized %d, offsets claim %d", ErrCorrupt, dwLen, 4*total)
-	}
-	if rows.DocWords, err = c.SectionBytes(r, SecDocWords); err != nil {
-		return nil, err
-	}
-	s := &Snapshot{
-		K: int(meta.K), Dim: dim,
-		LastSeq: meta.LastSeq, NextHandle: int64(meta.NextHandle),
-	}
-	if s.Handles, s.Objs, err = rows.Entries(dim, s.NextHandle); err != nil {
-		return nil, err
-	}
-	if err := checkCellBoxes(getF64s(rows.Points), getF64s(boxesB), dim); err != nil {
-		return nil, err
-	}
-
-	// The inverted index is unused on this path but must still pass the check
-	// the paged base opens it with.
-	var post [3][]byte
-	for i, id := range []uint32{SecVocab, SecPostLists, SecPostBlocks} {
-		if post[i], err = c.SectionBytes(r, id); err != nil {
-			return nil, err
-		}
-	}
-	_, payloadBytes, _ := c.Section(SecPostWords)
-	if _, err := ParsePostings(post[0], post[1], post[2], payloadBytes, count, total); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Rows are the raw little-endian bytes of a snapshot's per-entry sections:
@@ -447,7 +362,7 @@ func (rows Rows) Entries(dim int, nextHandle int64) ([]int64, *dataset.Dataset, 
 	if n == 0 {
 		return nil, nil, nil
 	}
-	handles := getI64s(rows.Handles)
+	handles := GetI64s(rows.Handles)
 	prev := int64(-1)
 	for _, h := range handles {
 		if h <= prev || h >= nextHandle {
@@ -500,20 +415,4 @@ func (rows Rows) Entries(dim int, nextHandle int64) ([]int64, *dataset.Dataset, 
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return handles, objs, nil
-}
-
-// checkCellBoxes refuses a cell box that does not hold one of its cell's
-// points, given by rank.
-func checkCellBoxes(rankPoints, boxes []float64, dim int) error {
-	cell := CellSize(dim)
-	for r := 0; r < len(rankPoints)/dim; r++ {
-		box := boxes[2*dim*(r/cell):]
-		for j, v := range rankPoints[r*dim : (r+1)*dim] {
-			lo, hi := box[j], box[dim+j]
-			if !(lo <= v && v <= hi) {
-				return fmt.Errorf("%w: cell %d box does not hold the point at rank %d", ErrCorrupt, r/cell, r)
-			}
-		}
-	}
-	return nil
 }

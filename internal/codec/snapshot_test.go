@@ -1,18 +1,58 @@
-package codec
+package codec_test
 
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
+	"kwsc/internal/codec"
+	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/pager"
 )
 
-func sampleSnapshot() *Snapshot {
-	return &Snapshot{
+// The snapshot a checkpoint is written from is read back by the one
+// checkpoint reader, core.OpenPagedBase, which this package cannot import;
+// these tests live in the external test package so that they hold the
+// writer's bytes to that reader.
+
+// readSnapshotFile reads the checkpoint at path as recovery into memory
+// does: the one checkpoint reader opens it, Verify runs the checks open
+// leaves out, and Entries gathers the entry set written back.
+func readSnapshotFile(path string) (*codec.Snapshot, error) {
+	b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer b.Close()
+	if err := b.Verify(); err != nil {
+		return nil, err
+	}
+	s := &codec.Snapshot{K: b.K(), Dim: b.Dim(), LastSeq: b.LastSeq(), NextHandle: b.NextHandle()}
+	if s.Handles, s.Objs, err = b.Entries(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// readSnapshot is readSnapshotFile on raw written to a fresh temporary file.
+func readSnapshot(t testing.TB, raw []byte) (*codec.Snapshot, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snapshot.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return readSnapshotFile(path)
+}
+
+func sampleSnapshot() *codec.Snapshot {
+	return &codec.Snapshot{
 		K: 2, Dim: 2, LastSeq: 41, NextHandle: 9,
 		Handles: []int64{0, 3, 8},
 		Objs: dataset.MustNew([]dataset.Object{
@@ -23,19 +63,63 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
-func encodeSnapshot(t *testing.T, s *Snapshot) []byte {
+func encodeSnapshot(t testing.TB, s *codec.Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WritePagedSnapshot(&buf, s); err != nil {
+	if err := codec.WritePagedSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+func testPagedSnapshot(seed int64, n int) *codec.Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	s := &codec.Snapshot{K: 2, Dim: 2, LastSeq: 41, NextHandle: int64(3*n + 10)}
+	var objs []dataset.Object
+	h := int64(-1)
+	for i := 0; i < n; i++ {
+		h += 1 + rng.Int63n(3)
+		doc := map[dataset.Keyword]bool{}
+		for len(doc) < 1+rng.Intn(4) {
+			doc[dataset.Keyword(rng.Intn(24))] = true
+		}
+		obj := dataset.Object{Point: geom.Point{rng.Float64(), rng.NormFloat64()}}
+		for kw := range doc {
+			obj.Doc = append(obj.Doc, kw)
+		}
+		s.Handles = append(s.Handles, h)
+		objs = append(objs, obj)
+	}
+	if n > 0 {
+		s.Objs = dataset.MustNew(objs)
+	}
+	return s
+}
+
+func snapshotsEqual(t *testing.T, a, b *codec.Snapshot) {
+	t.Helper()
+	if a.K != b.K || a.Dim != b.Dim || a.LastSeq != b.LastSeq || a.NextHandle != b.NextHandle {
+		t.Fatalf("snapshot headers differ: %+v vs %+v", a, b)
+	}
+	if !slices.Equal(a.Handles, b.Handles) {
+		t.Fatalf("handles differ: %v vs %v", a.Handles, b.Handles)
+	}
+	if (a.Objs == nil) != (b.Objs == nil) {
+		t.Fatalf("one snapshot has objects, the other none")
+	}
+	if a.Objs == nil {
+		return
+	}
+	ap, as, aw := a.Objs.Columns()
+	bp, bs, bw := b.Objs.Columns()
+	if !slices.Equal(ap, bp) || !slices.Equal(as, bs) || !slices.Equal(aw, bw) {
+		t.Fatalf("object columns differ")
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := sampleSnapshot()
-	raw := encodeSnapshot(t, s)
-	got, err := ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	got, err := readSnapshot(t, encodeSnapshot(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +127,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotEmpty(t *testing.T) {
-	raw := encodeSnapshot(t, &Snapshot{K: 2, Dim: 3})
-	got, err := ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	got, err := readSnapshot(t, encodeSnapshot(t, &codec.Snapshot{K: 2, Dim: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +140,7 @@ func TestSnapshotRejectsUnsortedHandles(t *testing.T) {
 	for _, hs := range [][]int64{{5, 2, 8}, {0, 3, 3}, {-1, 3, 8}, {0, 3}} {
 		s := sampleSnapshot()
 		s.Handles = hs
-		if err := WritePagedSnapshot(new(bytes.Buffer), s); err == nil {
+		if err := codec.WritePagedSnapshot(new(bytes.Buffer), s); err == nil {
 			t.Fatalf("handles %v accepted", hs)
 		}
 	}
@@ -70,7 +153,7 @@ func TestSnapshotChecksumDetectsFlips(t *testing.T) {
 		corrupted := append([]byte(nil), raw...)
 		pos := rng.Intn(len(corrupted))
 		corrupted[pos] ^= 1 << uint(rng.Intn(8))
-		if _, err := ReadPagedSnapshot(bytes.NewReader(corrupted), int64(len(corrupted))); err == nil {
+		if _, err := readSnapshot(t, corrupted); err == nil {
 			t.Fatalf("trial %d: bit flip at %d undetected", trial, pos)
 		}
 	}
@@ -78,8 +161,15 @@ func TestSnapshotChecksumDetectsFlips(t *testing.T) {
 
 func TestSnapshotTruncation(t *testing.T) {
 	raw := encodeSnapshot(t, sampleSnapshot())
-	for cut := 0; cut < len(raw); cut++ {
-		if _, err := ReadPagedSnapshot(bytes.NewReader(raw[:cut]), int64(cut)); !errors.Is(err, ErrCorrupt) {
+	path := filepath.Join(t.TempDir(), "truncated.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for cut := len(raw) - 1; cut >= 0; cut-- {
+		if err := os.Truncate(path, int64(cut)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readSnapshotFile(path); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("truncation at %d: err = %v", cut, err)
 		}
 	}
@@ -88,20 +178,235 @@ func TestSnapshotTruncation(t *testing.T) {
 // A small container claiming a huge entry count must fail cheaply with
 // ErrCorrupt, not attempt a proportional allocation (the OOM hardening).
 func TestSnapshotHugeClaimedCount(t *testing.T) {
-	meta := PagedMeta{Kind: PagedKindSnapshot, K: 2, Dim: 2, Count: 1 << 30, NextHandle: 1 << 40}
+	meta := codec.PagedMeta{Kind: codec.PagedKindSnapshot, K: 2, Dim: 2, Count: 1 << 30, NextHandle: 1 << 40}
 	var buf bytes.Buffer
-	if err := WriteContainer(&buf, meta.Encode(), []Section{
-		{SecHandles, putI64s([]int64{0})},
-		{SecDocStart, putI64s([]int64{0, 1})},
-		{SecRowHandles, putI64s([]int64{0})},
-		{SecEntryRank, putI32s([]int32{0})},
+	if err := codec.WriteContainer(&buf, meta.Encode(), []codec.Section{
+		{ID: codec.SecHandles, Data: codec.PutI64s([]int64{0})},
+		{ID: codec.SecDocStart, Data: codec.PutI64s([]int64{0, 1})},
+		{ID: codec.SecRowHandles, Data: codec.PutI64s([]int64{0})},
+		{ID: codec.SecEntryRank, Data: codec.PutI32s([]int32{0})},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() > 8*pager.PageSize {
 		t.Fatalf("container is %d bytes, meant to be small", buf.Len())
 	}
-	if _, err := ReadPagedSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoRankRows) {
+	if _, err := readSnapshot(t, buf.Bytes()); !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, codec.ErrNoRankRows) {
 		t.Fatalf("huge claimed count: err = %v", err)
 	}
+}
+
+func TestPagedSnapshotRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 300} {
+		s := testPagedSnapshot(int64(n), n)
+		var buf bytes.Buffer
+		if err := codec.WritePagedSnapshot(&buf, s); err != nil {
+			t.Fatalf("n=%d: write: %v", n, err)
+		}
+		if buf.Len()%pager.PageSize != 0 {
+			t.Fatalf("n=%d: container size %d not a page multiple", n, buf.Len())
+		}
+		got, err := readSnapshot(t, buf.Bytes())
+		if err != nil {
+			t.Fatalf("n=%d: read: %v", n, err)
+		}
+		snapshotsEqual(t, s, got)
+	}
+}
+
+// TestPagedSnapshotDetectsCorruption flips one byte in every page in turn.
+// The superblock and the page-CRC table verify through their own checksums
+// when the container is parsed, so damage there is ErrCorrupt; every other
+// page fails its own checksum, pager.ErrChecksum.
+func TestPagedSnapshotDetectsCorruption(t *testing.T) {
+	s := testPagedSnapshot(3, 200)
+	var buf bytes.Buffer
+	if err := codec.WritePagedSnapshot(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	c, err := codec.ParseContainer(bytes.NewReader(clean), int64(len(clean)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tOff, tLen, _ := c.Section(codec.SecPageCRC)
+	for page := 0; page*pager.PageSize < len(clean); page++ {
+		data := append([]byte(nil), clean...)
+		data[page*pager.PageSize+137] ^= 0x20
+		var want error = pager.ErrChecksum
+		if off := int64(page * pager.PageSize); page == 0 || off >= tOff && off < tOff+tLen {
+			want = codec.ErrCorrupt
+		}
+		if _, err := readSnapshot(t, data); !errors.Is(err, want) {
+			t.Fatalf("corruption in page %d: err = %v, want %v", page, err, want)
+		}
+	}
+	// Truncation at every page boundary must be rejected too.
+	for sz := 0; sz < len(clean); sz += pager.PageSize {
+		if _, err := readSnapshot(t, clean[:sz]); err == nil {
+			t.Fatalf("truncation to %d bytes accepted", sz)
+		}
+	}
+}
+
+// resealEdited rewrites a snapshot container with edit applied to section
+// id, under fresh checksums: what is left to refuse it is the structural
+// validation.
+func resealEdited(t testing.TB, raw []byte, id uint32, edit func(data []byte)) []byte {
+	t.Helper()
+	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []codec.Section
+	for _, s := range c.Sections[1:] {
+		data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.ID == id {
+			edit(data)
+		}
+		secs = append(secs, codec.Section{ID: s.ID, Data: data})
+	}
+	var out bytes.Buffer
+	if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// lyingRankSections are one-value edits of the entry -> rank column, the row
+// handles and the cell boxes of a snapshot of at least two entries in two
+// dimensions that every checksum survives and a reader that takes the
+// entries in must still refuse.
+var lyingRankSections = []struct {
+	name string
+	id   uint32
+	edit func(data []byte)
+}{
+	{"a rank repeated", codec.SecEntryRank, func(d []byte) { copy(d[4:], d[:4]) }},
+	{"a rank past the count", codec.SecEntryRank, func(d []byte) { copy(d, codec.PutI32s([]int32{1 << 20})) }},
+	{"a negative rank", codec.SecEntryRank, func(d []byte) { copy(d, codec.PutI32s([]int32{-1})) }},
+	{"two rows swapped", codec.SecEntryRank, func(d []byte) {
+		a, b := slices.Clone(d[:4]), slices.Clone(d[4:8])
+		copy(d, b)
+		copy(d[4:], a)
+	}},
+	{"a row handle not its entry's", codec.SecRowHandles, func(d []byte) { copy(d, codec.PutI64s([]int64{1 << 40})) }},
+	{"two row handles swapped", codec.SecRowHandles, func(d []byte) {
+		a, b := slices.Clone(d[:8]), slices.Clone(d[8:16])
+		copy(d, b)
+		copy(d[8:], a)
+	}},
+	{"a box inside out", codec.SecCellBoxes, func(d []byte) { copy(d, codec.PutF64s([]float64{math.Inf(1)})) }},
+	{"a box that leaves out its points", codec.SecCellBoxes, func(d []byte) { copy(d[16:], codec.PutF64s([]float64{-1e9, -1e9})) }},
+	// Hi set to Lo: a box of sound shape, which only Verify sees leave out
+	// the cell's other points.
+	{"a sound box shrunk to its low corner", codec.SecCellBoxes, func(d []byte) { copy(d[16:32], d[:16]) }},
+	{"a NaN bound", codec.SecCellBoxes, func(d []byte) { copy(d[8:], codec.PutF64s([]float64{math.NaN()})) }},
+}
+
+// TestPagedSnapshotRefusesLyingRankSections: read as recovery into memory
+// reads it, a snapshot holds the entry -> rank column to a permutation (open),
+// every row to its entry's handle (Entries) and every cell box to its cell's
+// points (open for its shape, Verify for its points).
+func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
+	var buf bytes.Buffer
+	if err := codec.WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for _, lie := range lyingRankSections {
+		raw := resealEdited(t, buf.Bytes(), lie.id, lie.edit)
+		if _, err := readSnapshot(t, raw); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", lie.name, err)
+		}
+	}
+	raw := resealEdited(t, buf.Bytes(), codec.SecEntryRank, func([]byte) {})
+	if _, err := readSnapshot(t, raw); err != nil {
+		t.Fatalf("re-sealed unchanged: %v", err)
+	}
+}
+
+// FuzzReadPagedSnapshot asserts the one checkpoint reader — superblock,
+// section directory, page-CRC table, structural checks at open, Verify,
+// Entries — is total over arbitrary bytes: read or fail, never panic or
+// over-allocate; and what it accepts re-encodes and reads back to the same
+// snapshot.
+func FuzzReadPagedSnapshot(f *testing.F) {
+	var buf bytes.Buffer
+	if err := codec.WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
+		f.Fatal(err)
+	}
+	golden := buf.Bytes()
+	f.Add(golden)
+	f.Add([]byte("KWC2"))
+	f.Add(golden[:pager.PageSize])
+	for _, pos := range []int{5, 13, 90, pager.PageSize + 8, 2 * pager.PageSize, len(golden) - 9} {
+		flip := append([]byte(nil), golden...)
+		flip[pos] ^= 0x41
+		f.Add(flip)
+		f.Add(flip[:pos])
+	}
+	// The rank sections and the rows, damaged where only the structural
+	// checks can see it: the sections re-sealed under fresh checksums with a
+	// rank repeated or out of range, two rows or two row handles swapped, a
+	// box turned inside out or leaving out its cell's points; and a page of
+	// each section by rank flipped in place.
+	for _, lie := range lyingRankSections {
+		f.Add(resealEdited(f, golden, lie.id, lie.edit))
+	}
+	c, err := codec.ParseContainer(bytes.NewReader(golden), int64(len(golden)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, id := range []uint32{codec.SecEntryRank, codec.SecCellBoxes, codec.SecRowHandles, codec.SecDocStart, codec.SecDocWords} {
+		off, _, _ := c.Section(id)
+		flip := append([]byte(nil), golden...)
+		flip[off+5] ^= 0x41
+		f.Add(flip)
+	}
+	// The same container format frames flat-index images: seed one that
+	// carries the rank columns (rank -> id, interval starts, a bitmap list, a
+	// sparse list and the handles that tag them), whole and damaged, so the
+	// corpus reaches the directory and checksum paths with those section ids
+	// too.
+	var flat bytes.Buffer
+	if err := codec.WriteContainer(&flat, codec.PagedMeta{Kind: codec.PagedKindFlatORPKW, K: 2, Dim: 2, Count: 3}.Encode(), []codec.Section{
+		{ID: codec.SecFlatMeta, Data: codec.PutU64s([]uint64{1, 2, 1, codec.FlatImageVersion})},
+		{ID: codec.SecFlatRankIDs, Data: codec.PutI32s([]int32{2, 0, 1})},
+		{ID: codec.SecFlatRankLo, Data: codec.PutI32s([]int32{0})},
+		{ID: codec.SecFlatPivotCount, Data: codec.PutI32s([]int32{3})},
+		{ID: codec.SecFlatMatLists, Data: codec.PutI32s([]int32{0, 2, 1, 0, 2, 0})},
+		{ID: codec.SecFlatMatBits, Data: codec.PutU64s([]uint64{0b101})},
+		{ID: codec.SecFlatMatRanks, Data: codec.PutI32s([]int32{0, 2})},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flat.Bytes())
+	for _, pos := range []int{13, 90, 2 * pager.PageSize, flat.Len() - pager.PageSize + 3} {
+		flip := append([]byte(nil), flat.Bytes()...)
+		flip[pos] ^= 0x41
+		f.Add(flip)
+	}
+	dir := f.TempDir()
+	read := func(t *testing.T, raw []byte) (*codec.Snapshot, error) {
+		path := filepath.Join(dir, "fuzz.ckpt")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return readSnapshotFile(path)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := read(t, data)
+		if err != nil {
+			return
+		}
+		// Accepted input must re-encode and read back to the same snapshot.
+		back, err := read(t, encodeSnapshot(t, got))
+		if err != nil {
+			t.Fatalf("re-encoded snapshot fails to read: %v", err)
+		}
+		snapshotsEqual(t, got, back)
+	})
 }

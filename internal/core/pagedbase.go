@@ -50,21 +50,23 @@ import (
 // bound is forfeited while the base serves — the out-of-core trade: bounded
 // memory and instant start against more work per query.
 //
-// Structural metadata (vocabulary, posting-list and block directories, cell
-// boxes, the handle column, document offsets, the entry -> rank column) is
-// validated eagerly at open — O(vocabulary + blocks + entries), no payload
-// pages touched beyond those columns — so the scan path can trust offsets
-// without re-checking; a violation is an error wrapping codec.ErrCorrupt.
+// It is the one reader of a checkpoint. Open validates what a query trusts
+// — the meta, every section's size, and the structural metadata (vocabulary,
+// posting-list and block directories, cell box shapes, the handle column,
+// document offsets, the entry -> rank column) — eagerly, O(vocabulary +
+// blocks + entries), no payload page touched beyond those columns, so the
+// scan path can trust offsets without re-checking; a violation is an error
+// wrapping codec.ErrCorrupt. Every page is checksum-verified on first pin
+// (all at open when the file is mapped); a mismatch is pager.ErrChecksum.
 // What open cannot check is that the index sections tell the truth about the
 // rows: a cell box that leaves out one of its points, or a posting list that
 // leaves out a rank, hides a match. Neither can report a wrong one: every
 // reported row has had its own point tested against the rectangle and its
-// own document against the keywords. A query reads no index section beyond
-// the boxes and the postings, and Has confirms what the handle column says
-// against the row it leads to, so a lying index can hide a handle but never
-// invent one. Page content integrity is the pager's job: every page is
-// checksum-verified on first pin, and a mismatch surfaces as an error
-// wrapping pager.ErrChecksum.
+// own document against the keywords, and Has confirms what the handle column
+// says against the row it leads to. A reader that takes the whole file in —
+// recovery into memory, a follower validating a download — adds Verify (every
+// page, every cell box against its points) and Entries (every row against
+// its entry).
 type PagedBase struct {
 	f    *pager.File
 	pool *pager.Pool
@@ -131,8 +133,7 @@ type PagedBaseOptions struct {
 }
 
 // errBase tags structural corruption that page checksums cannot catch
-// (a well-formed file describing impossible offsets), as codec.ErrCorrupt,
-// which the decoding reader's refusals wrap too.
+// (a well-formed file describing impossible offsets) as codec.ErrCorrupt.
 func errBase(format string, args ...any) error {
 	return fmt.Errorf("%w: paged base: %s", codec.ErrCorrupt, fmt.Sprintf(format, args...))
 }
@@ -261,15 +262,73 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		// The cast readers bypass the pool, so lazy verify-on-first-pin never
 		// fires for them; checksum every page once here instead. Still far
 		// cheaper than a decode — one crc32c pass, no parsing, no build.
-		for p := int64(0); p < f.NumPages(); p++ {
-			fr, err := b.pool.Pin(p)
-			if err != nil {
-				return nil, err
-			}
-			fr.Unpin()
+		if err := b.verifyPages(); err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// verifyPages pins every page of the file once, so the pool checks each
+// page's checksum.
+func (b *PagedBase) verifyPages() error {
+	for p := int64(0); p < b.f.NumPages(); p++ {
+		fr, err := b.pool.Pin(p)
+		if err != nil {
+			return err
+		}
+		fr.Unpin()
+	}
+	return nil
+}
+
+// Verify runs the checks open leaves out because no query needs them: every
+// page's checksum (open has already run it over a mapped file with the casts
+// active), and every cell box against the points of its cell, a box that
+// leaves one out being codec.ErrCorrupt. A reader that takes the whole file
+// in — recovery into memory, a follower validating a download — calls it;
+// serving in place never does.
+func (b *PagedBase) Verify() error {
+	if b.mHandles == nil {
+		if err := b.verifyPages(); err != nil {
+			return err
+		}
+	}
+	if b.count == 0 {
+		return nil
+	}
+	r, err := b.getReader()
+	if err != nil {
+		return err
+	}
+	defer b.putReader(r)
+	d := b.dim
+	// The leaves in preorder are the cells in order, so the points are read
+	// once, in rank order.
+	var check func(node, lo, hi int) error
+	check = func(node, lo, hi int) error {
+		if hi-lo > 1 {
+			mid := codec.CellSplit(lo, hi)
+			if err := check(node+1, lo, mid); err != nil {
+				return err
+			}
+			return check(node+2*(mid-lo), mid, hi)
+		}
+		box := b.tree[2*d*node : 2*d*(node+1)]
+		for rank := int64(lo * b.cell); rank < min(int64(hi*b.cell), b.count); rank++ {
+			p := r.pointAt(rank)
+			if p == nil {
+				return r.err()
+			}
+			for j, v := range p {
+				if !(box[j] <= v && v <= box[d+j]) {
+					return errBase("cell %d box does not hold the point at rank %d", lo, rank)
+				}
+			}
+		}
+		return nil
+	}
+	return check(0, 0, b.cells)
 }
 
 // readSection reads a whole section through the pool (checksum-verifying

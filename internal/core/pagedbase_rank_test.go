@@ -22,9 +22,9 @@ import (
 
 // This file holds the rank-order base to its two contracts: whatever the
 // geometry, a query answers what a scan of the written snapshot answers and
-// the file decodes back to that snapshot column for column; and whatever one
-// value of the index sections says, the base refuses the file or reports
-// true matches only.
+// the file verifies and reads back to that snapshot column for column; and
+// whatever one value of the index sections says, the base refuses the file
+// or reports true matches only.
 
 // geometrySnapshot builds a snapshot of n entries whose points come from
 // point(i) and whose documents draw 1-3 of six keywords, so that any pair of
@@ -121,20 +121,13 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 			snap := geometrySnapshot(int64(100*dim+gi), n, dim, g.point)
 			name := fmt.Sprintf("d=%d/%s", dim, g.name)
 
-			var buf bytes.Buffer
-			if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
-				t.Fatalf("%s: write: %v", name, err)
-			}
-			back, err := codec.ReadPagedSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-			if err != nil {
-				t.Fatalf("%s: ReadPagedSnapshot: %v", name, err)
-			}
-			sameSnapshotColumns(t, name+" ReadPagedSnapshot", back.Handles, back.Objs, snap)
-
 			for mode, b := range openBothBaseModes(t, snap) {
 				what := name + " " + mode
 				if want := (n + b.cell - 1) / b.cell; b.cells != want || len(b.tree) != 2*dim*(2*want-1) {
 					t.Fatalf("%s: %d cells and %d tree floats for %d entries", what, b.cells, len(b.tree), n)
+				}
+				if err := b.Verify(); err != nil {
+					t.Fatalf("%s: Verify: %v", what, err)
 				}
 				hs, objs, err := b.Entries()
 				if err != nil {
@@ -227,11 +220,11 @@ func disjointVisits(b *PagedBase, q *geom.Rect) int {
 	return walk(0, 0, b.cells)
 }
 
-// TestSnapshotMetaBounds feeds the decoding reader and the paged open the
-// same hostile superblock metas over one small well-formed section set. Both
-// apply codec.SnapshotMeta, so both refuse the same metas for the same
-// reason — in particular a count of 1<<31, which the decoder used to accept
-// while every rank and entry index is an int32.
+// TestSnapshotMetaBounds feeds the one checkpoint reader, mapped and through
+// the pread pool, hostile superblock metas over one small well-formed
+// section set. codec.SnapshotMeta refuses each for its reason — in
+// particular a count of 1<<31, which a decoding reader once accepted while
+// every rank and entry index is an int32.
 func TestSnapshotMetaBounds(t *testing.T) {
 	snap := testCheckpointSnapshot(5, 3, 2)
 	var buf bytes.Buffer
@@ -244,8 +237,7 @@ func TestSnapshotMetaBounds(t *testing.T) {
 		edit(&m)
 		return m
 	}
-	dir := t.TempDir()
-	for i, c := range []struct {
+	for _, c := range []struct {
 		name   string
 		meta   codec.PagedMeta
 		reason string // "" = accepted
@@ -263,32 +255,23 @@ func TestSnapshotMetaBounds(t *testing.T) {
 		{"a flat image", with(func(m *codec.PagedMeta) { m.Kind = codec.PagedKindFlatORPKW }), "not a snapshot"},
 	} {
 		raw := resealSnapshot(t, buf.Bytes(), &c.meta, nil)
-		path := filepath.Join(dir, fmt.Sprintf("meta-%d.ckpt", i))
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, derr := codec.ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
-		b, oerr := OpenPagedBase(path, PagedBaseOptions{NoMmap: true})
-		if oerr == nil {
-			b.Close()
-		}
-		for reader, err := range map[string]error{"ReadPagedSnapshot": derr, "OpenPagedBase": oerr} {
-			switch {
+		for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
+			switch _, _, err := readCheckpoint(t, raw, opts); {
 			case c.reason == "" && err != nil:
-				t.Fatalf("%s: %s refused it: %v", c.name, reader, err)
+				t.Fatalf("%s: %+v refused it: %v", c.name, opts, err)
 			case c.reason != "" && (err == nil || !strings.Contains(err.Error(), c.reason)):
-				t.Fatalf("%s: %s returned %v, want a refusal naming %q", c.name, reader, err, c.reason)
+				t.Fatalf("%s: %+v returned %v, want a refusal naming %q", c.name, opts, err, c.reason)
 			}
 		}
 	}
 }
 
 // TestPagedBaseOpenTellsDamageFromLies goes over every column open reads.
-// A byte flipped in place fails that column's page checksum, and both
-// readers say so (pager.ErrChecksum) before any value on the page is judged:
-// a damaged handle page is not "handles not strictly increasing". A
-// structural lie re-sealed under fresh checksums is codec.ErrCorrupt from
-// both readers alike.
+// A byte flipped in place fails that column's page checksum, and the reader
+// says so (pager.ErrChecksum), mapped and through the pread pool, before any
+// value on the page is judged: a damaged handle page is not "handles not
+// strictly increasing". A structural lie re-sealed under fresh checksums is
+// codec.ErrCorrupt in both modes alike.
 func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 	snap := testCheckpointSnapshot(3, 3000, 2)
 	var buf bytes.Buffer
@@ -340,22 +323,10 @@ func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 			raw  []byte
 			want error
 		}{{"a flipped byte", flipped, pager.ErrChecksum}, {col.lie, lie, codec.ErrCorrupt}} {
-			errs := map[string]error{}
-			_, errs["ReadPagedSnapshot"] = codec.ReadPagedSnapshot(bytes.NewReader(damage.raw), int64(len(damage.raw)))
 			for _, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 8}} {
-				path := filepath.Join(t.TempDir(), "damaged.ckpt")
-				if err := os.WriteFile(path, damage.raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				b, err := OpenPagedBase(path, opts)
-				if err == nil {
-					b.Close()
-				}
-				errs[fmt.Sprintf("OpenPagedBase(%+v)", opts)] = err
-			}
-			for reader, err := range errs {
+				_, _, err := readCheckpoint(t, damage.raw, opts)
 				if !errors.Is(err, damage.want) || damage.want == codec.ErrCorrupt && errors.Is(err, pager.ErrChecksum) {
-					t.Errorf("%s, %s: %s returned %v, want %v", col.what, damage.name, reader, err, damage.want)
+					t.Errorf("%s, %s: %+v returned %v, want %v", col.what, damage.name, opts, err, damage.want)
 				}
 			}
 		}
@@ -419,11 +390,11 @@ func withoutRankSections(t testing.TB, raw []byte) []byte {
 // (codec.SecRankEntry), documents in entry order, no row handles.
 func pr24Checkpoint(t testing.TB, raw []byte) []byte {
 	t.Helper()
-	snap, err := codec.ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
+	_, objs, err := readCheckpoint(t, raw, PagedBaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, docStart, docWords := snap.Objs.Columns()
+	_, docStart, docWords := objs.Columns()
 	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
@@ -635,7 +606,8 @@ func FuzzPagedBaseHostile(f *testing.F) {
 
 // TestPagedBaseNeverReportsNaNRow: a checkpoint re-sealed with one row's x
 // set to NaN opens (open reads no row), but neither mode reports that row for
-// a rectangle that excludes it on x, and ReadPagedSnapshot refuses the file.
+// a rectangle that excludes it on x, and Verify refuses the file: no cell box
+// holds a NaN.
 // A NaN passes both halves of lo > x || x > hi, so the row test must ask
 // lo <= x && x <= hi.
 func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
@@ -672,9 +644,6 @@ func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
 		copy(out, codec.PutF64s([]float64{math.NaN()}))
 		return out
 	})
-	if _, err := codec.ReadPagedSnapshot(bytes.NewReader(lie), int64(len(lie))); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("ReadPagedSnapshot of a NaN row: %v", err)
-	}
 	q := geom.NewRect([]float64{x + 1e-9, y - 1e-3}, []float64{x + 2e-3, y + 1e-3})
 	for i, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 8}} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("nan-%d.ckpt", i))
@@ -686,12 +655,16 @@ func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
 			t.Fatalf("%+v: open: %v", opts, err)
 		}
 		got, _, err := reportOrder(b, q, []dataset.Keyword{0, 1}, QueryOpts{})
+		verr := b.Verify()
 		b.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if slices.Contains(got, h) {
 			t.Fatalf("%+v: the NaN row %d is reported for %v", opts, h, q)
+		}
+		if !errors.Is(verr, codec.ErrCorrupt) {
+			t.Fatalf("%+v: Verify of a NaN row: %v", opts, verr)
 		}
 	}
 }

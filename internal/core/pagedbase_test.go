@@ -54,6 +54,26 @@ func writePagedCheckpoint(t *testing.T, dir, name string, snap *codec.Snapshot) 
 	return p
 }
 
+// readCheckpoint reads raw as recovery into memory does: the one checkpoint
+// reader opens it under opts, Verify runs the checks open leaves out, and
+// Entries gathers the entry set back.
+func readCheckpoint(t testing.TB, raw []byte, opts PagedBaseOptions) ([]int64, *dataset.Dataset, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "read.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenPagedBase(path, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer b.Close()
+	if err := b.Verify(); err != nil {
+		return nil, nil, err
+	}
+	return b.Entries()
+}
+
 // snapOracle answers queries by brute force over the snapshot entries.
 func snapOracle(snap *codec.Snapshot, q *geom.Rect, ws []dataset.Keyword) []int64 {
 	var out []int64
@@ -456,6 +476,41 @@ func TestPagedBaseLazyChecksum(t *testing.T) {
 	}
 }
 
+// TestVerifyChecksEveryPage: a byte flipped in a page that neither a pread
+// open nor the box check reads — the documents by rank — passes that open,
+// and Verify names it pager.ErrChecksum; read as recovery into memory reads,
+// the file is refused in both modes.
+func TestVerifyChecksEveryPage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := codec.WritePagedSnapshot(&buf, testCheckpointSnapshot(23, 500, 4)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, n, _ := c.Section(codec.SecDocWords)
+	raw[off+n/2] ^= 0xff
+	p := filepath.Join(t.TempDir(), "words.ckpt")
+	if err := os.WriteFile(p, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenPagedBase(p, PagedBaseOptions{NoMmap: true, CapPages: 8})
+	if err != nil {
+		t.Fatalf("pread open must not touch the document pages: %v", err)
+	}
+	defer b.Close()
+	if err := b.Verify(); !errors.Is(err, pager.ErrChecksum) {
+		t.Fatalf("Verify of a damaged document page: %v", err)
+	}
+	for _, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 8}} {
+		if _, _, err := readCheckpoint(t, raw, opts); !errors.Is(err, pager.ErrChecksum) {
+			t.Fatalf("%+v: %v, want pager.ErrChecksum", opts, err)
+		}
+	}
+}
+
 // TestOpenPagedBaseRejectsBadFiles: a v1 checkpoint, truncation, and the
 // checkpoints of the two formats before rows were stored by rank — without
 // any rank section, and PR 24's with the rank -> entry column beside
@@ -500,12 +555,9 @@ func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
-			if _, err := OpenPagedBase(p, opts); !errors.Is(err, codec.ErrNoRankRows) {
+			if _, err := OpenPagedBase(p, opts); !errors.Is(err, codec.ErrNoRankRows) || !errors.Is(err, codec.ErrCorrupt) {
 				t.Fatalf("%s: OpenPagedBase(%+v): %v", name, opts, err)
 			}
-		}
-		if _, err := codec.ReadPagedSnapshot(bytes.NewReader(old), int64(len(old))); !errors.Is(err, codec.ErrNoRankRows) || !errors.Is(err, codec.ErrCorrupt) {
-			t.Fatalf("%s: ReadPagedSnapshot: %v", name, err)
 		}
 	}
 }

@@ -187,8 +187,9 @@ func (f *Follower) downloadCheckpoint() error {
 		return err
 	}
 	// Same atomicity discipline as the primary's own checkpoint writer:
-	// tmp + fsync + rename, so a crashed download never leaves a file that
-	// recovery would consider.
+	// tmp + fsync + validate + rename + directory fsync, so a crashed or
+	// refused download never leaves a file that recovery would consider, and
+	// a landed one survives a power cut.
 	final := filepath.Join(f.cfg.Dir, wal.CheckpointFileName(seq))
 	tmp := final + ".tmp"
 	tf, err := os.Create(tmp)
@@ -213,6 +214,9 @@ func (f *Follower) downloadCheckpoint() error {
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	if err := wal.SyncDir(f.cfg.Dir); err != nil {
 		return err
 	}
 	core.Failpoint(FPBootstrap)

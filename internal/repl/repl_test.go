@@ -1,13 +1,13 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
@@ -341,9 +342,10 @@ func TestFollowerKilledMidReplayResumes(t *testing.T) {
 	verifyPrefix(t, f2, ops, 90)
 }
 
-// mutateProxy forwards shipping requests upstream, rewriting /wal response
-// bodies through mutate. Headers are preserved so only the byte stream lies.
-func mutateProxy(t *testing.T, upstream string, mutate func([]byte) []byte) *httptest.Server {
+// mutateProxy forwards shipping requests upstream, rewriting the successful
+// response bodies of the endpoint (/wal or /checkpoint) through mutate.
+// Headers are preserved so only the byte stream lies.
+func mutateProxy(t *testing.T, upstream, endpoint string, mutate func([]byte) []byte) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp, err := http.Get(upstream + r.URL.Path + "?" + r.URL.RawQuery)
@@ -353,7 +355,7 @@ func mutateProxy(t *testing.T, upstream string, mutate func([]byte) []byte) *htt
 		}
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
-		if strings.HasSuffix(r.URL.Path, "/wal") && resp.StatusCode == http.StatusOK {
+		if strings.HasSuffix(r.URL.Path, endpoint) && resp.StatusCode == http.StatusOK {
 			body = mutate(body)
 		}
 		for _, hdr := range []string{HdrSeq, HdrLastSeq, HdrShippedTo, "Content-Type"} {
@@ -377,7 +379,7 @@ func TestTruncatedStreamTornRetry(t *testing.T) {
 	handles := map[int]int64{}
 	applyOps(t, prim, ops, 0, 60, handles)
 
-	proxy := mutateProxy(t, srv.URL, func(body []byte) []byte {
+	proxy := mutateProxy(t, srv.URL, "/wal", func(body []byte) []byte {
 		if len(body) > 64 {
 			return body[:64] // almost always mid-frame
 		}
@@ -406,7 +408,7 @@ func TestCorruptedStreamRefused(t *testing.T) {
 	handles := map[int]int64{}
 	applyOps(t, prim, ops, 0, 40, handles)
 
-	proxy := mutateProxy(t, srv.URL, func(body []byte) []byte {
+	proxy := mutateProxy(t, srv.URL, "/wal", func(body []byte) []byte {
 		if len(body) < 16 {
 			return body
 		}
@@ -539,6 +541,50 @@ func TestPrunedTailReseeds(t *testing.T) {
 // TestCorruptCheckpointRefusedOnBootstrap flips a byte in the shipped
 // checkpoint; the follower must refuse to seed from it.
 func TestCorruptCheckpointRefusedOnBootstrap(t *testing.T) {
+	checkpointRefusedOnBootstrap(t, "checksum mismatch", func(body []byte) []byte {
+		if len(body) > 4200 {
+			body[4200] ^= 0xFF // inside a data page: page CRC must catch it
+		}
+		return body
+	})
+}
+
+// TestLyingCheckpointRefusedBeforeItLands ships a checkpoint re-sealed under
+// fresh checksums whose entry -> rank column is not a permutation: every
+// page verifies, only the structure lies. The follower must refuse it before
+// the rename, so no checkpoint recovery would consider ever lands in its
+// directory.
+func TestLyingCheckpointRefusedBeforeItLands(t *testing.T) {
+	checkpointRefusedOnBootstrap(t, "not a permutation", func(body []byte) []byte {
+		c, err := codec.ParseContainer(bytes.NewReader(body), int64(len(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var secs []codec.Section
+		for _, s := range c.Sections[1:] {
+			data, err := c.SectionBytes(bytes.NewReader(body), s.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.ID == codec.SecEntryRank {
+				copy(data[4:], data[:4]) // entry 1 takes entry 0's rank
+			}
+			secs = append(secs, codec.Section{ID: s.ID, Data: data})
+		}
+		var out bytes.Buffer
+		if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	})
+}
+
+// checkpointRefusedOnBootstrap bootstraps a follower from a primary's
+// checkpoint rewritten by damage in transit: OpenFollower must fail with a
+// refusal naming reason, and leave no checkpoint in the follower's
+// directory.
+func checkpointRefusedOnBootstrap(t *testing.T, reason string, damage func([]byte) []byte) {
+	t.Helper()
 	prim, srv, _ := newPrimary(t)
 	ops := replWorkload(89, 30)
 	handles := map[int]int64{}
@@ -546,38 +592,14 @@ func TestCorruptCheckpointRefusedOnBootstrap(t *testing.T) {
 	if err := prim.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := http.Get(srv.URL + r.URL.Path + "?" + r.URL.RawQuery)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if strings.HasSuffix(r.URL.Path, "/checkpoint") && len(body) > 4200 {
-			body[4200] ^= 0xFF // inside a data page: page CRC must catch it
-		}
-		for _, hdr := range []string{HdrSeq, HdrLastSeq, "Content-Type"} {
-			if v := resp.Header.Get(hdr); v != "" {
-				w.Header().Set(hdr, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-	}))
-	t.Cleanup(proxy.Close)
-
+	proxy := mutateProxy(t, srv.URL, "/checkpoint", damage)
 	cfg := followerCfg(t, proxy.URL)
-	if _, err := OpenFollower(cfg); err == nil || !strings.Contains(err.Error(), "refused") {
-		t.Fatalf("OpenFollower over corrupt checkpoint: err = %v, want refusal", err)
+	if _, err := OpenFollower(cfg); err == nil || !strings.Contains(err.Error(), "refused") || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("OpenFollower over a damaged checkpoint: err = %v, want a refusal naming %q", err, reason)
 	}
 	// The refused download must not have left a checkpoint recovery would eat.
-	des, _ := os.ReadDir(cfg.Dir)
-	for _, de := range des {
-		if strings.HasPrefix(de.Name(), "checkpoint-") && !strings.HasSuffix(de.Name(), ".tmp") {
-			t.Fatalf("refused checkpoint left behind as %s", de.Name())
-		}
+	if landed, _ := filepath.Glob(filepath.Join(cfg.Dir, "checkpoint-*.ckpt")); len(landed) > 0 {
+		t.Fatalf("refused checkpoint left behind as %v", landed)
 	}
 }
 

@@ -500,7 +500,7 @@ func fetchServerMeta(client *http.Client, primary string) (serverMeta, error) {
 // with measured staleness; writes are rejected.
 func NewFollower(dir, primary string, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	client := cfg.replicaClient()
+	client := &http.Client{Timeout: replicaTimeout}
 	// Tolerate start ordering: a follower booted alongside (or before) its
 	// primary retries an unreachable meta endpoint for a bounded window;
 	// malformed replies still fail immediately.

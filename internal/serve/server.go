@@ -58,22 +58,13 @@ type Config struct {
 	// counts as down (0 = 3×probe).
 	ReplicaProbe    time.Duration
 	ReplicaLiveness time.Duration
-	// ReplicaTimeout bounds each remote replica HTTP call (0 = 2s).
-	ReplicaTimeout time.Duration
 	// FollowerPoll is the WAL tail poll cadence of NewFollower deployments
 	// (0 = repl default).
 	FollowerPoll time.Duration
 }
 
-// replicaClient builds the HTTP client used for replica legs and follower
-// tails.
-func (c Config) replicaClient() *http.Client {
-	t := c.ReplicaTimeout
-	if t <= 0 {
-		t = 2 * time.Second
-	}
-	return &http.Client{Timeout: t}
-}
+// replicaTimeout bounds each remote call of a replica leg or a follower tail.
+const replicaTimeout = 2 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -214,7 +205,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 	if len(cfg.ReplicaURLs) > 0 {
 		// Wrap every shard in a replica group: the local writer plus one
 		// remote read leg per follower process.
-		client := cfg.replicaClient()
+		client := &http.Client{Timeout: replicaTimeout}
 		for i, sh := range shards {
 			legs := make([]*remoteLeg, len(cfg.ReplicaURLs))
 			for j, u := range cfg.ReplicaURLs {

@@ -10,7 +10,6 @@ import (
 
 	"kwsc/internal/codec"
 	"kwsc/internal/core"
-	"kwsc/internal/pager"
 )
 
 // File naming: segments and checkpoints carry their sequence position in the
@@ -84,23 +83,11 @@ func writeCheckpointFile(dir string, snap *codec.Snapshot) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// readCheckpoint fully decodes one checkpoint, every page checksum verified.
-// All checkpoint bytes flow through the pager so pruning's retire protocol
-// sees every open (see pruneLocked).
-func readCheckpoint(path string) (*codec.Snapshot, error) {
-	f, err := pager.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Unref()
-	return codec.ReadPagedSnapshot(f, f.Size())
-}
-
-// syncDir fsyncs a directory so renames and creates within it are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames and creates within it are durable.
+func SyncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -294,9 +294,6 @@ func (d *Durable) checkpointLocked() error {
 			return err
 		}
 		d.log = l
-		if err := syncDir(d.dir); err != nil {
-			return err
-		}
 	}
 	d.pruneLocked()
 	d.sinceCkpt = 0

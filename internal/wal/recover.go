@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kwsc/internal/core"
+	"kwsc/internal/dataset"
 )
 
 // recovered is the outcome of a directory recovery: the reconstructed index,
@@ -70,50 +71,47 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 	sort.Slice(ckptSeqs, func(a, b int) bool { return ckptSeqs[a] > ckptSeqs[b] })
 	sort.Slice(segSeqs, func(a, b int) bool { return segSeqs[a] < segSeqs[b] })
 
-	// RESTORE: newest checkpoint that validates. With paged recovery the
-	// checkpoint is not decoded at all — it is opened as the dynamic index's
-	// immutable bottom layer and serves queries in place, so cold start is the
-	// map (or pool attach) plus the WAL-tail replay below.
+	// RESTORE: newest checkpoint that validates, opened once with the one
+	// checkpoint reader. With paged recovery the checkpoint is not decoded at
+	// all — it is the dynamic index's immutable bottom layer and serves
+	// queries in place, so cold start is the map (or pool attach) plus the
+	// WAL-tail replay below. Recovery into memory runs the checks open leaves
+	// to the queries, takes the entries in and closes the file.
 	var idx *core.DynamicORPKW
 	base := uint64(0)
 	skipped := "" // the newest checkpoint that failed to validate, and why
 	for _, cs := range ckptSeqs {
 		path := checkpointPath(dir, cs)
-		if cfg.paged {
-			pb, err := core.OpenPagedBase(path, cfg.pagedOpts)
-			if err == nil {
-				if pb.K() != k || pb.Dim() != dim {
-					kk, dd := pb.K(), pb.Dim()
-					pb.Close()
-					return nil, fmt.Errorf("wal: checkpoint is for k=%d dim=%d, index opened with k=%d dim=%d",
-						kk, dd, k, dim)
-				}
-				idx, err = core.RestoreDynamicORPKWFromBase(dim, k, cfg.bufferCap, pb, pb.NextHandle(), cfg.build...)
-				if err != nil {
-					pb.Close()
-					return nil, fmt.Errorf("wal: restoring paged checkpoint %d: %w", cs, err)
-				}
-				base = pb.LastSeq()
-				break
+		pb, err := core.OpenPagedBase(path, cfg.pagedOpts)
+		var handles []int64
+		var objs *dataset.Dataset
+		if err == nil && !cfg.paged {
+			if err = pb.Verify(); err == nil {
+				handles, objs, err = pb.Entries()
 			}
-			// Damaged: the decoding path refuses it the same way.
+			pb.Close() // idempotent: the error paths below close it again
 		}
-		snap, err := readCheckpoint(path)
 		if err != nil {
 			if skipped == "" {
 				skipped = fmt.Sprintf("; checkpoint %s does not validate: %v", filepath.Base(path), err)
 			}
 			continue // fall back to an older one + replay
 		}
-		if snap.K != k || snap.Dim != dim {
+		if pb.K() != k || pb.Dim() != dim {
+			pb.Close()
 			return nil, fmt.Errorf("wal: checkpoint is for k=%d dim=%d, index opened with k=%d dim=%d",
-				snap.K, snap.Dim, k, dim)
+				pb.K(), pb.Dim(), k, dim)
 		}
-		idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, snap.Handles, snap.Objs, snap.NextHandle, cfg.build...)
+		if cfg.paged {
+			idx, err = core.RestoreDynamicORPKWFromBase(dim, k, cfg.bufferCap, pb, pb.NextHandle(), cfg.build...)
+		} else {
+			idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, handles, objs, pb.NextHandle(), cfg.build...)
+		}
 		if err != nil {
+			pb.Close()
 			return nil, fmt.Errorf("wal: restoring checkpoint %d: %w", cs, err)
 		}
-		base = snap.LastSeq
+		base = pb.LastSeq()
 		break
 	}
 	if idx == nil {

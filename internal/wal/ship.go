@@ -5,9 +5,8 @@ import (
 	"os"
 	"sort"
 
-	"kwsc/internal/codec"
+	"kwsc/internal/core"
 	"kwsc/internal/dataset"
-	"kwsc/internal/pager"
 )
 
 // Log-shipping exports. A replication shipper (internal/repl) serves a
@@ -110,29 +109,22 @@ func CheckpointFileName(lastSeq uint64) string {
 	return fmt.Sprintf("checkpoint-%016x.ckpt", lastSeq)
 }
 
-// ValidateCheckpointFile verifies a checkpoint file end to end — the
-// container framing and every page checksum — and returns the sequence it
-// supersedes. A follower calls this on a downloaded checkpoint before
-// trusting it, so a truncated or corrupted transfer is refused instead of
-// recovered from.
+// ValidateCheckpointFile opens a checkpoint file with the one checkpoint
+// reader, which checks the container framing, the meta and the structure,
+// runs Verify over it (every page checksum, every cell box), and returns the
+// sequence it supersedes. A follower calls this on a downloaded checkpoint
+// before renaming it into place, so a truncated, corrupted or lying transfer
+// is refused instead of landing where recovery would find it.
 func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
-	f, err := pager.Open(path)
+	b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
 	if err != nil {
 		return 0, err
 	}
-	defer f.Unref()
-	c, err := codec.ParseContainer(f, f.Size())
-	if err != nil {
+	defer b.Close()
+	if err := b.Verify(); err != nil {
 		return 0, err
 	}
-	if err := c.VerifyAllPages(f); err != nil {
-		return 0, err
-	}
-	meta := codec.ParsePagedMeta(c.Meta)
-	if meta.Kind != codec.PagedKindSnapshot {
-		return 0, fmt.Errorf("wal: checkpoint container holds kind %d, want snapshot", meta.Kind)
-	}
-	return meta.LastSeq, nil
+	return b.LastSeq(), nil
 }
 
 // CollectTail gathers the verbatim frames of every record with sequence in

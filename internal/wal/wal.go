@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -132,13 +133,18 @@ type log struct {
 
 // openLog opens (creating if needed) the segment at path for appending.
 // Recovery has already truncated any torn tail, so the current file size is
-// the logical end.
+// the logical end. The directory is fsynced before the first append: a
+// record fsynced into a segment whose directory entry is not durable can
+// still lose its file to a power cut.
 func openLog(path string, policy SyncPolicy, interval time.Duration) (*log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	st, err := f.Stat()
+	if err == nil {
+		err = SyncDir(filepath.Dir(path))
+	}
 	if err != nil {
 		f.Close()
 		return nil, err

@@ -485,11 +485,24 @@ func TestSoleDamagedCheckpointRefused(t *testing.T) {
 	// format, with its rank -> entry column and entry-ordered documents.
 	olderFormat := func(pr24 bool) func(raw []byte) []byte {
 		return func(raw []byte) []byte {
-			snap, err := codec.ReadPagedSnapshot(bytes.NewReader(raw), int64(len(raw)))
+			// Read the entries as recovery into memory does.
+			path := filepath.Join(t.TempDir(), "read.ckpt")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
+			if err == nil {
+				err = b.Verify()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, docStart, docWords := snap.Objs.Columns()
+			_, objs, err := b.Entries()
+			b.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, docStart, docWords := objs.Columns()
 			c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
 			if err != nil {
 				t.Fatal(err)
