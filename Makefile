@@ -124,7 +124,7 @@ bench-1m:
 # bench-1m), as BenchmarkColdStartPagedORPKW matches its 1M tier: the cold
 # start guards the open, which derives every kd box from the coordinates.
 BENCH_TIME ?= 200x
-BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect|BenchmarkDynamicQueryShard|BenchmarkColdStartPagedORPKW)
+BENCH_REGEX = ^(BenchmarkE1ORPKW2D|BenchmarkE2ORPKW3D|BenchmarkORPKW2DCollect|BenchmarkORPKW2DCollectInto|BenchmarkORPKW2DCollectIntoMetricsOn|BenchmarkORPKW2DCollectIntoMetricsOff|BenchmarkBuildORPKW|BenchmarkBuildORPKWHigh|BenchmarkBuildORPKWPlanted|BenchmarkBuildLCKW|BenchmarkNewRankSpace|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkConcurrentReadDuringChurn|BenchmarkStopNodeIntersect|BenchmarkDynamicQueryShard|BenchmarkColdStartPagedORPKW)
 
 # Snapshot the tier-1 bench families as BENCH_<date>.json so later changes
 # have a perf trajectory to compare against. The snapshot embeds the metrics

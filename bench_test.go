@@ -491,6 +491,19 @@ func BenchmarkBuildORPKW(b *testing.B) {
 	}
 }
 
+// heavy-core's shape at a thirty-second of its N: a planted k = 3 triple in
+// an eighth of the objects, so only the top few levels have keywords to hang
+// and the kd pass carries most of the build.
+func BenchmarkBuildORPKWPlanted(b *testing.B) {
+	ds, _, _ := plantedFixture(22, 1<<13, 2, 3, 64, 1<<10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewORPKW(ds, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBuildLCKW(b *testing.B) {
 	ds := workload.Gen(workload.Config{Seed: 18, Objects: 1 << 12, Dim: 2, Vocab: 256, DocLen: 5})
 	b.ResetTimer()

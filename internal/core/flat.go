@@ -96,7 +96,9 @@ const (
 )
 
 // pack fills the layout from the builder's nodes (index 0 is the root); a kd
-// tree keeps no cells, its boxes are derived once coords are in place.
+// tree keeps no cells, its boxes are derived once coords are in place. Every
+// internal node takes a tensor offset, one with no large keyword (and no
+// tensors) too.
 func (f *Framework) pack(nodes []fnode, kd bool) {
 	nn := len(nodes)
 	// Pass 1: BFS over the builder's tree. order[newID] = oldID; a node's
@@ -161,7 +163,7 @@ func (f *Framework) pack(nodes []fnode, kd bool) {
 		}
 		fl.matStart[newID+1] = int32(len(fl.matKeys))
 
-		if len(n.tensors) > 0 {
+		if len(n.children) > 0 {
 			fl.tensorOff[newID] = fl.tensorArena.Words()
 			fl.tensorStride[newID] = (tensorSize(len(n.large), f.k) + 63) / 64
 			for _, t := range n.tensors {

@@ -144,6 +144,10 @@ type FrameworkConfig struct {
 	// dimension-reduction tree builds one framework per node); when set it
 	// overrides Parallelism.
 	gate *parGate
+	// ranks, when set, orders the objects on every axis of Points already
+	// (ORP-KW's Points are these ranks): a kd build over every object then
+	// places each at its rank instead of sorting (spart.Ranked).
+	ranks *dataset.RankSpace
 	// ownCoords keeps the last pdim coordinates of the dataset's own points
 	// as the coordinates queries compare, Points only steering the splits:
 	// ORP-KW, and the d = 2 secondaries of Theorem 2's index, split in rank
@@ -151,7 +155,10 @@ type FrameworkConfig struct {
 	ownCoords bool
 }
 
-// BuildFramework runs Step 2 of the framework over the dataset.
+// BuildFramework runs the framework over the dataset in two passes. The
+// first builds the space-partitioning tree (Step 1) and with it the leaf
+// order; the second hangs the keyword structures of Step 2 on the finished
+// tree, reading the documents laid out in that order.
 func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error) {
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("core: the framework requires k >= 2, got %d", cfg.K)
@@ -187,13 +194,11 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 		gate = newParGate(cfg.Parallelism)
 	}
 	// The splitters index points and weights by object id, so the build runs
-	// on local ids, positions in objs, and carries its own columns under them:
-	// points, weights, and each document read once as dense keyword ids,
-	// numbered in the order the root first meets them (the order that numbers
-	// its tensor axes). Every column is sized to the build's own objects and
-	// keywords, never to the dataset or the keyword values.
+	// on local ids, positions in objs, and carries its own columns under them.
+	// Every column is sized to the build's own objects and keywords, never to
+	// the dataset or the keyword values.
 	n := len(objs)
-	b := &builder{f: f, gate: gate, pts: cfg.Points, weight: make([]int32, n), docStart: make([]int32, 1, n+1), seq: make([]int32, n)}
+	b := &builder{f: f, gate: gate, pts: cfg.Points, weight: make([]int32, n), seq: make([]int32, n), nodes: f.nodesFor(n)}
 	local := objs // already 0..n-1 when objs is every object
 	if cfg.Objects != nil {
 		local = iota32(n)
@@ -208,37 +213,34 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 			}
 		}
 	}
-	b.docs = make([]int32, 0, int(ds.N())*n/max(ds.Len(), 1)) // n mean documents
-	dense := make(map[dataset.Keyword]int32)
-	var cnt []int32 // objects per dense id: the root's counts
 	for i, id := range objs {
 		b.weight[i] = ds.DocLen(id)
-		for _, w := range ds.Doc(id) {
-			d, ok := dense[w]
-			if !ok {
-				d = int32(len(b.words))
-				dense[w] = d
-				b.words = append(b.words, w)
-				cnt = append(cnt, 0)
-			}
-			b.docs = append(b.docs, d)
-			cnt[d]++
-		}
-		b.docStart = append(b.docStart, int32(len(b.docs)))
 	}
 	if kd, ok := f.split.(*spart.KD); ok {
 		b.kd = kd
-		b.sorted = spart.Presort(n, kd.Dim, func(id int32, a int) float64 { return b.pts[id][a] })
+		coord := func(id int32, a int) float64 { return b.pts[id][a] }
+		if cfg.ranks != nil && cfg.Objects == nil {
+			b.sorted = spart.Ranked(n, kd.Dim, coord, cfg.ranks.Rank)
+		} else {
+			b.sorted = spart.Presort(n, kd.Dim, coord)
+		}
 		local = b.sorted.List(0, 0, n)
 	}
-	// The root's incoming keyword set is every keyword present among the
-	// objects: each is vacuously large at all (zero) proper ancestors.
 	var root spart.Cell
 	if b.kd == nil {
 		root = f.split.RootCell(b.pts, local)
 	}
+	var nu int64
+	for _, w := range b.weight {
+		nu += int64(w)
+	}
+	b.geometry(root, local, nu, 0, 0)
+
+	// The root's incoming keyword set is every keyword present among the
+	// objects: each is vacuously large at all (zero) proper ancestors.
+	cnt := b.layDocs(ds, objs)
 	b.sc = getKwScratch(len(b.words))
-	b.build(root, local, iota32(len(b.words)), cnt, 0, 0)
+	b.hang(0, iota32(len(b.words)), cnt, 0)
 	kwScratchPool.Put(b.sc)
 	switch {
 	case n > 0:
@@ -273,34 +275,37 @@ func iota32(n int) []int32 {
 }
 
 // builder accumulates the subtree it is responsible for in its own nodes
-// slice (child indexes are local to that slice). Parallel construction gives
-// each spawned subtree its own builder, sharing the build's read-only columns
-// but with its own keyword scratch, and grafts the finished slice into the
-// parent's. Builders never share mutable state — except seq, the leaf order
-// under construction, of which every subtree writes only its own rank
-// interval.
+// slice (child indexes are local to that slice). The tree pass gives each
+// spawned subtree its own builder, sharing the build's read-only columns, and
+// grafts the finished slice into the parent's; the keyword pass gives each a
+// copy with its own keyword scratch over the one finished nodes slice, of
+// which it writes only its subtree's nodes. Builders share no other mutable
+// state — except seq, the leaf order under construction, of which every
+// subtree writes only its own rank interval.
 type builder struct {
-	f        *Framework
-	gate     *parGate
-	pts      []geom.Point      // partitioning coordinates by local id
-	weight   []int32           // |e.Doc| by local id: the verbose-set multiplicity
-	docStart []int32           // local id i's document is docs[docStart[i]:docStart[i+1]]
-	docs     []int32           // documents as dense keyword ids
-	words    []dataset.Keyword // dense keyword id -> keyword
-	seq      []int32           // rank -> local id
-	sc       *kwScratch
-	nodes    []fnode
+	f      *Framework
+	gate   *parGate
+	pts    []geom.Point // partitioning coordinates by local id
+	weight []int32      // |e.Doc| by local id: the verbose-set multiplicity
+	seq    []int32      // rank -> local id
+	nodes  []fnode
 
 	// A kd build keeps every node's objects sorted on each axis (kdSplit):
 	// the node over ranks [lo, hi) is positions [lo, hi) of sorted.
 	kd     *spart.KD
 	sorted *spart.Presorted
+
+	// The keyword pass's columns (layDocs): documents by rank.
+	docStart []int32           // rank r's document is docs[docStart[r]:docStart[r+1]]
+	docs     []int32           // documents as dense keyword ids
+	words    []dataset.Keyword // dense keyword id -> keyword
+	sc       *kwScratch
 }
 
-func (b *builder) doc(id int32) []int32 { return b.docs[b.docStart[id]:b.docStart[id+1]] }
+func (b *builder) doc(r int32) []int32 { return b.docs[b.docStart[r]:b.docStart[r+1]] }
 
-// keywords translates dense keyword ids back.
-func (b *builder) keywords(ids []int32) []dataset.Keyword {
+// keys translates dense keyword ids back.
+func (b *builder) keys(ids []int32) []dataset.Keyword {
 	out := make([]dataset.Keyword, len(ids))
 	for i, d := range ids {
 		out[i] = b.words[d]
@@ -328,42 +333,227 @@ func getKwScratch(d int) *kwScratch {
 	return sc
 }
 
-// childResult is one child subtree of an internal node under construction:
-// its non-emptiness tensor plus either a root index into the parent
-// builder's nodes (inline build, sub == nil) or a completed sub-builder
-// whose nodes await grafting.
-type childResult struct {
-	tensor *bits.Dense
-	root   int32
-	sub    *builder
+// nodesFor returns room for the nodes of a subtree over n objects: a median
+// split tree has about 2n/leafSize, and this leaves a quarter more.
+func (f *Framework) nodesFor(n int) []fnode {
+	return make([]fnode, 0, 5*n/(2*f.leafSize)+1)
 }
 
-// build creates the subtree for objs (local ids), whose ranks are
-// [lo, lo+len(objs)), and returns its node index within b.nodes; incoming
-// holds the dense ids of the node's incoming keywords and cnt how many of
-// objs carry each, read before anything else uses the scratch it may live in.
-// On return b.seq holds the subtree's leaf order over that interval.
-func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int, lo int32) int32 {
-	f := b.f
+// geometry builds the tree over objs (local ids), whose ranks are
+// [lo, lo+len(objs)) and whose weights sum to nu, and returns its root's
+// index within b.nodes. On return b.seq holds the subtree's leaf order over
+// that interval.
+func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, lo int32) int32 {
 	idx := int32(len(b.nodes))
-	b.nodes = append(b.nodes, fnode{cell: cell, lo: lo, hi: lo + int32(len(objs))})
-	var nu int64
-	for _, id := range objs {
-		nu += int64(b.weight[id])
-	}
-	b.nodes[idx].nu = nu
-	if len(objs) <= f.leafSize {
+	b.nodes = append(b.nodes, fnode{cell: cell, lo: lo, hi: lo + int32(len(objs)), nu: nu})
+	if len(objs) <= b.f.leafSize {
 		b.leaf(idx, objs)
 		return idx
 	}
+	// Leaf order: the pivots take the first ranks of the interval, each child
+	// the next len(group) — so every child's interval is known before any
+	// subtree is built, and a parallel build numbers exactly as a sequential
+	// one.
+	split := b.split
+	if b.kd != nil {
+		split = b.kdSplit
+	}
+	cells, groups, nus, npiv, ok := split(cell, objs, lo, nu, depth)
+	if !ok {
+		// No geometric progress possible: finish as a leaf.
+		b.leaf(idx, objs)
+		return idx
+	}
+	b.nodes[idx].npiv = npiv
 
-	// Classify the incoming keywords as large or small at this node
-	// (Section 3.2): w is large iff |D_u^act(w)| >= N_u^{1-1/k}.
-	threshold := math.Pow(float64(nu), 1-1/float64(f.k))
-	// D_u^act(w) is materialized for every small incoming keyword that occurs
-	// here (w was large at all proper ancestors by the inductive invariant).
-	// Only the sizes are known yet: the lists hold ranks, and the subtree's
-	// ranks are settled once the children are built.
+	// Heavy children are handed to other goroutines when the gate has
+	// budget; the rest build inline.
+	nz := 0
+	for _, g := range groups {
+		if len(g) > 0 {
+			nz++
+		}
+	}
+	children := make([]int32, nz)
+	var subs []*builder // by child: the builder of a spawned subtree
+	var wg sync.WaitGroup
+	ci, clo := 0, lo+npiv
+	for c, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		var childCell spart.Cell
+		if cells != nil {
+			childCell = cells[c]
+		}
+		childLo := clo
+		clo += int32(len(g))
+		if len(g) >= parallelCutoff && b.gate.tryAcquire() {
+			if subs == nil {
+				subs = make([]*builder, nz)
+			}
+			sub := *b
+			sub.nodes = b.f.nodesFor(len(g))
+			subs[ci] = &sub
+			wg.Add(1)
+			go func(g []int32, nu int64) {
+				defer wg.Done()
+				defer b.gate.release()
+				sub.geometry(childCell, g, nu, depth+1, childLo)
+			}(g, nus[c])
+		} else {
+			children[ci] = b.geometry(childCell, g, nus[c], depth+1, childLo)
+		}
+		ci++
+	}
+	wg.Wait()
+
+	// Graft spawned subtrees, each rooted at its builder's node 0; only node
+	// placement within b.nodes differs from a sequential build, and pack
+	// renumbers.
+	for ci, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		off := int32(len(b.nodes))
+		for _, n := range sub.nodes {
+			for i := range n.children {
+				n.children[i] += off
+			}
+			b.nodes = append(b.nodes, n)
+		}
+		children[ci] = off
+	}
+	b.nodes[idx].children = children
+	return idx
+}
+
+// split runs the splitter on objs and groups them by child, writing the
+// pivots to b.seq from rank lo; the groups are cut from one buffer, each to
+// its exact size, and nus holds their weights.
+func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth int) (cells []spart.Cell, groups [][]int32, nus []int64, npiv int32, ok bool) {
+	cells, assign, ok := b.f.split.Split(cell, objs, b.pts, b.weight, depth)
+	if !ok {
+		return nil, nil, nil, 0, false
+	}
+	groups = make([][]int32, len(cells))
+	sums := make([]int64, 2*len(cells)) // per child: objects, then weight
+	sizes, nus := sums[:len(cells)], sums[len(cells):]
+	for i, a := range assign {
+		if a != spart.PivotChild {
+			sizes[a]++
+			nus[a] += int64(b.weight[objs[i]])
+		}
+	}
+	buf := make([]int32, len(objs))
+	for c, m := range sizes {
+		groups[c], buf = buf[:0:m], buf[m:]
+	}
+	for i, id := range objs {
+		if a := assign[i]; a == spart.PivotChild {
+			b.seq[lo+npiv] = id
+			npiv++
+		} else {
+			groups[a] = append(groups[a], id)
+		}
+	}
+	return cells, groups, nus, npiv, true
+}
+
+// kdSplit is split over the presorted lists of the node over ranks
+// [lo, lo+len(objs)): the split axis's list names the pivot and the children,
+// and after the partition every list is in child order. Each child's objects
+// are its axis-0 list; their weights follow from the left side's, which the
+// median scan sums. It returns no cells: a kd node is related by its tight
+// box, which the finished tree derives (deriveBoxes).
+func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, []int64, int32, bool) {
+	l, h := int(lo), int(lo)+len(objs)
+	axis, from, to, left, ok := b.kd.SplitSorted(b.sorted, l, h, b.weight, nu, depth)
+	if !ok {
+		return nil, nil, nil, 0, false
+	}
+	b.sorted.Partition(axis, l, h, from, to)
+	npiv := to - from
+	l0 := b.sorted.List(0, l, h)
+	copy(b.seq[lo:], l0[:npiv])
+	right := nu - left
+	for _, id := range l0[:npiv] {
+		right -= int64(b.weight[id])
+	}
+	kids := &struct { // the groups and their weights in one allocation
+		groups [2][]int32
+		nus    [2]int64
+	}{[2][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, [2]int64{left, right}}
+	return nil, kids.groups[:], kids.nus[:], int32(npiv), true
+}
+
+// leaf finishes node idx as a leaf: its whole active set is its pivot set,
+// ascending.
+func (b *builder) leaf(idx int32, objs []int32) {
+	n := &b.nodes[idx]
+	n.npiv = int32(len(objs))
+	copy(b.seq[n.lo:], objs)
+	sortInt32s(b.seq[n.lo:n.hi])
+}
+
+// layDocs reads each document once as dense keyword ids, numbered in the
+// order the objects, ascending, first meet them (the order that numbers the
+// root's tensor axes), and then lays the documents out by rank: the keyword
+// pass reads any node's documents as one stretch of docs. It returns how many
+// objects carry each dense id, the root's counts.
+func (b *builder) layDocs(ds *dataset.Dataset, objs []int32) []int32 {
+	n := len(objs)
+	b.docStart = make([]int32, n+1)
+	for r, id := range b.seq {
+		b.docStart[r+1] = b.docStart[r] + b.weight[id]
+	}
+	total := int(b.docStart[n])
+	byID := make([]int32, total+n+1) // the documents by local id, then their starts
+	start, byID := byID[total:], byID[:total]
+	dense := make(map[dataset.Keyword]int32)
+	var cnt []int32 // objects per dense id
+	at := int32(0)
+	for i, id := range objs {
+		start[i] = at
+		for _, w := range ds.Doc(id) {
+			d, ok := dense[w]
+			if !ok {
+				d = int32(len(b.words))
+				dense[w] = d
+				b.words = append(b.words, w)
+				cnt = append(cnt, 0)
+			}
+			byID[at] = d
+			at++
+			cnt[d]++
+		}
+	}
+	start[n] = at
+	b.docs = make([]int32, total)
+	for r, id := range b.seq {
+		copy(b.docs[b.docStart[r]:], byID[start[id]:start[id+1]])
+	}
+	return cnt
+}
+
+// hang runs Step 2 at node idx and below. It classifies the node's incoming
+// keywords, dense ids, as large or small by cnt, how many of the node's
+// objects carry each — read before anything else uses the scratch it may
+// live in — and materializes the lists of the small ones. Then it scans each
+// child's rank interval once for the child's non-emptiness tensor and its
+// counts of the large keywords, which the child classifies by in turn. A node
+// with no large keyword passes none down, so the walk ends there: nothing
+// below it carries a keyword structure.
+func (b *builder) hang(idx int32, incoming, cnt []int32, depth int) {
+	f := b.f
+	n := &b.nodes[idx]
+	if len(n.children) == 0 {
+		return
+	}
+	// Section 3.2: w is large iff |D_u^act(w)| >= N_u^{1-1/k}. D_u^act(w) is
+	// materialized for every small incoming keyword that occurs here (w was
+	// large at all proper ancestors by the inductive invariant).
+	threshold := math.Pow(float64(n.nu), 1-1/float64(f.k))
 	var large, mat []int32
 	var lists []matList
 	for i, w := range incoming {
@@ -378,103 +568,51 @@ func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int,
 			lists = append(lists, matList{n: c})
 		}
 	}
-
-	// Leaf order: the pivots take the first ranks of the interval, each child
-	// the next len(group) — so every child's interval is known before any
-	// subtree is built, and a parallel build numbers exactly as a sequential
-	// one.
-	split := b.split
-	if b.kd != nil {
-		split = b.kdSplit
+	n.large = b.keys(large)
+	if len(mat) > 0 {
+		b.materialize(n, mat, lists)
 	}
-	cells, groups, npiv, ok := split(cell, objs, lo, nu, depth)
-	if !ok {
-		// No geometric progress possible: finish as a leaf.
-		b.leaf(idx, objs)
-		return idx
+	if len(large) == 0 {
+		return
 	}
-	b.nodes[idx].npiv = npiv
-	b.nodes[idx].large = b.keywords(large)
 
 	// Per child: the k-dimensional non-emptiness bit array (bit at the
 	// sorted tuple (i1 < ... < ik) of large-keyword indexes is set iff some
-	// object in the child's active set carries all k keywords) and the child
-	// subtree. Both depend only on the child's objects plus this node's
-	// read-only large list, so heavy children are handed to other goroutines
-	// when the gate has budget; the rest build inline. The results slice is
-	// sized up front because spawned goroutines hold pointers into it.
+	// object in the child's active set carries all k keywords) and the child's
+	// own keyword structures. Both depend only on the child's interval plus
+	// this node's read-only large list, so heavy children are handed to other
+	// goroutines when the gate has budget.
 	tsize := tensorSize(len(large), f.k)
-	nz := 0
-	for _, g := range groups {
-		if len(g) > 0 {
-			nz++
-		}
-	}
-	results := make([]childResult, nz)
+	n.tensors = make([]*bits.Dense, len(n.children))
 	var wg sync.WaitGroup
-	ri := 0
-	clo := lo + npiv
-	for c, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		r := &results[ri]
-		ri++
-		var childCell spart.Cell
-		if cells != nil {
-			childCell = cells[c]
-		}
-		childLo := clo
-		clo += int32(len(g))
-		if len(g) >= parallelCutoff && b.gate.tryAcquire() {
+	for ci, c := range n.children {
+		lo, hi := b.nodes[c].lo, b.nodes[c].hi
+		if hi-lo >= parallelCutoff && b.gate.tryAcquire() {
 			sub := *b
-			sub.nodes = nil
-			r.sub = &sub
 			wg.Add(1)
-			go func(g []int32) {
+			go func(ci int, c int32) {
 				defer wg.Done()
 				defer b.gate.release()
 				sub.sc = getKwScratch(len(b.words))
-				t, cnt := sub.scanChild(g, large, tsize)
-				r.tensor = t
-				r.root = sub.build(childCell, g, large, cnt, depth+1, childLo)
+				t, cnt := sub.scanChild(lo, hi, large, tsize)
+				n.tensors[ci] = t
+				sub.hang(c, large, cnt, depth+1)
 				kwScratchPool.Put(sub.sc)
-			}(g)
+			}(ci, c)
 			continue
 		}
-		t, cnt := b.scanChild(g, large, tsize)
-		r.tensor = t
-		r.root = b.build(childCell, g, large, cnt, depth+1, childLo)
+		t, cnt := b.scanChild(lo, hi, large, tsize)
+		n.tensors[ci] = t
+		b.hang(c, large, cnt, depth+1)
 	}
 	wg.Wait()
+}
 
-	// Graft spawned subtrees, preserving child order; only node placement
-	// within b.nodes differs from a sequential build, and pack renumbers.
-	childIdx := make([]int32, 0, nz)
-	tensors := make([]*bits.Dense, 0, nz)
-	for i := range results {
-		r := &results[i]
-		if r.sub != nil {
-			off := int32(len(b.nodes))
-			for _, n := range r.sub.nodes {
-				for ci := range n.children {
-					n.children[ci] += off
-				}
-				b.nodes = append(b.nodes, n)
-			}
-			childIdx = append(childIdx, off+r.root)
-		} else {
-			childIdx = append(childIdx, r.root)
-		}
-		tensors = append(tensors, r.tensor)
-	}
-	n := &b.nodes[idx]
-	n.children = childIdx
-	n.tensors = tensors
-
-	// Materialize the lists from the finished leaf order: one pass over the
-	// interval appends ranks in ascending order, so nothing is sorted.
-	span := int(n.hi - lo)
+// materialize fills node n's lists of the small keywords mat, whose sizes
+// lists holds, in one pass over n's rank interval: ranks arrive ascending, so
+// nothing is sorted.
+func (b *builder) materialize(n *fnode, mat []int32, lists []matList) {
+	span := int(n.hi - n.lo)
 	for i := range lists {
 		if l := &lists[i]; denseList(int(l.n), span) {
 			l.words = make([]uint64, bitmapWords(span))
@@ -486,14 +624,14 @@ func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int,
 	for i, w := range mat {
 		slot[w] = int32(i)
 	}
-	for r := lo; r < n.hi; r++ {
-		for _, w := range b.doc(b.seq[r]) {
+	for r := n.lo; r < n.hi; r++ {
+		for _, w := range b.doc(r) {
 			li := slot[w]
 			if li < 0 {
 				continue
 			}
 			if l := &lists[li]; l.words != nil {
-				l.words[(r-lo)>>6] |= 1 << (uint32(r-lo) & 63)
+				l.words[(r-n.lo)>>6] |= 1 << (uint32(r-n.lo) & 63)
 			} else {
 				l.ranks = append(l.ranks, r)
 			}
@@ -502,88 +640,26 @@ func (b *builder) build(cell spart.Cell, objs, incoming, cnt []int32, depth int,
 	for _, w := range mat {
 		slot[w] = -1
 	}
-	n.mat, n.lists = b.keywords(mat), lists
-	return idx
+	n.mat, n.lists = b.keys(mat), lists
 }
 
-// split runs the splitter on objs and groups them by child, writing the
-// pivots to b.seq from rank lo; the groups are cut from one buffer, each to
-// its exact size.
-func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
-	cells, assign, ok := b.f.split.Split(cell, objs, b.pts, b.weight, depth)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	groups := make([][]int32, len(cells))
-	sizes := make([]int, len(cells))
-	for _, a := range assign {
-		if a != spart.PivotChild {
-			sizes[a]++
-		}
-	}
-	buf := make([]int32, len(objs))
-	for c, m := range sizes {
-		groups[c], buf = buf[:0:m], buf[m:]
-	}
-	npiv := int32(0)
-	for i, id := range objs {
-		if a := assign[i]; a == spart.PivotChild {
-			b.seq[lo+npiv] = id
-			npiv++
-		} else {
-			groups[a] = append(groups[a], id)
-		}
-	}
-	return cells, groups, npiv, true
-}
-
-// kdSplit is split over the presorted lists of the node over ranks
-// [lo, lo+len(objs)): the split axis's list names the pivot and the children,
-// and after the partition every list is in child order. Each child's objects
-// are its axis-0 list. It returns no cells: a kd node is related by its tight
-// box, which the finished tree derives (deriveBoxes).
-func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, int32, bool) {
-	l, h := int(lo), int(lo)+len(objs)
-	axis, from, to, ok := b.kd.SplitSorted(b.sorted, l, h, b.weight, nu, depth)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	b.sorted.Partition(axis, l, h, from, to)
-	npiv := to - from
-	l0 := b.sorted.List(0, l, h)
-	copy(b.seq[lo:], l0[:npiv])
-	return nil, [][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, int32(npiv), true
-}
-
-// leaf finishes node idx as a leaf: its whole active set is its pivot set,
-// ascending.
-func (b *builder) leaf(idx int32, objs []int32) {
-	n := &b.nodes[idx]
-	n.npiv = int32(len(objs))
-	copy(b.seq[n.lo:], objs)
-	sortInt32s(b.seq[n.lo:n.hi])
-}
-
-// scanChild makes the one pass over a child's documents that the parent's
-// large keywords (dense ids by tensor axis) need: it marks the child's
-// non-emptiness bit array, and it counts each large keyword among the child's
-// objects — the counts the child classifies its incoming keywords by. The
-// counts live in b's scratch until its next scan.
-func (b *builder) scanChild(g, large []int32, tsize int64) (*bits.Dense, []int32) {
+// scanChild makes the one pass over the documents of a child's rank interval
+// [lo, hi) that the parent's large keywords (dense ids by tensor axis) need:
+// it marks the child's non-emptiness bit array, and it counts each large
+// keyword among the child's objects — the counts the child classifies its
+// incoming keywords by. The counts live in b's scratch until its next scan.
+func (b *builder) scanChild(lo, hi int32, large []int32, tsize int64) (*bits.Dense, []int32) {
 	t := bits.NewDense(int(tsize))
 	cnt := slices.Grow(b.sc.cnt[:0], len(large))[:len(large)]
 	clear(cnt)
 	b.sc.cnt = cnt
-	if len(large) == 0 {
-		return t, cnt
-	}
 	slot, axes := b.sc.slot, b.sc.axes
 	for i, w := range large {
 		slot[w] = int32(i)
 	}
-	for _, id := range g {
+	for r := lo; r < hi; r++ {
 		axes = axes[:0]
-		for _, w := range b.doc(id) {
+		for _, w := range b.doc(r) {
 			if a := slot[w]; a >= 0 {
 				axes = append(axes, a)
 				cnt[a]++

@@ -26,6 +26,7 @@ import (
 func TestBuildOutputPinned(t *testing.T) {
 	zipf2 := workload.Gen(workload.Config{Seed: 201, Objects: 50_000, Dim: 2, Vocab: 500, DocLen: 5})
 	planted, _, _ := workload.GenPlanted(workload.Planted{Seed: 202, Objects: 65_536, Dim: 2, K: 3, Out: 64, Partial: 8192})
+	heavy, _, _ := workload.GenPlanted(workload.Planted{Seed: 210, Objects: 1 << 15, Dim: 2, K: 3, Out: 64, Partial: 1 << 12})
 	zipf3 := workload.Gen(workload.Config{Seed: 203, Objects: 20_000, Dim: 3, Vocab: 200, DocLen: 4})
 	small2 := workload.Gen(workload.Config{Seed: 204, Objects: 5000, Dim: 2, Vocab: 120, DocLen: 4})
 	small3 := workload.Gen(workload.Config{Seed: 205, Objects: 5000, Dim: 3, Vocab: 60, DocLen: 4})
@@ -44,6 +45,11 @@ func TestBuildOutputPinned(t *testing.T) {
 			"a3f12d72801eea5aa6d0c0cd88fb3d0cdd7a6e640de7612f52a38d3399190de9"},
 		{"ORPKW/d=2/k=3/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, planted, 3) },
 			"b044b067007deece675b65dc983d1e5ec7f0cabe927cba8269fb006482cc3921"},
+		// heavy-core's shape at an eighth of its N, built with spare
+		// goroutines: subtrees of at least 2 048 objects go to other
+		// goroutines, and below the top few levels no keyword is incoming.
+		{"ORPKW/heavy-core/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, heavy, 3, core.WithParallelism(4)) },
+			"014b6c48509a673d62194d7d319dd3047b650f99b60c5bd49c559d46c0465d68"},
 		{"ORPKW/d=3/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf3, 2) },
 			"f88532be0d7a4baa3aa43a0d6be0ef3ec028f9a5ba84ffc02da9e7b07cd8dbbe"},
 		// Was the Box splitter's image; re-pinned as KD, which took over its
@@ -121,9 +127,9 @@ func TestBuildOutputPinned(t *testing.T) {
 	}
 }
 
-func saveORPKW(t *testing.T, h hash.Hash, ds *dataset.Dataset, k int) {
+func saveORPKW(t *testing.T, h hash.Hash, ds *dataset.Dataset, k int, opts ...core.BuildOption) {
 	t.Helper()
-	ix, err := core.BuildORPKW(ds, k, core.WithoutObs())
+	ix, err := core.BuildORPKW(ds, k, append(opts, core.WithoutObs())...)
 	if err != nil {
 		t.Fatal(err)
 	}

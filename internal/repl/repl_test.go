@@ -555,28 +555,53 @@ func TestCorruptCheckpointRefusedOnBootstrap(t *testing.T) {
 // the rename, so no checkpoint recovery would consider ever lands in its
 // directory.
 func TestLyingCheckpointRefusedBeforeItLands(t *testing.T) {
-	checkpointRefusedOnBootstrap(t, "not a permutation", func(body []byte) []byte {
-		c, err := codec.ParseContainer(bytes.NewReader(body), int64(len(body)))
+	for _, c := range []struct {
+		name, reason string
+		sec          uint32
+		lie          func(data []byte)
+	}{
+		// Entry 1 takes entry 0's rank.
+		{"entry-rank", "not a permutation", codec.SecEntryRank, func(data []byte) { copy(data[4:], data[:4]) }},
+		// Rows 0 and 1 trade handles: every page checks out and every box
+		// holds its points, but each row names the other's entry.
+		{"row-handles-swapped", "holds handle", codec.SecRowHandles, func(data []byte) {
+			var row [8]byte
+			copy(row[:], data[:8])
+			copy(data[:8], data[8:16])
+			copy(data[8:16], row[:])
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checkpointRefusedOnBootstrap(t, c.reason, func(body []byte) []byte {
+				return rewriteSection(t, body, c.sec, c.lie)
+			})
+		})
+	}
+}
+
+// rewriteSection re-frames a checkpoint with section sec passed through lie.
+func rewriteSection(t *testing.T, body []byte, sec uint32, lie func([]byte)) []byte {
+	t.Helper()
+	c, err := codec.ParseContainer(bytes.NewReader(body), int64(len(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []codec.Section
+	for _, s := range c.Sections[1:] {
+		data, err := c.SectionBytes(bytes.NewReader(body), s.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var secs []codec.Section
-		for _, s := range c.Sections[1:] {
-			data, err := c.SectionBytes(bytes.NewReader(body), s.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.ID == codec.SecEntryRank {
-				copy(data[4:], data[:4]) // entry 1 takes entry 0's rank
-			}
-			secs = append(secs, codec.Section{ID: s.ID, Data: data})
+		if s.ID == sec {
+			lie(data)
 		}
-		var out bytes.Buffer
-		if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	})
+		secs = append(secs, codec.Section{ID: s.ID, Data: data})
+	}
+	var out bytes.Buffer
+	if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // checkpointRefusedOnBootstrap bootstraps a follower from a primary's

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,18 +24,31 @@ import (
 // misses from the pager's counters. The totals are exact for a given build
 // of the index, so a change that moves one re-pins it and says why in its
 // description, as TestBuildOutputPinned does for build output.
+//
+// Beside the totals it pins the stream's worst query against Theorem 1: the
+// largest ratio of a query's work units, summed over its shards, to
+// N^{1-1/k}(1+OUT^{1/k}), N the live set's total document length and OUT the
+// query's matches in it (the limit only cuts work short, so the unlimited
+// query's bound holds). A re-pin may move the ratio, but never above
+// shapeBoundCeiling.
 
-// shapeCounts are a replayed stream's totals.
+// shapeCounts are a replayed stream's totals, and its largest work-to-bound
+// ratio in thousandths.
 type shapeCounts struct {
-	Queries, Nodes, Ops, Results, PinHits, PinMisses int64
+	Queries, Nodes, Ops, Results, PinHits, PinMisses, BoundMilli int64
 }
 
 func (c shapeCounts) String() string {
 	q := float64(max(c.Queries, 1))
-	return fmt.Sprintf("{%d, %d, %d, %d, %d, %d} per query: nodes %.3f, ops %.3f, results %.3f, pin hits %.3f, misses %.3f",
-		c.Queries, c.Nodes, c.Ops, c.Results, c.PinHits, c.PinMisses,
+	return fmt.Sprintf("{%d, %d, %d, %d, %d, %d, %d} per query: nodes %.3f, ops %.3f, results %.3f, pin hits %.3f, misses %.3f",
+		c.Queries, c.Nodes, c.Ops, c.Results, c.PinHits, c.PinMisses, c.BoundMilli,
 		float64(c.Nodes)/q, float64(c.Ops)/q, float64(c.Results)/q, float64(c.PinHits)/q, float64(c.PinMisses)/q)
 }
+
+// shapeBoundCeiling caps BoundMilli on every workload: the constant a served
+// query may spend over Theorem 1's bound. The pinned worst is 2.275
+// (rw-mixed's, over 2 shards and their buckets).
+const shapeBoundCeiling = 4
 
 // shapeLimit is bench/'s per-query limit.
 const shapeLimit = 100
@@ -50,6 +64,7 @@ type shapeRun struct {
 	live   map[int64]kwsc.Object
 	oldest []int64 // handles the stream inserted, oldest first
 	counts shapeCounts
+	bound  float64 // the largest work-to-bound ratio so far
 	before obs.Snapshot
 }
 
@@ -73,8 +88,9 @@ func (r *shapeRun) query(rect *kwsc.Rect, ws []kwsc.Keyword) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	matches := 0
+	matches, size := 0, 0
 	for _, o := range r.live {
+		size += len(o.Doc)
 		if shapeMatch(o, rect, ws) {
 			matches++
 		}
@@ -87,12 +103,16 @@ func (r *shapeRun) query(rect *kwsc.Rect, ws []kwsc.Keyword) {
 			r.t.Fatalf("query %d: id %d is not a live match, or out of order", r.counts.Queries, id)
 		}
 	}
+	var ops int64
 	for _, so := range resp.Shards {
 		if so.Outcome != "ok" {
 			r.t.Fatalf("query %d: shard %+v", r.counts.Queries, so)
 		}
 		r.counts.Results += int64(so.Reported)
+		ops += so.Ops
 	}
+	k := float64(len(ws))
+	r.bound = max(r.bound, float64(ops)/(math.Pow(float64(size), 1-1/k)*(1+math.Pow(float64(matches), 1/k))))
 	r.counts.Queries++
 }
 
@@ -148,6 +168,7 @@ func (r *shapeRun) finish() shapeCounts {
 	delta := func(name string) int64 { return after.Counter(name) - r.before.Counter(name) }
 	r.counts.PinHits = delta("kwsc_pager_pin_hits_total")
 	r.counts.PinMisses = delta("kwsc_pager_pin_misses_total")
+	r.counts.BoundMilli = int64(math.Round(1000 * r.bound))
 	return r.counts
 }
 
@@ -265,14 +286,18 @@ func TestServedShapeCounts(t *testing.T) {
 		run  func(*testing.T) shapeCounts
 		want shapeCounts
 	}{
-		{"tiny-scatter", tinyScatterCounts, shapeCounts{400, 5405, 6852, 4, 0, 0}},
-		{"heavy-core", heavyCoreCounts, shapeCounts{200, 504, 88438, 4626, 0, 0}},
-		{"rw-mixed", rwMixedCounts, shapeCounts{1200, 6206, 91626, 16, 0, 0}},
-		{"paged-cold", pagedColdCounts, shapeCounts{400, 11198, 2147, 69, 867, 195}},
+		{"tiny-scatter", tinyScatterCounts, shapeCounts{400, 5405, 6852, 4, 0, 0, 1951}},
+		{"heavy-core", heavyCoreCounts, shapeCounts{200, 504, 88438, 4626, 0, 0, 174}},
+		{"rw-mixed", rwMixedCounts, shapeCounts{1200, 6206, 91626, 16, 0, 0, 2275}},
+		{"paged-cold", pagedColdCounts, shapeCounts{400, 11198, 2147, 69, 867, 195, 158}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if got := c.run(t); got != c.want {
+			got := c.run(t)
+			if got != c.want {
 				t.Errorf("counts moved:\n got  %v\n want %v", got, c.want)
+			}
+			if got.BoundMilli > 1000*shapeBoundCeiling {
+				t.Errorf("a query spent %.3f times Theorem 1's bound, over the ceiling %d", float64(got.BoundMilli)/1000, shapeBoundCeiling)
 			}
 		})
 	}

@@ -43,7 +43,7 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 			w[i] = weight[id]
 		}
 	}
-	axis, from, to, ok := k.SplitSorted(p, 0, len(objs), w, totalWeight(objs, weight), depth)
+	axis, from, to, _, ok := k.SplitSorted(p, 0, len(objs), w, totalWeight(objs, weight), depth)
 	if !ok {
 		return nil, nil, false
 	}
@@ -71,8 +71,8 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 // SplitSorted chooses the split of the node over positions [lo, hi) of p, of
 // total weight total. On the split axis's list, the entries before from go to
 // child 0, those from to on to child 1, and [from, to), at most one entry, is
-// the pivot set.
-func (k *KD) SplitSorted(p *Presorted, lo, hi int, weight []int32, total int64, depth int) (axis, from, to int, ok bool) {
+// the pivot set; left is the weight of the entries before from.
+func (k *KD) SplitSorted(p *Presorted, lo, hi int, weight []int32, total int64, depth int) (axis, from, to int, left int64, ok bool) {
 	// Every coordinate equal on the axis: with rank-space input this cannot
 	// happen for two objects, but raw coordinates try the remaining axes
 	// before giving up.
@@ -100,16 +100,16 @@ func (k *KD) SplitSorted(p *Presorted, lo, hi int, weight []int32, total int64, 
 			wTo += weightOf(weight, s[to])
 		}
 		if to-from == 1 {
-			return axis, from, to, true
+			return axis, from, to, wFrom, true
 		}
 		// 2·wFrom < total <= 2·wTo, so cutting at from leaves total-wFrom on
 		// the heavier side and cutting at to leaves wTo.
 		if from == 0 || to < len(s) && wTo < total-wFrom {
-			from = to
+			return axis, to, to, wTo, true
 		}
-		return axis, from, from, true
+		return axis, from, from, wFrom, true
 	}
-	return 0, 0, 0, false
+	return 0, 0, 0, 0, false
 }
 
 // Relate implements Splitter.
@@ -143,6 +143,21 @@ func Presort(n, dim int, coord func(id int32, axis int) float64) *Presorted {
 		}
 		for r, k := range dataset.RadixSort(keys, spare) {
 			p.lists[a*n+r] = k.ID
+		}
+	}
+	return p
+}
+
+// Ranked is Presort for objects whose order on every axis is known already:
+// rank(id, a) is object id's position in Presort's order on axis a, as
+// dataset.RankSpace numbers it, and each list is filled by placing every id
+// at its rank — no sort.
+func Ranked(n, dim int, coord func(id int32, axis int) float64, rank func(id int32, axis int) int32) *Presorted {
+	p := &Presorted{n: n, dim: dim, coord: coord, lists: make([]int32, dim*n), spare: make([]int32, n), side: make([]uint8, n)}
+	for a := 0; a < dim; a++ {
+		l := p.lists[a*n : (a+1)*n]
+		for id := range int32(n) {
+			l[rank(id, a)] = id
 		}
 	}
 	return p

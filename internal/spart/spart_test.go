@@ -624,3 +624,29 @@ func TestPresortedPartitionMatchesSort(t *testing.T) {
 		check(0, n)
 	}
 }
+
+// TestRankedMatchesPresort: placing each object at its dataset.RankSpace rank
+// gives the lists Presort sorts, over tied coordinates, both zeros and both
+// infinities.
+func TestRankedMatchesPresort(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for dim := 1; dim <= 3; dim++ {
+		const n = 300
+		objs := make([]dataset.Object, n)
+		for i := range objs {
+			objs[i] = dataset.Object{
+				Point: geom.Point{float64(rng.Intn(20)), math.Copysign(0, float64(1-2*rng.Intn(2))), math.Inf(1 - 2*rng.Intn(2))}[:dim],
+				Doc:   []dataset.Keyword{1},
+			}
+		}
+		ds := dataset.MustNew(objs)
+		rs := dataset.NewRankSpace(ds)
+		coord := func(id int32, a int) float64 { return ds.Point(id)[a] }
+		want, got := Presort(n, dim, coord), Ranked(n, dim, coord, rs.Rank)
+		for a := 0; a < dim; a++ {
+			if !slices.Equal(got.List(a, 0, n), want.List(a, 0, n)) {
+				t.Fatalf("d=%d axis %d: ranked %v, presorted %v", dim, a, got.List(a, 0, n), want.List(a, 0, n))
+			}
+		}
+	}
+}

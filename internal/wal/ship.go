@@ -111,10 +111,11 @@ func CheckpointFileName(lastSeq uint64) string {
 
 // ValidateCheckpointFile opens a checkpoint file with the one checkpoint
 // reader, which checks the container framing, the meta and the structure,
-// runs Verify over it (every page checksum, every cell box), and returns the
-// sequence it supersedes. A follower calls this on a downloaded checkpoint
-// before renaming it into place, so a truncated, corrupted or lying transfer
-// is refused instead of landing where recovery would find it.
+// runs Verify over it (every page checksum, every cell box) and Entries (the
+// row pairing recovery into memory checks), and returns the sequence it
+// supersedes. A follower calls this on a downloaded checkpoint before
+// renaming it into place, so a truncated, corrupted or lying transfer is
+// refused instead of landing where recovery would find it.
 func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
 	b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
 	if err != nil {
@@ -122,6 +123,9 @@ func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
 	}
 	defer b.Close()
 	if err := b.Verify(); err != nil {
+		return 0, err
+	}
+	if _, _, err := b.Entries(); err != nil {
 		return 0, err
 	}
 	return b.LastSeq(), nil
