@@ -43,7 +43,7 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 	if n == 0 {
 		return rankEntry, boxes
 	}
-	p := spart.Presort(n, dim, func(e int32, a int) float64 { return points[int(e)*dim+a] })
+	p := spart.Presort(n, dim, points, nil)
 	box := make([]float64, 2*dim)
 	var split func(lo, hi int)
 	split = func(lo, hi int) {

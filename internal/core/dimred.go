@@ -31,11 +31,9 @@ type ORPKWHigh struct {
 	space  SpaceBreakdown
 
 	// Build-time only, nil once the build returns: the goroutine budget
-	// shared with the secondaries, the ranks that order the cuts, and the
-	// rank points of the final two dimensions the d = 2 secondaries split on.
-	gate     *parGate
-	rs       *dataset.RankSpace
-	lastPair []geom.Point
+	// shared with the secondaries and the ranks that order the cuts.
+	gate *parGate
+	rs   *dataset.RankSpace
 
 	fam family // metrics family (famNone when built with NoObs)
 }
@@ -95,7 +93,6 @@ func buildORPKWHigh(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh, err
 		ds: ds, rs: rs, k: k, dim: ds.Dim(), gate: newParGate(opts.Parallelism),
 		fam: opts.famFor(famORPKWHigh),
 	}
-	ix.lastPair = rs.RankPoints(ix.dim - 2)
 	objs := make([]int32, ds.Len())
 	for i := range objs {
 		objs[i] = int32(i)
@@ -105,7 +102,7 @@ func buildORPKWHigh(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKWHigh, err
 		return nil, err
 	}
 	ix.root = t
-	ix.gate, ix.rs, ix.lastPair = nil, nil, nil
+	ix.gate, ix.rs = nil, nil
 	ix.accountSpace()
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
@@ -250,13 +247,12 @@ func (t *drTree) buildSecondary(idx int32, objs []int32) error {
 		fw, err := BuildFramework(ix.ds, FrameworkConfig{
 			K:        ix.k,
 			Splitter: &spart.KD{Dim: 2},
-			Points:   ix.lastPair,
 			Objects:  objs,
 			// Share the owner's goroutine budget; Parallelism 1 keeps the
 			// secondary sequential when the owner has no gate at all.
 			Parallelism: 1,
 			gate:        ix.gate,
-			ownCoords:   true,
+			rankSpace:   true,
 		})
 		if err != nil {
 			return err

@@ -124,10 +124,10 @@ type FrameworkConfig struct {
 	// Splitter is the Step-1 space-partitioning policy.
 	Splitter spart.Splitter
 	// Points are the partitioning coordinates per object (defaults to the
-	// dataset's points; ORP-KW passes rank-space points). Points may have a
-	// different dimensionality than the dataset (the lifting reduction of
-	// Corollary 6 partitions on lifted (d+1)-dimensional coordinates while
-	// documents stay with the original objects).
+	// dataset's points). Points may have a different dimensionality than the
+	// dataset (the lifting reduction of Corollary 6 partitions on lifted
+	// (d+1)-dimensional coordinates while documents stay with the original
+	// objects). A spart.KD splitter's Dim must be theirs.
 	Points []geom.Point
 	// Objects restricts the index to a subset of object ids, distinct and in
 	// any order (defaults to all); the slice is neither modified nor
@@ -144,15 +144,15 @@ type FrameworkConfig struct {
 	// dimension-reduction tree builds one framework per node); when set it
 	// overrides Parallelism.
 	gate *parGate
-	// ranks, when set, orders the objects on every axis of Points already
-	// (ORP-KW's Points are these ranks): a kd build over every object then
-	// places each at its rank instead of sorting (spart.Ranked).
-	ranks *dataset.RankSpace
-	// ownCoords keeps the last pdim coordinates of the dataset's own points
-	// as the coordinates queries compare, Points only steering the splits:
-	// ORP-KW, and the d = 2 secondaries of Theorem 2's index, split in rank
-	// space and answer in the original one (DESIGN.md, substitution 2).
-	ownCoords bool
+	// rankSpace makes a kd build split in rank space (Section 3.4) over the
+	// last Splitter.Dim coordinates of the dataset's own points, Points unset.
+	// The presort orders them as rank space does, ties by id, so no two
+	// entries tie and every split is the median entry alone
+	// (spart.KD.SplitRanked); the ranks themselves are never materialised,
+	// and the same coordinates are the ones queries compare. ORP-KW, and the
+	// d = 2 secondaries of Theorem 2's index, build this way (DESIGN.md,
+	// substitution 2).
+	rankSpace bool
 }
 
 // BuildFramework runs the framework over the dataset in two passes. The
@@ -198,36 +198,44 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// Every column is sized to the build's own objects and keywords, never to
 	// the dataset or the keyword values.
 	n := len(objs)
-	b := &builder{f: f, gate: gate, pts: cfg.Points, weight: make([]int32, n), seq: make([]int32, n), nodes: f.nodesFor(n)}
-	local := objs // already 0..n-1 when objs is every object
-	if cfg.Objects != nil {
-		local = iota32(n)
-	}
-	if cfg.Objects != nil || cfg.Points == nil {
-		b.pts = make([]geom.Point, n)
-		for i, id := range objs {
-			if cfg.Points != nil {
-				b.pts[i] = cfg.Points[id]
-			} else {
-				b.pts[i] = ds.Point(id)
-			}
-		}
-	}
+	b := &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), nodes: f.nodesFor(n), rankSpace: cfg.rankSpace}
 	for i, id := range objs {
 		b.weight[i] = ds.DocLen(id)
 	}
-	if kd, ok := f.split.(*spart.KD); ok {
-		b.kd = kd
-		coord := func(id int32, a int) float64 { return b.pts[id][a] }
-		if cfg.ranks != nil && cfg.Objects == nil {
-			b.sorted = spart.Ranked(n, kd.Dim, coord, cfg.ranks.Rank)
-		} else {
-			b.sorted = spart.Presort(n, kd.Dim, coord)
-		}
-		local = b.sorted.List(0, 0, n)
-	}
+	var local []int32 // the build's objects as local ids, in the order the tree pass takes them
 	var root spart.Cell
-	if b.kd == nil {
+	if kd, ok := f.split.(*spart.KD); ok {
+		b.kd, f.pdim = kd, kd.Dim
+		col, err := kdColumn(ds, objs, cfg, kd.Dim)
+		if err != nil {
+			return nil, err
+		}
+		b.col = col
+		var each func(int, func(int))
+		if gate != nil && n >= parallelCutoff {
+			each = gate.each
+		}
+		b.sorted = spart.Presort(n, kd.Dim, col, each)
+		local = b.sorted.List(0, 0, n)
+	} else {
+		b.pts = cfg.Points
+		if cfg.Objects != nil || cfg.Points == nil {
+			b.pts = make([]geom.Point, n)
+			for i, id := range objs {
+				if cfg.Points != nil {
+					b.pts[i] = cfg.Points[id]
+				} else {
+					b.pts[i] = ds.Point(id)
+				}
+			}
+		}
+		if n > 0 {
+			f.pdim = len(b.pts[0])
+		}
+		local = objs // already 0..n-1 when objs is every object
+		if cfg.Objects != nil {
+			local = iota32(n)
+		}
 		root = f.split.RootCell(b.pts, local)
 	}
 	var nu int64
@@ -242,28 +250,63 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	b.sc = getKwScratch(len(b.words))
 	b.hang(0, iota32(len(b.words)), cnt, 0)
 	kwScratchPool.Put(b.sc)
-	switch {
-	case n > 0:
-		f.pdim = len(b.pts[0])
-	case b.kd != nil:
-		f.pdim = b.kd.Dim
-	}
-	f.ids = b.seq
-	f.coords = make([]float64, n*f.pdim)
-	for r, id := range f.ids {
-		p := b.pts[id]
-		if cfg.ownCoords {
-			p = ds.Point(objs[id])[ds.Dim()-f.pdim:]
-		}
-		copy(f.coords[r*f.pdim:(r+1)*f.pdim], p)
-		f.ids[r] = objs[id]
-	}
+	b.gatherCoords(objs)
 	f.pack(b.nodes, b.kd != nil)
 	if b.kd != nil && !f.deriveBoxes() {
 		return nil, fmt.Errorf("core: a NaN partitioning coordinate has no place in a box")
 	}
 	f.accountSpace()
 	return f, nil
+}
+
+// kdColumn returns a kd build's coordinates by local id, dim a row: the
+// dataset's own column when the build takes every object and all of its
+// coordinates, a gathered copy otherwise.
+func kdColumn(ds *dataset.Dataset, objs []int32, cfg FrameworkConfig, dim int) ([]float64, error) {
+	d := ds.Dim()
+	if cfg.Points != nil {
+		if len(cfg.Points[0]) != dim {
+			return nil, fmt.Errorf("core: a %d-dimensional kd splitter over %d-dimensional points", dim, len(cfg.Points[0]))
+		}
+		col := make([]float64, len(objs)*dim)
+		for i, id := range objs {
+			copy(col[i*dim:(i+1)*dim], cfg.Points[id])
+		}
+		return col, nil
+	}
+	if dim > d || dim < d && !cfg.rankSpace {
+		return nil, fmt.Errorf("core: a %d-dimensional kd splitter over %d-dimensional points", dim, d)
+	}
+	if cfg.Objects == nil && dim == d {
+		points, _, _ := ds.Columns()
+		return points, nil
+	}
+	col := make([]float64, len(objs)*dim)
+	for i, id := range objs {
+		copy(col[i*dim:(i+1)*dim], ds.Point(id)[d-dim:])
+	}
+	return col, nil
+}
+
+// gatherCoords finishes the rank columns: the coordinates queries compare,
+// pdim by rank, and ids, turned in place from the leaf order's local ids to
+// dataset ids. Rank ranges are gathered on as many goroutines as the gate
+// lends.
+func (b *builder) gatherCoords(objs []int32) {
+	f, n, pdim := b.f, len(b.seq), b.f.pdim
+	f.ids = b.seq
+	f.coords = make([]float64, n*pdim)
+	b.gate.spread(n, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			id := f.ids[r]
+			if b.col != nil {
+				copy(f.coords[r*pdim:(r+1)*pdim], b.col[int(id)*pdim:])
+			} else {
+				copy(f.coords[r*pdim:(r+1)*pdim], b.pts[id])
+			}
+			f.ids[r] = objs[id]
+		}
+	})
 }
 
 func iota32(n int) []int32 {
@@ -285,15 +328,19 @@ func iota32(n int) []int32 {
 type builder struct {
 	f      *Framework
 	gate   *parGate
-	pts    []geom.Point // partitioning coordinates by local id
+	pts    []geom.Point // partitioning coordinates by local id, other splitters than kd
 	weight []int32      // |e.Doc| by local id: the verbose-set multiplicity
 	seq    []int32      // rank -> local id
 	nodes  []fnode
 
 	// A kd build keeps every node's objects sorted on each axis (kdSplit):
-	// the node over ranks [lo, hi) is positions [lo, hi) of sorted.
-	kd     *spart.KD
-	sorted *spart.Presorted
+	// the node over ranks [lo, hi) is positions [lo, hi) of sorted. col holds
+	// its coordinates by local id, pdim a row; rankSpace splits them as ranks
+	// (FrameworkConfig.rankSpace).
+	kd        *spart.KD
+	sorted    *spart.Presorted
+	col       []float64
+	rankSpace bool
 
 	// The keyword pass's columns (layDocs): documents by rank.
 	docStart []int32           // rank r's document is docs[docStart[r]:docStart[r+1]]
@@ -468,9 +515,16 @@ func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth 
 // box, which the finished tree derives (deriveBoxes).
 func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, []int64, int32, bool) {
 	l, h := int(lo), int(lo)+len(objs)
-	axis, from, to, left, ok := b.kd.SplitSorted(b.sorted, l, h, b.weight, nu, depth)
-	if !ok {
-		return nil, nil, nil, 0, false
+	var axis, from, to int
+	var left int64
+	if b.rankSpace {
+		axis, from, left = b.kd.SplitRanked(b.sorted, l, h, b.weight, nu, depth)
+		to = from + 1
+	} else {
+		var ok bool
+		if axis, from, to, left, ok = b.kd.SplitSorted(b.sorted, l, h, b.weight, nu, depth); !ok {
+			return nil, nil, nil, 0, false
+		}
 	}
 	b.sorted.Partition(axis, l, h, from, to)
 	npiv := to - from
@@ -496,43 +550,69 @@ func (b *builder) leaf(idx int32, objs []int32) {
 	sortInt32s(b.seq[n.lo:n.hi])
 }
 
-// layDocs reads each document once as dense keyword ids, numbered in the
-// order the objects, ascending, first meet them (the order that numbers the
-// root's tensor axes), and then lays the documents out by rank: the keyword
-// pass reads any node's documents as one stretch of docs. It returns how many
-// objects carry each dense id, the root's counts.
+// layDocs numbers the keywords as dense ids in the order the objects,
+// ascending, first meet them (the order that numbers the root's tensor axes),
+// and lays the documents out by rank as dense ids: the keyword pass reads any
+// node's documents as one stretch of docs. It returns how many objects carry
+// each dense id, the root's counts.
+//
+// Each pass runs on as many goroutines as the gate lends, over ranges of
+// objects or of docs: the parts number their own keywords, and the part
+// tables merge in order; every document is copied as it stands to its rank's
+// place; and the copies are translated to dense ids in place. Hashing and
+// the copy's scattered stores stay in separate passes, which costs less than
+// either one pass that does both.
 func (b *builder) layDocs(ds *dataset.Dataset, objs []int32) []int32 {
 	n := len(objs)
+	at := make([]int32, n) // by local id: where its document goes in docs
 	b.docStart = make([]int32, n+1)
 	for r, id := range b.seq {
+		at[id] = b.docStart[r]
 		b.docStart[r+1] = b.docStart[r] + b.weight[id]
 	}
-	total := int(b.docStart[n])
-	byID := make([]int32, total+n+1) // the documents by local id, then their starts
-	start, byID := byID[total:], byID[:total]
-	dense := make(map[dataset.Keyword]int32)
-	var cnt []int32 // objects per dense id
-	at := int32(0)
-	for i, id := range objs {
-		start[i] = at
-		for _, w := range ds.Doc(id) {
-			d, ok := dense[w]
-			if !ok {
-				d = int32(len(b.words))
-				dense[w] = d
-				b.words = append(b.words, w)
+	b.docs = make([]int32, b.docStart[n])
+
+	parts := b.gate.parts(n)
+	tabs := make([]kwTable, parts)
+	cnts := make([][]int32, parts) // per part: objects per local dense id
+	b.gate.each(parts, func(p int) {
+		t, cnt := &tabs[p], cnts[p]
+		for i := p * n / parts; i < (p+1)*n/parts; i++ {
+			for _, w := range ds.Doc(objs[i]) {
+				d := t.add(w)
+				if int(d) == len(cnt) {
+					cnt = append(cnt, 0)
+				}
+				cnt[d]++
+			}
+		}
+		cnts[p] = cnt
+	})
+	tab, cnt := &tabs[0], cnts[0]
+	for p := 1; p < parts; p++ {
+		for d, w := range tabs[p].words {
+			g := tab.add(w)
+			if int(g) == len(cnt) {
 				cnt = append(cnt, 0)
 			}
-			byID[at] = d
-			at++
-			cnt[d]++
+			cnt[g] += cnts[p][d]
 		}
 	}
-	start[n] = at
-	b.docs = make([]int32, total)
-	for r, id := range b.seq {
-		copy(b.docs[b.docStart[r]:], byID[start[id]:start[id+1]])
-	}
+	b.words = tab.words
+
+	b.gate.spread(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out := b.docs[at[i]:]
+			for j, w := range ds.Doc(objs[i]) {
+				out[j] = int32(w)
+			}
+		}
+	})
+	b.gate.spread(len(b.docs), func(lo, hi int) {
+		for i, w := range b.docs[lo:hi] {
+			b.docs[lo+i] = tab.id(dataset.Keyword(w))
+		}
+	})
 	return cnt
 }
 
@@ -706,19 +786,32 @@ func tensorSize(L, k int) int64 {
 }
 
 // markCombinations sets the tensor bit of every strictly-increasing
-// k-combination of the sorted large-keyword indexes in list.
+// k-combination of the sorted large-keyword indexes in list. The tuples run
+// in lexicographic order: an odometer steps through the (k-1)-prefixes, and
+// a straight loop runs the last entry. pos[j] is the list position of a
+// prefix's j-th entry and lin[j] the linear index of its first j entries, so
+// a step recomputes only the entries after the one that moved. A tuple to
+// mark needs L >= k and tensorSize caps L^k at 2^40, so k <= 11.
 func markCombinations(t *bits.Dense, list []int32, k, L int) {
-	var rec func(start, depth int, lin int64)
-	rec = func(start, depth int, lin int64) {
-		if depth == k {
-			t.Set(int(lin))
+	var pos [10]int
+	var lin [11]int64
+	last := len(list) - k // prefix entry j's last position is last+j
+	for j, next := 0, 0; ; {
+		for ; j < k-1; j, next = j+1, next+1 {
+			pos[j] = next
+			lin[j+1] = lin[j]*int64(L) + int64(list[next])
+		}
+		base := lin[k-1] * int64(L)
+		for _, w := range list[next:] {
+			t.Set(int(base + int64(w)))
+		}
+		for j = k - 2; j >= 0 && pos[j] == last+j; j-- {
+		}
+		if j < 0 {
 			return
 		}
-		for i := start; i <= len(list)-(k-depth); i++ {
-			rec(i+1, depth+1, lin*int64(L)+int64(list[i]))
-		}
+		next = pos[j] + 1
 	}
-	rec(0, 0, 0)
 }
 
 // tensorIndex computes the linear index of the sorted large-index tuple.

@@ -36,14 +36,11 @@ func buildORPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) {
 		return nil, err
 	}
 	bt := obsBuildStart()
-	rs := dataset.NewRankSpace(ds)
 	fw, err := BuildFramework(ds, FrameworkConfig{
 		K:           k,
 		Splitter:    &spart.KD{Dim: ds.Dim()},
-		Points:      rs.RankPoints(0),
 		Parallelism: opts.Parallelism,
-		ranks:       rs,
-		ownCoords:   true,
+		rankSpace:   true,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,9 @@
 package core
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
 
 // BuildOpts tunes index construction across the whole suite. Builders take
 // functional BuildOptions (see options.go) and resolve them into this struct;
@@ -63,3 +66,45 @@ func (g *parGate) tryAcquire() bool {
 }
 
 func (g *parGate) release() { <-g.tokens }
+
+// each runs task(0), ..., task(n-1) and returns when all are done: task i,
+// i >= 1, goes to a goroutine of its own when the gate lends one, and the
+// rest run on the caller's, in order.
+func (g *parGate) each(n int, task func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		if !g.tryAcquire() {
+			task(i)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer g.release()
+			task(i)
+		}()
+	}
+	if n > 0 {
+		task(0)
+	}
+	wg.Wait()
+}
+
+// parts returns how many ranges spread cuts n items into: as many as the
+// gate's parallelism, none shorter than parallelCutoff, and 1 for a nil gate.
+func (g *parGate) parts(n int) int {
+	if g == nil {
+		return 1
+	}
+	return max(min(cap(g.tokens)+1, n/parallelCutoff), 1)
+}
+
+// spread runs fn over [0, n) cut into g.parts(n) equal ranges, through each.
+func (g *parGate) spread(n int, fn func(lo, hi int)) {
+	parts := g.parts(n)
+	if parts == 1 {
+		fn(0, n)
+		return
+	}
+	g.each(parts, func(p int) { fn(p*n/parts, (p+1)*n/parts) })
+}

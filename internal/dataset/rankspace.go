@@ -1,19 +1,16 @@
 package dataset
 
-import (
-	"math"
-
-	"kwsc/internal/geom"
-)
+import "math"
 
 // RankSpace implements Step 4 of the transformation framework (Section 3.4):
 // it removes the general-position assumption by converting coordinates to
 // ranks. Objects are sorted on each dimension with ties broken by the object
 // with the smaller id, so every object receives a distinct integer rank per
 // dimension, and the objects whose coordinate lies in any interval occupy a
-// contiguous rank range. The indexes use the ranks only while they build —
-// to split the kd trees and to order the cuts of Theorem 2's x-dimension
-// trees — and query in the points' own coordinates (DESIGN.md,
+// contiguous rank range. Only Theorem 2's x-dimension trees materialise the
+// ranks, to order their cuts while they build; a kd build splits in the same
+// order by presorting the coordinates themselves (RankKey, ties by id), and
+// every index queries in the points' own coordinates (DESIGN.md,
 // substitution 2).
 type RankSpace struct {
 	ranks [][]int32 // per dim, per object: the object's rank
@@ -91,19 +88,3 @@ func RadixSort(a, b []SortKey) []SortKey {
 
 // Rank returns object i's rank on dimension j.
 func (rs *RankSpace) Rank(i int32, j int) int32 { return rs.ranks[j][i] }
-
-// RankPoints returns every object's point in rank space on dimensions
-// [from, d), the points cut from one column.
-func (rs *RankSpace) RankPoints(from int) []geom.Point {
-	d, n := len(rs.ranks)-from, len(rs.ranks[0])
-	col := make([]float64, n*d)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		p := col[i*d : (i+1)*d : (i+1)*d]
-		for j := range p {
-			p[j] = float64(rs.ranks[from+j][i])
-		}
-		pts[i] = p
-	}
-	return pts
-}

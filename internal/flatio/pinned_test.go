@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,6 +32,7 @@ func TestBuildOutputPinned(t *testing.T) {
 	small2 := workload.Gen(workload.Config{Seed: 204, Objects: 5000, Dim: 2, Vocab: 120, DocLen: 4})
 	small3 := workload.Gen(workload.Config{Seed: 205, Objects: 5000, Dim: 3, Vocab: 60, DocLen: 4})
 	grid16 := gridDataset(209, 5000, 16, 120, 4)
+	ties := tieDataset(211, 20_000, 80, 4)
 	noObs := core.WithoutObs()
 
 	cases := []struct {
@@ -50,6 +52,12 @@ func TestBuildOutputPinned(t *testing.T) {
 		// goroutines, and below the top few levels no keyword is incoming.
 		{"ORPKW/heavy-core/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, heavy, 3, core.WithParallelism(4)) },
 			"014b6c48509a673d62194d7d319dd3047b650f99b60c5bd49c559d46c0465d68"},
+		// Raw coordinates drawn from seven values, -0 and +0 and both
+		// infinities among them: the build orders them as rank space does,
+		// ties by id, so every split has one pivot, as over distinct ranks.
+		// Pinned before the build stopped materialising the rank space.
+		{"ORPKW/ties/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, ties, 2, core.WithParallelism(4)) },
+			"b9674cbd82989f46e9d01f3dee5d687f70b7faf28c2b90705b8bdad4596f8565"},
 		{"ORPKW/d=3/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf3, 2) },
 			"f88532be0d7a4baa3aa43a0d6be0ef3ec028f9a5ba84ffc02da9e7b07cd8dbbe"},
 		// Was the Box splitter's image; re-pinned as KD, which took over its
@@ -147,6 +155,22 @@ func gridDataset(seed int64, n, side, vocab, docLen int) *dataset.Dataset {
 	objs := make([]dataset.Object, n)
 	for i := range objs {
 		objs[i].Point = geom.Point{float64(rng.Intn(side)), float64(rng.Intn(side))}
+		for range docLen {
+			objs[i].Doc = append(objs[i].Doc, dataset.Keyword(rng.Intn(vocab)))
+		}
+	}
+	return dataset.MustNew(objs)
+}
+
+// tieDataset places n objects in the plane with each coordinate one of
+// -Inf, -1, -0, +0, 1, 2 and +Inf, each with a document of docLen keywords
+// drawn from [0, vocab).
+func tieDataset(seed int64, n, vocab, docLen int) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	vals := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, 2, math.Inf(1)}
+	objs := make([]dataset.Object, n)
+	for i := range objs {
+		objs[i].Point = geom.Point{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]}
 		for range docLen {
 			objs[i].Doc = append(objs[i].Doc, dataset.Keyword(rng.Intn(vocab)))
 		}

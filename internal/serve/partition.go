@@ -124,12 +124,11 @@ func newPartitioner(mode PartitionMode, n int, seed []kwsc.Object) *partitioner 
 	return p
 }
 
-// split groups the seed objects by owning shard, remembering each object's
-// global id (its position in the input). Groups may be empty (nil) — a static
-// shard with no objects serves empty results. Each object is routed once and
-// each shard's slices are sized to its count before they are filled.
-func (p *partitioner) split(objs []kwsc.Object) (groups [][]kwsc.Object, globals [][]int64) {
-	groups = make([][]kwsc.Object, p.n)
+// split names each shard's seed objects by their global ids (positions in
+// the input), ascending. A shard may own none (nil) — a static shard with no
+// objects serves empty results. Each object is routed once and each shard's
+// slice is sized to its count before it is filled.
+func (p *partitioner) split(objs []kwsc.Object) (globals [][]int64) {
 	globals = make([][]int64, p.n)
 	shard := make([]int32, len(objs))
 	count := make([]int, p.n)
@@ -139,14 +138,13 @@ func (p *partitioner) split(objs []kwsc.Object) (groups [][]kwsc.Object, globals
 	}
 	for s, c := range count {
 		if c > 0 {
-			groups[s], globals[s] = make([]kwsc.Object, 0, c), make([]int64, 0, c)
+			globals[s] = make([]int64, 0, c)
 		}
 	}
 	for i, s := range shard {
-		groups[s] = append(groups[s], objs[i])
 		globals[s] = append(globals[s], int64(i))
 	}
-	return groups, globals
+	return globals
 }
 
 // Dynamic-corpus handles encode the owning shard so deletes route without

@@ -124,7 +124,8 @@ type Server struct {
 
 // NewStatic partitions objs and builds one read-only shard per partition:
 // Theorem 1's kwsc.ORPKW at d <= 2, Theorem 2's kwsc.ORPKWHigh at d >= 3.
-// Global ids are positions in objs.
+// The shards build concurrently, and the errors of those that fail are
+// joined in shard order. Global ids are positions in objs.
 func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(objs) == 0 {
@@ -132,31 +133,54 @@ func NewStatic(objs []kwsc.Object, cfg Config) (*Server, error) {
 	}
 	cfg.Dim = len(objs[0].Point)
 	part := newPartitioner(cfg.Partition, cfg.Shards, objs)
-	groups, globals := part.split(objs)
+	globals := part.split(objs)
 	shards := make([]shard, cfg.Shards)
+	errs := make([]error, cfg.Shards)
+	var wg sync.WaitGroup
 	for i := range shards {
-		if len(groups[i]) == 0 {
+		if len(globals[i]) == 0 {
 			shards[i] = &staticShard{}
 			continue
 		}
-		ds, err := kwsc.NewDataset(groups[i])
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d dataset: %w", i, err)
-		}
-		var ix staticIndex
-		if cfg.Dim <= 2 {
-			ix, err = kwsc.NewORPKW(ds, cfg.K)
-		} else {
-			ix, err = kwsc.NewORPKWHigh(ds, cfg.K)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d index: %w", i, err)
-		}
-		shards[i] = &staticShard{ix: ix, ds: ds, globals: globals[i]}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shards[i], errs[i] = newStaticShard(i, objs, globals[i], cfg)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	s := newServer(cfg, false, shards, part)
 	s.prune = true
 	return s, nil
+}
+
+// newStaticShard builds shard i over the objects globals names: objs itself
+// when the shard owns them all, a copy of its own objects otherwise.
+func newStaticShard(i int, objs []kwsc.Object, globals []int64, cfg Config) (shard, error) {
+	group := objs
+	if len(globals) < len(objs) {
+		group = make([]kwsc.Object, len(globals))
+		for j, g := range globals {
+			group[j] = objs[g]
+		}
+	}
+	ds, err := kwsc.NewDataset(group)
+	if err != nil {
+		return nil, fmt.Errorf("serve: shard %d dataset: %w", i, err)
+	}
+	var ix staticIndex
+	if cfg.Dim <= 2 {
+		ix, err = kwsc.NewORPKW(ds, cfg.K)
+	} else {
+		ix, err = kwsc.NewORPKWHigh(ds, cfg.K)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: shard %d index: %w", i, err)
+	}
+	return &staticShard{ix: ix, ds: ds, globals: globals}, nil
 }
 
 // NewDynamic builds one mutable shard per partition. With dir non-empty

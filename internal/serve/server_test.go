@@ -122,6 +122,35 @@ func TestStaticShardedEqualsUnsharded(t *testing.T) {
 	}
 }
 
+// TestStaticShardErrorsJoinedInOrder: the shards build concurrently, and
+// when two fail NewStatic returns both errors, the lower shard's first.
+func TestStaticShardErrorsJoinedInOrder(t *testing.T) {
+	objs := genObjects(400, 12)
+	// Range partitioning routes by x: an empty document at each end of the
+	// x order fails the first and the last shard's dataset.
+	lo, hi := 0, 0
+	for i, o := range objs {
+		if o.Point[0] < objs[lo].Point[0] {
+			lo = i
+		}
+		if o.Point[0] > objs[hi].Point[0] {
+			hi = i
+		}
+	}
+	objs[lo].Doc, objs[hi].Doc = nil, nil
+	for range 5 {
+		_, err := NewStatic(objs, Config{Shards: 4, Partition: PartitionRange, K: testK})
+		if err == nil {
+			t.Fatal("a corpus with empty documents built")
+		}
+		msg := err.Error()
+		first, last := strings.Index(msg, "shard 0 "), strings.Index(msg, "shard 3 ")
+		if first < 0 || last < first || strings.Count(msg, "serve: shard") != 2 {
+			t.Fatalf("want shard 0's error, then shard 3's, got %q", msg)
+		}
+	}
+}
+
 // TestStaticLimitPrefix checks the limit cut returns the limit smallest
 // matching ids — a prefix of the full sorted answer.
 func TestStaticLimitPrefix(t *testing.T) {
@@ -681,22 +710,22 @@ func TestPartitionerDeterminism(t *testing.T) {
 	if got := pr.route(onCut); got != 2 {
 		t.Fatalf("coordinate exactly on cuts[1] routed to %d, want 2", got)
 	}
-	// split groups in input order, each shard's slices sized exactly.
+	// split names each shard's objects in input order, each slice sized
+	// exactly.
 	for _, p := range []*partitioner{p1, pr} {
-		groups, globals := p.split(objs)
+		globals := p.split(objs)
 		for s := 0; s < p.n; s++ {
-			var wantGroup []kwsc.Object
 			var wantGlobal []int64
 			for i, o := range objs {
 				if p.route(o) == s {
-					wantGroup, wantGlobal = append(wantGroup, o), append(wantGlobal, int64(i))
+					wantGlobal = append(wantGlobal, int64(i))
 				}
 			}
-			if !reflect.DeepEqual(groups[s], wantGroup) || !reflect.DeepEqual(globals[s], wantGlobal) {
-				t.Fatalf("%v shard %d: split grouped %v, want %v", p.mode, s, globals[s], wantGlobal)
+			if !reflect.DeepEqual(globals[s], wantGlobal) {
+				t.Fatalf("%v shard %d: split named %v, want %v", p.mode, s, globals[s], wantGlobal)
 			}
-			if cap(groups[s]) != len(groups[s]) || cap(globals[s]) != len(globals[s]) {
-				t.Fatalf("%v shard %d: capacities %d/%d for %d objects", p.mode, s, cap(groups[s]), cap(globals[s]), len(groups[s]))
+			if cap(globals[s]) != len(globals[s]) {
+				t.Fatalf("%v shard %d: capacity %d for %d objects", p.mode, s, cap(globals[s]), len(globals[s]))
 			}
 		}
 	}

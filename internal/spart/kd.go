@@ -9,10 +9,11 @@ import (
 // the cell of a node at depth t is split by an axis-parallel hyperplane on
 // dimension t mod d at the weighted median. A median coordinate no other
 // object shares makes its object the one pivot of the split — always so in
-// rank space (Section 3.4). A shared one moves the plane to the edge of the
-// tie block that balances weight better, with no pivot. Either way a split
-// has at most one pivot: the constant-size pivot sets the analysis needs
-// (footnote 8), on raw coordinates too (DESIGN.md, substitution 2).
+// rank space (Section 3.4, SplitRanked). A shared one moves the plane to the
+// edge of the tie block that balances weight better, with no pivot. Either
+// way a split has at most one pivot: the constant-size pivot sets the
+// analysis needs (footnote 8), on raw coordinates too (DESIGN.md,
+// substitution 2).
 //
 // For d = 2 the crossing sensitivity of any axis-parallel line is
 // O(sqrt(N)) (Section 3.3), which is what Theorem 1 rests on.
@@ -35,7 +36,11 @@ func (k *KD) RootCell(pts []geom.Point, objs []int32) Cell {
 // there is one — so no arithmetic is done on a coordinate and ±Inf is an
 // ordinary value.
 func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, depth int) ([]Cell, []int8, bool) {
-	p := Presort(len(objs), k.Dim, func(i int32, axis int) float64 { return pts[objs[i]][axis] })
+	col := make([]float64, len(objs)*k.Dim)
+	for i, id := range objs {
+		copy(col[i*k.Dim:(i+1)*k.Dim], pts[id])
+	}
+	p := Presort(len(objs), k.Dim, col, nil)
 	var w []int32
 	if weight != nil {
 		w = make([]int32, len(objs))
@@ -49,10 +54,10 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 	}
 	s := p.List(axis, 0, len(objs))
 	left, right := cell.(*geom.Rect).Clone(), cell.(*geom.Rect).Clone()
-	cut := p.coord(s[from], axis)
+	cut := col[int(s[from])*k.Dim+axis]
 	left.Hi[axis], right.Lo[axis] = cut, cut
 	if from == to {
-		left.Hi[axis] = p.coord(s[from-1], axis)
+		left.Hi[axis] = col[int(s[from-1])*k.Dim+axis]
 	}
 	assign := make([]int8, len(objs))
 	for j, i := range s {
@@ -73,23 +78,18 @@ func (k *KD) Split(cell Cell, objs []int32, pts []geom.Point, weight []int32, de
 // child 0, those from to on to child 1, and [from, to), at most one entry, is
 // the pivot set; left is the weight of the entries before from.
 func (k *KD) SplitSorted(p *Presorted, lo, hi int, weight []int32, total int64, depth int) (axis, from, to int, left int64, ok bool) {
-	// Every coordinate equal on the axis: with rank-space input this cannot
-	// happen for two objects, but raw coordinates try the remaining axes
-	// before giving up.
+	// Every coordinate equal on the axis: the remaining axes are tried before
+	// giving up.
 	for off := 0; off < k.Dim; off++ {
 		axis = (depth + off) % k.Dim
 		s := p.List(axis, lo, hi)
-		c := func(j int) float64 { return p.coord(s[j], axis) }
+		c := func(j int) float64 { return p.col[int(s[j])*p.dim+axis] }
 		if c(0) == c(len(s)-1) {
 			continue
 		}
-		// The median s[i] is the first entry with 2·W(s[:i+1]) >= total; its
-		// tie block is [from, to), W(s[:from]) = wFrom and W(s[:to]) = wTo.
-		i, wTo := 0, weightOf(weight, s[0])
-		for 2*wTo < total {
-			i++
-			wTo += weightOf(weight, s[i])
-		}
+		// The median s[i] has a tie block [from, to), W(s[:from]) = wFrom and
+		// W(s[:to]) = wTo.
+		i, wTo := median(s, weight, total)
 		m := c(i)
 		from, to = i, i+1
 		wFrom := wTo - weightOf(weight, s[i])
@@ -112,6 +112,30 @@ func (k *KD) SplitSorted(p *Presorted, lo, hi int, weight []int32, total int64, 
 	return 0, 0, 0, 0, false
 }
 
+// SplitRanked is SplitSorted for a node of at least two entries in rank
+// space, where no two entries tie on any axis (Section 3.4 breaks every tie
+// by id, as Presort's lists do): on axis depth mod Dim the median entry, at
+// position at of the axis's list, is the one pivot, and left is the weight of
+// the entries before it. This is SplitSorted's answer over distinct ranks,
+// read off the list's order alone.
+func (k *KD) SplitRanked(p *Presorted, lo, hi int, weight []int32, total int64, depth int) (axis, at int, left int64) {
+	axis = depth % k.Dim
+	s := p.List(axis, lo, hi)
+	at, wTo := median(s, weight, total)
+	return axis, at, wTo - weightOf(weight, s[at])
+}
+
+// median returns the position i of the median of s, the first entry with
+// 2·W(s[:i+1]) >= total, and W(s[:i+1]).
+func median(s []int32, weight []int32, total int64) (i int, w int64) {
+	w = weightOf(weight, s[0])
+	for 2*w < total {
+		i++
+		w += weightOf(weight, s[i])
+	}
+	return i, w
+}
+
 // Relate implements Splitter.
 func (k *KD) Relate(c Cell, q geom.Region) geom.Relation {
 	r := c.(*geom.Rect)
@@ -126,39 +150,44 @@ func (k *KD) Relate(c Cell, q geom.Region) geom.Relation {
 type Presorted struct {
 	n     int
 	dim   int
-	coord func(id int32, axis int) float64
-	lists []int32 // axis a's list is lists[a*n : (a+1)*n]
-	spare []int32 // by position: the right-hand side of a partition
-	side  []uint8 // by id: where the current split sent it, 1 left, 2 right, 0 a pivot
+	col   []float64 // object id's coordinate on axis a is col[id*dim+a]
+	lists []int32   // axis a's list is lists[a*n : (a+1)*n]
+	spare []int32   // by position: the right-hand side of a partition
+	side  []uint8   // by id: where the current split sent it, 1 left, 2 right, 0 a pivot
 }
 
-// Presort sorts the objects 0..n-1 on each of dim axes, coord(id, a) being
-// object id's coordinate on axis a: one dataset.RadixSort an axis.
-func Presort(n, dim int, coord func(id int32, axis int) float64) *Presorted {
-	p := &Presorted{n: n, dim: dim, coord: coord, lists: make([]int32, dim*n), spare: make([]int32, n), side: make([]uint8, n)}
-	keys, spare := make([]dataset.SortKey, n), make([]dataset.SortKey, n)
-	for a := 0; a < dim; a++ {
-		for i := range keys {
-			keys[i] = dataset.SortKey{Key: dataset.RankKey(coord(int32(i), a)), ID: int32(i)}
+// Presort sorts the objects 0..n-1 on each of dim axes, col holding object
+// id's coordinates row-major, axis a at col[id*dim+a]: one dataset.RadixSort
+// an axis. col is never written, and splits read it for as long as the
+// Presorted is in use.
+//
+// The axes sort independently. each, when not nil, runs task(0..dim-1) and
+// returns when all are done, on as many goroutines as it likes, and every axis
+// then sorts in buffers of its own; with each nil the axes sort one after
+// another in one pair of buffers.
+func Presort(n, dim int, col []float64, each func(tasks int, task func(a int))) *Presorted {
+	p := &Presorted{n: n, dim: dim, col: col, lists: make([]int32, dim*n), spare: make([]int32, n), side: make([]uint8, n)}
+	var keys, spare []dataset.SortKey
+	sortAxis := func(a int) {
+		keys, spare := keys, spare
+		if keys == nil {
+			keys, spare = make([]dataset.SortKey, n), make([]dataset.SortKey, n)
 		}
+		for i := range keys {
+			keys[i] = dataset.SortKey{Key: dataset.RankKey(col[i*dim+a]), ID: int32(i)}
+		}
+		l := p.lists[a*n : (a+1)*n]
 		for r, k := range dataset.RadixSort(keys, spare) {
-			p.lists[a*n+r] = k.ID
+			l[r] = k.ID
 		}
 	}
-	return p
-}
-
-// Ranked is Presort for objects whose order on every axis is known already:
-// rank(id, a) is object id's position in Presort's order on axis a, as
-// dataset.RankSpace numbers it, and each list is filled by placing every id
-// at its rank — no sort.
-func Ranked(n, dim int, coord func(id int32, axis int) float64, rank func(id int32, axis int) int32) *Presorted {
-	p := &Presorted{n: n, dim: dim, coord: coord, lists: make([]int32, dim*n), spare: make([]int32, n), side: make([]uint8, n)}
+	if each != nil {
+		each(dim, sortAxis)
+		return p
+	}
+	keys, spare = make([]dataset.SortKey, n), make([]dataset.SortKey, n)
 	for a := 0; a < dim; a++ {
-		l := p.lists[a*n : (a+1)*n]
-		for id := range int32(n) {
-			l[rank(id, a)] = id
-		}
+		sortAxis(a)
 	}
 	return p
 }

@@ -586,7 +586,11 @@ func TestPresortedPartitionMatchesSort(t *testing.T) {
 				pts[i][0] = 0
 			}
 		}
-		p := Presort(n, dim, func(id int32, a int) float64 { return pts[id][a] })
+		col := make([]float64, 0, n*dim)
+		for _, pt := range pts {
+			col = append(col, pt...)
+		}
+		p := Presort(n, dim, col, nil)
 		sorted := func(a int, ids []int32) []int32 {
 			s := slices.Clone(ids)
 			slices.SortFunc(s, func(x, y int32) int {
@@ -625,28 +629,69 @@ func TestPresortedPartitionMatchesSort(t *testing.T) {
 	}
 }
 
-// TestRankedMatchesPresort: placing each object at its dataset.RankSpace rank
-// gives the lists Presort sorts, over tied coordinates, both zeros and both
-// infinities.
-func TestRankedMatchesPresort(t *testing.T) {
+// TestSplitRankedMatchesRankSpace: over raw coordinates with tie blocks,
+// both zeros and both infinities, SplitRanked splits every node as SplitSorted
+// splits it over the dataset.RankSpace ranks of the same points, with
+// weights, and Partition keeps the two builds' lists equal all the way down —
+// the kd tree of a rank-space build needs no rank materialised. It runs the
+// axes on goroutines of their own, as a parallel build does.
+func TestSplitRankedMatchesRankSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
+	each := func(tasks int, task func(a int)) {
+		done := make(chan struct{})
+		for a := range tasks {
+			go func() { task(a); done <- struct{}{} }()
+		}
+		for range tasks {
+			<-done
+		}
+	}
 	for dim := 1; dim <= 3; dim++ {
 		const n = 300
 		objs := make([]dataset.Object, n)
+		weight := make([]int32, n)
 		for i := range objs {
 			objs[i] = dataset.Object{
 				Point: geom.Point{float64(rng.Intn(20)), math.Copysign(0, float64(1-2*rng.Intn(2))), math.Inf(1 - 2*rng.Intn(2))}[:dim],
 				Doc:   []dataset.Keyword{1},
 			}
+			weight[i] = int32(1 + rng.Intn(5))
 		}
 		ds := dataset.MustNew(objs)
 		rs := dataset.NewRankSpace(ds)
-		coord := func(id int32, a int) float64 { return ds.Point(id)[a] }
-		want, got := Presort(n, dim, coord), Ranked(n, dim, coord, rs.Rank)
-		for a := 0; a < dim; a++ {
-			if !slices.Equal(got.List(a, 0, n), want.List(a, 0, n)) {
-				t.Fatalf("d=%d axis %d: ranked %v, presorted %v", dim, a, got.List(a, 0, n), want.List(a, 0, n))
+		raw, ranks := make([]float64, 0, n*dim), make([]float64, 0, n*dim)
+		for i := range int32(n) {
+			raw = append(raw, ds.Point(i)...)
+			for a := range dim {
+				ranks = append(ranks, float64(rs.Rank(i, a)))
 			}
 		}
+		kd := &KD{Dim: dim}
+		got, want := Presort(n, dim, raw, each), Presort(n, dim, ranks, nil)
+		var check func(lo, hi int, depth int)
+		check = func(lo, hi int, depth int) {
+			for a := 0; a < dim; a++ {
+				if !slices.Equal(got.List(a, lo, hi), want.List(a, lo, hi)) {
+					t.Fatalf("d=%d [%d, %d) axis %d: raw %v, ranks %v", dim, lo, hi, a, got.List(a, lo, hi), want.List(a, lo, hi))
+				}
+			}
+			if hi-lo < 2 {
+				return
+			}
+			var total int64
+			for _, id := range got.List(0, lo, hi) {
+				total += int64(weight[id])
+			}
+			axis, from, to, left, ok := kd.SplitSorted(want, lo, hi, weight, total, depth)
+			gAxis, at, gLeft := kd.SplitRanked(got, lo, hi, weight, total, depth)
+			if !ok || to != from+1 || axis != gAxis || at != from || left != gLeft {
+				t.Fatalf("d=%d [%d, %d) depth %d: ranks split (%d, [%d, %d), %d, %v), raw (%d, %d, %d)", dim, lo, hi, depth, axis, from, to, left, ok, gAxis, at, gLeft)
+			}
+			got.Partition(axis, lo, hi, from, to)
+			want.Partition(axis, lo, hi, from, to)
+			check(lo+1, lo+1+from, depth+1)
+			check(lo+1+from, hi, depth+1)
+		}
+		check(0, n, 0)
 	}
 }
