@@ -33,6 +33,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		opt  DurableOption
 	}{
 		{"fsync=none", WithFsyncPolicy(FsyncNone)},
+		{"fsync=interval", WithFsyncPolicy(FsyncInterval)}, // kwscd's and bench/'s policy
 		{"fsync=every-op", WithFsyncPolicy(FsyncEveryOp)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -3,7 +3,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -289,5 +292,49 @@ func TestDynamicQueryAllocsIndependentOfResults(t *testing.T) {
 	}
 	if many != 0 || few != 0 {
 		t.Fatalf("dynamic query allocates %v for %d results, %v for %d; want 0", many, nMany, few, nFew)
+	}
+}
+
+// The Insert that completes a carry over four occupied buckets (bufferCap 64:
+// 960 entries in slots 0-3 and a full buffer, all moving to slot 4) makes 13
+// allocations: 3 for the insert, one for each of the gatherer's four columns,
+// sized once for all five parts, and 6 for the gatherer, the successor state
+// and its bucket. Growing the columns part by part instead would regrow and
+// recopy them, 6 allocations more.
+func TestCarryAllocations(t *testing.T) {
+	const want = 13
+	rng := rand.New(rand.NewSource(47))
+	objs := make([]dataset.Object, 1024)
+	for i := range objs {
+		objs[i] = randObj(rng)
+	}
+	least := uint64(math.MaxUint64)
+	for trial := 0; trial < 5; trial++ { // the least count drops foreign allocations
+		d, err := NewDynamicORPKW(2, 2, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs[:1023] {
+			if _, err := d.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := d.Buckets(); !slices.Equal(got, []int{64, 128, 256, 512}) {
+			t.Fatalf("occupancy %v before the carry, want [64 128 256 512]", got)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = d.Insert(objs[1023])
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Buckets(); !slices.Equal(got, []int{0, 0, 0, 0, 1024}) {
+			t.Fatalf("occupancy %v after the carry, want [0 0 0 0 1024]", got)
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != want {
+		t.Fatalf("the carry over 4 buckets allocates %d times, want %d", least, want)
 	}
 }

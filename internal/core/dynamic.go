@@ -167,10 +167,11 @@ func (t *tombSet) with(h int64) *tombSet {
 }
 
 // materialize returns a fresh mutable copy of the set, for merge-time
-// purging. Mutating the copy never affects published states.
+// purging. Mutating the copy never affects published states. The empty set
+// copies to a nil map, which purging only reads and deletes from.
 func (t *tombSet) materialize() map[int64]struct{} {
 	if t == nil {
-		return map[int64]struct{}{}
+		return nil
 	}
 	m := make(map[int64]struct{}, t.size())
 	for k := range t.base {
@@ -286,13 +287,22 @@ func (c *entryCols) add(h int64, p geom.Point, doc []dataset.Keyword) {
 	c.docStart = append(c.docStart, int64(len(c.docWords)))
 }
 
+// grow makes room for n more entries holding words document words in all;
+// it allocates nothing where an earlier grow made room already.
+func (c *entryCols) grow(n, words int) {
+	c.handles = slices.Grow(c.handles, n)
+	c.points = slices.Grow(c.points, n*c.dim)
+	if len(c.docStart) == 0 {
+		n++ // the leading 0
+	}
+	c.docStart = slices.Grow(c.docStart, n)
+	c.docWords = slices.Grow(c.docWords, words)
+}
+
 // addSet appends the live entries of one entry set (objs nil when empty).
 func (c *entryCols) addSet(handles []int64, objs *dataset.Dataset) {
-	c.handles = slices.Grow(c.handles, len(handles))
-	c.points = slices.Grow(c.points, len(handles)*c.dim)
-	c.docStart = slices.Grow(c.docStart, len(handles)+1)
 	if objs != nil {
-		c.docWords = slices.Grow(c.docWords, int(objs.N()))
+		c.grow(len(handles), int(objs.N()))
 	}
 	for i, h := range handles {
 		if c.dead == nil || !c.dead(h) {
@@ -303,8 +313,20 @@ func (c *entryCols) addSet(handles []int64, objs *dataset.Dataset) {
 
 // addParts appends buckets and then the write buffer — oldest first, since a
 // higher slot holds older entries than a lower one and the buffer is the
-// newest part.
+// newest part. The columns are sized for every part up front, so a carry
+// allocates each of them once.
 func (c *entryCols) addParts(buckets []*dynBucket, buffer []dynEntry) {
+	n, words := len(buffer), 0
+	for _, b := range buckets {
+		if b != nil {
+			n += len(b.handles)
+			words += int(b.objs.N())
+		}
+	}
+	for i := range buffer {
+		words += len(buffer[i].obj.Doc)
+	}
+	c.grow(n, words)
 	for i := len(buckets) - 1; i >= 0; i-- {
 		if b := buckets[i]; b != nil {
 			c.addSet(b.handles, b.objs)
@@ -329,6 +351,7 @@ func (c *entryCols) finish() ([]int64, *dataset.Dataset, error) {
 		}
 		slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(c.handles[a], c.handles[b]) })
 		sorted := entryCols{dim: c.dim}
+		sorted.grow(len(c.handles), len(c.docWords))
 		for _, i := range perm {
 			lo, hi := c.docStart[i], c.docStart[i+1]
 			sorted.add(c.handles[i], c.points[int(i)*c.dim:(int(i)+1)*c.dim], c.docWords[lo:hi])

@@ -88,6 +88,11 @@ func DisarmAllFailpoints() {
 // one registry with the query-path sites above.
 func Failpoint(name string) { failpoint(name) }
 
+// FailpointsArmed reports whether any site is armed, at the cost of one
+// atomic load. A caller whose site needs a costlier path to fire at all (the
+// wal splits a write around its site) takes that path only while it is true.
+func FailpointsArmed() bool { return fpArmed.Load() != 0 }
+
 // failpoint runs the site's armed action, if any.
 func failpoint(name string) {
 	if fpArmed.Load() == 0 {

@@ -61,14 +61,7 @@ func writeCheckpointFile(dir string, snap *codec.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	data := buf.Bytes()
-	half := len(data) / 2
-	if _, err := f.Write(data[:half]); err != nil {
-		f.Close()
-		return err
-	}
-	core.Failpoint(FPCheckpointWrite)
-	if _, err := f.Write(data[half:]); err != nil {
+	if err := writeSplit(f, buf.Bytes(), FPCheckpointWrite); err != nil {
 		f.Close()
 		return err
 	}

@@ -217,6 +217,23 @@ func crashAndRecover(t *testing.T, dir string, ops []crashOp, acked int) *Durabl
 	return d2
 }
 
+// recoverTorn is crashAndRecover for a crash on the write path, where a crash
+// at FPAppend leaves a frame prefix: recovery must truncate exactly that one
+// torn tail, and none after a crash at any other site.
+func recoverTorn(t *testing.T, site, dir string, ops []crashOp, acked int) *Durable {
+	t.Helper()
+	before := walTornTruncations.Load()
+	d2 := crashAndRecover(t, dir, ops, acked)
+	want := int64(0)
+	if site == FPAppend {
+		want = 1
+	}
+	if got := walTornTruncations.Load() - before; got != want {
+		t.Fatalf("recovery after a crash at %s truncated %d torn tails, want %d", site, got, want)
+	}
+	return d2
+}
+
 // crashSites: every durability failpoint that fires on the write path, with
 // the op index at which to detonate (1-based hit count of the site).
 func TestCrashDuringAppend(t *testing.T) { testCrashAt(t, FPAppend) }
@@ -237,7 +254,7 @@ func testCrashAt(t *testing.T, site string) {
 			if acked != nth-1 {
 				t.Fatalf("acked %d ops before crash at hit %d", acked, nth)
 			}
-			d2 := crashAndRecover(t, dir, ops, acked)
+			d2 := recoverTorn(t, site, dir, ops, acked)
 			// The store must remain writable after recovery.
 			if _, err := d2.Insert(ops[0].obj); err != nil {
 				t.Fatalf("post-recovery insert: %v", err)
@@ -317,7 +334,7 @@ func TestCrashStressManySites(t *testing.T) {
 				if !crashed {
 					t.Skipf("site %s hit fewer than %d times", site, nth)
 				}
-				crashAndRecover(t, dir, ops, acked)
+				recoverTorn(t, site, dir, ops, acked)
 			})
 		}
 	}

@@ -24,10 +24,10 @@
 //
 //	u32 payload length | u32 crc32c(payload) | payload
 //
-// The payload is one op record (see record.go). Torn writes leave a prefix
-// of a frame; because the header is written first, any 8-byte-complete
-// header carries a genuine length, and a frame cut short by a crash is
-// detected as extending past end-of-file.
+// The payload is one op record (see record.go). Each frame reaches the file
+// in one write(2); a torn write leaves a prefix of it, and because the header
+// leads the frame, any 8-byte-complete header carries a genuine length and a
+// frame cut short by a crash is detected as extending past end-of-file.
 package wal
 
 import (
@@ -78,13 +78,14 @@ func (p SyncPolicy) String() string {
 // covers query-path and durability faults alike.
 const (
 	// FPAppend fires mid-frame, after the first half of a frame's bytes
-	// reached the file — an armed panic here leaves a torn tail.
+	// reached the file — an armed panic here leaves a torn tail. A frame is
+	// split around it only while a failpoint is armed (see writeSplit).
 	FPAppend = "wal/append"
 	// FPSync fires after a frame is fully written but before the fsync that
 	// would acknowledge it.
 	FPSync = "wal/pre-sync"
 	// FPCheckpointWrite fires mid-checkpoint, after half the snapshot's
-	// bytes reached the tmp file.
+	// bytes reached the tmp file (split as FPAppend's frame is).
 	FPCheckpointWrite = "wal/checkpoint-write"
 	// FPCheckpointRename fires after the tmp checkpoint is complete and
 	// fsynced but before the atomic rename.
@@ -181,7 +182,9 @@ func (l *log) syncLoop(interval time.Duration) {
 	}
 }
 
-// append writes one frame around payload and makes it durable per policy.
+// append writes one frame around payload, with one write(2), and makes it
+// durable per policy: under interval and none the whole frame is in the
+// kernel before append returns, under every-op it is fsynced too.
 // On any error the frame is logically excised — the next append truncates
 // the partial bytes away — so the log never accumulates a damaged frame
 // followed by valid ones.
@@ -205,15 +208,7 @@ func (l *log) append(payload []byte) error {
 	l.scratch = binary.LittleEndian.AppendUint32(l.scratch, uint32(len(payload)))
 	l.scratch = binary.LittleEndian.AppendUint32(l.scratch, crc32.Checksum(payload, castagnoli))
 	l.scratch = append(l.scratch, payload...)
-	// Two writes with the failpoint between them model a torn write: a
-	// crash here leaves a frame prefix for recovery to truncate.
-	half := len(l.scratch) / 2
-	if _, err := l.f.Write(l.scratch[:half]); err != nil {
-		l.bad = true
-		return err
-	}
-	core.Failpoint(FPAppend)
-	if _, err := l.f.Write(l.scratch[half:]); err != nil {
+	if err := writeSplit(l.f, l.scratch, FPAppend); err != nil {
 		l.bad = true
 		return err
 	}
@@ -234,6 +229,22 @@ func (l *log) append(payload []byte) error {
 		walFsyncs.Inc()
 	}
 	return nil
+}
+
+// writeSplit writes data to f with one write(2). While a failpoint is armed
+// it writes data in two halves with site between them instead, so that an
+// armed panic models a torn write: a prefix for recovery to truncate.
+func writeSplit(f *os.File, data []byte, site string) error {
+	if core.FailpointsArmed() {
+		half := len(data) / 2
+		if _, err := f.Write(data[:half]); err != nil {
+			return err
+		}
+		core.Failpoint(site)
+		data = data[half:]
+	}
+	_, err := f.Write(data)
+	return err
 }
 
 // sync forces an fsync of everything appended so far.
