@@ -32,8 +32,13 @@ check: vet
 # the acknowledged prefix (verified against an inverted-index replay) — plus
 # the damaged-checkpoint recoveries: fall back to an older one and replay, or
 # refuse a directory whose log cannot bridge to the state that validates.
+# Replication's fault tests run too, because a follower applies shipped
+# records through recovery's frame walk and apply rule and lands a download
+# through the checkpoint's atomic landing: a follower killed mid-replay,
+# torn, corrupt and diverged streams, lying and mislabelled checkpoints.
 crash:
 	$(GO) test -race -run 'Crash|DamagedCheckpoint|LogStartingAfterCheckpoint' ./internal/wal/
+	$(GO) test -race -run 'KilledMidReplay|Torn|Corrupt|Diverged|Lying|Mislabelled' ./internal/repl/
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
 # codec, the checkpoint codec, WAL recovery, the posting-block format (its one

@@ -15,7 +15,6 @@ package flatio
 
 import (
 	"fmt"
-	"os"
 
 	"kwsc/internal/codec"
 	"kwsc/internal/pager"
@@ -52,60 +51,6 @@ func (h *Handle) Path() string { return h.f.Path() }
 
 // Mapped reports whether the file is memory-mapped.
 func (h *Handle) Mapped() bool { return h.f.Mapped() }
-
-// writeAtomic writes a container to path via tmp-file + rename + directory
-// sync, so a crash mid-save never leaves a torn file under the final name.
-func writeAtomic(path string, encode func(f *os.File) error) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncParentDir(path)
-}
-
-func syncParentDir(path string) error {
-	dir := "."
-	if i := lastSlash(path); i >= 0 {
-		dir = path[:i]
-		if dir == "" {
-			dir = "/"
-		}
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' || s[i] == os.PathSeparator {
-			return i
-		}
-	}
-	return -1
-}
 
 // openContainer opens path through the pager, parses the superblock, and
 // verifies every page checksum. On success the caller owns the returned

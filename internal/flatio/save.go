@@ -8,6 +8,7 @@ import (
 	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
+	"kwsc/internal/pager"
 )
 
 // SaveORPKW serializes an ORPKW (dataset, flat arenas) as a flat-index KWCP2
@@ -58,12 +59,12 @@ func SaveSPKW(w io.Writer, ix *core.SPKW) error {
 // SaveFileORPKW is SaveORPKW to a path, written atomically (tmp + rename +
 // directory sync).
 func SaveFileORPKW(path string, ix *core.ORPKW) error {
-	return writeAtomic(path, func(f *os.File) error { return SaveORPKW(f, ix) })
+	return pager.WriteAtomic(path, func(f *os.File) error { return SaveORPKW(f, ix) }, nil)
 }
 
 // SaveFileSPKW is SaveSPKW to a path, written atomically.
 func SaveFileSPKW(path string, ix *core.SPKW) error {
-	return writeAtomic(path, func(f *os.File) error { return SaveSPKW(f, ix) })
+	return pager.WriteAtomic(path, func(f *os.File) error { return SaveSPKW(f, ix) }, nil)
 }
 
 // flatSections encodes the framework columns and the dataset image — the

@@ -15,25 +15,22 @@ import (
 
 	"kwsc/internal/core"
 	"kwsc/internal/obs"
+	"kwsc/internal/pager"
 	"kwsc/internal/wal"
 )
 
-// Failpoint sites in the replication apply path (see core.ArmFailpoint).
-const (
-	// FPApply fires before each shipped record is applied — arming it with a
-	// panic simulates a follower killed mid-replay.
-	FPApply = "repl/apply"
-	// FPBootstrap fires after the checkpoint download lands but before the
-	// follower's durable state opens over it.
-	FPBootstrap = "repl/bootstrap"
-)
+// FPBootstrap fires after the checkpoint download lands but before the
+// follower's durable state opens over it (see core.ArmFailpoint). Each
+// shipped record passes wal.FPReplay, the failpoint of the one apply rule
+// recovery shares — arming it with a panic kills a follower mid-replay.
+const FPBootstrap = "repl/bootstrap"
 
 // ErrDiverged reports that a shipped record could not be replayed exactly:
 // the follower's state no longer matches the primary's logged history (a
-// sequence gap, an insert that produced a different handle, or a delete of a
-// dead handle). A diverged follower stops applying rather than serve a wrong
-// history; the operator must re-seed it from a checkpoint.
-var ErrDiverged = errors.New("repl: follower state diverged from shipped log")
+// sequence gap, an insert that would produce a different handle, or a
+// delete of a dead handle). A diverged follower stops applying rather than
+// serve a wrong history; the operator must re-seed it from a checkpoint.
+var ErrDiverged = wal.ErrDiverged
 
 // FollowerConfig configures a read replica of one shipped durable directory.
 type FollowerConfig struct {
@@ -95,7 +92,6 @@ type Follower struct {
 	mu sync.Mutex // guards d across re-bootstrap (410) transitions
 	d  *wal.Durable
 
-	applied    atomic.Uint64 // last applied primary seq
 	primarySeq atomic.Uint64 // newest LastSeq the primary has reported
 	caughtUpAt atomic.Int64  // unixnano of the report the follower last fully applied
 	bootstraps atomic.Uint64
@@ -145,8 +141,8 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-// openLocked (re)opens the durable index over cfg.Dir and aligns the applied
-// counters with whatever local recovery produced.
+// openLocked (re)opens the durable index over cfg.Dir and aligns the
+// applied-seq gauge with whatever local recovery produced.
 func (f *Follower) openLocked() error {
 	d, err := wal.Open(f.cfg.Dir, f.cfg.Dim, f.cfg.K, f.cfg.WALOptions...)
 	if err != nil {
@@ -156,7 +152,7 @@ func (f *Follower) openLocked() error {
 	f.mu.Lock()
 	f.d = d
 	f.mu.Unlock()
-	f.setApplied(d.Seq())
+	f.gauge.Set(int64(d.Seq()))
 	return nil
 }
 
@@ -186,37 +182,30 @@ func (f *Follower) downloadCheckpoint() error {
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
 		return err
 	}
-	// Same atomicity discipline as the primary's own checkpoint writer:
-	// tmp + fsync + validate + rename + directory fsync, so a crashed or
-	// refused download never leaves a file that recovery would consider, and
-	// a landed one survives a power cut.
+	// The primary's own checkpoint landing: tmp + fsync + validate + rename
+	// + directory fsync, so a crashed or refused download never leaves a
+	// file that recovery would consider, and a landed one survives a power
+	// cut. Recovery finds a checkpoint by its name, so the name must be the
+	// sequence the validated file supersedes: a header that disagrees is
+	// refused too.
 	final := filepath.Join(f.cfg.Dir, wal.CheckpointFileName(seq))
-	tmp := final + ".tmp"
-	tf, err := os.Create(tmp)
+	err = pager.WriteAtomic(final,
+		func(tf *os.File) error {
+			_, err := io.Copy(tf, resp.Body)
+			return err
+		},
+		func(tmp string) error {
+			lastSeq, err := wal.ValidateCheckpointFile(tmp)
+			if err == nil && lastSeq != seq {
+				err = fmt.Errorf("it supersedes seq %d, the %s header says %d", lastSeq, HdrSeq, seq)
+			}
+			if err != nil {
+				replCRCRefusals.Inc()
+				return fmt.Errorf("repl: downloaded checkpoint refused: %w", err)
+			}
+			return nil
+		})
 	if err != nil {
-		return err
-	}
-	_, cErr := io.Copy(tf, resp.Body)
-	if cErr == nil {
-		cErr = tf.Sync()
-	}
-	if err := tf.Close(); err != nil && cErr == nil {
-		cErr = err
-	}
-	if cErr != nil {
-		os.Remove(tmp)
-		return cErr
-	}
-	if _, err := wal.ValidateCheckpointFile(tmp); err != nil {
-		os.Remove(tmp)
-		replCRCRefusals.Inc()
-		return fmt.Errorf("repl: downloaded checkpoint refused: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := wal.SyncDir(f.cfg.Dir); err != nil {
 		return err
 	}
 	core.Failpoint(FPBootstrap)
@@ -227,7 +216,7 @@ func (f *Follower) downloadCheckpoint() error {
 // records applied. It is the unit the Run loop repeats and the handle tests
 // use for deterministic catch-up.
 func (f *Follower) Poll() (applied int, err error) {
-	from := f.applied.Load() + 1
+	from := f.AppliedSeq() + 1
 	url := fmt.Sprintf("%s/wal?from=%d", f.cfg.Primary, from)
 	if f.cfg.MaxBatchBytes > 0 {
 		url += fmt.Sprintf("&max_bytes=%d", f.cfg.MaxBatchBytes)
@@ -256,77 +245,28 @@ func (f *Follower) Poll() (applied int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	applied, err = f.applyFrames(body)
+	d := f.Durable()
+	if d == nil {
+		return 0, wal.ErrClosed
+	}
+	applied, torn, err := d.ApplyShipped(body)
+	replFramesApplied.Add(int64(applied))
+	f.gauge.Set(int64(d.Seq()))
 	if err != nil {
+		if errors.Is(err, wal.ErrCorrupt) {
+			replCRCRefusals.Inc()
+		}
 		return applied, err
 	}
-	a := f.applied.Load()
+	if torn {
+		replTornRetries.Inc() // truncated transfer: re-request next poll
+	}
+	a := d.Seq()
 	if reported > a {
 		replLagSeq.Observe(int64(reported - a))
 	} else {
 		replLagSeq.Observe(0)
 		f.caughtUpAt.Store(reportTime.UnixNano())
-	}
-	return applied, nil
-}
-
-// applyFrames verifies and applies a shipped frame stream in order. A torn
-// frame at the end of the stream is benign (the next poll re-requests from
-// the same position); a checksum or structural failure, a sequence gap, or a
-// replay that does not reproduce the primary's logged handles stops the
-// follower without applying the offending record.
-func (f *Follower) applyFrames(frames []byte) (applied int, err error) {
-	f.mu.Lock()
-	d := f.d
-	f.mu.Unlock()
-	if d == nil {
-		return 0, wal.ErrClosed
-	}
-	off := 0
-	for off < len(frames) {
-		payload, next, serr := wal.NextFrame(frames, off)
-		if serr == io.EOF {
-			break
-		}
-		if serr != nil {
-			if errors.Is(serr, wal.ErrTornFrame) {
-				replTornRetries.Inc()
-				return applied, nil // truncated transfer: re-request next poll
-			}
-			replCRCRefusals.Inc()
-			return applied, serr // ErrCorrupt: refuse the stream
-		}
-		op, derr := wal.DecodeShipped(payload)
-		if derr != nil {
-			replCRCRefusals.Inc()
-			return applied, derr
-		}
-		if want := f.applied.Load() + 1; op.Seq != want {
-			return applied, fmt.Errorf("%w: shipped seq %d, want %d", ErrDiverged, op.Seq, want)
-		}
-		core.Failpoint(FPApply)
-		if op.Delete {
-			ok, aerr := d.ReplayDelete(op.Handle)
-			if aerr != nil {
-				return applied, aerr
-			}
-			if !ok {
-				return applied, fmt.Errorf("%w: delete of dead handle %d at seq %d", ErrDiverged, op.Handle, op.Seq)
-			}
-		} else {
-			h, aerr := d.ReplayInsert(op.Obj)
-			if aerr != nil {
-				return applied, aerr
-			}
-			if h != op.Handle {
-				return applied, fmt.Errorf("%w: insert produced handle %d, primary logged %d at seq %d",
-					ErrDiverged, h, op.Handle, op.Seq)
-			}
-		}
-		f.setApplied(op.Seq)
-		replFramesApplied.Inc()
-		applied++
-		off = next
 	}
 	return applied, nil
 }
@@ -406,19 +346,20 @@ func jitteredBackoff(base, max time.Duration, fails int) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)))
 }
 
-func (f *Follower) setApplied(seq uint64) {
-	f.applied.Store(seq)
-	f.gauge.Set(int64(seq))
-}
-
 func (f *Follower) storeErr(err error) {
 	s := err.Error()
 	f.lastErr.Store(&s)
 }
 
-// AppliedSeq reports the last primary sequence this follower has applied:
-// its queries reflect exactly the prefix [1, AppliedSeq()].
-func (f *Follower) AppliedSeq() uint64 { return f.applied.Load() }
+// AppliedSeq reports the last primary sequence this follower has applied —
+// its local index's Seq(), 0 while no local state is open: its queries
+// reflect exactly the prefix [1, AppliedSeq()].
+func (f *Follower) AppliedSeq() uint64 {
+	if d := f.Durable(); d != nil {
+		return d.Seq()
+	}
+	return 0
+}
 
 // PrimarySeq reports the newest LastSeq the primary has reported to this
 // follower; AppliedSeq lagging it is the replica's lag in operations.

@@ -6,12 +6,13 @@
 // seq-continuous frame tail after any acknowledged position, bounded by the
 // primary's published LastSeq so an unacknowledged operation can never leave
 // the machine. Frames travel verbatim — length, crc32c, payload — so the
-// follower verifies every byte with the same scanner crash recovery uses.
+// follower verifies every byte with the frame reader crash recovery uses.
 //
 // The follower side is a Follower: it seeds a local durable directory from
 // the primary's newest checkpoint, replays the shipped tail into its own
-// DynamicORPKW through the normal WAL-journaled write path (every applied
-// record is logged locally before it is acknowledged), and tails forever
+// DynamicORPKW through wal.Durable.ApplyShipped — recovery's frame reader
+// and apply rule on the normal WAL-journaled write path (every applied
+// record is logged locally before it is acknowledged) — and tails forever
 // with jittered exponential backoff on failure. Because applies run through
 // the local WAL, a crashed follower resumes from its own recovery at the
 // last applied sequence — no checkpoint re-download — and its queries carry

@@ -297,7 +297,7 @@ func TestFollowerKilledMidReplayResumes(t *testing.T) {
 	// Kill mid-replay: the 10th applied record panics mid-Poll, leaving the
 	// follower dead between records like a SIGKILL would.
 	hits := 0
-	core.ArmFailpoint(FPApply, func() {
+	core.ArmFailpoint(wal.FPReplay, func() {
 		hits++
 		if hits == 10 {
 			panic("follower killed mid-replay")

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
 	"kwsc/internal/codec"
 	"kwsc/internal/core"
+	"kwsc/internal/pager"
 )
 
 // File naming: segments and checkpoints carry their sequence position in the
@@ -23,7 +25,7 @@ func segmentPath(dir string, startSeq uint64) string {
 }
 
 func checkpointPath(dir string, lastSeq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", lastSeq))
+	return filepath.Join(dir, CheckpointFileName(lastSeq))
 }
 
 // parseSeq extracts the hex sequence from a file name with the given prefix
@@ -43,10 +45,42 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// writeCheckpointFile atomically persists a snapshot: encode to a tmp file,
-// fsync it, rename into place, fsync the directory. The rename is the commit
-// point — a crash anywhere before it leaves only an ignorable tmp file, and
-// rename-then-crash leaves a complete checkpoint.
+// dirFiles is one listing of a durable directory: the sequences its
+// checkpoints supersede (newest first), the sequences its segments start at
+// (oldest first), and the names of its *.tmp litter.
+type dirFiles struct {
+	ckpts, segs []uint64
+	tmps        []string
+}
+
+// listDir lists dir. It is the one reader of a durable directory's names:
+// recovery, pruning, the shipper and a follower's bootstrap all see the
+// directory through it.
+func listDir(dir string) (dirFiles, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return dirFiles{}, err
+	}
+	var ls dirFiles
+	for _, de := range des {
+		name := de.Name()
+		if strings.HasSuffix(name, ".tmp") {
+			ls.tmps = append(ls.tmps, name)
+		} else if s, ok := parseSeq(name, "checkpoint-", ".ckpt"); ok {
+			ls.ckpts = append(ls.ckpts, s)
+		} else if s, ok := parseSeq(name, "wal-", ".log"); ok {
+			ls.segs = append(ls.segs, s)
+		}
+	}
+	sort.Slice(ls.ckpts, func(a, b int) bool { return ls.ckpts[a] > ls.ckpts[b] })
+	sort.Slice(ls.segs, func(a, b int) bool { return ls.segs[a] < ls.segs[b] })
+	return ls, nil
+}
+
+// writeCheckpointFile persists a snapshot with pager.WriteAtomic, whose
+// rename is the commit point: a crash before it leaves only an ignorable tmp
+// file. FPCheckpointWrite splits the write and FPCheckpointRename fires just
+// before the rename.
 //
 // Checkpoints are written in the paged KWCP2 layout so a later open can
 // serve them in place.
@@ -55,36 +89,7 @@ func writeCheckpointFile(dir string, snap *codec.Snapshot) error {
 	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
 		return err
 	}
-	final := checkpointPath(dir, snap.LastSeq)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := writeSplit(f, buf.Bytes(), FPCheckpointWrite); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	core.Failpoint(FPCheckpointRename)
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	return SyncDir(dir)
-}
-
-// SyncDir fsyncs a directory so renames and creates within it are durable.
-func SyncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
+	return pager.WriteAtomic(checkpointPath(dir, snap.LastSeq),
+		func(f *os.File) error { return writeSplit(f, buf.Bytes(), FPCheckpointWrite) },
+		func(string) error { core.Failpoint(FPCheckpointRename); return nil })
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -337,5 +338,44 @@ func TestCrashStressManySites(t *testing.T) {
 				recoverTorn(t, site, dir, ops, acked)
 			})
 		}
+	}
+}
+
+// TestCrashCheckpointLeavesLitterRecoveryClears crashes a checkpoint at each
+// of its sites: the landing leaves its tmp file (cleanup is not deferred, as
+// a killed process cleans nothing up) and no checkpoint under the final
+// name, and the next recovery deletes the litter.
+func TestCrashCheckpointLeavesLitterRecoveryClears(t *testing.T) {
+	for _, site := range []string{FPCheckpointWrite, FPCheckpointRename} {
+		t.Run(site, func(t *testing.T) {
+			dir := t.TempDir()
+			d := mustOpen(t, dir)
+			for i := 0; i < 5; i++ {
+				mustInsert(t, d, i)
+			}
+			armCrash(t, site, 1)
+			func() {
+				defer func() {
+					if _, ok := recover().(crashPanic); !ok {
+						t.Fatalf("checkpoint failpoint %s never fired", site)
+					}
+				}()
+				d.Checkpoint()
+			}()
+			core.DisarmAllFailpoints()
+			litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+			landed, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+			if len(litter) != 1 || len(landed) != 0 {
+				t.Fatalf("after the crash: tmp files %v, checkpoints %v; want one tmp file and no checkpoint", litter, landed)
+			}
+			d2 := mustOpen(t, dir)
+			defer d2.Close()
+			if d2.Seq() != 5 {
+				t.Fatalf("recovered seq %d, want 5", d2.Seq())
+			}
+			if litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(litter) != 0 {
+				t.Fatalf("recovery left litter %v", litter)
+			}
+		})
 	}
 }

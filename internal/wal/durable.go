@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -33,7 +34,6 @@ type Durable struct {
 	cfg       config
 	idx       *core.DynamicORPKW
 	log       *log
-	seq       uint64 // sequence of the last logged record; guarded by mu
 	sinceCkpt int
 	closed    bool
 	readOnly  bool // sealed replica state: direct Insert/Delete refused
@@ -110,20 +110,20 @@ func Open(dir string, dim, k int, opts ...Option) (*Durable, error) {
 			o(&cfg)
 		}
 	}
-	rec, err := recoverDir(dir, dim, k, cfg)
+	idx, segPath, err := recoverDir(dir, dim, k, cfg)
 	if err != nil {
 		return nil, err
 	}
-	l, err := openLog(rec.segPath, cfg.policy, cfg.interval)
+	l, err := openLog(segPath, cfg.policy, cfg.interval)
 	if err != nil {
-		if b := rec.idx.Base(); b != nil {
+		if b := idx.Base(); b != nil {
 			b.Close()
 		}
 		return nil, err
 	}
 	d := &Durable{
 		dir: dir, dim: dim, k: k, cfg: cfg,
-		idx: rec.idx, log: l, seq: rec.lastSeq,
+		idx: idx, log: l,
 	}
 	d.idx.SetJournal((*journalHook)(d))
 	return d, nil
@@ -131,30 +131,29 @@ func Open(dir string, dim, k int, opts ...Option) (*Durable, error) {
 
 // journalHook adapts Durable to core.Journal without exporting LogInsert /
 // LogDelete on the public type. The hooks run inside idx mutations while
-// d.mu is already held by the public entry point.
+// d.mu is already held by the public entry point, before the mutation is
+// published, so the record's seq is the one after idx.Seq().
 type journalHook Durable
 
 func (j *journalHook) LogInsert(handle int64, obj dataset.Object) error {
 	d := (*Durable)(j)
 	d.scratch = appendRecord(d.scratch[:0], &record{
-		seq: d.seq + 1, op: opInsert, handle: handle, obj: obj,
+		seq: d.idx.Seq() + 1, op: opInsert, handle: handle, obj: obj,
 	})
 	if err := d.log.append(d.scratch); err != nil {
 		return fmt.Errorf("wal: logging insert: %w", err)
 	}
-	d.seq++
 	return nil
 }
 
 func (j *journalHook) LogDelete(handle int64) error {
 	d := (*Durable)(j)
 	d.scratch = appendRecord(d.scratch[:0], &record{
-		seq: d.seq + 1, op: opDelete, handle: handle,
+		seq: d.idx.Seq() + 1, op: opDelete, handle: handle,
 	})
 	if err := d.log.append(d.scratch); err != nil {
 		return fmt.Errorf("wal: logging delete: %w", err)
 	}
-	d.seq++
 	return nil
 }
 
@@ -169,48 +168,6 @@ func (d *Durable) Insert(obj dataset.Object) (int64, error) {
 	if d.readOnly {
 		return 0, ErrReadOnly
 	}
-	return d.insertLocked(obj)
-}
-
-// Delete removes the object with the given handle; deleting an unknown or
-// already-deleted handle returns (false, nil) without logging anything.
-func (d *Durable) Delete(handle int64) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readOnly {
-		return false, ErrReadOnly
-	}
-	return d.deleteLocked(handle)
-}
-
-// SetReadOnly seals (or unseals) the index against direct mutation:
-// Insert/Delete return ErrReadOnly while the replay path stays open.
-// Replication followers seal their local state so embedders cannot
-// accidentally diverge a replica from its primary.
-func (d *Durable) SetReadOnly(ro bool) {
-	d.mu.Lock()
-	d.readOnly = ro
-	d.mu.Unlock()
-}
-
-// ReplayInsert applies a shipped primary record through the normal
-// log-before-ack write path, bypassing the read-only seal. It exists for
-// replication appliers only — calling it directly on a replica diverges it
-// from its primary exactly the way the seal prevents.
-func (d *Durable) ReplayInsert(obj dataset.Object) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.insertLocked(obj)
-}
-
-// ReplayDelete is ReplayInsert's delete counterpart.
-func (d *Durable) ReplayDelete(handle int64) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deleteLocked(handle)
-}
-
-func (d *Durable) insertLocked(obj dataset.Object) (int64, error) {
 	if d.closed {
 		return 0, ErrClosed
 	}
@@ -221,7 +178,14 @@ func (d *Durable) insertLocked(obj dataset.Object) (int64, error) {
 	return h, d.noteOpLocked()
 }
 
-func (d *Durable) deleteLocked(handle int64) (bool, error) {
+// Delete removes the object with the given handle; deleting an unknown or
+// already-deleted handle returns (false, nil) without logging anything.
+func (d *Durable) Delete(handle int64) (bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.readOnly {
+		return false, ErrReadOnly
+	}
 	if d.closed {
 		return false, ErrClosed
 	}
@@ -230,6 +194,57 @@ func (d *Durable) deleteLocked(handle int64) (bool, error) {
 		return ok, err
 	}
 	return true, d.noteOpLocked()
+}
+
+// SetReadOnly seals (or unseals) the index against direct mutation:
+// Insert/Delete return ErrReadOnly while ApplyShipped stays open.
+// Replication followers seal their local state so embedders cannot
+// accidentally diverge a replica from its primary.
+func (d *Durable) SetReadOnly(ro bool) {
+	d.mu.Lock()
+	d.readOnly = ro
+	d.mu.Unlock()
+}
+
+// ApplyShipped applies a batch of a primary's log frames, shipped verbatim,
+// in order: it walks them with the reader recovery uses and applies each
+// record by the same rule (apply), under the write lock, through the
+// journaled write path — each record is logged locally before it is
+// acknowledged — and past the read-only seal. It exists for replication
+// appliers only: calling it on a replica with records that did not come
+// from its primary diverges it exactly the way the seal prevents.
+//
+// applied counts the records applied. torn reports a last frame cut short,
+// which the caller re-requests; it is not an error. A frame that fails its
+// checksum or does not decode stops the batch with ErrCorrupt, and a record
+// that does not replay exactly with ErrDiverged, both before it is applied.
+func (d *Durable) ApplyShipped(frames []byte) (applied int, torn bool, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return 0, false, ErrClosed
+	}
+	fr := frameReader{data: frames}
+	for {
+		r, _, ok := fr.next()
+		if !ok {
+			break
+		}
+		if err := apply(d.idx, &r, ErrDiverged); err != nil {
+			return applied, false, err
+		}
+		applied++
+		if err := d.noteOpLocked(); err != nil {
+			return applied, false, err
+		}
+	}
+	switch {
+	case errors.Is(fr.damage, errTorn):
+		return applied, true, nil
+	case fr.damage != nil:
+		return applied, false, fmt.Errorf("wal: shipped frame at offset %d: %w", fr.off, fr.damage)
+	}
+	return applied, false, nil
 }
 
 // ErrCheckpoint wraps automatic-checkpoint failures reported alongside an
@@ -270,12 +285,14 @@ func (d *Durable) checkpointLocked() error {
 	if err := d.log.sync(); err != nil {
 		return err
 	}
-	handles, objs, err := d.idx.SnapshotNow().Entries()
+	pin := d.idx.SnapshotNow()
+	seq := pin.Seq()
+	handles, objs, err := pin.Entries()
 	if err != nil {
 		return fmt.Errorf("wal: snapshotting for checkpoint: %w", err)
 	}
 	snap := &codec.Snapshot{
-		K: d.k, Dim: d.dim, LastSeq: d.seq, NextHandle: d.idx.NextHandle(),
+		K: d.k, Dim: d.dim, LastSeq: seq, NextHandle: d.idx.NextHandle(),
 		Handles: handles, Objs: objs,
 	}
 	if err := writeCheckpointFile(d.dir, snap); err != nil {
@@ -284,7 +301,7 @@ func (d *Durable) checkpointLocked() error {
 	// Rotate: new appends go to a fresh segment starting after the
 	// checkpoint. When no ops were logged since the last rotation the
 	// active segment already is that fresh segment.
-	newPath := segmentPath(d.dir, d.seq+1)
+	newPath := segmentPath(d.dir, seq+1)
 	if newPath != d.log.path {
 		if err := d.log.close(); err != nil {
 			return err
@@ -295,34 +312,33 @@ func (d *Durable) checkpointLocked() error {
 		}
 		d.log = l
 	}
-	d.pruneLocked()
+	d.pruneLocked(seq)
 	d.sinceCkpt = 0
 	walCheckpoints.Inc()
 	walCheckpointNs.Observe(int64(time.Since(start)))
 	return nil
 }
 
-// pruneLocked removes files the latest checkpoint supersedes: older
+// pruneLocked removes files the latest checkpoint, at seq, supersedes: older
 // checkpoints and every segment other than the active one (segments rotate
 // at checkpoints, so all inactive segments hold only superseded records).
 // Checkpoints go through pager.Retire instead of a bare unlink: a superseded
 // snapshot the paged base (or any reader) still has mapped is marked obsolete
 // and deleted on its last unref, never under the reader. Failures are
 // ignored — recovery handles leftover files.
-func (d *Durable) pruneLocked() {
-	des, err := os.ReadDir(d.dir)
+func (d *Durable) pruneLocked(seq uint64) {
+	ls, err := listDir(d.dir)
 	if err != nil {
 		return
 	}
-	for _, de := range des {
-		name := de.Name()
-		if s, ok := parseSeq(name, "checkpoint-", ".ckpt"); ok && s < d.seq {
+	for _, s := range ls.ckpts {
+		if s < seq {
 			pager.Retire(checkpointPath(d.dir, s))
 		}
-		if s, ok := parseSeq(name, "wal-", ".log"); ok {
-			if p := segmentPath(d.dir, s); p != d.log.path {
-				os.Remove(p)
-			}
+	}
+	for _, s := range ls.segs {
+		if p := segmentPath(d.dir, s); p != d.log.path {
+			os.Remove(p)
 		}
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzReplayWAL throws arbitrary bytes at recovery as the first log segment.
-// Open must never panic; when it accepts the input, the recovered store must
-// be usable (insertable) and reopen to the same sequence — i.e. recovery is
-// total over corrupt input and idempotent over accepted input.
+// FuzzReplayWAL throws arbitrary bytes at recovery as the first log segment
+// and at an empty Durable as a shipped batch (ApplyShipped), the two readers
+// of one frame walk and one apply rule. Neither may panic. When recovery
+// accepts the input, the recovered store must be usable (insertable) and
+// reopen to the same sequence — recovery is total over corrupt input and
+// idempotent over accepted input — and the shipped batch must apply exactly
+// as many records as recovery replayed.
 func FuzzReplayWAL(f *testing.F) {
 	// Seed with a genuine log (a handful of inserts and a delete), its
 	// truncations, and bit-flipped variants — the interesting frontier is
@@ -41,16 +44,26 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// SyncNone: the target is the log reader, not fsync throughput.
+		shipped, err := Open(t.TempDir(), 2, 2, WithSyncPolicy(SyncNone))
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied, _, _ := shipped.ApplyShipped(data)
+		shipped.Close()
+
 		fdir := t.TempDir()
 		if err := os.WriteFile(segmentPath(fdir, 1), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// SyncNone: the target is the recovery parser, not fsync throughput.
 		d, err := Open(fdir, 2, 2, WithSyncPolicy(SyncNone))
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
 		seq := d.Seq()
+		if uint64(applied) != seq {
+			t.Fatalf("recovery replayed %d records, the shipped batch applied %d", seq, applied)
+		}
 		if _, err := d.Insert(testObj(1000)); err != nil {
 			t.Fatalf("accepted log, but store not insertable: %v", err)
 		}

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math"
 
+	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 )
 
 // Op record payloads. Every mutation of the durable index becomes exactly
-// one record; records carry a strictly increasing sequence number so a
-// checkpoint can supersede a log prefix and recovery can detect gaps.
+// one record; records carry a strictly increasing sequence number, from 1,
+// so a checkpoint can supersede a log prefix and recovery can detect gaps.
 //
 //	seq uvarint | op u8 | handle uvarint
 //	opInsert only: dim uvarint | per-dim float64 bits uvarint
@@ -58,7 +59,7 @@ func decodeRecord(payload []byte) (record, error) {
 	r.seq = d.uvarint()
 	r.op = d.byte()
 	h := d.uvarint()
-	if d.err || h > math.MaxInt64 {
+	if d.err || r.seq == 0 || h > math.MaxInt64 {
 		return r, fmt.Errorf("%w: record header", ErrCorrupt)
 	}
 	r.handle = int64(h)
@@ -134,4 +135,38 @@ func (d *recDecoder) byte() byte {
 	b := d.buf[d.off]
 	d.off++
 	return b
+}
+
+// apply replays r onto idx by the one rule every log reader shares: r must
+// be the record after idx.Seq(), an insert must reproduce the logged handle,
+// and a delete must hit a live handle. A record that breaks the rule is
+// refused before it is applied, with an error wrapping verdict — ErrCorrupt
+// at recovery, ErrDiverged at a follower. With a journal attached to idx
+// (a follower's Durable) the applied record is logged like any other
+// mutation. FPReplay fires before each record that passes the sequence
+// check.
+func apply(idx *core.DynamicORPKW, r *record, verdict error) error {
+	if want := idx.Seq() + 1; r.seq != want {
+		return fmt.Errorf("%w: sequence gap: record %d where %d was expected", verdict, r.seq, want)
+	}
+	core.Failpoint(FPReplay)
+	switch r.op {
+	case opInsert:
+		if h := idx.NextHandle(); h != r.handle {
+			return fmt.Errorf("%w: replayed insert seq %d would produce handle %d, logged %d",
+				verdict, r.seq, h, r.handle)
+		}
+		if _, err := idx.Insert(r.obj); err != nil {
+			return fmt.Errorf("wal: replaying insert seq %d: %w", r.seq, err)
+		}
+	case opDelete:
+		ok, err := idx.Delete(r.handle)
+		if err != nil {
+			return fmt.Errorf("wal: replaying delete seq %d: %w", r.seq, err)
+		}
+		if !ok {
+			return fmt.Errorf("%w: replayed delete seq %d of dead handle %d", verdict, r.seq, r.handle)
+		}
+	}
+	return nil
 }

@@ -2,74 +2,52 @@ package wal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 )
 
-// recovered is the outcome of a directory recovery: the reconstructed index,
-// the last applied sequence number, and the segment new appends go to.
-type recovered struct {
-	idx       *core.DynamicORPKW
-	lastSeq   uint64
-	segPath   string
-	replayed  int64
-	truncated bool
-}
-
 // recoverDir reconstructs the dynamic index from the durability directory:
 // newest valid checkpoint first, then an in-order replay of every log record
-// after it. The recovery state machine (DESIGN.md §11):
+// after it. It returns the index, whose Seq() is the last applied sequence
+// number, and the segment new appends go to. The recovery state machine
+// (DESIGN.md §11):
 //
-//	SCAN      list checkpoints (desc) and segments (asc); drop *.tmp litter
-//	RESTORE   load the newest checkpoint that validates; corrupt or torn
-//	          checkpoints are skipped (an older one plus a longer replay is
-//	          always consistent, because segments are only deleted after the
-//	          checkpoint superseding them is durable)
+//	SCAN      list checkpoints (desc) and segments (asc) with listDir; drop
+//	          *.tmp litter
+//	RESTORE   load the newest checkpoint that validates; corrupt, torn or
+//	          misnamed checkpoints are skipped (an older one plus a longer
+//	          replay is always consistent, because segments are only deleted
+//	          after the checkpoint superseding them is durable)
 //	BRIDGE    the oldest segment must start at or before the restored
 //	          sequence + 1, and a skipped checkpoint needs a segment at all;
 //	          otherwise ErrCorrupt — an empty tail must not pass for an
 //	          empty history
-//	REPLAY    scan frames across segments in sequence order; skip records a
-//	          checkpoint supersedes, apply the rest; any sequence gap,
-//	          handle mismatch, or inapplicable record is ErrCorrupt
+//	REPLAY    walk the segments' frames in sequence order (frameReader);
+//	          skip records a checkpoint supersedes, apply the rest by the one
+//	          rule a follower also applies (apply); a sequence gap, a handle
+//	          mismatch, or a record that does not decode is ErrCorrupt
 //	TORN-TAIL a damaged frame with no valid frame after it, in the final
 //	          segment, truncates the file there; damage anywhere else fails
 //	          recovery — truncation must never drop an acknowledged op that
 //	          a later valid frame proves was followed by more history
-func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
+func recoverDir(dir string, dim, k int, cfg config) (*core.DynamicORPKW, string, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	names, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	var ckptSeqs, segSeqs []uint64
-	for _, de := range names {
-		name := de.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			// Litter from a checkpoint that crashed before its rename; it
-			// was never the commit point, so it is safe to drop.
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if s, ok := parseSeq(name, "checkpoint-", ".ckpt"); ok {
-			ckptSeqs = append(ckptSeqs, s)
-		}
-		if s, ok := parseSeq(name, "wal-", ".log"); ok {
-			segSeqs = append(segSeqs, s)
-		}
+	for _, name := range ls.tmps {
+		// Litter from a checkpoint that crashed before its rename; it was
+		// never the commit point, so it is safe to drop.
+		os.Remove(filepath.Join(dir, name))
 	}
-	sort.Slice(ckptSeqs, func(a, b int) bool { return ckptSeqs[a] > ckptSeqs[b] })
-	sort.Slice(segSeqs, func(a, b int) bool { return segSeqs[a] < segSeqs[b] })
 
 	// RESTORE: newest checkpoint that validates, opened once with the one
 	// checkpoint reader. With paged recovery the checkpoint is not decoded at
@@ -80,9 +58,15 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 	var idx *core.DynamicORPKW
 	base := uint64(0)
 	skipped := "" // the newest checkpoint that failed to validate, and why
-	for _, cs := range ckptSeqs {
+	for _, cs := range ls.ckpts {
 		path := checkpointPath(dir, cs)
 		pb, err := core.OpenPagedBase(path, cfg.pagedOpts)
+		if err == nil && pb.LastSeq() != cs {
+			// A checkpoint is found by its name, so one whose name lies about
+			// the history it supersedes does not validate.
+			err = fmt.Errorf("it supersedes seq %d", pb.LastSeq())
+			pb.Close()
+		}
 		var handles []int64
 		var objs *dataset.Dataset
 		if err == nil && !cfg.paged {
@@ -99,7 +83,7 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 		}
 		if pb.K() != k || pb.Dim() != dim {
 			pb.Close()
-			return nil, fmt.Errorf("wal: checkpoint is for k=%d dim=%d, index opened with k=%d dim=%d",
+			return nil, "", fmt.Errorf("wal: checkpoint is for k=%d dim=%d, index opened with k=%d dim=%d",
 				pb.K(), pb.Dim(), k, dim)
 		}
 		if cfg.paged {
@@ -109,7 +93,7 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 		}
 		if err != nil {
 			pb.Close()
-			return nil, fmt.Errorf("wal: restoring checkpoint %d: %w", cs, err)
+			return nil, "", fmt.Errorf("wal: restoring checkpoint %d: %w", cs, err)
 		}
 		base = pb.LastSeq()
 		break
@@ -118,7 +102,7 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 		var err error
 		idx, err = core.NewDynamicORPKW(dim, k, cfg.bufferCap, cfg.build...)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
 	// From here on a failed recovery must release the paged base's file
@@ -142,87 +126,53 @@ func recoverDir(dir string, dim, k int, cfg config) (*recovered, error) {
 	// all behind a checkpoint that failed — means acknowledged history is
 	// missing, even when the surviving tail is empty and replay would find
 	// nothing to contradict the restored state.
-	if len(segSeqs) > 0 && segSeqs[0] > base+1 || len(segSeqs) == 0 && skipped != "" {
-		return nil, fmt.Errorf("%w: the recovered state ends at seq %d, log segments start at seqs %v%s",
-			ErrCorrupt, base, segSeqs, skipped)
+	if len(ls.segs) > 0 && ls.segs[0] > base+1 || len(ls.segs) == 0 && skipped != "" {
+		return nil, "", fmt.Errorf("%w: the recovered state ends at seq %d, log segments start at seqs %v%s",
+			ErrCorrupt, base, ls.segs, skipped)
 	}
 
-	// REPLAY.
-	rec := &recovered{idx: idx}
-	expected := base + 1
-	for si, ss := range segSeqs {
+	// REPLAY, through the one frame walk and the one apply rule.
+	replayed := int64(0)
+	for si, ss := range ls.segs {
 		path := segmentPath(dir, ss)
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		off := 0
+		fr := frameReader{data: data}
 		for {
-			payload, next, serr := scanFrame(data, off)
-			if serr == io.EOF {
+			r, _, ok := fr.next()
+			if !ok {
 				break
 			}
-			if serr != nil {
-				if si == len(segSeqs)-1 && !anyValidFrameAfter(data, off+1) {
-					// TORN-TAIL: nothing valid follows the damage.
-					if terr := os.Truncate(path, int64(off)); terr != nil {
-						return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, terr)
-					}
-					walTornTruncations.Inc()
-					rec.truncated = true
-					break
-				}
-				return nil, fmt.Errorf("%w: damaged frame at %s offset %d precedes valid frames (%v)",
-					ErrCorrupt, path, off, serr)
-			}
-			r, rerr := decodeRecord(payload)
-			if rerr != nil {
-				// The frame checksum held but the payload is structurally
-				// invalid: this is never a torn write, so refuse.
-				return nil, fmt.Errorf("wal: %s offset %d: %w", path, off, rerr)
-			}
-			off = next
 			if r.seq <= base {
 				continue // superseded by the checkpoint
 			}
-			if r.seq != expected {
-				return nil, fmt.Errorf("%w: sequence gap: record %d where %d was expected (%s)",
-					ErrCorrupt, r.seq, expected, path)
+			if err := apply(idx, &r, ErrCorrupt); err != nil {
+				return nil, "", fmt.Errorf("%w (%s)", err, path)
 			}
-			core.Failpoint(FPReplay)
-			switch r.op {
-			case opInsert:
-				h, err := idx.Insert(r.obj)
-				if err != nil {
-					return nil, fmt.Errorf("wal: replaying insert seq %d: %w", r.seq, err)
-				}
-				if h != r.handle {
-					return nil, fmt.Errorf("%w: replayed insert seq %d produced handle %d, logged %d",
-						ErrCorrupt, r.seq, h, r.handle)
-				}
-			case opDelete:
-				ok, err := idx.Delete(r.handle)
-				if err != nil {
-					return nil, fmt.Errorf("wal: replaying delete seq %d: %w", r.seq, err)
-				}
-				if !ok {
-					return nil, fmt.Errorf("%w: replayed delete seq %d of unknown handle %d",
-						ErrCorrupt, r.seq, r.handle)
-				}
-			}
-			expected++
-			rec.replayed++
+			replayed++
 		}
+		if fr.damage == nil {
+			continue
+		}
+		if si < len(ls.segs)-1 || anyValidFrameAfter(data, fr.off) {
+			return nil, "", fmt.Errorf("%w: damaged frame at %s offset %d is not a torn tail (%v)",
+				ErrCorrupt, path, fr.off, fr.damage)
+		}
+		// TORN-TAIL: nothing valid follows the damage.
+		if err := os.Truncate(path, int64(fr.off)); err != nil {
+			return nil, "", fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		}
+		walTornTruncations.Inc()
 	}
-	rec.lastSeq = expected - 1
-	if len(segSeqs) > 0 {
-		rec.segPath = segmentPath(dir, segSeqs[len(segSeqs)-1])
-	} else {
-		rec.segPath = segmentPath(dir, rec.lastSeq+1)
+	next := idx.Seq() + 1 // a fresh segment starts there
+	if len(ls.segs) > 0 {
+		next = ls.segs[len(ls.segs)-1]
 	}
 	walRecoveries.Inc()
-	walReplayedRecords.Add(rec.replayed)
+	walReplayedRecords.Add(replayed)
 	walRecoveryNs.Observe(int64(time.Since(start)))
 	recoverOK = true
-	return rec, nil
+	return idx, segmentPath(dir, next), nil
 }

@@ -3,78 +3,43 @@ package wal
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"kwsc/internal/core"
-	"kwsc/internal/dataset"
 )
 
 // Log-shipping exports. A replication shipper (internal/repl) serves a
 // durable directory to follower processes: the newest checkpoint seeds a
 // fresh follower, and the seq-continuous frame tail after any acknowledged
-// position catches it up. Everything here reads the same on-disk artifacts
-// the recovery path does — frames are shipped verbatim (length, crc32c,
-// payload), so a follower re-verifies every byte with the same scanner the
-// primary's own recovery uses and a transport that corrupts or truncates a
-// frame is detected, never applied.
+// position catches it up. Everything here reads the on-disk artifacts the
+// way recovery does, through listDir and frameReader. Frames are shipped
+// verbatim (length, crc32c, payload), so a follower's Durable.ApplyShipped
+// re-verifies every byte and applies every record by recovery's rule: a
+// transport that corrupts or truncates a frame is detected, never applied.
 
 // ErrTailPruned reports that the requested log position has been superseded
 // by a checkpoint and pruned: the records are no longer on disk, and a
 // follower at that position must re-seed from the newest checkpoint.
 var ErrTailPruned = errorString("wal: requested tail pruned by a checkpoint")
 
-// ErrTornFrame is the exported torn-frame sentinel of the frame scanner: the
-// remaining bytes cannot hold the claimed frame. At the end of a shipped
-// batch this means "re-request from the same position", never corruption.
-var ErrTornFrame = errTorn
-
-// ShippedOp is one decoded replication record.
-type ShippedOp struct {
-	Seq    uint64
-	Delete bool
-	Handle int64
-	Obj    dataset.Object // inserts only
-}
-
-// DecodeShipped decodes one frame payload into a replication record. It is
-// total over arbitrary bytes; structural violations return ErrCorrupt.
-func DecodeShipped(payload []byte) (ShippedOp, error) {
-	r, err := decodeRecord(payload)
-	if err != nil {
-		return ShippedOp{}, err
-	}
-	return ShippedOp{Seq: r.seq, Delete: r.op == opDelete, Handle: r.handle, Obj: r.obj}, nil
-}
-
-// NextFrame scans the frame starting at data[off:], returning the payload
-// (aliasing data) and the offset of the next frame. io.EOF marks a clean
-// end, ErrTornFrame a frame cut short, ErrCorrupt a checksum mismatch.
-func NextFrame(data []byte, off int) (payload []byte, next int, err error) {
-	return scanFrame(data, off)
-}
-
 // DirHasState reports whether dir holds any durable state (a checkpoint or a
 // log segment). A follower uses this to decide between resuming its local
 // state and seeding from the primary's checkpoint.
 func DirHasState(dir string) (bool, error) {
-	des, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if os.IsNotExist(err) {
 		return false, nil
 	}
 	if err != nil {
 		return false, err
 	}
-	for _, de := range des {
-		name := de.Name()
-		if _, ok := parseSeq(name, "checkpoint-", ".ckpt"); ok {
+	if len(ls.ckpts) > 0 {
+		return true, nil
+	}
+	for _, s := range ls.segs {
+		// An empty wal-0...1.log from a fresh open is not state: it holds
+		// no acknowledged record and seeding over it is always safe.
+		if st, err := os.Stat(segmentPath(dir, s)); err == nil && st.Size() > 0 {
 			return true, nil
-		}
-		if s, ok := parseSeq(name, "wal-", ".log"); ok {
-			// An empty wal-0...1.log from a fresh open is not state: it holds
-			// no acknowledged record and seeding over it is always safe.
-			if st, err := os.Stat(segmentPath(dir, s)); err == nil && st.Size() > 0 {
-				return true, nil
-			}
 		}
 	}
 	return false, nil
@@ -83,23 +48,14 @@ func DirHasState(dir string) (bool, error) {
 // NewestCheckpoint reports the newest checkpoint file in dir and the WAL
 // sequence it supersedes. ok is false when dir holds no checkpoint.
 func NewestCheckpoint(dir string) (path string, lastSeq uint64, ok bool, err error) {
-	des, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if os.IsNotExist(err) {
 		return "", 0, false, nil
 	}
-	if err != nil {
+	if err != nil || len(ls.ckpts) == 0 {
 		return "", 0, false, err
 	}
-	best, found := uint64(0), false
-	for _, de := range des {
-		if s, ok := parseSeq(de.Name(), "checkpoint-", ".ckpt"); ok && (!found || s > best) {
-			best, found = s, true
-		}
-	}
-	if !found {
-		return "", 0, false, nil
-	}
-	return checkpointPath(dir, best), best, true, nil
+	return checkpointPath(dir, ls.ckpts[0]), ls.ckpts[0], true, nil
 }
 
 // CheckpointFileName returns the canonical file name of a checkpoint
@@ -115,7 +71,9 @@ func CheckpointFileName(lastSeq uint64) string {
 // row pairing recovery into memory checks), and returns the sequence it
 // supersedes. A follower calls this on a downloaded checkpoint before
 // renaming it into place, so a truncated, corrupted or lying transfer is
-// refused instead of landing where recovery would find it.
+// refused instead of landing where recovery would find it. The file must
+// land as CheckpointFileName(lastSeq): recovery skips a checkpoint whose
+// name disagrees with the sequence it supersedes.
 func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
 	b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
 	if err != nil {
@@ -145,19 +103,11 @@ func CollectTail(dir string, afterSeq, upToSeq uint64, maxBytes int) (frames []b
 	if upToSeq <= afterSeq {
 		return nil, afterSeq, nil
 	}
-	des, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if err != nil {
 		return nil, afterSeq, err
 	}
-	var segSeqs []uint64
-	for _, de := range des {
-		if s, ok := parseSeq(de.Name(), "wal-", ".log"); ok {
-			segSeqs = append(segSeqs, s)
-		}
-	}
-	sort.Slice(segSeqs, func(a, b int) bool { return segSeqs[a] < segSeqs[b] })
-
-	expected := afterSeq + 1
+	segSeqs := ls.segs
 	shippedTo = afterSeq
 	for si, ss := range segSeqs {
 		if ss > upToSeq {
@@ -165,38 +115,32 @@ func CollectTail(dir string, afterSeq, upToSeq uint64, maxBytes int) (frames []b
 		}
 		// Skip segments that end before the requested range; the next
 		// segment's start seq bounds this one's records.
-		if si+1 < len(segSeqs) && segSeqs[si+1] <= expected {
+		if si+1 < len(segSeqs) && segSeqs[si+1] <= shippedTo+1 {
 			continue
 		}
 		data, err := os.ReadFile(segmentPath(dir, ss))
 		if err != nil {
 			if os.IsNotExist(err) {
-				continue // pruned between ReadDir and ReadFile; rescan below
+				continue // pruned between listing and reading; rescan below
 			}
 			return nil, afterSeq, err
 		}
-		off := 0
+		// The walk stops at a clean EOF, a torn tail the appender is still
+		// writing, or a frame recovery would refuse — in every case the
+		// shippable prefix of this segment ends there.
+		fr := frameReader{data: data}
 		for {
-			payload, next, serr := scanFrame(data, off)
-			if serr != nil {
-				// Clean EOF, a torn tail the appender is still writing, or a
-				// frame recovery would refuse — in every case the shippable
-				// prefix of this segment ends here.
+			r, frame, ok := fr.next()
+			if !ok {
 				break
 			}
-			r, rerr := decodeRecord(payload)
-			if rerr != nil {
-				break
-			}
-			frame := data[off:next]
-			off = next
 			if r.seq <= afterSeq {
 				continue
 			}
 			if r.seq > upToSeq {
 				return frames, shippedTo, nil
 			}
-			if r.seq != expected {
+			if r.seq != shippedTo+1 {
 				// A gap inside the on-disk tail: records between were pruned
 				// (or the directory is damaged); either way the follower
 				// cannot be caught up from here.
@@ -204,7 +148,6 @@ func CollectTail(dir string, afterSeq, upToSeq uint64, maxBytes int) (frames []b
 			}
 			frames = append(frames, frame...)
 			shippedTo = r.seq
-			expected++
 			if len(frames) >= maxBytes {
 				return frames, shippedTo, nil
 			}

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"kwsc/internal/core"
+	"kwsc/internal/pager"
 )
 
 // SyncPolicy selects when the log is fsynced, trading durability for append
@@ -90,7 +91,9 @@ const (
 	// FPCheckpointRename fires after the tmp checkpoint is complete and
 	// fsynced but before the atomic rename.
 	FPCheckpointRename = "wal/checkpoint-rename"
-	// FPReplay fires before each record is applied during recovery.
+	// FPReplay fires before each logged record is applied, at recovery and
+	// at a follower alike (see apply) — an armed panic kills either
+	// mid-replay.
 	FPReplay = "wal/replay"
 )
 
@@ -99,6 +102,13 @@ const (
 // applied. Torn tails are not corruption — they are truncated silently (and
 // counted in kwsc_wal_recovery_torn_tail_truncations_total).
 var ErrCorrupt = errors.New("wal: corrupt log")
+
+// ErrDiverged reports a shipped record that does not replay exactly onto a
+// follower's state (see apply): a sequence gap, an insert that would produce
+// a different handle, or a delete of a dead handle. The state no longer
+// matches the primary's logged history; recovery refuses the same records
+// as ErrCorrupt.
+var ErrDiverged = errors.New("wal: replica state diverged from the shipped log")
 
 // ErrClosed reports an operation on a closed Durable index.
 var ErrClosed = errors.New("wal: index is closed")
@@ -144,7 +154,7 @@ func openLog(path string, policy SyncPolicy, interval time.Duration) (*log, erro
 	}
 	st, err := f.Stat()
 	if err == nil {
-		err = SyncDir(filepath.Dir(path))
+		err = pager.SyncDir(filepath.Dir(path))
 	}
 	if err != nil {
 		f.Close()
