@@ -43,12 +43,11 @@ crash:
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
 # codec, the checkpoint codec, WAL recovery, the posting-block format (its one
 # decoder round-trips, and the one list cursor seeks as a binary search
-# does), the paged base over re-sealed index sections that lie, the
-# /v1 wire codec held to encoding/json in both directions, the query
+# does), the paged base and the flat image over re-sealed sections that lie,
+# the /v1 wire codec held to encoding/json in both directions, the query
 # stop checks under random limits and node budgets, and the root keyword
-# directory held to its span contract. Each target
-# runs briefly; use `go test -fuzz <name> -fuzztime 5m ./internal/...` for a
-# real session.
+# directory held to its span contract. Each target runs briefly; use
+# `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDataset$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
@@ -56,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzFlatImageHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecPolicy$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeywordDirectory$$' -fuzztime $(FUZZ_TIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
@@ -100,13 +100,14 @@ vet-pager:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Race coverage over the concurrent paths: parallel builds, shared-index
-# CollectInto calls, dynamic-index churn against lock-free readers
-# and pinned snapshots, the WAL linearizability harness, and the metrics
-# registry and tracer all run under the detector.
+# Race coverage over the concurrent paths: parallel builds and the flat
+# images they save (core's tests), shared-index CollectInto calls,
+# dynamic-index churn against lock-free readers and pinned snapshots, the WAL
+# linearizability harness, and the metrics registry and tracer all run under
+# the detector.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/core/ ./internal/spart/ ./internal/obs/ ./internal/wal/ ./internal/repl/ ./internal/serve/ ./internal/pager/ ./internal/flatio/ .
+	$(GO) test -race ./internal/core/ ./internal/spart/ ./internal/obs/ ./internal/wal/ ./internal/repl/ ./internal/serve/ ./internal/pager/ .
 
 cover:
 	$(GO) test -cover ./...

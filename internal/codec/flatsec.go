@@ -8,13 +8,14 @@ package codec
 const FlatImageVersion = 4
 
 // Section IDs of a flat-index KWCP2 container (PagedKindFlatORPKW or
-// PagedKindFlatSPKW). Sections 10-29 and 35-38 are the FlatArenas columns of
-// internal/core (BFS node order; objects named by rank, their position in
-// the tree's leaf order), 30-32 the dataset image. No section carries a
-// node's box: open derives it from SecFlatCoords. Ids 11 (kd cells), 33 and
-// 34 (ORPKW rank tables) were version 3's and are never reused.
-// internal/flatio owns the read/write paths; the IDs live here so every
-// KWCP2 section registry is in one place.
+// PagedKindFlatSPKW). Sections 10-29 and 35-38 are the framework's columns
+// (BFS node order; objects named by rank, their position in the tree's leaf
+// order), 30-32 the dataset image. No section carries a node's box: open
+// derives it from SecFlatCoords. Ids 11 (kd cells), 33 and 34 (ORPKW rank
+// tables) were version 3's and are never reused. internal/core owns the
+// image: its flatColumns pairs each id with its column, and its save and
+// open loop over that table; the IDs live here so every KWCP2 section
+// registry is in one place.
 const (
 	SecFlatMeta       = 10 // []uint64 {splitterKind, pdim, numNodes, FlatImageVersion}
 	SecFlatNu         = 12 // []int64 node weights

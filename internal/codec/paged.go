@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"slices"
+	"unsafe"
 
 	"kwsc/internal/pager"
 )
@@ -124,7 +125,7 @@ func WriteContainer(w io.Writer, meta [64]byte, sections []Section) error {
 			crcs[e.Off/pager.PageSize+p] = c
 		}
 	}
-	table := PutU32s(crcs)
+	table := Put(crcs)
 	// The table checksum covers the padded table pages, so a flipped bit
 	// anywhere in that region — padding included — is detected, matching the
 	// full-page coverage data pages get.
@@ -245,7 +246,7 @@ func ParseContainer(r io.ReaderAt, size int64) (*Container, error) {
 	if got := crc32.Checksum(table, castagnoli); got != binary.LittleEndian.Uint32(page[superTableCRCOff:]) {
 		return nil, fmt.Errorf("%w: page-CRC table checksum mismatch", ErrCorrupt)
 	}
-	c.PageCRCs = GetU32s(table[:tLen])
+	c.PageCRCs = Get[uint32](table[:tLen])
 	// The superblock and the table verify through their own checksums; their
 	// table entries are defined 0 regardless of what the file claims.
 	c.PageCRCs[0] = 0
@@ -306,97 +307,65 @@ func (c *Container) VerifyAllPages(r io.ReaderAt) error {
 	return nil
 }
 
-// Fixed-width little-endian column codecs, for this package and the ones
-// that assemble or read KWCP2 sections of their own (flatio, core). Put*
-// allocates the byte image; Get* decodes a fresh slice. The mapped read side
-// bypasses these with aligned casts (pager.Cast*).
+// Fixed-width little-endian column codecs, for this package and core, which
+// assembles and reads the flat image's sections. Put allocates the byte
+// image, Get decodes a fresh slice, and Column reads one section of a parsed
+// container, a view of the mapping where that casts (pager.Cast). On a
+// little-endian host each copies the column's memory once, or not at all.
 
-// PutU32s encodes v little-endian.
-func PutU32s(v []uint32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], x)
-	}
+// Put encodes v little-endian.
+func Put[T pager.Word](v []T) []byte {
+	b := make([]byte, len(v)*int(unsafe.Sizeof(*new(T))))
+	copy(b, pager.AsBytes(v))
+	toLE[T](b)
 	return b
 }
 
-// PutI32s encodes v little-endian.
-func PutI32s(v []int32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-// PutU64s encodes v little-endian.
-func PutU64s(v []uint64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-	return b
-}
-
-// PutI64s encodes v little-endian.
-func PutI64s(v []int64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	return b
-}
-
-// PutF64s encodes v little-endian (IEEE 754 bits).
-func PutF64s(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
-}
-
-// GetU32s decodes a little-endian column; len(b) must be a multiple of 4.
-func GetU32s(b []byte) []uint32 {
-	v := make([]uint32, len(b)/4)
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
+// Get decodes a little-endian column; a trailing partial value is ignored.
+func Get[T pager.Word](b []byte) []T {
+	v := make([]T, len(b)/int(unsafe.Sizeof(*new(T))))
+	raw := pager.AsBytes(v)
+	copy(raw, b)
+	toLE[T](raw)
 	return v
 }
 
-// GetI32s decodes a little-endian column; len(b) must be a multiple of 4.
-func GetI32s(b []byte) []int32 {
-	v := make([]int32, len(b)/4)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+// Column reads section id of c, parsed from f, as a []T column: a view of
+// the mapping where f is mapped and the cast is possible, else decoded into
+// a fresh slice. Only a file whose pages all verified may be read this way.
+// An absent or empty section reads as nil, one that is not a whole number
+// of values is ErrCorrupt.
+func Column[T pager.Word](c *Container, f *pager.File, id uint32) ([]T, error) {
+	off, n, ok := c.Section(id)
+	if !ok || n == 0 {
+		return nil, nil
 	}
-	return v
+	size := int64(unsafe.Sizeof(*new(T)))
+	if n%size != 0 {
+		return nil, fmt.Errorf("%w: section %d is not a whole number of %d-byte values", ErrCorrupt, id, size)
+	}
+	if mapped := f.Bytes(); mapped != nil {
+		if v := pager.Cast[T](mapped[off : off+n]); v != nil {
+			return v, nil
+		}
+	}
+	v := make([]T, n/size)
+	raw := pager.AsBytes(v)
+	if k, _ := f.ReadAt(raw, off); k != len(raw) {
+		return nil, fmt.Errorf("%w: reading section %d", ErrCorrupt, id)
+	}
+	toLE[T](raw)
+	return v, nil
 }
 
-// GetU64s decodes a little-endian column; len(b) must be a multiple of 8.
-func GetU64s(b []byte) []uint64 {
-	v := make([]uint64, len(b)/8)
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(b[8*i:])
+// toLE turns a column's memory into its little-endian image, or back: a
+// no-op on a little-endian host, a byte reversal of every value otherwise.
+func toLE[T pager.Word](b []byte) {
+	if pager.CanCast() {
+		return
 	}
-	return v
-}
-
-// GetI64s decodes a little-endian column; len(b) must be a multiple of 8.
-func GetI64s(b []byte) []int64 {
-	v := make([]int64, len(b)/8)
-	for i := range v {
-		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	size := int(unsafe.Sizeof(*new(T)))
+	for i := 0; i+size <= len(b); i += size {
+		slices.Reverse(b[i : i+size])
 	}
-	return v
-}
-
-// GetF64s decodes a little-endian column; len(b) must be a multiple of 8.
-func GetF64s(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v
 }

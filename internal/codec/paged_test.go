@@ -85,7 +85,7 @@ func TestValidateRejectsCorruptHandles(t *testing.T) {
 	docWords := int64(lists[0].N + lists[1].N + lists[2].N)
 	parse := func(vocab []uint32, lists []bitpack.List, blocks []bitpack.Block, docWords int64) error {
 		listsB, blocksB := encodePostings(lists, blocks)
-		_, err := ParsePostings(PutU32s(vocab), listsB, blocksB, int64(len(payload)), count, docWords)
+		_, err := ParsePostings(Put(vocab), listsB, blocksB, int64(len(payload)), count, docWords)
 		return err
 	}
 	vocab := []uint32{4, 9, 12}
@@ -131,16 +131,16 @@ func TestValidateRejectsCorruptHandles(t *testing.T) {
 	}
 	listsB, blocksB := encodePostings(lists, blocks)
 	for name, args := range map[string][3][]byte{
-		"a vocabulary cut mid-keyword": {PutU32s(vocab)[1:], listsB, blocksB},
-		"a list cut mid-handle":        {PutU32s(vocab), listsB[4:], blocksB},
-		"a block cut mid-entry":        {PutU32s(vocab), listsB, blocksB[:len(blocksB)-4]},
-		"unknown block flags":          {PutU32s(vocab), listsB, append(slices.Clone(blocksB[:12]), 1, 0, 0, 1)},
+		"a vocabulary cut mid-keyword": {Put(vocab)[1:], listsB, blocksB},
+		"a list cut mid-handle":        {Put(vocab), listsB[4:], blocksB},
+		"a block cut mid-entry":        {Put(vocab), listsB, blocksB[:len(blocksB)-4]},
+		"unknown block flags":          {Put(vocab), listsB, append(slices.Clone(blocksB[:12]), 1, 0, 0, 1)},
 	} {
 		if _, err := ParsePostings(args[0], args[1], args[2], int64(len(payload)), count, docWords); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	if _, err := ParsePostings(PutU32s(vocab), listsB, blocksB, int64(len(payload))-4, count, docWords); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParsePostings(Put(vocab), listsB, blocksB, int64(len(payload))-4, count, docWords); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("a payload cut mid-word: err = %v, want ErrCorrupt", err)
 	}
 }

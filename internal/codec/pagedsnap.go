@@ -126,7 +126,7 @@ func encodePostings(lists []bitpack.List, blocks []bitpack.Block) (listsB, block
 	for _, b := range blocks {
 		bv = append(bv, b.Off, b.First, b.Max, int32(b.N)|int32(b.W)<<16)
 	}
-	return PutI32s(lv), PutI32s(bv)
+	return Put(lv), Put(bv)
 }
 
 // ParsePostings decodes the vocabulary, list and block-directory sections of
@@ -146,8 +146,8 @@ func ParsePostings(vocabB, listsB, blocksB []byte, payloadBytes, count, docWords
 	if len(vocabB)%4 != 0 || len(listsB)%12 != 0 || len(blocksB)%16 != 0 || payloadBytes%8 != 0 {
 		return Postings{}, fmt.Errorf("%w: posting section not a whole number of records", ErrCorrupt)
 	}
-	p := Postings{Vocab: GetU32s(vocabB)}
-	lv, bv := GetI32s(listsB), GetI32s(blocksB)
+	p := Postings{Vocab: Get[uint32](vocabB)}
+	lv, bv := Get[int32](listsB), Get[int32](blocksB)
 	p.Lists = make([]bitpack.List, len(lv)/3)
 	for i := range p.Lists {
 		p.Lists[i] = bitpack.List{Block: lv[3*i], NumBlocks: lv[3*i+1], N: lv[3*i+2]}
@@ -300,15 +300,15 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 		NextHandle: uint64(s.NextHandle),
 	}
 	return WriteContainer(w, meta.Encode(), []Section{
-		{SecHandles, PutI64s(s.Handles)},
+		{SecHandles, Put(s.Handles)},
 		{SecPoints, rankPoints},
 		{SecDocStart, rankDocStart},
 		{SecDocWords, rankDocWords},
-		{SecVocab, PutU32s(vocab)},
+		{SecVocab, Put(vocab)},
 		{SecPostLists, listsB},
 		{SecPostBlocks, blocksB},
 		{SecPostWords, payload},
-		{SecCellBoxes, PutF64s(boxes)},
+		{SecCellBoxes, Put(boxes)},
 		{SecRowHandles, rowHandles},
 		{SecEntryRank, entryRank},
 	})
@@ -362,7 +362,7 @@ func (rows Rows) Entries(dim int, nextHandle int64) ([]int64, *dataset.Dataset, 
 	if n == 0 {
 		return nil, nil, nil
 	}
-	handles := GetI64s(rows.Handles)
+	handles := Get[int64](rows.Handles)
 	prev := int64(-1)
 	for _, h := range handles {
 		if h <= prev || h >= nextHandle {

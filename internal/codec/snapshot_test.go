@@ -181,10 +181,10 @@ func TestSnapshotHugeClaimedCount(t *testing.T) {
 	meta := codec.PagedMeta{Kind: codec.PagedKindSnapshot, K: 2, Dim: 2, Count: 1 << 30, NextHandle: 1 << 40}
 	var buf bytes.Buffer
 	if err := codec.WriteContainer(&buf, meta.Encode(), []codec.Section{
-		{ID: codec.SecHandles, Data: codec.PutI64s([]int64{0})},
-		{ID: codec.SecDocStart, Data: codec.PutI64s([]int64{0, 1})},
-		{ID: codec.SecRowHandles, Data: codec.PutI64s([]int64{0})},
-		{ID: codec.SecEntryRank, Data: codec.PutI32s([]int32{0})},
+		{ID: codec.SecHandles, Data: codec.Put([]int64{0})},
+		{ID: codec.SecDocStart, Data: codec.Put([]int64{0, 1})},
+		{ID: codec.SecRowHandles, Data: codec.Put([]int64{0})},
+		{ID: codec.SecEntryRank, Data: codec.Put([]int32{0})},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -286,25 +286,25 @@ var lyingRankSections = []struct {
 	edit func(data []byte)
 }{
 	{"a rank repeated", codec.SecEntryRank, func(d []byte) { copy(d[4:], d[:4]) }},
-	{"a rank past the count", codec.SecEntryRank, func(d []byte) { copy(d, codec.PutI32s([]int32{1 << 20})) }},
-	{"a negative rank", codec.SecEntryRank, func(d []byte) { copy(d, codec.PutI32s([]int32{-1})) }},
+	{"a rank past the count", codec.SecEntryRank, func(d []byte) { copy(d, codec.Put([]int32{1 << 20})) }},
+	{"a negative rank", codec.SecEntryRank, func(d []byte) { copy(d, codec.Put([]int32{-1})) }},
 	{"two rows swapped", codec.SecEntryRank, func(d []byte) {
 		a, b := slices.Clone(d[:4]), slices.Clone(d[4:8])
 		copy(d, b)
 		copy(d[4:], a)
 	}},
-	{"a row handle not its entry's", codec.SecRowHandles, func(d []byte) { copy(d, codec.PutI64s([]int64{1 << 40})) }},
+	{"a row handle not its entry's", codec.SecRowHandles, func(d []byte) { copy(d, codec.Put([]int64{1 << 40})) }},
 	{"two row handles swapped", codec.SecRowHandles, func(d []byte) {
 		a, b := slices.Clone(d[:8]), slices.Clone(d[8:16])
 		copy(d, b)
 		copy(d[8:], a)
 	}},
-	{"a box inside out", codec.SecCellBoxes, func(d []byte) { copy(d, codec.PutF64s([]float64{math.Inf(1)})) }},
-	{"a box that leaves out its points", codec.SecCellBoxes, func(d []byte) { copy(d[16:], codec.PutF64s([]float64{-1e9, -1e9})) }},
+	{"a box inside out", codec.SecCellBoxes, func(d []byte) { copy(d, codec.Put([]float64{math.Inf(1)})) }},
+	{"a box that leaves out its points", codec.SecCellBoxes, func(d []byte) { copy(d[16:], codec.Put([]float64{-1e9, -1e9})) }},
 	// Hi set to Lo: a box of sound shape, which only Verify sees leave out
 	// the cell's other points.
 	{"a sound box shrunk to its low corner", codec.SecCellBoxes, func(d []byte) { copy(d[16:32], d[:16]) }},
-	{"a NaN bound", codec.SecCellBoxes, func(d []byte) { copy(d[8:], codec.PutF64s([]float64{math.NaN()})) }},
+	{"a NaN bound", codec.SecCellBoxes, func(d []byte) { copy(d[8:], codec.Put([]float64{math.NaN()})) }},
 }
 
 // TestPagedSnapshotRefusesLyingRankSections: read as recovery into memory
@@ -373,13 +373,13 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 	// too.
 	var flat bytes.Buffer
 	if err := codec.WriteContainer(&flat, codec.PagedMeta{Kind: codec.PagedKindFlatORPKW, K: 2, Dim: 2, Count: 3}.Encode(), []codec.Section{
-		{ID: codec.SecFlatMeta, Data: codec.PutU64s([]uint64{1, 2, 1, codec.FlatImageVersion})},
-		{ID: codec.SecFlatRankIDs, Data: codec.PutI32s([]int32{2, 0, 1})},
-		{ID: codec.SecFlatRankLo, Data: codec.PutI32s([]int32{0})},
-		{ID: codec.SecFlatPivotCount, Data: codec.PutI32s([]int32{3})},
-		{ID: codec.SecFlatMatLists, Data: codec.PutI32s([]int32{0, 2, 1, 0, 2, 0})},
-		{ID: codec.SecFlatMatBits, Data: codec.PutU64s([]uint64{0b101})},
-		{ID: codec.SecFlatMatRanks, Data: codec.PutI32s([]int32{0, 2})},
+		{ID: codec.SecFlatMeta, Data: codec.Put([]uint64{1, 2, 1, codec.FlatImageVersion})},
+		{ID: codec.SecFlatRankIDs, Data: codec.Put([]int32{2, 0, 1})},
+		{ID: codec.SecFlatRankLo, Data: codec.Put([]int32{0})},
+		{ID: codec.SecFlatPivotCount, Data: codec.Put([]int32{3})},
+		{ID: codec.SecFlatMatLists, Data: codec.Put([]int32{0, 2, 1, 0, 2, 0})},
+		{ID: codec.SecFlatMatBits, Data: codec.Put([]uint64{0b101})},
+		{ID: codec.SecFlatMatRanks, Data: codec.Put([]int32{0, 2})},
 	}); err != nil {
 		f.Fatal(err)
 	}

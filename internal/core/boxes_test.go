@@ -70,10 +70,9 @@ func degenerateRect(rng *rand.Rand, ds *dataset.Dataset) *geom.Rect {
 // An ORP-KW tree splits in rank space and answers in the points' own
 // coordinates: over every degenerate coordinate shape, in 1, 2 and 3
 // dimensions, a static index, the same index after an image round trip
-// (ExportFlat, NewFrameworkFromFlat, NewORPKWFromParts — the open path) and a
-// dynamic index of several buckets each report exactly dataset.Filter's
-// objects, every box is tight, and the opened boxes equal the built ones bit
-// for bit.
+// (SaveFlat, then OpenFlat) and a dynamic index of several buckets each
+// report exactly dataset.Filter's objects, every box is tight, and the
+// opened boxes equal the built ones bit for bit.
 func TestTightBoxesOriginalCoordinates(t *testing.T) {
 	const n, vocab = 700, 8
 	for ki, kind := range degenerateKinds {
@@ -91,18 +90,8 @@ func TestTightBoxesOriginalCoordinates(t *testing.T) {
 					}
 				}
 				checkTightBoxes(t, name, ix.fw)
-				a, err := ix.fw.ExportFlat()
-				if err != nil {
-					t.Fatal(err)
-				}
-				fw, err := NewFrameworkFromFlat(ds, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opened, err := NewORPKWFromParts(ds, fw, WithoutObs())
-				if err != nil {
-					t.Fatal(err)
-				}
+				opened := reopened(t, ix)
+				fw := opened.fw
 				for i, b := range ix.fw.boxes {
 					if math.Float64bits(b) != math.Float64bits(fw.boxes[i]) {
 						t.Fatalf("%s: box float %d is %v built, %v opened", name, i, b, fw.boxes[i])

@@ -35,14 +35,7 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			img, err := ix.fw.ExportFlat()
-			if err != nil {
-				t.Fatal(err)
-			}
-			reopened, err := NewFrameworkFromFlat(ds, img)
-			if err != nil {
-				t.Fatal(err)
-			}
+			opened := reopened(t, ix).fw
 
 			df := make(map[dataset.Keyword]int)
 			for i := 0; i < ds.Len(); i++ {
@@ -56,7 +49,7 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 			for trial := 0; trial < 2000; trial++ {
 				ws := workload.RandKeywords(rng, tc.vocab, tc.k)
 				est := ix.EstimateWork(ws)
-				if r := reopened.EstimateWork(ws); r != est {
+				if r := opened.EstimateWork(ws); r != est {
 					t.Fatalf("ws %v: built index estimates %d, reopened %d", ws, est, r)
 				}
 				// Replay the root's classification: how many keywords are

@@ -6,8 +6,10 @@ import (
 	"slices"
 
 	"kwsc/internal/bits"
+	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
+	"kwsc/internal/pager"
 	"kwsc/internal/spart"
 )
 
@@ -94,6 +96,71 @@ const (
 	ListRanks  = 0
 	ListBitmap = 1
 )
+
+// flatImage is a Framework as its flat image holds it: the framework's own
+// columns and, beside them, the sections that hold a column in another form
+// — the dataset's three, the list handles as int32 triples, the tensor
+// arena's words — and the image's meta.
+type flatImage struct {
+	Framework
+	meta     []uint64 // {flatSplitKD, pdim, nodes, codec.FlatImageVersion}
+	points   []float64
+	docStart []int64
+	docWords []dataset.Keyword
+	lists    []int32  // matLists, {Start, N, Rep} each
+	tensors  []uint64 // tensorArena's words
+}
+
+// flatColumn pairs one section of a flat image with its column. A skeleton
+// column is read by every traversal from the first query, so an open
+// prefetches it.
+type flatColumn struct {
+	id       uint32
+	skeleton bool
+	put      func(m *flatImage) []byte
+	read     func(m *flatImage, c *codec.Container, f *pager.File) error
+}
+
+func column[T pager.Word](id uint32, skeleton bool, col func(m *flatImage) *[]T) flatColumn {
+	return flatColumn{id: id, skeleton: skeleton,
+		put: func(m *flatImage) []byte { return codec.Put(*col(m)) },
+		read: func(m *flatImage, c *codec.Container, f *pager.File) (err error) {
+			*col(m), err = codec.Column[T](c, f, id)
+			return err
+		},
+	}
+}
+
+// flatColumns is the flat image (flatsnap.go): its sections in file order,
+// each with the column it holds. A save writes every column, an open reads
+// every one back before it validates them together. The ids and what each
+// column holds are listed in codec/flatsec.go; rankSpan, boxes and the root
+// directories are derived at open and never stored.
+var flatColumns = []flatColumn{
+	column(codec.SecFlatMeta, true, func(m *flatImage) *[]uint64 { return &m.meta }),
+	column(codec.SecFlatNu, true, func(m *flatImage) *[]int64 { return &m.nu }),
+	column(codec.SecFlatL, true, func(m *flatImage) *[]int32 { return &m.l }),
+	column(codec.SecFlatChildFirst, true, func(m *flatImage) *[]int32 { return &m.childFirst }),
+	column(codec.SecFlatChildCount, true, func(m *flatImage) *[]int32 { return &m.childCount }),
+	column(codec.SecFlatPivotCount, true, func(m *flatImage) *[]int32 { return &m.pivotCount }),
+	column(codec.SecFlatRankLo, true, func(m *flatImage) *[]int32 { return &m.rankLo }),
+	column(codec.SecFlatRankIDs, false, func(m *flatImage) *[]int32 { return &m.ids }),
+	column(codec.SecFlatLargeStart, false, func(m *flatImage) *[]int32 { return &m.largeStart }),
+	column(codec.SecFlatLargeKeys, false, func(m *flatImage) *[]dataset.Keyword { return &m.largeKeys }),
+	column(codec.SecFlatLargeIdx, false, func(m *flatImage) *[]int32 { return &m.largeIdx }),
+	column(codec.SecFlatMatStart, false, func(m *flatImage) *[]int32 { return &m.matStart }),
+	column(codec.SecFlatMatKeys, false, func(m *flatImage) *[]dataset.Keyword { return &m.matKeys }),
+	column(codec.SecFlatMatLists, false, func(m *flatImage) *[]int32 { return &m.lists }),
+	column(codec.SecFlatMatRanks, false, func(m *flatImage) *[]int32 { return &m.matRanks }),
+	column(codec.SecFlatMatBits, false, func(m *flatImage) *[]uint64 { return &m.matBits }),
+	column(codec.SecFlatTensorOff, false, func(m *flatImage) *[]int64 { return &m.tensorOff }),
+	column(codec.SecFlatTensorStr, false, func(m *flatImage) *[]int64 { return &m.tensorStride }),
+	column(codec.SecFlatTensorWrds, false, func(m *flatImage) *[]uint64 { return &m.tensors }),
+	column(codec.SecFlatCoords, false, func(m *flatImage) *[]float64 { return &m.coords }),
+	column(codec.SecFlatPoints, false, func(m *flatImage) *[]float64 { return &m.points }),
+	column(codec.SecFlatDocStart, false, func(m *flatImage) *[]int64 { return &m.docStart }),
+	column(codec.SecFlatDocWords, false, func(m *flatImage) *[]dataset.Keyword { return &m.docWords }),
+}
 
 // pack fills the layout from the builder's nodes (index 0 is the root); a kd
 // tree keeps no cells, its boxes are derived once coords are in place. Every

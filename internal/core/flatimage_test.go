@@ -1,4 +1,4 @@
-package flatio
+package core
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"kwsc/internal/codec"
-	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/pager"
@@ -26,7 +25,7 @@ import (
 // nodes at every depth see both covered and crossing query cells) and docs
 // drawn from a small vocabulary with skewed frequencies (so some keywords go
 // large and others stay materialized).
-func testDataset(t *testing.T, seed int64, n, dim int) *dataset.Dataset {
+func testDataset(t testing.TB, seed int64, n, dim int) *dataset.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	objs := make([]dataset.Object, n)
@@ -54,7 +53,7 @@ func testDataset(t *testing.T, seed int64, n, dim int) *dataset.Dataset {
 	return ds
 }
 
-func randRect(rng *rand.Rand, dim int) *geom.Rect {
+func randImageRect(rng *rand.Rand, dim int) *geom.Rect {
 	lo := make([]float64, dim)
 	hi := make([]float64, dim)
 	for j := range lo {
@@ -82,36 +81,36 @@ func randKeywords(rng *rand.Rand, k int) []dataset.Keyword {
 // randOpts exercises every stop mechanism: plain, Limit, and the
 // error-surfacing Policy bounds (an expired deadline stops at the first
 // check, so both access modes stop at the same place).
-func randOpts(rng *rand.Rand) core.QueryOpts {
+func randOpts(rng *rand.Rand) QueryOpts {
 	switch rng.Intn(4) {
 	case 0:
-		return core.QueryOpts{Limit: 1 + rng.Intn(4)}
+		return QueryOpts{Limit: 1 + rng.Intn(4)}
 	case 1:
-		return core.QueryOpts{Policy: core.ExecPolicy{NodeBudget: 1 + int64(rng.Intn(30))}}
+		return QueryOpts{Policy: ExecPolicy{NodeBudget: 1 + int64(rng.Intn(30))}}
 	case 2:
-		return core.QueryOpts{Policy: core.ExecPolicy{Deadline: time.Now().Add(-time.Second)}}
+		return QueryOpts{Policy: ExecPolicy{Deadline: time.Now().Add(-time.Second)}}
 	default:
-		return core.QueryOpts{}
+		return QueryOpts{}
 	}
 }
 
 // openBothORPKW saves ix to two files (the pager registry is per-path, so
 // each access mode needs its own path) and opens one mapped, one pread.
-func openBothORPKW(t *testing.T, ix *core.ORPKW) map[string]*core.ORPKW {
+func openBothORPKW(t *testing.T, ix *ORPKW) map[string]*ORPKW {
 	t.Helper()
 	dir := t.TempDir()
-	out := map[string]*core.ORPKW{}
-	for name, o := range map[string]Options{
+	out := map[string]*ORPKW{}
+	for name, o := range map[string]FlatOptions{
 		"mmap":  {},
 		"pread": {NoMmap: true},
 	} {
 		path := filepath.Join(dir, name+".kwflat")
-		if err := SaveFileORPKW(path, ix); err != nil {
+		if err := SaveFlat(path, ix); err != nil {
 			t.Fatal(err)
 		}
-		opened, h, err := OpenORPKW(path, o)
+		opened, h, err := OpenFlat[*ORPKW](path, o)
 		if err != nil {
-			t.Fatalf("OpenORPKW(%s): %v", name, err)
+			t.Fatalf("OpenFlat[*ORPKW](%s): %v", name, err)
 		}
 		t.Cleanup(func() {
 			if err := h.Close(); err != nil {
@@ -123,13 +122,29 @@ func openBothORPKW(t *testing.T, ix *core.ORPKW) map[string]*core.ORPKW {
 	return out
 }
 
+// reopened saves ix as a flat image and opens it again, mapped; the handle
+// closes with the test.
+func reopened[I FlatIndex](t *testing.T, ix I) I {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ix.kwflat")
+	if err := SaveFlat(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	opened, h, err := OpenFlat[I](path, FlatOptions{}, WithoutObs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return opened
+}
+
 // TestORPKWPagedMatchesInRAM is the byte-identical property: for a shared
 // query stream with every stop mechanism in play, the paged index (both
 // access modes) must return the same ids in the same order, the same
 // QueryStats, and the same error as the index it was saved from.
 func TestORPKWPagedMatchesInRAM(t *testing.T) {
 	ds := testDataset(t, 1, 600, 2)
-	built, err := core.BuildORPKW(ds, 2)
+	built, err := BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +152,7 @@ func TestORPKWPagedMatchesInRAM(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(2))
 	for qi := 0; qi < 120; qi++ {
-		q := randRect(rng, 2)
+		q := randImageRect(rng, 2)
 		ws := randKeywords(rng, 2)
 		opts := randOpts(rng)
 		wantIDs, wantSt, wantErr := built.CollectInto(q, ws, opts, nil)
@@ -174,23 +189,23 @@ func TestORPKWPagedMatchesInRAM(t *testing.T) {
 // the convex, non-rectangular Relate code).
 func TestSPKWPagedMatchesInRAM(t *testing.T) {
 	ds := testDataset(t, 3, 400, 3)
-	built, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+	built, err := BuildSPKW(ds, SPKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	opened := map[string]*core.SPKW{}
-	for name, o := range map[string]Options{
+	opened := map[string]*SPKW{}
+	for name, o := range map[string]FlatOptions{
 		"mmap":  {},
 		"pread": {NoMmap: true},
 	} {
 		path := filepath.Join(dir, name+".kwflat")
-		if err := SaveFileSPKW(path, built); err != nil {
+		if err := SaveFlat(path, built); err != nil {
 			t.Fatal(err)
 		}
-		ix, h, err := OpenSPKW(path, o)
+		ix, h, err := OpenFlat[*SPKW](path, o)
 		if err != nil {
-			t.Fatalf("OpenSPKW(%s): %v", name, err)
+			t.Fatalf("OpenFlat[*SPKW](%s): %v", name, err)
 		}
 		defer h.Close()
 		opened[name] = ix
@@ -225,11 +240,11 @@ func TestSPKWPagedMatchesInRAM(t *testing.T) {
 // with no serialized form — saving must fail cleanly, not panic.
 func TestSaveSPKWRejectsWillard(t *testing.T) {
 	ds := testDataset(t, 5, 120, 2)
-	ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+	ix, err := BuildSPKW(ds, SPKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveFileSPKW(filepath.Join(t.TempDir(), "w.kwflat"), ix); err == nil {
+	if err := SaveFlat(filepath.Join(t.TempDir(), "w.kwflat"), ix); err == nil {
 		t.Fatal("saving a Willard2D index succeeded; its cells have no serialized form")
 	}
 }
@@ -239,13 +254,13 @@ func TestSaveSPKWRejectsWillard(t *testing.T) {
 // corruption is a checksum error, and a truncated file is refused at parse.
 func TestOpenRefusesDamage(t *testing.T) {
 	ds := testDataset(t, 7, 300, 2)
-	built, err := core.BuildORPKW(ds, 2)
+	built, err := BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "clean.kwflat")
-	if err := SaveFileORPKW(clean, built); err != nil {
+	if err := SaveFlat(clean, built); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(clean)
@@ -261,7 +276,7 @@ func TestOpenRefusesDamage(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := OpenORPKW(bad, Options{})
+		_, _, err := OpenFlat[*ORPKW](bad, FlatOptions{})
 		if err == nil {
 			t.Fatalf("open with byte %d flipped succeeded", off)
 		}
@@ -274,50 +289,26 @@ func TestOpenRefusesDamage(t *testing.T) {
 	if err := os.WriteFile(trunc, raw[:len(raw)-pager.PageSize], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenORPKW(trunc, Options{}); err == nil {
+	if _, _, err := OpenFlat[*ORPKW](trunc, FlatOptions{}); err == nil {
 		t.Fatal("open of a truncated container succeeded")
 	}
 
 	// Kind confusion: an ORPKW image is not an SPKW image.
-	if _, _, err := OpenSPKW(clean, Options{}); !errors.Is(err, codec.ErrCorrupt) {
+	if _, _, err := OpenFlat[*SPKW](clean, FlatOptions{}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("OpenSPKW of an ORPKW image: err %v, want ErrCorrupt", err)
 	}
 }
 
-// reframe rewrites the container at path with edit applied to its sections,
-// under fresh checksums — what a file from another build of this program, as
-// opposed to a damaged one, looks like.
-func reframe(t *testing.T, path string, edit func(id uint32, data []byte) []byte) string {
+// resealed writes the flat image at path, re-sealed with edit (reseal), to
+// a new file and returns its path.
+func resealed(t *testing.T, path string, edit func(id uint32, data []byte) []byte) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(raw)
-	c, err := codec.ParseContainer(r, int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var secs []codec.Section
-	for _, s := range c.Sections {
-		if s.ID == 0 {
-			continue // the page-CRC table is rebuilt
-		}
-		data, err := c.SectionBytes(r, s.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs = append(secs, codec.Section{ID: s.ID, Data: edit(s.ID, data)})
-	}
-	out := filepath.Join(t.TempDir(), "reframed.kwflat")
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := codec.WriteContainer(f, c.Meta, secs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	out := filepath.Join(t.TempDir(), "resealed.kwflat")
+	if err := os.WriteFile(out, reseal(t, raw, nil, edit), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -329,37 +320,37 @@ func reframe(t *testing.T, path string, edit func(id uint32, data []byte) []byte
 // refused by validation, mapped or not — the lists as codec.ErrCorrupt.
 func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 	ds := testDataset(t, 9, 400, 2)
-	built, err := core.BuildORPKW(ds, 2)
+	built, err := BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := filepath.Join(t.TempDir(), "clean.kwflat")
-	if err := SaveFileORPKW(clean, built); err != nil {
+	if err := SaveFlat(clean, built); err != nil {
 		t.Fatal(err)
 	}
-	same := reframe(t, clean, func(_ uint32, data []byte) []byte { return data })
-	if _, h, err := OpenORPKW(same, Options{}); err != nil {
-		t.Fatalf("a faithfully reframed image must open: %v", err)
+	same := resealed(t, clean, func(_ uint32, data []byte) []byte { return data })
+	if _, h, err := OpenFlat[*ORPKW](same, FlatOptions{}); err != nil {
+		t.Fatalf("a faithfully re-sealed image must open: %v", err)
 	} else {
 		h.Close()
 	}
 
 	current := strconv.Itoa(codec.FlatImageVersion)
 	// Version 1 had a three-value meta section and no version field.
-	v1 := reframe(t, clean, func(id uint32, data []byte) []byte {
+	v1 := resealed(t, clean, func(id uint32, data []byte) []byte {
 		if id == codec.SecFlatMeta {
 			return data[:24]
 		}
 		return data
 	})
-	if _, _, err := OpenORPKW(v1, Options{}); err == nil ||
+	if _, _, err := OpenFlat[*ORPKW](v1, FlatOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version "+current) {
 		t.Fatalf("version 1 image: err %v, want a refusal naming versions 1 and %s", err, current)
 	}
 	// Version 2 packed sparse lists into delta blocks, version 3 stored kd
 	// cells and ORPKW's rank tables; 9 is yet to come.
 	for _, v := range []uint64{2, 3, 9} {
-		other := reframe(t, clean, func(id uint32, data []byte) []byte {
+		other := resealed(t, clean, func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMeta {
 				data = slices.Clone(data)
 				binary.LittleEndian.PutUint64(data[24:], v)
@@ -367,7 +358,7 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 			return data
 		})
 		read := "version " + strconv.FormatUint(v, 10)
-		if _, _, err := OpenORPKW(other, Options{}); err == nil ||
+		if _, _, err := OpenFlat[*ORPKW](other, FlatOptions{}); err == nil ||
 			!strings.Contains(err.Error(), read) || !strings.Contains(err.Error(), "version "+current) {
 			t.Fatalf("%s image: err %v, want a refusal naming it and version %s", read, err, current)
 		}
@@ -383,16 +374,13 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 			return data
 		}
 	}
-	a, err := built.Framework().ExportFlat()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := built.Framework()
 	// A sparse list of at least three ranks: handle h, ranks at l.Start.
-	h := int32(slices.IndexFunc(a.MatLists, func(l core.FlatList) bool { return l.Rep == core.ListRanks && l.N >= 3 }))
+	h := int32(slices.IndexFunc(a.matLists, func(l FlatList) bool { return l.Rep == ListRanks && l.N >= 3 }))
 	if h < 0 {
 		t.Fatal("fixture has no sparse list of three ranks")
 	}
-	l, n := a.MatLists[h], int32(ds.Len())
+	l, n := a.matLists[h], int32(ds.Len())
 	for _, tc := range []struct {
 		name    string
 		edit    func(id uint32, data []byte) []byte
@@ -405,18 +393,18 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 			}
 			return data
 		}, false},
-		{"interval starts shifted", set(codec.SecFlatRankLo, 1, a.RankLo[1]+1), false},
+		{"interval starts shifted", set(codec.SecFlatRankLo, 1, a.rankLo[1]+1), false},
 		{"bitmap arena missing", func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMatBits {
-				return nil
+				return []byte{}
 			}
 			return data
 		}, false},
-		{"descending pair", set(codec.SecFlatMatRanks, l.Start+2, a.MatRanks[l.Start]), true},
-		{"duplicate rank", set(codec.SecFlatMatRanks, l.Start+1, a.MatRanks[l.Start]), true},
+		{"descending pair", set(codec.SecFlatMatRanks, l.Start+2, a.matRanks[l.Start]), true},
+		{"duplicate rank", set(codec.SecFlatMatRanks, l.Start+1, a.matRanks[l.Start]), true},
 		{"rank below every interval", set(codec.SecFlatMatRanks, l.Start, -1), true},
 		{"rank past every interval", set(codec.SecFlatMatRanks, l.Start+l.N-1, n), true},
-		{"list runs off the arena", set(codec.SecFlatMatLists, 3*h, int32(len(a.MatRanks))-l.N+1), true},
+		{"list runs off the arena", set(codec.SecFlatMatLists, 3*h, int32(len(a.matRanks))-l.N+1), true},
 		{"list length negative", set(codec.SecFlatMatLists, 3*h+1, -1), true},
 		{"unknown representation tag", set(codec.SecFlatMatLists, 3*h+2, 2), true},
 		{"handle column cut mid-triple", func(id uint32, data []byte) []byte {
@@ -426,9 +414,9 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 			return data
 		}, true},
 	} {
-		bad := reframe(t, clean, tc.edit)
-		for _, o := range []Options{{}, {NoMmap: true}} {
-			if _, _, err := OpenORPKW(bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
+		bad := resealed(t, clean, tc.edit)
+		for _, o := range []FlatOptions{{}, {NoMmap: true}} {
+			if _, _, err := OpenFlat[*ORPKW](bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
 				t.Fatalf("%s (NoMmap=%v): open returned %v", tc.name, o.NoMmap, err)
 			}
 		}
@@ -485,42 +473,42 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 	}
 
 	ds := testDataset(t, 13, 300, 3) // d=3: SP-KW's d=2 splitter has no flat form
-	orp, err := core.BuildORPKW(ds, 2)
+	orp, err := BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+	sp, err := BuildSPKW(ds, SPKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	orpPath, spPath := filepath.Join(dir, "orp.kwflat"), filepath.Join(dir, "sp.kwflat")
-	if err := SaveFileORPKW(orpPath, orp); err != nil {
+	if err := SaveFlat(orpPath, orp); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveFileSPKW(spPath, sp); err != nil {
+	if err := SaveFlat(spPath, sp); err != nil {
 		t.Fatal(err)
 	}
-	opens := map[string]func(string, Options) (*Handle, error){
-		orpPath: func(p string, o Options) (*Handle, error) { _, h, err := OpenORPKW(p, o); return h, err },
-		spPath:  func(p string, o Options) (*Handle, error) { _, h, err := OpenSPKW(p, o); return h, err },
+	opens := map[string]func(string, FlatOptions) (*FlatHandle, error){
+		orpPath: func(p string, o FlatOptions) (*FlatHandle, error) { _, h, err := OpenFlat[*ORPKW](p, o); return h, err },
+		spPath:  func(p string, o FlatOptions) (*FlatHandle, error) { _, h, err := OpenFlat[*SPKW](p, o); return h, err },
 	}
 	p0, s0, w0 := ds.Columns()
 	for _, tc := range hostile {
 		p, s, w := tc.edit(slices.Clone(p0), slices.Clone(s0), slices.Clone(w0))
 		for clean, open := range opens {
-			bad := reframe(t, clean, func(id uint32, data []byte) []byte {
+			bad := resealed(t, clean, func(id uint32, data []byte) []byte {
 				switch id {
 				case codec.SecFlatPoints:
-					return codec.PutF64s(p)
+					return codec.Put(p)
 				case codec.SecFlatDocStart:
-					return codec.PutI64s(s)
+					return codec.Put(s)
 				case codec.SecFlatDocWords:
-					return codec.PutU32s(w)
+					return codec.Put(w)
 				}
 				return data
 			})
-			for _, o := range []Options{{}, {NoMmap: true}} {
+			for _, o := range []FlatOptions{{}, {NoMmap: true}} {
 				h, err := open(bad, o)
 				if err == nil {
 					h.Close()
@@ -540,12 +528,12 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 // refused too.
 func TestOpenRefusesCoordsOffThePoints(t *testing.T) {
 	ds := testDataset(t, 17, 300, 2)
-	built, err := core.BuildORPKW(ds, 2)
+	built, err := BuildORPKW(ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := filepath.Join(t.TempDir(), "clean.kwflat")
-	if err := SaveFileORPKW(clean, built); err != nil {
+	if err := SaveFlat(clean, built); err != nil {
 		t.Fatal(err)
 	}
 	coords := func(edit func(c []float64) []float64) func(uint32, []byte) []byte {
@@ -553,7 +541,7 @@ func TestOpenRefusesCoordsOffThePoints(t *testing.T) {
 			if id != codec.SecFlatCoords {
 				return data
 			}
-			return codec.PutF64s(edit(codec.GetF64s(data)))
+			return codec.Put(edit(codec.Get[float64](data)))
 		}
 	}
 	for _, tc := range []struct {
@@ -567,9 +555,9 @@ func TestOpenRefusesCoordsOffThePoints(t *testing.T) {
 		{"moved outside every query", func(c []float64) []float64 { c[8], c[9] = 1e9, 1e9; return c }, true},
 		{"one float short", func(c []float64) []float64 { return c[:len(c)-1] }, false},
 	} {
-		bad := reframe(t, clean, coords(tc.edit))
-		for _, o := range []Options{{}, {NoMmap: true}} {
-			if _, _, err := OpenORPKW(bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
+		bad := resealed(t, clean, coords(tc.edit))
+		for _, o := range []FlatOptions{{}, {NoMmap: true}} {
+			if _, _, err := OpenFlat[*ORPKW](bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
 				t.Fatalf("%s (NoMmap=%v): open returned %v", tc.name, o.NoMmap, err)
 			}
 		}
@@ -586,37 +574,34 @@ func TestOpenRefusesCoordsOffThePoints(t *testing.T) {
 // reported it unexamined.
 func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 	ds := testDataset(t, 19, 400, 3)
-	built, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+	built, err := BuildSPKW(ds, SPKWConfig{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := filepath.Join(t.TempDir(), "clean.kwflat")
-	if err := SaveFileSPKW(clean, built); err != nil {
+	if err := SaveFlat(clean, built); err != nil {
 		t.Fatal(err)
 	}
 	const moved = 37 // the rank sent far away
-	bad := reframe(t, clean, func(id uint32, data []byte) []byte {
+	bad := resealed(t, clean, func(id uint32, data []byte) []byte {
 		if id != codec.SecFlatCoords {
 			return data
 		}
-		c := codec.GetF64s(data)
+		c := codec.Get[float64](data)
 		c[3*moved], c[3*moved+1], c[3*moved+2] = 1e9, -1e9, 1e9
-		return codec.PutF64s(c)
+		return codec.Put(c)
 	})
-	for _, o := range []Options{{}, {NoMmap: true}} {
-		ix, h, err := OpenSPKW(bad, o)
+	for _, o := range []FlatOptions{{}, {NoMmap: true}} {
+		ix, h, err := OpenFlat[*SPKW](bad, o)
 		if err != nil {
 			t.Fatalf("NoMmap=%v: %v", o.NoMmap, err)
 		}
-		a, err := ix.Framework().ExportFlat()
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := ix.Framework()
 		rankOf := make([]int, ds.Len())
-		for r, id := range a.RankIDs {
+		for r, id := range a.ids {
 			rankOf[id] = r
 		}
-		victim := a.RankIDs[moved]
+		victim := a.ids[moved]
 		rng := rand.New(rand.NewSource(20))
 		vouched := 0 // queries the built index answers with the victim
 		for qi := 0; qi < 200; qi++ {
@@ -629,15 +614,15 @@ func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 			if qi%2 == 0 {
 				ws = ds.Doc(victim)[:2]
 			}
-			ids, _, err := ix.CollectInto(hs, ws, core.QueryOpts{}, nil)
+			ids, _, err := ix.CollectInto(hs, ws, QueryOpts{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _, _ := built.CollectInto(hs, ws, core.QueryOpts{}, nil); slices.Contains(want, victim) {
+			if want, _, _ := built.CollectInto(hs, ws, QueryOpts{}, nil); slices.Contains(want, victim) {
 				vouched++
 			}
 			for _, id := range ids {
-				p := a.Coords[3*rankOf[id] : 3*rankOf[id]+3]
+				p := a.coords[3*rankOf[id] : 3*rankOf[id]+3]
 				if id == victim || !geom.NewPolyhedron(hs...).ContainsPoint(p) {
 					t.Fatalf("query %d (NoMmap=%v): reported %d, compared at %v, outside %v", qi, o.NoMmap, id, p, hs)
 				}
@@ -648,4 +633,132 @@ func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 		}
 		h.Close()
 	}
+}
+
+// FuzzFlatImageHostile changes one value of one section of a flat image, an
+// ORP-KW or an LC-KW one, and re-seals the container, so every page checksum
+// passes and only open's checks stand between the lie and an answer. Open
+// must refuse the file as codec.ErrCorrupt, or: every query returns without
+// panicking (a recovered panic is an error) and reports ids in [0, n) only,
+// and an ORP-KW image reports only objects whose point lies in the
+// rectangle.
+func FuzzFlatImageHostile(f *testing.F) {
+	orp, err := BuildORPKW(testDataset(f, 23, 240, 2), 2, WithoutObs())
+	if err != nil {
+		f.Fatal(err)
+	}
+	lc, err := BuildSPKW(testDataset(f, 24, 200, 3), SPKWConfig{K: 2}, WithoutObs())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var images [2]bytes.Buffer
+	if err := writeFlat(&images[0], orp); err != nil {
+		f.Fatal(err)
+	}
+	if err := writeFlat(&images[1], lc); err != nil {
+		f.Fatal(err)
+	}
+	wide := map[uint32]bool{ // the sections of 8-byte values
+		codec.SecFlatMeta: true, codec.SecFlatNu: true, codec.SecFlatMatBits: true,
+		codec.SecFlatTensorOff: true, codec.SecFlatTensorStr: true, codec.SecFlatTensorWrds: true,
+		codec.SecFlatCoords: true, codec.SecFlatPoints: true, codec.SecFlatDocStart: true,
+	}
+	for kind := range images {
+		for col := range flatColumns {
+			for _, at := range []uint32{0, 5} {
+				for _, v := range []uint64{0, 1, 1 << 31, math.Float64bits(20), math.Float64bits(math.NaN()), math.MaxUint64} {
+					f.Add(uint8(kind), uint8(col), at, v)
+				}
+			}
+		}
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, kind, col uint8, at uint32, v uint64) {
+		target := flatColumns[int(col)%len(flatColumns)].id
+		raw := reseal(t, images[kind%2].Bytes(), nil, func(id uint32, data []byte) []byte {
+			if id != target || len(data) == 0 {
+				return nil
+			}
+			out := slices.Clone(data)
+			if wide[id] {
+				binary.LittleEndian.PutUint64(out[8*(int(at)%(len(out)/8)):], v)
+			} else {
+				binary.LittleEndian.PutUint32(out[4*(int(at)%(len(out)/4)):], uint32(v))
+			}
+			return out
+		})
+		path := filepath.Join(dir, "hostile.kwflat")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []FlatOptions{{}, {NoMmap: true}} {
+			rng := rand.New(rand.NewSource(int64(at)))
+			var h *FlatHandle
+			var n int
+			var query func(i int) ([]int32, error)
+			if kind%2 == 0 {
+				var ix *ORPKW
+				ix, h, err = OpenFlat[*ORPKW](path, o)
+				if err == nil {
+					fw := ix.Framework()
+					ds := fw.Dataset()
+					n = ds.Len()
+					query = func(i int) ([]int32, error) {
+						q, ws := randImageRect(rng, 2), randKeywords(rng, 2)
+						if i%6 == 0 {
+							q = geom.UniverseRect(2)
+						}
+						// Half the queries aim at the rank whose coordinates the
+						// change may have moved: its keywords, a rectangle about
+						// them.
+						if r := int(at) / 2 % n; i%2 == 1 {
+							ws = ds.Doc(fw.ids[r])[:2]
+							if c := fw.coords[2*r : 2*r+2]; !math.IsInf(c[0], 0) && !math.IsInf(c[1], 0) {
+								q = geom.NewRect([]float64{c[0] - rng.Float64(), c[1] - rng.Float64()}, []float64{c[0] + rng.Float64(), c[1] + rng.Float64()})
+							}
+						}
+						ids, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
+						for _, id := range ids {
+							if id >= 0 && int(id) < n && !q.ContainsPoint(ds.Point(id)) {
+								t.Fatalf("reported %d at %v, outside %v", id, ds.Point(id), q)
+							}
+						}
+						return ids, err
+					}
+				}
+			} else {
+				var ix *SPKW
+				ix, h, err = OpenFlat[*SPKW](path, o)
+				if err == nil {
+					n = ix.Framework().Dataset().Len()
+					query = func(int) ([]int32, error) {
+						hs := []geom.Halfspace{
+							{Coef: []float64{1, rng.Float64() - 0.5, rng.Float64() - 0.5}, Bound: rng.Float64() * 40},
+							{Coef: []float64{rng.Float64() - 0.5, -1, 0}, Bound: rng.Float64() * 10},
+						}
+						ids, _, err := ix.CollectInto(hs, randKeywords(rng, 2), QueryOpts{}, nil)
+						return ids, err
+					}
+				}
+			}
+			if err != nil {
+				if !errors.Is(err, codec.ErrCorrupt) {
+					t.Fatalf("NoMmap=%v: open refused with %v, want codec.ErrCorrupt", o.NoMmap, err)
+				}
+				continue
+			}
+			for i := 0; i < 24; i++ {
+				ids, err := query(i)
+				if err != nil {
+					t.Fatalf("NoMmap=%v: query %d: %v", o.NoMmap, i, err)
+				}
+				for _, id := range ids {
+					if id < 0 || int(id) >= n {
+						t.Fatalf("NoMmap=%v: query %d reported id %d outside [0, %d)", o.NoMmap, i, id, n)
+					}
+				}
+			}
+			h.Close()
+		}
+	})
 }

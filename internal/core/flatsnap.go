@@ -2,200 +2,294 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math"
 	mbits "math/bits"
+	"os"
 
 	"kwsc/internal/bits"
 	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
+	"kwsc/internal/pager"
 	"kwsc/internal/spart"
 )
 
-// This file is the serialization boundary of the flat layout: ExportFlat
-// exposes a Framework as plain columns (FlatArenas), and
-// NewFrameworkFromFlat rebuilds a query-ready Framework from untrusted
-// columns — e.g. ones aliasing a read-only KWCP2 mapping (internal/flatio).
-// Only the rectangle splitter spart.KD round-trips: its cells are the tight
-// boxes of its nodes, which the image does not carry — they are derived from
-// the coordinates again at open. Willard2D cells are convex polygons built
-// during the ham-sandwich recursion and have no fixed-width serialized form.
+// This file is the flat image of a built index: the KWCP2 container an
+// ORP-KW or LC-KW index saves as and is served from again without a rebuild.
+// Its sections are flatColumns (flat.go). An open maps the file, verifies
+// every page checksum and reads the columns back — on a little-endian host
+// with the file mapped the big ones (coordinates, lists, tensors) alias the
+// mapping, and the page cache is the only copy — then trusts none of them:
+// every structural invariant the query path relies on is checked
+// (checkImage), and the kd boxes are derived from the coordinates again.
+// Only the rectangle splitter spart.KD round-trips: Willard2D's cells are
+// convex polygons built during the ham-sandwich recursion and have no
+// fixed-width serialized form.
 
-// FlatSplitKD is the splitter kind a FlatArenas image carries: spart.KD over
-// PDim-dimensional points.
-const FlatSplitKD = 1
+// flatSplitKD is the splitter kind a flat image carries: spart.KD over
+// pdim-dimensional points.
+const flatSplitKD = 1
 
-// FlatArenas is the column image of a Framework: every slice of
-// flatLayout as a flat, fixed-width array, in BFS node order. Slices returned
-// by ExportFlat alias the live index and must be treated as read-only;
-// slices given to NewFrameworkFromFlat are aliased by the result and must
-// stay immutable for the index's lifetime (they may point into a PROT_READ
-// mapping).
-type FlatArenas struct {
-	SplitterKind int // FlatSplitKD
-	K            int // query keyword arity
-	PDim         int // partitioning-coordinate dimensionality
-	NumObjects   int // dataset size; an image indexes every object
-
-	// Objects by rank (leaf order, see Framework): RankIDs[r] is the dataset
-	// id of rank r, Coords the PDim coordinates queries compare, row-major.
-	// Every node's box is derived from Coords.
-	RankIDs []int32
-	Coords  []float64
-
-	// Node skeleton, BFS order (see flatLayout). Node u's active set is the
-	// rank interval starting at RankLo[u]; its first PivotCount[u] ranks are
-	// the pivot set and its children's intervals follow in child order.
-	Nu         []int64
-	L          []int32
-	ChildFirst []int32
-	ChildCount []int32
-	RankLo     []int32
-	PivotCount []int32
-
-	// Large keywords, sorted per node, parallel to the tensor axis indexes.
-	LargeStart []int32
-	LargeKeys  []dataset.Keyword
-	LargeIdx   []int32
-
-	// Materialized small-keyword lists: a handle names ascending ranks in
-	// MatRanks or a bitmap over the node's interval in MatBits (see FlatList).
-	MatStart []int32
-	MatKeys  []dataset.Keyword
-	MatLists []FlatList
-	MatRanks []int32
-	MatBits  []uint64
-
-	// Non-emptiness tensors: node u's child ci occupies TensorStride[u]
-	// words at TensorOff[u] + ci*TensorStride[u].
-	TensorOff    []int64
-	TensorStride []int64
-	TensorWords  []uint64
+// FlatOptions tunes how a saved index is opened.
+type FlatOptions struct {
+	// NoMmap forces pread-backed access: every column is decoded into RAM
+	// at open and the mapping is never created. The default maps the file
+	// and aliases columns zero-copy where alignment and endianness allow.
+	NoMmap bool
 }
 
-// ExportFlat exposes the layout as serializable columns. The splitter must be
-// spart.KD. The returned slices alias the index — callers must
-// treat them as read-only.
-func (f *Framework) ExportFlat() (*FlatArenas, error) {
+// FlatHandle owns the open file's pager reference. The index returned
+// alongside it may alias the mapping, so the handle must stay open for the
+// index's lifetime and be closed exactly once when the index is discarded.
+type FlatHandle struct {
+	f *pager.File
+}
+
+// Close releases the file reference (unmapping on the last reference, and
+// completing a deferred pager.Retire if one is pending).
+func (h *FlatHandle) Close() error {
+	if h == nil || h.f == nil {
+		return nil
+	}
+	f := h.f
+	h.f = nil
+	return f.Unref()
+}
+
+// Path returns the file the handle serves from.
+func (h *FlatHandle) Path() string { return h.f.Path() }
+
+// Mapped reports whether the file is memory-mapped.
+func (h *FlatHandle) Mapped() bool { return h.f.Mapped() }
+
+// FlatIndex is an index family with a flat image: ORP-KW, and LC-KW built
+// over a spart.KD splitter.
+type FlatIndex interface {
+	*ORPKW | *SPKW
+	Framework() *Framework
+}
+
+// flatKind is the container kind of I's images.
+func flatKind[I FlatIndex]() uint32 {
+	if _, ok := any(*new(I)).(*ORPKW); ok {
+		return codec.PagedKindFlatORPKW
+	}
+	return codec.PagedKindFlatSPKW
+}
+
+// SaveFlat writes ix's flat image to path atomically (tmp + rename +
+// directory sync).
+func SaveFlat[I FlatIndex](path string, ix I) error {
+	return pager.WriteAtomic(path, func(f *os.File) error { return writeFlat(f, ix) }, nil)
+}
+
+func writeFlat[I FlatIndex](w io.Writer, ix I) error {
+	f := ix.Framework()
 	if _, ok := f.split.(*spart.KD); !ok {
-		return nil, fmt.Errorf("core: splitter %T has no serializable cells (KD only)", f.split)
+		return fmt.Errorf("core: splitter %T has no serializable cells (KD only)", f.split)
 	}
 	if len(f.ids) != f.ds.Len() {
-		return nil, fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
+		return fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
 	}
-	fl := &f.flatLayout
-	return &FlatArenas{
-		SplitterKind: FlatSplitKD,
-		K:            f.k,
-		PDim:         f.pdim,
-		NumObjects:   f.ds.Len(),
-		RankIDs:      f.ids,
-		Coords:       f.coords,
-
-		Nu:         fl.nu,
-		L:          fl.l,
-		ChildFirst: fl.childFirst,
-		ChildCount: fl.childCount,
-		RankLo:     fl.rankLo,
-		PivotCount: fl.pivotCount,
-		LargeStart: fl.largeStart,
-		LargeKeys:  fl.largeKeys,
-		LargeIdx:   fl.largeIdx,
-		MatStart:   fl.matStart,
-		MatKeys:    fl.matKeys,
-		MatLists:   fl.matLists,
-		MatRanks:   fl.matRanks,
-		MatBits:    fl.matBits,
-
-		TensorOff:    fl.tensorOff,
-		TensorStride: fl.tensorStride,
-		TensorWords:  fl.tensorArena.Raw(),
-	}, nil
+	m := &flatImage{
+		Framework: *f,
+		meta:      []uint64{flatSplitKD, uint64(f.pdim), uint64(len(f.nu)), codec.FlatImageVersion},
+		lists:     make([]int32, 0, 3*len(f.matLists)),
+		tensors:   f.tensorArena.Raw(),
+	}
+	m.points, m.docStart, m.docWords = f.ds.Columns()
+	for _, l := range f.matLists {
+		m.lists = append(m.lists, l.Start, l.N, l.Rep)
+	}
+	secs := make([]codec.Section, len(flatColumns))
+	for i, col := range flatColumns {
+		secs[i] = codec.Section{ID: col.id, Data: col.put(m)}
+	}
+	meta := codec.PagedMeta{Kind: flatKind[I](), K: uint32(f.k), Dim: uint32(f.ds.Dim()), Count: uint64(f.ds.Len())}
+	return codec.WriteContainer(w, meta.Encode(), secs)
 }
 
-// NewFrameworkFromFlat rebuilds a query-ready Framework from exported
-// columns. The columns are untrusted (they typically come off disk): every
-// structural invariant the query path relies on is checked up front, so a
-// malformed image yields an error here rather than a panic mid-query.
-// Checksums are the caller's concern (flatio verifies pages before this
-// runs); this validation is about shape, not integrity.
-//
-// The arenas are aliased, not copied — see FlatArenas.
-func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error) {
-	if err := checkDataset(ds); err != nil {
-		return nil, err
+// OpenFlat opens a file written by SaveFlat for the same family and returns
+// a query-ready index plus the handle that owns the file reference. Build
+// options tune observability only (WithoutObs); nothing is rebuilt. On
+// failure the file reference is released.
+func OpenFlat[I FlatIndex](path string, o FlatOptions, opts ...BuildOption) (I, *FlatHandle, error) {
+	var popts []pager.OpenOption
+	if o.NoMmap {
+		popts = append(popts, pager.WithoutMmap())
 	}
-	if a.K < 2 || a.K > 64 {
-		return nil, fmt.Errorf("core: flat image arity %d outside [2, 64]", a.K)
+	f, err := pager.Open(path, popts...)
+	if err != nil {
+		return nil, nil, err
 	}
-	if a.NumObjects != ds.Len() {
-		return nil, fmt.Errorf("core: flat image indexes %d objects, dataset has %d", a.NumObjects, ds.Len())
+	ix, err := openFlat[I](f, resolveOpts(opts))
+	if err != nil {
+		f.Unref()
+		return nil, nil, err
 	}
-	if a.PDim < 1 || a.PDim > 64 {
-		return nil, fmt.Errorf("core: flat image point dimension %d outside [1, 64]", a.PDim)
-	}
-	if a.SplitterKind != FlatSplitKD {
-		return nil, fmt.Errorf("core: flat image splitter kind %d unknown", a.SplitterKind)
-	}
+	return ix, &FlatHandle{f: f}, nil
+}
 
-	nn := len(a.Nu)
+func openFlat[I FlatIndex](f *pager.File, o BuildOpts) (I, error) {
+	c, err := codec.ParseContainer(f, f.Size())
+	if err != nil {
+		return nil, err
+	}
+	// Every page verifies before a column may alias the mapping.
+	if err := c.VerifyAllPages(f); err != nil {
+		return nil, err
+	}
+	meta := codec.ParsePagedMeta(c.Meta)
+	if meta.Kind != flatKind[I]() {
+		return nil, errImage("container kind %d is not a %T image", meta.Kind, *new(I))
+	}
+	m := new(flatImage)
+	for _, col := range flatColumns {
+		if off, n, ok := c.Section(col.id); ok && col.skeleton {
+			f.AdviseWillNeed(off, n)
+		}
+		if err := col.read(m, c, f); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.unpack(meta); err != nil {
+		return nil, err
+	}
+	fw := &m.Framework
+	if err := fw.checkImage(); err != nil {
+		return nil, err
+	}
+	if flatKind[I]() == codec.PagedKindFlatSPKW {
+		return any(&SPKW{ds: fw.ds, fw: fw, fam: o.famFor(famLCKW)}).(I), nil
+	}
+	if err := fw.coordsArePoints(); err != nil {
+		return nil, err
+	}
+	return any(newORPKW(fw.ds, fw, o)).(I), nil
+}
+
+// errImage refuses a flat image as codec.ErrCorrupt: a file whose pages all
+// verify but whose columns describe no index this build wrote.
+func errImage(format string, args ...any) error {
+	return fmt.Errorf("%w: flat image: %s", codec.ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// unpack checks the image's meta and turns the sections that hold a column
+// in another form into the framework's: the dataset, the list handles and
+// the tensor arena. The dataset aliases the sections it is read from, which
+// is safe over a read-only mapping: dataset.FromColumns validates without
+// writing.
+func (m *flatImage) unpack(meta codec.PagedMeta) error {
+	if meta.Dim < 1 || meta.Dim > 64 || meta.K < 2 || meta.K > 64 || meta.Count < 1 || meta.Count > 1<<31 {
+		return errImage("dimension %d, arity %d, object count %d", meta.Dim, meta.K, meta.Count)
+	}
+	fm := m.meta
+	if len(fm) != 3 && len(fm) != 4 {
+		return errImage("meta section has %d values, want 4", len(fm))
+	}
+	version := uint64(1) // version 1 carried no version field
+	if len(fm) == 4 {
+		version = fm[3]
+	}
+	if version != codec.FlatImageVersion {
+		return errImage("version %d is not readable; this build reads version %d: rebuild the image", version, codec.FlatImageVersion)
+	}
+	if fm[0] != flatSplitKD {
+		return errImage("splitter kind %d unknown", fm[0])
+	}
+	if fm[1] < 1 || fm[1] > 64 || fm[2] < 1 || fm[2] > 1<<31 {
+		return errImage("meta pdim %d / nodes %d out of range", fm[1], fm[2])
+	}
+	if uint64(len(m.nu)) != fm[2] {
+		return errImage("meta claims %d nodes, weights carry %d", fm[2], len(m.nu))
+	}
+	if uint64(len(m.docStart)) != meta.Count+1 {
+		return errImage("%d document offsets for %d objects", len(m.docStart), meta.Count)
+	}
+	ds, err := dataset.FromColumns(int(meta.Dim), m.points, m.docStart, m.docWords)
+	if err != nil {
+		return errImage("dataset: %v", err)
+	}
+	if len(m.lists)%3 != 0 {
+		return errImage("list handle column of %d values is not {start, n, rep} triples", len(m.lists))
+	}
+	m.matLists = make([]FlatList, len(m.lists)/3)
+	for i := range m.matLists {
+		m.matLists[i] = FlatList{Start: m.lists[3*i], N: m.lists[3*i+1], Rep: m.lists[3*i+2]}
+	}
+	m.lists = nil // the opened framework keeps m alive; the triples are matLists now
+	pdim := int(fm[1])
+	m.ds, m.k, m.split, m.pdim = ds, int(meta.K), &spart.KD{Dim: pdim}, pdim
+	m.tensorArena = bits.ArenaFromWords(m.tensors)
+	return nil
+}
+
+// checkImage validates the stored columns of a framework read from an image
+// and derives the rest: the rank spans, the boxes, the space audit and the
+// root's document frequencies. The columns are untrusted (they come off
+// disk, and may alias a read-only mapping): every structural invariant the
+// query path relies on is checked up front, so a malformed image yields an
+// error here rather than a panic mid-query. Checksums are the caller's
+// concern; this validation is about shape, not integrity.
+func (f *Framework) checkImage() error {
+	nn := len(f.nu)
 	if nn < 1 || nn > math.MaxInt32 {
-		return nil, fmt.Errorf("core: flat image has %d nodes", nn)
+		return errImage("%d nodes", nn)
 	}
-	n := a.NumObjects
-	if len(a.L) != nn || len(a.ChildFirst) != nn || len(a.ChildCount) != nn ||
-		len(a.RankLo) != nn || len(a.PivotCount) != nn ||
-		len(a.TensorOff) != nn || len(a.TensorStride) != nn {
-		return nil, fmt.Errorf("core: flat image skeleton columns disagree on node count")
+	n := f.ds.Len()
+	if len(f.l) != nn || len(f.childFirst) != nn || len(f.childCount) != nn ||
+		len(f.rankLo) != nn || len(f.pivotCount) != nn ||
+		len(f.tensorOff) != nn || len(f.tensorStride) != nn {
+		return errImage("skeleton columns disagree on node count")
 	}
-	if len(a.Coords) != n*a.PDim {
-		return nil, fmt.Errorf("core: flat image carries %d coordinates for %d objects of dimension %d",
-			len(a.Coords), n, a.PDim)
+	if len(f.coords) != n*f.pdim {
+		return errImage("%d coordinates for %d objects of dimension %d", len(f.coords), n, f.pdim)
 	}
-	if len(a.RankIDs) != n {
-		return nil, fmt.Errorf("core: flat image ranks %d objects, dataset has %d", len(a.RankIDs), n)
+	if len(f.ids) != n {
+		return errImage("%d ranks for %d objects", len(f.ids), n)
 	}
-	if err := checkStarts("large-keyword", a.LargeStart, nn, len(a.LargeKeys)); err != nil {
-		return nil, err
+	if err := checkStarts("large-keyword", f.largeStart, nn, len(f.largeKeys)); err != nil {
+		return err
 	}
-	if err := checkStarts("materialized-list", a.MatStart, nn, len(a.MatKeys)); err != nil {
-		return nil, err
+	if err := checkStarts("materialized-list", f.matStart, nn, len(f.matKeys)); err != nil {
+		return err
 	}
-	if len(a.LargeIdx) != len(a.LargeKeys) {
-		return nil, fmt.Errorf("core: flat image has %d large indexes for %d large keys", len(a.LargeIdx), len(a.LargeKeys))
+	if len(f.largeIdx) != len(f.largeKeys) {
+		return errImage("%d large indexes for %d large keys", len(f.largeIdx), len(f.largeKeys))
 	}
-	if len(a.MatLists) != len(a.MatKeys) {
-		return nil, fmt.Errorf("core: flat image has %d list handles for %d materialized keys", len(a.MatLists), len(a.MatKeys))
+	if len(f.matLists) != len(f.matKeys) {
+		return errImage("%d list handles for %d materialized keys", len(f.matLists), len(f.matKeys))
 	}
 
 	// BFS layout invariant: dequeue order assigns each node's children the
-	// next contiguous id block, so a single cursor must reproduce ChildFirst
+	// next contiguous id block, so a single cursor must reproduce childFirst
 	// exactly and land on the node count. This guarantees the "tree" is a
 	// tree (acyclic, every node reachable exactly once from the root), which
 	// the recursive traversals rely on to terminate.
 	next := 1
 	for u := 0; u < nn; u++ {
-		if a.Nu[u] < 0 {
-			return nil, fmt.Errorf("core: node %d has negative weight", u)
+		if f.nu[u] < 0 {
+			return errImage("node %d has negative weight", u)
 		}
-		cc := int(a.ChildCount[u])
-		if cc < 0 || int(a.ChildFirst[u]) != next {
-			return nil, fmt.Errorf("core: node %d breaks the BFS child layout", u)
+		cc := int(f.childCount[u])
+		if cc < 0 || int(f.childFirst[u]) != next {
+			return errImage("node %d breaks the BFS child layout", u)
 		}
 		next += cc
 		if next > nn {
-			return nil, fmt.Errorf("core: node %d claims children past the node count", u)
+			return errImage("node %d claims children past the node count", u)
 		}
 	}
 	if next != nn {
-		return nil, fmt.Errorf("core: flat image has %d nodes but the BFS layout covers %d", nn, next)
+		return errImage("%d nodes, the BFS layout covers %d", nn, next)
 	}
 
 	// Rank space. The column must be a permutation of the dataset ids: emit
 	// translates through it and document probes index the dataset with it.
 	seen := bits.NewDense(n)
-	for r, id := range a.RankIDs {
+	for r, id := range f.ids {
 		if id < 0 || int(id) >= n || seen.Get(int(id)) {
-			return nil, fmt.Errorf("core: rank %d maps to id %d: the rank column is not a permutation of [0, %d)", r, id, n)
+			return errImage("rank %d maps to id %d: the rank column is not a permutation of [0, %d)", r, id, n)
 		}
 		seen.Set(int(id))
 	}
@@ -206,117 +300,116 @@ func NewFrameworkFromFlat(ds *dataset.Dataset, a *FlatArenas) (*Framework, error
 	// and tiling the parent's by construction of the sums.
 	span := make([]int32, nn)
 	for u := nn - 1; u >= 0; u-- {
-		if a.PivotCount[u] < 0 {
-			return nil, fmt.Errorf("core: node %d has a negative pivot count", u)
+		if f.pivotCount[u] < 0 {
+			return errImage("node %d has a negative pivot count", u)
 		}
-		total := int64(a.PivotCount[u])
-		for c, end := int(a.ChildFirst[u]), int(a.ChildFirst[u])+int(a.ChildCount[u]); c < end; c++ {
+		total := int64(f.pivotCount[u])
+		for c, end := int(f.childFirst[u]), int(f.childFirst[u])+int(f.childCount[u]); c < end; c++ {
 			total += int64(span[c])
 		}
 		if total > int64(n) {
-			return nil, fmt.Errorf("core: node %d spans %d ranks of %d", u, total, n)
+			return errImage("node %d spans %d ranks of %d", u, total, n)
 		}
 		span[u] = int32(total)
 	}
-	if a.RankLo[0] != 0 || int(span[0]) != n {
-		return nil, fmt.Errorf("core: root interval [%d, %d) is not [0, %d)", a.RankLo[0], int64(a.RankLo[0])+int64(span[0]), n)
+	if f.rankLo[0] != 0 || int(span[0]) != n {
+		return errImage("root interval [%d, %d) is not [0, %d)", f.rankLo[0], int64(f.rankLo[0])+int64(span[0]), n)
 	}
 	for u := 0; u < nn; u++ {
-		next := a.RankLo[u] + a.PivotCount[u]
-		for c, end := int(a.ChildFirst[u]), int(a.ChildFirst[u])+int(a.ChildCount[u]); c < end; c++ {
-			if a.RankLo[c] != next {
-				return nil, fmt.Errorf("core: node %d interval starts at rank %d, want %d: child intervals must tile the parent's after its pivots", c, a.RankLo[c], next)
+		next := f.rankLo[u] + f.pivotCount[u]
+		for c, end := int(f.childFirst[u]), int(f.childFirst[u])+int(f.childCount[u]); c < end; c++ {
+			if f.rankLo[c] != next {
+				return errImage("node %d interval starts at rank %d, want %d: child intervals must tile the parent's after its pivots", c, f.rankLo[c], next)
 			}
 			next += span[c]
 		}
 	}
 	for u := 0; u < nn; u++ {
-		ls, le := a.LargeStart[u], a.LargeStart[u+1]
-		if int(a.L[u]) != int(le-ls) {
-			return nil, fmt.Errorf("core: node %d claims %d large keywords, carries %d", u, a.L[u], le-ls)
+		ls, le := f.largeStart[u], f.largeStart[u+1]
+		if int(f.l[u]) != int(le-ls) {
+			return errImage("node %d claims %d large keywords, carries %d", u, f.l[u], le-ls)
 		}
 		for i := ls; i < le; i++ {
-			if i > ls && a.LargeKeys[i] <= a.LargeKeys[i-1] {
-				return nil, fmt.Errorf("core: node %d large keywords not strictly increasing", u)
+			if i > ls && f.largeKeys[i] <= f.largeKeys[i-1] {
+				return errImage("node %d large keywords not strictly increasing", u)
 			}
-			if a.LargeIdx[i] < 0 || a.LargeIdx[i] >= a.L[u] {
-				return nil, fmt.Errorf("core: node %d large index %d outside [0, %d)", u, a.LargeIdx[i], a.L[u])
+			if f.largeIdx[i] < 0 || f.largeIdx[i] >= f.l[u] {
+				return errImage("node %d large index %d outside [0, %d)", u, f.largeIdx[i], f.l[u])
 			}
 		}
-		ms, me := a.MatStart[u], a.MatStart[u+1]
+		ms, me := f.matStart[u], f.matStart[u+1]
 		for i := ms; i < me; i++ {
-			if i > ms && a.MatKeys[i] <= a.MatKeys[i-1] {
-				return nil, fmt.Errorf("core: node %d materialized keywords not strictly increasing", u)
+			if i > ms && f.matKeys[i] <= f.matKeys[i-1] {
+				return errImage("node %d materialized keywords not strictly increasing", u)
 			}
 			var err error
-			switch l := a.MatLists[i]; l.Rep {
+			switch l := f.matLists[i]; l.Rep {
 			case ListRanks:
-				err = checkRanks(a.MatRanks, l, a.RankLo[u], a.RankLo[u]+span[u])
+				err = checkRanks(f.matRanks, l, f.rankLo[u], f.rankLo[u]+span[u])
 			case ListBitmap:
-				err = checkBitmap(a.MatBits, l, int(span[u]))
+				err = checkBitmap(f.matBits, l, int(span[u]))
 			default:
 				err = fmt.Errorf("representation tag %d unknown", l.Rep)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("%w: node %d list %d: %v", codec.ErrCorrupt, u, i, err)
+				return errImage("node %d list %d: %v", u, i, err)
 			}
 		}
 
 		// Tensor geometry: internal nodes carry one stride-sized bit array
 		// per child; leaves carry nothing. The stride must be exactly
 		// ceil(L^k / 64) — tensorGet computes bit addresses from it.
-		off, stride, cc := a.TensorOff[u], a.TensorStride[u], int64(a.ChildCount[u])
+		off, stride, cc := f.tensorOff[u], f.tensorStride[u], int64(f.childCount[u])
 		if cc == 0 {
 			if off != 0 || stride != 0 {
-				return nil, fmt.Errorf("core: leaf node %d carries a tensor", u)
+				return errImage("leaf node %d carries a tensor", u)
 			}
 			continue
 		}
-		want, ok := tensorWordsChecked(int64(a.L[u]), a.K)
+		want, ok := tensorWordsChecked(int64(f.l[u]), f.k)
 		if !ok {
-			return nil, fmt.Errorf("core: node %d tensor exceeds the sanity bound", u)
+			return errImage("node %d tensor exceeds the sanity bound", u)
 		}
 		if stride != want {
-			return nil, fmt.Errorf("core: node %d tensor stride %d, want %d", u, stride, want)
+			return errImage("node %d tensor stride %d, want %d", u, stride, want)
 		}
-		if off < 0 || off > int64(len(a.TensorWords)) {
-			return nil, fmt.Errorf("core: node %d tensor offset %d outside the arena", u, off)
+		words := f.tensorArena.Words()
+		if off < 0 || off > words {
+			return errImage("node %d tensor offset %d outside the arena", u, off)
 		}
-		if stride > 0 && cc > (int64(len(a.TensorWords))-off)/stride {
-			return nil, fmt.Errorf("core: node %d tensors overrun the arena", u)
+		if stride > 0 && cc > (words-off)/stride {
+			return errImage("node %d tensors overrun the arena", u)
 		}
 	}
 
-	fl := flatLayout{
-		nu:           a.Nu,
-		l:            a.L,
-		childFirst:   a.ChildFirst,
-		childCount:   a.ChildCount,
-		rankLo:       a.RankLo,
-		rankSpan:     span,
-		pivotCount:   a.PivotCount,
-		largeStart:   a.LargeStart,
-		largeKeys:    a.LargeKeys,
-		largeIdx:     a.LargeIdx,
-		matStart:     a.MatStart,
-		matKeys:      a.MatKeys,
-		matLists:     a.MatLists,
-		matRanks:     a.MatRanks,
-		matBits:      a.MatBits,
-		tensorOff:    a.TensorOff,
-		tensorStride: a.TensorStride,
-		tensorArena:  bits.ArenaFromWords(a.TensorWords),
-	}
 	// The boxes are derived, never read: whatever the sections say, a box
 	// bounds exactly the coordinates of its node's ranks, so no box can call a
 	// point covered that lies outside the query.
-	f := &Framework{ds: ds, k: a.K, split: &spart.KD{Dim: a.PDim}, ids: a.RankIDs, coords: a.Coords, pdim: a.PDim, flatLayout: fl, leafSize: 8}
+	f.rankSpan = span
 	if !f.deriveBoxes() {
-		return nil, fmt.Errorf("%w: a NaN coordinate", codec.ErrCorrupt)
+		return errImage("a NaN coordinate")
 	}
 	f.accountSpace()
 	f.countRootDF()
-	return f, nil
+	return nil
+}
+
+// coordsArePoints checks what an ORP-KW image must hold: an ORPKW compares
+// the dataset's own points, so the coordinates must be the points read
+// through the rank column, bit for bit. An image whose coordinates differ is
+// refused as codec.ErrCorrupt.
+func (f *Framework) coordsArePoints() error {
+	if d := f.ds.Dim(); f.pdim != d {
+		return errImage("coordinates of dimension %d, points of %d", f.pdim, d)
+	}
+	for r, id := range f.ids {
+		for j, p := range f.ds.Point(id) {
+			if c := f.coords[r*f.pdim+j]; math.Float64bits(c) != math.Float64bits(p) {
+				return errImage("rank %d coordinate %d is %g, the point of object %d has %g", r, j, c, id, p)
+			}
+		}
+	}
+	return nil
 }
 
 // checkRanks validates a sparse list handle at a node whose interval is
@@ -363,14 +456,14 @@ func checkBitmap(arena []uint64, l FlatList, span int) error {
 // monotonically from 0 to the payload length.
 func checkStarts(what string, starts []int32, nn, payload int) error {
 	if len(starts) != nn+1 {
-		return fmt.Errorf("core: flat image %s offsets have %d entries for %d nodes", what, len(starts), nn)
+		return errImage("%s offsets have %d entries for %d nodes", what, len(starts), nn)
 	}
 	if starts[0] != 0 || int(starts[nn]) != payload {
-		return fmt.Errorf("core: flat image %s offsets span [%d, %d], payload is %d", what, starts[0], starts[nn], payload)
+		return errImage("%s offsets span [%d, %d], payload is %d", what, starts[0], starts[nn], payload)
 	}
 	for i := 0; i < nn; i++ {
 		if starts[i] > starts[i+1] {
-			return fmt.Errorf("core: flat image %s offsets decrease at node %d", what, i)
+			return errImage("%s offsets decrease at node %d", what, i)
 		}
 	}
 	return nil
@@ -390,43 +483,4 @@ func tensorWordsChecked(L int64, k int) (int64, bool) {
 		}
 	}
 	return (s + 63) / 64, true
-}
-
-// NewORPKWFromParts assembles an ORPKW around a reconstructed framework — the
-// open path for paged flat images (internal/flatio). An ORPKW compares the
-// dataset's own points, so the framework's coordinates must be ds's points
-// read through its rank column, bit for bit; an image whose coordinates
-// differ is refused as codec.ErrCorrupt.
-func NewORPKWFromParts(ds *dataset.Dataset, fw *Framework, opts ...BuildOption) (*ORPKW, error) {
-	o := resolveOpts(opts)
-	if fw == nil {
-		return nil, fmt.Errorf("core: ORPKW parts incomplete")
-	}
-	if fw.Dataset() != ds {
-		return nil, fmt.Errorf("core: framework was built over a different dataset")
-	}
-	if d := fw.PointDim(); d != ds.Dim() {
-		return nil, fmt.Errorf("core: framework dim %d, dataset dim %d disagree", d, ds.Dim())
-	}
-	for r, id := range fw.ids {
-		for j, p := range ds.Point(id) {
-			if c := fw.coords[r*fw.pdim+j]; math.Float64bits(c) != math.Float64bits(p) {
-				return nil, fmt.Errorf("%w: rank %d coordinate %d is %g, the point of object %d has %g", codec.ErrCorrupt, r, j, c, id, p)
-			}
-		}
-	}
-	return newORPKW(ds, fw, o), nil
-}
-
-// NewSPKWFromParts assembles an SPKW around a reconstructed framework — the
-// open path for paged flat images (internal/flatio).
-func NewSPKWFromParts(ds *dataset.Dataset, fw *Framework, opts ...BuildOption) (*SPKW, error) {
-	o := resolveOpts(opts)
-	if fw == nil {
-		return nil, fmt.Errorf("core: SPKW parts incomplete")
-	}
-	if fw.Dataset() != ds {
-		return nil, fmt.Errorf("core: framework was built over a different dataset")
-	}
-	return &SPKW{ds: ds, fw: fw, fam: o.famFor(famLCKW)}, nil
 }

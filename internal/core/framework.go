@@ -48,8 +48,7 @@ type Framework struct {
 
 	flatLayout // the tree: node skeleton and payload arenas (flat.go)
 
-	leafSize int
-	space    SpaceBreakdown
+	space SpaceBreakdown
 	// rootDF[li] is the number of objects carrying the root's li-th large
 	// keyword: the document frequencies EstimateWork's all-large case needs.
 	rootDF []int32
@@ -134,8 +133,6 @@ type FrameworkConfig struct {
 	// retained. The dimension-reduction tree of Section 4 builds one
 	// secondary framework per node on that node's active set.
 	Objects []int32
-	// LeafSize is the maximum number of objects in a leaf (default 8).
-	LeafSize int
 	// Parallelism caps the goroutines used to build the tree (see
 	// BuildOpts): <= 0 selects GOMAXPROCS, 1 forces a sequential build.
 	Parallelism int
@@ -166,15 +163,10 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	if cfg.Splitter == nil {
 		return nil, fmt.Errorf("core: nil splitter")
 	}
-	leaf := cfg.LeafSize
-	if leaf <= 0 {
-		leaf = 8
-	}
 	f := &Framework{
-		ds:       ds,
-		k:        cfg.K,
-		split:    cfg.Splitter,
-		leafSize: leaf,
+		ds:    ds,
+		k:     cfg.K,
+		split: cfg.Splitter,
 	}
 	// The splitters break coordinate ties by object id and hand children
 	// their objects in the order they came, so the tree is a function of the
@@ -380,10 +372,13 @@ func getKwScratch(d int) *kwScratch {
 	return sc
 }
 
+// leafSize is the most objects a leaf of the framework's tree holds.
+const leafSize = 8
+
 // nodesFor returns room for the nodes of a subtree over n objects: a median
 // split tree has about 2n/leafSize, and this leaves a quarter more.
 func (f *Framework) nodesFor(n int) []fnode {
-	return make([]fnode, 0, 5*n/(2*f.leafSize)+1)
+	return make([]fnode, 0, 5*n/(2*leafSize)+1)
 }
 
 // geometry builds the tree over objs (local ids), whose ranks are
@@ -393,7 +388,7 @@ func (f *Framework) nodesFor(n int) []fnode {
 func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, lo int32) int32 {
 	idx := int32(len(b.nodes))
 	b.nodes = append(b.nodes, fnode{cell: cell, lo: lo, hi: lo + int32(len(objs)), nu: nu})
-	if len(objs) <= b.f.leafSize {
+	if len(objs) <= leafSize {
 		b.leaf(idx, objs)
 		return idx
 	}

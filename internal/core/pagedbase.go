@@ -227,7 +227,7 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.buildCellTree(codec.GetF64s(boxesB)); err != nil {
+	if err := b.buildCellTree(codec.Get[float64](boxesB)); err != nil {
 		return nil, err
 	}
 	_, b.wordsLen, _ = c.Section(codec.SecPostWords)
@@ -245,12 +245,12 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if f.Mapped() && pager.CanCast() && b.count > 0 {
 		raw := f.Bytes()
 		sec := func(off, n int64) []byte { return raw[off : off+n] }
-		b.mHandles = pager.CastI64(sec(b.handlesOff, 8*b.count))
-		b.mEntryRank = pager.CastI32(sec(b.entryRankOff, 4*b.count))
-		b.mPoints = pager.CastF64(sec(b.pointsOff, 8*b.count*int64(b.dim)))
-		b.mRowHandles = pager.CastI64(sec(b.rowHandlesOff, 8*b.count))
-		b.mDocStart = pager.CastI64(sec(b.docStartOff, 8*(b.count+1)))
-		b.mDocWords = pager.CastU32(sec(b.docWordsOff, 4*b.docTotal))
+		b.mHandles = pager.Cast[int64](sec(b.handlesOff, 8*b.count))
+		b.mEntryRank = pager.Cast[int32](sec(b.entryRankOff, 4*b.count))
+		b.mPoints = pager.Cast[float64](sec(b.pointsOff, 8*b.count*int64(b.dim)))
+		b.mRowHandles = pager.Cast[int64](sec(b.rowHandlesOff, 8*b.count))
+		b.mDocStart = pager.Cast[int64](sec(b.docStartOff, 8*(b.count+1)))
+		b.mDocWords = pager.Cast[uint32](sec(b.docWordsOff, 4*b.docTotal))
 		// All casts must land together: the readers key off mHandles.
 		if b.mHandles == nil || b.mEntryRank == nil || b.mPoints == nil || b.mRowHandles == nil || b.mDocStart == nil || b.mDocWords == nil {
 			b.mHandles, b.mEntryRank, b.mPoints, b.mRowHandles, b.mDocStart, b.mDocWords = nil, nil, nil, nil, nil, nil

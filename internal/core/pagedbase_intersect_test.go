@@ -411,12 +411,12 @@ func TestPagedBaseHasPinsThreePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lie := resealSnapshot(t, raw, nil, func(id uint32, data []byte) []byte {
+	lie := reseal(t, raw, nil, func(id uint32, data []byte) []byte {
 		if id != codec.SecHandles {
 			return nil
 		}
 		out := slices.Clone(data)
-		copy(out[8*e:], codec.PutI64s([]int64{forged}))
+		copy(out[8*e:], codec.Put([]int64{forged}))
 		return out
 	})
 	for i, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 4}} {

@@ -254,7 +254,7 @@ func TestSnapshotMetaBounds(t *testing.T) {
 		{"watermark past int64", with(func(m *codec.PagedMeta) { m.NextHandle = 1 << 63 }), "implausible snapshot meta"},
 		{"a flat image", with(func(m *codec.PagedMeta) { m.Kind = codec.PagedKindFlatORPKW }), "not a snapshot"},
 	} {
-		raw := resealSnapshot(t, buf.Bytes(), &c.meta, nil)
+		raw := reseal(t, buf.Bytes(), &c.meta, nil)
 		for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
 			switch _, _, err := readCheckpoint(t, raw, opts); {
 			case c.reason == "" && err != nil:
@@ -293,8 +293,8 @@ func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 		{codec.SecEntryRank, "entry -> rank column", "a rank repeated", func(d []byte) { copy(d[4*1500:], d[:4]) }},
 		{codec.SecDocStart, "document offsets", "an empty document", func(d []byte) { copy(d[8*1500:], d[8*1499:8*1500]) }},
 		{codec.SecVocab, "vocabulary", "a keyword repeated", func(d []byte) { copy(d[4:], d[:4]) }},
-		{codec.SecPostLists, "posting lists", "a list past the block directory", func(d []byte) { copy(d, codec.PutI32s([]int32{1 << 30})) }},
-		{codec.SecPostBlocks, "posting blocks", "a block whose ranks run backwards", func(d []byte) { copy(d[8:], codec.PutI32s([]int32{-1})) }},
+		{codec.SecPostLists, "posting lists", "a list past the block directory", func(d []byte) { copy(d, codec.Put([]int32{1 << 30})) }},
+		{codec.SecPostBlocks, "posting blocks", "a block whose ranks run backwards", func(d []byte) { copy(d[8:], codec.Put([]int32{-1})) }},
 		// The first keyword's list spans several blocks; its first two trade
 		// places, each block sound on its own.
 		{codec.SecPostBlocks, "posting blocks", "two blocks of a list swapped", func(d []byte) {
@@ -302,7 +302,7 @@ func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 			copy(d, d[16:32])
 			copy(d[16:], first)
 		}},
-		{codec.SecCellBoxes, "cell boxes", "a box inside out", func(d []byte) { copy(d, codec.PutF64s([]float64{math.Inf(1)})) }},
+		{codec.SecCellBoxes, "cell boxes", "a box inside out", func(d []byte) { copy(d, codec.Put([]float64{math.Inf(1)})) }},
 	} {
 		off, n, ok := c.Section(col.id)
 		if !ok {
@@ -310,7 +310,7 @@ func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 		}
 		flipped := slices.Clone(golden)
 		flipped[off+n/2] ^= 0x10
-		lie := resealSnapshot(t, golden, nil, func(id uint32, data []byte) []byte {
+		lie := reseal(t, golden, nil, func(id uint32, data []byte) []byte {
 			if id != col.id {
 				return nil
 			}
@@ -333,11 +333,13 @@ func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 	}
 }
 
-// resealSnapshot rewrites a snapshot container — under meta, when given —
-// with edit applied to every section (nil keeps it, an empty non-nil result
-// drops it), through codec.WriteContainer, so every checksum of the result
-// is right and only the structural checks stand between it and a reader.
-func resealSnapshot(t testing.TB, raw []byte, meta *codec.PagedMeta, edit func(id uint32, data []byte) []byte) []byte {
+// reseal rewrites a KWCP2 container — a checkpoint or a flat image, under
+// meta when given — with edit applied to every section (nil keeps it, an
+// empty non-nil result drops it), through codec.WriteContainer, so every
+// checksum of the result is right and only the structural checks stand
+// between it and a reader: what a file from another build of this program,
+// as opposed to a damaged one, looks like.
+func reseal(t testing.TB, raw []byte, meta *codec.PagedMeta, edit func(id uint32, data []byte) []byte) []byte {
 	t.Helper()
 	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
@@ -377,7 +379,7 @@ func resealSnapshot(t testing.TB, raw []byte, meta *codec.PagedMeta, edit func(i
 // format wrote, as far as a reader can tell: no cell boxes and no rows by
 // rank.
 func withoutRankSections(t testing.TB, raw []byte) []byte {
-	return resealSnapshot(t, raw, nil, func(id uint32, _ []byte) []byte {
+	return reseal(t, raw, nil, func(id uint32, _ []byte) []byte {
 		if id == codec.SecCellBoxes || id == codec.SecRowHandles || id == codec.SecEntryRank {
 			return []byte{}
 		}
@@ -410,14 +412,14 @@ func pr24Checkpoint(t testing.TB, raw []byte) []byte {
 			continue
 		case codec.SecEntryRank:
 			rankEntry := make([]int32, len(data)/4)
-			for e, r := range codec.GetI32s(data) {
+			for e, r := range codec.Get[int32](data) {
 				rankEntry[r] = int32(e)
 			}
-			s.ID, data = codec.SecRankEntry, codec.PutI32s(rankEntry)
+			s.ID, data = codec.SecRankEntry, codec.Put(rankEntry)
 		case codec.SecDocStart:
-			data = codec.PutI64s(docStart)
+			data = codec.Put(docStart)
 		case codec.SecDocWords:
-			data = codec.PutU32s(docWords)
+			data = codec.Put(docWords)
 		}
 		secs = append(secs, codec.Section{ID: s.ID, Data: data})
 	}
@@ -540,15 +542,15 @@ func FuzzPagedBaseHostile(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, sec uint8, at uint32, v uint64) {
 		target := sections[int(sec)%len(sections)]
-		raw := resealSnapshot(t, golden, nil, func(id uint32, data []byte) []byte {
+		raw := reseal(t, golden, nil, func(id uint32, data []byte) []byte {
 			if id != target {
 				return nil
 			}
 			out := slices.Clone(data)
 			if target == codec.SecCellBoxes || target == codec.SecHandles {
-				copy(out[8*(int(at)%(len(out)/8)):], codec.PutU64s([]uint64{v}))
+				copy(out[8*(int(at)%(len(out)/8)):], codec.Put([]uint64{v}))
 			} else {
-				copy(out[4*(int(at)%(len(out)/4)):], codec.PutU32s([]uint32{uint32(v)}))
+				copy(out[4*(int(at)%(len(out)/4)):], codec.Put([]uint32{uint32(v)}))
 			}
 			return out
 		})
@@ -636,12 +638,12 @@ func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
 	// its entry here.
 	h := int64(binary.LittleEndian.Uint64(rows))
 	x, y := objs[h].Point[0], objs[h].Point[1]
-	lie := resealSnapshot(t, buf.Bytes(), nil, func(id uint32, data []byte) []byte {
+	lie := reseal(t, buf.Bytes(), nil, func(id uint32, data []byte) []byte {
 		if id != codec.SecPoints {
 			return nil
 		}
 		out := slices.Clone(data)
-		copy(out, codec.PutF64s([]float64{math.NaN()}))
+		copy(out, codec.Put([]float64{math.NaN()}))
 		return out
 	})
 	q := geom.NewRect([]float64{x + 1e-9, y - 1e-3}, []float64{x + 2e-3, y + 1e-3})

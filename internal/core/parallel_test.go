@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -281,7 +281,7 @@ func TestCollectIntoReusesBuffer(t *testing.T) {
 // secondary by secondary.
 func TestParallelBuildIdenticalImage(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 31, Objects: 12_000, Dim: 2, Vocab: 30, DocLen: 4})
-	images := make([]*FlatArenas, 2)
+	var images [2]bytes.Buffer
 	indexes := make([]*ORPKW, 2)
 	for i, par := range []int{1, 4} {
 		ix, err := BuildORPKW(ds, 2, WithParallelism(par), WithoutObs())
@@ -289,13 +289,13 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		rankStructure(t, fmt.Sprintf("parallelism %d", par), ix.fw)
-		if images[i], err = ix.fw.ExportFlat(); err != nil {
+		if err := writeFlat(&images[i], ix); err != nil {
 			t.Fatal(err)
 		}
 		indexes[i] = ix
 	}
-	if !reflect.DeepEqual(images[0], images[1]) {
-		t.Fatal("parallel build exports a different flat image than the sequential build")
+	if !bytes.Equal(images[0].Bytes(), images[1].Bytes()) {
+		t.Fatal("parallel build saves a different flat image than the sequential build")
 	}
 	rng := rand.New(rand.NewSource(32))
 	for q := 0; q < 40; q++ {

@@ -1,4 +1,4 @@
-package flatio
+package core
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/spart"
@@ -33,7 +32,7 @@ func TestBuildOutputPinned(t *testing.T) {
 	small3 := workload.Gen(workload.Config{Seed: 205, Objects: 5000, Dim: 3, Vocab: 60, DocLen: 4})
 	grid16 := gridDataset(209, 5000, 16, 120, 4)
 	ties := tieDataset(211, 20_000, 80, 4)
-	noObs := core.WithoutObs()
+	noObs := WithoutObs()
 
 	cases := []struct {
 		name   string
@@ -50,13 +49,13 @@ func TestBuildOutputPinned(t *testing.T) {
 		// heavy-core's shape at an eighth of its N, built with spare
 		// goroutines: subtrees of at least 2 048 objects go to other
 		// goroutines, and below the top few levels no keyword is incoming.
-		{"ORPKW/heavy-core/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, heavy, 3, core.WithParallelism(4)) },
+		{"ORPKW/heavy-core/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, heavy, 3, WithParallelism(4)) },
 			"014b6c48509a673d62194d7d319dd3047b650f99b60c5bd49c559d46c0465d68"},
 		// Raw coordinates drawn from seven values, -0 and +0 and both
 		// infinities among them: the build orders them as rank space does,
 		// ties by id, so every split has one pivot, as over distinct ranks.
 		// Pinned before the build stopped materialising the rank space.
-		{"ORPKW/ties/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, ties, 2, core.WithParallelism(4)) },
+		{"ORPKW/ties/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, ties, 2, WithParallelism(4)) },
 			"b9674cbd82989f46e9d01f3dee5d687f70b7faf28c2b90705b8bdad4596f8565"},
 		{"ORPKW/d=3/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf3, 2) },
 			"f88532be0d7a4baa3aa43a0d6be0ef3ec028f9a5ba84ffc02da9e7b07cd8dbbe"},
@@ -64,8 +63,8 @@ func TestBuildOutputPinned(t *testing.T) {
 		// families, on the same raw coordinates. Both KD images were re-pinned
 		// again for version 4, which drops the cell section.
 		{"LCKW/KD/small2/image", func(t *testing.T, h hash.Hash) {
-			ix := buildSPKW(t, small2, &spart.KD{Dim: 2})
-			if err := SaveSPKW(h, ix); err != nil {
+			ix := pinnedSPKW(t, small2, &spart.KD{Dim: 2})
+			if err := writeFlat(h, ix); err != nil {
 				t.Fatal(err)
 			}
 		}, "0b8afc42f073dc1339d361c6c7b26e16839c64ce3bd27f8e025c4f6f9e8eb574"},
@@ -73,16 +72,16 @@ func TestBuildOutputPinned(t *testing.T) {
 		// block, which rank space never produces. Re-pinned when a split over
 		// a tie block cut at its edge instead of making it the pivot set.
 		{"LCKW/KD/grid16/image", func(t *testing.T, h hash.Hash) {
-			ix := buildSPKW(t, grid16, &spart.KD{Dim: 2})
-			if err := SaveSPKW(h, ix); err != nil {
+			ix := pinnedSPKW(t, grid16, &spart.KD{Dim: 2})
+			if err := writeFlat(h, ix); err != nil {
 				t.Fatal(err)
 			}
 		}, "0f293e7659e27b76cf604a716ce514fbea8a89a49dea90d36e5ba752b5f56f21"},
 		{"LCKW/Willard2D/digest", func(t *testing.T, h hash.Hash) {
-			digestSPKW(t, h, buildSPKW(t, small2, &spart.Willard2D{}))
+			digestSPKW(t, h, pinnedSPKW(t, small2, &spart.Willard2D{}))
 		}, "9801593b7ab5bfc807707be623ff1cbe484e4c871130e375b5c29b487c34f9e9"},
 		{"LCKW/Grid2D/digest", func(t *testing.T, h hash.Hash) {
-			digestSPKW(t, h, buildSPKW(t, small2, &spart.Grid2D{G: 4}))
+			digestSPKW(t, h, pinnedSPKW(t, small2, &spart.Grid2D{G: 4}))
 		}, "257fab50c849ffdeafaa1dd5d4584f97d6c9e42677853e1d48dd81a24c36d20f"},
 		// Re-pinned when its lifted 3-D substrate moved from Box to KD, and
 		// again when kd nodes began to relate by their tight boxes: the audit
@@ -90,7 +89,7 @@ func TestBuildOutputPinned(t *testing.T) {
 		// and a box decides some nodes a cell left crossing, so node and work
 		// counts fall. The answers are unchanged.
 		{"SRPKW/digest", func(t *testing.T, h hash.Hash) {
-			ix, err := core.BuildSRPKW(small2, 2, noObs)
+			ix, err := BuildSRPKW(small2, 2, noObs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +97,7 @@ func TestBuildOutputPinned(t *testing.T) {
 			rng := rand.New(rand.NewSource(206))
 			for q := 0; q < 300; q++ {
 				ball := geom.NewSphere(geom.Point{rng.Float64(), rng.Float64()}, 0.05+0.3*rng.Float64())
-				ids, st, err := ix.CollectInto(ball, workload.RandKeywords(rng, 120, 2), core.QueryOpts{}, nil)
+				ids, st, err := ix.CollectInto(ball, workload.RandKeywords(rng, 120, 2), QueryOpts{}, nil)
 				putAnswer(t, h, ids, st, err)
 			}
 		}, "fe1834a6f4c8d06c36df406a82f3b5384e0b1350ffeeb38bd3520952197e3632"},
@@ -111,7 +110,7 @@ func TestBuildOutputPinned(t *testing.T) {
 		// axes (AuxWords 34 039 -> 0); the tree, every answer and every work
 		// count are unchanged.
 		{"ORPKWHigh/d=3/digest", func(t *testing.T, h hash.Hash) {
-			ix, err := core.BuildORPKWHigh(small3, 2, noObs)
+			ix, err := BuildORPKWHigh(small3, 2, noObs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +118,7 @@ func TestBuildOutputPinned(t *testing.T) {
 			putInts(h, int64(ix.Levels()), ix.MaxFanout())
 			rng := rand.New(rand.NewSource(207))
 			for q := 0; q < 300; q++ {
-				ids, st, err := ix.CollectInto(workload.RandRect(rng, 3, 0.2+0.6*rng.Float64()), workload.RandKeywords(rng, 60, 2), core.QueryOpts{}, nil)
+				ids, st, err := ix.CollectInto(workload.RandRect(rng, 3, 0.2+0.6*rng.Float64()), workload.RandKeywords(rng, 60, 2), QueryOpts{}, nil)
 				putAnswer(t, h, ids, st, err)
 			}
 		}, "c130bf6e8957e53f911ee07c43b19d9a69a05a26a184f418db8339d66aa809a5"},
@@ -135,14 +134,14 @@ func TestBuildOutputPinned(t *testing.T) {
 	}
 }
 
-func saveORPKW(t *testing.T, h hash.Hash, ds *dataset.Dataset, k int, opts ...core.BuildOption) {
+func saveORPKW(t *testing.T, h hash.Hash, ds *dataset.Dataset, k int, opts ...BuildOption) {
 	t.Helper()
-	ix, err := core.BuildORPKW(ds, k, append(opts, core.WithoutObs())...)
+	ix, err := BuildORPKW(ds, k, append(opts, WithoutObs())...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveORPKW(&buf, ix); err != nil {
+	if err := writeFlat(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
 	h.Write(buf.Bytes())
@@ -178,9 +177,9 @@ func tieDataset(seed int64, n, vocab, docLen int) *dataset.Dataset {
 	return dataset.MustNew(objs)
 }
 
-func buildSPKW(t *testing.T, ds *dataset.Dataset, split spart.Splitter) *core.SPKW {
+func pinnedSPKW(t *testing.T, ds *dataset.Dataset, split spart.Splitter) *SPKW {
 	t.Helper()
-	ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2, Splitter: split}, core.WithoutObs())
+	ix, err := BuildSPKW(ds, SPKWConfig{K: 2, Splitter: split}, WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func buildSPKW(t *testing.T, ds *dataset.Dataset, split spart.Splitter) *core.SP
 }
 
 // digestSPKW feeds the tree's shape, its space audit and 300 LC-KW answers.
-func digestSPKW(t *testing.T, h hash.Hash, ix *core.SPKW) {
+func digestSPKW(t *testing.T, h hash.Hash, ix *SPKW) {
 	t.Helper()
 	fw := ix.Framework()
 	putInts(h, int64(fw.NumNodes()), int64(fw.Height()), int64(fw.MaxPivots()))
@@ -196,17 +195,17 @@ func digestSPKW(t *testing.T, h hash.Hash, ix *core.SPKW) {
 	rng := rand.New(rand.NewSource(208))
 	for q := 0; q < 300; q++ {
 		hs := workload.RandHalfspaces(rng, 2, 2, 0.2+0.6*rng.Float64())
-		ids, st, err := ix.CollectInto(hs, workload.RandKeywords(rng, 120, 2), core.QueryOpts{}, nil)
+		ids, st, err := ix.CollectInto(hs, workload.RandKeywords(rng, 120, 2), QueryOpts{}, nil)
 		putAnswer(t, h, ids, st, err)
 	}
 }
 
-func spaceInts(s core.SpaceBreakdown) []int64 {
+func spaceInts(s SpaceBreakdown) []int64 {
 	return []int64{s.NodeWords, s.PivotWords, s.LargeWords, s.MatWords, s.TensorBits, s.AuxWords}
 }
 
 // putAnswer feeds one answer in the order it was reported, then its counts.
-func putAnswer(t *testing.T, h hash.Hash, ids []int32, st core.QueryStats, err error) {
+func putAnswer(t *testing.T, h hash.Hash, ids []int32, st QueryStats, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)

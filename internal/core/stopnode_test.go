@@ -132,7 +132,7 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 		root.mat = append(root.mat, w)
 		root.lists = append(root.lists, l)
 	}
-	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim, leafSize: 8}
+	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim}
 	f.pack(nodes, true)
 	f.deriveBoxes()
 	return f
@@ -776,11 +776,7 @@ func TestFlatImageListDisorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := ix.fw.ExportFlat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := slices.IndexFunc(clean.MatLists, func(l FlatList) bool { return l.Rep == ListRanks && l.N >= 3 })
+	target := slices.IndexFunc(ix.fw.matLists, func(l FlatList) bool { return l.Rep == ListRanks && l.N >= 3 })
 	if target < 0 {
 		t.Fatal("no sparse list of three ranks to corrupt")
 	}
@@ -792,11 +788,11 @@ func TestFlatImageListDisorder(t *testing.T) {
 		{"duplicate rank", func(r []int32) { r[1] = r[0] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := *clean
-			a.MatRanks = slices.Clone(a.MatRanks)
-			l := a.MatLists[target]
-			tc.corrupt(a.MatRanks[l.Start : l.Start+l.N])
-			if _, err := NewFrameworkFromFlat(ds, &a); !errors.Is(err, codec.ErrCorrupt) {
+			a := *ix.fw
+			a.matRanks = slices.Clone(a.matRanks)
+			l := a.matLists[target]
+			tc.corrupt(a.matRanks[l.Start : l.Start+l.N])
+			if err := a.checkImage(); !errors.Is(err, codec.ErrCorrupt) {
 				t.Fatalf("disordered list opened with err=%v, want codec.ErrCorrupt", err)
 			}
 		})
@@ -813,12 +809,8 @@ func TestFlatImageRankValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := ix.fw.ExportFlat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFrameworkFromFlat(ds, clean); err != nil {
-		t.Fatalf("clean image refused: %v", err)
+	if clean := *ix.fw; clean.checkImage() != nil {
+		t.Fatalf("clean image refused: %v", clean.checkImage())
 	}
 	fl := &ix.fw.flatLayout
 	// An internal node with at least two children, a sparse list and a bitmap
@@ -855,86 +847,86 @@ func TestFlatImageRankValidation(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		corrupt func(a *FlatArenas)
+		corrupt func(a *Framework)
 	}{
-		{"rank column repeats an id", func(a *FlatArenas) {
-			a.RankIDs = slices.Clone(a.RankIDs)
-			a.RankIDs[7] = a.RankIDs[8]
+		{"rank column repeats an id", func(a *Framework) {
+			a.ids = slices.Clone(a.ids)
+			a.ids[7] = a.ids[8]
 		}},
-		{"rank column names an id out of range", func(a *FlatArenas) {
-			a.RankIDs = slices.Clone(a.RankIDs)
-			a.RankIDs[7] = int32(ds.Len())
+		{"rank column names an id out of range", func(a *Framework) {
+			a.ids = slices.Clone(a.ids)
+			a.ids[7] = int32(ds.Len())
 		}},
-		{"rank column too short", func(a *FlatArenas) { a.RankIDs = a.RankIDs[:len(a.RankIDs)-1] }},
-		{"root interval does not start at rank 0", func(a *FlatArenas) {
-			a.RankLo = slices.Clone(a.RankLo)
-			a.RankLo[0] = 1
+		{"rank column too short", func(a *Framework) { a.ids = a.ids[:len(a.ids)-1] }},
+		{"root interval does not start at rank 0", func(a *Framework) {
+			a.rankLo = slices.Clone(a.rankLo)
+			a.rankLo[0] = 1
 		}},
-		{"child interval overlaps the parent's pivots", func(a *FlatArenas) {
-			a.RankLo = slices.Clone(a.RankLo)
-			a.RankLo[firstChild]--
+		{"child interval overlaps the parent's pivots", func(a *Framework) {
+			a.rankLo = slices.Clone(a.rankLo)
+			a.rankLo[firstChild]--
 		}},
-		{"sibling intervals leave a gap", func(a *FlatArenas) {
-			a.RankLo = slices.Clone(a.RankLo)
-			a.RankLo[firstChild+1]++
+		{"sibling intervals leave a gap", func(a *Framework) {
+			a.rankLo = slices.Clone(a.rankLo)
+			a.rankLo[firstChild+1]++
 		}},
-		{"pivot count negative", func(a *FlatArenas) {
-			a.PivotCount = slices.Clone(a.PivotCount)
-			a.PivotCount[inner] = -1
+		{"pivot count negative", func(a *Framework) {
+			a.pivotCount = slices.Clone(a.pivotCount)
+			a.pivotCount[inner] = -1
 		}},
-		{"pivot counts do not add up to the objects", func(a *FlatArenas) {
-			a.PivotCount = slices.Clone(a.PivotCount)
-			a.PivotCount[len(a.PivotCount)-1]++
+		{"pivot counts do not add up to the objects", func(a *Framework) {
+			a.pivotCount = slices.Clone(a.pivotCount)
+			a.pivotCount[len(a.pivotCount)-1]++
 		}},
 		// The stop node would probe its bitmaps at bit rank-lo: out of range.
-		{"sparse list starts below its node's interval", func(a *FlatArenas) {
-			a.MatRanks = slices.Clone(a.MatRanks)
-			a.MatRanks[a.MatLists[sparse].Start] = a.RankLo[nodeOf(sparse)] - 1
+		{"sparse list starts below its node's interval", func(a *Framework) {
+			a.matRanks = slices.Clone(a.matRanks)
+			a.matRanks[a.matLists[sparse].Start] = a.rankLo[nodeOf(sparse)] - 1
 		}},
-		{"sparse list ends past its node's interval", func(a *FlatArenas) {
-			a.MatRanks = slices.Clone(a.MatRanks)
-			l, u := a.MatLists[sparse], nodeOf(sparse)
-			a.MatRanks[l.Start+l.N-1] = a.RankLo[u] + fl.rankSpan[u]
+		{"sparse list ends past its node's interval", func(a *Framework) {
+			a.matRanks = slices.Clone(a.matRanks)
+			l, u := a.matLists[sparse], nodeOf(sparse)
+			a.matRanks[l.Start+l.N-1] = a.rankLo[u] + fl.rankSpan[u]
 		}},
-		{"sparse list runs off the arena", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[sparse].Start = int32(len(a.MatRanks)) - a.MatLists[sparse].N + 1
+		{"sparse list runs off the arena", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[sparse].Start = int32(len(a.matRanks)) - a.matLists[sparse].N + 1
 		}},
-		{"sparse list offset negative", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[sparse].Start = -1
+		{"sparse list offset negative", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[sparse].Start = -1
 		}},
-		{"sparse list length negative", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[sparse].N = -1
+		{"sparse list length negative", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[sparse].N = -1
 		}},
-		{"bitmap runs off the arena", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].Start = int32(len(a.MatBits) - bmWords + 1)
+		{"bitmap runs off the arena", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[bitmap].Start = int32(len(a.matBits) - bmWords + 1)
 		}},
-		{"bitmap offset negative", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].Start = -1
+		{"bitmap offset negative", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[bitmap].Start = -1
 		}},
-		{"bitmap has a bit past its interval", func(a *FlatArenas) {
-			a.MatBits = slices.Clone(a.MatBits)
-			a.MatBits[int(a.MatLists[bitmap].Start)+bmWords-1] |= 1 << 63
+		{"bitmap has a bit past its interval", func(a *Framework) {
+			a.matBits = slices.Clone(a.matBits)
+			a.matBits[int(a.matLists[bitmap].Start)+bmWords-1] |= 1 << 63
 		}},
-		{"bitmap popcount disagrees with its handle", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].N++
+		{"bitmap popcount disagrees with its handle", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[bitmap].N++
 		}},
-		{"list handle with an unknown representation tag", func(a *FlatArenas) {
-			a.MatLists = slices.Clone(a.MatLists)
-			a.MatLists[bitmap].Rep = 2
+		{"list handle with an unknown representation tag", func(a *Framework) {
+			a.matLists = slices.Clone(a.matLists)
+			a.matLists[bitmap].Rep = 2
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := *clean
+			a := *ix.fw
 			tc.corrupt(&a)
-			if f, err := NewFrameworkFromFlat(ds, &a); err == nil {
-				t.Fatalf("opened as a framework of %d nodes", f.NumNodes())
+			if err := a.checkImage(); err == nil {
+				t.Fatalf("opened as a framework of %d nodes", a.NumNodes())
 			}
 		})
 	}

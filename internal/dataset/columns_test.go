@@ -116,7 +116,7 @@ func TestFromColumnsAliasesWithoutWriting(t *testing.T) {
 }
 
 // hostileColumns is the table of non-canonical column edits FromColumns must
-// refuse; flatio's TestOpenRefusesHostileDatasetColumns feeds the same edits
+// refuse; core's TestOpenRefusesHostileDatasetColumns feeds the same edits
 // through a saved image.
 var hostileColumns = []struct {
 	name string

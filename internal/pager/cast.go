@@ -6,7 +6,13 @@ import "unsafe"
 // little-endian and page-aligned, so on a little-endian host a mapped
 // section IS the typed slice — no decode, no copy. Big-endian hosts (and
 // misaligned inputs, which a well-formed container never produces) get nil
-// and fall back to the view-based readers.
+// and fall back to a decode (codec.Get).
+
+// Word is the element type of a KWCP2 column: a fixed-width value stored
+// little-endian.
+type Word interface {
+	~int32 | ~uint32 | ~int64 | ~uint64 | ~float64
+}
 
 // hostLE reports whether the host is little-endian, decided once at init.
 var hostLE = func() bool {
@@ -14,50 +20,25 @@ var hostLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// CanCast reports whether zero-copy casts are available on this host.
+// CanCast reports whether zero-copy casts are available on this host: whether
+// a column's memory is its little-endian byte image.
 func CanCast() bool { return hostLE }
 
-func castOK(b []byte, align int) bool {
-	return hostLE && len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%uintptr(align) == 0
-}
-
-// CastI64 views b as []int64. Returns nil unless the host is little-endian
-// and b is 8-byte aligned and non-empty.
-func CastI64(b []byte) []int64 {
-	if !castOK(b, 8) {
+// Cast views b as []T. Returns nil unless the host is little-endian and b is
+// non-empty and aligned to T's size.
+func Cast[T Word](b []byte) []T {
+	size := unsafe.Sizeof(*new(T))
+	if !hostLE || len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%size != 0 {
 		return nil
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), uintptr(len(b))/size)
 }
 
-// CastU64 views b as []uint64 under the same conditions as CastI64.
-func CastU64(b []byte) []uint64 {
-	if !castOK(b, 8) {
+// AsBytes views v's memory as bytes (nil for an empty v): the inverse of
+// Cast, host byte order.
+func AsBytes[T Word](v []T) []byte {
+	if len(v) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-// CastF64 views b as []float64 under the same conditions as CastI64.
-func CastF64(b []byte) []float64 {
-	if !castOK(b, 8) {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-// CastU32 views b as []uint32 (4-byte alignment).
-func CastU32(b []byte) []uint32 {
-	if !castOK(b, 4) {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// CastI32 views b as []int32 (4-byte alignment).
-func CastI32(b []byte) []int32 {
-	if !castOK(b, 4) {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), uintptr(len(v))*unsafe.Sizeof(v[0]))
 }

@@ -271,10 +271,15 @@ func (f *Follower) Poll() (applied int, err error) {
 	return applied, nil
 }
 
-// reseed handles a pruned tail: close local state, download the primary's
-// newest checkpoint, and reopen. Local recovery loads the newer checkpoint
-// and skips any stale local segment records at or below its base.
+// reseed handles a pruned tail: download and validate the primary's newest
+// checkpoint beside the open local state, then close that state and reopen.
+// Local recovery loads the newer checkpoint and skips any stale local
+// segment records at or below its base. A download that fails lands nothing
+// and leaves the follower serving its acked prefix.
 func (f *Follower) reseed() error {
+	if err := f.downloadCheckpoint(); err != nil {
+		return err
+	}
 	f.mu.Lock()
 	d := f.d
 	f.d = nil
@@ -283,9 +288,6 @@ func (f *Follower) reseed() error {
 		if err := d.Close(); err != nil {
 			return err
 		}
-	}
-	if err := f.downloadCheckpoint(); err != nil {
-		return err
 	}
 	return f.openLocked()
 }

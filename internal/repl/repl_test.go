@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -535,6 +537,64 @@ func TestPrunedTailReseeds(t *testing.T) {
 	verifyPrefix(t, f2, ops, 70)
 	if f2.Bootstraps() != 1 {
 		t.Errorf("Bootstraps = %d, want exactly 1 reseed", f2.Bootstraps())
+	}
+}
+
+// TestFailedReseedKeepsPrefix lets the primary checkpoint past a running
+// follower at seq 20 while its /checkpoint answers 503: the reseed's download
+// fails, and the follower must keep its state open, at seq 20, answering the
+// acked prefix. Once the download succeeds the next poll reseeds and the
+// follower catches up.
+func TestFailedReseedKeepsPrefix(t *testing.T) {
+	prim, srv, _ := newPrimary(t)
+	ops := replWorkload(79, 70)
+	handles := map[int]int64{}
+	applyOps(t, prim, ops, 0, 20, handles)
+	upstream, err := url.Parse(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := httputil.NewSingleHostReverseProxy(upstream)
+	var refuse atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if refuse.Load() && strings.HasSuffix(r.URL.Path, "/checkpoint") {
+			http.Error(w, "checkpoint unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		forward.ServeHTTP(w, r)
+	}))
+	t.Cleanup(proxy.Close)
+
+	f, err := OpenFollower(followerCfg(t, proxy.URL))
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	defer f.Close()
+	pollUntil(t, f, 20)
+
+	applyOps(t, prim, ops, 20, 60, handles)
+	if err := prim.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	applyOps(t, prim, ops, 60, 70, handles)
+
+	refuse.Store(true)
+	if _, err := f.Poll(); err == nil || !strings.Contains(err.Error(), "status 503") {
+		t.Fatalf("Poll with the checkpoint unavailable: err %v, want the 503", err)
+	}
+	if f.Durable() == nil {
+		t.Fatal("a failed reseed left the follower with no state")
+	}
+	if got := f.AppliedSeq(); got != 20 {
+		t.Fatalf("AppliedSeq after a failed reseed = %d, want 20", got)
+	}
+	verifyPrefix(t, f, ops, 20)
+
+	refuse.Store(false)
+	pollUntil(t, f, 70)
+	verifyPrefix(t, f, ops, 70)
+	if f.Bootstraps() != 3 {
+		t.Errorf("Bootstraps = %d, want 3 (the seed, the failed reseed, the reseed)", f.Bootstraps())
 	}
 }
 

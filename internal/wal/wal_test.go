@@ -518,14 +518,14 @@ func TestSoleDamagedCheckpointRefused(t *testing.T) {
 					continue
 				case s.ID == codec.SecEntryRank:
 					rankEntry := make([]int32, len(data)/4)
-					for e, r := range codec.GetI32s(data) {
+					for e, r := range codec.Get[int32](data) {
 						rankEntry[r] = int32(e)
 					}
-					s.ID, data = codec.SecRankEntry, codec.PutI32s(rankEntry)
+					s.ID, data = codec.SecRankEntry, codec.Put(rankEntry)
 				case s.ID == codec.SecDocStart:
-					data = codec.PutI64s(docStart)
+					data = codec.Put(docStart)
 				case s.ID == codec.SecDocWords:
-					data = codec.PutU32s(docWords)
+					data = codec.Put(docWords)
 				}
 				secs = append(secs, codec.Section{ID: s.ID, Data: data})
 			}

@@ -2,7 +2,6 @@ package kwsc
 
 import (
 	"kwsc/internal/core"
-	"kwsc/internal/flatio"
 	"kwsc/internal/wal"
 )
 
@@ -26,11 +25,11 @@ import (
 // the checkpoint-retirement protocol.
 
 // PagedFileOptions tunes how a paged index file is accessed.
-type PagedFileOptions = flatio.Options
+type PagedFileOptions = core.FlatOptions
 
 // PagedHandle owns the open file's reference; it must stay open for the
 // returned index's lifetime and be closed exactly once afterwards.
-type PagedHandle = flatio.Handle
+type PagedHandle = core.FlatHandle
 
 // PagedBaseOptions tunes the paged checkpoint base of WithPagedRecovery:
 // CapPages bounds resident pages in pread mode, NoMmap forces pread.
@@ -39,26 +38,26 @@ type PagedBaseOptions = core.PagedBaseOptions
 // SavePagedORPKW persists an ORP-KW index as a paged container at path,
 // atomically.
 func SavePagedORPKW(path string, ix *ORPKW) error {
-	return flatio.SaveFileORPKW(path, ix)
+	return core.SaveFlat(path, ix)
 }
 
 // OpenPagedORPKW maps a file written by SavePagedORPKW and returns a
 // query-ready index without rebuilding. Options forward the observability
 // setting (WithoutObs); construction-time options are meaningless here. Close the handle when done with the index.
 func OpenPagedORPKW(path string, o PagedFileOptions, opts ...Option) (*ORPKW, *PagedHandle, error) {
-	return flatio.OpenORPKW(path, o, opts...)
+	return core.OpenFlat[*ORPKW](path, o, opts...)
 }
 
 // SavePagedLCKW persists an LC-KW index. The index must use a
 // rectangle splitter (&kwsc.KDSplitter{Dim: d}); the default d=2 Willard
 // substrate has polygon cells with no serialized form and is refused.
 func SavePagedLCKW(path string, ix *LCKW) error {
-	return flatio.SaveFileSPKW(path, ix)
+	return core.SaveFlat(path, ix)
 }
 
 // OpenPagedLCKW maps a file written by SavePagedLCKW.
 func OpenPagedLCKW(path string, o PagedFileOptions, opts ...Option) (*LCKW, *PagedHandle, error) {
-	return flatio.OpenSPKW(path, o, opts...)
+	return core.OpenFlat[*LCKW](path, o, opts...)
 }
 
 // WithPagedRecovery makes OpenDurable serve the newest checkpoint through
