@@ -41,7 +41,7 @@ crash:
 	$(GO) test -race -run 'KilledMidReplay|Torn|Corrupt|Diverged|Lying|Mislabelled' ./internal/repl/
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
-# codec, the checkpoint codec, WAL recovery, the posting-block format (its one
+# codec, the checkpoint's one reader (core), WAL recovery, the posting-block format (its one
 # decoder round-trips, and the one list cursor seeks as a binary search
 # does), the paged base and the flat image over re-sealed sections that lie,
 # the /v1 wire codec held to encoding/json in both directions, the query
@@ -51,7 +51,7 @@ crash:
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDataset$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadPagedSnapshot$$' -fuzztime $(FUZZ_TIME) ./internal/codec/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadPagedSnapshot$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackDeltas$$' -fuzztime $(FUZZ_TIME) ./internal/bitpack/
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
@@ -81,15 +81,19 @@ vet:
 # Pager hygiene: checkpoint files are refcounted through internal/pager so
 # that pruning can retire a file that a live index is still mapping. Any
 # code that reads or unlinks a checkpoint path directly (os.ReadFile /
-# os.Open / os.Remove on a checkpointPath) bypasses that protocol and can
-# yank bytes out from under a serving index — the grep keeps such call
-# sites from creeping back in. WAL segment files are exempt: they are
-# replayed once at recovery, never mapped.
+# os.Open / os.Remove on a checkpointPath, or any os.Open in core's
+# checkpoint writer and reader, which take the path as a parameter)
+# bypasses that protocol and can yank bytes out from under a serving
+# index — the grep keeps such call sites from creeping back in. WAL
+# segment files are exempt: they are replayed once at recovery, never
+# mapped.
 vet-pager:
 	@hits=$$(grep -rnE 'os\.(ReadFile|Open|Remove|RemoveAll)\( *checkpointPath' \
 		--include='*.go' internal/ cmd/ . 2>/dev/null; \
 		grep -rnE 'os\.(ReadFile|Open)\([^)]*\.ckpt' --include='*.go' \
-		internal/ cmd/ examples/ 2>/dev/null | grep -v '_test.go'); \
+		internal/ cmd/ examples/ 2>/dev/null | grep -v '_test.go'; \
+		grep -nE 'os\.(ReadFile|Open|OpenFile)\(' \
+		internal/core/checkpoint.go internal/core/pagedbase.go); \
 	if [ -n "$$hits" ]; then \
 		echo "checkpoint bytes bypassing internal/pager:"; \
 		echo "$$hits"; exit 1; \

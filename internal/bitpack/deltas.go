@@ -1,5 +1,5 @@
 // Package bitpack holds lists, blocks and cursors: the block format a
-// checkpoint stores its posting lists in (codec/pagedsnap.go), and the one
+// checkpoint stores its posting lists in (core/checkpoint.go), and the one
 // list cursor every rank list is intersected with (cursor.go).
 //
 // A list is an int32 sequence delta-encoded (zigzag, so unsorted sequences
@@ -57,7 +57,8 @@ type PackedLists struct {
 
 // FromRaw reassembles an arena from its payload bytes and block directory
 // (the inverse of Raw), for instance over a mapped posting section. Nothing
-// is checked: the directory must have passed codec.ParsePostings.
+// is checked: the directory must have passed the checkpoint's posting
+// check (core.parsePostings).
 func FromRaw(payload []byte, blocks []Block) PackedLists {
 	return PackedLists{payload: payload, blocks: blocks}
 }

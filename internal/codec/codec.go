@@ -1,10 +1,11 @@
-// Package codec provides a compact, versioned binary serialization for
-// datasets — the persistence layer of the library. Indexes themselves are
-// not serialized: construction is near-linear, so the stable artifact is the
-// data, and an index is rebuilt from its configuration on load (the same
-// decision Lucene-style systems make for in-memory accelerator structures).
+// Package codec holds the library's byte formats below the index: the
+// dataset stream (this file), the KWCP2 container — page-aligned,
+// checksummed sections a file can be served from in place (paged.go) — with
+// its fixed-width column codec, and the section-id registry of the two
+// formats framed in it (sections.go). internal/core owns those formats, the
+// checkpoint and the flat image: it writes, opens and validates them.
 //
-// Format (little-endian, varint-compressed):
+// Dataset stream format (little-endian, varint-compressed):
 //
 //	magic "KWSC" | version u8 | dim uvarint | count uvarint
 //	per object: per-dim float64 bits uvarint | doclen uvarint | keyword deltas uvarint...

@@ -47,6 +47,50 @@ const (
 	MaxSections = (pager.PageSize - 4 - superDirOff) / dirEntrySize
 )
 
+// Kind discriminates what a KWCP2 container holds (PagedMeta.Kind).
+const (
+	PagedKindSnapshot  = 1
+	PagedKindFlatORPKW = 2
+	PagedKindFlatSPKW  = 3
+)
+
+// PagedMeta is the 64-byte application blob of a KWCP2 superblock.
+//
+//	kind u32 | k u32 | dim u32 | reserved u32
+//	count u64 | lastSeq u64 | nextHandle u64 | zeros
+type PagedMeta struct {
+	Kind       uint32
+	K          uint32
+	Dim        uint32
+	Count      uint64
+	LastSeq    uint64
+	NextHandle uint64
+}
+
+// Encode packs the meta into the superblock blob.
+func (m PagedMeta) Encode() [64]byte {
+	var b [64]byte
+	binary.LittleEndian.PutUint32(b[0:], m.Kind)
+	binary.LittleEndian.PutUint32(b[4:], m.K)
+	binary.LittleEndian.PutUint32(b[8:], m.Dim)
+	binary.LittleEndian.PutUint64(b[16:], m.Count)
+	binary.LittleEndian.PutUint64(b[24:], m.LastSeq)
+	binary.LittleEndian.PutUint64(b[32:], m.NextHandle)
+	return b
+}
+
+// ParsePagedMeta unpacks a superblock blob.
+func ParsePagedMeta(b [64]byte) PagedMeta {
+	return PagedMeta{
+		Kind:       binary.LittleEndian.Uint32(b[0:]),
+		K:          binary.LittleEndian.Uint32(b[4:]),
+		Dim:        binary.LittleEndian.Uint32(b[8:]),
+		Count:      binary.LittleEndian.Uint64(b[16:]),
+		LastSeq:    binary.LittleEndian.Uint64(b[24:]),
+		NextHandle: binary.LittleEndian.Uint64(b[32:]),
+	}
+}
+
 // Section is one named byte payload of a KWCP2 container.
 type Section struct {
 	ID   uint32
@@ -308,10 +352,11 @@ func (c *Container) VerifyAllPages(r io.ReaderAt) error {
 }
 
 // Fixed-width little-endian column codecs, for this package and core, which
-// assembles and reads the flat image's sections. Put allocates the byte
-// image, Get decodes a fresh slice, and Column reads one section of a parsed
-// container, a view of the mapping where that casts (pager.Cast). On a
-// little-endian host each copies the column's memory once, or not at all.
+// assembles and reads the checkpoint's and the flat image's sections. Put
+// allocates the byte image, Get decodes a fresh slice, and Column reads one
+// section of a parsed container, a view of the mapping where that casts
+// (pager.Cast). On a little-endian host each copies the column's memory
+// once, or not at all.
 
 // Put encodes v little-endian.
 func Put[T pager.Word](v []T) []byte {

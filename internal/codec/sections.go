@@ -1,5 +1,29 @@
 package codec
 
+// This file is the section-id registry of every KWCP2 container: the
+// checkpoint's and the flat image's, told apart by PagedMeta.Kind.
+// internal/core owns both formats — it writes, opens and validates them —
+// and names their sections by these ids.
+
+// Section IDs of a snapshot checkpoint (PagedKindSnapshot; SecPageCRC is the
+// container's own table). The rows by rank are in the kd leaf order of
+// core's checkpoint.go.
+const (
+	SecPageCRC    = 0
+	SecHandles    = 1  // []int64 by entry: strictly increasing, count values
+	SecPoints     = 2  // []float64 by rank, count x dim, row-major
+	SecDocStart   = 3  // []int64 by rank, count+1 prefix offsets into SecDocWords
+	SecDocWords   = 4  // []uint32, concatenated sorted documents, by rank
+	SecVocab      = 5  // []uint32, sorted distinct keywords
+	SecPostLists  = 6  // []int32 triples {block, numBlocks, n} per vocab entry
+	SecPostBlocks = 7  // []int32 quads {off, first, max, n|w<<16} per block, ids are ranks
+	SecPostWords  = 8  // []uint64 bitpack payload
+	SecRankEntry  = 9  // retired: rank -> entry beside entry-ordered documents; never read, never reused
+	SecCellBoxes  = 10 // []float64, 2*dim per cell of ranks: Lo then Hi
+	SecRowHandles = 11 // []int64 by rank: rank -> handle
+	SecEntryRank  = 12 // []int32 by entry: entry -> rank, a permutation of [0, count)
+)
+
 // FlatImageVersion is the version of the flat-index section set below,
 // carried in SecFlatMeta. Version 1 (object ids in every column, explicit
 // pivot id lists, no version field), version 2 (sparse lists as delta-packed
@@ -14,8 +38,7 @@ const FlatImageVersion = 4
 // derives it from SecFlatCoords. Ids 11 (kd cells), 33 and 34 (ORPKW rank
 // tables) were version 3's and are never reused. internal/core owns the
 // image: its flatColumns pairs each id with its column, and its save and
-// open loop over that table; the IDs live here so every KWCP2 section
-// registry is in one place.
+// open loop over that table.
 const (
 	SecFlatMeta       = 10 // []uint64 {splitterKind, pdim, numNodes, FlatImageVersion}
 	SecFlatNu         = 12 // []int64 node weights

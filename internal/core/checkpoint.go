@@ -1,0 +1,421 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"slices"
+
+	"kwsc/internal/bitpack"
+	"kwsc/internal/codec"
+	"kwsc/internal/dataset"
+	"kwsc/internal/pager"
+	"kwsc/internal/spart"
+)
+
+// This file is the checkpoint: the KWCP2 container a durable index's live
+// entry set is written as, and PagedBase (pagedbase.go) serves and reads
+// back. It holds every row — point, handle, document — in rank order, one
+// bounding box per cell of ranks, an inverted index (sorted vocabulary,
+// bitpacked postings of *ranks*), and beside them the ascending handle
+// column with the entry -> rank column that leads from a handle to its row.
+// The section ids are codec's (codec/sections.go); the six row sections are
+// ckptRowSecs, which the writer, the open, the readers and the gather all
+// loop over.
+//
+// Rank r is position r of a kd leaf order: the entries are split at the
+// median of their bounding box's widest coordinate, always at a multiple of
+// the cell size, until one cell is left. Cell c is ranks [c*cell,
+// (c+1)*cell) — one page of SecPoints when 8*dim divides the page size, at
+// most two otherwise — and every node of the tree is an interval of cells,
+// so the reader rebuilds the tree from the cell count and cellSplit alone.
+// Coordinates are ordered as rank space orders them (dataset.RankKey: -0
+// ties +0), ties by entry index, and a cell lists its entries ascending,
+// which makes the order, and so the file's bytes, a function of the entry
+// set.
+
+// Snapshot is the payload of a durability checkpoint: the live entry set of
+// a dynamic index — a handle column beside the dataset's three — together
+// with the log position the checkpoint supersedes and the handle watermark
+// recovery must resume from. WritePagedSnapshot writes it and
+// ReadPagedSnapshot reads it back.
+type Snapshot struct {
+	K          int              // query keyword arity of the index
+	Dim        int              // point dimensionality
+	LastSeq    uint64           // last WAL sequence number the snapshot covers
+	NextHandle int64            // handle the next insertion will be assigned
+	Handles    []int64          // strictly ascending; Handles[i] names object i of Objs
+	Objs       *dataset.Dataset // nil when the snapshot is empty
+}
+
+// maxSnapshotCount bounds the entries of one snapshot: ranks and entry
+// indexes are int32 everywhere they are stored.
+const maxSnapshotCount = math.MaxInt32
+
+// errNoRankRows refuses a checkpoint whose rows are not stored by rank:
+// one written before the rank-order format, or by it with documents in entry
+// order beside SecRankEntry. There is one snapshot format: such a file is
+// not migrated, the directory it belongs to is re-checkpointed by the
+// release that wrote it.
+var errNoRankRows = fmt.Errorf("%w: snapshot has no rows by rank (SecRowHandles, SecEntryRank): written before the rank-order row format", codec.ErrCorrupt)
+
+// ckptRows are a checkpoint's six row sections as columns: the handle
+// column and the entry -> rank column by entry, the rows by rank.
+type ckptRows struct {
+	handles    []int64
+	points     []float64 // count x dim, row-major
+	docStart   []int64   // count+1 prefix offsets into docWords
+	docWords   []dataset.Keyword
+	rowHandles []int64 // rank -> handle
+	entryRank  []int32 // entry -> rank, a permutation of [0, count)
+}
+
+// ckptRow pairs one row section of a checkpoint with its column. values is
+// the section's length in values for count entries of dim coordinates
+// holding words document words.
+type ckptRow struct {
+	id     uint32
+	width  int64 // bytes a value
+	byRank bool  // read by queries, through a view of its own in pread mode
+	values func(count, dim, words int64) int64
+	put    func(c *ckptRows) []byte
+	cast   func(c *ckptRows, raw []byte) bool // alias mapped bytes; false when they do not cast
+	get    func(c *ckptRows, raw []byte)      // decode into a fresh column
+}
+
+func ckptCol[T pager.Word](id uint32, byRank bool, values func(count, dim, words int64) int64, col func(c *ckptRows) *[]T) ckptRow {
+	return ckptRow{id: id, width: int64(binary.Size(*new(T))), byRank: byRank, values: values,
+		put:  func(c *ckptRows) []byte { return codec.Put(*col(c)) },
+		cast: func(c *ckptRows, raw []byte) bool { *col(c) = pager.Cast[T](raw); return *col(c) != nil },
+		get:  func(c *ckptRows, raw []byte) { *col(c) = codec.Get[T](raw) },
+	}
+}
+
+// Positions of the row sections in ckptRowSecs.
+const (
+	colHandles = iota
+	colPoints
+	colDocStart
+	colDocWords
+	colRowHandles
+	colEntryRank
+	numRowSecs
+)
+
+// ckptRowSecs are the checkpoint's row sections in file order. The index
+// sections sit between the first rowsBeforeIndex and the rest: the row
+// handles and the entry -> rank column joined the format last.
+var ckptRowSecs = [numRowSecs]ckptRow{
+	colHandles:    ckptCol(codec.SecHandles, false, func(n, _, _ int64) int64 { return n }, func(c *ckptRows) *[]int64 { return &c.handles }),
+	colPoints:     ckptCol(codec.SecPoints, true, func(n, d, _ int64) int64 { return n * d }, func(c *ckptRows) *[]float64 { return &c.points }),
+	colDocStart:   ckptCol(codec.SecDocStart, true, func(n, _, _ int64) int64 { return n + 1 }, func(c *ckptRows) *[]int64 { return &c.docStart }),
+	colDocWords:   ckptCol(codec.SecDocWords, true, func(_, _, w int64) int64 { return w }, func(c *ckptRows) *[]dataset.Keyword { return &c.docWords }),
+	colRowHandles: ckptCol(codec.SecRowHandles, true, func(n, _, _ int64) int64 { return n }, func(c *ckptRows) *[]int64 { return &c.rowHandles }),
+	colEntryRank:  ckptCol(codec.SecEntryRank, false, func(n, _, _ int64) int64 { return n }, func(c *ckptRows) *[]int32 { return &c.entryRank }),
+}
+
+const rowsBeforeIndex = colRowHandles
+
+// cellSize is the number of ranks in one cell of a dim-dimensional snapshot.
+func cellSize(dim int) int { return pager.PageSize / (8 * dim) }
+
+// cellSplit returns where the node over cells [lo, hi), hi-lo >= 2, splits:
+// its children cover [lo, mid) and [mid, hi).
+func cellSplit(lo, hi int) int { return lo + (hi-lo+1)/2 }
+
+// kdLeafOrder computes the rank order of n points: rankEntry[r] is the entry
+// at rank r, and boxes holds one bounding box per cell, dim lows then dim
+// highs.
+//
+// The entries are presorted on every axis (spart.Presort); a node is then the
+// same interval of each sorted list, so its box is read off the lists' ends,
+// its median split is the middle of one list, and spart's stable partition
+// carries the other lists along: O(dim * n) a level and O(dim * n * log n)
+// whatever the points are.
+func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float64) {
+	cell := cellSize(dim)
+	cells := (n + cell - 1) / cell
+	rankEntry = make([]int32, n)
+	boxes = make([]float64, 2*dim*cells)
+	if n == 0 {
+		return rankEntry, boxes
+	}
+	p := spart.Presort(n, dim, points, nil)
+	box := make([]float64, 2*dim)
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		from, to := lo*cell, min(hi*cell, n)
+		into := box
+		if hi-lo == 1 {
+			into = boxes[2*dim*lo : 2*dim*hi]
+		}
+		for a := 0; a < dim; a++ {
+			l := p.List(a, from, to)
+			into[a], into[dim+a] = points[int(l[0])*dim+a], points[int(l[len(l)-1])*dim+a]
+		}
+		if hi-lo == 1 {
+			copy(rankEntry[from:to], p.List(0, from, to))
+			slices.Sort(rankEntry[from:to])
+			return
+		}
+		axis := 0
+		for a := 1; a < dim; a++ {
+			if box[dim+a]-box[a] > box[dim+axis]-box[axis] {
+				axis = a
+			}
+		}
+		mid := cellSplit(lo, hi)
+		p.Partition(axis, from, to, mid*cell-from, mid*cell-from)
+		split(lo, mid)
+		split(mid, hi)
+	}
+	split(0, cells)
+	return rankEntry, boxes
+}
+
+// WritePagedSnapshot serializes the snapshot as a KWCP2 container, laying
+// the rows out and numbering the postings in kd leaf order.
+func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
+	if s.Dim < 1 || s.Dim > 64 {
+		return fmt.Errorf("core: snapshot dimension %d outside [1, 64]", s.Dim)
+	}
+	count := len(s.Handles)
+	for i, h := range s.Handles {
+		if h < 0 || i > 0 && h <= s.Handles[i-1] {
+			return fmt.Errorf("core: snapshot handles not strictly increasing at %d", h)
+		}
+	}
+	var points []float64
+	docStart, docWords := []int64{0}, []uint32(nil)
+	if s.Objs != nil {
+		if s.Objs.Dim() != s.Dim {
+			return fmt.Errorf("core: snapshot objects have dimension %d, want %d", s.Objs.Dim(), s.Dim)
+		}
+		points, docStart, docWords = s.Objs.Columns()
+	}
+	if len(docStart)-1 != count {
+		return fmt.Errorf("core: snapshot has %d handles for %d objects", count, len(docStart)-1)
+	}
+	if count > maxSnapshotCount {
+		return fmt.Errorf("core: snapshot of %d entries exceeds %d", count, maxSnapshotCount)
+	}
+	rankEntry, boxes := kdLeafOrder(points, s.Dim, count)
+	// Number each word's posting list and size the lists in entry order,
+	// where the documents are sequential, then fill them in rank order: every
+	// list comes out ascending with one table lookup a word and no regrowth.
+	var kw kwTable
+	wordList := make([]int32, len(docWords))
+	var fill []int // fill[l]: where list l's next rank goes in ranks
+	for i, w := range docWords {
+		l := kw.add(w)
+		if int(l) == len(fill) {
+			fill = append(fill, 0)
+		}
+		wordList[i] = l
+		fill[l]++
+	}
+	end := 0
+	for l, n := range fill {
+		fill[l] = end
+		end += n
+	}
+	// The same pass lays every row out by rank and inverts the order into
+	// the entry -> rank column. A word is read back through its list, which
+	// spares a second scattered read.
+	ranks := make([]int32, len(docWords))
+	rows := ckptRows{
+		handles:    s.Handles,
+		points:     make([]float64, len(points)),
+		docStart:   make([]int64, count+1),
+		docWords:   make([]dataset.Keyword, len(docWords)),
+		rowHandles: make([]int64, count),
+		entryRank:  make([]int32, count),
+	}
+	at := 0 // words laid out so far
+	for r, e := range rankEntry {
+		copy(rows.points[r*s.Dim:], points[int(e)*s.Dim:(int(e)+1)*s.Dim])
+		rows.rowHandles[r] = s.Handles[e]
+		rows.entryRank[e] = int32(r)
+		for _, l := range wordList[docStart[e]:docStart[e+1]] {
+			rows.docWords[at] = kw.words[l]
+			at++
+			ranks[fill[l]] = int32(r)
+			fill[l]++
+		}
+		rows.docStart[r+1] = int64(at)
+	}
+	vocab := slices.Clone(kw.words)
+	slices.Sort(vocab)
+	var arena bitpack.PackedLists
+	lists := make([]bitpack.List, len(vocab))
+	for i, w := range vocab {
+		// fill[l] has advanced to list l's end; list l-1's end is its start.
+		l, start := kw.id(w), 0
+		if l > 0 {
+			start = fill[l-1]
+		}
+		lists[i] = arena.Append(ranks[start:fill[l]])
+	}
+	payload, blocks := arena.Raw()
+	listsB, blocksB := encodePostings(lists, blocks)
+
+	secs := make([]codec.Section, 0, numRowSecs+5)
+	for i, row := range ckptRowSecs {
+		if i == rowsBeforeIndex {
+			secs = append(secs,
+				codec.Section{ID: codec.SecVocab, Data: codec.Put(vocab)},
+				codec.Section{ID: codec.SecPostLists, Data: listsB},
+				codec.Section{ID: codec.SecPostBlocks, Data: blocksB},
+				codec.Section{ID: codec.SecPostWords, Data: payload},
+				codec.Section{ID: codec.SecCellBoxes, Data: codec.Put(boxes)})
+		}
+		secs = append(secs, codec.Section{ID: row.id, Data: row.put(&rows)})
+	}
+	meta := codec.PagedMeta{
+		Kind:       codec.PagedKindSnapshot,
+		K:          uint32(s.K),
+		Dim:        uint32(s.Dim),
+		Count:      uint64(count),
+		LastSeq:    s.LastSeq,
+		NextHandle: uint64(s.NextHandle),
+	}
+	return codec.WriteContainer(w, meta.Encode(), secs)
+}
+
+// ReadPagedSnapshot reads the checkpoint at path back into the snapshot
+// written: the one checkpoint reader opens it, verify runs the checks open
+// leaves to the queries, and entries gathers the entry set. Recovery into
+// memory and a follower validating a download read a checkpoint this way.
+func ReadPagedSnapshot(path string) (*Snapshot, error) {
+	b, err := OpenPagedBase(path, PagedBaseOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer b.Close()
+	if err := b.verify(); err != nil {
+		return nil, err
+	}
+	s := &Snapshot{K: b.k, Dim: b.dim, LastSeq: b.lastSeq, NextHandle: b.nextHandle}
+	if s.Handles, s.Objs, err = b.entries(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// snapshotMeta parses the meta blob of a snapshot container and applies the
+// checks that come before any section is read: the kind, the bounds every
+// later size is computed from, and the presence of the rows by rank.
+func snapshotMeta(c *codec.Container) (codec.PagedMeta, error) {
+	meta := codec.ParsePagedMeta(c.Meta)
+	if meta.Kind != codec.PagedKindSnapshot {
+		return meta, fmt.Errorf("%w: container kind %d is not a snapshot", codec.ErrCorrupt, meta.Kind)
+	}
+	if meta.K < 2 || meta.K > 64 || meta.Dim == 0 || meta.Dim > 64 ||
+		meta.Count > maxSnapshotCount || meta.NextHandle > math.MaxInt64 {
+		return meta, fmt.Errorf("%w: implausible snapshot meta %+v", codec.ErrCorrupt, meta)
+	}
+	_, _, rows := c.Section(codec.SecRowHandles)
+	_, _, inverse := c.Section(codec.SecEntryRank)
+	if !rows || !inverse {
+		return meta, errNoRankRows
+	}
+	return meta, nil
+}
+
+// postings is the inverted index of a snapshot as a reader keeps it
+// resident: the sorted vocabulary, one list handle per keyword, and the block
+// directory of the rank lists, whose payload stays in SecPostWords.
+type postings struct {
+	vocab  []uint32
+	lists  []bitpack.List
+	blocks []bitpack.Block
+}
+
+// encodePostings flattens the list handles and the block directory into the
+// SecPostLists triples and SecPostBlocks quads. Go struct layout is not a
+// serialization format, so the fields are interleaved explicitly.
+func encodePostings(lists []bitpack.List, blocks []bitpack.Block) (listsB, blocksB []byte) {
+	lv := make([]int32, 0, 3*len(lists))
+	for _, l := range lists {
+		lv = append(lv, l.Block, l.NumBlocks, l.N)
+	}
+	bv := make([]int32, 0, 4*len(blocks))
+	for _, b := range blocks {
+		bv = append(bv, b.Off, b.First, b.Max, int32(b.N)|int32(b.W)<<16)
+	}
+	return codec.Put(lv), codec.Put(bv)
+}
+
+// parsePostings decodes the vocabulary, list and block-directory sections of
+// a snapshot and checks them against what they index: a payload of
+// payloadBytes (SecPostWords), count ranks and docWords document words. It
+// is the one check of the posting directory; the paged base trusts what it
+// passes, and a cursor reads payloads on it without a bounds check of its
+// own:
+//   - the vocabulary strictly ascends, one list a keyword;
+//   - a list's blocks lie in the directory and hold the ranks it claims;
+//   - a block holds 1..BlockSize ranks at deltas of at most 32 bits, its
+//     payload lies inside SecPostWords and its [First, Max] inside [0, count);
+//   - a list's blocks ascend (First >= the previous block's Max), which a
+//     cursor's skip on Max relies on;
+//   - there is one posting per document word.
+func parsePostings(vocabB, listsB, blocksB []byte, payloadBytes, count, docWords int64) (postings, error) {
+	if len(vocabB)%4 != 0 || len(listsB)%12 != 0 || len(blocksB)%16 != 0 || payloadBytes%8 != 0 {
+		return postings{}, errBase("posting section not a whole number of records")
+	}
+	p := postings{vocab: codec.Get[uint32](vocabB)}
+	lv, bv := codec.Get[int32](listsB), codec.Get[int32](blocksB)
+	p.lists = make([]bitpack.List, len(lv)/3)
+	for i := range p.lists {
+		p.lists[i] = bitpack.List{Block: lv[3*i], NumBlocks: lv[3*i+1], N: lv[3*i+2]}
+	}
+	p.blocks = make([]bitpack.Block, len(bv)/4)
+	for i := range p.blocks {
+		nw := bv[4*i+3]
+		if nw>>24 != 0 {
+			return postings{}, errBase("posting block flags %#x unknown", nw>>24)
+		}
+		p.blocks[i] = bitpack.Block{Off: bv[4*i], First: bv[4*i+1], Max: bv[4*i+2], N: int16(nw & 0xffff), W: uint8(nw >> 16)}
+	}
+	if len(p.lists) != len(p.vocab) {
+		return postings{}, errBase("%d posting lists for %d keywords", len(p.lists), len(p.vocab))
+	}
+	var total int64
+	for i, l := range p.lists {
+		if i > 0 && p.vocab[i] <= p.vocab[i-1] {
+			return postings{}, errBase("vocabulary not strictly increasing at entry %d", i)
+		}
+		if l.Block < 0 || l.NumBlocks < 0 || int64(l.Block)+int64(l.NumBlocks) > int64(len(p.blocks)) {
+			return postings{}, errBase("posting list %d blocks out of range", i)
+		}
+		var n int64
+		prevMax := int32(0)
+		for _, b := range p.blocks[l.Block : l.Block+l.NumBlocks] {
+			var bad string
+			switch {
+			case b.N < 1 || b.N > bitpack.BlockSize || b.W > 32:
+				bad = "geometry invalid"
+			case b.Off < 0 || 8*(int64(b.Off)+int64(b.Words())) > payloadBytes:
+				bad = "payload out of range"
+			case b.First < 0 || int64(b.Max) >= count || b.First > b.Max:
+				bad = fmt.Sprintf("ranks outside [0,%d)", count)
+			case b.First < prevMax:
+				bad = "out of order"
+			}
+			if bad != "" {
+				return postings{}, errBase("posting block %s in list %d", bad, i)
+			}
+			prevMax = b.Max
+			n += int64(b.N)
+		}
+		if n != int64(l.N) {
+			return postings{}, errBase("posting list %d claims %d values, blocks hold %d", i, l.N, n)
+		}
+		total += n
+	}
+	if total != docWords {
+		return postings{}, errBase("%d postings for %d document words", total, docWords)
+	}
+	return p, nil
+}

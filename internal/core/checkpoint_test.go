@@ -1,7 +1,8 @@
-package codec_test
+package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,49 +11,44 @@ import (
 	"slices"
 	"testing"
 
+	"kwsc/internal/bitpack"
 	"kwsc/internal/codec"
-	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/pager"
 )
 
-// The snapshot a checkpoint is written from is read back by the one
-// checkpoint reader, core.OpenPagedBase, which this package cannot import;
-// these tests live in the external test package so that they hold the
-// writer's bytes to that reader.
+// The checkpoint's writer held to its one reader: what WritePagedSnapshot
+// writes, ReadPagedSnapshot reads back as written, and damage or a lie in
+// any section is refused; the posting directory's checks; and the rank
+// order held to its definition.
 
-// readSnapshotFile reads the checkpoint at path as recovery into memory
-// does: the one checkpoint reader opens it, Verify runs the checks open
-// leaves out, and Entries gathers the entry set written back.
-func readSnapshotFile(path string) (*codec.Snapshot, error) {
-	b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer b.Close()
-	if err := b.Verify(); err != nil {
-		return nil, err
-	}
-	s := &codec.Snapshot{K: b.K(), Dim: b.Dim(), LastSeq: b.LastSeq(), NextHandle: b.NextHandle()}
-	if s.Handles, s.Objs, err = b.Entries(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// readSnapshot is readSnapshotFile on raw written to a fresh temporary file.
-func readSnapshot(t testing.TB, raw []byte) (*codec.Snapshot, error) {
+// readSnapshot is ReadPagedSnapshot on raw written to a fresh temporary
+// file.
+func readSnapshot(t testing.TB, raw []byte) (*Snapshot, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snapshot.ckpt")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return readSnapshotFile(path)
+	return ReadPagedSnapshot(path)
 }
 
-func sampleSnapshot() *codec.Snapshot {
-	return &codec.Snapshot{
+// resealSection is reseal with edit applied, in place, to section id alone.
+func resealSection(t testing.TB, raw []byte, id uint32, edit func(data []byte)) []byte {
+	t.Helper()
+	return reseal(t, raw, nil, func(sid uint32, data []byte) []byte {
+		if sid != id {
+			return nil
+		}
+		out := slices.Clone(data)
+		edit(out)
+		return out
+	})
+}
+
+func sampleSnapshot() *Snapshot {
+	return &Snapshot{
 		K: 2, Dim: 2, LastSeq: 41, NextHandle: 9,
 		Handles: []int64{0, 3, 8},
 		Objs: dataset.MustNew([]dataset.Object{
@@ -63,18 +59,18 @@ func sampleSnapshot() *codec.Snapshot {
 	}
 }
 
-func encodeSnapshot(t testing.TB, s *codec.Snapshot) []byte {
+func encodeSnapshot(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, s); err != nil {
+	if err := WritePagedSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func testPagedSnapshot(seed int64, n int) *codec.Snapshot {
+func testPagedSnapshot(seed int64, n int) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
-	s := &codec.Snapshot{K: 2, Dim: 2, LastSeq: 41, NextHandle: int64(3*n + 10)}
+	s := &Snapshot{K: 2, Dim: 2, LastSeq: 41, NextHandle: int64(3*n + 10)}
 	var objs []dataset.Object
 	h := int64(-1)
 	for i := 0; i < n; i++ {
@@ -96,7 +92,7 @@ func testPagedSnapshot(seed int64, n int) *codec.Snapshot {
 	return s
 }
 
-func snapshotsEqual(t *testing.T, a, b *codec.Snapshot) {
+func snapshotsEqual(t *testing.T, a, b *Snapshot) {
 	t.Helper()
 	if a.K != b.K || a.Dim != b.Dim || a.LastSeq != b.LastSeq || a.NextHandle != b.NextHandle {
 		t.Fatalf("snapshot headers differ: %+v vs %+v", a, b)
@@ -127,7 +123,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotEmpty(t *testing.T) {
-	got, err := readSnapshot(t, encodeSnapshot(t, &codec.Snapshot{K: 2, Dim: 3}))
+	got, err := readSnapshot(t, encodeSnapshot(t, &Snapshot{K: 2, Dim: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +136,7 @@ func TestSnapshotRejectsUnsortedHandles(t *testing.T) {
 	for _, hs := range [][]int64{{5, 2, 8}, {0, 3, 3}, {-1, 3, 8}, {0, 3}} {
 		s := sampleSnapshot()
 		s.Handles = hs
-		if err := codec.WritePagedSnapshot(new(bytes.Buffer), s); err == nil {
+		if err := WritePagedSnapshot(new(bytes.Buffer), s); err == nil {
 			t.Fatalf("handles %v accepted", hs)
 		}
 	}
@@ -169,7 +165,7 @@ func TestSnapshotTruncation(t *testing.T) {
 		if err := os.Truncate(path, int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readSnapshotFile(path); !errors.Is(err, codec.ErrCorrupt) {
+		if _, err := ReadPagedSnapshot(path); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("truncation at %d: err = %v", cut, err)
 		}
 	}
@@ -191,7 +187,7 @@ func TestSnapshotHugeClaimedCount(t *testing.T) {
 	if buf.Len() > 8*pager.PageSize {
 		t.Fatalf("container is %d bytes, meant to be small", buf.Len())
 	}
-	if _, err := readSnapshot(t, buf.Bytes()); !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, codec.ErrNoRankRows) {
+	if _, err := readSnapshot(t, buf.Bytes()); !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, errNoRankRows) {
 		t.Fatalf("huge claimed count: err = %v", err)
 	}
 }
@@ -200,7 +196,7 @@ func TestPagedSnapshotRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 300} {
 		s := testPagedSnapshot(int64(n), n)
 		var buf bytes.Buffer
-		if err := codec.WritePagedSnapshot(&buf, s); err != nil {
+		if err := WritePagedSnapshot(&buf, s); err != nil {
 			t.Fatalf("n=%d: write: %v", n, err)
 		}
 		if buf.Len()%pager.PageSize != 0 {
@@ -221,7 +217,7 @@ func TestPagedSnapshotRoundTrip(t *testing.T) {
 func TestPagedSnapshotDetectsCorruption(t *testing.T) {
 	s := testPagedSnapshot(3, 200)
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, s); err != nil {
+	if err := WritePagedSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
@@ -247,33 +243,6 @@ func TestPagedSnapshotDetectsCorruption(t *testing.T) {
 			t.Fatalf("truncation to %d bytes accepted", sz)
 		}
 	}
-}
-
-// resealEdited rewrites a snapshot container with edit applied to section
-// id, under fresh checksums: what is left to refuse it is the structural
-// validation.
-func resealEdited(t testing.TB, raw []byte, id uint32, edit func(data []byte)) []byte {
-	t.Helper()
-	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var secs []codec.Section
-	for _, s := range c.Sections[1:] {
-		data, err := c.SectionBytes(bytes.NewReader(raw), s.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.ID == id {
-			edit(data)
-		}
-		secs = append(secs, codec.Section{ID: s.ID, Data: data})
-	}
-	var out bytes.Buffer
-	if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
 }
 
 // lyingRankSections are one-value edits of the entry -> rank column, the row
@@ -313,16 +282,16 @@ var lyingRankSections = []struct {
 // points (open for its shape, Verify for its points).
 func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
+	if err := WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
 		t.Fatal(err)
 	}
 	for _, lie := range lyingRankSections {
-		raw := resealEdited(t, buf.Bytes(), lie.id, lie.edit)
+		raw := resealSection(t, buf.Bytes(), lie.id, lie.edit)
 		if _, err := readSnapshot(t, raw); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", lie.name, err)
 		}
 	}
-	raw := resealEdited(t, buf.Bytes(), codec.SecEntryRank, func([]byte) {})
+	raw := resealSection(t, buf.Bytes(), codec.SecEntryRank, func([]byte) {})
 	if _, err := readSnapshot(t, raw); err != nil {
 		t.Fatalf("re-sealed unchanged: %v", err)
 	}
@@ -335,7 +304,7 @@ func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
 // snapshot.
 func FuzzReadPagedSnapshot(f *testing.F) {
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
+	if err := WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
 		f.Fatal(err)
 	}
 	golden := buf.Bytes()
@@ -354,7 +323,7 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 	// box turned inside out or leaving out its cell's points; and a page of
 	// each section by rank flipped in place.
 	for _, lie := range lyingRankSections {
-		f.Add(resealEdited(f, golden, lie.id, lie.edit))
+		f.Add(resealSection(f, golden, lie.id, lie.edit))
 	}
 	c, err := codec.ParseContainer(bytes.NewReader(golden), int64(len(golden)))
 	if err != nil {
@@ -390,12 +359,12 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		f.Add(flip)
 	}
 	dir := f.TempDir()
-	read := func(t *testing.T, raw []byte) (*codec.Snapshot, error) {
+	read := func(t *testing.T, raw []byte) (*Snapshot, error) {
 		path := filepath.Join(dir, "fuzz.ckpt")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return readSnapshotFile(path)
+		return ReadPagedSnapshot(path)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := read(t, data)
@@ -409,4 +378,191 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		}
 		snapshotsEqual(t, got, back)
 	})
+}
+
+// TestValidateRejectsCorruptHandles holds parsePostings, the one check of a
+// posting directory, to every rule a cursor or the totals rely on: a
+// directory of three rank lists over 300 ranks passes as written, and each
+// one-value lie in a list handle, a block or the vocabulary is ErrCorrupt.
+func TestValidateRejectsCorruptHandles(t *testing.T) {
+	const count = 300
+	var arena bitpack.PackedLists
+	var lists []bitpack.List
+	for _, step := range []int32{1, 3, 7} {
+		var ranks []int32
+		for r := int32(0); r < count; r += step {
+			ranks = append(ranks, r)
+		}
+		lists = append(lists, arena.Append(ranks))
+	}
+	payload, blocks := arena.Raw()
+	docWords := int64(lists[0].N + lists[1].N + lists[2].N)
+	parse := func(vocab []uint32, lists []bitpack.List, blocks []bitpack.Block, docWords int64) error {
+		listsB, blocksB := encodePostings(lists, blocks)
+		_, err := parsePostings(codec.Put(vocab), listsB, blocksB, int64(len(payload)), count, docWords)
+		return err
+	}
+	vocab := []uint32{4, 9, 12}
+	if err := parse(vocab, lists, blocks, docWords); err != nil {
+		t.Fatalf("the directory as written: %v", err)
+	}
+	list := func(edit func(l *bitpack.List)) []bitpack.List {
+		out := slices.Clone(lists)
+		edit(&out[1])
+		return out
+	}
+	block := func(edit func(b []bitpack.Block)) []bitpack.Block {
+		out := slices.Clone(blocks)
+		edit(out)
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		vocab  []uint32
+		lists  []bitpack.List
+		blocks []bitpack.Block
+	}{
+		{"a list before the directory", vocab, list(func(l *bitpack.List) { l.Block = -1 }), blocks},
+		{"a list past the directory", vocab, list(func(l *bitpack.List) { l.NumBlocks = 99 }), blocks},
+		{"a list claiming a rank more", vocab, list(func(l *bitpack.List) { l.N++ }), blocks},
+		{"an empty block", vocab, lists, block(func(b []bitpack.Block) { b[0].N = 0 })},
+		{"a block past BlockSize", vocab, lists, block(func(b []bitpack.Block) { b[0].N = bitpack.BlockSize + 1 })},
+		{"33-bit deltas", vocab, lists, block(func(b []bitpack.Block) { b[0].W = 33 })},
+		{"a payload past the section", vocab, lists, block(func(b []bitpack.Block) { b[len(b)-1].Off = int32(len(payload)) / 8 })},
+		{"a negative rank", vocab, lists, block(func(b []bitpack.Block) { b[0].First = -1 })},
+		{"a rank past the count", vocab, lists, block(func(b []bitpack.Block) { b[1].Max = count })},
+		{"a block whose ranks run backwards", vocab, lists, block(func(b []bitpack.Block) { b[1].First = b[1].Max + 1 })},
+		{"two blocks of a list swapped", vocab, lists, block(func(b []bitpack.Block) { b[0], b[1] = b[1], b[0] })},
+		{"a keyword repeated", []uint32{4, 4, 12}, lists, blocks},
+		{"a list short of a keyword", vocab[:2], lists, blocks},
+	} {
+		if err := parse(c.vocab, c.lists, c.blocks, docWords); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	if err := parse(vocab, lists, blocks, docWords+1); !errors.Is(err, codec.ErrCorrupt) {
+		t.Errorf("a posting short of the document words: err = %v, want ErrCorrupt", err)
+	}
+	listsB, blocksB := encodePostings(lists, blocks)
+	for name, args := range map[string][3][]byte{
+		"a vocabulary cut mid-keyword": {codec.Put(vocab)[1:], listsB, blocksB},
+		"a list cut mid-handle":        {codec.Put(vocab), listsB[4:], blocksB},
+		"a block cut mid-entry":        {codec.Put(vocab), listsB, blocksB[:len(blocksB)-4]},
+		"unknown block flags":          {codec.Put(vocab), listsB, append(slices.Clone(blocksB[:12]), 1, 0, 0, 1)},
+	} {
+		if _, err := parsePostings(args[0], args[1], args[2], int64(len(payload)), count, docWords); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := parsePostings(codec.Put(vocab), listsB, blocksB, int64(len(payload))-4, count, docWords); !errors.Is(err, codec.ErrCorrupt) {
+		t.Errorf("a payload cut mid-word: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// refLeafOrder is kdLeafOrder's definition run literally: at every node,
+// sort the entries on the widest coordinate of their bounding box, ties by
+// entry index, and cut at the cell multiple cellSplit names; a cell lists its
+// entries ascending.
+func refLeafOrder(points []float64, dim, n int) []int32 {
+	cell := cellSize(dim)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		part := order[lo*cell : min(hi*cell, n)]
+		if hi-lo == 1 {
+			slices.Sort(part)
+			return
+		}
+		axis, widest := 0, math.Inf(-1)
+		for a := 0; a < dim; a++ {
+			mn, mx := math.Inf(1), math.Inf(-1)
+			for _, e := range part {
+				v := points[int(e)*dim+a]
+				mn, mx = min(mn, v), max(mx, v)
+			}
+			if w := mx - mn; w > widest {
+				axis, widest = a, w
+			}
+		}
+		slices.SortFunc(part, func(x, y int32) int {
+			return cmp.Or(cmp.Compare(dataset.RankKey(points[int(x)*dim+axis]), dataset.RankKey(points[int(y)*dim+axis])), cmp.Compare(x, y))
+		})
+		mid := cellSplit(lo, hi)
+		split(lo, mid)
+		split(mid, hi)
+	}
+	if n > 0 {
+		split(0, (n+cell-1)/cell)
+	}
+	return order
+}
+
+// TestKDLeafOrderMatchesDefinition: the presorted build computes exactly the
+// order its definition gives — on uniform points, on heavy ties, on one value
+// everywhere — and its boxes are the cells' tight bounding boxes.
+func TestKDLeafOrderMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for dim := 1; dim <= 4; dim++ {
+		cell := cellSize(dim)
+		for _, n := range []int{0, 1, cell - 1, cell, cell + 1, 7*cell + 3, 16 * cell} {
+			for name, coord := range map[string]func() float64{
+				"uniform": rng.Float64,
+				"ties":    func() float64 { return float64(rng.Intn(3)) },
+				"equal":   func() float64 { return -2.5 },
+				"signs":   func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)) },
+			} {
+				points := make([]float64, n*dim)
+				for i := range points {
+					points[i] = coord()
+				}
+				got, boxes := kdLeafOrder(points, dim, n)
+				if want := refLeafOrder(points, dim, n); !slices.Equal(got, want) {
+					t.Fatalf("d=%d n=%d %s: rank order differs from the definition's", dim, n, name)
+				}
+				for c := 0; c*cell < n; c++ {
+					for a := 0; a < dim; a++ {
+						mn, mx := math.Inf(1), math.Inf(-1)
+						for _, e := range got[c*cell : min((c+1)*cell, n)] {
+							mn, mx = min(mn, points[int(e)*dim+a]), max(mx, points[int(e)*dim+a])
+						}
+						if lo, hi := boxes[2*dim*c+a], boxes[2*dim*c+dim+a]; lo != mn || hi != mx {
+							t.Fatalf("d=%d n=%d %s: cell %d axis %d box [%v,%v], points span [%v,%v]", dim, n, name, c, a, lo, hi, mn, mx)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKDLeafOrderNonFinite: infinite coordinates and both zeros keep the
+// order a permutation, inside their cells' boxes.
+func TestKDLeafOrderNonFinite(t *testing.T) {
+	const dim = 2
+	n := 3*cellSize(dim) + 1
+	rng := rand.New(rand.NewSource(5))
+	points := make([]float64, n*dim)
+	for i := range points {
+		points[i] = rng.Float64()
+	}
+	points[2*10], points[2*11+1], points[2*12] = math.Inf(-1), math.Inf(1), math.Inf(-1)
+	points[2*13+1], points[2*14+1] = math.Copysign(0, -1), 0
+	got, boxes := kdLeafOrder(points, dim, n)
+	seen := make([]bool, n)
+	for r, e := range got {
+		if seen[e] {
+			t.Fatalf("entry %d ranked twice", e)
+		}
+		seen[e] = true
+		c := r / cellSize(dim)
+		for a := 0; a < dim; a++ {
+			v, lo, hi := points[int(e)*dim+a], boxes[2*dim*c+a], boxes[2*dim*c+dim+a]
+			if !(lo <= v && v <= hi) {
+				t.Fatalf("rank %d: coordinate %v outside cell %d's [%v,%v]", r, v, c, lo, hi)
+			}
+		}
+	}
 }

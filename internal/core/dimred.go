@@ -408,7 +408,7 @@ func (t *drTree) visit(u int32, q *geom.Rect, qc *qctx) {
 // deeper tree on the same walk, or a d = 2 framework run on qc as one part
 // of the query over q's final two dimensions, as a dynamic query runs a
 // bucket. The part's Limit is the results still wanted and its node budget
-// what the visits so far left over; its stats join the query's, and a stop
+// what the work so far left over; its stats join the query's, and a stop
 // inside it ends the query.
 func (t *drTree) querySecondary(n *drNode, q *geom.Rect, qc *qctx) {
 	if n.secDR != nil {
@@ -419,7 +419,7 @@ func (t *drTree) querySecondary(n *drNode, q *geom.Rect, qc *qctx) {
 	d := t.owner.dim
 	qc.sub.Lo, qc.sub.Hi = q.Lo[d-2:], q.Hi[d-2:]
 	qc.opts.Limit = max(opts.Limit-st.Reported, 0)
-	qc.pst.pol = opts.Policy.shrunk(int64(st.NodesVisited))
+	qc.pst.pol = opts.Policy.shrunk(st.Ops)
 	n.secKD.run(qc, &qc.sub)
 	st.add(qc.st)
 	qc.st, qc.opts, qc.pst.pol = st, opts, opts.Policy

@@ -922,7 +922,7 @@ func (s *DynSnapshot) Entries() (handles []int64, objs *dataset.Dataset, err err
 	st := s.st
 	c := &entryCols{dim: s.d.dim, dead: st.deleted.has}
 	if st.base != nil {
-		bh, bobjs, berr := st.base.Entries()
+		bh, bobjs, berr := st.base.entries()
 		if berr != nil {
 			return nil, nil, berr
 		}

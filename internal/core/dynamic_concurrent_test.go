@@ -139,7 +139,10 @@ func TestDynamicConcurrentSnapshotConsistency(t *testing.T) {
 
 // TestDynamicSnapshotPinnedAcrossChurn pins a view, records a query answer,
 // applies enough churn to trigger carries and a compaction, and requires the
-// pinned view to answer byte-identically while the head has moved on.
+// pinned view to answer byte-identically while the head has moved on. The
+// pin counts once in kwsc_dynamic_snapshot_pins_total, and a query on the
+// pinned view sets kwsc_dynamic_snapshot_staleness_ops to the records it
+// lags the head by.
 func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	d, err := NewDynamicORPKW(2, 2, 4)
 	if err != nil {
@@ -154,7 +157,13 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
+	pins := obs.Default().Counter("kwsc_dynamic_snapshot_pins_total")
+	staleness := obs.Default().Gauge("kwsc_dynamic_snapshot_staleness_ops")
+	pins0 := pins.Load()
 	s := d.SnapshotNow()
+	if got := pins.Load() - pins0; got != 1 {
+		t.Fatalf("a pin moved kwsc_dynamic_snapshot_pins_total by %d, want 1", got)
+	}
 	pinSeq := s.Seq()
 	all := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
 	ws := []dataset.Keyword{2, 5}
@@ -192,6 +201,9 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	if fmt.Sprint(before) != fmt.Sprint(after) {
 		t.Fatalf("pinned view changed: %v then %v", before, after)
 	}
+	if got, want := staleness.Load(), int64(d.Seq()-pinSeq); got != want || want != 60 {
+		t.Fatalf("kwsc_dynamic_snapshot_staleness_ops = %d after a query %d records behind the head, want 60", got, want)
+	}
 	ha, oa, err := s.Entries()
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +226,10 @@ func TestDynamicGaugeDeltasConcurrentChurn(t *testing.T) {
 	bufferedG := reg.Gauge("kwsc_dynamic_buffered")
 	tombG := reg.Gauge("kwsc_dynamic_tombstones")
 	pubC := reg.Counter("kwsc_dynamic_state_publishes_total")
+	delC := reg.Counter("kwsc_dynamic_deletes_total")
 	buckets0, live0 := bucketsG.Load(), liveG.Load()
 	buffered0, tomb0 := bufferedG.Load(), tombG.Load()
-	pub0 := pubC.Load()
+	pub0, del0 := pubC.Load(), delC.Load()
 
 	const nIdx, opsEach = 3, 500
 	idxs := make([]*DynamicORPKW, nIdx)
@@ -237,7 +250,7 @@ func TestDynamicGaugeDeltasConcurrentChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	var wantBuckets, wantLive, wantBuffered, wantTombs int64
+	var wantBuckets, wantLive, wantBuffered, wantTombs, wantDeletes int64
 	for _, d := range idxs {
 		live, tombs := d.Len(), d.Tombstones()
 		inBuckets := 0
@@ -250,6 +263,9 @@ func TestDynamicGaugeDeltasConcurrentChurn(t *testing.T) {
 		wantLive += int64(live)
 		wantBuffered += int64(live - (inBuckets - tombs))
 		wantTombs += int64(tombs)
+		// Every op applied, so opsEach = inserts + deletes and live =
+		// inserts − deletes.
+		wantDeletes += int64(opsEach-live) / 2
 	}
 	type row struct {
 		name  string
@@ -261,6 +277,7 @@ func TestDynamicGaugeDeltasConcurrentChurn(t *testing.T) {
 		{"kwsc_dynamic_live_objects", liveG.Load() - live0, wantLive},
 		{"kwsc_dynamic_buffered", bufferedG.Load() - buffered0, wantBuffered},
 		{"kwsc_dynamic_tombstones", tombG.Load() - tomb0, wantTombs},
+		{"kwsc_dynamic_deletes_total", delC.Load() - del0, wantDeletes},
 	} {
 		if r.delta != r.want {
 			t.Errorf("%s moved by %d, instances account for %d", r.name, r.delta, r.want)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 )
@@ -89,7 +88,7 @@ func TestDynamicLimitEndsBucket(t *testing.T) {
 func TestDynamicLimitEndsPagedBase(t *testing.T) {
 	const n = 8192
 	objs := allMatching(72, n)
-	snap := &codec.Snapshot{K: 2, Dim: 2, LastSeq: n, NextHandle: n, Objs: dataset.MustNew(objs)}
+	snap := &Snapshot{K: 2, Dim: 2, LastSeq: n, NextHandle: n, Objs: dataset.MustNew(objs)}
 	for h := int64(0); h < n; h++ {
 		snap.Handles = append(snap.Handles, h)
 	}

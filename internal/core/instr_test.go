@@ -198,6 +198,9 @@ func TestRegistryCountsEachFamilyOnce(t *testing.T) {
 			t.Errorf("[%s] ops histogram delta count=%d sum=%d, want count=1 sum=%d (QueryStats.Ops)",
 				c.fam, histCount[opsSeries], histSum[opsSeries], ops)
 		}
+		if lat := `kwsc_query_latency_ns{family="` + c.fam + `"}`; histCount[lat] != 1 {
+			t.Errorf("[%s] latency histogram delta count=%d, want 1", c.fam, histCount[lat])
+		}
 		if len(tr.spans) != 1 {
 			t.Errorf("[%s] tracer saw %d spans, want 1: %+v", c.fam, len(tr.spans), tr.spans)
 		} else if sp := tr.spans[0]; sp.Family != c.fam || sp.Ops != ops {

@@ -198,7 +198,7 @@ func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpt
 		failpoint(FPNNProbe)
 		ns.Probes++
 		st, err := ix.base.Query(linfBallInto(ball, q, r), ws,
-			QueryOpts{Limit: t, Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(int32) {})
+			QueryOpts{Limit: t, Policy: opts.Policy.shrunk(ns.Ops)}, func(int32) {})
 		ns.QueryStats.add(st)
 		return st.Reported >= t, err
 	}
@@ -242,7 +242,7 @@ func (ix *LinfNN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpt
 	// arbitrarily, as the problem statement allows.
 	ns.Probes++
 	st, err := ix.base.Query(linfBallInto(ball, q, rStar), ws,
-		QueryOpts{Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(id int32) {
+		QueryOpts{Policy: opts.Policy.shrunk(ns.Ops)}, func(id int32) {
 			res = append(res, NNResult{ID: id, Dist: q.LInf(ix.ds.Point(id))})
 		})
 	ns.QueryStats.add(st)
@@ -342,7 +342,7 @@ func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts)
 		failpoint(FPNNProbe)
 		ns.Probes++
 		st, err := ix.srp.QuerySq(q, float64(r2), ws,
-			QueryOpts{Limit: t, Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(int32) {})
+			QueryOpts{Limit: t, Policy: opts.Policy.shrunk(ns.Ops)}, func(int32) {})
 		ns.QueryStats.add(st)
 		return st.Reported >= t, err
 	}
@@ -374,7 +374,7 @@ func (ix *L2NN) Query(q geom.Point, t int, ws []dataset.Keyword, opts QueryOpts)
 	}
 	ns.Probes++
 	st, err := ix.srp.QuerySq(q, float64(r2Star), ws,
-		QueryOpts{Policy: opts.Policy.shrunk(int64(ns.NodesVisited))}, func(id int32) {
+		QueryOpts{Policy: opts.Policy.shrunk(ns.Ops)}, func(id int32) {
 			res = append(res, NNResult{ID: id, Dist: q.L2(ix.ds.Point(id))})
 		})
 	ns.QueryStats.add(st)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,7 @@ import (
 // buffer/buckets as usual (see RestoreDynamicORPKWFromBase).
 //
 // The checkpoint stores its rows — point, handle, document — and numbers its
-// postings by rank, the position in a kd leaf order (codec/rankorder.go): a
+// postings by rank, the position in a kd leaf order (checkpoint.go): a
 // cell of ranks is one page of points, and every node of the kd tree over
 // the cells is a rank interval. The tree
 // is resident — one box per node, rebuilt at open from the stored cell boxes
@@ -63,10 +64,10 @@ import (
 // leaves out a rank, hides a match. Neither can report a wrong one: every
 // reported row has had its own point tested against the rectangle and its
 // own document against the keywords, and Has confirms what the handle column
-// says against the row it leads to. A reader that takes the whole file in —
-// recovery into memory, a follower validating a download — adds Verify (every
-// page, every cell box against its points) and Entries (every row against
-// its entry).
+// says against the row it leads to. A reader that takes the whole file in
+// (ReadPagedSnapshot: recovery into memory, a follower validating a
+// download) adds verify (every page, every cell box against its points) and
+// entries (every row against its entry).
 type PagedBase struct {
 	f    *pager.File
 	pool *pager.Pool
@@ -76,12 +77,12 @@ type PagedBase struct {
 	lastSeq    uint64
 	nextHandle int64
 
-	// Absolute byte offsets of the payload sections: the handle column and
-	// its entry -> rank column, the rows by rank, the posting payload (of
-	// wordsLen bytes).
-	handlesOff, entryRankOff                           int64
-	pointsOff, rowHandlesOff, docStartOff, docWordsOff int64
-	wordsOff, docTotal, wordsLen                       int64
+	// The row sections' absolute byte offsets and lengths, by their position
+	// in ckptRowSecs; the document words they hold; the posting payload's
+	// offset and length.
+	rowOff, rowLen     [numRowSecs]int64
+	docTotal           int64
+	wordsOff, wordsLen int64
 
 	// Always-resident metadata columns (small: O(vocabulary + blocks + cells)).
 	vocab  []uint32
@@ -92,21 +93,17 @@ type PagedBase struct {
 	handleFence []int64
 	// The kd tree over the cells, in preorder: 2*dim floats a node (Lo, then
 	// Hi). The node over cells [lo, hi) has its left child next to it and its
-	// right child 2*(mid-lo) boxes on, mid = codec.CellSplit(lo, hi); a leaf
+	// right child 2*(mid-lo) boxes on, mid = cellSplit(lo, hi); a leaf
 	// is one cell, ranks [c*cell, (c+1)*cell).
 	tree        []float64
 	cell, cells int
 
-	// Zero-copy typed columns, non-nil only when the file is mapped on a
-	// little-endian host, and the posting lists over the mapped payload, the
-	// cursors' Source then; otherwise reads go through pager views.
-	mHandles    []int64
-	mEntryRank  []int32
-	mPoints     []float64
-	mRowHandles []int64
-	mDocStart   []int64
-	mDocWords   []uint32
-	mPostings   bitpack.PackedLists
+	// The row sections as zero-copy columns, set only when the file is
+	// mapped on a little-endian host (mapped), and the posting lists over the
+	// mapped payload, the cursors' Source then; otherwise reads go through
+	// pager views.
+	m         ckptRows
+	mPostings bitpack.PackedLists
 
 	// readers recycles baseReaders across queries. The garbage collector
 	// empties a sync.Pool, so the parked readers' pointers back to the base
@@ -165,7 +162,7 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta, err := codec.SnapshotMeta(c)
+	meta, err := snapshotMeta(c)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +174,7 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		count:      int64(meta.Count),
 		lastSeq:    meta.LastSeq,
 		nextHandle: int64(meta.NextHandle),
-		cell:       codec.CellSize(int(meta.Dim)),
+		cell:       cellSize(int(meta.Dim)),
 	}
 	b.cells = int((b.count + int64(b.cell) - 1) / int64(b.cell))
 	span := func(id uint32, want int64) (int64, error) {
@@ -190,20 +187,15 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		}
 		return off, nil
 	}
-	if b.handlesOff, err = span(codec.SecHandles, 8*b.count); err != nil {
-		return nil, err
-	}
-	if b.pointsOff, err = span(codec.SecPoints, 8*b.count*int64(b.dim)); err != nil {
-		return nil, err
-	}
-	if b.rowHandlesOff, err = span(codec.SecRowHandles, 8*b.count); err != nil {
-		return nil, err
-	}
-	if b.docStartOff, err = span(codec.SecDocStart, 8*(b.count+1)); err != nil {
-		return nil, err
-	}
-	if b.entryRankOff, err = span(codec.SecEntryRank, 4*b.count); err != nil {
-		return nil, err
+	// Every row section is sized by the meta, the document words by their own
+	// section: the document offsets must end at its length (validateRows).
+	_, words, _ := c.Section(codec.SecDocWords)
+	b.docTotal = words / 4
+	for i, row := range ckptRowSecs {
+		b.rowLen[i] = row.width * row.values(b.count, int64(b.dim), b.docTotal)
+		if b.rowOff[i], err = span(row.id, b.rowLen[i]); err != nil {
+			return nil, err
+		}
 	}
 	if _, err = span(codec.SecCellBoxes, 16*int64(b.dim)*int64(b.cells)); err != nil {
 		return nil, err
@@ -211,63 +203,53 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 
 	// Decode the resident metadata columns through the pool so their pages
 	// are checksum-verified exactly once, here.
-	vocabB, err := b.readSection(c, codec.SecVocab)
-	if err != nil {
-		return nil, err
+	var index [4][]byte
+	for i, id := range []uint32{codec.SecVocab, codec.SecPostLists, codec.SecPostBlocks, codec.SecCellBoxes} {
+		off, n, _ := c.Section(id)
+		if index[i], err = b.readSpan(off, n); err != nil {
+			return nil, err
+		}
 	}
-	listsB, err := b.readSection(c, codec.SecPostLists)
-	if err != nil {
-		return nil, err
-	}
-	blocksB, err := b.readSection(c, codec.SecPostBlocks)
-	if err != nil {
-		return nil, err
-	}
-	boxesB, err := b.readSection(c, codec.SecCellBoxes)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.buildCellTree(codec.Get[float64](boxesB)); err != nil {
+	if err := b.buildCellTree(codec.Get[float64](index[3])); err != nil {
 		return nil, err
 	}
 	_, b.wordsLen, _ = c.Section(codec.SecPostWords)
 	if b.wordsOff, err = span(codec.SecPostWords, b.wordsLen); err != nil {
 		return nil, err
 	}
-	if err := b.validateStructure(c); err != nil {
+	if err := b.validateRows(); err != nil {
 		return nil, err
 	}
-	post, err := codec.ParsePostings(vocabB, listsB, blocksB, b.wordsLen, b.count, b.docTotal)
+	post, err := parsePostings(index[0], index[1], index[2], b.wordsLen, b.count, b.docTotal)
 	if err != nil {
 		return nil, err
 	}
-	b.vocab, b.lists, b.blocks = post.Vocab, post.Lists, post.Blocks
+	b.vocab, b.lists, b.blocks = post.vocab, post.lists, post.blocks
 	if f.Mapped() && pager.CanCast() && b.count > 0 {
 		raw := f.Bytes()
-		sec := func(off, n int64) []byte { return raw[off : off+n] }
-		b.mHandles = pager.Cast[int64](sec(b.handlesOff, 8*b.count))
-		b.mEntryRank = pager.Cast[int32](sec(b.entryRankOff, 4*b.count))
-		b.mPoints = pager.Cast[float64](sec(b.pointsOff, 8*b.count*int64(b.dim)))
-		b.mRowHandles = pager.Cast[int64](sec(b.rowHandlesOff, 8*b.count))
-		b.mDocStart = pager.Cast[int64](sec(b.docStartOff, 8*(b.count+1)))
-		b.mDocWords = pager.Cast[uint32](sec(b.docWordsOff, 4*b.docTotal))
-		// All casts must land together: the readers key off mHandles.
-		if b.mHandles == nil || b.mEntryRank == nil || b.mPoints == nil || b.mRowHandles == nil || b.mDocStart == nil || b.mDocWords == nil {
-			b.mHandles, b.mEntryRank, b.mPoints, b.mRowHandles, b.mDocStart, b.mDocWords = nil, nil, nil, nil, nil, nil
-		} else {
-			b.mPostings = bitpack.FromRaw(sec(b.wordsOff, b.wordsLen), b.blocks)
+		// All casts must land together: the readers key off mapped.
+		cast := true
+		for i, row := range ckptRowSecs {
+			cast = row.cast(&b.m, raw[b.rowOff[i]:b.rowOff[i]+b.rowLen[i]]) && cast
 		}
-	}
-	if b.mHandles != nil {
-		// The cast readers bypass the pool, so lazy verify-on-first-pin never
-		// fires for them; checksum every page once here instead. Still far
-		// cheaper than a decode — one crc32c pass, no parsing, no build.
-		if err := b.verifyPages(); err != nil {
-			return nil, err
+		if !cast {
+			b.m = ckptRows{}
+		} else {
+			b.mPostings = bitpack.FromRaw(raw[b.wordsOff:b.wordsOff+b.wordsLen], b.blocks)
+			// The cast readers bypass the pool, so lazy verify-on-first-pin
+			// never fires for them; checksum every page once here instead.
+			// Still far cheaper than a decode — one crc32c pass, no parsing,
+			// no build.
+			if err := b.verifyPages(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return b, nil
 }
+
+// mapped reports whether the row sections are read as zero-copy columns.
+func (b *PagedBase) mapped() bool { return b.m.handles != nil }
 
 // verifyPages pins every page of the file once, so the pool checks each
 // page's checksum.
@@ -282,14 +264,13 @@ func (b *PagedBase) verifyPages() error {
 	return nil
 }
 
-// Verify runs the checks open leaves out because no query needs them: every
+// verify runs the checks open leaves out because no query needs them: every
 // page's checksum (open has already run it over a mapped file with the casts
 // active), and every cell box against the points of its cell, a box that
 // leaves one out being codec.ErrCorrupt. A reader that takes the whole file
-// in — recovery into memory, a follower validating a download — calls it;
-// serving in place never does.
-func (b *PagedBase) Verify() error {
-	if b.mHandles == nil {
+// in (ReadPagedSnapshot) calls it; serving in place never does.
+func (b *PagedBase) verify() error {
+	if !b.mapped() {
 		if err := b.verifyPages(); err != nil {
 			return err
 		}
@@ -308,7 +289,7 @@ func (b *PagedBase) Verify() error {
 	var check func(node, lo, hi int) error
 	check = func(node, lo, hi int) error {
 		if hi-lo > 1 {
-			mid := codec.CellSplit(lo, hi)
+			mid := cellSplit(lo, hi)
 			if err := check(node+1, lo, mid); err != nil {
 				return err
 			}
@@ -331,13 +312,6 @@ func (b *PagedBase) Verify() error {
 	return check(0, 0, b.cells)
 }
 
-// readSection reads a whole section through the pool (checksum-verifying
-// its pages) into a fresh buffer.
-func (b *PagedBase) readSection(c *codec.Container, id uint32) ([]byte, error) {
-	off, n, _ := c.Section(id)
-	return b.readSpan(off, n)
-}
-
 // readSpan reads the file bytes [off, off+n) through the pool into a fresh
 // buffer (nil when n is 0).
 func (b *PagedBase) readSpan(off, n int64) ([]byte, error) {
@@ -357,12 +331,13 @@ func (b *PagedBase) readSpan(off, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// scanPages calls fn with each page of the section [off, off+n) in order —
-// rel is the page's offset in the section — once the pool has verified the
-// page's checksum, so a damaged page is reported as one and never judged by
-// its contents.
-func (b *PagedBase) scanPages(off, n int64, fn func(rel int64, page []byte) error) error {
-	v, err := pager.NewView(b.pool, off, n)
+// scanPages calls fn with each page of row section col in order — rel is
+// the page's offset in the section — once the pool has verified the page's
+// checksum, so a damaged page is reported as one and never judged by its
+// contents.
+func (b *PagedBase) scanPages(col int, fn func(rel int64, page []byte) error) error {
+	n := b.rowLen[col]
+	v, err := pager.NewView(b.pool, b.rowOff[col], n)
 	if err != nil {
 		return err
 	}
@@ -404,7 +379,7 @@ func (b *PagedBase) buildCellTree(leaves []float64) error {
 			copy(box, leaves[2*d*lo:2*d*hi])
 			return box
 		}
-		mid := codec.CellSplit(lo, hi)
+		mid := cellSplit(lo, hi)
 		l, r := fill(node+1, lo, mid), fill(node+2*(mid-lo), mid, hi)
 		for j := 0; j < d; j++ {
 			box[j], box[d+j] = min(l[j], r[j]), max(l[d+j], r[d+j])
@@ -415,15 +390,15 @@ func (b *PagedBase) buildCellTree(leaves []float64) error {
 	return nil
 }
 
-// validateStructure checks the offset-bearing row columns the query path will
+// validateRows checks the offset-bearing row columns the query path will
 // trust: handle order, document offsets and the entry -> rank column (the
-// posting directory is codec.ParsePostings'). Runs once at open; touches only
+// posting directory is parsePostings'). Runs once at open; touches only
 // those columns, a page at a time.
-func (b *PagedBase) validateStructure(c *codec.Container) error {
+func (b *PagedBase) validateRows() error {
 	// Handles: strictly increasing, below the watermark.
 	prev := int64(-1)
 	b.handleFence = make([]int64, 0, (b.count+handlesPerPage-1)/handlesPerPage)
-	err := b.scanPages(b.handlesOff, 8*b.count, func(rel int64, page []byte) error {
+	err := b.scanPages(colHandles, func(rel int64, page []byte) error {
 		b.handleFence = append(b.handleFence, int64(binary.LittleEndian.Uint64(page)))
 		for i := 0; i < len(page); i += 8 {
 			h := int64(binary.LittleEndian.Uint64(page[i:]))
@@ -442,9 +417,9 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 	}
 
 	// Document offsets: zero-based, strictly increasing (documents are
-	// non-empty), consistent with the words section length.
+	// non-empty), ending at the words section's length.
 	last := int64(-1)
-	err = b.scanPages(b.docStartOff, 8*(b.count+1), func(rel int64, page []byte) error {
+	err = b.scanPages(colDocStart, func(rel int64, page []byte) error {
 		for i := 0; i < len(page); i += 8 {
 			s, at := int64(binary.LittleEndian.Uint64(page[i:])), (rel+int64(i))/8
 			if at == 0 && s != 0 {
@@ -460,21 +435,13 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 	if err != nil {
 		return err
 	}
-	b.docTotal = last
-	var dwWant int64 = 4 * b.docTotal
-	off, n, ok := c.Section(codec.SecDocWords)
-	if b.docTotal == 0 {
-		if ok && n != 0 {
-			return errBase("document words present for an empty snapshot")
-		}
-	} else if !ok || n != dwWant {
-		return errBase("document words sized %d, offsets claim %d", n, dwWant)
+	if last != b.docTotal {
+		return errBase("document offsets end at %d, the words section holds %d", last, b.docTotal)
 	}
-	b.docWordsOff = off
 
 	// Entry -> rank column: a permutation of the ranks.
 	seen := make([]uint64, (b.count+63)/64)
-	return b.scanPages(b.entryRankOff, 4*b.count, func(rel int64, page []byte) error {
+	return b.scanPages(colEntryRank, func(rel int64, page []byte) error {
 		for i := 0; i < len(page); i += 4 {
 			r := int32(binary.LittleEndian.Uint32(page[i:]))
 			if r < 0 || int64(r) >= b.count || seen[r>>6]&(1<<(r&63)) != 0 {
@@ -488,8 +455,9 @@ func (b *PagedBase) validateStructure(c *codec.Container) error {
 
 // Close releases the pager reference. Outstanding queries must have
 // drained: over a mapped file their reads would fault after the unmap.
+// Closing a nil base does nothing.
 func (b *PagedBase) Close() error {
-	if b.closed.Swap(true) {
+	if b == nil || b.closed.Swap(true) {
 		return nil
 	}
 	runtime.SetFinalizer(b, nil)
@@ -526,15 +494,15 @@ func (b *PagedBase) Pool() *pager.Pool { return b.pool }
 // fence names the one page of the handle column that can hold the handle,
 // so a lookup pins at most three pages.
 func (b *PagedBase) Has(handle int64) bool {
-	if b.mHandles != nil {
-		e := sort.Search(int(b.count), func(i int) bool { return b.mHandles[i] >= handle })
-		return e < int(b.count) && b.mHandles[e] == handle && b.mRowHandles[b.mEntryRank[e]] == handle
+	if m := &b.m; b.mapped() {
+		e := sort.Search(int(b.count), func(i int) bool { return m.handles[i] >= handle })
+		return e < int(b.count) && m.handles[e] == handle && m.rowHandles[m.entryRank[e]] == handle
 	}
 	p := sort.Search(len(b.handleFence), func(p int) bool { return b.handleFence[p] > handle }) - 1
 	if p < 0 {
 		return false
 	}
-	fr, err := b.pool.Pin(b.handlesOff/pager.PageSize + int64(p))
+	fr, err := b.pool.Pin(b.rowOff[colHandles]/pager.PageSize + int64(p))
 	if err != nil {
 		return false
 	}
@@ -547,11 +515,11 @@ func (b *PagedBase) Has(handle int64) bool {
 		return false
 	}
 	// Open checked the entry -> rank column is a permutation.
-	rank, ok := b.pinWord(b.entryRankOff+4*(int64(p)*handlesPerPage+int64(i)), 4)
+	rank, ok := b.pinWord(b.rowOff[colEntryRank]+4*(int64(p)*handlesPerPage+int64(i)), 4)
 	if !ok {
 		return false
 	}
-	row, ok := b.pinWord(b.rowHandlesOff+8*int64(rank), 8)
+	row, ok := b.pinWord(b.rowOff[colRowHandles]+8*int64(rank), 8)
 	return ok && int64(row) == handle
 }
 
@@ -583,17 +551,17 @@ func (b *PagedBase) listFor(w dataset.Keyword) (bitpack.List, bool) {
 // baseReader bundles the per-query cursors, views and scratch buffers of one
 // query. Readers are recycled through PagedBase.readers.
 type baseReader struct {
-	b              *PagedBase
-	pv, hv, dv, wv *pager.View      // the rows by rank: points, handles, doc offsets, doc words (pread mode)
-	views          []*pager.View    // every view the reader holds, the cursors' included
-	src            []bitpack.Source // one per cursor: the mapped postings, or a view of them each
-	cur            []bitpack.Cursor // one per query keyword, shortest list first
-	lists          []bitpack.List   // the query's lists, shortest first
-	runs           []rankRun        // the ranks of the cells the rectangle meets, ascending
-	obj            dataset.Object
-	pt             geom.Point
-	ptBuf          []byte
-	doc            []dataset.Keyword
+	b     *PagedBase
+	rows  [numRowSecs]*pager.View // a view of each row section by rank (pread mode)
+	views []*pager.View           // every view the reader holds, the cursors' included
+	src   []bitpack.Source        // one per cursor: the mapped postings, or a view of them each
+	cur   []bitpack.Cursor        // one per query keyword, shortest list first
+	lists []bitpack.List          // the query's lists, shortest first
+	runs  []rankRun               // the ranks of the cells the rectangle meets, ascending
+	obj   dataset.Object
+	pt    geom.Point
+	ptBuf []byte
+	doc   []dataset.Keyword
 }
 
 func (b *PagedBase) newReader() (*baseReader, error) {
@@ -604,7 +572,7 @@ func (b *PagedBase) newReader() (*baseReader, error) {
 		lists: make([]bitpack.List, 0, b.k),
 		runs:  make([]rankRun, 0, 32),
 	}
-	if b.mHandles != nil {
+	if b.mapped() {
 		for i := range r.src {
 			r.src[i] = &b.mPostings
 		}
@@ -621,13 +589,14 @@ func (b *PagedBase) newReader() (*baseReader, error) {
 		}
 		return v
 	}
-	r.pv = mk(b.pointsOff, 8*b.count*int64(b.dim))
-	r.hv = mk(b.rowHandlesOff, 8*b.count)
-	r.dv = mk(b.docStartOff, 8*(b.count+1))
-	r.wv = mk(b.docWordsOff, 4*b.docTotal)
+	for i, row := range ckptRowSecs {
+		if row.byRank {
+			r.rows[i] = mk(b.rowOff[i], b.rowLen[i])
+		}
+	}
 	for i := range r.src {
 		// An empty posting section gives a nil view, which no cursor reads:
-		// every block's payload is then empty too (codec.ParsePostings).
+		// every block's payload is then empty too (parsePostings).
 		r.src[i] = mk(b.wordsOff, b.wordsLen)
 	}
 	if err != nil {
@@ -670,20 +639,20 @@ func (r *baseReader) err() error {
 
 // handleAt returns the handle of the row at the given rank.
 func (r *baseReader) handleAt(rank int64) int64 {
-	if r.b.mRowHandles != nil {
-		return r.b.mRowHandles[rank]
+	if r.b.mapped() {
+		return r.b.m.rowHandles[rank]
 	}
-	return r.hv.I64(8 * rank)
+	return r.rows[colRowHandles].I64(8 * rank)
 }
 
 // pointAt returns the point at the given rank (mapped subslice or scratch
 // copy), or nil when the read failed.
 func (r *baseReader) pointAt(rank int64) geom.Point {
 	d := int64(r.b.dim)
-	if r.b.mPoints != nil {
-		return r.b.mPoints[rank*d : (rank+1)*d]
+	if r.b.mapped() {
+		return r.b.m.points[rank*d : (rank+1)*d]
 	}
-	raw := r.pv.Span(8*rank*d, 8*d, r.ptBuf)
+	raw := r.rows[colPoints].Span(8*rank*d, 8*d, r.ptBuf)
 	if raw == nil {
 		return nil
 	}
@@ -696,11 +665,12 @@ func (r *baseReader) pointAt(rank int64) geom.Point {
 // docAt returns the document of the row at the given rank (mapped subslice
 // or scratch copy).
 func (r *baseReader) docAt(rank int64) []dataset.Keyword {
-	if r.b.mDocWords != nil {
-		return r.b.mDocWords[r.b.mDocStart[rank]:r.b.mDocStart[rank+1]]
+	if m := &r.b.m; r.b.mapped() {
+		return m.docWords[m.docStart[rank]:m.docStart[rank+1]]
 	}
-	lo, hi := r.dv.I64(8*rank), r.dv.I64(8*(rank+1))
-	if hi <= lo || r.dv.Err() != nil {
+	dv, wv := r.rows[colDocStart], r.rows[colDocWords]
+	lo, hi := dv.I64(8*rank), dv.I64(8*(rank+1))
+	if hi <= lo || dv.Err() != nil {
 		return nil
 	}
 	n := hi - lo
@@ -709,7 +679,7 @@ func (r *baseReader) docAt(rank int64) []dataset.Keyword {
 	}
 	r.doc = r.doc[:n]
 	for j := int64(0); j < n; j++ {
-		r.doc[j] = r.wv.U32(4 * (lo + j))
+		r.doc[j] = wv.U32(4 * (lo + j))
 	}
 	return r.doc
 }
@@ -732,7 +702,7 @@ func (r *baseReader) cover(st *QueryStats, q *geom.Rect, node, lo, hi int) {
 		st.CrossingNodes++
 	}
 	if rel == geom.Crossing && hi-lo > 1 {
-		mid := codec.CellSplit(lo, hi)
+		mid := cellSplit(lo, hi)
 		r.cover(st, q, node+1, lo, mid)
 		r.cover(st, q, node+2*(mid-lo), mid, hi)
 		return
@@ -841,34 +811,56 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 	return st, r.err()
 }
 
-// Entries decodes every base entry into the four columns — the
+// entries gathers the rows back into entry order: the handles and dataset
+// of the snapshot written (nil, nil when it is empty) — the
 // checkpoint-writing path, which is allowed to touch the whole file. Each
-// row section is read once, in file order, and gathered back into entry
-// order through the entry -> rank column (codec.Rows.Entries), which also
-// refuses a row that does not hold its entry's handle.
-func (b *PagedBase) Entries() ([]int64, *dataset.Dataset, error) {
-	var rows codec.Rows
-	for _, s := range []struct {
-		into   *[]byte
-		off, n int64
-	}{
-		{&rows.Handles, b.handlesOff, 8 * b.count},
-		{&rows.EntryRank, b.entryRankOff, 4 * b.count},
-		{&rows.Points, b.pointsOff, 8 * b.count * int64(b.dim)},
-		{&rows.RowHandles, b.rowHandlesOff, 8 * b.count},
-		{&rows.DocStart, b.docStartOff, 8 * (b.count + 1)},
-		{&rows.DocWords, b.docWordsOff, 4 * b.docTotal},
-	} {
-		// With the casts active open verified every page, so the mapping
-		// is read in place.
-		if b.mHandles != nil {
-			*s.into = b.f.Bytes()[s.off : s.off+s.n]
-			continue
-		}
-		var err error
-		if *s.into, err = b.readSpan(s.off, s.n); err != nil {
-			return nil, nil, err
+// row section is read once, in file order, and gathered through a transient
+// rank -> entry scratch. Open has checked every column's size, the handles,
+// the document offsets and that the entry -> rank column is a permutation;
+// what is left is that every row holds its entry's handle and that every
+// document is canonical (dataset.FromColumns).
+func (b *PagedBase) entries() ([]int64, *dataset.Dataset, error) {
+	if b.count == 0 {
+		return nil, nil, nil
+	}
+	// With the casts active open verified every page, so the mapping is read
+	// in place; the handles are copied out of it.
+	cols := b.m
+	if b.mapped() {
+		cols.handles = slices.Clone(cols.handles)
+	} else {
+		for i, row := range ckptRowSecs {
+			raw, err := b.readSpan(b.rowOff[i], b.rowLen[i])
+			if err != nil {
+				return nil, nil, err
+			}
+			row.get(&cols, raw)
 		}
 	}
-	return rows.Entries(b.dim, b.nextHandle)
+	n, dim := int(b.count), b.dim
+	rankEntry := make([]int32, n)
+	for e, r := range cols.entryRank {
+		rankEntry[r] = int32(e)
+	}
+	points := make([]float64, n*dim)
+	docStart := make([]int64, n+1)
+	for r, e := range rankEntry {
+		if h := cols.rowHandles[r]; h != cols.handles[e] {
+			return nil, nil, errBase("row %d holds handle %d, its entry %d's is %d", r, h, e, cols.handles[e])
+		}
+		copy(points[int(e)*dim:], cols.points[r*dim:(r+1)*dim])
+		docStart[e+1] = cols.docStart[r+1] - cols.docStart[r]
+	}
+	for e := 0; e < n; e++ {
+		docStart[e+1] += docStart[e]
+	}
+	docWords := make([]dataset.Keyword, b.docTotal)
+	for r, e := range rankEntry {
+		copy(docWords[docStart[e]:docStart[e+1]], cols.docWords[cols.docStart[r]:cols.docStart[r+1]])
+	}
+	objs, err := dataset.FromColumns(dim, points, docStart, docWords)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
+	}
+	return cols.handles, objs, nil
 }

@@ -24,9 +24,9 @@ import (
 // snapshotOfDocs builds a snapshot whose entry i carries docs[i] (canonical,
 // non-empty), a random point, and a gappy handle increasing with i — so
 // ascending handles are ascending entry order.
-func snapshotOfDocs(k int, docs [][]dataset.Keyword, seed int64) *codec.Snapshot {
+func snapshotOfDocs(k int, docs [][]dataset.Keyword, seed int64) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
-	s := &codec.Snapshot{K: k, Dim: 2, LastSeq: uint64(len(docs))}
+	s := &Snapshot{K: k, Dim: 2, LastSeq: uint64(len(docs))}
 	objs := make([]dataset.Object, len(docs))
 	h := int64(-1)
 	for i, doc := range docs {
@@ -432,7 +432,7 @@ func TestPagedBaseHasPinsThreePages(t *testing.T) {
 			t.Fatalf("%+v: Has(forged %d) = %v, Has(hidden %d) = %v, neighbours %v %v", opts,
 				forged, lb.Has(forged), hidden, lb.Has(hidden), lb.Has(snap.Handles[e-1]), lb.Has(snap.Handles[e+1]))
 		}
-		if _, _, err := lb.Entries(); !errors.Is(err, codec.ErrCorrupt) {
+		if _, _, err := lb.entries(); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("%+v: Entries of a row whose handle is not its entry's: %v", opts, err)
 		}
 		lb.Close()

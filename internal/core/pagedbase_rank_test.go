@@ -29,9 +29,9 @@ import (
 // geometrySnapshot builds a snapshot of n entries whose points come from
 // point(i) and whose documents draw 1-3 of six keywords, so that any pair of
 // keywords has matches everywhere.
-func geometrySnapshot(seed int64, n, dim int, point func(rng *rand.Rand, i int, p geom.Point)) *codec.Snapshot {
+func geometrySnapshot(seed int64, n, dim int, point func(rng *rand.Rand, i int, p geom.Point)) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
-	s := &codec.Snapshot{K: 2, Dim: dim, LastSeq: uint64(n)}
+	s := &Snapshot{K: 2, Dim: dim, LastSeq: uint64(n)}
 	objs := make([]dataset.Object, n)
 	h := int64(-1)
 	for i := range objs {
@@ -52,7 +52,7 @@ func geometrySnapshot(seed int64, n, dim int, point func(rng *rand.Rand, i int, 
 
 // sameSnapshotColumns compares an entry set with the snapshot it was written
 // from, points by bit pattern (a NaN equals itself here).
-func sameSnapshotColumns(t *testing.T, what string, hs []int64, objs *dataset.Dataset, snap *codec.Snapshot) {
+func sameSnapshotColumns(t *testing.T, what string, hs []int64, objs *dataset.Dataset, snap *Snapshot) {
 	t.Helper()
 	if !slices.Equal(hs, snap.Handles) {
 		t.Fatalf("%s: handle column differs", what)
@@ -117,7 +117,7 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 	}
 	for dim := 1; dim <= 4; dim++ {
 		for gi, g := range geometries {
-			n := g.n(codec.CellSize(dim))
+			n := g.n(cellSize(dim))
 			snap := geometrySnapshot(int64(100*dim+gi), n, dim, g.point)
 			name := fmt.Sprintf("d=%d/%s", dim, g.name)
 
@@ -126,10 +126,10 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 				if want := (n + b.cell - 1) / b.cell; b.cells != want || len(b.tree) != 2*dim*(2*want-1) {
 					t.Fatalf("%s: %d cells and %d tree floats for %d entries", what, b.cells, len(b.tree), n)
 				}
-				if err := b.Verify(); err != nil {
+				if err := b.verify(); err != nil {
 					t.Fatalf("%s: Verify: %v", what, err)
 				}
-				hs, objs, err := b.Entries()
+				hs, objs, err := b.entries()
 				if err != nil {
 					t.Fatalf("%s: Entries: %v", what, err)
 				}
@@ -193,7 +193,7 @@ func leafNodes(b *PagedBase) []int {
 			leaves = append(leaves, node)
 			return
 		}
-		mid := codec.CellSplit(lo, hi)
+		mid := cellSplit(lo, hi)
 		walk(node+1, lo, mid)
 		walk(node+2*(mid-lo), mid, hi)
 	}
@@ -214,7 +214,7 @@ func disjointVisits(b *PagedBase, q *geom.Rect) int {
 		case rel == geom.Covered || hi-lo == 1:
 			return 0
 		}
-		mid := codec.CellSplit(lo, hi)
+		mid := cellSplit(lo, hi)
 		return walk(node+1, lo, mid) + walk(node+2*(mid-lo), mid, hi)
 	}
 	return walk(0, 0, b.cells)
@@ -222,13 +222,13 @@ func disjointVisits(b *PagedBase, q *geom.Rect) int {
 
 // TestSnapshotMetaBounds feeds the one checkpoint reader, mapped and through
 // the pread pool, hostile superblock metas over one small well-formed
-// section set. codec.SnapshotMeta refuses each for its reason — in
+// section set. snapshotMeta refuses each for its reason — in
 // particular a count of 1<<31, which a decoding reader once accepted while
 // every rank and entry index is an int32.
 func TestSnapshotMetaBounds(t *testing.T) {
 	snap := testCheckpointSnapshot(5, 3, 2)
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+	if err := WritePagedSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	good := codec.PagedMeta{Kind: codec.PagedKindSnapshot, K: 2, Dim: 2, Count: 3, LastSeq: snap.LastSeq, NextHandle: uint64(snap.NextHandle)}
@@ -275,7 +275,7 @@ func TestSnapshotMetaBounds(t *testing.T) {
 func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 	snap := testCheckpointSnapshot(3, 3000, 2)
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+	if err := WritePagedSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	golden := buf.Bytes()
@@ -433,10 +433,10 @@ func pr24Checkpoint(t testing.TB, raw []byte) []byte {
 // pagedColdCorpus is the corpus and query stream of bench/'s paged-cold
 // workload at tier-1 size: a Zipf vocabulary of 1000, six keywords a
 // document, side-0.2 rectangles, random keyword pairs.
-func pagedColdCorpus(n int) (*codec.Snapshot, func(rng *rand.Rand) (*geom.Rect, []dataset.Keyword)) {
+func pagedColdCorpus(n int) (*Snapshot, func(rng *rand.Rand) (*geom.Rect, []dataset.Keyword)) {
 	const vocab = 1000
 	ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: vocab, DocLen: 6})
-	s := &codec.Snapshot{K: 2, Dim: 2, LastSeq: uint64(n), NextHandle: int64(n), Objs: ds}
+	s := &Snapshot{K: 2, Dim: 2, LastSeq: uint64(n), NextHandle: int64(n), Objs: ds}
 	for i := 0; i < n; i++ {
 		s.Handles = append(s.Handles, int64(i))
 	}
@@ -519,11 +519,11 @@ func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 // DESIGN §15.4); Has is true only for a handle of the written snapshot; and
 // Entries either fails or returns the written snapshot, column for column.
 func FuzzPagedBaseHostile(f *testing.F) {
-	snap := geometrySnapshot(77, 3*codec.CellSize(2)+9, 2, func(rng *rand.Rand, _ int, p geom.Point) {
+	snap := geometrySnapshot(77, 3*cellSize(2)+9, 2, func(rng *rand.Rand, _ int, p geom.Point) {
 		p[0], p[1] = rng.Float64(), rng.Float64()
 	})
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+	if err := WritePagedSnapshot(&buf, snap); err != nil {
 		f.Fatal(err)
 	}
 	golden := buf.Bytes()
@@ -598,7 +598,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 			if _, ok := truth[int64(v)]; b.Has(int64(v)) && !ok {
 				t.Fatalf("Has(%d) = true for the written value, which no row holds", int64(v))
 			}
-			if hs, objs, err := b.Entries(); err == nil {
+			if hs, objs, err := b.entries(); err == nil {
 				sameSnapshotColumns(t, "Entries", hs, objs, snap)
 			}
 			b.Close()
@@ -620,9 +620,9 @@ func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
 		objs[i] = dataset.Object{Point: geom.Point{rng.Float64(), rng.Float64()}, Doc: []dataset.Keyword{0, 1}}
 		handles[i] = int64(i)
 	}
-	snap := &codec.Snapshot{K: 2, Dim: 2, Handles: handles, Objs: dataset.MustNew(objs), NextHandle: int64(len(objs))}
+	snap := &Snapshot{K: 2, Dim: 2, Handles: handles, Objs: dataset.MustNew(objs), NextHandle: int64(len(objs))}
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+	if err := WritePagedSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	c, err := codec.ParseContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
@@ -657,7 +657,7 @@ func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
 			t.Fatalf("%+v: open: %v", opts, err)
 		}
 		got, _, err := reportOrder(b, q, []dataset.Keyword{0, 1}, QueryOpts{})
-		verr := b.Verify()
+		verr := b.verify()
 		b.Close()
 		if err != nil {
 			t.Fatal(err)

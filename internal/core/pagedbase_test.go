@@ -17,9 +17,9 @@ import (
 
 // testCheckpointSnapshot builds a random snapshot with canonical documents
 // and strictly increasing (gappy) handles.
-func testCheckpointSnapshot(seed int64, n, dim int) *codec.Snapshot {
+func testCheckpointSnapshot(seed int64, n, dim int) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
-	s := &codec.Snapshot{K: 2, Dim: dim, LastSeq: uint64(3 * n)}
+	s := &Snapshot{K: 2, Dim: dim, LastSeq: uint64(3 * n)}
 	objs := make([]dataset.Object, n)
 	h := int64(-1)
 	for i := 0; i < n; i++ {
@@ -41,10 +41,10 @@ func testCheckpointSnapshot(seed int64, n, dim int) *codec.Snapshot {
 }
 
 // writePagedCheckpoint serializes snap as a KWCP2 container at dir/name.
-func writePagedCheckpoint(t *testing.T, dir, name string, snap *codec.Snapshot) string {
+func writePagedCheckpoint(t *testing.T, dir, name string, snap *Snapshot) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+	if err := WritePagedSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	p := filepath.Join(dir, name)
@@ -68,14 +68,14 @@ func readCheckpoint(t testing.TB, raw []byte, opts PagedBaseOptions) ([]int64, *
 		return nil, nil, err
 	}
 	defer b.Close()
-	if err := b.Verify(); err != nil {
+	if err := b.verify(); err != nil {
 		return nil, nil, err
 	}
-	return b.Entries()
+	return b.entries()
 }
 
 // snapOracle answers queries by brute force over the snapshot entries.
-func snapOracle(snap *codec.Snapshot, q *geom.Rect, ws []dataset.Keyword) []int64 {
+func snapOracle(snap *Snapshot, q *geom.Rect, ws []dataset.Keyword) []int64 {
 	var out []int64
 	for _, id := range snap.Objs.Filter(q, ws) {
 		out = append(out, snap.Handles[id])
@@ -124,7 +124,7 @@ func randKeywordPair(rng *rand.Rand) []dataset.Keyword {
 // openBothBaseModes opens the same snapshot bytes mapped and through the
 // bounded pread pool (distinct files: the pager registry is a per-path
 // singleton, so one path cannot be open in two modes at once).
-func openBothBaseModes(t *testing.T, snap *codec.Snapshot) map[string]*PagedBase {
+func openBothBaseModes(t *testing.T, snap *Snapshot) map[string]*PagedBase {
 	t.Helper()
 	dir := t.TempDir()
 	modes := map[string]*PagedBase{}
@@ -192,7 +192,7 @@ func TestPagedBaseQueryBothModes(t *testing.T) {
 				t.Fatalf("absent keyword: %d results, %d ops", len(got), st.Ops)
 			}
 			// Entries decodes the full snapshot back.
-			hs, objs, err := b.Entries()
+			hs, objs, err := b.entries()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -482,7 +482,7 @@ func TestPagedBaseLazyChecksum(t *testing.T) {
 // the file is refused in both modes.
 func TestVerifyChecksEveryPage(t *testing.T) {
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, testCheckpointSnapshot(23, 500, 4)); err != nil {
+	if err := WritePagedSnapshot(&buf, testCheckpointSnapshot(23, 500, 4)); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -501,7 +501,7 @@ func TestVerifyChecksEveryPage(t *testing.T) {
 		t.Fatalf("pread open must not touch the document pages: %v", err)
 	}
 	defer b.Close()
-	if err := b.Verify(); !errors.Is(err, pager.ErrChecksum) {
+	if err := b.verify(); !errors.Is(err, pager.ErrChecksum) {
 		t.Fatalf("Verify of a damaged document page: %v", err)
 	}
 	for _, opts := range []PagedBaseOptions{{}, {NoMmap: true, CapPages: 8}} {
@@ -555,7 +555,7 @@ func TestOpenPagedBaseRejectsBadFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range []PagedBaseOptions{{}, {NoMmap: true}} {
-			if _, err := OpenPagedBase(p, opts); !errors.Is(err, codec.ErrNoRankRows) || !errors.Is(err, codec.ErrCorrupt) {
+			if _, err := OpenPagedBase(p, opts); !errors.Is(err, errNoRankRows) || !errors.Is(err, codec.ErrCorrupt) {
 				t.Fatalf("%s: OpenPagedBase(%+v): %v", name, opts, err)
 			}
 		}

@@ -26,8 +26,8 @@ import (
 var (
 	// ErrDeadline is returned when ExecPolicy.Deadline passes mid-traversal.
 	ErrDeadline = errors.New("core: query deadline exceeded")
-	// ErrBudget is returned when ExecPolicy.NodeBudget visits are exhausted
-	// mid-traversal.
+	// ErrBudget is returned when ExecPolicy.NodeBudget work units are
+	// exhausted mid-traversal.
 	ErrBudget = errors.New("core: query node budget exhausted")
 	// ErrCanceled is returned when ExecPolicy.Done is closed mid-traversal.
 	ErrCanceled = errors.New("core: query canceled")
@@ -62,10 +62,11 @@ type ExecPolicy struct {
 	// traversal polls the clock every polPollEvery stop checks, so overshoot
 	// is bounded by a few microseconds of node work.
 	Deadline time.Time
-	// NodeBudget stops the query after this many tree-node visits
-	// (0 = unlimited). Secondary structures and Bentley–Saxe buckets charge
-	// the same budget; scan-shaped paths (posting lists, write buffers)
-	// charge per examined entry.
+	// NodeBudget stops the query after this many work units (QueryStats.Ops:
+	// node visits plus objects examined; 0 = unlimited). Secondary
+	// structures, Bentley–Saxe buckets, write buffers and the paged base
+	// charge the same budget, so a stop node's scan is bounded as a descent
+	// is.
 	NodeBudget int64
 	// Done cancels the query when closed (nil = none); pass ctx.Done() to
 	// integrate with context.Context. Polled at the same cadence as
@@ -108,9 +109,8 @@ func newPolState(p ExecPolicy) polState {
 }
 
 // check returns the typed error that should stop the traversal now, or nil;
-// a stop sets st.Truncated. work is the traversal's progress measure charged
-// against NodeBudget (node visits for tree traversals, scanned entries for
-// list scans).
+// a stop sets st.Truncated. work is the query's work units so far
+// (QueryStats.Ops), charged against NodeBudget.
 func (ps *polState) check(st *QueryStats, work int64) error {
 	if !ps.active {
 		return nil

@@ -17,7 +17,7 @@ type QueryOpts struct {
 	// The L∞NN-KW and L2NN-KW searches (Corollaries 4 and 7) use it to
 	// implement the "terminate manually once t results are found" step.
 	Limit int
-	// Policy bounds the query's work (deadline, node-visit budget,
+	// Policy bounds the query's work (deadline, work-unit budget,
 	// cancellation). The zero value imposes nothing and keeps the query path
 	// allocation-free; a stop surfaces as a typed error (ErrDeadline,
 	// ErrBudget, ErrCanceled) alongside partial results.
@@ -299,7 +299,7 @@ func (qc *qctx) stop() bool {
 		return true
 	}
 	if qc.pst.active {
-		if err := qc.pst.check(&qc.st, int64(qc.st.NodesVisited)); err != nil {
+		if err := qc.pst.check(&qc.st, qc.st.Ops); err != nil {
 			qc.stopErr = err
 			qc.done = true
 			return true
@@ -392,11 +392,11 @@ func (qc *qctx) scanPivots(lo, hi int32, covered bool) bool {
 // has at most n/2 + 1 words (denseList), so either way the node costs
 // O(N_u^{1-1/k}), and 1 + the drive list bounds a sparse node's Ops. The
 // cells clip relates are node visits (NodesVisited, CoveredNodes,
-// CrossingNodes, so NodeBudget), not work units, as in PagedBase.Query. A
-// stop check follows the clip and every candidate, and in an all-bitmap node
-// every block: the node visits NodeBudget counts do not change inside a stop
-// node, Limit is met at a candidate, and the policy reads the clock every
-// polPollEvery checks, so at most polPollEvery blocks pass between reads.
+// CrossingNodes), not work units, as in PagedBase.Query. A stop check
+// follows the clip and every candidate, and in an all-bitmap node every
+// block: NodeBudget and Limit are met at a candidate, and the policy reads
+// the clock every polPollEvery checks, so at most polPollEvery blocks pass
+// between reads.
 // Ranks are emitted in ascending order: leaf order.
 func (qc *qctx) intersectSmall(u int32, ms, md int, covered bool) {
 	f := qc.f

@@ -121,10 +121,10 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullSt.NodesVisited < 20 {
-		t.Skipf("traversal too small to budget (visited %d)", fullSt.NodesVisited)
+	if fullSt.Ops < 20 {
+		t.Skipf("traversal too small to budget (%d work units)", fullSt.Ops)
 	}
-	for _, budget := range []int64{1, 5, int64(fullSt.NodesVisited) / 2} {
+	for _, budget := range []int64{1, 5, fullSt.Ops / 2} {
 		partial, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: budget}}, nil)
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("budget %d: err = %v, want ErrBudget", budget, err)
@@ -135,7 +135,7 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 		assertPrefix(t, partial, full, "budget")
 	}
 	// A budget generous enough for the whole traversal changes nothing.
-	all, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: int64(fullSt.NodesVisited) + 10}}, nil)
+	all, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: fullSt.Ops}}, nil)
 	if err != nil {
 		t.Fatalf("ample budget errored: %v", err)
 	}
@@ -143,6 +143,40 @@ func TestNodeBudgetPartialPrefix(t *testing.T) {
 		t.Fatal("ample budget flagged Truncated")
 	}
 	equalIDs(t, all, full, "ample budget")
+}
+
+// TestNodeBudgetBoundsStopNodeWork: queried with the universe rectangle, a
+// planted dataset's root is a covered stop node, whose intersection visits
+// no node. The budget counts work units, so it ends that scan as it ends a
+// descent: each budget stops the query with ErrBudget and a prefix of the
+// answer, within one candidate and one bitmap block of the budget.
+func TestNodeBudgetBoundsStopNodeWork(t *testing.T) {
+	ds, ws, _ := workload.GenPlanted(workload.Planted{Seed: 1, Objects: 65536, Dim: 2, Vocab: 1000, DocLen: 4, K: 2, Out: 100, Partial: 400})
+	ix, err := BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := geom.UniverseRect(2)
+	full, fullSt, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 100 || fullSt.NodesVisited != 1 {
+		t.Fatalf("the probe is %d results over %d node visits, want 100 over the root alone", len(full), fullSt.NodesVisited)
+	}
+	for _, budget := range []int64{1, 2, 8, 32} {
+		partial, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: budget}}, nil)
+		if !errors.Is(err, ErrBudget) || !st.Truncated {
+			t.Fatalf("budget %d: %d results, %d work units, err %v: want ErrBudget", budget, len(partial), st.Ops, err)
+		}
+		if st.Ops > budget+1+bmBlock {
+			t.Fatalf("budget %d: %d work units spent", budget, st.Ops)
+		}
+		assertPrefix(t, partial, full, "stop-node budget")
+	}
+	if _, st, err := ix.CollectInto(q, ws, QueryOpts{Policy: ExecPolicy{NodeBudget: fullSt.Ops}}, nil); err != nil || st.Truncated {
+		t.Fatalf("a budget of the whole query's %d work units: err %v, truncated %v", fullSt.Ops, err, st.Truncated)
+	}
 }
 
 func TestCancellation(t *testing.T) {

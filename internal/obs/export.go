@@ -25,32 +25,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 // embedding in benchmark output (`# kwsc-metrics: {...}`).
 func (s Snapshot) MarshalCompact() ([]byte, error) { return json.Marshal(s) }
 
-// ParseJSON decodes a snapshot previously produced by WriteJSON or
-// MarshalCompact.
-func ParseJSON(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parsing JSON snapshot: %w", err)
-	}
-	s.normalize()
-	return s, nil
-}
-
-// normalize gives nil maps a canonical empty value so parsed snapshots
-// compare equal to fresh ones.
-func (s *Snapshot) normalize() {
-	if s.Counters == nil {
-		s.Counters = map[string]int64{}
-	}
-	if s.Gauges == nil {
-		s.Gauges = map[string]int64{}
-	}
-	if s.Histograms == nil {
-		s.Histograms = map[string]HistSnapshot{}
-	}
-}
-
 // splitSeries splits a full series name `base{label="v",...}` into the base
 // name and the label body (without braces); labels is "" when unlabelled.
 func splitSeries(name string) (base, labels string) {
@@ -127,143 +101,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParsePrometheus decodes text previously produced by WritePrometheus back
-// into a Snapshot, using the `# TYPE` comments to classify series. It
-// understands the subset of the exposition format this package emits.
-func ParsePrometheus(r io.Reader) (Snapshot, error) {
-	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	types := map[string]string{} // base name -> counter|gauge|histogram
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) == 4 {
-				types[fields[2]] = fields[3]
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		series, valStr, ok := splitSample(line)
-		if !ok {
-			return Snapshot{}, fmt.Errorf("obs: bad sample line %q", line)
-		}
-		val, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("obs: bad value in %q: %w", line, err)
-		}
-		base, labels := splitSeries(series)
-		switch {
-		case types[base] == "counter":
-			s.Counters[series] = int64(val)
-		case types[base] == "gauge":
-			s.Gauges[series] = int64(val)
-		default:
-			hbase, part, le, ok := histogramPart(base, labels, types)
-			if !ok {
-				return Snapshot{}, fmt.Errorf("obs: series %q has no TYPE", series)
-			}
-			name := hbase
-			if rest := stripLe(labels); rest != "" {
-				name = hbase + "{" + rest + "}"
-			}
-			h := s.Histograms[name]
-			switch part {
-			case "sum":
-				h.Sum = int64(val)
-			case "count":
-				h.Count = int64(val)
-			case "bucket":
-				if le != "+Inf" {
-					bound, err := strconv.ParseInt(le, 10, 64)
-					if err != nil {
-						return Snapshot{}, fmt.Errorf("obs: bad le %q in %q", le, line)
-					}
-					h.Buckets = append(h.Buckets, HistBucket{Le: bound, Count: int64(val)})
-				}
-			}
-			s.Histograms[name] = h
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Snapshot{}, err
-	}
-	for name, h := range s.Histograms {
-		sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].Le < h.Buckets[j].Le })
-		s.Histograms[name] = h
-	}
-	return s, nil
-}
-
-// splitSample splits `series{labels} value` (or `series value`) respecting
-// that label values may contain spaces inside quotes — ours never do, but
-// the closing brace is still the reliable boundary.
-func splitSample(line string) (series, value string, ok bool) {
-	if i := strings.IndexByte(line, '}'); i >= 0 {
-		series = line[:i+1]
-		value = strings.TrimSpace(line[i+1:])
-	} else {
-		j := strings.LastIndexByte(line, ' ')
-		if j < 0 {
-			return "", "", false
-		}
-		series = line[:j]
-		value = strings.TrimSpace(line[j+1:])
-	}
-	if series == "" || value == "" {
-		return "", "", false
-	}
-	return series, value, true
-}
-
-// histogramPart classifies a sample that belongs to a histogram family:
-// base `name_bucket`/`name_sum`/`name_count` with TYPE `name histogram`.
-func histogramPart(base, labels string, types map[string]string) (hbase, part, le string, ok bool) {
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(base, suffix) {
-			hb := strings.TrimSuffix(base, suffix)
-			if types[hb] == "histogram" {
-				return hb, suffix[1:], extractLe(labels), true
-			}
-		}
-	}
-	return "", "", "", false
-}
-
-// extractLe pulls the le="..." value out of a label body.
-func extractLe(labels string) string {
-	for _, part := range strings.Split(labels, ",") {
-		if strings.HasPrefix(part, `le="`) {
-			return strings.TrimSuffix(strings.TrimPrefix(part, `le="`), `"`)
-		}
-	}
-	return ""
-}
-
-// stripLe removes the le="..." label from a label body, returning the
-// series' own labels.
-func stripLe(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	parts := strings.Split(labels, ",")
-	kept := parts[:0]
-	for _, part := range parts {
-		if !strings.HasPrefix(part, `le="`) {
-			kept = append(kept, part)
-		}
-	}
-	return strings.Join(kept, ",")
 }

@@ -58,9 +58,21 @@ func openBoth(t *testing.T, path string) map[string]*File {
 	return m
 }
 
+// TestPinRoundTripBothModes also holds kwsc_pager_mapped_bytes to the
+// mapping: it grows by the file's size while the file is mapped and falls
+// back on the last Unref.
 func TestPinRoundTripBothModes(t *testing.T) {
 	path, crcs := writePagedFixture(t, 5, 1000)
-	for mode, f := range openBoth(t, path) {
+	mapped0 := pagerMappedBytes.Load()
+	files := openBoth(t, path)
+	want := int64(0)
+	if f := files["auto"]; f.Mapped() {
+		want = f.Size()
+	}
+	if got := pagerMappedBytes.Load() - mapped0; got != want {
+		t.Fatalf("kwsc_pager_mapped_bytes moved by %d on open, want %d", got, want)
+	}
+	for mode, f := range files {
 		pool := NewPool(f, 2, crcs)
 		for pass := 0; pass < 2; pass++ {
 			for p := int64(0); p < f.NumPages(); p++ {
@@ -82,8 +94,13 @@ func TestPinRoundTripBothModes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if got := pagerMappedBytes.Load() - mapped0; got != 0 {
+		t.Fatalf("kwsc_pager_mapped_bytes moved by %d once every file closed", got)
+	}
 }
 
+// TestChecksumFailureOnFirstPin: a corrupt page fails its first pin, in both
+// modes, and counts once in kwsc_pager_crc_failures_total.
 func TestChecksumFailureOnFirstPin(t *testing.T) {
 	path, crcs := writePagedFixture(t, 4, PageSize)
 	// Corrupt one byte in page 2.
@@ -100,8 +117,12 @@ func TestChecksumFailureOnFirstPin(t *testing.T) {
 		if _, err := pool.Pin(1); err != nil {
 			t.Fatalf("%s: clean page rejected: %v", mode, err)
 		}
+		crc0 := pagerCRCErrors.Load()
 		if _, err := pool.Pin(2); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("%s: corrupt page error = %v, want ErrChecksum", mode, err)
+		}
+		if got := pagerCRCErrors.Load() - crc0; got != 1 {
+			t.Fatalf("%s: kwsc_pager_crc_failures_total moved by %d, want 1", mode, got)
 		}
 		f.Unref()
 	}
@@ -214,15 +235,22 @@ func TestViewTypedReadsAndSpans(t *testing.T) {
 	}
 }
 
+// TestRetireDefersWhileOpen: retiring an open file counts in
+// kwsc_pager_retire_deferred_total, and its deletion at the last Unref in
+// kwsc_pager_retired_deleted_total.
 func TestRetireDefersWhileOpen(t *testing.T) {
 	path, _ := writePagedFixture(t, 2, PageSize)
 	f, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	deferred0, deleted0 := pagerRetireDeferred.Load(), pagerRetiredDeleted.Load()
 	deferred, err := Retire(path)
 	if err != nil || !deferred {
 		t.Fatalf("Retire(open) = (%v, %v), want deferred", deferred, err)
+	}
+	if got := pagerRetireDeferred.Load() - deferred0; got != 1 {
+		t.Fatalf("kwsc_pager_retire_deferred_total moved by %d, want 1", got)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal("retired file deleted while still referenced")
@@ -240,6 +268,9 @@ func TestRetireDefersWhileOpen(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("retired file survives last unref: %v", err)
+	}
+	if got := pagerRetiredDeleted.Load() - deleted0; got != 1 {
+		t.Fatalf("kwsc_pager_retired_deleted_total moved by %d, want 1", got)
 	}
 }
 

@@ -48,13 +48,9 @@ type FollowerConfig struct {
 	// filepath.Base(Dir).
 	Shard string
 	// PollInterval is the tail poll cadence while healthy (default 50ms).
+	// It also seeds the jittered exponential backoff after a failed poll,
+	// which maxBackoffPolls caps.
 	PollInterval time.Duration
-	// RetryBase seeds the jittered exponential backoff after a failed poll
-	// (default PollInterval); MaxBackoff caps it (default 3s).
-	RetryBase  time.Duration
-	MaxBackoff time.Duration
-	// MaxBatchBytes caps each requested tail batch (0 = server default).
-	MaxBatchBytes int
 	// Client issues the shipping requests. Defaults to a client with a 5s
 	// timeout so a stalled shipper turns into a retry, not a hung follower.
 	Client *http.Client
@@ -69,12 +65,6 @@ func (c *FollowerConfig) withDefaults() FollowerConfig {
 	}
 	if cc.PollInterval <= 0 {
 		cc.PollInterval = 50 * time.Millisecond
-	}
-	if cc.RetryBase <= 0 {
-		cc.RetryBase = cc.PollInterval
-	}
-	if cc.MaxBackoff <= 0 {
-		cc.MaxBackoff = 3 * time.Second
 	}
 	if cc.Client == nil {
 		cc.Client = &http.Client{Timeout: 5 * time.Second}
@@ -217,11 +207,7 @@ func (f *Follower) downloadCheckpoint() error {
 // use for deterministic catch-up.
 func (f *Follower) Poll() (applied int, err error) {
 	from := f.AppliedSeq() + 1
-	url := fmt.Sprintf("%s/wal?from=%d", f.cfg.Primary, from)
-	if f.cfg.MaxBatchBytes > 0 {
-		url += fmt.Sprintf("&max_bytes=%d", f.cfg.MaxBatchBytes)
-	}
-	resp, err := f.cfg.Client.Get(url)
+	resp, err := f.cfg.Client.Get(fmt.Sprintf("%s/wal?from=%d", f.cfg.Primary, from))
 	if err != nil {
 		return 0, err
 	}
@@ -326,15 +312,20 @@ func (f *Follower) run() {
 			f.storeErr(err)
 			replRetries.Inc()
 			fails++
-			backoff = jitteredBackoff(f.cfg.RetryBase, f.cfg.MaxBackoff, fails)
+			backoff = jitteredBackoff(f.cfg.PollInterval, fails)
 		}
 	}
 }
 
-// jitteredBackoff returns base·2^(fails-1) capped at max, uniformly jittered
-// over [d/2, d) so a fleet of followers does not thunder back in lockstep.
-func jitteredBackoff(base, max time.Duration, fails int) time.Duration {
-	d := base
+// maxBackoffPolls caps a failing follower's backoff at this many poll
+// intervals: 3s at the default 50ms.
+const maxBackoffPolls = 60
+
+// jitteredBackoff returns poll·2^(fails-1) capped at maxBackoffPolls polls,
+// uniformly jittered over [d/2, d) so a fleet of followers does not thunder
+// back in lockstep.
+func jitteredBackoff(poll time.Duration, fails int) time.Duration {
+	d, max := poll, maxBackoffPolls*poll
 	for i := 1; i < fails && d < max; i++ {
 		d *= 2
 	}

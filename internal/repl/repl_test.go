@@ -197,8 +197,6 @@ func followerCfg(t *testing.T, primaryURL string) FollowerConfig {
 		Dim:          2,
 		K:            2,
 		PollInterval: 2 * time.Millisecond,
-		RetryBase:    2 * time.Millisecond,
-		MaxBackoff:   20 * time.Millisecond,
 	}
 }
 
@@ -272,6 +270,10 @@ func TestFollowerCatchUpEquality(t *testing.T) {
 	}
 	if d := after.Counter("kwsc_repl_ship_bytes_total") - before.Counter("kwsc_repl_ship_bytes_total"); d <= 0 {
 		t.Errorf("ship_bytes delta = %d, want > 0", d)
+	}
+	// One tail request carried the 40 records past the checkpoint.
+	if d := after.Counter("kwsc_repl_ship_requests_total") - before.Counter("kwsc_repl_ship_requests_total"); d != 1 {
+		t.Errorf("ship_requests delta = %d, want 1", d)
 	}
 }
 

@@ -47,15 +47,6 @@ type Shipper struct {
 	Dir     string
 	Dim, K  int
 	LastSeq func() uint64
-	// MaxBatchBytes bounds one tail response (0 = DefaultMaxBatchBytes).
-	MaxBatchBytes int
-}
-
-func (s *Shipper) maxBatch() int {
-	if s.MaxBatchBytes > 0 {
-		return s.MaxBatchBytes
-	}
-	return DefaultMaxBatchBytes
 }
 
 // Handler returns the shipper's HTTP surface, mounted at the root of
@@ -117,15 +108,9 @@ func (s *Shipper) handleWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "wal: ?from must be a positive sequence number", http.StatusBadRequest)
 		return
 	}
-	maxBytes := s.maxBatch()
-	if mb := r.URL.Query().Get("max_bytes"); mb != "" {
-		if v, err := strconv.Atoi(mb); err == nil && v > 0 && v < maxBytes {
-			maxBytes = v
-		}
-	}
 	last := s.LastSeq()
 	w.Header().Set(HdrLastSeq, strconv.FormatUint(last, 10))
-	frames, shippedTo, err := wal.CollectTail(s.Dir, from-1, last, maxBytes)
+	frames, shippedTo, err := wal.CollectTail(s.Dir, from-1, last, DefaultMaxBatchBytes)
 	if err != nil {
 		if errors.Is(err, wal.ErrTailPruned) {
 			_, ckptSeq, _, _ := wal.NewestCheckpoint(s.Dir)

@@ -65,6 +65,7 @@ type shapeRun struct {
 	oldest []int64 // handles the stream inserted, oldest first
 	counts shapeCounts
 	bound  float64 // the largest work-to-bound ratio so far
+	legs   int64   // shard legs answered, every one "ok"
 	before obs.Snapshot
 }
 
@@ -110,6 +111,7 @@ func (r *shapeRun) query(rect *kwsc.Rect, ws []kwsc.Keyword) {
 		}
 		r.counts.Results += int64(so.Reported)
 		ops += so.Ops
+		r.legs++
 	}
 	k := float64(len(ws))
 	r.bound = max(r.bound, float64(ops)/(math.Pow(float64(size), 1-1/k)*(1+math.Pow(float64(matches), 1/k))))
@@ -166,6 +168,15 @@ func (r *shapeRun) finish() shapeCounts {
 		}
 	}
 	delta := func(name string) int64 { return after.Counter(name) - r.before.Counter(name) }
+	for _, out := range outcomeNames {
+		want := int64(0)
+		if out == "ok" {
+			want = r.legs
+		}
+		if d := delta(`kwscd_shard_outcomes_total{outcome="` + out + `"}`); d != want {
+			r.t.Fatalf("kwscd_shard_outcomes_total{outcome=%q} moved by %d over %d legs, want %d", out, d, r.legs, want)
+		}
+	}
 	r.counts.PinHits = delta("kwsc_pager_pin_hits_total")
 	r.counts.PinMisses = delta("kwsc_pager_pin_misses_total")
 	r.counts.BoundMilli = int64(math.Round(1000 * r.bound))

@@ -345,9 +345,8 @@ func TestPrimaryWithReplicaEndToEnd(t *testing.T) {
 	objs := genObjects(300, 71)
 	p, err := NewDynamic(t.TempDir(), objs, Config{
 		Shards: 2, Dim: 2, K: testK,
-		ReplicaURLs:     []string{followerURL},
-		ReplicaProbe:    5 * time.Millisecond,
-		ReplicaLiveness: 40 * time.Millisecond,
+		ReplicaURLs:  []string{followerURL},
+		ReplicaProbe: 15 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

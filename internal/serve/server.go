@@ -37,9 +37,10 @@ type Config struct {
 	// DefaultTimeout bounds queries that carry no timeout_ms of their own
 	// (0 means 2s; negative disables the default).
 	DefaultTimeout time.Duration
-	// DegradedNodeBudget is the per-shard node budget forced onto queries
-	// admitted in the degraded band (0 means 4096). A shard of any kind
-	// that hits it returns the prefix collected so far, outcome "budget".
+	// DegradedNodeBudget is the per-shard node budget, in work units
+	// (ExecPolicy.NodeBudget), forced onto queries admitted in the degraded
+	// band (0 means 4096). A shard of any kind that hits it returns the
+	// prefix collected so far, outcome "budget".
 	DegradedNodeBudget int64
 	// DurableOptions are forwarded to OpenDurable for durable shards.
 	DurableOptions []kwsc.DurableOption
@@ -54,14 +55,17 @@ type Config struct {
 	// has not answered within this latency (0 = no hedging).
 	HedgeAfter time.Duration
 	// ReplicaProbe is the background health-poll cadence per replica leg
-	// (0 = 250ms); ReplicaLiveness is the probe age beyond which a leg
-	// counts as down (0 = 3×probe).
-	ReplicaProbe    time.Duration
-	ReplicaLiveness time.Duration
+	// (0 = 250ms); a leg whose last good probe is older than
+	// replicaLivenessProbes of them counts as down.
+	ReplicaProbe time.Duration
 	// FollowerPoll is the WAL tail poll cadence of NewFollower deployments
 	// (0 = repl default).
 	FollowerPoll time.Duration
 }
+
+// replicaLivenessProbes is how many probe intervals a replica leg may go
+// without a good probe before it counts as down.
+const replicaLivenessProbes = 3
 
 // replicaTimeout bounds each remote call of a replica leg or a follower tail.
 const replicaTimeout = 2 * time.Second
@@ -87,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplicaProbe <= 0 {
 		c.ReplicaProbe = 250 * time.Millisecond
-	}
-	if c.ReplicaLiveness <= 0 {
-		c.ReplicaLiveness = 3 * c.ReplicaProbe
 	}
 	return c
 }
@@ -237,7 +238,7 @@ func NewDynamic(dir string, seed []kwsc.Object, cfg Config) (*Server, error) {
 					name:     fmt.Sprintf("replica-%d", j),
 					baseURL:  fmt.Sprintf("%s/repl/v1/shard/%03d", u, i),
 					client:   client,
-					liveness: cfg.ReplicaLiveness,
+					liveness: replicaLivenessProbes * cfg.ReplicaProbe,
 				}
 			}
 			s.shards[i] = newReplicaGroup(i, sh, legs, cfg.HedgeAfter, cfg.ReplicaProbe)

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/pager"
 )
@@ -84,9 +83,9 @@ func listDir(dir string) (dirFiles, error) {
 //
 // Checkpoints are written in the paged KWCP2 layout so a later open can
 // serve them in place.
-func writeCheckpointFile(dir string, snap *codec.Snapshot) error {
+func writeCheckpointFile(dir string, snap *core.Snapshot) error {
 	var buf bytes.Buffer
-	if err := codec.WritePagedSnapshot(&buf, snap); err != nil {
+	if err := core.WritePagedSnapshot(&buf, snap); err != nil {
 		return err
 	}
 	return pager.WriteAtomic(checkpointPath(dir, snap.LastSeq),

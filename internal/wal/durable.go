@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"kwsc/internal/codec"
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
@@ -291,7 +290,7 @@ func (d *Durable) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshotting for checkpoint: %w", err)
 	}
-	snap := &codec.Snapshot{
+	snap := &core.Snapshot{
 		K: d.k, Dim: d.dim, LastSeq: seq, NextHandle: d.idx.NextHandle(),
 		Handles: handles, Objs: objs,
 	}

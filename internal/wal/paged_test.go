@@ -239,7 +239,7 @@ func TestPagedRecoveryRefusesCorruptCheckpoint(t *testing.T) {
 // the bytes commit de7f006 wrote (ec37a7b9…), the documents move from entry
 // to rank order, the rank -> entry column (section 9) gives way to its
 // inverse, and the row handles are new. The order itself is held to its
-// definition by codec.TestKDLeafOrderMatchesDefinition.
+// definition by core.TestKDLeafOrderMatchesDefinition.
 func TestCheckpointBytesPinned(t *testing.T) {
 	const want = "9262852c815ac7d20bb0154f93e36d23a3df138fbefd086a0d7f85f2c76ea332"
 	dir := t.TempDir()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"kwsc/internal/core"
-	"kwsc/internal/dataset"
 )
 
 // recoverDir reconstructs the dynamic index from the durability directory:
@@ -49,53 +48,54 @@ func recoverDir(dir string, dim, k int, cfg config) (*core.DynamicORPKW, string,
 		os.Remove(filepath.Join(dir, name))
 	}
 
-	// RESTORE: newest checkpoint that validates, opened once with the one
-	// checkpoint reader. With paged recovery the checkpoint is not decoded at
-	// all — it is the dynamic index's immutable bottom layer and serves
-	// queries in place, so cold start is the map (or pool attach) plus the
-	// WAL-tail replay below. Recovery into memory runs the checks open leaves
-	// to the queries, takes the entries in and closes the file.
+	// RESTORE: newest checkpoint that validates. With paged recovery the
+	// checkpoint is not decoded at all — it is the dynamic index's immutable
+	// bottom layer and serves queries in place, so cold start is the map (or
+	// pool attach) plus the WAL-tail replay below. Recovery into memory reads
+	// it whole (core.ReadPagedSnapshot), which also runs the checks open
+	// leaves to the queries.
 	var idx *core.DynamicORPKW
 	base := uint64(0)
 	skipped := "" // the newest checkpoint that failed to validate, and why
 	for _, cs := range ls.ckpts {
 		path := checkpointPath(dir, cs)
-		pb, err := core.OpenPagedBase(path, cfg.pagedOpts)
-		if err == nil && pb.LastSeq() != cs {
+		var pb *core.PagedBase // nil unless paged
+		var snap *core.Snapshot
+		var err error
+		if cfg.paged {
+			if pb, err = core.OpenPagedBase(path, cfg.pagedOpts); err == nil {
+				snap = &core.Snapshot{K: pb.K(), Dim: pb.Dim(), LastSeq: pb.LastSeq(), NextHandle: pb.NextHandle()}
+			}
+		} else {
+			snap, err = core.ReadPagedSnapshot(path)
+		}
+		if err == nil && snap.LastSeq != cs {
 			// A checkpoint is found by its name, so one whose name lies about
 			// the history it supersedes does not validate.
-			err = fmt.Errorf("it supersedes seq %d", pb.LastSeq())
-			pb.Close()
-		}
-		var handles []int64
-		var objs *dataset.Dataset
-		if err == nil && !cfg.paged {
-			if err = pb.Verify(); err == nil {
-				handles, objs, err = pb.Entries()
-			}
-			pb.Close() // idempotent: the error paths below close it again
+			err = fmt.Errorf("it supersedes seq %d", snap.LastSeq)
 		}
 		if err != nil {
+			pb.Close()
 			if skipped == "" {
 				skipped = fmt.Sprintf("; checkpoint %s does not validate: %v", filepath.Base(path), err)
 			}
 			continue // fall back to an older one + replay
 		}
-		if pb.K() != k || pb.Dim() != dim {
+		if snap.K != k || snap.Dim != dim {
 			pb.Close()
 			return nil, "", fmt.Errorf("wal: checkpoint is for k=%d dim=%d, index opened with k=%d dim=%d",
-				pb.K(), pb.Dim(), k, dim)
+				snap.K, snap.Dim, k, dim)
 		}
-		if cfg.paged {
-			idx, err = core.RestoreDynamicORPKWFromBase(dim, k, cfg.bufferCap, pb, pb.NextHandle(), cfg.build...)
+		if pb != nil {
+			idx, err = core.RestoreDynamicORPKWFromBase(dim, k, cfg.bufferCap, pb, snap.NextHandle, cfg.build...)
 		} else {
-			idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, handles, objs, pb.NextHandle(), cfg.build...)
+			idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, snap.Handles, snap.Objs, snap.NextHandle, cfg.build...)
 		}
 		if err != nil {
 			pb.Close()
 			return nil, "", fmt.Errorf("wal: restoring checkpoint %d: %w", cs, err)
 		}
-		base = pb.LastSeq()
+		base = snap.LastSeq
 		break
 	}
 	if idx == nil {

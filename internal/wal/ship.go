@@ -65,28 +65,20 @@ func CheckpointFileName(lastSeq uint64) string {
 	return fmt.Sprintf("checkpoint-%016x.ckpt", lastSeq)
 }
 
-// ValidateCheckpointFile opens a checkpoint file with the one checkpoint
-// reader, which checks the container framing, the meta and the structure,
-// runs Verify over it (every page checksum, every cell box) and Entries (the
-// row pairing recovery into memory checks), and returns the sequence it
-// supersedes. A follower calls this on a downloaded checkpoint before
+// ValidateCheckpointFile reads a checkpoint file as recovery into memory
+// does (core.ReadPagedSnapshot: the container framing, the meta and the
+// structure, every page checksum, every cell box, every row against its
+// entry) and returns the sequence it supersedes. A follower calls this on a downloaded checkpoint before
 // renaming it into place, so a truncated, corrupted or lying transfer is
 // refused instead of landing where recovery would find it. The file must
 // land as CheckpointFileName(lastSeq): recovery skips a checkpoint whose
 // name disagrees with the sequence it supersedes.
 func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
-	b, err := core.OpenPagedBase(path, core.PagedBaseOptions{})
+	s, err := core.ReadPagedSnapshot(path)
 	if err != nil {
 		return 0, err
 	}
-	defer b.Close()
-	if err := b.Verify(); err != nil {
-		return 0, err
-	}
-	if _, _, err := b.Entries(); err != nil {
-		return 0, err
-	}
-	return b.LastSeq(), nil
+	return s.LastSeq, nil
 }
 
 // CollectTail gathers the verbatim frames of every record with sequence in

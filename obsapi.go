@@ -13,7 +13,6 @@ package kwsc
 //	kwsc.SetTracer(t)                           // t.End(span) after every query
 
 import (
-	"bytes"
 	"io"
 
 	"kwsc/internal/obs"
@@ -79,15 +78,4 @@ func WriteMetricsJSON(w io.Writer) error { return obs.Default().Snapshot().Write
 // as cumulative _bucket/_sum/_count series).
 func WriteMetricsPrometheus(w io.Writer) error {
 	return obs.Default().Snapshot().WritePrometheus(w)
-}
-
-// ParseMetricsJSON parses a snapshot written by WriteMetricsJSON (or the
-// compact form benchmark runs embed), for tooling that diffs snapshots.
-func ParseMetricsJSON(data []byte) (MetricsSnapshot, error) {
-	return obs.ParseJSON(bytes.NewReader(data))
-}
-
-// ParseMetricsPrometheus parses a snapshot written by WriteMetricsPrometheus.
-func ParseMetricsPrometheus(data []byte) (MetricsSnapshot, error) {
-	return obs.ParsePrometheus(bytes.NewReader(data))
 }

@@ -64,7 +64,7 @@ type QueryRequest struct {
 	// invalid); a deadline stop returns the prefix-correct partial result
 	// with Truncated set.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// NodeBudget bounds per-shard tree-node visits (0 = server default,
+	// NodeBudget bounds per-shard work units (0 = server default,
 	// which is unlimited unless the server is shedding load).
 	NodeBudget int64 `json:"node_budget,omitempty"`
 	// MaxStalenessMs lets dynamic shards answer from a cached MVCC snapshot
