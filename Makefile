@@ -15,7 +15,9 @@ all: build test
 # crash-injection suite, a short fuzz smoke over the untrusted-input decoders,
 # and an end-to-end serving smoke (kwscd booted, kwsload burst, clean shutdown),
 # and a replication smoke (primary + two followers, bounded-staleness reads
-# surviving a killed follower), bench-check, and the two facade examples.
+# surviving a killed follower), bench-check, the two facade examples, and
+# benchkw's quick sweep of every Table 1 row (tier-1's TestTable1 runs
+# only the rows' small sizes).
 check: vet
 	$(GO) test ./...
 	$(MAKE) bench-check
@@ -25,6 +27,7 @@ check: vet
 	$(MAKE) serve-smoke
 	$(MAKE) replica-smoke
 	$(MAKE) examples
+	$(MAKE) repro-quick
 
 # Crash-injection suite under the race detector: a panic is armed at every
 # durability failpoint (mid-append, pre-fsync, mid-checkpoint, pre-rename,

@@ -1,16 +1,17 @@
 package kwsc
 
-// One benchmark family per experiment of DESIGN.md Section 5, each
-// regenerating the behavior behind one row of the paper's Table 1 or one of
-// its figures. The benchmarks measure wall time per query; the
-// machine-independent exponent fits over N/OUT/t sweeps are produced by
-// cmd/benchkw, which shares these workloads.
+// Wall time per query for the experiments of DESIGN.md Section 5:
+// BenchmarkTable1 runs every row of internal/table1, whose exponent fits
+// cmd/benchkw prints and whose bounds TestTable1 checks; the E1 and E2
+// families keep their names and time the rows' planted fixture beside the
+// index's resident bytes.
 
 import (
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"path"
 	"runtime"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/obs"
-	"kwsc/internal/spart"
+	"kwsc/internal/table1"
 	"kwsc/internal/workload"
 )
 
@@ -72,7 +73,7 @@ func residentAfter[T any](build func() T) (T, int64) {
 // benchE1Collect builds at (n, k), then measures the planted conjunctive
 // query and reports the resident bytes of the index.
 func benchE1Collect(b *testing.B, n, k int) {
-	ds, kws, region := plantedFixture(1, n, 2, k, 64, n/8)
+	ds, kws, region := table1.Planted(1, n, 2, k)
 	ix, resident := residentAfter(func() *ORPKW {
 		ix, err := NewORPKW(ds, k)
 		if err != nil {
@@ -170,7 +171,7 @@ func BenchmarkE1Baselines(b *testing.B) {
 func BenchmarkE2ORPKW3D(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 13} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			ds, kws, region := plantedFixture(4, n, 3, 2, 64, n/8)
+			ds, kws, region := table1.Planted(4, n, 3, 2)
 			ix, resident := residentAfter(func() *ORPKWHigh {
 				ix, err := NewORPKWHigh(ds, 2)
 				if err != nil {
@@ -189,235 +190,28 @@ func BenchmarkE2ORPKW3D(b *testing.B) {
 	}
 }
 
-// --- E3: ORP-KW as LC-KW (Theorem 5 route, row 3) ----------------------------
+// --- E1–E9, F1, F2: every case of internal/table1 --------------------------
 
-func BenchmarkE3RectViaLCKW(b *testing.B) {
-	const n = 1 << 14
-	ds, kws, region := plantedFixture(5, n, 2, 2, 64, n/8)
-	ix, err := NewLCKW(ds, LCKWConfig{K: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := region.Halfspaces()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.CollectInto(hs, kws, QueryOpts{}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E4: RR-KW (Corollary 3, row 4) ------------------------------------------
-
-func benchRRKW(b *testing.B, d, n int) {
-	rng := rand.New(rand.NewSource(6))
-	rects := make([]RectObject, n)
-	for i := range rects {
-		lo := make([]float64, d)
-		hi := make([]float64, d)
-		for j := 0; j < d; j++ {
-			lo[j] = rng.Float64()
-			hi[j] = lo[j] + rng.Float64()*0.05
-		}
-		doc := make([]Keyword, 4)
-		for j := range doc {
-			doc[j] = Keyword(rng.Intn(64))
-		}
-		rects[i] = RectObject{Rect: &Rect{Lo: lo, Hi: hi}, Doc: doc}
-	}
-	ix, err := NewRRKW(rects, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := workload.RandRect(rng, d, 0.2)
-	kws := []Keyword{1, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.CollectInto(q, kws, QueryOpts{}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE4RRKWTemporal1D(b *testing.B) { benchRRKW(b, 1, 1<<14) }
-func BenchmarkE4RRKWSpatial2D(b *testing.B)  { benchRRKW(b, 2, 1<<12) }
-
-// --- E5: L∞ NN-KW (Corollary 4, row 5) ---------------------------------------
-
-func BenchmarkE5LinfNN(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 7, Objects: 1 << 14, Dim: 2, Vocab: 64, DocLen: 5})
-	ix, err := NewLinfNN(ds, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, t := range []int{1, 16, 128} {
-		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(70))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := Point{rng.Float64(), rng.Float64()}
-				if _, _, err := ix.Query(q, t, []Keyword{1, 2}, QueryOpts{}); err != nil {
-					b.Fatal(err)
-				}
+// BenchmarkTable1 times each case's query stream on its instances at the
+// case's Test sizes, one sub-benchmark an instance, named row/case/size.
+func BenchmarkTable1(b *testing.B) {
+	for _, r := range table1.Rows {
+		env := table1.Env{Seed: 1, Rng: rand.New(rand.NewSource(1 + r.Seed))}
+		for _, c := range r.Cases {
+			for _, at := range c.Sizes[table1.Test] {
+				b.Run(path.Join(r.ID, c.Name, fmt.Sprintf("n=%d,x=%d,out=%d", at.Objects, at.X, at.Out)), func(b *testing.B) {
+					in, err := c.Gen(env, at)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := in.Run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
-		})
-	}
-}
-
-// --- E6: LC-KW (Theorem 5, rows 6-7) -----------------------------------------
-
-func BenchmarkE6LCKW(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 8, Objects: 1 << 14, Dim: 2, Vocab: 64, DocLen: 5})
-	ix, err := NewLCKW(ds, LCKWConfig{K: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(80))
-			hs := workload.RandHalfspaces(rng, 2, s, 0.3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.CollectInto(hs, []Keyword{1, 2}, QueryOpts{}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- E6b: crossing-sensitivity ablation (Willard vs grid substrate) ----------
-
-func BenchmarkE6bSubstrates(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 9, Objects: 1 << 13, Dim: 2, Vocab: 64, DocLen: 5})
-	for _, sub := range []struct {
-		name  string
-		split spart.Splitter
-	}{
-		{"willard", &spart.Willard2D{}},
-		{"grid", &spart.Grid2D{G: 4}},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			ix, err := NewLCKW(ds, LCKWConfig{K: 2, Splitter: sub.split})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(90))
-			hs := workload.RandHalfspaces(rng, 2, 1, 0.4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.CollectInto(hs, []Keyword{1, 2}, QueryOpts{}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- E7: SRP-KW via lifting (Corollary 6, rows 8-9) ---------------------------
-
-func BenchmarkE7SRPKW(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 10, Objects: 1 << 13, Dim: 2, Vocab: 64, DocLen: 5})
-	ix, err := NewSRPKW(ds, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(100))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewSphere(Point{rng.Float64(), rng.Float64()}, 0.1)
-		if _, _, err := ix.CollectInto(s, []Keyword{1, 2}, QueryOpts{}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E8: L2 NN-KW (Corollary 7, rows 10-11) -----------------------------------
-
-func BenchmarkE8L2NN(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 11, Objects: 1 << 12, Dim: 2, Vocab: 64, DocLen: 5, Points: "grid", GridSide: 1 << 16})
-	ix, err := NewL2NN(ds, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, t := range []int{1, 16} {
-		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(110))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := Point{float64(rng.Int63n(1 << 16)), float64(rng.Int63n(1 << 16))}
-				if _, _, err := ix.Query(q, t, []Keyword{1, 2}, QueryOpts{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- E9: k-SI and the tightness terms of Section 1.2 ---------------------------
-
-func BenchmarkE9KSI(b *testing.B) {
-	const n = 1 << 15
-	for _, out := range []int{0, 64, 4096} {
-		b.Run(fmt.Sprintf("OUT=%d", out), func(b *testing.B) {
-			ds, kws, _ := plantedFixture(12, n, 2, 2, out, n/8)
-			ix, err := NewKSIFromDataset(ds, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, _, err := ix.Report(kws, QueryOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) != out {
-					b.Fatalf("OUT drifted: %d", len(got))
-				}
-			}
-		})
-	}
-	b.Run("baseline-invidx", func(b *testing.B) {
-		ds, kws, _ := plantedFixture(12, n, 2, 2, 64, n/8)
-		inv, _ := NewInvertedIndex(ds)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = inv.Intersect(kws)
-		}
-	})
-}
-
-// --- F1: crossing-node profile of a vertical line (Figure 1 / Lemma 10) -------
-
-func BenchmarkF1VerticalLineCrossing(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 13, Objects: 1 << 14, Dim: 2, Vocab: 16, DocLen: 4})
-	ix, err := NewORPKW(ds, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	line := workload.VerticalLine(ds)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Framework().CrossingCost(line, []Keyword{0, 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- F2: type-1/type-2 decomposition (Figure 2) --------------------------------
-
-func BenchmarkF2TypeProfile(b *testing.B) {
-	ds := workload.Gen(workload.Config{Seed: 14, Objects: 1 << 12, Dim: 3, Vocab: 32, DocLen: 4})
-	ix, err := NewORPKWHigh(ds, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(140))
-	q := workload.RandRect(rng, 3, 0.4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Type2Profile(q, []Keyword{0, 1}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

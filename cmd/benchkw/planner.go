@@ -32,7 +32,6 @@ type planner struct {
 	inv  *invidx.Index
 	so   *core.StructuredOnly
 	bbox *geom.Rect
-	nPow float64 // N^{1-1/k}
 }
 
 // route identifies the strategy a plan selected.
@@ -68,7 +67,6 @@ func buildPlanner(ds *dataset.Dataset, k int) (*planner, error) {
 		inv:  invidx.Build(ds),
 		so:   core.BuildStructuredOnly(ds, nil),
 		bbox: geom.BoundingRect(pts),
-		nPow: math.Pow(float64(ds.N()), 1-1/float64(k)),
 	}, nil
 }
 
@@ -86,7 +84,7 @@ func (p *planner) explain(q *geom.Rect, ws []dataset.Keyword) plan {
 	est := map[route]float64{
 		routeKeywordsOnly:   float64(p.k) * minDF,
 		routeStructuredOnly: sel * n,
-		routeFramework:      p.nPow * (1 + math.Pow(estOut, 1/float64(p.k))),
+		routeFramework:      core.Theorem1Cost(float64(p.ds.N()), p.k, estOut),
 	}
 	best := routeFramework
 	for r, c := range est {

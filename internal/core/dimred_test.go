@@ -55,19 +55,6 @@ func TestFanoutSchedule(t *testing.T) {
 	}
 }
 
-// Proposition 3: realized fanouts stay O(N^{1-1/k}).
-func TestDimRedFanoutBound(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 3, Objects: 8000, Dim: 3, Vocab: 300, DocLen: 5})
-	ix, err := BuildORPKWHigh(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := int64(16 * math.Sqrt(float64(ds.N())))
-	if f := ix.MaxFanout(); f > bound {
-		t.Fatalf("max fanout %d exceeds O(N^{1/2}) bound %d", f, bound)
-	}
-}
-
 // Figure 2's structural claim: each level of the top tree has at most two
 // type-2 nodes per query.
 func TestDimRedType2PerLevel(t *testing.T) {

@@ -908,7 +908,7 @@ func (s *DynSnapshot) Tombstones() int { return s.st.deleted.size() }
 // q whose document contains all k keywords; opts as in DynamicORPKW.Query.
 func (s *DynSnapshot) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, report func(handle int64, obj *dataset.Object)) (QueryStats, error) {
 	if s.d.fam != famNone {
-		dynSnapStaleness.Set(int64(s.d.state.Load().seq - s.st.seq))
+		dynSnapStaleness.Observe(int64(s.d.state.Load().seq - s.st.seq))
 	}
 	return s.d.queryState(s.st, q, ws, opts, report)
 }

@@ -339,7 +339,7 @@ func TestDynamicEstimateBuildsNothing(t *testing.T) {
 	if n := d.builds.Load(); n != 0 {
 		t.Fatalf("EstimateWork built %d buckets, want 0", n)
 	}
-	unbuilt := 16 + int64(frameworkCost(pow(float64(b.objs.N()), 1-1/float64(d.k)), d.k, 1024))
+	unbuilt := 16 + int64(Theorem1Cost(float64(b.objs.N()), d.k, 1024))
 	if est != unbuilt {
 		t.Fatalf("unbuilt bucket estimated %d, want Theorem 1's bound at OUT = 1024: %d", est, unbuilt)
 	}

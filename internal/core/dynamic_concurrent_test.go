@@ -140,9 +140,10 @@ func TestDynamicConcurrentSnapshotConsistency(t *testing.T) {
 // TestDynamicSnapshotPinnedAcrossChurn pins a view, records a query answer,
 // applies enough churn to trigger carries and a compaction, and requires the
 // pinned view to answer byte-identically while the head has moved on. The
-// pin counts once in kwsc_dynamic_snapshot_pins_total, and a query on the
-// pinned view sets kwsc_dynamic_snapshot_staleness_ops to the records it
-// lags the head by.
+// pin counts once in kwsc_dynamic_snapshot_pins_total. A query on the pinned
+// view and one on a second index's current view each land one observation in
+// the kwsc_dynamic_snapshot_staleness_ops histogram: 60 and 0 records behind
+// their own heads.
 func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	d, err := NewDynamicORPKW(2, 2, 4)
 	if err != nil {
@@ -158,7 +159,6 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 		handles = append(handles, h)
 	}
 	pins := obs.Default().Counter("kwsc_dynamic_snapshot_pins_total")
-	staleness := obs.Default().Gauge("kwsc_dynamic_snapshot_staleness_ops")
 	pins0 := pins.Load()
 	s := d.SnapshotNow()
 	if got := pins.Load() - pins0; got != 1 {
@@ -193,16 +193,35 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	if s.Seq() != pinSeq {
 		t.Fatalf("pinned seq moved: %d -> %d", pinSeq, s.Seq())
 	}
+	other, err := NewDynamicORPKW(2, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := other.Insert(randObj(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const staleness = "kwsc_dynamic_snapshot_staleness_ops"
+	lag0 := obs.Default().Snapshot().Histogram(staleness)
 	after, _, err := collectHandles(s, all, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := collectHandles(other.SnapshotNow(), all, ws); err != nil {
+		t.Fatal(err)
+	}
+	lag1 := obs.Default().Snapshot().Histogram(staleness)
 	sort.Slice(after, func(i, j int) bool { return after[i] < after[j] })
 	if fmt.Sprint(before) != fmt.Sprint(after) {
 		t.Fatalf("pinned view changed: %v then %v", before, after)
 	}
-	if got, want := staleness.Load(), int64(d.Seq()-pinSeq); got != want || want != 60 {
-		t.Fatalf("kwsc_dynamic_snapshot_staleness_ops = %d after a query %d records behind the head, want 60", got, want)
+	if lag := d.Seq() - pinSeq; lag != 60 {
+		t.Fatalf("the pin lags the head by %d records, want 60", lag)
+	}
+	// Observations <= 1 fill the first bucket: the lag-0 query's, not the other's.
+	if n, sum, low := lag1.Count-lag0.Count, lag1.Sum-lag0.Sum, bucket0(lag1)-bucket0(lag0); n != 2 || sum != 60 || low != 1 {
+		t.Fatalf("%s moved by %d observations summing to %d, %d of them <= 1; want lags 60 and 0", staleness, n, sum, low)
 	}
 	ha, oa, err := s.Entries()
 	if err != nil {
@@ -212,6 +231,14 @@ func TestDynamicSnapshotPinnedAcrossChurn(t *testing.T) {
 	if head := d.Seq(); head <= pinSeq {
 		t.Fatalf("head seq %d did not advance past pin %d", head, pinSeq)
 	}
+}
+
+// bucket0 is a histogram snapshot's observations <= 1 (none when it is empty).
+func bucket0(h obs.HistSnapshot) int64 {
+	if len(h.Buckets) == 0 {
+		return 0
+	}
+	return h.Buckets[0].Count
 }
 
 // TestDynamicGaugeDeltasConcurrentChurn is the registry-delta invariant:

@@ -31,10 +31,12 @@ func (e *outEstimate) add(df float64) {
 // out returns estOUT for a region holding the fraction sel of the objects.
 func (e *outEstimate) out(sel float64) float64 { return math.Min(e.minDF, e.indep*sel) }
 
-// frameworkCost is Theorem 1's query bound N^{1-1/k} * (1 + OUT^{1/k}), given
-// nPow = N^{1-1/k}.
-func frameworkCost(nPow float64, k int, estOut float64) float64 {
-	return nPow * (1 + math.Pow(estOut, 1/float64(k)))
+// Theorem1Cost is Theorem 1's query bound N^{1-1/k} * (1 + OUT^{1/k}) with
+// its constant taken as 1: the estimate EstimateWork prices a descent at, the
+// ceiling internal/table1 holds the Theorem 1 rows to, and the framework's
+// price in benchkw's planner.
+func Theorem1Cost(n float64, k int, out float64) float64 {
+	return pow(n, 1-1/float64(k)) * (1 + math.Pow(out, 1/float64(k)))
 }
 
 // EstimateWork bounds the work units (QueryStats.Ops) a query for ws costs,
@@ -79,7 +81,7 @@ func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 	}
 	switch {
 	case shortest < 0:
-		return int64(frameworkCost(pow(float64(f.nu[0]), 1-1/float64(f.k)), f.k, est.out(1)))
+		return int64(Theorem1Cost(float64(f.nu[0]), f.k, est.out(1)))
 	case allDense:
 		return 1 + int64(bitmapWords(len(f.ids))) + shortest
 	default:
@@ -119,7 +121,7 @@ func (ix *ORPKWHigh) EstimateWork(ws []dataset.Keyword) int64 {
 	if len(ws) != ix.k {
 		return 0
 	}
-	return int64(frameworkCost(pow(float64(ix.ds.N()), 1-1/float64(ix.k)), ix.k, float64(ix.ds.Len())))
+	return int64(Theorem1Cost(float64(ix.ds.N()), ix.k, float64(ix.ds.Len())))
 }
 
 // EstimateWork of the paged base is the length of the shortest of the k
@@ -165,7 +167,7 @@ func (d *DynamicORPKW) EstimateWork(ws []dataset.Keyword) int64 {
 		switch {
 		case b == nil:
 		case !b.built.Load():
-			est += int64(frameworkCost(pow(float64(b.objs.N()), 1-1/float64(d.k)), d.k, float64(len(b.handles))))
+			est += int64(Theorem1Cost(float64(b.objs.N()), d.k, float64(len(b.handles))))
 		case b.err == nil:
 			est += b.ix.EstimateWork(ws)
 		}

@@ -69,8 +69,7 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 				}
 				if small == 0 {
 					sawLarge = true
-					nPow := pow(float64(ds.N()), 1-1/float64(tc.k))
-					if want := int64(frameworkCost(nPow, tc.k, out.out(1))); est != want {
+					if want := int64(Theorem1Cost(float64(ds.N()), tc.k, out.out(1))); est != want {
 						t.Fatalf("ws %v all large: estimate %d, formula over true frequencies %d", ws, est, want)
 					}
 					continue

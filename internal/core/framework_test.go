@@ -316,25 +316,3 @@ func TestKDFrameworkAtMostOnePivot(t *testing.T) {
 		}
 	}
 }
-
-// CrossingCost: a vertical line through a 2D kd-tree framework has crossing
-// sensitivity O(sqrt(N) * N^{1/2 - 1/k}) ~ O(N^{1-1/k}) (Lemma 10); sanity
-// check the measured value against a generous constant.
-func TestCrossingCostVerticalLine(t *testing.T) {
-	ds := workload.Gen(workload.Config{Seed: 11, Objects: 4096, Dim: 2, Vocab: 12, DocLen: 4, ZipfS: 1.05})
-	ix, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A zero-width rectangle at the median x coordinate behaves as a
-	// vertical line through the middle of the points.
-	n := float64(ds.N())
-	cost, err := ix.Framework().CrossingCost(workload.VerticalLine(ds), []dataset.Keyword{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := 40 * math.Pow(n, 0.5)
-	if cost > bound {
-		t.Fatalf("crossing cost %.0f exceeds %.0f (N=%.0f)", cost, bound, n)
-	}
-}

@@ -100,11 +100,12 @@ var (
 	// Copy-on-write state publication and MVCC snapshot health: one publish
 	// per applied mutation (there are no retries — publication is serialized
 	// on the writer mutex, so the counter doubles as the applied-op count),
-	// one pin per SnapshotNow, and the last observed reader staleness (ops
-	// between a pinned query's seq and the head seq at query time).
+	// one pin per SnapshotNow, and one staleness observation per pinned
+	// query (ops between its seq and its index's head seq at query time), a
+	// histogram as kwsc_repl_lag_seq is, so that every index's lag lands.
 	dynPublishes     = obs.Default().Counter("kwsc_dynamic_state_publishes_total")
 	dynSnapshotPins  = obs.Default().Counter("kwsc_dynamic_snapshot_pins_total")
-	dynSnapStaleness = obs.Default().Gauge("kwsc_dynamic_snapshot_staleness_ops")
+	dynSnapStaleness = obs.Default().Histogram("kwsc_dynamic_snapshot_staleness_ops")
 )
 
 // errCounter maps a typed query error to its per-family counter (nil for

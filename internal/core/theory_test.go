@@ -11,7 +11,6 @@ import (
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
-	"kwsc/internal/workload"
 )
 
 // Appendix G reduces k-SI reporting to L∞NN-KW: starting from t=1, issue an
@@ -110,91 +109,5 @@ func TestLemma8Algebra(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The tightness discussion of Section 1.2: our index's measured emptiness
-// cost at OUT=0 never exceeds a constant multiple of N^{1-1/k} on the
-// worst-case-shaped input — i.e. the structure does not secretly defy the
-// strong k-set-disjointness conjecture's target (which would require
-// sub-N^{1-1/k} time).
-func TestEmptinessMatchesDisjointnessBound(t *testing.T) {
-	for _, k := range []int{2, 3} {
-		n := 6000
-		partial := int(0.9 * math.Pow(float64(5*n), 1-1/float64(k)))
-		rng := rand.New(rand.NewSource(int64(k)))
-		objs := make([]dataset.Object, n)
-		for i := range objs {
-			doc := []dataset.Keyword{dataset.Keyword(10 + rng.Intn(200))}
-			for w := 0; w < k; w++ {
-				lo := w * partial
-				if i >= lo && i < lo+partial {
-					doc = append(doc, dataset.Keyword(w))
-				}
-			}
-			objs[i] = dataset.Object{
-				Point: geom.Point{rng.Float64(), rng.Float64()},
-				Doc:   doc,
-			}
-		}
-		ds := dataset.MustNew(objs)
-		ix, err := BuildKSIFromDataset(ds, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := make([]dataset.Keyword, k)
-		for i := range ws {
-			ws[i] = dataset.Keyword(i)
-		}
-		empty, st, err := ix.Empty(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !empty {
-			t.Fatal("planted lists are pairwise disjoint; intersection must be empty")
-		}
-		bound := 30 * math.Pow(float64(ds.N()), 1-1/float64(k))
-		if float64(st.Ops) > bound {
-			t.Fatalf("k=%d: emptiness cost %d exceeds %f", k, st.Ops, bound)
-		}
-	}
-}
-
-// The headline claim as a regression guard: on the worst-case-shaped
-// workload, the measured ORP-KW query cost at OUT=0 scales with an exponent
-// close to 1-1/k (work units are deterministic, so this is stable across
-// machines; generous tolerance absorbs boundary effects of the small sweep).
-func TestHeadlineExponentRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("N sweep too large for -short")
-	}
-	ops := func(objects int) float64 {
-		ds, kws, slab := workload.GenAdversarial(workload.Adversarial{
-			Seed: 42, Objects: objects, Dim: 2, K: 2,
-		})
-		ix, err := BuildORPKW(ds, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := ix.CollectInto(slab, kws, QueryOpts{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Reported != 0 {
-			t.Fatal("adversarial slab must have OUT=0")
-		}
-		return float64(st.Ops)
-	}
-	nsmall, nbig := 1<<13, 1<<17 // 16x data
-	lo, hi := ops(nsmall), ops(nbig)
-	exponent := math.Log(hi/lo) / math.Log(float64(nbig)/float64(nsmall))
-	if exponent < 0.2 || exponent > 0.72 {
-		t.Fatalf("ORP-KW OUT=0 exponent drifted to %.3f (ops %v -> %v); expected ~0.5",
-			exponent, lo, hi)
-	}
-	// And the absolute cost stays within a constant factor of N^{1/2}.
-	bound := 8 * math.Sqrt(float64(nbig*6))
-	if hi > bound {
-		t.Fatalf("ops %v exceed %v at N~%d", hi, bound, nbig*6)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kwsc"
+	"kwsc/internal/core"
 	"kwsc/internal/obs"
 	"kwsc/internal/workload"
 )
@@ -113,8 +114,7 @@ func (r *shapeRun) query(rect *kwsc.Rect, ws []kwsc.Keyword) {
 		ops += so.Ops
 		r.legs++
 	}
-	k := float64(len(ws))
-	r.bound = max(r.bound, float64(ops)/(math.Pow(float64(size), 1-1/k)*(1+math.Pow(float64(matches), 1/k))))
+	r.bound = max(r.bound, float64(ops)/core.Theorem1Cost(float64(size), len(ws), float64(matches)))
 	r.counts.Queries++
 }
 

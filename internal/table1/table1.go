@@ -1,0 +1,691 @@
+// Package table1 states the paper's Table 1 once: one Row per claim (E1–E9,
+// Lemma 10 as F1, Propositions 1–3 as F2), each with its instance
+// generators, query stream, bound and slack. cmd/benchkw prints every row's
+// sweep and fits its exponent, TestTable1 holds every case to
+// ops ÷ bound ≤ slack at its small sizes, and the root package's
+// BenchmarkTable1 times each case's query stream.
+package table1
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+
+	"kwsc/internal/core"
+	"kwsc/internal/dataset"
+	"kwsc/internal/geom"
+	"kwsc/internal/invidx"
+	"kwsc/internal/spart"
+	"kwsc/internal/workload"
+)
+
+// Scale picks which of a case's sizes run.
+type Scale int
+
+// The three scales.
+const (
+	Test  Scale = iota // TestTable1's small sizes
+	Quick              // benchkw -quick
+	Full               // benchkw's full sweep (make repro)
+)
+
+// At is one point of a sweep: the objects generated and, when the sweep is
+// not in N, the swept value X (OUT, t or |S_w|) and E9's planted OUT.
+type At struct{ Objects, X, Out int }
+
+// Env is what a generator draws from: the run's seed, and the row's one
+// random source, which its sweep shares from point to point.
+type Env struct {
+	Seed int64
+	Rng  *rand.Rand
+}
+
+// Gen builds a case's instance at one point of its sweep.
+type Gen func(e Env, at At) (Inst, error)
+
+// Inst is a built index with its query stream drawn: N is the bound's N, X
+// the value the exponent is fitted in, Run the stream (deterministic), and
+// Note a line benchkw prints under the case's table.
+type Inst struct {
+	N, X float64
+	Run  func() (Meas, error)
+	Note string
+}
+
+// Meas is one run of a stream: the cost the row bounds (work units unless
+// the row says otherwise), the results, and benchkw's table rows.
+type Meas struct {
+	Ops, Out float64
+	Cells    [][]any
+}
+
+// Case is one sweep of a row: its sizes by Scale (none at Quick: only
+// TestTable1 runs it), its generator, its bound (nil: unchecked) and
+// TestTable1's slack on Ops ÷ Bound. Window, when set, bounds the exponent
+// of Ops in X from the first Test size to the last. benchkw prints Cols,
+// fits Ops in X over the points Fit keeps (nil: all), and prints Footer
+// with the exponent and R².
+type Case struct {
+	Name   string
+	Sizes  [3][]At
+	Gen    Gen
+	Bound  func(in Inst, m Meas) float64
+	Slack  float64
+	Window [2]float64
+	Cols   []string
+	Fit    func(xs, ys []float64) ([]float64, []float64)
+	Footer string
+}
+
+// Row is one claim: benchkw's id and heading, the claim, the offset of
+// Env.Rng's seed from the run's, and the cases.
+type Row struct {
+	ID, Title, Claim string
+	Seed             int64
+	Cases            []Case
+}
+
+var (
+	e1Cols = []string{"N", "ops(OUT=0)", "nodes", "N^{1-1/k}", "ops/bound"}
+	e1Tail = "(worst-case-shaped input: sub-threshold posting lists + off-slab co-occurrences)\n\n"
+	e6Cols = []string{"N", "ops(OUT=0)", "N^{0.7925}"}
+	e6Tail = "Willard substrate\nguarantees N^0.7925 worst case vs the paper's N^0.500 with Chan's tree\n\n"
+	nnCols = []string{"t", "inner ops", "probes", "t^{1/2}"}
+	crCols = []string{"n points", "crossing nodes (mean)", "sqrt(n)"}
+)
+
+// Rows is Table 1, Lemma 10 and Propositions 1–3, in benchkw's order.
+var Rows = []Row{
+	{ID: "e1", Title: "E1: ORP-KW d=2 (Theorem 1) — query exponent in N", Claim: "Theorem 1: O(N^{1-1/k}(1+OUT^{1/k}))",
+		Cases: []Case{
+			// Measured 1.293 at 2^12 objects, 1.703 at 2^15.
+			{Name: "k=2", Sizes: sweepN(1<<15, 1<<15, 1<<17), Gen: orpSlab(2), Bound: thm1(2), Slack: 2.5, Cols: e1Cols,
+				Footer: "k=2: fitted ops ~ N^%.3f (R^2=%.3f); paper's upper bound is N^0.500\n" + e1Tail},
+			// Measured 0.434 at 2^12 objects, 0.966 at 2^15.
+			{Name: "k=3", Sizes: sweepN(1<<15, 1<<15, 1<<17), Gen: orpSlab(3), Bound: thm1(3), Slack: 1.5, Cols: e1Cols,
+				Footer: "k=3: fitted ops ~ N^%.3f (R^2=%.3f); paper's upper bound is N^0.667\n" + e1Tail},
+			// The headline at seed 42: exponent 0.356 from 2^13 to 2^17
+			// objects; measured 1.939 at 2^13, 1.302 at 2^17.
+			{Name: "headline", Sizes: [3][]At{{{Objects: 1 << 13}, {Objects: 1 << 17}}}, Gen: seeded(42, orpSlab(2)),
+				Bound: thm1(2), Slack: 3, Window: [2]float64{0.2, 0.72}},
+			// BenchmarkE1ORPKW2D's fixture: measured 0.102 at 2^12 objects, 0.070 at 2^14.
+			{Name: "planted-k=2", Sizes: [3][]At{{{Objects: 1 << 12}, {Objects: 1 << 14}}}, Gen: orpPlanted(1, 2, 2),
+				Bound: thm1(2), Slack: 0.15},
+			// Measured 0.031 at 2^12 and at 2^14 objects.
+			{Name: "planted-k=3", Sizes: [3][]At{{{Objects: 1 << 12}, {Objects: 1 << 14}}}, Gen: orpPlanted(1, 2, 3),
+				Bound: thm1(3), Slack: 0.05},
+		}},
+	{ID: "e1b", Title: "E1b: ORP-KW d=2 — output sensitivity and baselines", Claim: "Theorem 1's output term OUT^{1/k}",
+		Cases: []Case{
+			// Measured 0.223 at OUT = 16, 0.302 at OUT = 1024 (2^12 objects).
+			{Sizes: sweepX([3]int{1 << 12, 1 << 14, 1 << 16}, []int{16, 1024}, []int{1, 4, 16, 64, 256, 1024, 4096}),
+				Gen: orpOut, Bound: thm1(2), Slack: 0.45,
+				Cols: []string{"OUT", "index ops", "kw-only ops", "struct-only ops", "OUT^{1/2}"},
+				Footer: "fitted index ops ~ OUT^%.3f (R^2=%.3f); paper predicts the output-\n" +
+					"sensitive term OUT^{1/k} = OUT^0.500 (plus the fixed N^{1-1/k} floor)\n"},
+		}},
+	{ID: "e2", Title: "E2: ORP-KW d=3 (Theorem 2) — dimension reduction", Claim: "Theorem 2: O(N^{1-1/k}(1+OUT^{1/k})) at d = 3",
+		Cases: []Case{
+			// Measured 2.240 at 2^12 objects, 2.581 at 2^13.
+			{Sizes: sweepN(1<<13, 1<<13, 1<<14), Gen: dimRedSlab, Bound: thm1(2), Slack: 4,
+				Cols: []string{"N", "ops(OUT=0)", "space words", "N loglogN", "levels", "maxType2/level"},
+				Footer: "fitted ops ~ N^%.3f (R^2=%.3f); paper predicts N^0.500 at k=2,\n" +
+					"space O(N loglogN) at d=3, <=2 type-2 nodes per level (Figure 2)\n"},
+			// BenchmarkE2ORPKW3D's fixture: measured 0.192 at 2^12 objects, 0.210 at 2^13.
+			{Name: "planted", Sizes: [3][]At{{{Objects: 1 << 12}, {Objects: 1 << 13}}}, Gen: orpPlanted(4, 3, 2),
+				Bound: thm1(2), Slack: 0.3},
+		}},
+	{ID: "e3", Title: "E3: rectangles through LC-KW (Theorem 5 route)", Claim: "Theorem 5: O(N^{1-1/k}(log N+OUT^{1/k}))",
+		Cases: []Case{
+			// Measured 0.095 at 2^12 objects, 0.109 at 2^13.
+			{Sizes: sweepN(1<<13, 1<<14, 1<<16), Gen: lcSlab(1, 0.5), Bound: thm5, Slack: 0.15,
+				Cols: []string{"N", "ops(OUT=0)", "N^{1/2}"},
+				Footer: "rectangle-as-4-constraints through the partition tree: fitted ops ~ N^%.3f\n" +
+					"(R^2=%.3f); paper's Theorem 5 predicts N^{1-1/k} log N = N^0.5 logN shape\n"},
+		}},
+	{ID: "e4", Title: "E4: RR-KW (Corollary 3) — temporal intervals d=1", Claim: "Corollary 3: O(N^{1-1/k}(1+OUT^{1/k})) over the corners",
+		Cases: []Case{
+			// Measured 0.533 at 2^12 objects, 0.169 at 2^13.
+			{Sizes: sweepN(1<<13, 1<<14, 1<<16), Gen: rrTemporal, Bound: thm1(2), Slack: 1,
+				Cols: []string{"N", "ops", "OUT", "N^{1/2}"},
+				Footer: "temporal intervals (d=1, corner space d=2): fitted ops ~ N^%.3f (R^2=%.3f);\n" +
+					"paper predicts N^{1-1/k} = N^0.500 for OUT=0 (keywords never co-occur)\n"},
+		}},
+	{ID: "e5", Title: "E5: L∞ NN-KW (Corollary 4) — exponent in t", Claim: "Corollary 4: O(N^{1-1/k} t^{1/k} log N)", Seed: 5,
+		Cases: []Case{
+			// Measured 0.236 at t = 1, 0.255 at t = 64 (2^12 objects).
+			{Sizes: sweepX([3]int{1 << 12, 1 << 13, 1 << 15}, []int{1, 64}, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+				Gen: linfNN, Bound: cor4, Slack: 0.4, Cols: nnCols,
+				Footer: "fitted inner ops ~ t^%.3f (R^2=%.3f); paper predicts t^{1/k} = t^0.500\n" +
+					"with an O(log N) probe count (binary search over candidate radii)\n"},
+		}},
+	{ID: "e6", Title: "E6: LC-KW (Theorem 5) — halfplane conjunctions", Claim: "Theorem 5: O(N^{1-1/k}(log N+OUT^{1/k}))",
+		Cases: []Case{
+			// Each measured 0.095 at 2^12 objects, 0.109 at 2^13, as E3.
+			{Name: "s=1", Sizes: sweepN(1<<13, 1<<14, 1<<15), Gen: lcSlab(1, 0.7925), Bound: thm5, Slack: 0.15, Cols: e6Cols,
+				Footer: "s=1 constraints: fitted ops ~ N^%.3f (R^2=%.3f); " + e6Tail},
+			{Name: "s=2", Sizes: sweepN(1<<13, 1<<14, 1<<15), Gen: lcSlab(2, 0.7925), Bound: thm5, Slack: 0.15, Cols: e6Cols,
+				Footer: "s=2 constraints: fitted ops ~ N^%.3f (R^2=%.3f); " + e6Tail},
+			{Name: "s=3", Sizes: sweepN(1<<13, 1<<14, 1<<15), Gen: lcSlab(3, 0.7925), Bound: thm5, Slack: 0.15, Cols: e6Cols,
+				Footer: "s=3 constraints: fitted ops ~ N^%.3f (R^2=%.3f); " + e6Tail},
+		}},
+	{ID: "e6b", Title: "E6b: crossing sensitivity — Willard vs grid substrate", Claim: "Willard's tree: a line crosses O(n^{log4 3}) cells",
+		Cases: []Case{
+			// Measured 0.159 at 2^12 points, 0.184 at 2^13.
+			{Name: "willard", Sizes: sweepN(1<<13, 1<<14, 1<<16), Gen: crossing(&spart.Willard2D{}), Slack: 0.3,
+				Bound: func(in Inst, _ Meas) float64 { return math.Pow(in.N, math.Log(3)/math.Log(4)) }, Cols: crCols,
+				Footer: "willard: fitted crossing nodes ~ n^%.3f (R^2=%.3f); expected <= log4(3)=0.792 guaranteed; ~0.5 typical\n\n"},
+			{Name: "grid", Sizes: sweepN(0, 1<<14, 1<<16), Gen: crossing(&spart.Grid2D{G: 4}), Cols: crCols,
+				Footer: "grid: fitted crossing nodes ~ n^%.3f (R^2=%.3f); expected no worst-case guarantee (ablation)\n\n"},
+		}},
+	{ID: "e7", Title: "E7: SRP-KW (Corollary 6) — lifted sphere queries", Claim: "Corollary 6: O(N^{1-1/(d+1)} + N^{1-1/k} OUT^{1/k})",
+		Cases: []Case{
+			// Measured 0.546 at 2^12 objects, 0.673 at 2^13.
+			{Sizes: sweepN(1<<13, 1<<13, 1<<15), Gen: srpSphere, Slack: 1,
+				Bound: func(in Inst, m Meas) float64 { return math.Pow(in.N, 2.0/3) + math.Sqrt(in.N*m.Out) },
+				Cols:  []string{"N", "ops(OUT=0)", "N^{2/3}", "ops/bound"},
+				Footer: "lifted to d+1=3 over the kd substrate: fitted ops ~ N^%.3f (R^2=%.3f);\n" +
+					"paper predicts N^{1-1/(d+1)} = N^0.667 for d > k-1 (here d=2, k=2)\n"},
+		}},
+	{ID: "e8", Title: "E8: L2 NN-KW (Corollary 7) — integer grids", Claim: "Corollary 7: O(log N · N^{1-1/k}(log N + t^{1/k}))", Seed: 8,
+		Cases: []Case{
+			// Measured 0.868 at t = 1, 1.009 at t = 64 (2^10 objects).
+			{Sizes: sweepX([3]int{1 << 10, 1 << 11, 1 << 12}, []int{1, 64}, []int{1, 4, 16, 64, 256, 1024}),
+				Gen: l2NN, Bound: cor7, Slack: 1.5, Cols: nnCols, Fit: aboveFloor,
+				Footer: "fitted marginal inner ops ~ t^%.3f (R^2=%.3f) above the t-independent\n" +
+					"floor; paper predicts t^{1/k} = t^0.500 with O(log N) probes\n"},
+		}},
+	{ID: "e9", Title: "E9: k-SI (Section 1.2) — the three additive terms", Claim: "Section 1.2 (4): k-SI in O(N^{1-1/k}(1+OUT^{1/k}))",
+		Cases: []Case{
+			// Measured 0.013–0.236 (2^12 objects).
+			{Sizes: [3][]At{ksiSizes(1 << 12), ksiSizes(1 << 14), ksiSizes(1 << 16)}, Gen: ksi, Bound: thm1(2), Slack: 0.4,
+				Cols: []string{"posting |S_w|", "OUT", "index ops", "baseline ops", "winner"}},
+			// Emptiness over k disjoint lists just under the threshold: the
+			// root's tensor answers in 2 work units, 0.0252 at k = 2 and
+			// 0.0048 at k = 3.
+			{Name: "emptiness-k=2", Sizes: [3][]At{{{Objects: 6000}}}, Gen: seeded(2, disjoint(2)), Bound: thm1(2), Slack: 0.05},
+			{Name: "emptiness-k=3", Sizes: [3][]At{{{Objects: 6000}}}, Gen: seeded(3, disjoint(3)), Bound: thm1(3), Slack: 0.009},
+		}},
+	{ID: "f1", Title: "F1: Figure 1 — crossing profile of a vertical line", Claim: "Lemma 10: a vertical line's crossing cost is O(N^{1-1/k})",
+		Cases: []Case{
+			// Crossing cost, not work units: 0.925 at 2^12 objects, 1.170 at 2^13.
+			{Sizes: sweepN(1<<13, 1<<14, 1<<16), Gen: line(16, 0), Bound: thm1(2), Slack: 2,
+				Cols: []string{"N", "crossing cost (7)", "crossing nodes", "N^{1/2}"},
+				Footer: "fitted crossing cost ~ N^%.3f (R^2=%.3f); Lemma 10 predicts O(N^{1-1/k})\n" +
+					"= N^0.500 at k=2 for any vertical line\n"},
+			// A Zipf corpus at seed 11: measured 1.027.
+			{Name: "zipf", Sizes: [3][]At{{{Objects: 4096}}}, Gen: seeded(11, line(12, 1.05)), Bound: thm1(2), Slack: 1.5},
+		}},
+	{ID: "f2", Title: "F2: Figure 2 — type-1/type-2 decomposition",
+		Claim: "Propositions 1–3: O(loglog N) levels, <= 2 type-2 nodes a level, fanout O(N^{1-1/k})",
+		Cases: []Case{
+			// Largest fanout, not work units: 0.303 at 2^11 objects, 0.229 at 2^12.
+			{Sizes: [3][]At{{{Objects: 1 << 11}, {Objects: 1 << 12}}, {{Objects: 1 << 12}}, {{Objects: 1 << 14}}},
+				Gen: dimRedProfile(64), Bound: thm1(2), Slack: 0.5,
+				Cols: []string{"level", "max type-2 nodes (50 queries)", "paper bound"}},
+			// A larger vocabulary at seed 3: measured 0.171.
+			{Name: "fanout", Sizes: [3][]At{{{Objects: 8000}}}, Gen: seeded(3, dimRedProfile(300)), Bound: thm1(2), Slack: 0.3},
+		}},
+}
+
+// sweepN doubles the objects from 2^12 up to each scale's largest; the Test
+// sweep is 2^12 and its largest (none when that is 0).
+func sweepN(test, quick, full int) [3][]At {
+	var s [3][]At
+	for sc, top := range [3]int{Quick: quick, Full: full} {
+		for n := 1 << 12; n <= top; n <<= 1 {
+			s[sc] = append(s[sc], At{Objects: n})
+		}
+	}
+	if test > 0 {
+		s[Test] = []At{{Objects: 1 << 12}, {Objects: test}}
+	}
+	return s
+}
+
+// sweepX sweeps X over test at the Test scale and over xs at the others,
+// each at its scale's objects.
+func sweepX(objects [3]int, test, xs []int) [3][]At {
+	var s [3][]At
+	for sc, n := range objects {
+		vals := xs
+		if Scale(sc) == Test {
+			vals = test
+		}
+		for _, x := range vals {
+			s[sc] = append(s[sc], At{Objects: n, X: x})
+		}
+	}
+	return s
+}
+
+// seeded pins a generator's seed: the cases folded in from older tier-1
+// tests keep the seeds those tests were written with.
+func seeded(seed int64, gen Gen) Gen {
+	return func(e Env, at At) (Inst, error) {
+		e.Seed = seed
+		return gen(e, at)
+	}
+}
+
+// thm1 bounds by Theorem 1's cost at the instance's N and the stream's OUT.
+func thm1(k int) func(Inst, Meas) float64 {
+	return func(in Inst, m Meas) float64 { return core.Theorem1Cost(in.N, k, m.Out) }
+}
+
+// thm5 is Theorem 5's N^{1-1/k}(log N + OUT^{1/k}) at k = 2.
+func thm5(in Inst, m Meas) float64 { return math.Sqrt(in.N) * (math.Log2(in.N) + math.Sqrt(m.Out)) }
+
+// cor4 is Corollary 4's N^{1-1/k} t^{1/k} log N at k = 2, t = X.
+func cor4(in Inst, _ Meas) float64 { return math.Sqrt(in.N*in.X) * math.Log2(in.N) }
+
+// cor7 is Corollary 7's log N · N^{1-1/k}(log N + t^{1/k}) at k = 2, t = X.
+func cor7(in Inst, _ Meas) float64 {
+	return math.Log2(in.N) * math.Sqrt(in.N) * (math.Log2(in.N) + math.Sqrt(in.X))
+}
+
+// collect is one CollectInto on an index of any family, its query shape
+// fixed.
+func collect[Q any](ix interface {
+	CollectInto(Q, []dataset.Keyword, core.QueryOpts, []int32) ([]int32, core.QueryStats, error)
+}, q Q, kws []dataset.Keyword) func() ([]int32, core.QueryStats, error) {
+	return func() ([]int32, core.QueryStats, error) { return ix.CollectInto(q, kws, core.QueryOpts{}, nil) }
+}
+
+// single is an instance whose stream is one query: want, unless negative,
+// is the OUT its generator planted, and cells (nil: none) the table row
+// printed for the query's work units and results.
+func single(n, x float64, want int, q func() ([]int32, core.QueryStats, error), cells func(ops, out float64) []any) Inst {
+	return Inst{N: n, X: x, Run: func() (Meas, error) {
+		ids, st, err := q()
+		if err == nil && want >= 0 && len(ids) != want {
+			err = fmt.Errorf("table1: the query reported %d objects, want OUT = %d", len(ids), want)
+		}
+		m := Meas{Ops: float64(st.Ops), Out: float64(len(ids))}
+		if cells != nil {
+			m.Cells = [][]any{cells(m.Ops, m.Out)}
+		}
+		return m, err
+	}}
+}
+
+// adversarial is the worst-case-shaped workload with its empty slab.
+func adversarial(e Env, at At, dim, k int) (*dataset.Dataset, []dataset.Keyword, *geom.Rect) {
+	return workload.GenAdversarial(workload.Adversarial{Seed: e.Seed, Objects: at.Objects, Dim: dim, K: k})
+}
+
+// orpSlab is ORP-KW over the adversarial workload, queried on its empty slab.
+func orpSlab(k int) Gen {
+	return func(e Env, at At) (Inst, error) {
+		ds, kws, slab := adversarial(e, at, 2, k)
+		ix, err := core.BuildORPKW(ds, k)
+		if err != nil {
+			return Inst{}, err
+		}
+		n, nodes := float64(ds.N()), ix.Framework().NumNodes()
+		b := core.Theorem1Cost(n, k, 0)
+		return single(n, n, 0, collect(ix, slab, kws), func(ops, _ float64) []any { return []any{int(n), ops, nodes, b, ops / b} }), nil
+	}
+}
+
+// Planted is the fixture of the E1 and E2 rows' planted cases and of
+// BenchmarkE1ORPKW2D (seed 1, d = 2) and BenchmarkE2ORPKW3D (seed 4, d = 3):
+// OUT = 64 matches inside the returned rectangle, and posting lists n/8
+// longer than that.
+func Planted(seed int64, n, dim, k int) (*dataset.Dataset, []dataset.Keyword, *geom.Rect) {
+	return workload.GenPlanted(workload.Planted{Seed: seed, Objects: n, Dim: dim, K: k, Out: 64, Partial: n / 8})
+}
+
+// orpPlanted queries Planted's rectangle: ORP-KW at d = 2, ORPKWHigh above.
+func orpPlanted(seed int64, dim, k int) Gen {
+	return func(_ Env, at At) (Inst, error) {
+		ds, kws, region := Planted(seed, at.Objects, dim, k)
+		n := float64(ds.N())
+		if dim == 2 {
+			ix, err := core.BuildORPKW(ds, k)
+			return single(n, n, 64, collect(ix, region, kws), nil), err
+		}
+		ix, err := core.BuildORPKWHigh(ds, k)
+		return single(n, n, 64, collect(ix, region, kws), nil), err
+	}
+}
+
+// orpOut is ORP-KW over a planted workload with OUT = X, beside the two
+// naive baselines' costs.
+func orpOut(e Env, at At) (Inst, error) {
+	ds, kws, region := workload.GenPlanted(workload.Planted{
+		Seed: e.Seed + int64(at.X), Objects: at.Objects, Dim: 2, K: 2, Out: at.X, Partial: at.Objects / 8,
+	})
+	ix, err := core.BuildORPKW(ds, 2)
+	if err != nil {
+		return Inst{}, err
+	}
+	kwOps := float64(invidx.Build(ds).ScanCost(kws))
+	_, cand, sost := core.BuildStructuredOnly(ds, nil).Query(region, kws)
+	soOps := float64(sost.PtChecks) + float64(cand)
+	return single(float64(ds.N()), float64(at.X), -1, collect(ix, region, kws), func(ops, _ float64) []any {
+		return []any{at.X, ops, kwOps, soOps, math.Sqrt(float64(at.X))}
+	}), nil
+}
+
+// dimRedSlab is the dimension-reduction index over the adversarial workload
+// at d = 3, queried on its empty slab, beside its space, its levels and the
+// most type-2 nodes a level holds over ten random rectangles.
+func dimRedSlab(e Env, at At) (Inst, error) {
+	ds, kws, slab := adversarial(e, at, 3, 2)
+	ix, err := core.BuildORPKWHigh(ds, 2)
+	if err != nil {
+		return Inst{}, err
+	}
+	rng, maxT2 := rand.New(rand.NewSource(e.Seed+7)), 0
+	for q := 0; q < 10; q++ {
+		prof, err := ix.Type2Profile(workload.RandRect(rng, 3, 0.5), kws)
+		if err != nil {
+			return Inst{}, err
+		}
+		for _, c := range prof {
+			maxT2 = max(maxT2, c)
+		}
+	}
+	n, words := float64(ds.N()), ix.Space().TotalWords(64)
+	return single(n, n, 0, collect(ix, slab, kws), func(ops, _ float64) []any {
+		return []any{int(n), ops, words, n * math.Log2(math.Log2(n)), ix.Levels(), maxT2}
+	}), nil
+}
+
+// lcSlab is LC-KW over the adversarial workload: the empty slab as two
+// constraints, trimmed by s-1 fixed ones more. Its table prints N^col.
+func lcSlab(s int, col float64) Gen {
+	return func(e Env, at At) (Inst, error) {
+		ds, kws, slab := adversarial(e, at, 2, 2)
+		ix, err := core.BuildSPKW(ds, core.SPKWConfig{K: 2})
+		if err != nil {
+			return Inst{}, err
+		}
+		hs := []geom.Halfspace{
+			{Coef: []float64{1, 0}, Bound: slab.Hi[0]},
+			{Coef: []float64{-1, 0}, Bound: -slab.Lo[0]},
+			{Coef: []float64{0, 1}, Bound: 0.9},
+			{Coef: []float64{1, 1}, Bound: 1.3},
+		}[:s+1]
+		n := float64(ds.N())
+		return single(n, n, 0, collect(ix, hs, kws), func(ops, _ float64) []any { return []any{int(n), ops, math.Pow(n, col)} }), nil
+	}
+}
+
+// rrTemporal is RR-KW over temporal intervals: posting lists just under the
+// threshold for each query keyword, and full matches whose lifespans avoid
+// the query window [0.47, 0.52].
+func rrTemporal(e Env, at At) (Inst, error) {
+	n, rng := at.Objects, e.Rng
+	partial := int(0.9 * math.Pow(float64(3*n), 0.5))
+	rects := make([]core.RectObject, n)
+	for i := range rects {
+		a := rng.Float64()
+		span := rng.Float64() * 0.01
+		doc := []dataset.Keyword{dataset.Keyword(2 + rng.Intn(62)), dataset.Keyword(64 + rng.Intn(64))}
+		switch {
+		case i < n/16: // full match away from the window
+			if a >= 0.44 && a <= 0.56 {
+				a = rng.Float64() * 0.4
+			}
+			doc = []dataset.Keyword{0, 1, dataset.Keyword(2 + rng.Intn(62))}
+		case i < n/16+partial:
+			doc[0] = 0
+		case i < n/16+2*partial:
+			doc[0] = 1
+		}
+		rects[i] = core.RectObject{Rect: &geom.Rect{Lo: []float64{a}, Hi: []float64{a + span}}, Doc: doc}
+	}
+	ix, err := core.BuildRRKW(rects, 2)
+	if err != nil {
+		return Inst{}, err
+	}
+	window, nn := &geom.Rect{Lo: []float64{0.47}, Hi: []float64{0.52}}, float64(ix.Dataset().N())
+	return single(nn, nn, -1, collect(ix, window, []dataset.Keyword{0, 1}), func(ops, out float64) []any {
+		return []any{int(nn), ops, out, math.Sqrt(nn)}
+	}), nil
+}
+
+// nearest asks ix for the t = X nearest neighbours carrying keywords 1 and 2 of
+// five random points (integer coordinates below scale when it is not 0),
+// and averages the inner traversals' work units and the probes.
+func nearest(e Env, at At, ds *dataset.Dataset, ix interface {
+	Query(geom.Point, int, []dataset.Keyword, core.QueryOpts) ([]core.NNResult, core.NNStats, error)
+}, scale int64) Inst {
+	qs := make([]geom.Point, 5)
+	for i := range qs {
+		if scale > 0 {
+			qs[i] = geom.Point{float64(e.Rng.Int63n(scale)), float64(e.Rng.Int63n(scale))}
+		} else {
+			qs[i] = geom.Point{e.Rng.Float64(), e.Rng.Float64()}
+		}
+	}
+	return Inst{N: float64(ds.N()), X: float64(at.X), Run: func() (Meas, error) {
+		var ops, probes float64
+		for _, q := range qs {
+			_, ns, err := ix.Query(q, at.X, []dataset.Keyword{1, 2}, core.QueryOpts{})
+			if err != nil {
+				return Meas{}, err
+			}
+			ops, probes = ops+float64(ns.Ops), probes+float64(ns.Probes)
+		}
+		ops, probes = ops/float64(len(qs)), probes/float64(len(qs))
+		return Meas{Ops: ops, Cells: [][]any{{at.X, ops, probes, math.Sqrt(float64(at.X))}}}, nil
+	}}
+}
+
+// linfNN is the L∞ nearest-neighbour index over a uniform corpus.
+func linfNN(e Env, at At) (Inst, error) {
+	ds := workload.Gen(workload.Config{Seed: e.Seed, Objects: at.Objects, Dim: 2, Vocab: 64, DocLen: 5})
+	ix, err := core.BuildLinfNN(ds, 2)
+	return nearest(e, at, ds, ix, 0), err
+}
+
+// l2NN is the L2 nearest-neighbour index over integer grid points, half of
+// them carrying both query keywords so that every t is attainable.
+func l2NN(e Env, at At) (Inst, error) {
+	grng := rand.New(rand.NewSource(e.Seed))
+	objs := make([]dataset.Object, at.Objects)
+	for i := range objs {
+		doc := []dataset.Keyword{dataset.Keyword(3 + grng.Intn(61))}
+		if i%2 == 0 {
+			doc = append(doc, 1, 2)
+		} else {
+			doc = append(doc, dataset.Keyword(1+grng.Intn(2)))
+		}
+		objs[i] = dataset.Object{Point: geom.Point{float64(grng.Int63n(1 << 16)), float64(grng.Int63n(1 << 16))}, Doc: doc}
+	}
+	ds := dataset.MustNew(objs)
+	ix, err := core.BuildL2NN(ds, 2)
+	return nearest(e, at, ds, ix, 1<<16), err
+}
+
+// aboveFloor keeps the t-dependent part of E8's cost, whose bound is
+// log N·(N^{1-1/(d+1)} + N^{1-1/k} t^{1/k}): it subtracts the first point's
+// cost and fits from t = 16 on.
+func aboveFloor(xs, ys []float64) (mx, my []float64) {
+	for i := range xs {
+		if xs[i] >= 16 && ys[i] > ys[0] {
+			mx, my = append(mx, xs[i]), append(my, ys[i]-ys[0])
+		}
+	}
+	return mx, my
+}
+
+// crossing is a bare partition tree over uniform points, crossed by nine
+// random halfplanes; its cost is the mean count of cells crossed.
+func crossing(split spart.Splitter) Gen {
+	return func(e Env, at At) (Inst, error) {
+		pts := make([]geom.Point, at.Objects)
+		for i := range pts {
+			pts[i] = geom.Point{e.Rng.Float64(), e.Rng.Float64()}
+		}
+		tree := spart.BuildTree(pts, nil, split, 1)
+		qs := make([]*geom.Polyhedron, 9)
+		for q := range qs {
+			qs[q] = geom.NewPolyhedron(workload.RandHalfspaces(e.Rng, 2, 1, 0.5)...)
+		}
+		n := at.Objects
+		return Inst{N: float64(n), X: float64(n), Run: func() (Meas, error) {
+			var total float64
+			for _, q := range qs {
+				for _, c := range tree.CrossingProfile(q) {
+					total += float64(c)
+				}
+			}
+			total /= float64(len(qs))
+			return Meas{Ops: total, Cells: [][]any{{n, total, math.Sqrt(float64(n))}}}, nil
+		}}, nil
+	}
+}
+
+// srpSphere is SRP-KW over the adversarial workload, queried with a sphere
+// inside the empty slab: OUT = 0 while co-occurrences surround it.
+func srpSphere(e Env, at At) (Inst, error) {
+	ds, kws, _ := adversarial(e, at, 2, 2)
+	ix, err := core.BuildSRPKW(ds, 2)
+	if err != nil {
+		return Inst{}, err
+	}
+	sphere := geom.NewSphere(geom.Point{0.5, 0.5}, (workload.SlabHi-workload.SlabLo)/2-0.006)
+	n := float64(ds.N())
+	b := math.Pow(n, 2.0/3)
+	return single(n, n, 0, collect(ix, sphere, kws), func(ops, _ float64) []any { return []any{int(n), ops, b, ops / b} }), nil
+}
+
+// ksiSizes crosses three posting sizes with OUT = 0, 64 and half the list.
+func ksiSizes(n int) []At {
+	var s []At
+	for _, part := range []int{n / 64, n / 16, n / 4} {
+		for _, out := range []int{0, 64, part / 2} {
+			s = append(s, At{Objects: n, X: part, Out: out})
+		}
+	}
+	return s
+}
+
+// ksi is k-SI over a planted workload, beside the inverted index's merge.
+func ksi(e Env, at At) (Inst, error) {
+	part, out := at.X, at.Out
+	ds, kws, _ := workload.GenPlanted(workload.Planted{
+		Seed: e.Seed + int64(part+out), Objects: at.Objects, Dim: 2, K: 2, Out: out, Partial: part,
+	})
+	ix, err := core.BuildKSIFromDataset(ds, 2)
+	if err != nil {
+		return Inst{}, err
+	}
+	base := float64(invidx.Build(ds).ScanCost(kws))
+	in := single(float64(ds.N()), float64(part+out), out, func() ([]int32, core.QueryStats, error) {
+		return ix.Report(kws, core.QueryOpts{})
+	}, func(ops, _ float64) []any {
+		winner := "index"
+		if base < ops {
+			winner = "baseline"
+		}
+		return []any{part + out, out, ops, base, winner}
+	})
+	in.Note = "the index wins whenever OUT is small relative to the posting lists —\n" +
+		"exactly the regime Section 1's naive-method critique describes\n"
+	return in, nil
+}
+
+// disjoint is k-SI emptiness over k pairwise disjoint posting lists just
+// under the root's threshold: the strong k-set-disjointness conjecture's
+// target, N^{1-1/k}.
+func disjoint(k int) Gen {
+	return func(e Env, at At) (Inst, error) {
+		n := at.Objects
+		partial := int(0.9 * math.Pow(float64(5*n), 1-1/float64(k)))
+		rng := rand.New(rand.NewSource(e.Seed))
+		objs := make([]dataset.Object, n)
+		for i := range objs {
+			doc := []dataset.Keyword{dataset.Keyword(10 + rng.Intn(200))}
+			for w := 0; w < k; w++ {
+				if lo := w * partial; i >= lo && i < lo+partial {
+					doc = append(doc, dataset.Keyword(w))
+				}
+			}
+			objs[i] = dataset.Object{Point: geom.Point{rng.Float64(), rng.Float64()}, Doc: doc}
+		}
+		ds := dataset.MustNew(objs)
+		ix, err := core.BuildKSIFromDataset(ds, k)
+		ws := make([]dataset.Keyword, k)
+		for i := range ws {
+			ws[i] = dataset.Keyword(i)
+		}
+		return Inst{N: float64(ds.N()), X: float64(ds.N()), Run: func() (Meas, error) {
+			empty, st, err := ix.Empty(ws)
+			if err == nil && !empty {
+				err = fmt.Errorf("table1: pairwise disjoint lists reported a common object")
+			}
+			return Meas{Ops: float64(st.Ops)}, err
+		}}, err
+	}
+}
+
+// line sends workload.VerticalLine through ORP-KW over a uniform corpus and
+// reports Lemma 10's crossing cost, beside the cells a line at the middle
+// of its x order crosses in a bare kd tree over as many points.
+func line(vocab int, zipf float64) Gen {
+	return func(e Env, at At) (Inst, error) {
+		n := at.Objects
+		ds := workload.Gen(workload.Config{Seed: e.Seed, Objects: n, Dim: 2, Vocab: vocab, DocLen: 4, ZipfS: zipf})
+		ix, err := core.BuildORPKW(ds, 2)
+		if err != nil {
+			return Inst{}, err
+		}
+		rng := rand.New(rand.NewSource(e.Seed))
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{float64(i), rng.Float64()}
+		}
+		x, cells := float64(n/2), 0
+		for _, c := range spart.BuildTree(pts, nil, &spart.KD{Dim: 2}, 1).CrossingProfile(
+			&geom.Rect{Lo: []float64{x, math.Inf(-1)}, Hi: []float64{x, math.Inf(1)}}) {
+			cells += c
+		}
+		vl, nn := workload.VerticalLine(ds), float64(ds.N())
+		return Inst{N: nn, X: nn, Run: func() (Meas, error) {
+			cost, err := ix.Framework().CrossingCost(vl, []dataset.Keyword{0, 1})
+			return Meas{Ops: cost, Cells: [][]any{{int(nn), cost, cells, math.Sqrt(nn)}}}, err
+		}}, nil
+	}
+}
+
+// dimRedProfile is the dimension-reduction index over a uniform corpus at
+// d = 3: its cost is the largest fanout (Proposition 3), and its table the
+// most type-2 nodes each level holds over 50 random rectangles (Figure 2).
+func dimRedProfile(vocab int) Gen {
+	return func(e Env, at At) (Inst, error) {
+		ds := workload.Gen(workload.Config{Seed: e.Seed, Objects: at.Objects, Dim: 3, Vocab: vocab, DocLen: 5})
+		ix, err := core.BuildORPKWHigh(ds, 2)
+		if err != nil {
+			return Inst{}, err
+		}
+		rng := rand.New(rand.NewSource(e.Seed + 2))
+		qs := make([]*geom.Rect, 50)
+		for q := range qs {
+			qs[q] = workload.RandRect(rng, 3, 0.1+rng.Float64()*0.8)
+		}
+		n := float64(ds.N())
+		note := fmt.Sprintf("levels=%d (Proposition 1: O(loglog N)); max fanout=%d (Proposition 3:\n"+
+			"O(N^{1-1/k}) = %.0f)\n", ix.Levels(), ix.MaxFanout(), math.Sqrt(n))
+		return Inst{N: n, X: n, Note: note, Run: func() (Meas, error) {
+			var cells [][]any // by level: the level, its most type-2 nodes, the paper's 2
+			for _, q := range qs {
+				prof, err := ix.Type2Profile(q, []dataset.Keyword{0, 1})
+				if err != nil {
+					return Meas{}, err
+				}
+				for lvl, c := range prof {
+					if lvl == len(cells) {
+						cells = append(cells, []any{lvl, 0, 2})
+					}
+					cells[lvl][1] = max(cells[lvl][1].(int), c)
+				}
+			}
+			return Meas{Ops: float64(ix.MaxFanout()), Cells: cells}, nil
+		}}, nil
+	}
+}
