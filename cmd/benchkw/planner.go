@@ -17,7 +17,8 @@ import (
 // unbeatable, a tiny region makes the geometric filter cheap, and everything
 // else belongs to the framework. The planner applies the paper's own cost
 // formulas as estimates, with the classic independence assumption supplying
-// the output-cardinality estimate:
+// the output-cardinality estimate (core.OutEstimate, the one
+// Framework.EstimateWork descends with):
 //
 //	estOUT          = min(min_w |S_w|, |D| * prod_w (|S_w|/|D|) * sel(q))
 //	keywords-only:   k * min_w |S_w|            (galloping intersection)
@@ -72,19 +73,15 @@ func buildPlanner(ds *dataset.Dataset, k int) (*planner, error) {
 
 // explain estimates each strategy without running anything.
 func (p *planner) explain(q *geom.Rect, ws []dataset.Keyword) plan {
-	n := float64(p.ds.Len())
-	minDF, indep := math.MaxFloat64, n
+	out := core.NewOutEstimate(p.ds.Len())
 	for _, w := range ws {
-		df := float64(p.inv.DocFrequency(w))
-		minDF = math.Min(minDF, df)
-		indep *= df / n
+		out.Add(float64(p.inv.DocFrequency(w)))
 	}
 	sel := p.selectivity(q)
-	estOut := math.Min(minDF, indep*sel)
 	est := map[route]float64{
-		routeKeywordsOnly:   float64(p.k) * minDF,
-		routeStructuredOnly: sel * n,
-		routeFramework:      core.Theorem1Cost(float64(p.ds.N()), p.k, estOut),
+		routeKeywordsOnly:   float64(p.k) * out.MinDF(),
+		routeStructuredOnly: sel * float64(p.ds.Len()),
+		routeFramework:      core.Theorem1Cost(float64(p.ds.N()), p.k, out.Out(sel)),
 	}
 	best := routeFramework
 	for r, c := range est {

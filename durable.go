@@ -65,7 +65,10 @@ func WithFsyncPolicy(p SyncPolicy) DurableOption { return wal.WithSyncPolicy(p) 
 func WithFsyncInterval(d time.Duration) DurableOption { return wal.WithSyncInterval(d) }
 
 // WithAutoCheckpoint checkpoints automatically after every n operations
-// (0 disables; Checkpoint remains available).
+// (0 disables; Checkpoint remains available). The triggering operation only
+// pins the state and rotates the log; the checkpoint file is written in the
+// background, and its failure comes back from the next trigger (beside the
+// applied, logged mutation), Checkpoint or Close.
 func WithAutoCheckpoint(n int) DurableOption { return wal.WithAutoCheckpoint(n) }
 
 // WithDurableBufferCap tunes the dynamic index's unindexed write buffer

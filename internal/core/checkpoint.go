@@ -128,7 +128,8 @@ func cellSplit(lo, hi int) int { return lo + (hi-lo+1)/2 }
 // at rank r, and boxes holds one bounding box per cell, dim lows then dim
 // highs.
 //
-// The entries are presorted on every axis (spart.Presort); a node is then the
+// The entries are presorted on every axis (spart.Presort, two axes at a time
+// from parallelCutoff entries, as BuildFramework does); a node is then the
 // same interval of each sorted list, so its box is read off the lists' ends,
 // its median split is the middle of one list, and spart's stable partition
 // carries the other lists along: O(dim * n) a level and O(dim * n * log n)
@@ -141,7 +142,11 @@ func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float
 	if n == 0 {
 		return rankEntry, boxes
 	}
-	p := spart.Presort(n, dim, points, nil)
+	var each func(int, func(int))
+	if n >= parallelCutoff {
+		each = newParGate(2).each
+	}
+	p := spart.Presort(n, dim, points, each)
 	box := make([]float64, 2*dim)
 	var split func(lo, hi int)
 	split = func(lo, hi int) {

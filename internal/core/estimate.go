@@ -10,26 +10,33 @@ import (
 // query from an index's root so a serving layer can tell a leg cheaper than
 // one goroutine wake-up from one that deserves a core.
 
-// outEstimate accumulates the classic independence estimate of the output
+// OutEstimate accumulates the classic independence estimate of the output
 // size, keyword by keyword:
 //
 //	estOUT = min(min_w |S_w|, |D| * prod_w (|S_w|/|D|) * sel(q))
-type outEstimate struct {
+//
+// It prices EstimateWork's descent and benchkw's planner.
+type OutEstimate struct {
 	n, minDF, indep float64
 }
 
-func newOutEstimate(objects int) outEstimate {
-	return outEstimate{n: float64(objects), minDF: math.MaxFloat64, indep: float64(objects)}
+// NewOutEstimate starts the estimate for a set of the given number of
+// objects, before any keyword is added.
+func NewOutEstimate(objects int) OutEstimate {
+	return OutEstimate{n: float64(objects), minDF: math.MaxFloat64, indep: float64(objects)}
 }
 
-// add folds in one query keyword's document frequency |S_w|.
-func (e *outEstimate) add(df float64) {
+// Add folds in one query keyword's document frequency |S_w|.
+func (e *OutEstimate) Add(df float64) {
 	e.minDF = math.Min(e.minDF, df)
 	e.indep *= df / e.n
 }
 
-// out returns estOUT for a region holding the fraction sel of the objects.
-func (e *outEstimate) out(sel float64) float64 { return math.Min(e.minDF, e.indep*sel) }
+// MinDF returns min_w |S_w| over the keywords added.
+func (e *OutEstimate) MinDF() float64 { return e.minDF }
+
+// Out returns estOUT for a region holding the fraction sel of the objects.
+func (e *OutEstimate) Out(sel float64) float64 { return math.Min(e.minDF, e.indep*sel) }
 
 // Theorem1Cost is Theorem 1's query bound N^{1-1/k} * (1 + OUT^{1/k}) with
 // its constant taken as 1: the estimate EstimateWork prices a descent at, the
@@ -62,11 +69,11 @@ func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 		return 1 + int64(len(f.ids))
 	}
 	shortest, allDense := int64(-1), true
-	est := newOutEstimate(f.ds.Len())
+	est := NewOutEstimate(f.ds.Len())
 	for _, w := range ws {
 		li, large, mi := f.rootLookup(w)
 		if large {
-			est.add(float64(f.rootDF[li]))
+			est.Add(float64(f.rootDF[li]))
 			continue
 		}
 		// A small keyword's list: its length and representation (a keyword
@@ -81,7 +88,7 @@ func (f *Framework) EstimateWork(ws []dataset.Keyword) int64 {
 	}
 	switch {
 	case shortest < 0:
-		return int64(Theorem1Cost(float64(f.nu[0]), f.k, est.out(1)))
+		return int64(Theorem1Cost(float64(f.nu[0]), f.k, est.Out(1)))
 	case allDense:
 		return 1 + int64(bitmapWords(len(f.ids))) + shortest
 	default:

@@ -56,10 +56,10 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 				// small there, the shortest of their lists, and whether every
 				// one of them is a bitmap.
 				small, shortest, allBitmaps := 0, ds.Len(), true
-				out := newOutEstimate(ds.Len())
+				out := NewOutEstimate(ds.Len())
 				for _, w := range ws {
 					if _, large := fw.largeLookup(0, w); large {
-						out.add(float64(df[w]))
+						out.Add(float64(df[w]))
 						continue
 					}
 					small++
@@ -69,7 +69,7 @@ func TestEstimateWorkBoundsOps(t *testing.T) {
 				}
 				if small == 0 {
 					sawLarge = true
-					if want := int64(Theorem1Cost(float64(ds.N()), tc.k, out.out(1))); est != want {
+					if want := int64(Theorem1Cost(float64(ds.N()), tc.k, out.Out(1))); est != want {
 						t.Fatalf("ws %v all large: estimate %d, formula over true frequencies %d", ws, est, want)
 					}
 					continue

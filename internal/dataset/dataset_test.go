@@ -184,3 +184,47 @@ func TestRankSpaceMatchesDefinition(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixSortMatchesStableSort: RadixSort's output is the stable sort of
+// its input by Key — on coordinates through RankKey (both zeros, which tie,
+// and repeated values), on keys spread over all 64 bits, on keys sharing
+// every digit but one, and with the ids both ascending and shuffled, so
+// stability is held to the input's order and not to the ids'.
+func TestRadixSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	negZero := math.Copysign(0, -1)
+	gens := map[string]func() uint64{
+		"coords": func() uint64 {
+			return RankKey([]float64{negZero, 0, 0.5, -0.5, rng.Float64(), -rng.NormFloat64() * 1e6}[rng.Intn(6)])
+		},
+		"wide":   func() uint64 { return rng.Uint64() },
+		"repeat": func() uint64 { return []uint64{0, 1, 1 << 63, math.MaxUint64}[rng.Intn(4)] },
+		"top":    func() uint64 { return uint64(rng.Intn(3)) << 60 },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, 7, 2047, 2048, 2049, 20_000} {
+			for _, shuffled := range []bool{false, true} {
+				a := make([]SortKey, n)
+				for i := range a {
+					a[i] = SortKey{Key: gen(), ID: int32(i)}
+				}
+				if shuffled {
+					rng.Shuffle(n, func(i, j int) { a[i].ID, a[j].ID = a[j].ID, a[i].ID })
+				}
+				want := slices.Clone(a)
+				slices.SortStableFunc(want, func(x, y SortKey) int {
+					switch {
+					case x.Key < y.Key:
+						return -1
+					case x.Key > y.Key:
+						return 1
+					}
+					return 0
+				})
+				if got := RadixSort(a, make([]SortKey, n)); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d shuffled=%v: RadixSort differs from the stable sort", name, n, shuffled)
+				}
+			}
+		}
+	}
+}

@@ -55,21 +55,27 @@ func RankKey(v float64) uint64 {
 	return b | 1<<63
 }
 
+// radixBits is RadixSort's digit width: six passes of 11 bits cover a
+// 64-bit key, and a pass's 2048 counters stay in the L1 cache.
+const radixBits = 11
+
 // RadixSort sorts a by Key, stably — a listing ids ascending comes out in
 // (Key, ID) order — using b, as long as a, as the other buffer of an LSD radix
-// sort on bytes, and returns whichever buffer holds the result. A byte every
-// key shares (the exponent bytes, for coordinates of one magnitude) costs no
-// pass.
+// sort on 11-bit digits, and returns whichever buffer holds the result. A
+// digit every key shares (the exponent's, for coordinates of one magnitude)
+// costs no pass.
 func RadixSort(a, b []SortKey) []SortKey {
-	var count [8][256]int32
+	const digits, mask = (64 + radixBits - 1) / radixBits, 1<<radixBits - 1
+	var count [digits][1 << radixBits]int32
 	for _, p := range a {
 		for d := range count {
-			count[d][byte(p.Key>>(8*d))]++
+			count[d][p.Key>>(radixBits*d)&mask]++
 		}
 	}
 	for d := range count {
 		c := &count[d]
-		if len(a) > 0 && int(c[byte(a[0].Key>>(8*d))]) == len(a) {
+		shift := radixBits * d
+		if len(a) > 0 && int(c[a[0].Key>>shift&mask]) == len(a) {
 			continue
 		}
 		sum := int32(0)
@@ -77,7 +83,7 @@ func RadixSort(a, b []SortKey) []SortKey {
 			c[i], sum = sum, sum+n
 		}
 		for _, p := range a {
-			digit := byte(p.Key >> (8 * d))
+			digit := p.Key >> shift & mask
 			b[c[digit]] = p
 			c[digit]++
 		}

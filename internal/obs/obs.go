@@ -13,7 +13,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -257,25 +256,6 @@ func (r *Registry) Reset() {
 			h.buckets[i].Store(0)
 		}
 	}
-}
-
-// names returns all series names sorted, for deterministic exports.
-func (r *Registry) sortedNames() (counters, gauges, hists []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name := range r.counters {
-		counters = append(counters, name)
-	}
-	for name := range r.gauges {
-		gauges = append(gauges, name)
-	}
-	for name := range r.hists {
-		hists = append(hists, name)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(hists)
-	return
 }
 
 // defaultReg is the process-wide registry every instrumented index feeds.

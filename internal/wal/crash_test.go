@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"kwsc/internal/core"
 	"kwsc/internal/dataset"
@@ -43,6 +45,29 @@ func armCrash(t *testing.T, site string, nth int) {
 	t.Cleanup(core.DisarmAllFailpoints)
 }
 
+// isCrash reports whether err carries a crashPanic recovered by a
+// checkpoint's background writer: the writer runs on a goroutine of its own,
+// so a crash armed there comes back as a *core.PanicError (wrapped in
+// ErrCheckpoint when a later trigger collects it) instead of unwinding the
+// caller. The process "dies" at the call that reports it.
+func isCrash(err error) bool {
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		return false
+	}
+	_, ok := pe.Val.(crashPanic)
+	return ok
+}
+
+// settle waits for d's background checkpoint writer, if one is in flight: a
+// process that crashes takes its writer down with it, so recovery must not
+// race one still landing files in the directory.
+func settle(d *Durable) {
+	d.mu.Lock()
+	d.awaitCheckpointLocked()
+	d.mu.Unlock()
+}
+
 // crashOp is one step of the workload. For deletes, target is the index (in
 // the op sequence) of the insert whose handle is deleted.
 type crashOp struct {
@@ -78,8 +103,9 @@ func crashWorkload(seed int64, n int) []crashOp {
 }
 
 // runUntilCrash applies ops in order, returning how many were acknowledged
-// (returned without error) before a crashPanic unwound the stack. Non-crash
-// errors and foreign panics fail the test.
+// before a crashPanic unwound the stack, or before an op reported one a
+// background checkpoint recovered — that op is applied and logged, so it
+// counts as acknowledged. Other errors and foreign panics fail the test.
 func runUntilCrash(t *testing.T, d *Durable, ops []crashOp, handles map[int]int64) (acked int, crashed bool) {
 	t.Helper()
 	defer func() {
@@ -91,20 +117,20 @@ func runUntilCrash(t *testing.T, d *Durable, ops []crashOp, handles map[int]int6
 		}
 	}()
 	for i, op := range ops {
+		var err error
 		if op.del {
-			ok, err := d.Delete(handles[op.target])
-			if err != nil {
-				t.Fatalf("op %d: Delete: %v", i, err)
-			}
-			if !ok {
+			var ok bool
+			if ok, err = d.Delete(handles[op.target]); err == nil && !ok {
 				t.Fatalf("op %d: Delete(%d) found nothing live", i, handles[op.target])
 			}
 		} else {
-			h, err := d.Insert(op.obj)
-			if err != nil {
-				t.Fatalf("op %d: Insert: %v", i, err)
-			}
-			handles[i] = h
+			handles[i], err = d.Insert(op.obj)
+		}
+		switch {
+		case isCrash(err):
+			return acked + 1, true
+		case err != nil:
+			t.Fatalf("op %d: %v", i, err)
 		}
 		acked++
 	}
@@ -276,17 +302,9 @@ func testCrashDuringCheckpoint(t *testing.T, site string) {
 		t.Fatalf("workload: acked=%d crashed=%v", acked, crashed)
 	}
 	armCrash(t, site, 1)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashPanic); !ok {
-					panic(r)
-				}
-			}
-		}()
-		d.Checkpoint()
-		t.Fatalf("checkpoint failpoint %s never fired", site)
-	}()
+	if err := d.Checkpoint(); !isCrash(err) {
+		t.Fatalf("checkpoint failpoint %s never fired: %v", site, err)
+	}
 	// A crashed checkpoint must lose nothing: the full log is still there.
 	crashAndRecover(t, dir, ops, len(ops))
 }
@@ -354,14 +372,9 @@ func TestCrashCheckpointLeavesLitterRecoveryClears(t *testing.T) {
 				mustInsert(t, d, i)
 			}
 			armCrash(t, site, 1)
-			func() {
-				defer func() {
-					if _, ok := recover().(crashPanic); !ok {
-						t.Fatalf("checkpoint failpoint %s never fired", site)
-					}
-				}()
-				d.Checkpoint()
-			}()
+			if err := d.Checkpoint(); !isCrash(err) {
+				t.Fatalf("checkpoint failpoint %s never fired: %v", site, err)
+			}
 			core.DisarmAllFailpoints()
 			litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 			landed, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
@@ -373,6 +386,45 @@ func TestCrashCheckpointLeavesLitterRecoveryClears(t *testing.T) {
 			if d2.Seq() != 5 {
 				t.Fatalf("recovered seq %d, want 5", d2.Seq())
 			}
+			if litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(litter) != 0 {
+				t.Fatalf("recovery left litter %v", litter)
+			}
+		})
+	}
+}
+
+// TestCrashInBackgroundCheckpoint crashes an automatic checkpoint's
+// background writer at each of its sites while writes go on past its pin:
+// the writer of the checkpoint at seq 8 waits at the site until seq 12 is
+// acknowledged and dies there, and so does every writer after it. The
+// trigger at seq 16 reports the crash and the process dies at that call;
+// recovery must hold all 16 ops, those after the pin included, and clear the
+// litter.
+func TestCrashInBackgroundCheckpoint(t *testing.T) {
+	for _, site := range []string{FPCheckpointWrite, FPCheckpointRename} {
+		t.Run(site, func(t *testing.T) {
+			dir := t.TempDir()
+			ops := crashWorkload(5, 40)
+			d := mustOpen(t, dir, WithAutoCheckpoint(8))
+			core.ArmFailpoint(site, func() {
+				for d.Seq() < 12 {
+					time.Sleep(time.Millisecond)
+				}
+				panic(crashPanic{site})
+			})
+			t.Cleanup(core.DisarmAllFailpoints)
+			acked, crashed := runUntilCrash(t, d, ops, map[int]int64{})
+			if !crashed || acked != 16 {
+				t.Fatalf("acked %d ops, crashed %v; want the trigger at seq 16 to report the crash", acked, crashed)
+			}
+			settle(d)
+			if litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(litter) == 0 {
+				t.Fatalf("the crashed writer left no litter (dir %v)", dirNames(t, dir))
+			}
+			if landed, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(landed) != 0 {
+				t.Fatalf("a crashed checkpoint landed: %v", landed)
+			}
+			crashAndRecover(t, dir, ops, acked)
 			if litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(litter) != 0 {
 				t.Fatalf("recovery left litter %v", litter)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -34,6 +35,7 @@ type Durable struct {
 	idx       *core.DynamicORPKW
 	log       *log
 	sinceCkpt int
+	ckpt      *pendingCkpt // the checkpoint being written, nil when none
 	closed    bool
 	readOnly  bool // sealed replica state: direct Insert/Delete refused
 	scratch   []byte
@@ -77,7 +79,11 @@ func WithBufferCap(n int) Option {
 
 // WithAutoCheckpoint checkpoints automatically after every n logged
 // operations (0, the default, disables automatic checkpoints; Checkpoint
-// remains available).
+// remains available). The operation that triggers one syncs the log, pins
+// the state and rotates the log; the checkpoint file is written and the
+// files it supersedes pruned in the background, and the next trigger waits
+// for it, so at most one is in flight. Its failure is reported by the next
+// trigger, Checkpoint or Close, wrapped in ErrCheckpoint.
 func WithAutoCheckpoint(n int) Option {
 	return func(c *config) { c.autoCkpt = n }
 }
@@ -158,9 +164,11 @@ func (j *journalHook) LogDelete(handle int64) error {
 
 // Insert adds an object and returns its stable handle. The handle is valid
 // — and the operation durable per the sync policy — exactly when the error
-// is nil. If an automatic checkpoint was due and failed, the returned error
-// wraps the checkpoint failure while the insert itself remains applied and
-// logged; errors.Is(err, ErrCheckpoint) distinguishes that case.
+// is nil or wraps ErrCheckpoint. An insert that triggers an automatic
+// checkpoint reports the failure of the previous one, whose file was written
+// in the background, or of starting its own; the insert itself remains
+// applied and logged, and errors.Is(err, ErrCheckpoint) distinguishes that
+// case.
 func (d *Durable) Insert(obj dataset.Object) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -246,8 +254,12 @@ func (d *Durable) ApplyShipped(frames []byte) (applied int, torn bool, err error
 	return applied, false, nil
 }
 
-// ErrCheckpoint wraps automatic-checkpoint failures reported alongside an
-// otherwise successful mutation.
+// ErrCheckpoint wraps a checkpoint failure reported beside an otherwise
+// successful call. An automatic checkpoint writes its file in the
+// background, so its failure (a recovered panic included, as a
+// *core.PanicError) is reported by the next call that waits for it: the next
+// triggering Insert, Delete or ApplyShipped, Checkpoint, or Close. A
+// mutation that reports it stays applied and logged.
 var ErrCheckpoint = errorString("wal: automatic checkpoint failed")
 
 func (d *Durable) noteOpLocked() error {
@@ -258,91 +270,162 @@ func (d *Durable) noteOpLocked() error {
 	if d.sinceCkpt < d.cfg.autoCkpt {
 		return nil
 	}
-	if err := d.checkpointLocked(); err != nil {
-		return fmt.Errorf("%w: %w", ErrCheckpoint, err)
-	}
-	return nil
+	return d.checkpointLocked(false)
 }
 
-// Checkpoint snapshots the live dataset to an atomically renamed checkpoint
-// file, rotates the log so the snapshot supersedes every previous segment,
-// and prunes superseded files. On failure the previous checkpoint and log
-// remain authoritative — a half-written checkpoint is never loaded.
+// Checkpoint pins the live state, rotates the log past it, writes the state
+// to an atomically renamed checkpoint file and then prunes the files it
+// supersedes: the routine an automatic checkpoint runs, waited for. An
+// automatic checkpoint still in flight is waited for first, and its failure
+// comes back wrapped in ErrCheckpoint. On failure the previous checkpoint
+// and log remain authoritative — a half-written checkpoint is never loaded.
 func (d *Durable) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	return d.checkpointLocked()
+	return d.checkpointLocked(true)
 }
 
-func (d *Durable) checkpointLocked() error {
-	start := time.Now()
+// pendingCkpt is a checkpoint whose log is rotated and whose file is being
+// written off the write lock. done is closed once the file has landed and
+// the files it supersedes are pruned, or once it failed with err.
+type pendingCkpt struct {
+	done chan struct{}
+	err  error
+}
+
+// checkpointLocked waits for the checkpoint in flight, if any, and starts
+// the next one: it syncs the log, pins the state at seq S and rotates the log
+// to wal-<S+1>.log under the write lock, and leaves the gather, encode,
+// landing and prune to a goroutine of their own. With wait it then waits for
+// that goroutine too (Checkpoint). The previous checkpoint's failure comes
+// back wrapped in ErrCheckpoint, and so does this one's unless wait is set:
+// Checkpoint returns its own failure as it is.
+func (d *Durable) checkpointLocked(wait bool) error {
+	prev := wrapCheckpointErr(d.awaitCheckpointLocked())
+	err := d.startCheckpointLocked()
+	switch {
+	case err == nil && wait:
+		err = d.awaitCheckpointLocked()
+	case !wait:
+		err = wrapCheckpointErr(err)
+	}
+	if prev == nil {
+		return err
+	}
+	return errors.Join(prev, err)
+}
+
+func wrapCheckpointErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrCheckpoint, err)
+}
+
+// awaitCheckpointLocked waits for the checkpoint in flight, if any, and
+// returns its failure. At most one is in flight: every start waits here
+// first, which is also the back-pressure on a writer that outruns them.
+func (d *Durable) awaitCheckpointLocked() error {
+	c := d.ckpt
+	if c == nil {
+		return nil
+	}
+	<-c.done
+	d.ckpt = nil
+	return c.err
+}
+
+// startCheckpointLocked is a checkpoint's part under the write lock. A
+// failure here leaves sinceCkpt as it was, so the next logged op retries.
+func (d *Durable) startCheckpointLocked() error {
 	// Everything logged so far must be on disk before the checkpoint that
 	// claims to supersede it exists.
 	if err := d.log.sync(); err != nil {
 		return err
 	}
+	start := time.Now()
 	pin := d.idx.SnapshotNow()
 	seq := pin.Seq()
-	handles, objs, err := pin.Entries()
-	if err != nil {
-		return fmt.Errorf("wal: snapshotting for checkpoint: %w", err)
-	}
-	snap := &core.Snapshot{
-		K: d.k, Dim: d.dim, LastSeq: seq, NextHandle: d.idx.NextHandle(),
-		Handles: handles, Objs: objs,
-	}
-	if err := writeCheckpointFile(d.dir, snap); err != nil {
-		return err
-	}
-	// Rotate: new appends go to a fresh segment starting after the
-	// checkpoint. When no ops were logged since the last rotation the
-	// active segment already is that fresh segment.
-	newPath := segmentPath(d.dir, seq+1)
-	if newPath != d.log.path {
-		if err := d.log.close(); err != nil {
-			return err
-		}
+	snap := &core.Snapshot{K: d.k, Dim: d.dim, LastSeq: seq, NextHandle: d.idx.NextHandle()}
+	// Rotate: new appends go to a fresh segment starting after the pin, so
+	// every segment the checkpoint supersedes starts at or before seq. When
+	// no ops were logged since the last rotation the active segment already
+	// is that fresh segment.
+	if newPath := segmentPath(d.dir, seq+1); newPath != d.log.path {
 		l, err := openLog(newPath, d.cfg.policy, d.cfg.interval)
 		if err != nil {
 			return err
 		}
+		old := d.log
 		d.log = l
+		if err := old.close(); err != nil {
+			return err
+		}
 	}
-	d.pruneLocked(seq)
 	d.sinceCkpt = 0
+	c := &pendingCkpt{done: make(chan struct{})}
+	d.ckpt = c
+	go func() {
+		defer close(c.done)
+		c.err = landCheckpoint(d.dir, pin, snap, start)
+	}()
+	return nil
+}
+
+// landCheckpoint is a checkpoint's part off the write lock: it gathers the
+// pinned entries, writes them as checkpoint snap.LastSeq and, once that file
+// has landed, prunes what it supersedes and records the checkpoint, timed
+// from start (the pin). It touches nothing the writer mutates, so writes
+// after the pin go on beside it. A panic comes back as a *core.PanicError.
+func landCheckpoint(dir string, pin *core.DynSnapshot, snap *core.Snapshot, start time.Time) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &core.PanicError{Op: "wal.checkpoint", Query: fmt.Sprintf("seq=%d", snap.LastSeq), Val: r, Stack: debug.Stack()}
+		}
+	}()
+	core.Failpoint(FPCheckpointBegin)
+	snap.Handles, snap.Objs, err = pin.Entries()
+	if err != nil {
+		return fmt.Errorf("wal: snapshotting for checkpoint: %w", err)
+	}
+	if err := writeCheckpointFile(dir, snap); err != nil {
+		return err
+	}
+	prune(dir, snap.LastSeq)
 	walCheckpoints.Inc()
 	walCheckpointNs.Observe(int64(time.Since(start)))
 	return nil
 }
 
-// pruneLocked removes files the latest checkpoint, at seq, supersedes: older
-// checkpoints and every segment other than the active one (segments rotate
-// at checkpoints, so all inactive segments hold only superseded records).
-// Checkpoints go through pager.Retire instead of a bare unlink: a superseded
-// snapshot the paged base (or any reader) still has mapped is marked obsolete
-// and deleted on its last unref, never under the reader. Failures are
-// ignored — recovery handles leftover files.
-func (d *Durable) pruneLocked(seq uint64) {
-	ls, err := listDir(d.dir)
+// prune removes the files the checkpoint at seq supersedes, once it is
+// durable: older checkpoints, and the segments that start at or before seq
+// (the log rotated to seq+1 at the checkpoint's pin, so they hold only
+// records up to seq). Checkpoints go through pager.Retire instead of a bare
+// unlink: a superseded snapshot the paged base (or any reader) still has
+// mapped is marked obsolete and deleted on its last unref, never under the
+// reader. Failures are ignored — recovery handles leftover files.
+func prune(dir string, seq uint64) {
+	ls, err := listDir(dir)
 	if err != nil {
 		return
 	}
 	for _, s := range ls.ckpts {
 		if s < seq {
-			pager.Retire(checkpointPath(d.dir, s))
+			pager.Retire(checkpointPath(dir, s))
 		}
 	}
 	for _, s := range ls.segs {
-		if p := segmentPath(d.dir, s); p != d.log.path {
-			os.Remove(p)
+		if s <= seq {
+			os.Remove(segmentPath(dir, s))
 		}
 	}
 }
 
-// Close fsyncs and closes the log, and releases the paged base's checkpoint
+// Close waits for a checkpoint still being written (its failure comes back
+// wrapped in ErrCheckpoint), fsyncs and closes the log, and releases the paged base's checkpoint
 // mapping when recovery attached one. Further mutations fail with ErrClosed;
 // the on-disk state reopens with Open. With a paged base, queries must have
 // drained before Close — their reads would fault against the released
@@ -355,8 +438,11 @@ func (d *Durable) Close() error {
 		return nil
 	}
 	d.closed = true
+	err := wrapCheckpointErr(d.awaitCheckpointLocked())
 	d.idx.SetJournal(nil)
-	err := d.log.close()
+	if lerr := d.log.close(); err == nil {
+		err = lerr
+	}
 	if b := d.idx.Base(); b != nil {
 		if cerr := b.Close(); err == nil {
 			err = cerr

@@ -51,8 +51,10 @@ func (h *linHistory) waitFor(seq uint64) bool {
 }
 
 // linWriter applies ops in order, publishing each acked op into hist.
-// Returns the acked count; on a crashPanic it records the crash and stops.
-// Errors are reported with t.Errorf (goroutine-safe), never Fatalf.
+// Returns the acked count; on a crashPanic, or an op reporting one a
+// background checkpoint recovered (that op is applied and logged, so it is
+// published too), it records the crash and stops. Errors are reported with
+// t.Errorf (goroutine-safe), never Fatalf.
 func linWriter(t *testing.T, d *Durable, ops []crashOp, hist *linHistory, stop *atomic.Bool) (acked int, crashed bool) {
 	handles := map[int]int64{}
 	defer func() {
@@ -67,27 +69,26 @@ func linWriter(t *testing.T, d *Durable, ops []crashOp, hist *linHistory, stop *
 		if stop.Load() {
 			return acked, false
 		}
+		var err error
 		if op.del {
-			ok, err := d.Delete(handles[op.target])
-			if err != nil {
-				t.Errorf("op %d: Delete: %v", i, err)
-				return acked, false
-			}
-			if !ok {
+			var ok bool
+			if ok, err = d.Delete(handles[op.target]); err == nil && !ok {
 				t.Errorf("op %d: Delete(%d) found nothing live", i, handles[op.target])
 				return acked, false
 			}
 		} else {
-			h, err := d.Insert(op.obj)
-			if err != nil {
-				t.Errorf("op %d: Insert: %v", i, err)
-				return acked, false
-			}
-			handles[i] = h
+			handles[i], err = d.Insert(op.obj)
+		}
+		if err != nil && !isCrash(err) {
+			t.Errorf("op %d: %v", i, err)
+			return acked, false
 		}
 		acked++
 		hist.ops[acked-1] = op
 		hist.len.Store(int64(acked))
+		if err != nil {
+			return acked, true
+		}
 	}
 	return acked, false
 }
@@ -176,7 +177,8 @@ func linVerifySnapshot(t *testing.T, v *core.DynSnapshot, hist *linHistory, rng 
 
 // runConcurrentHistory drives one full concurrent history against d:
 // 1 writer, 1 checkpointer, nReaders verifying readers. Returns the number
-// of acked ops and whether a mutator hit an armed crash failpoint.
+// of acked ops and whether the writer or the checkpointer hit an armed crash
+// failpoint.
 func runConcurrentHistory(t *testing.T, d *Durable, ops []crashOp, nReaders int, seed int64) (acked int, crashed bool) {
 	t.Helper()
 	hist := &linHistory{ops: make([]crashOp, len(ops))}
@@ -199,22 +201,18 @@ func runConcurrentHistory(t *testing.T, d *Durable, ops []crashOp, nReaders int,
 		}(r)
 	}
 
-	ckptDone := make(chan struct{})
+	var ckptCrashed atomic.Bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer close(ckptDone)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashPanic); !ok {
-					panic(r)
-				}
-				stop.Store(true)
-			}
-		}()
 		for !stop.Load() {
 			time.Sleep(2 * time.Millisecond)
-			if err := d.Checkpoint(); err != nil && err != ErrClosed {
+			switch err := d.Checkpoint(); {
+			case isCrash(err):
+				ckptCrashed.Store(true)
+				stop.Store(true)
+				return
+			case err != nil && err != ErrClosed:
 				t.Errorf("concurrent checkpoint: %v", err)
 				return
 			}
@@ -224,6 +222,7 @@ func runConcurrentHistory(t *testing.T, d *Durable, ops []crashOp, nReaders int,
 	acked, crashed = linWriter(t, d, ops, hist, &stop)
 	stop.Store(true)
 	wg.Wait()
+	crashed = crashed || ckptCrashed.Load()
 	if !crashed {
 		// Let every reader finish at least one verification even on short
 		// histories (they all stop once the flag is up).
@@ -287,28 +286,38 @@ func TestLinearizableConcurrentHistory(t *testing.T) {
 // TestLinearizableConcurrentCrash arms a crash at each write-path and
 // checkpoint-path failpoint while the concurrent history runs, keeps readers
 // verifying through the crash, then recovers the directory and proves the
-// acked prefix survived exactly.
+// acked prefix survived exactly. The auto variants checkpoint every 16 ops
+// as well, so a crashed writer may be an automatic checkpoint's, in the
+// background while the writer goes on.
 func TestLinearizableConcurrentCrash(t *testing.T) {
 	for _, tc := range []struct {
 		site string
 		nth  int
+		auto int
 	}{
-		{FPAppend, 23},
-		{FPAppend, 61},
-		{FPSync, 17},
-		{FPSync, 49},
-		{FPCheckpointWrite, 1},
-		{FPCheckpointRename, 1},
+		{FPAppend, 23, 0},
+		{FPAppend, 61, 0},
+		{FPSync, 17, 0},
+		{FPSync, 49, 0},
+		{FPCheckpointWrite, 1, 0},
+		{FPCheckpointRename, 1, 0},
+		{FPCheckpointWrite, 1, 16},
+		{FPCheckpointRename, 1, 16},
 	} {
-		t.Run(fmt.Sprintf("%s-%d", tc.site, tc.nth), func(t *testing.T) {
+		name := fmt.Sprintf("%s-%d", tc.site, tc.nth)
+		if tc.auto > 0 {
+			name += "-auto"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			d := mustOpen(t, dir) // SyncEveryOp default
+			d := mustOpen(t, dir, WithAutoCheckpoint(tc.auto)) // SyncEveryOp default
 			ops := crashWorkload(int64(tc.nth)*13, 120)
 			armCrash(t, tc.site, tc.nth)
 			acked, crashed := runConcurrentHistory(t, d, ops, 3, int64(tc.nth))
 			if !crashed {
 				t.Skipf("failpoint %s hit fewer than %d times", tc.site, tc.nth)
 			}
+			settle(d)
 			// Readers saw only published (acked) states throughout; now the
 			// reopened store must hold the acked prefix, at most one
 			// in-flight op beyond it.

@@ -121,11 +121,12 @@ func recoverDir(dir string, dim, k int, cfg config) (*core.DynamicORPKW, string,
 	// is exactly the last applied record's — the anchor for snapshot reads.
 	idx.SetSeq(base)
 
-	// BRIDGE. Segments are named by their first sequence and rotate only at
-	// a durable checkpoint, so a log that starts after base+1 — or no log at
-	// all behind a checkpoint that failed — means acknowledged history is
-	// missing, even when the surviving tail is empty and replay would find
-	// nothing to contradict the restored state.
+	// BRIDGE. Segments are named by their first sequence; the log rotates at
+	// a checkpoint's pin and is pruned only after that checkpoint is
+	// durable, so a log that starts after base+1 — or no log at all behind a
+	// checkpoint that failed — means acknowledged history is missing, even
+	// when the surviving tail is empty and replay would find nothing to
+	// contradict the restored state.
 	if len(ls.segs) > 0 && ls.segs[0] > base+1 || len(ls.segs) == 0 && skipped != "" {
 		return nil, "", fmt.Errorf("%w: the recovered state ends at seq %d, log segments start at seqs %v%s",
 			ErrCorrupt, base, ls.segs, skipped)

@@ -10,10 +10,13 @@
 //     length-prefixed, checksummed frame *before* it is applied in memory;
 //     the operation is acknowledged to the caller only after the append (and,
 //     per policy, the fsync) succeeded.
-//   - A checkpoint snapshots the live entries through the codec package into
-//     a tmp file, fsyncs it, renames it into place, and fsyncs the directory
-//     — the rename is the atomic commit point. A checkpoint supersedes every
-//     log record with a sequence number at or below its LastSeq.
+//   - A checkpoint pins the published state and rotates the log under the
+//     writer lock; then, on a goroutine of its own while writes go on, it
+//     writes the pinned entries (core.WritePagedSnapshot) into a tmp file,
+//     fsyncs it, renames it into place, and fsyncs the directory — the
+//     rename is the atomic commit point — and only then prunes the files it
+//     supersedes. A checkpoint supersedes every log record with a sequence
+//     number at or below its LastSeq.
 //   - Recovery loads the newest checkpoint that validates, replays the log
 //     records after it in sequence order, truncates a torn tail (a partial or
 //     corrupt final frame with no valid frame after it), and refuses to skip
@@ -85,6 +88,10 @@ const (
 	// FPSync fires after a frame is fully written but before the fsync that
 	// would acknowledge it.
 	FPSync = "wal/pre-sync"
+	// FPCheckpointBegin fires as a checkpoint's background writer starts,
+	// before it gathers the pinned entries — an armed action that blocks
+	// there holds the writer while writes go on.
+	FPCheckpointBegin = "wal/checkpoint-begin"
 	// FPCheckpointWrite fires mid-checkpoint, after half the snapshot's
 	// bytes reached the tmp file (split as FPAppend's frame is).
 	FPCheckpointWrite = "wal/checkpoint-write"

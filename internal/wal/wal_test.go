@@ -696,6 +696,171 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// returnsWithin reports whether done is closed within d.
+func returnsWithin(done <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// TestAutoCheckpointOffTheWritePath holds an automatic checkpoint's
+// background writer: the triggering insert returns and later writes go on
+// while the file is unwritten, the next trigger waits for it, Close waits for
+// the one after, and what lands is byte for byte the synchronous
+// Checkpoint's at the same seq.
+func TestAutoCheckpointOffTheWritePath(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, WithAutoCheckpoint(5))
+	// Park each background writer as it starts until the test releases it.
+	started, release := make(chan struct{}), make(chan struct{})
+	core.ArmFailpoint(FPCheckpointBegin, func() {
+		started <- struct{}{}
+		<-release
+	})
+	t.Cleanup(core.DisarmAllFailpoints)
+	for i := 0; i < 4; i++ {
+		mustInsert(t, d, i)
+	}
+	triggered := make(chan struct{})
+	go func() {
+		defer close(triggered)
+		if _, err := d.Insert(testObj(4)); err != nil { // seq 5 triggers the checkpoint
+			t.Errorf("Insert: %v", err)
+		}
+	}()
+	<-started
+	if !returnsWithin(triggered, 5*time.Second) {
+		t.Fatal("the triggering insert waited for the checkpoint's writer")
+	}
+	for i := 5; i < 9; i++ {
+		mustInsert(t, d, i)
+	}
+	// The log rotated at the pin; the file is not written yet.
+	if _, err := os.Stat(segmentPath(dir, 6)); err != nil {
+		t.Fatalf("log not rotated at the pin: %v (dir %v)", err, dirNames(t, dir))
+	}
+	if _, err := os.Stat(checkpointPath(dir, 5)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint 5 exists while its writer is held (err %v)", err)
+	}
+	trigger := make(chan struct{})
+	go func() {
+		defer close(trigger)
+		if _, err := d.Insert(testObj(9)); err != nil { // seq 10: the next trigger
+			t.Errorf("Insert: %v", err)
+		}
+	}()
+	if returnsWithin(trigger, 50*time.Millisecond) {
+		t.Fatal("the next trigger did not wait for the checkpoint in flight")
+	}
+	release <- struct{}{}
+	<-trigger
+	if _, err := os.Stat(checkpointPath(dir, 5)); err != nil {
+		t.Fatalf("checkpoint 5 did not land: %v", err)
+	}
+
+	<-started // the checkpoint at seq 10, held
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		if err := d.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	if returnsWithin(closed, 50*time.Millisecond) {
+		t.Fatal("Close did not wait for the checkpoint in flight")
+	}
+	release <- struct{}{}
+	<-closed
+	core.DisarmAllFailpoints()
+	if got, want := dirNames(t, dir), []string{"checkpoint-000000000000000a.ckpt", "wal-000000000000000b.log"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Close: dir = %v, want %v", got, want)
+	}
+
+	twin := t.TempDir()
+	d2 := mustOpen(t, twin)
+	for i := 0; i < 10; i++ {
+		mustInsert(t, d2, i)
+	}
+	if err := d2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d2.Close()
+	var landed [2][]byte
+	for i, in := range []string{dir, twin} {
+		p := checkpointPath(in, 10) // both indexes are closed: nothing maps it
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		landed[i] = b
+	}
+	if !bytes.Equal(landed[0], landed[1]) {
+		t.Fatalf("background checkpoint (%d bytes) differs from the synchronous one (%d bytes)", len(landed[0]), len(landed[1]))
+	}
+}
+
+// TestBackgroundCheckpointErrorDeferred: a background checkpoint that fails —
+// here by a panic, which must not take the process down — is reported,
+// wrapped in ErrCheckpoint and carrying the *core.PanicError, by whichever
+// call next waits for it: the next trigger (whose insert stays applied and
+// logged), Checkpoint, or Close.
+func TestBackgroundCheckpointErrorDeferred(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, WithAutoCheckpoint(3))
+	t.Cleanup(func() { d.Close() })
+	// Every other checkpoint dies mid-write, counted in the order they start:
+	// one is in flight at a time, so the count needs no lock.
+	hits := 0
+	core.ArmFailpoint(FPCheckpointWrite, func() {
+		if hits++; hits%2 == 1 {
+			panic("disk gone")
+		}
+	})
+	t.Cleanup(core.DisarmAllFailpoints)
+	deferred := func(what string, err error) {
+		t.Helper()
+		var pe *core.PanicError
+		if !errors.Is(err, ErrCheckpoint) || !errors.As(err, &pe) || pe.Val != "disk gone" {
+			t.Fatalf("%s reported %v, want ErrCheckpoint wrapping the writer's *core.PanicError", what, err)
+		}
+	}
+
+	for i := 0; i < 5; i++ { // the 3rd insert starts the checkpoint that fails
+		mustInsert(t, d, i)
+	}
+	h, err := d.Insert(testObj(5)) // the 6th collects it and starts the next
+	deferred("the next trigger", err)
+	if h != 5 || d.Len() != 6 || d.Seq() != 6 {
+		t.Fatalf("the reporting insert: handle %d, Len %d, Seq %d; want 5, 6, 6", h, d.Len(), d.Seq())
+	}
+
+	for i := 6; i < 9; i++ { // the 9th insert starts a checkpoint that fails
+		mustInsert(t, d, i)
+	}
+	deferred("Checkpoint", d.Checkpoint()) // its own, the 4th, lands
+	if _, err := os.Stat(checkpointPath(dir, 9)); err != nil {
+		t.Fatalf("Checkpoint's own checkpoint did not land: %v", err)
+	}
+
+	for i := 9; i < 12; i++ { // the 12th insert starts the 5th, which fails
+		mustInsert(t, d, i)
+	}
+	deferred("Close", d.Close())
+	core.DisarmAllFailpoints()
+
+	d2 := mustOpen(t, dir)
+	defer d2.Close()
+	if d2.Len() != 12 || d2.Seq() != 12 {
+		t.Fatalf("reopened: Len %d Seq %d, want 12, 12", d2.Len(), d2.Seq())
+	}
+	if litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(litter) != 0 {
+		t.Fatalf("recovery left litter %v", litter)
+	}
+}
+
 func TestSyncPolicyString(t *testing.T) {
 	for p, want := range map[SyncPolicy]string{
 		SyncEveryOp: "every-op", SyncInterval: "interval", SyncNone: "none", SyncPolicy(9): "SyncPolicy(9)",
