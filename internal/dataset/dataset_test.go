@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -186,7 +187,7 @@ func TestRankSpaceMatchesDefinition(t *testing.T) {
 }
 
 // TestRadixSortMatchesStableSort: RadixSort's output is the stable sort of
-// its input by Key — on coordinates through RankKey (both zeros, which tie,
+// its input by Key, on either side of its digit-width cutoff — on coordinates through RankKey (both zeros, which tie,
 // and repeated values), on keys spread over all 64 bits, on keys sharing
 // every digit but one, and with the ids both ascending and shuffled, so
 // stability is held to the input's order and not to the ids'.
@@ -202,7 +203,7 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 		"top":    func() uint64 { return uint64(rng.Intn(3)) << 60 },
 	}
 	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, 7, 2047, 2048, 2049, 20_000} {
+		for _, n := range []int{0, 1, 2, 7, 64, radixSmallN - 1, radixSmallN, radixSmallN + 1, 2047, 2048, 2049, 20_000} {
 			for _, shuffled := range []bool{false, true} {
 				a := make([]SortKey, n)
 				for i := range a {
@@ -225,6 +226,30 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 					t.Fatalf("%s n=%d shuffled=%v: RadixSort differs from the stable sort", name, n, shuffled)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkRadixSort times both digit widths around RadixSort's cutoff
+// (radixSmallN) on coordinates through RankKey.
+func BenchmarkRadixSort(b *testing.B) {
+	for _, n := range []int{64, 256, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		keys := make([]SortKey, n)
+		for i := range keys {
+			keys[i] = SortKey{Key: RankKey(rng.Float64()), ID: int32(i)}
+		}
+		a, spare := make([]SortKey, n), make([]SortKey, n)
+		for _, w := range []struct {
+			name string
+			sort func(a, b []SortKey) []SortKey
+		}{{"bits=8", radixSort8}, {"bits=11", radixSort11}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, w.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(a, keys)
+					w.sort(a, spare)
+				}
+			})
 		}
 	}
 }

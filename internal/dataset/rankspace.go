@@ -56,15 +56,28 @@ func RankKey(v float64) uint64 {
 }
 
 // radixBits is RadixSort's digit width: six passes of 11 bits cover a
-// 64-bit key, and a pass's 2048 counters stay in the L1 cache.
-const radixBits = 11
+// 64-bit key, and a pass's 2048 counters stay in the L1 cache. Below
+// radixSmallN keys, where clearing and summing 6 × 2048 counters costs more
+// than the passes themselves, it takes byte digits: 8 × 256 counters
+// (BenchmarkRadixSort times both widths).
+const (
+	radixBits   = 11
+	radixSmallN = 512
+)
 
 // RadixSort sorts a by Key, stably — a listing ids ascending comes out in
 // (Key, ID) order — using b, as long as a, as the other buffer of an LSD radix
-// sort on 11-bit digits, and returns whichever buffer holds the result. A
-// digit every key shares (the exponent's, for coordinates of one magnitude)
-// costs no pass.
+// sort, and returns whichever buffer holds the result. A digit every key
+// shares (the exponent's, for coordinates of one magnitude) costs no pass.
 func RadixSort(a, b []SortKey) []SortKey {
+	if len(a) < radixSmallN {
+		return radixSort8(a, b)
+	}
+	return radixSort11(a, b)
+}
+
+// radixSort11 is RadixSort on radixBits-wide digits.
+func radixSort11(a, b []SortKey) []SortKey {
 	const digits, mask = (64 + radixBits - 1) / radixBits, 1<<radixBits - 1
 	var count [digits][1 << radixBits]int32
 	for _, p := range a {
@@ -84,6 +97,34 @@ func RadixSort(a, b []SortKey) []SortKey {
 		}
 		for _, p := range a {
 			digit := p.Key >> shift & mask
+			b[c[digit]] = p
+			c[digit]++
+		}
+		a, b = b, a
+	}
+	return a
+}
+
+// radixSort8 is RadixSort on byte digits.
+func radixSort8(a, b []SortKey) []SortKey {
+	var count [8][256]int32
+	for _, p := range a {
+		for d := range count {
+			count[d][uint8(p.Key>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		shift := 8 * d
+		if len(a) > 0 && int(c[uint8(a[0].Key>>shift)]) == len(a) {
+			continue
+		}
+		sum := int32(0)
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, p := range a {
+			digit := uint8(p.Key >> shift)
 			b[c[digit]] = p
 			c[digit]++
 		}

@@ -12,22 +12,13 @@ import (
 // the tmp file, which recovery treats as litter, and a crash after it
 // leaves the complete file.
 //
-// A write, sync or check that fails removes the tmp file. Cleanup is not
+// A write, sync or check that fails removes the tmp file. Its removal is not
 // deferred: a panic inside write or check (an armed failpoint) leaves the
-// tmp file behind, as a crash would.
+// tmp file behind, as a crash would, though the descriptor is closed on the
+// way out, for a process that recovers the panic and lives on.
 func WriteAtomic(path string, write func(f *os.File) error, check func(tmp string) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	err := writeTmp(tmp, write)
 	if err == nil && check != nil {
 		err = check(tmp)
 	}
@@ -39,6 +30,24 @@ func WriteAtomic(path string, write func(f *os.File) error, check func(tmp strin
 		return err
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// writeTmp creates tmp, fills it with write and fsyncs it; the descriptor
+// is closed however write returns, a panic included.
+func writeTmp(tmp string, write func(f *os.File) error) (err error) {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // SyncDir fsyncs a directory so renames and creates within it are durable.

@@ -60,3 +60,38 @@ func TestWriteAtomic(t *testing.T) {
 		t.Fatal("a landed file left its tmp behind")
 	}
 }
+
+// TestWriteAtomicPanicClosesDescriptor: a panic inside write unwinds through
+// WriteAtomic with its value intact and leaves the tmp file, as a crash
+// would, but not the tmp file's descriptor — a process that recovers the
+// panic (the checkpoint writer does) must not leak one per landing.
+func TestWriteAtomicPanicClosesDescriptor(t *testing.T) {
+	openFDs := func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(des)
+	}
+	path := filepath.Join(t.TempDir(), "f.ckpt")
+	before := openFDs()
+	for i := 0; i < 3; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "crash mid-write" {
+					t.Fatalf("recovered %v, want the write's own panic", r)
+				}
+			}()
+			WriteAtomic(path, func(f *os.File) error {
+				f.Write([]byte("half"))
+				panic("crash mid-write")
+			}, nil)
+		}()
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("%d descriptors open after three panicking landings, %d before", after, before)
+	}
+	if _, err := os.Stat(path + ".tmp"); err != nil {
+		t.Fatalf("a panicking landing left no tmp file: %v", err)
+	}
+}

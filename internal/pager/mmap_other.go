@@ -12,3 +12,9 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmapFile(data []byte) error { return nil }
+
+// MapWindow always reports ErrNoWindow here: writers fall back to write(2).
+func MapWindow(f *os.File, off, size int64) ([]byte, error) { return nil, ErrNoWindow }
+
+// UnmapWindow is a no-op: MapWindow maps nothing here.
+func UnmapWindow(b []byte) error { return nil }

@@ -30,6 +30,11 @@ const PageSize = 4096
 // sane filesystem, but disks lie) or damaged at rest.
 var ErrChecksum = errString("pager: page checksum mismatch")
 
+// ErrNoWindow reports that a file cannot be preallocated and mapped for
+// writing (MapWindow): the platform has no mmap fast path, or the file
+// system refuses fallocate or a shared mapping.
+var ErrNoWindow = errString("pager: no writable mapping on this file system")
+
 type errString string
 
 func (e errString) Error() string { return string(e) }

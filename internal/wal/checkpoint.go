@@ -89,6 +89,8 @@ func writeCheckpointFile(dir string, snap *core.Snapshot) error {
 		return err
 	}
 	return pager.WriteAtomic(checkpointPath(dir, snap.LastSeq),
-		func(f *os.File) error { return writeSplit(f, buf.Bytes(), FPCheckpointWrite) },
+		func(f *os.File) error {
+			return writeSplit(buf.Bytes(), FPCheckpointWrite, func(b []byte) error { _, err := f.Write(b); return err })
+		},
 		func(string) error { core.Failpoint(FPCheckpointRename); return nil })
 }

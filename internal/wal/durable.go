@@ -361,6 +361,7 @@ func (d *Durable) startCheckpointLocked() error {
 		}
 		old := d.log
 		d.log = l
+		core.Failpoint(FPRotate)
 		if err := old.close(); err != nil {
 			return err
 		}

@@ -9,22 +9,31 @@ import (
 // scanFrame parses the frame starting at data[off:]. It returns the payload
 // (aliasing data) and the offset of the next frame. Errors:
 //
-//	io.EOF      — off is exactly the end of data (clean end of log)
+//	io.EOF      — nothing but zeros from off on, none at all included: the
+//	              clean end of the log (a live or crashed segment ends in its
+//	              preallocated window's zeros, and no frame starts with a
+//	              zero length)
 //	errTorn     — the remaining bytes cannot hold the claimed frame: either
 //	              a partial header or a body cut short (a torn write)
 //	ErrCorrupt  — the header is complete but the length is implausible or
-//	              the checksum does not match (bit rot / overwrite)
+//	              the checksum does not match (bit rot / overwrite, or a torn
+//	              frame followed by zeros)
 //
 // Only frameReader calls it; see there for how each reader judges damage.
+// The zero check runs only where no frame can start, so it reads each
+// segment's zero tail once.
 func scanFrame(data []byte, off int) (payload []byte, next int, err error) {
 	rem := len(data) - off
-	if rem == 0 {
-		return nil, off, io.EOF
-	}
 	if rem < frameHeader {
+		if isZero(data[off:]) {
+			return nil, off, io.EOF
+		}
 		return nil, off, errTorn
 	}
 	length := int(binary.LittleEndian.Uint32(data[off:]))
+	if length == 0 && isZero(data[off:]) {
+		return nil, off, io.EOF
+	}
 	if length == 0 || length > maxFramePayload {
 		return nil, off, ErrCorrupt
 	}
@@ -41,7 +50,9 @@ func scanFrame(data []byte, off int) (payload []byte, next int, err error) {
 
 // frameReader is the one walk over a log's bytes — a segment file at
 // recovery or at the shipper, a shipped batch at a follower: it scans each
-// frame and decodes its record. Each reader judges where it stops:
+// frame and decodes its record. It stops at the logical end, where only
+// zeros (or nothing) follow, with damage nil, in every segment and every
+// batch alike. Each reader judges where it stops otherwise:
 //
 //	recovery  damage with no valid frame after it, in the final segment, is
 //	          a torn tail to truncate; any other damage is ErrCorrupt
@@ -49,7 +60,7 @@ func scanFrame(data []byte, off int) (payload []byte, next int, err error) {
 //	follower  a torn frame is re-requested; any other damage is ErrCorrupt
 type frameReader struct {
 	data   []byte
-	off    int   // offset of the next unread frame
+	off    int   // offset of the next unread frame; the logical end at a clean end
 	damage error // why the frame at off does not read; nil at a clean end
 }
 
@@ -71,6 +82,22 @@ func (fr *frameReader) next() (r record, frame []byte, ok bool) {
 	frame = fr.data[fr.off:next]
 	fr.off = next
 	return r, frame, true
+}
+
+// isZero reports whether every byte of b is zero.
+func isZero(b []byte) bool {
+	for len(b) >= 8 {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+		b = b[8:]
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // errTorn marks a frame cut short by a torn write; see scanFrame.

@@ -42,6 +42,17 @@ func FuzzReplayWAL(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
+	// A live or crashed segment ends in its preallocated window's zeros:
+	// whole frames then zeros are a clean end, zeros then a valid frame are
+	// damage, and a torn frame then zeros is a torn tail.
+	zeros := make([]byte, 64)
+	_, first, err := scanFrame(golden, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append([]byte{}, golden...), zeros...))
+	f.Add(append(append([]byte{}, zeros...), golden[:first]...))
+	f.Add(append(append([]byte{}, golden[:len(golden)-3]...), zeros...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// SyncNone: the target is the log reader, not fsync throughput.

@@ -29,6 +29,9 @@ import (
 //	          skip records a checkpoint supersedes, apply the rest by the one
 //	          rule a follower also applies (apply); a sequence gap, a handle
 //	          mismatch, or a record that does not decode is ErrCorrupt
+//	ZERO-TAIL zeros after a segment's last whole frame — the preallocated
+//	          window of a segment that was live when the process died — are
+//	          its clean end, in any segment: truncated, never counted as torn
 //	TORN-TAIL a damaged frame with no valid frame after it, in the final
 //	          segment, truncates the file there; damage anywhere else fails
 //	          recovery — truncation must never drop an acknowledged op that
@@ -155,6 +158,12 @@ func recoverDir(dir string, dim, k int, cfg config) (*core.DynamicORPKW, string,
 			replayed++
 		}
 		if fr.damage == nil {
+			// ZERO-TAIL: the segment is read to its logical end.
+			if fr.off < len(data) {
+				if err := os.Truncate(path, int64(fr.off)); err != nil {
+					return nil, "", fmt.Errorf("wal: truncating zero tail of %s: %w", path, err)
+				}
+			}
 			continue
 		}
 		if si < len(ls.segs)-1 || anyValidFrameAfter(data, fr.off) {

@@ -36,9 +36,10 @@ func DirHasState(dir string) (bool, error) {
 		return true, nil
 	}
 	for _, s := range ls.segs {
-		// An empty wal-0...1.log from a fresh open is not state: it holds
-		// no acknowledged record and seeding over it is always safe.
-		if st, err := os.Stat(segmentPath(dir, s)); err == nil && st.Size() > 0 {
+		// A segment whose logical end is 0 — all zeros: a fresh open's,
+		// empty or holding just its preallocated window — is not state: it
+		// holds no acknowledged record and seeding over it is always safe.
+		if data, err := os.ReadFile(segmentPath(dir, s)); err == nil && !isZero(data) {
 			return true, nil
 		}
 	}
@@ -86,9 +87,11 @@ func ValidateCheckpointFile(path string) (lastSeq uint64, err error) {
 // maxBytes is exceeded (at least one frame is always shipped when available).
 // It returns the stream and the sequence of the last record included.
 //
-// The scan tolerates a concurrent appender: a torn frame at the end of the
-// newest segment simply ends the batch (those records are not yet
-// acknowledged at upToSeq anyway). ErrTailPruned reports that records in the
+// The scan reads each segment to its logical end (a live segment's
+// preallocated zeros are its clean end, never damage) and tolerates a
+// concurrent appender: a frame still being copied into the newest segment
+// simply ends the batch (those records are not yet acknowledged at upToSeq
+// anyway). ErrTailPruned reports that records in the
 // range have been superseded by a checkpoint and deleted — the caller must
 // re-seed from the checkpoint instead.
 func CollectTail(dir string, afterSeq, upToSeq uint64, maxBytes int) (frames []byte, shippedTo uint64, err error) {
