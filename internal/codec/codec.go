@@ -36,7 +36,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a checksum or framing failure.
-var ErrCorrupt = errors.New("codec: corrupt dataset stream")
+var ErrCorrupt = errors.New("codec: corrupt data")
 
 // WriteDataset serializes the dataset to w.
 func WriteDataset(w io.Writer, ds *dataset.Dataset) error {

@@ -7,7 +7,9 @@ package codec
 
 // Section IDs of a snapshot checkpoint (PagedKindSnapshot; SecPageCRC is the
 // container's own table). The rows by rank are in the kd leaf order of
-// core's checkpoint.go.
+// core's checkpoint.go, whose tree SecTreeSpans and SecTreeBoxes store cut
+// at one cell. Id 10 held one box per cell of ranks in the cell-snapped
+// order before; it is retired, never read and never reused.
 const (
 	SecPageCRC    = 0
 	SecHandles    = 1  // []int64 by entry: strictly increasing, count values
@@ -19,9 +21,10 @@ const (
 	SecPostBlocks = 7  // []int32 quads {off, first, max, n|w<<16} per block, ids are ranks
 	SecPostWords  = 8  // []uint64 bitpack payload
 	SecRankEntry  = 9  // retired: rank -> entry beside entry-ordered documents; never read, never reused
-	SecCellBoxes  = 10 // []float64, 2*dim per cell of ranks: Lo then Hi
 	SecRowHandles = 11 // []int64 by rank: rank -> handle
 	SecEntryRank  = 12 // []int32 by entry: entry -> rank, a permutation of [0, count)
+	SecTreeSpans  = 13 // []int32, the rank span of each stored kd tree node, preorder
+	SecTreeBoxes  = 14 // []float64, 2*dim per stored node: Lo then Hi
 )
 
 // FlatImageVersion is the version of the flat-index section set below,

@@ -16,24 +16,17 @@ import (
 
 // This file is the checkpoint: the KWCP2 container a durable index's live
 // entry set is written as, and PagedBase (pagedbase.go) serves and reads
-// back. It holds every row — point, handle, document — in rank order, one
-// bounding box per cell of ranks, an inverted index (sorted vocabulary,
-// bitpacked postings of *ranks*), and beside them the ascending handle
-// column with the entry -> rank column that leads from a handle to its row.
-// The section ids are codec's (codec/sections.go); the six row sections are
-// ckptRowSecs, which the writer, the open, the readers and the gather all
-// loop over.
+// back. It holds every row — point, handle, document — in rank order, the
+// kd tree of that order cut at one cell, an inverted index (sorted
+// vocabulary, bitpacked postings of *ranks*), and beside them the ascending
+// handle column with the entry -> rank column that leads from a handle to
+// its row. The section ids are codec's (codec/sections.go); the six row
+// sections are ckptRowSecs, which the writer, the open, the readers and the
+// gather all loop over.
 //
-// Rank r is position r of a kd leaf order: the entries are split at the
-// median of their bounding box's widest coordinate, always at a multiple of
-// the cell size, until one cell is left. Cell c is ranks [c*cell,
-// (c+1)*cell) — one page of SecPoints when 8*dim divides the page size, at
-// most two otherwise — and every node of the tree is an interval of cells,
-// so the reader rebuilds the tree from the cell count and cellSplit alone.
-// Coordinates are ordered as rank space orders them (dataset.RankKey: -0
-// ties +0), ties by entry index, and a cell lists its entries ascending,
-// which makes the order, and so the file's bytes, a function of the entry
-// set.
+// Rank r is rank r of BuildORPKW over the same entries: rankTree runs the
+// build's own tree pass, so the order, and with it the file's bytes, is a
+// function of the entry set.
 
 // Snapshot is the payload of a durability checkpoint: the live entry set of
 // a dynamic index — a handle column beside the dataset's three — together
@@ -59,6 +52,11 @@ const maxSnapshotCount = math.MaxInt32
 // not migrated, the directory it belongs to is re-checkpointed by the
 // release that wrote it.
 var errNoRankRows = fmt.Errorf("%w: snapshot has no rows by rank (SecRowHandles, SecEntryRank): written before the rank-order row format", codec.ErrCorrupt)
+
+// errNoRankTree refuses a checkpoint without the stored tree: one written
+// before its rank order was the build's, with one box per cell of ranks
+// instead. It is not migrated either.
+var errNoRankTree = fmt.Errorf("%w: snapshot has no stored kd tree (SecTreeSpans, SecTreeBoxes): written before the build's rank order", codec.ErrCorrupt)
 
 // ckptRows are a checkpoint's six row sections as columns: the handle
 // column and the entry -> rank column by entry, the rows by rank.
@@ -117,66 +115,65 @@ var ckptRowSecs = [numRowSecs]ckptRow{
 
 const rowsBeforeIndex = colRowHandles
 
-// cellSize is the number of ranks in one cell of a dim-dimensional snapshot.
+// cellSize is the most ranks a stored leaf of a dim-dimensional
+// checkpoint's tree spans: a page of SecPoints when 8*dim divides the page
+// size.
 func cellSize(dim int) int { return pager.PageSize / (8 * dim) }
 
-// cellSplit returns where the node over cells [lo, hi), hi-lo >= 2, splits:
-// its children cover [lo, mid) and [mid, hi).
-func cellSplit(lo, hi int) int { return lo + (hi-lo+1)/2 }
-
-// kdLeafOrder computes the rank order of n points: rankEntry[r] is the entry
-// at rank r, and boxes holds one bounding box per cell, dim lows then dim
-// highs.
-//
-// The entries are presorted on every axis (spart.Presort, two axes at a time
-// from parallelCutoff entries, as BuildFramework does); a node is then the
-// same interval of each sorted list, so its box is read off the lists' ends,
-// its median split is the middle of one list, and spart's stable partition
-// carries the other lists along: O(dim * n) a level and O(dim * n * log n)
-// whatever the points are.
-func kdLeafOrder(points []float64, dim, n int) (rankEntry []int32, boxes []float64) {
-	cell := cellSize(dim)
-	cells := (n + cell - 1) / cell
-	rankEntry = make([]int32, n)
-	boxes = make([]float64, 2*dim*cells)
+// rankTree ranks the n entries of a checkpoint with the build's own tree
+// pass, the one BuildORPKW runs (builder.geometry over a rank-space kd
+// presort, document lengths as weights, on a two-wide gate), so rankEntry[r]
+// is the entry BuildORPKW over the same entries ranks r. It returns, beside
+// that order, the tree cut at one cell: in preorder, the root and every node
+// whose parent spans more than cellSize(dim) ranks, each as its span of ranks
+// and its tight box, dim lows then dim highs.
+func rankTree(points []float64, docStart []int64, dim, n int) (rankEntry, spans []int32, boxes []float64) {
 	if n == 0 {
-		return rankEntry, boxes
+		return nil, nil, nil
 	}
-	var each func(int, func(int))
-	if n >= parallelCutoff {
-		each = newParGate(2).each
+	b := &builder{gate: newParGate(2), weight: make([]int32, n), seq: make([]int32, n), nodes: nodesFor(n),
+		kd: &spart.KD{Dim: dim}, col: points, rankSpace: true}
+	var nu int64
+	for e := range b.weight {
+		b.weight[e] = int32(docStart[e+1] - docStart[e])
+		nu += int64(b.weight[e])
 	}
-	p := spart.Presort(n, dim, points, each)
-	box := make([]float64, 2*dim)
-	var split func(lo, hi int)
-	split = func(lo, hi int) {
-		from, to := lo*cell, min(hi*cell, n)
-		into := box
-		if hi-lo == 1 {
-			into = boxes[2*dim*lo : 2*dim*hi]
+	b.geometry(nil, b.presort(), nu, 0, 0)
+
+	// A stored leaf's box holds its points; an inner node's its pivot, the
+	// first rank of its interval, and its children's boxes.
+	cell := int32(cellSize(dim))
+	var cut func(u int32)
+	cut = func(u int32) {
+		nd, at := &b.nodes[u], 2*dim*len(spans)
+		spans = append(spans, nd.hi-nd.lo)
+		for a := 0; a < 2*dim; a++ {
+			boxes = append(boxes, math.Inf(1-2*(a/dim))) // empty: +Inf lows, -Inf highs
 		}
-		for a := 0; a < dim; a++ {
-			l := p.List(a, from, to)
-			into[a], into[dim+a] = points[int(l[0])*dim+a], points[int(l[len(l)-1])*dim+a]
-		}
-		if hi-lo == 1 {
-			copy(rankEntry[from:to], p.List(0, from, to))
-			slices.Sort(rankEntry[from:to])
-			return
-		}
-		axis := 0
-		for a := 1; a < dim; a++ {
-			if box[dim+a]-box[a] > box[dim+axis]-box[axis] {
-				axis = a
+		ranks := b.seq[nd.lo:nd.hi]
+		if nd.hi-nd.lo > cell {
+			ranks = ranks[:1]
+			for _, c := range nd.children {
+				child := 2 * dim * len(spans)
+				cut(c)
+				widenBox(boxes[at:at+2*dim], boxes[child:child+dim])
+				widenBox(boxes[at:at+2*dim], boxes[child+dim:child+2*dim])
 			}
 		}
-		mid := cellSplit(lo, hi)
-		p.Partition(axis, from, to, mid*cell-from, mid*cell-from)
-		split(lo, mid)
-		split(mid, hi)
+		for _, e := range ranks {
+			widenBox(boxes[at:at+2*dim], points[int(e)*dim:(int(e)+1)*dim])
+		}
 	}
-	split(0, cells)
-	return rankEntry, boxes
+	cut(0)
+	return b.seq, spans, boxes
+}
+
+// widenBox widens box, dim lows then dim highs, to hold the point p.
+func widenBox(box, p []float64) {
+	d := len(p)
+	for a, v := range p {
+		box[a], box[d+a] = min(box[a], v), max(box[d+a], v)
+	}
 }
 
 // WritePagedSnapshot serializes the snapshot as a KWCP2 container, laying
@@ -205,7 +202,7 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if count > maxSnapshotCount {
 		return fmt.Errorf("core: snapshot of %d entries exceeds %d", count, maxSnapshotCount)
 	}
-	rankEntry, boxes := kdLeafOrder(points, s.Dim, count)
+	rankEntry, spans, boxes := rankTree(points, docStart, s.Dim, count)
 	// Number each word's posting list and size the lists in entry order,
 	// where the documents are sequential, then fill them in rank order: every
 	// list comes out ascending with one table lookup a word and no regrowth.
@@ -265,7 +262,7 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	payload, blocks := arena.Raw()
 	listsB, blocksB := encodePostings(lists, blocks)
 
-	secs := make([]codec.Section, 0, numRowSecs+5)
+	secs := make([]codec.Section, 0, numRowSecs+6)
 	for i, row := range ckptRowSecs {
 		if i == rowsBeforeIndex {
 			secs = append(secs,
@@ -273,7 +270,8 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 				codec.Section{ID: codec.SecPostLists, Data: listsB},
 				codec.Section{ID: codec.SecPostBlocks, Data: blocksB},
 				codec.Section{ID: codec.SecPostWords, Data: payload},
-				codec.Section{ID: codec.SecCellBoxes, Data: codec.Put(boxes)})
+				codec.Section{ID: codec.SecTreeSpans, Data: codec.Put(spans)},
+				codec.Section{ID: codec.SecTreeBoxes, Data: codec.Put(boxes)})
 		}
 		secs = append(secs, codec.Section{ID: row.id, Data: row.put(&rows)})
 	}
@@ -310,7 +308,8 @@ func ReadPagedSnapshot(path string) (*Snapshot, error) {
 
 // snapshotMeta parses the meta blob of a snapshot container and applies the
 // checks that come before any section is read: the kind, the bounds every
-// later size is computed from, and the presence of the rows by rank.
+// later size is computed from, and the presence of the rows by rank and of
+// the stored tree.
 func snapshotMeta(c *codec.Container) (codec.PagedMeta, error) {
 	meta := codec.ParsePagedMeta(c.Meta)
 	if meta.Kind != codec.PagedKindSnapshot {
@@ -324,6 +323,11 @@ func snapshotMeta(c *codec.Container) (codec.PagedMeta, error) {
 	_, _, inverse := c.Section(codec.SecEntryRank)
 	if !rows || !inverse {
 		return meta, errNoRankRows
+	}
+	_, _, spans := c.Section(codec.SecTreeSpans)
+	_, _, boxes := c.Section(codec.SecTreeBoxes)
+	if !spans || !boxes {
+		return meta, errNoRankTree
 	}
 	return meta, nil
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -21,7 +21,7 @@ import (
 // The checkpoint's writer held to its one reader: what WritePagedSnapshot
 // writes, ReadPagedSnapshot reads back as written, and damage or a lie in
 // any section is refused; the posting directory's checks; and the rank
-// order held to its definition.
+// order held to the build's.
 
 // readSnapshot is ReadPagedSnapshot on raw written to a fresh temporary
 // file.
@@ -181,13 +181,15 @@ func TestSnapshotHugeClaimedCount(t *testing.T) {
 		{ID: codec.SecDocStart, Data: codec.Put([]int64{0, 1})},
 		{ID: codec.SecRowHandles, Data: codec.Put([]int64{0})},
 		{ID: codec.SecEntryRank, Data: codec.Put([]int32{0})},
+		{ID: codec.SecTreeSpans, Data: codec.Put([]int32{1})},
+		{ID: codec.SecTreeBoxes, Data: codec.Put([]float64{0, 0, 0, 0})},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() > 8*pager.PageSize {
 		t.Fatalf("container is %d bytes, meant to be small", buf.Len())
 	}
-	if _, err := readSnapshot(t, buf.Bytes()); !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, errNoRankRows) {
+	if _, err := readSnapshot(t, buf.Bytes()); !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, errNoRankRows) || errors.Is(err, errNoRankTree) {
 		t.Fatalf("huge claimed count: err = %v", err)
 	}
 }
@@ -245,10 +247,9 @@ func TestPagedSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
-// lyingRankSections are one-value edits of the entry -> rank column, the row
-// handles and the cell boxes of a snapshot of at least two entries in two
-// dimensions that every checksum survives and a reader that takes the
-// entries in must still refuse.
+// lyingRankSections are one-value edits of the entry -> rank column and the
+// row handles of a snapshot of at least two entries that every checksum
+// survives and a reader that takes the entries in must still refuse.
 var lyingRankSections = []struct {
 	name string
 	id   uint32
@@ -268,32 +269,131 @@ var lyingRankSections = []struct {
 		copy(d, b)
 		copy(d[8:], a)
 	}},
-	{"a box inside out", codec.SecCellBoxes, func(d []byte) { copy(d, codec.Put([]float64{math.Inf(1)})) }},
-	{"a box that leaves out its points", codec.SecCellBoxes, func(d []byte) { copy(d[16:], codec.Put([]float64{-1e9, -1e9})) }},
-	// Hi set to Lo: a box of sound shape, which only Verify sees leave out
-	// the cell's other points.
-	{"a sound box shrunk to its low corner", codec.SecCellBoxes, func(d []byte) { copy(d[16:32], d[:16]) }},
-	{"a NaN bound", codec.SecCellBoxes, func(d []byte) { copy(d[8:], codec.Put([]float64{math.NaN()})) }},
+}
+
+// lyingTrees are edits of the stored tree of a two-dimensional snapshot of
+// treeLieEntries entries, whose root and its two children are inner nodes
+// over stored leaves, that every checksum survives and a reader that takes
+// the entries in must still refuse: open for the tree's shape, verify for
+// what a box of sound shape leaves out.
+var lyingTrees = []struct {
+	name string
+	edit func(spans []int32, boxes []float64) ([]int32, []float64)
+}{
+	{"a box inside out", func(s []int32, b []float64) ([]int32, []float64) { b[0] = math.Inf(1); return s, b }},
+	{"a NaN bound", func(s []int32, b []float64) ([]int32, []float64) { b[1] = math.NaN(); return s, b }},
+	{"spans that do not sum", func(s []int32, b []float64) ([]int32, []float64) { s[len(s)-1]--; return s, b }},
+	{"a child span at its parent's", func(s []int32, b []float64) ([]int32, []float64) { s[1] = s[0]; return s, b }},
+	{"a root short of the count", func(s []int32, b []float64) ([]int32, []float64) { s[0]--; return s, b }},
+	{"a record past the root's subtree", func(s []int32, b []float64) ([]int32, []float64) {
+		return append(s, 1), append(b, b[:4]...)
+	}},
+	{"more records than the count allows", func(s []int32, b []float64) ([]int32, []float64) {
+		for len(s) <= treeLieEntries {
+			s, b = append(s, 1), append(b, b[:4]...)
+		}
+		return s, b
+	}},
+	// Hi set to Lo: boxes of sound shape, which only verify sees leave out
+	// what they bound.
+	{"the root's box shrunk to its low corner", func(s []int32, b []float64) ([]int32, []float64) {
+		copy(b[2:4], b[:2])
+		return s, b
+	}},
+	{"a leaf's box shrunk to its low corner", func(s []int32, b []float64) ([]int32, []float64) {
+		copy(b[len(b)-2:], b[len(b)-4:len(b)-2])
+		return s, b
+	}},
+}
+
+// treeLieEntries is the size of the snapshot lyingTrees edit: over two
+// cells, so that the root's children are inner nodes too.
+const treeLieEntries = 600
+
+// resealTree is reseal with edit applied to the stored tree.
+func resealTree(t testing.TB, raw []byte, edit func(spans []int32, boxes []float64) ([]int32, []float64)) []byte {
+	t.Helper()
+	c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := c.SectionBytes(bytes.NewReader(raw), codec.SecTreeSpans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := c.SectionBytes(bytes.NewReader(raw), codec.SecTreeBoxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, boxes := edit(codec.Get[int32](sb), codec.Get[float64](bb))
+	return reseal(t, raw, nil, func(id uint32, _ []byte) []byte {
+		switch id {
+		case codec.SecTreeSpans:
+			return codec.Put(spans)
+		case codec.SecTreeBoxes:
+			return codec.Put(boxes)
+		}
+		return nil
+	})
 }
 
 // TestPagedSnapshotRefusesLyingRankSections: read as recovery into memory
 // reads it, a snapshot holds the entry -> rank column to a permutation (open),
-// every row to its entry's handle (Entries) and every cell box to its cell's
-// points (open for its shape, Verify for its points).
+// every row to its entry's handle (entries), the stored tree to its shape
+// (open) and every box to what it bounds (verify).
 func TestPagedSnapshotRefusesLyingRankSections(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePagedSnapshot(&buf, testPagedSnapshot(1, 9)); err != nil {
-		t.Fatal(err)
-	}
+	golden := encodeSnapshot(t, testPagedSnapshot(1, treeLieEntries))
 	for _, lie := range lyingRankSections {
-		raw := resealSection(t, buf.Bytes(), lie.id, lie.edit)
+		raw := resealSection(t, golden, lie.id, lie.edit)
 		if _, err := readSnapshot(t, raw); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", lie.name, err)
 		}
 	}
-	raw := resealSection(t, buf.Bytes(), codec.SecEntryRank, func([]byte) {})
+	for _, lie := range lyingTrees {
+		if _, err := readSnapshot(t, resealTree(t, golden, lie.edit)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", lie.name, err)
+		}
+	}
+	raw := resealTree(t, golden, func(s []int32, b []float64) ([]int32, []float64) { return s, b })
 	if _, err := readSnapshot(t, raw); err != nil {
 		t.Fatalf("re-sealed unchanged: %v", err)
+	}
+}
+
+// TestPagedSnapshotRefusesCellBoxes: a checkpoint as the cell-snapped order
+// wrote it — one box per cell of ranks in section 10, no stored tree — is
+// refused by name, as is one that lacks either tree section.
+func TestPagedSnapshotRefusesCellBoxes(t *testing.T) {
+	golden := encodeSnapshot(t, testPagedSnapshot(1, 9))
+	c, err := codec.ParseContainer(bytes.NewReader(golden), int64(len(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, drop := range map[string][]uint32{
+		"cell boxes": {codec.SecTreeSpans, codec.SecTreeBoxes},
+		"no spans":   {codec.SecTreeSpans},
+		"no boxes":   {codec.SecTreeBoxes},
+	} {
+		var secs []codec.Section
+		for _, sec := range c.Sections[1:] {
+			data, err := c.SectionBytes(bytes.NewReader(golden), sec.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(drop, sec.ID) {
+				secs = append(secs, codec.Section{ID: sec.ID, Data: data})
+			}
+		}
+		if name == "cell boxes" {
+			secs = append(secs, codec.Section{ID: 10, Data: codec.Put([]float64{-10, -10, 10, 10})})
+		}
+		var out bytes.Buffer
+		if err := codec.WriteContainer(&out, c.Meta, secs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readSnapshot(t, out.Bytes()); !errors.Is(err, errNoRankTree) {
+			t.Fatalf("%s: err = %v, want %v", name, err, errNoRankTree)
+		}
 	}
 }
 
@@ -317,19 +417,24 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		f.Add(flip)
 		f.Add(flip[:pos])
 	}
-	// The rank sections and the rows, damaged where only the structural
-	// checks can see it: the sections re-sealed under fresh checksums with a
-	// rank repeated or out of range, two rows or two row handles swapped, a
-	// box turned inside out or leaving out its cell's points; and a page of
-	// each section by rank flipped in place.
+	// The rank sections, the tree and the rows, damaged where only the
+	// structural checks can see it: the sections re-sealed under fresh
+	// checksums with a rank repeated or out of range, two rows or two row
+	// handles swapped, a box turned inside out or leaving out what it
+	// bounds, spans that do not add up; and a page of each section by rank
+	// flipped in place.
 	for _, lie := range lyingRankSections {
 		f.Add(resealSection(f, golden, lie.id, lie.edit))
+	}
+	treeGolden := encodeSnapshot(f, testPagedSnapshot(1, treeLieEntries))
+	for _, lie := range lyingTrees {
+		f.Add(resealTree(f, treeGolden, lie.edit))
 	}
 	c, err := codec.ParseContainer(bytes.NewReader(golden), int64(len(golden)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, id := range []uint32{codec.SecEntryRank, codec.SecCellBoxes, codec.SecRowHandles, codec.SecDocStart, codec.SecDocWords} {
+	for _, id := range []uint32{codec.SecEntryRank, codec.SecTreeSpans, codec.SecTreeBoxes, codec.SecRowHandles, codec.SecDocStart, codec.SecDocWords} {
 		off, _, _ := c.Section(id)
 		flip := append([]byte(nil), golden...)
 		flip[off+5] ^= 0x41
@@ -459,110 +564,127 @@ func TestValidateRejectsCorruptHandles(t *testing.T) {
 	}
 }
 
-// refLeafOrder is kdLeafOrder's definition run literally: at every node,
-// sort the entries on the widest coordinate of their bounding box, ties by
-// entry index, and cut at the cell multiple cellSplit names; a cell lists its
-// entries ascending.
-func refLeafOrder(points []float64, dim, n int) []int32 {
-	cell := cellSize(dim)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	var split func(lo, hi int)
-	split = func(lo, hi int) {
-		part := order[lo*cell : min(hi*cell, n)]
-		if hi-lo == 1 {
-			slices.Sort(part)
-			return
-		}
-		axis, widest := 0, math.Inf(-1)
-		for a := 0; a < dim; a++ {
-			mn, mx := math.Inf(1), math.Inf(-1)
-			for _, e := range part {
-				v := points[int(e)*dim+a]
-				mn, mx = min(mn, v), max(mx, v)
-			}
-			if w := mx - mn; w > widest {
-				axis, widest = a, w
-			}
-		}
-		slices.SortFunc(part, func(x, y int32) int {
-			return cmp.Or(cmp.Compare(dataset.RankKey(points[int(x)*dim+axis]), dataset.RankKey(points[int(y)*dim+axis])), cmp.Compare(x, y))
-		})
-		mid := cellSplit(lo, hi)
-		split(lo, mid)
-		split(mid, hi)
-	}
-	if n > 0 {
-		split(0, (n+cell-1)/cell)
-	}
-	return order
-}
-
-// TestKDLeafOrderMatchesDefinition: the presorted build computes exactly the
-// order its definition gives — on uniform points, on heavy ties, on one value
-// everywhere — and its boxes are the cells' tight bounding boxes.
-func TestKDLeafOrderMatchesDefinition(t *testing.T) {
+// TestCheckpointRanksAsBuildORPKW is the one-order invariant: whatever the
+// entries — uniform, tied, all equal, infinite or signed-zero coordinates,
+// one document heavier than all the others together, which empties one side
+// of the root's split — rank r of a checkpoint is rank r of BuildORPKW over
+// the same entries, and the stored tree is the build's cut at one cell: in
+// preorder, the root and every node whose parent spans more than a cell,
+// each with its span and its tight box.
+func TestCheckpointRanksAsBuildORPKW(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	uniform := func(int, int) float64 { return rng.Float64() }
 	for dim := 1; dim <= 4; dim++ {
 		cell := cellSize(dim)
-		for _, n := range []int{0, 1, cell - 1, cell, cell + 1, 7*cell + 3, 16 * cell} {
-			for name, coord := range map[string]func() float64{
-				"uniform": rng.Float64,
-				"ties":    func() float64 { return float64(rng.Intn(3)) },
-				"equal":   func() float64 { return -2.5 },
-				"signs":   func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)) },
+		for _, n := range []int{1, 8, 9, cell - 1, cell + 1, 7*cell + 3, 1 << 15} {
+			for _, c := range []struct {
+				name  string
+				coord func(i, a int) float64
+			}{
+				{"uniform", uniform},
+				{"ties", func(int, int) float64 { return float64(rng.Intn(3)) }},
+				{"equal", func(int, int) float64 { return -2.5 }},
+				{"non-finite", func(int, int) float64 {
+					return []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, rng.Float64()}[rng.Intn(5)]
+				}},
+				// Entry 0 lies below every other on every axis and outweighs them
+				// all: it is the root's pivot, with nothing on its left.
+				{"skewed", func(i, a int) float64 {
+					if i == 0 {
+						return -1
+					}
+					return rng.Float64()
+				}},
 			} {
-				points := make([]float64, n*dim)
-				for i := range points {
-					points[i] = coord()
+				what := fmt.Sprintf("d=%d n=%d %s", dim, n, c.name)
+				objs := make([]dataset.Object, n)
+				handles := make([]int64, n)
+				words := 0
+				for i := range objs {
+					p := make(geom.Point, dim)
+					for a := range p {
+						p[a] = c.coord(i, a)
+					}
+					doc := []dataset.Keyword{dataset.Keyword(rng.Intn(4))}
+					if rng.Intn(2) == 0 {
+						doc = append(doc, dataset.Keyword(4+rng.Intn(4)))
+					}
+					objs[i], handles[i] = dataset.Object{Point: p, Doc: doc}, int64(i)
+					words += len(doc)
 				}
-				got, boxes := kdLeafOrder(points, dim, n)
-				if want := refLeafOrder(points, dim, n); !slices.Equal(got, want) {
-					t.Fatalf("d=%d n=%d %s: rank order differs from the definition's", dim, n, name)
+				if c.name == "skewed" {
+					objs[0].Doc = make([]dataset.Keyword, words+1)
+					for w := range objs[0].Doc {
+						objs[0].Doc[w] = dataset.Keyword(w)
+					}
 				}
-				for c := 0; c*cell < n; c++ {
-					for a := 0; a < dim; a++ {
-						mn, mx := math.Inf(1), math.Inf(-1)
-						for _, e := range got[c*cell : min((c+1)*cell, n)] {
-							mn, mx = min(mn, points[int(e)*dim+a]), max(mx, points[int(e)*dim+a])
-						}
-						if lo, hi := boxes[2*dim*c+a], boxes[2*dim*c+dim+a]; lo != mn || hi != mx {
-							t.Fatalf("d=%d n=%d %s: cell %d axis %d box [%v,%v], points span [%v,%v]", dim, n, name, c, a, lo, hi, mn, mx)
+				snap := &Snapshot{K: 2, Dim: dim, Handles: handles, Objs: dataset.MustNew(objs), NextHandle: int64(n)}
+				ix, err := BuildORPKW(snap.Objs, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fw := ix.fw
+				b, err := OpenPagedBase(writePagedCheckpoint(t, t.TempDir(), "order.ckpt", snap), PagedBaseOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				r, err := b.getReader()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rank, e := range fw.ids {
+					if h := r.handleAt(int64(rank)); h != int64(e) {
+						t.Fatalf("%s: rank %d holds entry %d, BuildORPKW ranks entry %d there", what, rank, h, e)
+					}
+				}
+				b.putReader(r)
+				var cut []int32 // the build's nodes the checkpoint stores, in preorder
+				var walk func(u int32)
+				walk = func(u int32) {
+					cut = append(cut, u)
+					if int(fw.rankSpan[u]) > cell {
+						for v := fw.childFirst[u]; v < fw.childFirst[u]+fw.childCount[u]; v++ {
+							walk(v)
 						}
 					}
 				}
+				walk(0)
+				if len(b.spans) != len(cut) {
+					t.Fatalf("%s: %d stored nodes, the build's tree cut at one cell has %d", what, len(b.spans), len(cut))
+				}
+				for i, u := range cut {
+					box, want := b.tree[2*dim*i:2*dim*(i+1)], fw.boxes[2*dim*int(u):2*dim*(int(u)+1)]
+					if b.spans[i] != fw.rankSpan[u] || !slices.Equal(box, want) {
+						t.Fatalf("%s: stored node %d spans %d ranks in %v, the build's %d spans %d in %v", what, i, b.spans[i], box, u, fw.rankSpan[u], want)
+					}
+				}
+				if c.name == "skewed" && n > cell && b.next[1] != b.next[0] {
+					t.Fatalf("%s: the root has two children, the pivot was meant to empty one side", what)
+				}
+				if err := b.verify(); err != nil {
+					t.Fatalf("%s: verify: %v", what, err)
+				}
+				b.Close()
 			}
 		}
 	}
 }
 
-// TestKDLeafOrderNonFinite: infinite coordinates and both zeros keep the
-// order a permutation, inside their cells' boxes.
-func TestKDLeafOrderNonFinite(t *testing.T) {
-	const dim = 2
-	n := 3*cellSize(dim) + 1
-	rng := rand.New(rand.NewSource(5))
-	points := make([]float64, n*dim)
-	for i := range points {
-		points[i] = rng.Float64()
-	}
-	points[2*10], points[2*11+1], points[2*12] = math.Inf(-1), math.Inf(1), math.Inf(-1)
-	points[2*13+1], points[2*14+1] = math.Copysign(0, -1), 0
-	got, boxes := kdLeafOrder(points, dim, n)
-	seen := make([]bool, n)
-	for r, e := range got {
-		if seen[e] {
-			t.Fatalf("entry %d ranked twice", e)
-		}
-		seen[e] = true
-		c := r / cellSize(dim)
-		for a := 0; a < dim; a++ {
-			v, lo, hi := points[int(e)*dim+a], boxes[2*dim*c+a], boxes[2*dim*c+dim+a]
-			if !(lo <= v && v <= hi) {
-				t.Fatalf("rank %d: coordinate %v outside cell %d's [%v,%v]", r, v, c, lo, hi)
+// BenchmarkWritePagedSnapshot times the checkpoint writer over paged-cold's
+// corpus at the sizes of rw-mixed's automatic checkpoints (2 000 entries)
+// and of paged-cold's checkpoint (80 000), and between them.
+func BenchmarkWritePagedSnapshot(b *testing.B) {
+	for _, n := range []int{2_000, 10_000, 80_000} {
+		snap, _ := pagedColdCorpus(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := WritePagedSnapshot(&buf, snap); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
 }

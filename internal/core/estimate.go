@@ -133,9 +133,9 @@ func (ix *ORPKWHigh) EstimateWork(ws []dataset.Keyword) int64 {
 
 // EstimateWork of the paged base is the length of the shortest of the k
 // lists, read from the resident vocabulary: the drive list, of which
-// PagedBase.Query charges the ranks inside the rectangle's cells. The
+// PagedBase.Query charges the ranks inside the runs the rectangle keeps. The
 // rectangle is not an argument here, so the estimate is what a rectangle over
-// every cell costs; a small one costs a fraction of it (EXPERIMENTS.md,
+// every rank costs; a small one costs a fraction of it (EXPERIMENTS.md,
 // "Paged base").
 func (b *PagedBase) EstimateWork(ws []dataset.Keyword) int64 {
 	if len(ws) != b.k {

@@ -190,7 +190,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// Every column is sized to the build's own objects and keywords, never to
 	// the dataset or the keyword values.
 	n := len(objs)
-	b := &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), nodes: f.nodesFor(n), rankSpace: cfg.rankSpace}
+	b := &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), nodes: nodesFor(n), rankSpace: cfg.rankSpace}
 	for i, id := range objs {
 		b.weight[i] = ds.DocLen(id)
 	}
@@ -203,12 +203,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 			return nil, err
 		}
 		b.col = col
-		var each func(int, func(int))
-		if gate != nil && n >= parallelCutoff {
-			each = gate.each
-		}
-		b.sorted = spart.Presort(n, kd.Dim, col, each)
-		local = b.sorted.List(0, 0, n)
+		local = b.presort()
 	} else {
 		b.pts = cfg.Points
 		if cfg.Objects != nil || cfg.Points == nil {
@@ -375,10 +370,12 @@ func getKwScratch(d int) *kwScratch {
 // leafSize is the most objects a leaf of the framework's tree holds.
 const leafSize = 8
 
-// nodesFor returns room for the nodes of a subtree over n objects: a median
-// split tree has about 2n/leafSize, and this leaves a quarter more.
-func (f *Framework) nodesFor(n int) []fnode {
-	return make([]fnode, 0, 5*n/(2*leafSize)+1)
+// nodesFor returns room for the nodes of a subtree over n objects. A median
+// split leaves leafSize/2 to leafSize objects in a leaf, so a tree has about
+// 8n/(3*leafSize) nodes, half of them leaves (0.315n at leafSize 8 over
+// paged-cold's corpus): room for fewer regrows the arena, a copy of it whole.
+func nodesFor(n int) []fnode {
+	return make([]fnode, 0, 8*n/(3*leafSize)+1)
 }
 
 // geometry builds the tree over objs (local ids), whose ranks are
@@ -435,7 +432,7 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 				subs = make([]*builder, nz)
 			}
 			sub := *b
-			sub.nodes = b.f.nodesFor(len(g))
+			sub.nodes = nodesFor(len(g))
 			subs[ci] = &sub
 			wg.Add(1)
 			go func(g []int32, nu int64) {
@@ -534,6 +531,20 @@ func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth 
 		nus    [2]int64
 	}{[2][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, [2]int64{left, right}}
 	return nil, kids.groups[:], kids.nus[:], int32(npiv), true
+}
+
+// presort sorts a kd build's objects, 0..len(b.weight)-1, on every axis of
+// b.col — the axes on as many goroutines as the gate lends from
+// parallelCutoff objects — and returns them in axis 0's order: the objects
+// geometry takes at the root.
+func (b *builder) presort() []int32 {
+	n := len(b.weight)
+	var each func(int, func(int))
+	if b.gate != nil && n >= parallelCutoff {
+		each = b.gate.each
+	}
+	b.sorted = spart.Presort(n, b.kd.Dim, b.col, each)
+	return b.sorted.List(0, 0, n)
 }
 
 // leaf finishes node idx as a leaf: its whole active set is its pivot set,

@@ -26,12 +26,11 @@ import (
 // buffer/buckets as usual (see RestoreDynamicORPKWFromBase).
 //
 // The checkpoint stores its rows — point, handle, document — and numbers its
-// postings by rank, the position in a kd leaf order (checkpoint.go): a
-// cell of ranks is one page of points, and every node of the kd tree over
-// the cells is a rank interval. The tree
-// is resident — one box per node, rebuilt at open from the stored cell boxes
-// by the writer's own split arithmetic — so a query first descends it with
-// the rectangle to the ascending runs of cells the rectangle meets, and then
+// postings by rank, BuildORPKW's rank over the same entries (checkpoint.go),
+// beside the kd tree of that order cut at one cell: every node is a rank
+// interval whose first rank is its pivot. The tree is resident — a span and
+// a box a node, read at open — so a query first descends it with the
+// rectangle to the ascending runs of ranks the rectangle may hold, and then
 // intersects the k posting lists inside those runs only, with the leapfrog a
 // framework stop node runs (query.go): driven off the shortest list, every
 // cursor seeking to a run's first rank and leaving at its last. Each list is
@@ -39,35 +38,36 @@ import (
 // block): a block is skipped when its Max lies below the sought rank and
 // answers from its First when the rank lies at or below it, so a posting page
 // is read only for a block whose range really straddles the rank — from the
-// mapping, or through the cursor's own view of the pool. Posting blocks, candidates and
-// point pages outside the rectangle's cells are never touched; a rank found
-// in all k lists reads its point, and one inside the rectangle its document
-// and handle from the same rank's rows — neighbours in the file, as they are
-// in space: O(posting pages inside the runs + |intersection inside the runs|
-// point reads, a page per cell + the row pages of OUT) page reads per query,
-// against none for the tree and the directory. The rectangle now
-// prunes before the lists are read, but the plan is still keywords first:
+// mapping, or through the cursor's own view of the pool. Posting blocks,
+// candidates and point pages outside the runs are never touched; a rank
+// found in all k lists reads its point, and one inside the rectangle its
+// document and handle from the same rank's rows — neighbours in the file,
+// as they are in space: O(posting pages inside the runs + |intersection
+// inside the runs| point reads, about a page per stored leaf + the row pages
+// of OUT) page reads per query, against none for the tree and the
+// directory. The rectangle prunes before the lists are read, but the plan is
+// still keywords first:
 // inside a run nothing bounds the intersection by N^(1-1/k), so Theorem 1's
 // bound is forfeited while the base serves — the out-of-core trade: bounded
 // memory and instant start against more work per query.
 //
 // It is the one reader of a checkpoint. Open validates what a query trusts
 // — the meta, every section's size, and the structural metadata (vocabulary,
-// posting-list and block directories, cell box shapes, the handle column,
+// posting-list and block directories, the stored tree, the handle column,
 // document offsets, the entry -> rank column) — eagerly, O(vocabulary +
 // blocks + entries), no payload page touched beyond those columns, so the
 // scan path can trust offsets without re-checking; a violation is an error
 // wrapping codec.ErrCorrupt. Every page is checksum-verified on first pin
 // (all at open when the file is mapped); a mismatch is pager.ErrChecksum.
 // What open cannot check is that the index sections tell the truth about the
-// rows: a cell box that leaves out one of its points, or a posting list that
+// rows: a tree box that leaves out one of its points, or a posting list that
 // leaves out a rank, hides a match. Neither can report a wrong one: every
 // reported row has had its own point tested against the rectangle and its
 // own document against the keywords, and Has confirms what the handle column
 // says against the row it leads to. A reader that takes the whole file in
 // (ReadPagedSnapshot: recovery into memory, a follower validating a
-// download) adds verify (every page, every cell box against its points) and
-// entries (every row against its entry).
+// download) adds verify (every page, every tree box against what it bounds)
+// and entries (every row against its entry).
 type PagedBase struct {
 	f    *pager.File
 	pool *pager.Pool
@@ -84,19 +84,23 @@ type PagedBase struct {
 	docTotal           int64
 	wordsOff, wordsLen int64
 
-	// Always-resident metadata columns (small: O(vocabulary + blocks + cells)).
+	// Always-resident metadata columns (small: O(vocabulary + blocks + tree)).
 	vocab  []uint32
 	lists  []bitpack.List
 	blocks []bitpack.Block
 	// handleFence[p] is the first handle on page p of the handles section, so
 	// Has finds the one page that can hold a handle without reading any.
 	handleFence []int64
-	// The kd tree over the cells, in preorder: 2*dim floats a node (Lo, then
-	// Hi). The node over cells [lo, hi) has its left child next to it and its
-	// right child 2*(mid-lo) boxes on, mid = cellSplit(lo, hi); a leaf
-	// is one cell, ranks [c*cell, (c+1)*cell).
-	tree        []float64
-	cell, cells int
+	// The kd tree of the rank order cut at one cell (checkpoint.go), in
+	// preorder: node i spans spans[i] ranks, its box is the 2*dim floats at
+	// tree[2*dim*i] (Lo, then Hi), and next[i] is the node past its subtree.
+	// A node spanning more than cell ranks is inner: its first rank is its
+	// pivot, and its one or two children follow it, node i+1 first, over the
+	// rest of its ranks. Any other node is a stored leaf.
+	tree  []float64
+	spans []int32
+	next  []int32
+	cell  int
 
 	// The row sections as zero-copy columns, set only when the file is
 	// mapped on a little-endian host (mapped), and the posting lists over the
@@ -176,7 +180,6 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 		nextHandle: int64(meta.NextHandle),
 		cell:       cellSize(int(meta.Dim)),
 	}
-	b.cells = int((b.count + int64(b.cell) - 1) / int64(b.cell))
 	span := func(id uint32, want int64) (int64, error) {
 		off, n, ok := c.Section(id)
 		if !ok && want == 0 {
@@ -197,20 +200,27 @@ func newPagedBase(f *pager.File, capPages int) (*PagedBase, error) {
 			return nil, err
 		}
 	}
-	if _, err = span(codec.SecCellBoxes, 16*int64(b.dim)*int64(b.cells)); err != nil {
+	// The stored tree: a record a node, each holding a rank of its own (an
+	// inner node its pivot, a leaf its span), so no more than count of them.
+	_, spansLen, _ := c.Section(codec.SecTreeSpans)
+	nodes := spansLen / 4
+	if _, err = span(codec.SecTreeBoxes, 16*int64(b.dim)*nodes); err != nil {
 		return nil, err
+	}
+	if spansLen%4 != 0 || nodes > b.count || (nodes == 0) != (b.count == 0) {
+		return nil, errBase("%d bytes of tree spans for %d entries", spansLen, b.count)
 	}
 
 	// Decode the resident metadata columns through the pool so their pages
 	// are checksum-verified exactly once, here.
-	var index [4][]byte
-	for i, id := range []uint32{codec.SecVocab, codec.SecPostLists, codec.SecPostBlocks, codec.SecCellBoxes} {
+	var index [5][]byte
+	for i, id := range []uint32{codec.SecVocab, codec.SecPostLists, codec.SecPostBlocks, codec.SecTreeSpans, codec.SecTreeBoxes} {
 		off, n, _ := c.Section(id)
 		if index[i], err = b.readSpan(off, n); err != nil {
 			return nil, err
 		}
 	}
-	if err := b.buildCellTree(codec.Get[float64](index[3])); err != nil {
+	if err := b.parseTree(codec.Get[int32](index[3]), codec.Get[float64](index[4])); err != nil {
 		return nil, err
 	}
 	_, b.wordsLen, _ = c.Section(codec.SecPostWords)
@@ -266,9 +276,11 @@ func (b *PagedBase) verifyPages() error {
 
 // verify runs the checks open leaves out because no query needs them: every
 // page's checksum (open has already run it over a mapped file with the casts
-// active), and every cell box against the points of its cell, a box that
-// leaves one out being codec.ErrCorrupt. A reader that takes the whole file
-// in (ReadPagedSnapshot) calls it; serving in place never does.
+// active), and every box of the stored tree against what it bounds — a
+// stored leaf's against the points of its ranks, an inner node's against its
+// pivot's point and its children's boxes — a box that leaves one out being
+// codec.ErrCorrupt. A reader that takes the whole file in
+// (ReadPagedSnapshot) calls it; serving in place never does.
 func (b *PagedBase) verify() error {
 	if !b.mapped() {
 		if err := b.verifyPages(); err != nil {
@@ -283,33 +295,43 @@ func (b *PagedBase) verify() error {
 		return err
 	}
 	defer b.putReader(r)
-	d := b.dim
-	// The leaves in preorder are the cells in order, so the points are read
-	// once, in rank order.
-	var check func(node, lo, hi int) error
-	check = func(node, lo, hi int) error {
-		if hi-lo > 1 {
-			mid := cellSplit(lo, hi)
-			if err := check(node+1, lo, mid); err != nil {
-				return err
-			}
-			return check(node+2*(mid-lo), mid, hi)
-		}
+	// In preorder an inner node's pivot comes before its children's ranks,
+	// so the nodes are checked in order with the points read once, in rank
+	// order.
+	d, rank := b.dim, int64(0)
+	for node, span := range b.spans {
 		box := b.tree[2*d*node : 2*d*(node+1)]
-		for rank := int64(lo * b.cell); rank < min(int64(hi*b.cell), b.count); rank++ {
+		end := rank + int64(span)
+		if int(span) > b.cell {
+			end = rank + 1
+			for c := node + 1; c < int(b.next[node]); c = int(b.next[c]) {
+				if cb := b.tree[2*d*c : 2*d*(c+1)]; !boxHolds(box, cb[:d]) || !boxHolds(box, cb[d:]) {
+					return errBase("tree node %d box does not hold its child %d's", node, c)
+				}
+			}
+		}
+		for ; rank < end; rank++ {
 			p := r.pointAt(rank)
 			if p == nil {
 				return r.err()
 			}
-			for j, v := range p {
-				if !(box[j] <= v && v <= box[d+j]) {
-					return errBase("cell %d box does not hold the point at rank %d", lo, rank)
-				}
+			if !boxHolds(box, p) {
+				return errBase("tree node %d box does not hold the point at rank %d", node, rank)
 			}
 		}
-		return nil
 	}
-	return check(0, 0, b.cells)
+	return nil
+}
+
+// boxHolds reports whether box, dim lows then dim highs, holds the point p.
+func boxHolds(box, p []float64) bool {
+	d := len(p)
+	for j, v := range p {
+		if !(box[j] <= v && v <= box[d+j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // readSpan reads the file bytes [off, off+n) through the pool into a fresh
@@ -355,38 +377,56 @@ func (b *PagedBase) scanPages(col int, fn func(rel int64, page []byte) error) er
 	return nil
 }
 
-// buildCellTree shape-checks the stored cell boxes (no NaN, lo <= hi; an
-// infinite bound is what the writer gives a cell holding a non-finite
-// coordinate) and fills the tree from them: a leaf's box is its cell's, an
-// inner node's the union of its children's.
-func (b *PagedBase) buildCellTree(leaves []float64) error {
+// parseTree checks the stored tree against what cover and verify rely on
+// and keeps it resident: every box of sound shape (no NaN, lo <= hi; an
+// infinite bound is what a node holding a non-finite coordinate gets); the
+// root spans every rank; a node spanning more than a cell is followed by its
+// children (the writer's one or two), each spanning at least one rank, whose
+// spans sum to its own less its pivot; the records end with the root's
+// subtree. Open has sized the sections and bounded the records by the count.
+func (b *PagedBase) parseTree(spans []int32, boxes []float64) error {
 	d := b.dim
-	for c := 0; c < b.cells; c++ {
+	for i := range spans {
 		for j := 0; j < d; j++ {
-			if lo, hi := leaves[2*d*c+j], leaves[2*d*c+d+j]; !(lo <= hi) {
-				return errBase("cell %d box is [%v, %v] on axis %d", c, lo, hi, j)
+			if lo, hi := boxes[2*d*i+j], boxes[2*d*i+d+j]; !(lo <= hi) {
+				return errBase("tree node %d box is [%v, %v] on axis %d", i, lo, hi, j)
 			}
 		}
 	}
-	if b.cells == 0 {
-		return nil
-	}
-	b.tree = make([]float64, 2*d*(2*b.cells-1))
-	var fill func(node, lo, hi int) []float64
-	fill = func(node, lo, hi int) []float64 {
-		box := b.tree[2*d*node : 2*d*(node+1)]
-		if hi-lo == 1 {
-			copy(box, leaves[2*d*lo:2*d*hi])
-			return box
+	b.tree, b.spans, b.next = boxes, spans, make([]int32, len(spans))
+	// open holds the inner nodes whose children are still being read, each
+	// with the ranks its children have yet to span.
+	type inner struct{ node, rest int32 }
+	var open []inner
+	for i, s := range spans {
+		if len(open) == 0 {
+			if i > 0 {
+				return errBase("%d tree records past the root's subtree", len(spans)-i)
+			}
+			if int64(s) != b.count {
+				return errBase("tree root spans %d ranks of %d", s, b.count)
+			}
+		} else {
+			p := &open[len(open)-1]
+			if s < 1 || s > p.rest {
+				return errBase("tree node %d spans %d ranks where its parent %d leaves %d", i, s, p.node, p.rest)
+			}
+			p.rest -= s
 		}
-		mid := cellSplit(lo, hi)
-		l, r := fill(node+1, lo, mid), fill(node+2*(mid-lo), mid, hi)
-		for j := 0; j < d; j++ {
-			box[j], box[d+j] = min(l[j], r[j]), max(l[d+j], r[d+j])
+		if int(s) > b.cell {
+			open = append(open, inner{int32(i), s - 1})
+			continue
 		}
-		return box
+		b.next[i] = int32(i + 1)
+		for len(open) > 0 && open[len(open)-1].rest == 0 {
+			b.next[open[len(open)-1].node] = int32(i + 1)
+			open = open[:len(open)-1]
+		}
 	}
-	fill(0, 0, b.cells)
+	if len(open) > 0 {
+		p := open[len(open)-1]
+		return errBase("the records end with %d ranks of tree node %d left to its children", p.rest, p.node)
+	}
 	return nil
 }
 
@@ -557,7 +597,7 @@ type baseReader struct {
 	src   []bitpack.Source        // one per cursor: the mapped postings, or a view of them each
 	cur   []bitpack.Cursor        // one per query keyword, shortest list first
 	lists []bitpack.List          // the query's lists, shortest first
-	runs  []rankRun               // the ranks of the cells the rectangle meets, ascending
+	runs  []rankRun               // the ranks the rectangle may hold, ascending
 	obj   dataset.Object
 	pt    geom.Point
 	ptBuf []byte
@@ -684,44 +724,47 @@ func (r *baseReader) docAt(rank int64) []dataset.Keyword {
 	return r.doc
 }
 
-// cover descends the cell tree from the node over cells [lo, hi) and appends
-// the ranks of the cells whose boxes meet q to r.runs. A covered node joins
-// whole, without a visit to its descendants, as a covered run.
-func (r *baseReader) cover(st *QueryStats, q *geom.Rect, node, lo, hi int) {
+// cover descends the stored tree with q, in preorder, and appends to
+// r.runs the ranks q may hold: a covered node's or a crossing stored leaf's
+// whole span, and a crossing inner node's pivot before its children's runs.
+// A node found disjoint or covered is passed over with its subtree.
+func (r *baseReader) cover(st *QueryStats, q *geom.Rect) {
 	b := r.b
 	d := b.dim
-	box := b.tree[2*d*node : 2*d*(node+1)]
-	st.NodesVisited++
-	rel := q.RelateRect(box[:d], box[d:])
-	if rel == geom.Disjoint {
-		return
+	for node, rank := 0, int32(0); node < len(b.spans); {
+		box, span := b.tree[2*d*node:2*d*(node+1)], b.spans[node]
+		st.NodesVisited++
+		rel := q.RelateRect(box[:d], box[d:])
+		switch rel {
+		case geom.Covered:
+			st.CoveredNodes++
+		case geom.Crossing:
+			st.CrossingNodes++
+			if int(span) > b.cell {
+				r.runs = addRun(r.runs, rank, rank+1, false)
+				node, rank = node+1, rank+1
+				continue
+			}
+		}
+		if rel != geom.Disjoint {
+			r.runs = addRun(r.runs, rank, rank+span, rel == geom.Covered)
+		}
+		node, rank = int(b.next[node]), rank+span
 	}
-	if rel == geom.Covered {
-		st.CoveredNodes++
-	} else {
-		st.CrossingNodes++
-	}
-	if rel == geom.Crossing && hi-lo > 1 {
-		mid := cellSplit(lo, hi)
-		r.cover(st, q, node+1, lo, mid)
-		r.cover(st, q, node+2*(mid-lo), mid, hi)
-		return
-	}
-	r.runs = addRun(r.runs, int32(lo*b.cell), int32(min(int64(hi*b.cell), b.count)), rel == geom.Covered)
 }
 
 // Query reports (handle, object) for every base entry in q whose document
-// contains all k keywords, in rank order: cell by cell along the kd leaf
-// order, not by ascending handle. The reported object is the reader's
+// contains all k keywords, in rank order — the kd leaf order, not
+// ascending handle. The reported object is the reader's
 // scratch, valid only for the duration of the callback; in mapped mode its
 // Point and Doc alias the mapping and remain valid until Close. Tombstone
 // filtering is the caller's job (the dynamic layer owns the tombstone set):
 // report returns false for an entry it drops, which does not count toward
 // Reported or opts.Limit, and the query ends once Limit entries counted.
 //
-// NodesVisited, CoveredNodes and CrossingNodes count the cell-tree descent.
-// Ops counts the candidates taken from the shortest list inside the runs of
-// cells the rectangle meets — each one a rank the other lists were asked
+// NodesVisited, CoveredNodes and CrossingNodes count the stored tree's
+// descent. Ops counts the candidates taken from the shortest list inside the
+// runs the descent leaves — each one a rank the other lists were asked
 // about — so ExecPolicy.NodeBudget bounds the intersection; ranks a longer
 // list let the scan leap over, and ranks outside the runs, are never examined
 // and never charged.
@@ -760,10 +803,10 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 		r.cur[i].Reset(b.blocks[l.Block:l.Block+l.NumBlocks], int(l.N), r.src[i])
 	}
 	r.runs = r.runs[:0]
-	r.cover(&st, q, 0, 0, b.cells)
+	r.cover(&st, q)
 
 	// The candidate step. The lists are an index, not the truth: whatever the
-	// cell boxes say of the run, a rank in all k lists is reported on its own
+	// tree boxes say of the run, a rank in all k lists is reported on its own
 	// point, tested against the rectangle, and its own document, tested
 	// against the keywords; only then is its handle read. Only such a rank
 	// leaves the posting section, and only one inside the rectangle reads the

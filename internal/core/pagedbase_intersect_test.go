@@ -93,7 +93,7 @@ func keywordTuples(k int) [][]dataset.Keyword {
 }
 
 // reportOrder runs a query and returns the handles in the order reported:
-// rank order, cell by cell — compare with an oracle through sortedHandles.
+// rank order — compare with an oracle through sortedHandles.
 func reportOrder(b *PagedBase, q *geom.Rect, ws []dataset.Keyword, opts QueryOpts) ([]int64, QueryStats, error) {
 	var got []int64
 	st, err := b.Query(q, ws, opts, func(h int64, _ *dataset.Object) bool { got = append(got, h); return true })
@@ -221,12 +221,12 @@ func pagerPins(fn func()) int64 {
 
 // TestPagedBaseDisjointListsTouchOnlyPostings pins the I/O shape of the
 // intersection so it cannot slide back to candidate-at-a-time, nor to reading
-// outside the rectangle's cells. Two keywords never share an entry and split
-// every cell between them. Over the universe rectangle — one run, every
+// outside the runs the rectangle keeps. Two keywords never share an entry
+// and split every stored leaf between them. Over the universe rectangle — one run, every
 // posting block read — the query costs no more pins than the pages the two
 // lists span, which leaves none for the points, handles or document
-// sections. Over a small rectangle it takes candidates from the cells the
-// rectangle meets only.
+// sections. Over a small rectangle it takes candidates from the runs the
+// stored tree's descent keeps only.
 func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 	docs := make([][]dataset.Keyword, 20_000)
 	for i := range docs {
@@ -261,9 +261,9 @@ func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 		})
 		return st, pins
 	}
-	// Entries of the two keywords alternate, and a cell lists its entries
-	// ascending, so the lists interleave in rank space too: a candidate every
-	// few ranks.
+	// Entries of the two keywords alternate, and a leaf of the build's tree
+	// lists its entries ascending, so the lists interleave in rank space too:
+	// a candidate every few ranks.
 	all, allPins := disjoint(geom.UniverseRect(2))
 	if all.Ops < int64(len(docs)/8) {
 		t.Fatalf("only %d candidates examined: the lists were meant to interleave", all.Ops)
@@ -275,8 +275,8 @@ func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 		t.Fatalf("%d pins for posting lists spanning %d pages: the scan left the posting section", allPins, postingPages)
 	}
 
-	// A side-0.2 rectangle holds 4% of the points; its cells hold a little
-	// more, and the candidates are at most the ranks of those cells.
+	// A side-0.2 rectangle holds 4% of the points; the runs its descent keeps
+	// hold a little more, and the candidates are at most their ranks.
 	q := &geom.Rect{Lo: []float64{0.4, 0.4}, Hi: []float64{0.6, 0.6}}
 	r, err := b.getReader()
 	if err != nil {
@@ -284,7 +284,7 @@ func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 	}
 	var cover QueryStats
 	r.runs = r.runs[:0]
-	r.cover(&cover, q, 0, 0, b.cells)
+	r.cover(&cover, q)
 	ranks := int64(0)
 	for _, run := range r.runs {
 		ranks += int64(run.hi - run.lo)
@@ -295,10 +295,10 @@ func TestPagedBaseDisjointListsTouchOnlyPostings(t *testing.T) {
 		t.Fatalf("descent visited %d nodes (%d crossing), the cover alone %d", small.NodesVisited, small.CrossingNodes, cover.NodesVisited)
 	}
 	if ranks > int64(len(docs))/4 {
-		t.Fatalf("the rectangle's cells hold %d of %d ranks: the kd order does not localise", ranks, len(docs))
+		t.Fatalf("the rectangle's runs hold %d of %d ranks: the kd order does not localise", ranks, len(docs))
 	}
 	if small.Ops == 0 || small.Ops > ranks {
-		t.Fatalf("%d candidates for %d ranks in the rectangle's cells", small.Ops, ranks)
+		t.Fatalf("%d candidates for %d ranks in the rectangle's runs", small.Ops, ranks)
 	}
 	// (Both lists fit a few pages here; TestPagedBaseRectanglePrunesWork holds
 	// the pins of a corpus whose lists do not to half.)

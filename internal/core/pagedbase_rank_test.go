@@ -69,11 +69,11 @@ func sameSnapshotColumns(t *testing.T, what string, hs []int64, objs *dataset.Da
 
 // TestPagedBaseRankOrderDifferential: both base modes against snapOracle
 // over geometry that stresses the kd leaf order — every point equal,
-// collinear points, two values on the axis every split takes, fewer entries
+// collinear points, two values on the axis the root splits, fewer entries
 // than a cell, a cell count's multiple and its neighbours, infinite
 // coordinates (a dataset refuses NaN) — in dimensions 1 to 4, with rectangles
-// whose faces lie exactly on cell box faces (the intervals are closed, as
-// Rect.ContainsPoint's), rectangles that meet no cell, and random ones.
+// whose faces lie exactly on stored leaf box faces (the intervals are closed,
+// as Rect.ContainsPoint's), rectangles that meet no node, and random ones.
 func TestPagedBaseRankOrderDifferential(t *testing.T) {
 	type geometry struct {
 		name  string
@@ -98,7 +98,7 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 		}},
 		{"two-values-on-the-split-axis", func(c int) int { return 5*c + 1 }, func(rng *rand.Rand, i int, p geom.Point) {
 			uniform(rng, i, p)
-			p[0] = 10 * float64(rng.Intn(2)) // the widest axis at every node
+			p[0] = 10 * float64(rng.Intn(2)) // the root's split axis, and every dim-th level's
 		}},
 		{"below-a-cell", func(c int) int { return c / 2 }, uniform},
 		{"one-entry", func(int) int { return 1 }, uniform},
@@ -123,8 +123,8 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 
 			for mode, b := range openBothBaseModes(t, snap) {
 				what := name + " " + mode
-				if want := (n + b.cell - 1) / b.cell; b.cells != want || len(b.tree) != 2*dim*(2*want-1) {
-					t.Fatalf("%s: %d cells and %d tree floats for %d entries", what, b.cells, len(b.tree), n)
+				if len(b.spans) == 0 || b.spans[0] != int32(n) || len(b.tree) != 2*dim*len(b.spans) {
+					t.Fatalf("%s: %d stored nodes and %d tree floats for %d entries", what, len(b.spans), len(b.tree), n)
 				}
 				if err := b.verify(); err != nil {
 					t.Fatalf("%s: Verify: %v", what, err)
@@ -142,7 +142,8 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 				}
 				// The first leaves' own boxes; their upper corners alone; and the
 				// boxes just past their upper faces, which meet them in nothing.
-				for _, node := range leafNodes(b)[:min(6, b.cells)] {
+				leaves := leafNodes(b)
+				for _, node := range leaves[:min(6, len(leaves))] {
 					box := b.tree[2*dim*node : 2*dim*(node+1)]
 					lo, hi := box[:dim], box[dim:]
 					past := make([]float64, dim)
@@ -167,7 +168,7 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 						}
 					}
 				}
-				// A rectangle off the data meets no cell: the root is visited (when
+				// A rectangle off the data meets no node: the root is visited (when
 				// both keywords exist at all), found disjoint, and no list is opened.
 				if g.name != "non-finite" {
 					off := geom.UniverseRect(dim)
@@ -183,21 +184,15 @@ func TestPagedBaseRankOrderDifferential(t *testing.T) {
 	}
 }
 
-// leafNodes lists the preorder indexes of the leaves of b's cell tree, by
-// cell.
+// leafNodes lists the preorder indexes of the stored leaves of b's tree, in
+// rank order.
 func leafNodes(b *PagedBase) []int {
 	var leaves []int
-	var walk func(node, lo, hi int)
-	walk = func(node, lo, hi int) {
-		if hi-lo == 1 {
+	for node, span := range b.spans {
+		if int(span) <= b.cell {
 			leaves = append(leaves, node)
-			return
 		}
-		mid := cellSplit(lo, hi)
-		walk(node+1, lo, mid)
-		walk(node+2*(mid-lo), mid, hi)
 	}
-	walk(0, 0, b.cells)
 	return leaves
 }
 
@@ -205,19 +200,22 @@ func leafNodes(b *PagedBase) []int {
 // (the only visits that are neither covered nor crossing).
 func disjointVisits(b *PagedBase, q *geom.Rect) int {
 	d := b.dim
-	var walk func(node, lo, hi int) int
-	walk = func(node, lo, hi int) int {
+	var walk func(node int) int
+	walk = func(node int) int {
 		box := b.tree[2*d*node : 2*d*(node+1)]
 		switch rel := q.RelateRect(box[:d], box[d:]); {
 		case rel == geom.Disjoint:
 			return 1
-		case rel == geom.Covered || hi-lo == 1:
+		case rel == geom.Covered || int(b.spans[node]) <= b.cell:
 			return 0
 		}
-		mid := cellSplit(lo, hi)
-		return walk(node+1, lo, mid) + walk(node+2*(mid-lo), mid, hi)
+		n := 0
+		for c := node + 1; c < int(b.next[node]); c = int(b.next[c]) {
+			n += walk(c)
+		}
+		return n
 	}
-	return walk(0, 0, b.cells)
+	return walk(0)
 }
 
 // TestSnapshotMetaBounds feeds the one checkpoint reader, mapped and through
@@ -302,7 +300,9 @@ func TestPagedBaseOpenTellsDamageFromLies(t *testing.T) {
 			copy(d, d[16:32])
 			copy(d[16:], first)
 		}},
-		{codec.SecCellBoxes, "cell boxes", "a box inside out", func(d []byte) { copy(d, codec.Put([]float64{math.Inf(1)})) }},
+		{codec.SecTreeBoxes, "tree boxes", "a box inside out", func(d []byte) { copy(d, codec.Put([]float64{math.Inf(1)})) }},
+		{codec.SecTreeSpans, "tree spans", "a child span at its parent's", func(d []byte) { copy(d[4:], d[:4]) }},
+		{codec.SecTreeSpans, "tree spans", "spans that do not sum", func(d []byte) { copy(d[len(d)-4:], codec.Put([]int32{1})) }},
 	} {
 		off, n, ok := c.Section(col.id)
 		if !ok {
@@ -376,11 +376,11 @@ func reseal(t testing.TB, raw []byte, meta *codec.PagedMeta, edit func(id uint32
 }
 
 // withoutRankSections is the checkpoint a release before the rank-order
-// format wrote, as far as a reader can tell: no cell boxes and no rows by
-// rank.
+// format wrote, as far as a reader can tell: no index of the ranks and no
+// rows by rank.
 func withoutRankSections(t testing.TB, raw []byte) []byte {
 	return reseal(t, raw, nil, func(id uint32, _ []byte) []byte {
-		if id == codec.SecCellBoxes || id == codec.SecRowHandles || id == codec.SecEntryRank {
+		if id == codec.SecTreeSpans || id == codec.SecTreeBoxes || id == codec.SecRowHandles || id == codec.SecEntryRank {
 			return []byte{}
 		}
 		return nil
@@ -449,14 +449,17 @@ func pagedColdCorpus(n int) (*Snapshot, func(rng *rand.Rand) (*geom.Rect, []data
 // order: on a paged-cold-shaped corpus served through a 256-page pread pool,
 // the candidates and the page pins of a query stream are each under half of
 // what the same keyword pairs cost when the rectangle prunes nothing — the
-// universe rectangle, one run over every cell, which is the unrestricted
+// universe rectangle, one run over every rank, which is the unrestricted
 // leapfrog over the whole lists. The counts are exact, so the stream's are
-// pinned too: the candidates and the cell-tree nodes are PR 24's, while the
-// pins and misses sit below what PR 24's rows — documents and handles by
-// entry, reached through a rank -> entry column — cost: 1389 and 234 inside
-// the rectangles, 11811 and 4669 over the universe, whose 2687 results make
-// the rows most of the bill (1221, 216, 7537 and 3494 with every row by
-// rank).
+// pinned too. The candidates and the tree nodes are the build's rank order's,
+// re-pinned when the checkpoint took it and stored its tree cut at one cell:
+// the cell-snapped order took 3306 candidates and 15980 nodes, and keeping a
+// box per cell of the new order instead of its tree 5169 candidates and 233
+// misses. The pins and misses stay under ceilings below what rows by entry
+// — documents and handles reached through a rank -> entry column — cost:
+// 1389 and 234 inside the rectangles, 11811 and 4669 over the universe,
+// whose 2687 results make the rows most of the bill (1190, 212, 7505 and
+// 3468 with every row by rank in the build's order).
 func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 	snap, next := pagedColdCorpus(1 << 15)
 	path := writePagedCheckpoint(t, t.TempDir(), "cold.ckpt", snap)
@@ -494,8 +497,8 @@ func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 	if rect.reported == 0 {
 		t.Fatal("the stream reported nothing: the guard measures no survivors")
 	}
-	if rect.ops != 3306 || rect.nodes != 15980 {
-		t.Fatalf("%d candidates and %d nodes, want PR 24's 3306 and 15980", rect.ops, rect.nodes)
+	if rect.ops != 3091 || rect.nodes != 19644 {
+		t.Fatalf("%d candidates and %d nodes, want the build order's 3091 and 19644", rect.ops, rect.nodes)
 	}
 	if rect.pins > 1300 || rect.misses > 225 || all.pins > 9000 || all.misses > 4000 {
 		t.Fatalf("%d and %d pins, %d and %d misses: over 1300, 9000, 225 and 4000, back towards rows by entry",
@@ -510,7 +513,8 @@ func TestPagedBaseRectanglePrunesWork(t *testing.T) {
 }
 
 // FuzzPagedBaseHostile changes one value of the entry -> rank column, the
-// handle column, the cell boxes or the posting block directory and re-seals
+// handle column, the stored tree's spans or boxes or the posting block
+// directory and re-seals
 // the container, so the page checksums pass and only open's structural
 // checks and the base's own tests stand between the lie and an answer. Open
 // must refuse the file, or: every query returns without panic and reports
@@ -531,10 +535,12 @@ func FuzzPagedBaseHostile(f *testing.F) {
 	for i, h := range snap.Handles {
 		truth[h] = int32(i)
 	}
-	sections := []uint32{codec.SecEntryRank, codec.SecHandles, codec.SecCellBoxes, codec.SecPostBlocks}
+	sections := []uint32{codec.SecEntryRank, codec.SecHandles, codec.SecTreeSpans, codec.SecTreeBoxes, codec.SecPostBlocks}
+	// The tree's own values among them: the count, a cell, one rank past it.
+	n, cell := uint64(len(snap.Handles)), uint64(cellSize(2))
 	for sec := range sections {
 		for _, at := range []uint32{0, 1, 5, 1 << 20} {
-			for _, v := range []uint64{0, 1, 777, 1 << 31, math.Float64bits(0.5), math.Float64bits(math.NaN()), math.MaxUint64} {
+			for _, v := range []uint64{0, 1, 777, n, n - 1, cell, cell + 1, 1 << 31, math.Float64bits(0.5), math.Float64bits(math.NaN()), math.MaxUint64} {
 				f.Add(uint8(sec), at, v)
 			}
 		}
@@ -547,7 +553,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 				return nil
 			}
 			out := slices.Clone(data)
-			if target == codec.SecCellBoxes || target == codec.SecHandles {
+			if target == codec.SecTreeBoxes || target == codec.SecHandles {
 				copy(out[8*(int(at)%(len(out)/8)):], codec.Put([]uint64{v}))
 			} else {
 				copy(out[4*(int(at)%(len(out)/4)):], codec.Put([]uint32{uint32(v)}))
@@ -608,7 +614,7 @@ func FuzzPagedBaseHostile(f *testing.F) {
 
 // TestPagedBaseNeverReportsNaNRow: a checkpoint re-sealed with one row's x
 // set to NaN opens (open reads no row), but neither mode reports that row for
-// a rectangle that excludes it on x, and Verify refuses the file: no cell box
+// a rectangle that excludes it on x, and Verify refuses the file: no tree box
 // holds a NaN.
 // A NaN passes both halves of lo > x || x > hi, so the row test must ask
 // lo <= x && x <= hi.
@@ -633,8 +639,8 @@ func TestPagedBaseNeverReportsNaNRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rank 0 of the one cell is not its largest x, so the rectangle just
-	// right of it meets the cell's box and its rows are tested. A handle is
+	// Rank 0 of the one stored leaf is not its largest x, so the rectangle
+	// just right of it meets the leaf's box and its rows are tested. A handle is
 	// its entry here.
 	h := int64(binary.LittleEndian.Uint64(rows))
 	x, y := objs[h].Point[0], objs[h].Point[1]

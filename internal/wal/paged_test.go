@@ -234,14 +234,13 @@ func TestPagedRecoveryRefusesCorruptCheckpoint(t *testing.T) {
 // TestCheckpointBytesPinned: the checkpoint of a fixed seeded history — one
 // that carries, tombstones, rebuilds and leaves a part-filled buffer — hashes
 // to a recorded SHA-256, so the bytes are a function of the entry set and a
-// change to them is a decision, not an accident. Re-pinned with the rows by
-// rank: the handle column, the points, the postings and the cell boxes are
-// the bytes commit de7f006 wrote (ec37a7b9…), the documents move from entry
-// to rank order, the rank -> entry column (section 9) gives way to its
-// inverse, and the row handles are new. The order itself is held to its
-// definition by core.TestKDLeafOrderMatchesDefinition.
+// change to them is a decision, not an accident. Re-pinned when the rank
+// order became the build's (9262852c… in the cell-snapped order): every row
+// section and the postings follow the new ranks, and the stored tree
+// (sections 13 and 14) replaces the cell boxes (section 10). The order
+// itself is held to BuildORPKW's by core.TestCheckpointRanksAsBuildORPKW.
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "9262852c815ac7d20bb0154f93e36d23a3df138fbefd086a0d7f85f2c76ea332"
+	const want = "a680ade1351d04f8b3d9a34ea8043bf5c2d95175ca94ce87eb553ff44297116e"
 	dir := t.TempDir()
 	d := mustOpen(t, dir, WithBufferCap(8))
 	rng := rand.New(rand.NewSource(99))

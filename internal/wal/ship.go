@@ -68,7 +68,7 @@ func CheckpointFileName(lastSeq uint64) string {
 
 // ValidateCheckpointFile reads a checkpoint file as recovery into memory
 // does (core.ReadPagedSnapshot: the container framing, the meta and the
-// structure, every page checksum, every cell box, every row against its
+// structure, every page checksum, every tree box, every row against its
 // entry) and returns the sequence it supersedes. A follower calls this on a downloaded checkpoint before
 // renaming it into place, so a truncated, corrupted or lying transfer is
 // refused instead of landing where recovery would find it. The file must

@@ -521,7 +521,7 @@ func TestSoleDamagedCheckpointRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch {
-				case s.ID == codec.SecRowHandles || !pr24 && (s.ID == codec.SecEntryRank || s.ID == codec.SecCellBoxes):
+				case s.ID == codec.SecRowHandles || !pr24 && (s.ID == codec.SecEntryRank || s.ID == codec.SecTreeSpans || s.ID == codec.SecTreeBoxes):
 					continue
 				case s.ID == codec.SecEntryRank:
 					rankEntry := make([]int32, len(data)/4)
