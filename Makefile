@@ -108,13 +108,14 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Race coverage over the concurrent paths: parallel builds and the flat
-# images they save (core's tests), shared-index CollectInto calls,
+# images they save (core's tests), sibling kd partitions (spart) and the
+# two-wide dataset copy (dataset), shared-index CollectInto calls,
 # dynamic-index churn against lock-free readers and pinned snapshots, the WAL
 # linearizability harness, and the metrics registry and tracer all run under
 # the detector.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/core/ ./internal/spart/ ./internal/obs/ ./internal/wal/ ./internal/repl/ ./internal/serve/ ./internal/pager/ .
+	$(GO) test -race ./internal/core/ ./internal/spart/ ./internal/dataset/ ./internal/obs/ ./internal/wal/ ./internal/repl/ ./internal/serve/ ./internal/pager/ .
 
 cover:
 	$(GO) test -cover ./...

@@ -131,8 +131,9 @@ func rankTree(points []float64, docStart []int64, dim, n int) (rankEntry, spans 
 	if n == 0 {
 		return nil, nil, nil
 	}
-	b := &builder{gate: newParGate(2), weight: make([]int32, n), seq: make([]int32, n), nodes: nodesFor(n),
+	b := &builder{gate: newParGate(2), weight: make([]int32, n), seq: make([]int32, n),
 		kd: &spart.KD{Dim: dim}, col: points, rankSpace: true}
+	b.arena(n)
 	var nu int64
 	for e := range b.weight {
 		b.weight[e] = int32(docStart[e+1] - docStart[e])

@@ -162,11 +162,11 @@ var flatColumns = []flatColumn{
 	column(codec.SecFlatDocWords, false, func(m *flatImage) *[]dataset.Keyword { return &m.docWords }),
 }
 
-// pack fills the layout from the builder's nodes (index 0 is the root); a kd
-// tree keeps no cells, its boxes are derived once coords are in place. Every
-// internal node takes a tensor offset, one with no large keyword (and no
-// tensors) too.
-func (f *Framework) pack(nodes []fnode, kd bool) {
+// pack fills the layout from the builder's nodes (index 0 is the root) and
+// their cells, by node; a kd tree has none (cells nil), its boxes are derived
+// once coords are in place. Every internal node takes a tensor offset, one
+// with no large keyword (and no tensors) too.
+func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 	nn := len(nodes)
 	// Pass 1: BFS over the builder's tree. order[newID] = oldID; a node's
 	// children are assigned consecutive new ids the moment it is dequeued.
@@ -185,41 +185,62 @@ func (f *Framework) pack(nodes []fnode, kd bool) {
 		tensorStride: make([]int64, nn),
 	}
 	fl := &f.flatLayout
-	if !kd {
+	if cells != nil {
 		fl.cells = make([]spart.Cell, nn)
 	}
+	var large, mat, ranks, words, tensorWords int // the payload arenas' sizes
 	for head := 0; head < len(order); head++ {
 		n := &nodes[order[head]]
 		fl.childFirst[head] = int32(len(order))
 		fl.childCount[head] = int32(len(n.children))
 		order = append(order, n.children...)
+		if kw := n.kw; kw != nil {
+			large, mat = large+len(kw.large), mat+len(kw.mat)
+			for _, l := range kw.lists {
+				ranks, words = ranks+len(l.ranks), words+len(l.words)
+			}
+			for _, t := range kw.tensors {
+				tensorWords += (t.Len() + 63) / 64
+			}
+		}
 	}
+	// Each arena is cut to size once: growing one by appends would copy it
+	// about four more times over.
+	fl.largeKeys, fl.largeIdx = make([]dataset.Keyword, 0, large), make([]int32, 0, large)
+	fl.matKeys, fl.matLists = make([]dataset.Keyword, 0, mat), make([]FlatList, 0, mat)
+	fl.matRanks, fl.matBits = make([]int32, 0, ranks), make([]uint64, 0, words)
+	fl.tensorArena = bits.ArenaFromWords(make([]uint64, 0, tensorWords))
 
 	// Pass 2: pack payloads in the new order.
 	var perm []int32
+	var none kwNode // the keyword structures of a node without any
 	for newID, oldID := range order {
 		n := &nodes[oldID]
 		if fl.cells != nil {
-			fl.cells[newID] = n.cell
+			fl.cells[newID] = cells[oldID]
+		}
+		kw := n.kw
+		if kw == nil {
+			kw = &none
 		}
 		fl.nu[newID] = n.nu
-		fl.l[newID] = int32(len(n.large))
+		fl.l[newID] = int32(len(kw.large))
 
 		fl.rankLo[newID] = n.lo
 		fl.rankSpan[newID] = n.hi - n.lo
 		fl.pivotCount[newID] = n.npiv
 
-		perm = byKeyword(perm[:0], n.large)
+		perm = byKeyword(perm[:0], kw.large)
 		for _, i := range perm {
-			fl.largeKeys = append(fl.largeKeys, n.large[i])
+			fl.largeKeys = append(fl.largeKeys, kw.large[i])
 			fl.largeIdx = append(fl.largeIdx, i)
 		}
 		fl.largeStart[newID+1] = int32(len(fl.largeKeys))
 
-		perm = byKeyword(perm[:0], n.mat)
+		perm = byKeyword(perm[:0], kw.mat)
 		for _, i := range perm {
-			fl.matKeys = append(fl.matKeys, n.mat[i])
-			l := &n.lists[i]
+			fl.matKeys = append(fl.matKeys, kw.mat[i])
+			l := &kw.lists[i]
 			if l.words == nil {
 				fl.matLists = append(fl.matLists, FlatList{Start: int32(len(fl.matRanks)), N: l.n, Rep: ListRanks})
 				fl.matRanks = append(fl.matRanks, l.ranks...)
@@ -232,8 +253,8 @@ func (f *Framework) pack(nodes []fnode, kd bool) {
 
 		if len(n.children) > 0 {
 			fl.tensorOff[newID] = fl.tensorArena.Words()
-			fl.tensorStride[newID] = (tensorSize(len(n.large), f.k) + 63) / 64
-			for _, t := range n.tensors {
+			fl.tensorStride[newID] = (tensorSize(len(kw.large), f.k) + 63) / 64
+			for _, t := range kw.tensors {
 				fl.tensorArena.AppendDense(t)
 			}
 		}

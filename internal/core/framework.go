@@ -55,16 +55,20 @@ type Framework struct {
 }
 
 // fnode is one tree node as the builder assembles it: scratch that pack
-// turns into the flatLayout columns and BuildFramework drops on return. A kd
-// build leaves cell nil: its nodes are related by their tight boxes.
+// turns into the flatLayout columns and BuildFramework drops on return. It
+// holds the geometry only; the few nodes that carry keyword structures point
+// to them, and cells, which a kd build has none of, sit beside the nodes
+// (builder.cells).
 type fnode struct {
-	cell     spart.Cell
-	children []int32
-	lo, hi   int32 // rank interval of the active set
-	npiv     int32 // the pivot set is ranks [lo, lo+npiv)
-	nu       int64 // N_u = sum of |e.Doc| over the active set
+	children []int32 // cut from the builder's slab (builder.kids)
+	lo, hi   int32   // rank interval of the active set
+	npiv     int32   // the pivot set is ranks [lo, lo+npiv)
+	nu       int64   // N_u = sum of |e.Doc| over the active set
+	kw       *kwNode // nil unless hang gave the node a large or a small keyword
+}
 
-	// Secondary structure T_u (internal nodes only):
+// kwNode is the secondary structure T_u of an internal node.
+type kwNode struct {
 	large   []dataset.Keyword // large keywords by tensor axis: L = len(large)
 	tensors []*bits.Dense     // per child: L^k-bit non-emptiness array
 	mat     []dataset.Keyword // small keywords with a materialized list
@@ -190,7 +194,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// Every column is sized to the build's own objects and keywords, never to
 	// the dataset or the keyword values.
 	n := len(objs)
-	b := &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), nodes: nodesFor(n), rankSpace: cfg.rankSpace}
+	b := &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), rankSpace: cfg.rankSpace}
 	for i, id := range objs {
 		b.weight[i] = ds.DocLen(id)
 	}
@@ -225,6 +229,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 		}
 		root = f.split.RootCell(b.pts, local)
 	}
+	b.arena(n)
 	var nu int64
 	for _, w := range b.weight {
 		nu += int64(w)
@@ -238,7 +243,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	b.hang(0, iota32(len(b.words)), cnt, 0)
 	kwScratchPool.Put(b.sc)
 	b.gatherCoords(objs)
-	f.pack(b.nodes, b.kd != nil)
+	f.pack(b.nodes, b.cells)
 	if b.kd != nil && !f.deriveBoxes() {
 		return nil, fmt.Errorf("core: a NaN partitioning coordinate has no place in a box")
 	}
@@ -306,19 +311,24 @@ func iota32(n int) []int32 {
 
 // builder accumulates the subtree it is responsible for in its own nodes
 // slice (child indexes are local to that slice). The tree pass gives each
-// spawned subtree its own builder, sharing the build's read-only columns, and
-// grafts the finished slice into the parent's; the keyword pass gives each a
-// copy with its own keyword scratch over the one finished nodes slice, of
-// which it writes only its subtree's nodes. Builders share no other mutable
-// state — except seq, the leaf order under construction, of which every
-// subtree writes only its own rank interval.
+// spawned subtree its own builder and arena, sharing the build's read-only
+// columns, and grafts the finished slice into the parent's; the keyword pass
+// gives each a copy with its own keyword scratch over the one finished nodes
+// slice, of which it writes only its subtree's nodes. Builders share no other
+// mutable state — except seq, the leaf order under construction, of which
+// every subtree writes only its own rank interval.
 type builder struct {
 	f      *Framework
 	gate   *parGate
 	pts    []geom.Point // partitioning coordinates by local id, other splitters than kd
 	weight []int32      // |e.Doc| by local id: the verbose-set multiplicity
 	seq    []int32      // rank -> local id
-	nodes  []fnode
+
+	// The tree pass's arena (arena): the nodes, their cells by node unless
+	// the build is kd, and the unused rest of the slab children are cut from.
+	nodes []fnode
+	cells []spart.Cell
+	kids  []int32
 
 	// A kd build keeps every node's objects sorted on each axis (kdSplit):
 	// the node over ranks [lo, hi) is positions [lo, hi) of sorted. col holds
@@ -370,12 +380,29 @@ func getKwScratch(d int) *kwScratch {
 // leafSize is the most objects a leaf of the framework's tree holds.
 const leafSize = 8
 
-// nodesFor returns room for the nodes of a subtree over n objects. A median
-// split leaves leafSize/2 to leafSize objects in a leaf, so a tree has about
+// arena gives b room for the tree over n objects: its nodes, a kd build's
+// without cells, and a slab for their children. A median split leaves
+// leafSize/2 to leafSize objects in a leaf, so a tree has about
 // 8n/(3*leafSize) nodes, half of them leaves (0.315n at leafSize 8 over
-// paged-cold's corpus): room for fewer regrows the arena, a copy of it whole.
-func nodesFor(n int) []fnode {
-	return make([]fnode, 0, 8*n/(3*leafSize)+1)
+// paged-cold's corpus), and one child fewer than nodes: room for fewer
+// regrows the nodes, a copy of them whole, and cuts a further slab.
+func (b *builder) arena(n int) {
+	m := 8*n/(3*leafSize) + 1
+	b.nodes, b.kids = make([]fnode, 0, m), make([]int32, m)
+	if b.kd == nil {
+		b.cells = make([]spart.Cell, 0, m)
+	}
+}
+
+// cutKids returns the children slice of a node with nz children, cut from
+// the slab; a spent slab is replaced by one as large as the nodes so far.
+func (b *builder) cutKids(nz int) []int32 {
+	if len(b.kids) < nz {
+		b.kids = make([]int32, max(nz, len(b.nodes)))
+	}
+	c := b.kids[:nz:nz]
+	b.kids = b.kids[nz:]
+	return c
 }
 
 // geometry builds the tree over objs (local ids), whose ranks are
@@ -384,7 +411,10 @@ func nodesFor(n int) []fnode {
 // that interval.
 func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, lo int32) int32 {
 	idx := int32(len(b.nodes))
-	b.nodes = append(b.nodes, fnode{cell: cell, lo: lo, hi: lo + int32(len(objs)), nu: nu})
+	b.nodes = append(b.nodes, fnode{lo: lo, hi: lo + int32(len(objs)), nu: nu})
+	if b.kd == nil {
+		b.cells = append(b.cells, cell)
+	}
 	if len(objs) <= leafSize {
 		b.leaf(idx, objs)
 		return idx
@@ -392,12 +422,20 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 	// Leaf order: the pivots take the first ranks of the interval, each child
 	// the next len(group) — so every child's interval is known before any
 	// subtree is built, and a parallel build numbers exactly as a sequential
-	// one.
-	split := b.split
+	// one. A kd split's two groups stay on this frame.
+	var cells []spart.Cell
+	var groups [][]int32
+	var nus []int64
+	var npiv int32
+	var ok bool
+	var kdGroups [2][]int32
+	var kdNus [2]int64
 	if b.kd != nil {
-		split = b.kdSplit
+		kdGroups, kdNus, npiv, ok = b.kdSplit(lo, len(objs), nu, depth)
+		groups, nus = kdGroups[:], kdNus[:]
+	} else {
+		cells, groups, nus, npiv, ok = b.split(cell, objs, lo, depth)
 	}
-	cells, groups, nus, npiv, ok := split(cell, objs, lo, nu, depth)
 	if !ok {
 		// No geometric progress possible: finish as a leaf.
 		b.leaf(idx, objs)
@@ -413,9 +451,9 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 			nz++
 		}
 	}
-	children := make([]int32, nz)
+	children := b.cutKids(nz)
 	var subs []*builder // by child: the builder of a spawned subtree
-	var wg sync.WaitGroup
+	var wg *sync.WaitGroup
 	ci, clo := 0, lo+npiv
 	for c, g := range groups {
 		if len(g) == 0 {
@@ -429,23 +467,25 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 		clo += int32(len(g))
 		if len(g) >= parallelCutoff && b.gate.tryAcquire() {
 			if subs == nil {
-				subs = make([]*builder, nz)
+				subs, wg = make([]*builder, nz), new(sync.WaitGroup)
 			}
 			sub := *b
-			sub.nodes = nodesFor(len(g))
+			sub.arena(len(g))
 			subs[ci] = &sub
 			wg.Add(1)
-			go func(g []int32, nu int64) {
+			go func(wg *sync.WaitGroup, g []int32, nu int64) {
 				defer wg.Done()
 				defer b.gate.release()
 				sub.geometry(childCell, g, nu, depth+1, childLo)
-			}(g, nus[c])
+			}(wg, g, nus[c])
 		} else {
 			children[ci] = b.geometry(childCell, g, nus[c], depth+1, childLo)
 		}
 		ci++
 	}
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+	}
 
 	// Graft spawned subtrees, each rooted at its builder's node 0; only node
 	// placement within b.nodes differs from a sequential build, and pack
@@ -461,6 +501,7 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 			}
 			b.nodes = append(b.nodes, n)
 		}
+		b.cells = append(b.cells, sub.cells...)
 		children[ci] = off
 	}
 	b.nodes[idx].children = children
@@ -470,7 +511,7 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 // split runs the splitter on objs and groups them by child, writing the
 // pivots to b.seq from rank lo; the groups are cut from one buffer, each to
 // its exact size, and nus holds their weights.
-func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth int) (cells []spart.Cell, groups [][]int32, nus []int64, npiv int32, ok bool) {
+func (b *builder) split(cell spart.Cell, objs []int32, lo int32, depth int) (cells []spart.Cell, groups [][]int32, nus []int64, npiv int32, ok bool) {
 	cells, assign, ok := b.f.split.Split(cell, objs, b.pts, b.weight, depth)
 	if !ok {
 		return nil, nil, nil, 0, false
@@ -499,14 +540,14 @@ func (b *builder) split(cell spart.Cell, objs []int32, lo int32, _ int64, depth 
 	return cells, groups, nus, npiv, true
 }
 
-// kdSplit is split over the presorted lists of the node over ranks
-// [lo, lo+len(objs)): the split axis's list names the pivot and the children,
-// and after the partition every list is in child order. Each child's objects
-// are its axis-0 list; their weights follow from the left side's, which the
-// median scan sums. It returns no cells: a kd node is related by its tight
-// box, which the finished tree derives (deriveBoxes).
-func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth int) ([]spart.Cell, [][]int32, []int64, int32, bool) {
-	l, h := int(lo), int(lo)+len(objs)
+// kdSplit is split over the presorted lists of the node of size objects over
+// ranks [lo, lo+size): the split axis's list names the pivot and the
+// children, and after the partition every list is in child order. Each
+// child's objects are its axis-0 list; their weights follow from the left
+// side's, which the median scan sums. It returns no cells: a kd node is
+// related by its tight box, which the finished tree derives (deriveBoxes).
+func (b *builder) kdSplit(lo int32, size int, nu int64, depth int) ([2][]int32, [2]int64, int32, bool) {
+	l, h := int(lo), int(lo)+size
 	var axis, from, to int
 	var left int64
 	if b.rankSpace {
@@ -515,7 +556,7 @@ func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth 
 	} else {
 		var ok bool
 		if axis, from, to, left, ok = b.kd.SplitSorted(b.sorted, l, h, b.weight, nu, depth); !ok {
-			return nil, nil, nil, 0, false
+			return [2][]int32{}, [2]int64{}, 0, false
 		}
 	}
 	b.sorted.Partition(axis, l, h, from, to)
@@ -526,11 +567,7 @@ func (b *builder) kdSplit(_ spart.Cell, objs []int32, lo int32, nu int64, depth 
 	for _, id := range l0[:npiv] {
 		right -= int64(b.weight[id])
 	}
-	kids := &struct { // the groups and their weights in one allocation
-		groups [2][]int32
-		nus    [2]int64
-	}{[2][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, [2]int64{left, right}}
-	return nil, kids.groups[:], kids.nus[:], int32(npiv), true
+	return [2][]int32{l0[npiv : npiv+from], l0[npiv+from:]}, [2]int64{left, right}, int32(npiv), true
 }
 
 // presort sorts a kd build's objects, 0..len(b.weight)-1, on every axis of
@@ -654,9 +691,13 @@ func (b *builder) hang(idx int32, incoming, cnt []int32, depth int) {
 			lists = append(lists, matList{n: c})
 		}
 	}
-	n.large = b.keys(large)
+	if len(large) == 0 && len(mat) == 0 {
+		return
+	}
+	kw := &kwNode{large: b.keys(large)}
+	n.kw = kw
 	if len(mat) > 0 {
-		b.materialize(n, mat, lists)
+		b.materialize(kw, n.lo, n.hi, mat, lists)
 	}
 	if len(large) == 0 {
 		return
@@ -669,7 +710,7 @@ func (b *builder) hang(idx int32, incoming, cnt []int32, depth int) {
 	// this node's read-only large list, so heavy children are handed to other
 	// goroutines when the gate has budget.
 	tsize := tensorSize(len(large), f.k)
-	n.tensors = make([]*bits.Dense, len(n.children))
+	kw.tensors = make([]*bits.Dense, len(n.children))
 	var wg sync.WaitGroup
 	for ci, c := range n.children {
 		lo, hi := b.nodes[c].lo, b.nodes[c].hi
@@ -681,24 +722,24 @@ func (b *builder) hang(idx int32, incoming, cnt []int32, depth int) {
 				defer b.gate.release()
 				sub.sc = getKwScratch(len(b.words))
 				t, cnt := sub.scanChild(lo, hi, large, tsize)
-				n.tensors[ci] = t
+				kw.tensors[ci] = t
 				sub.hang(c, large, cnt, depth+1)
 				kwScratchPool.Put(sub.sc)
 			}(ci, c)
 			continue
 		}
 		t, cnt := b.scanChild(lo, hi, large, tsize)
-		n.tensors[ci] = t
+		kw.tensors[ci] = t
 		b.hang(c, large, cnt, depth+1)
 	}
 	wg.Wait()
 }
 
-// materialize fills node n's lists of the small keywords mat, whose sizes
-// lists holds, in one pass over n's rank interval: ranks arrive ascending, so
-// nothing is sorted.
-func (b *builder) materialize(n *fnode, mat []int32, lists []matList) {
-	span := int(n.hi - n.lo)
+// materialize fills kw's lists of the small keywords mat, whose sizes lists
+// holds, in one pass over its node's rank interval [lo, hi): ranks arrive
+// ascending, so nothing is sorted.
+func (b *builder) materialize(kw *kwNode, lo, hi int32, mat []int32, lists []matList) {
+	span := int(hi - lo)
 	for i := range lists {
 		if l := &lists[i]; denseList(int(l.n), span) {
 			l.words = make([]uint64, bitmapWords(span))
@@ -710,14 +751,14 @@ func (b *builder) materialize(n *fnode, mat []int32, lists []matList) {
 	for i, w := range mat {
 		slot[w] = int32(i)
 	}
-	for r := n.lo; r < n.hi; r++ {
+	for r := lo; r < hi; r++ {
 		for _, w := range b.doc(r) {
 			li := slot[w]
 			if li < 0 {
 				continue
 			}
 			if l := &lists[li]; l.words != nil {
-				l.words[(r-n.lo)>>6] |= 1 << (uint32(r-n.lo) & 63)
+				l.words[(r-lo)>>6] |= 1 << (uint32(r-lo) & 63)
 			} else {
 				l.ranks = append(l.ranks, r)
 			}
@@ -726,7 +767,7 @@ func (b *builder) materialize(n *fnode, mat []int32, lists []matList) {
 	for _, w := range mat {
 		slot[w] = -1
 	}
-	n.mat, n.lists = b.keys(mat), lists
+	kw.mat, kw.lists = b.keys(mat), lists
 }
 
 // scanChild makes the one pass over the documents of a child's rank interval

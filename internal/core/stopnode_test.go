@@ -75,7 +75,7 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 	var build func(cell spart.Cell, objs []int32, depth int) int32
 	build = func(cell spart.Cell, objs []int32, depth int) int32 {
 		u := int32(len(nodes))
-		nodes = append(nodes, fnode{cell: cell, lo: int32(len(ids))})
+		nodes = append(nodes, fnode{lo: int32(len(ids))})
 		cells, assign, ok := split.Split(cell, objs, pts, weight, depth)
 		if !ok || (depth > 0 && len(objs) <= 8) {
 			ids = append(ids, objs...)
@@ -104,16 +104,17 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 	root := &nodes[0]
 	if len(root.children) == 0 {
 		root.children = []int32{int32(len(nodes))}
-		nodes = append(nodes, fnode{cell: root.cell, lo: int32(n), hi: int32(n)})
+		nodes = append(nodes, fnode{lo: int32(n), hi: int32(n)})
 		root = &nodes[0]
 	}
 	coords := make([]float64, 0, n*pdim)
 	for _, id := range ids {
 		coords = append(coords, ds.Point(id)...)
 	}
-	root.nu, root.large = ds.N(), slices.Clone(large)
+	kw := &kwNode{large: slices.Clone(large)}
+	root.nu, root.kw = ds.N(), kw
 	for range root.children {
-		root.tensors = append(root.tensors, bits.NewDense(int(tensorSize(len(large), k))))
+		kw.tensors = append(kw.tensors, bits.NewDense(int(tensorSize(len(large), k))))
 	}
 	for _, w := range small {
 		var ranks []int32
@@ -129,11 +130,11 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 				l.words[r>>6] |= 1 << (uint(r) & 63)
 			}
 		}
-		root.mat = append(root.mat, w)
-		root.lists = append(root.lists, l)
+		kw.mat = append(kw.mat, w)
+		kw.lists = append(kw.lists, l)
 	}
 	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim}
-	f.pack(nodes, true)
+	f.pack(nodes, nil)
 	f.deriveBoxes()
 	return f
 }

@@ -334,3 +334,45 @@ func BenchmarkHasAll(b *testing.B) {
 		})
 	}
 }
+
+// TestTwoWideNewMatchesOneWide: New's two halves lay out the same columns as
+// one pass, byte for byte, over documents with duplicate and unsorted
+// keywords, and a failing object in either half, or in both, is reported as
+// one pass reports it: the lowest, with the same message.
+func TestTwoWideNewMatchesOneWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(300)
+		objs := make([]Object, n)
+		for i := range objs {
+			doc := make([]Keyword, 1+rng.Intn(8))
+			for j := range doc {
+				doc[j] = Keyword(rng.Intn(12)) // duplicates are common
+			}
+			objs[i] = Object{Point: geom.Point{float64(rng.Intn(5)), math.Inf(1 - 2*rng.Intn(2))}, Doc: doc}
+		}
+		for range rng.Intn(3) {
+			switch o := &objs[rng.Intn(n)]; rng.Intn(3) {
+			case 0:
+				o.Doc = nil
+			case 1:
+				o.Point = geom.Point{math.NaN(), 0}
+			default:
+				o.Point = geom.Point{1}
+			}
+		}
+		one, err1 := newDataset(objs, false)
+		two, err2 := newDataset(objs, true)
+		if (err1 == nil) != (err2 == nil) || err1 != nil && err1.Error() != err2.Error() {
+			t.Fatalf("trial %d: one-wide error %v, two-wide %v", trial, err1, err2)
+		}
+		if err1 != nil {
+			continue
+		}
+		p1, s1, w1 := one.Columns()
+		p2, s2, w2 := two.Columns()
+		if !slices.Equal(p1, p2) || !slices.Equal(s1, s2) || !slices.Equal(w1, w2) || cap(w1) != cap(w2) || one.W() != two.W() {
+			t.Fatalf("trial %d over %d objects: two-wide columns differ from one-wide", trial, n)
+		}
+	}
+}

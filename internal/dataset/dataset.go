@@ -9,7 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 
 	"kwsc/internal/geom"
 )
@@ -47,8 +49,20 @@ var ErrEmpty = errors.New("dataset: no objects")
 // New validates the objects and copies them into the columns, sorting and
 // de-duplicating each document on the way. It never writes to objs. Every
 // object must have a non-empty document and a point of the same
-// dimensionality with no NaN coordinate (see ValidatePoint).
+// dimensionality with no NaN coordinate (see ValidatePoint); the error names
+// the lowest failing object. From twoWideAt objects, with more than one
+// processor, the two halves are checked and copied on two goroutines.
 func New(objs []Object) (*Dataset, error) {
+	return newDataset(objs, len(objs) >= twoWideAt && runtime.GOMAXPROCS(0) > 1)
+}
+
+// twoWideAt is the fewest objects New cuts into two halves: from a few
+// thousand objects a half's copy outweighs handing it to a goroutine.
+const twoWideAt = 4096
+
+// newDataset is New, one-wide or, when twoWide is set, in two halves; the
+// columns are the same either way.
+func newDataset(objs []Object, twoWide bool) (*Dataset, error) {
 	if len(objs) == 0 {
 		return nil, ErrEmpty
 	}
@@ -56,34 +70,143 @@ func New(objs []Object) (*Dataset, error) {
 	if dim == 0 {
 		return nil, errors.New("dataset: zero-dimensional points")
 	}
-	words := 0
-	for i := range objs {
-		if len(objs[i].Point) != dim {
-			return nil, fmt.Errorf("dataset: object %d has dimension %d, want %d", i, len(objs[i].Point), dim)
+	first := part{objs: objs, dim: dim}
+	var h *half
+	if twoWide {
+		h = halves.Get().(*half)
+		defer func() {
+			h.part = part{} // the pool keeps neither objs nor ds alive
+			halves.Put(h)
+		}()
+		mid := len(objs) / 2
+		first.objs, h.part = objs[:mid], part{objs: objs[mid:], lo: mid, dim: dim}
+	}
+	h.start((*part).check)
+	first.check()
+	h.wait()
+	if first.err != nil {
+		return nil, first.err
+	}
+	words := first.words
+	if h != nil {
+		if h.part.err != nil {
+			return nil, h.part.err
 		}
-		if len(objs[i].Doc) == 0 {
-			return nil, fmt.Errorf("dataset: object %d has an empty document", i)
-		}
-		if err := ValidatePoint(objs[i].Point); err != nil {
-			return nil, fmt.Errorf("dataset: object %d has a %v", i, err)
-		}
-		words += len(objs[i].Doc)
+		words += h.part.words
 	}
 	ds := &Dataset{
-		points:   make([]float64, 0, len(objs)*dim),
+		points:   make([]float64, len(objs)*dim),
 		docStart: make([]int64, len(objs)+1),
-		docWords: make([]Keyword, 0, words),
+		docWords: make([]Keyword, words),
 		dim:      dim,
 	}
-	for i := range objs {
-		ds.points = append(ds.points, objs[i].Point...)
-		lo := len(ds.docWords)
-		ds.docWords = append(ds.docWords, objs[i].Doc...)
-		ds.docWords = ds.docWords[:lo+len(NormalizeDoc(ds.docWords[lo:]))]
-		ds.docStart[i+1] = int64(len(ds.docWords))
-		ds.w = max(ds.w, int(ds.docWords[len(ds.docWords)-1])+1)
+	first.ds = ds
+	if h != nil {
+		h.part.ds, h.part.start = ds, first.words
 	}
+	h.start((*part).fill)
+	first.fill()
+	h.wait()
+	used := first.words
+	ds.w = first.w
+	if h != nil {
+		// The second half's documents were laid out after the first's words
+		// as given; de-duplication may have left a gap to close.
+		p := &h.part
+		if gap := p.start - used; gap > 0 {
+			copy(ds.docWords[used:], ds.docWords[p.start:p.start+p.words])
+			for i := p.lo + 1; i <= len(objs); i++ {
+				ds.docStart[i] -= int64(gap)
+			}
+		}
+		used, ds.w = used+p.words, max(ds.w, p.w)
+	}
+	ds.docWords = ds.docWords[:used]
 	return ds, nil
+}
+
+// part is the objects of New from index lo on, and what check and fill found
+// there.
+type part struct {
+	objs  []Object
+	lo    int
+	dim   int
+	ds    *Dataset
+	start int   // fill: where the part's first document goes in ds.docWords
+	words int   // check: the part's keywords; fill: those left after de-duplication
+	w     int   // fill: the part's vocabulary bound
+	err   error // check: the error of the part's lowest failing object
+}
+
+// check validates the part's objects and counts their keywords.
+func (p *part) check() {
+	for j := range p.objs {
+		o, i := &p.objs[j], p.lo+j
+		if len(o.Point) != p.dim {
+			p.err = fmt.Errorf("dataset: object %d has dimension %d, want %d", i, len(o.Point), p.dim)
+			return
+		}
+		if len(o.Doc) == 0 {
+			p.err = fmt.Errorf("dataset: object %d has an empty document", i)
+			return
+		}
+		if err := ValidatePoint(o.Point); err != nil {
+			p.err = fmt.Errorf("dataset: object %d has a %v", i, err)
+			return
+		}
+		p.words += len(o.Doc)
+	}
+}
+
+// fill copies the part's points and documents into ds's columns, the
+// documents normalised from p.start on, each ending where docStart says.
+func (p *part) fill() {
+	ds, at := p.ds, p.start
+	for j := range p.objs {
+		o, i := &p.objs[j], p.lo+j
+		copy(ds.points[i*p.dim:], o.Point)
+		n := copy(ds.docWords[at:], o.Doc)
+		at += len(NormalizeDoc(ds.docWords[at : at+n]))
+		ds.docStart[i+1] = int64(at)
+		p.w = max(p.w, int(ds.docWords[at-1])+1)
+	}
+	p.words = at - p.start
+}
+
+// half runs the second half of a two-wide New on a goroutine of its own.
+// The halves pool keeps it with run bound to it, so starting the goroutine
+// allocates nothing and New allocates only its columns either way.
+type half struct {
+	part part
+	step func(*part)
+	wg   sync.WaitGroup
+	run  func()
+}
+
+var halves = sync.Pool{New: func() any {
+	h := new(half)
+	h.run = func() {
+		defer h.wg.Done()
+		h.step(&h.part)
+	}
+	return h
+}}
+
+// start runs step over the second half on a goroutine of its own; a nil h,
+// a one-wide New, has none.
+func (h *half) start(step func(*part)) {
+	if h != nil {
+		h.step = step
+		h.wg.Add(1)
+		go h.run()
+	}
+}
+
+// wait returns once the step start began is done.
+func (h *half) wait() {
+	if h != nil {
+		h.wg.Wait()
+	}
 }
 
 // FromColumns wraps existing columns — in practice the sections of a flat

@@ -145,28 +145,29 @@ func (k *KD) Relate(c Cell, q geom.Region) geom.Relation {
 // Presorted keeps the objects 0..n-1 of a kd build sorted on every axis: the
 // node over positions [lo, hi) lists its objects ascending on axis a in
 // List(a, lo, hi), ordered as rank space orders them (dataset.RankKey), ties
-// by id. A split rearranges only its own node's positions, so the subtrees of
-// a build may split concurrently.
+// by id. A split rearranges only its own node's positions, and the rank
+// column is read-only once Presort returns, so the subtrees of a build may
+// split concurrently and write nothing indexed by id.
 type Presorted struct {
 	n     int
 	dim   int
 	col   []float64 // object id's coordinate on axis a is col[id*dim+a]
 	lists []int32   // axis a's list is lists[a*n : (a+1)*n]
+	rank  []int32   // by id: object id's position in axis a's full list is rank[a*n+id]
 	spare []int32   // by position: the right-hand side of a partition
-	side  []uint8   // by id: where the current split sent it, 1 left, 2 right, 0 a pivot
 }
 
 // Presort sorts the objects 0..n-1 on each of dim axes, col holding object
 // id's coordinates row-major, axis a at col[id*dim+a]: one dataset.RadixSort
-// an axis. col is never written, and splits read it for as long as the
-// Presorted is in use.
+// an axis, which also records every object's rank on the axis. col is never
+// written, and splits read it for as long as the Presorted is in use.
 //
 // The axes sort independently. each, when not nil, runs task(0..dim-1) and
 // returns when all are done, on as many goroutines as it likes, and every axis
 // then sorts in buffers of its own; with each nil the axes sort one after
 // another in one pair of buffers.
 func Presort(n, dim int, col []float64, each func(tasks int, task func(a int))) *Presorted {
-	p := &Presorted{n: n, dim: dim, col: col, lists: make([]int32, dim*n), spare: make([]int32, n), side: make([]uint8, n)}
+	p := &Presorted{n: n, dim: dim, col: col, lists: make([]int32, dim*n), rank: make([]int32, dim*n), spare: make([]int32, n)}
 	var keys, spare []dataset.SortKey
 	sortAxis := func(a int) {
 		keys, spare := keys, spare
@@ -176,9 +177,9 @@ func Presort(n, dim int, col []float64, each func(tasks int, task func(a int))) 
 		for i := range keys {
 			keys[i] = dataset.SortKey{Key: dataset.RankKey(col[i*dim+a]), ID: int32(i)}
 		}
-		l := p.lists[a*n : (a+1)*n]
+		l, rank := p.lists[a*n:(a+1)*n], p.rank[a*n:(a+1)*n]
 		for r, k := range dataset.RadixSort(keys, spare) {
-			l[r] = k.ID
+			l[r], rank[k.ID] = k.ID, int32(r)
 		}
 	}
 	if each != nil {
@@ -200,16 +201,20 @@ func (p *Presorted) List(a, lo, hi int) []int32 { return p.lists[a*p.n+lo : a*p.
 // from to on go right. Afterwards every axis lists the node as the pivots, in
 // the split axis's order, then the left entries, then the right ones, each
 // group in the axis's own order — a stable partition, O(dim·(hi-lo)).
+//
+// The node's list on axis ascends in rank, so an entry's side follows from
+// its rank on axis alone: below s[from]'s it is left, from s[to]'s on right,
+// and in between a pivot. That holds for a rank-space split and for a cut at
+// the edge of a tie block alike, and it writes nothing indexed by id.
 func (p *Presorted) Partition(axis, lo, hi, from, to int) {
 	s, npiv := p.List(axis, lo, hi), to-from
-	for _, e := range s[:from] {
-		p.side[e] = 1
+	rank := p.rank[axis*p.n : (axis+1)*p.n]
+	first, past := int32(p.n), int32(p.n) // the ranks that start the pivots and the right side
+	if from < len(s) {
+		first = rank[s[from]]
 	}
-	for _, e := range s[from:to] {
-		p.side[e] = 0
-	}
-	for _, e := range s[to:] {
-		p.side[e] = 2
+	if to < len(s) {
+		past = rank[s[to]]
 	}
 	right := p.spare[lo:hi]
 	for a := 0; a < p.dim; a++ {
@@ -219,13 +224,14 @@ func (p *Presorted) Partition(axis, lo, hi, from, to int) {
 		// Left entries close up in place, right ones wait in spare, pivots are
 		// dropped and copied back in front from the split axis's list: every
 		// entry is written to both and only the counts depend on its side, so
-		// the pass has no branch to mispredict.
+		// the pass has no branch to mispredict. Ranks are below n < 2^31, so
+		// the sign bit of r-first says r < first.
 		l, nl, nr := p.List(a, lo, hi), 0, 0
 		for _, e := range l {
-			sd := p.side[e]
+			r := rank[e]
 			l[nl], right[nr] = e, e
-			nl += int(sd & 1)
-			nr += int(sd >> 1)
+			nl += int(uint32(r-first) >> 31)
+			nr += 1 - int(uint32(r-past)>>31)
 		}
 		copy(l[npiv+nl:], right[:nr])
 		copy(l[npiv:], l[:nl])

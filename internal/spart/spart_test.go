@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"kwsc/internal/dataset"
@@ -633,7 +634,7 @@ func TestPresortedPartitionMatchesSort(t *testing.T) {
 // both zeros and both infinities, SplitRanked splits every node as SplitSorted
 // splits it over the dataset.RankSpace ranks of the same points, with
 // weights, and Partition keeps the two builds' lists equal all the way down —
-// the kd tree of a rank-space build needs no rank materialised. It runs the
+// the kd tree of a rank-space build needs no rank space of its own. It runs the
 // axes on goroutines of their own, as a parallel build does.
 func TestSplitRankedMatchesRankSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
@@ -693,5 +694,82 @@ func TestSplitRankedMatchesRankSpace(t *testing.T) {
 			check(lo+1+from, hi, depth+1)
 		}
 		check(0, n, 0)
+	}
+}
+
+// TestPartitionSiblingsConcurrently partitions the two children of every
+// split on two goroutines, all the way down, and holds every axis's list to a
+// one-goroutine run of the same splits: siblings share the rank column and
+// write only their own positions. It runs rank-space splits (SplitRanked) and
+// tie-block cuts (SplitSorted) over coordinates tied at ±0, ±Inf and small
+// integers; under the race detector (make race) it also checks that sibling
+// partitions share no written memory.
+func TestPartitionSiblingsConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for dim := 1; dim <= 3; dim++ {
+		const n = 1000
+		col := make([]float64, n*dim)
+		for i := range col {
+			switch rng.Intn(4) {
+			case 0:
+				col[i] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+			case 1:
+				col[i] = math.Inf(1 - 2*rng.Intn(2))
+			default:
+				col[i] = float64(rng.Intn(20))
+			}
+		}
+		weight := make([]int32, n)
+		for i := range weight {
+			weight[i] = int32(1 + rng.Intn(5))
+		}
+		kd := &KD{Dim: dim}
+		for _, ranked := range []bool{true, false} {
+			var walk func(p *Presorted, lo, hi, depth int, wide bool)
+			walk = func(p *Presorted, lo, hi, depth int, wide bool) {
+				if hi-lo < 2 {
+					return
+				}
+				var total int64
+				for _, id := range p.List(0, lo, hi) {
+					total += int64(weight[id])
+				}
+				axis, from, to := 0, 0, 0
+				if ranked {
+					axis, from, _ = kd.SplitRanked(p, lo, hi, weight, total, depth)
+					to = from + 1
+				} else {
+					var ok bool
+					if axis, from, to, _, ok = kd.SplitSorted(p, lo, hi, weight, total, depth); !ok {
+						return
+					}
+				}
+				// The pivots take [lo, lo+to-from), the left child the rest of
+				// [lo, lo+to), the right child [lo+to, hi).
+				p.Partition(axis, lo, hi, from, to)
+				mid := lo + to
+				if !wide {
+					walk(p, lo+to-from, mid, depth+1, false)
+					walk(p, mid, hi, depth+1, false)
+					return
+				}
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					walk(p, lo+to-from, mid, depth+1, true)
+				}()
+				walk(p, mid, hi, depth+1, true)
+				wg.Wait()
+			}
+			one, two := Presort(n, dim, col, nil), Presort(n, dim, col, nil)
+			walk(one, 0, n, 0, false)
+			walk(two, 0, n, 0, true)
+			for a := 0; a < dim; a++ {
+				if !slices.Equal(one.List(a, 0, n), two.List(a, 0, n)) {
+					t.Fatalf("d=%d ranked=%v axis %d: two-wide lists differ from one-wide", dim, ranked, a)
+				}
+			}
+		}
 	}
 }
