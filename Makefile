@@ -48,8 +48,10 @@ crash:
 # decoder round-trips, and the one list cursor seeks as a binary search
 # does), the paged base and the flat image over re-sealed sections that lie,
 # the /v1 wire codec held to encoding/json in both directions, the query
-# stop checks under random limits and node budgets, and the root keyword
-# directory held to its span contract. Each target runs briefly; use
+# stop checks under random limits and node budgets, the root keyword
+# directory held to its span contract, and the keyword pass held to
+# Section 3.2's definitions and to one image at any parallelism over small
+# random corpora. Each target runs briefly; use
 # `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedBaseHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlatImageHostile$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecPolicy$$' -fuzztime $(FUZZ_TIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeywordPass$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeywordDirectory$$' -fuzztime $(FUZZ_TIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/

@@ -366,3 +366,33 @@ func TestTreePassAllocationsIndependentOfN(t *testing.T) {
 		t.Fatalf("rankTree allocates %d times at 2^16 entries and %d at 2^14: the tree pass allocates per node", large, small)
 	}
 }
+
+// The keyword pass allocates per build, not per node, too: the keyword
+// structures, the children's incoming runs and the tensors are cut from the
+// builder's slabs, and lists are runs of the postings. So a sequential
+// BuildORPKW of tiny-scatter's corpus shape (Vocab 1000, DocLen 6, k = 2)
+// allocates a small constant more at 2^16 objects than at 2^14. Rescanning
+// documents with a kwNode, key slices, list growth and a bitmap per child for
+// every node made 31 455 and 122 915 allocations.
+func TestKeywordPassAllocationsIndependentOfN(t *testing.T) {
+	least := func(n int) uint64 {
+		ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: 1000, DocLen: 6})
+		m := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ { // the least count drops foreign allocations
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := BuildORPKW(ds, 2, WithParallelism(1), WithoutObs())
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = min(m, after.Mallocs-before.Mallocs)
+		}
+		return m
+	}
+	small, large := least(1<<14), least(1<<16)
+	t.Logf("BuildORPKW allocations: %d at 2^14 objects, %d at 2^16", small, large)
+	if large > small+64 {
+		t.Fatalf("BuildORPKW allocates %d times at 2^16 objects and %d at 2^14: the keyword pass allocates per node", large, small)
+	}
+}

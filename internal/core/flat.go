@@ -199,9 +199,7 @@ func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 			for _, l := range kw.lists {
 				ranks, words = ranks+len(l.ranks), words+len(l.words)
 			}
-			for _, t := range kw.tensors {
-				tensorWords += (t.Len() + 63) / 64
-			}
+			tensorWords += len(kw.tensors)
 		}
 	}
 	// Each arena is cut to size once: growing one by appends would copy it
@@ -209,7 +207,7 @@ func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 	fl.largeKeys, fl.largeIdx = make([]dataset.Keyword, 0, large), make([]int32, 0, large)
 	fl.matKeys, fl.matLists = make([]dataset.Keyword, 0, mat), make([]FlatList, 0, mat)
 	fl.matRanks, fl.matBits = make([]int32, 0, ranks), make([]uint64, 0, words)
-	fl.tensorArena = bits.ArenaFromWords(make([]uint64, 0, tensorWords))
+	tensors := make([]uint64, 0, tensorWords)
 
 	// Pass 2: pack payloads in the new order.
 	var perm []int32
@@ -252,13 +250,12 @@ func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 		fl.matStart[newID+1] = int32(len(fl.matKeys))
 
 		if len(n.children) > 0 {
-			fl.tensorOff[newID] = fl.tensorArena.Words()
+			fl.tensorOff[newID] = int64(len(tensors))
 			fl.tensorStride[newID] = (tensorSize(len(kw.large), f.k) + 63) / 64
-			for _, t := range kw.tensors {
-				fl.tensorArena.AppendDense(t)
-			}
+			tensors = append(tensors, kw.tensors...)
 		}
 	}
+	fl.tensorArena = bits.ArenaFromWords(tensors)
 }
 
 // deriveBoxes sets every node's tight box from f.coords: the componentwise

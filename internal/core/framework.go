@@ -10,10 +10,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
-	"kwsc/internal/bits"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/spart"
@@ -70,7 +70,7 @@ type fnode struct {
 // kwNode is the secondary structure T_u of an internal node.
 type kwNode struct {
 	large   []dataset.Keyword // large keywords by tensor axis: L = len(large)
-	tensors []*bits.Dense     // per child: L^k-bit non-emptiness array
+	tensors []uint64          // per child in order: the L^k-bit non-emptiness array, ceil(L^k/64) words
 	mat     []dataset.Keyword // small keywords with a materialized list
 	lists   []matList         // materialized D_u^act(w), parallel to mat
 }
@@ -81,7 +81,7 @@ type kwNode struct {
 // every rank r in the list.
 type matList struct {
 	n     int32    // entries
-	ranks []int32  // sparse representation
+	ranks []int32  // sparse representation: the keyword's run of its posting
 	words []uint64 // dense representation, ceil((hi-lo)/64) words
 }
 
@@ -159,7 +159,7 @@ type FrameworkConfig struct {
 // BuildFramework runs the framework over the dataset in two passes. The
 // first builds the space-partitioning tree (Step 1) and with it the leaf
 // order; the second hangs the keyword structures of Step 2 on the finished
-// tree, reading the documents laid out in that order.
+// tree, reading each keyword's posting in that order.
 func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error) {
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("core: the framework requires k >= 2, got %d", cfg.K)
@@ -238,10 +238,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.
-	cnt := b.layDocs(ds, objs)
-	b.sc = getKwScratch(len(b.words))
-	b.hang(0, iota32(len(b.words)), cnt, 0)
-	kwScratchPool.Put(b.sc)
+	b.hang(0, b.postings(ds, objs), 0)
 	b.gatherCoords(objs)
 	f.pack(b.nodes, b.cells)
 	if b.kd != nil && !f.deriveBoxes() {
@@ -313,10 +310,11 @@ func iota32(n int) []int32 {
 // slice (child indexes are local to that slice). The tree pass gives each
 // spawned subtree its own builder and arena, sharing the build's read-only
 // columns, and grafts the finished slice into the parent's; the keyword pass
-// gives each a copy with its own keyword scratch over the one finished nodes
-// slice, of which it writes only its subtree's nodes. Builders share no other
-// mutable state — except seq, the leaf order under construction, of which
-// every subtree writes only its own rank interval.
+// gives each a copy with its own kwArena over the one finished nodes slice,
+// of which it writes only its subtree's nodes (and its parent's tensor for
+// it). Builders share no other mutable state — except seq, the leaf order
+// under construction, of which every subtree writes only its own rank
+// interval.
 type builder struct {
 	f      *Framework
 	gate   *parGate
@@ -325,10 +323,10 @@ type builder struct {
 	seq    []int32      // rank -> local id
 
 	// The tree pass's arena (arena): the nodes, their cells by node unless
-	// the build is kd, and the unused rest of the slab children are cut from.
+	// the build is kd, and the slab children are cut from.
 	nodes []fnode
 	cells []spart.Cell
-	kids  []int32
+	kids  slab[int32]
 
 	// A kd build keeps every node's objects sorted on each axis (kdSplit):
 	// the node over ranks [lo, hi) is positions [lo, hi) of sorted. col holds
@@ -339,42 +337,50 @@ type builder struct {
 	col       []float64
 	rankSpace bool
 
-	// The keyword pass's columns (layDocs): documents by rank.
-	docStart []int32           // rank r's document is docs[docStart[r]:docStart[r+1]]
-	docs     []int32           // documents as dense keyword ids
-	words    []dataset.Keyword // dense keyword id -> keyword
-	sc       *kwScratch
+	// The keyword pass's columns (postings), read-only, and this builder's
+	// share of its output and scratch.
+	words []dataset.Keyword // dense keyword id -> keyword
+	post  []int32           // every dense id's posting, ascending ranks
+	kwa   kwArena
 }
 
-func (b *builder) doc(r int32) []int32 { return b.docs[b.docStart[r]:b.docStart[r+1]] }
+// run is one keyword's active set at a node: a stretch of its posting,
+// post[off:off+n], the ranks of the node's interval that carry dense id w.
+type run struct{ w, off, n int32 }
 
-// keys translates dense keyword ids back.
-func (b *builder) keys(ids []int32) []dataset.Keyword {
-	out := make([]dataset.Keyword, len(ids))
-	for i, d := range ids {
-		out[i] = b.words[d]
+// kwArena is one goroutine's share of the keyword pass: the slabs its nodes'
+// keyword structures are cut from, and the scratch markTensor reuses node to
+// node. None of it outlives the build.
+type kwArena struct {
+	nodes slab[kwNode]
+	keys  slab[dataset.Keyword]
+	lists slab[matList]
+	runs  slab[run]    // the children's incoming runs
+	words slab[uint64] // tensors and dense lists
+	mask  []uint64
+	cur   []run
+	axes  []int32
+}
+
+// slab hands out pieces of larger allocations, for structures that live as
+// long as the build: a spent slab is replaced by one at least as large as all
+// it has handed out, so n pieces cost O(log n) allocations. Pieces start
+// zeroed and are never reused.
+type slab[T any] struct {
+	free []T
+	used int
+}
+
+// minSlab is the fewest entries a slab allocates at once.
+const minSlab = 64
+
+func (s *slab[T]) cut(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, s.used, minSlab))
 	}
-	return out
-}
-
-// kwScratch is one goroutine's keyword scratch: slot has an entry per dense
-// keyword id of the build (or more), -1 except while one node fills tensors
-// or lists through it; cnt and axes are reused node to node. The pool hands
-// it from finished builders to new ones, so the many small builds of the
-// dimension-reduction tree allocate it about once per goroutine.
-type kwScratch struct {
-	slot, cnt, axes []int32
-}
-
-var kwScratchPool = sync.Pool{New: func() any { return new(kwScratch) }}
-
-// getKwScratch returns scratch for a build of d dense keyword ids.
-func getKwScratch(d int) *kwScratch {
-	sc := kwScratchPool.Get().(*kwScratch)
-	for len(sc.slot) < d {
-		sc.slot = append(sc.slot, -1)
-	}
-	return sc
+	c := s.free[:n:n]
+	s.free, s.used = s.free[n:], s.used+n
+	return c
 }
 
 // leafSize is the most objects a leaf of the framework's tree holds.
@@ -388,21 +394,10 @@ const leafSize = 8
 // regrows the nodes, a copy of them whole, and cuts a further slab.
 func (b *builder) arena(n int) {
 	m := 8*n/(3*leafSize) + 1
-	b.nodes, b.kids = make([]fnode, 0, m), make([]int32, m)
+	b.nodes, b.kids = make([]fnode, 0, m), slab[int32]{free: make([]int32, m)}
 	if b.kd == nil {
 		b.cells = make([]spart.Cell, 0, m)
 	}
-}
-
-// cutKids returns the children slice of a node with nz children, cut from
-// the slab; a spent slab is replaced by one as large as the nodes so far.
-func (b *builder) cutKids(nz int) []int32 {
-	if len(b.kids) < nz {
-		b.kids = make([]int32, max(nz, len(b.nodes)))
-	}
-	c := b.kids[:nz:nz]
-	b.kids = b.kids[nz:]
-	return c
 }
 
 // geometry builds the tree over objs (local ids), whose ranks are
@@ -451,7 +446,7 @@ func (b *builder) geometry(cell spart.Cell, objs []int32, nu int64, depth int, l
 			nz++
 		}
 	}
-	children := b.cutKids(nz)
+	children := b.kids.cut(nz)
 	var subs []*builder // by child: the builder of a spawned subtree
 	var wg *sync.WaitGroup
 	ci, clo := 0, lo+npiv
@@ -593,81 +588,113 @@ func (b *builder) leaf(idx int32, objs []int32) {
 	sortInt32s(b.seq[n.lo:n.hi])
 }
 
-// layDocs numbers the keywords as dense ids in the order the objects,
+// postings numbers the keywords as dense ids in the order the objects,
 // ascending, first meet them (the order that numbers the root's tensor axes),
-// and lays the documents out by rank as dense ids: the keyword pass reads any
-// node's documents as one stretch of docs. It returns how many objects carry
-// each dense id, the root's counts.
+// and writes each dense id's posting, its ranks ascending, to b.post. Every
+// node owns one rank interval, so a keyword's active set at any node is one
+// run of its posting, and the keyword pass reads nothing else. It returns the
+// root's runs: every keyword's whole posting.
 //
-// Each pass runs on as many goroutines as the gate lends, over ranges of
-// objects or of docs: the parts number their own keywords, and the part
-// tables merge in order; every document is copied as it stands to its rank's
-// place; and the copies are translated to dense ids in place. Hashing and
-// the copy's scattered stores stay in separate passes, which costs less than
-// either one pass that does both.
-func (b *builder) layDocs(ds *dataset.Dataset, objs []int32) []int32 {
+// Each pass runs on as many goroutines as the gate lends: ranges of objects
+// number their own keywords, writing their documents as part-local ids, and
+// the part tables merge in order; the later parts' documents are renumbered
+// in place; and ranges of ranks count their postings, then write them from
+// cursors the counts place. The documents, by object, are dropped on return.
+func (b *builder) postings(ds *dataset.Dataset, objs []int32) []run {
 	n := len(objs)
-	at := make([]int32, n) // by local id: where its document goes in docs
-	b.docStart = make([]int32, n+1)
-	for r, id := range b.seq {
-		at[id] = b.docStart[r]
-		b.docStart[r+1] = b.docStart[r] + b.weight[id]
+	start := make([]int32, n+1) // by local id: where its document starts in docs
+	for i, w := range b.weight {
+		start[i+1] = start[i] + w
 	}
-	b.docs = make([]int32, b.docStart[n])
-
+	docs := make([]int32, start[n])
 	parts := b.gate.parts(n)
 	tabs := make([]kwTable, parts)
-	cnts := make([][]int32, parts) // per part: objects per local dense id
+	cnts := make([][]int32, parts) // per part: objects per part-local id
 	b.gate.each(parts, func(p int) {
 		t, cnt := &tabs[p], cnts[p]
 		for i := p * n / parts; i < (p+1)*n/parts; i++ {
-			for _, w := range ds.Doc(objs[i]) {
+			out := docs[start[i]:]
+			for j, w := range ds.Doc(objs[i]) {
 				d := t.add(w)
 				if int(d) == len(cnt) {
 					cnt = append(cnt, 0)
 				}
 				cnt[d]++
+				out[j] = d
 			}
 		}
 		cnts[p] = cnt
 	})
 	tab, cnt := &tabs[0], cnts[0]
 	for p := 1; p < parts; p++ {
+		remap := cnts[p] // turned in place from counts to the merged ids
 		for d, w := range tabs[p].words {
 			g := tab.add(w)
 			if int(g) == len(cnt) {
 				cnt = append(cnt, 0)
 			}
-			cnt[g] += cnts[p][d]
+			cnt[g] += remap[d]
+			remap[d] = g
 		}
 	}
 	b.words = tab.words
+	if parts > 1 {
+		b.gate.each(parts-1, func(p int) {
+			remap, lo, hi := cnts[p+1], start[(p+1)*n/parts], start[(p+2)*n/parts]
+			for i, d := range docs[lo:hi] {
+				docs[int(lo)+i] = remap[d]
+			}
+		})
+	}
 
-	b.gate.spread(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out := b.docs[at[i]:]
-			for j, w := range ds.Doc(objs[i]) {
-				out[j] = int32(w)
+	roots := make([]run, len(cnt))
+	var off int32
+	for d, c := range cnt {
+		roots[d] = run{w: int32(d), off: off, n: c}
+		off += c
+	}
+	b.post = make([]int32, off)
+	// Per range of ranks: its count of each dense id, then its cursor. One
+	// range's counts are the merged counts.
+	at := cnts
+	if parts > 1 {
+		b.gate.each(parts, func(p int) {
+			c := make([]int32, len(cnt))
+			for _, id := range b.seq[p*n/parts : (p+1)*n/parts] {
+				for _, d := range docs[start[id]:start[id+1]] {
+					c[d]++
+				}
+			}
+			at[p] = c
+		})
+	}
+	for d := range roots {
+		o := roots[d].off
+		for _, c := range at {
+			c[d], o = o, o+c[d]
+		}
+	}
+	b.gate.each(parts, func(p int) {
+		cur, lo := at[p], p*n/parts
+		for i, id := range b.seq[lo : (p+1)*n/parts] {
+			for _, d := range docs[start[id]:start[id+1]] {
+				b.post[cur[d]] = int32(lo + i)
+				cur[d]++
 			}
 		}
 	})
-	b.gate.spread(len(b.docs), func(lo, hi int) {
-		for i, w := range b.docs[lo:hi] {
-			b.docs[lo+i] = tab.id(dataset.Keyword(w))
-		}
-	})
-	return cnt
+	return roots
 }
 
-// hang runs Step 2 at node idx and below. It classifies the node's incoming
-// keywords, dense ids, as large or small by cnt, how many of the node's
-// objects carry each — read before anything else uses the scratch it may
-// live in — and materializes the lists of the small ones. Then it scans each
-// child's rank interval once for the child's non-emptiness tensor and its
-// counts of the large keywords, which the child classifies by in turn. A node
-// with no large keyword passes none down, so the walk ends there: nothing
-// below it carries a keyword structure.
-func (b *builder) hang(idx int32, incoming, cnt []int32, depth int) {
+// hang runs Step 2 at node idx and below, given the node's incoming keywords
+// as runs, each the keyword's active set at the node. By its run's length a
+// keyword is large or small (Section 3.2); a small one's list is its run, or
+// the run as a bitmap. Each large run is cut at the children's interval
+// boundaries into their incoming runs, from which each child's non-emptiness
+// tensor is marked before the child hangs its own structures. A node with no
+// large keyword passes none down, so the walk ends there: nothing below it
+// carries a keyword structure.
+func (b *builder) hang(idx int32, runs []run, depth int) {
 	f := b.f
 	n := &b.nodes[idx]
 	if len(n.children) == 0 {
@@ -677,136 +704,181 @@ func (b *builder) hang(idx int32, incoming, cnt []int32, depth int) {
 	// materialized for every small incoming keyword that occurs here (w was
 	// large at all proper ancestors by the inductive invariant).
 	threshold := math.Pow(float64(n.nu), 1-1/float64(f.k))
-	var large, mat []int32
-	var lists []matList
-	for i, w := range incoming {
-		switch c := cnt[i]; {
-		case float64(c) >= threshold:
-			large = append(large, w)
-			if depth == 0 {
-				f.rootDF = append(f.rootDF, c)
-			}
-		case c > 0:
-			mat = append(mat, w)
-			lists = append(lists, matList{n: c})
+	L, M := 0, 0
+	for _, r := range runs {
+		if float64(r.n) >= threshold {
+			L++
+		} else if r.n > 0 {
+			M++
 		}
 	}
-	if len(large) == 0 && len(mat) == 0 {
+	if L == 0 && M == 0 {
 		return
 	}
-	kw := &kwNode{large: b.keys(large)}
+	a := &b.kwa
+	kw := &a.nodes.cut(1)[0]
 	n.kw = kw
-	if len(mat) > 0 {
-		b.materialize(kw, n.lo, n.hi, mat, lists)
+	kw.large, kw.mat, kw.lists = a.keys.cut(L), a.keys.cut(M), a.lists.cut(M)
+	// Per child, in order: the k-dimensional non-emptiness bit array (bit at
+	// the sorted tuple (i1 < ... < ik) of large-keyword indexes is set iff
+	// some object in the child's active set carries all k keywords), stride
+	// words, and the child's incoming runs, L of them by tensor axis.
+	var stride int
+	var in []run
+	if L > 0 {
+		stride = int((tensorSize(L, f.k) + 63) / 64)
+		kw.tensors, in = a.words.cut(len(n.children)*stride), a.runs.cut(len(n.children)*L)
 	}
-	if len(large) == 0 {
+	L, M = 0, 0
+	for _, r := range runs {
+		switch {
+		case float64(r.n) >= threshold:
+			kw.large[L] = b.words[r.w]
+			if depth == 0 {
+				f.rootDF = append(f.rootDF, r.n)
+			}
+			b.cut(n, r, in[L:], len(kw.large))
+			L++
+		case r.n > 0:
+			kw.mat[M] = b.words[r.w]
+			kw.lists[M] = b.list(r, n.lo, n.hi)
+			M++
+		}
+	}
+	if L == 0 {
 		return
 	}
 
-	// Per child: the k-dimensional non-emptiness bit array (bit at the
-	// sorted tuple (i1 < ... < ik) of large-keyword indexes is set iff some
-	// object in the child's active set carries all k keywords) and the child's
-	// own keyword structures. Both depend only on the child's interval plus
-	// this node's read-only large list, so heavy children are handed to other
-	// goroutines when the gate has budget.
-	tsize := tensorSize(len(large), f.k)
-	kw.tensors = make([]*bits.Dense, len(n.children))
-	var wg sync.WaitGroup
+	// A child's tensor and structures depend only on its interval and its
+	// incoming runs, so heavy children are handed to other goroutines when
+	// the gate has budget.
+	var wg *sync.WaitGroup
 	for ci, c := range n.children {
-		lo, hi := b.nodes[c].lo, b.nodes[c].hi
-		if hi-lo >= parallelCutoff && b.gate.tryAcquire() {
+		t, cin := kw.tensors[ci*stride:(ci+1)*stride], in[ci*L:(ci+1)*L]
+		if int(b.nodes[c].hi-b.nodes[c].lo) >= parallelCutoff && b.gate.tryAcquire() {
+			if wg == nil {
+				wg = new(sync.WaitGroup)
+			}
 			sub := *b
+			sub.kwa = kwArena{}
 			wg.Add(1)
-			go func(ci int, c int32) {
+			go func(sub *builder, wg *sync.WaitGroup, c int32, t []uint64, cin []run) {
 				defer wg.Done()
 				defer b.gate.release()
-				sub.sc = getKwScratch(len(b.words))
-				t, cnt := sub.scanChild(lo, hi, large, tsize)
-				kw.tensors[ci] = t
-				sub.hang(c, large, cnt, depth+1)
-				kwScratchPool.Put(sub.sc)
-			}(ci, c)
+				sub.child(c, t, cin, depth+1)
+			}(&sub, wg, c, t, cin)
 			continue
 		}
-		t, cnt := b.scanChild(lo, hi, large, tsize)
-		kw.tensors[ci] = t
-		b.hang(c, large, cnt, depth+1)
+		b.child(c, t, cin, depth+1)
 	}
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+	}
 }
 
-// materialize fills kw's lists of the small keywords mat, whose sizes lists
-// holds, in one pass over its node's rank interval [lo, hi): ranks arrive
-// ascending, so nothing is sorted.
-func (b *builder) materialize(kw *kwNode, lo, hi int32, mat []int32, lists []matList) {
-	span := int(hi - lo)
-	for i := range lists {
-		if l := &lists[i]; denseList(int(l.n), span) {
-			l.words = make([]uint64, bitmapWords(span))
-		} else {
-			l.ranks = make([]int32, 0, l.n)
+// child marks node c's non-emptiness tensor t in its parent from its
+// incoming runs, unless fewer than k of them leave no tuple to mark, and
+// hangs c's structures.
+func (b *builder) child(c int32, t []uint64, runs []run, depth int) {
+	if len(runs) >= b.f.k {
+		b.markTensor(t, runs, b.nodes[c].lo, b.nodes[c].hi)
+	}
+	b.hang(c, runs, depth)
+}
+
+// cut splits run r of node n at its children's interval boundaries, which
+// are contiguous and ascending after the pivots, by binary search: child ci's
+// share goes to out[ci*L].
+func (b *builder) cut(n *fnode, r run, out []run, L int) {
+	end := r.off + r.n
+	p := r.off + searchRank(b.post[r.off:end], n.lo+n.npiv)
+	last := len(n.children) - 1
+	for ci, c := range n.children {
+		q := end
+		if ci < last {
+			q = p + searchRank(b.post[p:end], b.nodes[c].hi)
 		}
+		out[ci*L] = run{w: r.w, off: p, n: q - p}
+		p = q
 	}
-	slot := b.sc.slot
-	for i, w := range mat {
-		slot[w] = int32(i)
+}
+
+// searchRank returns the position of the first rank in ascending ranks that
+// is at least r.
+func searchRank(ranks []int32, r int32) int32 {
+	i, _ := slices.BinarySearch(ranks, r)
+	return int32(i)
+}
+
+// list is the materialized list of a small keyword's run r at the node over
+// ranks [lo, hi): the run itself, or its bitmap when denseList says so.
+func (b *builder) list(r run, lo, hi int32) matList {
+	ranks := b.post[r.off : r.off+r.n : r.off+r.n]
+	if !denseList(int(r.n), int(hi-lo)) {
+		return matList{n: r.n, ranks: ranks}
 	}
-	for r := lo; r < hi; r++ {
-		for _, w := range b.doc(r) {
-			li := slot[w]
-			if li < 0 {
+	words := b.kwa.words.cut(bitmapWords(int(hi - lo)))
+	for _, x := range ranks {
+		words[(x-lo)>>6] |= 1 << (uint32(x-lo) & 63)
+	}
+	return matList{n: r.n, words: words}
+}
+
+// maskWords bounds the scratch markTensor collects a rank's axes in: a
+// child's interval goes through it in windows of maskWords/W ranks, where W
+// is the words of one rank's axis bits.
+const maskWords = 4096
+
+// markTensor sets the tensor bits t of the child over ranks [lo, hi) from its
+// incoming runs, one per tensor axis. A window's ranks first collect a bit
+// for each axis whose run holds them; then every rank with k or more bits
+// yields its axes in ascending order, and each k-subset of them is a tuple
+// to mark.
+func (b *builder) markTensor(t []uint64, runs []run, lo, hi int32) {
+	a, k, L := &b.kwa, b.f.k, len(runs)
+	W := (L + 63) / 64
+	win := int32(max(maskWords/W, 1))
+	if need := int(min(hi-lo, win)) * W; len(a.mask) < need {
+		a.mask = make([]uint64, need)
+	}
+	cur, axes := append(a.cur[:0], runs...), a.axes[:0]
+	for wlo := lo; wlo < hi; wlo += win {
+		whi := min(wlo+win, hi)
+		m, set := a.mask[:int(whi-wlo)*W], 0
+		for ax := range cur {
+			c, col, bit := &cur[ax], ax>>6, uint64(1)<<(ax&63)
+			for ; c.n > 0 && b.post[c.off] < whi; c.off, c.n = c.off+1, c.n-1 {
+				m[int(b.post[c.off]-wlo)*W+col] |= bit
+				set++
+			}
+		}
+		if set < k {
+			clear(m)
+			continue
+		}
+		for i := 0; i < len(m); i += W {
+			ones := 0
+			for _, x := range m[i : i+W] {
+				ones += bits.OnesCount64(x)
+			}
+			if ones < k {
 				continue
 			}
-			if l := &lists[li]; l.words != nil {
-				l.words[(r-lo)>>6] |= 1 << (uint32(r-lo) & 63)
-			} else {
-				l.ranks = append(l.ranks, r)
+			axes = axes[:0]
+			for j, x := range m[i : i+W] {
+				for ; x != 0; x &= x - 1 {
+					axes = append(axes, int32(j<<6|bits.TrailingZeros64(x)))
+				}
 			}
+			markCombinations(t, axes, k, L)
 		}
+		clear(m)
 	}
-	for _, w := range mat {
-		slot[w] = -1
-	}
-	kw.mat, kw.lists = b.keys(mat), lists
-}
-
-// scanChild makes the one pass over the documents of a child's rank interval
-// [lo, hi) that the parent's large keywords (dense ids by tensor axis) need:
-// it marks the child's non-emptiness bit array, and it counts each large
-// keyword among the child's objects — the counts the child classifies its
-// incoming keywords by. The counts live in b's scratch until its next scan.
-func (b *builder) scanChild(lo, hi int32, large []int32, tsize int64) (*bits.Dense, []int32) {
-	t := bits.NewDense(int(tsize))
-	cnt := slices.Grow(b.sc.cnt[:0], len(large))[:len(large)]
-	clear(cnt)
-	b.sc.cnt = cnt
-	slot, axes := b.sc.slot, b.sc.axes
-	for i, w := range large {
-		slot[w] = int32(i)
-	}
-	for r := lo; r < hi; r++ {
-		axes = axes[:0]
-		for _, w := range b.doc(r) {
-			if a := slot[w]; a >= 0 {
-				axes = append(axes, a)
-				cnt[a]++
-			}
-		}
-		if len(axes) >= b.f.k {
-			sortInt32s(axes)
-			markCombinations(t, axes, b.f.k, len(large))
-		}
-	}
-	for _, w := range large {
-		slot[w] = -1
-	}
-	b.sc.axes = axes
-	return t, cnt
+	a.cur, a.axes = cur, axes
 }
 
 // sortInt32s is an allocation-free insertion sort for the short slices the
-// build and query hot paths produce (query keyword tuples, per-document
-// large-keyword lists).
+// build and query hot paths produce (query keyword tuples, leaf objects).
 func sortInt32s(s []int32) {
 	for i := 1; i < len(s); i++ {
 		v := s[i]
@@ -839,7 +911,7 @@ func tensorSize(L, k int) int64 {
 // prefix's j-th entry and lin[j] the linear index of its first j entries, so
 // a step recomputes only the entries after the one that moved. A tuple to
 // mark needs L >= k and tensorSize caps L^k at 2^40, so k <= 11.
-func markCombinations(t *bits.Dense, list []int32, k, L int) {
+func markCombinations(t []uint64, list []int32, k, L int) {
 	var pos [10]int
 	var lin [11]int64
 	last := len(list) - k // prefix entry j's last position is last+j
@@ -850,7 +922,8 @@ func markCombinations(t *bits.Dense, list []int32, k, L int) {
 		}
 		base := lin[k-1] * int64(L)
 		for _, w := range list[next:] {
-			t.Set(int(base + int64(w)))
+			i := base + int64(w)
+			t[i>>6] |= 1 << (i & 63)
 		}
 		for j = k - 2; j >= 0 && pos[j] == last+j; j-- {
 		}

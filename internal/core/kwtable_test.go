@@ -56,15 +56,15 @@ func TestKwTable(t *testing.T) {
 	}
 }
 
-// TestLayDocsNumbersByFirstOccurrence: laid out on several goroutines, whose
-// parts meet new keywords late in the input, the documents get the dense ids
-// and counts a sequential layout gives, numbered by first occurrence over the
-// objects ascending — which fixes the root's tensor axes: a keyword large at
-// the root has the axis of its place among the root's large keywords in that
-// order.
-func TestLayDocsNumbersByFirstOccurrence(t *testing.T) {
+// TestPostingsNumberByFirstOccurrence holds the keyword pass's postings to
+// a sequential layout's even when the parts meet new keywords late in the
+// input: dense ids numbered by first occurrence over the objects ascending —
+// which fixes the root's tensor axes: a keyword large at the root has the
+// axis of its place among the root's large keywords in that order — and each
+// id's posting the ascending ranks of exactly the objects that carry it.
+func TestPostingsNumberByFirstOccurrence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const n = 3*parallelCutoff + 77
+	n := 3*parallelCutoff + 77
 	objs := make([]dataset.Object, n)
 	for i := range objs {
 		// The vocabulary widens along the input, so every part brings
@@ -90,46 +90,39 @@ func TestLayDocsNumbersByFirstOccurrence(t *testing.T) {
 	for r, id := range rng.Perm(n) {
 		seq[r] = int32(id)
 	}
-	lay := func(gate *parGate) (*builder, []int32) {
+	lay := func(gate *parGate) (*builder, []run) {
 		b := &builder{gate: gate, seq: seq, weight: make([]int32, n)}
 		for i := range b.weight {
 			b.weight[i] = ds.DocLen(int32(i))
 		}
-		return b, b.layDocs(ds, iota32(n))
+		return b, b.postings(ds, iota32(n))
 	}
-	seqB, seqCnt := lay(nil)
-	parB, parCnt := lay(newParGate(4))
+	seqB, seqRuns := lay(nil)
+	parB, parRuns := lay(newParGate(4))
 	if parB.gate.parts(n) < 2 {
-		t.Fatal("the layout ran in one part")
+		t.Fatal("the postings were written in one part")
 	}
 	if !slices.Equal(seqB.words, first) || !slices.Equal(parB.words, first) {
 		t.Fatal("dense ids are not numbered by first occurrence")
 	}
-	if !slices.Equal(seqCnt, parCnt) || !slices.Equal(seqB.docs, parB.docs) || !slices.Equal(seqB.docStart, parB.docStart) {
-		t.Fatal("a layout on several goroutines differs from the sequential one")
+	if !slices.Equal(seqRuns, parRuns) || !slices.Equal(seqB.post, parB.post) {
+		t.Fatal("postings written on several goroutines differ from the sequential ones")
 	}
-	for r, id := range seq {
-		doc := ds.Doc(id)
-		got := parB.doc(int32(r))
-		if len(got) != len(doc) {
-			t.Fatalf("rank %d: %d keywords, want %d", r, len(got), len(doc))
-		}
-		for j, d := range got {
-			if parB.words[d] != doc[j] {
-				t.Fatalf("rank %d: keyword %d laid out as %d", r, doc[j], parB.words[d])
+	var off int32
+	for d, r := range parRuns {
+		var want []int32
+		for rank, id := range seq {
+			if ds.Has(id, first[d]) {
+				want = append(want, int32(rank))
 			}
 		}
+		if r.w != int32(d) || r.off != off || !slices.Equal(parB.post[r.off:r.off+r.n], want) {
+			t.Fatalf("keyword %d: run %+v holds %v, want ranks %v from %d", first[d], r, parB.post[r.off:r.off+r.n], want, off)
+		}
+		off += r.n
 	}
-	for d, c := range parCnt {
-		want := int32(0)
-		for i := range int32(n) {
-			if ds.Has(i, first[d]) {
-				want++
-			}
-		}
-		if c != want {
-			t.Fatalf("keyword %d counted in %d objects, want %d", first[d], c, want)
-		}
+	if int(off) != len(parB.post) {
+		t.Fatalf("runs cover %d postings of %d", off, len(parB.post))
 	}
 
 	ix, err := BuildORPKW(ds, 2, WithParallelism(4), WithoutObs())

@@ -24,8 +24,9 @@ type BuildOpts struct {
 
 // parallelCutoff is the subtree size (in objects) below which construction
 // stays on the current goroutine: small subtrees finish faster than the
-// cost of scheduling them elsewhere.
-const parallelCutoff = 2048
+// cost of scheduling them elsewhere. It is a variable only so that a test
+// can make small builds spawn.
+var parallelCutoff = 2048
 
 // parGate is a counted semaphore bounding the extra goroutines a build may
 // spawn. The nil gate is valid and means "never spawn" (sequential build).

@@ -305,6 +305,30 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 		sameIDsAndStats(t, "sequential vs parallel image", b, a, sb, sa, errB, errA)
 	}
 
+	// tiny-scatter's shard shape: thousands of keyword nodes over a dozen
+	// keyword levels, so subtrees spawned at the top levels cut their runs,
+	// lists and tensors from their own slabs all the way down.
+	shard := workload.Gen(workload.Config{Seed: 34, Objects: 12_500, Dim: 2, Vocab: 1000, DocLen: 6})
+	var shardImages [3]bytes.Buffer
+	for i, par := range []int{1, 2, 4} {
+		ix, err := BuildORPKW(shard, 2, WithParallelism(par), WithoutObs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFlat(&shardImages[i], ix); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			nodes, levels := keywordNodes(ix.fw)
+			t.Logf("the shard has %d keyword nodes over %d levels", nodes, levels)
+			if nodes < 1000 || levels < 8 {
+				t.Fatalf("the shard has %d keyword nodes over %d levels: not the shape this case is for", nodes, levels)
+			}
+		} else if !bytes.Equal(shardImages[0].Bytes(), shardImages[i].Bytes()) {
+			t.Fatalf("the shard built with parallelism %d saves a different image than the sequential build", par)
+		}
+	}
+
 	ds3 := workload.Gen(workload.Config{Seed: 33, Objects: 6000, Dim: 3, Vocab: 20, DocLen: 4})
 	var secondaries [2][]*Framework
 	for i, par := range []int{1, 4} {
@@ -324,4 +348,21 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 			t.Fatalf("secondary %d: parallel build ranks its objects differently", i)
 		}
 	}
+}
+
+// keywordNodes counts f's nodes with a large keyword or a list, and the
+// levels they span from the root.
+func keywordNodes(f *Framework) (nodes, levels int) {
+	var walk func(u int32, depth int)
+	walk = func(u int32, depth int) {
+		if f.l[u] == 0 && f.matStart[u] == f.matStart[u+1] {
+			return
+		}
+		nodes, levels = nodes+1, max(levels, depth+1)
+		for c := f.childFirst[u]; c < f.childFirst[u]+f.childCount[u]; c++ {
+			walk(c, depth+1)
+		}
+	}
+	walk(0, 0)
+	return nodes, levels
 }

@@ -17,12 +17,14 @@ import (
 )
 
 // TestBuildOutputPinned pins what the builder produces, byte for byte. A
-// family with a saved form is pinned by the SHA-256 of its image; the others
-// (polygon cells, the lifted and dimension-reduction indexes) by a digest of
-// their tree shape, their space audit and a few hundred answers together with
-// each answer's work counts. A change that is meant to move an index re-pins
-// here and says why; a change that is not meant to — a faster splitter, a
-// cheaper builder — must leave every line alone.
+// family with a saved form is pinned by the SHA-256 of its image, and the
+// image, once opened, is held to Section 3.2's definitions
+// (checkDefinitions); the others (polygon cells, the lifted and
+// dimension-reduction indexes) by a digest of their tree shape, their space
+// audit and a few hundred answers together with each answer's work counts. A
+// change that is meant to move an index re-pins here and says why; a change
+// that is not meant to — a faster splitter, a cheaper builder — must leave
+// every line alone.
 func TestBuildOutputPinned(t *testing.T) {
 	zipf2 := workload.Gen(workload.Config{Seed: 201, Objects: 50_000, Dim: 2, Vocab: 500, DocLen: 5})
 	planted, _, _ := workload.GenPlanted(workload.Planted{Seed: 202, Objects: 65_536, Dim: 2, K: 3, Out: 64, Partial: 8192})
@@ -67,6 +69,7 @@ func TestBuildOutputPinned(t *testing.T) {
 			if err := writeFlat(h, ix); err != nil {
 				t.Fatal(err)
 			}
+			checkOpenedDefinitions(t, ix)
 		}, "0b8afc42f073dc1339d361c6c7b26e16839c64ce3bd27f8e025c4f6f9e8eb574"},
 		// Raw coordinates on a 16x16 grid: every kd median sits in a tie
 		// block, which rank space never produces. Re-pinned when a split over
@@ -76,6 +79,7 @@ func TestBuildOutputPinned(t *testing.T) {
 			if err := writeFlat(h, ix); err != nil {
 				t.Fatal(err)
 			}
+			checkOpenedDefinitions(t, ix)
 		}, "0f293e7659e27b76cf604a716ce514fbea8a89a49dea90d36e5ba752b5f56f21"},
 		{"LCKW/Willard2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, pinnedSPKW(t, small2, &spart.Willard2D{}))
@@ -145,6 +149,7 @@ func saveORPKW(t *testing.T, h hash.Hash, ds *dataset.Dataset, k int, opts ...Bu
 		t.Fatal(err)
 	}
 	h.Write(buf.Bytes())
+	checkOpenedDefinitions(t, ix)
 }
 
 // gridDataset places n objects on a side x side grid of integer points, each

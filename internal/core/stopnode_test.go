@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"kwsc/internal/bits"
 	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
@@ -113,9 +112,7 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 	}
 	kw := &kwNode{large: slices.Clone(large)}
 	root.nu, root.kw = ds.N(), kw
-	for range root.children {
-		kw.tensors = append(kw.tensors, bits.NewDense(int(tensorSize(len(large), k))))
-	}
+	kw.tensors = make([]uint64, len(root.children)*int((tensorSize(len(large), k)+63)/64))
 	for _, w := range small {
 		var ranks []int32
 		for r, id := range ids {
