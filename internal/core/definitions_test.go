@@ -149,10 +149,10 @@ func forEachTuple(axes []int32, k int, fn func([]int32)) {
 
 // Every static family's frameworks meet Section 3.2's definitions: ORP-KW at
 // d = 2 and 3, the d = 2 secondaries of Theorem 2's index, LC-KW over each
-// splitter, and SRP-KW's lifted tree. skew and dense are the corpora of the
-// two tests this one replaced: skew's Zipf 1.6 puts keywords on both sides of
-// the threshold at many nodes, and dense's vocabulary of 12 puts several
-// large keywords on most objects.
+// splitter, and SRP-KW's lifted tree. skew and dense are the corpora of
+// TestLargeSmallInvariants and TestTensorSoundness: skew's Zipf 1.6 puts
+// keywords on both sides of the threshold at many nodes, and dense's
+// vocabulary of 12 puts several large keywords on most objects.
 func TestFrameworkDefinitions(t *testing.T) {
 	skew := workload.Gen(workload.Config{Seed: 3, Objects: 800, Dim: 2, Vocab: 40, DocLen: 5, ZipfS: 1.6})
 	dense := workload.Gen(workload.Config{Seed: 4, Objects: 400, Dim: 2, Vocab: 12, DocLen: 4, ZipfS: 1.3})

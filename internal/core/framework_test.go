@@ -43,6 +43,110 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// The large/small threshold and the materialization rule (Section 3.2):
+// verified structurally on the built index.
+func TestLargeSmallInvariants(t *testing.T) {
+	ds := workload.Gen(workload.Config{Seed: 3, Objects: 800, Dim: 2, Vocab: 40, DocLen: 5, ZipfS: 1.6})
+	ix, err := BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := ix.Framework()
+	k := float64(f.k)
+	for u := range f.nu {
+		if f.childCount[u] == 0 {
+			continue
+		}
+		nu, L := f.nu[u], f.l[u]
+		lo, hi := f.rankLo[u], f.rankLo[u]+f.rankSpan[u]
+		threshold := math.Pow(float64(nu), 1-1/k)
+		// Count the active set of this node: the objects of its rank interval.
+		counts := map[dataset.Keyword]int64{}
+		for _, id := range f.ids[lo:hi] {
+			for _, w := range f.ds.Doc(id) {
+				counts[w]++
+			}
+		}
+		// Large keywords must meet the threshold; materialized lists must
+		// hold exactly the active objects carrying a small keyword.
+		for i := f.largeStart[u]; i < f.largeStart[u+1]; i++ {
+			w, li := f.largeKeys[i], f.largeIdx[i]
+			if li < 0 || li >= L {
+				t.Fatalf("node %d: large index %d out of range", u, li)
+			}
+			if float64(counts[w]) < threshold {
+				t.Fatalf("node %d: keyword %d classified large with count %d < threshold %.1f",
+					u, w, counts[w], threshold)
+			}
+		}
+		for i := f.matStart[u]; i < f.matStart[u+1]; i++ {
+			w, lst := f.matKeys[i], ranksOf(f, u, i)
+			if int(f.matLists[i].N) != len(lst) {
+				t.Fatalf("node %d: list of keyword %d claims %d entries, holds %d", u, w, f.matLists[i].N, len(lst))
+			}
+			for _, r := range lst {
+				if !f.ds.Has(f.ids[r], w) {
+					t.Fatalf("node %d: rank %d listed under keyword %d, which its object lacks", u, r, w)
+				}
+			}
+			if _, isLarge := f.largeLookup(int32(u), w); isLarge {
+				t.Fatalf("node %d: keyword %d both large and materialized", u, w)
+			}
+			if float64(counts[w]) >= threshold {
+				t.Fatalf("node %d: keyword %d materialized with count %d >= threshold %.1f",
+					u, w, counts[w], threshold)
+			}
+			if int64(len(lst)) != counts[w] {
+				t.Fatalf("node %d: materialized list of %d entries, active count %d",
+					u, len(lst), counts[w])
+			}
+		}
+		// The large-keyword bound of Section 3.2: at most N_u^{1/k}.
+		if float64(L) > math.Pow(float64(nu), 1/k)+1 {
+			t.Fatalf("node %d: %d large keywords exceeds N_u^{1/k} = %.1f",
+				u, L, math.Pow(float64(nu), 1/k))
+		}
+	}
+}
+
+// The non-emptiness tensor is sound and complete: a bit is set iff some
+// object in the child's subtree carries the whole keyword combination.
+func TestTensorSoundness(t *testing.T) {
+	ds := workload.Gen(workload.Config{Seed: 4, Objects: 400, Dim: 2, Vocab: 12, DocLen: 4, ZipfS: 1.3})
+	ix, err := BuildORPKW(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := ix.Framework()
+	for u := range f.nu {
+		L := f.l[u]
+		if f.childCount[u] == 0 || L < 2 {
+			continue
+		}
+		// Invert the large table.
+		byIdx := make([]dataset.Keyword, L)
+		for i := f.largeStart[u]; i < f.largeStart[u+1]; i++ {
+			byIdx[f.largeIdx[i]] = f.largeKeys[i]
+		}
+		for ci := int32(0); ci < f.childCount[u]; ci++ {
+			child := f.childFirst[u] + ci
+			sub := f.ids[f.rankLo[child] : f.rankLo[child]+f.rankSpan[child]]
+			for a := int32(0); a < L; a++ {
+				for b := a + 1; b < L; b++ {
+					want := slices.ContainsFunc(sub, func(id int32) bool {
+						return f.ds.Has(id, byIdx[a]) && f.ds.Has(id, byIdx[b])
+					})
+					got := f.tensorGet(int32(u), ci, tensorIndex([]int32{a, b}, int(L)))
+					if got != want {
+						t.Fatalf("node %d child %d: tensor bit (%d,%d) = %v, want %v",
+							u, ci, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestQueryStatsConsistency(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 5, Objects: 600, Dim: 2, Vocab: 30, DocLen: 5})
 	ix, err := BuildORPKW(ds, 2)
