@@ -539,14 +539,11 @@ func BenchmarkExtDynamicQuery(b *testing.B) {
 	}
 }
 
-// estimateSink keeps BenchmarkDynamicQueryShard's EstimateWork calls live.
-var estimateSink int64
-
 // One dynamic shard shaped like rw-mixed's: 10 000 live objects of a
 // vocabulary of 1 000 after 1 500 inserts and 1 500 deletes of the oldest, so
 // queries cross the write buffer, several Bentley–Saxe buckets and their
-// tombstones. An op is what the serving layer does per shard leg: one
-// EstimateWork and one Query at side 0.1, k=2, Limit 100. buckets/op is
+// tombstones. An op is what the serving layer does per shard leg: one Query
+// at side 0.1, k=2, Limit 100. buckets/op is
 // the occupied buckets each query runs over; units/op the work units it is
 // charged (a bucket a query keyword is absent from costs none).
 func BenchmarkDynamicQueryShard(b *testing.B) {
@@ -585,7 +582,6 @@ func BenchmarkDynamicQueryShard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q, ws := rects[i%len(rects)], kws[i%len(rects)]
-		estimateSink = d.EstimateWork(ws)
 		st, err := d.Query(q, ws, opts, report)
 		if err != nil {
 			b.Fatal(err)

@@ -17,8 +17,7 @@ import (
 // unbeatable, a tiny region makes the geometric filter cheap, and everything
 // else belongs to the framework. The planner applies the paper's own cost
 // formulas as estimates, with the classic independence assumption supplying
-// the output-cardinality estimate (core.OutEstimate, the one
-// Framework.EstimateWork descends with):
+// the output-cardinality estimate (core.OutEstimate):
 //
 //	estOUT          = min(min_w |S_w|, |D| * prod_w (|S_w|/|D|) * sel(q))
 //	keywords-only:   k * min_w |S_w|            (galloping intersection)

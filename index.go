@@ -77,9 +77,6 @@ type DynamicIndex interface {
 	// Seq returns the sequence number of the last applied mutation: the
 	// operation prefix a query entered now answers at.
 	Seq() uint64
-	// EstimateWork bounds the work units (QueryStats.Ops) a query for ws
-	// spends, from resident structures alone.
-	EstimateWork(ws []Keyword) int64
 	// Len returns the number of live objects; NumBuckets the occupied
 	// static parts; Tombstones the deleted-but-unpurged entries.
 	Len() int

@@ -44,14 +44,6 @@ type Arena struct {
 	words []uint64
 }
 
-// AppendDense copies d's words into the arena and returns the word offset at
-// which they start.
-func (a *Arena) AppendDense(d *Dense) int64 {
-	off := int64(len(a.words))
-	a.words = append(a.words, d.words...)
-	return off
-}
-
 // Grow appends n zero words and returns their starting offset.
 func (a *Arena) Grow(n int) int64 {
 	off := int64(len(a.words))

@@ -62,30 +62,9 @@ func TestDenseAgainstMapProperty(t *testing.T) {
 	}
 }
 
-func TestArenaConcatenatesDenseSets(t *testing.T) {
-	var a Arena
-	sizes := []int{1, 63, 64, 65, 300}
-	offs := make([]int64, len(sizes))
-	for si, n := range sizes {
-		d := NewDense(n)
-		for i := 0; i < n; i += si + 1 {
-			d.Set(i)
-		}
-		offs[si] = a.AppendDense(d)
-	}
-	for si, n := range sizes {
-		for i := 0; i < n; i++ {
-			want := i%(si+1) == 0
-			if got := a.Get(offs[si], int64(i)); got != want {
-				t.Fatalf("set %d bit %d: got %v, want %v", si, i, got, want)
-			}
-		}
-	}
-	if a.Words() <= 0 || a.SpaceBits() != a.Words()*64 {
-		t.Fatalf("arena accounting inconsistent: %d words, %d bits", a.Words(), a.SpaceBits())
-	}
-}
-
+// Bitsets grown one after another into an arena keep their own bits at the
+// offsets Grow returned, whatever their sizes, and the accounting counts
+// every word.
 func TestArenaGrowAndSet(t *testing.T) {
 	var a Arena
 	off1 := a.Grow(2)
@@ -98,5 +77,25 @@ func TestArenaGrowAndSet(t *testing.T) {
 	}
 	if a.Get(off1, 6) || a.Get(off2, 1) {
 		t.Fatal("unset bits read as set")
+	}
+
+	sizes := []int{1, 63, 64, 65, 300}
+	offs := make([]int64, len(sizes))
+	for si, n := range sizes {
+		offs[si] = a.Grow((n + 63) / 64)
+		for i := 0; i < n; i += si + 1 {
+			a.Set(offs[si], int64(i))
+		}
+	}
+	for si, n := range sizes {
+		for i := 0; i < n; i++ {
+			want := i%(si+1) == 0
+			if got := a.Get(offs[si], int64(i)); got != want {
+				t.Fatalf("set %d bit %d: got %v, want %v", si, i, got, want)
+			}
+		}
+	}
+	if a.Words() != 3+1+1+1+2+5 || a.SpaceBits() != a.Words()*64 {
+		t.Fatalf("arena accounting inconsistent: %d words, %d bits", a.Words(), a.SpaceBits())
 	}
 }

@@ -273,7 +273,6 @@ func TestDynamicFailedBuildSticksToItsBucket(t *testing.T) {
 			first := c.check(t, func() error { _, err := collectAll(d, buildQ, buildWs, QueryOpts{}); return err }())
 			DisarmAllFailpoints()
 			b0 := d.builds.Load()
-			d.EstimateWork(buildWs) // must neither panic nor build again
 			for i := 0; i < 3; i++ {
 				_, err := collectAll(d, buildQ, buildWs, QueryOpts{})
 				if c.check(t, err) != first {
@@ -311,90 +310,6 @@ func TestDynamicFailedBuildSticksToItsBucket(t *testing.T) {
 				t.Fatalf("after the merge: %d handles, oracle %d", len(got), len(want))
 			}
 		})
-	}
-}
-
-// Pricing a leg builds nothing. After a carry no read has seen, EstimateWork
-// allocates nothing, leaves the build count alone and prices the unbuilt
-// bucket from its entry count: Theorem 1's bound at OUT = every entry. The
-// first reads, racing estimates, build the bucket once and answer as the
-// oracle does, and the estimate then reads the bucket's root.
-func TestDynamicEstimateBuildsNothing(t *testing.T) {
-	src := burstData(1024 + 16)
-	d := burst(t, src, src.Len()) // one unbuilt bucket of 1024, 16 buffered
-	sn := d.state.Load()
-	var b *dynBucket
-	for _, bb := range sn.buckets {
-		if bb != nil {
-			b = bb
-		}
-	}
-	if d.NumBuckets() != 1 || len(b.handles) != 1024 || len(sn.buffer) != 16 {
-		t.Fatalf("occupancy %v with %d buffered, want one bucket of 1024 and 16", d.Buckets(), len(sn.buffer))
-	}
-	var est int64
-	if a := testing.AllocsPerRun(100, func() { est = d.EstimateWork(buildWs) }); a != 0 {
-		t.Fatalf("EstimateWork allocates %.1f times a call, want 0", a)
-	}
-	if n := d.builds.Load(); n != 0 {
-		t.Fatalf("EstimateWork built %d buckets, want 0", n)
-	}
-	unbuilt := 16 + int64(Theorem1Cost(float64(b.objs.N()), d.k, 1024))
-	if est != unbuilt {
-		t.Fatalf("unbuilt bucket estimated %d, want Theorem 1's bound at OUT = 1024: %d", est, unbuilt)
-	}
-
-	// Readers race the first read while pricers estimate: every estimate is
-	// the unbuilt price or, once the build has run, the root's.
-	const readers, pricers = 4, 4
-	answers := make([][]int64, readers)
-	errs := make([]error, readers)
-	ests := make([][]int64, pricers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			answers[r], errs[r] = collectAll(d, buildQ, buildWs, QueryOpts{})
-		}()
-	}
-	for p := 0; p < pricers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 200; i++ {
-				ests[p] = append(ests[p], d.EstimateWork(buildWs))
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if n := d.builds.Load(); n != 1 {
-		t.Fatalf("the first reads built %d buckets, want 1", n)
-	}
-	want := oracleAnswer(src, src.Len(), buildQ, buildWs)
-	for r := 0; r < readers; r++ {
-		if errs[r] != nil {
-			t.Fatalf("reader %d: %v", r, errs[r])
-		}
-		got := slices.Clone(answers[r])
-		if slices.Sort(got); !slices.Equal(got, want) {
-			t.Fatalf("reader %d: %v, oracle %v", r, got, want)
-		}
-	}
-	built := 16 + b.ix.EstimateWork(buildWs)
-	for p := range ests {
-		for _, e := range ests[p] {
-			if e != unbuilt && e != built {
-				t.Fatalf("pricer %d estimated %d, want %d (unbuilt) or %d (built)", p, e, unbuilt, built)
-			}
-		}
-	}
-	if est := d.EstimateWork(buildWs); est != built {
-		t.Fatalf("built bucket estimated %d, want the buffer and its root's %d", est, built)
 	}
 }
 

@@ -390,7 +390,6 @@ func (f *Framework) checkImage() error {
 		return errImage("a NaN coordinate")
 	}
 	f.accountSpace()
-	f.countRootDF()
 	return nil
 }
 

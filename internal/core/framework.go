@@ -49,9 +49,6 @@ type Framework struct {
 	flatLayout // the tree: node skeleton and payload arenas (flat.go)
 
 	space SpaceBreakdown
-	// rootDF[li] is the number of objects carrying the root's li-th large
-	// keyword: the document frequencies EstimateWork's all-large case needs.
-	rootDF []int32
 }
 
 // fnode is one tree node as the builder assembles it: scratch that pack
@@ -238,7 +235,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.
-	b.hang(0, b.postings(ds, objs), 0)
+	b.hang(0, b.postings(ds, objs))
 	b.gatherCoords(objs)
 	f.pack(b.nodes, b.cells)
 	if b.kd != nil && !f.deriveBoxes() {
@@ -694,7 +691,7 @@ func (b *builder) postings(ds *dataset.Dataset, objs []int32) []run {
 // tensor is marked before the child hangs its own structures. A node with no
 // large keyword passes none down, so the walk ends there: nothing below it
 // carries a keyword structure.
-func (b *builder) hang(idx int32, runs []run, depth int) {
+func (b *builder) hang(idx int32, runs []run) {
 	f := b.f
 	n := &b.nodes[idx]
 	if len(n.children) == 0 {
@@ -734,9 +731,6 @@ func (b *builder) hang(idx int32, runs []run, depth int) {
 		switch {
 		case float64(r.n) >= threshold:
 			kw.large[L] = b.words[r.w]
-			if depth == 0 {
-				f.rootDF = append(f.rootDF, r.n)
-			}
 			b.cut(n, r, in[L:], len(kw.large))
 			L++
 		case r.n > 0:
@@ -765,11 +759,11 @@ func (b *builder) hang(idx int32, runs []run, depth int) {
 			go func(sub *builder, wg *sync.WaitGroup, c int32, t []uint64, cin []run) {
 				defer wg.Done()
 				defer b.gate.release()
-				sub.child(c, t, cin, depth+1)
+				sub.child(c, t, cin)
 			}(&sub, wg, c, t, cin)
 			continue
 		}
-		b.child(c, t, cin, depth+1)
+		b.child(c, t, cin)
 	}
 	if wg != nil {
 		wg.Wait()
@@ -779,11 +773,11 @@ func (b *builder) hang(idx int32, runs []run, depth int) {
 // child marks node c's non-emptiness tensor t in its parent from its
 // incoming runs, unless fewer than k of them leave no tuple to mark, and
 // hangs c's structures.
-func (b *builder) child(c int32, t []uint64, runs []run, depth int) {
+func (b *builder) child(c int32, t []uint64, runs []run) {
 	if len(runs) >= b.f.k {
 		b.markTensor(t, runs, b.nodes[c].lo, b.nodes[c].hi)
 	}
-	b.hang(c, runs, depth)
+	b.hang(c, runs)
 }
 
 // cut splits run r of node n at its children's interval boundaries, which

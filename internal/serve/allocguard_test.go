@@ -13,7 +13,8 @@ import (
 )
 
 // inlineRequests is the allocation guards' fixture: a 4-shard static server
-// and 64 requests whose legs all run inline.
+// and 64 requests whose legs all run inline, as replayModes over a first
+// answer says.
 func inlineRequests(t *testing.T) (*Server, []*kwsc.QueryRequest) {
 	const vocab = 1000
 	objs := objectsOf(workload.Gen(workload.Config{Seed: 5, Objects: 20_000, Dim: 2, Vocab: vocab, DocLen: 6}))
@@ -27,7 +28,11 @@ func inlineRequests(t *testing.T) (*Server, []*kwsc.QueryRequest) {
 	for len(reqs) < 64 {
 		req := zipfStream(rng, vocab)
 		req.Limit = 100
-		if _, spawned := wantModes(s, req.Keywords); spawned == 0 {
+		resp, err := s.Query(req, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, spawned := replayModes(s, resp, 0); spawned == 0 {
 			reqs = append(reqs, req)
 		}
 	}
@@ -82,32 +87,5 @@ func TestHandlerQueryAllocs(t *testing.T) {
 	serve() // warm the pools and grow the buffers
 	if allocs := testing.AllocsPerRun(20, serve) / float64(len(reqs)); allocs > 15 {
 		t.Fatalf("POST /v1/query allocates %.2f per request, want <= 15", allocs)
-	}
-}
-
-// TestLegEstimateAllocs: pricing a leg is free in the allocation sense, on
-// static and on dynamic shards.
-func TestLegEstimateAllocs(t *testing.T) {
-	objs := genObjects(3000, 89)
-	static, err := NewStatic(objs, Config{Shards: 2, K: testK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer static.Close()
-	dynamic, err := NewDynamic("", objs, Config{Shards: 2, Dim: 2, K: testK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dynamic.Close()
-	for name, s := range map[string]*Server{"static": static, "dynamic": dynamic} {
-		for _, ws := range [][]kwsc.Keyword{{0, 1}, {3, 50}, {40, 58}} { // all large, mixed, all small at the root
-			if allocs := testing.AllocsPerRun(100, func() {
-				for _, sh := range s.shards {
-					sh.estimate(ws, 0)
-				}
-			}); allocs != 0 {
-				t.Fatalf("%s estimate(%v) allocates %v per call, want 0", name, ws, allocs)
-			}
-		}
 	}
 }

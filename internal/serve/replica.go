@@ -234,13 +234,10 @@ type candidate struct {
 	stale bool // serving it exceeds the requested bound
 }
 
-// estimate prices the leg: a read that may go to a replica can block on the
-// network; a read only the writer may serve costs what the writer's leg costs.
-func (g *replicaGroup) estimate(ws []kwsc.Keyword, staleness time.Duration) int64 {
-	if staleness > 0 && len(g.legs) > 0 {
-		return estimateRemote
-	}
-	return g.writer.estimate(ws, staleness)
+// remote: a read that may go to a replica can block on the network; a read
+// only the writer may serve is the writer's local leg.
+func (g *replicaGroup) remote(staleness time.Duration) bool {
+	return staleness > 0 && len(g.legs) > 0
 }
 
 // candidates lists, in preference order, the members that may serve a read
@@ -405,12 +402,7 @@ func (s *followerShard) replicationStalenessMs() int64 {
 	return int64(st / time.Millisecond)
 }
 
-func (s *followerShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
-	if d := s.f.Durable(); d != nil {
-		return d.EstimateWork(ws)
-	}
-	return 0 // no replayed state yet: the leg fails at once
-}
+func (s *followerShard) remote(time.Duration) bool { return false }
 
 func (s *followerShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
 	d := s.f.Durable()

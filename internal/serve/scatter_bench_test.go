@@ -33,13 +33,16 @@ func (s *Server) queryPerLeg(req *kwsc.QueryRequest) (*kwsc.QueryResponse, error
 
 // BenchmarkScatter is the evidence behind inlineWorkUnits and behind keeping
 // a spawn branch at all (EXPERIMENTS.md, "Scatter tax"). tiny is
-// tiny-scatter's shape — Zipf k=2, legs of a few dozen work units; heavy is
-// heavy-core's — a planted k=3 triple with N/8-long lists, legs of hundreds
-// to thousands of units. Every sub-benchmark reports units/op, the summed
-// QueryStats.Ops of a request's legs: shards=1 gives the time of a work unit,
-// and (per-leg − estimate-gated) / 4 on tiny/shards=4 the cost of handing a
-// leg to a goroutine and being woken by it. Their quotient is the threshold.
-// Needs GOMAXPROCS >= 2 to show what a spawned leg buys.
+// tiny-scatter's shape — Zipf k=2, legs of a few dozen work units, all run
+// inline; heavy is heavy-core's — a planted k=3 triple with N/8-long lists,
+// legs of hundreds to thousands of units. On heavy/shards=4 the first leg's
+// measured cost spawns the two middle legs and the request goroutine runs the
+// last; on heavy/shards=2 a heavy first leg leaves only one leg, so both run
+// inline. Every sub-benchmark reports units/op, the summed QueryStats.Ops of a
+// request's legs: shards=1 gives the time of a work unit, and (per-leg −
+// scatter) / 4 on tiny/shards=4 the cost of handing a leg to a goroutine and
+// being woken by it. Their quotient is the threshold. Needs GOMAXPROCS >= 2
+// to show what a spawned leg buys.
 func BenchmarkScatter(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		b.Skip("needs GOMAXPROCS >= 2")
@@ -67,7 +70,7 @@ func BenchmarkScatter(b *testing.B) {
 			return &kwsc.QueryRequest{Rect: &kwsc.RectWire{Lo: r.Lo, Hi: r.Hi}, Keywords: heavyKws, Limit: 100}
 		}},
 	} {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{1, 2, 4} {
 			s, err := NewStatic(w.objs, Config{Shards: shards, K: w.k})
 			if err != nil {
 				b.Fatal(err)

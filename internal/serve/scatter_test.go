@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -23,20 +25,45 @@ func legCounts() (c [numLegModes]int64) {
 	return c
 }
 
-// wantModes replays scatter's rule over the shards' estimates: how many legs
-// of a query for ws an unpruned scatter runs inline and how many it spawns.
-func wantModes(s *Server, ws []kwsc.Keyword) (inline, spawned int64) {
-	for _, sh := range s.shards {
-		if sh.estimate(ws, 0) > inlineWorkUnits {
+// replayModes replays scatter's rule over an answered request: how many of
+// its legs an unpruned scatter ran inline and how many it spawned. Remote legs
+// spawn; the local ones run in shard order until one has cost more than
+// inlineWorkUnits with at least two left, and then all of those but the last
+// spawn. With no local leg the request goroutine keeps one.
+func replayModes(s *Server, resp *kwsc.QueryResponse, staleness time.Duration) (inline, spawned int64) {
+	var local []int
+	for i, sh := range s.shards {
+		if len(s.shards) > 1 && sh.remote(staleness) {
 			spawned++
 		} else {
-			inline++
+			local = append(local, i)
 		}
 	}
-	if inline == 0 {
-		return 1, spawned - 1 // the request goroutine keeps one heavy leg
+	if len(local) == 0 {
+		return 1, spawned - 1
+	}
+	for n, i := range local {
+		inline++
+		if left := int64(len(local) - n - 1); left > 1 && resp.Shards[i].Ops > inlineWorkUnits {
+			return inline + 1, spawned + left - 1
+		}
 	}
 	return inline, spawned
+}
+
+// writeAll inserts objs into the dynamic server s in order and returns each
+// handle's position in objs.
+func writeAll(t *testing.T, s *Server, objs []kwsc.Object) map[int64]int64 {
+	t.Helper()
+	pos := make(map[int64]int64, len(objs))
+	for i, o := range objs {
+		resp, err := s.Write(&kwsc.WriteRequest{Op: kwsc.OpInsert, Point: o.Point, Doc: o.Doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos[resp.Handle] = int64(i)
+	}
+	return pos
 }
 
 // zipfStream is tiny-scatter's traffic: small rectangles, two keywords drawn
@@ -46,16 +73,18 @@ func zipfStream(rng *rand.Rand, vocab int) *kwsc.QueryRequest {
 	return &kwsc.QueryRequest{Rect: &kwsc.RectWire{Lo: r.Lo, Hi: r.Hi}, Keywords: workload.RandKeywords(rng, vocab, 2)}
 }
 
-// TestScatterModeByEstimate pins the inline-or-spawn rule and its metric:
-// on a Zipf k=2 corpus (tiny-scatter's shape) the legs whose root holds a
-// small query keyword — all but the few percent of requests naming two
-// corpus-wide frequent keywords — run on the request goroutine, on static and
-// on dynamic shards; a planted k=3 triple with N/8-long lists spawns. Modes
-// are read back from kwscd_scatter_legs_total and must equal what the shards'
-// estimates dictate, no inline leg may have cost more than 4x the threshold,
-// and every answer equals the brute-force oracle. The planted triple's lists
-// are dense — bitmaps at every shard's root, which is its stop node — so there
-// the estimate is an upper bound and no leg may cost more than it.
+// TestScatterModeByEstimate pins the inline-or-spawn rule and its metric: a
+// remote leg spawns, and a local leg is priced by what an earlier inline
+// sibling measured. Modes are read back from kwscd_scatter_legs_total and
+// must equal replayModes over every response's per-shard work units, and
+// every answer equals the brute-force oracle. On a Zipf k=2 corpus
+// (tiny-scatter's shape) nearly every leg runs inline, on static and on
+// dynamic shards. A planted k=3 triple with N/8-long lists costs every leg
+// more than inlineWorkUnits, so each request spawns mid-scatter: after its
+// first leg, the two middle legs go to goroutines and the request goroutine
+// runs the last one. A bounded-staleness read over replica groups spawns
+// every leg but the one the request goroutine keeps; its replicas are the
+// primary's own leg endpoints, so their answers are exact too.
 func TestScatterModeByEstimate(t *testing.T) {
 	const vocab = 1000
 	zipf := objectsOf(workload.Gen(workload.Config{Seed: 3, Objects: 16_000, Dim: 2, Vocab: vocab, DocLen: 6}))
@@ -72,16 +101,9 @@ func TestScatterModeByEstimate(t *testing.T) {
 	}
 	defer dynamic.Close()
 	dynObjs := zipf[:6000]
-	objOf := make(map[int64]int64, len(dynObjs)) // handle -> position in dynObjs
-	for i, o := range dynObjs {
-		resp, err := dynamic.Write(&kwsc.WriteRequest{Op: kwsc.OpInsert, Point: o.Point, Doc: o.Doc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		objOf[resp.Handle] = int64(i)
-	}
+	objOf := writeAll(t, dynamic, dynObjs)
 
-	const plantedN = 32_768
+	const plantedN = 65_536
 	ds, plantedKws, _ := workload.GenPlanted(workload.Planted{Seed: 3, Objects: plantedN, Dim: 2, K: 3, Out: 64, Partial: plantedN / 8})
 	planted := objectsOf(ds)
 	heavy, err := NewStatic(planted, Config{Shards: 4, K: 3})
@@ -89,6 +111,34 @@ func TestScatterModeByEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer heavy.Close()
+
+	// The replica group's one replica is the primary itself, reached through
+	// its own /repl/v1 leg endpoints.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicated, err := NewDynamic("", nil, Config{Shards: 2, Dim: 2, K: 2,
+		ReplicaURLs: []string{"http://" + ln.Addr().String()}, ReplicaProbe: 15 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replicated.Close()
+	replObjs := zipf[:2000]
+	replOf := writeAll(t, replicated, replObjs)
+	ts := httptest.NewUnstartedServer(replicated.Handler())
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+	waitFor(t, 5*time.Second, "replica legs alive", func() bool {
+		for _, sh := range replicated.shards {
+			if !sh.(*replicaGroup).legs[0].alive() {
+				return false
+			}
+		}
+		return true
+	})
 
 	for _, tc := range []struct {
 		name    string
@@ -98,37 +148,46 @@ func TestScatterModeByEstimate(t *testing.T) {
 		toObj   func(int64) int64
 		queries int
 		// minInline is the least share of legs the stream must run inline;
-		// allSpawn says every request must spawn instead, and that every
-		// shard's root is the query's stop node: estimates bound costs.
+		// spawns is how many legs every request must spawn (0: no demand).
 		minInline float64
-		allSpawn  bool
+		spawns    int64
+		// staleness is the requests' staleness bound.
+		staleness time.Duration
 	}{
 		{name: "zipf-static-4", s: static, objs: zipf, queries: 600, minInline: 0.95,
 			next: func(rng *rand.Rand) *kwsc.QueryRequest { return zipfStream(rng, vocab) }},
-		{name: "zipf-dynamic-2", s: dynamic, objs: dynObjs, queries: 600, minInline: 0.95,
+		{name: "zipf-dynamic-2", s: dynamic, objs: dynObjs, queries: 600, minInline: 1,
 			next:  func(rng *rand.Rand) *kwsc.QueryRequest { return zipfStream(rng, vocab) },
 			toObj: func(h int64) int64 { return objOf[h] }},
-		{name: "planted-static-4", s: heavy, objs: planted, queries: 60, allSpawn: true,
+		{name: "planted-static-4", s: heavy, objs: planted, queries: 60, spawns: 2,
 			next: func(rng *rand.Rand) *kwsc.QueryRequest {
 				r := workload.RandRect(rng, 2, 0.2+0.3*rng.Float64())
 				return &kwsc.QueryRequest{Rect: &kwsc.RectWire{Lo: r.Lo, Hi: r.Hi}, Keywords: plantedKws}
 			}},
+		{name: "replica-stale-2", s: replicated, objs: replObjs, queries: 100, spawns: 1, staleness: time.Minute,
+			next: func(rng *rand.Rand) *kwsc.QueryRequest {
+				req := zipfStream(rng, vocab)
+				req.MaxStalenessMs = time.Minute.Milliseconds()
+				return req
+			},
+			toObj: func(h int64) int64 { return replOf[h] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			var wantInline, wantSpawned int64
+			replicas := 0
 			before := legCounts()
 			for q := 0; q < tc.queries; q++ {
 				req := tc.next(rng)
-				in, sp := wantModes(tc.s, req.Keywords)
-				if tc.allSpawn && sp == 0 {
-					t.Fatalf("query %d: every leg estimated light, want a spawn", q)
-				}
-				wantInline, wantSpawned = wantInline+in, wantSpawned+sp
 				resp, err := tc.s.Query(req, false)
 				if err != nil {
 					t.Fatal(err)
 				}
+				in, sp := replayModes(tc.s, resp, tc.staleness)
+				if tc.spawns > 0 && sp != tc.spawns {
+					t.Fatalf("query %d: legs cost %+v, the rule spawns %d, want %d", q, resp.Shards, sp, tc.spawns)
+				}
+				wantInline, wantSpawned = wantInline+in, wantSpawned+sp
 				got := resp.IDs
 				if tc.toObj != nil {
 					got = make([]int64, len(resp.IDs))
@@ -140,20 +199,19 @@ func TestScatterModeByEstimate(t *testing.T) {
 				if want := brute(tc.objs, regionOf(req), req.Keywords); !slices.Equal(got, want) && len(got)+len(want) > 0 {
 					t.Fatalf("query %d: got %v, want %v", q, got, want)
 				}
-				for i, so := range resp.Shards {
-					est := tc.s.shards[i].estimate(req.Keywords, 0)
-					if est <= inlineWorkUnits && so.Ops > 4*inlineWorkUnits {
-						t.Fatalf("query %d shard %d: ran inline on an estimate of %d, cost %d work units", q, i, est, so.Ops)
-					}
-					if tc.allSpawn && so.Ops > est {
-						t.Fatalf("query %d shard %d: the root stop node was estimated at %d work units, cost %d", q, i, est, so.Ops)
+				for _, so := range resp.Shards {
+					if so.Replica == "replica-0" {
+						replicas++
 					}
 				}
+			}
+			if tc.staleness > 0 && replicas == 0 {
+				t.Fatal("no leg was answered by the replica")
 			}
 			after := legCounts()
 			inline, spawned, pruned := after[legInline]-before[legInline], after[legSpawned]-before[legSpawned], after[legPruned]-before[legPruned]
 			if inline != wantInline || spawned != wantSpawned || pruned != 0 {
-				t.Fatalf("legs ran inline/spawned/pruned = %d/%d/%d, estimates dictate %d/%d/0", inline, spawned, pruned, wantInline, wantSpawned)
+				t.Fatalf("legs ran inline/spawned/pruned = %d/%d/%d, the rule dictates %d/%d/0", inline, spawned, pruned, wantInline, wantSpawned)
 			}
 			if share := float64(inline) / float64(inline+spawned); share < tc.minInline {
 				t.Fatalf("only %.1f%% of legs ran inline, want >= %.0f%%", 100*share, 100*tc.minInline)
@@ -179,13 +237,6 @@ func TestInlineScatterSharedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dynamic.Close()
-	// A dynamic leg over a bucket no read has indexed is priced heavy — the
-	// leg pays the build — so one unbounded read indexes every bucket before
-	// legs are counted.
-	if _, err := dynamic.Query(&kwsc.QueryRequest{Keywords: []kwsc.Keyword{1, 2}, TimeoutMs: 60_000}, false); err != nil {
-		t.Fatal(err)
-	}
-
 	for name, s := range map[string]*Server{"static": static, "dynamic": dynamic} {
 		rng := rand.New(rand.NewSource(59))
 		for q := 0; q < 30; q++ {

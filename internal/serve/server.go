@@ -172,7 +172,7 @@ func newStaticShard(i int, objs []kwsc.Object, globals []int64, cfg Config) (sha
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %d dataset: %w", i, err)
 	}
-	var ix staticIndex
+	var ix kwsc.Index[*kwsc.Rect]
 	if cfg.Dim <= 2 {
 		ix, err = kwsc.NewORPKW(ds, cfg.K)
 	} else {
@@ -371,14 +371,14 @@ var scatterLegs = [numLegModes]*obs.Counter{
 	legPruned:  obs.Default().Counter(`kwscd_scatter_legs_total{mode="pruned"}`),
 }
 
-// inlineWorkUnits is the leg estimate (shard.estimate, in QueryStats.Ops
-// work units) up to which a local leg runs on the request goroutine. Handing
-// a leg to a goroutine and being woken by it costs ≈ 4 µs and a work unit
-// ≈ 30 ns (BenchmarkScatter: (per-leg − gated)/4 on tiny/shards=4, and
-// ns/op ÷ units/op on heavy/shards=1; EXPERIMENTS.md "Scatter tax"), so a
-// spawn breaks even near 135 units; twice that, because the hand-off is CPU
-// the request would not otherwise burn — a spawned leg should save at least
-// what it costs.
+// inlineWorkUnits is the measured leg cost (QueryStats.Ops, in work units)
+// above which the request goroutine stops running the remaining local legs
+// itself. Handing a leg to a goroutine and being woken by it costs ≈ 4 µs and
+// a work unit ≈ 30 ns (BenchmarkScatter: (per-leg − scatter)/4 on
+// tiny/shards=4, and ns/op ÷ units/op on heavy/shards=1; EXPERIMENTS.md
+// "Scatter tax"), so a spawn breaks even near 135 units; twice that, because
+// the hand-off is CPU the request would not otherwise burn — a spawned leg
+// should save at least what it costs.
 const inlineWorkUnits = 256
 
 // scatterState is the per-request scatter/gather scratch: reply slots, the
@@ -414,48 +414,67 @@ func (s *Server) putScatter(st *scatterState) {
 	s.scatters.Put(st)
 }
 
-// scatter runs every shard's leg and fills st.replies. Each leg is priced
-// first (shard.estimate). Legs that may block on the network or are estimated
-// heavier than a wake-up get a goroutine each and start first; the request
-// goroutine meanwhile runs the light legs one after another — or, having
-// none, keeps one heavy leg for itself — and waits only if it spawned
-// anything. Under range partitioning a leg whose key range misses the
-// rectangle is not run at all. All legs share the caller's absolute deadline
-// (resolved once): a leg entered after it has passed returns its typed
-// deadline prefix at its first policy poll, so running legs in sequence
-// cannot extend the query's wall-clock budget.
+// scatter runs every shard's leg and fills st.replies. A leg that may block
+// on the network (shard.remote) gets a goroutine and starts first. The
+// request goroutine meanwhile runs the local legs in shard order. Once one of
+// them has cost more than inlineWorkUnits with at least two left, it spawns
+// all of those but the last and runs the last itself: hash shards of one
+// corpus answer a query at similar cost, so a measured sibling prices the
+// rest. With no local leg it keeps one remote leg for itself, and it waits
+// only if it spawned anything. Under range partitioning a leg whose key range
+// misses the rectangle is not run at all. All legs share the caller's
+// absolute deadline (resolved once): a leg entered after it has passed
+// returns its typed deadline prefix at its first policy poll, so running legs
+// in sequence cannot extend the query's wall-clock budget.
 func (s *Server) scatter(st *scatterState, req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration) {
+	spawn := func(i int) {
+		st.wg.Add(1)
+		go func() {
+			defer st.wg.Done()
+			st.replies[i] = s.shards[i].collect(req, q, exact, ws, opts, staleness, &st.bufs[i])
+		}()
+	}
 	var count [numLegModes]int64
-	heavy := -1
+	kept := -1
 	for i, sh := range s.shards {
 		mode := legInline
 		switch {
 		case s.prune && s.part.misses(i, q):
 			mode = legPruned
-		case len(s.shards) > 1 && sh.estimate(ws, staleness) > inlineWorkUnits:
-			mode, heavy = legSpawned, i
+		case len(s.shards) > 1 && sh.remote(staleness):
+			mode, kept = legSpawned, i
 		}
 		st.modes[i] = mode
 		count[mode]++
 	}
-	if count[legInline] == 0 && heavy >= 0 {
-		st.modes[heavy] = legInline
+	if count[legInline] == 0 && kept >= 0 {
+		st.modes[kept] = legInline
 		count[legInline]++
 		count[legSpawned]--
 	}
 	for i, mode := range st.modes {
 		if mode == legSpawned {
-			st.wg.Add(1)
-			go func(i int) {
-				defer st.wg.Done()
-				st.replies[i] = s.shards[i].collect(req, q, exact, ws, opts, staleness, &st.bufs[i])
-			}(i)
+			spawn(i)
 		}
 	}
+	left := count[legInline]
 	for i, mode := range st.modes {
 		switch mode {
 		case legInline:
 			st.replies[i] = s.shards[i].collect(req, q, exact, ws, opts, staleness, &st.bufs[i])
+			left--
+			if left < 2 || st.replies[i].st.Ops <= inlineWorkUnits {
+				break
+			}
+			for j := i + 1; left > 1; j++ { // every local leg left but the last
+				if st.modes[j] == legInline {
+					st.modes[j] = legSpawned
+					spawn(j)
+					left--
+					count[legInline]--
+					count[legSpawned]++
+				}
+			}
 		case legPruned:
 			st.replies[i] = legResult{seq: s.shards[i].seq()}
 		}

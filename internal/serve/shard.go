@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -41,19 +40,15 @@ type legBuf struct {
 	ids   []int64 // global ids, ascending
 }
 
-// estimateRemote is the work estimate of a leg that may block on the network:
-// never cheaper than a wake-up.
-const estimateRemote = math.MaxInt64
-
 // shard is one partition of the served dataset. Implementations must be
 // safe for concurrent use; collect must return ids ascending, appended into
 // buf when the leg is answered locally. req is the original wire request,
 // carried so replica groups can forward the leg to a remote process; local
-// shards answer from the parsed arguments alone. estimate prices the leg in
-// work units (QueryStats.Ops) before it runs, from resident structures alone
-// — no allocation, no traversal.
+// shards answer from the parsed arguments alone. remote reports whether a
+// read under the staleness bound may be answered over the network, and so
+// block on it.
 type shard interface {
-	estimate(ws []kwsc.Keyword, staleness time.Duration) int64
+	remote(staleness time.Duration) bool
 	collect(req *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult
 	insert(obj kwsc.Object) (global int64, seq uint64, err error)
 	remove(local int64) (ok bool, seq uint64, err error)
@@ -65,29 +60,17 @@ type shard interface {
 	close() error
 }
 
-// staticIndex is what a static shard serves from: kwsc.ORPKW at d <= 2,
-// kwsc.ORPKWHigh at d >= 3. EstimateWork prices a query in work units
-// (QueryStats.Ops) from the index's root alone.
-type staticIndex interface {
-	kwsc.Index[*kwsc.Rect]
-	EstimateWork(ws []kwsc.Keyword) int64
-}
-
-// staticShard serves a read-only partition from its index alone. In the
-// degraded band a node-budget stop returns the prefix-correct partial answer,
-// as on every shard kind; a recovered index panic is a failed leg.
+// staticShard serves a read-only partition from its index alone: kwsc.ORPKW
+// at d <= 2, kwsc.ORPKWHigh at d >= 3. In the degraded band a node-budget
+// stop returns the prefix-correct partial answer, as on every shard kind; a
+// recovered index panic is a failed leg.
 type staticShard struct {
-	ix      staticIndex // nil for an empty partition
+	ix      kwsc.Index[*kwsc.Rect] // nil for an empty partition
 	ds      *kwsc.Dataset
 	globals []int64 // local id -> global id
 }
 
-func (s *staticShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
-	if s.ix == nil {
-		return 0
-	}
-	return s.ix.EstimateWork(ws)
-}
+func (s *staticShard) remote(time.Duration) bool { return false }
 
 // legOpts is the options a leg runs its index with. A leg that filters the
 // index's bounding-box hits by an exact region runs without a limit: the
@@ -198,9 +181,7 @@ type dynamicShard struct {
 
 func (s *dynamicShard) seq() uint64 { return s.ix.Seq() }
 
-func (s *dynamicShard) estimate(ws []kwsc.Keyword, _ time.Duration) int64 {
-	return s.ix.EstimateWork(ws)
-}
+func (s *dynamicShard) remote(time.Duration) bool { return false }
 
 func (s *dynamicShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, staleness time.Duration, buf *legBuf) legResult {
 	return dynamicLeg(s.view(s.ix, staleness), s.id, s.n, q, exact, ws, opts, buf)

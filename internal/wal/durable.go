@@ -471,10 +471,6 @@ func (d *Durable) SnapshotNow() *core.DynSnapshot {
 	return d.idx.SnapshotNow()
 }
 
-// EstimateWork bounds the work units of a query for ws against the current
-// state; see core.DynamicORPKW.EstimateWork.
-func (d *Durable) EstimateWork(ws []dataset.Keyword) int64 { return d.idx.EstimateWork(ws) }
-
 // Len returns the number of live objects.
 func (d *Durable) Len() int { return d.idx.Len() }
 
