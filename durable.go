@@ -1,8 +1,6 @@
 package kwsc
 
 import (
-	"time"
-
 	"kwsc/internal/wal"
 )
 
@@ -40,9 +38,9 @@ const (
 	// FsyncEveryOp fsyncs before acknowledging each operation (default):
 	// acknowledged ops survive OS crashes and power loss.
 	FsyncEveryOp = wal.SyncEveryOp
-	// FsyncInterval flushes every append immediately but fsyncs on a timer:
-	// acknowledged ops survive process crashes; an OS crash can lose up to
-	// one interval.
+	// FsyncInterval flushes every append immediately but fsyncs once a
+	// second: acknowledged ops survive process crashes; an OS crash can lose
+	// up to a second of them.
 	FsyncInterval = wal.SyncInterval
 	// FsyncNone never fsyncs explicitly: acknowledged ops survive process
 	// crashes only.
@@ -61,9 +59,6 @@ var ErrIndexClosed = wal.ErrClosed
 // WithFsyncPolicy selects the log's fsync policy (default FsyncEveryOp).
 func WithFsyncPolicy(p SyncPolicy) DurableOption { return wal.WithSyncPolicy(p) }
 
-// WithFsyncInterval selects FsyncInterval with the given period.
-func WithFsyncInterval(d time.Duration) DurableOption { return wal.WithSyncInterval(d) }
-
 // WithAutoCheckpoint checkpoints automatically after every n operations
 // (0 disables; Checkpoint remains available). The triggering operation only
 // pins the state and rotates the log; the checkpoint file is written in the
@@ -74,10 +69,6 @@ func WithAutoCheckpoint(n int) DurableOption { return wal.WithAutoCheckpoint(n) 
 // WithDurableBufferCap tunes the dynamic index's unindexed write buffer
 // (0 selects the default).
 func WithDurableBufferCap(n int) DurableOption { return wal.WithBufferCap(n) }
-
-// WithDurableBuild forwards index construction options (WithParallelism,
-// WithoutObs) to the underlying dynamic index.
-func WithDurableBuild(opts ...Option) DurableOption { return wal.WithBuildOptions(opts...) }
 
 // OpenDurable opens (creating or recovering) a durable dynamic ORP-KW index
 // rooted at directory dir, for dim-dimensional points and k-keyword queries;

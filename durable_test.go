@@ -23,8 +23,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	d, err := kwsc.OpenDurable(dir, 2, 2,
 		kwsc.WithFsyncPolicy(kwsc.FsyncNone),
 		kwsc.WithAutoCheckpoint(8),
-		kwsc.WithDurableBufferCap(4),
-		kwsc.WithDurableBuild(kwsc.WithParallelism(1)))
+		kwsc.WithDurableBufferCap(4))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}

@@ -36,29 +36,18 @@ func (d *Dense) Count() int {
 }
 
 // Arena is a single word slice holding many concatenated bitsets, each
-// word-aligned and addressed by the word offset its owner recorded at append
-// time. The flat index layout concatenates every per-child non-emptiness
-// tensor of a tree into one arena: one allocation, contiguous in memory, no
-// per-tensor slice headers or pointer hops on the query path.
+// word-aligned and addressed by the word offset its owner recorded when it
+// laid the words out (ArenaFromWords). The flat index layout concatenates
+// every per-child non-emptiness tensor of a tree into one arena: one
+// allocation, contiguous in memory, no per-tensor slice headers or pointer
+// hops on the query path.
 type Arena struct {
 	words []uint64
-}
-
-// Grow appends n zero words and returns their starting offset.
-func (a *Arena) Grow(n int) int64 {
-	off := int64(len(a.words))
-	a.words = append(a.words, make([]uint64, n)...)
-	return off
 }
 
 // Get reports bit i of the bitset starting at word offset off.
 func (a *Arena) Get(off int64, i int64) bool {
 	return a.words[off+i>>6]&(1<<(uint64(i)&63)) != 0
-}
-
-// Set sets bit i of the bitset starting at word offset off (builder use).
-func (a *Arena) Set(off int64, i int64) {
-	a.words[off+i>>6] |= 1 << (uint64(i) & 63)
 }
 
 // Words returns the arena size in 64-bit words.

@@ -62,18 +62,22 @@ func TestDenseAgainstMapProperty(t *testing.T) {
 	}
 }
 
-// Bitsets of several sizes grown one after another into an arena keep their
-// own bits at the offsets Grow returned, and the accounting counts every word.
+// Bitsets of several sizes laid one after another into an arena's words keep
+// their own bits at the offsets they were laid at, and the accounting counts
+// every word.
 func TestArenaConcatenatesDenseSets(t *testing.T) {
-	var a Arena
+	var words []uint64
 	sizes := []int{1, 63, 64, 65, 300}
 	offs := make([]int64, len(sizes))
 	for si, n := range sizes {
-		offs[si] = a.Grow((n + 63) / 64)
+		d := NewDense(n)
 		for i := 0; i < n; i += si + 1 {
-			a.Set(offs[si], int64(i))
+			d.Set(i)
 		}
+		offs[si] = int64(len(words))
+		words = append(words, d.words...)
 	}
+	a := ArenaFromWords(words)
 	for si, n := range sizes {
 		for i := 0; i < n; i++ {
 			want := i%(si+1) == 0
@@ -84,20 +88,5 @@ func TestArenaConcatenatesDenseSets(t *testing.T) {
 	}
 	if a.Words() != 1+1+1+2+5 || a.SpaceBits() != a.Words()*64 {
 		t.Fatalf("arena accounting inconsistent: %d words, %d bits", a.Words(), a.SpaceBits())
-	}
-}
-
-func TestArenaGrowAndSet(t *testing.T) {
-	var a Arena
-	off1 := a.Grow(2)
-	off2 := a.Grow(1)
-	a.Set(off1, 5)
-	a.Set(off1, 127)
-	a.Set(off2, 0)
-	if !a.Get(off1, 5) || !a.Get(off1, 127) || !a.Get(off2, 0) {
-		t.Fatal("set bits not readable")
-	}
-	if a.Get(off1, 6) || a.Get(off2, 1) {
-		t.Fatal("unset bits read as set")
 	}
 }

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/obs"
+	"kwsc/internal/spart"
 	"kwsc/internal/workload"
 )
 
@@ -343,29 +345,64 @@ func TestCarryAllocations(t *testing.T) {
 
 // The kd tree pass allocates per build, not per node: its nodes and the slab
 // their children are cut from are sized from the entries, and a split's two
-// groups stay on geometry's frame. So rankTree, the pass a checkpoint runs,
-// allocates a small constant more at 2^16 entries than at 2^14 — the
-// builders of the subtrees it spawns, and the stored tree's growth. Cutting
+// groups stay on geometry's frame. So treePass, the front end BuildFramework
+// and the checkpoint writer share, allocates a small constant more at 2^16
+// entries than at 2^14 — the builders of the subtrees it spawns. Cutting
 // every inner node its own children, split groups and WaitGroup made about
 // 7 100 allocations at 2^14 and 28 300 at 2^16.
 func TestTreePassAllocationsIndependentOfN(t *testing.T) {
 	least := func(n int) uint64 {
 		ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: 1000, DocLen: 6})
-		points, docStart, _ := ds.Columns()
+		cfg := FrameworkConfig{K: 2, Splitter: &spart.KD{Dim: 2}, Parallelism: 2, rankSpace: true}
 		m := uint64(math.MaxUint64)
 		for trial := 0; trial < 3; trial++ { // the least count drops foreign allocations
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			rankTree(points, docStart, 2, n)
+			_, _, err := treePass(ds, cfg)
 			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
 			m = min(m, after.Mallocs-before.Mallocs)
 		}
 		return m
 	}
 	small, large := least(1<<14), least(1<<16)
-	t.Logf("rankTree allocations: %d at 2^14 entries, %d at 2^16", small, large)
+	t.Logf("treePass allocations: %d at 2^14 entries, %d at 2^16", small, large)
 	if large > small+64 {
-		t.Fatalf("rankTree allocates %d times at 2^16 entries and %d at 2^14: the tree pass allocates per node", large, small)
+		t.Fatalf("treePass allocates %d times at 2^16 entries and %d at 2^14: the tree pass allocates per node", large, small)
+	}
+}
+
+// The checkpoint writer runs the build's tree, posting and coordinate passes
+// and lays the rows out in columns sized once, so it allocates per write,
+// not per entry or keyword: a small constant more at 2^16 entries than at
+// 2^14 — the subtree builders, the keyword tables' and the packed lists'
+// growth.
+func TestCheckpointWriterAllocationsIndependentOfN(t *testing.T) {
+	least := func(n int) uint64 {
+		ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: 1000, DocLen: 6})
+		s := &Snapshot{K: 2, Dim: 2, NextHandle: int64(n), Handles: make([]int64, n), Objs: ds}
+		for i := range s.Handles {
+			s.Handles[i] = int64(i)
+		}
+		m := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ { // the least count drops foreign allocations
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := WritePagedSnapshot(io.Discard, s)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = min(m, after.Mallocs-before.Mallocs)
+		}
+		return m
+	}
+	small, large := least(1<<14), least(1<<16)
+	t.Logf("WritePagedSnapshot allocations: %d at 2^14 entries, %d at 2^16", small, large)
+	if large > small+64 {
+		t.Fatalf("WritePagedSnapshot allocates %d times at 2^16 entries and %d at 2^14: the writer allocates per entry or keyword", large, small)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"kwsc/internal/bitpack"
 	"kwsc/internal/codec"
@@ -24,9 +23,10 @@ import (
 // sections are ckptRowSecs, which the writer, the open, the readers and the
 // gather all loop over.
 //
-// Rank r is rank r of BuildORPKW over the same entries: rankTree runs the
-// build's own tree pass, so the order, and with it the file's bytes, is a
-// function of the entry set.
+// The writer runs the build's own tree, posting and coordinate passes
+// (treePass, builder.postings, gatherCoords), so rank r is rank r of
+// BuildORPKW over the same entries, list w is w's posting in that build, and
+// the file's bytes are a function of the entry set.
 
 // Snapshot is the payload of a durability checkpoint: the live entry set of
 // a dynamic index — a handle column beside the dataset's three — together
@@ -120,40 +120,24 @@ const rowsBeforeIndex = colRowHandles
 // size.
 func cellSize(dim int) int { return pager.PageSize / (8 * dim) }
 
-// rankTree ranks the n entries of a checkpoint with the build's own tree
-// pass, the one BuildORPKW runs (builder.geometry over a rank-space kd
-// presort, document lengths as weights, on a two-wide gate), so rankEntry[r]
-// is the entry BuildORPKW over the same entries ranks r. It returns, beside
-// that order, the tree cut at one cell: in preorder, the root and every node
-// whose parent spans more than cellSize(dim) ranks, each as its span of ranks
-// and its tight box, dim lows then dim highs.
-func rankTree(points []float64, docStart []int64, dim, n int) (rankEntry, spans []int32, boxes []float64) {
-	if n == 0 {
-		return nil, nil, nil
-	}
-	b := &builder{gate: newParGate(2), weight: make([]int32, n), seq: make([]int32, n),
-		kd: &spart.KD{Dim: dim}, col: points, rankSpace: true}
-	b.arena(n)
-	var nu int64
-	for e := range b.weight {
-		b.weight[e] = int32(docStart[e+1] - docStart[e])
-		nu += int64(b.weight[e])
-	}
-	b.geometry(nil, b.presort(), nu, 0, 0)
-
+// storedTree is the tree a checkpoint stores: the build's, cut at one cell.
+// It returns, in preorder, the root and every node whose parent spans more
+// than cellSize(dim) ranks, each as its span of ranks and its tight box over
+// coords (dim a rank), dim lows then dim highs.
+func storedTree(nodes []fnode, coords []float64, dim int) (spans []int32, boxes []float64) {
 	// A stored leaf's box holds its points; an inner node's its pivot, the
 	// first rank of its interval, and its children's boxes.
 	cell := int32(cellSize(dim))
 	var cut func(u int32)
 	cut = func(u int32) {
-		nd, at := &b.nodes[u], 2*dim*len(spans)
+		nd, at := &nodes[u], 2*dim*len(spans)
 		spans = append(spans, nd.hi-nd.lo)
 		for a := 0; a < 2*dim; a++ {
 			boxes = append(boxes, math.Inf(1-2*(a/dim))) // empty: +Inf lows, -Inf highs
 		}
-		ranks := b.seq[nd.lo:nd.hi]
+		hi := nd.hi
 		if nd.hi-nd.lo > cell {
-			ranks = ranks[:1]
+			hi = nd.lo + 1
 			for _, c := range nd.children {
 				child := 2 * dim * len(spans)
 				cut(c)
@@ -161,12 +145,12 @@ func rankTree(points []float64, docStart []int64, dim, n int) (rankEntry, spans 
 				widenBox(boxes[at:at+2*dim], boxes[child+dim:child+2*dim])
 			}
 		}
-		for _, e := range ranks {
-			widenBox(boxes[at:at+2*dim], points[int(e)*dim:(int(e)+1)*dim])
+		for r := int(nd.lo); r < int(hi); r++ {
+			widenBox(boxes[at:at+2*dim], coords[r*dim:(r+1)*dim])
 		}
 	}
 	cut(0)
-	return b.seq, spans, boxes
+	return spans, boxes
 }
 
 // widenBox widens box, dim lows then dim highs, to hold the point p.
@@ -177,8 +161,8 @@ func widenBox(box, p []float64) {
 	}
 }
 
-// WritePagedSnapshot serializes the snapshot as a KWCP2 container, laying
-// the rows out and numbering the postings in kd leaf order.
+// WritePagedSnapshot serializes the snapshot as a KWCP2 container, its rows
+// and postings in the rank order of BuildORPKW over the same entries.
 func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if s.Dim < 1 || s.Dim > 64 {
 		return fmt.Errorf("core: snapshot dimension %d outside [1, 64]", s.Dim)
@@ -189,13 +173,12 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 			return fmt.Errorf("core: snapshot handles not strictly increasing at %d", h)
 		}
 	}
-	var points []float64
-	docStart, docWords := []int64{0}, []uint32(nil)
+	docStart, docWords := []int64{0}, []dataset.Keyword(nil)
 	if s.Objs != nil {
 		if s.Objs.Dim() != s.Dim {
 			return fmt.Errorf("core: snapshot objects have dimension %d, want %d", s.Objs.Dim(), s.Dim)
 		}
-		points, docStart, docWords = s.Objs.Columns()
+		_, docStart, docWords = s.Objs.Columns()
 	}
 	if len(docStart)-1 != count {
 		return fmt.Errorf("core: snapshot has %d handles for %d objects", count, len(docStart)-1)
@@ -203,62 +186,42 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	if count > maxSnapshotCount {
 		return fmt.Errorf("core: snapshot of %d entries exceeds %d", count, maxSnapshotCount)
 	}
-	rankEntry, spans, boxes := rankTree(points, docStart, s.Dim, count)
-	// Number each word's posting list and size the lists in entry order,
-	// where the documents are sequential, then fill them in rank order: every
-	// list comes out ascending with one table lookup a word and no regrowth.
-	var kw kwTable
-	wordList := make([]int32, len(docWords))
-	var fill []int // fill[l]: where list l's next rank goes in ranks
-	for i, w := range docWords {
-		l := kw.add(w)
-		if int(l) == len(fill) {
-			fill = append(fill, 0)
-		}
-		wordList[i] = l
-		fill[l]++
-	}
-	end := 0
-	for l, n := range fill {
-		fill[l] = end
-		end += n
-	}
-	// The same pass lays every row out by rank and inverts the order into
-	// the entry -> rank column. A word is read back through its list, which
-	// spares a second scattered read.
-	ranks := make([]int32, len(docWords))
+	// The build's own passes rank the entries, lay out their postings and
+	// gather their points by rank, two-wide: rank r and list w are BuildORPKW's.
 	rows := ckptRows{
 		handles:    s.Handles,
-		points:     make([]float64, len(points)),
 		docStart:   make([]int64, count+1),
 		docWords:   make([]dataset.Keyword, len(docWords)),
 		rowHandles: make([]int64, count),
 		entryRank:  make([]int32, count),
 	}
-	at := 0 // words laid out so far
-	for r, e := range rankEntry {
-		copy(rows.points[r*s.Dim:], points[int(e)*s.Dim:(int(e)+1)*s.Dim])
-		rows.rowHandles[r] = s.Handles[e]
-		rows.entryRank[e] = int32(r)
-		for _, l := range wordList[docStart[e]:docStart[e+1]] {
-			rows.docWords[at] = kw.words[l]
-			at++
-			ranks[fill[l]] = int32(r)
-			fill[l]++
-		}
-		rows.docStart[r+1] = int64(at)
-	}
-	vocab := slices.Clone(kw.words)
-	slices.Sort(vocab)
+	var vocab []dataset.Keyword
+	var lists []bitpack.List
 	var arena bitpack.PackedLists
-	lists := make([]bitpack.List, len(vocab))
-	for i, w := range vocab {
-		// fill[l] has advanced to list l's end; list l-1's end is its start.
-		l, start := kw.id(w), 0
-		if l > 0 {
-			start = fill[l-1]
+	var spans []int32
+	var boxes []float64
+	if count > 0 {
+		b, objs, err := treePass(s.Objs, FrameworkConfig{K: s.K, Splitter: &spart.KD{Dim: s.Dim}, Parallelism: 2, rankSpace: true})
+		if err != nil {
+			return err
 		}
-		lists[i] = arena.Append(ranks[start:fill[l]])
+		roots := b.postings(s.Objs, objs)
+		perm := byKeyword(make([]int32, 0, len(b.words)), b.words)
+		vocab, lists = make([]dataset.Keyword, len(perm)), make([]bitpack.List, len(perm))
+		for i, d := range perm {
+			r := roots[d]
+			vocab[i], lists[i] = b.words[d], arena.Append(b.post[r.off:r.off+r.n])
+		}
+		var ids []int32
+		ids, rows.points = b.gatherCoords(objs)
+		spans, boxes = storedTree(b.nodes, rows.points, s.Dim)
+		at := 0 // words laid out so far
+		for r, e := range ids {
+			rows.rowHandles[r] = s.Handles[e]
+			rows.entryRank[e] = int32(r)
+			at += copy(rows.docWords[at:], docWords[docStart[e]:docStart[e+1]])
+			rows.docStart[r+1] = int64(at)
+		}
 	}
 	payload, blocks := arena.Raw()
 	listsB, blocksB := encodePostings(lists, blocks)

@@ -755,7 +755,7 @@ func (d *DynamicORPKW) queryParts(sn *dynState, qc *qctx, q *geom.Rect, report f
 		if err := qc.pst.check(&st, st.Ops); err != nil {
 			return st, err
 		}
-		if q.ContainsPoint(e.obj.Point) && docHasAll(e.obj.Doc, qc.ws) {
+		if q.ContainsPoint(e.obj.Point) && dataset.DocHasAll(e.obj.Doc, qc.ws) {
 			if full() {
 				return st, nil
 			}
@@ -851,24 +851,6 @@ func (d *DynamicORPKW) Buckets() []int {
 // binary-counter invariant.
 func (d *DynamicORPKW) NumBuckets() int {
 	return d.state.Load().numBuckets()
-}
-
-// docHasAll is the buffer-side membership check (documents there are small
-// and unindexed).
-func docHasAll(doc, ws []dataset.Keyword) bool {
-	for _, w := range ws {
-		found := false
-		for _, x := range doc {
-			if x == w {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // DynSnapshot is an immutable point-in-time view of a DynamicORPKW, pinned

@@ -29,7 +29,7 @@ type dynOracle struct {
 func (o *dynOracle) query(q *geom.Rect, ws []dataset.Keyword) []int64 {
 	var out []int64
 	for h, obj := range o.objs {
-		if q.ContainsPoint(obj.Point) && docHasAll(obj.Doc, ws) {
+		if q.ContainsPoint(obj.Point) && dataset.DocHasAll(dataset.NormalizeDoc(slices.Clone(obj.Doc)), ws) {
 			out = append(out, h)
 		}
 	}

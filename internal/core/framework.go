@@ -161,8 +161,32 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("core: the framework requires k >= 2, got %d", cfg.K)
 	}
+	b, objs, err := treePass(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	f := b.f
+	// The root's incoming keyword set is every keyword present among the
+	// objects: each is vacuously large at all (zero) proper ancestors.
+	b.hang(0, b.postings(ds, objs))
+	f.ids, f.coords = b.gatherCoords(objs)
+	f.pack(b.nodes, b.cells)
+	if b.kd != nil && !f.deriveBoxes() {
+		return nil, fmt.Errorf("core: a NaN partitioning coordinate has no place in a box")
+	}
+	f.accountSpace()
+	return f, nil
+}
+
+// treePass is the front end of a framework build, which the checkpoint
+// writer runs as well: it sets up the builder, its Framework and its columns
+// over the objects cfg names and runs the tree pass (Step 1). It returns the
+// builder with the tree in b.nodes and the leaf order, by local id, in b.seq,
+// and objs, the build's objects ascending, which maps a local id to its
+// dataset id.
+func treePass(ds *dataset.Dataset, cfg FrameworkConfig) (b *builder, objs []int32, err error) {
 	if cfg.Splitter == nil {
-		return nil, fmt.Errorf("core: nil splitter")
+		return nil, nil, fmt.Errorf("core: nil splitter")
 	}
 	f := &Framework{
 		ds:    ds,
@@ -175,7 +199,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// pass Objects in any order (the dimension-reduction tree hands each
 	// secondary an x-sorted active set). A kd build sorts its axis lists, ties
 	// by id, and its leaves, so the same holds there.
-	objs := cfg.Objects
+	objs = cfg.Objects
 	if objs == nil {
 		objs = iota32(ds.Len())
 	} else if !slices.IsSorted(objs) {
@@ -191,7 +215,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	// Every column is sized to the build's own objects and keywords, never to
 	// the dataset or the keyword values.
 	n := len(objs)
-	b := &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), rankSpace: cfg.rankSpace}
+	b = &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), rankSpace: cfg.rankSpace}
 	for i, id := range objs {
 		b.weight[i] = ds.DocLen(id)
 	}
@@ -199,11 +223,9 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	var root spart.Cell
 	if kd, ok := f.split.(*spart.KD); ok {
 		b.kd, f.pdim = kd, kd.Dim
-		col, err := kdColumn(ds, objs, cfg, kd.Dim)
-		if err != nil {
-			return nil, err
+		if b.col, err = kdColumn(ds, objs, cfg, kd.Dim); err != nil {
+			return nil, nil, err
 		}
-		b.col = col
 		local = b.presort()
 	} else {
 		b.pts = cfg.Points
@@ -232,17 +254,7 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 		nu += int64(w)
 	}
 	b.geometry(root, local, nu, 0, 0)
-
-	// The root's incoming keyword set is every keyword present among the
-	// objects: each is vacuously large at all (zero) proper ancestors.
-	b.hang(0, b.postings(ds, objs))
-	b.gatherCoords(objs)
-	f.pack(b.nodes, b.cells)
-	if b.kd != nil && !f.deriveBoxes() {
-		return nil, fmt.Errorf("core: a NaN partitioning coordinate has no place in a box")
-	}
-	f.accountSpace()
-	return f, nil
+	return b, objs, nil
 }
 
 // kdColumn returns a kd build's coordinates by local id, dim a row: the
@@ -274,25 +286,24 @@ func kdColumn(ds *dataset.Dataset, objs []int32, cfg FrameworkConfig, dim int) (
 	return col, nil
 }
 
-// gatherCoords finishes the rank columns: the coordinates queries compare,
-// pdim by rank, and ids, turned in place from the leaf order's local ids to
-// dataset ids. Rank ranges are gathered on as many goroutines as the gate
-// lends.
-func (b *builder) gatherCoords(objs []int32) {
-	f, n, pdim := b.f, len(b.seq), b.f.pdim
-	f.ids = b.seq
-	f.coords = make([]float64, n*pdim)
+// gatherCoords returns the rank columns: ids, the leaf order turned in place
+// from local ids to dataset ids, and the coordinates queries compare, pdim by
+// rank. Rank ranges are gathered on as many goroutines as the gate lends.
+func (b *builder) gatherCoords(objs []int32) (ids []int32, coords []float64) {
+	n, pdim := len(b.seq), b.f.pdim
+	ids, coords = b.seq, make([]float64, n*pdim)
 	b.gate.spread(n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			id := f.ids[r]
+			id := ids[r]
 			if b.col != nil {
-				copy(f.coords[r*pdim:(r+1)*pdim], b.col[int(id)*pdim:])
+				copy(coords[r*pdim:(r+1)*pdim], b.col[int(id)*pdim:])
 			} else {
-				copy(f.coords[r*pdim:(r+1)*pdim], b.pts[id])
+				copy(coords[r*pdim:(r+1)*pdim], b.pts[id])
 			}
-			f.ids[r] = objs[id]
+			ids[r] = objs[id]
 		}
 	})
+	return ids, coords
 }
 
 func iota32(n int) []int32 {

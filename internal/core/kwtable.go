@@ -50,16 +50,6 @@ func (t *kwTable) add(w dataset.Keyword) int32 {
 	}
 }
 
-// id returns the dense id of w, which must have been added.
-func (t *kwTable) id(w dataset.Keyword) int32 {
-	mask := len(t.slots) - 1
-	for i := t.home(w); ; i = (i + 1) & mask {
-		if s := t.slots[i]; s.w == w && s.id != 0 {
-			return s.id - 1
-		}
-	}
-}
-
 // grow doubles the table, kwTableSize slots at first, and places every
 // keyword again.
 func (t *kwTable) grow() {

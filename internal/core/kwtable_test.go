@@ -49,11 +49,6 @@ func TestKwTable(t *testing.T) {
 	if !slices.Equal(tab.words, want) {
 		t.Fatal("dense ids do not name the keywords in the order they were added")
 	}
-	for w, d := range seen {
-		if got := tab.id(w); got != d {
-			t.Fatalf("id(%d) = %d, want %d", w, got, d)
-		}
-	}
 }
 
 // TestPostingsNumberByFirstOccurrence holds the keyword pass's postings to

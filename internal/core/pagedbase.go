@@ -820,7 +820,7 @@ func (b *PagedBase) Query(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts, re
 			return false
 		}
 		r.obj = dataset.Object{Point: p, Doc: r.docAt(int64(rank))}
-		if !docHasAll(r.obj.Doc, ws) {
+		if !dataset.DocHasAll(r.obj.Doc, ws) {
 			return r.err() != nil
 		}
 		h := r.handleAt(int64(rank))

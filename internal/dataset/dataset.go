@@ -317,7 +317,14 @@ func (ds *Dataset) Has(i int32, w Keyword) bool {
 // HasAll reports whether object i's document contains every keyword in ws —
 // the membership test of D(w1,...,wk) in equation (1).
 func (ds *Dataset) HasAll(i int32, ws []Keyword) bool {
-	doc := ds.docWords[ds.docStart[i]:ds.docStart[i+1]]
+	return DocHasAll(ds.docWords[ds.docStart[i]:ds.docStart[i+1]], ws)
+}
+
+// DocHasAll reports whether the sorted document doc contains every keyword in
+// ws: HasAll for a document outside a Dataset (a dynamic index's buffer, a
+// checkpoint's row). On an unsorted document it may miss a keyword, never
+// report one absent.
+func DocHasAll(doc, ws []Keyword) bool {
 	for _, w := range ws {
 		if !has(doc, w) {
 			return false

@@ -38,6 +38,21 @@ type legResult struct {
 type legBuf struct {
 	local []int32 // static shards: dataset-local ids out of CollectInto
 	ids   []int64 // global ids, ascending
+
+	// A dynamic leg's report callback, built once per buffer, and the
+	// query's fields it reads (dynamicLeg sets them).
+	report func(h int64, obj *kwsc.Object)
+	exact  kwsc.Region
+	id, n  int
+}
+
+// keep is a dynamic leg's report: a hit inside the exact region joins ids
+// as a global id.
+func (b *legBuf) keep(h int64, obj *kwsc.Object) {
+	if b.exact != nil && !b.exact.ContainsPoint(obj.Point) {
+		return
+	}
+	b.ids = append(b.ids, globalHandle(h, b.id, b.n))
 }
 
 // shard is one partition of the served dataset. Implementations must be
@@ -158,14 +173,12 @@ func (c *snapCache) view(ix kwsc.DynamicIndex, staleness time.Duration) *kwsc.Dy
 // globalHandle), hits outside the exact region are dropped, and the ids are
 // sorted into buf.
 func dynamicLeg(snap *kwsc.DynSnapshot, id, n int, q *kwsc.Rect, exact kwsc.Region, ws []kwsc.Keyword, opts kwsc.QueryOpts, buf *legBuf) legResult {
-	buf.ids = buf.ids[:0]
-	report := func(h int64, obj *kwsc.Object) {
-		if exact != nil && !exact.ContainsPoint(obj.Point) {
-			return
-		}
-		buf.ids = append(buf.ids, globalHandle(h, id, n))
+	if buf.report == nil {
+		buf.report = buf.keep
 	}
-	st, err := snap.Query(q, ws, legOpts(opts, exact), report)
+	buf.ids, buf.exact, buf.id, buf.n = buf.ids[:0], exact, id, n
+	st, err := snap.Query(q, ws, legOpts(opts, exact), buf.report)
+	buf.exact = nil
 	slices.Sort(buf.ids)
 	return legResult{ids: buf.ids, st: st, seq: snap.Seq(), err: err}
 }

@@ -46,7 +46,6 @@ type config struct {
 	policy    SyncPolicy
 	interval  time.Duration
 	autoCkpt  int
-	build     []core.BuildOption
 	paged     bool
 	pagedOpts core.PagedBaseOptions
 }
@@ -54,21 +53,10 @@ type config struct {
 // Option configures Open.
 type Option func(*config)
 
-// WithSyncPolicy selects the fsync policy (default SyncEveryOp). Use
-// WithSyncInterval to select SyncInterval with a custom period.
+// WithSyncPolicy selects the fsync policy (default SyncEveryOp; SyncInterval
+// fsyncs once a second).
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(c *config) { c.policy = p }
-}
-
-// WithSyncInterval selects the SyncInterval policy with the given fsync
-// period (non-positive keeps the 1s default).
-func WithSyncInterval(d time.Duration) Option {
-	return func(c *config) {
-		c.policy = SyncInterval
-		if d > 0 {
-			c.interval = d
-		}
-	}
 }
 
 // WithBufferCap tunes the dynamic index's unindexed write buffer
@@ -86,12 +74,6 @@ func WithBufferCap(n int) Option {
 // trigger, Checkpoint or Close, wrapped in ErrCheckpoint.
 func WithAutoCheckpoint(n int) Option {
 	return func(c *config) { c.autoCkpt = n }
-}
-
-// WithBuildOptions forwards construction options (parallelism,
-// observability) to the underlying dynamic index and its bucket rebuilds.
-func WithBuildOptions(opts ...core.BuildOption) Option {
-	return func(c *config) { c.build = append(c.build, opts...) }
 }
 
 // WithPagedRecovery makes Open serve a KWCP2 checkpoint in place instead of

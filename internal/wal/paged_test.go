@@ -286,7 +286,7 @@ func TestLogBytesPinned(t *testing.T) {
 		opts []Option
 	}{
 		{"every-op", []Option{WithSyncPolicy(SyncEveryOp)}},
-		{"interval", []Option{WithSyncInterval(time.Hour)}},
+		{"interval", []Option{withSyncInterval(time.Hour)}},
 		{"none", []Option{WithSyncPolicy(SyncNone)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

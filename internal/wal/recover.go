@@ -90,9 +90,9 @@ func recoverDir(dir string, dim, k int, cfg config) (*core.DynamicORPKW, string,
 				snap.K, snap.Dim, k, dim)
 		}
 		if pb != nil {
-			idx, err = core.RestoreDynamicORPKWFromBase(dim, k, cfg.bufferCap, pb, snap.NextHandle, cfg.build...)
+			idx, err = core.RestoreDynamicORPKWFromBase(dim, k, cfg.bufferCap, pb, snap.NextHandle)
 		} else {
-			idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, snap.Handles, snap.Objs, snap.NextHandle, cfg.build...)
+			idx, err = core.RestoreDynamicORPKW(dim, k, cfg.bufferCap, snap.Handles, snap.Objs, snap.NextHandle)
 		}
 		if err != nil {
 			pb.Close()
@@ -103,7 +103,7 @@ func recoverDir(dir string, dim, k int, cfg config) (*core.DynamicORPKW, string,
 	}
 	if idx == nil {
 		var err error
-		idx, err = core.NewDynamicORPKW(dim, k, cfg.bufferCap, cfg.build...)
+		idx, err = core.NewDynamicORPKW(dim, k, cfg.bufferCap)
 		if err != nil {
 			return nil, "", err
 		}

@@ -60,8 +60,8 @@ const (
 	// acknowledged op survives both a process and an OS crash.
 	SyncEveryOp SyncPolicy = iota
 	// SyncInterval flushes each append to the OS immediately (surviving a
-	// process crash) but fsyncs on a timer, so an OS crash can lose up to
-	// one interval of acknowledged operations.
+	// process crash) but fsyncs on a timer, once a second, so an OS crash
+	// can lose up to one interval of acknowledged operations.
 	SyncInterval
 	// SyncNone never fsyncs explicitly; acknowledged operations survive a
 	// process crash but an OS crash may lose any of them.

@@ -50,6 +50,12 @@ func testObj(seed int) dataset.Object {
 	}
 }
 
+// withSyncInterval selects SyncInterval with a period other than Open's
+// one second, for tests that need the timer to fire or never to.
+func withSyncInterval(d time.Duration) Option {
+	return func(c *config) { c.policy, c.interval = SyncInterval, d }
+}
+
 func mustOpen(t *testing.T, dir string, opts ...Option) *Durable {
 	t.Helper()
 	d, err := Open(dir, 2, 2, opts...)
@@ -654,7 +660,7 @@ func TestSyncPolicies(t *testing.T) {
 		opts []Option
 	}{
 		{"every-op", []Option{WithSyncPolicy(SyncEveryOp)}},
-		{"interval", []Option{WithSyncInterval(5 * time.Millisecond)}},
+		{"interval", []Option{withSyncInterval(5 * time.Millisecond)}},
 		{"none", []Option{WithSyncPolicy(SyncNone)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
