@@ -44,9 +44,9 @@ crash:
 	$(GO) test -race -run 'KilledMidReplay|Torn|Corrupt|Diverged|Lying|Mislabelled' ./internal/repl/
 
 # Short native-fuzz smoke over the untrusted-input decoders: the dataset
-# codec, the checkpoint's one reader (core), WAL recovery, the posting-block format (its one
-# decoder round-trips, and the one list cursor seeks as a binary search
-# does), the paged base and the flat image over re-sealed sections that lie,
+# file's container reader, the checkpoint's one reader (core), WAL
+# recovery, the posting-block format (its one decoder round-trips, and the
+# one list cursor seeks as a binary search does), the paged base and the flat image over re-sealed sections that lie,
 # the /v1 wire codec held to encoding/json in both directions, the query
 # stop checks under random limits and node budgets, the root keyword
 # directory held to its span contract, and the keyword pass held to

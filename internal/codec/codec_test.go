@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
+	"kwsc/internal/pager"
 	"kwsc/internal/workload"
 )
 
@@ -63,6 +65,8 @@ func TestRoundTripSpecialValues(t *testing.T) {
 	assertEqualDatasets(t, ds, roundTrip(t, ds))
 }
 
+// Every page of a dataset file is checksummed, padding included: a bit
+// flipped in any byte is refused.
 func TestChecksumDetectsFlips(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 2, Objects: 100, Dim: 2, Vocab: 50, DocLen: 4})
 	var buf bytes.Buffer
@@ -71,16 +75,18 @@ func TestChecksumDetectsFlips(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		corrupted := append([]byte(nil), raw...)
-		pos := rng.Intn(len(corrupted))
-		corrupted[pos] ^= 1 << uint(rng.Intn(8))
+	corrupted := slices.Clone(raw)
+	for pos := range corrupted {
+		bit := byte(1) << uint(rng.Intn(8))
+		corrupted[pos] ^= bit
 		if _, err := ReadDataset(bytes.NewReader(corrupted)); err == nil {
-			t.Fatalf("trial %d: bit flip at %d undetected", trial, pos)
+			t.Fatalf("bit flip at %d undetected", pos)
 		}
+		corrupted[pos] ^= bit
 	}
 }
 
+// A file cut anywhere, at a page boundary too, is refused.
 func TestTruncatedStream(t *testing.T) {
 	ds := workload.Gen(workload.Config{Seed: 4, Objects: 50, Dim: 2, Vocab: 20, DocLen: 3})
 	var buf bytes.Buffer
@@ -88,13 +94,19 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, cut := range []int{0, 3, 5, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadDataset(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("truncation at %d undetected", cut)
+	cuts := []int{0, 3, 5, len(raw) / 2, len(raw) - 1}
+	for cut := pager.PageSize; cut < len(raw); cut += pager.PageSize {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		if _, err := ReadDataset(bytes.NewReader(raw[:cut])); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
 }
 
+// A file that is not a dataset container is refused: another magic, another
+// container version, another kind of container.
 func TestBadMagicAndVersion(t *testing.T) {
 	if _, err := ReadDataset(bytes.NewReader([]byte("NOPE\x01"))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: err = %v", err)
@@ -105,9 +117,26 @@ func TestBadMagicAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
+	magic := slices.Clone(raw)
+	copy(magic, "KWSC")
+	if _, err := ReadDataset(bytes.NewReader(magic)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bad magic: err = %v", err)
+	}
 	raw[4] = 99 // version byte
 	if _, err := ReadDataset(bytes.NewReader(raw)); err == nil {
 		t.Fatal("future version accepted")
+	}
+	var other bytes.Buffer
+	meta := PagedMeta{Kind: PagedKindFlatORPKW, Dim: 2, Count: 1}
+	if err := WriteContainer(&other, meta.Encode(), []Section{
+		{ID: SecFlatPoints, Data: Put([]float64{1, 2})},
+		{ID: SecFlatDocStart, Data: Put([]int64{0, 1})},
+		{ID: SecFlatDocWords, Data: Put([]dataset.Keyword{7})},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDataset(&other); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flat image kind read as a dataset: err = %v", err)
 	}
 }
 

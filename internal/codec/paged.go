@@ -13,12 +13,12 @@ import (
 )
 
 // This file is the KWCP2 container: the page-aligned, offset-addressed,
-// checksummed layout that paged snapshots (checkpoints and the flat index
-// images) are framed in. Unlike the varint stream formats in this package,
-// a KWCP2 file is addressable in place — every section is a page-aligned
-// run of fixed-width little-endian values, so an open file can be served
-// straight from a read-only mapping (or a bounded pread pool) without a
-// decode pass. See DESIGN.md §15 for the byte-level diagram.
+// checksummed layout that every file of the library is framed in: the
+// checkpoints, the flat index images and the dataset files. A KWCP2 file is
+// addressable in place — every section is a page-aligned run of fixed-width
+// little-endian values, so an open file can be served straight from a
+// read-only mapping (or a bounded pread pool) without a decode pass. See
+// DESIGN.md §15 for the byte-level diagram.
 //
 // File layout (pageSize = 4096, all integers little-endian):
 //
@@ -52,6 +52,7 @@ const (
 	PagedKindSnapshot  = 1
 	PagedKindFlatORPKW = 2
 	PagedKindFlatSPKW  = 3
+	PagedKindDataset   = 4
 )
 
 // PagedMeta is the 64-byte application blob of a KWCP2 superblock.
@@ -376,11 +377,15 @@ func Get[T pager.Word](b []byte) []T {
 }
 
 // Column reads section id of c, parsed from f, as a []T column: a view of
-// the mapping where f is mapped and the cast is possible, else decoded into
-// a fresh slice. Only a file whose pages all verified may be read this way.
-// An absent or empty section reads as nil, one that is not a whole number
-// of values is ErrCorrupt.
-func Column[T pager.Word](c *Container, f *pager.File, id uint32) ([]T, error) {
+// f's bytes where it has them in memory (a mapped pager.File, a file read
+// whole) and the cast is possible, else decoded into a fresh slice. Only a
+// file whose pages all verified may be read this way. An absent or empty
+// section reads as nil, one that is not a whole number of values is
+// ErrCorrupt.
+func Column[T pager.Word](c *Container, f interface {
+	io.ReaderAt
+	Bytes() []byte
+}, id uint32) ([]T, error) {
 	off, n, ok := c.Section(id)
 	if !ok || n == 0 {
 		return nil, nil

@@ -1,15 +1,15 @@
 package codec
 
 // This file is the section-id registry of every KWCP2 container: the
-// checkpoint's and the flat image's, told apart by PagedMeta.Kind.
-// internal/core owns both formats — it writes, opens and validates them —
-// and names their sections by these ids.
+// checkpoint's, the flat image's and the dataset file's, told apart by
+// PagedMeta.Kind. internal/core owns the first two formats — it writes,
+// opens and validates them — and names their sections by these ids; the
+// dataset file (dataset.go) holds the flat image's three dataset sections.
 
 // Section IDs of a snapshot checkpoint (PagedKindSnapshot; SecPageCRC is the
 // container's own table). The rows by rank are in the kd leaf order of
 // core's checkpoint.go, whose tree SecTreeSpans and SecTreeBoxes store cut
-// at one cell. Id 10 held one box per cell of ranks in the cell-snapped
-// order before; it is retired, never read and never reused.
+// at one cell.
 const (
 	SecPageCRC    = 0
 	SecHandles    = 1  // []int64 by entry: strictly increasing, count values
@@ -28,42 +28,48 @@ const (
 )
 
 // FlatImageVersion is the version of the flat-index section set below,
-// carried in SecFlatMeta. Version 1 (object ids in every column, explicit
-// pivot id lists, no version field), version 2 (sparse lists as delta-packed
-// blocks) and version 3 (stored kd cells and, for ORPKW, rank tables) are
-// refused at open, each by name: images are rebuilt, not migrated.
-const FlatImageVersion = 4
+// carried in SecFlatMeta. An image of any other version is refused at open
+// by one version check: images are rebuilt, not migrated.
+const FlatImageVersion = 5
 
 // Section IDs of a flat-index KWCP2 container (PagedKindFlatORPKW or
-// PagedKindFlatSPKW). Sections 10-29 and 35-38 are the framework's columns
-// (BFS node order; objects named by rank, their position in the tree's leaf
-// order), 30-32 the dataset image. No section carries a node's box: open
-// derives it from SecFlatCoords. Ids 11 (kd cells), 33 and 34 (ORPKW rank
-// tables) were version 3's and are never reused. internal/core owns the
-// image: its flatColumns pairs each id with its column, and its save and
-// open loop over that table.
+// PagedKindFlatSPKW). Sections 12-29 and 35-39 are the framework's
+// independent columns (BFS node order; objects named by rank, their position
+// in the tree's leaf order), 30-32 the dataset. No section holds what the
+// others determine — a node's first child, rank interval, large-keyword
+// count, tensor stride and offset, a list's start in its arena, a node's
+// box: core derives them at build and at open. internal/core owns the image:
+// its flatColumns pairs each id with its column, and its save and open loop
+// over that table.
 const (
 	SecFlatMeta       = 10 // []uint64 {splitterKind, pdim, numNodes, FlatImageVersion}
 	SecFlatNu         = 12 // []int64 node weights
-	SecFlatL          = 13 // []int32 large-keyword counts
-	SecFlatChildFirst = 14 // []int32
 	SecFlatChildCount = 15 // []int32
-	SecFlatPivotCount = 16 // []int32: node u's pivots are ranks [rankLo[u], rankLo[u]+count)
+	SecFlatPivotCount = 16 // []int32: a node's pivots are the first ranks of its interval
 	SecFlatLargeStart = 18 // []int32, numNodes+1 prefix offsets
 	SecFlatLargeKeys  = 19 // []uint32, sorted per node
 	SecFlatLargeIdx   = 20 // []int32 tensor axis indexes
 	SecFlatMatStart   = 21 // []int32, numNodes+1 prefix offsets
 	SecFlatMatKeys    = 22 // []uint32, sorted per node
-	SecFlatMatLists   = 23 // []int32 triples {start, n, rep}: rep 0 names n ranks at SecFlatMatRanks[start], rep 1 a bitmap at word start of SecFlatMatBits
-	SecFlatTensorOff  = 26 // []int64 word offsets per node
-	SecFlatTensorStr  = 27 // []int64 word strides per node
-	SecFlatTensorWrds = 28 // []uint64 non-emptiness bit arrays
+	SecFlatTensorWrds = 28 // []uint64 non-emptiness bit arrays, ceil(L^k/64) words per child of each internal node
 	SecFlatCoords     = 29 // []float64 the coordinates queries compare, by rank, n x pdim; for ORPKW the dataset's points
 	SecFlatPoints     = 30 // []float64 dataset points, n x dim
 	SecFlatDocStart   = 31 // []int64, n+1 prefix offsets
 	SecFlatDocWords   = 32 // []uint32 concatenated sorted documents
 	SecFlatRankIDs    = 35 // []int32 rank -> dataset id, a permutation of [0, n)
-	SecFlatRankLo     = 36 // []int32 first rank of each node's interval
-	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = rank rankLo+i
+	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = the interval's i-th rank
 	SecFlatMatRanks   = 38 // []int32 sparse lists, strictly ascending ranks of the node's interval
+	SecFlatMatHandles = 39 // []int32 pairs {n, rep}: rep 0 names n ranks of SecFlatMatRanks, rep 1 a bitmap of SecFlatMatBits
+)
+
+// Retired section ids: each held a section an older version wrote and none
+// reads now, and no live section of its kind takes it again. A checkpoint's
+// 9 held rank -> entry (SecRankEntry, kept to build refused files) and 10 its
+// cell boxes. A flat image's 11 held kd cells, 33 and 34 ORPKW's rank tables
+// (version 3), and 13, 14, 23, 26, 27 and 36 the large-keyword counts, first
+// children, {start, n, rep} list handles, tensor offsets, tensor strides and
+// interval starts (version 4).
+var (
+	retiredSnapshotIDs = []uint32{9, 10}
+	retiredFlatIDs     = []uint32{11, 13, 14, 23, 26, 27, 33, 34, 36}
 )

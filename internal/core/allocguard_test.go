@@ -353,7 +353,7 @@ func TestCarryAllocations(t *testing.T) {
 func TestTreePassAllocationsIndependentOfN(t *testing.T) {
 	least := func(n int) uint64 {
 		ds := workload.Gen(workload.Config{Seed: 1, Objects: n, Dim: 2, Vocab: 1000, DocLen: 6})
-		cfg := FrameworkConfig{K: 2, Splitter: &spart.KD{Dim: 2}, Parallelism: 2, rankSpace: true}
+		cfg := FrameworkConfig{K: 2, Splitter: &spart.KD{Dim: 2}, gate: newParGate(2), rankSpace: true}
 		m := uint64(math.MaxUint64)
 		for trial := 0; trial < 3; trial++ { // the least count drops foreign allocations
 			var before, after runtime.MemStats

@@ -90,7 +90,7 @@ func TestTightBoxesOriginalCoordinates(t *testing.T) {
 					}
 				}
 				checkTightBoxes(t, name, ix.fw)
-				opened := reopened(t, ix)
+				opened := reopened(t, ix, FlatOptions{})
 				fw := opened.fw
 				for i, b := range ix.fw.boxes {
 					if math.Float64bits(b) != math.Float64bits(fw.boxes[i]) {

@@ -201,7 +201,7 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 	var spans []int32
 	var boxes []float64
 	if count > 0 {
-		b, objs, err := treePass(s.Objs, FrameworkConfig{K: s.K, Splitter: &spart.KD{Dim: s.Dim}, Parallelism: 2, rankSpace: true})
+		b, objs, err := treePass(s.Objs, FrameworkConfig{K: s.K, Splitter: &spart.KD{Dim: s.Dim}, gate: newParGate(2), rankSpace: true})
 		if err != nil {
 			return err
 		}

@@ -441,17 +441,17 @@ func FuzzReadPagedSnapshot(f *testing.F) {
 		f.Add(flip)
 	}
 	// The same container format frames flat-index images: seed one that
-	// carries the rank columns (rank -> id, interval starts, a bitmap list, a
-	// sparse list and the handles that tag them), whole and damaged, so the
-	// corpus reaches the directory and checksum paths with those section ids
-	// too.
+	// carries the rank columns (rank -> id, child and pivot counts, a bitmap
+	// list, a sparse list and the {n, rep} handles that tag them), whole and
+	// damaged, so the corpus reaches the directory and checksum paths with
+	// those section ids too.
 	var flat bytes.Buffer
 	if err := codec.WriteContainer(&flat, codec.PagedMeta{Kind: codec.PagedKindFlatORPKW, K: 2, Dim: 2, Count: 3}.Encode(), []codec.Section{
 		{ID: codec.SecFlatMeta, Data: codec.Put([]uint64{1, 2, 1, codec.FlatImageVersion})},
 		{ID: codec.SecFlatRankIDs, Data: codec.Put([]int32{2, 0, 1})},
-		{ID: codec.SecFlatRankLo, Data: codec.Put([]int32{0})},
+		{ID: codec.SecFlatChildCount, Data: codec.Put([]int32{0})},
 		{ID: codec.SecFlatPivotCount, Data: codec.Put([]int32{3})},
-		{ID: codec.SecFlatMatLists, Data: codec.Put([]int32{0, 2, 1, 0, 2, 0})},
+		{ID: codec.SecFlatMatHandles, Data: codec.Put([]int32{2, 1, 2, 0})},
 		{ID: codec.SecFlatMatBits, Data: codec.Put([]uint64{0b101})},
 		{ID: codec.SecFlatMatRanks, Data: codec.Put([]int32{0, 2})},
 	}); err != nil {

@@ -248,11 +248,10 @@ func (t *drTree) buildSecondary(idx int32, objs []int32) error {
 			K:        ix.k,
 			Splitter: &spart.KD{Dim: 2},
 			Objects:  objs,
-			// Share the owner's goroutine budget; Parallelism 1 keeps the
-			// secondary sequential when the owner has no gate at all.
-			Parallelism: 1,
-			gate:        ix.gate,
-			rankSpace:   true,
+			// Share the owner's goroutine budget: a sequential owner has
+			// none, and builds its secondaries sequentially too.
+			gate:      ix.gate,
+			rankSpace: true,
 		})
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -50,8 +51,6 @@ type flatLayout struct {
 
 	// Rank intervals: node u's active set is the ranks [rankLo[u],
 	// rankLo[u]+rankSpan[u]), the first pivotCount[u] of them its pivot set.
-	// rankSpan is not part of the image: it follows from the pivot counts and
-	// the tree shape.
 	rankLo     []int32
 	rankSpan   []int32
 	pivotCount []int32
@@ -72,6 +71,9 @@ type flatLayout struct {
 
 	// Non-emptiness tensors: node u's child ci occupies tensorStride[u] words
 	// starting at tensorOff[u] + ci*tensorStride[u] in tensorArena.
+	//
+	// Of the columns above, childFirst, l, rankLo, rankSpan, tensorOff,
+	// tensorStride and every list's Start follow from the others (derive).
 	tensorOff    []int64
 	tensorStride []int64
 	tensorArena  bits.Arena
@@ -97,17 +99,17 @@ const (
 	ListBitmap = 1
 )
 
-// flatImage is a Framework as its flat image holds it: the framework's own
-// columns and, beside them, the sections that hold a column in another form
-// — the dataset's three, the list handles as int32 triples, the tensor
-// arena's words — and the image's meta.
+// flatImage is a Framework as its flat image holds it: the framework's
+// independent columns and, beside them, the sections that hold a column in
+// another form — the dataset's three, the list handles as int32 pairs, the
+// tensor arena's words — and the image's meta.
 type flatImage struct {
 	Framework
 	meta     []uint64 // {flatSplitKD, pdim, nodes, codec.FlatImageVersion}
 	points   []float64
 	docStart []int64
 	docWords []dataset.Keyword
-	lists    []int32  // matLists, {Start, N, Rep} each
+	lists    []int32  // matLists, {N, Rep} each
 	tensors  []uint64 // tensorArena's words
 }
 
@@ -134,27 +136,22 @@ func column[T pager.Word](id uint32, skeleton bool, col func(m *flatImage) *[]T)
 // flatColumns is the flat image (flatsnap.go): its sections in file order,
 // each with the column it holds. A save writes every column, an open reads
 // every one back before it validates them together. The ids and what each
-// column holds are listed in codec/flatsec.go; rankSpan, boxes and the root
-// directories are derived at open and never stored.
+// column holds are listed in codec/sections.go; what derive computes, the
+// boxes and the root directories are never stored.
 var flatColumns = []flatColumn{
 	column(codec.SecFlatMeta, true, func(m *flatImage) *[]uint64 { return &m.meta }),
 	column(codec.SecFlatNu, true, func(m *flatImage) *[]int64 { return &m.nu }),
-	column(codec.SecFlatL, true, func(m *flatImage) *[]int32 { return &m.l }),
-	column(codec.SecFlatChildFirst, true, func(m *flatImage) *[]int32 { return &m.childFirst }),
 	column(codec.SecFlatChildCount, true, func(m *flatImage) *[]int32 { return &m.childCount }),
 	column(codec.SecFlatPivotCount, true, func(m *flatImage) *[]int32 { return &m.pivotCount }),
-	column(codec.SecFlatRankLo, true, func(m *flatImage) *[]int32 { return &m.rankLo }),
 	column(codec.SecFlatRankIDs, false, func(m *flatImage) *[]int32 { return &m.ids }),
 	column(codec.SecFlatLargeStart, false, func(m *flatImage) *[]int32 { return &m.largeStart }),
 	column(codec.SecFlatLargeKeys, false, func(m *flatImage) *[]dataset.Keyword { return &m.largeKeys }),
 	column(codec.SecFlatLargeIdx, false, func(m *flatImage) *[]int32 { return &m.largeIdx }),
 	column(codec.SecFlatMatStart, false, func(m *flatImage) *[]int32 { return &m.matStart }),
 	column(codec.SecFlatMatKeys, false, func(m *flatImage) *[]dataset.Keyword { return &m.matKeys }),
-	column(codec.SecFlatMatLists, false, func(m *flatImage) *[]int32 { return &m.lists }),
+	column(codec.SecFlatMatHandles, false, func(m *flatImage) *[]int32 { return &m.lists }),
 	column(codec.SecFlatMatRanks, false, func(m *flatImage) *[]int32 { return &m.matRanks }),
 	column(codec.SecFlatMatBits, false, func(m *flatImage) *[]uint64 { return &m.matBits }),
-	column(codec.SecFlatTensorOff, false, func(m *flatImage) *[]int64 { return &m.tensorOff }),
-	column(codec.SecFlatTensorStr, false, func(m *flatImage) *[]int64 { return &m.tensorStride }),
 	column(codec.SecFlatTensorWrds, false, func(m *flatImage) *[]uint64 { return &m.tensors }),
 	column(codec.SecFlatCoords, false, func(m *flatImage) *[]float64 { return &m.coords }),
 	column(codec.SecFlatPoints, false, func(m *flatImage) *[]float64 { return &m.points }),
@@ -162,27 +159,20 @@ var flatColumns = []flatColumn{
 	column(codec.SecFlatDocWords, false, func(m *flatImage) *[]dataset.Keyword { return &m.docWords }),
 }
 
-// pack fills the layout from the builder's nodes (index 0 is the root) and
-// their cells, by node; a kd tree has none (cells nil), its boxes are derived
-// once coords are in place. Every internal node takes a tensor offset, one
-// with no large keyword (and no tensors) too.
+// pack fills the independent columns of the layout from the builder's nodes
+// (index 0 is the root) and their cells, by node; a kd tree has none (cells
+// nil). derive computes the rest.
 func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 	nn := len(nodes)
 	// Pass 1: BFS over the builder's tree. order[newID] = oldID; a node's
 	// children are assigned consecutive new ids the moment it is dequeued.
 	order := make([]int32, 1, nn)
 	f.flatLayout = flatLayout{
-		nu:           make([]int64, nn),
-		l:            make([]int32, nn),
-		childFirst:   make([]int32, nn),
-		childCount:   make([]int32, nn),
-		rankLo:       make([]int32, nn),
-		rankSpan:     make([]int32, nn),
-		pivotCount:   make([]int32, nn),
-		largeStart:   make([]int32, nn+1),
-		matStart:     make([]int32, nn+1),
-		tensorOff:    make([]int64, nn),
-		tensorStride: make([]int64, nn),
+		nu:         make([]int64, nn),
+		childCount: make([]int32, nn),
+		pivotCount: make([]int32, nn),
+		largeStart: make([]int32, nn+1),
+		matStart:   make([]int32, nn+1),
 	}
 	fl := &f.flatLayout
 	if cells != nil {
@@ -191,7 +181,6 @@ func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 	var large, mat, ranks, words, tensorWords int // the payload arenas' sizes
 	for head := 0; head < len(order); head++ {
 		n := &nodes[order[head]]
-		fl.childFirst[head] = int32(len(order))
 		fl.childCount[head] = int32(len(n.children))
 		order = append(order, n.children...)
 		if kw := n.kw; kw != nil {
@@ -211,22 +200,18 @@ func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 
 	// Pass 2: pack payloads in the new order.
 	var perm []int32
-	var none kwNode // the keyword structures of a node without any
 	for newID, oldID := range order {
 		n := &nodes[oldID]
 		if fl.cells != nil {
 			fl.cells[newID] = cells[oldID]
 		}
+		fl.nu[newID] = n.nu
+		fl.pivotCount[newID] = n.npiv
 		kw := n.kw
 		if kw == nil {
-			kw = &none
+			fl.largeStart[newID+1], fl.matStart[newID+1] = int32(len(fl.largeKeys)), int32(len(fl.matKeys))
+			continue
 		}
-		fl.nu[newID] = n.nu
-		fl.l[newID] = int32(len(kw.large))
-
-		fl.rankLo[newID] = n.lo
-		fl.rankSpan[newID] = n.hi - n.lo
-		fl.pivotCount[newID] = n.npiv
 
 		perm = byKeyword(perm[:0], kw.large)
 		for _, i := range perm {
@@ -240,22 +225,103 @@ func (f *Framework) pack(nodes []fnode, cells []spart.Cell) {
 			fl.matKeys = append(fl.matKeys, kw.mat[i])
 			l := &kw.lists[i]
 			if l.words == nil {
-				fl.matLists = append(fl.matLists, FlatList{Start: int32(len(fl.matRanks)), N: l.n, Rep: ListRanks})
+				fl.matLists = append(fl.matLists, FlatList{N: l.n, Rep: ListRanks})
 				fl.matRanks = append(fl.matRanks, l.ranks...)
 				continue
 			}
-			fl.matLists = append(fl.matLists, FlatList{Start: int32(len(fl.matBits)), N: l.n, Rep: ListBitmap})
+			fl.matLists = append(fl.matLists, FlatList{N: l.n, Rep: ListBitmap})
 			fl.matBits = append(fl.matBits, l.words...)
 		}
 		fl.matStart[newID+1] = int32(len(fl.matKeys))
-
-		if len(n.children) > 0 {
-			fl.tensorOff[newID] = int64(len(tensors))
-			fl.tensorStride[newID] = (tensorSize(len(kw.large), f.k) + 63) / 64
-			tensors = append(tensors, kw.tensors...)
-		}
+		tensors = append(tensors, kw.tensors...)
 	}
 	fl.tensorArena = bits.ArenaFromWords(tensors)
+}
+
+// derive computes every column of the layout that the independent ones
+// determine, and then the boxes and the space audit. BuildFramework runs it
+// after pack, an open after checking the columns it read (checkImage), so
+// each derived column has this one writer:
+//
+//   - childFirst: BFS order numbers a node's children right after those of
+//     every node before it;
+//   - rankSpan and rankLo: a node spans its pivots and its children's spans;
+//     the pivots take the first ranks of its interval and the children's
+//     intervals follow in child order;
+//   - l, tensorStride and tensorOff: a node's large keywords are its run of
+//     largeKeys, and each child of an internal node has ceil(L^k/64) tensor
+//     words, back to back in node order;
+//   - each list's Start: the arenas hold the lists back to back in handle
+//     order, a sparse one its N ranks, a bitmap ceil(span/64) words.
+//
+// It refuses, with an error an open reports as codec.ErrCorrupt, a tree whose
+// spans do not come to the rank column's length, a tensor past
+// tensorWordsChecked's bound, an arena whose length is not the derived total,
+// and a NaN coordinate in a kd tree, which no box can hold. It expects the
+// shape checkImage checks: BFS child counts that cover the nodes, prefix
+// offsets, pivot counts and list lengths that are not negative.
+func (f *Framework) derive() error {
+	fl := &f.flatLayout
+	nn := len(fl.nu)
+	fl.childFirst, fl.l = make([]int32, nn), make([]int32, nn)
+	fl.rankLo, fl.rankSpan = make([]int32, nn), make([]int32, nn)
+	fl.tensorOff, fl.tensorStride = make([]int64, nn), make([]int64, nn)
+	next := int32(1)
+	for u := range nn {
+		fl.childFirst[u], next = next, next+fl.childCount[u]
+		fl.l[u] = fl.largeStart[u+1] - fl.largeStart[u]
+	}
+	n := int64(len(f.ids))
+	for u := nn - 1; u >= 0; u-- {
+		span := int64(fl.pivotCount[u])
+		for c := fl.childFirst[u]; c < fl.childFirst[u]+fl.childCount[u]; c++ {
+			span += int64(fl.rankSpan[c])
+		}
+		if span > n {
+			return fmt.Errorf("node %d spans %d ranks of %d", u, span, n)
+		}
+		fl.rankSpan[u] = int32(span)
+	}
+	if int64(fl.rankSpan[0]) != n {
+		return fmt.Errorf("the tree spans %d ranks of %d", fl.rankSpan[0], n)
+	}
+	arena := [2]int64{int64(len(fl.matRanks)), int64(len(fl.matBits))} // by Rep
+	var tensors int64
+	var lists [2]int64
+	for u := range nn {
+		lo := fl.rankLo[u] + fl.pivotCount[u]
+		for c := fl.childFirst[u]; c < fl.childFirst[u]+fl.childCount[u]; c++ {
+			fl.rankLo[c], lo = lo, lo+fl.rankSpan[c]
+		}
+		if cc := int64(fl.childCount[u]); cc > 0 {
+			stride, ok := tensorWordsChecked(int64(fl.l[u]), f.k)
+			if !ok || stride > 0 && cc > (f.tensorArena.Words()-tensors)/stride {
+				return fmt.Errorf("node %d tensors overrun the arena of %d words", u, f.tensorArena.Words())
+			}
+			fl.tensorOff[u], fl.tensorStride[u] = tensors, stride
+			tensors += cc * stride
+		}
+		for i := fl.matStart[u]; i < fl.matStart[u+1]; i++ {
+			l := &fl.matLists[i]
+			size := int64(l.N)
+			if l.Rep == ListBitmap {
+				size = int64(bitmapWords(int(fl.rankSpan[u])))
+			}
+			if size > arena[l.Rep]-lists[l.Rep] {
+				return fmt.Errorf("node %d list %d overruns its arena of %d", u, i, arena[l.Rep])
+			}
+			l.Start, lists[l.Rep] = int32(lists[l.Rep]), lists[l.Rep]+size
+		}
+	}
+	if tensors != f.tensorArena.Words() || lists != arena {
+		return fmt.Errorf("arenas of %d tensor words, %d ranks and %d bitmap words; the tree derives %d, %d and %d",
+			f.tensorArena.Words(), arena[0], arena[1], tensors, lists[0], lists[1])
+	}
+	if _, kd := f.split.(*spart.KD); kd && !f.deriveBoxes() {
+		return fmt.Errorf("a NaN coordinate has no place in a box")
+	}
+	f.accountSpace()
+	return nil
 }
 
 // deriveBoxes sets every node's tight box from f.coords: the componentwise

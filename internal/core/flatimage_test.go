@@ -19,6 +19,8 @@ import (
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
 	"kwsc/internal/pager"
+	"kwsc/internal/spart"
+	"kwsc/internal/workload"
 )
 
 // testDataset builds a deterministic dataset: clustered points (so tree
@@ -122,15 +124,15 @@ func openBothORPKW(t *testing.T, ix *ORPKW) map[string]*ORPKW {
 	return out
 }
 
-// reopened saves ix as a flat image and opens it again, mapped; the handle
+// reopened saves ix as a flat image and opens it again with o; the handle
 // closes with the test.
-func reopened[I FlatIndex](t *testing.T, ix I) I {
+func reopened[I FlatIndex](t *testing.T, ix I, o FlatOptions) I {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix.kwflat")
 	if err := SaveFlat(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	opened, h, err := OpenFlat[I](path, FlatOptions{}, WithoutObs())
+	opened, h, err := OpenFlat[I](path, o, WithoutObs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +238,67 @@ func TestSPKWPagedMatchesInRAM(t *testing.T) {
 	}
 }
 
+// TestOpenDerivesTheBuiltLayout holds the layout an open derives from an
+// image's independent columns to the one the build packed and derived,
+// column by column, mapped and not: the image stores no column derive
+// computes, and every one comes back the same.
+func TestOpenDerivesTheBuiltLayout(t *testing.T) {
+	check := func(name string, built *Framework, open func(FlatOptions) *Framework) {
+		for _, o := range []FlatOptions{{}, {NoMmap: true}} {
+			opened := open(o)
+			b, g := &built.flatLayout, &opened.flatLayout
+			for _, col := range []struct {
+				name       string
+				built, got []byte
+			}{
+				{"childFirst", pager.AsBytes(b.childFirst), pager.AsBytes(g.childFirst)},
+				{"childCount", pager.AsBytes(b.childCount), pager.AsBytes(g.childCount)},
+				{"l", pager.AsBytes(b.l), pager.AsBytes(g.l)},
+				{"nu", pager.AsBytes(b.nu), pager.AsBytes(g.nu)},
+				{"rankLo", pager.AsBytes(b.rankLo), pager.AsBytes(g.rankLo)},
+				{"rankSpan", pager.AsBytes(b.rankSpan), pager.AsBytes(g.rankSpan)},
+				{"pivotCount", pager.AsBytes(b.pivotCount), pager.AsBytes(g.pivotCount)},
+				{"tensorOff", pager.AsBytes(b.tensorOff), pager.AsBytes(g.tensorOff)},
+				{"tensorStride", pager.AsBytes(b.tensorStride), pager.AsBytes(g.tensorStride)},
+				{"tensorArena", pager.AsBytes(b.tensorArena.Raw()), pager.AsBytes(g.tensorArena.Raw())},
+				{"largeStart", pager.AsBytes(b.largeStart), pager.AsBytes(g.largeStart)},
+				{"largeKeys", pager.AsBytes(b.largeKeys), pager.AsBytes(g.largeKeys)},
+				{"largeIdx", pager.AsBytes(b.largeIdx), pager.AsBytes(g.largeIdx)},
+				{"matStart", pager.AsBytes(b.matStart), pager.AsBytes(g.matStart)},
+				{"matKeys", pager.AsBytes(b.matKeys), pager.AsBytes(g.matKeys)},
+				{"matRanks", pager.AsBytes(b.matRanks), pager.AsBytes(g.matRanks)},
+				{"matBits", pager.AsBytes(b.matBits), pager.AsBytes(g.matBits)},
+				{"boxes", pager.AsBytes(b.boxes), pager.AsBytes(g.boxes)},
+				{"ids", pager.AsBytes(built.ids), pager.AsBytes(opened.ids)},
+				{"coords", pager.AsBytes(built.coords), pager.AsBytes(opened.coords)},
+			} {
+				if !bytes.Equal(col.built, col.got) {
+					t.Errorf("%s (NoMmap=%v): the opened %s differs from the built one", name, o.NoMmap, col.name)
+				}
+			}
+			if !slices.Equal(b.matLists, g.matLists) {
+				t.Errorf("%s (NoMmap=%v): the opened list handles differ from the built ones", name, o.NoMmap)
+			}
+			if b.cells != nil || g.cells != nil || built.Space() != opened.Space() {
+				t.Errorf("%s (NoMmap=%v): cells %d / %d, space %+v / %+v", name, o.NoMmap, len(b.cells), len(g.cells), built.Space(), opened.Space())
+			}
+		}
+	}
+	zipf2 := workload.Gen(workload.Config{Seed: 201, Objects: 50_000, Dim: 2, Vocab: 500, DocLen: 5})
+	for name, ds := range map[string]*dataset.Dataset{"zipf2": zipf2, "ties": tieDataset(211, 20_000, 80, 4)} {
+		ix, err := BuildORPKW(ds, 2, WithoutObs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ORPKW/"+name, ix.Framework(), func(o FlatOptions) *Framework { return reopened(t, ix, o).Framework() })
+	}
+	small2 := workload.Gen(workload.Config{Seed: 204, Objects: 5000, Dim: 2, Vocab: 120, DocLen: 4})
+	for name, ds := range map[string]*dataset.Dataset{"small2": small2, "grid16": gridDataset(209, 5000, 16, 120, 4)} {
+		ix := pinnedSPKW(t, ds, &spart.KD{Dim: 2})
+		check("SPKW/KD/"+name, ix.Framework(), func(o FlatOptions) *Framework { return reopened(t, ix, o).Framework() })
+	}
+}
+
 // TestSaveSPKWRejectsWillard: the default d=2 substrate has polygon cells
 // with no serialized form — saving must fail cleanly, not panic.
 func TestSaveSPKWRejectsWillard(t *testing.T) {
@@ -316,8 +379,9 @@ func resealed(t *testing.T, path string, edit func(id uint32, data []byte) []byt
 
 // Images of another version of the flat section set are refused, not read
 // through a second decoder, with an error that names both versions; and a
-// well-framed image whose rank columns or materialized lists are wrong is
-// refused by validation, mapped or not — the lists as codec.ErrCorrupt.
+// well-framed image whose tree, rank columns, materialized lists or tensors
+// are wrong is refused by validation, mapped or not — all but the rank
+// column as codec.ErrCorrupt.
 func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 	ds := testDataset(t, 9, 400, 2)
 	built, err := BuildORPKW(ds, 2)
@@ -336,20 +400,20 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 	}
 
 	current := strconv.Itoa(codec.FlatImageVersion)
-	// Version 1 had a three-value meta section and no version field.
-	v1 := resealed(t, clean, func(id uint32, data []byte) []byte {
+	// A meta section carries exactly four values, the version among them.
+	short := resealed(t, clean, func(id uint32, data []byte) []byte {
 		if id == codec.SecFlatMeta {
 			return data[:24]
 		}
 		return data
 	})
-	if _, _, err := OpenFlat[*ORPKW](v1, FlatOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version "+current) {
-		t.Fatalf("version 1 image: err %v, want a refusal naming versions 1 and %s", err, current)
+	if _, _, err := OpenFlat[*ORPKW](short, FlatOptions{}); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "3 values") {
+		t.Fatalf("three-value meta: err %v, want a refusal naming its 3 values", err)
 	}
 	// Version 2 packed sparse lists into delta blocks, version 3 stored kd
-	// cells and ORPKW's rank tables; 9 is yet to come.
-	for _, v := range []uint64{2, 3, 9} {
+	// cells and ORPKW's rank tables, version 4 the columns derive computes;
+	// 9 is yet to come.
+	for _, v := range []uint64{1, 2, 3, 4, 9} {
 		other := resealed(t, clean, func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMeta {
 				data = slices.Clone(data)
@@ -375,6 +439,9 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 		}
 	}
 	a := built.Framework()
+	if a.tensorArena.Words() == 0 {
+		t.Fatal("fixture has no tensor words")
+	}
 	// A sparse list of at least three ranks: handle h, ranks at l.Start.
 	h := int32(slices.IndexFunc(a.matLists, func(l FlatList) bool { return l.Rep == ListRanks && l.N >= 3 }))
 	if h < 0 {
@@ -393,7 +460,7 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 			}
 			return data
 		}, false},
-		{"interval starts shifted", set(codec.SecFlatRankLo, 1, a.rankLo[1]+1), false},
+		{"child count past the node count", set(codec.SecFlatChildCount, 0, int32(a.NumNodes())), true},
 		{"bitmap arena missing", func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMatBits {
 				return []byte{}
@@ -404,12 +471,18 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 		{"duplicate rank", set(codec.SecFlatMatRanks, l.Start+1, a.matRanks[l.Start]), true},
 		{"rank below every interval", set(codec.SecFlatMatRanks, l.Start, -1), true},
 		{"rank past every interval", set(codec.SecFlatMatRanks, l.Start+l.N-1, n), true},
-		{"list runs off the arena", set(codec.SecFlatMatLists, 3*h, int32(len(a.matRanks))-l.N+1), true},
-		{"list length negative", set(codec.SecFlatMatLists, 3*h+1, -1), true},
-		{"unknown representation tag", set(codec.SecFlatMatLists, 3*h+2, 2), true},
-		{"handle column cut mid-triple", func(id uint32, data []byte) []byte {
-			if id == codec.SecFlatMatLists {
+		{"list count overruns the derived arena", set(codec.SecFlatMatHandles, 2*h, l.N+1), true},
+		{"list length negative", set(codec.SecFlatMatHandles, 2*h, -1), true},
+		{"unknown representation tag", set(codec.SecFlatMatHandles, 2*h+1, 2), true},
+		{"handle column cut mid-pair", func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatMatHandles {
 				return data[:len(data)-4]
+			}
+			return data
+		}, true},
+		{"tensor words short of the derived total", func(id uint32, data []byte) []byte {
+			if id == codec.SecFlatTensorWrds {
+				return data[:len(data)-8]
 			}
 			return data
 		}, true},
@@ -659,14 +732,15 @@ func FuzzFlatImageHostile(f *testing.F) {
 		f.Fatal(err)
 	}
 	wide := map[uint32]bool{ // the sections of 8-byte values
-		codec.SecFlatMeta: true, codec.SecFlatNu: true, codec.SecFlatMatBits: true,
-		codec.SecFlatTensorOff: true, codec.SecFlatTensorStr: true, codec.SecFlatTensorWrds: true,
+		codec.SecFlatMeta: true, codec.SecFlatNu: true, codec.SecFlatMatBits: true, codec.SecFlatTensorWrds: true,
 		codec.SecFlatCoords: true, codec.SecFlatPoints: true, codec.SecFlatDocStart: true,
 	}
 	for kind := range images {
 		for col := range flatColumns {
 			for _, at := range []uint32{0, 5} {
-				for _, v := range []uint64{0, 1, 1 << 31, math.Float64bits(20), math.Float64bits(math.NaN()), math.MaxUint64} {
+				// 2 and 64 move a child or a list count across the derived
+				// offsets after it; 64 is also a word of tensor or bitmap bits.
+				for _, v := range []uint64{0, 1, 2, 64, 1 << 31, math.Float64bits(20), math.Float64bits(math.NaN()), math.MaxUint64} {
 					f.Add(uint8(kind), uint8(col), at, v)
 				}
 			}

@@ -21,7 +21,8 @@ import (
 // with the file mapped the big ones (coordinates, lists, tensors) alias the
 // mapping, and the page cache is the only copy — then trusts none of them:
 // every structural invariant the query path relies on is checked
-// (checkImage), and the kd boxes are derived from the coordinates again.
+// (checkImage). The image holds only the independent columns: what they
+// determine, the kd boxes included, is derived again (derive).
 // Only the rectangle splitter spart.KD round-trips: Willard2D's cells are
 // convex polygons built during the ham-sandwich recursion and have no
 // fixed-width serialized form.
@@ -94,12 +95,12 @@ func writeFlat[I FlatIndex](w io.Writer, ix I) error {
 	m := &flatImage{
 		Framework: *f,
 		meta:      []uint64{flatSplitKD, uint64(f.pdim), uint64(len(f.nu)), codec.FlatImageVersion},
-		lists:     make([]int32, 0, 3*len(f.matLists)),
+		lists:     make([]int32, 0, 2*len(f.matLists)),
 		tensors:   f.tensorArena.Raw(),
 	}
 	m.points, m.docStart, m.docWords = f.ds.Columns()
 	for _, l := range f.matLists {
-		m.lists = append(m.lists, l.Start, l.N, l.Rep)
+		m.lists = append(m.lists, l.N, l.Rep)
 	}
 	secs := make([]codec.Section, len(flatColumns))
 	for i, col := range flatColumns {
@@ -184,15 +185,11 @@ func (m *flatImage) unpack(meta codec.PagedMeta) error {
 		return errImage("dimension %d, arity %d, object count %d", meta.Dim, meta.K, meta.Count)
 	}
 	fm := m.meta
-	if len(fm) != 3 && len(fm) != 4 {
+	if len(fm) != 4 {
 		return errImage("meta section has %d values, want 4", len(fm))
 	}
-	version := uint64(1) // version 1 carried no version field
-	if len(fm) == 4 {
-		version = fm[3]
-	}
-	if version != codec.FlatImageVersion {
-		return errImage("version %d is not readable; this build reads version %d: rebuild the image", version, codec.FlatImageVersion)
+	if fm[3] != codec.FlatImageVersion {
+		return errImage("version %d is not readable; this build reads version %d: rebuild the image", fm[3], codec.FlatImageVersion)
 	}
 	if fm[0] != flatSplitKD {
 		return errImage("splitter kind %d unknown", fm[0])
@@ -210,36 +207,34 @@ func (m *flatImage) unpack(meta codec.PagedMeta) error {
 	if err != nil {
 		return errImage("dataset: %v", err)
 	}
-	if len(m.lists)%3 != 0 {
-		return errImage("list handle column of %d values is not {start, n, rep} triples", len(m.lists))
+	if len(m.lists)%2 != 0 {
+		return errImage("list handle column of %d values is not {n, rep} pairs", len(m.lists))
 	}
-	m.matLists = make([]FlatList, len(m.lists)/3)
+	m.matLists = make([]FlatList, len(m.lists)/2)
 	for i := range m.matLists {
-		m.matLists[i] = FlatList{Start: m.lists[3*i], N: m.lists[3*i+1], Rep: m.lists[3*i+2]}
+		m.matLists[i] = FlatList{N: m.lists[2*i], Rep: m.lists[2*i+1]}
 	}
-	m.lists = nil // the opened framework keeps m alive; the triples are matLists now
+	m.lists = nil // the opened framework keeps m alive; the pairs are matLists now
 	pdim := int(fm[1])
 	m.ds, m.k, m.split, m.pdim = ds, int(meta.K), &spart.KD{Dim: pdim}, pdim
 	m.tensorArena = bits.ArenaFromWords(m.tensors)
 	return nil
 }
 
-// checkImage validates the stored columns of a framework read from an image
-// and derives the rest: the rank spans, the boxes, the space audit and the
-// root's document frequencies. The columns are untrusted (they come off
-// disk, and may alias a read-only mapping): every structural invariant the
-// query path relies on is checked up front, so a malformed image yields an
-// error here rather than a panic mid-query. Checksums are the caller's
-// concern; this validation is about shape, not integrity.
+// checkImage validates the independent columns of a framework read from an
+// image, derives the rest (derive) and checks every list against its node's
+// derived interval. The columns are untrusted (they come off disk, and may
+// alias a read-only mapping): every structural invariant the query path
+// relies on is checked up front, so a malformed image yields an error here
+// rather than a panic mid-query. Checksums are the caller's concern; this
+// validation is about shape, not integrity.
 func (f *Framework) checkImage() error {
 	nn := len(f.nu)
 	if nn < 1 || nn > math.MaxInt32 {
 		return errImage("%d nodes", nn)
 	}
 	n := f.ds.Len()
-	if len(f.l) != nn || len(f.childFirst) != nn || len(f.childCount) != nn ||
-		len(f.rankLo) != nn || len(f.pivotCount) != nn ||
-		len(f.tensorOff) != nn || len(f.tensorStride) != nn {
+	if len(f.childCount) != nn || len(f.pivotCount) != nn {
 		return errImage("skeleton columns disagree on node count")
 	}
 	if len(f.coords) != n*f.pdim {
@@ -260,19 +255,25 @@ func (f *Framework) checkImage() error {
 	if len(f.matLists) != len(f.matKeys) {
 		return errImage("%d list handles for %d materialized keys", len(f.matLists), len(f.matKeys))
 	}
+	if len(f.matRanks) > math.MaxInt32 || len(f.matBits) > math.MaxInt32 {
+		return errImage("list arenas of %d ranks and %d words", len(f.matRanks), len(f.matBits))
+	}
 
-	// BFS layout invariant: dequeue order assigns each node's children the
-	// next contiguous id block, so a single cursor must reproduce childFirst
-	// exactly and land on the node count. This guarantees the "tree" is a
-	// tree (acyclic, every node reachable exactly once from the root), which
-	// the recursive traversals rely on to terminate.
+	// BFS layout: dequeue order gives each node's children the next
+	// contiguous id block, so the blocks must run from 1 to the node count,
+	// each starting past the node that owns it. Every node but the root is
+	// then the child of exactly one node before it: the "tree" is a tree,
+	// which the recursive traversals rely on to terminate.
 	next := 1
 	for u := 0; u < nn; u++ {
 		if f.nu[u] < 0 {
 			return errImage("node %d has negative weight", u)
 		}
+		if f.pivotCount[u] < 0 {
+			return errImage("node %d has a negative pivot count", u)
+		}
 		cc := int(f.childCount[u])
-		if cc < 0 || int(f.childFirst[u]) != next {
+		if cc < 0 || u >= next {
 			return errImage("node %d breaks the BFS child layout", u)
 		}
 		next += cc
@@ -293,42 +294,20 @@ func (f *Framework) checkImage() error {
 		}
 		seen.Set(int(id))
 	}
-	// Intervals. A node's span is its pivots plus its children's spans
-	// (children come after their parent in BFS order, so one backward pass
-	// sums them); then, top down, the pivots take the first ranks of a node's
-	// interval and the children's intervals follow in child order — disjoint
-	// and tiling the parent's by construction of the sums.
-	span := make([]int32, nn)
-	for u := nn - 1; u >= 0; u-- {
-		if f.pivotCount[u] < 0 {
-			return errImage("node %d has a negative pivot count", u)
-		}
-		total := int64(f.pivotCount[u])
-		for c, end := int(f.childFirst[u]), int(f.childFirst[u])+int(f.childCount[u]); c < end; c++ {
-			total += int64(span[c])
-		}
-		if total > int64(n) {
-			return errImage("node %d spans %d ranks of %d", u, total, n)
-		}
-		span[u] = int32(total)
-	}
-	if f.rankLo[0] != 0 || int(span[0]) != n {
-		return errImage("root interval [%d, %d) is not [0, %d)", f.rankLo[0], int64(f.rankLo[0])+int64(span[0]), n)
-	}
-	for u := 0; u < nn; u++ {
-		next := f.rankLo[u] + f.pivotCount[u]
-		for c, end := int(f.childFirst[u]), int(f.childFirst[u])+int(f.childCount[u]); c < end; c++ {
-			if f.rankLo[c] != next {
-				return errImage("node %d interval starts at rank %d, want %d: child intervals must tile the parent's after its pivots", c, f.rankLo[c], next)
-			}
-			next += span[c]
+	for i, l := range f.matLists {
+		if l.N < 0 || l.Rep != ListRanks && l.Rep != ListBitmap {
+			return errImage("list %d: %d entries in representation %d", i, l.N, l.Rep)
 		}
 	}
+	// The boxes are derived, never read: whatever the sections say, a box
+	// bounds exactly the coordinates of its node's ranks, so no box can call a
+	// point covered that lies outside the query.
+	if err := f.derive(); err != nil {
+		return errImage("%v", err)
+	}
+
 	for u := 0; u < nn; u++ {
 		ls, le := f.largeStart[u], f.largeStart[u+1]
-		if int(f.l[u]) != int(le-ls) {
-			return errImage("node %d claims %d large keywords, carries %d", u, f.l[u], le-ls)
-		}
 		for i := ls; i < le; i++ {
 			if i > ls && f.largeKeys[i] <= f.largeKeys[i-1] {
 				return errImage("node %d large keywords not strictly increasing", u)
@@ -343,53 +322,16 @@ func (f *Framework) checkImage() error {
 				return errImage("node %d materialized keywords not strictly increasing", u)
 			}
 			var err error
-			switch l := f.matLists[i]; l.Rep {
-			case ListRanks:
-				err = checkRanks(f.matRanks, l, f.rankLo[u], f.rankLo[u]+span[u])
-			case ListBitmap:
-				err = checkBitmap(f.matBits, l, int(span[u]))
-			default:
-				err = fmt.Errorf("representation tag %d unknown", l.Rep)
+			if l := f.matLists[i]; l.Rep == ListRanks {
+				err = checkRanks(f.matRanks[l.Start:l.Start+l.N], f.rankLo[u], f.rankLo[u]+f.rankSpan[u])
+			} else {
+				err = checkBitmap(f.matBits[l.Start:int(l.Start)+bitmapWords(int(f.rankSpan[u]))], l.N, int(f.rankSpan[u]))
 			}
 			if err != nil {
 				return errImage("node %d list %d: %v", u, i, err)
 			}
 		}
-
-		// Tensor geometry: internal nodes carry one stride-sized bit array
-		// per child; leaves carry nothing. The stride must be exactly
-		// ceil(L^k / 64) — tensorGet computes bit addresses from it.
-		off, stride, cc := f.tensorOff[u], f.tensorStride[u], int64(f.childCount[u])
-		if cc == 0 {
-			if off != 0 || stride != 0 {
-				return errImage("leaf node %d carries a tensor", u)
-			}
-			continue
-		}
-		want, ok := tensorWordsChecked(int64(f.l[u]), f.k)
-		if !ok {
-			return errImage("node %d tensor exceeds the sanity bound", u)
-		}
-		if stride != want {
-			return errImage("node %d tensor stride %d, want %d", u, stride, want)
-		}
-		words := f.tensorArena.Words()
-		if off < 0 || off > words {
-			return errImage("node %d tensor offset %d outside the arena", u, off)
-		}
-		if stride > 0 && cc > (words-off)/stride {
-			return errImage("node %d tensors overrun the arena", u)
-		}
 	}
-
-	// The boxes are derived, never read: whatever the sections say, a box
-	// bounds exactly the coordinates of its node's ranks, so no box can call a
-	// point covered that lies outside the query.
-	f.rankSpan = span
-	if !f.deriveBoxes() {
-		return errImage("a NaN coordinate")
-	}
-	f.accountSpace()
 	return nil
 }
 
@@ -411,16 +353,13 @@ func (f *Framework) coordsArePoints() error {
 	return nil
 }
 
-// checkRanks validates a sparse list handle at a node whose interval is
-// [lo, hi): N ranks inside the arena, strictly ascending — the stop-node
-// intersection gallops and leapfrogs on that order — and all of the interval,
-// since a candidate is tested against the node's bitmaps at bit rank-lo.
-func checkRanks(arena []int32, l FlatList, lo, hi int32) error {
-	if l.Start < 0 || l.N < 0 || int64(l.Start)+int64(l.N) > int64(len(arena)) {
-		return fmt.Errorf("ranks [%d, %d+%d) outside the arena of %d", l.Start, l.Start, l.N, len(arena))
-	}
+// checkRanks validates a sparse list at a node whose interval is [lo, hi):
+// strictly ascending — the stop-node intersection gallops and leapfrogs on
+// that order — and all of the interval, since a candidate is tested against
+// the node's bitmaps at bit rank-lo.
+func checkRanks(ranks []int32, lo, hi int32) error {
 	prev := lo - 1
-	for _, r := range arena[l.Start : l.Start+l.N] {
+	for _, r := range ranks {
 		if r <= prev || r >= hi {
 			return fmt.Errorf("rank %d after %d is not ascending inside [%d, %d)", r, prev, lo, hi)
 		}
@@ -429,24 +368,18 @@ func checkRanks(arena []int32, l FlatList, lo, hi int32) error {
 	return nil
 }
 
-// checkBitmap validates a bitmap list handle over an interval of span ranks:
-// exactly bitmapWords(span) words inside the arena, no bit set past the
-// interval, and as many bits set as the handle claims entries.
-func checkBitmap(arena []uint64, l FlatList, span int) error {
-	nw := bitmapWords(span)
-	if l.Start < 0 || int(l.Start) > len(arena)-nw {
-		return fmt.Errorf("bitmap words [%d, %d) outside the arena of %d", l.Start, int(l.Start)+nw, len(arena))
-	}
-	words := arena[l.Start : int(l.Start)+nw]
-	if tail := span & 63; tail != 0 && words[nw-1]>>tail != 0 {
+// checkBitmap validates the words of a bitmap list of n ranks over an
+// interval of span ranks: no bit set past the interval, and n bits set.
+func checkBitmap(words []uint64, n int32, span int) error {
+	if tail := span & 63; tail != 0 && words[len(words)-1]>>tail != 0 {
 		return fmt.Errorf("bitmap has bits set past its %d-rank interval", span)
 	}
 	pop := 0
 	for _, w := range words {
 		pop += mbits.OnesCount64(w)
 	}
-	if pop != int(l.N) {
-		return fmt.Errorf("bitmap holds %d ranks, handle claims %d", pop, l.N)
+	if pop != int(n) {
+		return fmt.Errorf("bitmap holds %d ranks, handle claims %d", pop, n)
 	}
 	return nil
 }

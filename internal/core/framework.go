@@ -134,13 +134,10 @@ type FrameworkConfig struct {
 	// retained. The dimension-reduction tree of Section 4 builds one
 	// secondary framework per node on that node's active set.
 	Objects []int32
-	// Parallelism caps the goroutines used to build the tree (see
-	// BuildOpts): <= 0 selects GOMAXPROCS, 1 forces a sequential build.
-	Parallelism int
 
-	// gate shares one goroutine budget across nested builds (the
-	// dimension-reduction tree builds one framework per node); when set it
-	// overrides Parallelism.
+	// gate is the build's goroutine budget, newParGate(p) for a parallelism
+	// of p; nil builds sequentially. Nested builds share one (the
+	// dimension-reduction tree builds one framework per node).
 	gate *parGate
 	// rankSpace makes a kd build split in rank space (Section 3.4) over the
 	// last Splitter.Dim coordinates of the dataset's own points, Points unset.
@@ -171,10 +168,9 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	b.hang(0, b.postings(ds, objs))
 	f.ids, f.coords = b.gatherCoords(objs)
 	f.pack(b.nodes, b.cells)
-	if b.kd != nil && !f.deriveBoxes() {
-		return nil, fmt.Errorf("core: a NaN partitioning coordinate has no place in a box")
+	if err := f.derive(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	f.accountSpace()
 	return f, nil
 }
 
@@ -206,16 +202,12 @@ func treePass(ds *dataset.Dataset, cfg FrameworkConfig) (b *builder, objs []int3
 		objs = slices.Clone(objs)
 		slices.Sort(objs)
 	}
-	gate := cfg.gate
-	if gate == nil {
-		gate = newParGate(cfg.Parallelism)
-	}
 	// The splitters index points and weights by object id, so the build runs
 	// on local ids, positions in objs, and carries its own columns under them.
 	// Every column is sized to the build's own objects and keywords, never to
 	// the dataset or the keyword values.
 	n := len(objs)
-	b = &builder{f: f, gate: gate, weight: make([]int32, n), seq: make([]int32, n), rankSpace: cfg.rankSpace}
+	b = &builder{f: f, gate: cfg.gate, weight: make([]int32, n), seq: make([]int32, n), rankSpace: cfg.rankSpace}
 	for i, id := range objs {
 		b.weight[i] = ds.DocLen(id)
 	}
@@ -548,7 +540,7 @@ func (b *builder) split(cell spart.Cell, objs []int32, lo int32, depth int) (cel
 // children, and after the partition every list is in child order. Each
 // child's objects are its axis-0 list; their weights follow from the left
 // side's, which the median scan sums. It returns no cells: a kd node is
-// related by its tight box, which the finished tree derives (deriveBoxes).
+// related by its tight box, which the finished tree derives (derive).
 func (b *builder) kdSplit(lo int32, size int, nu int64, depth int) ([2][]int32, [2]int64, int32, bool) {
 	l, h := int(lo), int(lo)+size
 	var axis, from, to int

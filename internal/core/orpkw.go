@@ -37,10 +37,10 @@ func buildORPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) {
 	}
 	bt := obsBuildStart()
 	fw, err := BuildFramework(ds, FrameworkConfig{
-		K:           k,
-		Splitter:    &spart.KD{Dim: ds.Dim()},
-		Parallelism: opts.Parallelism,
-		rankSpace:   true,
+		K:         k,
+		Splitter:  &spart.KD{Dim: ds.Dim()},
+		gate:      newParGate(opts.Parallelism),
+		rankSpace: true,
 	})
 	if err != nil {
 		return nil, err

@@ -131,10 +131,10 @@ func TestParallelBuildDeterminismKDSplitter(t *testing.T) {
 			pts[i] = ds.Point(int32(i))
 		}
 		fw, err := BuildFramework(ds, FrameworkConfig{
-			K:           2,
-			Splitter:    &spart.KD{Dim: 2},
-			Points:      pts,
-			Parallelism: p,
+			K:        2,
+			Splitter: &spart.KD{Dim: 2},
+			Points:   pts,
+			gate:     newParGate(p),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -64,10 +64,10 @@ func buildSPKW(ds *dataset.Dataset, cfg SPKWConfig, opts BuildOpts) (*SPKW, erro
 		}
 	}
 	fw, err := BuildFramework(ds, FrameworkConfig{
-		K:           cfg.K,
-		Splitter:    split,
-		Points:      cfg.Points,
-		Parallelism: opts.Parallelism,
+		K:        cfg.K,
+		Splitter: split,
+		Points:   cfg.Points,
+		gate:     newParGate(opts.Parallelism),
 	})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kwsc/internal/bits"
 	"kwsc/internal/codec"
 	"kwsc/internal/dataset"
 	"kwsc/internal/geom"
@@ -132,7 +133,9 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 	}
 	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim}
 	f.pack(nodes, nil)
-	f.deriveBoxes()
+	if err := f.derive(); err != nil {
+		panic(err)
+	}
 	return f
 }
 
@@ -799,8 +802,8 @@ func TestFlatImageListDisorder(t *testing.T) {
 
 // The rank columns of a flat image are untrusted too: each way they can break
 // what the query path assumes — ranks that do not translate to distinct
-// objects, intervals that do not nest, a list reaching outside its node or
-// its arena, a bitmap of the wrong shape — is refused at open.
+// objects, pivot counts from which no intervals nest, a list reaching outside
+// its node or its arena, a bitmap of the wrong shape — is refused at open.
 func TestFlatImageRankValidation(t *testing.T) {
 	ds := skewedVocabDataset(83, 20_000)
 	ix, err := BuildORPKW(ds, 3, WithoutObs())
@@ -841,7 +844,6 @@ func TestFlatImageRankValidation(t *testing.T) {
 	}
 	bmNode := nodeOf(bitmap)
 	bmWords := bitmapWords(int(fl.rankSpan[bmNode]))
-	firstChild := int(fl.childFirst[inner])
 
 	cases := []struct {
 		name    string
@@ -856,17 +858,23 @@ func TestFlatImageRankValidation(t *testing.T) {
 			a.ids[7] = int32(ds.Len())
 		}},
 		{"rank column too short", func(a *Framework) { a.ids = a.ids[:len(a.ids)-1] }},
-		{"root interval does not start at rank 0", func(a *Framework) {
-			a.rankLo = slices.Clone(a.rankLo)
-			a.rankLo[0] = 1
+		{"child count past the node count", func(a *Framework) {
+			a.childCount = slices.Clone(a.childCount)
+			a.childCount[inner] += int32(len(a.nu))
 		}},
-		{"child interval overlaps the parent's pivots", func(a *Framework) {
-			a.rankLo = slices.Clone(a.rankLo)
-			a.rankLo[firstChild]--
+		// Three nodes whose child counts cover them and whose spans come to
+		// the objects, but node 1 is its own first child and nothing reaches
+		// it: node 2's interval would start past the last rank.
+		{"a node that is its own child", func(a *Framework) {
+			n := int32(len(a.ids))
+			a.nu, a.childCount, a.pivotCount = make([]int64, 3), []int32{0, 2, 0}, []int32{n, n / 2, n / 2}
+			a.largeStart, a.largeKeys, a.largeIdx = make([]int32, 4), nil, nil
+			a.matStart, a.matKeys, a.matLists, a.matRanks, a.matBits = make([]int32, 4), nil, nil, nil, nil
+			a.tensorArena = bits.Arena{}
 		}},
-		{"sibling intervals leave a gap", func(a *Framework) {
-			a.rankLo = slices.Clone(a.rankLo)
-			a.rankLo[firstChild+1]++
+		{"tensor words short of the derived total", func(a *Framework) {
+			raw := a.tensorArena.Raw()
+			a.tensorArena = bits.ArenaFromWords(raw[:len(raw)-1])
 		}},
 		{"pivot count negative", func(a *Framework) {
 			a.pivotCount = slices.Clone(a.pivotCount)
@@ -888,23 +896,14 @@ func TestFlatImageRankValidation(t *testing.T) {
 		}},
 		{"sparse list runs off the arena", func(a *Framework) {
 			a.matLists = slices.Clone(a.matLists)
-			a.matLists[sparse].Start = int32(len(a.matRanks)) - a.matLists[sparse].N + 1
-		}},
-		{"sparse list offset negative", func(a *Framework) {
-			a.matLists = slices.Clone(a.matLists)
-			a.matLists[sparse].Start = -1
+			a.matLists[sparse].N++
 		}},
 		{"sparse list length negative", func(a *Framework) {
 			a.matLists = slices.Clone(a.matLists)
 			a.matLists[sparse].N = -1
 		}},
 		{"bitmap runs off the arena", func(a *Framework) {
-			a.matLists = slices.Clone(a.matLists)
-			a.matLists[bitmap].Start = int32(len(a.matBits) - bmWords + 1)
-		}},
-		{"bitmap offset negative", func(a *Framework) {
-			a.matLists = slices.Clone(a.matLists)
-			a.matLists[bitmap].Start = -1
+			a.matBits = a.matBits[:len(a.matBits)-1]
 		}},
 		{"bitmap has a bit past its interval", func(a *Framework) {
 			a.matBits = slices.Clone(a.matBits)
@@ -922,6 +921,7 @@ func TestFlatImageRankValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := *ix.fw
+			a.matLists = slices.Clone(a.matLists) // checkImage derives their starts in place
 			tc.corrupt(&a)
 			if err := a.checkImage(); err == nil {
 				t.Fatalf("opened as a framework of %d nodes", a.NumNodes())

@@ -95,9 +95,6 @@ func (p *Pool) Resident() int {
 	return len(p.frames)
 }
 
-// Cap returns the resident-page cap.
-func (p *Pool) Cap() int { return p.cap }
-
 // Pin returns page, faulting it in (pread mode) and verifying its checksum
 // on first pin. The caller must Unpin the returned frame.
 func (p *Pool) Pin(page int64) (Frame, error) {

@@ -3,7 +3,6 @@ package pager
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // View is a typed random-access reader over one byte range of a pooled file
@@ -166,11 +165,5 @@ func (v *View) U64(rel int64) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// I32 reads the little-endian int32 at byte offset rel.
-func (v *View) I32(rel int64) int32 { return int32(v.U32(rel)) }
-
 // I64 reads the little-endian int64 at byte offset rel.
 func (v *View) I64(rel int64) int64 { return int64(v.U64(rel)) }
-
-// F64 reads the little-endian float64 at byte offset rel.
-func (v *View) F64(rel int64) float64 { return math.Float64frombits(v.U64(rel)) }

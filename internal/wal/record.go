@@ -50,9 +50,8 @@ func appendRecord(dst []byte, r *record) []byte {
 }
 
 // decodeRecord parses one frame payload. It is total over arbitrary bytes:
-// claimed counts never allocate more than the payload can back (the same
-// hardening as codec.ReadDataset), and any structural violation returns
-// ErrCorrupt.
+// claimed counts never allocate more than the payload can back, and any
+// structural violation returns ErrCorrupt.
 func decodeRecord(payload []byte) (record, error) {
 	var r record
 	d := recDecoder{buf: payload}

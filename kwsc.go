@@ -290,13 +290,14 @@ type (
 	DynSnapshot = core.DynSnapshot
 )
 
-// WriteDataset serializes a dataset to w in the library's compact,
-// checksummed binary format; ReadDataset restores it. Indexes are rebuilt
-// from data on load (construction is near-linear).
+// WriteDataset writes a dataset to w as a checksummed KWCP2 container of its
+// columns, the format of the checkpoints and flat images; ReadDataset
+// restores it. Indexes are rebuilt from data on load (construction is
+// near-linear).
 func WriteDataset(w io.Writer, ds *Dataset) error { return codec.WriteDataset(w, ds) }
 
-// ReadDataset deserializes a dataset written by WriteDataset, verifying its
-// checksum.
+// ReadDataset reads a dataset written by WriteDataset, verifying every page
+// checksum and refusing a non-canonical one.
 func ReadDataset(r io.Reader) (*Dataset, error) { return codec.ReadDataset(r) }
 
 // Vocabulary maps string keywords to the dense integer ids the indexes
