@@ -49,9 +49,11 @@ crash:
 # one list cursor seeks as a binary search does), the paged base and the flat image over re-sealed sections that lie,
 # the /v1 wire codec held to encoding/json in both directions, the query
 # stop checks under random limits and node budgets, the root keyword
-# directory held to its span contract, and the keyword pass held to
+# directory held to its span contract, the keyword pass held to
 # Section 3.2's definitions and to one image at any parallelism over small
-# random corpora. Each target runs briefly; use
+# random corpora, and the geometry the region tests stand on: polygon
+# clipping, sphere-rectangle relations and the lifting map's membership.
+# Each target runs briefly; use
 # `go test -fuzz <name> -fuzztime 5m ./internal/...` for a real session.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
@@ -66,6 +68,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeywordDirectory$$' -fuzztime $(FUZZ_TIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzPolygonClip$$' -fuzztime $(FUZZ_TIME) ./internal/geom/
+	$(GO) test -run '^$$' -fuzz '^FuzzSphereRelateRect$$' -fuzztime $(FUZZ_TIME) ./internal/geom/
+	$(GO) test -run '^$$' -fuzz '^FuzzLiftMembership$$' -fuzztime $(FUZZ_TIME) ./internal/geom/
 
 build:
 	$(GO) build ./...

@@ -23,8 +23,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrCorrupt = errors.New("codec: corrupt data")
 
 // WriteDataset writes the dataset to w as a KWCP2 container of kind
-// PagedKindDataset: the flat image's three dataset sections, the points and
-// the documents in the dataset's own columns.
+// PagedKindDataset: the three sections a flat image stores its rows in, here
+// the points and the documents in the dataset's own columns.
 func WriteDataset(w io.Writer, ds *dataset.Dataset) error {
 	points, docStart, docWords := ds.Columns()
 	meta := PagedMeta{Kind: PagedKindDataset, Dim: uint32(ds.Dim()), Count: uint64(ds.Len())}

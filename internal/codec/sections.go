@@ -4,7 +4,8 @@ package codec
 // checkpoint's, the flat image's and the dataset file's, told apart by
 // PagedMeta.Kind. internal/core owns the first two formats — it writes,
 // opens and validates them — and names their sections by these ids; the
-// dataset file (dataset.go) holds the flat image's three dataset sections.
+// dataset file (codec.go) stores a dataset in the three sections a flat
+// image stores its rows in.
 
 // Section IDs of a snapshot checkpoint (PagedKindSnapshot; SecPageCRC is the
 // container's own table). The rows by rank are in the kd leaf order of
@@ -30,13 +31,14 @@ const (
 // FlatImageVersion is the version of the flat-index section set below,
 // carried in SecFlatMeta. An image of any other version is refused at open
 // by one version check: images are rebuilt, not migrated.
-const FlatImageVersion = 5
+const FlatImageVersion = 6
 
 // Section IDs of a flat-index KWCP2 container (PagedKindFlatORPKW or
-// PagedKindFlatSPKW). Sections 12-29 and 35-39 are the framework's
+// PagedKindFlatSPKW). Sections 12-28 and 35-39 are the framework's
 // independent columns (BFS node order; objects named by rank, their position
-// in the tree's leaf order), 30-32 the dataset. No section holds what the
-// others determine — a node's first child, rank interval, large-keyword
+// in the tree's leaf order), 30-32 its rows by rank: the objects as a
+// checkpoint's SecPoints, SecDocStart and SecDocWords store them, at the
+// coordinates queries compare. No section holds what the others determine — a node's first child, rank interval, large-keyword
 // count, tensor stride and offset, a list's start in its arena, a node's
 // box: core derives them at build and at open. internal/core owns the image:
 // its flatColumns pairs each id with its column, and its save and open loop
@@ -52,10 +54,9 @@ const (
 	SecFlatMatStart   = 21 // []int32, numNodes+1 prefix offsets
 	SecFlatMatKeys    = 22 // []uint32, sorted per node
 	SecFlatTensorWrds = 28 // []uint64 non-emptiness bit arrays, ceil(L^k/64) words per child of each internal node
-	SecFlatCoords     = 29 // []float64 the coordinates queries compare, by rank, n x pdim; for ORPKW the dataset's points
-	SecFlatPoints     = 30 // []float64 dataset points, n x dim
-	SecFlatDocStart   = 31 // []int64, n+1 prefix offsets
-	SecFlatDocWords   = 32 // []uint32 concatenated sorted documents
+	SecFlatPoints     = 30 // []float64 by rank, n x pdim: the coordinates queries compare
+	SecFlatDocStart   = 31 // []int64 by rank, n+1 prefix offsets into SecFlatDocWords
+	SecFlatDocWords   = 32 // []uint32 concatenated sorted documents, by rank
 	SecFlatRankIDs    = 35 // []int32 rank -> dataset id, a permutation of [0, n)
 	SecFlatMatBits    = 37 // []uint64 bitmap lists, ceil(span/64) words each, bit i = the interval's i-th rank
 	SecFlatMatRanks   = 38 // []int32 sparse lists, strictly ascending ranks of the node's interval
@@ -66,10 +67,11 @@ const (
 // reads now, and no live section of its kind takes it again. A checkpoint's
 // 9 held rank -> entry (SecRankEntry, kept to build refused files) and 10 its
 // cell boxes. A flat image's 11 held kd cells, 33 and 34 ORPKW's rank tables
-// (version 3), and 13, 14, 23, 26, 27 and 36 the large-keyword counts, first
+// (version 3), 13, 14, 23, 26, 27 and 36 the large-keyword counts, first
 // children, {start, n, rep} list handles, tensor offsets, tensor strides and
-// interval starts (version 4).
+// interval starts (version 4), and 29 the coordinates by rank beside the
+// points by id in 30 (version 5).
 var (
 	retiredSnapshotIDs = []uint32{9, 10}
-	retiredFlatIDs     = []uint32{11, 13, 14, 23, 26, 27, 33, 34, 36}
+	retiredFlatIDs     = []uint32{11, 13, 14, 23, 26, 27, 29, 33, 34, 36}
 )

@@ -65,4 +65,8 @@ func TestNoLiveSectionReusesARetiredID(t *testing.T) {
 			t.Errorf("dataset section %d is not a live flat section", id)
 		}
 	}
+	// Version 5's coordinates by rank (29) live on as the rows in 30-32.
+	if name, ok := live[true][29]; ok || !slices.Contains(retiredFlatIDs, 29) {
+		t.Errorf("flat section 29 is live (%s) or not retired", name)
+	}
 }

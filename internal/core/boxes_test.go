@@ -24,7 +24,7 @@ func checkTightBoxes(t *testing.T, what string, f *Framework) {
 		for j := 0; j < d; j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for r := f.rankLo[u]; r < f.rankLo[u]+f.rankSpan[u]; r++ {
-				c := f.coords[int(r)*d+j]
+				c := f.rows.Point(r)[j]
 				if c < lo {
 					lo = c
 				}
@@ -85,8 +85,8 @@ func TestTightBoxesOriginalCoordinates(t *testing.T) {
 					t.Fatal(err)
 				}
 				for r, id := range ix.fw.ids {
-					if !slices.Equal(ix.fw.coords[r*dim:(r+1)*dim], ds.Point(id)) {
-						t.Fatalf("%s: rank %d keeps %v, object %d is at %v", name, r, ix.fw.coords[r*dim:(r+1)*dim], id, ds.Point(id))
+					if !slices.Equal(ix.fw.rows.Point(int32(r)), ds.Point(id)) {
+						t.Fatalf("%s: rank %d keeps %v, object %d is at %v", name, r, ix.fw.rows.Point(int32(r)), id, ds.Point(id))
 					}
 				}
 				checkTightBoxes(t, name, ix.fw)
@@ -170,8 +170,8 @@ func TestDimRedOriginalCoordinates(t *testing.T) {
 						}
 						if f := nd.secKD; f != nil {
 							for r, id := range f.ids {
-								if !slices.Equal(f.coords[2*r:2*r+2], ds.Point(id)[dim-2:]) {
-									t.Fatalf("%s: a secondary's rank %d keeps %v, object %d is at %v", name, r, f.coords[2*r:2*r+2], id, ds.Point(id))
+								if !slices.Equal(f.rows.Point(int32(r)), ds.Point(id)[dim-2:]) {
+									t.Fatalf("%s: a secondary's rank %d keeps %v, object %d is at %v", name, r, f.rows.Point(int32(r)), id, ds.Point(id))
 								}
 							}
 							checkTightBoxes(t, name, f)

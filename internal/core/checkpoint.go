@@ -23,8 +23,8 @@ import (
 // sections are ckptRowSecs, which the writer, the open, the readers and the
 // gather all loop over.
 //
-// The writer runs the build's own tree, posting and coordinate passes
-// (treePass, builder.postings, gatherCoords), so rank r is rank r of
+// The writer runs the build's own tree, posting and row passes (treePass,
+// builder.postings, gatherRows), so rank r is rank r of
 // BuildORPKW over the same entries, list w is w's posting in that build, and
 // the file's bytes are a function of the entry set.
 
@@ -173,25 +173,24 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 			return fmt.Errorf("core: snapshot handles not strictly increasing at %d", h)
 		}
 	}
-	docStart, docWords := []int64{0}, []dataset.Keyword(nil)
+	objects := 0
 	if s.Objs != nil {
 		if s.Objs.Dim() != s.Dim {
 			return fmt.Errorf("core: snapshot objects have dimension %d, want %d", s.Objs.Dim(), s.Dim)
 		}
-		_, docStart, docWords = s.Objs.Columns()
+		objects = s.Objs.Len()
 	}
-	if len(docStart)-1 != count {
-		return fmt.Errorf("core: snapshot has %d handles for %d objects", count, len(docStart)-1)
+	if objects != count {
+		return fmt.Errorf("core: snapshot has %d handles for %d objects", count, objects)
 	}
 	if count > maxSnapshotCount {
 		return fmt.Errorf("core: snapshot of %d entries exceeds %d", count, maxSnapshotCount)
 	}
 	// The build's own passes rank the entries, lay out their postings and
-	// gather their points by rank, two-wide: rank r and list w are BuildORPKW's.
+	// gather their rows by rank, two-wide: rank r and list w are BuildORPKW's.
 	rows := ckptRows{
 		handles:    s.Handles,
-		docStart:   make([]int64, count+1),
-		docWords:   make([]dataset.Keyword, len(docWords)),
+		docStart:   []int64{0},
 		rowHandles: make([]int64, count),
 		entryRank:  make([]int32, count),
 	}
@@ -205,22 +204,19 @@ func WritePagedSnapshot(w io.Writer, s *Snapshot) error {
 		if err != nil {
 			return err
 		}
-		roots := b.postings(s.Objs, objs)
+		roots, docStart, docWords := b.postings(s.Objs, objs)
 		perm := byKeyword(make([]int32, 0, len(b.words)), b.words)
 		vocab, lists = make([]dataset.Keyword, len(perm)), make([]bitpack.List, len(perm))
 		for i, d := range perm {
 			r := roots[d]
 			vocab[i], lists[i] = b.words[d], arena.Append(b.post[r.off:r.off+r.n])
 		}
-		var ids []int32
-		ids, rows.points = b.gatherCoords(objs)
+		ids, byRank := b.gatherRows(s.Objs, objs, docStart, docWords)
+		rows.points, rows.docStart, rows.docWords = byRank.Columns()
 		spans, boxes = storedTree(b.nodes, rows.points, s.Dim)
-		at := 0 // words laid out so far
 		for r, e := range ids {
 			rows.rowHandles[r] = s.Handles[e]
 			rows.entryRank[e] = int32(r)
-			at += copy(rows.docWords[at:], docWords[docStart[e]:docStart[e+1]])
-			rows.docStart[r+1] = int64(at)
 		}
 	}
 	payload, blocks := arena.Raw()

@@ -53,7 +53,7 @@ func checkDefinitions(f *Framework) error {
 		}
 		active := map[dataset.Keyword][]int32{} // incoming keyword -> the ranks carrying it
 		for r := lo; r < hi; r++ {
-			for _, w := range f.ds.Doc(f.ids[r]) {
+			for _, w := range f.rows.Doc(r) {
 				if v.incoming == nil || v.incoming[w] {
 					active[w] = append(active[w], r)
 				}
@@ -106,9 +106,9 @@ func checkDefinitions(f *Framework) error {
 			c := f.childFirst[u] + ci
 			want := make([]uint64, stride)
 			var axes []int32
-			for _, id := range f.ids[f.rankLo[c] : f.rankLo[c]+f.rankSpan[c]] {
+			for r := f.rankLo[c]; r < f.rankLo[c]+f.rankSpan[c]; r++ {
 				axes = axes[:0]
-				for _, w := range f.ds.Doc(id) {
+				for _, w := range f.rows.Doc(r) {
 					if a := axis[w]; a != 0 {
 						axes = append(axes, a-1)
 					}

@@ -23,8 +23,8 @@ import (
 // addressed by monotone start offsets:
 //
 //   - boxes:        a kd node's tight box — the componentwise min and max of
-//     coords over its rank interval — 2·pdim floats in one arena, derived
-//     from coords at build and at open and never stored (deriveBoxes); the
+//     the rows' coordinates over its rank interval — 2·pdim floats in one
+//     arena, derived at build and at open and never stored (deriveBoxes); the
 //     other splitters keep cells, as the splitter made them;
 //   - pivots:       implicit — node u's are the ranks [rankLo[u],
 //     rankLo[u]+pivotCount[u]);
@@ -101,12 +101,12 @@ const (
 
 // flatImage is a Framework as its flat image holds it: the framework's
 // independent columns and, beside them, the sections that hold a column in
-// another form — the dataset's three, the list handles as int32 pairs, the
+// another form — the rows' three, the list handles as int32 pairs, the
 // tensor arena's words — and the image's meta.
 type flatImage struct {
 	Framework
-	meta     []uint64 // {flatSplitKD, pdim, nodes, codec.FlatImageVersion}
-	points   []float64
+	meta     []uint64  // {flatSplitKD, pdim, nodes, codec.FlatImageVersion}
+	points   []float64 // the rows, by rank
 	docStart []int64
 	docWords []dataset.Keyword
 	lists    []int32  // matLists, {N, Rep} each
@@ -153,7 +153,6 @@ var flatColumns = []flatColumn{
 	column(codec.SecFlatMatRanks, false, func(m *flatImage) *[]int32 { return &m.matRanks }),
 	column(codec.SecFlatMatBits, false, func(m *flatImage) *[]uint64 { return &m.matBits }),
 	column(codec.SecFlatTensorWrds, false, func(m *flatImage) *[]uint64 { return &m.tensors }),
-	column(codec.SecFlatCoords, false, func(m *flatImage) *[]float64 { return &m.coords }),
 	column(codec.SecFlatPoints, false, func(m *flatImage) *[]float64 { return &m.points }),
 	column(codec.SecFlatDocStart, false, func(m *flatImage) *[]int64 { return &m.docStart }),
 	column(codec.SecFlatDocWords, false, func(m *flatImage) *[]dataset.Keyword { return &m.docWords }),
@@ -324,14 +323,15 @@ func (f *Framework) derive() error {
 	return nil
 }
 
-// deriveBoxes sets every node's tight box from f.coords: the componentwise
-// min and max of the coordinates of its rank interval, pivots included.
-// Children follow their parent in BFS order, so one backward pass folds a
-// node's pivots and its children's boxes — every coordinate and every box is
-// read once, O(N·pdim + nodes·pdim). It reports false, leaving no boxes, on a
-// NaN coordinate, which no box can hold.
+// deriveBoxes sets every node's tight box from the rows' coordinates: the
+// componentwise min and max of the coordinates of its rank interval, pivots
+// included. Children follow their parent in BFS order, so one backward pass
+// folds a node's pivots and its children's boxes — every coordinate and
+// every box is read once, O(N·pdim + nodes·pdim). It reports false, leaving
+// no boxes, on a NaN coordinate, which no box can hold.
 func (f *Framework) deriveBoxes() bool {
 	fl, d := &f.flatLayout, f.pdim
+	coords, _, _ := f.rows.Columns()
 	boxes := make([]float64, 2*d*len(fl.nu))
 	for u := len(fl.nu) - 1; u >= 0; u-- {
 		lo, hi := boxes[2*d*u:(2*u+1)*d], boxes[(2*u+1)*d:2*d*(u+1)]
@@ -339,7 +339,7 @@ func (f *Framework) deriveBoxes() bool {
 			lo[j], hi[j] = math.Inf(1), math.Inf(-1)
 		}
 		for r := fl.rankLo[u]; r < fl.rankLo[u]+fl.pivotCount[u]; r++ {
-			for j, c := range f.coords[int(r)*d : int(r+1)*d] {
+			for j, c := range coords[int(r)*d : int(r+1)*d] {
 				if c != c {
 					return false
 				}

@@ -247,6 +247,8 @@ func TestOpenDerivesTheBuiltLayout(t *testing.T) {
 		for _, o := range []FlatOptions{{}, {NoMmap: true}} {
 			opened := open(o)
 			b, g := &built.flatLayout, &opened.flatLayout
+			bp, bs, bw := built.rows.Columns()
+			gp, gs, gw := opened.rows.Columns()
 			for _, col := range []struct {
 				name       string
 				built, got []byte
@@ -270,7 +272,9 @@ func TestOpenDerivesTheBuiltLayout(t *testing.T) {
 				{"matBits", pager.AsBytes(b.matBits), pager.AsBytes(g.matBits)},
 				{"boxes", pager.AsBytes(b.boxes), pager.AsBytes(g.boxes)},
 				{"ids", pager.AsBytes(built.ids), pager.AsBytes(opened.ids)},
-				{"coords", pager.AsBytes(built.coords), pager.AsBytes(opened.coords)},
+				{"points", pager.AsBytes(bp), pager.AsBytes(gp)},
+				{"docStart", pager.AsBytes(bs), pager.AsBytes(gs)},
+				{"docWords", pager.AsBytes(bw), pager.AsBytes(gw)},
 			} {
 				if !bytes.Equal(col.built, col.got) {
 					t.Errorf("%s (NoMmap=%v): the opened %s differs from the built one", name, o.NoMmap, col.name)
@@ -296,6 +300,62 @@ func TestOpenDerivesTheBuiltLayout(t *testing.T) {
 	for name, ds := range map[string]*dataset.Dataset{"small2": small2, "grid16": gridDataset(209, 5000, 16, 120, 4)} {
 		ix := pinnedSPKW(t, ds, &spart.KD{Dim: 2})
 		check("SPKW/KD/"+name, ix.Framework(), func(o FlatOptions) *Framework { return reopened(t, ix, o).Framework() })
+	}
+}
+
+// TestImageRowsAreTheCheckpointRows: an image stores its objects as a
+// checkpoint of the same entries does. Over one entry set, handle i naming
+// object i, the image's three row sections are the checkpoint's SecPoints,
+// SecDocStart and SecDocWords byte for byte, and its rank column is the
+// checkpoint's rank -> handle column.
+func TestImageRowsAreTheCheckpointRows(t *testing.T) {
+	for name, ds := range map[string]*dataset.Dataset{
+		"zipf2": workload.Gen(workload.Config{Seed: 31, Objects: 5000, Dim: 2, Vocab: 200, DocLen: 5}),
+		"ties":  tieDataset(32, 3000, 40, 4),
+		"d=3":   workload.Gen(workload.Config{Seed: 33, Objects: 2000, Dim: 3, Vocab: 80, DocLen: 4}),
+	} {
+		ix, err := BuildORPKW(ds, 2, WithoutObs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles := make([]int64, ds.Len())
+		for i := range handles {
+			handles[i] = int64(i)
+		}
+		var img, ckpt bytes.Buffer
+		if err := writeFlat(&img, ix); err != nil {
+			t.Fatal(err)
+		}
+		if err := WritePagedSnapshot(&ckpt, &Snapshot{K: 2, Dim: ds.Dim(), NextHandle: int64(ds.Len()), Handles: handles, Objs: ds}); err != nil {
+			t.Fatal(err)
+		}
+		section := func(raw []byte, id uint32) []byte {
+			c, err := codec.ParseContainer(bytes.NewReader(raw), int64(len(raw)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := c.SectionBytes(bytes.NewReader(raw), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		rankIDs := codec.Get[int32](section(img.Bytes(), codec.SecFlatRankIDs))
+		rowHandles := codec.Get[int64](section(ckpt.Bytes(), codec.SecRowHandles))
+		for r, id := range rankIDs {
+			if int64(id) != rowHandles[r] {
+				t.Fatalf("%s: rank %d is object %d in the image, handle %d in the checkpoint", name, r, id, rowHandles[r])
+			}
+		}
+		for _, pair := range [][2]uint32{
+			{codec.SecFlatPoints, codec.SecPoints},
+			{codec.SecFlatDocStart, codec.SecDocStart},
+			{codec.SecFlatDocWords, codec.SecDocWords},
+		} {
+			if a, b := section(img.Bytes(), pair[0]), section(ckpt.Bytes(), pair[1]); !bytes.Equal(a, b) {
+				t.Errorf("%s: image section %d (%d bytes) is not checkpoint section %d (%d bytes)", name, pair[0], len(a), pair[1], len(b))
+			}
+		}
 	}
 }
 
@@ -411,9 +471,9 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 		t.Fatalf("three-value meta: err %v, want a refusal naming its 3 values", err)
 	}
 	// Version 2 packed sparse lists into delta blocks, version 3 stored kd
-	// cells and ORPKW's rank tables, version 4 the columns derive computes;
-	// 9 is yet to come.
-	for _, v := range []uint64{1, 2, 3, 4, 9} {
+	// cells and ORPKW's rank tables, version 4 the columns derive computes,
+	// version 5 the points twice, by rank and by id; 9 is yet to come.
+	for _, v := range []uint64{1, 2, 3, 4, 5, 9} {
 		other := resealed(t, clean, func(id uint32, data []byte) []byte {
 			if id == codec.SecFlatMeta {
 				data = slices.Clone(data)
@@ -496,10 +556,11 @@ func TestOpenRefusesOtherVersionsAndBadRanks(t *testing.T) {
 	}
 }
 
-// The dataset columns of a well-framed image are validated like its rank and
-// list columns: each non-canonical edit (dataset's hostileColumns table, fed
-// through a saved image) is refused as codec.ErrCorrupt by both index kinds,
-// mapped or not — never a panic, never an index.
+// The rows of a well-framed image, its objects by rank, are validated like
+// its rank and list columns: each non-canonical edit (dataset's
+// hostileColumns table and a NaN coordinate, fed through a saved image) is
+// refused as codec.ErrCorrupt by both index kinds, mapped or not — never a
+// panic, never an index.
 func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 	type cols = func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword)
 	hostile := []struct {
@@ -543,6 +604,10 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 			w[s[1]+1] = w[s[1]]
 			return p, s, w
 		}},
+		{"NaN coordinate", func(p []float64, s []int64, w []dataset.Keyword) ([]float64, []int64, []dataset.Keyword) {
+			p[len(p)-2] = math.NaN()
+			return p, s, w
+		}},
 	}
 
 	ds := testDataset(t, 13, 300, 3) // d=3: SP-KW's d=2 splitter has no flat form
@@ -562,14 +627,17 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 	if err := SaveFlat(spPath, sp); err != nil {
 		t.Fatal(err)
 	}
-	opens := map[string]func(string, FlatOptions) (*FlatHandle, error){
-		orpPath: func(p string, o FlatOptions) (*FlatHandle, error) { _, h, err := OpenFlat[*ORPKW](p, o); return h, err },
-		spPath:  func(p string, o FlatOptions) (*FlatHandle, error) { _, h, err := OpenFlat[*SPKW](p, o); return h, err },
+	opens := map[string]struct {
+		rows *dataset.Dataset
+		open func(string, FlatOptions) (*FlatHandle, error)
+	}{
+		orpPath: {&orp.fw.rows, func(p string, o FlatOptions) (*FlatHandle, error) { _, h, err := OpenFlat[*ORPKW](p, o); return h, err }},
+		spPath:  {&sp.fw.rows, func(p string, o FlatOptions) (*FlatHandle, error) { _, h, err := OpenFlat[*SPKW](p, o); return h, err }},
 	}
-	p0, s0, w0 := ds.Columns()
 	for _, tc := range hostile {
-		p, s, w := tc.edit(slices.Clone(p0), slices.Clone(s0), slices.Clone(w0))
-		for clean, open := range opens {
+		for clean, img := range opens {
+			p0, s0, w0 := img.rows.Columns()
+			p, s, w := tc.edit(slices.Clone(p0), slices.Clone(s0), slices.Clone(w0))
 			bad := resealed(t, clean, func(id uint32, data []byte) []byte {
 				switch id {
 				case codec.SecFlatPoints:
@@ -582,7 +650,7 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 				return data
 			})
 			for _, o := range []FlatOptions{{}, {NoMmap: true}} {
-				h, err := open(bad, o)
+				h, err := img.open(bad, o)
 				if err == nil {
 					h.Close()
 				}
@@ -594,57 +662,13 @@ func TestOpenRefusesHostileDatasetColumns(t *testing.T) {
 	}
 }
 
-// An ORPKW image's coordinates are its dataset's points read through its
-// rank column; open derives every box from them, so an image whose
-// coordinates say anything else — one float off, two ranks swapped, a NaN —
-// is refused as codec.ErrCorrupt, mapped or not, and one cut short is
-// refused too.
-func TestOpenRefusesCoordsOffThePoints(t *testing.T) {
-	ds := testDataset(t, 17, 300, 2)
-	built, err := BuildORPKW(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := filepath.Join(t.TempDir(), "clean.kwflat")
-	if err := SaveFlat(clean, built); err != nil {
-		t.Fatal(err)
-	}
-	coords := func(edit func(c []float64) []float64) func(uint32, []byte) []byte {
-		return func(id uint32, data []byte) []byte {
-			if id != codec.SecFlatCoords {
-				return data
-			}
-			return codec.Put(edit(codec.Get[float64](data)))
-		}
-	}
-	for _, tc := range []struct {
-		name    string
-		edit    func(c []float64) []float64
-		corrupt bool
-	}{
-		{"one float up", func(c []float64) []float64 { c[5] = math.Nextafter(c[5], math.Inf(1)); return c }, true},
-		{"two ranks swapped", func(c []float64) []float64 { c[0], c[1], c[2], c[3] = c[2], c[3], c[0], c[1]; return c }, true},
-		{"NaN", func(c []float64) []float64 { c[len(c)-1] = math.NaN(); return c }, true},
-		{"moved outside every query", func(c []float64) []float64 { c[8], c[9] = 1e9, 1e9; return c }, true},
-		{"one float short", func(c []float64) []float64 { return c[:len(c)-1] }, false},
-	} {
-		bad := resealed(t, clean, coords(tc.edit))
-		for _, o := range []FlatOptions{{}, {NoMmap: true}} {
-			if _, _, err := OpenFlat[*ORPKW](bad, o); err == nil || tc.corrupt && !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("%s (NoMmap=%v): open returned %v", tc.name, o.NoMmap, err)
-			}
-		}
-	}
-}
-
 // The boxes of an opened image are derived from the coordinates it compares,
-// never read from it, so no section can make a box vouch for a coordinate
-// outside it. An SPKW image may compare coordinates other than its points
-// (lifted ones), so one whose coordinates were moved opens — and still
-// reports only objects whose compared coordinate satisfies every constraint:
-// the object moved far outside is never reported, though its point lies
-// inside the queries and a covered cell stored by an older image would have
-// reported it unexamined.
+// its rows, never read from it, so no section can make a box vouch for a
+// coordinate outside it. The rows are the image's one copy of its points, so
+// one whose row was moved opens — and still reports only objects whose
+// stored coordinate satisfies every constraint: the object moved far outside
+// is never reported, though the built index reports it and a covered cell
+// stored by an older image would have reported it unexamined.
 func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 	ds := testDataset(t, 19, 400, 3)
 	built, err := BuildSPKW(ds, SPKWConfig{K: 2})
@@ -657,7 +681,7 @@ func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 	}
 	const moved = 37 // the rank sent far away
 	bad := resealed(t, clean, func(id uint32, data []byte) []byte {
-		if id != codec.SecFlatCoords {
+		if id != codec.SecFlatPoints {
 			return data
 		}
 		c := codec.Get[float64](data)
@@ -695,7 +719,7 @@ func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 				vouched++
 			}
 			for _, id := range ids {
-				p := a.coords[3*rankOf[id] : 3*rankOf[id]+3]
+				p := a.rows.Point(int32(rankOf[id]))
 				if id == victim || !geom.NewPolyhedron(hs...).ContainsPoint(p) {
 					t.Fatalf("query %d (NoMmap=%v): reported %d, compared at %v, outside %v", qi, o.NoMmap, id, p, hs)
 				}
@@ -713,8 +737,8 @@ func TestOpenedBoxesNeverVouchForOutsiders(t *testing.T) {
 // passes and only open's checks stand between the lie and an answer. Open
 // must refuse the file as codec.ErrCorrupt, or: every query returns without
 // panicking (a recovered panic is an error) and reports ids in [0, n) only,
-// and an ORP-KW image reports only objects whose point lies in the
-// rectangle.
+// and an ORP-KW image reports only objects whose row, the one copy of their
+// point, lies in the rectangle.
 func FuzzFlatImageHostile(f *testing.F) {
 	orp, err := BuildORPKW(testDataset(f, 23, 240, 2), 2, WithoutObs())
 	if err != nil {
@@ -733,14 +757,15 @@ func FuzzFlatImageHostile(f *testing.F) {
 	}
 	wide := map[uint32]bool{ // the sections of 8-byte values
 		codec.SecFlatMeta: true, codec.SecFlatNu: true, codec.SecFlatMatBits: true, codec.SecFlatTensorWrds: true,
-		codec.SecFlatCoords: true, codec.SecFlatPoints: true, codec.SecFlatDocStart: true,
+		codec.SecFlatPoints: true, codec.SecFlatDocStart: true,
 	}
 	for kind := range images {
 		for col := range flatColumns {
 			for _, at := range []uint32{0, 5} {
 				// 2 and 64 move a child or a list count across the derived
 				// offsets after it; 64 is also a word of tensor or bitmap bits.
-				for _, v := range []uint64{0, 1, 2, 64, 1 << 31, math.Float64bits(20), math.Float64bits(math.NaN()), math.MaxUint64} {
+				// A float sends a row's coordinate to 20, NaN or -Inf.
+				for _, v := range []uint64{0, 1, 2, 64, 1 << 31, math.Float64bits(20), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1)), math.MaxUint64} {
 					f.Add(uint8(kind), uint8(col), at, v)
 				}
 			}
@@ -775,26 +800,33 @@ func FuzzFlatImageHostile(f *testing.F) {
 				ix, h, err = OpenFlat[*ORPKW](path, o)
 				if err == nil {
 					fw := ix.Framework()
-					ds := fw.Dataset()
-					n = ds.Len()
+					n = len(fw.ids)
+					rankOf := make([]int32, n) // open checked the rank column is a permutation
+					for r, id := range fw.ids {
+						rankOf[id] = int32(r)
+					}
 					query = func(i int) ([]int32, error) {
 						q, ws := randImageRect(rng, 2), randKeywords(rng, 2)
 						if i%6 == 0 {
 							q = geom.UniverseRect(2)
 						}
-						// Half the queries aim at the rank whose coordinates the
-						// change may have moved: its keywords, a rectangle about
-						// them.
-						if r := int(at) / 2 % n; i%2 == 1 {
-							ws = ds.Doc(fw.ids[r])[:2]
-							if c := fw.coords[2*r : 2*r+2]; !math.IsInf(c[0], 0) && !math.IsInf(c[1], 0) {
+						// Half the queries aim at the rank whose row the change
+						// may have moved: its keywords, a rectangle about it.
+						if r := int32(int(at) / 2 % n); i%2 == 1 {
+							if doc := fw.rows.Doc(r); len(doc) >= 2 {
+								ws = doc[:2]
+							}
+							if c := fw.rows.Point(r); !math.IsInf(c[0], 0) && !math.IsInf(c[1], 0) {
 								q = geom.NewRect([]float64{c[0] - rng.Float64(), c[1] - rng.Float64()}, []float64{c[0] + rng.Float64(), c[1] + rng.Float64()})
 							}
 						}
 						ids, _, err := ix.CollectInto(q, ws, QueryOpts{}, nil)
 						for _, id := range ids {
-							if id >= 0 && int(id) < n && !q.ContainsPoint(ds.Point(id)) {
-								t.Fatalf("reported %d at %v, outside %v", id, ds.Point(id), q)
+							if id < 0 || int(id) >= n {
+								continue
+							}
+							if p := fw.rows.Point(rankOf[id]); !q.ContainsPoint(p) {
+								t.Fatalf("reported %d at %v, outside %v", id, p, q)
 							}
 						}
 						return ids, err
@@ -804,7 +836,7 @@ func FuzzFlatImageHostile(f *testing.F) {
 				var ix *SPKW
 				ix, h, err = OpenFlat[*SPKW](path, o)
 				if err == nil {
-					n = ix.Framework().Dataset().Len()
+					n = len(ix.Framework().ids)
 					query = func(int) ([]int32, error) {
 						hs := []geom.Halfspace{
 							{Coef: []float64{1, rng.Float64() - 0.5, rng.Float64() - 0.5}, Bound: rng.Float64() * 40},

@@ -18,11 +18,14 @@ import (
 // ORP-KW or LC-KW index saves as and is served from again without a rebuild.
 // Its sections are flatColumns (flat.go). An open maps the file, verifies
 // every page checksum and reads the columns back — on a little-endian host
-// with the file mapped the big ones (coordinates, lists, tensors) alias the
+// with the file mapped the big ones (rows, lists, tensors) alias the
 // mapping, and the page cache is the only copy — then trusts none of them:
 // every structural invariant the query path relies on is checked
 // (checkImage). The image holds only the independent columns: what they
-// determine, the kd boxes included, is derived again (derive).
+// determine, the kd boxes included, is derived again (derive). Its rows are
+// the framework's, by rank, as a checkpoint stores them: the coordinates
+// queries compare and the documents, and the rank column names each rank's
+// id. An opened image holds no other copy of its objects.
 // Only the rectangle splitter spart.KD round-trips: Willard2D's cells are
 // convex polygons built during the ham-sandwich recursion and have no
 // fixed-width serialized form.
@@ -89,16 +92,13 @@ func writeFlat[I FlatIndex](w io.Writer, ix I) error {
 	if _, ok := f.split.(*spart.KD); !ok {
 		return fmt.Errorf("core: splitter %T has no serializable cells (KD only)", f.split)
 	}
-	if len(f.ids) != f.ds.Len() {
-		return fmt.Errorf("core: framework indexes %d of the dataset's %d objects; an image holds all", len(f.ids), f.ds.Len())
-	}
 	m := &flatImage{
 		Framework: *f,
 		meta:      []uint64{flatSplitKD, uint64(f.pdim), uint64(len(f.nu)), codec.FlatImageVersion},
 		lists:     make([]int32, 0, 2*len(f.matLists)),
 		tensors:   f.tensorArena.Raw(),
 	}
-	m.points, m.docStart, m.docWords = f.ds.Columns()
+	m.points, m.docStart, m.docWords = f.rows.Columns()
 	for _, l := range f.matLists {
 		m.lists = append(m.lists, l.N, l.Rep)
 	}
@@ -106,7 +106,7 @@ func writeFlat[I FlatIndex](w io.Writer, ix I) error {
 	for i, col := range flatColumns {
 		secs[i] = codec.Section{ID: col.id, Data: col.put(m)}
 	}
-	meta := codec.PagedMeta{Kind: flatKind[I](), K: uint32(f.k), Dim: uint32(f.ds.Dim()), Count: uint64(f.ds.Len())}
+	meta := codec.PagedMeta{Kind: flatKind[I](), K: uint32(f.k), Dim: uint32(f.pdim), Count: uint64(len(f.ids))}
 	return codec.WriteContainer(w, meta.Encode(), secs)
 }
 
@@ -161,12 +161,9 @@ func openFlat[I FlatIndex](f *pager.File, o BuildOpts) (I, error) {
 		return nil, err
 	}
 	if flatKind[I]() == codec.PagedKindFlatSPKW {
-		return any(&SPKW{ds: fw.ds, fw: fw, fam: o.famFor(famLCKW)}).(I), nil
+		return any(&SPKW{fw: fw, fam: o.famFor(famLCKW)}).(I), nil
 	}
-	if err := fw.coordsArePoints(); err != nil {
-		return nil, err
-	}
-	return any(newORPKW(fw.ds, fw, o)).(I), nil
+	return any(newORPKW(fw, o)).(I), nil
 }
 
 // errImage refuses a flat image as codec.ErrCorrupt: a file whose pages all
@@ -176,9 +173,9 @@ func errImage(format string, args ...any) error {
 }
 
 // unpack checks the image's meta and turns the sections that hold a column
-// in another form into the framework's: the dataset, the list handles and
-// the tensor arena. The dataset aliases the sections it is read from, which
-// is safe over a read-only mapping: dataset.FromColumns validates without
+// in another form into the framework's: the rows, the list handles and the
+// tensor arena. The rows alias the sections they are read from, which is
+// safe over a read-only mapping: dataset.FromColumns validates without
 // writing.
 func (m *flatImage) unpack(meta codec.PagedMeta) error {
 	if meta.Dim < 1 || meta.Dim > 64 || meta.K < 2 || meta.K > 64 || meta.Count < 1 || meta.Count > 1<<31 {
@@ -194,8 +191,8 @@ func (m *flatImage) unpack(meta codec.PagedMeta) error {
 	if fm[0] != flatSplitKD {
 		return errImage("splitter kind %d unknown", fm[0])
 	}
-	if fm[1] < 1 || fm[1] > 64 || fm[2] < 1 || fm[2] > 1<<31 {
-		return errImage("meta pdim %d / nodes %d out of range", fm[1], fm[2])
+	if fm[1] != uint64(meta.Dim) || fm[2] < 1 || fm[2] > 1<<31 {
+		return errImage("meta pdim %d of dimension %d / nodes %d out of range", fm[1], meta.Dim, fm[2])
 	}
 	if uint64(len(m.nu)) != fm[2] {
 		return errImage("meta claims %d nodes, weights carry %d", fm[2], len(m.nu))
@@ -203,9 +200,9 @@ func (m *flatImage) unpack(meta codec.PagedMeta) error {
 	if uint64(len(m.docStart)) != meta.Count+1 {
 		return errImage("%d document offsets for %d objects", len(m.docStart), meta.Count)
 	}
-	ds, err := dataset.FromColumns(int(meta.Dim), m.points, m.docStart, m.docWords)
+	rows, err := dataset.FromColumns(int(meta.Dim), m.points, m.docStart, m.docWords)
 	if err != nil {
-		return errImage("dataset: %v", err)
+		return errImage("rows: %v", err)
 	}
 	if len(m.lists)%2 != 0 {
 		return errImage("list handle column of %d values is not {n, rep} pairs", len(m.lists))
@@ -215,8 +212,8 @@ func (m *flatImage) unpack(meta codec.PagedMeta) error {
 		m.matLists[i] = FlatList{N: m.lists[2*i], Rep: m.lists[2*i+1]}
 	}
 	m.lists = nil // the opened framework keeps m alive; the pairs are matLists now
-	pdim := int(fm[1])
-	m.ds, m.k, m.split, m.pdim = ds, int(meta.K), &spart.KD{Dim: pdim}, pdim
+	pdim := int(meta.Dim)
+	m.rows, m.k, m.split, m.pdim = *rows, int(meta.K), &spart.KD{Dim: pdim}, pdim
 	m.tensorArena = bits.ArenaFromWords(m.tensors)
 	return nil
 }
@@ -233,12 +230,9 @@ func (f *Framework) checkImage() error {
 	if nn < 1 || nn > math.MaxInt32 {
 		return errImage("%d nodes", nn)
 	}
-	n := f.ds.Len()
+	n := f.rows.Len()
 	if len(f.childCount) != nn || len(f.pivotCount) != nn {
 		return errImage("skeleton columns disagree on node count")
-	}
-	if len(f.coords) != n*f.pdim {
-		return errImage("%d coordinates for %d objects of dimension %d", len(f.coords), n, f.pdim)
 	}
 	if len(f.ids) != n {
 		return errImage("%d ranks for %d objects", len(f.ids), n)
@@ -285,8 +279,8 @@ func (f *Framework) checkImage() error {
 		return errImage("%d nodes, the BFS layout covers %d", nn, next)
 	}
 
-	// Rank space. The column must be a permutation of the dataset ids: emit
-	// translates through it and document probes index the dataset with it.
+	// Rank space. The column must be a permutation of the ids [0, n): emit
+	// translates through it, and a caller's answer names each object once.
 	seen := bits.NewDense(n)
 	for r, id := range f.ids {
 		if id < 0 || int(id) >= n || seen.Get(int(id)) {
@@ -329,24 +323,6 @@ func (f *Framework) checkImage() error {
 			}
 			if err != nil {
 				return errImage("node %d list %d: %v", u, i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// coordsArePoints checks what an ORP-KW image must hold: an ORPKW compares
-// the dataset's own points, so the coordinates must be the points read
-// through the rank column, bit for bit. An image whose coordinates differ is
-// refused as codec.ErrCorrupt.
-func (f *Framework) coordsArePoints() error {
-	if d := f.ds.Dim(); f.pdim != d {
-		return errImage("coordinates of dimension %d, points of %d", f.pdim, d)
-	}
-	for r, id := range f.ids {
-		for j, p := range f.ds.Point(id) {
-			if c := f.coords[r*f.pdim+j]; math.Float64bits(c) != math.Float64bits(p) {
-				return errImage("rank %d coordinate %d is %g, the point of object %d has %g", r, j, c, id, p)
 			}
 		}
 	}

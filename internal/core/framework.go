@@ -32,7 +32,6 @@ import (
 //   - the materialized lists D_u^act(w) for keywords that are small at u
 //     but large at all proper ancestors.
 type Framework struct {
-	ds    *dataset.Dataset
 	k     int
 	split spart.Splitter
 
@@ -40,11 +39,11 @@ type Framework struct {
 	// tree, a node's pivots first, then its children's subtrees in child
 	// order. Every node therefore owns one contiguous rank interval [lo, hi)
 	// whose first entries are its pivots. Ranks are the only id space inside a
-	// Framework — lists, bitmaps and coords are all addressed by them — and
-	// ids translates back where an object leaves it: emit and document probes.
-	ids    []int32   // rank -> dataset id
-	coords []float64 // the coordinates queries compare, pdim per rank
-	pdim   int
+	// Framework — lists, bitmaps and rows are all addressed by them — and ids
+	// translates back where an object leaves it, at emit.
+	ids  []int32         // rank -> dataset id
+	rows dataset.Dataset // by rank: the coordinates queries compare, pdim a row, and the document
+	pdim int
 
 	flatLayout // the tree: node skeleton and payload arenas (flat.go)
 
@@ -165,8 +164,10 @@ func BuildFramework(ds *dataset.Dataset, cfg FrameworkConfig) (*Framework, error
 	f := b.f
 	// The root's incoming keyword set is every keyword present among the
 	// objects: each is vacuously large at all (zero) proper ancestors.
-	b.hang(0, b.postings(ds, objs))
-	f.ids, f.coords = b.gatherCoords(objs)
+	roots, docStart, docWords := b.postings(ds, objs)
+	b.hang(0, roots)
+	ids, rows := b.gatherRows(ds, objs, docStart, docWords)
+	f.ids, f.rows = ids, *rows
 	f.pack(b.nodes, b.cells)
 	if err := f.derive(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -185,7 +186,6 @@ func treePass(ds *dataset.Dataset, cfg FrameworkConfig) (b *builder, objs []int3
 		return nil, nil, fmt.Errorf("core: nil splitter")
 	}
 	f := &Framework{
-		ds:    ds,
 		k:     cfg.K,
 		split: cfg.Splitter,
 	}
@@ -278,12 +278,14 @@ func kdColumn(ds *dataset.Dataset, objs []int32, cfg FrameworkConfig, dim int) (
 	return col, nil
 }
 
-// gatherCoords returns the rank columns: ids, the leaf order turned in place
-// from local ids to dataset ids, and the coordinates queries compare, pdim by
-// rank. Rank ranges are gathered on as many goroutines as the gate lends.
-func (b *builder) gatherCoords(objs []int32) (ids []int32, coords []float64) {
+// gatherRows returns the rank columns: ids, the leaf order turned in place
+// from local ids to dataset ids, and the rows, rank r the coordinates queries
+// compare (pdim of them) and the document of object ids[r], which postings
+// laid out by rank in docStart and docWords. Rank ranges are gathered on as
+// many goroutines as the gate lends.
+func (b *builder) gatherRows(ds *dataset.Dataset, objs []int32, docStart []int64, docWords []dataset.Keyword) (ids []int32, rows *dataset.Dataset) {
 	n, pdim := len(b.seq), b.f.pdim
-	ids, coords = b.seq, make([]float64, n*pdim)
+	ids, coords := b.seq, make([]float64, n*pdim)
 	b.gate.spread(n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			id := ids[r]
@@ -295,7 +297,7 @@ func (b *builder) gatherCoords(objs []int32) (ids []int32, coords []float64) {
 			ids[r] = objs[id]
 		}
 	})
-	return ids, coords
+	return ids, dataset.Reordered(pdim, coords, docStart, docWords, ds.W())
 }
 
 func iota32(n int) []int32 {
@@ -595,12 +597,17 @@ func (b *builder) leaf(idx int32, objs []int32) {
 // run of its posting, and the keyword pass reads nothing else. It returns the
 // root's runs: every keyword's whole posting.
 //
+// The pass that writes the postings walks the documents by rank, and writes
+// them out as it goes: it returns, beside the root's runs, the documents by
+// rank, rank r's at docWords[docStart[r]:docStart[r+1]] (gatherRows' rows).
+//
 // Each pass runs on as many goroutines as the gate lends: ranges of objects
 // number their own keywords, writing their documents as part-local ids, and
 // the part tables merge in order; the later parts' documents are renumbered
-// in place; and ranges of ranks count their postings, then write them from
-// cursors the counts place. The documents, by object, are dropped on return.
-func (b *builder) postings(ds *dataset.Dataset, objs []int32) []run {
+// in place; and ranges of ranks count their postings and words, then write
+// them from cursors the counts place. The documents, by object, are dropped
+// on return.
+func (b *builder) postings(ds *dataset.Dataset, objs []int32) (roots []run, docStart []int64, docWords []dataset.Keyword) {
 	n := len(objs)
 	start := make([]int32, n+1) // by local id: where its document starts in docs
 	for i, w := range b.weight {
@@ -647,16 +654,17 @@ func (b *builder) postings(ds *dataset.Dataset, objs []int32) []run {
 		})
 	}
 
-	roots := make([]run, len(cnt))
+	roots = make([]run, len(cnt))
 	var off int32
 	for d, c := range cnt {
 		roots[d] = run{w: int32(d), off: off, n: c}
 		off += c
 	}
 	b.post = make([]int32, off)
-	// Per range of ranks: its count of each dense id, then its cursor. One
-	// range's counts are the merged counts.
-	at := cnts
+	docStart, docWords = make([]int64, n+1), make([]dataset.Keyword, off)
+	// Per range of ranks: its count of each dense id, then its cursor, and its
+	// first word. One range's counts are the merged counts.
+	at, first := cnts, make([]int64, parts+1)
 	if parts > 1 {
 		b.gate.each(parts, func(p int) {
 			c := make([]int32, len(cnt))
@@ -664,9 +672,13 @@ func (b *builder) postings(ds *dataset.Dataset, objs []int32) []run {
 				for _, d := range docs[start[id]:start[id+1]] {
 					c[d]++
 				}
+				first[p+1] += int64(start[id+1] - start[id])
 			}
 			at[p] = c
 		})
+	}
+	for p := range parts {
+		first[p+1] += first[p]
 	}
 	for d := range roots {
 		o := roots[d].off
@@ -675,15 +687,18 @@ func (b *builder) postings(ds *dataset.Dataset, objs []int32) []run {
 		}
 	}
 	b.gate.each(parts, func(p int) {
-		cur, lo := at[p], p*n/parts
+		cur, lo, w := at[p], p*n/parts, first[p]
 		for i, id := range b.seq[lo : (p+1)*n/parts] {
 			for _, d := range docs[start[id]:start[id+1]] {
 				b.post[cur[d]] = int32(lo + i)
 				cur[d]++
+				docWords[w] = b.words[d]
+				w++
 			}
+			docStart[lo+i+1] = w
 		}
 	})
-	return roots
+	return roots, docStart, docWords
 }
 
 // hang runs Step 2 at node idx and below, given the node's incoming keywords
@@ -942,9 +957,6 @@ func tensorIndex(sorted []int32, L int) int64 {
 
 // K returns the keyword arity the index was built for.
 func (f *Framework) K() int { return f.k }
-
-// Dataset returns the underlying dataset.
-func (f *Framework) Dataset() *dataset.Dataset { return f.ds }
 
 // NumNodes returns the number of tree nodes.
 func (f *Framework) NumNodes() int { return len(f.nu) }

@@ -62,8 +62,8 @@ func TestLargeSmallInvariants(t *testing.T) {
 		threshold := math.Pow(float64(nu), 1-1/k)
 		// Count the active set of this node: the objects of its rank interval.
 		counts := map[dataset.Keyword]int64{}
-		for _, id := range f.ids[lo:hi] {
-			for _, w := range f.ds.Doc(id) {
+		for r := lo; r < hi; r++ {
+			for _, w := range f.rows.Doc(r) {
 				counts[w]++
 			}
 		}
@@ -85,7 +85,7 @@ func TestLargeSmallInvariants(t *testing.T) {
 				t.Fatalf("node %d: list of keyword %d claims %d entries, holds %d", u, w, f.matLists[i].N, len(lst))
 			}
 			for _, r := range lst {
-				if !f.ds.Has(f.ids[r], w) {
+				if !f.rows.Has(r, w) {
 					t.Fatalf("node %d: rank %d listed under keyword %d, which its object lacks", u, r, w)
 				}
 			}
@@ -130,12 +130,13 @@ func TestTensorSoundness(t *testing.T) {
 		}
 		for ci := int32(0); ci < f.childCount[u]; ci++ {
 			child := f.childFirst[u] + ci
-			sub := f.ids[f.rankLo[child] : f.rankLo[child]+f.rankSpan[child]]
+			lo, hi := f.rankLo[child], f.rankLo[child]+f.rankSpan[child]
 			for a := int32(0); a < L; a++ {
 				for b := a + 1; b < L; b++ {
-					want := slices.ContainsFunc(sub, func(id int32) bool {
-						return f.ds.Has(id, byIdx[a]) && f.ds.Has(id, byIdx[b])
-					})
+					want := false
+					for r := lo; r < hi && !want; r++ {
+						want = f.rows.Has(r, byIdx[a]) && f.rows.Has(r, byIdx[b])
+					}
 					got := f.tensorGet(int32(u), ci, tensorIndex([]int32{a, b}, int(L)))
 					if got != want {
 						t.Fatalf("node %d child %d: tensor bit (%d,%d) = %v, want %v",
@@ -259,8 +260,10 @@ func TestFrameworkAccessors(t *testing.T) {
 	if f.K() != 3 || ix.K() != 3 {
 		t.Fatal("K accessor wrong")
 	}
-	if f.Dataset() != ds {
-		t.Fatal("Dataset accessor wrong")
+	for r, id := range f.ids {
+		if !slices.Equal(f.rows.Point(int32(r)), ds.Point(id)) || !slices.Equal(f.rows.Doc(int32(r)), ds.Doc(id)) {
+			t.Fatalf("rank %d holds %v, not object %d", r, f.rows.Object(int32(r)), id)
+		}
 	}
 	if f.NumNodes() <= 1 {
 		t.Fatal("tree did not split")

@@ -90,7 +90,8 @@ func TestPostingsNumberByFirstOccurrence(t *testing.T) {
 		for i := range b.weight {
 			b.weight[i] = ds.DocLen(int32(i))
 		}
-		return b, b.postings(ds, iota32(n))
+		roots, _, _ := b.postings(ds, iota32(n))
+		return b, roots
 	}
 	seqB, seqRuns := lay(nil)
 	parB, parRuns := lay(newParGate(4))

@@ -295,8 +295,8 @@ func TestORPKWHighMemoryFollowsItsObjects(t *testing.T) {
 		secondaries := frameworksOf(t, ix)
 		held := 0
 		for _, f := range secondaries {
-			if len(f.coords) != len(f.ids)*f.pdim {
-				t.Fatalf("n=%d: a secondary over %d objects keeps %d coordinates", n, len(f.ids), len(f.coords))
+			if coords, _, _ := f.rows.Columns(); len(coords) != len(f.ids)*f.pdim {
+				t.Fatalf("n=%d: a secondary over %d objects keeps %d coordinates", n, len(f.ids), len(coords))
 			}
 			held += len(f.ids)
 		}

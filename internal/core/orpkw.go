@@ -9,15 +9,14 @@ import (
 // ORPKW is the orthogonal-range-reporting-with-keywords index of Theorem 1:
 // the kd-tree put through the transformation framework. The tree is split in
 // rank space (Step 4, Section 3.4), which gives it general position, and
-// queried in the points' own coordinates: its coords are the dataset's
-// points by rank and a node's cell is their tight box, which relates to a
+// queried in the points' own coordinates: its rows are the dataset's
+// objects by rank and a node's cell is their points' tight box, which relates to a
 // rectangle exactly as the node's rank box relates to the rectangle's rank
 // conversion (DESIGN.md, substitution 2). For d <= 2 it provides the paper's
 // O(N)-space, O(N^{1-1/k} (1 + OUT^{1/k}))-query guarantee; for d >= 3 the
 // same construction still answers correctly but its crossing sensitivity
 // degrades as noted in Section 3.5 — use ORPKWHigh (Theorem 2) there.
 type ORPKW struct {
-	ds *dataset.Dataset
 	fw *Framework
 
 	fam family // metrics family (famNone when built with NoObs)
@@ -45,16 +44,16 @@ func buildORPKW(ds *dataset.Dataset, k int, opts BuildOpts) (*ORPKW, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newORPKW(ds, fw, opts)
+	ix := newORPKW(fw, opts)
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
 
 // newORPKW assembles the index around its framework, deriving the root's
 // keyword directories; the space audit counts them beside the tree.
-func newORPKW(ds *dataset.Dataset, fw *Framework, opts BuildOpts) *ORPKW {
+func newORPKW(fw *Framework, opts BuildOpts) *ORPKW {
 	fw.space.AuxWords += fw.indexRoot()
-	return &ORPKW{ds: ds, fw: fw, fam: opts.famFor(famORPKW)}
+	return &ORPKW{fw: fw, fam: opts.famFor(famORPKW)}
 }
 
 // Query reports every object in q whose document contains all keywords.
@@ -101,7 +100,7 @@ func (ix *ORPKW) CollectInto(q *geom.Rect, ws []dataset.Keyword, opts QueryOpts,
 // check rejects a query the index cannot answer: an invalid rectangle or a
 // keyword tuple of the wrong arity or with duplicates.
 func (ix *ORPKW) check(q *geom.Rect, ws []dataset.Keyword) error {
-	if err := validateRect(q, ix.ds.Dim()); err != nil {
+	if err := validateRect(q, ix.fw.pdim); err != nil {
 		return err
 	}
 	return ix.fw.checkQuery(ws)

@@ -344,7 +344,9 @@ func TestParallelBuildIdenticalImage(t *testing.T) {
 	for i, seq := range secondaries[0] {
 		par := secondaries[1][i]
 		rankStructure(t, fmt.Sprintf("secondary %d", i), par)
-		if !slices.Equal(seq.ids, par.ids) || !slices.Equal(seq.coords, par.coords) {
+		sp, ss, sw := seq.rows.Columns()
+		pp, ps, pw := par.rows.Columns()
+		if !slices.Equal(seq.ids, par.ids) || !slices.Equal(sp, pp) || !slices.Equal(ss, ps) || !slices.Equal(sw, pw) {
 			t.Fatalf("secondary %d: parallel build ranks its objects differently", i)
 		}
 	}

@@ -45,24 +45,27 @@ func TestBuildOutputPinned(t *testing.T) {
 		// its coordinates the dataset's points by rank instead of their ranks,
 		// and no cell or rank-table section. Every image was re-pinned for
 		// version 5, which stores no column derive computes and list handles
-		// as {n, rep} pairs: the same layout in memory, the same answers.
+		// as {n, rep} pairs: the same layout in memory, the same answers; and
+		// again for version 6, which stores the objects once, by rank, as a
+		// checkpoint does, and no coordinate section beside them: the same
+		// tree, ranks and answers.
 		{"ORPKW/d=2/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf2, 2) },
-			"0d7810310e2775895f0fee02d1c7c2d83ef6b5b1ae75eb463430962014434e28"},
+			"760371e3cabd7c33e224022a35b40e9143fc5458b2e0f44a7abab74bb5356fcb"},
 		{"ORPKW/d=2/k=3/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, planted, 3) },
-			"1332fe7ee1dd1b34fa270efdf752033c976bbe2623d07d83197971404f16479e"},
+			"4a236d18ce570412385e86aaf2ce2bba00d77bc599c818360d61f28905706bc6"},
 		// heavy-core's shape at an eighth of its N, built with spare
 		// goroutines: subtrees of at least 2 048 objects go to other
 		// goroutines, and below the top few levels no keyword is incoming.
 		{"ORPKW/heavy-core/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, heavy, 3, WithParallelism(4)) },
-			"c240edff05b9fa2be5490cae78d279b3aee3dfe16628858f365c6950fd2bf85b"},
+			"ce1125eceeac1207a255d9ec98e30b12ae130e0e7ef1276f38602ea58ce3e63c"},
 		// Raw coordinates drawn from seven values, -0 and +0 and both
 		// infinities among them: the build orders them as rank space does,
 		// ties by id, so every split has one pivot, as over distinct ranks.
 		// Pinned before the build stopped materialising the rank space.
 		{"ORPKW/ties/par=4/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, ties, 2, WithParallelism(4)) },
-			"55a9633148b7968031bdcc4ba4c9d5b5d701de75b6d125f23f55bf5782bdce48"},
+			"2a0e7eccba02247408dba0308a10c41f6bbf1939944359dd3693ff94d47e25e5"},
 		{"ORPKW/d=3/k=2/image", func(t *testing.T, h hash.Hash) { saveORPKW(t, h, zipf3, 2) },
-			"cc5290dcd0385ef747e2ab36dcf1f7976c6285eaf543e8f8340b92ea260284eb"},
+			"2df5a665dc9dc6395117af31a46a0672bff028699e2d6eabf40bff62a0fe7129"},
 		// Was the Box splitter's image; re-pinned as KD, which took over its
 		// families, on the same raw coordinates. Both KD images were re-pinned
 		// again for version 4, which drops the cell section.
@@ -72,7 +75,7 @@ func TestBuildOutputPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkOpenedDefinitions(t, ix)
-		}, "f88e806f3a88fa57248f6c8742725aa9cb39fca70db76575450b99c85eb360fd"},
+		}, "d18ef0acaec079e727e7ace7bd1ec2c8325479f5a6481cccf32b6f26c83b8182"},
 		// Raw coordinates on a 16x16 grid: every kd median sits in a tie
 		// block, which rank space never produces. Re-pinned when a split over
 		// a tie block cut at its edge instead of making it the pivot set.
@@ -82,7 +85,7 @@ func TestBuildOutputPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkOpenedDefinitions(t, ix)
-		}, "59bbc95cc756cd2f8eabb84e6d41d52a837a2d7884a977f79f61848c03128d4e"},
+		}, "ab3b6ad58087bcbf65fb31fe068cff051f551e40a3487e5dded86f9c87727998"},
 		{"LCKW/Willard2D/digest", func(t *testing.T, h hash.Hash) {
 			digestSPKW(t, h, pinnedSPKW(t, small2, &spart.Willard2D{}))
 		}, "9801593b7ab5bfc807707be623ff1cbe484e4c871130e375b5c29b487c34f9e9"},

@@ -267,7 +267,7 @@ type qctx struct {
 
 	// Rect fast path: when q is a *geom.Rect, enter caches its bounds so
 	// relate and checkAndEmit compare them inline against the box arena and
-	// the coords column instead of through an interface call.
+	// the rows' coordinates instead of through an interface call.
 	qLo, qHi []float64
 
 	// part is set while the context runs one Bentley–Saxe bucket of a
@@ -333,20 +333,20 @@ func (qc *qctx) emit(id int32) {
 func (qc *qctx) checkAndEmit(r int32, covered bool, ws []dataset.Keyword) {
 	f := qc.f
 	if !covered {
-		if base := int(r) * f.pdim; qc.qLo == nil {
-			if !qc.q.ContainsPoint(f.coords[base : base+f.pdim]) {
+		if p := f.rows.Point(r); qc.qLo == nil {
+			if !qc.q.ContainsPoint(p) {
 				return
 			}
 		} else {
 			for j, lo := range qc.qLo {
-				if c := f.coords[base+j]; !(lo <= c && c <= qc.qHi[j]) {
+				if c := p[j]; !(lo <= c && c <= qc.qHi[j]) {
 					return
 				}
 			}
 		}
 	}
-	if id := f.ids[r]; f.ds.HasAll(id, ws) {
-		qc.emit(id)
+	if f.rows.HasAll(r, ws) {
+		qc.emit(f.ids[r])
 	}
 }
 

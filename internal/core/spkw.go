@@ -21,7 +21,6 @@ import (
 // convex region goes through Framework().Query, as the SRP-KW ablation runs
 // sphere queries without lifting.
 type SPKW struct {
-	ds *dataset.Dataset
 	fw *Framework
 
 	fam family
@@ -72,7 +71,7 @@ func buildSPKW(ds *dataset.Dataset, cfg SPKWConfig, opts BuildOpts) (*SPKW, erro
 	if err != nil {
 		return nil, err
 	}
-	ix := &SPKW{ds: ds, fw: fw, fam: opts.famFor(famLCKW)}
+	ix := &SPKW{fw: fw, fam: opts.famFor(famLCKW)}
 	obsBuildEnd(ix.fam, bt)
 	return ix, nil
 }
@@ -122,17 +121,18 @@ func (ix *SPKW) K() int { return ix.fw.K() }
 // each, and de-duplicate objects on shared triangle edges. It returns the
 // same results as Query, which queries the polyhedron directly;
 // both are exposed so the reduction itself is testable. Only d = 2 is
-// supported (the materialization uses polygon clipping).
+// supported (the materialization uses polygon clipping), in the coordinates
+// the index compares.
 func (ix *SPKW) QueryConstraintsViaSimplices(hs []geom.Halfspace, ws []dataset.Keyword, report func(int32)) (QueryStats, error) {
-	if ix.ds.Dim() != 2 {
-		return QueryStats{}, fmt.Errorf("core: simplex-partition route supports d=2 only, dataset has d=%d", ix.ds.Dim())
+	if ix.fw.pdim != 2 {
+		return QueryStats{}, fmt.Errorf("core: simplex-partition route supports d=2 only, the index compares d=%d", ix.fw.pdim)
 	}
 	if len(hs) == 0 {
 		return QueryStats{}, fmt.Errorf("core: LC-KW query needs at least one constraint")
 	}
-	pts := make([]geom.Point, ix.ds.Len())
-	for i := range pts {
-		pts[i] = ix.ds.Point(int32(i))
+	pts := make([]geom.Point, ix.fw.rows.Len())
+	for r := range pts {
+		pts[r] = ix.fw.rows.Point(int32(r))
 	}
 	bound := geom.BoundingRect(pts)
 	pad := 1.0

@@ -107,9 +107,14 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 		nodes = append(nodes, fnode{lo: int32(n), hi: int32(n)})
 		root = &nodes[0]
 	}
-	coords := make([]float64, 0, n*pdim)
+	coords, docStart, docWords := make([]float64, 0, n*pdim), []int64{0}, []dataset.Keyword(nil)
 	for _, id := range ids {
-		coords = append(coords, ds.Point(id)...)
+		coords, docWords = append(coords, ds.Point(id)...), append(docWords, ds.Doc(id)...)
+		docStart = append(docStart, int64(len(docWords)))
+	}
+	rows, err := dataset.FromColumns(pdim, coords, docStart, docWords)
+	if err != nil {
+		panic(err)
 	}
 	kw := &kwNode{large: slices.Clone(large)}
 	root.nu, root.kw = ds.N(), kw
@@ -131,7 +136,7 @@ func stopNodeFramework(ds *dataset.Dataset, k int, large, small []dataset.Keywor
 		kw.mat = append(kw.mat, w)
 		kw.lists = append(kw.lists, l)
 	}
-	f := &Framework{ds: ds, k: k, split: split, ids: ids, coords: coords, pdim: pdim}
+	f := &Framework{k: k, split: split, ids: ids, rows: *rows, pdim: pdim}
 	f.pack(nodes, nil)
 	if err := f.derive(); err != nil {
 		panic(err)
@@ -666,7 +671,8 @@ func frameworksOf(t *testing.T, ix any) []*Framework {
 }
 
 // rankStructure checks what leaf-order numbering promises of a built
-// framework: the rank column is a permutation of the objects, the root's
+// framework: the rank column names each object once beside a row of its
+// own, the root's
 // interval is all of it, every node's children tile its interval after its
 // pivots, and every materialized list is stored by the density rule — strictly
 // ascending ranks of the node's interval, or a bitmap of exactly its span with
@@ -676,10 +682,13 @@ func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int)
 	t.Helper()
 	seen := map[int32]bool{}
 	for _, id := range f.ids {
-		if id < 0 || int(id) >= f.ds.Len() || seen[id] {
+		if id < 0 || seen[id] {
 			t.Fatalf("%s: rank column repeats or invents id %d", label, id)
 		}
 		seen[id] = true
+	}
+	if f.rows.Len() != len(f.ids) {
+		t.Fatalf("%s: %d rows for %d ranks", label, f.rows.Len(), len(f.ids))
 	}
 	if f.rankLo[0] != 0 || int(f.rankSpan[0]) != len(f.ids) {
 		t.Fatalf("%s: root interval [%d, +%d) over %d objects", label, f.rankLo[0], f.rankSpan[0], len(f.ids))
@@ -711,8 +720,8 @@ func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int)
 				sparse++
 			}
 			want := 0
-			for _, id := range f.ids[lo:hi] {
-				if f.ds.Has(id, w) {
+			for r := lo; r < hi; r++ {
+				if f.rows.Has(r, w) {
 					want++
 				}
 			}
@@ -720,7 +729,7 @@ func rankStructure(t *testing.T, label string, f *Framework) (sparse, dense int)
 				t.Fatalf("%s: list of keyword %d holds %d ranks and claims %d, the interval %d carriers", label, w, len(ranks), f.matLists[i].N, want)
 			}
 			for j, r := range ranks {
-				if r < lo || r >= hi || (j > 0 && r <= ranks[j-1]) || !f.ds.Has(f.ids[r], w) {
+				if r < lo || r >= hi || (j > 0 && r <= ranks[j-1]) || !f.rows.Has(r, w) {
 					t.Fatalf("%s: list of keyword %d over [%d, %d) is not ascending carriers: %v", label, w, lo, hi, ranks)
 				}
 			}

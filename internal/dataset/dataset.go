@@ -248,6 +248,16 @@ func FromColumns(dim int, points []float64, docStart []int64, docWords []Keyword
 	return &Dataset{points: points, docStart: docStart, docWords: docWords, w: w, dim: dim}, nil
 }
 
+// Reordered wraps columns that hold objects of a Dataset in another order —
+// an index's copy of its objects, in the order it reaches them — without
+// FromColumns' checks: each document is copied whole from a Dataset, so the
+// columns are canonical as they come. The points are taken as given (an
+// index may compare coordinates other than the objects' points, lifted
+// ones), and w is the source's vocabulary bound.
+func Reordered(dim int, points []float64, docStart []int64, docWords []Keyword, w int) *Dataset {
+	return &Dataset{points: points, docStart: docStart, docWords: docWords, w: w, dim: dim}
+}
+
 // ValidatePoint refuses a NaN coordinate. NaN has no place in any order, so
 // rank space and the splitters would sort it inconsistently and miss finite
 // matches; infinite coordinates order like any other and are accepted.

@@ -238,26 +238,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes every metric in place (registered pointers stay valid, which
-// is what instrumented indexes hold). Intended for tests and benchmarks.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
-}
-
 // defaultReg is the process-wide registry every instrumented index feeds.
 var defaultReg = NewRegistry()
 

@@ -69,7 +69,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotAndReset(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("queries_total")
 	c.Add(3)
@@ -82,15 +82,6 @@ func TestRegistrySnapshotAndReset(t *testing.T) {
 	}
 	if s.NumSeries() != 3 {
 		t.Fatalf("NumSeries = %d, want 3", s.NumSeries())
-	}
-
-	r.Reset()
-	if c.Load() != 0 {
-		t.Fatal("Reset must zero metrics in place")
-	}
-	c.Inc() // the pre-Reset pointer must still feed the registry
-	if r.Snapshot().Counter("queries_total") != 1 {
-		t.Fatal("pre-Reset pointers must stay registered")
 	}
 }
 

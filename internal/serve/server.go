@@ -181,7 +181,8 @@ func newStaticShard(i int, objs []kwsc.Object, globals []int64, cfg Config) (sha
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %d index: %w", i, err)
 	}
-	return &staticShard{ix: ix, ds: ds, globals: globals}, nil
+	points, _, _ := ds.Columns()
+	return &staticShard{ix: ix, points: points, dim: ds.Dim(), globals: globals}, nil
 }
 
 // NewDynamic builds one mutable shard per partition. With dir non-empty

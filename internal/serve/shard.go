@@ -78,10 +78,13 @@ type shard interface {
 // staticShard serves a read-only partition from its index alone: kwsc.ORPKW
 // at d <= 2, kwsc.ORPKWHigh at d >= 3. In the degraded band a node-budget
 // stop returns the prefix-correct partial answer, as on every shard kind; a
-// recovered index panic is a failed leg.
+// recovered index panic is a failed leg. Beside its index it keeps only its
+// points by local id, which the exact-region filter reads: the documents
+// live in the index alone.
 type staticShard struct {
 	ix      kwsc.Index[*kwsc.Rect] // nil for an empty partition
-	ds      *kwsc.Dataset
+	points  []float64              // local id -> point, dim coordinates a row
+	dim     int
 	globals []int64 // local id -> global id
 }
 
@@ -111,7 +114,7 @@ func (s *staticShard) collect(_ *kwsc.QueryRequest, q *kwsc.Rect, exact kwsc.Reg
 	}
 	ids := buf.ids[:0]
 	for _, id := range local {
-		if exact != nil && !exact.ContainsPoint(s.ds.Point(id)) {
+		if exact != nil && !exact.ContainsPoint(s.points[int(id)*s.dim:int(id+1)*s.dim]) {
 			continue
 		}
 		ids = append(ids, s.globals[id])
@@ -125,12 +128,7 @@ func (s *staticShard) insert(kwsc.Object) (int64, uint64, error) { return 0, 0, 
 func (s *staticShard) remove(int64) (bool, uint64, error)        { return false, 0, ErrReadOnly }
 func (s *staticShard) seq() uint64                               { return 0 }
 
-func (s *staticShard) live() int {
-	if s.ds == nil {
-		return 0
-	}
-	return s.ds.Len()
-}
+func (s *staticShard) live() int { return len(s.globals) }
 
 func (s *staticShard) describe() map[string]any {
 	return map[string]any{"type": "static", "live": s.live()}

@@ -53,10 +53,6 @@ const (
 // churn, and fallback counts.
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
-// ResetMetrics zeroes every metric in the registry (counters, gauges,
-// histogram buckets). Mainly for tests and between benchmark phases.
-func ResetMetrics() { obs.Default().Reset() }
-
 // EnableMetrics turns registry updates on or off process-wide. Metrics are
 // on by default; turning them off reduces the per-query overhead to one
 // atomic load.
